@@ -45,6 +45,7 @@ from .fileio import ParseError, algebra_to_dict, parse_algebra_file
 from .linalg import OutOfChartError
 from .rack import (
     LocalRackElement,
+    LocalRackSystem,
     build_rack_system,
     default_config,
     group_from_coords,
@@ -218,18 +219,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _i2_probe(ext, args) -> dict | None:
+def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
     """i2 at the first two coordinate directions with unit coordinates.
     Unit-coordinate group elements usually leave the configured chart, so
-    this is evaluated on an explicitly widened chart (the realized G0 is
-    unipotent for every nilpotent action, where log stays exact)."""
-    d = ext.g0_dim
+    this is evaluated on an explicitly widened chart.  The realized G0 is
+    unipotent for every nilpotent action, but the float log takes its finite
+    series only when the float test finds g - I exactly nilpotent; rounding
+    can send g down the convergent series, which is gated at ||g - I|| < 1,
+    and then the probe is skipped (random_leibniz(38) is such a case)."""
+    d = sys_.g0_dim
     if d == 0:
         return None
     x = np.eye(d)[0]
     y = np.eye(d)[0]
     try:
-        wide = build_rack_system(ext, chart_radius=max(args.chart_radius, 8.0))
+        wide = sys_.with_chart_radius(max(args.chart_radius, 8.0))
         cfg = default_config(args.quad_order, args.fd_step)
         g = group_from_coords(wide.chart, x)
         h = group_from_coords(wide.chart, y)
@@ -243,27 +247,32 @@ def _i2_probe(ext, args) -> dict | None:
     }
 
 
-def _run_suites(alg, args, report) -> int:
+def _rack_system(alg, args, report) -> LocalRackSystem | None:
+    """The report's one extension and rack system, with the analysis and
+    config sections filled in; None (and report['error']) on a bad config."""
     if not 0 < args.fd_step < args.chart_radius / 4:
         report["error"] = {
             "type": "ConfigError",
             "message": f"--fd-step must lie in (0, chart_radius/4) = "
                        f"(0, {args.chart_radius / 4}); got {args.fd_step}"}
-        return 2
+        return None
     if args.quad_order < 3:
         report["error"] = {"type": "ConfigError",
                            "message": "--quad-order must be >= 3"}
-        return 2
+        return None
     ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)
     report["exact_checks"] = _exact_checks_section(alg)
     report["analysis"] = _analysis_section(ext)
     report["config"] = _config_section(args)
-    sys_ = build_rack_system(ext, chart_radius=args.chart_radius)
+    return build_rack_system(ext, chart_radius=args.chart_radius)
+
+
+def _run_suites(sys_: LocalRackSystem, args, report) -> int:
     cfg = default_config(args.quad_order, args.fd_step)
     results = full_suite(sys_, cfg, n_samples=args.samples, seed=args.seed)
     report["properties"] = [r.as_dict() for r in results]
-    probe = _i2_probe(ext, args)
+    probe = _i2_probe(sys_, args)
     if probe is not None:
         report["i2_probe"] = probe
     report.setdefault("notes", []).append(PSI_SIGN_NOTE)
@@ -282,10 +291,8 @@ def _run_suites(alg, args, report) -> int:
 def cmd_integrate(args) -> int:
     report = {"command": "integrate"}
     alg = _load_algebra(args, report)
-    if alg is None:
-        _emit(report, args)
-        return 2
-    code = _run_suites(alg, args, report)
+    sys_ = None if alg is None else _rack_system(alg, args, report)
+    code = 2 if sys_ is None else _run_suites(sys_, args, report)
     _emit(report, args)
     return code
 
@@ -294,9 +301,9 @@ def cmd_integrate(args) -> int:
 # built-in examples with their closed-form cross-checks
 # ---------------------------------------------------------------------------
 
-def _dim5_extras(ext, args) -> list[dict]:
+def _dim5_extras(sys_: LocalRackSystem, args) -> list[dict]:
     rng = np.random.default_rng(args.seed)
-    sys_ = build_rack_system(ext, chart_radius=max(args.chart_radius, 8.0))
+    sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
     cfg = default_config(args.quad_order, args.fd_step)
     chart = sys_.chart
 
@@ -330,9 +337,8 @@ def _dim5_extras(ext, args) -> list[dict]:
     ]
 
 
-def _heisenberg_extras(ext, args) -> list[dict]:
+def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[dict]:
     rng = np.random.default_rng(args.seed)
-    sys_ = build_rack_system(ext, chart_radius=args.chart_radius)
     cfg = default_config(args.quad_order, args.fd_step)
     dev = 0.0
     for _ in range(20):
@@ -346,9 +352,8 @@ def _heisenberg_extras(ext, args) -> list[dict]:
              "samples": 20, "skipped": 0, "pass": dev <= 1e-9}]
 
 
-def _abelian_extras(ext, args) -> list[dict]:
+def _abelian_extras(sys_: LocalRackSystem, args) -> list[dict]:
     rng = np.random.default_rng(args.seed)
-    sys_ = build_rack_system(ext, chart_radius=args.chart_radius)
     cfg = default_config(args.quad_order, args.fd_step)
     dev = 0.0
     for _ in range(20):
@@ -364,16 +369,13 @@ def _abelian_extras(ext, args) -> list[dict]:
 def cmd_example(args) -> int:
     report = {"command": "example"}
     alg = _load_algebra(args, report)
-    if alg is None:
+    sys_ = None if alg is None else _rack_system(alg, args, report)
+    if sys_ is None:
         _emit(report, args)
         return 2
-    code = _run_suites(alg, args, report)
-    if "error" in report:
-        _emit(report, args)
-        return code
-    ext = canonical_extension(alg)
+    code = _run_suites(sys_, args, report)
     extras = {"dim5": _dim5_extras, "heisenberg": _heisenberg_extras,
-              "abelian3": _abelian_extras}[args.name](ext, args)
+              "abelian3": _abelian_extras}[args.name](sys_, args)
     report["properties"].extend(extras)
     if args.name == "dim5":
         report["notes"].append(PHI_TYPO_NOTE)

@@ -315,6 +315,32 @@ def nilpotency_index(m: Matrix) -> int | None:
     return None
 
 
+def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:
+    """Smallest k >= 1 such that every product of k matrices of the exact
+    family ``mats`` vanishes, else None (the algebra they generate is not
+    nilpotent).  Every element X of their span then has X^k = 0.
+
+    Decided on the flag V_0 = F^n, V_(j+1) = sum_i A_i V_j, which shrinks
+    strictly until it reaches 0 exactly when the family is nilpotent.
+    Nilpotency of each member is not enough: sl2 has a basis of nilpotent
+    matrices whose span is not nilpotent."""
+    if not mats:
+        return 1
+    n = mats[0].rows
+    if any(not m.exact or m.rows != n or m.cols != n for m in mats):
+        raise ValueError("an exact family of square matrices of one size is required")
+    basis = Matrix.identity(n).data
+    k = 1
+    while True:
+        red, pivots = rref(Matrix.from_rows([m.mat_vec(v) for m in mats for v in basis]))
+        if not pivots:
+            return k
+        if len(pivots) == len(basis):
+            return None
+        basis = red.data[:len(pivots)]
+        k += 1
+
+
 def matrix_exp(m: Matrix) -> Matrix:
     """exp(m).  Exact finite series for exact nilpotent input; otherwise
     scaling-and-squaring (scipy) on floats.  An exact non-nilpotent input is
@@ -333,6 +359,24 @@ def matrix_exp(m: Matrix) -> Matrix:
             return acc
         return Matrix.from_array(scipy.linalg.expm(m.to_numpy())).with_flags("float_fallback")
     return Matrix.from_array(scipy.linalg.expm(np.asarray(m.data)))
+
+
+def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
+    """exp(a) for a float square array.
+
+    ``index`` is the exact joint nilpotency index of a family whose span
+    contains ``a`` (see ``joint_nilpotency_index``).  With it a^index = 0,
+    so the finite series sum_(j < index) a^j / j! is exact and is used;
+    without it, scipy's scaling-and-squaring."""
+    if not a.size:
+        return np.zeros_like(a)
+    if index is None:
+        return scipy.linalg.expm(a)
+    acc = term = np.eye(a.shape[0])
+    for j in range(1, index):
+        term = (term @ a) / j
+        acc = acc + term
+    return acc
 
 
 def _log_series_float(n: np.ndarray, max_terms: int = 800) -> np.ndarray:

@@ -16,6 +16,12 @@ derivative is constantly X, so the pulled-back equivariant form needs no
 path differentiation.  A slow general-path evaluator (finite differences on
 the path) is kept behind ``IntegratorConfig.general_path`` as a cross-check.
 
+Exact decisions are made once per system.  When it is built: the joint
+nilpotency index of the ad, rho and Hom(g0, a) generator families (the
+float exp of any element of a nilpotent family is its finite series; other
+families go to scipy).  On the first iota2 call: the Lie-cocycle check of
+the extension's omega.
+
 The local rack product on G0 x a is then
 
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
@@ -26,11 +32,11 @@ a local augmented rack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import CentralExtensionData, bracket
 from .cohomology import Cochain, hom_representation, tau
@@ -38,18 +44,16 @@ from .linalg import (
     Matrix,
     OutOfChartError,
     QuadratureRule,
+    exp_float,
     gauss_legendre_01,
     integrate_01,
+    joint_nilpotency_index,
     matrix_log,
 )
 
 
 class NotLieCocycleError(ValueError):
     """iota2 was fed a cochain that is not an anti-symmetric Lie cocycle."""
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(m) if m.size else np.zeros_like(m)
 
 
 def _logm(m: np.ndarray) -> np.ndarray:
@@ -68,7 +72,9 @@ def _norm1(m: np.ndarray) -> float:
 class LocalGroupChart:
     """Matrix chart for G0 inside Aut(g): the span of ad_basis is the
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
-    g0 on itself.  Group elements are n x n arrays with ||g - I|| < radius."""
+    g0 on itself.  Group elements are n x n arrays with ||g - I|| < radius.
+    ad_index and rho_index are the exact joint nilpotency indices of the ad
+    and rho families (None if not nilpotent); they select exp's series."""
 
     dim: int
     g0_dim: int
@@ -78,6 +84,8 @@ class LocalGroupChart:
     rho_basis: tuple[np.ndarray, ...]
     ad0_basis: tuple[np.ndarray, ...]
     coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
+    ad_index: int | None
+    rho_index: int | None
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -113,14 +121,15 @@ def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -
         for p in range(d))
     flat = np.stack([b.flatten() for b in ad_basis], axis=1) if d else np.zeros((n * n, 0))
     pinv = np.linalg.pinv(flat)
-    return LocalGroupChart(n, d, m, chart_radius, ad_basis, rho_basis, ad0_basis, pinv)
+    return LocalGroupChart(n, d, m, chart_radius, ad_basis, rho_basis, ad0_basis, pinv,
+                           joint_nilpotency_index(ext.g0_matrices),
+                           joint_nilpotency_index(ext.rho))
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     quad: QuadratureRule
     fd_step: float = 1e-3
-    tol_identity: float = 1e-9
     general_path: bool = False
 
     def __post_init__(self):
@@ -131,9 +140,8 @@ class IntegratorConfig:
 
 
 def default_config(quad_order: int = 8, fd_step: float = 1e-3,
-                   tol_identity: float = 1e-9, general_path: bool = False) -> IntegratorConfig:
-    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step,
-                            tol_identity, general_path)
+                   general_path: bool = False) -> IntegratorConfig:
+    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step, general_path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +155,13 @@ class LocalRackElement:
 @dataclass(frozen=True)
 class SymmetricModule:
     """A symmetric coefficient module presented infinitesimally: one carrier
-    action matrix per g0 basis element; the group acts through exp."""
+    action matrix per g0 basis element; the group acts through exp.  index
+    is the generators' exact joint nilpotency index; None (not nilpotent,
+    or not known for a module built by hand) sends exp to scipy."""
 
     dim: int
     generators: tuple[np.ndarray, ...]
+    index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,19 @@ class LocalRackSystem:
     def neutral(self) -> LocalRackElement:
         return LocalRackElement(self.chart.identity(), np.zeros(self.center_dim))
 
+    def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
+        """The same system on a chart of another radius, without redoing
+        any exact work."""
+        if chart_radius <= 0:
+            raise ValueError("chart radius must be positive")
+        return replace(self, chart=replace(self.chart, chart_radius=chart_radius))
+
+    @cached_property
+    def lie_omega(self) -> np.ndarray:
+        """The extension's omega as a (d, d, m) array, checked once to be an
+        anti-symmetric Lie cocycle (NotLieCocycleError otherwise)."""
+        return _checked_lie_omega(self.ext, self.ext.omega)
+
 
 def _tau_matrix(omega: Cochain) -> np.ndarray:
     """Columns are the flattened Hom(g0, a) values of tau(omega) on basis
@@ -191,13 +215,10 @@ def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
     chart = chart_from_extension(ext, chart_radius)
     d, m = ext.g0_dim, ext.center_dim
-    if d:
-        hom_rep = hom_representation(ext.rep)
-        hom_gens = tuple(mat.to_numpy() for mat in hom_rep.left)
-    else:
-        hom_gens = ()
-    hom_mod = SymmetricModule(m * d, hom_gens)
-    center_mod = SymmetricModule(m, chart.rho_basis)
+    hom_left = hom_representation(ext.rep).left if d else ()
+    hom_mod = SymmetricModule(m * d, tuple(mat.to_numpy() for mat in hom_left),
+                              joint_nilpotency_index(hom_left))
+    center_mod = SymmetricModule(m, chart.rho_basis, chart.rho_index)
     return LocalRackSystem(ext, chart, hom_mod, center_mod, _tau_matrix(ext.omega))
 
 
@@ -229,18 +250,18 @@ def log_coords(chart: LocalGroupChart, g: np.ndarray, strict: bool = True) -> np
 
 
 def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
-    return _expm(chart.ad_of(xi))
+    return exp_float(chart.ad_of(xi), chart.ad_index)
 
 
 def group_action(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
     """phi_g = exp(rho_{log g}), the integrated action of G0 on the center."""
-    return _expm(chart.rho_of(log_coords(chart, g)))
+    return exp_float(chart.rho_of(log_coords(chart, g)), chart.rho_index)
 
 
 def canonical_path(chart: LocalGroupChart, g: np.ndarray, s: float) -> np.ndarray:
     """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
     require_in_chart(chart, g)
-    return _expm(s * _logm(g))
+    return exp_float(s * _logm(g))
 
 
 def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -290,7 +311,7 @@ def _pullback_1form_general(chart, mod: SymmetricModule, alpha: np.ndarray,
         xi = log_coords(chart, p)
         gen = chart.combo(mod.generators, xi) if mod.generators \
             else np.zeros((mod.dim, mod.dim))
-        return _expm(gen) @ (alpha @ v)
+        return exp_float(gen, mod.index) @ (alpha @ v)
     return integrate_01(cfg.quad, integrand)
 
 
@@ -308,11 +329,11 @@ def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
     if cfg.general_path:
         ell = chart.ad_of(xi)
         return _pullback_1form_general(chart, module, bmat,
-                                       lambda s: _expm(s * ell), cfg)
+                                       lambda s: exp_float(s * ell, chart.ad_index), cfg)
     gen = chart.combo(module.generators, xi) if module.generators \
         else np.zeros((module.dim, module.dim))
     bx = bmat @ xi
-    return integrate_01(cfg.quad, lambda s: _expm(s * gen) @ bx)
+    return integrate_01(cfg.quad, lambda s: exp_float(s * gen, module.index) @ bx)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -334,9 +355,10 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     if cfg.general_path:
         ell = chart.ad_of(eta)
         return _pullback_1form_general(chart, sys.center_module,
-                                       hom_value, lambda t: _expm(t * ell), cfg)
+                                       hom_value,
+                                       lambda t: exp_float(t * ell, chart.ad_index), cfg)
     rho_eta = chart.rho_of(eta)
-    return integrate_01(cfg.quad, lambda t: _expm(t * rho_eta) @ v)
+    return integrate_01(cfg.quad, lambda t: exp_float(t * rho_eta, chart.rho_index) @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -500,38 +522,43 @@ def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
     return worst, anti
 
 
-def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-          cfg: IntegratorConfig, omega: Cochain | None = None) -> np.ndarray:
-    """Group-cocycle integral of an anti-symmetric Lie cocycle over the
-    2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
-    gamma_g - gamma_{gh} + g gamma_h."""
-    chart = sys.chart
-    m = sys.center_dim
-    omega = sys.ext.omega if omega is None else omega
-    cocycle, anti = lie_cocycle_defect(sys.ext, omega)
+def _checked_lie_omega(ext: CentralExtensionData, omega: Cochain) -> np.ndarray:
+    """omega as a (d, d, m) array, after the exact Lie-cocycle check."""
+    cocycle, anti = lie_cocycle_defect(ext, omega)
     if anti != 0:
         raise NotLieCocycleError("omega is not anti-symmetric")
     if cocycle != 0:
         raise NotLieCocycleError("omega fails the Lie cocycle identity")
+    return omega.to_numpy()
+
+
+def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+          cfg: IntegratorConfig, omega: Cochain | None = None) -> np.ndarray:
+    """Group-cocycle integral of an anti-symmetric Lie cocycle over the
+    2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
+    gamma_g - gamma_{gh} + g gamma_h.  The extension's own omega is checked
+    once per system; an explicit omega is checked on every call."""
+    chart = sys.chart
+    m = sys.center_dim
+    omega_np = sys.lie_omega if omega is None else _checked_lie_omega(sys.ext, omega)
     require_in_chart(chart, g)
     require_in_chart(chart, h)
     require_in_chart(chart, g @ h, "group product")
     if sys.g0_dim == 0:
         return np.zeros(m)
-    omega_np = omega.to_numpy()  # (d, d, m)
-    big_h = _logm(h)
     eta_h = log_coords(chart, h)
+    big_h = chart.ad_of(eta_h)
 
     nodes, weights = cfg.quad.nodes, cfg.quad.weights
     total = np.zeros(m)
     for s, ws in zip(nodes, weights):
-        a_s = log_coords(chart, g @ _expm(s * big_h))
+        a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
         ad_a = chart.ad0_of(a_s)
         aprime = _dexp_inv(ad_a, eta_h)
         for t, wt in zip(nodes, weights):
             w_ts = _dexp(t * ad_a, t * aprime)
             val = np.einsum("p,q,pqk->k", a_s, w_ts, omega_np)
-            total = total + ws * wt * (_expm(chart.rho_of(t * a_s)) @ val)
+            total = total + ws * wt * (exp_float(chart.rho_of(t * a_s), chart.rho_index) @ val)
     return total
 
 

@@ -8,7 +8,7 @@ counted as skips, never crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,8 +293,7 @@ def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     polynomial when rho is nilpotent)."""
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 4.0
-    fine = IntegratorConfig(gauss_legendre_01(2 * cfg.quad.order),
-                            cfg.fd_step, cfg.tol_identity, cfg.general_path)
+    fine = replace(cfg, quad=gauss_legendre_01(2 * cfg.quad.order))
     worst = 0.0
     skips = 0
     for _ in range(n_pairs):

@@ -250,3 +250,30 @@ def test_analysis_reports_float_renderings(capsys):
     ana = doc["analysis"]
     assert ana["rho_float"][0][1][0] == 1.0
     assert ana["omega"][0]["value_float"] == [1.0, 0.0, 0.0]
+
+
+def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
+    import leibrack.cli as cli
+    calls = {"ext": 0, "sys": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(cli, "canonical_extension", counted("ext", cli.canonical_extension))
+    monkeypatch.setattr(cli, "build_rack_system", counted("sys", cli.build_rack_system))
+    for name in ("dim5", "heisenberg"):
+        code, _ = run_cli(capsys, "example", name, "--samples", "10", "--json")
+        assert code == 0
+    assert calls == {"ext": 2, "sys": 2}
+
+
+@pytest.mark.xfail(strict=True, reason="the float unipotency test in matrix_log sends "
+                   "this unipotent G0 element down the gated non-unipotent branch")
+def test_i2_probe_returns_value_for_unipotent_g0(capsys, tmp_path):
+    path = tmp_path / "rl38.leib"
+    write_algebra_file(random_leibniz(38), path)
+    code, out = run_cli(capsys, "integrate", str(path), "--samples", "10", "--json")
+    assert code == 0
+    assert "value" in json.loads(out)["i2_probe"]

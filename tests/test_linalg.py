@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leibrack.algebra import left_adjoint_map
 from leibrack.corpus import dim5
 from leibrack.linalg import (
     Matrix,
     OutOfChartError,
+    exp_float,
     gauss_legendre_01,
     integrate_01,
+    joint_nilpotency_index,
     matrix_exp,
     matrix_log,
     nilpotency_index,
@@ -115,6 +118,48 @@ def test_exp_float_scaling_squaring_accuracy():
     # reference: squared exponential of the halved matrix
     half = matrix_exp(Matrix.from_array(a / 2)).to_numpy()
     assert np.abs(got - half @ half).max() < 1e-12 * np.abs(got).max()
+
+
+# -- joint nilpotency of a family --------------------------------------------
+
+def test_joint_nilpotency_index_strictly_triangular_family():
+    e12 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    e23 = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    e13 = Matrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    # e12 e23 = e13 survives, every product of three vanishes
+    assert joint_nilpotency_index([e12, e23]) == 3
+    assert joint_nilpotency_index([e12, e23, e13]) == 3
+    assert joint_nilpotency_index([e13]) == 2
+    assert joint_nilpotency_index([RHO_E1]) == nilpotency_index(RHO_E1) == 3
+
+
+def test_joint_nilpotency_index_of_zero_family_is_one():
+    assert joint_nilpotency_index([Matrix.zeros(3, 3), Matrix.zeros(3, 3)]) == 1
+    assert joint_nilpotency_index([]) == 1
+
+
+def test_joint_nilpotency_index_sl2_nilpotent_basis_is_none():
+    # every member is nilpotent, but their span is sl2
+    e = Matrix.from_rows([[0, 1], [0, 0]])
+    f = Matrix.from_rows([[0, 0], [1, 0]])
+    hef = Matrix.from_rows([[1, 1], [-1, -1]])  # h + e - f
+    assert all(nilpotency_index(m) == 2 for m in (e, f, hef))
+    assert joint_nilpotency_index([e, f, hef]) is None
+
+
+def test_joint_nilpotency_index_rejects_float_family():
+    with pytest.raises(ValueError):
+        joint_nilpotency_index([Matrix.from_array(np.zeros((2, 2)))])
+
+
+def test_exp_float_series_at_index_and_scipy_without():
+    rng = np.random.default_rng(9)
+    a = np.tril(rng.uniform(-1, 1, size=(4, 4)), -1)
+    assert np.abs(exp_float(a, 4) - scipy.linalg.expm(a)).max() <= 1e-14
+    assert np.array_equal(exp_float(np.zeros((3, 3)), 1), np.eye(3))
+    full = rng.uniform(-1, 1, size=(3, 3))
+    assert np.array_equal(exp_float(full), scipy.linalg.expm(full))
+    assert exp_float(np.zeros((0, 0)), 1).shape == (0, 0)
 
 
 # -- matrix logarithm --------------------------------------------------------

@@ -3,6 +3,7 @@ Lie specialization."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leibrack.algebra import canonical_extension
 from leibrack.cohomology import Cochain
@@ -16,8 +17,9 @@ from leibrack.corpus import (
     free_nilpotent5,
     heisenberg,
     heisenberg_iota2,
+    random_corpus,
 )
-from leibrack.linalg import OutOfChartError, gauss_legendre_01
+from leibrack.linalg import OutOfChartError, exp_float, gauss_legendre_01
 from leibrack.rack import (
     IntegratorConfig,
     LocalRackElement,
@@ -28,6 +30,7 @@ from leibrack.rack import (
     conjugate,
     delta2,
     ghost_identity_defect,
+    group_action,
     group_from_coords,
     i1,
     i2,
@@ -111,7 +114,6 @@ def test_i1_matches_dim5_closed_form(dim5_sys, cfg):
 
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys, cfg):
     # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module
-    import scipy.linalg
     from fractions import Fraction
     from leibrack.cohomology import hom_representation, leibniz_differential
     rng = np.random.default_rng(2)
@@ -128,8 +130,7 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys, cfg):
 
 
 def test_i1_general_path_cross_check(dim5_sys, cfg):
-    slow = IntegratorConfig(cfg.quad, cfg.fd_step, cfg.tol_identity,
-                            general_path=True)
+    slow = IntegratorConfig(cfg.quad, cfg.fd_step, general_path=True)
     rng = np.random.default_rng(3)
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
@@ -143,8 +144,7 @@ def test_i1_general_path_nonabelian(cfg):
     # the reduction must agree with the finite-difference path evaluator
     # when Ad is nontrivial
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
-    slow = IntegratorConfig(cfg.quad, cfg.fd_step, cfg.tol_identity,
-                            general_path=True)
+    slow = IntegratorConfig(cfg.quad, cfg.fd_step, general_path=True)
     rng = np.random.default_rng(4)
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
@@ -391,7 +391,7 @@ def test_iota2_rejects_non_cocycle(cfg):
 def test_iota2_chain_derivative_series_vs_finite_differences(cfg):
     # the left-logarithmic s-derivative of the chain exp(t log(g exp(s log h)))
     # computed by the Bernoulli/dexp series must match brute-force differences
-    from leibrack.rack import _dexp, _dexp_inv, _expm, _logm
+    from leibrack.rack import _dexp, _dexp_inv, _logm
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
     chart = sys_.chart
     rng = np.random.default_rng(14)
@@ -402,12 +402,13 @@ def test_iota2_chain_derivative_series_vs_finite_differences(cfg):
     eps = 1e-5
     for s in (0.2, 0.7):
         for t in (0.3, 0.9):
-            a_s = log_coords(chart, g @ _expm(s * big_h))
+            a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
             ad_a = chart.ad0_of(a_s)
             w_series = _dexp(t * ad_a, t * _dexp_inv(ad_a, eta_h))
 
             def sigma(tt, ss):
-                return _expm(tt * chart.ad_of(log_coords(chart, g @ _expm(ss * big_h))))
+                return scipy.linalg.expm(
+                    tt * chart.ad_of(log_coords(chart, g @ scipy.linalg.expm(ss * big_h))))
 
             dsigma = (sigma(t, s + eps) - sigma(t, s - eps)) / (2 * eps)
             w_fd = chart.coord_pinv @ (np.linalg.inv(sigma(t, s)) @ dsigma).flatten()
@@ -460,3 +461,79 @@ def test_quadrature_stability(dim5_sys, cfg):
 def test_low_order_quadrature_config_rejected():
     with pytest.raises(ValueError):
         IntegratorConfig(gauss_legendre_01(2))
+
+
+# -- exact decisions made once per system ------------------------------------
+
+@pytest.mark.parametrize("alg", [dim5(), filiform5(), free_nilpotent5(), *random_corpus(4)],
+                         ids=["dim5", "filiform5", "free_nilpotent5",
+                              *(f"random{i}" for i in range(4))])
+def test_series_exp_matches_scipy_on_generator_families(alg):
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    chart = sys_.chart
+    rng = np.random.default_rng(21)
+    families = [(chart.ad_basis, chart.ad_index), (chart.rho_basis, chart.rho_index),
+                (sys_.hom_module.generators, sys_.hom_module.index)]
+    for basis, index in families:
+        assert index is not None
+        for _ in range(10):
+            x = chart.combo(basis, rng.uniform(-1.0, 1.0, size=chart.g0_dim))
+            assert np.abs(exp_float(x, index) - scipy.linalg.expm(x)).max() <= 1e-14
+
+
+def test_rho_semisimple_takes_the_scipy_path(monkeypatch):
+    # [e1, ek] = lambda_k ek with ek left-central: rho is diagonal, not nilpotent
+    from fractions import Fraction
+    from leibrack.algebra import LeibnizAlgebra
+    alg = LeibnizAlgebra.from_brackets(4, {(0, 1): {1: 1}, (0, 2): {2: Fraction(-1, 2)},
+                                           (0, 3): {3: 2}})
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    assert sys_.chart.rho_index is None and sys_.center_module.index is None
+    g = group_from_coords(sys_.chart, [0.1])
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    phi = group_action(sys_.chart, g)
+    assert calls
+    assert np.abs(phi - np.diag([np.exp(0.1), np.exp(-0.05), np.exp(0.2)])).max() < 1e-12
+
+
+def test_nilpotent_families_make_no_scipy_calls(dim5_sys, cfg, monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
+    h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
+    rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)),
+                 cfg)
+    assert not calls
+
+
+def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
+    import leibrack.rack as rack
+    calls = []
+    check = rack.lie_cocycle_defect
+    monkeypatch.setattr(rack, "lie_cocycle_defect",
+                        lambda ext, omega: calls.append(omega) or check(ext, omega))
+    sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
+    g = group_from_coords(sys_.chart, [0.05, 0.01, 0, 0])
+    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, 0])
+    for _ in range(20):
+        iota2(sys_, g, h, cfg)
+    assert len(calls) == 1
+    vals = {(1, 3): 1, (3, 1): -1}
+    fake = Cochain.from_function(2, 4, 1, lambda p, q: (vals.get((p, q), 0),))
+    for k in range(3):
+        with pytest.raises(NotLieCocycleError, match="cocycle"):
+            iota2(sys_, g, g, cfg, omega=fake)
+        assert len(calls) == 2 + k
+
+
+def test_with_chart_radius_copies_without_exact_work(dim5_sys):
+    wide = dim5_sys.with_chart_radius(8.0)
+    assert wide.chart.chart_radius == 8.0 and dim5_sys.chart.chart_radius == 0.5
+    assert wide.ext is dim5_sys.ext and wide.tau_matrix is dim5_sys.tau_matrix
+    assert wide.hom_module is dim5_sys.hom_module
+    assert wide.chart.ad_index == dim5_sys.chart.ad_index
+    with pytest.raises(ValueError):
+        dim5_sys.with_chart_radius(0.0)
