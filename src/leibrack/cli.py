@@ -250,15 +250,17 @@ def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
 def _rack_system(alg, args, report) -> LocalRackSystem | None:
     """The report's one extension and rack system, with the analysis and
     config sections filled in; None (and report['error']) on a bad config."""
-    if not 0 < args.fd_step < args.chart_radius / 4:
-        report["error"] = {
-            "type": "ConfigError",
-            "message": f"--fd-step must lie in (0, chart_radius/4) = "
-                       f"(0, {args.chart_radius / 4}); got {args.fd_step}"}
-        return None
-    if args.quad_order < 3:
-        report["error"] = {"type": "ConfigError",
-                           "message": "--quad-order must be >= 3"}
+    checks = [
+        (0 < args.fd_step < args.chart_radius / 4,
+         f"--fd-step must lie in (0, chart_radius/4) = "
+         f"(0, {args.chart_radius / 4}); got {args.fd_step}"),
+        (args.quad_order >= 3, "--quad-order must be >= 3"),
+        (args.samples >= 1, f"--samples must be >= 1; got {args.samples}"),
+        (args.seed >= 0, f"--seed must be >= 0; got {args.seed}"),
+    ]
+    message = next((msg for ok, msg in checks if not ok), None)
+    if message is not None:
+        report["error"] = {"type": "ConfigError", "message": message}
         return None
     ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)

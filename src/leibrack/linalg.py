@@ -1,14 +1,17 @@
-"""Exact rational dense linear algebra plus the two numerical kernels
-(matrix exponential/logarithm and Gauss-Legendre quadrature on [0,1]).
+"""Exact rational dense linear algebra plus the float kernels (matrix
+exponential/logarithm and Gauss-Legendre quadrature on [0,1]).
 
-Two scalar worlds coexist and never mix silently:
+Each scalar world has its own types:
 
-* exact: ``fractions.Fraction`` entries, used for every structural decision
-  (ranks, centers, identities).  ``Rational`` is a re-export of ``Fraction``,
-  which already is an always-reduced p/q with positive denominator.
-* float: ``numpy`` arrays, used only on the integration side.
+* exact: ``Matrix`` and vectors hold ``fractions.Fraction`` entries and make
+  every structural decision (ranks, centers, identities, nilpotency).
+  ``Rational`` is a re-export of ``Fraction``, which already is an
+  always-reduced p/q with positive denominator.  ``matrix_exp`` and
+  ``matrix_log`` are finite series on nilpotent/unipotent input only.
+* float: plain ``numpy`` arrays, used only on the integration side, with
+  the kernels ``exp_float``, ``log_float`` and ``integrate_01``.
 
-Conversion is explicit via ``Matrix.to_float`` / ``Matrix.to_numpy``.
+``Matrix.to_numpy`` is the one crossing, from exact to float.
 """
 
 from __future__ import annotations
@@ -61,20 +64,18 @@ def zero_vec(n: int) -> Vec:
 
 
 class Matrix:
-    """Dense matrix tagged ``exact`` (Fraction entries) or float (ndarray).
+    """Dense exact matrix: a tuple of row tuples of Fraction.
 
-    Instances are immutable; all operations return new matrices.  Mixing an
-    exact and a float matrix in arithmetic raises ``TypeError``.
+    Instances are immutable; all operations return new matrices.  Floats
+    never enter: ``to_numpy`` is the one way out to the float layer.
     """
 
-    __slots__ = ("rows", "cols", "data", "exact", "flags")
+    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows, cols, data, exact, flags=frozenset()):
+    def __init__(self, rows, cols, data):
         self.rows = rows
         self.cols = cols
-        self.data = data  # tuple-of-row-tuples (exact) or ndarray (float)
-        self.exact = exact
-        self.flags = flags
+        self.data = data
 
     # -- constructors -----------------------------------------------------
 
@@ -84,30 +85,18 @@ class Matrix:
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
-        return Matrix(len(data), ncols, data, exact=True)
+        return Matrix(len(data), ncols, data)
 
     @staticmethod
-    def from_array(arr) -> "Matrix":
-        a = np.array(arr, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("need a 2-d array")
-        a.setflags(write=False)
-        return Matrix(a.shape[0], a.shape[1], a, exact=False)
+    def identity(n: int) -> "Matrix":
+        return Matrix.from_rows(
+            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def identity(n: int, exact: bool = True) -> "Matrix":
-        if exact:
-            return Matrix.from_rows(
-                [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-        return Matrix.from_array(np.eye(n))
-
-    @staticmethod
-    def zeros(rows: int, cols: int, exact: bool = True) -> "Matrix":
-        if exact:
-            # built directly so degenerate shapes (0 x n, n x 0) keep both counts
-            data = tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-            return Matrix(rows, cols, data, exact=True)
-        return Matrix.from_array(np.zeros((rows, cols)))
+    def zeros(rows: int, cols: int) -> "Matrix":
+        # built directly so degenerate shapes (0 x n, n x 0) keep both counts
+        data = tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+        return Matrix(rows, cols, data)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
@@ -117,113 +106,71 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j] if self.exact else float(self.data[i, j])
+        return self.data[i][j]
 
     def row(self, i: int) -> Vec:
-        if self.exact:
-            return self.data[i]
-        return tuple(self.data[i, :])
+        return self.data[i]
 
     def col(self, j: int) -> Vec:
-        if self.exact:
-            return tuple(r[j] for r in self.data)
-        return tuple(self.data[:, j])
+        return tuple(r[j] for r in self.data)
 
     def to_numpy(self) -> np.ndarray:
-        if self.exact:
-            return np.array([[float(e) for e in r] for r in self.data],
-                            dtype=float).reshape(self.rows, self.cols)
-        return np.array(self.data)
-
-    def to_float(self) -> "Matrix":
-        return self if not self.exact else Matrix.from_array(self.to_numpy())
-
-    def with_flags(self, *names: str) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.data, self.exact,
-                      self.flags | frozenset(names))
+        return np.array([[float(e) for e in r] for r in self.data],
+                        dtype=float).reshape(self.rows, self.cols)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_peer(self, other: "Matrix"):
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other).__name__}")
-        if self.exact != other.exact:
-            raise TypeError("exact and float matrices do not mix; convert explicitly")
+    def _check_same_shape(self, other: "Matrix"):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} "
+                             f"vs {other.rows}x{other.cols}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_peer(other)
-        if self.exact:
-            return Matrix.from_rows([
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)])
-        return Matrix.from_array(np.asarray(self.data) + other.data)
+        self._check_same_shape(other)
+        return Matrix.from_rows([
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_peer(other)
-        if self.exact:
-            return Matrix.from_rows([
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)])
-        return Matrix.from_array(np.asarray(self.data) - other.data)
+        self._check_same_shape(other)
+        return Matrix.from_rows([
+            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        if self.exact:
-            c = Fraction(c)
-            return Matrix.from_rows([[c * e for e in r] for r in self.data])
-        return Matrix.from_array(float(c) * np.asarray(self.data))
+        c = Fraction(c)
+        return Matrix.from_rows([[c * e for e in r] for r in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_peer(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if not self.exact:
-            return Matrix.from_array(np.asarray(self.data) @ other.data)
         ocols = list(zip(*other.data)) if other.data else []
         return Matrix.from_rows([
             [sum(a * b for a, b in zip(r, c)) for c in ocols] for r in self.data])
 
     def mat_vec(self, v: Sequence) -> Vec:
-        if not self.exact:
-            raise TypeError("mat_vec is exact-only; use to_numpy() @ v for floats")
         v = as_vec(v)
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        if self.exact:
-            return Matrix.from_rows(list(zip(*self.data)) if self.data else [])
-        return Matrix.from_array(np.asarray(self.data).T)
+        return Matrix.from_rows(list(zip(*self.data)) if self.data else [])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix) or self.exact != other.exact:
+        if not isinstance(other, Matrix):
             return NotImplemented
-        if self.exact:
-            return self.data == other.data
-        return bool(np.array_equal(self.data, other.data))
+        return self.data == other.data
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data if self.exact else None))
+        return hash((self.rows, self.cols, self.data))
 
     def is_zero(self) -> bool:
-        if self.exact:
-            return all(e == 0 for r in self.data for e in r)
-        return not np.asarray(self.data).any()
-
-    def norm1(self):
-        """Induced 1-norm (max column abs sum); exact on rationals."""
-        if self.cols == 0:
-            return Fraction(0) if self.exact else 0.0
-        if self.exact:
-            return max(sum(abs(r[j]) for r in self.data) for j in range(self.cols))
-        return float(np.abs(self.data).sum(axis=0).max())
+        return all(e == 0 for r in self.data for e in r)
 
     def __repr__(self):
-        tag = "exact" if self.exact else "float"
-        return f"Matrix({self.rows}x{self.cols} {tag})"
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +178,7 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with pivot column indices (exact only)."""
-    if not m.exact:
-        raise TypeError("rref is exact-only")
+    """Reduced row echelon form with pivot column indices."""
     a = [list(r) for r in m.data]
     nrows, ncols = m.rows, m.cols
     pivots = []
@@ -299,25 +244,17 @@ def nilpotency_index(m: Matrix) -> int | None:
     suffice for nilpotent matrices; dimensions here are tiny."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    if m.exact:
-        p = m
-        for k in range(1, m.rows + 1):
-            if p.is_zero():
-                return k
-            p = p @ m
-        return None
-    a = np.asarray(m.data)
-    p = a.copy()
+    p = m
     for k in range(1, m.rows + 1):
-        if not p.any():
+        if p.is_zero():
             return k
-        p = p @ a
+        p = p @ m
     return None
 
 
 def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:
-    """Smallest k >= 1 such that every product of k matrices of the exact
-    family ``mats`` vanishes, else None (the algebra they generate is not
+    """Smallest k >= 1 such that every product of k matrices of the family
+    ``mats`` vanishes, else None (the algebra they generate is not
     nilpotent).  Every element X of their span then has X^k = 0.
 
     Decided on the flag V_0 = F^n, V_(j+1) = sum_i A_i V_j, which shrinks
@@ -327,8 +264,8 @@ def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:
     if not mats:
         return 1
     n = mats[0].rows
-    if any(not m.exact or m.rows != n or m.cols != n for m in mats):
-        raise ValueError("an exact family of square matrices of one size is required")
+    if any(m.rows != n or m.cols != n for m in mats):
+        raise ValueError("a family of square matrices of one size is required")
     basis = Matrix.identity(n).data
     k = 1
     while True:
@@ -342,23 +279,38 @@ def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:
 
 
 def matrix_exp(m: Matrix) -> Matrix:
-    """exp(m).  Exact finite series for exact nilpotent input; otherwise
-    scaling-and-squaring (scipy) on floats.  An exact non-nilpotent input is
-    not an error: it falls through to the float path with a
-    ``float_fallback`` flag on the result."""
-    if m.rows != m.cols:
-        raise ValueError("square matrix required")
-    if m.exact:
-        k = nilpotency_index(m)
-        if k is not None:
-            acc = Matrix.identity(m.rows)
-            p = Matrix.identity(m.rows)
-            for j in range(1, k):
-                p = p @ m
-                acc = acc + p.scale(Fraction(1, factorial(j)))
-            return acc
-        return Matrix.from_array(scipy.linalg.expm(m.to_numpy())).with_flags("float_fallback")
-    return Matrix.from_array(scipy.linalg.expm(np.asarray(m.data)))
+    """exp(m) of a nilpotent matrix, as its finite series.  Any other
+    input raises ValueError: its exp is not rational, and the float kernel
+    ``exp_float`` takes ``m.to_numpy()``."""
+    k = nilpotency_index(m)
+    if k is None:
+        raise ValueError("matrix_exp needs a nilpotent matrix; use exp_float for floats")
+    acc = p = Matrix.identity(m.rows)
+    for j in range(1, k):
+        p = p @ m
+        acc = acc + p.scale(Fraction(1, factorial(j)))
+    return acc
+
+
+def matrix_log(m: Matrix) -> Matrix:
+    """Principal log of a unipotent matrix (m - I nilpotent), as its finite
+    series; the inverse of matrix_exp at any norm.  Any other input raises
+    OutOfChartError: the float kernel ``log_float`` takes ``m.to_numpy()``."""
+    n = m - Matrix.identity(m.rows)
+    k = nilpotency_index(n)
+    if k is None:
+        raise OutOfChartError("matrix_log needs a unipotent matrix; use log_float for floats")
+    acc = Matrix.zeros(m.rows, m.rows)
+    p = Matrix.identity(m.rows)
+    for j in range(1, k):
+        p = p @ n
+        acc = acc + p.scale(Fraction((-1) ** (j + 1), j))
+    return acc
+
+
+def norm1_float(a: np.ndarray) -> float:
+    """Induced 1-norm (max column abs sum) of a float array; 0 if empty."""
+    return float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
 
 
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
@@ -394,30 +346,27 @@ def _log_series_float(n: np.ndarray, max_terms: int = 800) -> np.ndarray:
     raise OutOfChartError("matrix log series did not converge")
 
 
-def matrix_log(m: Matrix) -> Matrix:
-    """Principal log near the identity, inverse of matrix_exp.
+def log_float(g: np.ndarray) -> np.ndarray:
+    """Principal log of a float square array near the identity.
 
-    Unipotent input (m - I nilpotent) is handled by the exact finite series
-    at any norm.  Otherwise the precondition ||m - I|| < 1 (induced 1-norm)
-    gates the series; violation raises OutOfChartError.
-    """
-    if m.rows != m.cols:
+    If some float power of n = g - I up to the dimension is exactly zero,
+    the series for log(I + n) is finite and is summed at any norm.
+    Otherwise it converges only for ||n|| < 1 (induced 1-norm), and a
+    larger n raises OutOfChartError.  Rounding in g can hide the
+    nilpotency of a unipotent g, which then meets the norm gate."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("square matrix required")
-    n = m - Matrix.identity(m.rows, exact=m.exact)
-    k = nilpotency_index(n)
-    if k is not None:
-        if m.exact:
-            acc = Matrix.zeros(m.rows, m.rows)
-            p = Matrix.identity(m.rows)
-            for j in range(1, k):
-                p = p @ n
-                acc = acc + p.scale(Fraction((-1) ** (j + 1), j))
-            return acc
-        return Matrix.from_array(_log_series_float(np.asarray(n.data)))
-    if n.norm1() >= 1:
-        raise OutOfChartError(
-            f"||m - I|| = {float(n.norm1()):.6g} >= 1: outside the log chart")
-    return Matrix.from_array(_log_series_float(n.to_numpy() if n.exact else np.asarray(n.data)))
+    n = g - np.eye(g.shape[0])
+    p = n
+    for _ in range(n.shape[0]):
+        if not p.any():
+            return _log_series_float(n)
+        p = p @ n
+    norm = norm1_float(n)
+    if norm >= 1:
+        raise OutOfChartError(f"||m - I|| = {norm:.6g} >= 1: outside the log chart")
+    return _log_series_float(n)
 
 
 # ---------------------------------------------------------------------------

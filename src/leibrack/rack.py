@@ -13,8 +13,8 @@ The two path integrals:
 
 use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
-path differentiation.  A slow general-path evaluator (finite differences on
-the path) is kept behind ``IntegratorConfig.general_path`` as a cross-check.
+path differentiation.  (The tests keep a finite-difference evaluator along
+an arbitrary path as an independent check of i1.)
 
 Exact decisions are made once per system.  When it is built: the joint
 nilpotency index of the ad, rho and Hom(g0, a) generator families (the
@@ -41,27 +41,19 @@ import numpy as np
 from .algebra import CentralExtensionData, bracket
 from .cohomology import Cochain, hom_representation, tau
 from .linalg import (
-    Matrix,
     OutOfChartError,
     QuadratureRule,
     exp_float,
     gauss_legendre_01,
     integrate_01,
     joint_nilpotency_index,
-    matrix_log,
+    log_float,
+    norm1_float,
 )
 
 
 class NotLieCocycleError(ValueError):
     """iota2 was fed a cochain that is not an anti-symmetric Lie cocycle."""
-
-
-def _logm(m: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix_log(Matrix.from_array(m)).data)
-
-
-def _norm1(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +122,6 @@ def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -
 class IntegratorConfig:
     quad: QuadratureRule
     fd_step: float = 1e-3
-    general_path: bool = False
 
     def __post_init__(self):
         if self.quad.order < 3:
@@ -139,9 +130,8 @@ class IntegratorConfig:
             raise ValueError("fd_step must be positive")
 
 
-def default_config(quad_order: int = 8, fd_step: float = 1e-3,
-                   general_path: bool = False) -> IntegratorConfig:
-    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step, general_path)
+def default_config(quad_order: int = 8, fd_step: float = 1e-3) -> IntegratorConfig:
+    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,20 +217,20 @@ def build_rack_system(ext: CentralExtensionData,
 # ---------------------------------------------------------------------------
 
 def in_chart(chart: LocalGroupChart, g: np.ndarray) -> bool:
-    return _norm1(g - chart.identity()) < chart.chart_radius
+    return norm1_float(g - chart.identity()) < chart.chart_radius
 
 
 def require_in_chart(chart: LocalGroupChart, g: np.ndarray, what: str = "group element"):
     if not in_chart(chart, g):
         raise OutOfChartError(
-            f"{what}: ||g - I|| = {_norm1(g - chart.identity()):.4g} "
+            f"{what}: ||g - I|| = {norm1_float(g - chart.identity()):.4g} "
             f">= chart radius {chart.chart_radius}")
 
 
 def log_coords(chart: LocalGroupChart, g: np.ndarray, strict: bool = True) -> np.ndarray:
     """g0 coordinates of log(g); raises OutOfChartError if log(g) does not
     lie in the realized subalgebra (cannot happen for chart-gated input)."""
-    ell = _logm(g)
+    ell = log_float(g)
     xi = chart.coord_pinv @ ell.flatten()
     if strict:
         resid = np.abs(chart.ad_of(xi) - ell).max() if ell.size else 0.0
@@ -261,7 +251,7 @@ def group_action(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
 def canonical_path(chart: LocalGroupChart, g: np.ndarray, s: float) -> np.ndarray:
     """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
     require_in_chart(chart, g)
-    return exp_float(s * _logm(g))
+    return exp_float(s * log_float(g))
 
 
 def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -298,23 +288,6 @@ def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
     return b
 
 
-def _pullback_1form_general(chart, mod: SymmetricModule, alpha: np.ndarray,
-                            path: Callable[[float], np.ndarray], cfg,
-                            eps: float = 1e-6) -> np.ndarray:
-    """Integral over [0,1] of the equivariant 1-form of a constant
-    Hom-valued alpha along an arbitrary path, differentiating the path by
-    central differences.  Slow; cross-check only."""
-    def integrand(s):
-        p = path(s)
-        dp = (path(s + eps) - path(s - eps)) / (2 * eps)
-        v = chart.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
-        xi = log_coords(chart, p)
-        gen = chart.combo(mod.generators, xi) if mod.generators \
-            else np.zeros((mod.dim, mod.dim))
-        return exp_float(gen, mod.index) @ (alpha @ v)
-    return integrate_01(cfg.quad, integrand)
-
-
 def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
        cfg: IntegratorConfig) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta (valued in a symmetric
@@ -326,10 +299,6 @@ def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
     xi = log_coords(chart, g)
     if d == 0 or not np.abs(xi).max():
         return np.zeros(module.dim)
-    if cfg.general_path:
-        ell = chart.ad_of(xi)
-        return _pullback_1form_general(chart, module, bmat,
-                                       lambda s: exp_float(s * ell, chart.ad_index), cfg)
     gen = chart.combo(module.generators, xi) if module.generators \
         else np.zeros((module.dim, module.dim))
     bx = bmat @ xi
@@ -352,11 +321,6 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     v = hom_value @ eta
     if v.size == 0 or not np.abs(v).max():
         return np.zeros(m)
-    if cfg.general_path:
-        ell = chart.ad_of(eta)
-        return _pullback_1form_general(chart, sys.center_module,
-                                       hom_value,
-                                       lambda t: exp_float(t * ell, chart.ad_index), cfg)
     rho_eta = chart.rho_of(eta)
     return integrate_01(cfg.quad, lambda t: exp_float(t * rho_eta, chart.rho_index) @ v)
 

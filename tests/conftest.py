@@ -27,7 +27,9 @@ def dim5_sys(dim5_ext):
 
 @pytest.fixture(scope="session")
 def dim5_sys_wide(dim5_ext):
-    # the realized G0 is unipotent, so log stays exact at any radius
+    # the realized G0 is unipotent, so log_float sums its finite series at
+    # any radius, unless rounding hides the nilpotency of g - I and sends g
+    # to the convergent series, gated at ||g - I|| < 1
     return build_rack_system(dim5_ext, chart_radius=8.0)
 
 

@@ -238,10 +238,15 @@ def test_property_failure_exits_4(capsys):
 
 
 def test_bad_fd_step_is_config_error(capsys):
-    code, out = run_cli(capsys, "integrate", data_path("dim5"),
-                        "--fd-step", "0.2", "--samples", "5", "--json")
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "ConfigError"
+    # out-of-range settings exit 2 with a ConfigError instead of crashing
+    dim5_file = data_path("dim5")
+    for argv in [("integrate", dim5_file, "--fd-step", "0.2", "--samples", "5"),
+                 ("example", "abelian3", "--samples", "0"),
+                 ("integrate", dim5_file, "--samples", "-3"),
+                 ("integrate", dim5_file, "--seed", "-1", "--samples", "5")]:
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2, argv
+        assert json.loads(out)["error"]["type"] == "ConfigError", argv
 
 
 def test_analysis_reports_float_renderings(capsys):
@@ -269,7 +274,7 @@ def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
     assert calls == {"ext": 2, "sys": 2}
 
 
-@pytest.mark.xfail(strict=True, reason="the float unipotency test in matrix_log sends "
+@pytest.mark.xfail(strict=True, reason="the float unipotency test in log_float sends "
                    "this unipotent G0 element down the gated non-unipotent branch")
 def test_i2_probe_returns_value_for_unipotent_g0(capsys, tmp_path):
     path = tmp_path / "rl38.leib"

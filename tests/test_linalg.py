@@ -15,6 +15,7 @@ from leibrack.linalg import (
     gauss_legendre_01,
     integrate_01,
     joint_nilpotency_index,
+    log_float,
     matrix_exp,
     matrix_log,
     nilpotency_index,
@@ -83,7 +84,7 @@ def test_exp_diag_zero():
 def test_exp_of_nilpotent_is_exact_series():
     got = matrix_exp(RHO_E1)
     want = Matrix.from_rows([[1, 0, 0], [1, 1, 0], [Fraction(1, 2), 1, 1]])
-    assert got.exact and got == want
+    assert got == want
 
 
 def test_exp_equals_truncated_series_for_random_nilpotents():
@@ -106,17 +107,19 @@ def test_exp_equals_truncated_series_for_random_nilpotents():
 
 
 def test_exp_float_fallback_is_flagged():
-    got = matrix_exp(Matrix.from_rows([[1]]))
-    assert not got.exact and "float_fallback" in got.flags
-    assert got[0, 0] == pytest.approx(np.e, rel=1e-12)
+    # a non-nilpotent exact input has no rational exp: it is an error that
+    # points at the float kernel, not a silent float result
+    with pytest.raises(ValueError, match="exp_float"):
+        matrix_exp(Matrix.from_rows([[1]]))
+    assert exp_float(Matrix.from_rows([[1]]).to_numpy())[0, 0] == pytest.approx(np.e, rel=1e-12)
 
 
 def test_exp_float_scaling_squaring_accuracy():
     rng = np.random.default_rng(5)
     a = rng.uniform(-1, 1, size=(4, 4))
-    got = matrix_exp(Matrix.from_array(a)).to_numpy()
+    got = exp_float(a)
     # reference: squared exponential of the halved matrix
-    half = matrix_exp(Matrix.from_array(a / 2)).to_numpy()
+    half = exp_float(a / 2)
     assert np.abs(got - half @ half).max() < 1e-12 * np.abs(got).max()
 
 
@@ -148,8 +151,11 @@ def test_joint_nilpotency_index_sl2_nilpotent_basis_is_none():
 
 
 def test_joint_nilpotency_index_rejects_float_family():
+    # the family must be square matrices of one size
     with pytest.raises(ValueError):
-        joint_nilpotency_index([Matrix.from_array(np.zeros((2, 2)))])
+        joint_nilpotency_index([Matrix.zeros(2, 2), Matrix.zeros(3, 3)])
+    with pytest.raises(ValueError):
+        joint_nilpotency_index([Matrix.zeros(2, 3)])
 
 
 def test_exp_float_series_at_index_and_scipy_without():
@@ -183,32 +189,45 @@ def test_log_exp_roundtrip_random_nilpotent_exact():
 
 
 def test_log_out_of_chart():
-    with pytest.raises(OutOfChartError):
-        matrix_log(Matrix.from_rows([[Fraction(5, 2)]]))  # ||m - I|| = 1.5
+    # not unipotent: no rational log, and the error points at the float kernel
+    with pytest.raises(OutOfChartError, match="log_float"):
+        matrix_log(Matrix.from_rows([[Fraction(5, 2)]]))
+
+
+def test_log_float_out_of_chart_message():
+    with pytest.raises(OutOfChartError) as err:
+        log_float(np.array([[2.5]]))
+    assert str(err.value) == "||m - I|| = 1.5 >= 1: outside the log chart"
+
+
+def test_log_float_unipotent_takes_finite_series_at_any_norm():
+    # strictly triangular with exactly representable entries: every float
+    # power of g - I is exact, so the series is finite although ||g - I|| > 1
+    a = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [-2.0, 0.75, 0.0]])
+    g = exp_float(a, 3)
+    assert np.abs(g - np.eye(3)).sum(axis=0).max() > 1
+    assert np.array_equal(log_float(g), a)
+    # and agrees with the exact log of the same matrix
+    exact_g = Matrix.from_rows([[1, 0, 0], [Fraction(3, 2), 1, 0],
+                                [Fraction(-23, 16), Fraction(3, 4), 1]])
+    assert np.array_equal(exact_g.to_numpy(), g)
+    assert np.array_equal(matrix_log(exact_g).to_numpy(), a)
 
 
 def test_log_exp_roundtrip_float_near_identity():
     rng = np.random.default_rng(13)
     for _ in range(10):
         a = rng.uniform(-0.2, 0.2, size=(3, 3))
-        g = matrix_exp(Matrix.from_array(a))
-        back = matrix_log(g).to_numpy()
+        back = log_float(exp_float(a))
         assert np.abs(back - a).max() < 1e-10
+        assert np.abs(back - scipy.linalg.logm(scipy.linalg.expm(a))).max() < 1e-10
 
 
 def test_exp_log_roundtrip_float():
     rng = np.random.default_rng(17)
     g = np.eye(3) + rng.uniform(-0.15, 0.15, size=(3, 3))
-    m = Matrix.from_array(g)
-    again = matrix_exp(matrix_log(m)).to_numpy()
+    again = exp_float(log_float(g))
     assert np.abs(again - g).max() < 1e-10 * max(1.0, np.abs(g).max())
-
-
-# -- exact/float hygiene -----------------------------------------------------
-
-def test_exact_and_float_do_not_mix():
-    with pytest.raises(TypeError):
-        Matrix.identity(2) @ Matrix.from_array(np.eye(2))
 
 
 # -- quadrature --------------------------------------------------------------
