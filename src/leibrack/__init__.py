@@ -53,6 +53,7 @@ from .rack import (
     ghost_identity_defect,
     i1,
     i2,
+    i2_quadrature,
     iota2,
     rack_product,
     tangent_bracket,

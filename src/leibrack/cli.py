@@ -55,7 +55,7 @@ from .rack import (
     log_coords,
     rack_product,
 )
-from .suites import full_suite, sample_rack_element
+from .suites import full_suite, nan_max, sample_rack_element, sup_norm
 
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
@@ -251,6 +251,8 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
     """The report's one extension and rack system, with the analysis and
     config sections filled in; None (and report['error']) on a bad config."""
     checks = [
+        (np.isfinite(args.chart_radius),
+         f"--chart-radius must be finite; got {args.chart_radius}"),
         (0 < args.fd_step < args.chart_radius / 4,
          f"--fd-step must lie in (0, chart_radius/4) = "
          f"(0, {args.chart_radius / 4}); got {args.fd_step}"),
@@ -320,15 +322,15 @@ def _dim5_extras(sys_: LocalRackSystem, args) -> list[dict]:
         a, b = sample_coords(), sample_coords()
         g, h = group_from_coords(chart, a), group_from_coords(chart, b)
         got_i1 = i1(sys_, sys_.hom_module, sys_.tau_matrix, g, cfg).reshape(3, 2)
-        i1_dev = max(i1_dev, float(np.abs(got_i1 - dim5_i1_matrix(*a)).max()))
+        i1_dev = nan_max(i1_dev, sup_norm(got_i1 - dim5_i1_matrix(*a)))
         got_i2 = i2(sys_, g, h, cfg)
-        i2_dev = max(i2_dev, float(np.abs(got_i2 - dim5_f(a, b)).max()))
+        i2_dev = nan_max(i2_dev, sup_norm(got_i2 - dim5_f(a, b)))
         ac = rng.uniform(-0.5, 0.5, size=3)
         bc = rng.uniform(-0.5, 0.5, size=3)
         got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc), cfg)
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
         got_vec = np.concatenate([log_coords(chart, got.g), got.a])
-        conj_dev = max(conj_dev, float(np.abs(got_vec - want).max()))
+        conj_dev = nan_max(conj_dev, sup_norm(got_vec - want))
     return [
         {"name": "i1_closed_form", "max_defect": i1_dev, "tolerance": 1e-10,
          "samples": 20, "skipped": 0, "pass": i1_dev <= 1e-10},
@@ -349,7 +351,7 @@ def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[dict]:
         g = group_from_coords(sys_.chart, a)
         h = group_from_coords(sys_.chart, b)
         got = iota2(sys_, g, h, cfg)
-        dev = max(dev, float(np.abs(got - heisenberg_iota2(a, b)).max()))
+        dev = nan_max(dev, sup_norm(got - heisenberg_iota2(a, b)))
     return [{"name": "iota2_analytic_value", "max_defect": dev, "tolerance": 1e-9,
              "samples": 20, "skipped": 0, "pass": dev <= 1e-9}]
 
@@ -362,8 +364,7 @@ def _abelian_extras(sys_: LocalRackSystem, args) -> list[dict]:
         u = sample_rack_element(sys_, rng, sys_.chart.chart_radius / 4)
         v = sample_rack_element(sys_, rng, sys_.chart.chart_radius / 4)
         got = rack_product(sys_, u, v, cfg)
-        dev = max(dev, float(np.abs(got.a - v.a).max()),
-                  float(np.abs(got.g - v.g).max()))
+        dev = nan_max(dev, sup_norm(got.a - v.a), sup_norm(got.g - v.g))
     return [{"name": "trivial_rack_product", "max_defect": dev, "tolerance": 1e-12,
              "samples": 20, "skipped": 0, "pass": dev <= 1e-12}]
 

@@ -11,6 +11,11 @@
 
 Indices are 0-based; omitted pairs mean a zero bracket; coefficients are
 integers or "p/q" strings (never floats, so exact input stays exact).
+``dim``, ``left`` and ``right`` must be JSON integers: a float, a string or
+``true``/``false`` is a ParseError, never truncated or coerced, and so is a
+boolean coefficient or a ``value`` key other than decimal digits.  ``dim`` may be at most ``MAX_DIM``: the structure
+constants take dim^3 exact entries and the exact layer grows steeply with
+the dimension, so a larger file is rejected before anything is allocated.
 Serialization is canonical (sorted, minimal) so parse/serialize round-trips
 are byte-stable.
 """
@@ -24,8 +29,18 @@ from pathlib import Path
 from .algebra import LeibnizAlgebra
 
 
+MAX_DIM = 32
+"""Largest accepted ``dim``; checked before the dim^3 structure constants
+are allocated."""
+
+
 class ParseError(ValueError):
     """Malformed algebra file."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: int but not bool (bool is a subclass of int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
@@ -41,12 +56,13 @@ def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
 def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or invalid 'dim'") from None
+    dim = doc.get("dim")
+    if not _is_int(dim):
+        raise ParseError(f"'dim' must be a JSON integer; got {dim!r}")
     if dim < 1:
         raise ParseError("'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise ParseError(f"'dim' is {dim}; at most MAX_DIM = {MAX_DIM} is accepted")
     basis = doc.get("basis")
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim or \
@@ -59,24 +75,22 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"brackets[{pos}] must be an object")
-        try:
-            i, j = int(entry["left"]), int(entry["right"])
-            value = entry["value"]
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"brackets[{pos}] needs integer 'left'/'right' and a 'value'") from None
+        i, j, value = entry.get("left"), entry.get("right"), entry.get("value")
+        if not (_is_int(i) and _is_int(j)) or value is None:
+            raise ParseError(f"brackets[{pos}] needs integer 'left'/'right' and a 'value'")
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"brackets[{pos}]: index out of range")
         if not isinstance(value, dict):
             raise ParseError(f"brackets[{pos}]: 'value' must map indices to coefficients")
         for key, coeff in value.items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise ParseError(f"brackets[{pos}]: bad index {key!r}") from None
+            # int() alone would also read " 2" and "1_1"
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ParseError(f"brackets[{pos}]: bad index {key!r}")
+            k = int(key)
             if not 0 <= k < dim:
                 raise ParseError(f"brackets[{pos}]: index {k} out of range")
-            if isinstance(coeff, float):
-                raise ParseError(f"brackets[{pos}]: floats not accepted, "
+            if isinstance(coeff, (float, bool)):
+                raise ParseError(f"brackets[{pos}]: {coeff!r} not accepted, "
                                  "use integer or 'p/q' strings")
             try:
                 c[i][j][k] += Fraction(coeff)

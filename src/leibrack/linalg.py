@@ -1,5 +1,6 @@
 """Exact rational dense linear algebra plus the float kernels (matrix
-exponential/logarithm and Gauss-Legendre quadrature on [0,1]).
+exponential/logarithm, the path integral phi1 and Gauss-Legendre
+quadrature on [0,1]).
 
 Each scalar world has its own types:
 
@@ -9,7 +10,9 @@ Each scalar world has its own types:
   always-reduced p/q with positive denominator.  ``matrix_exp`` and
   ``matrix_log`` are finite series on nilpotent/unipotent input only.
 * float: plain ``numpy`` arrays, used only on the integration side, with
-  the kernels ``exp_float``, ``log_float`` and ``integrate_01``.
+  the kernels ``exp_float``, ``phi1_float`` (the integral
+  int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
+  ``integrate_01`` (quadrature, kept as phi1's cross-check).
 
 ``Matrix.to_numpy`` is the one crossing, from exact to float.
 """
@@ -327,6 +330,31 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     acc = term = np.eye(a.shape[0])
     for j in range(1, index):
         term = (term @ a) / j
+        acc = acc + term
+    return acc
+
+
+def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.ndarray:
+    """phi1(a) v = int_0^1 exp(s a) v ds = sum_j a^j v / (j+1)! for a float
+    square array a and vector v.
+
+    ``index`` is as for ``exp_float``.  With it the finite series
+    sum_(j < index) a^j v / (j+1)! is exact and is summed by matrix-vector
+    products; without it, one scipy expm of the augmented matrix
+    [[a, v], [0, 0]], whose last column holds phi1(a) v above the corner
+    (Van Loan, IEEE TAC 1978)."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[0]
+    if not n:
+        return np.zeros(0)
+    if index is None:
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = a
+        aug[:n, n] = v
+        return scipy.linalg.expm(aug)[:n, n]
+    acc = term = v
+    for j in range(1, index):
+        term = (a @ term) / (j + 1)
         acc = acc + term
     return acc
 

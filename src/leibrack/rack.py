@@ -13,8 +13,12 @@ The two path integrals:
 
 use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
-path differentiation.  (The tests keep a finite-difference evaluator along
-an arbitrary path as an independent check of i1.)
+path differentiation.  Both integrands then have the form exp(sA) v, so
+each integral is phi1(A) v (``linalg.phi1_float``), in closed form:
+i1 = phi1(gen_xi) B xi and i2 = phi1(rho_eta) (H eta).  Gauss-Legendre
+quadrature of the same integrands (``i2_quadrature``) is kept as their
+independent cross-check, and the tests keep a finite-difference evaluator
+along an arbitrary path as an independent check of i1.
 
 Exact decisions are made once per system.  When it is built: the joint
 nilpotency index of the ad, rho and Hom(g0, a) generator families (the
@@ -49,6 +53,7 @@ from .linalg import (
     joint_nilpotency_index,
     log_float,
     norm1_float,
+    phi1_float,
 )
 
 
@@ -120,6 +125,10 @@ def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """quad is the Gauss-Legendre rule of iota2's double integral and of the
+    quadrature cross-check (i1 and i2 are closed forms and do not read it);
+    fd_step is the step of the finite differences at the unit."""
+
     quad: QuadratureRule
     fd_step: float = 1e-3
 
@@ -288,21 +297,49 @@ def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
     return b
 
 
-def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
-       cfg: IntegratorConfig) -> np.ndarray:
-    """Path integral of a Leibniz 1-cocycle beta (valued in a symmetric
-    module) along the canonical path to g; vanishes at the identity."""
+def _i1_integrand(sys: LocalRackSystem, module: SymmetricModule, beta,
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(gen, bx) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds; None
+    where i1 vanishes (trivial g0 or g the identity)."""
     chart = sys.chart
     require_in_chart(chart, g)
     d = chart.g0_dim
     bmat = _beta_matrix(beta, module.dim, d)
     xi = log_coords(chart, g)
     if d == 0 or not np.abs(xi).max():
-        return np.zeros(module.dim)
+        return None
     gen = chart.combo(module.generators, xi) if module.generators \
         else np.zeros((module.dim, module.dim))
-    bx = bmat @ xi
-    return integrate_01(cfg.quad, lambda s: exp_float(s * gen, module.index) @ bx)
+    return gen, bmat @ xi
+
+
+def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, omega,
+                  hom_i1: Callable[[np.ndarray], np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rho_eta, v) with i2(omega)(g, h) = integral_0^1 exp(t rho_eta) v dt,
+    where eta = log(g |> h) and v = i1(tau omega)(g) eta; hom_i1(bmat)
+    evaluates i1 of the Hom-valued form with matrix bmat at g.  None where
+    i2 vanishes."""
+    chart = sys.chart
+    m, d = sys.center_dim, sys.g0_dim
+    gh = conjugate(chart, g, h)
+    if d == 0:
+        return None
+    bmat = sys.tau_matrix if omega is None else _tau_matrix(omega)
+    hom_value = hom_i1(bmat).reshape(m, d)
+    eta = log_coords(chart, gh)
+    v = hom_value @ eta
+    if v.size == 0 or not np.abs(v).max():
+        return None
+    return chart.rho_of(eta), v
+
+
+def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
+       cfg: IntegratorConfig) -> np.ndarray:
+    """Path integral of a Leibniz 1-cocycle beta (valued in a symmetric
+    module) along the canonical path to g; vanishes at the identity."""
+    data = _i1_integrand(sys, module, beta, g)
+    return np.zeros(module.dim) if data is None else phi1_float(*data, module.index)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -310,19 +347,32 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     """The rack 2-cocycle integrating omega (defaults to the extension's):
     the equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    chart = sys.chart
-    m, d = sys.center_dim, sys.g0_dim
-    gh = conjugate(chart, g, h)
-    if d == 0:
-        return np.zeros(m)
-    bmat = sys.tau_matrix if omega is None else _tau_matrix(omega)
-    hom_value = i1(sys, sys.hom_module, bmat, g, cfg).reshape(m, d)
-    eta = log_coords(chart, gh)
-    v = hom_value @ eta
-    if v.size == 0 or not np.abs(v).max():
-        return np.zeros(m)
-    rho_eta = chart.rho_of(eta)
-    return integrate_01(cfg.quad, lambda t: exp_float(t * rho_eta, chart.rho_index) @ v)
+    data = _i2_integrand(sys, g, h, omega,
+                         lambda bmat: i1(sys, sys.hom_module, bmat, g, cfg))
+    return np.zeros(sys.center_dim) if data is None \
+        else phi1_float(*data, sys.chart.rho_index)
+
+
+def _quadrature(rule: QuadratureRule, data, dim: int, index: int | None) -> np.ndarray:
+    """integral_0^1 exp(s a) v ds for data = (a, v) by Gauss-Legendre
+    quadrature; zeros(dim) for data None."""
+    if data is None:
+        return np.zeros(dim)
+    a, v = data
+    return integrate_01(rule, lambda s: exp_float(s * a, index) @ v)
+
+
+def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+                  rule: QuadratureRule, omega: Cochain | None = None) -> np.ndarray:
+    """i2 with both path integrals, i1's and the outer one, taken by
+    Gauss-Legendre quadrature at rule instead of phi1: the independent
+    cross-check of i2.  Exact up to rounding when rho is nilpotent and
+    2 * rule.order exceeds the polynomial degree of the integrands."""
+    hom = sys.hom_module
+    data = _i2_integrand(
+        sys, g, h, omega,
+        lambda bmat: _quadrature(rule, _i1_integrand(sys, hom, bmat, g), hom.dim, hom.index))
+    return _quadrature(rule, data, sys.center_dim, sys.chart.rho_index)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +381,9 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 
 def rack_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
                  cfg: IntegratorConfig) -> LocalRackElement:
-    """(g,a) |> (h,b) = (g |> h, g.b + i2(omega)(g,h))."""
-    gh = conjugate(sys.chart, u.g, v.g)
-    a = group_action(sys.chart, u.g) @ v.a + i2(sys, u.g, v.g, cfg)
-    return LocalRackElement(gh, a)
+    """(g,a) |> (h,b) = (g |> h, g.b + i2(omega)(g,h)): the augmented
+    action of g on (h,b)."""
+    return augmented_action(sys, u.g, v, cfg)
 
 
 def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,

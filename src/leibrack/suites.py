@@ -3,12 +3,13 @@
 Each suite returns ``PropertyResult`` records (max defect, tolerance,
 sample/skip counts).  Sampling is deterministic in the seed; points that
 leave the local domain raise OutOfChartError inside the operations and are
-counted as skips, never crashes.
+counted as skips, never crashes.  Defects are accumulated with ``nan_max``,
+so a NaN or infinite defect reaches the report and fails its property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .rack import (
     group_from_coords,
     group_product,
     i2,
+    i2_quadrature,
     iota2,
     lie_group_inverse,
     lie_group_product,
@@ -53,10 +55,20 @@ class PropertyResult:
                 "skipped": self.skipped, "pass": bool(self.passed)}
 
 
+def nan_max(*values: float) -> float:
+    """The largest value, NaN if any is NaN.  The builtin max keeps its
+    first argument when a later one is NaN, which would let a NaN defect
+    pass as the defect before it."""
+    return float(np.max(values))
+
+
+def sup_norm(x: np.ndarray) -> float:
+    """max |x_i| (NaN if an entry is NaN); 0 for an empty array."""
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
 def elem_distance(u: LocalRackElement, v: LocalRackElement) -> float:
-    dg = float(np.abs(u.g - v.g).max()) if u.g.size else 0.0
-    da = float(np.abs(u.a - v.a).max()) if u.a.size else 0.0
-    return max(dg, da)
+    return nan_max(sup_norm(u.g - v.g), sup_norm(u.a - v.a))
 
 
 def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarray:
@@ -112,12 +124,12 @@ def rack_axiom_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
             uv = rack_product(sys, u, v, cfg)
             uw = rack_product(sys, u, w, cfg)
             rhs = rack_product(sys, uv, uw, cfg)
-            sd_defect = max(sd_defect, elem_distance(lhs, rhs))
+            sd_defect = nan_max(sd_defect, elem_distance(lhs, rhs))
         except OutOfChartError:
             sd_skip += 1
-        point_defect = max(point_defect,
-                           elem_distance(rack_product(sys, u, neutral, cfg), neutral),
-                           elem_distance(rack_product(sys, neutral, v, cfg), v))
+        point_defect = nan_max(point_defect,
+                               elem_distance(rack_product(sys, u, neutral, cfg), neutral),
+                               elem_distance(rack_product(sys, neutral, v, cfg), v))
 
     # left translation by a fixed u separates separated inputs
     inj_defect = 0.0
@@ -165,10 +177,9 @@ def cocycle_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
             ghost = ghost_identity_defect(sys, g, h, k, cfg)
             gh = conjugate(sys.chart, g, h)
             ghost_shift = ghost_identity_defect(sys, gh, g, k, cfg)
-            dr_def = max(dr_def, float(np.abs(dr).max()) if dr.size else 0.0)
-            ghost_def = max(ghost_def, float(np.abs(ghost).max()) if ghost.size else 0.0)
-            rel = dr - (ghost - ghost_shift)
-            rel_def = max(rel_def, float(np.abs(rel).max()) if rel.size else 0.0)
+            dr_def = nan_max(dr_def, sup_norm(dr))
+            ghost_def = nan_max(ghost_def, sup_norm(ghost))
+            rel_def = nan_max(rel_def, sup_norm(dr - (ghost - ghost_shift)))
         except OutOfChartError:
             skips += 1
 
@@ -190,8 +201,7 @@ def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[Propert
             x = np.eye(d)[p]
             y = np.eye(d)[q]
             got = delta2(sys, f, x, y, cfg)
-            worst = max(worst, float(np.abs(got - omega_np[p, q]).max())
-                        if got.size else 0.0)
+            worst = nan_max(worst, sup_norm(got - omega_np[p, q]))
     return [PropertyResult("delta2_left_inverse", worst, 1e-5, d * d, 0)]
 
 
@@ -210,7 +220,7 @@ def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyR
             ei, ej = ext.parent.basis_vector(i), ext.parent.basis_vector(j)
             got = tangent_bracket(sys, split_coords(ei), split_coords(ej), cfg)
             want = split_coords(bracket(ext.parent, ei, ej))
-            worst = max(worst, float(np.abs(got - want).max()) if got.size else 0.0)
+            worst = nan_max(worst, sup_norm(got - want))
     return [PropertyResult("tangent_bracket_roundtrip", worst, 1e-4, n * n, 0)]
 
 
@@ -233,17 +243,17 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         try:
             uv_w = lie_group_product(sys, lie_group_product(sys, u, v, cfg), w, cfg)
             u_vw = lie_group_product(sys, u, lie_group_product(sys, v, w, cfg), cfg)
-            assoc_def = max(assoc_def, elem_distance(uv_w, u_vw))
+            assoc_def = nan_max(assoc_def, elem_distance(uv_w, u_vw))
 
             uinv = lie_group_inverse(sys, u, cfg)
             conj = lie_group_product(sys, lie_group_product(sys, u, v, cfg), uinv, cfg)
             rp = rack_product(sys, u, v, cfg)
-            conj_def = max(conj_def, elem_distance(conj, rp))
+            conj_def = nan_max(conj_def, elem_distance(conj, rp))
 
             gh = conjugate(sys.chart, u.g, v.g)
             lhs = i2(sys, u.g, v.g, cfg)
             rhs = iota2(sys, u.g, v.g, cfg) - iota2(sys, gh, u.g, cfg)
-            rel_def = max(rel_def, float(np.abs(lhs - rhs).max()) if lhs.size else 0.0)
+            rel_def = nan_max(rel_def, sup_norm(lhs - rhs))
         except OutOfChartError:
             skips += 1
 
@@ -270,13 +280,13 @@ def augmented_action_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         h = sample_group_element(sys, rng, max_norm)
         w = sample_rack_element(sys, rng, max_norm)
         try:
-            unit_def = max(unit_def,
-                           elem_distance(augmented_action(sys, ident, w, cfg), w))
-            fix_def = max(fix_def,
-                          elem_distance(augmented_action(sys, g, neutral, cfg), neutral))
+            unit_def = nan_max(unit_def,
+                               elem_distance(augmented_action(sys, ident, w, cfg), w))
+            fix_def = nan_max(fix_def,
+                              elem_distance(augmented_action(sys, g, neutral, cfg), neutral))
             lhs = augmented_action(sys, g, augmented_action(sys, h, w, cfg), cfg)
             rhs = augmented_action(sys, group_product(sys.chart, g, h), w, cfg)
-            compat_def = max(compat_def, elem_distance(lhs, rhs))
+            compat_def = nan_max(compat_def, elem_distance(lhs, rhs))
         except OutOfChartError:
             skips += 1
 
@@ -289,20 +299,20 @@ def augmented_action_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
 
 def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
                                n_pairs: int = 20, seed: int = 4) -> list[PropertyResult]:
-    """Doubling the quadrature order must not move i2 (the integrands are
-    polynomial when rho is nilpotent)."""
+    """Doubling the order of i2's quadrature cross-check (``i2_quadrature``)
+    must not move it: the integrands are polynomial when rho is nilpotent."""
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 4.0
-    fine = replace(cfg, quad=gauss_legendre_01(2 * cfg.quad.order))
+    fine = gauss_legendre_01(2 * cfg.quad.order)
     worst = 0.0
     skips = 0
     for _ in range(n_pairs):
         g = sample_group_element(sys, rng, max_norm)
         h = sample_group_element(sys, rng, max_norm)
         try:
-            a = i2(sys, g, h, cfg)
-            b = i2(sys, g, h, fine)
-            worst = max(worst, float(np.abs(a - b).max()) if a.size else 0.0)
+            a = i2_quadrature(sys, g, h, cfg.quad)
+            b = i2_quadrature(sys, g, h, fine)
+            worst = nan_max(worst, sup_norm(a - b))
         except OutOfChartError:
             skips += 1
     return [PropertyResult("quadrature_order_stability", worst, 1e-12, n_pairs, skips)]

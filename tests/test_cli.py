@@ -1,6 +1,7 @@
 """File format and command line behavior (exit codes, reports, determinism)."""
 
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -9,6 +10,7 @@ from leibrack.algebra import ValidationError
 from leibrack.cli import main
 from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
 from leibrack.fileio import (
+    MAX_DIM,
     ParseError,
     algebra_from_dict,
     algebra_to_dict,
@@ -78,6 +80,27 @@ def test_validation_error_names_the_triple():
 def test_parse_errors(doc):
     with pytest.raises(ParseError):
         algebra_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": "2"},
+    {"dim": 2.0},
+    {"dim": True},
+    {"dim": MAX_DIM + 1},
+    {"dim": 2, "brackets": [{"left": 0.9, "right": 0, "value": {"1": "1"}}]},
+    {"dim": 2, "brackets": [{"left": 0, "right": "1", "value": {"1": "1"}}]},
+    {"dim": 2, "brackets": [{"left": False, "right": 0, "value": {"1": "1"}}]},
+    {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": True}}]},
+    {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {" 1": "1"}}]},
+], ids=["dim_str", "dim_float", "dim_bool", "dim_over_cap", "left_float", "right_str",
+        "left_bool", "coeff_bool", "index_padded"])
+def test_strict_parsing_exits_2(capsys, tmp_path, doc):
+    # no truncation or coercion: each of these used to be read as a valid file
+    p = tmp_path / "strict.leib"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "verify", str(p), "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
 
 
 def test_parse_error_on_bad_json(tmp_path):
@@ -237,13 +260,28 @@ def test_property_failure_exits_4(capsys):
     assert "delta2_left_inverse" in failed
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_defect_fails_its_property(capsys):
+    # 4 h^2 underflows to 0 at h = 1e-300, so both finite-difference
+    # properties divide 0 by 0; a NaN defect must fail, not read as 0
+    code, out = run_cli(capsys, "integrate", data_path("dim5"), "--samples", "5",
+                        "--fd-step", "1e-300", "--json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["verdict"] == "property_failure"
+    props = {p["name"]: p for p in doc["properties"]}
+    for name in ("delta2_left_inverse", "tangent_bracket_roundtrip"):
+        assert math.isnan(props[name]["max_defect"]) and not props[name]["pass"]
+
+
 def test_bad_fd_step_is_config_error(capsys):
     # out-of-range settings exit 2 with a ConfigError instead of crashing
     dim5_file = data_path("dim5")
     for argv in [("integrate", dim5_file, "--fd-step", "0.2", "--samples", "5"),
                  ("example", "abelian3", "--samples", "0"),
                  ("integrate", dim5_file, "--samples", "-3"),
-                 ("integrate", dim5_file, "--seed", "-1", "--samples", "5")]:
+                 ("integrate", dim5_file, "--seed", "-1", "--samples", "5"),
+                 ("integrate", dim5_file, "--chart-radius", "inf", "--samples", "5")]:
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 2, argv
         assert json.loads(out)["error"]["type"] == "ConfigError", argv

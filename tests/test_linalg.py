@@ -20,6 +20,7 @@ from leibrack.linalg import (
     matrix_log,
     nilpotency_index,
     nullspace,
+    phi1_float,
     rank,
     rref,
 )
@@ -166,6 +167,32 @@ def test_exp_float_series_at_index_and_scipy_without():
     full = rng.uniform(-1, 1, size=(3, 3))
     assert np.array_equal(exp_float(full), scipy.linalg.expm(full))
     assert exp_float(np.zeros((0, 0)), 1).shape == (0, 0)
+
+
+# -- phi1: the path integral int_0^1 exp(s a) v ds ---------------------------
+
+def test_phi1_float_scalar_closed_form():
+    for lam in (-2.0, -0.5, 1e-3, 0.7, 3.0):
+        got = phi1_float(np.array([[lam]]), np.array([1.5]))
+        assert got[0] == pytest.approx(1.5 * np.expm1(lam) / lam, rel=1e-14)
+    # a zero generator integrates to v on either branch
+    assert np.array_equal(phi1_float(np.zeros((1, 1)), np.array([1.5]), 1), [1.5])
+    assert phi1_float(np.zeros((1, 1)), np.array([1.5]))[0] == pytest.approx(1.5, rel=1e-15)
+
+
+def test_phi1_float_series_matches_augmented_expm_and_quadrature():
+    rng = np.random.default_rng(10)
+    a = np.tril(rng.uniform(-1, 1, size=(4, 4)), -1)
+    v = rng.uniform(-1, 1, size=4)
+    series = phi1_float(a, v, 4)
+    quad = integrate_01(gauss_legendre_01(8), lambda s: scipy.linalg.expm(s * a) @ v)
+    assert np.abs(series - phi1_float(a, v)).max() <= 1e-14
+    assert np.abs(series - quad).max() <= 1e-14
+
+
+def test_phi1_float_empty():
+    for index in (None, 1):
+        assert phi1_float(np.zeros((0, 0)), np.zeros(0), index).shape == (0,)
 
 
 # -- matrix logarithm --------------------------------------------------------

@@ -1,11 +1,13 @@
 """Path integrals, the local rack product, differentiation back, and the
 Lie specialization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from leibrack.algebra import canonical_extension
+from leibrack.algebra import LeibnizAlgebra, canonical_extension
 from leibrack.cohomology import Cochain
 from leibrack.corpus import (
     abelian3,
@@ -25,6 +27,7 @@ from leibrack.linalg import (
     gauss_legendre_01,
     integrate_01,
     log_float,
+    phi1_float,
 )
 from leibrack.rack import (
     IntegratorConfig,
@@ -40,6 +43,7 @@ from leibrack.rack import (
     group_from_coords,
     i1,
     i2,
+    i2_quadrature,
     iota2,
     lie_group_inverse,
     lie_group_product,
@@ -478,6 +482,75 @@ def test_zero_center_input_runs_end_to_end(cfg):
 def test_quadrature_stability(dim5_sys, cfg):
     res = quadrature_stability_suite(dim5_sys, cfg, n_pairs=10, seed=0)[0]
     assert res.passed
+    # the suite compares real quadrature at two orders, and each order
+    # agrees with the phi1 closed form that i2 returns
+    rng = np.random.default_rng(15)
+    rule8, rule16 = gauss_legendre_01(8), gauss_legendre_01(16)
+    for _ in range(10):
+        g = group_from_coords(dim5_sys.chart, rng.uniform(-0.1, 0.1, 2))
+        h = group_from_coords(dim5_sys.chart, rng.uniform(-0.1, 0.1, 2))
+        q8 = i2_quadrature(dim5_sys, g, h, rule8)
+        q16 = i2_quadrature(dim5_sys, g, h, rule16)
+        closed = i2(dim5_sys, g, h, cfg)
+        assert np.abs(q8 - q16).max() <= 1e-12
+        assert np.abs(q8 - closed).max() <= 1e-12
+        assert np.abs(q16 - closed).max() <= 1e-12
+
+
+def _diagonal_rho():
+    # [e1, ek] = lambda_k ek with ek left-central: rho is diagonal, not
+    # nilpotent; [e1, e1] = e2 + e4 makes omega nonzero
+    return LeibnizAlgebra.from_brackets(4, {(0, 0): {1: 1, 3: 1}, (0, 1): {1: 1},
+                                            (0, 2): {2: Fraction(-1, 2)}, (0, 3): {3: 2}})
+
+
+def _aff1_with_weights():
+    # g0 = aff(1) ([e1, e2] = e2) acting on the left center (e3, e4) with
+    # weights (2, 1) and [e2, e4] = e3; [e1, e1] = e3 and [e2, e1] = -e2 + e4
+    # make omega nonzero
+    return LeibnizAlgebra.from_brackets(4, {(0, 0): {2: 1}, (0, 1): {1: 1},
+                                            (1, 0): {1: -1, 3: 1}, (0, 2): {2: 2},
+                                            (0, 3): {3: 1}, (1, 3): {2: 1}})
+
+
+@pytest.mark.parametrize("alg", [_diagonal_rho(), _aff1_with_weights()],
+                         ids=["diagonal_rho", "aff1"])
+def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg, cfg):
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    assert sys_.chart.rho_index is None and sys_.hom_module.index is None
+    rng = np.random.default_rng(16)
+    rule16 = gauss_legendre_01(16)
+    for _ in range(10):
+        g = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
+        h = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
+        closed = i2(sys_, g, h, cfg)
+        assert np.abs(closed).max() > 1e-4  # both integrals really run
+        assert np.abs(i2_quadrature(sys_, g, h, rule16) - closed).max() <= 1e-12
+
+
+def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
+    import leibrack.rack as rack
+    calls = []
+    monkeypatch.setattr(rack, "integrate_01",
+                        lambda rule, f: calls.append(rule) or integrate_01(rule, f))
+    g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
+    h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
+    i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g, cfg)
+    i2(dim5_sys, g, h, cfg)
+    assert not calls
+    i2_quadrature(dim5_sys, g, h, cfg.quad)
+    assert len(calls) == 2  # the cross-check does call it, once per integral
+
+
+def test_i2_on_diagonal_rho_makes_at_most_two_scipy_calls(cfg, monkeypatch):
+    sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
+    g = group_from_coords(sys_.chart, [0.1])
+    h = group_from_coords(sys_.chart, [-0.07])
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    assert np.abs(i2(sys_, g, h, cfg)).max() > 0
+    assert 0 < len(calls) <= 2
 
 
 def test_low_order_quadrature_config_rejected():
@@ -501,15 +574,13 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
         for _ in range(10):
             x = chart.combo(basis, rng.uniform(-1.0, 1.0, size=chart.g0_dim))
             assert np.abs(exp_float(x, index) - scipy.linalg.expm(x)).max() <= 1e-14
+            # phi1's finite series equals its augmented-expm branch
+            v = rng.uniform(-1.0, 1.0, size=x.shape[0])
+            assert np.abs(phi1_float(x, v, index) - phi1_float(x, v)).max() <= 1e-14
 
 
 def test_rho_semisimple_takes_the_scipy_path(monkeypatch):
-    # [e1, ek] = lambda_k ek with ek left-central: rho is diagonal, not nilpotent
-    from fractions import Fraction
-    from leibrack.algebra import LeibnizAlgebra
-    alg = LeibnizAlgebra.from_brackets(4, {(0, 1): {1: 1}, (0, 2): {2: Fraction(-1, 2)},
-                                           (0, 3): {3: 2}})
-    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     assert sys_.chart.rho_index is None and sys_.center_module.index is None
     g = group_from_coords(sys_.chart, [0.1])
     calls = []
