@@ -336,22 +336,25 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
 
 def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.ndarray:
     """phi1(a) v = int_0^1 exp(s a) v ds = sum_j a^j v / (j+1)! for a float
-    square array a and vector v.
+    square array a and a vector v of shape (n,) or a block of columns of
+    shape (n, k).
 
     ``index`` is as for ``exp_float``.  With it the finite series
     sum_(j < index) a^j v / (j+1)! is exact and is summed by matrix-vector
     products; without it, one scipy expm of the augmented matrix
-    [[a, v], [0, 0]], whose last column holds phi1(a) v above the corner
-    (Van Loan, IEEE TAC 1978)."""
+    [[a, v], [0, 0]], whose last k columns hold phi1(a) v above the zero
+    block (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     if not n:
-        return np.zeros(0)
+        return np.zeros(v.shape)
     if index is None:
-        aug = np.zeros((n + 1, n + 1))
+        cols = v.reshape(n, -1)
+        k = cols.shape[1]
+        aug = np.zeros((n + k, n + k))
         aug[:n, :n] = a
-        aug[:n, n] = v
-        return scipy.linalg.expm(aug)[:n, n]
+        aug[:n, n:] = cols
+        return scipy.linalg.expm(aug)[:n, n:].reshape(v.shape)
     acc = term = v
     for j in range(1, index):
         term = (a @ term) / (j + 1)

@@ -20,11 +20,16 @@ quadrature of the same integrands (``i2_quadrature``) is kept as their
 independent cross-check, and the tests keep a finite-difference evaluator
 along an arbitrary path as an independent check of i1.
 
+For Lie input, the group 2-cocycle iota2 is a double integral over a
+2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
+closed form too, so the configured Gauss-Legendre rule (IntegratorConfig.quad)
+drives only iota2's outer integral and the quadrature cross-check.
+
 Exact decisions are made once per system.  When it is built: the joint
 nilpotency index of the ad, rho and Hom(g0, a) generator families (the
-float exp of any element of a nilpotent family is its finite series; other
-families go to scipy).  On the first iota2 call: the Lie-cocycle check of
-the extension's omega.
+float exp and phi1 of any element of a nilpotent family are finite series;
+other families go to scipy).  On the first iota2 call: the Lie-cocycle
+check of the extension's omega.
 
 The local rack product on G0 x a is then
 
@@ -91,7 +96,7 @@ class LocalGroupChart:
         xi = np.asarray(xi, dtype=float)
         shape = basis[0].shape if basis else (0, 0)
         acc = np.zeros(shape)
-        for c, b in zip(xi, basis):
+        for c, b in zip(xi, basis, strict=True):
             acc = acc + c * b
         return acc
 
@@ -108,8 +113,8 @@ class LocalGroupChart:
 
 
 def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -> LocalGroupChart:
-    if chart_radius <= 0:
-        raise ValueError("chart radius must be positive")
+    if not 0 < chart_radius < np.inf:
+        raise ValueError("chart radius must be positive and finite")
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
     ad_basis = tuple(mat.to_numpy() for mat in ext.g0_matrices)
     rho_basis = tuple(mat.to_numpy() for mat in ext.rho)
@@ -125,9 +130,9 @@ def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """quad is the Gauss-Legendre rule of iota2's double integral and of the
-    quadrature cross-check (i1 and i2 are closed forms and do not read it);
-    fd_step is the step of the finite differences at the unit."""
+    """quad is the Gauss-Legendre rule of iota2's outer integral and of the
+    quadrature cross-check (i1, i2 and iota2's inner integral are closed
+    forms); fd_step is the step of the finite differences at the unit."""
 
     quad: QuadratureRule
     fd_step: float = 1e-3
@@ -172,7 +177,6 @@ class LocalRackSystem:
     ext: CentralExtensionData
     chart: LocalGroupChart
     hom_module: SymmetricModule
-    center_module: SymmetricModule
     tau_matrix: np.ndarray
 
     @property
@@ -189,8 +193,8 @@ class LocalRackSystem:
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
         """The same system on a chart of another radius, without redoing
         any exact work."""
-        if chart_radius <= 0:
-            raise ValueError("chart radius must be positive")
+        if not 0 < chart_radius < np.inf:
+            raise ValueError("chart radius must be positive and finite")
         return replace(self, chart=replace(self.chart, chart_radius=chart_radius))
 
     @cached_property
@@ -217,8 +221,7 @@ def build_rack_system(ext: CentralExtensionData,
     hom_left = hom_representation(ext.rep).left if d else ()
     hom_mod = SymmetricModule(m * d, tuple(mat.to_numpy() for mat in hom_left),
                               joint_nilpotency_index(hom_left))
-    center_mod = SymmetricModule(m, chart.rho_basis, chart.rho_index)
-    return LocalRackSystem(ext, chart, hom_mod, center_mod, _tau_matrix(ext.omega))
+    return LocalRackSystem(ext, chart, hom_mod, _tau_matrix(ext.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +266,21 @@ def canonical_path(chart: LocalGroupChart, g: np.ndarray, s: float) -> np.ndarra
     return exp_float(s * log_float(g))
 
 
+def group_inverse(g: np.ndarray, what: str = "group element") -> np.ndarray:
+    """g^-1; OutOfChartError if g is singular in floating point, which an
+    element of a non-unipotent G0 far from the identity can be."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise OutOfChartError(f"{what}: singular in floating point") from None
+
+
 def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
     require_in_chart(chart, g, "conjugator")
     require_in_chart(chart, h, "conjugated element")
-    r = g @ h @ np.linalg.inv(g)
+    r = g @ h @ group_inverse(g, "conjugator")
     require_in_chart(chart, r, "conjugation result")
     return r
 
@@ -334,8 +346,7 @@ def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, omega,
     return chart.rho_of(eta), v
 
 
-def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
-       cfg: IntegratorConfig) -> np.ndarray:
+def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta (valued in a symmetric
     module) along the canonical path to g; vanishes at the identity."""
     data = _i1_integrand(sys, module, beta, g)
@@ -343,12 +354,12 @@ def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray,
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-       cfg: IntegratorConfig, omega: Cochain | None = None) -> np.ndarray:
+       omega: Cochain | None = None) -> np.ndarray:
     """The rack 2-cocycle integrating omega (defaults to the extension's):
     the equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
     data = _i2_integrand(sys, g, h, omega,
-                         lambda bmat: i1(sys, sys.hom_module, bmat, g, cfg))
+                         lambda bmat: i1(sys, sys.hom_module, bmat, g))
     return np.zeros(sys.center_dim) if data is None \
         else phi1_float(*data, sys.chart.rho_index)
 
@@ -379,30 +390,30 @@ def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 # the local augmented Lie rack on G0 x a
 # ---------------------------------------------------------------------------
 
-def rack_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
-                 cfg: IntegratorConfig) -> LocalRackElement:
+def rack_product(sys: LocalRackSystem, u: LocalRackElement,
+                 v: LocalRackElement) -> LocalRackElement:
     """(g,a) |> (h,b) = (g |> h, g.b + i2(omega)(g,h)): the augmented
     action of g on (h,b)."""
-    return augmented_action(sys, u.g, v, cfg)
+    return augmented_action(sys, u.g, v)
 
 
-def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
-                     cfg: IntegratorConfig) -> LocalRackElement:
+def augmented_action(sys: LocalRackSystem, g: np.ndarray,
+                     v: LocalRackElement) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart."""
     gh = conjugate(sys.chart, g, v.g)
-    a = group_action(sys.chart, g) @ v.a + i2(sys, g, v.g, cfg)
+    a = group_action(sys.chart, g) @ v.a + i2(sys, g, v.g)
     return LocalRackElement(gh, a)
 
 
 def ghost_identity_defect(sys: LocalRackSystem, g, h, k,
-                          cfg: IntegratorConfig, omega: Cochain | None = None) -> np.ndarray:
+                          omega: Cochain | None = None) -> np.ndarray:
     """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2(omega); zero for cocycles.
     Note gh is the group product, not a conjugation."""
     gh = group_product(sys.chart, g, h)
     hk = conjugate(sys.chart, h, k)
-    return (group_action(sys.chart, g) @ i2(sys, h, k, cfg, omega)
-            - i2(sys, gh, k, cfg, omega) + i2(sys, g, hk, cfg, omega))
+    return (group_action(sys.chart, g) @ i2(sys, h, k, omega)
+            - i2(sys, gh, k, omega) + i2(sys, g, hk, omega))
 
 
 def delta2(sys: LocalRackSystem, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -439,7 +450,7 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.nda
         return LocalRackElement(group_from_coords(chart, s * w[:d]), s * w[d:])
 
     def probe(s, t):
-        r = rack_product(sys, elem(u, s), elem(v, t), cfg)
+        r = rack_product(sys, elem(u, s), elem(v, t))
         return r.g, r.a
 
     gpp, app = probe(hstep, hstep)
@@ -458,51 +469,6 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.nda
 # ---------------------------------------------------------------------------
 # the Lie specialization: iota^2 and the local group product
 # ---------------------------------------------------------------------------
-
-_BERNOULLI_PLUS = None
-
-
-def _bernoulli_plus_over_factorial(count: int):
-    """Coefficients of x / (1 - e^(-x)) = sum b_k x^k (Bernoulli^+ / k!)."""
-    global _BERNOULLI_PLUS
-    if _BERNOULLI_PLUS is None or len(_BERNOULLI_PLUS) < count:
-        from fractions import Fraction
-        from math import comb, factorial
-        bern = [Fraction(1)]
-        for mdeg in range(1, count):
-            s = sum(comb(mdeg + 1, j) * bern[j] for j in range(mdeg))
-            bern.append(-s / (mdeg + 1))
-        bern[1] = -bern[1]  # second-kind convention: B1 = +1/2
-        _BERNOULLI_PLUS = [float(b / factorial(k)) for k, b in enumerate(bern)]
-    return _BERNOULLI_PLUS[:count]
-
-
-def _dexp_inv(ad: np.ndarray, vec: np.ndarray, terms: int = 24) -> np.ndarray:
-    """(ad / (1 - e^(-ad)))  vec; exact cutoff for nilpotent ad."""
-    coeffs = _bernoulli_plus_over_factorial(terms)
-    acc = np.zeros_like(vec)
-    p = vec.copy()
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + c * p
-        p = ad @ p
-        if not np.abs(p).max():
-            break
-    return acc
-
-
-def _dexp(ad: np.ndarray, vec: np.ndarray, terms: int = 24) -> np.ndarray:
-    """((1 - e^(-ad)) / ad)  vec = sum (-ad)^k vec / (k+1)!."""
-    from math import factorial
-    acc = np.zeros_like(vec)
-    p = vec.copy()
-    for k in range(terms):
-        acc = acc + p / factorial(k + 1)
-        p = -(ad @ p)
-        if not np.abs(p).max():
-            break
-    return acc
-
 
 def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
     """Exact Chevalley-Eilenberg 3-cochain d omega (with the rho action);
@@ -550,28 +516,39 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     """Group-cocycle integral of an anti-symmetric Lie cocycle over the
     2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
     gamma_g - gamma_{gh} + g gamma_h.  The extension's own omega is checked
-    once per system; an explicit omega is checked on every call."""
+    once per system; an explicit omega is checked on every call.
+
+    The s-integral takes cfg.quad's rule and the t-integral is closed.  At
+    a = log(g exp(s log h)), with A = ad0(a), R = rho(a) and
+    Omega = omega(a, -), the chain's left-logarithmic s-derivative is
+    w_t = int_0^t exp(-uA) a' du, where phi1(-A) a' = log h, and
+    int_0^1 exp(tR) Omega w_t dt is exp(R) times the center part of
+    phi1(X) (0, a') with X = [[-R, Omega], [0, -A]] (Van Loan 1978).  ad0
+    is the quotient of the ad family on g0 = g / Z_L and X is block
+    triangular, so ad_index and ad_index + rho_index bound their
+    nilpotency indices."""
     chart = sys.chart
-    m = sys.center_dim
+    m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega if omega is None else _checked_lie_omega(sys.ext, omega)
     require_in_chart(chart, g)
     require_in_chart(chart, h)
     require_in_chart(chart, g @ h, "group product")
-    if sys.g0_dim == 0:
+    if d == 0:
         return np.zeros(m)
     eta_h = log_coords(chart, h)
     big_h = chart.ad_of(eta_h)
+    x_index = None if chart.ad_index is None or chart.rho_index is None \
+        else chart.ad_index + chart.rho_index
 
-    nodes, weights = cfg.quad.nodes, cfg.quad.weights
     total = np.zeros(m)
-    for s, ws in zip(nodes, weights):
+    for s, ws in zip(cfg.quad.nodes, cfg.quad.weights):
         a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
-        ad_a = chart.ad0_of(a_s)
-        aprime = _dexp_inv(ad_a, eta_h)
-        for t, wt in zip(nodes, weights):
-            w_ts = _dexp(t * ad_a, t * aprime)
-            val = np.einsum("p,q,pqk->k", a_s, w_ts, omega_np)
-            total = total + ws * wt * (exp_float(chart.rho_of(t * a_s), chart.rho_index) @ val)
+        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
+        aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
+        x = np.block([[-rho_a, np.einsum("p,pqk->kq", a_s, omega_np)],
+                      [np.zeros((d, m)), -ad_a]])
+        inner = phi1_float(x, np.concatenate([np.zeros(m), aprime]), x_index)[:m]
+        total = total + ws * (exp_float(rho_a, chart.rho_index) @ inner)
     return total
 
 
@@ -585,6 +562,6 @@ def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackEle
 
 def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
                       cfg: IntegratorConfig, omega: Cochain | None = None) -> LocalRackElement:
-    ginv = np.linalg.inv(u.g)
+    ginv = group_inverse(u.g)
     require_in_chart(sys.chart, ginv, "group inverse")
     return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, omega))

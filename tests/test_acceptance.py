@@ -108,7 +108,7 @@ def test_criterion_2_i1_closed_form():
     for _ in range(20):
         a = disk_point(rng)
         g = group_from_coords(sys_.chart, a)
-        got = i1(sys_, sys_.hom_module, sys_.tau_matrix, g, CFG).reshape(3, 2)
+        got = i1(sys_, sys_.hom_module, sys_.tau_matrix, g).reshape(3, 2)
         worst = max(worst, float(np.abs(got - dim5_i1_matrix(*a)).max()))
     dt = time.perf_counter() - t0
     announce(2, worst <= 1e-10 and dt < 1.0,
@@ -152,7 +152,7 @@ def test_criterion_3_i2_closed_form_with_symbolic_oracle():
         a, b = disk_point(rng), disk_point(rng)
         g = group_from_coords(sys_.chart, a)
         h = group_from_coords(sys_.chart, b)
-        got = i2(sys_, g, h, CFG)
+        got = i2(sys_, g, h)
         worst = max(worst, float(np.abs(got - dim5_f(a, b)).max()))
     dt = time.perf_counter() - t0
     announce(3, symbolic_match and worst <= 1e-9 and dt < 5.0,
@@ -171,7 +171,7 @@ def test_criterion_4_left_inverse_property():
         if d == 0:
             continue
         omega_np = ext.omega.to_numpy()
-        f = lambda g, h: i2(sys_, g, h, CFG)
+        f = lambda g, h: i2(sys_, g, h)
         for p in range(d):
             for q in range(d):
                 got = delta2(sys_, f, np.eye(d)[p], np.eye(d)[q], CFG)
@@ -302,7 +302,7 @@ def test_criterion_10_quadrature_exactness():
         h = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, 2))
         q8 = i2_quadrature(sys_, g, h, rule8)
         q16 = i2_quadrature(sys_, g, h, rule16)
-        closed = i2(sys_, g, h, CFG)
+        closed = i2(sys_, g, h)
         worst = max(worst, float(np.abs(q8 - q16).max()))
         agree = max(agree, float(np.abs(q8 - closed).max()),
                     float(np.abs(q16 - closed).max()))

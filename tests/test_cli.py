@@ -2,12 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from leibrack.algebra import ValidationError
-from leibrack.cli import main
+from leibrack.algebra import LeibnizAlgebra, ValidationError
+from leibrack.cli import MAX_CHART_RADIUS, main
 from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
 from leibrack.fileio import (
     MAX_DIM,
@@ -285,6 +286,56 @@ def test_bad_fd_step_is_config_error(capsys):
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 2, argv
         assert json.loads(out)["error"]["type"] == "ConfigError", argv
+
+
+def test_chart_radius_above_the_bound_is_config_error(capsys):
+    # at 1e300 the float exp of every coordinate draw overflows
+    for radius in ("1e300", str(2 * MAX_CHART_RADIUS)):
+        code, out = run_cli(capsys, "integrate", data_path("dim5"), "--samples", "5",
+                            "--chart-radius", radius, "--json")
+        assert code == 2, radius
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and "--chart-radius" in err["message"]
+
+
+_NON_UNIPOTENT = {
+    # [e1, ek] = lambda_k ek with ek left-central: rho is diagonal
+    "diagonal": {(0, 0): {1: 1, 3: 1}, (0, 1): {1: 1}, (0, 2): {2: Fraction(-1, 2)},
+                 (0, 3): {3: 2}},
+    # g0 = aff(1) acting on the left center with weights (2, 1)
+    "aff": {(0, 0): {2: 1}, (0, 1): {1: 1}, (1, 0): {1: -1, 3: 1}, (0, 2): {2: 2},
+            (0, 3): {3: 1}, (1, 3): {2: 1}},
+}
+
+
+@pytest.mark.parametrize("kind,radius", [("diagonal", "8"), ("aff", "1000")])
+def test_pointedness_counts_out_of_chart_samples_as_skips(capsys, tmp_path, kind, radius):
+    # on a wide chart the samples of a non-unipotent G0 leave the log chart,
+    # in the pointedness products too: a skip and exit 3, not a traceback
+    p = tmp_path / f"{kind}.leib"
+    write_algebra_file(LeibnizAlgebra.from_brackets(4, _NON_UNIPOTENT[kind]), p)
+    code, out = run_cli(capsys, "integrate", str(p), "--samples", "20",
+                        "--chart-radius", radius, "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == "chart_coverage_failure"
+    props = {q["name"]: q for q in doc["properties"]}
+    assert props["pointedness"]["skipped"] > 0
+
+
+def test_integrate_oscillator_algebra_passes(capsys, tmp_path):
+    # a Lie algebra whose ad0 is a rotation, not nilpotent: iota2 and its
+    # inner phi1 go through scipy
+    osc = LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
+                                           (0, 1): {2: 1}, (1, 0): {2: -1},
+                                           (0, 2): {1: -1}, (2, 0): {1: 1}})
+    p = tmp_path / "oscillator.leib"
+    write_algebra_file(osc, p)
+    code, out = run_cli(capsys, "integrate", str(p), "--samples", "10", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass" and doc["algebra"]["is_lie"]
+    assert "i2_from_iota2" in {q["name"] for q in doc["properties"]}
 
 
 def test_analysis_reports_float_renderings(capsys):

@@ -250,7 +250,7 @@ def test_general_equals_normative_for_anti_symmetric(dim5_sys):
         assert np.abs(a - b).max() == 0.0
 
 
-def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys, cfg):
+def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys):
     # arity-1 normative differential of i1(tau omega) vanishes
     from leibrack.rack import build_rack_system, i1, log_coords
     from leibrack.algebra import canonical_extension
@@ -266,7 +266,7 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys, cfg):
             return scipy.linalg.expm(gen)
 
         mod = RackModuleStructure.symmetric(sys_.hom_module.dim, hom_action, conj)
-        f = RackCochainFn(1, lambda g: i1(sys_, sys_.hom_module, sys_.tau_matrix, g, cfg))
+        f = RackCochainFn(1, lambda g: i1(sys_, sys_.hom_module, sys_.tau_matrix, g))
         for _ in range(6):
             g = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
             h = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
@@ -274,11 +274,11 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys, cfg):
             assert np.abs(val).max() <= 1e-9
 
 
-def test_identity_slot_vanishing(dim5_sys, cfg):
+def test_identity_slot_vanishing(dim5_sys):
     from leibrack.rack import i2
     chart, conj, action = _dim5_setup(dim5_sys)
     mod = RackModuleStructure.anti_symmetric(3, action)
-    f = RackCochainFn(2, lambda g, h: i2(dim5_sys, g, h, cfg))
+    f = RackCochainFn(2, lambda g, h: i2(dim5_sys, g, h))
     rng = np.random.default_rng(8)
     g = group_from_coords(chart, rng.uniform(-0.08, 0.08, 2))
     k = group_from_coords(chart, rng.uniform(-0.08, 0.08, 2))

@@ -195,6 +195,23 @@ def test_phi1_float_empty():
         assert phi1_float(np.zeros((0, 0)), np.zeros(0), index).shape == (0,)
 
 
+def test_phi1_float_block_rhs_matches_columns():
+    # an (n, k) right-hand side is k vectors at once, on both branches:
+    # a nilpotent a with its index, and a general a through scipy
+    rng = np.random.default_rng(11)
+    nilpotent = np.triu(rng.uniform(-1, 1, size=(4, 4)), 1)
+    general = rng.uniform(-1, 1, size=(4, 4))
+    block = rng.uniform(-1, 1, size=(4, 3))
+    for a, index in ((nilpotent, 4), (general, None)):
+        got = phi1_float(a, block, index)
+        assert got.shape == (4, 3)
+        for j in range(3):
+            assert np.abs(got[:, j] - phi1_float(a, block[:, j], index)).max() <= 1e-15
+    # phi1(a) itself, as phi1(a) I
+    quad = integrate_01(gauss_legendre_01(16), lambda s: scipy.linalg.expm(s * general))
+    assert np.abs(phi1_float(general, np.eye(4)) - quad).max() <= 1e-13
+
+
 # -- matrix logarithm --------------------------------------------------------
 
 def test_log_identity_is_zero():

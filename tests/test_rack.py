@@ -58,6 +58,7 @@ from leibrack.suites import (
     quadrature_stability_suite,
     rack_axiom_suite,
     roundtrip_suite,
+    sample_group_element,
     sample_rack_element,
     tangent_suite,
 )
@@ -105,24 +106,60 @@ def test_chart_gate_raises():
         conjugate(sys_.chart, big, big)
 
 
+def test_coordinates_of_the_wrong_length_are_rejected(dim5_sys):
+    # g0 of dim5 is 2-dimensional; a short or long coordinate vector used to
+    # be truncated to exp(0.1 ad_1) without a word
+    for xi in ([0.1], [0.1, 0.0, 0.3]):
+        with pytest.raises(ValueError):
+            group_from_coords(dim5_sys.chart, xi)
+
+
+def test_chart_radius_must_be_positive_and_finite(dim5_ext, dim5_sys):
+    for radius in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            build_rack_system(dim5_ext, chart_radius=radius)
+        with pytest.raises(ValueError):
+            dim5_sys.with_chart_radius(radius)
+
+
+def test_sample_group_element_halves_until_the_draw_fits(dim5_ext):
+    # at this radius the exp of a raw draw overflows; the draw is halved
+    # until it fits, never replaced by the identity
+    sys_ = build_rack_system(dim5_ext, chart_radius=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = sample_group_element(sys_, np.random.default_rng(0), 2.5e299)
+    assert np.isfinite(g).all() and (g != np.eye(5)).any()
+    assert np.abs(g - np.eye(5)).sum(axis=0).max() < 2.5e299
+
+
+def test_singular_conjugator_is_out_of_chart():
+    # a float group element of aff(1) far from the identity underflows to a
+    # singular matrix; conjugating by it leaves the chart instead of crashing
+    aff = LeibnizAlgebra.from_brackets(2, {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    sys_ = build_rack_system(canonical_extension(aff), 8.0)
+    g = group_from_coords(sys_.chart, [-800.0, 0.0])
+    with pytest.raises(OutOfChartError, match="singular"):
+        conjugate(sys_.chart, g, sys_.chart.identity())
+
+
 # -- i1 ----------------------------------------------------------------------
 
-def test_i1_vanishes_at_identity(dim5_sys, cfg):
+def test_i1_vanishes_at_identity(dim5_sys):
     got = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix,
-             dim5_sys.chart.identity(), cfg)
+             dim5_sys.chart.identity())
     assert np.abs(got).max() == 0.0
 
 
-def test_i1_matches_dim5_closed_form(dim5_sys, cfg):
+def test_i1_matches_dim5_closed_form(dim5_sys):
     rng = np.random.default_rng(1)
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        got = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g, cfg)
+        got = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
         assert np.abs(got.reshape(3, 2) - dim5_i1_matrix(*a)).max() < 1e-10
 
 
-def test_i1_of_coboundary_is_rack_coboundary(dim5_sys, cfg):
+def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module
     from fractions import Fraction
     from leibrack.cohomology import hom_representation, leibniz_differential
@@ -133,7 +170,7 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys, cfg):
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, xi)
-        got = i1(dim5_sys, dim5_sys.hom_module, beta, g, cfg)
+        got = i1(dim5_sys, dim5_sys.hom_module, beta, g)
         gen = dim5_sys.chart.combo(dim5_sys.hom_module.generators, xi)
         want = scipy.linalg.expm(gen) @ np.array(b, float) - np.array(b, float)
         assert np.abs(got - want).max() < 1e-10
@@ -164,7 +201,7 @@ def test_i1_general_path_cross_check(dim5_sys, cfg):
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        fast = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g, cfg)
+        fast = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
         assert np.abs(fast - _i1_general_path(dim5_sys, g, cfg)).max() < 1e-7
 
 
@@ -176,38 +213,38 @@ def test_i1_general_path_nonabelian(cfg):
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
         g = group_from_coords(sys_.chart, a)
-        fast = i1(sys_, sys_.hom_module, sys_.tau_matrix, g, cfg)
+        fast = i1(sys_, sys_.hom_module, sys_.tau_matrix, g)
         assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
 
 
 # -- i2 ----------------------------------------------------------------------
 
-def test_i2_vanishes_with_identity_argument(dim5_sys, cfg):
+def test_i2_vanishes_with_identity_argument(dim5_sys):
     chart = dim5_sys.chart
     g = group_from_coords(chart, [0.1, -0.06])
     one = chart.identity()
-    assert np.abs(i2(dim5_sys, g, one, cfg)).max() <= 1e-12
-    assert np.abs(i2(dim5_sys, one, g, cfg)).max() <= 1e-12
+    assert np.abs(i2(dim5_sys, g, one)).max() <= 1e-12
+    assert np.abs(i2(dim5_sys, one, g)).max() <= 1e-12
 
 
-def test_i2_unit_coordinate_value(dim5_sys_wide, cfg):
+def test_i2_unit_coordinate_value(dim5_sys_wide):
     g = group_from_coords(dim5_sys_wide.chart, [1.0, 0.0])
-    got = i2(dim5_sys_wide, g, g, cfg)
+    got = i2(dim5_sys_wide, g, g)
     assert np.abs(got - np.array([1.0, 1.0, 7.0 / 12.0])).max() < 1e-10
 
 
-def test_i2_matches_closed_form(dim5_sys, cfg):
+def test_i2_matches_closed_form(dim5_sys):
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         b = rng.uniform(-0.17, 0.17, size=2)
         g = group_from_coords(dim5_sys.chart, a)
         h = group_from_coords(dim5_sys.chart, b)
-        assert np.abs(i2(dim5_sys, g, h, cfg) - dim5_f(a, b)).max() < 1e-9
+        assert np.abs(i2(dim5_sys, g, h) - dim5_f(a, b)).max() < 1e-9
 
 
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys, cfg):
-    f = lambda g, h: i2(dim5_sys, g, h, cfg)
+    f = lambda g, h: i2(dim5_sys, g, h)
     got = delta2(dim5_sys, f, [1, 0], [0, 1], cfg)
     assert np.abs(got - np.array([1.0, 0.0, 0.0])).max() < 1e-5
 
@@ -233,28 +270,28 @@ def test_delta2_recovers_synthetic_bilinear_form(dim5_sys, cfg):
 
 # -- rack product and augmented action ---------------------------------------
 
-def test_rack_product_neutral_laws(dim5_sys, cfg):
+def test_rack_product_neutral_laws(dim5_sys):
     rng = np.random.default_rng(7)
     u = sample_rack_element(dim5_sys, rng, 0.12)
     v = sample_rack_element(dim5_sys, rng, 0.12)
     ne = dim5_sys.neutral()
-    left = rack_product(dim5_sys, ne, v, cfg)
-    right = rack_product(dim5_sys, u, ne, cfg)
+    left = rack_product(dim5_sys, ne, v)
+    right = rack_product(dim5_sys, u, ne)
     assert np.abs(left.g - v.g).max() <= 1e-12
     assert np.abs(left.a - v.a).max() <= 1e-12
     assert np.abs(right.g - ne.g).max() <= 1e-12
     assert np.abs(right.a).max() <= 1e-12
 
 
-def test_rack_product_unit_coordinate_value(dim5_sys_wide, cfg):
+def test_rack_product_unit_coordinate_value(dim5_sys_wide):
     g = group_from_coords(dim5_sys_wide.chart, [1.0, 0.0])
     u = LocalRackElement(g, np.zeros(3))
-    got = rack_product(dim5_sys_wide, u, u, cfg)
+    got = rack_product(dim5_sys_wide, u, u)
     assert np.abs(got.g - g).max() < 1e-12  # abelian quotient
     assert np.abs(got.a - np.array([1.0, 1.0, 7.0 / 12.0])).max() < 1e-9
 
 
-def test_rack_product_matches_full_conjugation_formula(dim5_sys, cfg):
+def test_rack_product_matches_full_conjugation_formula(dim5_sys):
     rng = np.random.default_rng(8)
     chart = dim5_sys.chart
     for _ in range(10):
@@ -262,7 +299,7 @@ def test_rack_product_matches_full_conjugation_formula(dim5_sys, cfg):
         b = np.concatenate([rng.uniform(-0.15, 0.15, 2), rng.uniform(-0.5, 0.5, 3)])
         u = LocalRackElement(group_from_coords(chart, a[:2]), a[2:])
         v = LocalRackElement(group_from_coords(chart, b[:2]), b[2:])
-        got = rack_product(dim5_sys, u, v, cfg)
+        got = rack_product(dim5_sys, u, v)
         got_vec = np.concatenate([log_coords(chart, got.g), got.a])
         assert np.abs(got_vec - dim5_conjugation(a, b)).max() < 1e-9
 
@@ -272,20 +309,20 @@ def test_augmented_action_axioms(dim5_sys, cfg):
     assert all(r.passed for r in results)
 
 
-def test_augmented_action_fixed_point(dim5_sys, cfg):
+def test_augmented_action_fixed_point(dim5_sys):
     g = group_from_coords(dim5_sys.chart, [0.09, -0.04])
     ne = dim5_sys.neutral()
-    out = augmented_action(dim5_sys, g, ne, cfg)
+    out = augmented_action(dim5_sys, g, ne)
     assert np.abs(out.g - ne.g).max() <= 1e-12 and np.abs(out.a).max() <= 1e-12
 
 
 # -- cocycle identities ------------------------------------------------------
 
-def test_ghost_identity_trivial_when_middle_is_identity(dim5_sys, cfg):
+def test_ghost_identity_trivial_when_middle_is_identity(dim5_sys):
     chart = dim5_sys.chart
     g = group_from_coords(chart, [0.08, 0.03])
     k = group_from_coords(chart, [0.02, -0.06])
-    got = ghost_identity_defect(dim5_sys, g, chart.identity(), k, cfg)
+    got = ghost_identity_defect(dim5_sys, g, chart.identity(), k)
     assert np.abs(got).max() <= 1e-12
 
 
@@ -314,13 +351,13 @@ def test_self_distributivity_nonabelian(cfg):
     assert all(r.passed for r in results)
 
 
-def test_abelian_rack_is_trivial(cfg):
+def test_abelian_rack_is_trivial():
     sys_ = build_rack_system(canonical_extension(abelian3()), 0.5)
     rng = np.random.default_rng(9)
     for _ in range(5):
         u = sample_rack_element(sys_, rng, 0.12)
         v = sample_rack_element(sys_, rng, 0.12)
-        got = rack_product(sys_, u, v, cfg)
+        got = rack_product(sys_, u, v)
         assert np.abs(got.g - v.g).max() == 0.0
         assert np.abs(got.a - v.a).max() == 0.0
 
@@ -381,7 +418,7 @@ def test_iota2_relation_to_i2(heis_sys, cfg):
         g = group_from_coords(heis_sys.chart, rng.uniform(-0.05, 0.05, 2))
         h = group_from_coords(heis_sys.chart, rng.uniform(-0.05, 0.05, 2))
         gh = conjugate(heis_sys.chart, g, h)
-        lhs = i2(heis_sys, g, h, cfg)
+        lhs = i2(heis_sys, g, h)
         rhs = iota2(heis_sys, g, h, cfg) - iota2(heis_sys, gh, g, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -393,7 +430,7 @@ def test_iota2_relation_nonabelian(cfg):
         g = group_from_coords(sys_.chart, rng.uniform(-0.04, 0.04, 3))
         h = group_from_coords(sys_.chart, rng.uniform(-0.04, 0.04, 3))
         gh = conjugate(sys_.chart, g, h)
-        lhs = i2(sys_, g, h, cfg)
+        lhs = i2(sys_, g, h)
         rhs = iota2(sys_, g, h, cfg) - iota2(sys_, gh, g, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -414,12 +451,13 @@ def test_iota2_rejects_non_cocycle(cfg):
         iota2(sys_, g, g, cfg, omega=fake)
 
 
-def test_iota2_chain_derivative_series_vs_finite_differences(cfg):
+def test_iota2_chain_derivative_series_vs_finite_differences():
     # the left-logarithmic s-derivative of the chain exp(t log(g exp(s log h)))
-    # computed by the Bernoulli/dexp series must match brute-force differences
-    from leibrack.rack import _dexp, _dexp_inv
+    # is t phi1(-tA) phi1(-A)^-1 eta_h with A = ad0(a_s), the form iota2's
+    # closed inner integral rests on; it must match brute-force differences
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
     chart = sys_.chart
+    d = sys_.g0_dim
     rng = np.random.default_rng(14)
     g = group_from_coords(chart, rng.uniform(-0.05, 0.05, 3))
     h = group_from_coords(chart, rng.uniform(-0.05, 0.05, 3))
@@ -430,7 +468,8 @@ def test_iota2_chain_derivative_series_vs_finite_differences(cfg):
         for t in (0.3, 0.9):
             a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
             ad_a = chart.ad0_of(a_s)
-            w_series = _dexp(t * ad_a, t * _dexp_inv(ad_a, eta_h))
+            aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
+            w_series = t * phi1_float(-t * ad_a, aprime, chart.ad_index)
 
             def sigma(tt, ss):
                 return scipy.linalg.expm(
@@ -439,6 +478,17 @@ def test_iota2_chain_derivative_series_vs_finite_differences(cfg):
             dsigma = (sigma(t, s + eps) - sigma(t, s - eps)) / (2 * eps)
             w_fd = chart.coord_pinv @ (np.linalg.inv(sigma(t, s)) @ dsigma).flatten()
             assert np.abs(w_series - w_fd).max() < 1e-8
+
+
+def test_iota2_on_filiform5_makes_no_scipy_call(cfg, monkeypatch):
+    sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
+    g = group_from_coords(sys_.chart, [0.05, 0.01, -0.02, 0.03])
+    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, -0.04])
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    assert np.abs(iota2(sys_, g, h, cfg)).max() > 0
+    assert not calls
 
 
 def test_lie_specialization_suites(cfg):
@@ -470,7 +520,7 @@ def test_zero_center_input_runs_end_to_end(cfg):
     rng = np.random.default_rng(20)
     u = sample_rack_element(sys_, rng, 0.1)
     v = sample_rack_element(sys_, rng, 0.1)
-    out = rack_product(sys_, u, v, cfg)
+    out = rack_product(sys_, u, v)
     assert out.a.shape == (0,)
     assert np.abs(out.g - u.g @ v.g @ np.linalg.inv(u.g)).max() < 1e-14
     res = tangent_suite(sys_, cfg)[0]
@@ -491,7 +541,7 @@ def test_quadrature_stability(dim5_sys, cfg):
         h = group_from_coords(dim5_sys.chart, rng.uniform(-0.1, 0.1, 2))
         q8 = i2_quadrature(dim5_sys, g, h, rule8)
         q16 = i2_quadrature(dim5_sys, g, h, rule16)
-        closed = i2(dim5_sys, g, h, cfg)
+        closed = i2(dim5_sys, g, h)
         assert np.abs(q8 - q16).max() <= 1e-12
         assert np.abs(q8 - closed).max() <= 1e-12
         assert np.abs(q16 - closed).max() <= 1e-12
@@ -515,7 +565,7 @@ def _aff1_with_weights():
 
 @pytest.mark.parametrize("alg", [_diagonal_rho(), _aff1_with_weights()],
                          ids=["diagonal_rho", "aff1"])
-def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg, cfg):
+def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     assert sys_.chart.rho_index is None and sys_.hom_module.index is None
     rng = np.random.default_rng(16)
@@ -523,9 +573,65 @@ def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg, cfg):
     for _ in range(10):
         g = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
         h = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
-        closed = i2(sys_, g, h, cfg)
+        closed = i2(sys_, g, h)
         assert np.abs(closed).max() > 1e-4  # both integrals really run
         assert np.abs(i2_quadrature(sys_, g, h, rule16) - closed).max() <= 1e-12
+
+
+def _oscillator():
+    # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
+    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through scipy
+    return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
+                                            (0, 1): {2: 1}, (1, 0): {2: -1},
+                                            (0, 2): {1: -1}, (2, 0): {1: 1}})
+
+
+def _iota2_inner_by_quadrature(sys_, omega_np, g, h, outer, inner):
+    """Oracle for iota2: the same outer rule, with the inner t-integral of
+    exp(tR) omega(a_s, w_t) taken by Gauss-Legendre at rule inner, where
+    w_t = int_0^t exp(-uA) a' du and phi1(-A) (which gives a') are also
+    quadratures of scipy exps at that rule."""
+    chart = sys_.chart
+    eta_h = log_coords(chart, h)
+    big_h = chart.ad_of(eta_h)
+    total = np.zeros(sys_.center_dim)
+    for s, ws in zip(outer.nodes, outer.weights):
+        a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
+        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
+        phi = integrate_01(inner, lambda u: scipy.linalg.expm(-u * ad_a))
+        aprime = np.linalg.solve(phi, eta_h)
+
+        def integrand(t):
+            w_t = t * integrate_01(inner, lambda u: scipy.linalg.expm(-u * t * ad_a)) @ aprime
+            return scipy.linalg.expm(t * rho_a) @ np.einsum("p,q,pqk->k", a_s, w_t, omega_np)
+        total = total + ws * integrate_01(inner, integrand)
+    return total
+
+
+# For Lie input rho is zero; the explicit omega on aff(1) acting with weights
+# is an anti-symmetric Lie cocycle (every one is, on a 2-dimensional g0)
+# whose exp(tR) is not the identity.
+_AFF1_OMEGA = Cochain.from_function(
+    2, 2, 2, lambda p, q: {(0, 1): (1, 1), (1, 0): (-1, -1)}.get((p, q), (0, 0)))
+
+
+@pytest.mark.parametrize("alg,omega", [(heisenberg(), None), (filiform5(), None),
+                                       (free_nilpotent5(), None), (_oscillator(), None),
+                                       (_aff1_with_weights(), _AFF1_OMEGA)],
+                         ids=["heisenberg", "filiform5", "free_nilpotent5", "oscillator",
+                              "aff1_explicit_omega"])
+def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    omega_np = sys_.lie_omega if omega is None else omega.to_numpy()
+    rng = np.random.default_rng(17)
+    rule16 = gauss_legendre_01(16)
+    for _ in range(3):
+        g = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
+        h = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
+        closed = iota2(sys_, g, h, cfg, omega)
+        assert np.abs(closed).max() > 1e-6
+        want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, cfg.quad, rule16)
+        assert np.abs(closed - want).max() <= 1e-12
 
 
 def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
@@ -535,21 +641,21 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
                         lambda rule, f: calls.append(rule) or integrate_01(rule, f))
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
-    i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g, cfg)
-    i2(dim5_sys, g, h, cfg)
+    i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
+    i2(dim5_sys, g, h)
     assert not calls
     i2_quadrature(dim5_sys, g, h, cfg.quad)
     assert len(calls) == 2  # the cross-check does call it, once per integral
 
 
-def test_i2_on_diagonal_rho_makes_at_most_two_scipy_calls(cfg, monkeypatch):
+def test_i2_on_diagonal_rho_makes_at_most_two_scipy_calls(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     g = group_from_coords(sys_.chart, [0.1])
     h = group_from_coords(sys_.chart, [-0.07])
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
-    assert np.abs(i2(sys_, g, h, cfg)).max() > 0
+    assert np.abs(i2(sys_, g, h)).max() > 0
     assert 0 < len(calls) <= 2
 
 
@@ -581,7 +687,7 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
 
 def test_rho_semisimple_takes_the_scipy_path(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
-    assert sys_.chart.rho_index is None and sys_.center_module.index is None
+    assert sys_.chart.rho_index is None
     g = group_from_coords(sys_.chart, [0.1])
     calls = []
     expm = scipy.linalg.expm
@@ -591,14 +697,13 @@ def test_rho_semisimple_takes_the_scipy_path(monkeypatch):
     assert np.abs(phi - np.diag([np.exp(0.1), np.exp(-0.05), np.exp(0.2)])).max() < 1e-12
 
 
-def test_nilpotent_families_make_no_scipy_calls(dim5_sys, cfg, monkeypatch):
+def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
-    rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)),
-                 cfg)
+    rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
     assert not calls
 
 
