@@ -216,8 +216,8 @@ class Representation:
     one exact matrix per algebra basis element each.
 
     flavor 'symmetric' forces right = -left, 'anti_symmetric' forces
-    right = 0; 'general' stores both.  The three module axioms are checked
-    exactly on construction.
+    right = 0.  The three module axioms are checked exactly on
+    construction.
     """
 
     algebra: LeibnizAlgebra
@@ -238,10 +238,6 @@ class Representation:
         m = Representation._carrier(left, carrier_dim)
         zeros = tuple(Matrix.zeros(m, m) for _ in left)
         return Representation._build(alg, left, zeros, "anti_symmetric", m)
-
-    @staticmethod
-    def general(alg, left, right) -> "Representation":
-        return Representation._build(alg, tuple(left), tuple(right), "general")
 
     @staticmethod
     def trivial(alg, carrier_dim) -> "Representation":

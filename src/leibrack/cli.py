@@ -42,7 +42,7 @@ from .corpus import (
     heisenberg_iota2,
 )
 from .fileio import ParseError, algebra_to_dict, parse_algebra_file
-from .linalg import OutOfChartError
+from .linalg import OutOfChartError, sup_norm
 from .rack import (
     LocalRackElement,
     LocalRackSystem,
@@ -55,12 +55,23 @@ from .rack import (
     log_coords,
     rack_product,
 )
-from .suites import full_suite, nan_max, sample_rack_element, sup_norm
+from .suites import (
+    PropertyResult,
+    elem_distance,
+    full_suite,
+    sample_rack_element,
+    sampled,
+)
 
 # The suites draw group elements up to a quarter of --chart-radius from the
 # identity; far beyond the unit the float exp overflows and no identity can
 # be checked to its tolerance, so a larger radius is a config error.
 MAX_CHART_RADIUS = 1e3
+
+# numpy's leggauss(q) builds a q x q companion matrix, and the quadrature
+# stability suite asks for order 2q, so a huge --quad-order is a config
+# error rather than a huge allocation.
+MAX_QUAD_ORDER = 64
 
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
@@ -225,13 +236,14 @@ def cmd_analyze(args) -> int:
 
 
 def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
-    """i2 at the first two coordinate directions with unit coordinates.
-    Unit-coordinate group elements usually leave the configured chart, so
-    this is evaluated on an explicitly widened chart.  The realized G0 is
-    unipotent for every nilpotent action, but the float log takes its finite
-    series only when the float test finds g - I exactly nilpotent; rounding
-    can send g down the convergent series, which is gated at ||g - I|| < 1,
-    and then the probe is skipped (random_leibniz(38) is such a case)."""
+    """i2(g, g) at g = exp(ad e_1), the unit step along the first
+    coordinate direction.  Unit-coordinate group elements usually leave the
+    configured chart, so this is evaluated on an explicitly widened chart.
+    The realized G0 is unipotent for every nilpotent action, but the float
+    log takes its finite series only when the float test finds g - I
+    exactly nilpotent; rounding can send g down the convergent series,
+    which is gated at ||g - I|| < 1, and then the probe is skipped
+    (random_leibniz(38) is such a case)."""
     d = sys_.g0_dim
     if d == 0:
         return None
@@ -261,6 +273,8 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
          f"--fd-step must lie in (0, chart_radius/4) = "
          f"(0, {args.chart_radius / 4}); got {args.fd_step}"),
         (args.quad_order >= 3, "--quad-order must be >= 3"),
+        (args.quad_order <= MAX_QUAD_ORDER,
+         f"--quad-order must be <= {MAX_QUAD_ORDER}; got {args.quad_order}"),
         (args.samples >= 1, f"--samples must be >= 1; got {args.samples}"),
         (args.seed >= 0, f"--seed must be >= 0; got {args.seed}"),
     ]
@@ -276,14 +290,18 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
     return build_rack_system(ext, chart_radius=args.chart_radius)
 
 
-def _run_suites(sys_: LocalRackSystem, args, report) -> int:
+def _run_suites(sys_: LocalRackSystem, args, report, extras=None, notes=()) -> int:
+    """Run the suites, plus an example's extra cross-checks, into report;
+    returns the exit code."""
     cfg = default_config(args.quad_order, args.fd_step)
     results = full_suite(sys_, cfg, n_samples=args.samples, seed=args.seed)
+    if extras is not None:
+        results += extras(sys_, args)
     report["properties"] = [r.as_dict() for r in results]
     probe = _i2_probe(sys_, args)
     if probe is not None:
         report["i2_probe"] = probe
-    report.setdefault("notes", []).append(PSI_SIGN_NOTE)
+    report["notes"] = [PSI_SIGN_NOTE, *notes]
     coverage_fail = any(r.skipped > max(1, r.samples) / 2 for r in results)
     prop_fail = not all(r.passed for r in results)
     if coverage_fail:
@@ -296,11 +314,11 @@ def _run_suites(sys_: LocalRackSystem, args, report) -> int:
     return 0
 
 
-def cmd_integrate(args) -> int:
-    report = {"command": "integrate"}
+def cmd_integrate(args, extras=None, notes=()) -> int:
+    report = {"command": args.subcommand}
     alg = _load_algebra(args, report)
     sys_ = None if alg is None else _rack_system(alg, args, report)
-    code = 2 if sys_ is None else _run_suites(sys_, args, report)
+    code = 2 if sys_ is None else _run_suites(sys_, args, report, extras, notes)
     _emit(report, args)
     return code
 
@@ -309,7 +327,7 @@ def cmd_integrate(args) -> int:
 # built-in examples with their closed-form cross-checks
 # ---------------------------------------------------------------------------
 
-def _dim5_extras(sys_: LocalRackSystem, args) -> list[dict]:
+def _dim5_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
     sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
     chart = sys_.chart
@@ -320,75 +338,57 @@ def _dim5_extras(sys_: LocalRackSystem, args) -> list[dict]:
             if np.hypot(a[0], a[1]) <= 0.25:
                 return a
 
-    i1_dev = i2_dev = conj_dev = 0.0
-    for _ in range(20):
-        a, b = sample_coords(), sample_coords()
+    def draw():
+        return (sample_coords(), sample_coords(),
+                rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
+
+    def check(a, b, ac, bc):
         g, h = group_from_coords(chart, a), group_from_coords(chart, b)
-        got_i1 = i1(sys_, sys_.hom_module, sys_.tau_matrix, g).reshape(3, 2)
-        i1_dev = nan_max(i1_dev, sup_norm(got_i1 - dim5_i1_matrix(*a)))
-        got_i2 = i2(sys_, g, h)
-        i2_dev = nan_max(i2_dev, sup_norm(got_i2 - dim5_f(a, b)))
-        ac = rng.uniform(-0.5, 0.5, size=3)
-        bc = rng.uniform(-0.5, 0.5, size=3)
+        got_i1 = i1(sys_, sys_.tau_matrix, g).reshape(3, 2)
+        yield sup_norm(got_i1 - dim5_i1_matrix(*a))
+        yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
         got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        got_vec = np.concatenate([log_coords(chart, got.g), got.a])
-        conj_dev = nan_max(conj_dev, sup_norm(got_vec - want))
-    return [
-        {"name": "i1_closed_form", "max_defect": i1_dev, "tolerance": 1e-10,
-         "samples": 20, "skipped": 0, "pass": i1_dev <= 1e-10},
-        {"name": "i2_closed_form", "max_defect": i2_dev, "tolerance": 1e-9,
-         "samples": 20, "skipped": 0, "pass": i2_dev <= 1e-9},
-        {"name": "conjugation_closed_form", "max_defect": conj_dev, "tolerance": 1e-9,
-         "samples": 20, "skipped": 0, "pass": conj_dev <= 1e-9},
-    ]
+        yield sup_norm(np.concatenate([log_coords(chart, got.g), got.a]) - want)
+
+    return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
+                                     ("conjugation_closed_form", 1e-9)])
 
 
-def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[dict]:
+def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
     cfg = default_config(args.quad_order, args.fd_step)
-    dev = 0.0
-    for _ in range(20):
-        a = rng.uniform(-0.05, 0.05, size=2)
-        b = rng.uniform(-0.05, 0.05, size=2)
+
+    def check(a, b):
         g = group_from_coords(sys_.chart, a)
         h = group_from_coords(sys_.chart, b)
-        got = iota2(sys_, g, h, cfg)
-        dev = nan_max(dev, sup_norm(got - heisenberg_iota2(a, b)))
-    return [{"name": "iota2_analytic_value", "max_defect": dev, "tolerance": 1e-9,
-             "samples": 20, "skipped": 0, "pass": dev <= 1e-9}]
+        yield sup_norm(iota2(sys_, g, h, cfg) - heisenberg_iota2(a, b))
+
+    return sampled(20, lambda: (rng.uniform(-0.05, 0.05, size=2),
+                                rng.uniform(-0.05, 0.05, size=2)),
+                   check, [("iota2_analytic_value", 1e-9)])
 
 
-def _abelian_extras(sys_: LocalRackSystem, args) -> list[dict]:
+def _abelian_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    dev = 0.0
-    for _ in range(20):
-        u = sample_rack_element(sys_, rng, sys_.chart.chart_radius / 4)
-        v = sample_rack_element(sys_, rng, sys_.chart.chart_radius / 4)
-        got = rack_product(sys_, u, v)
-        dev = nan_max(dev, sup_norm(got.a - v.a), sup_norm(got.g - v.g))
-    return [{"name": "trivial_rack_product", "max_defect": dev, "tolerance": 1e-12,
-             "samples": 20, "skipped": 0, "pass": dev <= 1e-12}]
+    max_norm = sys_.chart.chart_radius / 4
+
+    def check(u, v):
+        yield elem_distance(rack_product(sys_, u, v), v)
+
+    return sampled(20, lambda: (sample_rack_element(sys_, rng, max_norm),
+                                sample_rack_element(sys_, rng, max_norm)),
+                   check, [("trivial_rack_product", 1e-12)])
+
+
+EXAMPLE_EXTRAS = {"dim5": (_dim5_extras, (PHI_TYPO_NOTE,)),
+                  "heisenberg": (_heisenberg_extras, ()),
+                  "abelian3": (_abelian_extras, ())}
 
 
 def cmd_example(args) -> int:
-    report = {"command": "example"}
-    alg = _load_algebra(args, report)
-    sys_ = None if alg is None else _rack_system(alg, args, report)
-    if sys_ is None:
-        _emit(report, args)
-        return 2
-    code = _run_suites(sys_, args, report)
-    extras = {"dim5": _dim5_extras, "heisenberg": _heisenberg_extras,
-              "abelian3": _abelian_extras}[args.name](sys_, args)
-    report["properties"].extend(extras)
-    if args.name == "dim5":
-        report["notes"].append(PHI_TYPO_NOTE)
-    if not all(p["pass"] for p in extras) and code == 0:
-        report["verdict"] = "property_failure"
-        code = 4
-    _emit(report, args)
-    return code
+    """integrate on a built-in, with its closed-form cross-checks."""
+    return cmd_integrate(args, *EXAMPLE_EXTRAS[args.name])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Representation, bracket, is_lie
-from .linalg import Matrix, Vec, as_vec, vec_scale, zero_vec
+from .linalg import Matrix, Vec, as_vec, nan_max, sup_norm, vec_scale, zero_vec
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,13 @@ class RackModuleStructure:
 
     @staticmethod
     def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y)."""
+        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y).  No
+        production path builds one: the suites check i2 in the
+        anti-symmetric module.  It is kept as the module in which i1 is a
+        rack 1-cocycle, and the one on which the two sign conventions of the
+        psi term differ, so it is what the tests pinning
+        ``rack_differential_eval`` against ``rack_differential_general``
+        run on."""
         def phi(x, y, v):
             return action(x) @ v
 
@@ -349,13 +355,13 @@ def rack_diff2_expansion(mod, f, g, h, k, conj):
 def check_module_axioms(mod: RackModuleStructure, conj: ConjFn,
                         samples, identity=None, tol: float = 1e-10) -> dict:
     """Per-axiom max defect of (M0)-(M4) over sampled group-element triples;
-    passes iff every defect <= tol."""
+    passes iff every defect <= tol.  A NaN defect stays NaN and fails."""
     m = mod.carrier_dim
     basis = [np.eye(m)[:, b] for b in range(m)]
     defects = {name: 0.0 for name in ("M0", "M1", "M2", "M3", "M4")}
 
     def upd(name, arr):
-        defects[name] = max(defects[name], float(np.abs(arr).max()) if np.size(arr) else 0.0)
+        defects[name] = nan_max(defects[name], sup_norm(np.asarray(arr)))
 
     for (x, y, z) in samples:
         if identity is None:

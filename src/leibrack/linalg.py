@@ -316,6 +316,18 @@ def norm1_float(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
 
 
+def sup_norm(x: np.ndarray) -> float:
+    """max |x_i| (NaN if an entry is NaN); 0 for an empty array."""
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
+def nan_max(*values: float) -> float:
+    """The largest value, NaN if any is NaN.  The builtin max keeps its
+    first argument when a later one is NaN, which would let a NaN defect
+    pass as the defect before it."""
+    return float(np.max(values))
+
+
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     """exp(a) for a float square array.
 

@@ -239,15 +239,14 @@ def require_in_chart(chart: LocalGroupChart, g: np.ndarray, what: str = "group e
             f">= chart radius {chart.chart_radius}")
 
 
-def log_coords(chart: LocalGroupChart, g: np.ndarray, strict: bool = True) -> np.ndarray:
+def log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
     """g0 coordinates of log(g); raises OutOfChartError if log(g) does not
     lie in the realized subalgebra (cannot happen for chart-gated input)."""
     ell = log_float(g)
     xi = chart.coord_pinv @ ell.flatten()
-    if strict:
-        resid = np.abs(chart.ad_of(xi) - ell).max() if ell.size else 0.0
-        if resid > 1e-7 * (1.0 + np.abs(ell).max()):
-            raise OutOfChartError(f"log(g) leaves the realized g0 (residual {resid:.3g})")
+    resid = np.abs(chart.ad_of(xi) - ell).max() if ell.size else 0.0
+    if resid > 1e-7 * (1.0 + np.abs(ell).max()):
+        raise OutOfChartError(f"log(g) leaves the realized g0 (residual {resid:.3g})")
     return xi
 
 
@@ -309,11 +308,11 @@ def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
     return b
 
 
-def _i1_integrand(sys: LocalRackSystem, module: SymmetricModule, beta,
+def _i1_integrand(sys: LocalRackSystem, beta,
                   g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(gen, bx) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds; None
     where i1 vanishes (trivial g0 or g the identity)."""
-    chart = sys.chart
+    chart, module = sys.chart, sys.hom_module
     require_in_chart(chart, g)
     d = chart.g0_dim
     bmat = _beta_matrix(beta, module.dim, d)
@@ -325,20 +324,18 @@ def _i1_integrand(sys: LocalRackSystem, module: SymmetricModule, beta,
     return gen, bmat @ xi
 
 
-def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, omega,
-                  hom_i1: Callable[[np.ndarray], np.ndarray]
+def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+                  hom_i1: Callable[[], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray] | None:
     """(rho_eta, v) with i2(omega)(g, h) = integral_0^1 exp(t rho_eta) v dt,
-    where eta = log(g |> h) and v = i1(tau omega)(g) eta; hom_i1(bmat)
-    evaluates i1 of the Hom-valued form with matrix bmat at g.  None where
-    i2 vanishes."""
+    where eta = log(g |> h) and v = i1(tau omega)(g) eta; hom_i1()
+    evaluates i1(tau omega) at g.  None where i2 vanishes."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     gh = conjugate(chart, g, h)
     if d == 0:
         return None
-    bmat = sys.tau_matrix if omega is None else _tau_matrix(omega)
-    hom_value = hom_i1(bmat).reshape(m, d)
+    hom_value = hom_i1().reshape(m, d)
     eta = log_coords(chart, gh)
     v = hom_value @ eta
     if v.size == 0 or not np.abs(v).max():
@@ -346,20 +343,21 @@ def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, omega,
     return chart.rho_of(eta), v
 
 
-def i1(sys: LocalRackSystem, module: SymmetricModule, beta, g: np.ndarray) -> np.ndarray:
-    """Path integral of a Leibniz 1-cocycle beta (valued in a symmetric
-    module) along the canonical path to g; vanishes at the identity."""
-    data = _i1_integrand(sys, module, beta, g)
+def i1(sys: LocalRackSystem, beta, g: np.ndarray) -> np.ndarray:
+    """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
+    module Hom(g0, a) (``sys.hom_module``), along the canonical path to g;
+    vanishes at the identity.  beta is a degree-1 cochain or its
+    (m*d) x d matrix, such as ``sys.tau_matrix``."""
+    module = sys.hom_module
+    data = _i1_integrand(sys, beta, g)
     return np.zeros(module.dim) if data is None else phi1_float(*data, module.index)
 
 
-def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-       omega: Cochain | None = None) -> np.ndarray:
-    """The rack 2-cocycle integrating omega (defaults to the extension's):
-    the equivariant form of i1(tau omega)(g) integrated along the canonical
+def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The rack 2-cocycle integrating the extension's omega: the
+    equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    data = _i2_integrand(sys, g, h, omega,
-                         lambda bmat: i1(sys, sys.hom_module, bmat, g))
+    data = _i2_integrand(sys, g, h, lambda: i1(sys, sys.tau_matrix, g))
     return np.zeros(sys.center_dim) if data is None \
         else phi1_float(*data, sys.chart.rho_index)
 
@@ -374,15 +372,15 @@ def _quadrature(rule: QuadratureRule, data, dim: int, index: int | None) -> np.n
 
 
 def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                  rule: QuadratureRule, omega: Cochain | None = None) -> np.ndarray:
+                  rule: QuadratureRule) -> np.ndarray:
     """i2 with both path integrals, i1's and the outer one, taken by
     Gauss-Legendre quadrature at rule instead of phi1: the independent
     cross-check of i2.  Exact up to rounding when rho is nilpotent and
     2 * rule.order exceeds the polynomial degree of the integrands."""
     hom = sys.hom_module
     data = _i2_integrand(
-        sys, g, h, omega,
-        lambda bmat: _quadrature(rule, _i1_integrand(sys, hom, bmat, g), hom.dim, hom.index))
+        sys, g, h,
+        lambda: _quadrature(rule, _i1_integrand(sys, sys.tau_matrix, g), hom.dim, hom.index))
     return _quadrature(rule, data, sys.center_dim, sys.chart.rho_index)
 
 
@@ -406,14 +404,13 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray,
     return LocalRackElement(gh, a)
 
 
-def ghost_identity_defect(sys: LocalRackSystem, g, h, k,
-                          omega: Cochain | None = None) -> np.ndarray:
-    """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2(omega); zero for cocycles.
+def ghost_identity_defect(sys: LocalRackSystem, g, h, k) -> np.ndarray:
+    """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
     Note gh is the group product, not a conjugation."""
     gh = group_product(sys.chart, g, h)
     hk = conjugate(sys.chart, h, k)
-    return (group_action(sys.chart, g) @ i2(sys, h, k, omega)
-            - i2(sys, gh, k, omega) + i2(sys, g, hk, omega))
+    return (group_action(sys.chart, g) @ i2(sys, h, k)
+            - i2(sys, gh, k) + i2(sys, g, hk))
 
 
 def delta2(sys: LocalRackSystem, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -553,15 +550,15 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 
 
 def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
-                      cfg: IntegratorConfig, omega: Cochain | None = None) -> LocalRackElement:
-    """(g,a)(h,b) = (gh, a + b + iota2(omega)(g,h)), the local Lie group
-    structure carried by G0 x a when the input algebra is Lie."""
+                      cfg: IntegratorConfig) -> LocalRackElement:
+    """(g,a)(h,b) = (gh, a + b + iota2(g,h)), the local Lie group structure
+    carried by G0 x a when the input algebra is Lie."""
     gh = group_product(sys.chart, u.g, v.g)
-    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, omega))
+    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg))
 
 
 def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
-                      cfg: IntegratorConfig, omega: Cochain | None = None) -> LocalRackElement:
+                      cfg: IntegratorConfig) -> LocalRackElement:
     ginv = group_inverse(u.g)
     require_in_chart(sys.chart, ginv, "group inverse")
-    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, omega))
+    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg))

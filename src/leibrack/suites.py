@@ -1,21 +1,23 @@
 """Seeded sampling harnesses for the local rack invariants.
 
 Each suite returns ``PropertyResult`` records (max defect, tolerance,
-sample/skip counts).  Sampling is deterministic in the seed; points that
-leave the local domain raise OutOfChartError inside the operations and are
-counted as skips, never crashes.  Defects are accumulated with ``nan_max``,
-so a NaN or infinite defect reaches the report and fails its property.
+sample/skip counts).  Sampling is deterministic in the seed.  Every sampled
+property runs through ``sampled``: points that leave the local domain raise
+OutOfChartError inside the operations and are counted as skips, never
+crashes, and defects are accumulated with ``nan_max``, so a NaN or infinite
+defect reaches the report and fails its property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .algebra import bracket, is_lie
 from .cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
-from .linalg import OutOfChartError, gauss_legendre_01
+from .linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
 from .rack import (
     IntegratorConfig,
     LocalRackElement,
@@ -55,16 +57,24 @@ class PropertyResult:
                 "skipped": self.skipped, "pass": bool(self.passed)}
 
 
-def nan_max(*values: float) -> float:
-    """The largest value, NaN if any is NaN.  The builtin max keeps its
-    first argument when a later one is NaN, which would let a NaN defect
-    pass as the defect before it."""
-    return float(np.max(values))
-
-
-def sup_norm(x: np.ndarray) -> float:
-    """max |x_i| (NaN if an entry is NaN); 0 for an empty array."""
-    return float(np.abs(x).max()) if x.size else 0.0
+def sampled(n: int, draw: Callable[[], tuple], check: Callable[..., Iterable[float]],
+            props: list[tuple[str, float]]) -> list[PropertyResult]:
+    """One PropertyResult per (name, tolerance) in props, over n samples.
+    check(*draw()) yields the sample's defects in the order of props; each
+    property keeps the NaN-propagating worst of its defects.  An
+    OutOfChartError ends the sample and counts as one skip for every
+    property; the defects it already yielded still count."""
+    worst = [0.0] * len(props)
+    skipped = 0
+    for _ in range(n):
+        args = draw()
+        try:
+            for k, defect in enumerate(check(*args)):
+                worst[k] = nan_max(worst[k], defect)
+        except OutOfChartError:
+            skipped += 1
+    return [PropertyResult(name, w, tol, n, skipped)
+            for (name, tol), w in zip(props, worst, strict=True)]
 
 
 def elem_distance(u: LocalRackElement, v: LocalRackElement) -> float:
@@ -86,111 +96,94 @@ def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarr
         xi = xi * 0.5
 
 
-def sample_rack_element(sys: LocalRackSystem, rng, max_norm: float,
-                        center_scale: float = 0.25) -> LocalRackElement:
+def sample_rack_element(sys: LocalRackSystem, rng, max_norm: float) -> LocalRackElement:
+    """A group element as above, with center coordinates in [-1/4, 1/4]."""
     g = sample_group_element(sys, rng, max_norm)
-    a = rng.uniform(-1.0, 1.0, size=sys.center_dim) * center_scale
+    a = rng.uniform(-1.0, 1.0, size=sys.center_dim) * 0.25
     return LocalRackElement(g, a)
 
 
-def _i2_cochain(sys) -> RackCochainFn:
-    return RackCochainFn(2, lambda g, h: i2(sys, g, h))
-
-
-def _anti_module(sys) -> RackModuleStructure:
-    return RackModuleStructure.anti_symmetric(
-        sys.center_dim, lambda g: group_action(sys.chart, g))
+def _injectivity_defect(ins: list[LocalRackElement],
+                        outs: list[LocalRackElement]) -> float:
+    """1.0 if two inputs more than 1e-6 apart have outputs within 1e-12 of
+    each other, else 0.0.  Elements are stacked as rows (g flattened, a),
+    so the sup norm of a row difference is elem_distance; one stacked sup
+    norm per row, and a NaN distance never trips it."""
+    ins, outs = (np.array([np.concatenate([u.g.ravel(), u.a]) for u in us])
+                 for us in (ins, outs))
+    for i in range(len(ins) - 1):
+        d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
+        d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
+        if ((d_in > 1e-6) & (d_out <= 1e-12)).any():
+            return 1.0
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def rack_axiom_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
-                     n_samples: int = 200, seed: int = 0) -> list[PropertyResult]:
+def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
+                     seed: int = 0) -> list[PropertyResult]:
     """Self-distributivity, pointedness and injectivity-on-samples for the
     product (g,a) |> (h,b)."""
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 4.0
     neutral = sys.neutral()
-
-    sd_defect = point_defect = 0.0
-    sd_skip = point_skip = 0
     elems = [sample_rack_element(sys, rng, max_norm) for _ in range(3 * n_samples)]
-    for i in range(n_samples):
-        u, v, w = elems[3 * i], elems[3 * i + 1], elems[3 * i + 2]
-        try:
-            lhs = rack_product(sys, u, rack_product(sys, v, w))
-            uv = rack_product(sys, u, v)
-            uw = rack_product(sys, u, w)
-            rhs = rack_product(sys, uv, uw)
-            sd_defect = nan_max(sd_defect, elem_distance(lhs, rhs))
-        except OutOfChartError:
-            sd_skip += 1
-        try:
-            point_defect = nan_max(point_defect,
-                                   elem_distance(rack_product(sys, u, neutral), neutral),
-                                   elem_distance(rack_product(sys, neutral, v), v))
-        except OutOfChartError:
-            point_skip += 1
+    triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
+
+    def self_distributivity(u, v, w):
+        lhs = rack_product(sys, u, rack_product(sys, v, w))
+        rhs = rack_product(sys, rack_product(sys, u, v), rack_product(sys, u, w))
+        yield elem_distance(lhs, rhs)
+
+    def pointedness(u, v, _w):
+        yield nan_max(elem_distance(rack_product(sys, u, neutral), neutral),
+                      elem_distance(rack_product(sys, neutral, v), v))
+
+    results = sampled(n_samples, iter(triples).__next__, self_distributivity,
+                      [("self_distributivity", 1e-9)])
+    results += sampled(n_samples, iter(triples).__next__, pointedness,
+                       [("pointedness", 1e-12)])
 
     # left translation by a fixed u separates separated inputs
-    inj_defect = 0.0
     u = elems[0]
-    vs = elems[1:n_samples + 1]
-    outs = []
+    ins, outs = [], []
     inj_skip = 0
-    for v in vs:
+    for v in elems[1:n_samples + 1]:
         try:
-            outs.append((v, rack_product(sys, u, v)))
+            outs.append(rack_product(sys, u, v))
+            ins.append(v)
         except OutOfChartError:
             inj_skip += 1
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            if elem_distance(outs[i][0], outs[j][0]) > 1e-6 and \
-                    elem_distance(outs[i][1], outs[j][1]) <= 1e-12:
-                inj_defect = 1.0
-
-    return [
-        PropertyResult("self_distributivity", sd_defect, 1e-9, n_samples, sd_skip),
-        PropertyResult("pointedness", point_defect, 1e-12, n_samples, point_skip),
-        PropertyResult("injectivity_on_samples", inj_defect, 1e-9, len(outs), inj_skip),
-    ]
+    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(ins, outs),
+                                  1e-9, len(outs), inj_skip))
+    return results
 
 
-def cocycle_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
-                  n_triples: int = 100, seed: int = 1) -> list[PropertyResult]:
+def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
+                  seed: int = 1) -> list[PropertyResult]:
     """Rack-cocycle identity of i2 (normative arity-2 expansion), the
     stronger identity g.f(h,k) - f(gh,k) + f(g,h|>k) = 0, and the relation
     d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between them."""
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 8.0
-    f = _i2_cochain(sys)
-    mod = _anti_module(sys)
+    f = RackCochainFn(2, lambda g, h: i2(sys, g, h))
+    mod = RackModuleStructure.anti_symmetric(sys.center_dim,
+                                             lambda g: group_action(sys.chart, g))
+    conj = lambda x, y: conjugate(sys.chart, x, y)
 
-    dr_def = ghost_def = rel_def = 0.0
-    skips = 0
-    for _ in range(n_triples):
-        g = sample_group_element(sys, rng, max_norm)
-        h = sample_group_element(sys, rng, max_norm)
-        k = sample_group_element(sys, rng, max_norm)
-        try:
-            dr = rack_diff2_expansion(mod, f, g, h, k,
-                                      lambda x, y: conjugate(sys.chart, x, y))
-            ghost = ghost_identity_defect(sys, g, h, k)
-            gh = conjugate(sys.chart, g, h)
-            ghost_shift = ghost_identity_defect(sys, gh, g, k)
-            dr_def = nan_max(dr_def, sup_norm(dr))
-            ghost_def = nan_max(ghost_def, sup_norm(ghost))
-            rel_def = nan_max(rel_def, sup_norm(dr - (ghost - ghost_shift)))
-        except OutOfChartError:
-            skips += 1
+    def check(g, h, k):
+        dr = rack_diff2_expansion(mod, f, g, h, k, conj)
+        ghost = ghost_identity_defect(sys, g, h, k)
+        ghost_shift = ghost_identity_defect(sys, conj(g, h), g, k)
+        return sup_norm(dr), sup_norm(ghost), sup_norm(dr - (ghost - ghost_shift))
 
-    return [
-        PropertyResult("rack_cocycle_identity", dr_def, 1e-9, n_triples, skips),
-        PropertyResult("ghost_identity", ghost_def, 1e-9, n_triples, skips),
-        PropertyResult("ghost_induces_cocycle", rel_def, 2e-9, n_triples, skips),
-    ]
+    return sampled(n_triples,
+                   lambda: tuple(sample_group_element(sys, rng, max_norm) for _ in range(3)),
+                   check, [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
+                           ("ghost_induces_cocycle", 2e-9)])
 
 
 def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
@@ -237,38 +230,25 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 8.0
 
-    assoc_def = conj_def = rel_def = 0.0
-    skips = 0
-    for _ in range(n_samples):
-        u = sample_rack_element(sys, rng, max_norm)
-        v = sample_rack_element(sys, rng, max_norm)
-        w = sample_rack_element(sys, rng, max_norm)
-        try:
-            uv_w = lie_group_product(sys, lie_group_product(sys, u, v, cfg), w, cfg)
-            u_vw = lie_group_product(sys, u, lie_group_product(sys, v, w, cfg), cfg)
-            assoc_def = nan_max(assoc_def, elem_distance(uv_w, u_vw))
+    def product(u, v):
+        return lie_group_product(sys, u, v, cfg)
 
-            uinv = lie_group_inverse(sys, u, cfg)
-            conj = lie_group_product(sys, lie_group_product(sys, u, v, cfg), uinv, cfg)
-            rp = rack_product(sys, u, v)
-            conj_def = nan_max(conj_def, elem_distance(conj, rp))
+    def check(u, v, w):
+        yield elem_distance(product(product(u, v), w), product(u, product(v, w)))
+        uinv = lie_group_inverse(sys, u, cfg)
+        yield elem_distance(product(product(u, v), uinv), rack_product(sys, u, v))
+        gh = conjugate(sys.chart, u.g, v.g)
+        lhs = i2(sys, u.g, v.g)
+        yield sup_norm(lhs - (iota2(sys, u.g, v.g, cfg) - iota2(sys, gh, u.g, cfg)))
 
-            gh = conjugate(sys.chart, u.g, v.g)
-            lhs = i2(sys, u.g, v.g)
-            rhs = iota2(sys, u.g, v.g, cfg) - iota2(sys, gh, u.g, cfg)
-            rel_def = nan_max(rel_def, sup_norm(lhs - rhs))
-        except OutOfChartError:
-            skips += 1
-
-    return [
-        PropertyResult("lie_group_associativity", assoc_def, 1e-9, n_samples, skips),
-        PropertyResult("lie_conjugation_equals_rack", conj_def, 1e-9, n_samples, skips),
-        PropertyResult("i2_from_iota2", rel_def, 1e-9, n_samples, skips),
-    ]
+    return sampled(n_samples,
+                   lambda: tuple(sample_rack_element(sys, rng, max_norm) for _ in range(3)),
+                   check, [("lie_group_associativity", 1e-9),
+                           ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
 
 
-def augmented_action_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
-                           n_samples: int = 50, seed: int = 3) -> list[PropertyResult]:
+def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
+                           seed: int = 3) -> list[PropertyResult]:
     """The G0-action axioms of the augmented structure: unit action, fixed
     point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w)."""
     rng = np.random.default_rng(seed)
@@ -276,28 +256,19 @@ def augmented_action_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     neutral = sys.neutral()
     ident = sys.chart.identity()
 
-    unit_def = fix_def = compat_def = 0.0
-    skips = 0
-    for _ in range(n_samples):
-        g = sample_group_element(sys, rng, max_norm)
-        h = sample_group_element(sys, rng, max_norm)
-        w = sample_rack_element(sys, rng, max_norm)
-        try:
-            unit_def = nan_max(unit_def,
-                               elem_distance(augmented_action(sys, ident, w), w))
-            fix_def = nan_max(fix_def,
-                              elem_distance(augmented_action(sys, g, neutral), neutral))
-            lhs = augmented_action(sys, g, augmented_action(sys, h, w))
-            rhs = augmented_action(sys, group_product(sys.chart, g, h), w)
-            compat_def = nan_max(compat_def, elem_distance(lhs, rhs))
-        except OutOfChartError:
-            skips += 1
+    def check(g, h, w):
+        yield elem_distance(augmented_action(sys, ident, w), w)
+        yield elem_distance(augmented_action(sys, g, neutral), neutral)
+        lhs = augmented_action(sys, g, augmented_action(sys, h, w))
+        rhs = augmented_action(sys, group_product(sys.chart, g, h), w)
+        yield elem_distance(lhs, rhs)
 
-    return [
-        PropertyResult("action_unit", unit_def, 1e-12, n_samples, skips),
-        PropertyResult("action_fixed_point", fix_def, 1e-12, n_samples, skips),
-        PropertyResult("action_compatibility", compat_def, 1e-9, n_samples, skips),
-    ]
+    return sampled(n_samples,
+                   lambda: (sample_group_element(sys, rng, max_norm),
+                            sample_group_element(sys, rng, max_norm),
+                            sample_rack_element(sys, rng, max_norm)),
+                   check, [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
+                           ("action_compatibility", 1e-9)])
 
 
 def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
@@ -307,27 +278,23 @@ def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     rng = np.random.default_rng(seed)
     max_norm = sys.chart.chart_radius / 4.0
     fine = gauss_legendre_01(2 * cfg.quad.order)
-    worst = 0.0
-    skips = 0
-    for _ in range(n_pairs):
-        g = sample_group_element(sys, rng, max_norm)
-        h = sample_group_element(sys, rng, max_norm)
-        try:
-            a = i2_quadrature(sys, g, h, cfg.quad)
-            b = i2_quadrature(sys, g, h, fine)
-            worst = nan_max(worst, sup_norm(a - b))
-        except OutOfChartError:
-            skips += 1
-    return [PropertyResult("quadrature_order_stability", worst, 1e-12, n_pairs, skips)]
+
+    def check(g, h):
+        yield sup_norm(i2_quadrature(sys, g, h, cfg.quad) - i2_quadrature(sys, g, h, fine))
+
+    return sampled(n_pairs,
+                   lambda: (sample_group_element(sys, rng, max_norm),
+                            sample_group_element(sys, rng, max_norm)),
+                   check, [("quadrature_order_stability", 1e-12)])
 
 
 def full_suite(sys: LocalRackSystem, cfg: IntegratorConfig, n_samples: int = 200,
                seed: int = 0) -> list[PropertyResult]:
     """Everything the integrate command reports."""
     results = []
-    results += rack_axiom_suite(sys, cfg, n_samples, seed)
-    results += cocycle_suite(sys, cfg, max(10, n_samples // 2), seed + 1)
-    results += augmented_action_suite(sys, cfg, max(10, n_samples // 4), seed + 2)
+    results += rack_axiom_suite(sys, n_samples, seed)
+    results += cocycle_suite(sys, max(10, n_samples // 2), seed + 1)
+    results += augmented_action_suite(sys, max(10, n_samples // 4), seed + 2)
     results += roundtrip_suite(sys, cfg)
     results += tangent_suite(sys, cfg)
     results += quadrature_stability_suite(sys, cfg, min(20, n_samples), seed + 3)

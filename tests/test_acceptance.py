@@ -108,7 +108,7 @@ def test_criterion_2_i1_closed_form():
     for _ in range(20):
         a = disk_point(rng)
         g = group_from_coords(sys_.chart, a)
-        got = i1(sys_, sys_.hom_module, sys_.tau_matrix, g).reshape(3, 2)
+        got = i1(sys_, sys_.tau_matrix, g).reshape(3, 2)
         worst = max(worst, float(np.abs(got - dim5_i1_matrix(*a)).max()))
     dt = time.perf_counter() - t0
     announce(2, worst <= 1e-10 and dt < 1.0,
@@ -188,7 +188,7 @@ def test_criterion_5_rack_axioms():
     names = []
     ok = True
     for sys_ in builtin_systems():
-        results = rack_axiom_suite(sys_, CFG, n_samples=200, seed=0)
+        results = rack_axiom_suite(sys_, n_samples=200, seed=0)
         for r in results:
             worst = max(worst, r.max_defect)
             ok = ok and r.max_defect <= 1e-9 and r.passed
@@ -204,7 +204,7 @@ def test_criterion_6_cocycle_identities():
     ok = True
     worst = 0.0
     for sys_ in builtin_systems():
-        results = {r.name: r for r in cocycle_suite(sys_, CFG, n_triples=100, seed=1)}
+        results = {r.name: r for r in cocycle_suite(sys_, n_triples=100, seed=1)}
         ok = ok and results["rack_cocycle_identity"].max_defect <= 1e-9
         ok = ok and results["ghost_identity"].max_defect <= 1e-9
         ok = ok and results["ghost_induces_cocycle"].max_defect <= 2e-9

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from leibrack.algebra import LeibnizAlgebra, ValidationError
-from leibrack.cli import MAX_CHART_RADIUS, main
+from leibrack.cli import MAX_CHART_RADIUS, MAX_QUAD_ORDER, main
 from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
 from leibrack.fileio import (
     MAX_DIM,
@@ -296,6 +296,16 @@ def test_chart_radius_above_the_bound_is_config_error(capsys):
         assert code == 2, radius
         err = json.loads(out)["error"]
         assert err["type"] == "ConfigError" and "--chart-radius" in err["message"]
+
+
+def test_quad_order_above_the_bound_is_config_error(capsys):
+    # the stability suite builds a Gauss-Legendre rule of twice this order;
+    # only the first refused value is tried, never a hostile size
+    code, out = run_cli(capsys, "integrate", data_path("dim5"), "--samples", "5",
+                        "--quad-order", str(MAX_QUAD_ORDER + 1), "--json")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "--quad-order" in err["message"]
 
 
 _NON_UNIPOTENT = {

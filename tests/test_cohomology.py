@@ -266,7 +266,7 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys):
             return scipy.linalg.expm(gen)
 
         mod = RackModuleStructure.symmetric(sys_.hom_module.dim, hom_action, conj)
-        f = RackCochainFn(1, lambda g: i1(sys_, sys_.hom_module, sys_.tau_matrix, g))
+        f = RackCochainFn(1, lambda g: i1(sys_, sys_.tau_matrix, g))
         for _ in range(6):
             g = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
             h = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
@@ -327,3 +327,14 @@ def test_module_axioms_flag_corruption(dim5_sys):
     report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 10))
     assert not report["passes"]
     assert report["M1"] > 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_module_axioms_nan_action_fails(dim5_sys):
+    # a NaN defect must reach the report and fail, not read as 0
+    chart, conj, _ = _dim5_setup(dim5_sys)
+    rng = np.random.default_rng(15)
+    mod = RackModuleStructure.anti_symmetric(3, lambda g: np.full((3, 3), np.nan))
+    report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 3))
+    assert not report["passes"]
+    assert np.isnan(report["M1"]) and np.isnan(report["M4"])

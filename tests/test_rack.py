@@ -60,6 +60,7 @@ from leibrack.suites import (
     roundtrip_suite,
     sample_group_element,
     sample_rack_element,
+    sampled,
     tangent_suite,
 )
 
@@ -145,8 +146,7 @@ def test_singular_conjugator_is_out_of_chart():
 # -- i1 ----------------------------------------------------------------------
 
 def test_i1_vanishes_at_identity(dim5_sys):
-    got = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix,
-             dim5_sys.chart.identity())
+    got = i1(dim5_sys, dim5_sys.tau_matrix, dim5_sys.chart.identity())
     assert np.abs(got).max() == 0.0
 
 
@@ -155,7 +155,7 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        got = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
+        got = i1(dim5_sys, dim5_sys.tau_matrix, g)
         assert np.abs(got.reshape(3, 2) - dim5_i1_matrix(*a)).max() < 1e-10
 
 
@@ -170,7 +170,7 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, xi)
-        got = i1(dim5_sys, dim5_sys.hom_module, beta, g)
+        got = i1(dim5_sys, beta, g)
         gen = dim5_sys.chart.combo(dim5_sys.hom_module.generators, xi)
         want = scipy.linalg.expm(gen) @ np.array(b, float) - np.array(b, float)
         assert np.abs(got - want).max() < 1e-10
@@ -201,7 +201,7 @@ def test_i1_general_path_cross_check(dim5_sys, cfg):
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        fast = i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
+        fast = i1(dim5_sys, dim5_sys.tau_matrix, g)
         assert np.abs(fast - _i1_general_path(dim5_sys, g, cfg)).max() < 1e-7
 
 
@@ -213,7 +213,7 @@ def test_i1_general_path_nonabelian(cfg):
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
         g = group_from_coords(sys_.chart, a)
-        fast = i1(sys_, sys_.hom_module, sys_.tau_matrix, g)
+        fast = i1(sys_, sys_.tau_matrix, g)
         assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
 
 
@@ -304,8 +304,8 @@ def test_rack_product_matches_full_conjugation_formula(dim5_sys):
         assert np.abs(got_vec - dim5_conjugation(a, b)).max() < 1e-9
 
 
-def test_augmented_action_axioms(dim5_sys, cfg):
-    results = augmented_action_suite(dim5_sys, cfg, n_samples=15, seed=0)
+def test_augmented_action_axioms(dim5_sys):
+    results = augmented_action_suite(dim5_sys, n_samples=15, seed=0)
     assert all(r.passed for r in results)
 
 
@@ -326,29 +326,54 @@ def test_ghost_identity_trivial_when_middle_is_identity(dim5_sys):
     assert np.abs(got).max() <= 1e-12
 
 
-def test_cocycle_suite_dim5(dim5_sys, cfg):
-    results = cocycle_suite(dim5_sys, cfg, n_triples=25, seed=0)
+def test_cocycle_suite_dim5(dim5_sys):
+    results = cocycle_suite(dim5_sys, n_triples=25, seed=0)
     assert all(r.passed for r in results)
     assert all(r.skipped == 0 for r in results)
 
 
-def test_cocycle_suite_nonabelian(cfg):
+def test_cocycle_suite_nonabelian():
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
-    results = cocycle_suite(sys_, cfg, n_triples=25, seed=0)
+    results = cocycle_suite(sys_, n_triples=25, seed=0)
     assert all(r.passed for r in results)
 
 
 # -- rack axioms -------------------------------------------------------------
 
-def test_rack_axiom_suite_dim5(dim5_sys, cfg):
-    results = rack_axiom_suite(dim5_sys, cfg, n_samples=30, seed=0)
+def test_rack_axiom_suite_dim5(dim5_sys):
+    results = rack_axiom_suite(dim5_sys, n_samples=30, seed=0)
     assert all(r.passed for r in results)
 
 
-def test_self_distributivity_nonabelian(cfg):
+def test_self_distributivity_nonabelian():
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
-    results = rack_axiom_suite(sys_, cfg, n_samples=20, seed=1)
+    results = rack_axiom_suite(sys_, n_samples=20, seed=1)
     assert all(r.passed for r in results)
+
+
+def test_injectivity_detects_a_collapsing_product(dim5_sys, monkeypatch):
+    # a left translation that sends every input to one element is caught
+    import leibrack.suites as suites
+    monkeypatch.setattr(suites, "rack_product", lambda sys_, u, v: sys_.neutral())
+    results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=10, seed=0)}
+    inj = results["injectivity_on_samples"]
+    assert inj.max_defect == 1.0 and not inj.passed
+    assert (inj.samples, inj.skipped) == (10, 0)
+
+
+def test_sampled_keeps_defects_yielded_before_a_skip():
+    draws = iter([(0.5,), (2.0,), (0.25,)])
+
+    def check(x):
+        yield x
+        if x > 1.0:
+            raise OutOfChartError("second property leaves the chart")
+        yield 2 * x
+
+    first, second = sampled(3, draws.__next__, check, [("a", 1.0), ("b", 1.0)])
+    assert (first.max_defect, first.samples, first.skipped) == (2.0, 3, 1)
+    assert (second.max_defect, second.samples, second.skipped) == (1.0, 3, 1)
+    assert not first.passed and second.passed
 
 
 def test_abelian_rack_is_trivial():
@@ -641,7 +666,7 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
                         lambda rule, f: calls.append(rule) or integrate_01(rule, f))
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
-    i1(dim5_sys, dim5_sys.hom_module, dim5_sys.tau_matrix, g)
+    i1(dim5_sys, dim5_sys.tau_matrix, g)
     i2(dim5_sys, g, h)
     assert not calls
     i2_quadrature(dim5_sys, g, h, cfg.quad)
