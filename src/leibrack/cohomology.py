@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Representation, bracket, is_lie
+from .algebra import Representation, ad_matrix, bracket, is_lie
 from .linalg import Matrix, Vec, as_vec, nan_max, sup_norm, vec_scale, zero_vec
 
 
@@ -224,8 +224,7 @@ def hom_representation(rep: Representation) -> Representation:
     eye_d, eye_m = Matrix.identity(d), Matrix.identity(m)
     mats = []
     for p in range(d):
-        ad_p = Matrix.from_rows(
-            [[alg.c[p][q][r] for q in range(d)] for r in range(d)])
+        ad_p = ad_matrix(alg, alg.basis_vector(p))
         mats.append(_kron(rep.left[p], eye_d) - _kron(eye_m, ad_p.transpose()))
     return Representation.symmetric(alg, mats)
 

@@ -16,6 +16,8 @@ integers or "p/q" strings (never floats, so exact input stays exact).
 boolean coefficient or a ``value`` key other than decimal digits.  ``dim`` may be at most ``MAX_DIM``: the structure
 constants take dim^3 exact entries and the exact layer grows steeply with
 the dimension, so a larger file is rejected before anything is allocated.
+A file that is not UTF-8, nests too deeply for the JSON reader or holds a
+number past Python's integer digit limit is a ParseError too.
 Serialization is canonical (sorted, minimal) so parse/serialize round-trips
 are byte-stable.
 """
@@ -102,13 +104,16 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
 
 def parse_algebra_file(path, check: bool = True) -> LeibnizAlgebra:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError or an integer past Python's digit limit
+        raise ParseError(f"{path}: unreadable JSON ({exc})") from None
     return algebra_from_dict(doc, check=check)
 
 

@@ -243,16 +243,11 @@ def rank(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 def nilpotency_index(m: Matrix) -> int | None:
-    """Smallest k <= dim with m^k = 0, else None.  Powers up to the dimension
-    suffice for nilpotent matrices; dimensions here are tiny."""
+    """Smallest k >= 1 with m^k = 0, else None: the joint nilpotency index
+    of the family {m}.  The 0 x 0 matrix has index 1."""
     if m.rows != m.cols:
         raise ValueError("square matrix required")
-    p = m
-    for k in range(1, m.rows + 1):
-        if p.is_zero():
-            return k
-        p = p @ m
-    return None
+    return joint_nilpotency_index([m])
 
 
 def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:

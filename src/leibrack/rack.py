@@ -29,7 +29,9 @@ Exact decisions are made once per system.  When it is built: the joint
 nilpotency index of the ad, rho and Hom(g0, a) generator families (the
 float exp and phi1 of any element of a nilpotent family are finite series;
 other families go to scipy).  On the first iota2 call: the Lie-cocycle
-check of the extension's omega.
+check of the extension's omega, which is ``leibniz_differential`` over rho
+taken as a symmetric module (on alternating cochains, the Leibniz
+differential with symmetric coefficients is the Chevalley-Eilenberg one).
 
 The local rack product on G0 x a is then
 
@@ -42,13 +44,14 @@ a local augmented rack.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .algebra import CentralExtensionData, bracket
-from .cohomology import Cochain, hom_representation, tau
+from .algebra import CentralExtensionData, Representation, ad_matrix
+from .cohomology import Cochain, hom_representation, leibniz_differential, tau
 from .linalg import (
     OutOfChartError,
     QuadratureRule,
@@ -118,9 +121,7 @@ def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
     ad_basis = tuple(mat.to_numpy() for mat in ext.g0_matrices)
     rho_basis = tuple(mat.to_numpy() for mat in ext.rho)
-    ad0_basis = tuple(
-        np.array([[float(ext.g0.c[p][q][r]) for q in range(d)] for r in range(d)])
-        for p in range(d))
+    ad0_basis = tuple(ad_matrix(ext.g0, ext.g0.basis_vector(p)).to_numpy() for p in range(d))
     flat = np.stack([b.flatten() for b in ad_basis], axis=1) if d else np.zeros((n * n, 0))
     pinv = np.linalg.pinv(flat)
     return LocalGroupChart(n, d, m, chart_radius, ad_basis, rho_basis, ad0_basis, pinv,
@@ -204,16 +205,6 @@ class LocalRackSystem:
         return _checked_lie_omega(self.ext, self.ext.omega)
 
 
-def _tau_matrix(omega: Cochain) -> np.ndarray:
-    """Columns are the flattened Hom(g0, a) values of tau(omega) on basis
-    elements; shape (m*d, d)."""
-    t = tau(omega)
-    d, q = t.domain_dim, t.coeff_dim
-    if d == 0:
-        return np.zeros((0, 0))
-    return np.stack([np.array([float(v) for v in t.at(p)]) for p in range(d)], axis=1)
-
-
 def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
     chart = chart_from_extension(ext, chart_radius)
@@ -221,7 +212,7 @@ def build_rack_system(ext: CentralExtensionData,
     hom_left = hom_representation(ext.rep).left if d else ()
     hom_mod = SymmetricModule(m * d, tuple(mat.to_numpy() for mat in hom_left),
                               joint_nilpotency_index(hom_left))
-    return LocalRackSystem(ext, chart, hom_mod, _tau_matrix(ext.omega))
+    return LocalRackSystem(ext, chart, hom_mod, _beta_matrix(tau(ext.omega), m * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +288,12 @@ def group_product(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
+    """beta as a q x d float matrix whose column p is beta(e_p)."""
     if isinstance(beta, Cochain):
         if beta.degree != 1 or beta.domain_dim != d or beta.coeff_dim != q:
             raise ValueError("beta must be a degree-1 cochain on g0 valued in the module")
-        return np.stack([np.array([float(v) for v in beta.at(p)]) for p in range(d)],
-                        axis=1) if d else np.zeros((q, 0))
+        # a C-ordered copy: products with a transposed view can round differently
+        return np.ascontiguousarray(beta.to_numpy().T)
     b = np.asarray(beta, dtype=float)
     if b.shape != (q, d):
         raise ValueError(f"beta matrix must be {q} x {d}")
@@ -413,21 +405,28 @@ def ghost_identity_defect(sys: LocalRackSystem, g, h, k) -> np.ndarray:
             - i2(sys, gh, k) + i2(sys, g, hk))
 
 
+def _mixed_difference(chart: LocalGroupChart, cfg: IntegratorConfig,
+                      probe: Callable[[float, float], np.ndarray]) -> np.ndarray:
+    """Central second mixed finite difference of probe(s, t) at (0, 0),
+    with step cfg.fd_step; O(fd_step^2)."""
+    hstep = cfg.fd_step
+    if not 0 < hstep < chart.chart_radius / 4:
+        raise ValueError("fd_step must lie in (0, chart_radius/4)")
+    return (probe(hstep, hstep) - probe(hstep, -hstep)
+            - probe(-hstep, hstep) + probe(-hstep, -hstep)) / (4.0 * hstep * hstep)
+
+
 def delta2(sys: LocalRackSystem, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
            x, y, cfg: IntegratorConfig) -> np.ndarray:
     """Differentiate a rack 2-cochain at the unit: central second mixed
     finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2)."""
     chart = sys.chart
-    hstep = cfg.fd_step
-    if not 0 < hstep < chart.chart_radius / 4:
-        raise ValueError("fd_step must lie in (0, chart_radius/4)")
     x = np.asarray([float(c) for c in x])
     y = np.asarray([float(c) for c in y])
 
     def probe(s, t):
         return f(group_from_coords(chart, s * x), group_from_coords(chart, t * y))
-    return (probe(hstep, hstep) - probe(hstep, -hstep)
-            - probe(-hstep, hstep) + probe(-hstep, -hstep)) / (4.0 * hstep * hstep)
+    return _mixed_difference(chart, cfg, probe)
 
 
 def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.ndarray:
@@ -435,9 +434,6 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.nda
     second mixed finite difference at (1,0); coordinates are (g0, center)."""
     chart = sys.chart
     d, m = sys.g0_dim, sys.center_dim
-    hstep = cfg.fd_step
-    if not 0 < hstep < chart.chart_radius / 4:
-        raise ValueError("fd_step must lie in (0, chart_radius/4)")
     u = np.asarray([float(c) for c in u])
     v = np.asarray([float(c) for c in v])
     if u.shape != (d + m,) or v.shape != (d + m,):
@@ -448,19 +444,13 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.nda
 
     def probe(s, t):
         r = rack_product(sys, elem(u, s), elem(v, t))
-        return r.g, r.a
+        return np.concatenate([r.g.ravel(), r.a])
 
-    gpp, app = probe(hstep, hstep)
-    gpm, apm = probe(hstep, -hstep)
-    gmp, amp = probe(-hstep, hstep)
-    gmm, amm = probe(-hstep, -hstep)
-    scale = 4.0 * hstep * hstep
-    gmix = (gpp - gpm - gmp + gmm) / scale
-    amix = (app - apm - amp + amm) / scale
+    mix = _mixed_difference(chart, cfg, probe)
+    n2 = chart.dim * chart.dim
     # the group-part difference quotient lies in the realized g0 only up to
     # O(h^2), so project without the strict residual gate
-    xi = chart.coord_pinv @ gmix.flatten()
-    return np.concatenate([xi, amix])
+    return np.concatenate([chart.coord_pinv @ mix[:n2], mix[n2:]])
 
 
 # ---------------------------------------------------------------------------
@@ -468,33 +458,16 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.nda
 # ---------------------------------------------------------------------------
 
 def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
-    """Exact Chevalley-Eilenberg 3-cochain d omega (with the rho action);
-    returns the max absolute entry as a Fraction, plus antisymmetry defect."""
-    from fractions import Fraction
-    g0, rep = ext.g0, ext.rep
-    d = g0.dim
-    anti = Fraction(0)
-    for p in range(d):
-        for q in range(d):
-            for k, (a, b) in enumerate(zip(omega.at(p, q), omega.at(q, p))):
-                anti = max(anti, abs(a + b))
-    worst = Fraction(0)
-    for p in range(d):
-        for q in range(d):
-            for r in range(d):
-                ep, eq, er = (g0.basis_vector(i) for i in (p, q, r))
-                val = list(rep.left_of(ep).mat_vec(omega.evaluate(eq, er)))
-                for k, c in enumerate(rep.left_of(eq).mat_vec(omega.evaluate(ep, er))):
-                    val[k] -= c
-                for k, c in enumerate(rep.left_of(er).mat_vec(omega.evaluate(ep, eq))):
-                    val[k] += c
-                for k, c in enumerate(omega.evaluate(bracket(g0, ep, eq), er)):
-                    val[k] -= c
-                for k, c in enumerate(omega.evaluate(bracket(g0, ep, er), eq)):
-                    val[k] += c
-                for k, c in enumerate(omega.evaluate(bracket(g0, eq, er), ep)):
-                    val[k] -= c
-                worst = max(worst, max((abs(c) for c in val), default=Fraction(0)))
+    """Exact Chevalley-Eilenberg check of omega with the rho action: the max
+    absolute entry of d omega as a Fraction, plus the antisymmetry defect.
+    With symmetric coefficients the alternating Leibniz cochains form the
+    CE complex (Loday-Pirashvili 1993), so d omega is dL omega over rho
+    taken as a symmetric module."""
+    d = ext.g0_dim
+    anti = max((abs(a + b) for p in range(d) for q in range(d)
+                for a, b in zip(omega.at(p, q), omega.at(q, p))), default=Fraction(0))
+    rep = Representation.symmetric(ext.g0, ext.rho, ext.center_dim)
+    worst = max(map(abs, leibniz_differential(rep, omega).values), default=Fraction(0))
     return worst, anti
 
 

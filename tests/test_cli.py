@@ -104,6 +104,20 @@ def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"dim": 1' + b"0" * 5000 + b"}",
+    b"[" * 200_000,
+    b'{"dim": 2, "basis": ["\xff", "b"]}',
+], ids=["int_over_digit_limit", "deep_nesting", "not_utf8"])
+def test_hostile_raw_files_exit_2(capsys, tmp_path, raw):
+    # each used to escape the parser as a traceback (exit 1)
+    p = tmp_path / "hostile.leib"
+    p.write_bytes(raw)
+    code, out = run_cli(capsys, "verify", str(p), "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_parse_error_on_bad_json(tmp_path):
     p = tmp_path / "bad.leib"
     p.write_text("{not json")

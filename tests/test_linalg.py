@@ -115,6 +115,35 @@ def test_exp_float_fallback_is_flagged():
     assert exp_float(Matrix.from_rows([[1]]).to_numpy())[0, 0] == pytest.approx(np.e, rel=1e-12)
 
 
+def test_nilpotency_index_agrees_with_powers():
+    # the smallest k <= dim with m^k = 0, by powers, on nilpotent and
+    # non-nilpotent integer matrices alike
+    rng = np.random.default_rng(29)
+    seen_none = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        lower = rng.random() < 0.5
+        m = Matrix.from_rows([[int(rng.integers(-2, 3)) if j < i or not lower else 0
+                               for j in range(n)] for i in range(n)])
+        want, p = None, m
+        for k in range(1, n + 1):
+            if p.is_zero():
+                want = k
+                break
+            p = p @ m
+        seen_none += want is None
+        assert nilpotency_index(m) == want
+    assert seen_none
+
+
+def test_exp_and_log_of_the_empty_matrix():
+    assert nilpotency_index(Matrix.zeros(0, 0)) == 1
+    e = matrix_exp(Matrix.zeros(0, 0))
+    ell = matrix_log(Matrix.identity(0))
+    assert (e.rows, e.cols) == (ell.rows, ell.cols) == (0, 0)
+    assert e == Matrix.identity(0) and ell == Matrix.zeros(0, 0)
+
+
 def test_exp_float_scaling_squaring_accuracy():
     rng = np.random.default_rng(5)
     a = rng.uniform(-1, 1, size=(4, 4))

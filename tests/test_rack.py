@@ -45,6 +45,7 @@ from leibrack.rack import (
     i2,
     i2_quadrature,
     iota2,
+    lie_cocycle_defect,
     lie_group_inverse,
     lie_group_product,
     log_coords,
@@ -359,6 +360,26 @@ def test_injectivity_detects_a_collapsing_product(dim5_sys, monkeypatch):
     inj = results["injectivity_on_samples"]
     assert inj.max_defect == 1.0 and not inj.passed
     assert (inj.samples, inj.skipped) == (10, 0)
+
+
+def test_injectivity_counts_attempts_like_every_row(dim5_sys, monkeypatch):
+    # samples counts attempted products: every other one out of chart is 20
+    # skips in 40 samples, within the half that the coverage check allows
+    import leibrack.suites as suites
+    calls = []
+    product = suites.rack_product
+
+    def every_other(sys_, u, v):
+        calls.append(None)
+        if len(calls) % 2:
+            raise OutOfChartError("every other product leaves the chart")
+        return product(sys_, u, v)
+
+    monkeypatch.setattr(suites, "rack_product", every_other)
+    results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=40, seed=0)}
+    inj = results["injectivity_on_samples"]
+    assert (inj.samples, inj.skipped) == (40, 20)
+    assert inj.passed
 
 
 def test_sampled_keeps_defects_yielded_before_a_skip():
@@ -730,6 +751,68 @@ def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
     rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
     assert not calls
+
+
+def _aff1_plus_line():
+    # g0 = aff(1) (+) R = span(e1, e2, e3), [e1, e2] = e2, acting on the left
+    # center (e4, e5) by e1 -> diag(2, 1), e2: e5 -> e4 and e3 -> identity
+    return LeibnizAlgebra.from_brackets(5, {(0, 1): {1: 1}, (1, 0): {1: -1},
+                                            (0, 3): {3: 2}, (0, 4): {4: 1}, (1, 4): {3: 1},
+                                            (2, 3): {3: 1}, (2, 4): {4: 1}})
+
+
+def _structure_arrays(ext):
+    """g0's structure constants (d, d, d) and rho (d, m, m) as float arrays."""
+    d = ext.g0_dim
+    c = np.array([[[float(v) for v in ext.g0.c[p][q]] for q in range(d)] for p in range(d)])
+    return c, np.array([mat.to_numpy() for mat in ext.rho])
+
+
+def _ce_differential(ext, w):
+    """The six-term Chevalley-Eilenberg differential of a (d, d, m) array w
+    with the rho action, as a (d, d, d, m) array."""
+    c, r = _structure_arrays(ext)
+    return (np.einsum("pkl,qrl->pqrk", r, w) - np.einsum("qkl,prl->pqrk", r, w)
+            + np.einsum("rkl,pql->pqrk", r, w) - np.einsum("pqs,srk->pqrk", c, w)
+            + np.einsum("prs,sqk->pqrk", c, w) - np.einsum("qrs,spk->pqrk", c, w))
+
+
+@pytest.mark.parametrize("alg,any_open", [
+    (heisenberg(), False), (filiform5(), True), (free_nilpotent5(), False),
+    (_aff1_with_weights(), False), (_aff1_plus_line(), True)],
+    ids=["heisenberg", "filiform5", "free_nilpotent5", "aff1", "aff1_plus_line"])
+def test_lie_cocycle_defect_is_the_ce_differential(alg, any_open):
+    # random alternating integer cochains, and CE coboundaries, which are
+    # closed; a two-dimensional g0 has no triple of distinct basis elements,
+    # so every alternating 2-cochain on it is closed
+    ext = canonical_extension(alg)
+    d, m = ext.g0_dim, ext.center_dim
+    c, r = _structure_arrays(ext)
+    rng = np.random.default_rng(18)
+    open_seen = False
+    for trial in range(12):
+        if trial % 3:
+            w = rng.integers(-3, 4, size=(d, d, m)).astype(float)
+            w = w - w.transpose(1, 0, 2)
+        else:
+            beta = rng.integers(-3, 4, size=(d, m)).astype(float)
+            w = (np.einsum("pkl,ql->pqk", r, beta) - np.einsum("qkl,pl->pqk", r, beta)
+                 - np.einsum("pqs,sk->pqk", c, beta))
+        omega = Cochain.from_function(2, d, m, lambda p, q: [Fraction(v) for v in w[p, q]])
+        worst, anti = lie_cocycle_defect(ext, omega)
+        assert anti == 0
+        assert float(worst) == np.abs(_ce_differential(ext, w)).max(initial=0.0)
+        if trial % 3 == 0:
+            assert worst == 0
+        open_seen |= worst != 0
+    assert open_seen == any_open
+
+
+def test_lie_cocycle_defect_measures_antisymmetry():
+    ext = canonical_extension(_aff1_with_weights())
+    omega = Cochain.from_function(2, 2, 2, lambda p, q: (p + 2 * q, -q))
+    _, anti = lie_cocycle_defect(ext, omega)
+    assert anti == 6  # omega(e2, e2) + omega(e2, e2) = (6, -2)
 
 
 def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):

@@ -1,7 +1,8 @@
 """The benchmark's reference reports as a tier-1 check: the seed-0 selection
-of the three float workloads, each report run in-process and compared with
-its captured fingerprint by the benchmark's own gate (``perfbench/gate.py``).
-Only reads ``perfbench/``."""
+of the three float workloads and of the two smallest strata of the exact
+workload, each report run in-process and compared with its captured
+fingerprint by the benchmark's own gate (``perfbench/gate.py``).  Only reads
+``perfbench/``."""
 
 import json
 import sys
@@ -17,12 +18,17 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 
 FLOAT_WORKLOADS = ("leibniz_nilpotent", "lie_iota2", "rho_semisimple")
+# filiform n = 6 and 8; n = 10 and 12 would add about five seconds
+EXACT_STRATA = ("n6", "n8")
 
 
 def _selected():
-    return [pytest.param(entry, id=f"{name}/{entry['id']}")
-            for name in FLOAT_WORKLOADS
-            for entry in workloads.select(workloads.load_reference(name), 0)]
+    chosen = [(name, entry) for name in FLOAT_WORKLOADS
+              for entry in workloads.select(workloads.load_reference(name), 0)]
+    chosen += [("exact_filiform", entry)
+               for entry in workloads.select(workloads.load_reference("exact_filiform"), 0)
+               if entry["stratum"] in EXACT_STRATA]
+    return [pytest.param(entry, id=f"{name}/{entry['id']}") for name, entry in chosen]
 
 
 @pytest.mark.parametrize("entry", _selected())
