@@ -11,12 +11,21 @@ by the left center, with its quotient Lie algebra g0, representation rho and
 2-cocycle omega.  The g0 we hand to the integration layer is realized
 faithfully as matrices acting on g (the left-adjoint realization), which is
 what gets exponentiated.
+
+The dense tensor ``c`` is the public form of the structure constants.  Each
+algebra also builds, once, the table ``terms`` of its nonzero entries:
+``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  The bracket, the
+Leibniz check, the Lie test and ``cohomology.leibniz_differential`` read
+that table, so their cost follows the nonzeros (2(n-2) for filiform-n)
+rather than n^3 dense contractions per basis triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 from .linalg import (
@@ -30,8 +39,10 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_sub,
-    zero_vec,
 )
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ValidationError(ValueError):
@@ -62,6 +73,12 @@ class LeibnizAlgebra:
                 len(v) != n for r in self.c for v in r):
             raise ValueError(f"structure tensor must be {n}x{n}x{n}")
 
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in increasing k."""
+        return tuple(tuple(tuple((k, a) for k, a in enumerate(v) if a) for v in row)
+                     for row in self.c)
+
     @staticmethod
     def from_structure(c, basis_names=None, check=True) -> "LeibnizAlgebra":
         n = len(c)
@@ -82,7 +99,7 @@ class LeibnizAlgebra:
         return LeibnizAlgebra.from_structure(c, basis_names, check=check)
 
     def basis_vector(self, i: int) -> Vec:
-        return tuple(Fraction(int(j == i)) for j in range(self.dim))
+        return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
 
 def bracket(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
@@ -90,18 +107,16 @@ def bracket(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
     x, y = as_vec(x), as_vec(y)
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    out = [Fraction(0)] * alg.dim
+    out = [_ZERO] * alg.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
-        ci = alg.c[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
+        ti = alg.terms[i]
+        for j, yj in ys:
             f = xi * yj
-            for k, cij in enumerate(ci[j]):
-                if cij:
-                    out[k] += f * cij
+            for k, cij in ti[j]:
+                out[k] += f * cij
     return tuple(out)
 
 
@@ -113,27 +128,44 @@ def leibniz_defect(alg: LeibnizAlgebra, x, y, z) -> Vec:
     return vec_sub(vec_sub(t1, t2), t3)
 
 
+def _triple_fails(t, i: int, j: int, k: int) -> bool:
+    """Whether [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] != 0,
+    summed over the nonzero table t = alg.terms alone."""
+    acc: dict[int, Fraction] = {}
+    for m, a in t[j][k]:
+        for p, b in t[i][m]:
+            acc[p] = acc.get(p, 0) + a * b
+    for m, a in t[i][j]:
+        for p, b in t[m][k]:
+            acc[p] = acc.get(p, 0) - a * b
+    for m, a in t[i][k]:
+        for p, b in t[j][m]:
+            acc[p] = acc.get(p, 0) - a * b
+    return any(acc.values())
+
+
 def validate_leibniz(alg: LeibnizAlgebra) -> None:
-    """Exact check of the Leibniz identity on all n^3 basis triples."""
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = leibniz_defect(alg, alg.basis_vector(i),
-                                   alg.basis_vector(j), alg.basis_vector(k))
-                if not vec_is_zero(d):
-                    names = alg.basis_names
-                    raise ValidationError(
-                        f"Leibniz identity fails on ({names[i]},{names[j]},{names[k]}): "
-                        f"defect {tuple(str(e) for e in d)}",
-                        triple=(i, j, k), defect=d)
+    """Exact check of the Leibniz identity on all n^3 basis triples, in
+    lexicographic order.  Each triple is summed from the nonzero table; the
+    dense ``leibniz_defect`` runs only on the first failing triple, to give
+    the error its defect vector."""
+    t = alg.terms
+    for i, j, k in product(range(alg.dim), repeat=3):
+        if (t[j][k] or t[i][j] or t[i][k]) and _triple_fails(t, i, j, k):
+            d = leibniz_defect(alg, alg.basis_vector(i),
+                               alg.basis_vector(j), alg.basis_vector(k))
+            names = alg.basis_names
+            raise ValidationError(
+                f"Leibniz identity fails on ({names[i]},{names[j]},{names[k]}): "
+                f"defect {tuple(str(e) for e in d)}",
+                triple=(i, j, k), defect=d)
 
 
 def is_lie(alg: LeibnizAlgebra) -> bool:
     """True iff the bracket is anti-symmetric (then Leibniz = Jacobi)."""
-    n = alg.dim
-    return all(alg.c[i][j][k] == -alg.c[j][i][k]
-               for i in range(n) for j in range(n) for k in range(n))
+    t = alg.terms
+    return all(t[i][j] == tuple((k, -a) for k, a in t[j][i])
+               for i, j in product(range(alg.dim), repeat=2))
 
 
 def ad_matrix(alg: LeibnizAlgebra, x) -> Matrix:
@@ -144,13 +176,10 @@ def ad_matrix(alg: LeibnizAlgebra, x) -> Matrix:
 
 def left_adjoint_map(alg: LeibnizAlgebra) -> Matrix:
     """The flattened map x -> vec([x, -]), an n^2 x n exact matrix whose
-    kernel is the left center."""
-    n = alg.dim
-    cols = []
-    for i in range(n):
-        m = ad_matrix(alg, alg.basis_vector(i))
-        cols.append([m.data[r][c] for r in range(n) for c in range(n)])
-    return Matrix.from_rows(list(zip(*cols)))
+    kernel is the left center: row (r, j), column i holds [e_i, e_j]_r."""
+    n, c = alg.dim, alg.c
+    return Matrix.from_rows([[c[i][j][r] for i in range(n)]
+                             for r in range(n) for j in range(n)])
 
 
 def left_center(alg: LeibnizAlgebra) -> list[Vec]:
@@ -274,7 +303,7 @@ class Representation:
         alg = self.algebra
         for i in range(alg.dim):
             for j in range(alg.dim):
-                lb = self.left_of(bracket(alg, alg.basis_vector(i), alg.basis_vector(j)))
+                lb = self.left_of(alg.c[i][j])
                 li, lj = self.left[i], self.left[j]
                 if not (li @ lj - lb - lj @ li).is_zero():
                     raise ValueError(f"module axiom (LLM) fails on basis pair ({i},{j})")
@@ -291,8 +320,8 @@ class CentralExtensionData:
     * center_basis spans Z_L(g); complement_basis is the echelon-pivot lift
       of g0 (standard basis vectors at the pivot columns of the left-adjoint
       map, so runs are reproducible).
-    * section/projection/center_projection split the identity:
-      section . projection + center-inclusion . center_projection = id.
+    * section/projection/center_projection/inclusion split the identity:
+      section . projection + inclusion . center_projection = id.
     * rho[p] is the action of the p-th g0 basis vector on the center,
       omega(x, y) = pi_Z([sx, sy]) stored as a degree-2 cochain tensor.
     * g0_matrices realize g0 faithfully inside End(g); that realization is
@@ -311,6 +340,7 @@ class CentralExtensionData:
     section: Matrix            # g0 coords -> g coords   (n x d)
     projection: Matrix         # g coords  -> g0 coords  (d x n)
     center_projection: Matrix  # g coords  -> center coords (m x n)
+    inclusion: Matrix          # center coords -> g coords (n x m)
 
     @property
     def g0_dim(self) -> int:
@@ -325,10 +355,7 @@ class CentralExtensionData:
         return self.projection.mat_vec(v), self.center_projection.mat_vec(v)
 
     def unsplit(self, x, a) -> Vec:
-        lift = self.section.mat_vec(x)
-        incl = Matrix.from_cols(self.center_basis).mat_vec(a) if self.center_basis \
-            else zero_vec(self.parent.dim)
-        return vec_add(lift, incl)
+        return vec_add(self.section.mat_vec(x), self.inclusion.mat_vec(a))
 
 
 def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
@@ -361,10 +388,12 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     center_projection = Matrix.from_rows([from_parent.data[r] for r in range(d, n)]) \
         if m else Matrix.zeros(0, n)
     section = Matrix.from_cols(complement) if complement else Matrix.zeros(n, 0)
+    inclusion = Matrix.from_cols(center) if center else Matrix.zeros(n, 0)
 
+    # the lifts are basis vectors, so [lift_p, lift_q] is a row of c
+    lifted = [[alg.c[p][q] for q in pivots] for p in pivots]
     # quotient structure constants on the pivot lifts
-    c0 = [[projection.mat_vec(bracket(alg, complement[p], complement[q]))
-           for q in range(d)] for p in range(d)]
+    c0 = [[projection.mat_vec(v) for v in row] for row in lifted]
     g0 = LeibnizAlgebra.from_structure(c0,
                                        basis_names=tuple(alg.basis_names[p] for p in pivots))
     if not is_lie(g0):
@@ -380,37 +409,34 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     rho = tuple(rho)
 
     omega_values = []
-    for p in range(d):
-        for q in range(d):
-            omega_values.extend(
-                center_projection.mat_vec(bracket(alg, complement[p], complement[q])))
+    for row in lifted:
+        for v in row:
+            omega_values.extend(center_projection.mat_vec(v))
     omega = Cochain(2, d, m, tuple(omega_values))
 
     rep = Representation.anti_symmetric(g0, rho, carrier_dim=m)
     ext = CentralExtensionData(alg, tuple(center), complement, pivots, g0,
                                g0_matrices, rho, omega, rep, section,
-                               projection, center_projection)
+                               projection, center_projection, inclusion)
     _validate_extension(ext, leibniz_differential)
     return ext
 
 
 def _validate_extension(ext: CentralExtensionData, leibniz_differential) -> None:
-    alg, d, m, n = ext.parent, ext.g0_dim, ext.center_dim, ext.parent.dim
+    alg, d = ext.parent, ext.g0_dim
     # split/unsplit is the identity on g
-    for i in range(n):
-        e = alg.basis_vector(i)
-        x, a = ext.split(e)
-        if ext.unsplit(x, a) != e:
+    splits = [ext.split(alg.basis_vector(i)) for i in range(alg.dim)]
+    for i, (x, a) in enumerate(splits):
+        if ext.unsplit(x, a) != alg.basis_vector(i):
             raise AssertionError("section/projection do not split the identity")
     # reassembled bracket [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y))
-    # reproduces the parent bracket on all basis pairs
-    for i in range(n):
-        for j in range(n):
-            x, a = ext.split(alg.basis_vector(i))
-            y, b = ext.split(alg.basis_vector(j))
+    # reproduces the parent bracket [e_i, e_j] = c[i][j] on all basis pairs
+    for i, (x, _) in enumerate(splits):
+        rho_x = ext.rep.left_of(x)
+        for j, (y, b) in enumerate(splits):
             xy = bracket(ext.g0, x, y)
-            zc = vec_add(ext.rep.left_of(x).mat_vec(b), ext.omega.evaluate(x, y))
-            if ext.unsplit(xy, zc) != bracket(alg, alg.basis_vector(i), alg.basis_vector(j)):
+            zc = vec_add(rho_x.mat_vec(b), ext.omega.evaluate(x, y))
+            if ext.unsplit(xy, zc) != alg.c[i][j]:
                 raise AssertionError("extension data do not reassemble the bracket")
     # omega is an exact Leibniz 2-cocycle for the anti-symmetric representation
     if d and not all(v == 0 for v in leibniz_differential(ext.rep, ext.omega).values):

@@ -2,7 +2,10 @@
 
 Leibniz side (exact): dense multilinear cochains, the differential dL, and
 the degree-shift isomorphism tau that trades an anti-symmetric coefficient
-module for the symmetric module Hom(g, a) (currying the last slot).
+module for the symmetric module Hom(g, a) (currying the last slot).  dL reads
+the brackets [x_i, x_j] of basis elements from the algebra's nonzero table
+``terms``, and ``Cochain.evaluate`` sums over the nonzero coordinates of its
+arguments only.
 
 Rack side (float): cochains are evaluator functions on tuples of group
 elements, differentiated by the rack differential d_R over a module
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Representation, ad_matrix, bracket, is_lie
+from .algebra import Representation, ad_matrix, is_lie
 from .linalg import Matrix, Vec, as_vec, nan_max, sup_norm, vec_scale, zero_vec
 
 
@@ -75,16 +78,15 @@ class Cochain:
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} arguments")
         vecs = [as_vec(v) for v in vectors]
+        if any(len(v) != self.domain_dim for v in vecs):
+            raise ValueError(f"arguments must have length {self.domain_dim}")
+        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
         out = list(zero_vec(self.coeff_dim))
-        for idx in product(range(self.domain_dim), repeat=self.degree):
+        for picks in product(*supports):
             f = Fraction(1)
-            for v, i in zip(vecs, idx):
-                f *= v[i]
-                if f == 0:
-                    break
-            if f == 0:
-                continue
-            val = self.at(*idx)
+            for _, c in picks:
+                f *= c
+            val = self.at(*(i for i, _ in picks))
             for k in range(self.coeff_dim):
                 out[k] += f * val[k]
         return tuple(out)
@@ -113,16 +115,11 @@ class Cochain:
 # the Leibniz differential
 # ---------------------------------------------------------------------------
 
-def _eval_with_vector(w: Cochain, idx: tuple[int, ...], slot: int, vec: Vec) -> Vec:
-    """w on basis indices except one slot holding an arbitrary exact vector."""
-    out = list(zero_vec(w.coeff_dim))
-    for i, coeff in enumerate(vec):
-        if coeff == 0:
-            continue
-        val = w.at(*(idx[:slot] + (i,) + idx[slot + 1:]))
-        for k in range(w.coeff_dim):
-            out[k] += coeff * val[k]
-    return tuple(out)
+def _axpy(out: list, s, term) -> None:
+    """out += s * term, skipping the zero entries of term."""
+    for k, t in enumerate(term):
+        if t:
+            out[k] += s * t
 
 
 def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
@@ -150,24 +147,16 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
         # sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
         for i in range(n):
             rest = idx[:i] + idx[i + 1:]
-            term = rep.left[idx[i]].mat_vec(w.at(*rest))
-            s = (-1) ** i
-            for k in range(rep.carrier_dim):
-                out[k] += s * term[k]
+            _axpy(out, (-1) ** i, rep.left[idx[i]].mat_vec(w.at(*rest)))
         # (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
-        term = rep.right[idx[n]].mat_vec(w.at(*idx[:n]))
-        s = (-1) ** (n - 1)
-        for k in range(rep.carrier_dim):
-            out[k] += s * term[k]
-        # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..)
+        _axpy(out, (-1) ** (n - 1), rep.right[idx[n]].mat_vec(w.at(*idx[:n])))
+        # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..), with
+        # [x_i, x_j] = sum of c e_p over the nonzero table
         for i in range(n + 1):
+            rest = idx[:i] + idx[i + 1:]
             for j in range(i + 1, n + 1):
-                br = bracket(alg, alg.basis_vector(idx[i]), alg.basis_vector(idx[j]))
-                rest = idx[:i] + idx[i + 1:]
-                term = _eval_with_vector(w, rest, j - 1, br)
-                s = (-1) ** (i + 1)
-                for k in range(rep.carrier_dim):
-                    out[k] += s * term[k]
+                for p, c in alg.terms[idx[i]][idx[j]]:
+                    _axpy(out, (-1) ** (i + 1) * c, w.at(*rest[:j - 1], p, *rest[j:]))
         return tuple(out)
 
     return Cochain.from_function(n + 1, alg.dim, rep.carrier_dim, dw)

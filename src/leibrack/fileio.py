@@ -17,7 +17,11 @@ boolean coefficient or a ``value`` key other than decimal digits.  ``dim`` may b
 constants take dim^3 exact entries and the exact layer grows steeply with
 the dimension, so a larger file is rejected before anything is allocated.
 A file that is not UTF-8, nests too deeply for the JSON reader or holds a
-number past Python's integer digit limit is a ParseError too.
+number past Python's integer digit limit is a ParseError too.  Nothing is
+merged silently: a key repeated in any JSON object (which ``json.loads``
+would read as its last value), a second entry for the same (left, right)
+pair, an index given twice in one ``value`` (as "1" and "01") and a
+repeated basis name are ParseErrors.
 Serialization is canonical (sorted, minimal) so parse/serialize round-trips
 are byte-stable.
 """
@@ -45,6 +49,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for json.loads: a dict, or a ParseError on a
+    repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
     brackets = []
     for i in range(alg.dim):
@@ -70,10 +85,13 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
         if not isinstance(basis, list) or len(basis) != dim or \
                 not all(isinstance(b, str) for b in basis):
             raise ParseError("'basis' must list one name per dimension")
+        if len(set(basis)) != dim:
+            raise ParseError("'basis' repeats a name")
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise ParseError("'brackets' must be a list")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"brackets[{pos}] must be an object")
@@ -82,8 +100,12 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
             raise ParseError(f"brackets[{pos}] needs integer 'left'/'right' and a 'value'")
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"brackets[{pos}]: index out of range")
+        if (i, j) in seen:
+            raise ParseError(f"brackets[{pos}]: a second entry for ({i}, {j})")
+        seen.add((i, j))
         if not isinstance(value, dict):
             raise ParseError(f"brackets[{pos}]: 'value' must map indices to coefficients")
+        ks = set()
         for key, coeff in value.items():
             # int() alone would also read " 2" and "1_1"
             if not (isinstance(key, str) and key.isascii() and key.isdigit()):
@@ -91,11 +113,14 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
             k = int(key)
             if not 0 <= k < dim:
                 raise ParseError(f"brackets[{pos}]: index {k} out of range")
+            if k in ks:
+                raise ParseError(f"brackets[{pos}]: index {k} given twice")
+            ks.add(k)
             if isinstance(coeff, (float, bool)):
                 raise ParseError(f"brackets[{pos}]: {coeff!r} not accepted, "
                                  "use integer or 'p/q' strings")
             try:
-                c[i][j][k] += Fraction(coeff)
+                c[i][j][k] = Fraction(coeff)
             except (ValueError, TypeError, ZeroDivisionError):
                 raise ParseError(f"brackets[{pos}]: bad coefficient {coeff!r}") from None
     # a ValidationError from the Leibniz check propagates unchanged
@@ -110,7 +135,9 @@ def parse_algebra_file(path, check: bool = True) -> LeibnizAlgebra:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError: a JSONDecodeError or an integer past Python's digit limit
         raise ParseError(f"{path}: unreadable JSON ({exc})") from None

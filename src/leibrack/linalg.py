@@ -7,8 +7,12 @@ Each scalar world has its own types:
 * exact: ``Matrix`` and vectors hold ``fractions.Fraction`` entries and make
   every structural decision (ranks, centers, identities, nilpotency).
   ``Rational`` is a re-export of ``Fraction``, which already is an
-  always-reduced p/q with positive denominator.  ``matrix_exp`` and
-  ``matrix_log`` are finite series on nilpotent/unipotent input only.
+  always-reduced p/q with positive denominator.  ``as_vec`` and
+  ``Matrix.from_rows`` pass Fraction entries through unchanged (they are
+  immutable) and convert only other numbers, and ``mat_vec`` and ``@``
+  skip zero entries, so sparse exact data costs by its nonzeros.
+  ``matrix_exp`` and ``matrix_log`` are finite series on
+  nilpotent/unipotent input only.
 * float: plain ``numpy`` arrays, used only on the integration side, with
   the kernels ``exp_float``, ``phi1_float`` (the integral
   int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
@@ -41,8 +45,13 @@ class OutOfChartError(ValueError):
 # vectors (plain tuples of Fraction)
 # ---------------------------------------------------------------------------
 
+def _frac(e) -> Fraction:
+    """e itself if it already is a Fraction, else Fraction(e)."""
+    return e if isinstance(e, Fraction) else Fraction(e)
+
+
 def as_vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(_frac, entries))
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -84,7 +93,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(Fraction(e) for e in r) for r in rows)
+        data = tuple(tuple(map(_frac, r)) for r in rows)
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
@@ -150,13 +159,15 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ocols = list(zip(*other.data)) if other.data else []
         return Matrix.from_rows([
-            [sum(a * b for a, b in zip(r, c)) for c in ocols] for r in self.data])
+            [sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in ocols]
+            for r in self.data])
 
     def mat_vec(self, v: Sequence) -> Vec:
         v = as_vec(v)
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in self.data)
+        return tuple(sum((a * b for a, b in zip(r, v) if a and b), Fraction(0))
+                     for r in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix.from_rows(list(zip(*self.data)) if self.data else [])
@@ -196,7 +207,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [e - f * p for e, p in zip(a[i], a[r])]
+                a[i] = [e - f * p if p else e for e, p in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -2,10 +2,12 @@
 canonical extension data, all exact."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from leibrack import algebra
 from leibrack.algebra import (
     LeibnizAlgebra,
     Representation,
@@ -16,6 +18,7 @@ from leibrack.algebra import (
     left_center,
     leibniz_defect,
     squares_ideal,
+    validate_leibniz,
 )
 from leibrack.corpus import (
     abelian3,
@@ -24,6 +27,7 @@ from leibrack.corpus import (
     free_nilpotent5,
     heisenberg,
     random_corpus,
+    random_leibniz,
 )
 from leibrack.linalg import Matrix, rank
 
@@ -77,6 +81,87 @@ def test_constructor_rejects_invalid_tensor():
         LeibnizAlgebra.from_brackets(2, {(0, 0): {1: 1}, (1, 0): {0: 1}})
     assert err.value.triple == (0, 0, 0)
     assert err.value.defect == (Fraction(-1), Fraction(0))
+
+
+def filiform(n):
+    """The filiform Lie algebra [e1,ek] = e_{k+1}, k = 2..n-1."""
+    br = {}
+    for k in range(1, n - 1):
+        br[(0, k)] = {k + 1: 1}
+        br[(k, 0)] = {k + 1: -1}
+    return LeibnizAlgebra.from_brackets(n, br, check=False)
+
+
+def perturbed(alg, i, j, k, delta):
+    c = [[list(v) for v in row] for row in alg.c]
+    c[i][j][k] += Fraction(delta)
+    return LeibnizAlgebra.from_structure(c, alg.basis_names, check=False)
+
+
+def dense_verdict(alg):
+    """Oracle: the dense defect on all n^3 basis triples in lexicographic
+    order; (triple, defect, message) of the first failure, else None."""
+    n, names = alg.dim, alg.basis_names
+    for i, j, k in product(range(n), repeat=3):
+        d = leibniz_defect(alg, E(n, i), E(n, j), E(n, k))
+        if any(d):
+            return ((i, j, k), d,
+                    f"Leibniz identity fails on ({names[i]},{names[j]},{names[k]}): "
+                    f"defect {tuple(str(e) for e in d)}")
+    return None
+
+
+def sparse_verdict(alg):
+    try:
+        validate_leibniz(alg)
+    except ValidationError as err:
+        return err.triple, err.defect, str(err)
+    return None
+
+
+@pytest.mark.parametrize("alg, entry, triple", [
+    (filiform(6), (0, 1, 3, 1), (0, 1, 0)),
+    (filiform(6), (3, 4, 5, 2), (0, 2, 4)),  # -[e4,e5] = -2 e6
+    (heisenberg(), (1, 2, 0, 1), (0, 1, 1)),  # -[e2,[e1,e2]] = -[e2,e3] = -e1
+], ids=["filiform6_e1e2", "filiform6_e4e5", "heisenberg_e2e3"])
+def test_validation_error_names_a_later_triple(alg, entry, triple):
+    bad = perturbed(alg, *entry)
+    with pytest.raises(ValidationError) as err:
+        validate_leibniz(bad)
+    assert err.value.triple == triple
+    assert (err.value.triple, err.value.defect, str(err.value)) == dense_verdict(bad)
+
+
+def test_sparse_check_agrees_with_the_dense_loop():
+    # single-entry perturbations, seeded; some keep the identity
+    rng = np.random.default_rng(8)
+    bases = [dim5(), filiform5(), free_nilpotent5()] + [random_leibniz(s) for s in range(4)]
+    verdicts = []
+    for alg in bases:
+        assert sparse_verdict(alg) is None
+        n = alg.dim
+        for _ in range(12):
+            i, j, k = (int(v) for v in rng.integers(0, n, size=3))
+            delta = Fraction(int(rng.choice([-2, -1, 1, 3])), int(rng.choice([1, 2])))
+            bad = perturbed(alg, i, j, k, delta)
+            got = sparse_verdict(bad)
+            assert got == dense_verdict(bad), (alg.basis_names, (i, j, k, delta))
+            assert is_lie(bad) == all(bad.c[a][b][e] == -bad.c[b][a][e]
+                                      for a, b, e in product(range(n), repeat=3))
+            verdicts.append(got)
+    rejected = [v for v in verdicts if v is not None]
+    assert len(rejected) < len(verdicts)
+    assert len({v[0] for v in rejected}) > 10
+
+
+def test_validate_leibniz_makes_no_dense_call_on_valid_input(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense leibniz_defect called")
+
+    monkeypatch.setattr(algebra, "leibniz_defect", dense)
+    validate_leibniz(filiform(12))
+    with pytest.raises(AssertionError):
+        validate_leibniz(perturbed(filiform(12), 0, 1, 3, 1))
 
 
 def test_is_lie():

@@ -108,9 +108,19 @@ def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     b'{"dim": 1' + b"0" * 5000 + b"}",
     b"[" * 200_000,
     b'{"dim": 2, "basis": ["\xff", "b"]}',
-], ids=["int_over_digit_limit", "deep_nesting", "not_utf8"])
+    b'{"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1", "1": "3"}}]}',
+    b'{"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1"}},'
+    b' {"left": 0, "right": 0, "value": {"1": "2"}}]}',
+    b'{"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1", "01": "2"}}]}',
+    b'{"dim": 2, "basis": ["a", "a"]}',
+    b'{"dim": 3, "dim": 2}',
+], ids=["int_over_digit_limit", "deep_nesting", "not_utf8", "duplicate_value_key",
+        "duplicate_bracket_pair", "duplicate_value_index", "duplicate_basis_name",
+        "duplicate_dim_key"])
 def test_hostile_raw_files_exit_2(capsys, tmp_path, raw):
-    # each used to escape the parser as a traceback (exit 1)
+    # the first three used to escape the parser as a traceback (exit 1); the
+    # duplicates were merged silently (exit 0): the last key kept or the
+    # entries summed
     p = tmp_path / "hostile.leib"
     p.write_bytes(raw)
     code, out = run_cli(capsys, "verify", str(p), "--json")

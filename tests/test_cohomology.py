@@ -2,6 +2,7 @@
 the rack-module axioms."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ def representation_pool(seed=0):
                                              carrier_dim=ext.center_dim))
         pool.append(Representation.trivial(ext.g0, 2))
     return pool
+
+
+def test_evaluate_is_the_dense_multilinear_sum():
+    # oracle: sum over every index tuple, zero coordinates included
+    rng = np.random.default_rng(4)
+    for degree in (1, 2, 3):
+        w = random_cochain(rng, degree, 3, 2)
+        for _ in range(5):
+            vecs = [tuple(Fraction(int(c), 2) for c in rng.integers(-2, 3, size=3))
+                    for _ in range(degree)]
+            want = [Fraction(0)] * 2
+            for idx in product(range(3), repeat=degree):
+                f = Fraction(1)
+                for v, i in zip(vecs, idx):
+                    f *= v[i]
+                want = [a + f * b for a, b in zip(want, w.at(*idx))]
+            assert w.evaluate(*vecs) == tuple(want)
+    with pytest.raises(ValueError):
+        w.evaluate((1, 0), (0, 1, 0), (1, 1, 1))
 
 
 # -- leibniz differential ----------------------------------------------------

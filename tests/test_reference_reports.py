@@ -1,7 +1,7 @@
 """The benchmark's reference reports as a tier-1 check: the seed-0 selection
-of the three float workloads and of the two smallest strata of the exact
-workload, each report run in-process and compared with its captured
-fingerprint by the benchmark's own gate (``perfbench/gate.py``).  Only reads
+of the three float workloads and of all four strata of the exact workload,
+each report run in-process and compared with its captured fingerprint by
+the benchmark's own gate (``perfbench/gate.py``).  Only reads
 ``perfbench/``."""
 
 import json
@@ -18,8 +18,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 
 FLOAT_WORKLOADS = ("leibniz_nilpotent", "lie_iota2", "rho_semisimple")
-# filiform n = 6 and 8; n = 10 and 12 would add about five seconds
-EXACT_STRATA = ("n6", "n8")
+EXACT_STRATA = ("n6", "n8", "n10", "n12")
 
 
 def _selected():
