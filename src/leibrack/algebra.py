@@ -32,10 +32,11 @@ from .linalg import (
     Matrix,
     Vec,
     as_vec,
+    inverse_exact,
     nullspace,
     rank,
     rref,
-    solve_exact,
+    rref_nullspace,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -369,8 +370,8 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
 
     n = alg.dim
     admap = left_adjoint_map(alg)
-    center = nullspace(admap)
-    _, pivots = rref(admap)
+    red, pivots = rref(admap)
+    center = rref_nullspace(red, pivots)
     d, m = len(pivots), len(center)
     if d + m != n:
         raise AssertionError("rank-nullity violated")  # cannot happen
@@ -380,9 +381,7 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     # change of basis: columns are complement lifts then center vectors
     basis_cols = list(complement) + list(center)
     to_parent = Matrix.from_cols(basis_cols)  # (x, a) coords -> g coords
-    # invert exactly, column by column
-    inv_cols = [solve_exact(to_parent, alg.basis_vector(i)) for i in range(n)]
-    from_parent = Matrix.from_cols(inv_cols)  # g coords -> (x, a) coords
+    from_parent = inverse_exact(to_parent)  # g coords -> (x, a) coords
     projection = Matrix.from_rows([from_parent.data[r] for r in range(d)]) \
         if d else Matrix.zeros(0, n)
     center_projection = Matrix.from_rows([from_parent.data[r] for r in range(d, n)]) \

@@ -188,7 +188,7 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: rref, nullspace, solve
+# exact elimination: rref, nullspace, inverse
 # ---------------------------------------------------------------------------
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -217,11 +217,16 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def nullspace(m: Matrix) -> list[Vec]:
     """Exact basis of ker(m); empty iff m is injective on columns."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    return rref_nullspace(*rref(m))
+
+
+def rref_nullspace(red: Matrix, pivots: Sequence[int]) -> list[Vec]:
+    """Exact basis of the kernel of a matrix, read from its reduced row
+    echelon form and pivot columns as ``rref`` returns them."""
+    free = [c for c in range(red.cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * red.cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red.data[r][fc]
@@ -229,20 +234,17 @@ def nullspace(m: Matrix) -> list[Vec]:
     return basis
 
 
-def solve_exact(a: Matrix, b: Sequence) -> Vec:
-    """Solve a x = b exactly; raises ValueError if inconsistent or
-    underdetermined (callers here always have full column rank)."""
-    b = as_vec(b)
-    aug = Matrix.from_rows([list(r) + [e] for r, e in zip(a.data, b)])
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        raise ValueError("inconsistent system")
-    if len(pivots) < a.cols:
-        raise ValueError("underdetermined system")
-    x = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][a.cols]
-    return tuple(x)
+def inverse_exact(a: Matrix) -> Matrix:
+    """a^-1 from one reduced row echelon form of [a | I]; ValueError if a
+    is not square or is singular."""
+    n = a.rows
+    if a.cols != n:
+        raise ValueError("square matrix required")
+    eye = Matrix.identity(n).data
+    red, pivots = rref(Matrix(n, 2 * n, tuple(r + e for r, e in zip(a.data, eye))))
+    if pivots != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix(n, n, tuple(r[n:] for r in red.data))
 
 
 def rank(m: Matrix) -> int:

@@ -38,12 +38,26 @@ The local rack product on G0 x a is then
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
 
 with neutral element (1, 0), and the projection to the first factor makes it
-a local augmented rack.
+a local augmented rack.  ``augmented_action`` conjugates once and hands
+g |> h on to i2's integrand.
+
+Three values depend only on the group element g and are asked for again and
+again by the suites: the log coordinates of g, the action phi_g and
+i1(tau omega)(g), which i2 needs.  Each is remembered in an ``ElementMemo``:
+the chart holds those of ``log_coords`` and ``group_action``, the system
+that of i1(tau omega), so a memo lives and dies with its system (a chart of
+another radius starts empty).  The key is the shape and the exact bytes of
+g as a float64 array, so a hit returns bit for bit what recomputing would,
+and an array changed in place is a miss.  Values are stored and returned
+read-only.  Each memo keeps the MEMO_CAPACITY most recently used elements.
+A computation that raises (an OutOfChartError, say) stores nothing and
+raises again on the next call, so skip counts cannot depend on the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -69,6 +83,37 @@ class NotLieCocycleError(ValueError):
     """iota2 was fed a cochain that is not an anti-symmetric Lie cocycle."""
 
 
+# distinct group elements each ElementMemo keeps; a key is 8 n^2 bytes
+MEMO_CAPACITY = 64
+
+
+class ElementMemo:
+    """A bounded least-recently-used map from a group element, keyed by the
+    shape and exact bytes of its float64 array, to a read-only array
+    computed from it.  A computation that raises stores nothing."""
+
+    def __init__(self):
+        self._values: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def get(self, g, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        g = np.asarray(g, dtype=float)
+        key = (g.shape, g.tobytes())
+        values = self._values
+        value = values.get(key)
+        if value is not None:
+            values.move_to_end(key)
+            return value
+        value = compute()
+        value.flags.writeable = False
+        values[key] = value
+        if len(values) > MEMO_CAPACITY:
+            values.popitem(last=False)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # chart and configuration
 # ---------------------------------------------------------------------------
@@ -79,7 +124,9 @@ class LocalGroupChart:
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
     g0 on itself.  Group elements are n x n arrays with ||g - I|| < radius.
     ad_index and rho_index are the exact joint nilpotency indices of the ad
-    and rho families (None if not nilpotent); they select exp's series."""
+    and rho families (None if not nilpotent); they select exp's series.
+    log_memo and action_memo remember log_coords and group_action; every
+    chart, a copy by ``replace`` too, starts with empty ones."""
 
     dim: int
     g0_dim: int
@@ -91,9 +138,20 @@ class LocalGroupChart:
     coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
     ad_index: int | None
     rho_index: int | None
+    log_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
+                                  repr=False, compare=False)
+    action_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
+                                     repr=False, compare=False)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
+
+    @cached_property
+    def _gate_identity(self) -> np.ndarray:
+        """The read-only identity the chart gates subtract."""
+        eye = self.identity()
+        eye.flags.writeable = False
+        return eye
 
     def combo(self, basis, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -173,12 +231,15 @@ class SymmetricModule:
 class LocalRackSystem:
     """Everything the integration of one algebra needs: the exact extension
     data, the float chart, the Hom(g0, a) module, and tau^2(omega) as a
-    (center_dim * g0_dim) x g0_dim matrix."""
+    (center_dim * g0_dim) x g0_dim matrix.  i1_memo remembers
+    i1(tau omega)(g) for i2; every system starts with an empty one."""
 
     ext: CentralExtensionData
     chart: LocalGroupChart
     hom_module: SymmetricModule
     tau_matrix: np.ndarray
+    i1_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
+                                 repr=False, compare=False)
 
     @property
     def g0_dim(self) -> int:
@@ -220,19 +281,24 @@ def build_rack_system(ext: CentralExtensionData,
 # ---------------------------------------------------------------------------
 
 def in_chart(chart: LocalGroupChart, g: np.ndarray) -> bool:
-    return norm1_float(g - chart.identity()) < chart.chart_radius
+    return norm1_float(g - chart._gate_identity) < chart.chart_radius
 
 
 def require_in_chart(chart: LocalGroupChart, g: np.ndarray, what: str = "group element"):
     if not in_chart(chart, g):
         raise OutOfChartError(
-            f"{what}: ||g - I|| = {norm1_float(g - chart.identity()):.4g} "
+            f"{what}: ||g - I|| = {norm1_float(g - chart._gate_identity):.4g} "
             f">= chart radius {chart.chart_radius}")
 
 
 def log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
-    """g0 coordinates of log(g); raises OutOfChartError if log(g) does not
-    lie in the realized subalgebra (cannot happen for chart-gated input)."""
+    """g0 coordinates of log(g), read-only and remembered in
+    chart.log_memo; raises OutOfChartError if log(g) does not lie in the
+    realized subalgebra (cannot happen for chart-gated input)."""
+    return chart.log_memo.get(g, lambda: _log_coords(chart, g))
+
+
+def _log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
     ell = log_float(g)
     xi = chart.coord_pinv @ ell.flatten()
     resid = np.abs(chart.ad_of(xi) - ell).max() if ell.size else 0.0
@@ -246,8 +312,10 @@ def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
 
 
 def group_action(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
-    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center."""
-    return exp_float(chart.rho_of(log_coords(chart, g)), chart.rho_index)
+    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center;
+    read-only and remembered in chart.action_memo."""
+    return chart.action_memo.get(
+        g, lambda: exp_float(chart.rho_of(log_coords(chart, g)), chart.rho_index))
 
 
 def canonical_path(chart: LocalGroupChart, g: np.ndarray, s: float) -> np.ndarray:
@@ -316,15 +384,15 @@ def _i1_integrand(sys: LocalRackSystem, beta,
     return gen, bmat @ xi
 
 
-def _i2_integrand(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray,
                   hom_i1: Callable[[], np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray] | None:
     """(rho_eta, v) with i2(omega)(g, h) = integral_0^1 exp(t rho_eta) v dt,
-    where eta = log(g |> h) and v = i1(tau omega)(g) eta; hom_i1()
-    evaluates i1(tau omega) at g.  None where i2 vanishes."""
+    where gh = g |> h, already conjugated, eta = log(gh) and
+    v = i1(tau omega)(g) eta; hom_i1() evaluates i1(tau omega) at g.  None
+    where i2 vanishes."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
-    gh = conjugate(chart, g, h)
     if d == 0:
         return None
     hom_value = hom_i1().reshape(m, d)
@@ -349,7 +417,14 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    data = _i2_integrand(sys, g, h, lambda: i1(sys, sys.tau_matrix, g))
+    return _i2_conjugated(sys, g, conjugate(sys.chart, g, h))
+
+
+def _i2_conjugated(sys: LocalRackSystem, g: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    """i2(omega)(g, h) from gh = g |> h, with i1(tau omega)(g) taken
+    from sys.i1_memo."""
+    data = _i2_integrand(
+        sys, gh, lambda: sys.i1_memo.get(g, lambda: i1(sys, sys.tau_matrix, g)))
     return np.zeros(sys.center_dim) if data is None \
         else phi1_float(*data, sys.chart.rho_index)
 
@@ -371,7 +446,7 @@ def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     2 * rule.order exceeds the polynomial degree of the integrands."""
     hom = sys.hom_module
     data = _i2_integrand(
-        sys, g, h,
+        sys, conjugate(sys.chart, g, h),
         lambda: _quadrature(rule, _i1_integrand(sys, sys.tau_matrix, g), hom.dim, hom.index))
     return _quadrature(rule, data, sys.center_dim, sys.chart.rho_index)
 
@@ -392,7 +467,7 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray,
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart."""
     gh = conjugate(sys.chart, g, v.g)
-    a = group_action(sys.chart, g) @ v.a + i2(sys, g, v.g)
+    a = group_action(sys.chart, g) @ v.a + _i2_conjugated(sys, g, gh)
     return LocalRackElement(gh, a)
 
 

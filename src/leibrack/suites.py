@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import bracket, is_lie
 from .cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
-from .linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
+from .linalg import OutOfChartError, gauss_legendre_01, nan_max, norm1_float, sup_norm
 from .rack import (
     IntegratorConfig,
     LocalRackElement,
@@ -92,7 +92,7 @@ def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarr
     xi = rng.uniform(-1.0, 1.0, size=chart.g0_dim) * max_norm
     while True:
         g = group_from_coords(chart, xi)
-        if np.abs(g - chart.identity()).sum(axis=0).max() < max_norm:
+        if norm1_float(g - chart.identity()) < max_norm:
             return g
         xi = xi * 0.5
 

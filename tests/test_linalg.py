@@ -14,6 +14,7 @@ from leibrack.linalg import (
     exp_float,
     gauss_legendre_01,
     integrate_01,
+    inverse_exact,
     joint_nilpotency_index,
     log_float,
     matrix_exp,
@@ -23,6 +24,7 @@ from leibrack.linalg import (
     phi1_float,
     rank,
     rref,
+    rref_nullspace,
 )
 
 RHO_E1 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -70,6 +72,36 @@ def test_nullspace_vectors_are_in_kernel():
         m = rand_exact(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         for v in nullspace(m):
             assert all(c == 0 for c in m.mat_vec(v))
+
+
+def test_rref_nullspace_reads_the_kernel_off_a_given_reduction():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        m = rand_exact(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        assert rref_nullspace(*rref(m)) == nullspace(m)
+
+
+# -- exact inverse -----------------------------------------------------------
+
+def test_inverse_exact_times_the_matrix_is_the_identity():
+    rng = np.random.default_rng(10)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = rand_exact(rng, n, n)
+        if rank(m) < n:
+            with pytest.raises(ValueError, match="singular"):
+                inverse_exact(m)
+            continue
+        inv = inverse_exact(m)
+        assert inv @ m == Matrix.identity(n) and m @ inv == Matrix.identity(n)
+        checked += 1
+    assert checked > 20
+
+
+def test_inverse_exact_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        inverse_exact(Matrix.from_rows([[1, 0]]))
 
 
 # -- matrix exponential ------------------------------------------------------

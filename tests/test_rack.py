@@ -1,6 +1,7 @@
 """Path integrals, the local rack product, differentiation back, and the
 Lie specialization."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from leibrack.algebra import LeibnizAlgebra, canonical_extension
+from leibrack.cli import main
 from leibrack.cohomology import Cochain
 from leibrack.corpus import (
     abelian3,
@@ -21,6 +23,7 @@ from leibrack.corpus import (
     heisenberg_iota2,
     random_corpus,
 )
+from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
     OutOfChartError,
     exp_float,
@@ -30,6 +33,8 @@ from leibrack.linalg import (
     phi1_float,
 )
 from leibrack.rack import (
+    MEMO_CAPACITY,
+    ElementMemo,
     IntegratorConfig,
     LocalRackElement,
     NotLieCocycleError,
@@ -44,6 +49,7 @@ from leibrack.rack import (
     i1,
     i2,
     i2_quadrature,
+    in_chart,
     iota2,
     lie_cocycle_defect,
     lie_group_inverse,
@@ -843,3 +849,167 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys):
     assert wide.chart.ad_index == dim5_sys.chart.ad_index
     with pytest.raises(ValueError):
         dim5_sys.with_chart_radius(0.0)
+
+
+# -- the per-element memo ------------------------------------------------------
+# Every test builds its own system: the session systems of conftest.py carry
+# their memos from test to test.
+
+def _memo_system(alg, radius=0.5):
+    return build_rack_system(canonical_extension(alg), radius)
+
+
+def _memoized_values(sys_, g, h, a, b):
+    """Each memoized path on (g, h), as zero-argument calls."""
+    return {
+        "log_coords": lambda: log_coords(sys_.chart, g),
+        "group_action": lambda: group_action(sys_.chart, g),
+        "i2": lambda: i2(sys_, g, h),
+        "rack_product": lambda: (lambda r: np.concatenate([r.g.ravel(), r.a]))(
+            rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b))),
+    }
+
+
+@pytest.mark.parametrize("alg", [dim5(), _diagonal_rho()], ids=["dim5", "diagonal_rho"])
+def test_memo_hit_equals_a_fresh_system_bit_for_bit(alg):
+    ext = canonical_extension(alg)
+    warm = build_rack_system(ext, 0.5)
+    rng = np.random.default_rng(17)
+    d, m = warm.g0_dim, warm.center_dim
+    g, h = (group_from_coords(warm.chart, rng.uniform(-0.1, 0.1, size=d)) for _ in range(2))
+    a, b = (rng.uniform(-0.25, 0.25, size=m) for _ in range(2))
+    calls = _memoized_values(warm, g, h, a, b)
+    for f in calls.values():
+        f()
+    assert len(warm.chart.log_memo) and len(warm.chart.action_memo) and len(warm.i1_memo)
+    for name, f in calls.items():
+        fresh = _memoized_values(build_rack_system(ext, 0.5), g, h, a, b)[name]()
+        assert f().tobytes() == fresh.tobytes(), name
+
+
+def test_memo_raises_an_error_again_and_stores_nothing(monkeypatch):
+    import leibrack.rack as rack
+    sys_ = _memo_system(_diagonal_rho(), radius=8.0)
+    g = group_from_coords(sys_.chart, [0.6])  # 1 <= ||g - I|| < 8: past the log chart
+    logs = []
+    monkeypatch.setattr(rack, "log_float", lambda x: logs.append(x) or log_float(x))
+    for k in (1, 2):
+        for f in (lambda: log_coords(sys_.chart, g), lambda: group_action(sys_.chart, g),
+                  lambda: i2(sys_, g, g)):
+            with pytest.raises(OutOfChartError, match="outside the log chart"):
+                f()
+        assert len(logs) == 3 * k  # every call takes the log again
+    assert (len(sys_.chart.log_memo), len(sys_.chart.action_memo), len(sys_.i1_memo)) == (0, 0, 0)
+
+
+def test_memo_misses_after_an_in_place_change_of_g():
+    sys_ = _memo_system(dim5())
+    chart = sys_.chart
+    g = group_from_coords(chart, [0.1, -0.05])
+    h = group_from_coords(chart, [-0.02, 0.07])
+    k = group_from_coords(chart, [0.03, 0.04])
+    before = log_coords(chart, g), group_action(chart, g), i2(sys_, g, k)
+    g[...] = h
+    fresh = _memo_system(dim5())
+    after = log_coords(chart, g), group_action(chart, g), i2(sys_, g, k)
+    want = log_coords(fresh.chart, h), group_action(fresh.chart, h), i2(fresh, h, k)
+    for old, got, new in zip(before, after, want, strict=True):
+        assert got.tobytes() == new.tobytes()
+        assert np.abs(got - old).max() > 0
+
+
+def test_memo_values_are_read_only():
+    sys_ = _memo_system(dim5())
+    g = group_from_coords(sys_.chart, [0.1, -0.05])
+    for value in (log_coords(sys_.chart, g), group_action(sys_.chart, g)):
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+    i2(sys_, g, g)
+    assert not sys_.i1_memo.get(g, lambda: pytest.fail("i1 not remembered")).flags.writeable
+
+
+def test_memo_keeps_at_most_its_capacity_least_recently_used_out(monkeypatch):
+    import leibrack.rack as rack
+    sys_ = _memo_system(dim5())
+    chart = sys_.chart
+    gs = [group_from_coords(chart, [1e-3 * k, -1e-3]) for k in range(MEMO_CAPACITY + 10)]
+    for g in gs:
+        group_action(chart, g)
+    assert len(chart.log_memo) == len(chart.action_memo) == MEMO_CAPACITY
+    logs = []
+    monkeypatch.setattr(rack, "log_float", lambda x: logs.append(x) or log_float(x))
+    log_coords(chart, gs[-1])
+    assert not logs
+    log_coords(chart, gs[0])
+    assert len(logs) == 1
+    assert len(chart.log_memo) == MEMO_CAPACITY
+
+
+def test_memo_is_keyed_by_shape_and_bytes():
+    memo = ElementMemo()
+    g = np.arange(4.0)
+    assert memo.get(g, lambda: np.zeros(1)) is memo.get(g.copy(), lambda: np.ones(1))
+    assert memo.get(g.reshape(2, 2), lambda: np.ones(1))[0] == 1.0
+    assert len(memo) == 2
+
+
+def test_a_chart_of_another_radius_starts_with_empty_memos():
+    sys_ = _memo_system(dim5())
+    g = group_from_coords(sys_.chart, [0.1, -0.05])
+    i2(sys_, g, g)
+    group_action(sys_.chart, g)
+    wide = sys_.with_chart_radius(8.0)
+    assert wide.chart.log_memo is not sys_.chart.log_memo
+    assert (len(wide.chart.log_memo), len(wide.chart.action_memo), len(wide.i1_memo)) == (0, 0, 0)
+
+
+def test_chart_gates_keep_one_identity_and_identity_stays_fresh():
+    chart = _memo_system(dim5()).chart
+    eye = chart.identity()
+    assert eye is not chart.identity() and eye.flags.writeable
+    eye[0, 0] = 5.0  # a caller's copy never reaches the gates
+    assert in_chart(chart, chart.identity())
+    assert not in_chart(chart, eye)
+
+
+def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
+    import leibrack.rack as rack
+    sys_ = _memo_system(dim5())
+    g = group_from_coords(sys_.chart, [0.1, -0.05])
+    h = group_from_coords(sys_.chart, [-0.02, 0.07])
+    counts = {"conjugate": 0, "log_float": 0}
+    for name in counts:
+        original = getattr(rack, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(rack, name, counted)
+    rack_product(sys_, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
+    assert counts["conjugate"] == 1
+    assert counts["log_float"] <= 2  # log g, log(g |> h)
+
+
+def _cli_json(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which", ["example_dim5", "integrate_aff1_radius8"])
+def test_reports_are_byte_identical_with_the_memo_bypassed(which, tmp_path, capsys,
+                                                           monkeypatch):
+    if which == "example_dim5":
+        argv = ["example", "dim5", "--json", "--samples", "40", "--seed", "3"]
+    else:
+        path = tmp_path / "aff1.leib"
+        write_algebra_file(_aff1_with_weights(), path)
+        argv = ["integrate", str(path), "--json", "--samples", "20", "--seed", "1",
+                "--chart-radius", "8"]
+    with_memo = _cli_json(argv, capsys)
+    monkeypatch.setattr(ElementMemo, "get", lambda self, g, compute: compute())
+    without = _cli_json(argv, capsys)
+    assert with_memo == without
+    if which != "example_dim5":
+        report = json.loads(with_memo[1])
+        assert with_memo[0] == 3 and any(p["skipped"] for p in report["properties"])
