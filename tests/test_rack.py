@@ -861,12 +861,14 @@ def _memo_system(alg, radius=0.5):
 
 def _memoized_values(sys_, g, h, a, b):
     """Each memoized path on (g, h), as zero-argument calls."""
+    def product():
+        r = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b))
+        return np.concatenate([r.g.ravel(), r.a])
     return {
         "log_coords": lambda: log_coords(sys_.chart, g),
         "group_action": lambda: group_action(sys_.chart, g),
         "i2": lambda: i2(sys_, g, h),
-        "rack_product": lambda: (lambda r: np.concatenate([r.g.ravel(), r.a]))(
-            rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b))),
+        "rack_product": product,
     }
 
 
