@@ -248,16 +248,14 @@ def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
     if d == 0:
         return None
     x = np.eye(d)[0]
-    y = np.eye(d)[0]
     try:
         wide = sys_.with_chart_radius(max(args.chart_radius, 8.0))
         g = group_from_coords(wide.chart, x)
-        h = group_from_coords(wide.chart, y)
-        value = i2(wide, g, h)
+        value = i2(wide, g, g)
     except OutOfChartError as exc:
         return {"skipped": str(exc)}
     return {
-        "coords": [list(map(float, x)), list(map(float, y))],
+        "coords": [list(map(float, x))] * 2,
         "value": [float(c) for c in value],
         "chart_radius_used": max(args.chart_radius, 8.0),
     }

@@ -18,6 +18,15 @@ Each scalar world has its own types:
   int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
   ``integrate_01`` (quadrature, kept as phi1's cross-check).
 
+``exp_float``, ``phi1_float`` and ``log_float`` also take a stack of square
+arrays, shape (..., n, n), and give each slice bit for bit what the call on
+that slice alone gives.  They use only operations that are exact slice by
+slice with numpy's OpenBLAS build and scipy: stacked ``@`` (matrix-matrix,
+and matrix-vector written as (..., n, 1)), elementwise arithmetic,
+reductions within a slice, ``np.linalg.solve`` and scipy's ``expm``, which
+runs the same algorithm on each slice of a stack.  ``np.einsum`` over a
+stack is not among them: it can sum in another order.
+
 ``Matrix.to_numpy`` is the one crossing, from exact to float.
 """
 
@@ -337,87 +346,116 @@ def nan_max(*values: float) -> float:
 
 
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
-    """exp(a) for a float square array.
+    """exp(a) for a float square array or a stack of them, shape
+    (..., n, n), slice by slice.
 
     ``index`` is the exact joint nilpotency index of a family whose span
     contains ``a`` (see ``joint_nilpotency_index``).  With it a^index = 0,
     so the finite series sum_(j < index) a^j / j! is exact and is used;
-    without it, scipy's scaling-and-squaring."""
+    without it, scipy's scaling-and-squaring (one call on the whole
+    stack)."""
     if not a.size:
         return np.zeros_like(a)
     if index is None:
         return scipy.linalg.expm(a)
-    acc = term = np.eye(a.shape[0])
+    acc = term = np.eye(a.shape[-1])
+    if index == 1:
+        return np.broadcast_to(acc, a.shape).copy()
     for j in range(1, index):
-        term = (term @ a) / j
+        term = (term @ a) / j  # broadcasts over a stack from the first product on
         acc = acc + term
     return acc
 
 
 def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.ndarray:
     """phi1(a) v = int_0^1 exp(s a) v ds = sum_j a^j v / (j+1)! for a float
-    square array a and a vector v of shape (n,) or a block of columns of
-    shape (n, k).
+    square array a of shape (..., n, n) and, for each of its slices, a
+    vector v of shape (..., n) or a block of columns of shape (..., n, k).
 
     ``index`` is as for ``exp_float``.  With it the finite series
     sum_(j < index) a^j v / (j+1)! is exact and is summed by matrix-vector
-    products; without it, one scipy expm of the augmented matrix
+    products; without it, one scipy expm of the augmented matrices
     [[a, v], [0, 0]], whose last k columns hold phi1(a) v above the zero
     block (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
-    n = v.shape[0]
+    n = a.shape[-1]
     if not n:
         return np.zeros(v.shape)
+    # a vector is taken as one column, so every product is (..., n, 1)
+    cols = v[..., None] if v.ndim < a.ndim else v
     if index is None:
-        cols = v.reshape(n, -1)
-        k = cols.shape[1]
-        aug = np.zeros((n + k, n + k))
-        aug[:n, :n] = a
-        aug[:n, n:] = cols
-        return scipy.linalg.expm(aug)[:n, n:].reshape(v.shape)
-    acc = term = v
+        k = cols.shape[-1]
+        aug = np.zeros(a.shape[:-2] + (n + k, n + k))
+        aug[..., :n, :n] = a
+        aug[..., :n, n:] = cols
+        return scipy.linalg.expm(aug)[..., :n, n:].reshape(v.shape)
+    acc = term = cols
     for j in range(1, index):
         term = (a @ term) / (j + 1)
         acc = acc + term
-    return acc
+    return acc.reshape(v.shape)
 
 
 def _log_series_float(n: np.ndarray, max_terms: int = 800) -> np.ndarray:
-    # log(I+N) = sum (-1)^(k+1) N^k / k; terminates exactly on nilpotent N,
-    # converges for ||N|| < 1 otherwise.
-    acc = n.copy()
-    term = n.copy()
+    # log(I+N) = sum (-1)^(k+1) N^k / k over a stack (N, n, n); terminates
+    # exactly on nilpotent N, converges for ||N|| < 1 otherwise.  A slice
+    # stops before its first zero term, or after its first term with
+    # max|term| / k < 1e-18; its sum is then written out and it leaves the
+    # stack the series runs on.
+    out = np.empty_like(n)
+    rows = list(range(len(n)))
+    acc = term = n
     for k in range(2, max_terms + 1):
         term = term @ n
-        if not term.any():
-            return acc
-        acc = acc + ((-1) ** (k + 1) / k) * term
-        if np.abs(term).max() / k < 1e-18:
-            return acc
+        sizes = np.abs(term).max(axis=(1, 2)).tolist()
+        nxt = acc + ((-1) ** (k + 1) / k) * term
+        done = [size / k < 1e-18 for size in sizes]
+        if any(done):
+            for i, (row, size) in enumerate(zip(rows, sizes)):
+                if done[i]:
+                    out[row] = acc[i] if size == 0 else nxt[i]
+            keep = [i for i, stop in enumerate(done) if not stop]
+            if not keep:
+                return out
+            rows = [rows[i] for i in keep]
+            n, term, nxt = n[keep], term[keep], nxt[keep]
+        acc = nxt
     raise OutOfChartError("matrix log series did not converge")
 
 
 def log_float(g: np.ndarray) -> np.ndarray:
-    """Principal log of a float square array near the identity.
+    """Principal log of a float square array near the identity, or of each
+    slice of a stack of them, shape (..., n, n).
 
     If some float power of n = g - I up to the dimension is exactly zero,
     the series for log(I + n) is finite and is summed at any norm.
     Otherwise it converges only for ||n|| < 1 (induced 1-norm), and a
     larger n raises OutOfChartError.  Rounding in g can hide the
-    nilpotency of a unipotent g, which then meets the norm gate."""
+    nilpotency of a unipotent g, which then meets the norm gate.  On a
+    stack, the error raised is that of the first failing slice."""
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("square matrix required")
-    n = g - np.eye(g.shape[0])
+    shape, dim = g.shape, g.shape[-1]
+    n = (g - np.eye(dim)).reshape(-1, dim, dim)
+    if not n.size:
+        return n.reshape(shape)
+    # a zero float power stays zero, so n^dim is zero iff some power up to
+    # the dimension is
     p = n
-    for _ in range(n.shape[0]):
-        if not p.any():
-            return _log_series_float(n)
+    for _ in range(dim - 1):
+        if not np.count_nonzero(p):
+            break
         p = p @ n
-    norm = norm1_float(n)
-    if norm >= 1:
-        raise OutOfChartError(f"||m - I|| = {norm:.6g} >= 1: outside the log chart")
-    return _log_series_float(n)
+    if np.count_nonzero(p):  # some slice is not nilpotent in float: gate those
+        norm = np.abs(n).sum(axis=1).max(axis=1)
+        gated = np.flatnonzero(p.any(axis=(1, 2)) & (norm >= 1))
+        if gated.size:
+            first = gated[0]
+            if first:
+                _log_series_float(n[:first])  # an earlier slice's error comes first
+            raise OutOfChartError(f"||m - I|| = {norm[first]:.6g} >= 1: outside the log chart")
+    return _log_series_float(n).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

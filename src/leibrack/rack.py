@@ -154,20 +154,23 @@ class LocalGroupChart:
         return eye
 
     def combo(self, basis, xi) -> np.ndarray:
+        """sum_p xi_p basis[p], summed in basis order; coordinates of shape
+        (..., d) give a stack of matrices."""
         xi = np.asarray(xi, dtype=float)
         shape = basis[0].shape if basis else (0, 0)
-        acc = np.zeros(shape)
-        for c, b in zip(xi, basis, strict=True):
+        acc = np.zeros(xi.shape[:-1] + shape)
+        cs = xi if xi.ndim == 1 else np.moveaxis(xi, -1, 0)[..., None, None]
+        for c, b in zip(cs, basis, strict=True):
             acc = acc + c * b
         return acc
 
     def ad_of(self, xi) -> np.ndarray:
         m = self.combo(self.ad_basis, xi)
-        return m if self.g0_dim else np.zeros((self.dim, self.dim))
+        return m if self.g0_dim else np.zeros(np.shape(xi)[:-1] + (self.dim, self.dim))
 
     def rho_of(self, xi) -> np.ndarray:
         m = self.combo(self.rho_basis, xi)
-        return m if self.g0_dim else np.zeros((self.center_dim, self.center_dim))
+        return m if self.g0_dim else np.zeros(np.shape(xi)[:-1] + (self.center_dim,) * 2)
 
     def ad0_of(self, xi) -> np.ndarray:
         return self.combo(self.ad0_basis, xi)
@@ -299,11 +302,17 @@ def log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
 
 
 def _log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
+    """log_coords without the memo, for g or for each slice of a stack of
+    group elements (..., n, n); the error raised is that of the first
+    failing slice, a failing log before any residual."""
     ell = log_float(g)
-    xi = chart.coord_pinv @ ell.flatten()
-    resid = np.abs(chart.ad_of(xi) - ell).max() if ell.size else 0.0
-    if resid > 1e-7 * (1.0 + np.abs(ell).max()):
-        raise OutOfChartError(f"log(g) leaves the realized g0 (residual {resid:.3g})")
+    n = chart.dim
+    xi = (chart.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
+    resid = np.abs(chart.ad_of(xi) - ell).max(axis=(-2, -1), initial=0.0)
+    bad = resid > 1e-7 * (1.0 + np.abs(ell).max(axis=(-2, -1), initial=0.0))
+    if np.count_nonzero(bad):
+        first = np.ravel(resid)[np.ravel(bad).argmax()]
+        raise OutOfChartError(f"log(g) leaves the realized g0 (residual {first:.3g})")
     return xi
 
 
@@ -435,7 +444,9 @@ def _quadrature(rule: QuadratureRule, data, dim: int, index: int | None) -> np.n
     if data is None:
         return np.zeros(dim)
     a, v = data
-    return integrate_01(rule, lambda s: exp_float(s * a, index) @ v)
+    # every node's exp(s a) v in one stack, summed in node order
+    values = (exp_float(np.array(rule.nodes)[:, None, None] * a, index) @ v[:, None])[..., 0]
+    return integrate_01(rule, dict(zip(rule.nodes, values)).__getitem__)
 
 
 def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -571,7 +582,12 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     phi1(X) (0, a') with X = [[-R, Omega], [0, -A]] (Van Loan 1978).  ad0
     is the quotient of the ad family on g0 = g / Z_L and X is block
     triangular, so ad_index and ad_index + rho_index bound their
-    nilpotency indices."""
+    nilpotency indices.
+
+    All nodes s go through the kernels as one stack, whose slices equal
+    the per-node values bit for bit; only the weighted sum runs node by
+    node, in node order.  The node elements are used once, so their log
+    coordinates bypass chart.log_memo; only log h is remembered there."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega if omega is None else _checked_lie_omega(sys.ext, omega)
@@ -585,15 +601,22 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     x_index = None if chart.ad_index is None or chart.rho_index is None \
         else chart.ad_index + chart.rho_index
 
+    nodes = np.array(cfg.quad.nodes)
+    a = _log_coords(chart, g @ exp_float(nodes[:, None, None] * big_h, chart.ad_index))
+    ad_a, rho_a = chart.ad0_of(a), chart.rho_of(a)
+    eye = np.broadcast_to(np.eye(d), ad_a.shape)
+    aprime = np.linalg.solve(phi1_float(-ad_a, eye, chart.ad_index), eta_h)
+    x = np.zeros((len(nodes), m + d, m + d))
+    x[:, :m, :m] = -rho_a
+    # one einsum per node: a stacked einsum can sum in another order
+    x[:, :m, m:] = [np.einsum("p,pqk->kq", a_s, omega_np) for a_s in a]
+    x[:, m:, m:] = -ad_a
+    inner = phi1_float(x, np.concatenate([np.zeros((len(nodes), m)), aprime], axis=1),
+                       x_index)[:, :m]
+    values = (exp_float(rho_a, chart.rho_index) @ inner[..., None])[..., 0]
     total = np.zeros(m)
-    for s, ws in zip(cfg.quad.nodes, cfg.quad.weights):
-        a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
-        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
-        aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
-        x = np.block([[-rho_a, np.einsum("p,pqk->kq", a_s, omega_np)],
-                      [np.zeros((d, m)), -ad_a]])
-        inner = phi1_float(x, np.concatenate([np.zeros(m), aprime]), x_index)[:m]
-        total = total + ws * (exp_float(rho_a, chart.rho_index) @ inner)
+    for ws, value in zip(cfg.quad.weights, values):
+        total = total + ws * value
     return total
 
 

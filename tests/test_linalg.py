@@ -335,6 +335,87 @@ def test_exp_log_roundtrip_float():
     assert np.abs(again - g).max() < 1e-10 * max(1.0, np.abs(g).max())
 
 
+# -- stacks (N, n, n): each slice equals the 2-D call bit for bit -------------
+
+def _same_slices(stacked, one_by_one):
+    assert len(stacked) == len(one_by_one)
+    for got, want in zip(stacked, one_by_one):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_exp_float_stack_equals_each_slice():
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 5):
+        nilpotent = np.tril(rng.uniform(-2, 2, size=(7, n, n)), -1)
+        general = rng.uniform(-1, 1, size=(7, n, n))
+        for a, index in ((nilpotent, n), (nilpotent, n + 2), (general, None)):
+            _same_slices(exp_float(a, index), [exp_float(s, index) for s in a])
+    # index 1: the family is zero and each exp is a fresh identity
+    ones = exp_float(np.zeros((4, 3, 3)), 1)
+    assert ones.shape == (4, 3, 3) and ones.flags.writeable
+    _same_slices(ones, [np.eye(3)] * 4)
+    for index in (None, 1):
+        assert exp_float(np.zeros((4, 0, 0)), index).shape == (4, 0, 0)
+
+
+def test_phi1_float_stack_equals_each_slice():
+    rng = np.random.default_rng(32)
+    n = 4
+    nilpotent = np.triu(rng.uniform(-1, 1, size=(6, n, n)), 1)
+    general = rng.uniform(-1, 1, size=(6, n, n))
+    vectors = rng.uniform(-1, 1, size=(6, n))
+    blocks = rng.uniform(-1, 1, size=(6, n, 3))
+    for a, index in ((nilpotent, n), (general, None)):
+        for v in (vectors, blocks):
+            _same_slices(phi1_float(a, v, index),
+                         [phi1_float(s, w, index) for s, w in zip(a, v)])
+    for index in (None, 1):
+        assert phi1_float(np.zeros((6, 0, 0)), np.zeros((6, 0)), index).shape == (6, 0)
+        assert phi1_float(np.zeros((6, 0, 0)), np.zeros((6, 0, 2)), index).shape == (6, 0, 2)
+
+
+def _log_slices():
+    """A finite-series slice past the norm gate (with a -0.0 entry the
+    series must keep), two convergent slices stopping at different terms,
+    and the identity."""
+    a = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [-2.0, 0.75, 0.0]])
+    unipotent = exp_float(a, 3)
+    unipotent[0, 2] = -0.0
+    rng = np.random.default_rng(33)
+    near = np.eye(3) + rng.uniform(-0.3, 0.3, size=(3, 3))
+    nearer = np.eye(3) + rng.uniform(-1e-3, 1e-3, size=(3, 3))
+    return [unipotent, near, nearer, np.eye(3)]
+
+
+def test_log_float_stack_equals_each_slice():
+    slices = _log_slices()
+    assert np.abs(slices[0] - np.eye(3)).sum(axis=0).max() > 1
+    _same_slices(log_float(np.array(slices)), [log_float(g) for g in slices])
+    assert np.signbit(log_float(np.array(slices))[0, 0, 2])
+    # any leading shape
+    stack = np.array(slices * 2).reshape(2, 4, 3, 3)
+    assert log_float(stack).tobytes() == log_float(np.array(slices * 2)).tobytes()
+
+
+def _error(g):
+    with pytest.raises(OutOfChartError) as err:
+        log_float(g)
+    return str(err.value)
+
+
+def test_log_float_stack_raises_the_first_failing_slice():
+    ok = _log_slices()
+    gated, gated_more = np.diag([2.5, 1.0, 1.0]), np.diag([1.0, 3.0, 1.0])
+    slow = np.eye(3) * 1.999  # ||g - I|| < 1, but the series does not converge
+    assert _error(gated) == "||m - I|| = 1.5 >= 1: outside the log chart"
+    assert _error(slow) == "matrix log series did not converge"
+    for stack, first in (([*ok, gated, gated_more], gated),
+                         ([ok[1], gated_more, ok[0], gated], gated_more),
+                         ([ok[0], slow, gated, ok[1]], slow),
+                         ([ok[2], gated, slow], gated)):
+        assert _error(np.array(stack)) == _error(first)
+
+
 # -- quadrature --------------------------------------------------------------
 
 def test_rule_weights_and_nodes():

@@ -42,6 +42,7 @@ from leibrack.rack import (
     build_rack_system,
     canonical_path,
     conjugate,
+    default_config,
     delta2,
     ghost_identity_defect,
     group_action,
@@ -684,6 +685,98 @@ def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
         assert np.abs(closed).max() > 1e-6
         want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, cfg.quad, rule16)
         assert np.abs(closed - want).max() <= 1e-12
+
+
+def _iota2_per_node(sys_, g, h, cfg):
+    """Oracle for iota2's stacked evaluation: the outer rule's nodes one at
+    a time through the 2-D kernels, as iota2 once ran them (chart gates
+    left out: the draws compared pass them)."""
+    chart = sys_.chart
+    m, d = sys_.center_dim, sys_.g0_dim
+    omega_np = sys_.lie_omega
+    eta_h = log_coords(chart, h)
+    big_h = chart.ad_of(eta_h)
+    x_index = None if chart.ad_index is None or chart.rho_index is None \
+        else chart.ad_index + chart.rho_index
+    total = np.zeros(m)
+    for s, ws in zip(cfg.quad.nodes, cfg.quad.weights):
+        a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
+        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
+        aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
+        x = np.block([[-rho_a, np.einsum("p,pqk->kq", a_s, omega_np)],
+                      [np.zeros((d, m)), -ad_a]])
+        inner = phi1_float(x, np.concatenate([np.zeros(m), aprime]), x_index)[:m]
+        total = total + ws * (exp_float(rho_a, chart.rho_index) @ inner)
+    return total
+
+
+def _outcome(f):
+    """f()'s value as bytes, or its error as (type, message)."""
+    try:
+        return f().tobytes()
+    except (OutOfChartError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("radius", [0.5, 8.0])
+@pytest.mark.parametrize("alg", [heisenberg(), filiform5(), free_nilpotent5(), _oscillator()],
+                         ids=["heisenberg", "filiform5", "free_nilpotent5", "oscillator"])
+def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius, cfg):
+    # the nilpotent inputs have unipotent G0, whose logs never fail; on the
+    # oscillator at radius 8 node elements leave the log chart
+    ext = canonical_extension(alg)
+    stacked, per_node = build_rack_system(ext, radius), build_rack_system(ext, radius)
+    rng = np.random.default_rng(18)
+    failures = 0
+    for _ in range(40):
+        scale = rng.choice([0.05, 0.4, 1.5])
+        g, h = (group_from_coords(stacked.chart, rng.uniform(-scale, scale, stacked.g0_dim))
+                for _ in range(2))
+        if not (in_chart(stacked.chart, g) and in_chart(stacked.chart, h)
+                and in_chart(stacked.chart, g @ h)):
+            continue
+        want = _outcome(lambda: _iota2_per_node(per_node, g, h, cfg))
+        assert _outcome(lambda: iota2(stacked, g, h, cfg)) == want
+        failures += isinstance(want, tuple)
+    if radius == 8.0 and stacked.chart.ad_index is None:
+        assert failures  # the log chart's errors are compared too
+
+
+def _calls_in_one_iota2(monkeypatch, alg, owner, name, order):
+    """How often one iota2 on a fresh system of alg, at the given
+    quadrature order, calls owner.name; and the system."""
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    g = group_from_coords(sys_.chart, [0.05, 0.01, -0.02, 0.03][:sys_.g0_dim])
+    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, -0.04][:sys_.g0_dim])
+    calls = []
+    original = getattr(owner, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+        assert np.abs(iota2(sys_, g, h, default_config(order))).max() > 0
+    return len(calls), sys_
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_iota2_takes_at_most_two_logs(order, monkeypatch):
+    # log h, then one stack of every node element
+    import leibrack.rack as rack
+    logs, _ = _calls_in_one_iota2(monkeypatch, filiform5(), rack, "log_float", order)
+    assert logs <= 2
+
+
+def test_iota2_scipy_calls_do_not_grow_with_the_order(monkeypatch):
+    counts = [_calls_in_one_iota2(monkeypatch, _oscillator(), scipy.linalg, "expm", order)[0]
+              for order in (8, 16, 32)]
+    assert 0 < counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_iota2_remembers_only_log_h(order, monkeypatch):
+    # node elements are used once; remembering them would push out the
+    # reusable elements of the 64-entry LRU
+    import leibrack.rack as rack
+    _, sys_ = _calls_in_one_iota2(monkeypatch, filiform5(), rack, "log_float", order)
+    assert len(sys_.chart.log_memo) <= 1
 
 
 def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
