@@ -46,7 +46,6 @@ from .rack import (
     NotLieCocycleError,
     augmented_action,
     build_rack_system,
-    canonical_path,
     conjugate,
     default_config,
     delta2,

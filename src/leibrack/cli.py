@@ -111,8 +111,9 @@ def _algebra_section(alg: LeibnizAlgebra) -> dict:
     }
 
 
-def _exact_checks_section(alg: LeibnizAlgebra) -> dict:
-    center = left_center(alg)
+def _exact_checks_section(alg: LeibnizAlgebra, center) -> dict:
+    """The left center and the squares ideal; center is the left center's
+    exact basis, taken from the extension where one is built."""
     squares = squares_ideal(alg)
     return {
         "center_dim": len(center),
@@ -215,7 +216,7 @@ def cmd_verify(args) -> int:
         _emit(report, args)
         return 2
     report["algebra"] = _algebra_section(alg)
-    report["exact_checks"] = _exact_checks_section(alg)
+    report["exact_checks"] = _exact_checks_section(alg, left_center(alg))
     report["verdict"] = "pass"
     _emit(report, args)
     return 0
@@ -227,9 +228,10 @@ def cmd_analyze(args) -> int:
     if alg is None:
         _emit(report, args)
         return 2
+    ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)
-    report["exact_checks"] = _exact_checks_section(alg)
-    report["analysis"] = _analysis_section(canonical_extension(alg))
+    report["exact_checks"] = _exact_checks_section(alg, ext.center_basis)
+    report["analysis"] = _analysis_section(ext)
     report["verdict"] = "pass"
     _emit(report, args)
     return 0
@@ -282,7 +284,7 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
         return None
     ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)
-    report["exact_checks"] = _exact_checks_section(alg)
+    report["exact_checks"] = _exact_checks_section(alg, ext.center_basis)
     report["analysis"] = _analysis_section(ext)
     report["config"] = _config_section(args)
     return build_rack_system(ext, chart_radius=args.chart_radius)

@@ -27,6 +27,14 @@ reductions within a slice, ``np.linalg.solve`` and scipy's ``expm``, which
 runs the same algorithm on each slice of a stack.  ``np.einsum`` over a
 stack is not among them: it can sum in another order.
 
+scipy is a runtime dependency but not an import-time one: ``scipy.linalg``
+is imported inside the two branches that call its ``expm`` (``exp_float``
+and ``phi1_float`` without an index), on the first such call.  Nilpotent
+input never takes them, so ``import leibrack`` and every report on
+nilpotent input run without loading scipy.  ``expm`` is looked up on the
+module at each call, never bound to a name here, so a patch of
+``scipy.linalg.expm`` sees every call.
+
 ``Matrix.to_numpy`` is the one crossing, from exact to float.
 """
 
@@ -38,7 +46,6 @@ from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 Rational = Fraction
 
@@ -357,6 +364,7 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     if not a.size:
         return np.zeros_like(a)
     if index is None:
+        import scipy.linalg
         return scipy.linalg.expm(a)
     acc = term = np.eye(a.shape[-1])
     if index == 1:
@@ -388,6 +396,7 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
         aug = np.zeros(a.shape[:-2] + (n + k, n + k))
         aug[..., :n, :n] = a
         aug[..., :n, n:] = cols
+        import scipy.linalg
         return scipy.linalg.expm(aug)[..., :n, n:].reshape(v.shape)
     acc = term = cols
     for j in range(1, index):

@@ -327,12 +327,6 @@ def group_action(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
         g, lambda: exp_float(chart.rho_of(log_coords(chart, g)), chart.rho_index))
 
 
-def canonical_path(chart: LocalGroupChart, g: np.ndarray, s: float) -> np.ndarray:
-    """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
-    require_in_chart(chart, g)
-    return exp_float(s * log_float(g))
-
-
 def group_inverse(g: np.ndarray, what: str = "group element") -> np.ndarray:
     """g^-1; OutOfChartError if g is singular in floating point, which an
     element of a non-unipotent G0 far from the identity can be."""

@@ -397,6 +397,26 @@ def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
     assert calls == {"ext": 2, "sys": 2}
 
 
+def test_reports_with_an_extension_take_its_left_center(capsys, monkeypatch):
+    """analyze and integrate read the left center off the extension, which
+    already reduced the left-adjoint map; only verify computes it itself."""
+    import leibrack.cli as cli
+    from leibrack.algebra import left_center
+
+    def refuse(alg):
+        raise AssertionError("left_center called on a report that builds an extension")
+    monkeypatch.setattr(cli, "left_center", refuse)
+    for name in ("dim5", "heisenberg", "abelian3"):
+        want = [[str(c) for c in v] for v in left_center(parse_algebra_file(data_path(name)))]
+        for argv in (("analyze", data_path(name), "--json"),
+                     ("integrate", data_path(name), "--samples", "10", "--json")):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["exact_checks"]["center_basis"] == want
+    with pytest.raises(AssertionError, match="left_center called"):
+        main(["verify", data_path("dim5")])
+
+
 @pytest.mark.xfail(strict=True, reason="the float unipotency test in log_float sends "
                    "this unipotent G0 element down the gated non-unipotent branch")
 def test_i2_probe_returns_value_for_unipotent_g0(capsys, tmp_path):

@@ -40,7 +40,6 @@ from leibrack.rack import (
     NotLieCocycleError,
     augmented_action,
     build_rack_system,
-    canonical_path,
     conjugate,
     default_config,
     delta2,
@@ -57,6 +56,7 @@ from leibrack.rack import (
     lie_group_product,
     log_coords,
     rack_product,
+    require_in_chart,
     tangent_bracket,
 )
 from leibrack.suites import (
@@ -74,6 +74,12 @@ from leibrack.suites import (
 
 
 # -- chart operations --------------------------------------------------------
+
+def canonical_path(chart, g, s):
+    """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
+    require_in_chart(chart, g)
+    return exp_float(s * log_float(g))
+
 
 def test_canonical_path_endpoints(dim5_sys):
     chart = dim5_sys.chart
