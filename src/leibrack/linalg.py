@@ -18,13 +18,15 @@ Each scalar world has its own types:
   int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
   ``integrate_01`` (quadrature, kept as phi1's cross-check).
 
-``exp_float``, ``phi1_float`` and ``log_float`` also take a stack of square
-arrays, shape (..., n, n), and give each slice bit for bit what the call on
-that slice alone gives.  They use only operations that are exact slice by
-slice with numpy's OpenBLAS build and scipy: stacked ``@`` (matrix-matrix,
-and matrix-vector written as (..., n, 1)), elementwise arithmetic,
-reductions within a slice, ``np.linalg.solve`` and scipy's ``expm``, which
-runs the same algorithm on each slice of a stack.  ``np.einsum`` over a
+``exp_float``, ``phi1_float``, ``log_float`` and ``norm1_float`` also take a
+stack of square arrays, shape (..., n, n), and give each slice bit for bit
+what the call on that slice alone gives.  ``log_float`` takes an optional
+mask of the slices that succeeded, which it narrows where a slice leaves
+the log chart instead of raising.  They use only operations that are
+exact slice by slice with numpy's OpenBLAS build and scipy: stacked ``@``
+(matrix-matrix, and matrix-vector written as (..., n, 1)), elementwise
+arithmetic, reductions within a slice, ``np.linalg.solve`` and scipy's
+``expm``, which runs the same algorithm on each slice of a stack.  ``np.einsum`` over a
 stack is not among them: it can sum in another order.
 
 scipy is a runtime dependency but not an import-time one: ``scipy.linalg``
@@ -335,9 +337,13 @@ def matrix_log(m: Matrix) -> Matrix:
     return acc
 
 
-def norm1_float(a: np.ndarray) -> float:
-    """Induced 1-norm (max column abs sum) of a float array; 0 if empty."""
-    return float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+def norm1_float(a: np.ndarray) -> float | np.ndarray:
+    """Induced 1-norm (max column abs sum) of a float square array, 0 if
+    empty; of a stack (..., n, n), the array of its slices' norms, each
+    equal bit for bit to the norm of that slice alone (a column sum adds
+    the rows in order either way)."""
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def sup_norm(x: np.ndarray) -> float:
@@ -405,12 +411,13 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
     return acc.reshape(v.shape)
 
 
-def _log_series_float(n: np.ndarray, max_terms: int = 800) -> np.ndarray:
+def _log_series_float(n: np.ndarray, max_terms: int = 800) -> tuple[np.ndarray, list[int]]:
     # log(I+N) = sum (-1)^(k+1) N^k / k over a stack (N, n, n); terminates
     # exactly on nilpotent N, converges for ||N|| < 1 otherwise.  A slice
     # stops before its first zero term, or after its first term with
     # max|term| / k < 1e-18; its sum is then written out and it leaves the
-    # stack the series runs on.
+    # stack the series runs on.  Returns the sums and the slices still
+    # running after max_terms (did not converge; their sum is zero).
     out = np.empty_like(n)
     rows = list(range(len(n)))
     acc = term = n
@@ -425,23 +432,30 @@ def _log_series_float(n: np.ndarray, max_terms: int = 800) -> np.ndarray:
                     out[row] = acc[i] if size == 0 else nxt[i]
             keep = [i for i, stop in enumerate(done) if not stop]
             if not keep:
-                return out
+                return out, []
             rows = [rows[i] for i in keep]
             n, term, nxt = n[keep], term[keep], nxt[keep]
         acc = nxt
-    raise OutOfChartError("matrix log series did not converge")
+    out[rows] = 0.0
+    return out, rows
 
 
-def log_float(g: np.ndarray) -> np.ndarray:
+def log_float(g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Principal log of a float square array near the identity, or of each
     slice of a stack of them, shape (..., n, n).
 
     If some float power of n = g - I up to the dimension is exactly zero,
     the series for log(I + n) is finite and is summed at any norm.
-    Otherwise it converges only for ||n|| < 1 (induced 1-norm), and a
-    larger n raises OutOfChartError.  Rounding in g can hide the
-    nilpotency of a unipotent g, which then meets the norm gate.  On a
-    stack, the error raised is that of the first failing slice."""
+    Otherwise it converges only for ||n|| < 1 (induced 1-norm): a larger n
+    fails the log chart, and a series that has not converged after 800
+    terms fails too.  Rounding in g can hide the nilpotency of a unipotent
+    g, which then meets the norm gate.
+
+    Without ``ok``, a failing slice raises OutOfChartError, that of the
+    first failing slice of a stack.  With ``ok``, a writable bool array
+    that g.shape[:-2] broadcasts to, failing slices clear their entries
+    instead and their log is zero; the other slices are the same either
+    way."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("square matrix required")
@@ -456,15 +470,23 @@ def log_float(g: np.ndarray) -> np.ndarray:
         if not np.count_nonzero(p):
             break
         p = p @ n
+    gated = np.zeros(len(n), dtype=bool)
     if np.count_nonzero(p):  # some slice is not nilpotent in float: gate those
-        norm = np.abs(n).sum(axis=1).max(axis=1)
-        gated = np.flatnonzero(p.any(axis=(1, 2)) & (norm >= 1))
-        if gated.size:
-            first = gated[0]
-            if first:
-                _log_series_float(n[:first])  # an earlier slice's error comes first
-            raise OutOfChartError(f"||m - I|| = {norm[first]:.6g} >= 1: outside the log chart")
-    return _log_series_float(n).reshape(shape)
+        norm = norm1_float(n)
+        gated = p.any(axis=(1, 2)) & (norm >= 1)
+        if np.count_nonzero(gated):
+            n = np.where(gated[:, None, None], 0.0, n)  # their series ends at once
+    ell, stuck = _log_series_float(n)
+    if stuck or np.count_nonzero(gated):
+        bad = gated.copy()
+        bad[stuck] = True
+        if ok is None:
+            first = int(bad.argmax())
+            raise OutOfChartError(
+                f"||m - I|| = {norm[first]:.6g} >= 1: outside the log chart" if gated[first]
+                else "matrix log series did not converge")
+        np.logical_and(ok, ~bad.reshape(shape[:-2]), out=ok)
+    return ell.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

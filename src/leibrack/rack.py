@@ -52,6 +52,15 @@ and an array changed in place is a miss.  Values are stored and returned
 read-only.  Each memo keeps the MEMO_CAPACITY most recently used elements.
 A computation that raises (an OutOfChartError, say) stores nothing and
 raises again on the next call, so skip counts cannot depend on the memo.
+
+The chart operations, i1, i2, i2_quadrature and the augmented action also
+take stacks of group elements (..., n, n) with a mask of the slices that
+succeeded, for the suites that run a whole sample set at once; see the
+comment at the head of the chart operations.  Each formula is written once
+for both.  Stacks bypass the memos: a slice equals its one-element call bit
+for bit either way.  numpy's matmul calls BLAS or its own loop depending on
+the strides of its operands, and the two can round differently, so the
+stacked code keeps each slice's strides as the one-element code has them.
 """
 
 from __future__ import annotations
@@ -159,7 +168,7 @@ class LocalGroupChart:
         xi = np.asarray(xi, dtype=float)
         shape = basis[0].shape if basis else (0, 0)
         acc = np.zeros(xi.shape[:-1] + shape)
-        cs = xi if xi.ndim == 1 else np.moveaxis(xi, -1, 0)[..., None, None]
+        cs = xi if xi.ndim == 1 else (xi[..., p, None, None] for p in range(xi.shape[-1]))
         for c, b in zip(cs, basis, strict=True):
             acc = acc + c * b
         return acc
@@ -212,7 +221,8 @@ def default_config(quad_order: int = 8, fd_step: float = 1e-3) -> IntegratorConf
 
 @dataclass(frozen=True, eq=False)
 class LocalRackElement:
-    """A pair (group element of G0, coefficient vector in the center)."""
+    """A pair (group element of G0, coefficient vector in the center), or
+    a stack of pairs: g of shape (..., n, n) and a of shape (..., m)."""
 
     g: np.ndarray
     a: np.ndarray
@@ -282,37 +292,89 @@ def build_rack_system(ext: CentralExtensionData,
 # ---------------------------------------------------------------------------
 # chart operations
 # ---------------------------------------------------------------------------
+#
+# Every rack operation below is written once for one group element g, an
+# (n, n) array, and for stacks of them, (..., n, n); the stacks of one call
+# broadcast against each other like numpy arrays, so one element (a stack
+# of one, say) acting on a stack is computed once.  Without a mask (ok
+# None) the first gate that fails raises its OutOfChartError, for a stack
+# that of its first failing slice.  With a mask, a writable bool array ok
+# of the call's broadcast stack shape, the slices that fail a gate are
+# cleared in ok instead (``_fail``) and the chart gates stand in the
+# identity for them, so what follows runs on every slice without raising.
+# ok[i] then ends false exactly where the call on slice i alone raises,
+# and the ok slices equal those calls bit for bit.  A mask is only ever
+# narrowed, so operations can share one.  One element without a mask goes
+# through the memos for log coordinates, group actions and i1(tau omega);
+# a stack bypasses them.
 
-def in_chart(chart: LocalGroupChart, g: np.ndarray) -> bool:
+def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
+    """Apply a gate that the slices marked in bad fail: without a mask the
+    first of them raises OutOfChartError(message(i)); with one they leave
+    ok.  True if any slice failed."""
+    if not (bad.any() if bad.ndim else bad):
+        return False
+    if ok is None:
+        raise OutOfChartError(message(int(np.argmax(bad))))
+    ok &= ~bad
+    return True
+
+
+def _slices(g: np.ndarray) -> np.ndarray:
+    """g as a stack (N, n, n); one element is the stack of one."""
+    return g.reshape((-1,) + g.shape[-2:])
+
+
+def _remembered(memo: ElementMemo, g: np.ndarray, ok: np.ndarray | None,
+                compute: Callable[[], np.ndarray]):
+    """compute(), looked up in memo first for one element without a mask."""
+    return memo.get(g, compute) if g.ndim == 2 and ok is None else compute()
+
+
+def in_chart(chart: LocalGroupChart, g: np.ndarray):
+    """||g - I|| < radius for g, or as a bool array for each slice of a
+    stack: the one chart gate."""
     return norm1_float(g - chart._gate_identity) < chart.chart_radius
 
 
+def _chart_gate(chart: LocalGroupChart, g: np.ndarray, what: str,
+                ok: np.ndarray | None) -> np.ndarray:
+    """g, with the slices outside the chart failed (see ``_fail``) and
+    replaced by the identity."""
+    inside = in_chart(chart, g)
+    if inside is True:  # one element, in the chart
+        return g
+    bad = np.logical_not(inside)
+    if _fail(ok, bad, lambda i: f"{what}: ||g - I|| = "
+             f"{norm1_float(_slices(g)[i] - chart._gate_identity):.4g} "
+             f">= chart radius {chart.chart_radius}"):
+        return np.where(bad[..., None, None], chart._gate_identity, g)
+    return g
+
+
 def require_in_chart(chart: LocalGroupChart, g: np.ndarray, what: str = "group element"):
-    if not in_chart(chart, g):
-        raise OutOfChartError(
-            f"{what}: ||g - I|| = {norm1_float(g - chart._gate_identity):.4g} "
-            f">= chart radius {chart.chart_radius}")
+    _chart_gate(chart, g, what, None)
 
 
-def log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
+def log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """g0 coordinates of log(g), read-only and remembered in
-    chart.log_memo; raises OutOfChartError if log(g) does not lie in the
+    chart.log_memo; fails (OutOfChartError) if log(g) does not lie in the
     realized subalgebra (cannot happen for chart-gated input)."""
-    return chart.log_memo.get(g, lambda: _log_coords(chart, g))
+    return _remembered(chart.log_memo, g, ok, lambda: _log_coords(chart, g, ok))
 
 
-def _log_coords(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
-    """log_coords without the memo, for g or for each slice of a stack of
-    group elements (..., n, n); the error raised is that of the first
-    failing slice, a failing log before any residual."""
-    ell = log_float(g)
+def _log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
+    """log_coords without the memo.  Without a mask, the error raised for a
+    stack is that of the first failing slice, a failing log before any
+    residual; with one, failing slices have zero coordinates."""
+    ell = log_float(g) if ok is None else log_float(g, ok)
     n = chart.dim
     xi = (chart.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
     resid = np.abs(chart.ad_of(xi) - ell).max(axis=(-2, -1), initial=0.0)
     bad = resid > 1e-7 * (1.0 + np.abs(ell).max(axis=(-2, -1), initial=0.0))
-    if np.count_nonzero(bad):
-        first = np.ravel(resid)[np.ravel(bad).argmax()]
-        raise OutOfChartError(f"log(g) leaves the realized g0 (residual {first:.3g})")
+    if _fail(ok, bad, lambda i: f"log(g) leaves the realized g0 "
+             f"(residual {np.ravel(resid)[i]:.3g})"):
+        xi[bad] = 0.0
     return xi
 
 
@@ -320,38 +382,50 @@ def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
     return exp_float(chart.ad_of(xi), chart.ad_index)
 
 
-def group_action(chart: LocalGroupChart, g: np.ndarray) -> np.ndarray:
+def group_action(chart: LocalGroupChart, g: np.ndarray,
+                 ok: np.ndarray | None = None) -> np.ndarray:
     """phi_g = exp(rho_{log g}), the integrated action of G0 on the center;
     read-only and remembered in chart.action_memo."""
-    return chart.action_memo.get(
-        g, lambda: exp_float(chart.rho_of(log_coords(chart, g)), chart.rho_index))
+    return _remembered(chart.action_memo, g, ok, lambda: exp_float(
+        chart.rho_of(log_coords(chart, g, ok)), chart.rho_index))
 
 
-def group_inverse(g: np.ndarray, what: str = "group element") -> np.ndarray:
-    """g^-1; OutOfChartError if g is singular in floating point, which an
-    element of a non-unipotent G0 far from the identity can be."""
+def group_inverse(g: np.ndarray, what: str = "group element",
+                  ok: np.ndarray | None = None) -> np.ndarray:
+    """g^-1; fails (OutOfChartError) where g is singular in floating point,
+    which an element of a non-unipotent G0 far from the identity can be;
+    with a mask such a slice gets the identity.  np.linalg.inv raises if
+    any slice of a stack is singular, so then each is inverted alone."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError:
-        raise OutOfChartError(f"{what}: singular in floating point") from None
+        pass
+    inv = np.empty_like(_slices(g))
+    singular = np.zeros(len(inv), dtype=bool)
+    for k, gk in enumerate(_slices(g)):
+        try:
+            inv[k] = np.linalg.inv(gk)
+        except np.linalg.LinAlgError:
+            inv[k], singular[k] = np.eye(len(gk)), True
+    _fail(ok, singular.reshape(g.shape[:-2]), lambda i: f"{what}: singular in floating point")
+    return inv.reshape(g.shape)
 
 
-def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+              ok: np.ndarray | None = None) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
-    require_in_chart(chart, g, "conjugator")
-    require_in_chart(chart, h, "conjugated element")
-    r = g @ h @ group_inverse(g, "conjugator")
-    require_in_chart(chart, r, "conjugation result")
-    return r
+    g = _chart_gate(chart, g, "conjugator", ok)
+    h = _chart_gate(chart, h, "conjugated element", ok)
+    r = g @ h @ group_inverse(g, "conjugator", ok)
+    return _chart_gate(chart, r, "conjugation result", ok)
 
 
-def group_product(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    require_in_chart(chart, g)
-    require_in_chart(chart, h)
-    r = g @ h
-    require_in_chart(chart, r, "group product")
-    return r
+def group_product(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+                  ok: np.ndarray | None = None) -> np.ndarray:
+    g = _chart_gate(chart, g, "group element", ok)
+    h = _chart_gate(chart, h, "group element", ok)
+    return _chart_gate(chart, g @ h, "group product", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -371,108 +445,139 @@ def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
     return b
 
 
-def _i1_integrand(sys: LocalRackSystem, beta,
-                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(gen, bx) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds; None
-    where i1 vanishes (trivial g0 or g the identity)."""
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for a vector x (..., k), slice by slice for stacks."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
+def _vanishing(x: np.ndarray) -> np.ndarray:
+    """Where the vector x (..., k) is exactly zero, as when k = 0; a NaN
+    entry is not zero."""
+    return np.abs(x).max(axis=-1, initial=0.0) == 0
+
+
+def _i1_integrand(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gen, bx, vanish) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds,
+    where vanish marks i1 = 0 (trivial g0, or g the identity)."""
     chart, module = sys.chart, sys.hom_module
-    require_in_chart(chart, g)
-    d = chart.g0_dim
-    bmat = _beta_matrix(beta, module.dim, d)
-    xi = log_coords(chart, g)
-    if d == 0 or not np.abs(xi).max():
-        return None
+    g = _chart_gate(chart, g, "group element", ok)
+    bmat = _beta_matrix(beta, module.dim, chart.g0_dim)
+    xi = log_coords(chart, g, ok)
     gen = chart.combo(module.generators, xi) if module.generators \
-        else np.zeros((module.dim, module.dim))
-    return gen, bmat @ xi
+        else np.zeros(xi.shape[:-1] + (module.dim, module.dim))
+    return gen, _matvec(bmat, xi), _vanishing(xi)
 
 
-def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray,
-                  hom_i1: Callable[[], np.ndarray]
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rho_eta, v) with i2(omega)(g, h) = integral_0^1 exp(t rho_eta) v dt,
-    where gh = g |> h, already conjugated, eta = log(gh) and
-    v = i1(tau omega)(g) eta; hom_i1() evaluates i1(tau omega) at g.  None
-    where i2 vanishes."""
+def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
+                  ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rho_eta, v, vanish) with i2(omega)(g, h) = integral_0^1
+    exp(t rho_eta) v dt, where gh = g |> h, already conjugated,
+    eta = log(gh), v = i1(tau omega)(g) eta and vanish marks i2 = 0;
+    hom_i1() evaluates i1(tau omega) at g.  None when g0 is trivial, where
+    i2 vanishes."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     if d == 0:
         return None
-    hom_value = hom_i1().reshape(m, d)
-    eta = log_coords(chart, gh)
-    v = hom_value @ eta
-    if v.size == 0 or not np.abs(v).max():
-        return None
-    return chart.rho_of(eta), v
+    hom_value = hom_i1()
+    hom_value = hom_value.reshape(hom_value.shape[:-1] + (m, d))
+    eta = log_coords(chart, gh, ok)
+    v = _matvec(hom_value, eta)
+    return chart.rho_of(eta), v, _vanishing(v)
 
 
-def i1(sys: LocalRackSystem, beta, g: np.ndarray) -> np.ndarray:
+def _unless(vanish: np.ndarray, value: Callable[[], np.ndarray], shape: tuple) -> np.ndarray:
+    """value(), of the given shape, with zero where vanish marks it so.  For
+    one element that vanishes, and for a stack whose every slice does, a
+    fresh zero array without calling value(); in other stacks the
+    vanishing slices are zeroed in place.  value() keeps its strides, which
+    decide whether numpy's matmul on it calls BLAS, and so how it rounds,
+    in a 2-D call and a stack alike."""
+    if not vanish.ndim:
+        return np.zeros(shape) if vanish else value()
+    if vanish.all():
+        return np.zeros(shape)
+    out = value()
+    out[vanish] = 0.0
+    return out
+
+
+def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
     module Hom(g0, a) (``sys.hom_module``), along the canonical path to g;
     vanishes at the identity.  beta is a degree-1 cochain or its
     (m*d) x d matrix, such as ``sys.tau_matrix``."""
-    module = sys.hom_module
-    data = _i1_integrand(sys, beta, g)
-    return np.zeros(module.dim) if data is None else phi1_float(*data, module.index)
+    gen, bx, vanish = _i1_integrand(sys, beta, g, ok)
+    return _unless(vanish, lambda: phi1_float(gen, bx, sys.hom_module.index), bx.shape)
 
 
-def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+       ok: np.ndarray | None = None) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    return _i2_conjugated(sys, g, conjugate(sys.chart, g, h))
+    return _i2_conjugated(sys, g, conjugate(sys.chart, g, h, ok), ok)
 
 
-def _i2_conjugated(sys: LocalRackSystem, g: np.ndarray, gh: np.ndarray) -> np.ndarray:
+def _i2_conjugated(sys: LocalRackSystem, g: np.ndarray, gh: np.ndarray,
+                   ok: np.ndarray | None) -> np.ndarray:
     """i2(omega)(g, h) from gh = g |> h, with i1(tau omega)(g) taken
     from sys.i1_memo."""
-    data = _i2_integrand(
-        sys, gh, lambda: sys.i1_memo.get(g, lambda: i1(sys, sys.tau_matrix, g)))
-    return np.zeros(sys.center_dim) if data is None \
-        else phi1_float(*data, sys.chart.rho_index)
-
-
-def _quadrature(rule: QuadratureRule, data, dim: int, index: int | None) -> np.ndarray:
-    """integral_0^1 exp(s a) v ds for data = (a, v) by Gauss-Legendre
-    quadrature; zeros(dim) for data None."""
+    data = _i2_integrand(sys, gh, lambda: _remembered(
+        sys.i1_memo, g, ok, lambda: i1(sys, sys.tau_matrix, g, ok)), ok)
     if data is None:
-        return np.zeros(dim)
-    a, v = data
-    # every node's exp(s a) v in one stack, summed in node order
-    values = (exp_float(np.array(rule.nodes)[:, None, None] * a, index) @ v[:, None])[..., 0]
-    return integrate_01(rule, dict(zip(rule.nodes, values)).__getitem__)
+        return np.zeros(gh.shape[:-2] + (sys.center_dim,))
+    rho_eta, v, vanish = data
+    return _unless(vanish, lambda: phi1_float(rho_eta, v, sys.chart.rho_index), v.shape)
 
 
-def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                  rule: QuadratureRule) -> np.ndarray:
+def _quadrature(rule: QuadratureRule, a: np.ndarray, v: np.ndarray, vanish: np.ndarray,
+                index: int | None) -> np.ndarray:
+    """integral_0^1 exp(s a) v ds by Gauss-Legendre quadrature, zero where
+    vanish."""
+    def total():
+        # every node's exp(s a) v in one stack (..., nodes, k), summed in
+        # node order
+        nodes = np.array(rule.nodes)[:, None, None]
+        values = _matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
+        return integrate_01(rule, dict(zip(rule.nodes, np.moveaxis(values, -2, 0))).__getitem__)
+    return _unless(vanish, total, v.shape)
+
+
+def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, rule: QuadratureRule,
+                  ok: np.ndarray | None = None) -> np.ndarray:
     """i2 with both path integrals, i1's and the outer one, taken by
     Gauss-Legendre quadrature at rule instead of phi1: the independent
     cross-check of i2.  Exact up to rounding when rho is nilpotent and
     2 * rule.order exceeds the polynomial degree of the integrands."""
     hom = sys.hom_module
+    gh = conjugate(sys.chart, g, h, ok)
     data = _i2_integrand(
-        sys, conjugate(sys.chart, g, h),
-        lambda: _quadrature(rule, _i1_integrand(sys, sys.tau_matrix, g), hom.dim, hom.index))
-    return _quadrature(rule, data, sys.center_dim, sys.chart.rho_index)
+        sys, gh, lambda: _quadrature(rule, *_i1_integrand(sys, sys.tau_matrix, g, ok), hom.index),
+        ok)
+    if data is None:
+        return np.zeros(gh.shape[:-2] + (sys.center_dim,))
+    return _quadrature(rule, *data, sys.chart.rho_index)
 
 
 # ---------------------------------------------------------------------------
 # the local augmented Lie rack on G0 x a
 # ---------------------------------------------------------------------------
 
-def rack_product(sys: LocalRackSystem, u: LocalRackElement,
-                 v: LocalRackElement) -> LocalRackElement:
+def rack_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
+                 ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a) |> (h,b) = (g |> h, g.b + i2(omega)(g,h)): the augmented
     action of g on (h,b)."""
-    return augmented_action(sys, u.g, v)
+    return augmented_action(sys, u.g, v, ok)
 
 
-def augmented_action(sys: LocalRackSystem, g: np.ndarray,
-                     v: LocalRackElement) -> LocalRackElement:
+def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
+                     ok: np.ndarray | None = None) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart."""
-    gh = conjugate(sys.chart, g, v.g)
-    a = group_action(sys.chart, g) @ v.a + _i2_conjugated(sys, g, gh)
+    gh = conjugate(sys.chart, g, v.g, ok)
+    a = _matvec(group_action(sys.chart, g, ok), v.a) + _i2_conjugated(sys, g, gh, ok)
     return LocalRackElement(gh, a)
 
 

@@ -1,11 +1,23 @@
 """Seeded sampling harnesses for the local rack invariants.
 
 Each suite returns ``PropertyResult`` records (max defect, tolerance,
-sample/skip counts).  Sampling is deterministic in the seed.  Every sampled
-property runs through ``sampled``: points that leave the local domain raise
-OutOfChartError inside the operations and are counted as skips, never
-crashes, and defects are accumulated with ``nan_max``, so a NaN or infinite
-defect reaches the report and fails its property.
+sample/skip counts).  Sampling is deterministic in the seed.  Points that
+leave the local domain fail the chart gates inside the operations and are
+counted as skips, never crashes, and defects are accumulated NaN-first, so
+a NaN or infinite defect reaches the report and fails its property.
+
+The rule is ``sampled``'s: a skip ends the sample, and the defects it
+already yielded still count.  ``sampled`` runs it one sample at a time, for
+the suites whose checks call the rack operations on single elements.
+``rack_axiom_suite``, ``augmented_action_suite`` and
+``quadrature_stability_suite`` run every sample at once instead: they draw
+the whole sample set as stacks (``draw_samples``, in the RNG order of
+drawing one sample after another) and call each rack operation once on the
+stack with a mask of the slices that succeeded (see ``rack``).  A stack
+bypasses the rack memos.  ``stacked`` then applies the rule with
+cumulative masks: property k counts the samples where the operations of
+properties 1..k all succeeded.  Their results equal those of the
+one-sample-at-a-time loops bit for bit.
 """
 
 from __future__ import annotations
@@ -78,8 +90,88 @@ def sampled(n: int, draw: Callable[[], tuple], check: Callable[..., Iterable[flo
             for (name, tol), w in zip(props, worst, strict=True)]
 
 
-def elem_distance(u: LocalRackElement, v: LocalRackElement) -> float:
-    return nan_max(sup_norm(u.g - v.g), sup_norm(u.a - v.a))
+def stacked(n: int, rows: Iterable[tuple[np.ndarray, np.ndarray]],
+            props: list[tuple[str, float]]) -> list[PropertyResult]:
+    """``sampled``'s results for n samples run as stacks.  rows gives, in
+    the order of props, each property's defects (n,) and the mask of the
+    samples whose operations for it succeeded; property k keeps the
+    NaN-propagating worst over the samples that succeeded for properties
+    1..k, and a sample that failed any of them is one skip."""
+    ok = np.ones(n, dtype=bool)
+    worst = []
+    for defects, row_ok in rows:
+        ok = ok & row_ok
+        worst.append(float(np.max(defects[ok], initial=0.0)))
+    skipped = n - int(np.count_nonzero(ok))
+    return [PropertyResult(name, w, tol, n, skipped)
+            for (name, tol), w in zip(props, worst, strict=True)]
+
+
+def elem_distance(u: LocalRackElement, v: LocalRackElement):
+    """max(sup |u.g - v.g|, sup |u.a - v.a|), NaN if either is; for stack
+    elements, an array of the distances of their slices."""
+    dist = np.maximum(np.abs(u.g - v.g).max(axis=(-2, -1), initial=0.0),
+                      np.abs(u.a - v.a).max(axis=-1, initial=0.0))
+    return float(dist) if dist.ndim == 0 else dist
+
+
+def _neutral(sys: LocalRackSystem) -> LocalRackElement:
+    """The neutral element (1, 0) as a stack of one, which broadcasts."""
+    one = sys.neutral()
+    return LocalRackElement(one.g[None], one.a[None])
+
+
+def _side_by_side(*elems: LocalRackElement) -> LocalRackElement:
+    """Stack elements of N slices each (or of one, which broadcasts) into
+    an (N, k) stack element whose column j is elems[j]."""
+    n = max(len(x.g) for x in elems)
+    return LocalRackElement(
+        *(np.stack([np.broadcast_to(y, (n,) + y.shape[1:]) for y in ys], axis=1)
+          for ys in ([x.g for x in elems], [x.a for x in elems])))
+
+
+def _column(x: LocalRackElement, j: int) -> LocalRackElement:
+    return LocalRackElement(x.g[:, j], x.a[:, j])
+
+
+def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement
+                   ) -> tuple[LocalRackElement, np.ndarray]:
+    """u |> v on stack elements whose shapes broadcast, and its mask."""
+    ok = np.ones(np.broadcast_shapes(u.g.shape[:-2], v.g.shape[:-2]), dtype=bool)
+    return rack_product(sys, u, v, ok), ok
+
+
+def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np.ndarray:
+    """exp(ad xi) for each row of coordinates xi (N, d), each row halved as
+    ``sample_group_element`` halves its draw."""
+    chart = sys.chart
+    g = group_from_coords(chart, xi)
+    far = ~(norm1_float(g - chart.identity()) < max_norm)
+    while far.any():
+        xi = np.where(far[:, None], xi * 0.5, xi)
+        g[far] = group_from_coords(chart, xi[far])
+        far[far] = ~(norm1_float(g[far] - chart.identity()) < max_norm)
+    return g
+
+
+def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int,
+                 parts: str) -> list[np.ndarray]:
+    """n samples, each made of the parts named in order: "g" a group
+    element as ``sample_group_element`` draws it, "a" the center
+    coordinates of a rack element, which ``sample_rack_element`` draws
+    after its group element.  All coordinates are drawn first, in the order
+    of drawing the samples one after another, then each part is made as one
+    stack of n elements or n coordinate vectors; halving draws nothing."""
+    d, m = sys.g0_dim, sys.center_dim
+    widths = [d if part == "g" else m for part in parts]
+    coords = rng.uniform(-1.0, 1.0, size=(n, sum(widths)))
+    stacks, start = [], 0
+    for part, width in zip(parts, widths):
+        block = coords[:, start:start + width]
+        start += width
+        stacks.append(_group_elements(sys, block * max_norm, max_norm) if part == "g"
+                      else block * 0.25)
+    return stacks
 
 
 def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarray:
@@ -104,14 +196,14 @@ def sample_rack_element(sys: LocalRackSystem, rng, max_norm: float) -> LocalRack
     return LocalRackElement(g, a)
 
 
-def _injectivity_defect(ins: list[LocalRackElement],
-                        outs: list[LocalRackElement]) -> float:
+def _injectivity_defect(ins: LocalRackElement, outs: LocalRackElement) -> float:
     """1.0 if two inputs more than 1e-6 apart have outputs within 1e-12 of
-    each other, else 0.0.  Elements are stacked as rows (g flattened, a),
-    so the sup norm of a row difference is elem_distance; one stacked sup
-    norm per row, and a NaN distance never trips it."""
-    ins, outs = (np.array([np.concatenate([u.g.ravel(), u.a]) for u in us])
-                 for us in (ins, outs))
+    each other, else 0.0, for stack elements.  Elements are compared as
+    rows (g flattened, a), so the sup norm of a row difference is
+    elem_distance; one stacked sup norm per row, and a NaN distance never
+    trips it."""
+    ins, outs = (np.concatenate([u.g.reshape(len(u.g), u.g.shape[-2] * u.g.shape[-1]), u.a],
+                                axis=1) for u in (ins, outs))
     for i in range(len(ins) - 1):
         d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
         d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
@@ -127,40 +219,35 @@ def _injectivity_defect(ins: list[LocalRackElement],
 def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
                      seed: int = 0) -> list[PropertyResult]:
     """Self-distributivity, pointedness and injectivity-on-samples for the
-    product (g,a) |> (h,b)."""
+    product (g,a) |> (h,b), over all samples at once."""
     rng = np.random.default_rng(seed)
-    max_norm = sys.chart.chart_radius / 4.0
-    neutral = sys.neutral()
-    elems = [sample_rack_element(sys, rng, max_norm) for _ in range(3 * n_samples)]
-    triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
+    n = n_samples
+    g, a = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, 3 * n, "ga")
+    u, v, w = (LocalRackElement(g[k::3], a[k::3]) for k in range(3))
+    neutral = _neutral(sys)
 
-    def self_distributivity(u, v, w):
-        lhs = rack_product(sys, u, rack_product(sys, v, w))
-        rhs = rack_product(sys, rack_product(sys, u, v), rack_product(sys, u, w))
-        yield elem_distance(lhs, rhs)
-
-    def pointedness(u, v, _w):
-        yield nan_max(elem_distance(rack_product(sys, u, neutral), neutral),
-                      elem_distance(rack_product(sys, neutral, v), v))
-
-    results = sampled(n_samples, iter(triples).__next__, self_distributivity,
+    # u acts on v |> w, v, w and the neutral element as one (n, 4) stack,
+    # so that u's own log, action and i1 are taken once per sample
+    vw, vw_ok = _rack_products(sys, v, w)
+    by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[:, None], u.a[:, None]),
+                                   _side_by_side(vw, v, w, neutral))
+    lhs, uv, uw, u_one = (_column(by_u, j) for j in range(4))
+    rhs, rhs_ok = _rack_products(sys, uv, uw)
+    one_v, one_v_ok = _rack_products(sys, neutral, v)
+    results = stacked(n, [(elem_distance(lhs, rhs),
+                           vw_ok & by_u_ok[:, :3].all(axis=1) & rhs_ok)],
                       [("self_distributivity", 1e-9)])
-    results += sampled(n_samples, iter(triples).__next__, pointedness,
+    results += stacked(n, [(np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
+                            by_u_ok[:, 3] & one_v_ok)],
                        [("pointedness", 1e-12)])
 
     # left translation by a fixed u separates separated inputs; like every
     # other row, samples counts attempts and skipped the ones out of chart
-    u = elems[0]
-    ins, outs = [], []
-    inj_skip = 0
-    for v in elems[1:n_samples + 1]:
-        try:
-            outs.append(rack_product(sys, u, v))
-            ins.append(v)
-        except OutOfChartError:
-            inj_skip += 1
-    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(ins, outs),
-                                  1e-9, n_samples, inj_skip))
+    ins = LocalRackElement(g[1:n + 1], a[1:n + 1])
+    outs, ok = _rack_products(sys, LocalRackElement(g[:1], a[:1]), ins)
+    kept = [LocalRackElement(x.g[ok], x.a[ok]) for x in (ins, outs)]
+    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(*kept),
+                                  1e-9, n, n - int(np.count_nonzero(ok))))
     return results
 
 
@@ -251,42 +338,44 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
 def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
                            seed: int = 3) -> list[PropertyResult]:
     """The G0-action axioms of the augmented structure: unit action, fixed
-    point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w)."""
+    point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w), over
+    all samples at once."""
     rng = np.random.default_rng(seed)
-    max_norm = sys.chart.chart_radius / 8.0
-    neutral = sys.neutral()
-    ident = sys.chart.identity()
+    n = n_samples
+    g, h, wg, wa = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n, "ggga")
+    w = LocalRackElement(wg, wa)
+    neutral = _neutral(sys)
 
-    def check(g, h, w):
-        yield elem_distance(augmented_action(sys, ident, w), w)
-        yield elem_distance(augmented_action(sys, g, neutral), neutral)
-        lhs = augmented_action(sys, g, augmented_action(sys, h, w))
-        rhs = augmented_action(sys, group_product(sys.chart, g, h), w)
-        yield elem_distance(lhs, rhs)
+    def act(x, y):
+        ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.g.shape[:-2]), dtype=bool)
+        return augmented_action(sys, x, y, ok), ok
 
-    return sampled(n_samples,
-                   lambda: (sample_group_element(sys, rng, max_norm),
-                            sample_group_element(sys, rng, max_norm),
-                            sample_rack_element(sys, rng, max_norm)),
-                   check, [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
-                           ("action_compatibility", 1e-9)])
+    unit, unit_ok = act(neutral.g, w)
+    # g acts on the neutral element and on h.w as one (n, 2) stack
+    hw, hw_ok = act(h, w)
+    by_g, by_g_ok = act(g[:, None], _side_by_side(neutral, hw))
+    fixed, lhs = _column(by_g, 0), _column(by_g, 1)
+    gh_ok = np.ones(n, dtype=bool)
+    rhs, rhs_ok = act(group_product(sys.chart, g, h, gh_ok), w)
+    return stacked(n, [(elem_distance(unit, w), unit_ok),
+                       (elem_distance(fixed, neutral), by_g_ok[:, 0]),
+                       (elem_distance(lhs, rhs), hw_ok & by_g_ok[:, 1] & gh_ok & rhs_ok)],
+                   [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
+                    ("action_compatibility", 1e-9)])
 
 
 def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
                                n_pairs: int = 20, seed: int = 4) -> list[PropertyResult]:
     """Doubling the order of i2's quadrature cross-check (``i2_quadrature``)
-    must not move it: the integrands are polynomial when rho is nilpotent."""
+    must not move it: the integrands are polynomial when rho is nilpotent.
+    All pairs at once."""
     rng = np.random.default_rng(seed)
-    max_norm = sys.chart.chart_radius / 4.0
+    g, h = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, n_pairs, "gg")
     fine = gauss_legendre_01(2 * cfg.quad.order)
-
-    def check(g, h):
-        yield sup_norm(i2_quadrature(sys, g, h, cfg.quad) - i2_quadrature(sys, g, h, fine))
-
-    return sampled(n_pairs,
-                   lambda: (sample_group_element(sys, rng, max_norm),
-                            sample_group_element(sys, rng, max_norm)),
-                   check, [("quadrature_order_stability", 1e-12)])
+    ok = np.ones(n_pairs, dtype=bool)
+    diff = i2_quadrature(sys, g, h, cfg.quad, ok) - i2_quadrature(sys, g, h, fine, ok)
+    return stacked(n_pairs, [(np.abs(diff).max(axis=-1, initial=0.0), ok)],
+                   [("quadrature_order_stability", 1e-12)])
 
 
 def full_suite(sys: LocalRackSystem, cfg: IntegratorConfig, n_samples: int = 200,

@@ -20,6 +20,7 @@ from leibrack.linalg import (
     matrix_exp,
     matrix_log,
     nilpotency_index,
+    norm1_float,
     nullspace,
     phi1_float,
     rank,
@@ -414,6 +415,45 @@ def test_log_float_stack_raises_the_first_failing_slice():
                          ([ok[0], slow, gated, ok[1]], slow),
                          ([ok[2], gated, slow], gated)):
         assert _error(np.array(stack)) == _error(first)
+
+
+def test_log_float_mask_clears_exactly_the_slices_that_raise():
+    ok_slices = _log_slices()
+    gated, slow = np.diag([2.5, 1.0, 1.0]), np.eye(3) * 1.999
+    stack = np.array([ok_slices[0], gated, ok_slices[1], slow, ok_slices[2], ok_slices[3]])
+    ok = np.ones(len(stack), dtype=bool)
+    got = log_float(stack, ok)
+    assert list(ok) == [True, False, True, False, True, True]
+    for g, value, fine in zip(stack, got, ok):
+        if fine:
+            assert value.tobytes() == log_float(g).tobytes()
+        else:
+            assert not value.any()
+    # a mask is only narrowed, and it may have the stack's shape or broadcast
+    ok = np.array([False, True, True, True, True, True])
+    log_float(stack, ok)
+    assert list(ok) == [False, False, True, False, True, True]
+    ok = np.ones((2, len(stack)), dtype=bool)
+    log_float(stack, ok)
+    assert (ok == [True, False, True, False, True, True]).all()
+
+
+def test_norm1_float_stack_equals_each_slice():
+    rng = np.random.default_rng(34)
+    for n in (1, 3, 5, 9, 13):
+        # entries across many binades, so that the order of the column sums
+        # shows in the last bits
+        a = rng.standard_normal((6, n, n)) * np.exp(rng.uniform(-20, 20, size=(6, n, n)))
+        a[0, 0, 0] = np.nan
+        norms = norm1_float(a)
+        assert norms.shape == (6,) and np.isnan(norms[0])
+        for k in range(1, 6):
+            want = norm1_float(a[k])
+            assert want == float(np.abs(a[k]).sum(axis=0).max())  # the column sums in order
+            assert isinstance(want, float) and norms[k].tobytes() == np.float64(want).tobytes()
+        assert norm1_float(a.reshape(2, 3, n, n)).tobytes() == norms.tobytes()
+    assert norm1_float(np.zeros((0, 0))) == 0.0
+    assert norm1_float(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
 
 
 # -- quadrature --------------------------------------------------------------
