@@ -42,7 +42,7 @@ from .corpus import (
     heisenberg_iota2,
 )
 from .fileio import ParseError, algebra_to_dict, parse_algebra_file
-from .linalg import OutOfChartError, sup_norm
+from .linalg import OutOfChartError
 from .rack import (
     LocalRackElement,
     LocalRackSystem,
@@ -57,10 +57,11 @@ from .rack import (
 )
 from .suites import (
     PropertyResult,
+    draw_samples,
     elem_distance,
     full_suite,
-    sample_rack_element,
-    sampled,
+    stacked,
+    sup_rows,
 )
 
 # The suites draw group elements up to a quarter of --chart-radius from the
@@ -327,6 +328,9 @@ def cmd_integrate(args, extras=None, notes=()) -> int:
 # built-in examples with their closed-form cross-checks
 # ---------------------------------------------------------------------------
 
+# Each example draws its 20 samples first, in the RNG order of drawing one
+# sample after another, and then checks them as stacks (see suites).
+
 def _dim5_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
     sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
@@ -338,47 +342,45 @@ def _dim5_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
             if np.hypot(a[0], a[1]) <= 0.25:
                 return a
 
-    def draw():
-        return (sample_coords(), sample_coords(),
-                rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
-
-    def check(a, b, ac, bc):
-        g, h = group_from_coords(chart, a), group_from_coords(chart, b)
-        got_i1 = i1(sys_, sys_.tau_matrix, g).reshape(3, 2)
-        yield sup_norm(got_i1 - dim5_i1_matrix(*a))
-        yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
-        got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
-        want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        yield sup_norm(np.concatenate([log_coords(chart, got.g), got.a]) - want)
-
-    return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
-                                     ("conjugation_closed_form", 1e-9)])
+    draws = [(sample_coords(), sample_coords(),
+              rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
+             for _ in range(20)]
+    a, b, ac, bc = (np.array(part) for part in zip(*draws))
+    g, h = group_from_coords(chart, a), group_from_coords(chart, b)
+    i1_ok, i2_ok, conj_ok = (np.ones(len(draws), dtype=bool) for _ in range(3))
+    got_i1 = i1(sys_, sys_.tau_matrix, g, i1_ok).reshape(len(draws), 3, 2)
+    got_i2 = i2(sys_, g, h, i2_ok)
+    got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc), conj_ok)
+    got_conj = np.concatenate([log_coords(chart, got.g, conj_ok), got.a], axis=1)
+    want_i1, want_i2, want_conj = (np.array(want) for want in zip(*(
+        (dim5_i1_matrix(*x), dim5_f(x, y),
+         dim5_conjugation(np.concatenate([x, xc]), np.concatenate([y, yc])))
+        for x, y, xc, yc in draws)))
+    return stacked(len(draws), [(sup_rows(got_i1 - want_i1), i1_ok),
+                                (sup_rows(got_i2 - want_i2), i2_ok),
+                                (sup_rows(got_conj - want_conj), conj_ok)],
+                   [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
+                    ("conjugation_closed_form", 1e-9)])
 
 
 def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
     cfg = default_config(args.quad_order, args.fd_step)
-
-    def check(a, b):
-        g = group_from_coords(sys_.chart, a)
-        h = group_from_coords(sys_.chart, b)
-        yield sup_norm(iota2(sys_, g, h, cfg) - heisenberg_iota2(a, b))
-
-    return sampled(20, lambda: (rng.uniform(-0.05, 0.05, size=2),
-                                rng.uniform(-0.05, 0.05, size=2)),
-                   check, [("iota2_analytic_value", 1e-9)])
+    a, b = np.split(rng.uniform(-0.05, 0.05, size=(20, 4)), 2, axis=1)
+    ok = np.ones(20, dtype=bool)
+    got = iota2(sys_, group_from_coords(sys_.chart, a), group_from_coords(sys_.chart, b),
+                cfg, ok=ok)
+    want = np.array([heisenberg_iota2(x, y) for x, y in zip(a, b)])
+    return stacked(20, [(sup_rows(got - want), ok)], [("iota2_analytic_value", 1e-9)])
 
 
 def _abelian_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    max_norm = sys_.chart.chart_radius / 4
-
-    def check(u, v):
-        yield elem_distance(rack_product(sys_, u, v), v)
-
-    return sampled(20, lambda: (sample_rack_element(sys_, rng, max_norm),
-                                sample_rack_element(sys_, rng, max_norm)),
-                   check, [("trivial_rack_product", 1e-12)])
+    ug, ua, vg, va = draw_samples(sys_, rng, sys_.chart.chart_radius / 4, 20, "gaga")
+    v = LocalRackElement(vg, va)
+    ok = np.ones(20, dtype=bool)
+    got = rack_product(sys_, LocalRackElement(ug, ua), v, ok)
+    return stacked(20, [(elem_distance(got, v), ok)], [("trivial_rack_product", 1e-12)])
 
 
 EXAMPLE_EXTRAS = {"dim5": (_dim5_extras, (PHI_TYPO_NOTE,)),

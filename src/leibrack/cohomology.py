@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import Representation, ad_matrix, is_lie
-from .linalg import Matrix, Vec, as_vec, nan_max, sup_norm, vec_scale, zero_vec
+from .linalg import Matrix, Vec, as_vec, matvec, nan_max, sup_norm, vec_scale, zero_vec
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,9 @@ ConjFn = Callable[[GroupElement, GroupElement], GroupElement]
 class RackModuleStructure:
     """An abelian-group coefficient module for rack cochains: two families
     phi_{x,y}, psi_{x,y} of endomorphisms of the carrier, indexed by pairs
-    of group elements."""
+    of group elements.  Those built by ``symmetric`` and ``anti_symmetric``
+    also take stacks: group elements (..., n, n) and carrier vectors
+    (..., m), mapped slice by slice."""
 
     carrier_dim: int
     phi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
@@ -246,20 +248,20 @@ class RackModuleStructure:
         ``rack_differential_eval`` against ``rack_differential_general``
         run on."""
         def phi(x, y, v):
-            return action(x) @ v
+            return matvec(action(x), v)
 
         def psi(x, y, v):
-            return v - action(conj(x, y)) @ v
+            return v - matvec(action(conj(x, y)), v)
         return RackModuleStructure(carrier_dim, phi, psi)
 
     @staticmethod
     def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
         """phi_{x,y} = action(x), psi = 0."""
         def phi(x, y, v):
-            return action(x) @ v
+            return matvec(action(x), v)
 
         def psi(x, y, v):
-            return np.zeros(carrier_dim)
+            return np.zeros(np.shape(v))
         return RackModuleStructure(carrier_dim, phi, psi)
 
 

@@ -358,6 +358,12 @@ def nan_max(*values: float) -> float:
     return float(np.max(values))
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x for a vector x (..., k), slice by slice for stacks: a is a
+    matrix or a stack of them that broadcasts against x's."""
+    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+
+
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     """exp(a) for a float square array or a stack of them, shape
     (..., n, n), slice by slice.

@@ -38,35 +38,25 @@ The local rack product on G0 x a is then
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
 
 with neutral element (1, 0), and the projection to the first factor makes it
-a local augmented rack.  ``augmented_action`` conjugates once and hands
-g |> h on to i2's integrand.
+a local augmented rack.  ``augmented_action`` conjugates g once and logs
+it once: g |> h goes on to i2's integrand, and the log coordinates of g
+give both its action and i1(tau omega)(g).
 
-Three values depend only on the group element g and are asked for again and
-again by the suites: the log coordinates of g, the action phi_g and
-i1(tau omega)(g), which i2 needs.  Each is remembered in an ``ElementMemo``:
-the chart holds those of ``log_coords`` and ``group_action``, the system
-that of i1(tau omega), so a memo lives and dies with its system (a chart of
-another radius starts empty).  The key is the shape and the exact bytes of
-g as a float64 array, so a hit returns bit for bit what recomputing would,
-and an array changed in place is a miss.  Values are stored and returned
-read-only.  Each memo keeps the MEMO_CAPACITY most recently used elements.
-A computation that raises (an OutOfChartError, say) stores nothing and
-raises again on the next call, so skip counts cannot depend on the memo.
-
-The chart operations, i1, i2, i2_quadrature and the augmented action also
-take stacks of group elements (..., n, n) with a mask of the slices that
-succeeded, for the suites that run a whole sample set at once; see the
-comment at the head of the chart operations.  Each formula is written once
-for both.  Stacks bypass the memos: a slice equals its one-element call bit
-for bit either way.  numpy's matmul calls BLAS or its own loop depending on
-the strides of its operands, and the two can round differently, so the
-stacked code keeps each slice's strides as the one-element code has them.
+Every operation here is evaluated one way.  The chart operations, i1, i2,
+i2_quadrature, the augmented action, the finite differences, iota2 and the
+Lie group product and inverse each take one group element (n, n) or a
+stack of them (..., n, n), with a mask of the slices that succeeded; see
+the comment at the head of the chart operations.  The suites run every
+sample set as one stack, and one element is the unmasked case of the same
+code.  A slice equals its one-element call bit for bit.  numpy's matmul
+calls BLAS or its own loop depending on the strides of its operands, and
+the two can round differently, so the stacked code keeps each slice's
+strides as the one-element code has them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -83,6 +73,7 @@ from .linalg import (
     integrate_01,
     joint_nilpotency_index,
     log_float,
+    matvec,
     norm1_float,
     phi1_float,
 )
@@ -90,37 +81,6 @@ from .linalg import (
 
 class NotLieCocycleError(ValueError):
     """iota2 was fed a cochain that is not an anti-symmetric Lie cocycle."""
-
-
-# distinct group elements each ElementMemo keeps; a key is 8 n^2 bytes
-MEMO_CAPACITY = 64
-
-
-class ElementMemo:
-    """A bounded least-recently-used map from a group element, keyed by the
-    shape and exact bytes of its float64 array, to a read-only array
-    computed from it.  A computation that raises stores nothing."""
-
-    def __init__(self):
-        self._values: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def get(self, g, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        key = (g.shape, g.tobytes())
-        values = self._values
-        value = values.get(key)
-        if value is not None:
-            values.move_to_end(key)
-            return value
-        value = compute()
-        value.flags.writeable = False
-        values[key] = value
-        if len(values) > MEMO_CAPACITY:
-            values.popitem(last=False)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +93,7 @@ class LocalGroupChart:
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
     g0 on itself.  Group elements are n x n arrays with ||g - I|| < radius.
     ad_index and rho_index are the exact joint nilpotency indices of the ad
-    and rho families (None if not nilpotent); they select exp's series.
-    log_memo and action_memo remember log_coords and group_action; every
-    chart, a copy by ``replace`` too, starts with empty ones."""
+    and rho families (None if not nilpotent); they select exp's series."""
 
     dim: int
     g0_dim: int
@@ -147,10 +105,6 @@ class LocalGroupChart:
     coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
     ad_index: int | None
     rho_index: int | None
-    log_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
-                                  repr=False, compare=False)
-    action_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
-                                     repr=False, compare=False)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -244,15 +198,12 @@ class SymmetricModule:
 class LocalRackSystem:
     """Everything the integration of one algebra needs: the exact extension
     data, the float chart, the Hom(g0, a) module, and tau^2(omega) as a
-    (center_dim * g0_dim) x g0_dim matrix.  i1_memo remembers
-    i1(tau omega)(g) for i2; every system starts with an empty one."""
+    (center_dim * g0_dim) x g0_dim matrix."""
 
     ext: CentralExtensionData
     chart: LocalGroupChart
     hom_module: SymmetricModule
     tau_matrix: np.ndarray
-    i1_memo: ElementMemo = field(default_factory=ElementMemo, init=False,
-                                 repr=False, compare=False)
 
     @property
     def g0_dim(self) -> int:
@@ -304,9 +255,7 @@ def build_rack_system(ext: CentralExtensionData,
 # identity for them, so what follows runs on every slice without raising.
 # ok[i] then ends false exactly where the call on slice i alone raises,
 # and the ok slices equal those calls bit for bit.  A mask is only ever
-# narrowed, so operations can share one.  One element without a mask goes
-# through the memos for log coordinates, group actions and i1(tau omega);
-# a stack bypasses them.
+# narrowed, so operations can share one.
 
 def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
     """Apply a gate that the slices marked in bad fail: without a mask the
@@ -323,12 +272,6 @@ def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
 def _slices(g: np.ndarray) -> np.ndarray:
     """g as a stack (N, n, n); one element is the stack of one."""
     return g.reshape((-1,) + g.shape[-2:])
-
-
-def _remembered(memo: ElementMemo, g: np.ndarray, ok: np.ndarray | None,
-                compute: Callable[[], np.ndarray]):
-    """compute(), looked up in memo first for one element without a mask."""
-    return memo.get(g, compute) if g.ndim == 2 and ok is None else compute()
 
 
 def in_chart(chart: LocalGroupChart, g: np.ndarray):
@@ -352,21 +295,12 @@ def _chart_gate(chart: LocalGroupChart, g: np.ndarray, what: str,
     return g
 
 
-def require_in_chart(chart: LocalGroupChart, g: np.ndarray, what: str = "group element"):
-    _chart_gate(chart, g, what, None)
-
-
 def log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
-    """g0 coordinates of log(g), read-only and remembered in
-    chart.log_memo; fails (OutOfChartError) if log(g) does not lie in the
-    realized subalgebra (cannot happen for chart-gated input)."""
-    return _remembered(chart.log_memo, g, ok, lambda: _log_coords(chart, g, ok))
-
-
-def _log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
-    """log_coords without the memo.  Without a mask, the error raised for a
-    stack is that of the first failing slice, a failing log before any
-    residual; with one, failing slices have zero coordinates."""
+    """g0 coordinates of log(g); fails (OutOfChartError) if log(g) does not
+    lie in the realized subalgebra (cannot happen for chart-gated input).
+    Without a mask, the error raised for a stack is that of the first
+    failing slice, a failing log before any residual; with one, failing
+    slices have zero coordinates."""
     ell = log_float(g) if ok is None else log_float(g, ok)
     n = chart.dim
     xi = (chart.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
@@ -384,10 +318,19 @@ def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
 
 def group_action(chart: LocalGroupChart, g: np.ndarray,
                  ok: np.ndarray | None = None) -> np.ndarray:
-    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center;
-    read-only and remembered in chart.action_memo."""
-    return _remembered(chart.action_memo, g, ok, lambda: exp_float(
-        chart.rho_of(log_coords(chart, g, ok)), chart.rho_index))
+    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center."""
+    return _action(chart, log_coords(chart, g, ok))
+
+
+def _action(chart: LocalGroupChart, xi: np.ndarray) -> np.ndarray:
+    """phi_g from the log coordinates xi of g."""
+    return exp_float(chart.rho_of(xi), chart.rho_index)
+
+
+def _gated_log(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
+    """log_coords of g behind the chart gate, so a stack's slices outside
+    the chart are logged as the identity."""
+    return log_coords(chart, _chart_gate(chart, g, "group element", ok), ok)
 
 
 def group_inverse(g: np.ndarray, what: str = "group element",
@@ -445,28 +388,22 @@ def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
     return b
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x for a vector x (..., k), slice by slice for stacks."""
-    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
-
-
 def _vanishing(x: np.ndarray) -> np.ndarray:
     """Where the vector x (..., k) is exactly zero, as when k = 0; a NaN
     entry is not zero."""
     return np.abs(x).max(axis=-1, initial=0.0) == 0
 
 
-def _i1_integrand(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None
+def _i1_integrand(sys: LocalRackSystem, beta, xi: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gen, bx, vanish) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds,
-    where vanish marks i1 = 0 (trivial g0, or g the identity)."""
-    chart, module = sys.chart, sys.hom_module
-    g = _chart_gate(chart, g, "group element", ok)
-    bmat = _beta_matrix(beta, module.dim, chart.g0_dim)
-    xi = log_coords(chart, g, ok)
-    gen = chart.combo(module.generators, xi) if module.generators \
+    where xi are the log coordinates of g and vanish marks i1 = 0 (trivial
+    g0, or g the identity)."""
+    module = sys.hom_module
+    bmat = _beta_matrix(beta, module.dim, sys.g0_dim)
+    gen = sys.chart.combo(module.generators, xi) if module.generators \
         else np.zeros(xi.shape[:-1] + (module.dim, module.dim))
-    return gen, _matvec(bmat, xi), _vanishing(xi)
+    return gen, matvec(bmat, xi), _vanishing(xi)
 
 
 def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
@@ -483,7 +420,7 @@ def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.
     hom_value = hom_i1()
     hom_value = hom_value.reshape(hom_value.shape[:-1] + (m, d))
     eta = log_coords(chart, gh, ok)
-    v = _matvec(hom_value, eta)
+    v = matvec(hom_value, eta)
     return chart.rho_of(eta), v, _vanishing(v)
 
 
@@ -503,13 +440,18 @@ def _unless(vanish: np.ndarray, value: Callable[[], np.ndarray], shape: tuple) -
     return out
 
 
+def _i1(sys: LocalRackSystem, beta, xi: np.ndarray) -> np.ndarray:
+    """i1(beta)(g) from the log coordinates xi of g."""
+    gen, bx, vanish = _i1_integrand(sys, beta, xi)
+    return _unless(vanish, lambda: phi1_float(gen, bx, sys.hom_module.index), bx.shape)
+
+
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
     module Hom(g0, a) (``sys.hom_module``), along the canonical path to g;
     vanishes at the identity.  beta is a degree-1 cochain or its
     (m*d) x d matrix, such as ``sys.tau_matrix``."""
-    gen, bx, vanish = _i1_integrand(sys, beta, g, ok)
-    return _unless(vanish, lambda: phi1_float(gen, bx, sys.hom_module.index), bx.shape)
+    return _i1(sys, beta, _gated_log(sys.chart, g, ok))
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -517,15 +459,14 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    return _i2_conjugated(sys, g, conjugate(sys.chart, g, h, ok), ok)
+    gh = conjugate(sys.chart, g, h, ok)
+    return _i2_conjugated(sys, gh, lambda: i1(sys, sys.tau_matrix, g, ok), ok)
 
 
-def _i2_conjugated(sys: LocalRackSystem, g: np.ndarray, gh: np.ndarray,
+def _i2_conjugated(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
                    ok: np.ndarray | None) -> np.ndarray:
-    """i2(omega)(g, h) from gh = g |> h, with i1(tau omega)(g) taken
-    from sys.i1_memo."""
-    data = _i2_integrand(sys, gh, lambda: _remembered(
-        sys.i1_memo, g, ok, lambda: i1(sys, sys.tau_matrix, g, ok)), ok)
+    """i2(omega)(g, h) from gh = g |> h; hom_i1() gives i1(tau omega)(g)."""
+    data = _i2_integrand(sys, gh, hom_i1, ok)
     if data is None:
         return np.zeros(gh.shape[:-2] + (sys.center_dim,))
     rho_eta, v, vanish = data
@@ -540,7 +481,7 @@ def _quadrature(rule: QuadratureRule, a: np.ndarray, v: np.ndarray, vanish: np.n
         # every node's exp(s a) v in one stack (..., nodes, k), summed in
         # node order
         nodes = np.array(rule.nodes)[:, None, None]
-        values = _matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
+        values = matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
         return integrate_01(rule, dict(zip(rule.nodes, np.moveaxis(values, -2, 0))).__getitem__)
     return _unless(vanish, total, v.shape)
 
@@ -551,11 +492,13 @@ def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, rule: Quad
     Gauss-Legendre quadrature at rule instead of phi1: the independent
     cross-check of i2.  Exact up to rounding when rho is nilpotent and
     2 * rule.order exceeds the polynomial degree of the integrands."""
-    hom = sys.hom_module
-    gh = conjugate(sys.chart, g, h, ok)
-    data = _i2_integrand(
-        sys, gh, lambda: _quadrature(rule, *_i1_integrand(sys, sys.tau_matrix, g, ok), hom.index),
-        ok)
+    chart, hom = sys.chart, sys.hom_module
+    gh = conjugate(chart, g, h, ok)
+
+    def hom_i1():
+        xi = _gated_log(chart, g, ok)
+        return _quadrature(rule, *_i1_integrand(sys, sys.tau_matrix, xi), hom.index)
+    data = _i2_integrand(sys, gh, hom_i1, ok)
     if data is None:
         return np.zeros(gh.shape[:-2] + (sys.center_dim,))
     return _quadrature(rule, *data, sys.chart.rho_index)
@@ -575,67 +518,94 @@ def rack_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
 def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
                      ok: np.ndarray | None = None) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
-    (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart."""
-    gh = conjugate(sys.chart, g, v.g, ok)
-    a = _matvec(group_action(sys.chart, g, ok), v.a) + _i2_conjugated(sys, g, gh, ok)
+    (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
+    g is conjugated once and logged once; its log coordinates give both
+    its action and i1(tau omega)(g)."""
+    chart = sys.chart
+    gh = conjugate(chart, g, v.g, ok)
+    xi = _gated_log(chart, g, ok)
+    a = matvec(_action(chart, xi), v.a) \
+        + _i2_conjugated(sys, gh, lambda: _i1(sys, sys.tau_matrix, xi), ok)
     return LocalRackElement(gh, a)
 
 
-def ghost_identity_defect(sys: LocalRackSystem, g, h, k) -> np.ndarray:
+def ghost_identity_defect(sys: LocalRackSystem, g, h, k,
+                          ok: np.ndarray | None = None) -> np.ndarray:
     """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
     Note gh is the group product, not a conjugation."""
-    gh = group_product(sys.chart, g, h)
-    hk = conjugate(sys.chart, h, k)
-    return (group_action(sys.chart, g) @ i2(sys, h, k)
-            - i2(sys, gh, k) + i2(sys, g, hk))
+    chart = sys.chart
+    gh = group_product(chart, g, h, ok)
+    hk = conjugate(chart, h, k, ok)
+    return (matvec(group_action(chart, g, ok), i2(sys, h, k, ok))
+            - i2(sys, gh, k, ok) + i2(sys, g, hk, ok))
 
 
 def _mixed_difference(chart: LocalGroupChart, cfg: IntegratorConfig,
-                      probe: Callable[[float, float], np.ndarray]) -> np.ndarray:
-    """Central second mixed finite difference of probe(s, t) at (0, 0),
-    with step cfg.fd_step; O(fd_step^2)."""
+                      probe: Callable[..., np.ndarray], ok: np.ndarray | None) -> np.ndarray:
+    """Central second mixed finite difference of probe(s, t, mask) at
+    (0, 0), with step cfg.fd_step; O(fd_step^2).  probe takes its four
+    steps at once, as arrays s and t of shape (4,), and returns their
+    values as a stack (4, ...).  With a mask ok of the stack shape of the
+    directions, mask is one of the probes' stack shape (4,) + ok.shape,
+    and ok loses the directions one of whose probes failed; without, mask
+    is None."""
     hstep = cfg.fd_step
     if not 0 < hstep < chart.chart_radius / 4:
         raise ValueError("fd_step must lie in (0, chart_radius/4)")
-    return (probe(hstep, hstep) - probe(hstep, -hstep)
-            - probe(-hstep, hstep) + probe(-hstep, -hstep)) / (4.0 * hstep * hstep)
+    mask = None if ok is None else np.broadcast_to(ok, (4,) + ok.shape).copy()
+    s, t = hstep * np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    pp, pm, mp, mm = probe(s, t, mask)
+    if ok is not None:
+        ok &= mask.all(axis=0)
+    return (pp - pm - mp + mm) / (4.0 * hstep * hstep)
 
 
-def delta2(sys: LocalRackSystem, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-           x, y, cfg: IntegratorConfig) -> np.ndarray:
+def delta2(sys: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: IntegratorConfig,
+           ok: np.ndarray | None = None) -> np.ndarray:
     """Differentiate a rack 2-cochain at the unit: central second mixed
-    finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2)."""
+    finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
+    x and y are g0 vectors or stacks of them (..., d); f takes stacks of
+    group elements, all four steps as one stack (4, ..., n, n).  With a
+    mask ok of the directions' stack shape, f is called as f(g, h, mask)
+    with a mask of the probes' stack shape, and ok loses the directions one
+    of whose probes failed."""
     chart = sys.chart
-    x = np.asarray([float(c) for c in x])
-    y = np.asarray([float(c) for c in y])
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
 
-    def probe(s, t):
-        return f(group_from_coords(chart, s * x), group_from_coords(chart, t * y))
-    return _mixed_difference(chart, cfg, probe)
+    def probe(s, t, mask):
+        g = group_from_coords(chart, np.multiply.outer(s, x))
+        h = group_from_coords(chart, np.multiply.outer(t, y))
+        return f(g, h) if mask is None else f(g, h, mask)
+    return _mixed_difference(chart, cfg, probe, ok)
 
 
-def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig) -> np.ndarray:
+def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
+                    ok: np.ndarray | None = None) -> np.ndarray:
     """Recover the Leibniz bracket of g0 (+) a from the rack product by a
-    second mixed finite difference at (1,0); coordinates are (g0, center)."""
+    second mixed finite difference at (1,0); coordinates are (g0, center).
+    u and v are vectors or stacks of them (..., d + m); a mask ok of their
+    stack shape loses the pairs one of whose probes left the chart."""
     chart = sys.chart
     d, m = sys.g0_dim, sys.center_dim
-    u = np.asarray([float(c) for c in u])
-    v = np.asarray([float(c) for c in v])
-    if u.shape != (d + m,) or v.shape != (d + m,):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape[-1:] != (d + m,) or v.shape[-1:] != (d + m,):
         raise ValueError("tangent vectors live in g0 (+) a")
+    n2 = chart.dim * chart.dim
 
     def elem(w, s):
-        return LocalRackElement(group_from_coords(chart, s * w[:d]), s * w[d:])
+        return LocalRackElement(group_from_coords(chart, np.multiply.outer(s, w[..., :d])),
+                                np.multiply.outer(s, w[..., d:]))
 
-    def probe(s, t):
-        r = rack_product(sys, elem(u, s), elem(v, t))
-        return np.concatenate([r.g.ravel(), r.a])
+    def probe(s, t, mask):
+        r = rack_product(sys, elem(u, s), elem(v, t), mask)
+        return np.concatenate([r.g.reshape(r.g.shape[:-2] + (n2,)), r.a], axis=-1)
 
-    mix = _mixed_difference(chart, cfg, probe)
-    n2 = chart.dim * chart.dim
+    mix = _mixed_difference(chart, cfg, probe, ok)
     # the group-part difference quotient lies in the realized g0 only up to
     # O(h^2), so project without the strict residual gate
-    return np.concatenate([chart.coord_pinv @ mix[:n2], mix[n2:]])
+    return np.concatenate([matvec(chart.coord_pinv, mix[..., :n2]), mix[..., n2:]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +637,8 @@ def _checked_lie_omega(ext: CentralExtensionData, omega: Cochain) -> np.ndarray:
 
 
 def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-          cfg: IntegratorConfig, omega: Cochain | None = None) -> np.ndarray:
+          cfg: IntegratorConfig, omega: Cochain | None = None,
+          ok: np.ndarray | None = None) -> np.ndarray:
     """Group-cocycle integral of an anti-symmetric Lie cocycle over the
     2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
     gamma_g - gamma_{gh} + g gamma_h.  The extension's own omega is checked
@@ -683,52 +654,60 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     triangular, so ad_index and ad_index + rho_index bound their
     nilpotency indices.
 
-    All nodes s go through the kernels as one stack, whose slices equal
-    the per-node values bit for bit; only the weighted sum runs node by
-    node, in node order.  The node elements are used once, so their log
-    coordinates bypass chart.log_memo; only log h is remembered there."""
+    g and h may be stacks of pairs.  All nodes s of all pairs go through
+    the kernels as one stack (..., nodes, n, n), whose slices equal the
+    per-node values bit for bit; a node that fails the log chart fails its
+    pair.  Only Omega, one einsum per node, and the weighted sum, node by
+    node in node order, run outside the kernels."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega if omega is None else _checked_lie_omega(sys.ext, omega)
-    require_in_chart(chart, g)
-    require_in_chart(chart, h)
-    require_in_chart(chart, g @ h, "group product")
+    g = _chart_gate(chart, g, "group element", ok)
+    h = _chart_gate(chart, h, "group element", ok)
+    _chart_gate(chart, g @ h, "group product", ok)
+    shape = np.broadcast_shapes(g.shape[:-2], h.shape[:-2])
     if d == 0:
-        return np.zeros(m)
-    eta_h = log_coords(chart, h)
+        return np.zeros(shape + (m,))
+    eta_h = log_coords(chart, h, ok)
     big_h = chart.ad_of(eta_h)
     x_index = None if chart.ad_index is None or chart.rho_index is None \
         else chart.ad_index + chart.rho_index
 
     nodes = np.array(cfg.quad.nodes)
-    a = _log_coords(chart, g @ exp_float(nodes[:, None, None] * big_h, chart.ad_index))
+    q = len(nodes)
+    node_ok = None if ok is None else np.broadcast_to(ok[..., None], shape + (q,)).copy()
+    a = log_coords(chart, g[..., None, :, :] @ exp_float(
+        nodes[:, None, None] * big_h[..., None, :, :], chart.ad_index), node_ok)
+    if ok is not None:
+        ok &= node_ok.all(axis=-1)
     ad_a, rho_a = chart.ad0_of(a), chart.rho_of(a)
     eye = np.broadcast_to(np.eye(d), ad_a.shape)
-    aprime = np.linalg.solve(phi1_float(-ad_a, eye, chart.ad_index), eta_h)
-    x = np.zeros((len(nodes), m + d, m + d))
-    x[:, :m, :m] = -rho_a
+    aprime = np.linalg.solve(phi1_float(-ad_a, eye, chart.ad_index),
+                             eta_h[..., None, :, None])[..., 0]
+    x = np.zeros(shape + (q, m + d, m + d))
+    x[..., :m, :m] = -rho_a
     # one einsum per node: a stacked einsum can sum in another order
-    x[:, :m, m:] = [np.einsum("p,pqk->kq", a_s, omega_np) for a_s in a]
-    x[:, m:, m:] = -ad_a
-    inner = phi1_float(x, np.concatenate([np.zeros((len(nodes), m)), aprime], axis=1),
-                       x_index)[:, :m]
+    x[..., :m, m:] = np.reshape([np.einsum("p,pqk->kq", a_s, omega_np)
+                                 for a_s in a.reshape(-1, d)], shape + (q, m, d))
+    x[..., m:, m:] = -ad_a
+    inner = phi1_float(x, np.concatenate([np.zeros(shape + (q, m)), aprime], axis=-1),
+                       x_index)[..., :m]
     values = (exp_float(rho_a, chart.rho_index) @ inner[..., None])[..., 0]
-    total = np.zeros(m)
-    for ws, value in zip(cfg.quad.weights, values):
+    total = np.zeros(shape + (m,))
+    for ws, value in zip(cfg.quad.weights, np.moveaxis(values, -2, 0)):
         total = total + ws * value
     return total
 
 
 def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
-                      cfg: IntegratorConfig) -> LocalRackElement:
+                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a)(h,b) = (gh, a + b + iota2(g,h)), the local Lie group structure
     carried by G0 x a when the input algebra is Lie."""
-    gh = group_product(sys.chart, u.g, v.g)
-    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg))
+    gh = group_product(sys.chart, u.g, v.g, ok)
+    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok=ok))
 
 
 def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
-                      cfg: IntegratorConfig) -> LocalRackElement:
-    ginv = group_inverse(u.g)
-    require_in_chart(sys.chart, ginv, "group inverse")
-    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg))
+                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
+    ginv = _chart_gate(sys.chart, group_inverse(u.g, ok=ok), "group inverse", ok)
+    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok=ok))

@@ -6,31 +6,28 @@ leave the local domain fail the chart gates inside the operations and are
 counted as skips, never crashes, and defects are accumulated NaN-first, so
 a NaN or infinite defect reaches the report and fails its property.
 
-The rule is ``sampled``'s: a skip ends the sample, and the defects it
-already yielded still count.  ``sampled`` runs it one sample at a time, for
-the suites whose checks call the rack operations on single elements.
-``rack_axiom_suite``, ``augmented_action_suite`` and
-``quadrature_stability_suite`` run every sample at once instead: they draw
-the whole sample set as stacks (``draw_samples``, in the RNG order of
-drawing one sample after another) and call each rack operation once on the
-stack with a mask of the slices that succeeded (see ``rack``).  A stack
-bypasses the rack memos.  ``stacked`` then applies the rule with
-cumulative masks: property k counts the samples where the operations of
-properties 1..k all succeeded.  Their results equal those of the
-one-sample-at-a-time loops bit for bit.
+The rule is that of a loop over the samples: a skip ends the sample, and
+the defects it already yielded still count.  Every suite runs all its
+samples at once: it draws the whole sample set as stacks (``draw_samples``,
+in the RNG order of drawing one sample after another, or the basis pairs
+of a round trip), calls each rack operation once on the stack with a mask
+of the slices that succeeded (see ``rack``), and ``stacked`` applies the
+rule with cumulative masks: property k counts the samples where the
+operations of properties 1..k all succeeded.  The results equal those of
+the one-sample-at-a-time loops bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 
 from .algebra import bracket, is_lie
 from .cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
-from .linalg import OutOfChartError, gauss_legendre_01, nan_max, norm1_float, sup_norm
+from .linalg import gauss_legendre_01, norm1_float
 from .rack import (
     IntegratorConfig,
     LocalRackElement,
@@ -70,33 +67,14 @@ class PropertyResult:
                 "skipped": self.skipped, "pass": bool(self.passed)}
 
 
-def sampled(n: int, draw: Callable[[], tuple], check: Callable[..., Iterable[float]],
-            props: list[tuple[str, float]]) -> list[PropertyResult]:
-    """One PropertyResult per (name, tolerance) in props, over n samples.
-    check(*draw()) yields the sample's defects in the order of props; each
-    property keeps the NaN-propagating worst of its defects.  An
-    OutOfChartError ends the sample and counts as one skip for every
-    property; the defects it already yielded still count."""
-    worst = [0.0] * len(props)
-    skipped = 0
-    for _ in range(n):
-        args = draw()
-        try:
-            for k, defect in enumerate(check(*args)):
-                worst[k] = nan_max(worst[k], defect)
-        except OutOfChartError:
-            skipped += 1
-    return [PropertyResult(name, w, tol, n, skipped)
-            for (name, tol), w in zip(props, worst, strict=True)]
-
-
 def stacked(n: int, rows: Iterable[tuple[np.ndarray, np.ndarray]],
             props: list[tuple[str, float]]) -> list[PropertyResult]:
-    """``sampled``'s results for n samples run as stacks.  rows gives, in
-    the order of props, each property's defects (n,) and the mask of the
-    samples whose operations for it succeeded; property k keeps the
-    NaN-propagating worst over the samples that succeeded for properties
-    1..k, and a sample that failed any of them is one skip."""
+    """One PropertyResult per (name, tolerance) in props, over n samples
+    run as stacks.  rows gives, in the order of props, each property's
+    defects (n,) and the mask of the samples whose operations for it
+    succeeded; property k keeps the NaN-propagating worst over the samples
+    that succeeded for properties 1..k, and a sample that failed any of
+    them is one skip."""
     ok = np.ones(n, dtype=bool)
     worst = []
     for defects, row_ok in rows:
@@ -105,6 +83,12 @@ def stacked(n: int, rows: Iterable[tuple[np.ndarray, np.ndarray]],
     skipped = n - int(np.count_nonzero(ok))
     return [PropertyResult(name, w, tol, n, skipped)
             for (name, tol), w in zip(props, worst, strict=True)]
+
+
+def sup_rows(x: np.ndarray) -> np.ndarray:
+    """sup |x_k| of each row x_k of a stack (N, ...), NaN where an entry
+    is NaN; 0 for empty rows."""
+    return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
 
 
 def elem_distance(u: LocalRackElement, v: LocalRackElement):
@@ -145,12 +129,15 @@ def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np
     """exp(ad xi) for each row of coordinates xi (N, d), each row halved as
     ``sample_group_element`` halves its draw."""
     chart = sys.chart
-    g = group_from_coords(chart, xi)
-    far = ~(norm1_float(g - chart.identity()) < max_norm)
-    while far.any():
-        xi = np.where(far[:, None], xi * 0.5, xi)
-        g[far] = group_from_coords(chart, xi[far])
-        far[far] = ~(norm1_float(g[far] - chart.identity()) < max_norm)
+    # a wide draw can overflow exp; it then fails the norm test and is
+    # halved, so the overflow is no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = group_from_coords(chart, xi)
+        far = ~(norm1_float(g - chart.identity()) < max_norm)
+        while far.any():
+            xi = np.where(far[:, None], xi * 0.5, xi)
+            g[far] = group_from_coords(chart, xi[far])
+            far[far] = ~(norm1_float(g[far] - chart.identity()) < max_norm)
     return g
 
 
@@ -182,11 +169,12 @@ def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarr
     if chart.g0_dim == 0:
         return chart.identity()
     xi = rng.uniform(-1.0, 1.0, size=chart.g0_dim) * max_norm
-    while True:
-        g = group_from_coords(chart, xi)
-        if norm1_float(g - chart.identity()) < max_norm:
-            return g
-        xi = xi * 0.5
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _group_elements
+        while True:
+            g = group_from_coords(chart, xi)
+            if norm1_float(g - chart.identity()) < max_norm:
+                return g
+            xi = xi * 0.5
 
 
 def sample_rack_element(sys: LocalRackSystem, rng, max_norm: float) -> LocalRackElement:
@@ -255,84 +243,87 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
                   seed: int = 1) -> list[PropertyResult]:
     """Rack-cocycle identity of i2 (normative arity-2 expansion), the
     stronger identity g.f(h,k) - f(gh,k) + f(g,h|>k) = 0, and the relation
-    d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between them."""
+    d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between them, over all
+    triples at once.  A triple that leaves the chart anywhere is one skip
+    for all three."""
     rng = np.random.default_rng(seed)
-    max_norm = sys.chart.chart_radius / 8.0
-    f = RackCochainFn(2, lambda g, h: i2(sys, g, h))
+    chart = sys.chart
+    g, h, k = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
+    ok = np.ones(n_triples, dtype=bool)
+    f = RackCochainFn(2, lambda x, y: i2(sys, x, y, ok))
     mod = RackModuleStructure.anti_symmetric(sys.center_dim,
-                                             lambda g: group_action(sys.chart, g))
-    conj = lambda x, y: conjugate(sys.chart, x, y)
+                                             lambda x: group_action(chart, x, ok))
+    conj = lambda x, y: conjugate(chart, x, y, ok)
+    dr = rack_diff2_expansion(mod, f, g, h, k, conj)
+    ghost = ghost_identity_defect(sys, g, h, k, ok)
+    ghost_shift = ghost_identity_defect(sys, conj(g, h), g, k, ok)
+    return stacked(n_triples, [(sup_rows(dr), ok), (sup_rows(ghost), ok),
+                               (sup_rows(dr - (ghost - ghost_shift)), ok)],
+                   [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
+                    ("ghost_induces_cocycle", 2e-9)])
 
-    def check(g, h, k):
-        dr = rack_diff2_expansion(mod, f, g, h, k, conj)
-        ghost = ghost_identity_defect(sys, g, h, k)
-        ghost_shift = ghost_identity_defect(sys, conj(g, h), g, k)
-        return sup_norm(dr), sup_norm(ghost), sup_norm(dr - (ghost - ghost_shift))
 
-    return sampled(n_triples,
-                   lambda: tuple(sample_group_element(sys, rng, max_norm) for _ in range(3)),
-                   check, [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
-                           ("ghost_induces_cocycle", 2e-9)])
+def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (rows[i], rows[j]) as two stacks, i-major."""
+    k = len(rows)
+    return np.repeat(rows, k, axis=0), np.tile(rows, (k, 1))
 
 
 def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
-    """delta2 of the integrated cocycle recovers omega on all basis pairs."""
-    d = sys.g0_dim
-    omega_np = sys.ext.omega.to_numpy() if d else np.zeros((0, 0, sys.center_dim))
-    f = lambda g, h: i2(sys, g, h)
-    basis = np.eye(d)
-
-    def check(p, q):
-        yield sup_norm(delta2(sys, f, basis[p], basis[q], cfg) - omega_np[p, q])
-
-    return sampled(d * d, iter(itertools.product(range(d), repeat=2)).__next__, check,
+    """delta2 of the integrated cocycle recovers omega on all basis pairs,
+    all pairs at once."""
+    d, m = sys.g0_dim, sys.center_dim
+    omega_np = sys.ext.omega.to_numpy() if d else np.zeros((0, 0, m))
+    ok = np.ones(d * d, dtype=bool)
+    got = delta2(sys, partial(i2, sys), *_pairs(np.eye(d)), cfg, ok)
+    return stacked(d * d, [(sup_rows(got - omega_np.reshape(d * d, m)), ok)],
                    [("delta2_left_inverse", 1e-5)])
 
 
 def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
-    basis pairs, through the splitting g = g0 (+) center."""
+    basis pairs, through the splitting g = g0 (+) center; all pairs at
+    once."""
     ext = sys.ext
     n = ext.parent.dim
+    basis = [ext.parent.basis_vector(i) for i in range(n)]
 
     def split_coords(v):
         x, a = ext.split(v)
         return np.array([float(c) for c in (*x, *a)])
 
-    def check(i, j):
-        ei, ej = ext.parent.basis_vector(i), ext.parent.basis_vector(j)
-        got = tangent_bracket(sys, split_coords(ei), split_coords(ej), cfg)
-        yield sup_norm(got - split_coords(bracket(ext.parent, ei, ej)))
-
-    return sampled(n * n, iter(itertools.product(range(n), repeat=2)).__next__, check,
-                   [("tangent_bracket_roundtrip", 1e-4)])
+    want = np.array([split_coords(bracket(ext.parent, ei, ej)) for ei in basis for ej in basis])
+    ok = np.ones(n * n, dtype=bool)
+    got = tangent_bracket(sys, *_pairs(np.array([split_coords(e) for e in basis])), cfg, ok)
+    return stacked(n * n, [(sup_rows(got - want), ok)], [("tangent_bracket_roundtrip", 1e-4)])
 
 
 def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
                              n_samples: int = 50, seed: int = 2) -> list[PropertyResult]:
     """For Lie input: the group product (g,a)(h,b) = (gh, a+b+iota2(g,h)) is
     associative, its conjugation equals the rack product, and
-    i2(g,h) = iota2(g,h) - iota2(g|>h, g)."""
+    i2(g,h) = iota2(g,h) - iota2(g|>h, g); over all samples at once."""
     if not is_lie(sys.ext.parent):
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
-    max_norm = sys.chart.chart_radius / 8.0
+    n = n_samples
+    ug, ua, vg, va, wg, wa = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n, "gagaga")
+    u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
+    assoc_ok, conj_ok, iota_ok = (np.ones(n, dtype=bool) for _ in range(3))
 
-    def product(u, v):
-        return lie_group_product(sys, u, v, cfg)
+    def product(x, y, ok):
+        return lie_group_product(sys, x, y, cfg, ok)
 
-    def check(u, v, w):
-        yield elem_distance(product(product(u, v), w), product(u, product(v, w)))
-        uinv = lie_group_inverse(sys, u, cfg)
-        yield elem_distance(product(product(u, v), uinv), rack_product(sys, u, v))
-        gh = conjugate(sys.chart, u.g, v.g)
-        lhs = i2(sys, u.g, v.g)
-        yield sup_norm(lhs - (iota2(sys, u.g, v.g, cfg) - iota2(sys, gh, u.g, cfg)))
-
-    return sampled(n_samples,
-                   lambda: tuple(sample_rack_element(sys, rng, max_norm) for _ in range(3)),
-                   check, [("lie_group_associativity", 1e-9),
-                           ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
+    uv = product(u, v, assoc_ok)
+    assoc = elem_distance(product(uv, w, assoc_ok), product(u, product(v, w, assoc_ok), assoc_ok))
+    uinv = lie_group_inverse(sys, u, cfg, conj_ok)
+    conj = elem_distance(product(uv, uinv, conj_ok), rack_product(sys, u, v, conj_ok))
+    gh = conjugate(sys.chart, u.g, v.g, iota_ok)
+    lhs = i2(sys, u.g, v.g, iota_ok)
+    from_iota = lhs - (iota2(sys, u.g, v.g, cfg, ok=iota_ok) - iota2(sys, gh, u.g, cfg, ok=iota_ok))
+    return stacked(n, [(assoc, assoc_ok), (conj, conj_ok), (sup_rows(from_iota), iota_ok)],
+                   [("lie_group_associativity", 1e-9),
+                    ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
 
 
 def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
@@ -374,7 +365,7 @@ def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     fine = gauss_legendre_01(2 * cfg.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
     diff = i2_quadrature(sys, g, h, cfg.quad, ok) - i2_quadrature(sys, g, h, fine, ok)
-    return stacked(n_pairs, [(np.abs(diff).max(axis=-1, initial=0.0), ok)],
+    return stacked(n_pairs, [(sup_rows(diff), ok)],
                    [("quadrature_order_stability", 1e-12)])
 
 

@@ -1,0 +1,321 @@
+"""The one-sample-at-a-time oracles of the stacked suites.
+
+Each suite and ``example`` extra as it ran before its samples became
+stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
+2-D rack operation and one ``sampled`` step at a time.  The finite
+differences take their four probes one after another, as ``delta2`` and
+``tangent_bracket`` once did.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
+map the names of the production suites and extras to these loops, so a
+report can be built from them."""
+
+import itertools
+from typing import Callable, Iterable
+
+import numpy as np
+
+from leibrack.algebra import bracket, is_lie
+from leibrack.cli import PHI_TYPO_NOTE
+from leibrack.cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
+from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
+from leibrack.linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
+from leibrack.rack import (
+    LocalRackElement,
+    augmented_action,
+    conjugate,
+    default_config,
+    ghost_identity_defect,
+    group_action,
+    group_from_coords,
+    group_product,
+    i1,
+    i2,
+    i2_quadrature,
+    iota2,
+    lie_group_inverse,
+    lie_group_product,
+    log_coords,
+    rack_product,
+)
+from leibrack.suites import PropertyResult, elem_distance, sample_group_element, sample_rack_element
+
+
+def sampled(n: int, draw: Callable[[], tuple], check: Callable[..., Iterable[float]],
+            props: list[tuple[str, float]]) -> list[PropertyResult]:
+    """One PropertyResult per (name, tolerance) in props, over n samples.
+    check(*draw()) yields the sample's defects in the order of props; each
+    property keeps the NaN-propagating worst of its defects.  An
+    OutOfChartError ends the sample and counts as one skip for every
+    property; the defects it already yielded still count."""
+    worst = [0.0] * len(props)
+    skipped = 0
+    for _ in range(n):
+        args = draw()
+        try:
+            for k, defect in enumerate(check(*args)):
+                worst[k] = nan_max(worst[k], defect)
+        except OutOfChartError:
+            skipped += 1
+    return [PropertyResult(name, w, tol, n, skipped)
+            for (name, tol), w in zip(props, worst, strict=True)]
+
+
+def distance(u, v):
+    return nan_max(sup_norm(u.g - v.g), sup_norm(u.a - v.a))
+
+
+def _injectivity(ins, outs):
+    ins, outs = (np.array([np.concatenate([u.g.ravel(), u.a]) for u in us])
+                 for us in (ins, outs))
+    for i in range(len(ins) - 1):
+        d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
+        d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
+        if ((d_in > 1e-6) & (d_out <= 1e-12)).any():
+            return 1.0
+    return 0.0
+
+
+# -- the finite differences, one probe at a time ----------------------------
+
+def _mixed_difference(cfg, probe):
+    hstep = cfg.fd_step
+    return (probe(hstep, hstep) - probe(hstep, -hstep)
+            - probe(-hstep, hstep) + probe(-hstep, -hstep)) / (4.0 * hstep * hstep)
+
+
+def delta2_one_by_one(sys_, f, x, y, cfg):
+    chart = sys_.chart
+    x = np.asarray([float(c) for c in x])
+    y = np.asarray([float(c) for c in y])
+    return _mixed_difference(cfg, lambda s, t: f(group_from_coords(chart, s * x),
+                                                 group_from_coords(chart, t * y)))
+
+
+def tangent_bracket_one_by_one(sys_, u, v, cfg):
+    chart = sys_.chart
+    d = sys_.g0_dim
+
+    def elem(w, s):
+        return LocalRackElement(group_from_coords(chart, s * w[:d]), s * w[d:])
+
+    def probe(s, t):
+        r = rack_product(sys_, elem(u, s), elem(v, t))
+        return np.concatenate([r.g.ravel(), r.a])
+
+    mix = _mixed_difference(cfg, probe)
+    n2 = chart.dim * chart.dim
+    return np.concatenate([chart.coord_pinv @ mix[:n2], mix[n2:]])
+
+
+# -- the suites ----------------------------------------------------------------
+
+def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
+    rng = np.random.default_rng(seed)
+    max_norm = sys_.chart.chart_radius / 4.0
+    neutral = sys_.neutral()
+    elems = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
+    triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
+
+    def self_distributivity(u, v, w):
+        lhs = rack_product(sys_, u, rack_product(sys_, v, w))
+        rhs = rack_product(sys_, rack_product(sys_, u, v), rack_product(sys_, u, w))
+        yield distance(lhs, rhs)
+
+    def pointedness(u, v, _w):
+        yield nan_max(distance(rack_product(sys_, u, neutral), neutral),
+                      distance(rack_product(sys_, neutral, v), v))
+
+    results = sampled(n_samples, iter(triples).__next__, self_distributivity,
+                      [("self_distributivity", 1e-9)])
+    results += sampled(n_samples, iter(triples).__next__, pointedness,
+                       [("pointedness", 1e-12)])
+    u = elems[0]
+    ins, outs, skips = [], [], 0
+    for v in elems[1:n_samples + 1]:
+        try:
+            outs.append(rack_product(sys_, u, v))
+            ins.append(v)
+        except OutOfChartError:
+            skips += 1
+    results.append(PropertyResult("injectivity_on_samples", _injectivity(ins, outs),
+                                  1e-9, n_samples, skips))
+    return results
+
+
+def cocycle_one_by_one(sys_, n_triples=100, seed=1):
+    rng = np.random.default_rng(seed)
+    chart = sys_.chart
+    max_norm = chart.chart_radius / 8.0
+    f = RackCochainFn(2, lambda g, h: i2(sys_, g, h))
+    mod = RackModuleStructure.anti_symmetric(sys_.center_dim, lambda g: group_action(chart, g))
+    conj = lambda x, y: conjugate(chart, x, y)
+
+    def check(g, h, k):
+        dr = rack_diff2_expansion(mod, f, g, h, k, conj)
+        ghost = ghost_identity_defect(sys_, g, h, k)
+        ghost_shift = ghost_identity_defect(sys_, conj(g, h), g, k)
+        return sup_norm(dr), sup_norm(ghost), sup_norm(dr - (ghost - ghost_shift))
+
+    return sampled(n_triples,
+                   lambda: tuple(sample_group_element(sys_, rng, max_norm) for _ in range(3)),
+                   check, [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
+                           ("ghost_induces_cocycle", 2e-9)])
+
+
+def augmented_action_one_by_one(sys_, n_samples=50, seed=3):
+    rng = np.random.default_rng(seed)
+    max_norm = sys_.chart.chart_radius / 8.0
+    neutral = sys_.neutral()
+    ident = sys_.chart.identity()
+
+    def check(g, h, w):
+        yield distance(augmented_action(sys_, ident, w), w)
+        yield distance(augmented_action(sys_, g, neutral), neutral)
+        lhs = augmented_action(sys_, g, augmented_action(sys_, h, w))
+        rhs = augmented_action(sys_, group_product(sys_.chart, g, h), w)
+        yield distance(lhs, rhs)
+
+    return sampled(n_samples,
+                   lambda: (sample_group_element(sys_, rng, max_norm),
+                            sample_group_element(sys_, rng, max_norm),
+                            sample_rack_element(sys_, rng, max_norm)),
+                   check, [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
+                           ("action_compatibility", 1e-9)])
+
+
+def roundtrip_one_by_one(sys_, cfg):
+    d = sys_.g0_dim
+    omega_np = sys_.ext.omega.to_numpy() if d else np.zeros((0, 0, sys_.center_dim))
+    basis = np.eye(d)
+
+    def check(p, q):
+        got = delta2_one_by_one(sys_, lambda g, h: i2(sys_, g, h), basis[p], basis[q], cfg)
+        yield sup_norm(got - omega_np[p, q])
+
+    return sampled(d * d, iter(itertools.product(range(d), repeat=2)).__next__, check,
+                   [("delta2_left_inverse", 1e-5)])
+
+
+def tangent_one_by_one(sys_, cfg):
+    ext = sys_.ext
+    n = ext.parent.dim
+
+    def split_coords(v):
+        x, a = ext.split(v)
+        return np.array([float(c) for c in (*x, *a)])
+
+    def check(i, j):
+        ei, ej = ext.parent.basis_vector(i), ext.parent.basis_vector(j)
+        got = tangent_bracket_one_by_one(sys_, split_coords(ei), split_coords(ej), cfg)
+        yield sup_norm(got - split_coords(bracket(ext.parent, ei, ej)))
+
+    return sampled(n * n, iter(itertools.product(range(n), repeat=2)).__next__, check,
+                   [("tangent_bracket_roundtrip", 1e-4)])
+
+
+def quadrature_stability_one_by_one(sys_, cfg, n_pairs=20, seed=4):
+    rng = np.random.default_rng(seed)
+    max_norm = sys_.chart.chart_radius / 4.0
+    fine = gauss_legendre_01(2 * cfg.quad.order)
+
+    def check(g, h):
+        yield sup_norm(i2_quadrature(sys_, g, h, cfg.quad) - i2_quadrature(sys_, g, h, fine))
+
+    return sampled(n_pairs,
+                   lambda: (sample_group_element(sys_, rng, max_norm),
+                            sample_group_element(sys_, rng, max_norm)),
+                   check, [("quadrature_order_stability", 1e-12)])
+
+
+def lie_specialization_one_by_one(sys_, cfg, n_samples=50, seed=2):
+    assert is_lie(sys_.ext.parent)
+    rng = np.random.default_rng(seed)
+    max_norm = sys_.chart.chart_radius / 8.0
+
+    def product(u, v):
+        return lie_group_product(sys_, u, v, cfg)
+
+    def check(u, v, w):
+        yield distance(product(product(u, v), w), product(u, product(v, w)))
+        uinv = lie_group_inverse(sys_, u, cfg)
+        yield distance(product(product(u, v), uinv), rack_product(sys_, u, v))
+        gh = conjugate(sys_.chart, u.g, v.g)
+        lhs = i2(sys_, u.g, v.g)
+        yield sup_norm(lhs - (iota2(sys_, u.g, v.g, cfg) - iota2(sys_, gh, u.g, cfg)))
+
+    return sampled(n_samples,
+                   lambda: tuple(sample_rack_element(sys_, rng, max_norm) for _ in range(3)),
+                   check, [("lie_group_associativity", 1e-9),
+                           ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
+
+
+ONE_BY_ONE = {
+    "rack_axiom_suite": rack_axioms_one_by_one,
+    "cocycle_suite": cocycle_one_by_one,
+    "augmented_action_suite": augmented_action_one_by_one,
+    "roundtrip_suite": roundtrip_one_by_one,
+    "tangent_suite": tangent_one_by_one,
+    "quadrature_stability_suite": quadrature_stability_one_by_one,
+    "lie_specialization_suite": lie_specialization_one_by_one,
+}
+
+
+# -- the example extras --------------------------------------------------------
+
+def dim5_extras_one_by_one(sys_, args):
+    rng = np.random.default_rng(args.seed)
+    sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
+    chart = sys_.chart
+
+    def sample_coords():
+        while True:
+            a = rng.uniform(-0.25, 0.25, size=2)
+            if np.hypot(a[0], a[1]) <= 0.25:
+                return a
+
+    def draw():
+        return (sample_coords(), sample_coords(),
+                rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
+
+    def check(a, b, ac, bc):
+        g, h = group_from_coords(chart, a), group_from_coords(chart, b)
+        got_i1 = i1(sys_, sys_.tau_matrix, g).reshape(3, 2)
+        yield sup_norm(got_i1 - dim5_i1_matrix(*a))
+        yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
+        got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
+        want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
+        yield sup_norm(np.concatenate([log_coords(chart, got.g), got.a]) - want)
+
+    return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
+                                     ("conjugation_closed_form", 1e-9)])
+
+
+def heisenberg_extras_one_by_one(sys_, args):
+    rng = np.random.default_rng(args.seed)
+    cfg = default_config(args.quad_order, args.fd_step)
+
+    def check(a, b):
+        g = group_from_coords(sys_.chart, a)
+        h = group_from_coords(sys_.chart, b)
+        yield sup_norm(iota2(sys_, g, h, cfg) - heisenberg_iota2(a, b))
+
+    return sampled(20, lambda: (rng.uniform(-0.05, 0.05, size=2),
+                                rng.uniform(-0.05, 0.05, size=2)),
+                   check, [("iota2_analytic_value", 1e-9)])
+
+
+def abelian_extras_one_by_one(sys_, args):
+    rng = np.random.default_rng(args.seed)
+    max_norm = sys_.chart.chart_radius / 4
+
+    def check(u, v):
+        yield elem_distance(rack_product(sys_, u, v), v)
+
+    return sampled(20, lambda: (sample_rack_element(sys_, rng, max_norm),
+                                sample_rack_element(sys_, rng, max_norm)),
+                   check, [("trivial_rack_product", 1e-12)])
+
+
+# name -> (extras, notes), as in cli.EXAMPLE_EXTRAS
+EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
+                     "heisenberg": (heisenberg_extras_one_by_one, ()),
+                     "abelian3": (abelian_extras_one_by_one, ())}

@@ -33,8 +33,6 @@ from leibrack.linalg import (
     phi1_float,
 )
 from leibrack.rack import (
-    MEMO_CAPACITY,
-    ElementMemo,
     IntegratorConfig,
     LocalRackElement,
     NotLieCocycleError,
@@ -56,7 +54,6 @@ from leibrack.rack import (
     lie_group_product,
     log_coords,
     rack_product,
-    require_in_chart,
     tangent_bracket,
 )
 from leibrack.suites import (
@@ -68,16 +65,16 @@ from leibrack.suites import (
     roundtrip_suite,
     sample_group_element,
     sample_rack_element,
-    sampled,
     tangent_suite,
 )
+from oracles import EXTRAS_ONE_BY_ONE, ONE_BY_ONE, sampled
 
 
 # -- chart operations --------------------------------------------------------
 
 def canonical_path(chart, g, s):
     """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
-    require_in_chart(chart, g)
+    assert in_chart(chart, g)
     return exp_float(s * log_float(g))
 
 
@@ -264,7 +261,7 @@ def test_delta2_recovers_omega_at_basis_pair(dim5_sys, cfg):
 
 
 def test_delta2_of_zero(dim5_sys, cfg):
-    got = delta2(dim5_sys, lambda g, h: np.zeros(3), [1, 0], [0, 1], cfg)
+    got = delta2(dim5_sys, lambda g, h: np.zeros(g.shape[:-2] + (3,)), [1, 0], [0, 1], cfg)
     assert np.abs(got).max() == 0.0
 
 
@@ -273,8 +270,8 @@ def test_delta2_recovers_synthetic_bilinear_form(dim5_sys, cfg):
     rng = np.random.default_rng(6)
     B = rng.uniform(-1, 1, size=(3, 2, 2))
 
-    def f(g, h):
-        return np.einsum("kpq,p,q->k", B, log_coords(chart, g), log_coords(chart, h))
+    def f(g, h):  # on stacks of group elements
+        return np.einsum("kpq,...p,...q->...k", B, log_coords(chart, g), log_coords(chart, h))
 
     for x, y in [([1, 0], [0, 1]), ([0.5, 0.25], [-0.3, 1.0])]:
         got = delta2(dim5_sys, f, x, y, cfg)
@@ -775,15 +772,6 @@ def test_iota2_scipy_calls_do_not_grow_with_the_order(monkeypatch):
     assert 0 < counts[0] == counts[1] == counts[2]
 
 
-@pytest.mark.parametrize("order", [8, 16])
-def test_iota2_remembers_only_log_h(order, monkeypatch):
-    # node elements are used once; remembering them would push out the
-    # reusable elements of the 64-entry LRU
-    import leibrack.rack as rack
-    _, sys_ = _calls_in_one_iota2(monkeypatch, filiform5(), rack, "log_float", order)
-    assert len(sys_.chart.log_memo) <= 1
-
-
 def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
     import leibrack.rack as rack
     calls = []
@@ -949,123 +937,10 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys):
         dim5_sys.with_chart_radius(0.0)
 
 
-# -- the per-element memo ------------------------------------------------------
-# Every test builds its own system: the session systems of conftest.py carry
-# their memos from test to test.
-
-def _memo_system(alg, radius=0.5):
-    return build_rack_system(canonical_extension(alg), radius)
-
-
-def _memoized_values(sys_, g, h, a, b):
-    """Each memoized path on (g, h), as zero-argument calls."""
-    def product():
-        r = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b))
-        return np.concatenate([r.g.ravel(), r.a])
-    return {
-        "log_coords": lambda: log_coords(sys_.chart, g),
-        "group_action": lambda: group_action(sys_.chart, g),
-        "i2": lambda: i2(sys_, g, h),
-        "rack_product": product,
-    }
-
-
-@pytest.mark.parametrize("alg", [dim5(), _diagonal_rho()], ids=["dim5", "diagonal_rho"])
-def test_memo_hit_equals_a_fresh_system_bit_for_bit(alg):
-    ext = canonical_extension(alg)
-    warm = build_rack_system(ext, 0.5)
-    rng = np.random.default_rng(17)
-    d, m = warm.g0_dim, warm.center_dim
-    g, h = (group_from_coords(warm.chart, rng.uniform(-0.1, 0.1, size=d)) for _ in range(2))
-    a, b = (rng.uniform(-0.25, 0.25, size=m) for _ in range(2))
-    calls = _memoized_values(warm, g, h, a, b)
-    for f in calls.values():
-        f()
-    assert len(warm.chart.log_memo) and len(warm.chart.action_memo) and len(warm.i1_memo)
-    for name, f in calls.items():
-        fresh = _memoized_values(build_rack_system(ext, 0.5), g, h, a, b)[name]()
-        assert f().tobytes() == fresh.tobytes(), name
-
-
-def test_memo_raises_an_error_again_and_stores_nothing(monkeypatch):
-    import leibrack.rack as rack
-    sys_ = _memo_system(_diagonal_rho(), radius=8.0)
-    g = group_from_coords(sys_.chart, [0.6])  # 1 <= ||g - I|| < 8: past the log chart
-    logs = []
-    monkeypatch.setattr(rack, "log_float", lambda x: logs.append(x) or log_float(x))
-    for k in (1, 2):
-        for f in (lambda: log_coords(sys_.chart, g), lambda: group_action(sys_.chart, g),
-                  lambda: i2(sys_, g, g)):
-            with pytest.raises(OutOfChartError, match="outside the log chart"):
-                f()
-        assert len(logs) == 3 * k  # every call takes the log again
-    assert (len(sys_.chart.log_memo), len(sys_.chart.action_memo), len(sys_.i1_memo)) == (0, 0, 0)
-
-
-def test_memo_misses_after_an_in_place_change_of_g():
-    sys_ = _memo_system(dim5())
-    chart = sys_.chart
-    g = group_from_coords(chart, [0.1, -0.05])
-    h = group_from_coords(chart, [-0.02, 0.07])
-    k = group_from_coords(chart, [0.03, 0.04])
-    before = log_coords(chart, g), group_action(chart, g), i2(sys_, g, k)
-    g[...] = h
-    fresh = _memo_system(dim5())
-    after = log_coords(chart, g), group_action(chart, g), i2(sys_, g, k)
-    want = log_coords(fresh.chart, h), group_action(fresh.chart, h), i2(fresh, h, k)
-    for old, got, new in zip(before, after, want, strict=True):
-        assert got.tobytes() == new.tobytes()
-        assert np.abs(got - old).max() > 0
-
-
-def test_memo_values_are_read_only():
-    sys_ = _memo_system(dim5())
-    g = group_from_coords(sys_.chart, [0.1, -0.05])
-    for value in (log_coords(sys_.chart, g), group_action(sys_.chart, g)):
-        assert not value.flags.writeable
-        with pytest.raises(ValueError):
-            value[0] = 1.0
-    i2(sys_, g, g)
-    assert not sys_.i1_memo.get(g, lambda: pytest.fail("i1 not remembered")).flags.writeable
-
-
-def test_memo_keeps_at_most_its_capacity_least_recently_used_out(monkeypatch):
-    import leibrack.rack as rack
-    sys_ = _memo_system(dim5())
-    chart = sys_.chart
-    gs = [group_from_coords(chart, [1e-3 * k, -1e-3]) for k in range(MEMO_CAPACITY + 10)]
-    for g in gs:
-        group_action(chart, g)
-    assert len(chart.log_memo) == len(chart.action_memo) == MEMO_CAPACITY
-    logs = []
-    monkeypatch.setattr(rack, "log_float", lambda x: logs.append(x) or log_float(x))
-    log_coords(chart, gs[-1])
-    assert not logs
-    log_coords(chart, gs[0])
-    assert len(logs) == 1
-    assert len(chart.log_memo) == MEMO_CAPACITY
-
-
-def test_memo_is_keyed_by_shape_and_bytes():
-    memo = ElementMemo()
-    g = np.arange(4.0)
-    assert memo.get(g, lambda: np.zeros(1)) is memo.get(g.copy(), lambda: np.ones(1))
-    assert memo.get(g.reshape(2, 2), lambda: np.ones(1))[0] == 1.0
-    assert len(memo) == 2
-
-
-def test_a_chart_of_another_radius_starts_with_empty_memos():
-    sys_ = _memo_system(dim5())
-    g = group_from_coords(sys_.chart, [0.1, -0.05])
-    i2(sys_, g, g)
-    group_action(sys_.chart, g)
-    wide = sys_.with_chart_radius(8.0)
-    assert wide.chart.log_memo is not sys_.chart.log_memo
-    assert (len(wide.chart.log_memo), len(wide.chart.action_memo), len(wide.i1_memo)) == (0, 0, 0)
-
+# -- the rack product's work, and reports against the one-sample oracles --------
 
 def test_chart_gates_keep_one_identity_and_identity_stays_fresh():
-    chart = _memo_system(dim5()).chart
+    chart = build_rack_system(canonical_extension(dim5()), 0.5).chart
     eye = chart.identity()
     assert eye is not chart.identity() and eye.flags.writeable
     eye[0, 0] = 5.0  # a caller's copy never reaches the gates
@@ -1075,7 +950,7 @@ def test_chart_gates_keep_one_identity_and_identity_stays_fresh():
 
 def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
     import leibrack.rack as rack
-    sys_ = _memo_system(dim5())
+    sys_ = build_rack_system(canonical_extension(dim5()), 0.5)
     g = group_from_coords(sys_.chart, [0.1, -0.05])
     h = group_from_coords(sys_.chart, [-0.02, 0.07])
     counts = {"conjugate": 0, "log_float": 0}
@@ -1091,14 +966,42 @@ def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
     assert counts["log_float"] <= 2  # log g, log(g |> h)
 
 
+@pytest.mark.parametrize("alg", [dim5(), _diagonal_rho()], ids=["dim5", "diagonal_rho"])
+def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, monkeypatch):
+    # g's log coordinates give both its action and i1, for a stack as for
+    # one element
+    import leibrack.rack as rack
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    rng = np.random.default_rng(23)
+    g, h = (group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, (12, sys_.g0_dim)))
+            for _ in range(2))
+    a = rng.uniform(-0.25, 0.25, (12, sys_.center_dim))
+    counts = {"conjugate": 0, "log_float": 0}
+    for name in counts:
+        original = getattr(rack, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(rack, name, counted)
+    ok = np.ones(12, dtype=bool)
+    got = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, a), ok)
+    assert ok.all() and np.abs(got.a).max() > 0
+    assert counts["conjugate"] == 1
+    assert counts["log_float"] <= 2  # log g, log(g |> h)
+
+
 def _cli_json(argv, capsys):
     code = main(argv)
     return code, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["example_dim5", "integrate_aff1_radius8"])
-def test_reports_are_byte_identical_with_the_memo_bypassed(which, tmp_path, capsys,
-                                                           monkeypatch):
+def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path, capsys,
+                                                                monkeypatch):
+    # every suite and extra replaced by its one-sample-at-a-time loop
+    import leibrack.cli as cli
+    import leibrack.suites as suites
     if which == "example_dim5":
         argv = ["example", "dim5", "--json", "--samples", "40", "--seed", "3"]
     else:
@@ -1106,10 +1009,12 @@ def test_reports_are_byte_identical_with_the_memo_bypassed(which, tmp_path, caps
         write_algebra_file(_aff1_with_weights(), path)
         argv = ["integrate", str(path), "--json", "--samples", "20", "--seed", "1",
                 "--chart-radius", "8"]
-    with_memo = _cli_json(argv, capsys)
-    monkeypatch.setattr(ElementMemo, "get", lambda self, g, compute: compute())
-    without = _cli_json(argv, capsys)
-    assert with_memo == without
+    stacked = _cli_json(argv, capsys)
+    for name, oracle in ONE_BY_ONE.items():
+        monkeypatch.setattr(suites, name, oracle)
+    for name, extras in EXTRAS_ONE_BY_ONE.items():
+        monkeypatch.setitem(cli.EXAMPLE_EXTRAS, name, extras)
+    assert stacked == _cli_json(argv, capsys)
     if which != "example_dim5":
-        report = json.loads(with_memo[1])
-        assert with_memo[0] == 3 and any(p["skipped"] for p in report["properties"])
+        report = json.loads(stacked[1])
+        assert stacked[0] == 3 and any(p["skipped"] for p in report["properties"])

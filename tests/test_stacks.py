@@ -5,6 +5,9 @@ cleared mask entry exactly where the one-element call raises."""
 
 import struct
 import sys
+import warnings
+from argparse import Namespace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,125 +15,56 @@ import pytest
 import scipy.linalg
 
 import leibrack.rack as rack
-from leibrack.algebra import canonical_extension
-from leibrack.corpus import abelian3, dim5, filiform5, heisenberg, random_leibniz
-from leibrack.linalg import OutOfChartError, gauss_legendre_01, nan_max, norm1_float, sup_norm
+from leibrack.algebra import LeibnizAlgebra, canonical_extension, is_lie
+from leibrack.cli import EXAMPLE_EXTRAS
+from leibrack.corpus import abelian3, dim5, filiform5, free_nilpotent5, heisenberg, random_leibniz
+from leibrack.linalg import OutOfChartError, norm1_float
 from leibrack.rack import (
     LocalRackElement,
     augmented_action,
     build_rack_system,
     conjugate,
     default_config,
+    delta2,
     group_action,
     group_from_coords,
     group_product,
     i1,
     i2,
     i2_quadrature,
+    iota2,
+    lie_group_inverse,
+    lie_group_product,
     rack_product,
+    tangent_bracket,
 )
 from leibrack.suites import (
-    PropertyResult,
     augmented_action_suite,
+    cocycle_suite,
     draw_samples,
+    lie_specialization_suite,
     quadrature_stability_suite,
     rack_axiom_suite,
+    roundtrip_suite,
     sample_group_element,
     sample_rack_element,
-    sampled,
     stacked,
+    tangent_suite,
+)
+from oracles import (
+    EXTRAS_ONE_BY_ONE,
+    augmented_action_one_by_one,
+    cocycle_one_by_one,
+    lie_specialization_one_by_one,
+    quadrature_stability_one_by_one,
+    rack_axioms_one_by_one,
+    roundtrip_one_by_one,
+    sampled,
+    tangent_one_by_one,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
-
-
-# -- the one-sample-at-a-time oracles ------------------------------------------
-# The suites as they ran before their samples became stacks: one draw
-# (``sample_group_element``, ``sample_rack_element``), one 2-D rack operation
-# and one ``sampled`` step at a time.
-
-def _distance(u, v):
-    return nan_max(sup_norm(u.g - v.g), sup_norm(u.a - v.a))
-
-
-def _injectivity_one_by_one(ins, outs):
-    ins, outs = (np.array([np.concatenate([u.g.ravel(), u.a]) for u in us])
-                 for us in (ins, outs))
-    for i in range(len(ins) - 1):
-        d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
-        d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
-        if ((d_in > 1e-6) & (d_out <= 1e-12)).any():
-            return 1.0
-    return 0.0
-
-
-def _rack_axioms_one_by_one(sys_, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 4.0
-    neutral = sys_.neutral()
-    elems = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
-    triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
-
-    def self_distributivity(u, v, w):
-        lhs = rack_product(sys_, u, rack_product(sys_, v, w))
-        rhs = rack_product(sys_, rack_product(sys_, u, v), rack_product(sys_, u, w))
-        yield _distance(lhs, rhs)
-
-    def pointedness(u, v, _w):
-        yield nan_max(_distance(rack_product(sys_, u, neutral), neutral),
-                      _distance(rack_product(sys_, neutral, v), v))
-
-    results = sampled(n_samples, iter(triples).__next__, self_distributivity,
-                      [("self_distributivity", 1e-9)])
-    results += sampled(n_samples, iter(triples).__next__, pointedness,
-                       [("pointedness", 1e-12)])
-    u = elems[0]
-    ins, outs, skips = [], [], 0
-    for v in elems[1:n_samples + 1]:
-        try:
-            outs.append(rack_product(sys_, u, v))
-            ins.append(v)
-        except OutOfChartError:
-            skips += 1
-    results.append(PropertyResult("injectivity_on_samples", _injectivity_one_by_one(ins, outs),
-                                  1e-9, n_samples, skips))
-    return results
-
-
-def _augmented_action_one_by_one(sys_, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 8.0
-    neutral = sys_.neutral()
-    ident = sys_.chart.identity()
-
-    def check(g, h, w):
-        yield _distance(augmented_action(sys_, ident, w), w)
-        yield _distance(augmented_action(sys_, g, neutral), neutral)
-        lhs = augmented_action(sys_, g, augmented_action(sys_, h, w))
-        rhs = augmented_action(sys_, group_product(sys_.chart, g, h), w)
-        yield _distance(lhs, rhs)
-
-    return sampled(n_samples,
-                   lambda: (sample_group_element(sys_, rng, max_norm),
-                            sample_group_element(sys_, rng, max_norm),
-                            sample_rack_element(sys_, rng, max_norm)),
-                   check, [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
-                           ("action_compatibility", 1e-9)])
-
-
-def _quadrature_stability_one_by_one(sys_, cfg, n_pairs, seed):
-    rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 4.0
-    fine = gauss_legendre_01(2 * cfg.quad.order)
-
-    def check(g, h):
-        yield sup_norm(i2_quadrature(sys_, g, h, cfg.quad) - i2_quadrature(sys_, g, h, fine))
-
-    return sampled(n_pairs,
-                   lambda: (sample_group_element(sys_, rng, max_norm),
-                            sample_group_element(sys_, rng, max_norm)),
-                   check, [("quadrature_order_stability", 1e-12)])
 
 
 def _bits(results):
@@ -140,6 +74,14 @@ def _bits(results):
 
 # -- inputs ----------------------------------------------------------------------
 
+def _oscillator():
+    # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
+    # whose G0 is not unipotent, so its node elements can leave the log chart
+    return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
+                                            (0, 1): {2: 1}, (1, 0): {2: -1},
+                                            (0, 2): {1: -1}, (2, 0): {1: 1}})
+
+
 def _system(name, radius):
     if name.startswith("rl"):
         alg = random_leibniz(int(name[2:]))
@@ -147,12 +89,14 @@ def _system(name, radius):
         alg = inputs.rho_semisimple(name, 0)
     else:
         alg = {"dim5": dim5, "heisenberg": heisenberg, "filiform5": filiform5,
-               "abelian3": abelian3}[name]()
+               "free_nilpotent5": free_nilpotent5, "abelian3": abelian3,
+               "oscillator": _oscillator}[name]()
     return build_rack_system(canonical_extension(alg), radius)
 
 
-NARROW = ["dim5", "heisenberg", "filiform5", "rl1", "rl2", "rl23", *inputs.RHO_KINDS]
-WIDE = [("dim5", 8.0), ("diagonal", 8.0), ("aff", 1000.0)]
+NARROW = ["dim5", "heisenberg", "filiform5", "rl1", "rl2", "rl23", *inputs.RHO_KINDS,
+          "free_nilpotent5", "abelian3"]
+WIDE = [("dim5", 8.0), ("diagonal", 8.0), ("aff", 1000.0), ("oscillator", 8.0)]
 
 
 # -- the stacked suites equal the one-by-one loops -----------------------------
@@ -162,18 +106,32 @@ WIDE = [("dim5", 8.0), ("diagonal", 8.0), ("aff", 1000.0)]
                               [(name, 0.5) for name in NARROW] + WIDE])
 def test_stacked_suites_equal_the_one_by_one_loops(name, radius):
     cfg = default_config()
-    stacks, one_by_one = _system(name, radius), _system(name, radius)
-    got = (rack_axiom_suite(stacks, 20, 5) + augmented_action_suite(stacks, 20, 6)
-           + quadrature_stability_suite(stacks, cfg, 10, 7))
-    want = (_rack_axioms_one_by_one(one_by_one, 20, 5)
-            + _augmented_action_one_by_one(one_by_one, 20, 6)
-            + _quadrature_stability_one_by_one(one_by_one, cfg, 10, 7))
+    sys_ = _system(name, radius)
+    got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
+           + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, cfg)
+           + tangent_suite(sys_, cfg) + quadrature_stability_suite(sys_, cfg, 10, 7))
+    want = (rack_axioms_one_by_one(sys_, 20, 5) + cocycle_one_by_one(sys_, 20, 8)
+            + augmented_action_one_by_one(sys_, 20, 6) + roundtrip_one_by_one(sys_, cfg)
+            + tangent_one_by_one(sys_, cfg) + quadrature_stability_one_by_one(sys_, cfg, 10, 7))
+    if is_lie(sys_.ext.parent):
+        got += lie_specialization_suite(sys_, cfg, 20, 9)
+        want += lie_specialization_one_by_one(sys_, cfg, 20, 9)
     assert _bits(got) == _bits(want)
-    # stacks bypass the memos
-    assert (len(stacks.chart.log_memo), len(stacks.chart.action_memo),
-            len(stacks.i1_memo)) == (0, 0, 0)
     if radius > 0.5:  # the wide charts are where samples are skipped
-        assert any(r.skipped for r in got)
+        skipping = {r.name for r in got if r.skipped}
+        assert skipping
+        if name == "oscillator":
+            assert "i2_from_iota2" in skipping
+
+
+@pytest.mark.parametrize("name,radius", [("dim5", 0.5), ("heisenberg", 0.5),
+                                         ("heisenberg", 0.06), ("abelian3", 0.5)])
+def test_example_extras_equal_the_one_by_one_loops(name, radius):
+    sys_ = _system(name, radius)
+    args = Namespace(seed=3, chart_radius=radius, quad_order=8, fd_step=1e-3)
+    got = EXAMPLE_EXTRAS[name][0](sys_, args)
+    assert _bits(got) == _bits(EXTRAS_ONE_BY_ONE[name][0](sys_, args))
+    assert any(r.skipped for r in got) == (radius < 0.5)  # a narrow chart skips
 
 
 def test_stacked_applies_the_rule_of_sampled():
@@ -216,10 +174,36 @@ def test_drawn_stacks_equal_the_draws_one_by_one(name, radius):
     if name == "aff":  # raw draws that leave the ball are halved
         raw = np.random.default_rng(11).uniform(
             -1.0, 1.0, size=(30, 2 * sys_.g0_dim + sys_.center_dim))[:, :sys_.g0_dim]
-        assert (norm1_float(group_from_coords(sys_.chart, raw * max_norm) - np.eye(4))
-                >= max_norm).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = norm1_float(group_from_coords(sys_.chart, raw * max_norm) - np.eye(4))
+        assert (far >= max_norm).any()
     if name == "abelian3":
         assert sys_.g0_dim == 0 and (g == np.eye(3)).all()
+
+
+def test_wide_draws_overflow_without_a_warning_and_draw_the_same():
+    # at radius 1000 the raw draws of aff reach norm 250, whose exp
+    # overflows before the halving shrinks them
+    sys_ = _system("aff", 1000.0)
+    raw = np.random.default_rng(11).uniform(-1.0, 1.0, size=(30, sys_.g0_dim)) * 250.0
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        group_from_coords(sys_.chart, raw)
+    assert any("overflow" in str(w.message) for w in seen)
+
+    def draws():
+        rng = np.random.default_rng(11)
+        return (draw_samples(sys_, rng, 250.0, 30, "gga")
+                + [sample_group_element(sys_, rng, 250.0) for _ in range(30)]
+                + [np.array([r.max_defect for r in rack_axiom_suite(sys_, 20, 5)])])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = draws()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = draws()
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 # -- masks -----------------------------------------------------------------------
@@ -342,6 +326,33 @@ def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too()
         assert all(any(t in m for m in messages) for t in texts), messages
 
 
+def test_a_failing_probe_fails_its_direction_in_the_finite_differences(monkeypatch):
+    # the four probes of each direction run as one stack (4, N); a probe
+    # that fails clears its direction, whichever of the four steps it is
+    cfg = default_config()
+    sys_ = _system("dim5", 0.5)
+    x = np.eye(2)[[0, 0, 1]]
+
+    def failing(g, h, mask):
+        mask[[1, 3], [1, 2]] = False
+        return i2(sys_, g, h, mask)
+    ok = np.ones(3, dtype=bool)
+    got = delta2(sys_, failing, x, x[::-1], cfg, ok)
+    assert list(ok) == [True, False, False]
+    assert got[0].tobytes() == delta2(sys_, partial(i2, sys_), x[0], x[2], cfg).tobytes()
+
+    product = rack.rack_product
+
+    def failing_product(sys_, u, v, mask):
+        mask[2, 0] = False
+        return product(sys_, u, v, mask)
+    monkeypatch.setattr(rack, "rack_product", failing_product)
+    u = np.eye(5)[[0, 1]]
+    ok = np.ones(2, dtype=bool)
+    tangent_bracket(sys_, u, u[::-1], cfg, ok)
+    assert list(ok) == [False, True]
+
+
 def test_a_broadcast_element_acts_on_a_stack_as_on_each_slice():
     sys_ = _system("aff", 8.0)
     rng = np.random.default_rng(21)
@@ -363,6 +374,39 @@ def test_a_broadcast_element_acts_on_a_stack_as_on_each_slice():
                 assert got.g[k, j].tobytes() == want.g.tobytes()
                 assert got.a[k, j].tobytes() == want.a.tobytes()
     assert not ok.all() and ok.any()
+
+
+LIE_OPERATIONS = {
+    "iota2": lambda sys_, cfg, u, v, ok=None: iota2(sys_, u.g, v.g, cfg, ok=ok),
+    "lie_group_product": lambda sys_, cfg, u, v, ok=None: lie_group_product(sys_, u, v, cfg, ok),
+    "lie_group_inverse": lambda sys_, cfg, u, v, ok=None: lie_group_inverse(sys_, u, cfg, ok),
+}
+
+
+@pytest.mark.parametrize("op", LIE_OPERATIONS)
+def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
+    # on the oscillator at radius 8, pairs fail the chart gates, the group
+    # product gate, the log of h and the logs of iota2's node elements
+    cfg = default_config()
+    sys_ = _system("oscillator", 8.0)
+    rng = np.random.default_rng(18)
+    scales = rng.choice([0.05, 0.4, 1.5, 3.0], size=(40, 1))
+    g, h = (group_from_coords(sys_.chart, rng.uniform(-1.0, 1.0, (40, sys_.g0_dim)) * scales)
+            for _ in range(2))
+    a, b = (rng.uniform(-0.25, 0.25, (40, sys_.center_dim)) for _ in range(2))
+    u, v = LocalRackElement(g, a), LocalRackElement(h, b)
+    call = LIE_OPERATIONS[op]
+    ok = np.ones(40, dtype=bool)
+    values = call(sys_, cfg, u, v, ok)
+    want = [_outcome(lambda k=k: call(sys_, cfg, LocalRackElement(g[k], a[k]),
+                                      LocalRackElement(h[k], b[k])))
+            for k in range(40)]
+    _same_or_raised(values, ok, want)
+    messages = {text.split(":")[0] for text in want if isinstance(text, str)}
+    assert ok.any() and len(messages) >= 2, messages
+    with pytest.raises(OutOfChartError) as err:
+        call(sys_, cfg, u, v)
+    assert str(err.value) in want
 
 
 # -- kernel calls do not grow with the sample count ---------------------------
@@ -393,12 +437,26 @@ def _kernel_calls(monkeypatch, suite):
     return calls
 
 
-@pytest.mark.parametrize("name", ["dim5", "diagonal", "aff"])
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "aff", "heisenberg"])
 def test_stacked_suites_make_as_many_kernel_calls_at_10_and_40_samples(name, monkeypatch):
     cfg = default_config()
-    for suite in (lambda s, n: rack_axiom_suite(s, n, 0),
-                  lambda s, n: augmented_action_suite(s, n, 3),
-                  lambda s, n: quadrature_stability_suite(s, cfg, n, 4)):
+    suites = [lambda s, n: rack_axiom_suite(s, n, 0),
+              lambda s, n: cocycle_suite(s, n, 1),
+              lambda s, n: augmented_action_suite(s, n, 3),
+              lambda s, n: quadrature_stability_suite(s, cfg, n, 4)]
+    if name == "heisenberg":
+        suites.append(lambda s, n: lie_specialization_suite(s, cfg, n, 2))
+    for suite in suites:
         counts = [_kernel_calls(monkeypatch, lambda: suite(_system(name, 0.5), n))
                   for n in (10, 40)]
         assert counts[0] == counts[1] and counts[0]["log_float"] > 0
+
+
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "filiform5"])
+def test_the_basis_pair_suites_take_two_logs_for_all_pairs(name, monkeypatch):
+    # every basis pair and every step of the mixed difference in one stack:
+    # log g and log(g |> h) once each
+    cfg = default_config()
+    sys_ = _system(name, 0.5)
+    for suite in (roundtrip_suite, tangent_suite):
+        assert _kernel_calls(monkeypatch, lambda: suite(sys_, cfg))["log_float"] == 2
