@@ -91,13 +91,13 @@ class LeibnizAlgebra:
         return alg
 
     @staticmethod
-    def from_brackets(dim, brackets, basis_names=None, check=True) -> "LeibnizAlgebra":
+    def from_brackets(dim, brackets, check=True) -> "LeibnizAlgebra":
         """brackets: {(i, j): {k: coeff}} with all indices 0-based."""
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), val in brackets.items():
             for k, coeff in val.items():
                 c[i][j][k] = Fraction(coeff)
-        return LeibnizAlgebra.from_structure(c, basis_names, check=check)
+        return LeibnizAlgebra.from_structure(c, check=check)
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))

@@ -74,6 +74,10 @@ MAX_CHART_RADIUS = 1e3
 # error rather than a huge allocation.
 MAX_QUAD_ORDER = 64
 
+# The suites hold all samples at once and the injectivity check compares
+# every pair: at this bound `example dim5` peaks at about 126 MB and 16 s.
+MAX_SAMPLES = 10_000
+
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
     "general-arity formula and the expansions the cocycle-integration "
@@ -277,6 +281,8 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
         (args.quad_order <= MAX_QUAD_ORDER,
          f"--quad-order must be <= {MAX_QUAD_ORDER}; got {args.quad_order}"),
         (args.samples >= 1, f"--samples must be >= 1; got {args.samples}"),
+        (args.samples <= MAX_SAMPLES,
+         f"--samples must be <= {MAX_SAMPLES}; got {args.samples}"),
         (args.seed >= 0, f"--seed must be >= 0; got {args.seed}"),
     ]
     message = next((msg for ok, msg in checks if not ok), None)

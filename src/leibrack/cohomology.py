@@ -287,12 +287,11 @@ def _fold_conj(conj: ConjFn, elems, identity):
     return acc
 
 
-def _rack_differential(mod, f, args, conj, psi_sign, identity):
+def _rack_differential(mod, f, args, conj, psi_sign):
     n = f.arity
     if len(args) != n + 1:
         raise ValueError(f"arity-{n} cochain needs {n + 1} arguments")
-    if identity is None:
-        identity = np.eye(args[0].shape[0])
+    identity = np.eye(args[0].shape[-1])
     total = np.zeros(mod.carrier_dim)
     for i in range(1, n + 1):
         sign = (-1) ** (i - 1)
@@ -310,19 +309,19 @@ def _rack_differential(mod, f, args, conj, psi_sign, identity):
 
 
 def rack_differential_general(mod: RackModuleStructure, f: RackCochainFn,
-                              args, conj: ConjFn, identity=None) -> np.ndarray:
+                              args, conj: ConjFn) -> np.ndarray:
     """The general-arity formula with the psi term signed (-1)^n."""
-    return _rack_differential(mod, f, tuple(args), conj, +1, identity)
+    return _rack_differential(mod, f, tuple(args), conj, +1)
 
 
 def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
-                           args, conj: ConjFn, identity=None) -> np.ndarray:
+                           args, conj: ConjFn) -> np.ndarray:
     """Normative d_R: same as the general formula except the psi term
     carries sign (-1)^(n+1), which reproduces the arity-1 symmetric
     expansion g.f(h) - f(g|>h) - (g|>h).f(g) + f(g) that the cocycle
     integration needs and, psi being zero there, the arity-2 anti-symmetric
     expansion unchanged."""
-    return _rack_differential(mod, f, tuple(args), conj, -1, identity)
+    return _rack_differential(mod, f, tuple(args), conj, -1)
 
 
 def rack_diff1_expansion(mod, f, g, h, conj):
@@ -342,10 +341,10 @@ def rack_diff2_expansion(mod, f, g, h, k, conj):
 # module axiom checking
 # ---------------------------------------------------------------------------
 
-def check_module_axioms(mod: RackModuleStructure, conj: ConjFn,
-                        samples, identity=None, tol: float = 1e-10) -> dict:
+def check_module_axioms(mod: RackModuleStructure, conj: ConjFn, samples) -> dict:
     """Per-axiom max defect of (M0)-(M4) over sampled group-element triples;
-    passes iff every defect <= tol.  A NaN defect stays NaN and fails."""
+    passes iff every defect <= 1e-10.  A NaN defect stays NaN and fails."""
+    tol = 1e-10
     m = mod.carrier_dim
     basis = [np.eye(m)[:, b] for b in range(m)]
     defects = {name: 0.0 for name in ("M0", "M1", "M2", "M3", "M4")}
@@ -354,8 +353,7 @@ def check_module_axioms(mod: RackModuleStructure, conj: ConjFn,
         defects[name] = nan_max(defects[name], sup_norm(np.asarray(arr)))
 
     for (x, y, z) in samples:
-        if identity is None:
-            identity = np.eye(x.shape[0])
+        identity = np.eye(x.shape[-1])
         yz, xy, xz = conj(y, z), conj(x, y), conj(x, z)
         phimat = np.column_stack([mod.phi(x, y, v) for v in basis]) if m else np.zeros((0, 0))
         if m:

@@ -70,7 +70,7 @@ def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
-def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
+def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     dim = doc.get("dim")
@@ -124,10 +124,10 @@ def algebra_from_dict(doc: dict, check: bool = True) -> LeibnizAlgebra:
             except (ValueError, TypeError, ZeroDivisionError):
                 raise ParseError(f"brackets[{pos}]: bad coefficient {coeff!r}") from None
     # a ValidationError from the Leibniz check propagates unchanged
-    return LeibnizAlgebra.from_structure(c, basis_names=basis, check=check)
+    return LeibnizAlgebra.from_structure(c, basis_names=basis)
 
 
-def parse_algebra_file(path, check: bool = True) -> LeibnizAlgebra:
+def parse_algebra_file(path) -> LeibnizAlgebra:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -141,7 +141,7 @@ def parse_algebra_file(path, check: bool = True) -> LeibnizAlgebra:
     except (ValueError, RecursionError) as exc:
         # ValueError: a JSONDecodeError or an integer past Python's digit limit
         raise ParseError(f"{path}: unreadable JSON ({exc})") from None
-    return algebra_from_dict(doc, check=check)
+    return algebra_from_dict(doc)
 
 
 def write_algebra_file(alg: LeibnizAlgebra, path) -> None:

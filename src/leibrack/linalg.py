@@ -16,13 +16,15 @@ Each scalar world has its own types:
 * float: plain ``numpy`` arrays, used only on the integration side, with
   the kernels ``exp_float``, ``phi1_float`` (the integral
   int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
-  ``integrate_01`` (quadrature, kept as phi1's cross-check).
+  ``integrate_01`` (quadrature of values at the nodes: iota2's outer
+  integral and phi1's cross-check).
 
-``exp_float``, ``phi1_float``, ``log_float`` and ``norm1_float`` also take a
-stack of square arrays, shape (..., n, n), and give each slice bit for bit
-what the call on that slice alone gives.  ``log_float`` takes an optional
-mask of the slices that succeeded, which it narrows where a slice leaves
-the log chart instead of raising.  They use only operations that are
+``exp_float``, ``phi1_float``, ``log_float``, ``norm1_float`` and ``matvec``
+take a stack of square arrays, shape (..., n, n), and give each slice bit
+for bit what the call on that slice alone gives.  Each has one code path:
+one element is a stack with no leading axes.  ``log_float`` takes an
+optional mask of the slices that succeeded, which it narrows where a slice
+leaves the log chart instead of raising.  They use only operations that are
 exact slice by slice with numpy's OpenBLAS build and scipy: stacked ``@``
 (matrix-matrix, and matrix-vector written as (..., n, 1)), elementwise
 arithmetic, reductions within a slice, ``np.linalg.solve`` and scipy's
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -342,8 +344,7 @@ def norm1_float(a: np.ndarray) -> float | np.ndarray:
     empty; of a stack (..., n, n), the array of its slices' norms, each
     equal bit for bit to the norm of that slice alone (a column sum adds
     the rows in order either way)."""
-    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-    return float(norms) if a.ndim == 2 else norms
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def sup_norm(x: np.ndarray) -> float:
@@ -361,7 +362,7 @@ def nan_max(*values: float) -> float:
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a x for a vector x (..., k), slice by slice for stacks: a is a
     matrix or a stack of them that broadcasts against x's."""
-    return a @ x if x.ndim == 1 else (a @ x[..., None])[..., 0]
+    return (a @ x[..., None])[..., 0]
 
 
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
@@ -378,9 +379,8 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     if index is None:
         import scipy.linalg
         return scipy.linalg.expm(a)
-    acc = term = np.eye(a.shape[-1])
-    if index == 1:
-        return np.broadcast_to(acc, a.shape).copy()
+    term = np.eye(a.shape[-1])
+    acc = term + np.zeros(a.shape)  # the identity, a fresh array of a's shape
     for j in range(1, index):
         term = (term @ a) / j  # broadcasts over a stack from the first product on
         acc = acc + term
@@ -417,17 +417,20 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
     return acc.reshape(v.shape)
 
 
-def _log_series_float(n: np.ndarray, max_terms: int = 800) -> tuple[np.ndarray, list[int]]:
+LOG_SERIES_TERMS = 800  # terms of the float log series before it counts as not converging
+
+
+def _log_series_float(n: np.ndarray) -> tuple[np.ndarray, list[int]]:
     # log(I+N) = sum (-1)^(k+1) N^k / k over a stack (N, n, n); terminates
     # exactly on nilpotent N, converges for ||N|| < 1 otherwise.  A slice
     # stops before its first zero term, or after its first term with
     # max|term| / k < 1e-18; its sum is then written out and it leaves the
     # stack the series runs on.  Returns the sums and the slices still
-    # running after max_terms (did not converge; their sum is zero).
+    # running after LOG_SERIES_TERMS (did not converge; their sum is zero).
     out = np.empty_like(n)
     rows = list(range(len(n)))
     acc = term = n
-    for k in range(2, max_terms + 1):
+    for k in range(2, LOG_SERIES_TERMS + 1):
         term = term @ n
         sizes = np.abs(term).max(axis=(1, 2)).tolist()
         nxt = acc + ((-1) ** (k + 1) / k) * term
@@ -525,10 +528,12 @@ def gauss_legendre_01(order: int) -> QuadratureRule:
     return QuadratureRule(order, tuple((x + 1.0) / 2.0), tuple(w / 2.0))
 
 
-def integrate_01(rule: QuadratureRule, integrand: Callable[[float], np.ndarray]) -> np.ndarray:
-    """Quadrature of a vector- (or matrix-) valued integrand over [0,1]."""
-    acc = None
-    for x, w in zip(rule.nodes, rule.weights):
-        v = w * np.asarray(integrand(x), dtype=float)
-        acc = v if acc is None else acc + v
+def integrate_01(rule: QuadratureRule, values) -> np.ndarray:
+    """Quadrature over [0,1] of an integrand given by its values at the
+    rule's nodes, stacked on a leading axis (order, ...): the weighted sum,
+    added node by node in node order."""
+    values = np.asarray(values, dtype=float)
+    acc = np.zeros(values.shape[1:])
+    for w, v in zip(rule.weights, values, strict=True):
+        acc = acc + w * v
     return acc

@@ -25,13 +25,14 @@ For Lie input, the group 2-cocycle iota2 is a double integral over a
 closed form too, so the configured Gauss-Legendre rule (IntegratorConfig.quad)
 drives only iota2's outer integral and the quadrature cross-check.
 
-Exact decisions are made once per system.  When it is built: the joint
-nilpotency index of the ad, rho and Hom(g0, a) generator families (the
-float exp and phi1 of any element of a nilpotent family are finite series;
-other families go to scipy).  On the first iota2 call: the Lie-cocycle
-check of the extension's omega, which is ``leibniz_differential`` over rho
-taken as a symmetric module (on alternating cochains, the Leibniz
-differential with symmetric coefficients is the Chevalley-Eilenberg one).
+Exact decisions are made once per system, never inside a float call.
+When it is built: the joint nilpotency index of the ad, rho and
+Hom(g0, a) generator families (the float exp and phi1 of any element of a
+nilpotent family are finite series; other families go to scipy).  On the
+first iota2 call (``LocalRackSystem.lie_omega``): the Lie-cocycle check of
+the extension's omega, which is ``leibniz_differential`` over rho taken as
+a symmetric module (on alternating cochains, the Leibniz differential with
+symmetric coefficients is the Chevalley-Eilenberg one).
 
 The local rack product on G0 x a is then
 
@@ -47,11 +48,12 @@ i2_quadrature, the augmented action, the finite differences, iota2 and the
 Lie group product and inverse each take one group element (n, n) or a
 stack of them (..., n, n), with a mask of the slices that succeeded; see
 the comment at the head of the chart operations.  The suites run every
-sample set as one stack, and one element is the unmasked case of the same
-code.  A slice equals its one-element call bit for bit.  numpy's matmul
-calls BLAS or its own loop depending on the strides of its operands, and
-the two can round differently, so the stacked code keeps each slice's
-strides as the one-element code has them.
+sample set as one stack.  One element is a stack with no leading axes
+and takes the same code, with no branch of its own, and the bases of a
+trivial g0 are (0, k, k) stacks.  A slice equals its one-element call bit
+for bit.  numpy's matmul calls BLAS or its own loop depending on the
+strides of its operands, and the two can round differently, so the
+stacked code keeps each slice's strides as the one-element code has them.
 """
 
 from __future__ import annotations
@@ -91,20 +93,26 @@ class NotLieCocycleError(ValueError):
 class LocalGroupChart:
     """Matrix chart for G0 inside Aut(g): the span of ad_basis is the
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
-    g0 on itself.  Group elements are n x n arrays with ||g - I|| < radius.
-    ad_index and rho_index are the exact joint nilpotency indices of the ad
-    and rho families (None if not nilpotent); they select exp's series."""
+    g0 on itself; each is a (g0_dim, k, k) stack, (0, k, k) for trivial g0.
+    Group elements are n x n arrays with ||g - I|| < radius, where
+    0 < radius < inf.  ad_index and rho_index are the exact joint nilpotency
+    indices of the ad and rho families (None if not nilpotent); they select
+    exp's series."""
 
     dim: int
     g0_dim: int
     center_dim: int
     chart_radius: float
-    ad_basis: tuple[np.ndarray, ...]
-    rho_basis: tuple[np.ndarray, ...]
-    ad0_basis: tuple[np.ndarray, ...]
+    ad_basis: np.ndarray
+    rho_basis: np.ndarray
+    ad0_basis: np.ndarray
     coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
     ad_index: int | None
     rho_index: int | None
+
+    def __post_init__(self):
+        if not 0 < self.chart_radius < np.inf:
+            raise ValueError("chart radius must be positive and finite")
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -116,40 +124,37 @@ class LocalGroupChart:
         eye.flags.writeable = False
         return eye
 
-    def combo(self, basis, xi) -> np.ndarray:
-        """sum_p xi_p basis[p], summed in basis order; coordinates of shape
-        (..., d) give a stack of matrices."""
+    def combo(self, basis: np.ndarray, xi) -> np.ndarray:
+        """sum_p xi_p basis[p] for a basis stack (d, k, k), summed in basis
+        order; coordinates of shape (..., d) give a stack of matrices."""
         xi = np.asarray(xi, dtype=float)
-        shape = basis[0].shape if basis else (0, 0)
-        acc = np.zeros(xi.shape[:-1] + shape)
-        cs = xi if xi.ndim == 1 else (xi[..., p, None, None] for p in range(xi.shape[-1]))
-        for c, b in zip(cs, basis, strict=True):
-            acc = acc + c * b
+        acc = np.zeros(xi.shape[:-1] + basis.shape[1:])
+        for p, b in zip(range(xi.shape[-1]), basis, strict=True):
+            acc = acc + xi[..., p, None, None] * b
         return acc
 
     def ad_of(self, xi) -> np.ndarray:
-        m = self.combo(self.ad_basis, xi)
-        return m if self.g0_dim else np.zeros(np.shape(xi)[:-1] + (self.dim, self.dim))
+        return self.combo(self.ad_basis, xi)
 
     def rho_of(self, xi) -> np.ndarray:
-        m = self.combo(self.rho_basis, xi)
-        return m if self.g0_dim else np.zeros(np.shape(xi)[:-1] + (self.center_dim,) * 2)
+        return self.combo(self.rho_basis, xi)
 
     def ad0_of(self, xi) -> np.ndarray:
         return self.combo(self.ad0_basis, xi)
 
 
+def _basis_stack(mats, k: int) -> np.ndarray:
+    """The exact k x k matrices mats as one float stack (len(mats), k, k)."""
+    return np.array([mat.to_numpy() for mat in mats]).reshape(len(mats), k, k)
+
+
 def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -> LocalGroupChart:
-    if not 0 < chart_radius < np.inf:
-        raise ValueError("chart radius must be positive and finite")
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
-    ad_basis = tuple(mat.to_numpy() for mat in ext.g0_matrices)
-    rho_basis = tuple(mat.to_numpy() for mat in ext.rho)
-    ad0_basis = tuple(ad_matrix(ext.g0, ext.g0.basis_vector(p)).to_numpy() for p in range(d))
-    flat = np.stack([b.flatten() for b in ad_basis], axis=1) if d else np.zeros((n * n, 0))
-    pinv = np.linalg.pinv(flat)
-    return LocalGroupChart(n, d, m, chart_radius, ad_basis, rho_basis, ad0_basis, pinv,
-                           joint_nilpotency_index(ext.g0_matrices),
+    ad_basis = _basis_stack(ext.g0_matrices, n)
+    ad0_basis = _basis_stack([ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)], d)
+    pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
+    return LocalGroupChart(n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m), ad0_basis,
+                           pinv, joint_nilpotency_index(ext.g0_matrices),
                            joint_nilpotency_index(ext.rho))
 
 
@@ -185,12 +190,13 @@ class LocalRackElement:
 @dataclass(frozen=True)
 class SymmetricModule:
     """A symmetric coefficient module presented infinitesimally: one carrier
-    action matrix per g0 basis element; the group acts through exp.  index
-    is the generators' exact joint nilpotency index; None (not nilpotent,
-    or not known for a module built by hand) sends exp to scipy."""
+    action matrix per g0 basis element, as a stack (g0_dim, dim, dim); the
+    group acts through exp.  index is the generators' exact joint
+    nilpotency index; None (not nilpotent, or not known for a module built
+    by hand) sends exp to scipy."""
 
     dim: int
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray
     index: int | None = None
 
 
@@ -219,15 +225,18 @@ class LocalRackSystem:
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
         """The same system on a chart of another radius, without redoing
         any exact work."""
-        if not 0 < chart_radius < np.inf:
-            raise ValueError("chart radius must be positive and finite")
         return replace(self, chart=replace(self.chart, chart_radius=chart_radius))
 
     @cached_property
     def lie_omega(self) -> np.ndarray:
         """The extension's omega as a (d, d, m) array, checked once to be an
         anti-symmetric Lie cocycle (NotLieCocycleError otherwise)."""
-        return _checked_lie_omega(self.ext, self.ext.omega)
+        cocycle, anti = lie_cocycle_defect(self.ext, self.ext.omega)
+        if anti != 0:
+            raise NotLieCocycleError("omega is not anti-symmetric")
+        if cocycle != 0:
+            raise NotLieCocycleError("omega fails the Lie cocycle identity")
+        return self.ext.omega.to_numpy()
 
 
 def build_rack_system(ext: CentralExtensionData,
@@ -235,7 +244,7 @@ def build_rack_system(ext: CentralExtensionData,
     chart = chart_from_extension(ext, chart_radius)
     d, m = ext.g0_dim, ext.center_dim
     hom_left = hom_representation(ext.rep).left if d else ()
-    hom_mod = SymmetricModule(m * d, tuple(mat.to_numpy() for mat in hom_left),
+    hom_mod = SymmetricModule(m * d, _basis_stack(hom_left, m * d),
                               joint_nilpotency_index(hom_left))
     return LocalRackSystem(ext, chart, hom_mod, _beta_matrix(tau(ext.omega), m * d, d))
 
@@ -261,7 +270,7 @@ def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
     """Apply a gate that the slices marked in bad fail: without a mask the
     first of them raises OutOfChartError(message(i)); with one they leave
     ok.  True if any slice failed."""
-    if not (bad.any() if bad.ndim else bad):
+    if not bad.any():
         return False
     if ok is None:
         raise OutOfChartError(message(int(np.argmax(bad))))
@@ -284,10 +293,7 @@ def _chart_gate(chart: LocalGroupChart, g: np.ndarray, what: str,
                 ok: np.ndarray | None) -> np.ndarray:
     """g, with the slices outside the chart failed (see ``_fail``) and
     replaced by the identity."""
-    inside = in_chart(chart, g)
-    if inside is True:  # one element, in the chart
-        return g
-    bad = np.logical_not(inside)
+    bad = np.logical_not(in_chart(chart, g))
     if _fail(ok, bad, lambda i: f"{what}: ||g - I|| = "
              f"{norm1_float(_slices(g)[i] - chart._gate_identity):.4g} "
              f">= chart radius {chart.chart_radius}"):
@@ -301,7 +307,7 @@ def log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = No
     Without a mask, the error raised for a stack is that of the first
     failing slice, a failing log before any residual; with one, failing
     slices have zero coordinates."""
-    ell = log_float(g) if ok is None else log_float(g, ok)
+    ell = log_float(g, ok)
     n = chart.dim
     xi = (chart.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
     resid = np.abs(chart.ad_of(xi) - ell).max(axis=(-2, -1), initial=0.0)
@@ -401,9 +407,7 @@ def _i1_integrand(sys: LocalRackSystem, beta, xi: np.ndarray
     g0, or g the identity)."""
     module = sys.hom_module
     bmat = _beta_matrix(beta, module.dim, sys.g0_dim)
-    gen = sys.chart.combo(module.generators, xi) if module.generators \
-        else np.zeros(xi.shape[:-1] + (module.dim, module.dim))
-    return gen, matvec(bmat, xi), _vanishing(xi)
+    return sys.chart.combo(module.generators, xi), matvec(bmat, xi), _vanishing(xi)
 
 
 def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
@@ -425,14 +429,11 @@ def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.
 
 
 def _unless(vanish: np.ndarray, value: Callable[[], np.ndarray], shape: tuple) -> np.ndarray:
-    """value(), of the given shape, with zero where vanish marks it so.  For
-    one element that vanishes, and for a stack whose every slice does, a
-    fresh zero array without calling value(); in other stacks the
-    vanishing slices are zeroed in place.  value() keeps its strides, which
-    decide whether numpy's matmul on it calls BLAS, and so how it rounds,
-    in a 2-D call and a stack alike."""
-    if not vanish.ndim:
-        return np.zeros(shape) if vanish else value()
+    """value(), of the given shape, with zero where vanish marks it so.  If
+    every slice vanishes, one element included, a fresh zero array without
+    calling value(); otherwise the vanishing slices are zeroed in place.
+    value() keeps its strides, which decide whether numpy's matmul on it
+    calls BLAS, and so how it rounds, in a 2-D call and a stack alike."""
     if vanish.all():
         return np.zeros(shape)
     out = value()
@@ -478,11 +479,10 @@ def _quadrature(rule: QuadratureRule, a: np.ndarray, v: np.ndarray, vanish: np.n
     """integral_0^1 exp(s a) v ds by Gauss-Legendre quadrature, zero where
     vanish."""
     def total():
-        # every node's exp(s a) v in one stack (..., nodes, k), summed in
-        # node order
+        # every node's exp(s a) v in one stack (..., nodes, k)
         nodes = np.array(rule.nodes)[:, None, None]
         values = matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
-        return integrate_01(rule, dict(zip(rule.nodes, np.moveaxis(values, -2, 0))).__getitem__)
+        return integrate_01(rule, np.moveaxis(values, -2, 0))
     return _unless(vanish, total, v.shape)
 
 
@@ -626,23 +626,12 @@ def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
     return worst, anti
 
 
-def _checked_lie_omega(ext: CentralExtensionData, omega: Cochain) -> np.ndarray:
-    """omega as a (d, d, m) array, after the exact Lie-cocycle check."""
-    cocycle, anti = lie_cocycle_defect(ext, omega)
-    if anti != 0:
-        raise NotLieCocycleError("omega is not anti-symmetric")
-    if cocycle != 0:
-        raise NotLieCocycleError("omega fails the Lie cocycle identity")
-    return omega.to_numpy()
-
-
 def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-          cfg: IntegratorConfig, omega: Cochain | None = None,
-          ok: np.ndarray | None = None) -> np.ndarray:
+          cfg: IntegratorConfig, ok: np.ndarray | None = None) -> np.ndarray:
     """Group-cocycle integral of an anti-symmetric Lie cocycle over the
     2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
-    gamma_g - gamma_{gh} + g gamma_h.  The extension's own omega is checked
-    once per system; an explicit omega is checked on every call.
+    gamma_g - gamma_{gh} + g gamma_h.  The omega integrated is the
+    extension's own, checked once per system (``LocalRackSystem.lie_omega``).
 
     The s-integral takes cfg.quad's rule and the t-integral is closed.  At
     a = log(g exp(s log h)), with A = ad0(a), R = rho(a) and
@@ -657,11 +646,11 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     g and h may be stacks of pairs.  All nodes s of all pairs go through
     the kernels as one stack (..., nodes, n, n), whose slices equal the
     per-node values bit for bit; a node that fails the log chart fails its
-    pair.  Only Omega, one einsum per node, and the weighted sum, node by
-    node in node order, run outside the kernels."""
+    pair.  Only Omega, one einsum per node, runs outside the kernels; the
+    weighted sum over the nodes is ``integrate_01``."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
-    omega_np = sys.lie_omega if omega is None else _checked_lie_omega(sys.ext, omega)
+    omega_np = sys.lie_omega
     g = _chart_gate(chart, g, "group element", ok)
     h = _chart_gate(chart, h, "group element", ok)
     _chart_gate(chart, g @ h, "group product", ok)
@@ -692,11 +681,8 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     x[..., m:, m:] = -ad_a
     inner = phi1_float(x, np.concatenate([np.zeros(shape + (q, m)), aprime], axis=-1),
                        x_index)[..., :m]
-    values = (exp_float(rho_a, chart.rho_index) @ inner[..., None])[..., 0]
-    total = np.zeros(shape + (m,))
-    for ws, value in zip(cfg.quad.weights, np.moveaxis(values, -2, 0)):
-        total = total + ws * value
-    return total
+    values = matvec(exp_float(rho_a, chart.rho_index), inner)
+    return integrate_01(cfg.quad, np.moveaxis(values, -2, 0))
 
 
 def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
@@ -704,10 +690,10 @@ def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackEle
     """(g,a)(h,b) = (gh, a + b + iota2(g,h)), the local Lie group structure
     carried by G0 x a when the input algebra is Lie."""
     gh = group_product(sys.chart, u.g, v.g, ok)
-    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok=ok))
+    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok))
 
 
 def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
                       cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
     ginv = _chart_gate(sys.chart, group_inverse(u.g, ok=ok), "group inverse", ok)
-    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok=ok))
+    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok))

@@ -94,9 +94,8 @@ def sup_rows(x: np.ndarray) -> np.ndarray:
 def elem_distance(u: LocalRackElement, v: LocalRackElement):
     """max(sup |u.g - v.g|, sup |u.a - v.a|), NaN if either is; for stack
     elements, an array of the distances of their slices."""
-    dist = np.maximum(np.abs(u.g - v.g).max(axis=(-2, -1), initial=0.0),
+    return np.maximum(np.abs(u.g - v.g).max(axis=(-2, -1), initial=0.0),
                       np.abs(u.a - v.a).max(axis=-1, initial=0.0))
-    return float(dist) if dist.ndim == 0 else dist
 
 
 def _neutral(sys: LocalRackSystem) -> LocalRackElement:

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from leibrack.algebra import LeibnizAlgebra, ValidationError
-from leibrack.cli import MAX_CHART_RADIUS, MAX_QUAD_ORDER, main
+from leibrack.cli import MAX_CHART_RADIUS, MAX_QUAD_ORDER, MAX_SAMPLES, main
 from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
 from leibrack.fileio import (
     MAX_DIM,
@@ -323,13 +323,16 @@ def test_chart_radius_above_the_bound_is_config_error(capsys):
 
 
 def test_quad_order_above_the_bound_is_config_error(capsys):
-    # the stability suite builds a Gauss-Legendre rule of twice this order;
-    # only the first refused value is tried, never a hostile size
-    code, out = run_cli(capsys, "integrate", data_path("dim5"), "--samples", "5",
-                        "--quad-order", str(MAX_QUAD_ORDER + 1), "--json")
-    assert code == 2
-    err = json.loads(out)["error"]
-    assert err["type"] == "ConfigError" and "--quad-order" in err["message"]
+    # the stability suite builds a Gauss-Legendre rule of twice this order,
+    # and the suites hold all samples at once; only the first refused value
+    # of each is tried, never a hostile size or a report at the bound
+    for flag, bound in (("--quad-order", MAX_QUAD_ORDER), ("--samples", MAX_SAMPLES)):
+        options = {"--samples": "5", flag: str(bound + 1)}
+        code, out = run_cli(capsys, "integrate", data_path("dim5"),
+                            *(x for item in options.items() for x in item), "--json")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and flag in err["message"]
 
 
 _NON_UNIPOTENT = {

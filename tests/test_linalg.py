@@ -1,13 +1,14 @@
 """Exact linear algebra, the two numerical kernels, and the quadrature rule."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from leibrack.algebra import left_adjoint_map
-from leibrack.corpus import dim5
+from leibrack.algebra import canonical_extension, left_adjoint_map
+from leibrack.corpus import dim5, filiform5
 from leibrack.linalg import (
     Matrix,
     OutOfChartError,
@@ -19,6 +20,7 @@ from leibrack.linalg import (
     log_float,
     matrix_exp,
     matrix_log,
+    matvec,
     nilpotency_index,
     norm1_float,
     nullspace,
@@ -27,6 +29,8 @@ from leibrack.linalg import (
     rref,
     rref_nullspace,
 )
+from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
+from leibrack.suites import elem_distance
 
 RHO_E1 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
@@ -247,7 +251,8 @@ def test_phi1_float_series_matches_augmented_expm_and_quadrature():
     a = np.tril(rng.uniform(-1, 1, size=(4, 4)), -1)
     v = rng.uniform(-1, 1, size=4)
     series = phi1_float(a, v, 4)
-    quad = integrate_01(gauss_legendre_01(8), lambda s: scipy.linalg.expm(s * a) @ v)
+    rule = gauss_legendre_01(8)
+    quad = integrate_01(rule, [scipy.linalg.expm(s * a) @ v for s in rule.nodes])
     assert np.abs(series - phi1_float(a, v)).max() <= 1e-14
     assert np.abs(series - quad).max() <= 1e-14
 
@@ -270,7 +275,8 @@ def test_phi1_float_block_rhs_matches_columns():
         for j in range(3):
             assert np.abs(got[:, j] - phi1_float(a, block[:, j], index)).max() <= 1e-15
     # phi1(a) itself, as phi1(a) I
-    quad = integrate_01(gauss_legendre_01(16), lambda s: scipy.linalg.expm(s * general))
+    rule = gauss_legendre_01(16)
+    quad = integrate_01(rule, [scipy.linalg.expm(s * general) for s in rule.nodes])
     assert np.abs(phi1_float(general, np.eye(4)) - quad).max() <= 1e-13
 
 
@@ -438,25 +444,68 @@ def test_log_float_mask_clears_exactly_the_slices_that_raise():
     assert (ok == [True, False, True, False, True, True]).all()
 
 
-def test_norm1_float_stack_equals_each_slice():
+def _binades(rng, shape):
+    # entries across many binades, so that the order of a sum shows in the
+    # last bits
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, size=shape))
+
+
+@functools.cache
+def _filiform5_chart():
+    return build_rack_system(canonical_extension(filiform5())).chart
+
+
+def _filiform5_coords(rng, n):
+    # a nilpotent chart, so exp is its finite series at any size
+    return [rng.uniform(-1, 1, size=(6, 4)) * np.exp(rng.uniform(-8, 3, size=(6, 4)))]
+
+
+def _elem_distance(ug, ua, vg, va):
+    return elem_distance(LocalRackElement(ug, ua), LocalRackElement(vg, va))
+
+
+def _elements(rng, n):
+    return [_binades(rng, shape) for shape in ((6, n, n), (6, n), (6, n, n), (6, n))]
+
+
+# an operation and a draw of its arguments at size n, each stacked (6, ...)
+STACK_CASES = {
+    "norm1_float": (norm1_float, lambda rng, n: [_binades(rng, (6, n, n))]),
+    "matvec": (matvec, lambda rng, n: [_binades(rng, (6, n, n)), _binades(rng, (6, n))]),
+    "group_from_coords": (lambda xi: group_from_coords(_filiform5_chart(), xi), _filiform5_coords),
+    "elem_distance": (_elem_distance, _elements),
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_norm1_float_stack_equals_each_slice(name):
+    # one element is a stack with no leading axes: its call equals its
+    # slice of a stack bit for bit, and a NaN stays in its slice
+    op, draw = STACK_CASES[name]
     rng = np.random.default_rng(34)
     for n in (1, 3, 5, 9, 13):
-        # entries across many binades, so that the order of the column sums
-        # shows in the last bits
-        a = rng.standard_normal((6, n, n)) * np.exp(rng.uniform(-20, 20, size=(6, n, n)))
-        a[0, 0, 0] = np.nan
-        norms = norm1_float(a)
-        assert norms.shape == (6,) and np.isnan(norms[0])
+        args = draw(rng, n)
+        args[0][0].flat[0] = np.nan
+        stack = op(*args)
+        assert len(stack) == 6 and np.isnan(stack[0]).any() and not np.isnan(stack[1:]).any()
         for k in range(1, 6):
-            want = norm1_float(a[k])
-            assert want == float(np.abs(a[k]).sum(axis=0).max())  # the column sums in order
-            assert isinstance(want, float) and norms[k].tobytes() == np.float64(want).tobytes()
-        assert norm1_float(a.reshape(2, 3, n, n)).tobytes() == norms.tobytes()
+            want = op(*(x[k] for x in args))
+            assert stack[k].tobytes() == want.tobytes()
+            if name == "norm1_float":
+                a = args[0][k]
+                assert want == float(np.abs(a).sum(axis=0).max())  # the column sums in order
+                assert isinstance(want, float)
+        assert op(*(x.reshape((2, 3) + x.shape[1:]) for x in args)).tobytes() == stack.tobytes()
     assert norm1_float(np.zeros((0, 0))) == 0.0
     assert norm1_float(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
 
 
 # -- quadrature --------------------------------------------------------------
+
+def _nodes(rule):
+    """The rule's nodes as one-entry node values (order, 1)."""
+    return np.array(rule.nodes)[:, None]
+
 
 def test_rule_weights_and_nodes():
     for order in (3, 8, 16):
@@ -469,24 +518,26 @@ def test_monomial_exactness_up_to_degree_bound():
     for order in (3, 8):
         rule = gauss_legendre_01(order)
         for d in range(2 * order):
-            got = integrate_01(rule, lambda t: np.array([t ** d]))[0]
+            got = integrate_01(rule, _nodes(rule) ** d)[0]
             assert got == pytest.approx(1.0 / (d + 1), rel=1e-13)
 
 
 def test_integrate_t_squared():
     rule = gauss_legendre_01(3)
-    got = integrate_01(rule, lambda t: np.array([t * t]))[0]
+    got = integrate_01(rule, _nodes(rule) * _nodes(rule))[0]
     assert abs(got - 1.0 / 3.0) <= 1e-14
 
 
 def test_integrate_constant():
     rule = gauss_legendre_01(3)
-    assert integrate_01(rule, lambda t: np.array([1.0]))[0] == pytest.approx(1.0)
+    assert integrate_01(rule, np.ones((rule.order, 1)))[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError):  # one value per node
+        integrate_01(rule, np.ones((rule.order + 1, 1)))
 
 
 def test_integrate_t5_at_exactness_boundary():
     rule = gauss_legendre_01(3)  # degree 5 = 2*3 - 1
-    got = integrate_01(rule, lambda t: np.array([t ** 5]))[0]
+    got = integrate_01(rule, _nodes(rule) ** 5)[0]
     assert got == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
@@ -496,6 +547,6 @@ def test_random_polynomials_integrate_exactly():
         rule = gauss_legendre_01(order)
         for _ in range(20):
             coeffs = rng.uniform(-1, 1, size=2 * order)  # degree <= 2k-1
-            got = integrate_01(rule, lambda t: np.array([np.polyval(coeffs, t)]))[0]
+            got = integrate_01(rule, np.polyval(coeffs, _nodes(rule)))[0]
             want = sum(c / (len(coeffs) - i) for i, c in enumerate(coeffs))
             assert abs(got - want) <= 1e-12

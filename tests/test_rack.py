@@ -2,6 +2,7 @@
 Lie specialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -204,7 +205,7 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
         v = chart.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
         gen = chart.combo(mod.generators, log_coords(chart, p))
         return exp_float(gen, mod.index) @ (sys_.tau_matrix @ v)
-    return integrate_01(cfg.quad, integrand)
+    return integrate_01(cfg.quad, [integrand(s) for s in cfg.quad.nodes])
 
 
 def test_i1_general_path_cross_check(dim5_sys, cfg):
@@ -502,8 +503,9 @@ def test_iota2_rejects_non_cocycle(cfg):
     vals = {(1, 3): 1, (3, 1): -1}
     fake = Cochain.from_function(2, 4, 1, lambda p, q: (vals.get((p, q), 0),))
     g = group_from_coords(sys_.chart, [0.05, 0, 0, 0])
+    sys_ = replace(sys_, ext=replace(sys_.ext, omega=fake))
     with pytest.raises(NotLieCocycleError, match="cocycle"):
-        iota2(sys_, g, g, cfg, omega=fake)
+        iota2(sys_, g, g, cfg)
 
 
 def test_iota2_chain_derivative_series_vs_finite_differences():
@@ -653,13 +655,14 @@ def _iota2_inner_by_quadrature(sys_, omega_np, g, h, outer, inner):
     for s, ws in zip(outer.nodes, outer.weights):
         a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
         ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
-        phi = integrate_01(inner, lambda u: scipy.linalg.expm(-u * ad_a))
+        phi = integrate_01(inner, [scipy.linalg.expm(-u * ad_a) for u in inner.nodes])
         aprime = np.linalg.solve(phi, eta_h)
 
         def integrand(t):
-            w_t = t * integrate_01(inner, lambda u: scipy.linalg.expm(-u * t * ad_a)) @ aprime
+            w_t = t * integrate_01(inner, [scipy.linalg.expm(-u * t * ad_a)
+                                           for u in inner.nodes]) @ aprime
             return scipy.linalg.expm(t * rho_a) @ np.einsum("p,q,pqk->k", a_s, w_t, omega_np)
-        total = total + ws * integrate_01(inner, integrand)
+        total = total + ws * integrate_01(inner, [integrand(t) for t in inner.nodes])
     return total
 
 
@@ -677,13 +680,15 @@ _AFF1_OMEGA = Cochain.from_function(
                               "aff1_explicit_omega"])
 def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    omega_np = sys_.lie_omega if omega is None else omega.to_numpy()
+    if omega is not None:
+        sys_ = replace(sys_, ext=replace(sys_.ext, omega=omega))
+    omega_np = sys_.lie_omega
     rng = np.random.default_rng(17)
     rule16 = gauss_legendre_01(16)
     for _ in range(3):
         g = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
         h = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
-        closed = iota2(sys_, g, h, cfg, omega)
+        closed = iota2(sys_, g, h, cfg)
         assert np.abs(closed).max() > 1e-6
         want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, cfg.quad, rule16)
         assert np.abs(closed - want).max() <= 1e-12
@@ -776,7 +781,7 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
     import leibrack.rack as rack
     calls = []
     monkeypatch.setattr(rack, "integrate_01",
-                        lambda rule, f: calls.append(rule) or integrate_01(rule, f))
+                        lambda rule, values: calls.append(rule) or integrate_01(rule, values))
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
     i1(dim5_sys, dim5_sys.tau_matrix, g)
@@ -921,9 +926,10 @@ def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
     assert len(calls) == 1
     vals = {(1, 3): 1, (3, 1): -1}
     fake = Cochain.from_function(2, 4, 1, lambda p, q: (vals.get((p, q), 0),))
+    fake_sys = replace(sys_, ext=replace(sys_.ext, omega=fake))
     for k in range(3):
         with pytest.raises(NotLieCocycleError, match="cocycle"):
-            iota2(sys_, g, g, cfg, omega=fake)
+            iota2(fake_sys, g, g, cfg)
         assert len(calls) == 2 + k
 
 
