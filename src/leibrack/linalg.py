@@ -25,19 +25,14 @@ for bit what the call on that slice alone gives.  Each has one code path:
 one element is a stack with no leading axes.  ``log_float`` takes an
 optional mask of the slices that succeeded, which it narrows where a slice
 leaves the log chart instead of raising.  They use only operations that are
-exact slice by slice with numpy's OpenBLAS build and scipy: stacked ``@``
+exact slice by slice with numpy's OpenBLAS build: stacked ``@``
 (matrix-matrix, and matrix-vector written as (..., n, 1)), elementwise
-arithmetic, reductions within a slice, ``np.linalg.solve`` and scipy's
-``expm``, which runs the same algorithm on each slice of a stack.  ``np.einsum`` over a
-stack is not among them: it can sum in another order.
-
-scipy is a runtime dependency but not an import-time one: ``scipy.linalg``
-is imported inside the two branches that call its ``expm`` (``exp_float``
-and ``phi1_float`` without an index), on the first such call.  Nilpotent
-input never takes them, so ``import leibrack`` and every report on
-nilpotent input run without loading scipy.  ``expm`` is looked up on the
-module at each call, never bound to a name here, so a patch of
-``scipy.linalg.expm`` sees every call.
+arithmetic, reductions within a slice, ``np.linalg.solve``, and gathers
+and scatters of whole slices by index.  ``np.einsum`` over a stack is not
+among them: it can sum in another order.  Without a nilpotency index,
+``exp_float`` and ``phi1_float`` go to one Pade kernel, ``_expm_pade``,
+built from these operations alone: a slice's result does not depend on
+the slices stacked with it.
 
 ``Matrix.to_numpy`` is the one crossing, from exact to float.
 """
@@ -365,6 +360,72 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
+# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm at which
+# the degree-m Pade approximant of exp keeps the backward error below the
+# unit roundoff, and the coefficients b_0..b_m of its numerator
+_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068, 5.371920351148152)
+_PADE_COEFFS = (
+    (120., 60., 12., 1.),
+    (30240., 15120., 3360., 420., 30., 1.),
+    (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160., 110880.,
+     3960., 90., 1.),
+    (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+     129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
+     40840800., 960960., 16380., 182., 1.),
+)
+
+
+def _pade(a: np.ndarray, b: tuple[float, ...]) -> np.ndarray:
+    """The Pade approximant of exp with numerator coefficients b on a stack
+    (k, n, n): (V - U)^-1 (V + U), with U the odd and V the even part of
+    the numerator polynomial."""
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if len(b) == 14:  # degree 13, in Higham's grouping through a^6
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    else:
+        odd, v, power = b[1] * eye + b[3] * a2, b[2] * a2, a2
+        for j in range(4, len(b), 2):
+            power = power @ a2
+            odd, v = odd + b[j + 1] * power, v + b[j] * power
+        u = a @ odd
+    v = v + b[0] * eye
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm_pade(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a stack (..., n, n), n >= 1, by scaling and
+    squaring (Higham 2005).  A slice's 1-norm picks the least Pade degree
+    m in (3, 5, 7, 9, 13) whose theta_m bounds it; past theta_13 the slice
+    is halved s times to within it and its degree-13 approximant squared
+    s times.  Each degree is one stacked evaluation, and each squaring
+    one product of the slices that still need it.  A slice with a
+    non-finite entry gives NaN."""
+    shape, n = a.shape, a.shape[-1]
+    a = np.ascontiguousarray(a, dtype=float).reshape(-1, n, n)  # every slice laid out alike
+    norm = norm1_float(a)
+    degree = np.searchsorted(_PADE_THETA, norm)  # into _PADE_COEFFS; 5: past theta_13
+    degree[~np.isfinite(norm)] = -1  # not evaluated: stays NaN
+    big = degree == 5
+    squarings = np.zeros(len(a), dtype=int)
+    squarings[big] = np.ceil(np.log2(norm[big] / _PADE_THETA[-1]))
+    degree[big] = 4
+    out = np.full(a.shape, np.nan)
+    for d in sorted(set(degree.tolist()) - {-1}):
+        rows = np.flatnonzero(degree == d)
+        out[rows] = _pade(np.ldexp(a[rows], -squarings[rows, None, None]), _PADE_COEFFS[d])
+    for step in range(int(squarings.max(initial=0))):
+        rows = np.flatnonzero(squarings > step)
+        out[rows] = out[rows] @ out[rows]
+    return out.reshape(shape)
+
+
 def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     """exp(a) for a float square array or a stack of them, shape
     (..., n, n), slice by slice.
@@ -372,13 +433,12 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     ``index`` is the exact joint nilpotency index of a family whose span
     contains ``a`` (see ``joint_nilpotency_index``).  With it a^index = 0,
     so the finite series sum_(j < index) a^j / j! is exact and is used;
-    without it, scipy's scaling-and-squaring (one call on the whole
-    stack)."""
+    without it, Pade scaling and squaring (``_expm_pade``, one call on the
+    whole stack)."""
     if not a.size:
         return np.zeros_like(a)
     if index is None:
-        import scipy.linalg
-        return scipy.linalg.expm(a)
+        return _expm_pade(a)
     term = np.eye(a.shape[-1])
     acc = term + np.zeros(a.shape)  # the identity, a fresh array of a's shape
     for j in range(1, index):
@@ -394,7 +454,7 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
 
     ``index`` is as for ``exp_float``.  With it the finite series
     sum_(j < index) a^j v / (j+1)! is exact and is summed by matrix-vector
-    products; without it, one scipy expm of the augmented matrices
+    products; without it, one ``_expm_pade`` of the augmented matrices
     [[a, v], [0, 0]], whose last k columns hold phi1(a) v above the zero
     block (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
@@ -408,8 +468,7 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
         aug = np.zeros(a.shape[:-2] + (n + k, n + k))
         aug[..., :n, :n] = a
         aug[..., :n, n:] = cols
-        import scipy.linalg
-        return scipy.linalg.expm(aug)[..., :n, n:].reshape(v.shape)
+        return _expm_pade(aug)[..., :n, n:].reshape(v.shape)
     acc = term = cols
     for j in range(1, index):
         term = (a @ term) / (j + 1)

@@ -28,11 +28,15 @@ drives only iota2's outer integral and the quadrature cross-check.
 Exact decisions are made once per system, never inside a float call.
 When it is built: the joint nilpotency index of the ad, rho and
 Hom(g0, a) generator families (the float exp and phi1 of any element of a
-nilpotent family are finite series; other families go to scipy).  On the
-first iota2 call (``LocalRackSystem.lie_omega``): the Lie-cocycle check of
-the extension's omega, which is ``leibniz_differential`` over rho taken as
-a symmetric module (on alternating cochains, the Leibniz differential with
-symmetric coefficients is the Chevalley-Eilenberg one).
+nilpotent family are finite series; other families go to the Pade kernel
+``linalg._expm_pade``).  On the first iota2 call
+(``LocalRackSystem.lie_omega``): the Lie-cocycle check of the extension's
+omega, which is ``leibniz_differential`` over rho taken as a symmetric
+module (on alternating cochains, the Leibniz differential with symmetric
+coefficients is the Chevalley-Eilenberg one).
+
+The chart, module and system dataclasses hold arrays, which have no
+single-valued ==, so they compare and hash by identity (``eq=False``).
 
 The local rack product on G0 x a is then
 
@@ -89,7 +93,7 @@ class NotLieCocycleError(ValueError):
 # chart and configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalGroupChart:
     """Matrix chart for G0 inside Aut(g): the span of ad_basis is the
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
@@ -187,20 +191,20 @@ class LocalRackElement:
     a: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricModule:
     """A symmetric coefficient module presented infinitesimally: one carrier
     action matrix per g0 basis element, as a stack (g0_dim, dim, dim); the
     group acts through exp.  index is the generators' exact joint
     nilpotency index; None (not nilpotent, or not known for a module built
-    by hand) sends exp to scipy."""
+    by hand) sends exp to the Pade kernel."""
 
     dim: int
     generators: np.ndarray
     index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalRackSystem:
     """Everything the integration of one algebra needs: the exact extension
     data, the float chart, the Hom(g0, a) module, and tau^2(omega) as a

@@ -362,7 +362,7 @@ def test_pointedness_counts_out_of_chart_samples_as_skips(capsys, tmp_path, kind
 
 def test_integrate_oscillator_algebra_passes(capsys, tmp_path):
     # a Lie algebra whose ad0 is a rotation, not nilpotent: iota2 and its
-    # inner phi1 go through scipy
+    # inner phi1 go through the Pade kernel
     osc = LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
                                            (0, 1): {2: 1}, (1, 0): {2: -1},
                                            (0, 2): {1: -1}, (2, 0): {1: 1}})

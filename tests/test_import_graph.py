@@ -1,5 +1,5 @@
-"""scipy is imported on the first exp or phi1 without a known nilpotency
-index, never before: nilpotent input runs every report without it."""
+"""The package never imports scipy: every report, on nilpotent input and
+on input whose exp and phi1 take the Pade kernel, runs without it."""
 
 import json
 import subprocess
@@ -57,16 +57,14 @@ print(json.dumps({"files": len(files), "codes": codes, "scipy": scipy_modules()}
     assert got["scipy"] == []
 
 
-def test_non_nilpotent_rho_imports_scipy_on_its_first_exp(tmp_path):
+def test_non_nilpotent_rho_never_imports_scipy(tmp_path):
     # test_rack's diagonal-rho algebra: [e1, ek] = lambda_k ek on the left center
     alg = LeibnizAlgebra.from_brackets(4, {(0, 0): {1: 1, 3: 1}, (0, 1): {1: 1},
                                            (0, 2): {2: Fraction(-1, 2)}, (0, 3): {3: 2}})
     path = tmp_path / "diagonal_rho.leib"
     write_algebra_file(alg, path)
     got = run_isolated(f"""
-before = scipy_modules()
 code = run("integrate", {str(path)!r}, "--samples", "10")
-print(json.dumps({{"before": before, "code": code,
-                   "linalg": "scipy.linalg" in sys.modules}}))
+print(json.dumps({{"code": code, "scipy": scipy_modules()}}))
 """)
-    assert got == {"before": [], "code": 0, "linalg": True}
+    assert got == {"code": 0, "scipy": []}

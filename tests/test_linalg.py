@@ -1,6 +1,7 @@
 """Exact linear algebra, the two numerical kernels, and the quadrature rule."""
 
 import functools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from leibrack.corpus import dim5, filiform5
 from leibrack.linalg import (
     Matrix,
     OutOfChartError,
+    _expm_pade,
     exp_float,
     gauss_legendre_01,
     integrate_01,
@@ -225,14 +227,85 @@ def test_joint_nilpotency_index_rejects_float_family():
         joint_nilpotency_index([Matrix.zeros(2, 3)])
 
 
-def test_exp_float_series_at_index_and_scipy_without():
+def _normwise_error(got, want):
+    """||got - want|| / ||want|| in the induced 1-norm, slice by slice."""
+    return norm1_float(got - want) / norm1_float(want)
+
+
+def test_exp_float_series_at_index_and_pade_without():
     rng = np.random.default_rng(9)
     a = np.tril(rng.uniform(-1, 1, size=(4, 4)), -1)
     assert np.abs(exp_float(a, 4) - scipy.linalg.expm(a)).max() <= 1e-14
     assert np.array_equal(exp_float(np.zeros((3, 3)), 1), np.eye(3))
     full = rng.uniform(-1, 1, size=(3, 3))
-    assert np.array_equal(exp_float(full), scipy.linalg.expm(full))
+    assert _normwise_error(exp_float(full), scipy.linalg.expm(full)) <= 1e-13
     assert exp_float(np.zeros((0, 0)), 1).shape == (0, 0)
+
+
+# -- the Pade kernel of exp and phi1 without a nilpotency index --------------
+
+# one 1-norm inside each Pade degree's band (theta_3 .. theta_13), then
+# norms that take 1, 3 and 5 squarings
+PADE_NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 150.0)
+
+
+def _mp_expm(a):
+    """exp(a) from 50-digit mpmath, rounded to floats."""
+    import mpmath
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def _pade_slices():
+    """Random, upper triangular, diagonal, Jordan-block and rotation slices
+    at every norm of PADE_NORMS, of sizes 2 to 5."""
+    rng = np.random.default_rng(41)
+    out = []
+    for k, target in enumerate(PADE_NORMS):
+        n = 2 + k % 4
+        general = rng.standard_normal((n, n))
+        shapes = (general, np.triu(general), np.diag(rng.standard_normal(n)),
+                  rng.standard_normal() * np.eye(n) + np.eye(n, k=1),
+                  np.array([[0.0, -1.0], [1.0, 0.0]]))
+        out += [a * (target / norm1_float(a)) for a in shapes]
+    return out
+
+
+def test_expm_pade_matches_50_digit_mpmath():
+    for a in _pade_slices():
+        assert _normwise_error(_expm_pade(a), _mp_expm(a)) <= 1e-13, a
+
+
+def test_expm_pade_mixed_stack_equals_each_slice():
+    # every degree and squaring count in one stack, beside a zero slice,
+    # the identity and two non-finite slices, which give NaN without a
+    # warning
+    rng = np.random.default_rng(42)
+    general = rng.standard_normal((len(PADE_NORMS), 4, 4))
+    scaled = general * (np.array(PADE_NORMS) / norm1_float(general))[:, None, None]
+    nan, inf = np.eye(4), np.eye(4)
+    nan[1, 2], inf[3, 0] = np.nan, -np.inf
+    stack = np.concatenate([scaled, [np.zeros((4, 4)), nan, inf, np.eye(4)], scaled[::-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expm_pade(stack)
+        one_by_one = [_expm_pade(a) for a in stack]
+    _same_slices(got, one_by_one)
+    # leading axes of any shape
+    assert _expm_pade(stack.reshape(4, 5, 4, 4)).tobytes() == got.tobytes()
+    k = len(PADE_NORMS)
+    assert np.array_equal(got[k], np.eye(4))
+    assert np.isnan(got[k + 1:k + 3]).all()
+    assert np.isfinite(np.delete(got, [k + 1, k + 2], axis=0)).all()
+
+
+def test_phi1_float_without_index_matches_quadrature_of_the_kernel():
+    rng = np.random.default_rng(43)
+    a = rng.uniform(-1, 1, size=(5, 4, 4)) * np.array([0.1, 0.5, 1.0, 2.0, 4.0])[:, None, None]
+    v = rng.uniform(-1, 1, size=(5, 4))
+    rule = gauss_legendre_01(16)
+    quad = integrate_01(rule, [matvec(exp_float(s * a), v) for s in rule.nodes])
+    assert np.abs(phi1_float(a, v) - quad).max() <= 1e-13
 
 
 # -- phi1: the path integral int_0^1 exp(s a) v ds ---------------------------
@@ -264,7 +337,7 @@ def test_phi1_float_empty():
 
 def test_phi1_float_block_rhs_matches_columns():
     # an (n, k) right-hand side is k vectors at once, on both branches:
-    # a nilpotent a with its index, and a general a through scipy
+    # a nilpotent a with its index, and a general a through the Pade kernel
     rng = np.random.default_rng(11)
     nilpotent = np.triu(rng.uniform(-1, 1, size=(4, 4)), 1)
     general = rng.uniform(-1, 1, size=(4, 4))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import leibrack.linalg as linalg
 from leibrack.algebra import LeibnizAlgebra, canonical_extension
 from leibrack.cli import main
 from leibrack.cohomology import Cochain
@@ -537,13 +538,20 @@ def test_iota2_chain_derivative_series_vs_finite_differences():
             assert np.abs(w_series - w_fd).max() < 1e-8
 
 
+def _pade_calls(monkeypatch):
+    """The stacks the Pade kernel is called on from now to the test's end."""
+    calls = []
+    expm = linalg._expm_pade
+    monkeypatch.setattr(linalg, "_expm_pade", lambda a: calls.append(a) or expm(a))
+    return calls
+
+
 def test_iota2_on_filiform5_makes_no_scipy_call(cfg, monkeypatch):
+    # nor any call of the Pade kernel: every exp and phi1 is a finite series
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
     g = group_from_coords(sys_.chart, [0.05, 0.01, -0.02, 0.03])
     h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, -0.04])
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    calls = _pade_calls(monkeypatch)
     assert np.abs(iota2(sys_, g, h, cfg)).max() > 0
     assert not calls
 
@@ -637,7 +645,7 @@ def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
 
 def _oscillator():
     # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
-    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through scipy
+    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through the Pade kernel
     return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
                                             (0, 1): {2: 1}, (1, 0): {2: -1},
                                             (0, 2): {1: -1}, (2, 0): {1: 1}})
@@ -771,8 +779,8 @@ def test_iota2_takes_at_most_two_logs(order, monkeypatch):
     assert logs <= 2
 
 
-def test_iota2_scipy_calls_do_not_grow_with_the_order(monkeypatch):
-    counts = [_calls_in_one_iota2(monkeypatch, _oscillator(), scipy.linalg, "expm", order)[0]
+def test_iota2_expm_calls_do_not_grow_with_the_order(monkeypatch):
+    counts = [_calls_in_one_iota2(monkeypatch, _oscillator(), linalg, "_expm_pade", order)[0]
               for order in (8, 16, 32)]
     assert 0 < counts[0] == counts[1] == counts[2]
 
@@ -791,13 +799,11 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
     assert len(calls) == 2  # the cross-check does call it, once per integral
 
 
-def test_i2_on_diagonal_rho_makes_at_most_two_scipy_calls(monkeypatch):
+def test_i2_on_diagonal_rho_makes_at_most_two_expm_calls(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     g = group_from_coords(sys_.chart, [0.1])
     h = group_from_coords(sys_.chart, [-0.07])
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    calls = _pade_calls(monkeypatch)
     assert np.abs(i2(sys_, g, h)).max() > 0
     assert 0 < len(calls) <= 2
 
@@ -828,26 +834,32 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
             assert np.abs(phi1_float(x, v, index) - phi1_float(x, v)).max() <= 1e-14
 
 
-def test_rho_semisimple_takes_the_scipy_path(monkeypatch):
+def test_rho_semisimple_takes_the_pade_path(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     assert sys_.chart.rho_index is None
     g = group_from_coords(sys_.chart, [0.1])
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    calls = _pade_calls(monkeypatch)
     phi = group_action(sys_.chart, g)
     assert calls
     assert np.abs(phi - np.diag([np.exp(0.1), np.exp(-0.05), np.exp(0.2)])).max() < 1e-12
 
 
 def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    # nor any call of the Pade kernel
+    calls = _pade_calls(monkeypatch)
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
     rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
     assert not calls
+
+
+def test_chart_module_and_system_compare_and_hash_by_identity(dim5_ext):
+    # two systems built from one extension hold equal arrays, yet are two
+    # objects: == and hash neither raise nor look inside the arrays
+    one, other = build_rack_system(dim5_ext), build_rack_system(dim5_ext)
+    for a, b in ((one, other), (one.chart, other.chart), (one.hom_module, other.hom_module)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def _aff1_plus_line():
