@@ -15,9 +15,14 @@ what gets exponentiated.
 The dense tensor ``c`` is the public form of the structure constants.  Each
 algebra also builds, once, the table ``terms`` of its nonzero entries:
 ``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  The bracket, the
-Leibniz check, the Lie test and ``cohomology.leibniz_differential`` read
-that table, so their cost follows the nonzeros (2(n-2) for filiform-n)
-rather than n^3 dense contractions per basis triple.
+Leibniz check, the Lie test, ``ad_matrix``, the left-adjoint map,
+``cohomology.leibniz_differential`` and ``cohomology.hom_representation``
+read that table, so their cost follows the nonzeros (2(n-2) for
+filiform-n) rather than n^3 dense contractions per basis triple.  The
+matrices they build are sparse ``Matrix`` values (see ``linalg``): the
+module axiom (LLM), ``left_of`` and the checks of the extension multiply
+and compare them over their nonzeros, and the squares ideal grows one
+echelon basis held as sparse rows.
 """
 
 from __future__ import annotations
@@ -34,11 +39,9 @@ from .linalg import (
     as_vec,
     inverse_exact,
     nullspace,
-    rank,
     rref,
     rref_nullspace,
     vec_add,
-    vec_is_zero,
     vec_sub,
 )
 
@@ -108,7 +111,7 @@ def bracket(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
     x, y = as_vec(x), as_vec(y)
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    out = [_ZERO] * alg.dim
+    acc: dict[int, Fraction] = {}
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:
@@ -117,7 +120,11 @@ def bracket(alg: LeibnizAlgebra, x: Sequence, y: Sequence) -> Vec:
         for j, yj in ys:
             f = xi * yj
             for k, cij in ti[j]:
-                out[k] += f * cij
+                t = f * cij
+                acc[k] = acc[k] + t if k in acc else t
+    out = [_ZERO] * alg.dim
+    for k, a in acc.items():
+        out[k] = a
     return tuple(out)
 
 
@@ -170,17 +177,24 @@ def is_lie(alg: LeibnizAlgebra) -> bool:
 
 
 def ad_matrix(alg: LeibnizAlgebra, x) -> Matrix:
-    """Left adjoint ad_x = [x, -] as an exact dim x dim matrix."""
-    cols = [bracket(alg, x, alg.basis_vector(j)) for j in range(alg.dim)]
-    return Matrix.from_rows(list(zip(*cols)))
+    """Left adjoint ad_x = [x, -] as an exact dim x dim matrix, summed over
+    the nonzero coordinates of x and the nonzero table: its (k, j) entry
+    is sum_i x_i c_ij^k."""
+    x = as_vec(x)
+    if len(x) != alg.dim:
+        raise ValueError("vector length must equal the algebra dimension")
+    return Matrix.from_terms(alg.dim, alg.dim, (
+        (k, j, xi * c) for i, xi in enumerate(x) if xi
+        for j, t in enumerate(alg.terms[i]) for k, c in t))
 
 
 def left_adjoint_map(alg: LeibnizAlgebra) -> Matrix:
     """The flattened map x -> vec([x, -]), an n^2 x n exact matrix whose
-    kernel is the left center: row (r, j), column i holds [e_i, e_j]_r."""
-    n, c = alg.dim, alg.c
-    return Matrix.from_rows([[c[i][j][r] for i in range(n)]
-                             for r in range(n) for j in range(n)])
+    kernel is the left center: row (r, j), column i holds [e_i, e_j]_r,
+    read off the nonzero table."""
+    n = alg.dim
+    return Matrix.from_terms(n * n, n, ((r * n + j, i, a) for i, row in enumerate(alg.terms)
+                                        for j, t in enumerate(row) for r, a in t))
 
 
 def left_center(alg: LeibnizAlgebra) -> list[Vec]:
@@ -188,19 +202,34 @@ def left_center(alg: LeibnizAlgebra) -> list[Vec]:
     return nullspace(left_adjoint_map(alg))
 
 
-def _span_contains(basis_rows: list[Vec], v: Vec) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not basis_rows:
-        return False
-    m = Matrix.from_rows(basis_rows)
-    return rank(Matrix.from_rows(basis_rows + [v])) == rank(m)
+def _reduce(echelon: dict[int, dict[int, Fraction]], v: Vec) -> dict[int, Fraction]:
+    """The nonzero entries {k: a} of v less its combination of the echelon
+    rows: empty iff v lies in their span.  echelon[p] is a row that is zero
+    before column p and 1 at p, given by its nonzero entries after p."""
+    rest = {k: a for k, a in enumerate(v) if a}
+    for p in sorted(echelon):
+        f = rest.pop(p, None)
+        if f is None:
+            continue
+        for k, a in echelon[p].items():
+            t = f * a
+            s = rest[k] - t if k in rest else -t
+            if s:
+                rest[k] = s
+            else:
+                del rest[k]
+    return rest
 
 
-def _append_independent(basis_rows: list[Vec], v: Vec) -> bool:
-    if _span_contains(basis_rows, v):
+def _insert_independent(echelon: dict[int, dict[int, Fraction]], v: Vec) -> bool:
+    """Add v's reduction as an echelon row (see ``_reduce``) unless v lies
+    in the rows' span; True if it was added."""
+    rest = _reduce(echelon, v)
+    if not rest:
         return False
-    basis_rows.append(v)
+    p = min(rest)
+    inv = 1 / rest[p]
+    echelon[p] = {k: a * inv for k, a in rest.items() if k != p}
     return True
 
 
@@ -209,16 +238,26 @@ def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
 
     Generators: [e_i, e_i] and [e_i + e_j, e_i + e_j] (these span all
     symmetrized squares by bilinearity); then saturate under left and right
-    bracketing with basis elements, breadth-first, until stable.
+    bracketing with basis elements, breadth-first, until stable.  One
+    echelon basis of the span found so far grows with each independent
+    vector, and decides membership by one reduction over its nonzeros.
     """
     n = alg.dim
     gens: list[Vec] = []
+    echelon: dict[int, dict[int, Fraction]] = {}
+
+    def append_independent(v: Vec) -> bool:
+        if not _insert_independent(echelon, v):
+            return False
+        gens.append(v)
+        return True
+
     for i in range(n):
-        _append_independent(gens, bracket(alg, alg.basis_vector(i), alg.basis_vector(i)))
+        append_independent(bracket(alg, alg.basis_vector(i), alg.basis_vector(i)))
     for i in range(n):
         for j in range(i + 1, n):
-            v = vec_add(alg.basis_vector(i), alg.basis_vector(j))
-            _append_independent(gens, bracket(alg, v, v))
+            v = tuple(_ONE if k in (i, j) else _ZERO for k in range(n))  # e_i + e_j
+            append_independent(bracket(alg, v, v))
     frontier = list(gens)
     while frontier:
         new_frontier = []
@@ -226,7 +265,7 @@ def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
             for i in range(n):
                 e = alg.basis_vector(i)
                 for w in (bracket(alg, e, v), bracket(alg, v, e)):
-                    if _append_independent(gens, w):
+                    if append_independent(w):
                         new_frontier.append(w)
         frontier = new_frontier
     # normalize to the echelon basis for reproducible output
@@ -291,13 +330,12 @@ class Representation:
         return rep
 
     def left_of(self, x) -> Matrix:
-        """Action matrix of [x, -]_L for an algebra element x."""
+        """Action matrix of [x, -]_L for an algebra element x, summed over
+        the nonzero coordinates of x and the nonzeros of their matrices."""
         x = as_vec(x)
-        acc = Matrix.zeros(self.carrier_dim, self.carrier_dim)
-        for xi, m in zip(x, self.left):
-            if xi:
-                acc = acc + m.scale(xi)
-        return acc
+        return Matrix.from_terms(self.carrier_dim, self.carrier_dim, (
+            (r, j, xi * a) for xi, m in zip(x, self.left) if xi
+            for r, row in enumerate(m.nonzeros) for j, a in row))
 
     def _validate(self):
         """(LLM): [x, [y, m]_L]_L = [[x, y], m]_L + [y, [x, m]_L]_L on basis pairs."""
@@ -422,21 +460,30 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
 
 
 def _validate_extension(ext: CentralExtensionData, leibniz_differential) -> None:
-    alg, d = ext.parent, ext.g0_dim
+    alg, n = ext.parent, ext.parent.dim
+    d, m = ext.g0_dim, ext.center_dim
+    section, projection = ext.section, ext.projection
+    inclusion, center_projection = ext.inclusion, ext.center_projection
     # split/unsplit is the identity on g
-    splits = [ext.split(alg.basis_vector(i)) for i in range(alg.dim)]
-    for i, (x, a) in enumerate(splits):
-        if ext.unsplit(x, a) != alg.basis_vector(i):
-            raise AssertionError("section/projection do not split the identity")
+    if section @ projection + inclusion @ center_projection != Matrix.identity(n):
+        raise AssertionError("section/projection do not split the identity")
     # reassembled bracket [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y))
-    # reproduces the parent bracket [e_i, e_j] = c[i][j] on all basis pairs
-    for i, (x, _) in enumerate(splits):
-        rho_x = ext.rep.left_of(x)
-        for j, (y, b) in enumerate(splits):
-            xy = bracket(ext.g0, x, y)
-            zc = vec_add(rho_x.mat_vec(b), ext.omega.evaluate(x, y))
-            if ext.unsplit(xy, zc) != alg.c[i][j]:
-                raise AssertionError("extension data do not reassemble the bracket")
+    # reproduces the parent bracket [e_i, e_j] = c[i][j] on all basis pairs:
+    # with e_i split as (x, a), the reassembled [e_i, -] is the matrix
+    #   section ad0(x) projection + inclusion (rho_x center_projection
+    #                                          + omega(x, -) projection)
+    # and it must equal ad(e_i), whose column j is c[i][j]
+    g0_basis = [ext.g0.basis_vector(q) for q in range(d)]
+    for i in range(n):
+        x = projection.col(i)
+        omega_cols = [ext.omega.evaluate(x, y) for y in g0_basis]
+        omega_x = Matrix.from_terms(m, d, ((k, q, a) for q, col in enumerate(omega_cols)
+                                           for k, a in enumerate(col)))
+        reassembled = (section @ ad_matrix(ext.g0, x) @ projection
+                       + inclusion @ (ext.rep.left_of(x) @ center_projection
+                                      + omega_x @ projection))
+        if reassembled != ad_matrix(alg, alg.basis_vector(i)):
+            raise AssertionError("extension data do not reassemble the bracket")
     # omega is an exact Leibniz 2-cocycle for the anti-symmetric representation
-    if d and not all(v == 0 for v in leibniz_differential(ext.rep, ext.omega).values):
+    if d and any(leibniz_differential(ext.rep, ext.omega).values):
         raise AssertionError("omega is not a cocycle")

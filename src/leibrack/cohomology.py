@@ -4,8 +4,11 @@ Leibniz side (exact): dense multilinear cochains, the differential dL, and
 the degree-shift isomorphism tau that trades an anti-symmetric coefficient
 module for the symmetric module Hom(g, a) (currying the last slot).  dL reads
 the brackets [x_i, x_j] of basis elements from the algebra's nonzero table
-``terms``, and ``Cochain.evaluate`` sums over the nonzero coordinates of its
-arguments only.
+``terms`` and takes a module product only for a nonzero action on a nonzero
+value of the cochain; ``Cochain.evaluate`` sums over the nonzero
+coordinates of its arguments and values only.  The Hom generators are
+built from the nonzeros of rho and of the table, as sparse ``Matrix``
+values.
 
 Rack side (float): cochains are evaluator functions on tuples of group
 elements, differentiated by the rack differential d_R over a module
@@ -23,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Representation, ad_matrix, is_lie
+from .algebra import Representation, is_lie
 from .linalg import Matrix, Vec, as_vec, matvec, nan_max, sup_norm, vec_scale, zero_vec
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,15 @@ class Cochain:
         supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
         out = list(zero_vec(self.coeff_dim))
         for picks in product(*supports):
-            f = Fraction(1)
+            val = self.at(*(i for i, _ in picks))
+            if not any(val):
+                continue
+            f = _ONE
             for _, c in picks:
                 f *= c
-            val = self.at(*(i for i, _ in picks))
-            for k in range(self.coeff_dim):
-                out[k] += f * val[k]
+            for k, a in enumerate(val):
+                if a:
+                    out[k] += f * a
         return tuple(out)
 
     def to_numpy(self) -> np.ndarray:
@@ -142,21 +150,34 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
             return vec_scale(-1, rep.right[x].mat_vec(beta))
         return Cochain.from_function(1, alg.dim, rep.carrier_dim, d0)
 
+    # the module terms are summed over the nonzero actions and the nonzero
+    # values of w only
+    left = [None if m.is_zero() else m for m in rep.left]
+    right = [None if m.is_zero() else m for m in rep.right]
+
     def dw(*idx):
         out = list(zero_vec(rep.carrier_dim))
         # sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
         for i in range(n):
-            rest = idx[:i] + idx[i + 1:]
-            _axpy(out, (-1) ** i, rep.left[idx[i]].mat_vec(w.at(*rest)))
+            if left[idx[i]] is not None:
+                val = w.at(*(idx[:i] + idx[i + 1:]))
+                if any(val):
+                    _axpy(out, (-1) ** i, left[idx[i]].mat_vec(val))
         # (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
-        _axpy(out, (-1) ** (n - 1), rep.right[idx[n]].mat_vec(w.at(*idx[:n])))
+        if right[idx[n]] is not None:
+            val = w.at(*idx[:n])
+            if any(val):
+                _axpy(out, (-1) ** (n - 1), right[idx[n]].mat_vec(val))
         # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..), with
-        # [x_i, x_j] = sum of c e_p over the nonzero table
+        # [x_i, x_j] = sum of c e_p over the nonzero table, and the nonzero
+        # values of w
         for i in range(n + 1):
             rest = idx[:i] + idx[i + 1:]
             for j in range(i + 1, n + 1):
                 for p, c in alg.terms[idx[i]][idx[j]]:
-                    _axpy(out, (-1) ** (i + 1) * c, w.at(*rest[:j - 1], p, *rest[j:]))
+                    val = w.at(*rest[:j - 1], p, *rest[j:])
+                    if any(val):
+                        _axpy(out, (-1) ** (i + 1) * c, val)
         return tuple(out)
 
     return Cochain.from_function(n + 1, alg.dim, rep.carrier_dim, dw)
@@ -194,27 +215,26 @@ def tau_inverse(w: Cochain) -> Cochain:
     return Cochain.from_function(w.degree + 1, dd, cd, fn)
 
 
-def _kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            rows.append([a.data[i][j] * b.data[k][l]
-                         for j in range(a.cols) for l in range(b.cols)])
-    return Matrix.from_rows(rows)
-
-
 def hom_representation(rep: Representation) -> Representation:
     """Symmetric representation on Hom(g, a) from a Lie representation on a:
-    (x.alpha)(y) = x.(alpha(y)) - alpha([x, y])."""
+    (x.alpha)(y) = x.(alpha(y)) - alpha([x, y]).
+
+    With Hom(g, a) flattened as above, the generator of e_p is
+    rho_p (x) I - I (x) ad_p^T, read off the nonzeros of rho_p and of the
+    algebra's table: entry (k d + j, k' d + j) is rho_p[k, k'] and entry
+    (k d + j, k d + j') is -c_pj^j'."""
     alg = rep.algebra
     if not is_lie(alg):
         raise ValueError("hom_representation requires a Lie algebra")
     m, d = rep.carrier_dim, alg.dim
-    eye_d, eye_m = Matrix.identity(d), Matrix.identity(m)
     mats = []
     for p in range(d):
-        ad_p = ad_matrix(alg, alg.basis_vector(p))
-        mats.append(_kron(rep.left[p], eye_d) - _kron(eye_m, ad_p.transpose()))
+        rho_terms = ((k * d + j, kk * d + j, a)
+                     for k, row in enumerate(rep.left[p].nonzeros) for kk, a in row
+                     for j in range(d))
+        ad_terms = ((k * d + j, k * d + jj, -c)
+                    for k in range(m) for j, t in enumerate(alg.terms[p]) for jj, c in t)
+        mats.append(Matrix.from_terms(m * d, m * d, chain(rho_terms, ad_terms)))
     return Representation.symmetric(alg, mats)
 
 

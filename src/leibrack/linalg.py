@@ -1,4 +1,4 @@
-"""Exact rational dense linear algebra plus the float kernels (matrix
+"""Exact rational linear algebra plus the float kernels (matrix
 exponential/logarithm, the path integral phi1 and Gauss-Legendre
 quadrature on [0,1]).
 
@@ -9,9 +9,16 @@ Each scalar world has its own types:
   ``Rational`` is a re-export of ``Fraction``, which already is an
   always-reduced p/q with positive denominator.  ``as_vec`` and
   ``Matrix.from_rows`` pass Fraction entries through unchanged (they are
-  immutable) and convert only other numbers, and ``mat_vec`` and ``@``
-  skip zero entries, so sparse exact data costs by its nonzeros.
-  ``matrix_exp`` and ``matrix_log`` are finite series on
+  immutable) and convert only other numbers.  Besides its dense rows
+  ``data``, a ``Matrix`` has a sparse row form, ``nonzeros``: the (j, a)
+  with a != 0 of each row, computed once on first use, or given by
+  ``Matrix.from_terms``, which sums (row, column, entry) terms and is how
+  every product, sum and action matrix is built.  ``@``, ``mat_vec``,
+  ``+``, ``-``, ``to_numpy``, the zero and equality tests, ``rref`` (which
+  eliminates rows held as {column: entry}) and ``joint_nilpotency_index``
+  read only that form, so sparse exact data costs by its nonzeros; exact
+  sums do not depend on their order, so the results are those of the
+  dense formulas.  ``matrix_exp`` and ``matrix_log`` are finite series on
   nilpotent/unipotent input only.
 * float: plain ``numpy`` arrays, used only on the integration side, with
   the kernels ``exp_float``, ``phi1_float`` (the integral
@@ -41,14 +48,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 Rational = Fraction
 
 Vec = tuple[Fraction, ...]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class OutOfChartError(ValueError):
@@ -82,27 +92,43 @@ def vec_scale(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
-
-
 def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
+
+
+def _total(terms: list[Fraction]) -> Fraction:
+    """The sum of the terms, 0 if there are none; the first term is not
+    added to a zero start."""
+    return sum(terms[1:], terms[0]) if terms else _ZERO
 
 
 class Matrix:
-    """Dense exact matrix: a tuple of row tuples of Fraction.
+    """Exact matrix: ``data``, a tuple of row tuples of Fraction, and its
+    sparse row form ``nonzeros``: for each row, the (j, a) with a != 0 in
+    increasing j.
 
-    Instances are immutable; all operations return new matrices.  Floats
-    never enter: ``to_numpy`` is the one way out to the float layer.
+    Instances are immutable; all operations return new matrices.  The
+    sparse form is computed once, on first use, unless the matrix was built
+    from it (``from_terms``), and never goes stale.  Products, sums,
+    ``mat_vec`` and the zero and equality tests read it, so they cost by
+    the nonzeros.  Floats never enter: ``to_numpy`` is the one way out to
+    the float layer.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_nonzeros")
 
-    def __init__(self, rows, cols, data):
+    def __init__(self, rows, cols, data, nonzeros=None):
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._nonzeros = nonzeros
+
+    @property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        if self._nonzeros is None:
+            self._nonzeros = tuple(tuple((j, a) for j, a in enumerate(r) if a)
+                                   for r in self.data)
+        return self._nonzeros
 
     # -- constructors -----------------------------------------------------
 
@@ -115,15 +141,36 @@ class Matrix:
         return Matrix(len(data), ncols, data)
 
     @staticmethod
+    def from_terms(rows: int, cols: int,
+                   terms: Iterable[tuple[int, int, Fraction]]) -> "Matrix":
+        """The rows x cols matrix whose (r, j) entry is the sum of the a over
+        the terms (r, j, a), all Fraction: it costs by the number of terms,
+        and its sparse form comes with it."""
+        sums: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        for r, j, a in terms:
+            acc = sums[r]
+            acc[j] = acc[j] + a if j in acc else a
+        data, nonzeros = [], []
+        for acc in sums:
+            row = [_ZERO] * cols
+            nz = []
+            for j in sorted(acc):
+                a = acc[j]
+                if a:
+                    row[j] = a
+                    nz.append((j, a))
+            data.append(tuple(row))
+            nonzeros.append(tuple(nz))
+        return Matrix(rows, cols, tuple(data), tuple(nonzeros))
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return Matrix.from_terms(n, n, ((i, i, _ONE) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         # built directly so degenerate shapes (0 x n, n x 0) keep both counts
-        data = tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-        return Matrix(rows, cols, data)
+        return Matrix.from_terms(rows, cols, ())
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence]) -> "Matrix":
@@ -142,8 +189,15 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(e) for e in r] for r in self.data],
-                        dtype=float).reshape(self.rows, self.cols)
+        out = np.zeros((self.rows, self.cols))
+        for r, j, a in self._terms():
+            out[r, j] = float(a)
+        return out
+
+    def _terms(self, sign: int = 1):
+        """The (r, j, a) of the nonzero entries, negated if sign is -1."""
+        return ((r, j, a if sign > 0 else -a)
+                for r, row in enumerate(self.nonzeros) for j, a in row)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -154,49 +208,53 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix.from_rows([
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix.from_terms(self.rows, self.cols,
+                                 chain(self._terms(), other._terms()))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix.from_rows([
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return Matrix.from_terms(self.rows, self.cols,
+                                 chain(self._terms(), other._terms(-1)))
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        return Matrix.from_terms(self.rows, self.cols, self._terms(-1))
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix.from_rows([[c * e for e in r] for r in self.data])
+        c = _frac(c)
+        return Matrix.from_terms(self.rows, self.cols,
+                                 ((r, j, c * a) for r, j, a in self._terms()))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the pairs of nonzeros a = self[r, k],
+        b = other[k, j]."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = list(zip(*other.data)) if other.data else []
-        return Matrix.from_rows([
-            [sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in ocols]
-            for r in self.data])
+        right = other.nonzeros
+        return Matrix.from_terms(self.rows, other.cols, (
+            (r, j, a * b) for r, row in enumerate(self.nonzeros)
+            for k, a in row for j, b in right[k]))
 
     def mat_vec(self, v: Sequence) -> Vec:
+        """m v, summed over the nonzeros of each row where v is nonzero."""
         v = as_vec(v)
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum((a * b for a, b in zip(r, v) if a and b), Fraction(0))
-                     for r in self.data)
+        return tuple(_total([a * v[j] for j, a in row if v[j]]) for row in self.nonzeros)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(list(zip(*self.data)) if self.data else [])
+        return Matrix.from_terms(self.cols, self.rows,
+                                 ((j, r, a) for r, j, a in self._terms()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.data == other.data
+        return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for r in self.data for e in r)
+        return not any(self.nonzeros)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -207,27 +265,37 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with pivot column indices."""
-    a = [list(r) for r in m.data]
+    """Reduced row echelon form with pivot column indices.  Rows are
+    eliminated as their nonzero entries ({column: entry}), so a step costs
+    by the nonzeros of the pivot row and of the rows it clears."""
+    a = [dict(r) for r in m.nonzeros]
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if c in a[i]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [e * inv for e in a[r]]
+        if a[r][c] != 1:
+            inv = 1 / a[r][c]
+            a[r] = {j: e * inv for j, e in a[r].items()}
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * p if p else e for e, p in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and c in row:
+                f = row[c]
+                for j, p in a[r].items():
+                    e = row[j] - f * p if j in row else -(f * p)
+                    if e:
+                        row[j] = e
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix.from_rows(a), tuple(pivots)
+    return Matrix.from_terms(nrows, ncols, ((i, j, e) for i, row in enumerate(a)
+                                            for j, e in row.items())), tuple(pivots)
 
 
 def nullspace(m: Matrix) -> list[Vec]:
@@ -292,15 +360,21 @@ def joint_nilpotency_index(mats: Sequence[Matrix]) -> int | None:
     n = mats[0].rows
     if any(m.rows != n or m.cols != n for m in mats):
         raise ValueError("a family of square matrices of one size is required")
-    basis = Matrix.identity(n).data
+    columns = [m.transpose().nonzeros for m in mats]  # [i][j]: column j of mats[i]
+    basis = Matrix.identity(n).nonzeros  # V_j, as sparse rows
     k = 1
     while True:
-        red, pivots = rref(Matrix.from_rows([m.mat_vec(v) for m in mats for v in basis]))
+        # the vectors A_i v, v in the basis, over the nonzeros of v and A_i
+        images = Matrix.from_terms(len(mats) * len(basis), n, (
+            (i * len(basis) + b, r, vj * a)
+            for i, cols in enumerate(columns) for b, v in enumerate(basis)
+            for j, vj in v for r, a in cols[j]))
+        red, pivots = rref(images)
         if not pivots:
             return k
         if len(pivots) == len(basis):
             return None
-        basis = red.data[:len(pivots)]
+        basis = red.nonzeros[:len(pivots)]
         k += 1
 
 

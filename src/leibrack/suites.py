@@ -187,13 +187,26 @@ def _injectivity_defect(ins: LocalRackElement, outs: LocalRackElement) -> float:
     """1.0 if two inputs more than 1e-6 apart have outputs within 1e-12 of
     each other, else 0.0, for stack elements.  Elements are compared as
     rows (g flattened, a), so the sup norm of a row difference is
-    elem_distance; one stacked sup norm per row, and a NaN distance never
-    trips it."""
+    elem_distance, and a NaN distance never trips it.
+
+    Outputs within 1e-12 are within 1e-12 in every coordinate, so only
+    pairs close in one coordinate, the one that varies most, are compared:
+    the rows are sorted by it and each is compared with the rows after it
+    up to 2e-12 further on (a margin over the rounding of that bound).
+    A row with a non-finite output is never within 1e-12 of another."""
     ins, outs = (np.concatenate([u.g.reshape(len(u.g), u.g.shape[-2] * u.g.shape[-1]), u.a],
                                 axis=1) for u in (ins, outs))
-    for i in range(len(ins) - 1):
-        d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
-        d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
+    finite = np.isfinite(outs).all(axis=1)
+    ins, outs = ins[finite], outs[finite]
+    key = outs[:, np.ptp(outs, axis=0).argmax()] if outs.size else np.zeros(len(outs))
+    order = np.argsort(key, kind="stable")
+    ins, outs, key = ins[order], outs[order], key[order]
+    # rows i + 1 .. i + width[i] lie within the window of row i
+    width = np.searchsorted(key, key + 2e-12, side="right") - np.arange(len(key)) - 1
+    for lag in range(1, int(width.max(initial=0)) + 1):
+        i = np.flatnonzero(width >= lag)
+        d_in = np.abs(ins[i + lag] - ins[i]).max(axis=1, initial=0.0)
+        d_out = np.abs(outs[i + lag] - outs[i]).max(axis=1, initial=0.0)
         if ((d_in > 1e-6) & (d_out <= 1e-12)).any():
             return 1.0
     return 0.0

@@ -1,4 +1,5 @@
-"""The one-sample-at-a-time oracles of the stacked suites.
+"""The one-sample-at-a-time oracles of the stacked suites, and the dense
+oracles of the sparse exact layer.
 
 Each suite and ``example`` extra as it ran before its samples became
 stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
@@ -6,14 +7,25 @@ stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
 differences take their four probes one after another, as ``delta2`` and
 ``tangent_bracket`` once did.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
 map the names of the production suites and extras to these loops, so a
-report can be built from them."""
+report can be built from them.
+
+The last section holds the dense exact layer that the sparse row form
+replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
+over every entry, row reduction of dense rows, the flag nilpotency index
+through ``mat_vec``, ``ad_matrix`` column by column, the squares ideal by
+two rank computations per candidate, the Hom generators as Kronecker
+products, and the extension's bracket reassembled pair by pair.
+``DENSE_EXACT_LAYER`` lists what to patch in to run ``canonical_extension``
+on them."""
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from leibrack.algebra import bracket, is_lie
+from leibrack import algebra, linalg
+from leibrack.algebra import Representation, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
 from leibrack.cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
 from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
@@ -319,3 +331,188 @@ def abelian_extras_one_by_one(sys_, args):
 EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
                      "heisenberg": (heisenberg_extras_one_by_one, ()),
                      "abelian3": (abelian_extras_one_by_one, ())}
+
+
+# -- the dense exact layer ---------------------------------------------------
+
+_ZERO = Fraction(0)
+
+
+def dense_matmul(a, b):
+    """a @ b over every entry pair, skipping a product where a factor is 0."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    bcols = [b.col(j) for j in range(b.cols)]
+    return linalg.Matrix(a.rows, b.cols, tuple(
+        tuple(sum((x * y for x, y in zip(r, c) if x and y), _ZERO) for c in bcols)
+        for r in a.data))
+
+
+def dense_mat_vec(m, v):
+    v = linalg.as_vec(v)
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in m.data)
+
+
+def dense_is_zero(m):
+    return all(e == 0 for r in m.data for e in r)
+
+
+def dense_left_of(rep, x):
+    """sum_i x_i left[i], entry by entry."""
+    x = linalg.as_vec(x)
+    k = rep.carrier_dim
+    return linalg.Matrix(k, k, tuple(
+        tuple(sum((xi * m.data[r][j] for xi, m in zip(x, rep.left)), _ZERO)
+              for j in range(k)) for r in range(k)))
+
+
+def dense_ad_matrix(alg, x):
+    """ad_x, column j the bracket [x, e_j]."""
+    cols = [bracket(alg, x, alg.basis_vector(j)) for j in range(alg.dim)]
+    return linalg.Matrix(alg.dim, alg.dim, tuple(zip(*cols)))
+
+
+def dense_rref(m):
+    """Reduced row echelon form of dense rows, with pivot column indices."""
+    a = [list(r) for r in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [e * inv for e in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [e - f * p if p else e for e, p in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return linalg.Matrix(nrows, ncols, tuple(map(tuple, a))), tuple(pivots)
+
+
+def flag_nilpotency_index(mats):
+    """joint_nilpotency_index through mat_vec on each basis vector of the
+    flag and a dense row reduction."""
+    if not mats:
+        return 1
+    n = mats[0].rows
+    basis = linalg.Matrix.identity(n).data
+    k = 1
+    while True:
+        red, pivots = dense_rref(linalg.Matrix.from_rows(
+            [dense_mat_vec(m, v) for m in mats for v in basis]))
+        if not pivots:
+            return k
+        if len(pivots) == len(basis):
+            return None
+        basis = red.data[:len(pivots)]
+        k += 1
+
+
+def _rank(rows):
+    return len(dense_rref(linalg.Matrix.from_rows(rows))[1])
+
+
+def span_contains(basis_rows, v):
+    """v in span(basis_rows), by comparing two ranks."""
+    if all(c == 0 for c in v):
+        return True
+    if not basis_rows:
+        return False
+    return _rank(basis_rows + [v]) == _rank(basis_rows)
+
+
+def squares_ideal_two_rank(alg):
+    """squares_ideal, deciding each candidate by span_contains."""
+    n = alg.dim
+    gens = []
+
+    def append_independent(v):
+        if span_contains(gens, v):
+            return False
+        gens.append(v)
+        return True
+
+    e = [alg.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        append_independent(bracket(alg, e[i], e[i]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = linalg.vec_add(e[i], e[j])
+            append_independent(bracket(alg, v, v))
+    frontier = list(gens)
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            for i in range(n):
+                for w in (bracket(alg, e[i], v), bracket(alg, v, e[i])):
+                    if append_independent(w):
+                        new_frontier.append(w)
+        frontier = new_frontier
+    if not gens:
+        return []
+    red, pivots = dense_rref(linalg.Matrix.from_rows(gens))
+    return [red.data[r] for r in range(len(pivots))]
+
+
+def kron(a, b):
+    return linalg.Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(a.data[i][j] * b.data[k][l] for j in range(a.cols) for l in range(b.cols))
+        for i in range(a.rows) for k in range(b.rows)))
+
+
+def hom_generators_kron(rep):
+    """The Hom(g, a) generators rho_p (x) I - I (x) ad_p^T, entry by entry."""
+    alg = rep.algebra
+    m, d = rep.carrier_dim, alg.dim
+    eye_d, eye_m = linalg.Matrix.identity(d), linalg.Matrix.identity(m)
+    mats = []
+    for p in range(d):
+        # ad_p^T: row j is the column [e_p, e_j] of ad_p
+        ad_t = linalg.Matrix(d, d, tuple(bracket(alg, alg.basis_vector(p), alg.basis_vector(j))
+                                         for j in range(d)))
+        a, b = kron(rep.left[p], eye_d), kron(eye_m, ad_t)
+        mats.append(linalg.Matrix(m * d, m * d, tuple(
+            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.data, b.data))))
+    return tuple(mats)
+
+
+def validate_extension_pairwise(ext, leibniz_differential):
+    """_validate_extension with split/unsplit checked basis vector by basis
+    vector and the bracket reassembled on each of the n^2 basis pairs."""
+    alg, d = ext.parent, ext.g0_dim
+    splits = [ext.split(alg.basis_vector(i)) for i in range(alg.dim)]
+    for i, (x, a) in enumerate(splits):
+        if ext.unsplit(x, a) != alg.basis_vector(i):
+            raise AssertionError("section/projection do not split the identity")
+    for i, (x, _) in enumerate(splits):
+        rho_x = ext.rep.left_of(x)
+        for j, (y, b) in enumerate(splits):
+            xy = bracket(ext.g0, x, y)
+            zc = linalg.vec_add(rho_x.mat_vec(b), ext.omega.evaluate(x, y))
+            if ext.unsplit(xy, zc) != alg.c[i][j]:
+                raise AssertionError("extension data do not reassemble the bracket")
+    if d and not all(v == 0 for v in leibniz_differential(ext.rep, ext.omega).values):
+        raise AssertionError("omega is not a cocycle")
+
+
+# (owner, attribute, dense replacement): patched in, canonical_extension
+# runs on the dense oracles above
+DENSE_EXACT_LAYER = (
+    (linalg.Matrix, "__matmul__", dense_matmul),
+    (linalg.Matrix, "mat_vec", dense_mat_vec),
+    (linalg.Matrix, "is_zero", dense_is_zero),
+    (Representation, "left_of", dense_left_of),
+    (linalg, "rref", dense_rref),
+    (algebra, "rref", dense_rref),
+    (algebra, "ad_matrix", dense_ad_matrix),
+    (algebra, "_validate_extension", validate_extension_pairwise),
+)

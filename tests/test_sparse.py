@@ -1,0 +1,251 @@
+"""The sparse exact layer against the dense oracles of ``tests/oracles.py``:
+``Matrix`` products, ``mat_vec``, ``left_of``, row reduction and the
+nilpotency index on random sparse rational matrices, and the squares ideal,
+the Hom generators and every field of the canonical extension on a corpus
+of algebras.  Exact results do not depend on the order of a sum, so each
+must equal its oracle exactly.  A count of Fraction multiplications guards
+the cost of the exact layer without timing it."""
+
+from dataclasses import fields, replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import oracles
+from leibrack.algebra import (
+    LeibnizAlgebra,
+    Representation,
+    _insert_independent,
+    _validate_extension,
+    canonical_extension,
+    squares_ideal,
+)
+from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
+from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
+from leibrack.linalg import Matrix, joint_nilpotency_index, rref
+from leibrack.rack import build_rack_system
+
+SHAPES = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 4), (4, 0, 0), (1, 1, 1),
+          (3, 4, 5), (6, 6, 6), (7, 2, 9)]
+
+
+def rand_sparse(rng, rows, cols, density=0.3):
+    """A rows x cols matrix of small rationals, each entry nonzero with the
+    given probability."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4)))
+    return Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)]) if rows \
+        else Matrix.zeros(0, cols)
+
+
+def shape_and_data(m):
+    return m.rows, m.cols, m.data
+
+
+def filiform(n):
+    """The filiform Lie algebra [e1,ek] = e_{k+1}, k = 2..n-1."""
+    br = {}
+    for k in range(1, n - 1):
+        br[(0, k)] = {k + 1: 1}
+        br[(k, 0)] = {k + 1: -1}
+    return LeibnizAlgebra.from_brackets(n, br)
+
+
+CORPUS = ([pytest.param(f, id=f.__name__) for f in (dim5, heisenberg, abelian3)]
+          + [pytest.param(lambda s=s: random_leibniz(s), id=f"random_leibniz{s}")
+             for s in range(41)]
+          + [pytest.param(lambda n=n: filiform(n), id=f"filiform{n}") for n in range(6, 17)])
+
+
+# -- Matrix ------------------------------------------------------------------
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.6, 1.0])
+def test_matmul_and_mat_vec_match_the_dense_oracles(density):
+    rng = np.random.default_rng(int(density * 10))
+    for rows, inner, cols in SHAPES * 3:
+        a, b = rand_sparse(rng, rows, inner, density), rand_sparse(rng, inner, cols, density)
+        assert shape_and_data(a @ b) == shape_and_data(oracles.dense_matmul(a, b))
+        v = [Fraction(int(rng.integers(-3, 4)), 2) if rng.random() < 0.5 else 0
+             for _ in range(inner)]
+        assert a.mat_vec(v) == oracles.dense_mat_vec(a, v)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Matrix.zeros(2, 3).mat_vec([1, 2])
+
+
+def test_sums_transpose_and_zero_tests_match_entrywise_arithmetic():
+    rng = np.random.default_rng(3)
+    for rows, cols, _ in SHAPES * 4:
+        a, b = rand_sparse(rng, rows, cols), rand_sparse(rng, rows, cols)
+        c = Fraction(int(rng.integers(-3, 4)), 3)
+        for got, entry in ((a + b, lambda i, j: a.data[i][j] + b.data[i][j]),
+                           (a - b, lambda i, j: a.data[i][j] - b.data[i][j]),
+                           (-a, lambda i, j: -a.data[i][j]),
+                           (a.scale(c), lambda i, j: c * a.data[i][j]),
+                           (a - a, lambda i, j: 0)):
+            want = tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+            assert shape_and_data(got) == (rows, cols, want)
+            assert got.nonzeros == tuple(tuple((j, e) for j, e in enumerate(r) if e)
+                                         for r in want)
+            assert got.is_zero() == oracles.dense_is_zero(got)
+        t = a.transpose()
+        assert shape_and_data(t) == (cols, rows, tuple(zip(*a.data)) if rows
+                                     else ((),) * cols)
+        assert np.array_equal(a.to_numpy(),
+                              np.array([[float(e) for e in r] for r in a.data]).reshape(rows, cols))
+        assert (a == Matrix.from_rows(a.data)) if rows else a == Matrix.zeros(0, cols)
+        assert (a == b) == (a.data == b.data)
+    assert Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
+    assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0)
+
+
+def test_left_of_matches_the_dense_oracle():
+    rng = np.random.default_rng(5)
+    for alg in (dim5(), heisenberg(), abelian3()):
+        for k in (0, 1, 3):
+            left = tuple(rand_sparse(rng, k, k) for _ in range(alg.dim))
+            rep = Representation(alg, k, left, left, "symmetric")  # unchecked: any family
+            for _ in range(5):
+                x = [Fraction(int(rng.integers(-2, 3)), 3) if rng.random() < 0.5 else 0
+                     for _ in range(alg.dim)]
+                assert shape_and_data(rep.left_of(x)) == \
+                    shape_and_data(oracles.dense_left_of(rep, x))
+
+
+def test_rref_matches_the_dense_oracle():
+    rng = np.random.default_rng(6)
+    for rows, cols, _ in SHAPES * 4:
+        for density in (0.1, 0.4, 1.0):
+            m = rand_sparse(rng, rows, cols, density)
+            red, pivots = rref(m)
+            want, want_pivots = oracles.dense_rref(m)
+            assert (shape_and_data(red), pivots) == (shape_and_data(want), want_pivots)
+
+
+def test_joint_nilpotency_index_matches_the_flag_oracle():
+    rng = np.random.default_rng(7)
+    families = []
+    for n in (0, 1, 3, 5):
+        for size in (1, 2, 4):
+            # strictly upper triangular: nilpotent; the same plus a diagonal: not
+            upper = [Matrix.from_rows([[e if j > i else 0 for j, e in enumerate(r)]
+                                       for i, r in enumerate(rand_sparse(rng, n, n, 0.5).data)])
+                     for _ in range(size)]
+            families += [upper, [m + Matrix.identity(n) for m in upper],
+                         [rand_sparse(rng, n, n) for _ in range(size)]]
+    for alg in (dim5(), heisenberg(), filiform(8)):
+        ext = canonical_extension(alg)
+        families += [list(ext.g0_matrices), list(ext.rho), list(hom_representation(ext.rep).left)]
+    for mats in families:
+        assert joint_nilpotency_index(mats) == oracles.flag_nilpotency_index(mats)
+
+
+# -- the algebra layer ---------------------------------------------------------
+
+def test_echelon_insertion_decides_span_membership_like_two_ranks():
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 6):
+        echelon, kept = {}, []
+        for _ in range(30):
+            if kept and rng.random() < 0.5:  # a combination of kept vectors
+                coeffs = [Fraction(int(rng.integers(-2, 3))) for _ in kept]
+                v = tuple(sum((c * u[k] for c, u in zip(coeffs, kept)), Fraction(0))
+                          for k in range(n))
+            else:
+                v = rand_sparse(rng, 1, n, 0.4).data[0]
+            independent = not oracles.span_contains(kept, v)
+            assert _insert_independent(echelon, v) == independent
+            if independent:
+                kept.append(v)
+        assert len(echelon) == len(kept)
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_squares_ideal_matches_the_two_rank_oracle(make):
+    alg = make()
+    assert squares_ideal(alg) == oracles.squares_ideal_two_rank(alg)
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_hom_generators_match_the_kronecker_oracle(make):
+    rep = canonical_extension(make()).rep
+    got = hom_representation(rep).left
+    assert [shape_and_data(m) for m in got] == \
+        [shape_and_data(m) for m in oracles.hom_generators_kron(rep)]
+
+
+def _plain(value):
+    """A field of the extension as plain tuples: matrices by shape and
+    entries, cochains, algebras and representations field by field."""
+    if isinstance(value, Matrix):
+        return shape_and_data(value)
+    if isinstance(value, (Cochain, LeibnizAlgebra, Representation)):
+        return tuple(_plain(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    return value
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_canonical_extension_matches_the_dense_layer(make, monkeypatch):
+    alg = make()
+    ext = canonical_extension(alg)
+    with monkeypatch.context() as patch:
+        for owner, name, dense in oracles.DENSE_EXACT_LAYER:
+            patch.setattr(owner, name, dense)
+        dense_ext = canonical_extension(alg)
+    for f in fields(ext):
+        assert _plain(getattr(ext, f.name)) == _plain(getattr(dense_ext, f.name)), f.name
+
+
+def _broken(ext):
+    """The extension with one exact datum changed at a time."""
+    omega = list(ext.omega.values)
+    omega[0] += 1
+    rho = (ext.rho[0] + Matrix.identity(ext.center_dim),) + ext.rho[1:]
+    section = Matrix.from_rows([ext.section.row(i) for i in reversed(range(ext.section.rows))])
+    return [("reassemble", replace(ext, omega=replace(ext.omega, values=tuple(omega)))),
+            ("reassemble", replace(ext, rep=replace(ext.rep, left=rho))),
+            ("split the identity", replace(ext, section=section))]
+
+
+@pytest.mark.parametrize("check", [_validate_extension, oracles.validate_extension_pairwise],
+                         ids=["sparse", "pairwise"])
+def test_extension_check_rejects_changed_data(check):
+    ext = canonical_extension(dim5())
+    check(ext, leibniz_differential)
+    for message, broken in _broken(ext):
+        with pytest.raises(AssertionError, match=message):
+            check(broken, leibniz_differential)
+
+
+# -- work-count guard ------------------------------------------------------------
+
+def _multiplications(monkeypatch, work) -> int:
+    """The number of Fraction multiplications that work() makes."""
+    count = 0
+
+    def counted(op):
+        def mul(a, b):
+            nonlocal count
+            count += 1
+            return op(a, b)
+        return mul
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+        patch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+        work()
+    return count
+
+
+def test_exact_work_is_bounded_by_nonzeros(monkeypatch):
+    # the dense layer made 1835 and 20158 multiplications here; the sparse
+    # one makes 226 and 582
+    f12, ext16 = filiform(12), canonical_extension(filiform(16))
+    assert _multiplications(monkeypatch, lambda: canonical_extension(f12)) <= 400
+    assert _multiplications(monkeypatch, lambda: build_rack_system(ext16)) <= 1000

@@ -44,6 +44,7 @@ from leibrack.suites import (
     draw_samples,
     lie_specialization_suite,
     quadrature_stability_suite,
+    _injectivity_defect,
     rack_axiom_suite,
     roundtrip_suite,
     sample_group_element,
@@ -53,6 +54,7 @@ from leibrack.suites import (
 )
 from oracles import (
     EXTRAS_ONE_BY_ONE,
+    _injectivity,
     augmented_action_one_by_one,
     cocycle_one_by_one,
     lie_specialization_one_by_one,
@@ -460,3 +462,72 @@ def test_the_basis_pair_suites_take_two_logs_for_all_pairs(name, monkeypatch):
     sys_ = _system(name, 0.5)
     for suite in (roundtrip_suite, tangent_suite):
         assert _kernel_calls(monkeypatch, lambda: suite(sys_, cfg))["log_float"] == 2
+
+
+# -- injectivity: a sorted window against all pairs --------------------------------
+
+def _rows(x, n=2):
+    """Rows (g flattened, a) as a stack element with (n, n) g."""
+    x = np.asarray(x, dtype=float)
+    return LocalRackElement(x[:, :n * n].reshape(len(x), n, n), x[:, n * n:])
+
+
+def _injectivity_cases():
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1.0, 1.0, size=(6, 5))
+    cases = {"random": (rng.uniform(-1.0, 1.0, size=(300, 5)),
+                        rng.uniform(-1.0, 1.0, size=(300, 5)))}
+    # two inputs 1 apart, their outputs identical (a collapse), then equal
+    # outputs of equal inputs (no collapse)
+    outs = base.copy()
+    outs[4] = outs[1]
+    cases["duplicate_outputs"] = (base + np.arange(6)[:, None], outs)
+    cases["duplicate_inputs_and_outputs"] = (np.vstack([base, base[:1]]),
+                                             np.vstack([base, base[:1]]))
+    # NaN rows never trip, not even against each other
+    outs = base.copy()
+    outs[[1, 3], 2] = np.nan
+    ins = base.copy()
+    ins[5, 0] = np.nan
+    outs[5] = outs[0]
+    cases["nan_rows"] = (ins + np.arange(6)[:, None], outs)
+    # outputs 1e-12 apart (within), once from 0 and once from 0.5, with
+    # inputs 1e-6 apart (not apart) or equal; then with inputs apart
+    outs = np.zeros((4, 5))
+    outs[1, 3] = 1e-12
+    outs[2, 0], outs[3, 0] = 0.5, 0.5 + 1e-12
+    ins = np.zeros((4, 5))
+    ins[1, 1] = 1e-6
+    cases["ties_at_1e-12_and_1e-6"] = (ins, outs)
+    ins = ins.copy()
+    ins[1, 1], ins[3, 4] = 2e-6, 2.0
+    cases["ties_at_1e-12_inputs_apart"] = (ins, outs)
+    # a coarse grid: ties, near-ties and NaN; the outputs vary in two
+    # coordinates, so that some pairs tie in all of them
+    grid = np.array([0.0, 5e-13, 1e-12, 2e-12, 1e-6, 2e-6, 1.0, np.nan])
+    for k in range(40):
+        rows = int(rng.integers(0, 12))
+        outs = np.zeros((rows, 5))
+        outs[:, 3:] = rng.choice(grid[[0, 1, 2, 3, 7]], size=(rows, 2))
+        cases[f"grid{k}"] = (rng.choice(grid, size=(rows, 5)), outs)
+    return cases
+
+
+INJECTIVITY_CASES = _injectivity_cases()
+
+
+@pytest.mark.parametrize("name", list(INJECTIVITY_CASES))
+def test_injectivity_window_finds_what_all_pairs_find(name):
+    ins, outs = (_rows(x) for x in INJECTIVITY_CASES[name])
+    want = _injectivity(*([LocalRackElement(u.g[i], u.a[i]) for i in range(len(u.g))]
+                          for u in (ins, outs))) if len(ins.g) else 0.0
+    assert _injectivity_defect(ins, outs) == want
+
+
+def test_injectivity_cases_cover_both_verdicts():
+    verdicts = {name: _injectivity_defect(*(_rows(x) for x in INJECTIVITY_CASES[name]))
+                for name in INJECTIVITY_CASES}
+    assert verdicts["random"] == verdicts["duplicate_inputs_and_outputs"] == 0.0
+    assert verdicts["nan_rows"] == verdicts["ties_at_1e-12_and_1e-6"] == 0.0
+    assert verdicts["duplicate_outputs"] == verdicts["ties_at_1e-12_inputs_apart"] == 1.0
+    assert 0 < sum(verdicts[f"grid{k}"] for k in range(40)) < 40
