@@ -19,10 +19,11 @@ Leibniz check, the Lie test, ``ad_matrix``, the left-adjoint map,
 ``cohomology.leibniz_differential`` and ``cohomology.hom_representation``
 read that table, so their cost follows the nonzeros (2(n-2) for
 filiform-n) rather than n^3 dense contractions per basis triple.  The
-matrices they build are sparse ``Matrix`` values (see ``linalg``): the
-module axiom (LLM), ``left_of`` and the checks of the extension multiply
-and compare them over their nonzeros, and the squares ideal grows one
-echelon basis held as sparse rows.
+matrices they build are ``Matrix`` values, stored as their sparse rows
+alone (see ``linalg``): the module axiom (LLM), ``left_of`` and the checks
+of the extension multiply and compare them over their nonzeros, the
+extension's projections are slices of those rows, and the squares ideal
+grows one echelon basis held as sparse rows.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
     if not gens:
         return []
     red, pivots = rref(Matrix.from_rows(gens))
-    return [red.data[r] for r in range(len(pivots))]
+    return [red.row(r) for r in range(len(pivots))]
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +419,12 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
 
     # change of basis: columns are complement lifts then center vectors
     basis_cols = list(complement) + list(center)
-    to_parent = Matrix.from_cols(basis_cols)  # (x, a) coords -> g coords
+    to_parent = Matrix.from_cols(n, basis_cols)  # (x, a) coords -> g coords
     from_parent = inverse_exact(to_parent)  # g coords -> (x, a) coords
-    projection = Matrix.from_rows([from_parent.data[r] for r in range(d)]) \
-        if d else Matrix.zeros(0, n)
-    center_projection = Matrix.from_rows([from_parent.data[r] for r in range(d, n)]) \
-        if m else Matrix.zeros(0, n)
-    section = Matrix.from_cols(complement) if complement else Matrix.zeros(n, 0)
-    inclusion = Matrix.from_cols(center) if center else Matrix.zeros(n, 0)
+    projection = Matrix(d, n, from_parent.nonzeros[:d])
+    center_projection = Matrix(m, n, from_parent.nonzeros[d:])
+    section = Matrix.from_cols(n, complement)
+    inclusion = Matrix.from_cols(n, center)
 
     # the lifts are basis vectors, so [lift_p, lift_q] is a row of c
     lifted = [[alg.c[p][q] for q in pivots] for p in pivots]
@@ -442,7 +441,7 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     rho = []
     for p in range(d):
         cols = [center_projection.mat_vec(bracket(alg, complement[p], z)) for z in center]
-        rho.append(Matrix.from_cols(cols) if center else Matrix.zeros(0, 0))
+        rho.append(Matrix.from_cols(m, cols))
     rho = tuple(rho)
 
     omega_values = []

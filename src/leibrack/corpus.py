@@ -164,7 +164,7 @@ def _cocycle_space(rep: Representation) -> list[Cochain]:
         values[b] = Fraction(1)
         dw = leibniz_differential(rep, Cochain(2, d, m, tuple(values)))
         cols.append(dw.values)
-    k = nullspace(Matrix.from_rows(list(zip(*cols))))
+    k = nullspace(Matrix.from_cols(d ** 3 * m, cols))  # dL^2 lands in degree 3
     return [Cochain(2, d, m, v) for v in k]
 
 
@@ -187,15 +187,18 @@ def assemble_extension(g0: LeibnizAlgebra, rho, omega: Cochain) -> LeibnizAlgebr
     return LeibnizAlgebra.from_structure(c)
 
 
-def random_leibniz(seed: int, max_dim: int = 5, require_nilpotent_rho: bool = True,
-                   max_attempts: int = 200) -> LeibnizAlgebra:
-    """Seeded random valid Leibniz algebra of dimension <= max_dim, built as
+MAX_DIM = 5          # largest dimension random_leibniz draws
+MAX_ATTEMPTS = 200   # draws random_leibniz makes before it gives up
+
+
+def random_leibniz(seed: int) -> LeibnizAlgebra:
+    """Seeded random valid Leibniz algebra of dimension <= MAX_DIM, built as
     an abelian extension and filtered so the recomputed canonical extension
     is non-abelian with nilpotent rho."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         d = int(rng.integers(1, 4))
-        m = int(rng.integers(max(1, 3 - d), max_dim - d + 1))
+        m = int(rng.integers(max(1, 3 - d), MAX_DIM - d + 1))
         g0 = LeibnizAlgebra.from_brackets(d, {})
         rho = _random_commuting_nilpotents(rng, d, m)
         try:
@@ -212,13 +215,12 @@ def random_leibniz(seed: int, max_dim: int = 5, require_nilpotent_rho: bool = Tr
         if len(left_center(alg)) == alg.dim:
             continue  # abelian: nothing to integrate
         ext = canonical_extension(alg)
-        if require_nilpotent_rho and any(
-                nilpotency_index(r) is None for r in ext.rho):
+        if any(nilpotency_index(r) is None for r in ext.rho):
             continue
         return alg
     raise RuntimeError(f"no algebra found for seed {seed}")
 
 
-def random_corpus(count: int, seed: int = 0, **kw) -> list[LeibnizAlgebra]:
+def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
     """Deterministic list of distinct random algebras."""
-    return [random_leibniz(seed * 1000 + i, **kw) for i in range(count)]
+    return [random_leibniz(seed * 1000 + i) for i in range(count)]

@@ -9,17 +9,17 @@ Each scalar world has its own types:
   ``Rational`` is a re-export of ``Fraction``, which already is an
   always-reduced p/q with positive denominator.  ``as_vec`` and
   ``Matrix.from_rows`` pass Fraction entries through unchanged (they are
-  immutable) and convert only other numbers.  Besides its dense rows
-  ``data``, a ``Matrix`` has a sparse row form, ``nonzeros``: the (j, a)
-  with a != 0 of each row, computed once on first use, or given by
-  ``Matrix.from_terms``, which sums (row, column, entry) terms and is how
-  every product, sum and action matrix is built.  ``@``, ``mat_vec``,
-  ``+``, ``-``, ``to_numpy``, the zero and equality tests, ``rref`` (which
-  eliminates rows held as {column: entry}) and ``joint_nilpotency_index``
-  read only that form, so sparse exact data costs by its nonzeros; exact
-  sums do not depend on their order, so the results are those of the
-  dense formulas.  ``matrix_exp`` and ``matrix_log`` are finite series on
-  nilpotent/unipotent input only.
+  immutable) and convert only other numbers.  A ``Matrix`` stores only its
+  sparse rows, ``nonzeros``: the (j, a) with a != 0 of each row.
+  ``Matrix.from_terms`` sums (row, column, entry) terms into that form and
+  is how every product, sum and action matrix is built; ``from_rows`` and
+  ``from_cols`` take dense input, and ``row`` and ``col`` give a dense
+  vector on request.  ``@``, ``mat_vec``, ``+``, ``-``, ``to_numpy``, the
+  zero and equality tests, ``rref`` (which eliminates rows held as
+  {column: entry}), ``inverse_exact`` and ``joint_nilpotency_index`` cost
+  by the nonzeros; exact sums do not depend on their order, so the results
+  are those of the dense formulas.  ``matrix_exp`` and ``matrix_log`` are
+  finite series on nilpotent/unipotent input only.
 * float: plain ``numpy`` arrays, used only on the integration side, with
   the kernels ``exp_float``, ``phi1_float`` (the integral
   int_0^1 exp(s a) v ds, in closed form), ``log_float`` and
@@ -103,65 +103,51 @@ def _total(terms: list[Fraction]) -> Fraction:
 
 
 class Matrix:
-    """Exact matrix: ``data``, a tuple of row tuples of Fraction, and its
-    sparse row form ``nonzeros``: for each row, the (j, a) with a != 0 in
-    increasing j.
+    """Exact matrix held as its sparse rows: ``rows``, ``cols`` and
+    ``nonzeros``, for each row the (j, a) with a != 0 in increasing j.
 
-    Instances are immutable; all operations return new matrices.  The
-    sparse form is computed once, on first use, unless the matrix was built
-    from it (``from_terms``), and never goes stale.  Products, sums,
-    ``mat_vec`` and the zero and equality tests read it, so they cost by
-    the nonzeros.  Floats never enter: ``to_numpy`` is the one way out to
-    the float layer.
+    That is the one stored form.  Instances are immutable; all operations
+    return new matrices and cost by the nonzeros.  ``row`` and ``col`` make
+    a dense vector where a caller asks for one, and ``from_rows`` and
+    ``from_cols`` take dense input.  Floats never enter: ``to_numpy`` is
+    the one way out to the float layer.
     """
 
-    __slots__ = ("rows", "cols", "data", "_nonzeros")
+    __slots__ = ("rows", "cols", "nonzeros")
 
-    def __init__(self, rows, cols, data, nonzeros=None):
+    def __init__(self, rows: int, cols: int,
+                 nonzeros: tuple[tuple[tuple[int, Fraction], ...], ...]):
         self.rows = rows
         self.cols = cols
-        self.data = data
-        self._nonzeros = nonzeros
-
-    @property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        if self._nonzeros is None:
-            self._nonzeros = tuple(tuple((j, a) for j, a in enumerate(r) if a)
-                                   for r in self.data)
-        return self._nonzeros
+        self.nonzeros = nonzeros
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(map(_frac, r)) for r in rows)
+        data = [tuple(map(_frac, r)) for r in rows]
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
-        return Matrix(len(data), ncols, data)
+        return Matrix(len(data), ncols,
+                      tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in data))
 
     @staticmethod
     def from_terms(rows: int, cols: int,
                    terms: Iterable[tuple[int, int, Fraction]]) -> "Matrix":
         """The rows x cols matrix whose (r, j) entry is the sum of the a over
-        the terms (r, j, a), all Fraction: it costs by the number of terms,
-        and its sparse form comes with it."""
-        sums: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        the terms (r, j, a), all Fraction: it costs by the number of terms."""
+        sums: dict[int, dict[int, Fraction]] = {}  # only the rows that have terms
         for r, j, a in terms:
-            acc = sums[r]
-            acc[j] = acc[j] + a if j in acc else a
-        data, nonzeros = [], []
-        for acc in sums:
-            row = [_ZERO] * cols
-            nz = []
-            for j in sorted(acc):
-                a = acc[j]
-                if a:
-                    row[j] = a
-                    nz.append((j, a))
-            data.append(tuple(row))
-            nonzeros.append(tuple(nz))
-        return Matrix(rows, cols, tuple(data), tuple(nonzeros))
+            acc = sums.get(r)
+            if acc is None:
+                sums[r] = {j: a}
+            else:
+                acc[j] = acc[j] + a if j in acc else a
+        nonzeros = [()] * rows
+        for r, acc in sums.items():
+            nonzeros[r] = tuple((j, acc[j]) for j in sorted(acc) if acc[j])
+        return Matrix(rows, cols, tuple(nonzeros))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -169,24 +155,27 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        # built directly so degenerate shapes (0 x n, n x 0) keep both counts
-        return Matrix.from_terms(rows, cols, ())
+        return Matrix(rows, cols, ((),) * rows)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence]) -> "Matrix":
-        return Matrix.from_rows(list(zip(*cols))) if cols else Matrix.from_rows([])
+    def from_cols(rows: int, cols: Sequence[Sequence]) -> "Matrix":
+        """The rows x len(cols) matrix with the given columns, each of length
+        rows, so a shape with no rows or no columns keeps both counts."""
+        if any(len(c) != rows for c in cols):
+            raise ValueError("ragged columns")
+        return Matrix.from_terms(rows, len(cols), ((r, j, _frac(a)) for j, c in enumerate(cols)
+                                                   for r, a in enumerate(c) if a))
 
     # -- access ------------------------------------------------------------
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i: int) -> Vec:
-        return self.data[i]
+        out = [_ZERO] * self.cols
+        for j, a in self.nonzeros[i]:
+            out[j] = a
+        return tuple(out)
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
+        return tuple(next((a for k, a in row if k == j), _ZERO) for row in self.nonzeros)
 
     def to_numpy(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
@@ -251,7 +240,7 @@ class Matrix:
         return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
@@ -307,14 +296,15 @@ def rref_nullspace(red: Matrix, pivots: Sequence[int]) -> list[Vec]:
     """Exact basis of the kernel of a matrix, read from its reduced row
     echelon form and pivot columns as ``rref`` returns them."""
     free = [c for c in range(red.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * red.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
-        basis.append(tuple(v))
-    return basis
+    basis = {fc: [_ZERO] * red.cols for fc in free}  # in the order of free
+    for fc, v in basis.items():
+        v[fc] = _ONE
+    # v[pc] is minus the entry of pivot row r in v's free column
+    for r, pc in enumerate(pivots):
+        for j, a in red.nonzeros[r]:
+            if j in basis:
+                basis[j][pc] = -a
+    return [tuple(v) for v in basis.values()]
 
 
 def inverse_exact(a: Matrix) -> Matrix:
@@ -323,11 +313,12 @@ def inverse_exact(a: Matrix) -> Matrix:
     n = a.rows
     if a.cols != n:
         raise ValueError("square matrix required")
-    eye = Matrix.identity(n).data
-    red, pivots = rref(Matrix(n, 2 * n, tuple(r + e for r, e in zip(a.data, eye))))
+    red, pivots = rref(Matrix.from_terms(n, 2 * n, chain(
+        a._terms(), ((i, n + i, _ONE) for i in range(n)))))
     if pivots != tuple(range(n)):
         raise ValueError("singular matrix")
-    return Matrix(n, n, tuple(r[n:] for r in red.data))
+    return Matrix(n, n, tuple(tuple((j - n, e) for j, e in row if j >= n)
+                              for row in red.nonzeros))
 
 
 def rank(m: Matrix) -> int:

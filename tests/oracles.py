@@ -16,7 +16,8 @@ through ``mat_vec``, ``ad_matrix`` column by column, the squares ideal by
 two rank computations per candidate, the Hom generators as Kronecker
 products, and the extension's bracket reassembled pair by pair.
 ``DENSE_EXACT_LAYER`` lists what to patch in to run ``canonical_extension``
-on them."""
+on them.  ``dense`` and ``from_dense`` convert between a ``Matrix``, which
+stores only its sparse rows, and dense row tuples."""
 
 import itertools
 from fractions import Fraction
@@ -338,45 +339,57 @@ EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
 _ZERO = Fraction(0)
 
 
+def dense(m):
+    """m's entries as a tuple of dense row tuples."""
+    return tuple(m.row(i) for i in range(m.rows))
+
+
+def from_dense(rows, cols, data):
+    """The rows x cols matrix with the dense row tuples data."""
+    return linalg.Matrix.from_terms(rows, cols, ((r, j, a) for r, row in enumerate(data)
+                                                 for j, a in enumerate(row)))
+
+
 def dense_matmul(a, b):
     """a @ b over every entry pair, skipping a product where a factor is 0."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     bcols = [b.col(j) for j in range(b.cols)]
-    return linalg.Matrix(a.rows, b.cols, tuple(
+    return from_dense(a.rows, b.cols, tuple(
         tuple(sum((x * y for x, y in zip(r, c) if x and y), _ZERO) for c in bcols)
-        for r in a.data))
+        for r in dense(a)))
 
 
 def dense_mat_vec(m, v):
     v = linalg.as_vec(v)
     if len(v) != m.cols:
         raise ValueError("dimension mismatch")
-    return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in m.data)
+    return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in dense(m))
 
 
 def dense_is_zero(m):
-    return all(e == 0 for r in m.data for e in r)
+    return all(e == 0 for r in dense(m) for e in r)
 
 
 def dense_left_of(rep, x):
     """sum_i x_i left[i], entry by entry."""
     x = linalg.as_vec(x)
     k = rep.carrier_dim
-    return linalg.Matrix(k, k, tuple(
-        tuple(sum((xi * m.data[r][j] for xi, m in zip(x, rep.left)), _ZERO)
+    left = [dense(m) for m in rep.left]
+    return from_dense(k, k, tuple(
+        tuple(sum((xi * m[r][j] for xi, m in zip(x, left)), _ZERO)
               for j in range(k)) for r in range(k)))
 
 
 def dense_ad_matrix(alg, x):
     """ad_x, column j the bracket [x, e_j]."""
     cols = [bracket(alg, x, alg.basis_vector(j)) for j in range(alg.dim)]
-    return linalg.Matrix(alg.dim, alg.dim, tuple(zip(*cols)))
+    return linalg.Matrix.from_cols(alg.dim, cols)
 
 
 def dense_rref(m):
     """Reduced row echelon form of dense rows, with pivot column indices."""
-    a = [list(r) for r in m.data]
+    a = [list(r) for r in dense(m)]
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
@@ -395,7 +408,7 @@ def dense_rref(m):
         r += 1
         if r == nrows:
             break
-    return linalg.Matrix(nrows, ncols, tuple(map(tuple, a))), tuple(pivots)
+    return from_dense(nrows, ncols, tuple(map(tuple, a))), tuple(pivots)
 
 
 def flag_nilpotency_index(mats):
@@ -404,7 +417,7 @@ def flag_nilpotency_index(mats):
     if not mats:
         return 1
     n = mats[0].rows
-    basis = linalg.Matrix.identity(n).data
+    basis = dense(linalg.Matrix.identity(n))
     k = 1
     while True:
         red, pivots = dense_rref(linalg.Matrix.from_rows(
@@ -413,7 +426,7 @@ def flag_nilpotency_index(mats):
             return k
         if len(pivots) == len(basis):
             return None
-        basis = red.data[:len(pivots)]
+        basis = dense(red)[:len(pivots)]
         k += 1
 
 
@@ -460,12 +473,13 @@ def squares_ideal_two_rank(alg):
     if not gens:
         return []
     red, pivots = dense_rref(linalg.Matrix.from_rows(gens))
-    return [red.data[r] for r in range(len(pivots))]
+    return list(dense(red)[:len(pivots)])
 
 
 def kron(a, b):
-    return linalg.Matrix(a.rows * b.rows, a.cols * b.cols, tuple(
-        tuple(a.data[i][j] * b.data[k][l] for j in range(a.cols) for l in range(b.cols))
+    da, db = dense(a), dense(b)
+    return from_dense(a.rows * b.rows, a.cols * b.cols, tuple(
+        tuple(da[i][j] * db[k][l] for j in range(a.cols) for l in range(b.cols))
         for i in range(a.rows) for k in range(b.rows)))
 
 
@@ -477,11 +491,11 @@ def hom_generators_kron(rep):
     mats = []
     for p in range(d):
         # ad_p^T: row j is the column [e_p, e_j] of ad_p
-        ad_t = linalg.Matrix(d, d, tuple(bracket(alg, alg.basis_vector(p), alg.basis_vector(j))
-                                         for j in range(d)))
+        ad_t = from_dense(d, d, tuple(bracket(alg, alg.basis_vector(p), alg.basis_vector(j))
+                                      for j in range(d)))
         a, b = kron(rep.left[p], eye_d), kron(eye_m, ad_t)
-        mats.append(linalg.Matrix(m * d, m * d, tuple(
-            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.data, b.data))))
+        mats.append(from_dense(m * d, m * d, tuple(
+            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(dense(a), dense(b)))))
     return tuple(mats)
 
 

@@ -252,6 +252,29 @@ def test_extension_abelian_has_zero_quotient(abelian_ext):
     assert abelian_ext.omega.values == ()
 
 
+def aff1():
+    """The affine Lie algebra aff(1): [e1,e2] = e2 = -[e2,e1], left center 0."""
+    return LeibnizAlgebra.from_brackets(2, {(0, 1): {1: 1}, (1, 0): {1: -1}})
+
+
+@pytest.mark.parametrize("alg, d, m", [(abelian3(), 0, 3), (aff1(), 2, 0)],
+                         ids=["abelian3", "aff1"])
+def test_extension_fields_keep_their_shapes_when_g0_or_the_center_is_zero(alg, d, m):
+    ext = canonical_extension(alg)
+    n = alg.dim
+    assert (ext.g0_dim, ext.center_dim) == (d, m)
+    shape = lambda mat: (mat.rows, mat.cols)
+    assert shape(ext.section) == (n, d)
+    assert shape(ext.projection) == (d, n)
+    assert shape(ext.center_projection) == (m, n)
+    assert shape(ext.inclusion) == (n, m)
+    assert [shape(r) for r in ext.rho] == [(m, m)] * d
+    assert [shape(g) for g in ext.g0_matrices] == [(n, n)] * d
+    assert (ext.omega.degree, ext.omega.domain_dim, ext.omega.coeff_dim) == (2, d, m)
+    assert ext.rep.carrier_dim == m and len(ext.rep.left) == d
+    assert len(ext.center_basis) == m and len(ext.complement_basis) == d
+
+
 def test_extension_heisenberg_area_form(heis_ext):
     ext = heis_ext
     assert ext.g0_dim == 2 and ext.center_dim == 1

@@ -173,7 +173,7 @@ def test_hom_representation_unrolls_the_definition():
         for _ in range(5):
             alpha = Matrix.from_rows([[int(rng.integers(-3, 4)) for _ in range(d)]
                                       for _ in range(m)])
-            flat = [alpha.data[k][j] for k in range(m) for j in range(d)]
+            flat = [alpha.row(k)[j] for k in range(m) for j in range(d)]
             for p in range(d):
                 acted = homrep.left[p].mat_vec(flat)
                 for q in range(d):

@@ -67,7 +67,7 @@ def test_rank_nullity_stacking_spans_everything():
     for _ in range(40):
         m = rand_exact(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         red, pivots = rref(m)
-        rows = [red.data[r] for r in range(len(pivots))]
+        rows = [red.row(r) for r in range(len(pivots))]
         stacked = Matrix.from_rows(rows + nullspace(m)) if rows or nullspace(m) \
             else Matrix.zeros(0, m.cols)
         assert rank(stacked) == m.cols

@@ -6,6 +6,7 @@ of algebras.  Exact results do not depend on the order of a sum, so each
 must equal its oracle exactly.  A count of Fraction multiplications guards
 the cost of the exact layer without timing it."""
 
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ def rand_sparse(rng, rows, cols, density=0.3):
 
 
 def shape_and_data(m):
-    return m.rows, m.cols, m.data
+    return m.rows, m.cols, oracles.dense(m)
 
 
 def filiform(n):
@@ -82,10 +83,11 @@ def test_sums_transpose_and_zero_tests_match_entrywise_arithmetic():
     for rows, cols, _ in SHAPES * 4:
         a, b = rand_sparse(rng, rows, cols), rand_sparse(rng, rows, cols)
         c = Fraction(int(rng.integers(-3, 4)), 3)
-        for got, entry in ((a + b, lambda i, j: a.data[i][j] + b.data[i][j]),
-                           (a - b, lambda i, j: a.data[i][j] - b.data[i][j]),
-                           (-a, lambda i, j: -a.data[i][j]),
-                           (a.scale(c), lambda i, j: c * a.data[i][j]),
+        da, db = oracles.dense(a), oracles.dense(b)
+        for got, entry in ((a + b, lambda i, j: da[i][j] + db[i][j]),
+                           (a - b, lambda i, j: da[i][j] - db[i][j]),
+                           (-a, lambda i, j: -da[i][j]),
+                           (a.scale(c), lambda i, j: c * da[i][j]),
                            (a - a, lambda i, j: 0)):
             want = tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
             assert shape_and_data(got) == (rows, cols, want)
@@ -93,14 +95,39 @@ def test_sums_transpose_and_zero_tests_match_entrywise_arithmetic():
                                          for r in want)
             assert got.is_zero() == oracles.dense_is_zero(got)
         t = a.transpose()
-        assert shape_and_data(t) == (cols, rows, tuple(zip(*a.data)) if rows
+        assert shape_and_data(t) == (cols, rows, tuple(zip(*da)) if rows
                                      else ((),) * cols)
         assert np.array_equal(a.to_numpy(),
-                              np.array([[float(e) for e in r] for r in a.data]).reshape(rows, cols))
-        assert (a == Matrix.from_rows(a.data)) if rows else a == Matrix.zeros(0, cols)
-        assert (a == b) == (a.data == b.data)
+                              np.array([[float(e) for e in r] for r in da]).reshape(rows, cols))
+        assert (a == Matrix.from_rows(da)) if rows else a == Matrix.zeros(0, cols)
+        assert (a == b) == (da == db)
     assert Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
     assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0)
+
+
+def test_from_cols_keeps_shapes_with_no_rows_or_no_columns():
+    for m, shape in ((Matrix.from_cols(3, []), (3, 0)), (Matrix.from_cols(0, [(), ()]), (0, 2))):
+        assert (m.rows, m.cols) == shape
+        assert m == Matrix.zeros(*shape)
+    m = Matrix.from_cols(2, [(1, 0), (0, Fraction(1, 2)), (3, 4)])
+    assert oracles.dense(m) == ((1, 0, 3), (0, Fraction(1, 2), 4))
+    assert [m.col(j) for j in range(3)] == [(1, 0), (0, Fraction(1, 2)), (3, 4)]
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_cols(2, [(1, 0), (1,)])
+
+
+def test_a_matrix_stores_only_its_nonzeros():
+    # a dense copy of a 2000 x 2000 matrix takes about 32 MB
+    for build in (lambda: Matrix.identity(2000),
+                  lambda: Matrix.from_terms(2000, 2000, [(0, 0, Fraction(1))])):
+        tracemalloc.start()
+        try:
+            m = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.rows, m.cols) == (2000, 2000)
+        assert peak < 2_000_000, peak
 
 
 def test_left_of_matches_the_dense_oracle():
@@ -132,8 +159,8 @@ def test_joint_nilpotency_index_matches_the_flag_oracle():
     for n in (0, 1, 3, 5):
         for size in (1, 2, 4):
             # strictly upper triangular: nilpotent; the same plus a diagonal: not
-            upper = [Matrix.from_rows([[e if j > i else 0 for j, e in enumerate(r)]
-                                       for i, r in enumerate(rand_sparse(rng, n, n, 0.5).data)])
+            upper = [Matrix.from_rows([[e if j > i else 0 for j, e in enumerate(r)] for i, r
+                                       in enumerate(oracles.dense(rand_sparse(rng, n, n, 0.5)))])
                      for _ in range(size)]
             families += [upper, [m + Matrix.identity(n) for m in upper],
                          [rand_sparse(rng, n, n) for _ in range(size)]]
@@ -156,7 +183,7 @@ def test_echelon_insertion_decides_span_membership_like_two_ranks():
                 v = tuple(sum((c * u[k] for c, u in zip(coeffs, kept)), Fraction(0))
                           for k in range(n))
             else:
-                v = rand_sparse(rng, 1, n, 0.4).data[0]
+                v = rand_sparse(rng, 1, n, 0.4).row(0)
             independent = not oracles.span_contains(kept, v)
             assert _insert_independent(echelon, v) == independent
             if independent:
