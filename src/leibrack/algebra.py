@@ -363,7 +363,7 @@ class CentralExtensionData:
     * section/projection/center_projection/inclusion split the identity:
       section . projection + inclusion . center_projection = id.
     * rho[p] is the action of the p-th g0 basis vector on the center,
-      omega(x, y) = pi_Z([sx, sy]) stored as a degree-2 cochain tensor.
+      omega(x, y) = pi_Z([sx, sy]) stored as a degree-2 cochain.
     * g0_matrices realize g0 faithfully inside End(g); that realization is
       what the integration layer exponentiates.
     """
@@ -444,11 +444,10 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
         rho.append(Matrix.from_cols(m, cols))
     rho = tuple(rho)
 
-    omega_values = []
-    for row in lifted:
-        for v in row:
-            omega_values.extend(center_projection.mat_vec(v))
-    omega = Cochain(2, d, m, tuple(omega_values))
+    # omega(p, q) = pi_Z([lift_p, lift_q]), read off the nonzero lifted brackets
+    omega = Cochain.from_terms(2, d, m, (
+        ((p, q), k, a) for p, pp in enumerate(pivots) for q, qq in enumerate(pivots)
+        if alg.terms[pp][qq] for k, a in enumerate(center_projection.mat_vec(alg.c[pp][qq]))))
 
     rep = Representation.anti_symmetric(g0, rho, carrier_dim=m)
     ext = CentralExtensionData(alg, tuple(center), complement, pivots, g0,
@@ -484,5 +483,5 @@ def _validate_extension(ext: CentralExtensionData, leibniz_differential) -> None
         if reassembled != ad_matrix(alg, alg.basis_vector(i)):
             raise AssertionError("extension data do not reassemble the bracket")
     # omega is an exact Leibniz 2-cocycle for the anti-symmetric representation
-    if d and any(leibniz_differential(ext.rep, ext.omega).values):
+    if not leibniz_differential(ext.rep, ext.omega).is_zero():
         raise AssertionError("omega is not a cocycle")

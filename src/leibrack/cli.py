@@ -410,19 +410,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "into a local augmented Lie rack and verify the identities.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_file=True):
+    def add_common(p, with_file=True, float_knobs=True):
         if with_file:
             p.add_argument("file", help="algebra file (.leib JSON)")
-        p.add_argument("--quad-order", type=int, default=8, dest="quad_order")
-        p.add_argument("--chart-radius", type=float, default=0.5, dest="chart_radius")
-        p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
+        if float_knobs:
+            p.add_argument("--quad-order", type=int, default=8, dest="quad_order")
+            p.add_argument("--chart-radius", type=float, default=0.5, dest="chart_radius")
+            p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
+            p.add_argument("--samples", type=int, default=200)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
 
-    add_common(sub.add_parser("verify", help="exact structural checks"))
-    add_common(sub.add_parser("analyze", help="canonical extension data"))
+    # verify and analyze do exact work only, so they take no float knobs
+    add_common(sub.add_parser("verify", help="exact structural checks"), float_knobs=False)
+    add_common(sub.add_parser("analyze", help="canonical extension data"), float_knobs=False)
     add_common(sub.add_parser("integrate", help="build the rack, run the suites"))
     pex = sub.add_parser("example", help="run a built-in example end to end")
     pex.add_argument("name", choices=BUILTIN_NAMES)

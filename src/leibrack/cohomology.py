@@ -1,14 +1,15 @@
 """Cochain complexes on both sides of the integration.
 
-Leibniz side (exact): dense multilinear cochains, the differential dL, and
-the degree-shift isomorphism tau that trades an anti-symmetric coefficient
-module for the symmetric module Hom(g, a) (currying the last slot).  dL reads
-the brackets [x_i, x_j] of basis elements from the algebra's nonzero table
-``terms`` and takes a module product only for a nonzero action on a nonzero
-value of the cochain; ``Cochain.evaluate`` sums over the nonzero
-coordinates of its arguments and values only.  The Hom generators are
-built from the nonzeros of rho and of the table, as sparse ``Matrix``
-values.
+Leibniz side (exact): multilinear cochains held as their nonzero values,
+the differential dL, and the degree-shift isomorphism tau that trades an
+anti-symmetric coefficient module for the symmetric module Hom(g, a)
+(currying the last slot), which only re-keys the values.  dL sends each
+nonzero value of the cochain to the outputs it reaches, through the
+nonzero actions and the algebra's nonzero table ``terms`` read by output
+slot, so it costs by nonzeros, not by the d^(n+1) output tuples;
+``Cochain.evaluate`` sums over the nonzero coordinates of its arguments
+and values only.  The Hom generators are built from the nonzeros of rho
+and of the table, as sparse ``Matrix`` values.
 
 Rack side (float): cochains are evaluator functions on tuples of group
 elements, differentiated by the rack differential d_R over a module
@@ -27,56 +28,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algebra import Representation, is_lie
-from .linalg import Matrix, Vec, as_vec, matvec, nan_max, sup_norm, vec_scale, zero_vec
+from .linalg import Matrix, Vec, as_vec, matvec, nan_max, sup_norm, zero_vec
 
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
 class Cochain:
-    """Multilinear map g^(x n) -> coefficients, stored densely as an exact
-    order-(n+1) tensor; index (i1,...,in,k) is flattened row-major."""
+    """Multilinear map g^(x n) -> coefficients, held as its nonzero values.
+
+    ``nonzeros`` maps each basis-index tuple (i1,...,in) whose value is
+    nonzero to that value, an exact coefficient vector with at least one
+    nonzero entry; every other tuple has the zero value.  That is the one
+    stored form, so equal cochains compare equal.  ``from_terms`` sums
+    terms into it and ``from_function`` takes dense input."""
 
     degree: int
     domain_dim: int
     coeff_dim: int
-    values: tuple[Fraction, ...]
+    nonzeros: dict[tuple[int, ...], Vec]
 
     def __post_init__(self):
-        want = (self.domain_dim ** self.degree) * self.coeff_dim
-        if len(self.values) != want:
-            raise ValueError(f"expected {want} entries, got {len(self.values)}")
+        for idx, val in self.nonzeros.items():
+            if len(idx) != self.degree or not all(0 <= i < self.domain_dim for i in idx):
+                raise ValueError(f"{idx} is not a degree-{self.degree} index "
+                                 f"into dimension {self.domain_dim}")
+            if len(val) != self.coeff_dim or not any(val):
+                raise ValueError(f"value at {idx} is not a nonzero vector "
+                                 f"of length {self.coeff_dim}")
+
+    def __hash__(self):
+        return hash((self.degree, self.domain_dim, self.coeff_dim,
+                     frozenset(self.nonzeros.items())))
+
+    @staticmethod
+    def from_terms(degree, domain_dim, coeff_dim,
+                   terms: Iterable[tuple[tuple[int, ...], int, Fraction]]) -> "Cochain":
+        """The cochain whose value at idx has entry k the sum of the a over
+        the terms (idx, k, a), all Fraction: it costs by the number of terms."""
+        sums: dict[tuple[int, ...], list[Fraction]] = {}
+        for idx, k, a in terms:
+            acc = sums.get(idx)
+            if acc is None:
+                acc = sums[idx] = [_ZERO] * coeff_dim
+            acc[k] += a
+        return Cochain(degree, domain_dim, coeff_dim,
+                       {idx: tuple(acc) for idx, acc in sums.items() if any(acc)})
 
     @staticmethod
     def zero(degree, domain_dim, coeff_dim) -> "Cochain":
-        n = (domain_dim ** degree) * coeff_dim
-        return Cochain(degree, domain_dim, coeff_dim, (Fraction(0),) * n)
+        return Cochain(degree, domain_dim, coeff_dim, {})
 
     @staticmethod
     def from_function(degree, domain_dim, coeff_dim, fn) -> "Cochain":
         """fn maps a basis-index tuple to a coefficient vector."""
-        values = []
-        for idx in product(range(domain_dim), repeat=degree):
-            values.extend(as_vec(fn(*idx)))
-        return Cochain(degree, domain_dim, coeff_dim, tuple(values))
-
-    def _offset(self, idx: tuple[int, ...]) -> int:
-        off = 0
-        for i in idx:
-            off = off * self.domain_dim + i
-        return off * self.coeff_dim
+        values = ((idx, as_vec(fn(*idx))) for idx in product(range(domain_dim), repeat=degree))
+        return Cochain(degree, domain_dim, coeff_dim, {idx: v for idx, v in values if any(v)})
 
     def at(self, *idx: int) -> Vec:
         """Value on basis elements."""
         if len(idx) != self.degree:
             raise ValueError(f"need {self.degree} indices")
-        off = self._offset(idx)
-        return self.values[off:off + self.coeff_dim]
+        return self.nonzeros.get(idx) or zero_vec(self.coeff_dim)
 
     def evaluate(self, *vectors: Sequence) -> Vec:
         """Full multilinear evaluation on exact vectors."""
@@ -88,8 +106,8 @@ class Cochain:
         supports = [[(i, c) for i, c in enumerate(v) if c] for v in vecs]
         out = list(zero_vec(self.coeff_dim))
         for picks in product(*supports):
-            val = self.at(*(i for i, _ in picks))
-            if not any(val):
+            val = self.nonzeros.get(tuple(i for i, _ in picks))
+            if val is None:
                 continue
             f = _ONE
             for _, c in picks:
@@ -100,87 +118,84 @@ class Cochain:
         return tuple(out)
 
     def to_numpy(self) -> np.ndarray:
-        shape = (self.domain_dim,) * self.degree + (self.coeff_dim,)
-        return np.array([float(v) for v in self.values]).reshape(shape)
+        out = np.zeros((self.domain_dim,) * self.degree + (self.coeff_dim,))
+        for idx, val in self.nonzeros.items():
+            out[idx] = [float(a) for a in val]
+        return out
+
+    def _terms(self):
+        """The (idx, k, a) of the nonzero entries, as ``from_terms`` takes them."""
+        return ((idx, k, a) for idx, val in self.nonzeros.items()
+                for k, a in enumerate(val) if a)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if (self.degree, self.domain_dim, self.coeff_dim) != \
                 (other.degree, other.domain_dim, other.coeff_dim):
             raise ValueError("cochain shape mismatch")
-        return Cochain(self.degree, self.domain_dim, self.coeff_dim,
-                       tuple(a + b for a, b in zip(self.values, other.values)))
+        return Cochain.from_terms(self.degree, self.domain_dim, self.coeff_dim,
+                                  chain(self._terms(), other._terms()))
 
     def scale(self, c) -> "Cochain":
         c = Fraction(c)
-        return Cochain(self.degree, self.domain_dim, self.coeff_dim,
-                       tuple(c * v for v in self.values))
+        return Cochain.from_terms(self.degree, self.domain_dim, self.coeff_dim,
+                                  ((idx, k, c * a) for idx, k, a in self._terms()))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not self.nonzeros
 
 
 # ---------------------------------------------------------------------------
 # the Leibniz differential
 # ---------------------------------------------------------------------------
 
-def _axpy(out: list, s, term) -> None:
-    """out += s * term, skipping the zero entries of term."""
-    for k, t in enumerate(term):
-        if t:
-            out[k] += s * t
-
-
 def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
-    """dL of a degree-n cochain valued in the module ``rep``; degree n+1.
+    """dL of a degree-n cochain valued in the module ``rep``; degree n+1:
 
-    Degree 0 is the convention dL beta(x) = -[beta, x]_R, which on a
-    symmetric module equals [x, beta]_L (the form the coboundary
-    computations use) and vanishes on anti-symmetric ones; with it
-    dL . dL = 0 holds exactly for every module flavor.
+        dL w(x_0..x_n) = sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
+                         + (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
+                         + sum_{i<j} (-1)^(i+1) w(..hat i.., [x_i, x_j] at slot j, ..).
+
+    At degree 0 this reads dL beta(x) = -[beta, x]_R, which on a symmetric
+    module equals [x, beta]_L (the form the coboundary computations use)
+    and vanishes on anti-symmetric ones; with it dL . dL = 0 holds exactly
+    for every module flavor.
+
+    Each nonzero value of w is sent to the outputs it reaches: through the
+    nonzero left actions at every insert position i < n, through the
+    nonzero right actions appended last, and, for each slot s holding p and
+    each nonzero c = [e_a, e_b]_p of the table, to the output with b at
+    slot s and a inserted at a position i <= s.  The work costs by the
+    nonzeros of w, of the actions and of the table.
     """
     alg = rep.algebra
     if w.domain_dim != alg.dim or w.coeff_dim != rep.carrier_dim:
         raise ValueError("cochain does not match the representation")
     n = w.degree
+    left = [(a, m) for a, m in enumerate(rep.left) if not m.is_zero()]
+    right = [(a, m) for a, m in enumerate(rep.right) if not m.is_zero()]
+    # into[p]: the (a, b, c) with c = [e_a, e_b]_p != 0
+    into = [[] for _ in range(alg.dim)]
+    for a, row in enumerate(alg.terms):
+        for b, t in enumerate(row):
+            for p, c in t:
+                into[p].append((a, b, c))
 
-    if n == 0:
-        beta = w.values
+    def images(idx, val):
+        """(output index, sign, vector) for each output that w(idx) reaches."""
+        for a, m in left:
+            v = m.mat_vec(val)
+            for i in range(n):
+                yield idx[:i] + (a,) + idx[i:], (-1) ** i, v
+        for a, m in right:
+            yield idx + (a,), (-1) ** (n + 1), m.mat_vec(val)
+        for s, p in enumerate(idx):
+            for a, b, c in into[p]:
+                for i in range(s + 1):
+                    yield idx[:i] + (a,) + idx[i:s] + (b,) + idx[s + 1:], (-1) ** (i + 1) * c, val
 
-        def d0(x):
-            return vec_scale(-1, rep.right[x].mat_vec(beta))
-        return Cochain.from_function(1, alg.dim, rep.carrier_dim, d0)
-
-    # the module terms are summed over the nonzero actions and the nonzero
-    # values of w only
-    left = [None if m.is_zero() else m for m in rep.left]
-    right = [None if m.is_zero() else m for m in rep.right]
-
-    def dw(*idx):
-        out = list(zero_vec(rep.carrier_dim))
-        # sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
-        for i in range(n):
-            if left[idx[i]] is not None:
-                val = w.at(*(idx[:i] + idx[i + 1:]))
-                if any(val):
-                    _axpy(out, (-1) ** i, left[idx[i]].mat_vec(val))
-        # (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
-        if right[idx[n]] is not None:
-            val = w.at(*idx[:n])
-            if any(val):
-                _axpy(out, (-1) ** (n - 1), right[idx[n]].mat_vec(val))
-        # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..), with
-        # [x_i, x_j] = sum of c e_p over the nonzero table, and the nonzero
-        # values of w
-        for i in range(n + 1):
-            rest = idx[:i] + idx[i + 1:]
-            for j in range(i + 1, n + 1):
-                for p, c in alg.terms[idx[i]][idx[j]]:
-                    val = w.at(*rest[:j - 1], p, *rest[j:])
-                    if any(val):
-                        _axpy(out, (-1) ** (i + 1) * c, val)
-        return tuple(out)
-
-    return Cochain.from_function(n + 1, alg.dim, rep.carrier_dim, dw)
+    return Cochain.from_terms(n + 1, alg.dim, rep.carrier_dim, (
+        (out, k, sign * t) for idx, val in w.nonzeros.items()
+        for out, sign, v in images(idx, val) for k, t in enumerate(v) if t))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +210,8 @@ def tau(w: Cochain) -> Cochain:
     if w.degree < 1:
         raise ValueError("tau needs degree >= 1")
     dd, cd = w.domain_dim, w.coeff_dim
-
-    def fn(*idx):
-        return tuple(w.at(*idx, j)[k] for k in range(cd) for j in range(dd))
-    return Cochain.from_function(w.degree - 1, dd, cd * dd, fn)
+    return Cochain.from_terms(w.degree - 1, dd, cd * dd, (
+        (idx[:-1], k * dd + idx[-1], a) for idx, k, a in w._terms()))
 
 
 def tau_inverse(w: Cochain) -> Cochain:
@@ -206,13 +219,8 @@ def tau_inverse(w: Cochain) -> Cochain:
     dd = w.domain_dim
     if w.coeff_dim % dd != 0:
         raise ValueError("coefficient space is not Hom(g, a)")
-    cd = w.coeff_dim // dd
-
-    def fn(*idx):
-        hom = w.at(*idx[:-1])
-        j = idx[-1]
-        return tuple(hom[k * dd + j] for k in range(cd))
-    return Cochain.from_function(w.degree + 1, dd, cd, fn)
+    return Cochain.from_terms(w.degree + 1, dd, w.coeff_dim // dd, (
+        (idx + (h % dd,), h // dd, a) for idx, h, a in w._terms()))
 
 
 def hom_representation(rep: Representation) -> Representation:

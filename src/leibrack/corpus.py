@@ -11,6 +11,7 @@ consumes (nilpotent rho, non-abelian, dimension <= 5).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -154,18 +155,18 @@ def _random_commuting_nilpotents(rng, d: int, m: int):
 
 def _cocycle_space(rep: Representation) -> list[Cochain]:
     """Exact basis of the degree-2 cocycles Z^2(g0, a) for the given
-    anti-symmetric representation: nullspace of the linearized dL^2."""
+    anti-symmetric representation: nullspace of the linearized dL^2, whose
+    column b is dL of the b-th basis cochain, cells taken row-major."""
     g0, m = rep.algebra, rep.carrier_dim
     d = g0.dim
-    dim_cochains = d * d * m
-    cols = []
-    for b in range(dim_cochains):
-        values = [Fraction(0)] * dim_cochains
-        values[b] = Fraction(1)
-        dw = leibniz_differential(rep, Cochain(2, d, m, tuple(values)))
-        cols.append(dw.values)
-    k = nullspace(Matrix.from_cols(d ** 3 * m, cols))  # dL^2 lands in degree 3
-    return [Cochain(2, d, m, v) for v in k]
+    cells = [(idx, k) for idx in product(range(d), repeat=2) for k in range(m)]
+    terms = []
+    for b, (idx, k) in enumerate(cells):
+        dw = leibniz_differential(rep, Cochain.from_terms(2, d, m, [(idx, k, Fraction(1))]))
+        terms.extend((((y0 * d + y1) * d + y2) * m + kk, b, a)
+                     for (y0, y1, y2), val in dw.nonzeros.items() for kk, a in enumerate(val))
+    k = nullspace(Matrix.from_terms(d ** 3 * m, len(cells), terms))  # dL^2 lands in degree 3
+    return [Cochain.from_terms(2, d, m, ((*cells[b], a) for b, a in enumerate(v))) for v in k]
 
 
 def assemble_extension(g0: LeibnizAlgebra, rho, omega: Cochain) -> LeibnizAlgebra:

@@ -622,11 +622,11 @@ def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
     With symmetric coefficients the alternating Leibniz cochains form the
     CE complex (Loday-Pirashvili 1993), so d omega is dL omega over rho
     taken as a symmetric module."""
-    d = ext.g0_dim
-    anti = max((abs(a + b) for p in range(d) for q in range(d)
+    anti = max((abs(a + b) for p, q in omega.nonzeros
                 for a, b in zip(omega.at(p, q), omega.at(q, p))), default=Fraction(0))
     rep = Representation.symmetric(ext.g0, ext.rho, ext.center_dim)
-    worst = max(map(abs, leibniz_differential(rep, omega).values), default=Fraction(0))
+    worst = max((abs(a) for val in leibniz_differential(rep, omega).nonzeros.values()
+                 for a in val), default=Fraction(0))
     return worst, anti
 
 

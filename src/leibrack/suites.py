@@ -285,7 +285,7 @@ def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[Propert
     """delta2 of the integrated cocycle recovers omega on all basis pairs,
     all pairs at once."""
     d, m = sys.g0_dim, sys.center_dim
-    omega_np = sys.ext.omega.to_numpy() if d else np.zeros((0, 0, m))
+    omega_np = sys.ext.omega.to_numpy()
     ok = np.ones(d * d, dtype=bool)
     got = delta2(sys, partial(i2, sys), *_pairs(np.eye(d)), cfg, ok)
     return stacked(d * d, [(sup_rows(got - omega_np.reshape(d * d, m)), ok)],

@@ -17,7 +17,10 @@ two rank computations per candidate, the Hom generators as Kronecker
 products, and the extension's bracket reassembled pair by pair.
 ``DENSE_EXACT_LAYER`` lists what to patch in to run ``canonical_extension``
 on them.  ``dense`` and ``from_dense`` convert between a ``Matrix``, which
-stores only its sparse rows, and dense row tuples."""
+stores only its sparse rows, and dense row tuples; ``cochain_dense`` and
+``cochain_from_dense`` do the same between a ``Cochain``, which stores only
+its nonzero values, and its flat row-major values.
+``leibniz_differential_by_definition`` is dL gathered output by output."""
 
 import itertools
 from fractions import Fraction
@@ -28,7 +31,7 @@ import numpy as np
 from leibrack import algebra, linalg
 from leibrack.algebra import Representation, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
-from leibrack.cohomology import RackCochainFn, RackModuleStructure, rack_diff2_expansion
+from leibrack.cohomology import Cochain, RackCochainFn, RackModuleStructure, rack_diff2_expansion
 from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
 from leibrack.linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
 from leibrack.rack import (
@@ -350,6 +353,67 @@ def from_dense(rows, cols, data):
                                                  for j, a in enumerate(row)))
 
 
+def cochain_dense(w):
+    """w's values as one flat tuple, entry (i1,...,in,k) at the row-major
+    offset, zero values included."""
+    return tuple(a for idx in itertools.product(range(w.domain_dim), repeat=w.degree)
+                 for a in w.at(*idx))
+
+
+def cochain_from_dense(degree, domain_dim, coeff_dim, values):
+    """The cochain whose flat row-major values (as ``cochain_dense`` gives
+    them) are values."""
+    if len(values) != domain_dim ** degree * coeff_dim:
+        raise ValueError(f"expected {domain_dim ** degree * coeff_dim} entries, got {len(values)}")
+    cells = itertools.product(itertools.product(range(domain_dim), repeat=degree),
+                              range(coeff_dim))
+    return Cochain.from_terms(degree, domain_dim, coeff_dim,
+                              ((idx, k, Fraction(a)) for (idx, k), a in zip(cells, values)))
+
+
+def _axpy(out: list, s, term) -> None:
+    """out += s * term, skipping the zero entries of term."""
+    for k, t in enumerate(term):
+        if t:
+            out[k] += s * t
+
+
+def leibniz_differential_by_definition(rep, w):
+    """dL read off its defining formula one output at a time: each of the
+    d^(n+1) index tuples gathers the module terms and the bracket terms
+    from the values of w, the gather form that the scatter in
+    ``cohomology.leibniz_differential`` replaced.  Degree 0 is the
+    convention dL beta(x) = -[beta, x]_R."""
+    alg = rep.algebra
+    if w.domain_dim != alg.dim or w.coeff_dim != rep.carrier_dim:
+        raise ValueError("cochain does not match the representation")
+    n = w.degree
+
+    if n == 0:
+        beta = w.at()
+
+        def d0(x):
+            return linalg.vec_scale(-1, rep.right[x].mat_vec(beta))
+        return Cochain.from_function(1, alg.dim, rep.carrier_dim, d0)
+
+    def dw(*idx):
+        out = list(linalg.zero_vec(rep.carrier_dim))
+        # sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
+        for i in range(n):
+            _axpy(out, (-1) ** i, rep.left[idx[i]].mat_vec(w.at(*(idx[:i] + idx[i + 1:]))))
+        # (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
+        _axpy(out, (-1) ** (n - 1), rep.right[idx[n]].mat_vec(w.at(*idx[:n])))
+        # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..)
+        for i in range(n + 1):
+            rest = idx[:i] + idx[i + 1:]
+            for j in range(i + 1, n + 1):
+                for p, c in alg.terms[idx[i]][idx[j]]:
+                    _axpy(out, (-1) ** (i + 1) * c, w.at(*rest[:j - 1], p, *rest[j:]))
+        return tuple(out)
+
+    return Cochain.from_function(n + 1, alg.dim, rep.carrier_dim, dw)
+
+
 def dense_matmul(a, b):
     """a @ b over every entry pair, skipping a product where a factor is 0."""
     if a.cols != b.rows:
@@ -514,7 +578,7 @@ def validate_extension_pairwise(ext, leibniz_differential):
             zc = linalg.vec_add(rho_x.mat_vec(b), ext.omega.evaluate(x, y))
             if ext.unsplit(xy, zc) != alg.c[i][j]:
                 raise AssertionError("extension data do not reassemble the bracket")
-    if d and not all(v == 0 for v in leibniz_differential(ext.rep, ext.omega).values):
+    if d and not all(v == 0 for v in cochain_dense(leibniz_differential(ext.rep, ext.omega))):
         raise AssertionError("omega is not a cocycle")
 
 

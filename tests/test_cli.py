@@ -262,6 +262,17 @@ def test_example_unknown_name_rejected(capsys):
         main(["example", "nonsense"])
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("knob", ["--quad-order", "--chart-radius", "--fd-step", "--samples",
+                                  "--seed"])
+def test_exact_commands_take_no_float_knobs(command, knob, capsys):
+    # verify and analyze run no float work, so a float knob is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, data_path("dim5"), knob, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_is_parse_error(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", str(tmp_path / "nope.leib"), "--json")
     assert code == 2

@@ -7,7 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from leibrack.algebra import Representation, canonical_extension
+import oracles
+from leibrack.algebra import LeibnizAlgebra, Representation, canonical_extension
 from leibrack.cohomology import (
     Cochain,
     RackCochainFn,
@@ -22,7 +23,14 @@ from leibrack.cohomology import (
     tau,
     tau_inverse,
 )
-from leibrack.corpus import dim5, free_nilpotent5, heisenberg, random_corpus
+from leibrack.corpus import (
+    dim5,
+    filiform5,
+    free_nilpotent5,
+    heisenberg,
+    random_corpus,
+    random_leibniz,
+)
 from leibrack.linalg import Matrix
 from leibrack.rack import conjugate, group_action, group_from_coords
 
@@ -30,7 +38,7 @@ from leibrack.rack import conjugate, group_action, group_from_coords
 def random_cochain(rng, degree, dd, cd):
     vals = tuple(Fraction(int(rng.integers(-3, 4)))
                  for _ in range(dd ** degree * cd))
-    return Cochain(degree, dd, cd, vals)
+    return oracles.cochain_from_dense(degree, dd, cd, vals)
 
 
 def representation_pool(seed=0):
@@ -113,10 +121,50 @@ def test_degree_zero_convention_on_symmetric_modules():
         if rep.flavor != "symmetric":
             continue
         beta = tuple(Fraction(int(c)) for c in rng.integers(-3, 4, rep.carrier_dim))
-        d0 = leibniz_differential(rep, Cochain(0, rep.algebra.dim,
-                                               rep.carrier_dim, beta))
+        d0 = leibniz_differential(rep, oracles.cochain_from_dense(0, rep.algebra.dim,
+                                                                  rep.carrier_dim, beta))
         for x in range(rep.algebra.dim):
             assert d0.at(x) == rep.left[x].mat_vec(beta)
+
+
+def _aff1_acting():
+    # g0 = aff(1) ([e1, e2] = e2) acting on the left center (e3, e4) with
+    # weights (2, 1) and [e2, e4] = e3: rho is not nilpotent
+    return LeibnizAlgebra.from_brackets(4, {(0, 0): {2: 1}, (0, 1): {1: 1},
+                                            (1, 0): {1: -1, 3: 1}, (0, 2): {2: 2},
+                                            (0, 3): {3: 1}, (1, 3): {2: 1}})
+
+
+DL_ALGEBRAS = ([pytest.param(f, id=f.__name__)
+                for f in (dim5, heisenberg, filiform5, free_nilpotent5, _aff1_acting)]
+               + [pytest.param(lambda s=s: random_leibniz(s), id=f"random_leibniz{s}")
+                  for s in (1, 2, 23)])
+
+
+def _seeded_cochain(rng, degree, dd, cd, sparse):
+    """Small integer values; sparse ones have at most three nonzero entries."""
+    size = dd ** degree * cd
+    vals = [int(rng.integers(-3, 4)) for _ in range(size)]
+    if sparse:
+        keep = set(rng.choice(size, size=min(3, size), replace=False).tolist())
+        vals = [v if i in keep else 0 for i, v in enumerate(vals)]
+    return oracles.cochain_from_dense(degree, dd, cd, vals)
+
+
+@pytest.mark.parametrize("make", DL_ALGEBRAS)
+def test_dL_equals_its_definition(make):
+    # the scatter against the gather form, exactly: on the extension's own
+    # module, rho as a symmetric module and the Hom module
+    ext = canonical_extension(make())
+    modules = [ext.rep, Representation.symmetric(ext.g0, ext.rho, carrier_dim=ext.center_dim),
+               hom_representation(ext.rep)]
+    rng = np.random.default_rng(17)
+    for rep in modules:
+        for degree in range(4):
+            for sparse in (True, False):
+                w = _seeded_cochain(rng, degree, rep.algebra.dim, rep.carrier_dim, sparse)
+                assert leibniz_differential(rep, w) == \
+                    oracles.leibniz_differential_by_definition(rep, w), (degree, sparse)
 
 
 # -- tau ---------------------------------------------------------------------

@@ -69,7 +69,7 @@ from leibrack.suites import (
     sample_rack_element,
     tangent_suite,
 )
-from oracles import EXTRAS_ONE_BY_ONE, ONE_BY_ONE, sampled
+from oracles import EXTRAS_ONE_BY_ONE, ONE_BY_ONE, cochain_from_dense, sampled
 
 
 # -- chart operations --------------------------------------------------------
@@ -174,12 +174,11 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
 
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module
-    from fractions import Fraction
     from leibrack.cohomology import hom_representation, leibniz_differential
     rng = np.random.default_rng(2)
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
-    beta = leibniz_differential(homrep, Cochain(0, 2, 6, tuple(Fraction(c) for c in b)))
+    beta = leibniz_differential(homrep, cochain_from_dense(0, 2, 6, b))
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, xi)
