@@ -12,25 +12,24 @@ by the left center, with its quotient Lie algebra g0, representation rho and
 faithfully as matrices acting on g (the left-adjoint realization), which is
 what gets exponentiated.
 
-The dense tensor ``c`` is the public form of the structure constants.  Each
-algebra also builds, once, the table ``terms`` of its nonzero entries:
-``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  The bracket, the
-Leibniz check, the Lie test, ``ad_matrix``, the left-adjoint map,
-``cohomology.leibniz_differential`` and ``cohomology.hom_representation``
-read that table, so their cost follows the nonzeros (2(n-2) for
-filiform-n) rather than n^3 dense contractions per basis triple.  The
-matrices they build are ``Matrix`` values, stored as their sparse rows
-alone (see ``linalg``): the module axiom (LLM), ``left_of`` and the checks
-of the extension multiply and compare them over their nonzeros, the
-extension's projections are slices of those rows, and the squares ideal
-grows one echelon basis held as sparse rows.
+An algebra stores only the table ``terms`` of its nonzero structure
+constants: ``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  Every
+constructor sums terms into it, and the bracket, the Leibniz check, the Lie
+test, ``ad_matrix``, the left-adjoint map, the module axiom (LLM), the
+quotient g0 and omega, ``cohomology.leibniz_differential`` and
+``cohomology.hom_representation`` read it, so their cost follows the
+nonzeros (2(n-2) for filiform-n), not n^3.  The dense tensor ``c`` is built
+only on request; nothing in the package asks.  The matrices they build are
+``Matrix`` values, stored as their sparse rows alone (see ``linalg``):
+``left_of`` and the checks of the extension multiply and compare them over
+their nonzeros, the extension's projections are slices of those rows, and
+the squares ideal grows one echelon basis held as sparse rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -64,32 +63,45 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class LeibnizAlgebra:
-    """Structure-constant model: [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """[e_i, e_j] = sum_k c_ij^k e_k, stored only as ``terms``: terms[i][j] lists
+    the (k, c_ij^k) with c_ij^k != 0 in increasing k; ``c`` builds the dense tensor."""
 
     dim: int
     basis_names: tuple[str, ...]
-    c: tuple[tuple[Vec, ...], ...]  # shape dim x dim x dim, exact
+    terms: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
     def __post_init__(self):
         n = self.dim
         if len(self.basis_names) != n:
             raise ValueError("need one name per basis element")
-        if len(self.c) != n or any(len(r) != n for r in self.c) or any(
-                len(v) != n for r in self.c for v in r):
-            raise ValueError(f"structure tensor must be {n}x{n}x{n}")
+        if len(self.terms) != n or any(len(row) != n for row in self.terms):
+            raise ValueError(f"terms must be a {n}x{n} table")
+        for i, row in enumerate(self.terms):
+            for j, t in enumerate(row):
+                # the filter drops a zero entry, an index out of range and a repeat
+                if [k for k, _ in t] != sorted({k for k, a in t if a and 0 <= k < n}):
+                    raise ValueError(f"terms[{i}][{j}] is not a list of nonzero (k, c) "
+                                     f"with k increasing in [0, {n})")
 
-    @cached_property
-    def terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """terms[i][j]: the nonzero (k, c_ij^k) of [e_i, e_j], in increasing k."""
-        return tuple(tuple(tuple((k, a) for k, a in enumerate(v) if a) for v in row)
-                     for row in self.c)
+    @property
+    def c(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense dim x dim x dim tensor, c[i][j][k] = c_ij^k."""
+        n = self.dim
+        return tuple(tuple(map(Matrix(n, n, row).row, range(n))) for row in self.terms)
 
     @staticmethod
-    def from_structure(c, basis_names=None, check=True) -> "LeibnizAlgebra":
-        n = len(c)
-        names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(n))
-        tensor = tuple(tuple(as_vec(v) for v in row) for row in c)
-        alg = LeibnizAlgebra(n, names, tensor)
+    def from_terms(dim, terms, basis_names=None, check=True) -> "LeibnizAlgebra":
+        """The algebra whose c_ij^k is the sum of the a over the terms
+        (i, j, k, a), summed as the row i*dim + j of a matrix: it costs by
+        the number of terms.  An index outside [0, dim) is a ValueError."""
+        def flat():
+            for i, j, k, a in terms:
+                if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                    raise ValueError(f"index ({i}, {j}, {k}) out of range for dimension {dim}")
+                yield i * dim + j, k, Fraction(a)
+        rows = Matrix.from_terms(dim * dim, dim, flat()).nonzeros
+        names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
+        alg = LeibnizAlgebra(dim, names, tuple(rows[i * dim:(i + 1) * dim] for i in range(dim)))
         if check:
             validate_leibniz(alg)
         return alg
@@ -97,11 +109,8 @@ class LeibnizAlgebra:
     @staticmethod
     def from_brackets(dim, brackets, check=True) -> "LeibnizAlgebra":
         """brackets: {(i, j): {k: coeff}} with all indices 0-based."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), val in brackets.items():
-            for k, coeff in val.items():
-                c[i][j][k] = Fraction(coeff)
-        return LeibnizAlgebra.from_structure(c, check=check)
+        return LeibnizAlgebra.from_terms(dim, ((i, j, k, coeff) for (i, j), val in brackets.items()
+                                               for k, coeff in val.items()), check=check)
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
@@ -331,22 +340,27 @@ class Representation:
         return rep
 
     def left_of(self, x) -> Matrix:
-        """Action matrix of [x, -]_L for an algebra element x, summed over
-        the nonzero coordinates of x and the nonzeros of their matrices."""
+        """Action matrix of [x, -]_L, x a vector of the algebra's dimension."""
         x = as_vec(x)
+        if len(x) != self.algebra.dim:
+            raise ValueError("vector length must equal the algebra dimension")
+        return self._left_sum((i, xi) for i, xi in enumerate(x) if xi)
+
+    def _left_sum(self, coords) -> Matrix:
+        """sum_i x_i left[i] over the (i, x_i) in coords, by the nonzeros."""
         return Matrix.from_terms(self.carrier_dim, self.carrier_dim, (
-            (r, j, xi * a) for xi, m in zip(x, self.left) if xi
-            for r, row in enumerate(m.nonzeros) for j, a in row))
+            (r, j, xi * a) for i, xi in coords
+            for r, row in enumerate(self.left[i].nonzeros) for j, a in row))
 
     def _validate(self):
-        """(LLM): [x, [y, m]_L]_L = [[x, y], m]_L + [y, [x, m]_L]_L on basis pairs."""
+        """(LLM): [x, [y, m]_L]_L = [[x, y], m]_L + [y, [x, m]_L]_L on basis
+        pairs, with [e_i, e_j] read off the nonzero table."""
         alg = self.algebra
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lb = self.left_of(alg.c[i][j])
-                li, lj = self.left[i], self.left[j]
-                if not (li @ lj - lb - lj @ li).is_zero():
-                    raise ValueError(f"module axiom (LLM) fails on basis pair ({i},{j})")
+        for i, j in product(range(alg.dim), repeat=2):
+            lb = self._left_sum(alg.terms[i][j])
+            li, lj = self.left[i], self.left[j]
+            if not (li @ lj - lb - lj @ li).is_zero():
+                raise ValueError(f"module axiom (LLM) fails on basis pair ({i},{j})")
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +440,14 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     section = Matrix.from_cols(n, complement)
     inclusion = Matrix.from_cols(n, center)
 
-    # the lifts are basis vectors, so [lift_p, lift_q] is a row of c
-    lifted = [[alg.c[p][q] for q in pivots] for p in pivots]
-    # quotient structure constants on the pivot lifts
-    c0 = [[projection.mat_vec(v) for v in row] for row in lifted]
-    g0 = LeibnizAlgebra.from_structure(c0,
-                                       basis_names=tuple(alg.basis_names[p] for p in pivots))
+    # [lift_p, lift_q] is a table entry (the lifts are basis vectors), and
+    # column k of from_parent is e_k in (g0, center) coordinates: r < d gives
+    # g0's constants, r = d + k entry k of omega(p, q) = pi_Z([lift_p, lift_q])
+    cols = from_parent.transpose().nonzeros
+    lifted = [(p, q, r, a * b) for p, pp in enumerate(pivots) for q, qq in enumerate(pivots)
+              for k, a in alg.terms[pp][qq] for r, b in cols[k]]
+    g0 = LeibnizAlgebra.from_terms(d, ((p, q, r, a) for p, q, r, a in lifted if r < d),
+                                   basis_names=tuple(alg.basis_names[p] for p in pivots))
     if not is_lie(g0):
         raise AssertionError("quotient by the left center must be Lie")  # cannot happen
 
@@ -444,10 +460,7 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
         rho.append(Matrix.from_cols(m, cols))
     rho = tuple(rho)
 
-    # omega(p, q) = pi_Z([lift_p, lift_q]), read off the nonzero lifted brackets
-    omega = Cochain.from_terms(2, d, m, (
-        ((p, q), k, a) for p, pp in enumerate(pivots) for q, qq in enumerate(pivots)
-        if alg.terms[pp][qq] for k, a in enumerate(center_projection.mat_vec(alg.c[pp][qq]))))
+    omega = Cochain.from_terms(2, d, m, (((p, q), r - d, a) for p, q, r, a in lifted if r >= d))
 
     rep = Representation.anti_symmetric(g0, rho, carrier_dim=m)
     ext = CentralExtensionData(alg, tuple(center), complement, pivots, g0,

@@ -11,7 +11,7 @@ consumes (nilpotent rho, non-abelian, dimension <= 5).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -173,19 +173,11 @@ def assemble_extension(g0: LeibnizAlgebra, rho, omega: Cochain) -> LeibnizAlgebr
     """Bracket on g0 (+) a: [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y)),
     with the g0 lifts first and the center coordinates last."""
     d, m = g0.dim, omega.coeff_dim
-    n = d + m
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for p in range(d):
-        for q in range(d):
-            for r in range(d):
-                c[p][q][r] = g0.c[p][q][r]
-            for k, val in enumerate(omega.at(p, q)):
-                c[p][q][d + k] += val
-        for k in range(m):
-            col = rho[p].col(k)
-            for r in range(m):
-                c[p][d + k][d + r] = col[r]
-    return LeibnizAlgebra.from_structure(c)
+    return LeibnizAlgebra.from_terms(d + m, chain(
+        ((p, q, r, a) for p, row in enumerate(g0.terms) for q, t in enumerate(row) for r, a in t),
+        ((p, q, d + k, a) for (p, q), val in omega.nonzeros.items() for k, a in enumerate(val)),
+        ((p, d + k, d + r, a) for p in range(d)
+         for r, row in enumerate(rho[p].nonzeros) for k, a in row)))
 
 
 MAX_DIM = 5          # largest dimension random_leibniz draws

@@ -13,9 +13,8 @@ Indices are 0-based; omitted pairs mean a zero bracket; coefficients are
 integers or "p/q" strings (never floats, so exact input stays exact).
 ``dim``, ``left`` and ``right`` must be JSON integers: a float, a string or
 ``true``/``false`` is a ParseError, never truncated or coerced, and so is a
-boolean coefficient or a ``value`` key other than decimal digits.  ``dim`` may be at most ``MAX_DIM``: the structure
-constants take dim^3 exact entries and the exact layer grows steeply with
-the dimension, so a larger file is rejected before anything is allocated.
+boolean coefficient or a ``value`` key other than decimal digits.  ``dim``
+may be at most ``MAX_DIM``, checked before any bracket is read.
 A file that is not UTF-8, nests too deeply for the JSON reader or holds a
 number past Python's integer digit limit is a ParseError too.  Nothing is
 merged silently: a key repeated in any JSON object (which ``json.loads``
@@ -36,8 +35,8 @@ from .algebra import LeibnizAlgebra
 
 
 MAX_DIM = 32
-"""Largest accepted ``dim``; checked before the dim^3 structure constants
-are allocated."""
+"""Largest accepted ``dim``: ``validate_leibniz`` walks all dim^3 basis
+triples, and the float suites grow steeply with the dimension."""
 
 
 class ParseError(ValueError):
@@ -61,12 +60,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
-    brackets = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            value = {str(k): str(c) for k, c in enumerate(alg.c[i][j]) if c != 0}
-            if value:
-                brackets.append({"left": i, "right": j, "value": value})
+    brackets = [{"left": i, "right": j, "value": {str(k): str(c) for k, c in t}}
+                for i, row in enumerate(alg.terms) for j, t in enumerate(row) if t]
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 
@@ -90,7 +85,7 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
         raise ParseError("'brackets' must be a list")
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    terms = []
     seen = set()
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -120,11 +115,11 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
                 raise ParseError(f"brackets[{pos}]: {coeff!r} not accepted, "
                                  "use integer or 'p/q' strings")
             try:
-                c[i][j][k] = Fraction(coeff)
+                terms.append((i, j, k, Fraction(coeff)))
             except (ValueError, TypeError, ZeroDivisionError):
                 raise ParseError(f"brackets[{pos}]: bad coefficient {coeff!r}") from None
     # a ValidationError from the Leibniz check propagates unchanged
-    return LeibnizAlgebra.from_structure(c, basis_names=basis)
+    return LeibnizAlgebra.from_terms(dim, terms, basis_names=basis)
 
 
 def parse_algebra_file(path) -> LeibnizAlgebra:

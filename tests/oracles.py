@@ -16,8 +16,13 @@ through ``mat_vec``, ``ad_matrix`` column by column, the squares ideal by
 two rank computations per candidate, the Hom generators as Kronecker
 products, and the extension's bracket reassembled pair by pair.
 ``DENSE_EXACT_LAYER`` lists what to patch in to run ``canonical_extension``
-on them.  ``dense`` and ``from_dense`` convert between a ``Matrix``, which
-stores only its sparse rows, and dense row tuples; ``cochain_dense`` and
+on them.  The dense structure tensor that ``LeibnizAlgebra`` once stored
+survives in ``tensor_from_brackets`` (the old ``from_brackets`` loop),
+``algebra_from_tensor``, ``quotient_and_omega_by_projection`` (g0 and
+omega as the projections of the dense lifted brackets) and
+``assemble_extension_dense`` (the n^3 loop).  ``dense`` and
+``from_dense`` convert between a ``Matrix``, which stores only its sparse
+rows, and dense row tuples; ``cochain_dense`` and
 ``cochain_from_dense`` do the same between a ``Cochain``, which stores only
 its nonzero values, and its flat row-major values.
 ``leibniz_differential_by_definition`` is dL gathered output by output."""
@@ -29,7 +34,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from leibrack import algebra, linalg
-from leibrack.algebra import Representation, bracket, is_lie
+from leibrack.algebra import LeibnizAlgebra, Representation, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
 from leibrack.cohomology import Cochain, RackCochainFn, RackModuleStructure, rack_diff2_expansion
 from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
@@ -580,6 +585,54 @@ def validate_extension_pairwise(ext, leibniz_differential):
                 raise AssertionError("extension data do not reassemble the bracket")
     if d and not all(v == 0 for v in cochain_dense(leibniz_differential(ext.rep, ext.omega))):
         raise AssertionError("omega is not a cocycle")
+
+
+def tensor_from_brackets(dim, brackets):
+    """The dense dim x dim x dim tensor of {(i, j): {k: coeff}}, entry by entry."""
+    c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), val in brackets.items():
+        for k, coeff in val.items():
+            c[i][j][k] = Fraction(coeff)
+    return tuple(tuple(tuple(v) for v in row) for row in c)
+
+
+def algebra_from_tensor(c, basis_names=None):
+    """The checked algebra with the dense structure tensor c."""
+    return LeibnizAlgebra.from_terms(len(c), ((i, j, k, a) for i, row in enumerate(c)
+                                              for j, v in enumerate(row)
+                                              for k, a in enumerate(v) if a),
+                                     basis_names)
+
+
+def quotient_and_omega_by_projection(alg, ext):
+    """(g0, omega) of the extension, each lifted bracket [e_p, e_q] projected
+    from its dense tensor row: g0 through ``projection``, omega through
+    ``center_projection``."""
+    pivots, d, m = ext.complement_pivots, ext.g0_dim, ext.center_dim
+    lifted = [[alg.c[p][q] for q in pivots] for p in pivots]
+    g0 = algebra_from_tensor([[ext.projection.mat_vec(v) for v in row] for row in lifted],
+                             tuple(alg.basis_names[p] for p in pivots))
+    omega = Cochain.from_function(2, d, m, lambda p, q: ext.center_projection.mat_vec(
+        lifted[p][q]))
+    return g0, omega
+
+
+def assemble_extension_dense(g0, rho, omega):
+    """corpus.assemble_extension filling the dense n^3 tensor entry by entry."""
+    d, m = g0.dim, omega.coeff_dim
+    n = d + m
+    c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for p in range(d):
+        for q in range(d):
+            for r in range(d):
+                c[p][q][r] = g0.c[p][q][r]
+            for k, val in enumerate(omega.at(p, q)):
+                c[p][q][d + k] += val
+        for k in range(m):
+            col = rho[p].col(k)
+            for r in range(m):
+                c[p][d + k][d + r] = col[r]
+    return algebra_from_tensor(c)
 
 
 # (owner, attribute, dense replacement): patched in, canonical_extension

@@ -84,6 +84,38 @@ def test_constructor_rejects_invalid_tensor():
     assert err.value.defect == (Fraction(-1), Fraction(0))
 
 
+@pytest.mark.parametrize("index", [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 3, 0),
+                                   (0, 0, -1), (0, 0, 3)])
+def test_constructors_reject_an_index_out_of_range(index):
+    # a negative index once stored the bracket at the index read from the end
+    i, j, k = index
+    with pytest.raises(ValueError, match="out of range"):
+        LeibnizAlgebra.from_brackets(3, {(i, j): {k: 1}}, check=False)
+    with pytest.raises(ValueError, match="out of range"):
+        LeibnizAlgebra.from_terms(3, [(0, 1, 2, 1), (i, j, k, 1)], check=False)
+
+
+def test_from_terms_sums_repeated_terms_and_drops_zero_sums():
+    alg = LeibnizAlgebra.from_terms(2, [(0, 0, 1, 1), (1, 0, 0, 2), (0, 0, 1, Fraction(1, 2)),
+                                        (1, 0, 0, -2), (0, 1, 0, 0)], check=False)
+    assert alg.terms == ((((1, Fraction(3, 2)),), ()), ((), ()))
+    assert alg.c == (((0, Fraction(3, 2)), (0, 0)), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("terms", [
+    ((((1, 1),),),),                          # one row of one pair
+    (((), ()), ((),)),                        # ragged
+    ((((1, 1), (0, 1)), ()), ((), ())),       # k decreasing
+    ((((1, 1), (1, 2)), ()), ((), ())),       # k repeated
+    ((((2, 1),), ()), ((), ())),              # k out of range
+    ((((-1, 1),), ()), ((), ())),             # k negative
+    ((((1, 0),), ()), ((), ())),              # a zero entry
+], ids=["short", "ragged", "decreasing", "repeated", "k_too_large", "k_negative", "zero"])
+def test_the_table_is_checked_on_construction(terms):
+    with pytest.raises(ValueError):
+        LeibnizAlgebra(2, ("e1", "e2"), terms)
+
+
 def filiform(n):
     """The filiform Lie algebra [e1,ek] = e_{k+1}, k = 2..n-1."""
     br = {}
@@ -94,9 +126,11 @@ def filiform(n):
 
 
 def perturbed(alg, i, j, k, delta):
-    c = [[list(v) for v in row] for row in alg.c]
-    c[i][j][k] += Fraction(delta)
-    return LeibnizAlgebra.from_structure(c, alg.basis_names, check=False)
+    """alg with delta added to c_ij^k: its table plus one term."""
+    terms = [(a, b, e, v) for a, row in enumerate(alg.terms) for b, t in enumerate(row)
+             for e, v in t]
+    return LeibnizAlgebra.from_terms(alg.dim, terms + [(i, j, k, Fraction(delta))],
+                                     alg.basis_names, check=False)
 
 
 def dense_verdict(alg):
@@ -321,6 +355,17 @@ def test_representation_axioms_reject_corruption():
     bad[0] = bad[0] + Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError):
         Representation.anti_symmetric(ext.g0, bad, carrier_dim=3)
+
+
+def test_left_of_rejects_a_vector_of_another_length():
+    # zip once cut [1, 0, 5] to [1, 0] and read [1] as [1, 0]
+    n = Matrix.from_rows([[0, 0], [1, 0]])
+    rep = Representation.anti_symmetric(LeibnizAlgebra.from_brackets(2, {}),
+                                        [n, Matrix.zeros(2, 2)])
+    assert rep.left_of([1, 0]) == n
+    for x in ([1], [1, 0, 5]):
+        with pytest.raises(ValueError, match="length"):
+            rep.left_of(x)
 
 
 def test_symmetric_flavor_forces_right_action():

@@ -431,6 +431,26 @@ def test_reports_with_an_extension_take_its_left_center(capsys, monkeypatch):
         main(["verify", data_path("dim5")])
 
 
+def test_reports_never_read_the_dense_tensor(capsys, monkeypatch, tmp_path):
+    """The package reads the nonzero table; the dense view c is for callers
+    outside it."""
+    from leibrack.corpus import filiform5
+    path = tmp_path / "filiform5.leib"
+    write_algebra_file(filiform5(), path)
+
+    def refuse(alg):
+        raise AssertionError("dense tensor read")
+    monkeypatch.setattr(LeibnizAlgebra, "c", property(refuse))
+    with pytest.raises(AssertionError, match="dense tensor read"):
+        filiform5().c
+    for argv in (["verify", str(path)], ["analyze", str(path)],
+                 ["integrate", str(path), "--samples", "10"],
+                 *(["example", name, "--samples", "10"]
+                   for name in ("dim5", "heisenberg", "abelian3"))):
+        code, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, argv
+
+
 @pytest.mark.xfail(strict=True, reason="the float unipotency test in log_float sends "
                    "this unipotent G0 element down the gated non-unipotent branch")
 def test_i2_probe_returns_value_for_unipotent_g0(capsys, tmp_path):

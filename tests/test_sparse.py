@@ -1,10 +1,12 @@
 """The sparse exact layer against the dense oracles of ``tests/oracles.py``:
 ``Matrix`` products, ``mat_vec``, ``left_of``, row reduction and the
 nilpotency index on random sparse rational matrices, and the squares ideal,
-the Hom generators and every field of the canonical extension on a corpus
-of algebras.  Exact results do not depend on the order of a sum, so each
-must equal its oracle exactly.  A count of Fraction multiplications guards
-the cost of the exact layer without timing it."""
+the Hom generators, every field of the canonical extension, its g0 and
+omega and the reassembled algebra on a corpus of algebras, some in a
+basis where the left center is not spanned by basis vectors.  Exact
+results do not depend on the order of a sum, so each must equal its oracle
+exactly.  A count of Fraction multiplications guards the cost of the exact
+layer without timing it."""
 
 import tracemalloc
 from dataclasses import fields, replace
@@ -19,12 +21,21 @@ from leibrack.algebra import (
     Representation,
     _insert_independent,
     _validate_extension,
+    bracket,
     canonical_extension,
     squares_ideal,
 )
 from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
-from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
-from leibrack.linalg import Matrix, joint_nilpotency_index, rref
+from leibrack.corpus import (
+    abelian3,
+    assemble_extension,
+    dim5,
+    free_nilpotent5,
+    heisenberg,
+    random_leibniz,
+)
+from leibrack.fileio import parse_algebra_file, write_algebra_file
+from leibrack.linalg import Matrix, inverse_exact, joint_nilpotency_index, rref
 from leibrack.rack import build_rack_system
 
 SHAPES = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 4), (4, 0, 0), (1, 1, 1),
@@ -55,10 +66,33 @@ def filiform(n):
     return LeibnizAlgebra.from_brackets(n, br)
 
 
+def rebased(alg, seed):
+    """alg in the basis of the columns of a random integer matrix of
+    determinant 1, so its left center is not spanned by basis vectors:
+    c'_ij^k = (P^-1 [P e_i, P e_j])_k."""
+    rng = np.random.default_rng(seed)
+    n = alg.dim
+
+    def unit_triangular(lower):
+        return Matrix.from_rows([[1 if i == j else int(rng.integers(-1, 2)) if (i > j) == lower
+                                  else 0 for j in range(n)] for i in range(n)])
+    p = unit_triangular(True) @ unit_triangular(False)
+    p_inv = inverse_exact(p)
+    cols = [p.col(i) for i in range(n)]
+    return LeibnizAlgebra.from_terms(n, (
+        (i, j, k, a) for i in range(n) for j in range(n)
+        for k, a in enumerate(p_inv.mat_vec(bracket(alg, cols[i], cols[j]))) if a))
+
+
 CORPUS = ([pytest.param(f, id=f.__name__) for f in (dim5, heisenberg, abelian3)]
           + [pytest.param(lambda s=s: random_leibniz(s), id=f"random_leibniz{s}")
              for s in range(41)]
-          + [pytest.param(lambda n=n: filiform(n), id=f"filiform{n}") for n in range(6, 17)])
+          + [pytest.param(lambda n=n: filiform(n), id=f"filiform{n}") for n in range(6, 17)]
+          + [pytest.param(lambda f=f, s=s: rebased(f(), s), id=f"rebased_{name}")
+             for name, f, s in (("dim5", dim5, 0), ("free_nilpotent5", free_nilpotent5, 1),
+                                ("filiform8", lambda: filiform(8), 2),
+                                ("random_leibniz3", lambda: random_leibniz(3), 3),
+                                ("random_leibniz23", lambda: random_leibniz(23), 4))])
 
 
 # -- Matrix ------------------------------------------------------------------
@@ -145,6 +179,21 @@ def test_a_cochain_stores_only_its_nonzero_values():
     assert not dw.is_zero()
     assert peak < 250_000, peak
     assert len(canonical_extension(filiform(32)).omega.nonzeros) == 2
+
+
+def test_an_algebra_stores_only_its_nonzero_constants(tmp_path):
+    # parsing filiform-32 into a dense 32^3 tensor peaked at 0.73 MB
+    assert [f.name for f in fields(LeibnizAlgebra)] == ["dim", "basis_names", "terms"]
+    path = tmp_path / "filiform32.leib"
+    write_algebra_file(filiform(32), path)
+    tracemalloc.start()
+    try:
+        alg = parse_algebra_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg == filiform(32)
+    assert peak < 250_000, peak
 
 
 def test_left_of_matches_the_dense_oracle():
@@ -244,6 +293,35 @@ def test_canonical_extension_matches_the_dense_layer(make, monkeypatch):
         dense_ext = canonical_extension(alg)
     for f in fields(ext):
         assert _plain(getattr(ext, f.name)) == _plain(getattr(dense_ext, f.name)), f.name
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_quotient_and_omega_match_the_projected_dense_brackets(make):
+    alg = make()
+    ext = canonical_extension(alg)
+    assert (ext.g0, ext.omega) == oracles.quotient_and_omega_by_projection(alg, ext)
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_assemble_extension_matches_the_dense_loop(make):
+    ext = canonical_extension(make())
+    assert assemble_extension(ext.g0, ext.rho, ext.omega) == \
+        oracles.assemble_extension_dense(ext.g0, ext.rho, ext.omega)
+
+
+def test_the_dense_view_is_the_tensor_of_the_old_loop():
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 2, 4, 7):
+        for density in (0.0, 0.1, 0.5):
+            brackets = {}
+            for i, j, k in np.argwhere(rng.random((n, n, n)) < density):
+                brackets.setdefault((int(i), int(j)), {})[int(k)] = \
+                    Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            alg = LeibnizAlgebra.from_brackets(n, brackets, check=False)
+            assert alg.c == oracles.tensor_from_brackets(n, brackets)
+    for make in (dim5, heisenberg, abelian3, lambda: filiform(9), lambda: random_leibniz(4)):
+        alg = make()
+        assert oracles.algebra_from_tensor(alg.c, alg.basis_names) == alg
 
 
 def _broken(ext):
