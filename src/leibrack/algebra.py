@@ -20,17 +20,22 @@ quotient g0 and omega, ``cohomology.leibniz_differential`` and
 ``cohomology.hom_representation`` read it, so their cost follows the
 nonzeros (2(n-2) for filiform-n), not n^3.  The dense tensor ``c`` is built
 only on request; nothing in the package asks.  The matrices they build are
-``Matrix`` values, stored as their sparse rows alone (see ``linalg``):
-``left_of`` and the checks of the extension multiply and compare them over
-their nonzeros, the extension's projections are slices of those rows, and
+``Matrix`` values, stored as their sparse rows alone (see ``linalg``), and
 the squares ideal grows one echelon basis held as sparse rows.
+
+The extension is stored as one change of basis, ``to_parent`` (columns: the
+lifts of g0, then the center) and its inverse, beside g0, rho and omega,
+which are read off the sparse products from_parent ad(lift) to_parent.  It
+is checked as one algebra isomorphism: to_parent must carry the bracket
+that ``assemble_extension`` rebuilds from (g0, rho, omega) onto g's, so no
+cochain or action is evaluated on a dense vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 from .linalg import (
@@ -41,7 +46,6 @@ from .linalg import (
     nullspace,
     rref,
     rref_nullspace,
-    vec_add,
     vec_sub,
 )
 
@@ -369,32 +373,37 @@ class Representation:
 
 @dataclass(frozen=True)
 class CentralExtensionData:
-    """The decomposition g = g0 (+)_omega Z_L(g), all maps exact.
+    """The decomposition g = g0 (+)_omega Z_L(g), stored as one exact change
+    of basis and the data (g0, rho, omega), each once.
 
-    * center_basis spans Z_L(g); complement_basis is the echelon-pivot lift
-      of g0 (standard basis vectors at the pivot columns of the left-adjoint
-      map, so runs are reproducible).
-    * section/projection/center_projection/inclusion split the identity:
-      section . projection + inclusion . center_projection = id.
-    * rho[p] is the action of the p-th g0 basis vector on the center,
-      omega(x, y) = pi_Z([sx, sy]) stored as a degree-2 cochain.
+    * to_parent maps (g0, center) coordinates to g coordinates: its columns
+      are the lifts of g0, the standard basis vectors at complement_pivots
+      (the pivot columns of the left-adjoint map, so runs are
+      reproducible), then the basis center_basis of Z_L(g).  from_parent
+      is its inverse; split and unsplit read them.
+    * rep is the anti-symmetric representation of g0 = rep.algebra on the
+      center, with rho = rep.left; omega(x, y) = pi_Z([sx, sy]) is a
+      degree-2 cochain.  to_parent is an algebra isomorphism from
+      assemble_extension(g0, rho, omega) onto the parent.
     * g0_matrices realize g0 faithfully inside End(g); that realization is
       what the integration layer exponentiates.
     """
 
     parent: LeibnizAlgebra
-    center_basis: tuple[Vec, ...]
-    complement_basis: tuple[Vec, ...]
     complement_pivots: tuple[int, ...]
-    g0: LeibnizAlgebra
-    g0_matrices: tuple[Matrix, ...]
-    rho: tuple[Matrix, ...]
-    omega: "Cochain"
     rep: Representation
-    section: Matrix            # g0 coords -> g coords   (n x d)
-    projection: Matrix         # g coords  -> g0 coords  (d x n)
-    center_projection: Matrix  # g coords  -> center coords (m x n)
-    inclusion: Matrix          # center coords -> g coords (n x m)
+    omega: "Cochain"
+    g0_matrices: tuple[Matrix, ...]
+    to_parent: Matrix    # (g0, center) coords -> g coords (n x n)
+    from_parent: Matrix  # g coords -> (g0, center) coords (n x n)
+
+    @property
+    def g0(self) -> LeibnizAlgebra:
+        return self.rep.algebra
+
+    @property
+    def rho(self) -> tuple[Matrix, ...]:
+        return self.rep.left
 
     @property
     def g0_dim(self) -> int:
@@ -402,14 +411,31 @@ class CentralExtensionData:
 
     @property
     def center_dim(self) -> int:
-        return len(self.center_basis)
+        return self.rep.carrier_dim
+
+    @property
+    def center_basis(self) -> tuple[Vec, ...]:
+        return tuple(map(self.to_parent.col, range(self.g0_dim, self.parent.dim)))
 
     def split(self, v) -> tuple[Vec, Vec]:
         """g -> (g0 coords, center coords) along the chosen complement."""
-        return self.projection.mat_vec(v), self.center_projection.mat_vec(v)
+        xa = self.from_parent.mat_vec(v)
+        return xa[:self.g0_dim], xa[self.g0_dim:]
 
     def unsplit(self, x, a) -> Vec:
-        return vec_add(self.section.mat_vec(x), self.inclusion.mat_vec(a))
+        return self.to_parent.mat_vec((*x, *a))
+
+
+def assemble_extension(g0: LeibnizAlgebra, rho, omega: "Cochain") -> LeibnizAlgebra:
+    """The bracket [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y)) on g0 (+) a,
+    with the g0 basis first and the center coordinates last: the inverse of
+    ``canonical_extension``.  Unchecked; ``validate_leibniz`` is the caller's."""
+    d, m = g0.dim, omega.coeff_dim
+    return LeibnizAlgebra.from_terms(d + m, chain(
+        ((p, q, r, a) for p, row in enumerate(g0.terms) for q, t in enumerate(row) for r, a in t),
+        ((p, q, d + k, a) for (p, q), val in omega.nonzeros.items() for k, a in enumerate(val)),
+        ((p, d + k, d + r, a) for p in range(d)
+         for r, row in enumerate(rho[p].nonzeros) for k, a in row)), check=False)
 
 
 def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
@@ -417,84 +443,50 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
 
     The complement of the center is spanned by the standard basis vectors at
     the pivot columns of the reduced echelon form of the left-adjoint map;
-    abelian input yields a zero-dimensional g0.
+    abelian input yields a zero-dimensional g0.  g0, rho and omega are read
+    off [lift_p, -] in the new basis, from_parent @ ad(lift_p) @ to_parent.
     """
-    from .cohomology import Cochain, leibniz_differential
+    from .cohomology import Cochain
 
     n = alg.dim
-    admap = left_adjoint_map(alg)
-    red, pivots = rref(admap)
+    red, pivots = rref(left_adjoint_map(alg))
     center = rref_nullspace(red, pivots)
     d, m = len(pivots), len(center)
-    if d + m != n:
-        raise AssertionError("rank-nullity violated")  # cannot happen
-
-    complement = tuple(alg.basis_vector(p) for p in pivots)
-
-    # change of basis: columns are complement lifts then center vectors
-    basis_cols = list(complement) + list(center)
-    to_parent = Matrix.from_cols(n, basis_cols)  # (x, a) coords -> g coords
-    from_parent = inverse_exact(to_parent)  # g coords -> (x, a) coords
-    projection = Matrix(d, n, from_parent.nonzeros[:d])
-    center_projection = Matrix(m, n, from_parent.nonzeros[d:])
-    section = Matrix.from_cols(n, complement)
-    inclusion = Matrix.from_cols(n, center)
-
-    # [lift_p, lift_q] is a table entry (the lifts are basis vectors), and
-    # column k of from_parent is e_k in (g0, center) coordinates: r < d gives
-    # g0's constants, r = d + k entry k of omega(p, q) = pi_Z([lift_p, lift_q])
-    cols = from_parent.transpose().nonzeros
-    lifted = [(p, q, r, a * b) for p, pp in enumerate(pivots) for q, qq in enumerate(pivots)
-              for k, a in alg.terms[pp][qq] for r, b in cols[k]]
-    g0 = LeibnizAlgebra.from_terms(d, ((p, q, r, a) for p, q, r, a in lifted if r < d),
+    to_parent = Matrix.from_cols(n, [alg.basis_vector(p) for p in pivots] + center)
+    from_parent = inverse_exact(to_parent)
+    g0_matrices = tuple(ad_matrix(alg, alg.basis_vector(p)) for p in pivots)
+    # rows r < d of [lift_p, -] in the new basis are g0's constants [e_p, e_q]_r
+    # (q < d: the center is an ideal); row d + k holds omega(p, q)_k at
+    # column q < d and entry (k, l) of rho_p at column d + l
+    blocks = [(from_parent @ ad @ to_parent).nonzeros for ad in g0_matrices]
+    g0 = LeibnizAlgebra.from_terms(d, ((p, q, r, a) for p, b in enumerate(blocks)
+                                       for r, row in enumerate(b[:d]) for q, a in row),
                                    basis_names=tuple(alg.basis_names[p] for p in pivots))
     if not is_lie(g0):
         raise AssertionError("quotient by the left center must be Lie")  # cannot happen
-
-    g0_matrices = tuple(ad_matrix(alg, complement[p]) for p in range(d))
-
-    # rho_p = [lift_p, -] restricted to the center (the center is an ideal)
-    rho = []
-    for p in range(d):
-        cols = [center_projection.mat_vec(bracket(alg, complement[p], z)) for z in center]
-        rho.append(Matrix.from_cols(m, cols))
-    rho = tuple(rho)
-
-    omega = Cochain.from_terms(2, d, m, (((p, q), r - d, a) for p, q, r, a in lifted if r >= d))
-
-    rep = Representation.anti_symmetric(g0, rho, carrier_dim=m)
-    ext = CentralExtensionData(alg, tuple(center), complement, pivots, g0,
-                               g0_matrices, rho, omega, rep, section,
-                               projection, center_projection, inclusion)
-    _validate_extension(ext, leibniz_differential)
+    rho = [Matrix.from_terms(m, m, ((k, q - d, a) for k, row in enumerate(b[d:])
+                                    for q, a in row if q >= d)) for b in blocks]
+    omega = Cochain.from_terms(2, d, m, (((p, q), k, a) for p, b in enumerate(blocks)
+                                         for k, row in enumerate(b[d:]) for q, a in row if q < d))
+    ext = CentralExtensionData(alg, pivots, Representation.anti_symmetric(g0, rho, m),
+                               omega, g0_matrices, to_parent, from_parent)
+    _validate_extension(ext)
     return ext
 
 
-def _validate_extension(ext: CentralExtensionData, leibniz_differential) -> None:
-    alg, n = ext.parent, ext.parent.dim
-    d, m = ext.g0_dim, ext.center_dim
-    section, projection = ext.section, ext.projection
-    inclusion, center_projection = ext.inclusion, ext.center_projection
-    # split/unsplit is the identity on g
-    if section @ projection + inclusion @ center_projection != Matrix.identity(n):
-        raise AssertionError("section/projection do not split the identity")
-    # reassembled bracket [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y))
-    # reproduces the parent bracket [e_i, e_j] = c[i][j] on all basis pairs:
-    # with e_i split as (x, a), the reassembled [e_i, -] is the matrix
-    #   section ad0(x) projection + inclusion (rho_x center_projection
-    #                                          + omega(x, -) projection)
-    # and it must equal ad(e_i), whose column j is c[i][j]
-    g0_basis = [ext.g0.basis_vector(q) for q in range(d)]
-    for i in range(n):
-        x = projection.col(i)
-        omega_cols = [ext.omega.evaluate(x, y) for y in g0_basis]
-        omega_x = Matrix.from_terms(m, d, ((k, q, a) for q, col in enumerate(omega_cols)
-                                           for k, a in enumerate(col)))
-        reassembled = (section @ ad_matrix(ext.g0, x) @ projection
-                       + inclusion @ (ext.rep.left_of(x) @ center_projection
-                                      + omega_x @ projection))
-        if reassembled != ad_matrix(alg, alg.basis_vector(i)):
+def _validate_extension(ext: CentralExtensionData) -> None:
+    """to_parent and from_parent are inverse, to_parent is an algebra
+    isomorphism from the reassembled g0 (+)_omega Z_L(g) onto the parent,
+    and omega is a 2-cocycle for the anti-symmetric representation."""
+    from .cohomology import leibniz_differential
+
+    alg, t = ext.parent, ext.to_parent
+    if t @ ext.from_parent != Matrix.identity(alg.dim):
+        raise AssertionError("to_parent and from_parent do not split the identity")
+    # [t e_u, t y] = t [e_u, y]' for every u and y, with [-, -]' reassembled
+    assembled = assemble_extension(ext.g0, ext.rho, ext.omega)
+    for u in range(alg.dim):
+        if ad_matrix(alg, t.col(u)) @ t != t @ ad_matrix(assembled, assembled.basis_vector(u)):
             raise AssertionError("extension data do not reassemble the bracket")
-    # omega is an exact Leibniz 2-cocycle for the anti-symmetric representation
     if not leibniz_differential(ext.rep, ext.omega).is_zero():
         raise AssertionError("omega is not a cocycle")

@@ -70,15 +70,21 @@ class Cochain:
     def from_terms(degree, domain_dim, coeff_dim,
                    terms: Iterable[tuple[tuple[int, ...], int, Fraction]]) -> "Cochain":
         """The cochain whose value at idx has entry k the sum of the a over
-        the terms (idx, k, a), all Fraction: it costs by the number of terms."""
-        sums: dict[tuple[int, ...], list[Fraction]] = {}
+        the terms (idx, k, a), all Fraction: it costs by the number of terms.
+        An index outside the shape is a ValueError, checked once per entry."""
+        sums: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for idx, k, a in terms:
-            acc = sums.get(idx)
-            if acc is None:
-                acc = sums[idx] = [_ZERO] * coeff_dim
-            acc[k] += a
-        return Cochain(degree, domain_dim, coeff_dim,
-                       {idx: tuple(acc) for idx, acc in sums.items() if any(acc)})
+            acc = sums.setdefault(idx, {})
+            acc[k] = acc.get(k, _ZERO) + a
+        for idx, acc in sums.items():
+            for k in acc:
+                if not (len(idx) == degree and all(0 <= i < domain_dim for i in idx)
+                        and 0 <= k < coeff_dim):
+                    raise ValueError(f"index ({idx}, {k}) out of range for degree {degree}, "
+                                     f"dimension {domain_dim} and {coeff_dim} coefficients")
+        values = ((idx, tuple(acc.get(k, _ZERO) for k in range(coeff_dim)))
+                  for idx, acc in sums.items())
+        return Cochain(degree, domain_dim, coeff_dim, {idx: v for idx, v in values if any(v)})
 
     @staticmethod
     def zero(degree, domain_dim, coeff_dim) -> "Cochain":

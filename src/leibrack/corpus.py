@@ -11,11 +11,18 @@ consumes (nilpotent rho, non-abelian, dimension <= 5).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
-from .algebra import LeibnizAlgebra, Representation, canonical_extension, left_center
+from .algebra import (
+    LeibnizAlgebra,
+    Representation,
+    assemble_extension,
+    canonical_extension,
+    left_center,
+    validate_leibniz,
+)
 from .cohomology import Cochain, leibniz_differential
 from .linalg import Matrix, nullspace, nilpotency_index
 
@@ -169,17 +176,6 @@ def _cocycle_space(rep: Representation) -> list[Cochain]:
     return [Cochain.from_terms(2, d, m, ((*cells[b], a) for b, a in enumerate(v))) for v in k]
 
 
-def assemble_extension(g0: LeibnizAlgebra, rho, omega: Cochain) -> LeibnizAlgebra:
-    """Bracket on g0 (+) a: [(x,a),(y,b)] = ([x,y], rho_x(b) + omega(x,y)),
-    with the g0 lifts first and the center coordinates last."""
-    d, m = g0.dim, omega.coeff_dim
-    return LeibnizAlgebra.from_terms(d + m, chain(
-        ((p, q, r, a) for p, row in enumerate(g0.terms) for q, t in enumerate(row) for r, a in t),
-        ((p, q, d + k, a) for (p, q), val in omega.nonzeros.items() for k, a in enumerate(val)),
-        ((p, d + k, d + r, a) for p in range(d)
-         for r, row in enumerate(rho[p].nonzeros) for k, a in row)))
-
-
 MAX_DIM = 5          # largest dimension random_leibniz draws
 MAX_ATTEMPTS = 200   # draws random_leibniz makes before it gives up
 
@@ -205,6 +201,7 @@ def random_leibniz(seed: int) -> LeibnizAlgebra:
         for bvec in basis:
             omega = omega + bvec.scale(int(rng.integers(-2, 3)))
         alg = assemble_extension(g0, rho, omega)
+        validate_leibniz(alg)
         if len(left_center(alg)) == alg.dim:
             continue  # abelian: nothing to integrate
         ext = canonical_extension(alg)

@@ -79,10 +79,6 @@ def as_vec(entries: Sequence) -> Vec:
     return tuple(map(_frac, entries))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -136,7 +132,8 @@ class Matrix:
     def from_terms(rows: int, cols: int,
                    terms: Iterable[tuple[int, int, Fraction]]) -> "Matrix":
         """The rows x cols matrix whose (r, j) entry is the sum of the a over
-        the terms (r, j, a), all Fraction: it costs by the number of terms."""
+        the terms (r, j, a), all Fraction: it costs by the number of terms.
+        An index outside the shape is a ValueError, checked once per row."""
         sums: dict[int, dict[int, Fraction]] = {}  # only the rows that have terms
         for r, j, a in terms:
             acc = sums.get(r)
@@ -146,7 +143,11 @@ class Matrix:
                 acc[j] = acc[j] + a if j in acc else a
         nonzeros = [()] * rows
         for r, acc in sums.items():
-            nonzeros[r] = tuple((j, acc[j]) for j in sorted(acc) if acc[j])
+            js = sorted(acc)
+            if not (0 <= r < rows and 0 <= js[0] and js[-1] < cols):
+                raise ValueError(f"index ({r}, {js[0] if js[0] < 0 else js[-1]}) "
+                                 f"out of range for a {rows}x{cols} matrix")
+            nonzeros[r] = tuple((j, acc[j]) for j in js if acc[j])
         return Matrix(rows, cols, tuple(nonzeros))
 
     @staticmethod

@@ -36,7 +36,13 @@ import numpy as np
 from leibrack import algebra, linalg
 from leibrack.algebra import LeibnizAlgebra, Representation, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
-from leibrack.cohomology import Cochain, RackCochainFn, RackModuleStructure, rack_diff2_expansion
+from leibrack.cohomology import (
+    Cochain,
+    RackCochainFn,
+    RackModuleStructure,
+    leibniz_differential,
+    rack_diff2_expansion,
+)
 from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
 from leibrack.linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
 from leibrack.rack import (
@@ -528,7 +534,7 @@ def squares_ideal_two_rank(alg):
         append_independent(bracket(alg, e[i], e[i]))
     for i in range(n):
         for j in range(i + 1, n):
-            v = linalg.vec_add(e[i], e[j])
+            v = tuple(a + b for a, b in zip(e[i], e[j]))
             append_independent(bracket(alg, v, v))
     frontier = list(gens)
     while frontier:
@@ -568,19 +574,29 @@ def hom_generators_kron(rep):
     return tuple(mats)
 
 
-def validate_extension_pairwise(ext, leibniz_differential):
+def _projections(ext):
+    """The rows of from_parent as the projections onto g0 (d x n) and onto
+    the center (m x n)."""
+    n, d, rows = ext.parent.dim, ext.g0_dim, ext.from_parent.nonzeros
+    return linalg.Matrix(d, n, rows[:d]), linalg.Matrix(n - d, n, rows[d:])
+
+
+def validate_extension_pairwise(ext):
     """_validate_extension with split/unsplit checked basis vector by basis
-    vector and the bracket reassembled on each of the n^2 basis pairs."""
+    vector, each split projected through the rows of from_parent, and the
+    bracket reassembled on each of the n^2 basis pairs."""
     alg, d = ext.parent, ext.g0_dim
-    splits = [ext.split(alg.basis_vector(i)) for i in range(alg.dim)]
+    projection, center_projection = _projections(ext)
+    splits = [(projection.mat_vec(e), center_projection.mat_vec(e))
+              for e in map(alg.basis_vector, range(alg.dim))]
     for i, (x, a) in enumerate(splits):
         if ext.unsplit(x, a) != alg.basis_vector(i):
-            raise AssertionError("section/projection do not split the identity")
+            raise AssertionError("to_parent and from_parent do not split the identity")
     for i, (x, _) in enumerate(splits):
         rho_x = ext.rep.left_of(x)
         for j, (y, b) in enumerate(splits):
             xy = bracket(ext.g0, x, y)
-            zc = linalg.vec_add(rho_x.mat_vec(b), ext.omega.evaluate(x, y))
+            zc = tuple(p + q for p, q in zip(rho_x.mat_vec(b), ext.omega.evaluate(x, y)))
             if ext.unsplit(xy, zc) != alg.c[i][j]:
                 raise AssertionError("extension data do not reassemble the bracket")
     if d and not all(v == 0 for v in cochain_dense(leibniz_differential(ext.rep, ext.omega))):
@@ -606,19 +622,19 @@ def algebra_from_tensor(c, basis_names=None):
 
 def quotient_and_omega_by_projection(alg, ext):
     """(g0, omega) of the extension, each lifted bracket [e_p, e_q] projected
-    from its dense tensor row: g0 through ``projection``, omega through
-    ``center_projection``."""
+    from its dense tensor row through the rows of from_parent: g0 through
+    the first d, omega through the rest."""
     pivots, d, m = ext.complement_pivots, ext.g0_dim, ext.center_dim
+    projection, center_projection = _projections(ext)
     lifted = [[alg.c[p][q] for q in pivots] for p in pivots]
-    g0 = algebra_from_tensor([[ext.projection.mat_vec(v) for v in row] for row in lifted],
+    g0 = algebra_from_tensor([[projection.mat_vec(v) for v in row] for row in lifted],
                              tuple(alg.basis_names[p] for p in pivots))
-    omega = Cochain.from_function(2, d, m, lambda p, q: ext.center_projection.mat_vec(
-        lifted[p][q]))
+    omega = Cochain.from_function(2, d, m, lambda p, q: center_projection.mat_vec(lifted[p][q]))
     return g0, omega
 
 
 def assemble_extension_dense(g0, rho, omega):
-    """corpus.assemble_extension filling the dense n^3 tensor entry by entry."""
+    """algebra.assemble_extension filling the dense n^3 tensor entry by entry."""
     d, m = g0.dim, omega.coeff_dim
     n = d + m
     c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]

@@ -1,6 +1,7 @@
 """Structure constants, identities, center, squares ideal, and the
 canonical extension data, all exact."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -299,15 +300,15 @@ def test_extension_fields_keep_their_shapes_when_g0_or_the_center_is_zero(alg, d
     n = alg.dim
     assert (ext.g0_dim, ext.center_dim) == (d, m)
     shape = lambda mat: (mat.rows, mat.cols)
-    assert shape(ext.section) == (n, d)
-    assert shape(ext.projection) == (d, n)
-    assert shape(ext.center_projection) == (m, n)
-    assert shape(ext.inclusion) == (n, m)
+    assert [f.name for f in fields(ext)] == ["parent", "complement_pivots", "rep", "omega",
+                                             "g0_matrices", "to_parent", "from_parent"]
+    assert shape(ext.to_parent) == shape(ext.from_parent) == (n, n)
+    assert ext.to_parent @ ext.from_parent == Matrix.identity(n)
     assert [shape(r) for r in ext.rho] == [(m, m)] * d
     assert [shape(g) for g in ext.g0_matrices] == [(n, n)] * d
     assert (ext.omega.degree, ext.omega.domain_dim, ext.omega.coeff_dim) == (2, d, m)
     assert ext.rep.carrier_dim == m and len(ext.rep.left) == d
-    assert len(ext.center_basis) == m and len(ext.complement_basis) == d
+    assert len(ext.center_basis) == m and len(ext.complement_pivots) == d
 
 
 def test_extension_heisenberg_area_form(heis_ext):
@@ -315,10 +316,10 @@ def test_extension_heisenberg_area_form(heis_ext):
     assert ext.g0_dim == 2 and ext.center_dim == 1
     # oracle: bracket the lifts directly
     alg = heisenberg()
-    lifts = ext.complement_basis
+    lifts = [alg.basis_vector(p) for p in ext.complement_pivots]
     for p in range(2):
         for q in range(2):
-            want = ext.center_projection.mat_vec(bracket(alg, lifts[p], lifts[q]))
+            want = ext.split(bracket(alg, lifts[p], lifts[q]))[1]
             assert ext.omega.at(p, q) == want
     assert ext.omega.at(0, 1) == (1,)
     assert ext.omega.at(1, 0) == (-1,)

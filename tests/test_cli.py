@@ -7,8 +7,9 @@ from importlib import resources
 
 import pytest
 
-from leibrack.algebra import LeibnizAlgebra, ValidationError
+from leibrack.algebra import LeibnizAlgebra, Representation, ValidationError
 from leibrack.cli import MAX_CHART_RADIUS, MAX_QUAD_ORDER, MAX_SAMPLES, main
+from leibrack.cohomology import Cochain
 from leibrack.corpus import abelian3, dim5, heisenberg, random_leibniz
 from leibrack.fileio import (
     MAX_DIM,
@@ -447,6 +448,22 @@ def test_reports_never_read_the_dense_tensor(capsys, monkeypatch, tmp_path):
                  ["integrate", str(path), "--samples", "10"],
                  *(["example", name, "--samples", "10"]
                    for name in ("dim5", "heisenberg", "abelian3"))):
+        code, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, argv
+
+
+def test_reports_never_evaluate_on_dense_vectors(capsys, monkeypatch, tmp_path):
+    """The extension is checked as one isomorphism of sparse matrices, so
+    no report evaluates omega or an action on a dense vector."""
+    from leibrack.corpus import filiform5
+    path = tmp_path / "filiform5.leib"
+    write_algebra_file(filiform5(), path)
+
+    def refuse(*args):
+        raise AssertionError("dense evaluation")
+    monkeypatch.setattr(Cochain, "evaluate", refuse)
+    monkeypatch.setattr(Representation, "left_of", refuse)
+    for argv in (["analyze", str(path)], ["integrate", str(path), "--samples", "10"]):
         code, _ = run_cli(capsys, *argv, "--json")
         assert code == 0, argv
 

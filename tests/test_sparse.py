@@ -8,6 +8,7 @@ results do not depend on the order of a sum, so each must equal its oracle
 exactly.  A count of Fraction multiplications guards the cost of the exact
 layer without timing it."""
 
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -21,19 +22,13 @@ from leibrack.algebra import (
     Representation,
     _insert_independent,
     _validate_extension,
+    assemble_extension,
     bracket,
     canonical_extension,
     squares_ideal,
 )
 from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
-from leibrack.corpus import (
-    abelian3,
-    assemble_extension,
-    dim5,
-    free_nilpotent5,
-    heisenberg,
-    random_leibniz,
-)
+from leibrack.corpus import abelian3, dim5, free_nilpotent5, heisenberg, random_leibniz
 from leibrack.fileio import parse_algebra_file, write_algebra_file
 from leibrack.linalg import Matrix, inverse_exact, joint_nilpotency_index, rref
 from leibrack.rack import build_rack_system
@@ -148,6 +143,21 @@ def test_from_cols_keeps_shapes_with_no_rows_or_no_columns():
     assert [m.col(j) for j in range(3)] == [(1, 0), (0, Fraction(1, 2)), (3, 4)]
     with pytest.raises(ValueError, match="ragged columns"):
         Matrix.from_cols(2, [(1, 0), (1,)])
+
+
+def test_from_terms_rejects_an_index_out_of_range_on_every_axis():
+    # -1 once wrapped to the last row or slot, and a column past the end was
+    # stored; a term that cancels is rejected too
+    for r, j in ((-1, 0), (2, 0), (0, -1), (0, 3), (-1, 5)):
+        for terms in ([(r, j, Fraction(1))], [(r, j, Fraction(1)), (r, j, Fraction(-1))]):
+            with pytest.raises(ValueError, match=re.escape(f"index ({r}, {j})")):
+                Matrix.from_terms(2, 3, terms)
+    for idx, k in (((-1, 0), 0), ((0, 2), 0), ((0, -1), 0), ((2, 0), 0),
+                   ((0, 0), -1), ((0, 0), 3), ((0,), 0), ((0, 0, 0), 0)):
+        with pytest.raises(ValueError, match=re.escape(f"index ({idx}, {k})")):
+            Cochain.from_terms(2, 2, 3, [(idx, k, Fraction(1))])
+    assert Matrix.from_terms(2, 3, [(1, 2, Fraction(1))]).row(1) == (0, 0, 1)
+    assert Cochain.from_terms(2, 2, 3, [((1, 1), 2, Fraction(1))]).at(1, 1) == (0, 0, 1)
 
 
 def test_a_matrix_stores_only_its_nonzeros():
@@ -326,24 +336,44 @@ def test_the_dense_view_is_the_tensor_of_the_old_loop():
 
 def _broken(ext):
     """The extension with one exact datum changed at a time."""
+    n = ext.parent.dim
+    to_parent = Matrix.from_rows([ext.to_parent.row(i) for i in reversed(range(n))])
+    from_parent = ext.from_parent + Matrix.from_terms(n, n, [(0, n - 1, Fraction(1))])
     omega = list(oracles.cochain_dense(ext.omega))
     omega[0] += 1
     omega = oracles.cochain_from_dense(2, ext.g0_dim, ext.center_dim, omega)
     rho = (ext.rho[0] + Matrix.identity(ext.center_dim),) + ext.rho[1:]
-    section = Matrix.from_rows([ext.section.row(i) for i in reversed(range(ext.section.rows))])
-    return [("reassemble", replace(ext, omega=omega)),
+    g0 = LeibnizAlgebra.from_terms(ext.g0_dim, [(0, 1, 0, 1), *(
+        (p, q, r, a) for p, row in enumerate(ext.g0.terms) for q, t in enumerate(row)
+        for r, a in t)], ext.g0.basis_names, check=False)  # [e1, e2] gains e1
+    return [("split the identity", replace(ext, to_parent=to_parent)),
+            ("split the identity", replace(ext, from_parent=from_parent)),
+            ("reassemble", replace(ext, omega=omega)),
             ("reassemble", replace(ext, rep=replace(ext.rep, left=rho))),
-            ("split the identity", replace(ext, section=section))]
+            ("reassemble", replace(ext, rep=replace(ext.rep, algebra=g0)))]
 
 
 @pytest.mark.parametrize("check", [_validate_extension, oracles.validate_extension_pairwise],
                          ids=["sparse", "pairwise"])
 def test_extension_check_rejects_changed_data(check):
     ext = canonical_extension(dim5())
-    check(ext, leibniz_differential)
+    check(ext)
     for message, broken in _broken(ext):
         with pytest.raises(AssertionError, match=message):
-            check(broken, leibniz_differential)
+            check(broken)
+
+
+@pytest.mark.parametrize("make", CORPUS)
+def test_canonical_extension_evaluates_nothing_on_dense_vectors(make, monkeypatch):
+    """g0, rho and omega are read off sparse matrix products and checked as
+    one isomorphism, so neither omega nor an action is evaluated on a
+    dense vector."""
+    def refuse(*args):
+        raise AssertionError("dense evaluation")
+    monkeypatch.setattr(Cochain, "evaluate", refuse)
+    monkeypatch.setattr(Representation, "left_of", refuse)
+    ext = canonical_extension(make())
+    assert ext.g0_dim + ext.center_dim == ext.parent.dim
 
 
 # -- work-count guard ------------------------------------------------------------
