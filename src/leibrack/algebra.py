@@ -12,16 +12,23 @@ by the left center, with its quotient Lie algebra g0, representation rho and
 faithfully as matrices acting on g (the left-adjoint realization), which is
 what gets exponentiated.
 
+The Leibniz identity is checked once per algebra, by ``validate_leibniz``,
+and stands in for the facts it implies (Loday, Enseign. Math. 39, 1993;
+Loday-Pirashvili, Math. Ann. 296, 1993): Z_L(g) is an ideal, g0 is a Lie
+algebra, rho satisfies the module axiom (LLM) and omega is a 2-cocycle.
+None of these is checked again, and the squares ideal is the span of the
+squares, with no saturation (see ``squares_ideal``).  The tests keep each
+implied fact as an oracle.
+
 An algebra stores only the table ``terms`` of its nonzero structure
 constants: ``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  Every
 constructor sums terms into it, and the bracket, the Leibniz check, the Lie
-test, ``ad_matrix``, the left-adjoint map, the module axiom (LLM), the
-quotient g0 and omega, ``cohomology.leibniz_differential`` and
+test, ``ad_matrix``, the left-adjoint map, the squares ideal, the quotient
+g0 and omega, ``cohomology.leibniz_differential`` and
 ``cohomology.hom_representation`` read it, so their cost follows the
 nonzeros (2(n-2) for filiform-n), not n^3.  The dense tensor ``c`` is built
 only on request; nothing in the package asks.  The matrices they build are
-``Matrix`` values, stored as their sparse rows alone (see ``linalg``), and
-the squares ideal grows one echelon basis held as sparse rows.
+``Matrix`` values, stored as their sparse rows alone (see ``linalg``).
 
 The extension is stored as one change of basis, ``to_parent`` (columns: the
 lifts of g0, then the center) and its inverse, beside g0, rho and omega,
@@ -216,76 +223,21 @@ def left_center(alg: LeibnizAlgebra) -> list[Vec]:
     return nullspace(left_adjoint_map(alg))
 
 
-def _reduce(echelon: dict[int, dict[int, Fraction]], v: Vec) -> dict[int, Fraction]:
-    """The nonzero entries {k: a} of v less its combination of the echelon
-    rows: empty iff v lies in their span.  echelon[p] is a row that is zero
-    before column p and 1 at p, given by its nonzero entries after p."""
-    rest = {k: a for k, a in enumerate(v) if a}
-    for p in sorted(echelon):
-        f = rest.pop(p, None)
-        if f is None:
-            continue
-        for k, a in echelon[p].items():
-            t = f * a
-            s = rest[k] - t if k in rest else -t
-            if s:
-                rest[k] = s
-            else:
-                del rest[k]
-    return rest
-
-
-def _insert_independent(echelon: dict[int, dict[int, Fraction]], v: Vec) -> bool:
-    """Add v's reduction as an echelon row (see ``_reduce``) unless v lies
-    in the rows' span; True if it was added."""
-    rest = _reduce(echelon, v)
-    if not rest:
-        return False
-    p = min(rest)
-    inv = 1 / rest[p]
-    echelon[p] = {k: a * inv for k, a in rest.items() if k != p}
-    return True
-
-
 def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
-    """Basis of the two-sided ideal generated by all squares [v, v].
+    """Basis of the two-sided ideal generated by all squares [v, v], in
+    reduced echelon form; alg must be Leibniz.
 
-    Generators: [e_i, e_i] and [e_i + e_j, e_i + e_j] (these span all
-    symmetrized squares by bilinearity); then saturate under left and right
-    bracketing with basis elements, breadth-first, until stable.  One
-    echelon basis of the span found so far grows with each independent
-    vector, and decides membership by one reduction over its nonzeros.
+    By bilinearity the squares span the same space as the symmetrized
+    brackets [e_i, e_j] + [e_j, e_i] (i <= j), so the basis is one ``rref``
+    of those, read off the nonzero table.  That span is already the ideal:
+    the Leibniz identity gives [[x,x],y] = 0 and
+    [y,[x,x]] = [[y,x],x] + [x,[y,x]], itself a symmetrized bracket.
     """
-    n = alg.dim
-    gens: list[Vec] = []
-    echelon: dict[int, dict[int, Fraction]] = {}
-
-    def append_independent(v: Vec) -> bool:
-        if not _insert_independent(echelon, v):
-            return False
-        gens.append(v)
-        return True
-
-    for i in range(n):
-        append_independent(bracket(alg, alg.basis_vector(i), alg.basis_vector(i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = tuple(_ONE if k in (i, j) else _ZERO for k in range(n))  # e_i + e_j
-            append_independent(bracket(alg, v, v))
-    frontier = list(gens)
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for i in range(n):
-                e = alg.basis_vector(i)
-                for w in (bracket(alg, e, v), bracket(alg, v, e)):
-                    if append_independent(w):
-                        new_frontier.append(w)
-        frontier = new_frontier
-    # normalize to the echelon basis for reproducible output
-    if not gens:
-        return []
-    red, pivots = rref(Matrix.from_rows(gens))
+    n, t = alg.dim, alg.terms
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    red, pivots = rref(Matrix.from_terms(len(pairs), n, (
+        (r, k, a) for r, (i, j) in enumerate(pairs)
+        for k, a in t[i][j] + t[j][i])))
     return [red.row(r) for r in range(len(pivots))]
 
 
@@ -299,9 +251,12 @@ class Representation:
     one exact matrix per algebra basis element each.
 
     flavor 'symmetric' forces right = -left, 'anti_symmetric' forces
-    right = 0.  One module axiom, (LLM), is checked exactly on
-    construction: with right = -left, (LML) is -(LLM) and (MLL) is (LLM);
-    with right = 0, both read 0 = 0.
+    right = 0.  A plain record: construction checks the shapes only.  The
+    module axiom (LLM) is not checked here; every module the package builds
+    (rho on the left center, the symmetric rho module, Hom(g0, Z_L)) gets
+    it from the parent's Leibniz identity, which ``canonical_extension``
+    checks.  With right = -left, (LML) is -(LLM) and (MLL) is (LLM); with
+    right = 0, both read 0 = 0.
     """
 
     algebra: LeibnizAlgebra
@@ -338,33 +293,7 @@ class Representation:
     def _build(alg, left, right, flavor, carrier_dim=None) -> "Representation":
         if len(left) != alg.dim or len(right) != alg.dim:
             raise ValueError("need one action matrix per basis element")
-        m = Representation._carrier(left, carrier_dim)
-        rep = Representation(alg, m, left, right, flavor)
-        rep._validate()
-        return rep
-
-    def left_of(self, x) -> Matrix:
-        """Action matrix of [x, -]_L, x a vector of the algebra's dimension."""
-        x = as_vec(x)
-        if len(x) != self.algebra.dim:
-            raise ValueError("vector length must equal the algebra dimension")
-        return self._left_sum((i, xi) for i, xi in enumerate(x) if xi)
-
-    def _left_sum(self, coords) -> Matrix:
-        """sum_i x_i left[i] over the (i, x_i) in coords, by the nonzeros."""
-        return Matrix.from_terms(self.carrier_dim, self.carrier_dim, (
-            (r, j, xi * a) for i, xi in coords
-            for r, row in enumerate(self.left[i].nonzeros) for j, a in row))
-
-    def _validate(self):
-        """(LLM): [x, [y, m]_L]_L = [[x, y], m]_L + [y, [x, m]_L]_L on basis
-        pairs, with [e_i, e_j] read off the nonzero table."""
-        alg = self.algebra
-        for i, j in product(range(alg.dim), repeat=2):
-            lb = self._left_sum(alg.terms[i][j])
-            li, lj = self.left[i], self.left[j]
-            if not (li @ lj - lb - lj @ li).is_zero():
-                raise ValueError(f"module axiom (LLM) fails on basis pair ({i},{j})")
+        return Representation(alg, Representation._carrier(left, carrier_dim), left, right, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +370,12 @@ def assemble_extension(g0: LeibnizAlgebra, rho, omega: "Cochain") -> LeibnizAlge
 def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     """Build Z_L(g) -> g -> g0 with representation and cocycle, exactly.
 
+    Its one precondition, the Leibniz identity of alg, is checked first
+    (``validate_leibniz``; a ValidationError names the failing triple).  It
+    makes Z_L(g) an ideal, g0 a Lie algebra, rho a representation
+    satisfying (LLM) and omega a 2-cocycle, so none of these is checked
+    again; ``_validate_extension`` checks only the arithmetic below.
+
     The complement of the center is spanned by the standard basis vectors at
     the pivot columns of the reduced echelon form of the left-adjoint map;
     abelian input yields a zero-dimensional g0.  g0, rho and omega are read
@@ -448,6 +383,7 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     """
     from .cohomology import Cochain
 
+    validate_leibniz(alg)
     n = alg.dim
     red, pivots = rref(left_adjoint_map(alg))
     center = rref_nullspace(red, pivots)
@@ -461,9 +397,8 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     blocks = [(from_parent @ ad @ to_parent).nonzeros for ad in g0_matrices]
     g0 = LeibnizAlgebra.from_terms(d, ((p, q, r, a) for p, b in enumerate(blocks)
                                        for r, row in enumerate(b[:d]) for q, a in row),
-                                   basis_names=tuple(alg.basis_names[p] for p in pivots))
-    if not is_lie(g0):
-        raise AssertionError("quotient by the left center must be Lie")  # cannot happen
+                                   basis_names=tuple(alg.basis_names[p] for p in pivots),
+                                   check=False)
     rho = [Matrix.from_terms(m, m, ((k, q - d, a) for k, row in enumerate(b[d:])
                                     for q, a in row if q >= d)) for b in blocks]
     omega = Cochain.from_terms(2, d, m, (((p, q), k, a) for p, b in enumerate(blocks)
@@ -475,11 +410,11 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
 
 
 def _validate_extension(ext: CentralExtensionData) -> None:
-    """to_parent and from_parent are inverse, to_parent is an algebra
-    isomorphism from the reassembled g0 (+)_omega Z_L(g) onto the parent,
-    and omega is a 2-cocycle for the anti-symmetric representation."""
-    from .cohomology import leibniz_differential
-
+    """The two checks of the extension's arithmetic: to_parent and
+    from_parent are inverse, and to_parent is an algebra isomorphism from
+    the reassembled g0 (+)_omega Z_L(g) onto the parent.  Through this
+    isomorphism the parent's Leibniz identity gives g0's, (LLM) for rho and
+    d omega = 0, so none of them is checked."""
     alg, t = ext.parent, ext.to_parent
     if t @ ext.from_parent != Matrix.identity(alg.dim):
         raise AssertionError("to_parent and from_parent do not split the identity")
@@ -488,5 +423,3 @@ def _validate_extension(ext: CentralExtensionData) -> None:
     for u in range(alg.dim):
         if ad_matrix(alg, t.col(u)) @ t != t @ ad_matrix(assembled, assembled.basis_vector(u)):
             raise AssertionError("extension data do not reassemble the bracket")
-    if not leibniz_differential(ext.rep, ext.omega).is_zero():
-        raise AssertionError("omega is not a cocycle")

@@ -236,7 +236,10 @@ def hom_representation(rep: Representation) -> Representation:
     With Hom(g, a) flattened as above, the generator of e_p is
     rho_p (x) I - I (x) ad_p^T, read off the nonzeros of rho_p and of the
     algebra's table: entry (k d + j, k' d + j) is rho_p[k, k'] and entry
-    (k d + j, k d + j') is -c_pj^j'."""
+    (k d + j, k d + j') is -c_pj^j'.  Only the Lie test of the algebra is
+    made: the module axiom (LLM) on Hom(g, a) follows from (LLM) on a and
+    the Jacobi identity, which the extension's g0 and rho inherit from the
+    parent's Leibniz identity (checked by ``canonical_extension``)."""
     alg = rep.algebra
     if not is_lie(alg):
         raise ValueError("hom_representation requires a Lie algebra")

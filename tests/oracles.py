@@ -12,9 +12,13 @@ report can be built from them.
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
 over every entry, row reduction of dense rows, the flag nilpotency index
-through ``mat_vec``, ``ad_matrix`` column by column, the squares ideal by
-two rank computations per candidate, the Hom generators as Kronecker
-products, and the extension's bracket reassembled pair by pair.
+through ``mat_vec``, ``ad_matrix`` column by column, the squares ideal
+saturated under brackets breadth-first with two rank computations per
+candidate, the Hom generators as Kronecker products, and the extension's
+bracket reassembled pair by pair.  It also holds the checks that the
+package leaves to the one Leibniz check: ``left_of`` (the action of a
+vector) and ``module_axiom_failure``, the module axiom (LLM) that
+``Representation`` once checked on construction.
 ``DENSE_EXACT_LAYER`` lists what to patch in to run ``canonical_extension``
 on them.  The dense structure tensor that ``LeibnizAlgebra`` once stored
 survives in ``tensor_from_brackets`` (the old ``from_brackets`` loop),
@@ -28,19 +32,19 @@ its nonzero values, and its flat row-major values.
 ``leibniz_differential_by_definition`` is dL gathered output by output."""
 
 import itertools
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
 from leibrack import algebra, linalg
-from leibrack.algebra import LeibnizAlgebra, Representation, bracket, is_lie
+from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
 from leibrack.cohomology import (
     Cochain,
     RackCochainFn,
     RackModuleStructure,
-    leibniz_differential,
     rack_diff2_expansion,
 )
 from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
@@ -446,6 +450,33 @@ def dense_is_zero(m):
     return all(e == 0 for r in dense(m) for e in r)
 
 
+def left_of(rep, x):
+    """The action matrix of [x, -]_L, sum_i x_i left[i] summed over the
+    nonzero x_i and the nonzero entries, x a vector of the algebra's
+    dimension."""
+    x = linalg.as_vec(x)
+    if len(x) != rep.algebra.dim:
+        raise ValueError("vector length must equal the algebra dimension")
+    k = rep.carrier_dim
+    return linalg.Matrix.from_terms(k, k, (
+        (r, j, xi * a) for i, xi in enumerate(x) if xi
+        for r, row in enumerate(rep.left[i].nonzeros) for j, a in row))
+
+
+def module_axiom_failure(rep):
+    """The first basis pair (i, j), in lexicographic order, on which (LLM)
+    [e_i, [e_j, m]_L]_L = [[e_i, e_j], m]_L + [e_j, [e_i, m]_L]_L fails, or
+    None.  With right = -left or right = 0 the other two module axioms
+    follow from it."""
+    alg = rep.algebra
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        li, lj = rep.left[i], rep.left[j]
+        lb = left_of(rep, bracket(alg, alg.basis_vector(i), alg.basis_vector(j)))
+        if not (li @ lj - lb - lj @ li).is_zero():
+            return i, j
+    return None
+
+
 def dense_left_of(rep, x):
     """sum_i x_i left[i], entry by entry."""
     x = linalg.as_vec(x)
@@ -585,7 +616,7 @@ def validate_extension_pairwise(ext):
     """_validate_extension with split/unsplit checked basis vector by basis
     vector, each split projected through the rows of from_parent, and the
     bracket reassembled on each of the n^2 basis pairs."""
-    alg, d = ext.parent, ext.g0_dim
+    alg = ext.parent
     projection, center_projection = _projections(ext)
     splits = [(projection.mat_vec(e), center_projection.mat_vec(e))
               for e in map(alg.basis_vector, range(alg.dim))]
@@ -593,14 +624,12 @@ def validate_extension_pairwise(ext):
         if ext.unsplit(x, a) != alg.basis_vector(i):
             raise AssertionError("to_parent and from_parent do not split the identity")
     for i, (x, _) in enumerate(splits):
-        rho_x = ext.rep.left_of(x)
+        rho_x = left_of(ext.rep, x)
         for j, (y, b) in enumerate(splits):
             xy = bracket(ext.g0, x, y)
             zc = tuple(p + q for p, q in zip(rho_x.mat_vec(b), ext.omega.evaluate(x, y)))
             if ext.unsplit(xy, zc) != alg.c[i][j]:
                 raise AssertionError("extension data do not reassemble the bracket")
-    if d and not all(v == 0 for v in cochain_dense(leibniz_differential(ext.rep, ext.omega))):
-        raise AssertionError("omega is not a cocycle")
 
 
 def tensor_from_brackets(dim, brackets):
@@ -657,7 +686,7 @@ DENSE_EXACT_LAYER = (
     (linalg.Matrix, "__matmul__", dense_matmul),
     (linalg.Matrix, "mat_vec", dense_mat_vec),
     (linalg.Matrix, "is_zero", dense_is_zero),
-    (Representation, "left_of", dense_left_of),
+    (sys.modules[__name__], "left_of", dense_left_of),
     (linalg, "rref", dense_rref),
     (algebra, "rref", dense_rref),
     (algebra, "ad_matrix", dense_ad_matrix),

@@ -336,7 +336,7 @@ def test_extension_reassembles_bracket_exactly():
                 x, a = ext.split(alg.basis_vector(i))
                 y, b = ext.split(alg.basis_vector(j))
                 xy = bracket(ext.g0, x, y)
-                zc = tuple(p + q for p, q in zip(ext.rep.left_of(x).mat_vec(b),
+                zc = tuple(p + q for p, q in zip(oracles.left_of(ext.rep, x).mat_vec(b),
                                                  ext.omega.evaluate(x, y)))
                 assert ext.unsplit(xy, zc) == bracket(alg, alg.basis_vector(i),
                                                       alg.basis_vector(j))
@@ -348,14 +348,52 @@ def test_extension_nonabelian_quotients():
     assert not is_lie(dim5()) and is_lie(canonical_extension(dim5()).g0)
 
 
+@pytest.mark.parametrize("dim, brackets, triple", [
+    (2, {(0, 1): {0: 1}}, (0, 1, 1)),
+    (3, {(0, 0): {1: 1}, (1, 0): {2: 1}}, (0, 0, 0)),
+    (3, {(0, 0): {1: 1}, (2, 1): {1: 1}}, (0, 2, 0)),
+], ids=["quotient_out_of_range", "quotient_not_lie", "omega_not_a_cocycle"])
+def test_canonical_extension_checks_the_leibniz_identity_first(dim, brackets, triple):
+    # without the check each fails further on: an index out of range for
+    # the quotient, a quotient that is not Lie, an omega that is not a cocycle
+    bad = LeibnizAlgebra.from_brackets(dim, brackets, check=False)
+    with pytest.raises(ValidationError) as err:
+        canonical_extension(bad)
+    assert err.value.triple == triple
+    assert (err.value.triple, err.value.defect, str(err.value)) == dense_verdict(bad)
+
+
+def test_canonical_extension_rejects_every_table_that_is_not_leibniz():
+    # seeded sparse tables of small integers; most fail the identity
+    rng = np.random.default_rng(21)
+    rejected = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 5))
+        brackets = {}
+        for i, j, k in np.argwhere(rng.random((n, n, n)) < 0.15):
+            brackets.setdefault((int(i), int(j)), {})[int(k)] = int(rng.choice([-1, 1, 2]))
+        alg = LeibnizAlgebra.from_brackets(n, brackets, check=False)
+        want = sparse_verdict(alg)
+        try:
+            canonical_extension(alg)
+            got = None
+        except ValidationError as err:
+            got = err.triple, err.defect, str(err)
+        assert got == want, brackets
+        rejected += want is not None
+    assert 200 < rejected < 300
+
+
 # -- representations ---------------------------------------------------------
 
 def test_representation_axioms_reject_corruption():
+    # a Representation is a plain record; the (LLM) oracle sees the change
     ext = canonical_extension(dim5())
+    assert oracles.module_axiom_failure(ext.rep) is None
     bad = list(ext.rho)
     bad[0] = bad[0] + Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        Representation.anti_symmetric(ext.g0, bad, carrier_dim=3)
+    rep = Representation.anti_symmetric(ext.g0, bad, carrier_dim=3)
+    assert oracles.module_axiom_failure(rep) == (0, 1)
 
 
 def test_left_of_rejects_a_vector_of_another_length():
@@ -363,10 +401,10 @@ def test_left_of_rejects_a_vector_of_another_length():
     n = Matrix.from_rows([[0, 0], [1, 0]])
     rep = Representation.anti_symmetric(LeibnizAlgebra.from_brackets(2, {}),
                                         [n, Matrix.zeros(2, 2)])
-    assert rep.left_of([1, 0]) == n
+    assert oracles.left_of(rep, [1, 0]) == n
     for x in ([1], [1, 0, 5]):
         with pytest.raises(ValueError, match="length"):
-            rep.left_of(x)
+            oracles.left_of(rep, x)
 
 
 def test_symmetric_flavor_forces_right_action():

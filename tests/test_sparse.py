@@ -5,13 +5,18 @@ the Hom generators, every field of the canonical extension, its g0 and
 omega and the reassembled algebra on a corpus of algebras, some in a
 basis where the left center is not spanned by basis vectors.  Exact
 results do not depend on the order of a sum, so each must equal its oracle
-exactly.  A count of Fraction multiplications guards the cost of the exact
-layer without timing it."""
+exactly.  On the same corpus and on the benchmark's non-nilpotent rho
+inputs, the facts that the one Leibniz check stands in for (g0 Lie, omega
+a cocycle, (LLM) on every module built) are checked by their oracles.  A
+count of Fraction multiplications guards the cost of the exact layer
+without timing it."""
 
 import re
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,18 +25,22 @@ import oracles
 from leibrack.algebra import (
     LeibnizAlgebra,
     Representation,
-    _insert_independent,
     _validate_extension,
     assemble_extension,
     bracket,
     canonical_extension,
+    is_lie,
     squares_ideal,
+    validate_leibniz,
 )
 from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
 from leibrack.corpus import abelian3, dim5, free_nilpotent5, heisenberg, random_leibniz
 from leibrack.fileio import parse_algebra_file, write_algebra_file
 from leibrack.linalg import Matrix, inverse_exact, joint_nilpotency_index, rref
 from leibrack.rack import build_rack_system
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
 
 SHAPES = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 4), (4, 0, 0), (1, 1, 1),
           (3, 4, 5), (6, 6, 6), (7, 2, 9)]
@@ -88,6 +97,9 @@ CORPUS = ([pytest.param(f, id=f.__name__) for f in (dim5, heisenberg, abelian3)]
                                 ("filiform8", lambda: filiform(8), 2),
                                 ("random_leibniz3", lambda: random_leibniz(3), 3),
                                 ("random_leibniz23", lambda: random_leibniz(23), 4))])
+# non-nilpotent rho on the left center, as the benchmark generates it
+RHO_SEMISIMPLE = [pytest.param(lambda k=k: inputs.rho_semisimple(k, 0), id=f"rho_{k}")
+                  for k in inputs.RHO_KINDS]
 
 
 # -- Matrix ------------------------------------------------------------------
@@ -215,7 +227,7 @@ def test_left_of_matches_the_dense_oracle():
             for _ in range(5):
                 x = [Fraction(int(rng.integers(-2, 3)), 3) if rng.random() < 0.5 else 0
                      for _ in range(alg.dim)]
-                assert shape_and_data(rep.left_of(x)) == \
+                assert shape_and_data(oracles.left_of(rep, x)) == \
                     shape_and_data(oracles.dense_left_of(rep, x))
 
 
@@ -249,28 +261,38 @@ def test_joint_nilpotency_index_matches_the_flag_oracle():
 
 # -- the algebra layer ---------------------------------------------------------
 
-def test_echelon_insertion_decides_span_membership_like_two_ranks():
-    rng = np.random.default_rng(8)
-    for n in (1, 3, 6):
-        echelon, kept = {}, []
-        for _ in range(30):
-            if kept and rng.random() < 0.5:  # a combination of kept vectors
-                coeffs = [Fraction(int(rng.integers(-2, 3))) for _ in kept]
-                v = tuple(sum((c * u[k] for c, u in zip(coeffs, kept)), Fraction(0))
-                          for k in range(n))
-            else:
-                v = rand_sparse(rng, 1, n, 0.4).row(0)
-            independent = not oracles.span_contains(kept, v)
-            assert _insert_independent(echelon, v) == independent
-            if independent:
-                kept.append(v)
-        assert len(echelon) == len(kept)
-
-
-@pytest.mark.parametrize("make", CORPUS)
+@pytest.mark.parametrize("make", CORPUS + RHO_SEMISIMPLE)
 def test_squares_ideal_matches_the_two_rank_oracle(make):
     alg = make()
     assert squares_ideal(alg) == oracles.squares_ideal_two_rank(alg)
+
+
+def test_squares_ideal_never_brackets_vectors(monkeypatch):
+    """The squares ideal is one row reduction of the symmetrized table, so
+    no bracket of two vectors is formed (the saturation formed 2n of them
+    per vector it found)."""
+    from leibrack import algebra
+
+    def refuse(*args):
+        raise AssertionError("bracket called")
+    monkeypatch.setattr(algebra, "bracket", refuse)
+    for alg in (dim5(), heisenberg(), abelian3(), free_nilpotent5(), filiform(9)):
+        squares_ideal(alg)
+
+
+@pytest.mark.parametrize("make", CORPUS + RHO_SEMISIMPLE)
+def test_the_leibniz_identity_implies_what_the_extension_no_longer_checks(make):
+    """canonical_extension checks only the parent's Leibniz identity; what
+    it implies holds: g0 is a Lie algebra, omega is a cocycle (dL by its
+    definition), and (LLM) holds on rho, on rho as a symmetric module and
+    on the Hom module."""
+    ext = canonical_extension(make())
+    validate_leibniz(ext.g0)
+    assert is_lie(ext.g0)
+    assert oracles.leibniz_differential_by_definition(ext.rep, ext.omega).is_zero()
+    for rep in (ext.rep, Representation.symmetric(ext.g0, ext.rho, ext.center_dim),
+                hom_representation(ext.rep)):
+        assert oracles.module_axiom_failure(rep) is None, rep.flavor
 
 
 @pytest.mark.parametrize("make", CORPUS)
@@ -366,12 +388,12 @@ def test_extension_check_rejects_changed_data(check):
 @pytest.mark.parametrize("make", CORPUS)
 def test_canonical_extension_evaluates_nothing_on_dense_vectors(make, monkeypatch):
     """g0, rho and omega are read off sparse matrix products and checked as
-    one isomorphism, so neither omega nor an action is evaluated on a
-    dense vector."""
+    one isomorphism, so omega is not evaluated on a dense vector; the
+    package has no action of a vector (``left_of`` is a test oracle)."""
     def refuse(*args):
         raise AssertionError("dense evaluation")
     monkeypatch.setattr(Cochain, "evaluate", refuse)
-    monkeypatch.setattr(Representation, "left_of", refuse)
+    assert not hasattr(Representation, "left_of")
     ext = canonical_extension(make())
     assert ext.g0_dim + ext.center_dim == ext.parent.dim
 
@@ -398,7 +420,9 @@ def _multiplications(monkeypatch, work) -> int:
 
 def test_exact_work_is_bounded_by_nonzeros(monkeypatch):
     # the dense layer made 1835 and 20158 multiplications here; the sparse
-    # one makes 226 and 582
+    # one makes 225 and 510.  The saturated squares ideal made 120 on dim5,
+    # one row reduction of the symmetrized table makes 19
     f12, ext16 = filiform(12), canonical_extension(filiform(16))
     assert _multiplications(monkeypatch, lambda: canonical_extension(f12)) <= 400
     assert _multiplications(monkeypatch, lambda: build_rack_system(ext16)) <= 1000
+    assert _multiplications(monkeypatch, lambda: squares_ideal(dim5())) <= 40
