@@ -13,7 +13,8 @@ faithfully as matrices acting on g (the left-adjoint realization), which is
 what gets exponentiated.
 
 The Leibniz identity is checked once per algebra, by ``validate_leibniz``,
-and stands in for the facts it implies (Loday, Enseign. Math. 39, 1993;
+whose success ``LeibnizAlgebra.leibniz_ok`` records on the instance, and
+stands in for the facts it implies (Loday, Enseign. Math. 39, 1993;
 Loday-Pirashvili, Math. Ann. 296, 1993): Z_L(g) is an ideal, g0 is a Lie
 algebra, rho satisfies the module axiom (LLM) and omega is a 2-cocycle.
 None of these is checked again, and the squares ideal is the span of the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from typing import Sequence
 
@@ -94,6 +96,15 @@ class LeibnizAlgebra:
                     raise ValueError(f"terms[{i}][{j}] is not a list of nonzero (k, c) "
                                      f"with k increasing in [0, {n})")
 
+    @cached_property
+    def leibniz_ok(self) -> bool:
+        """True: the Leibniz identity holds (``validate_leibniz`` raises a
+        ValidationError otherwise).  Read it to check the algebra: the
+        triples are walked on the first read only, since cached_property
+        records a returned value and never a raised error."""
+        validate_leibniz(self)
+        return True
+
     @property
     def c(self) -> tuple[tuple[Vec, ...], ...]:
         """The dense dim x dim x dim tensor, c[i][j][k] = c_ij^k."""
@@ -114,7 +125,7 @@ class LeibnizAlgebra:
         names = tuple(basis_names) if basis_names else tuple(f"e{i+1}" for i in range(dim))
         alg = LeibnizAlgebra(dim, names, tuple(rows[i * dim:(i + 1) * dim] for i in range(dim)))
         if check:
-            validate_leibniz(alg)
+            alg.leibniz_ok  # walks the triples; a ValidationError if they fail
         return alg
 
     @staticmethod
@@ -177,7 +188,8 @@ def validate_leibniz(alg: LeibnizAlgebra) -> None:
     """Exact check of the Leibniz identity on all n^3 basis triples, in
     lexicographic order.  Each triple is summed from the nonzero table; the
     dense ``leibniz_defect`` runs only on the first failing triple, to give
-    the error its defect vector."""
+    the error its defect vector.  Every call walks the triples; the package
+    reads ``LeibnizAlgebra.leibniz_ok``, which walks them once per algebra."""
     t = alg.terms
     for i, j, k in product(range(alg.dim), repeat=3):
         if (t[j][k] or t[i][j] or t[i][k]) and _triple_fails(t, i, j, k):
@@ -371,7 +383,8 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     """Build Z_L(g) -> g -> g0 with representation and cocycle, exactly.
 
     Its one precondition, the Leibniz identity of alg, is checked first
-    (``validate_leibniz``; a ValidationError names the failing triple).  It
+    (``LeibnizAlgebra.leibniz_ok``: a ValidationError names the failing
+    triple, and an algebra already checked is not walked again).  It
     makes Z_L(g) an ideal, g0 a Lie algebra, rho a representation
     satisfying (LLM) and omega a 2-cocycle, so none of these is checked
     again; ``_validate_extension`` checks only the arithmetic below.
@@ -383,7 +396,7 @@ def canonical_extension(alg: LeibnizAlgebra) -> CentralExtensionData:
     """
     from .cohomology import Cochain
 
-    validate_leibniz(alg)
+    alg.leibniz_ok  # walks the triples unless the parse already did
     n = alg.dim
     red, pivots = rref(left_adjoint_map(alg))
     center = rref_nullspace(red, pivots)

@@ -11,7 +11,8 @@ Subcommands:
 * ``example <name>``   run a built-in (dim5 | heisenberg | abelian3) end to
                        end, with its extra closed-form cross-checks.
 
-Exit codes: 0 pass, 2 validation/parse failure, 3 chart coverage failure
+Exit codes: 0 pass, 2 validation/parse failure (or an exact value of the
+extension outside float range), 3 chart coverage failure
 (more than half of the samples of some suite left the chart), 4 property
 failure.  ``--json`` prints the machine-readable report; runs are
 deterministic for a fixed file, flags and seed.
@@ -26,6 +27,7 @@ import sys
 import numpy as np
 
 from .algebra import (
+    CentralExtensionData,
     LeibnizAlgebra,
     ValidationError,
     canonical_extension,
@@ -113,7 +115,7 @@ def _algebra_section(alg: LeibnizAlgebra) -> dict:
         "dim": alg.dim,
         "basis": list(alg.basis_names),
         "brackets": doc["brackets"],
-        "leibniz_ok": True,
+        "leibniz_ok": alg.leibniz_ok,
         "is_lie": is_lie(alg),
     }
 
@@ -229,16 +231,32 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    report = {"command": "analyze"}
-    alg = _load_algebra(args, report)
-    if alg is None:
-        _emit(report, args)
-        return 2
+def _extension(alg: LeibnizAlgebra, report, chart_radius: float | None = None
+               ) -> CentralExtensionData | LocalRackSystem | None:
+    """The report's one extension, with the algebra, exact-check and
+    analysis sections filled in, and the rack system built from it on a
+    chart of the given radius; returns the system, or the extension if no
+    radius is given.  This is where a report turns exact values into
+    floats: an exact value outside float range fills report['error'] and
+    returns None."""
     ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)
     report["exact_checks"] = _exact_checks_section(alg, ext.center_basis)
-    report["analysis"] = _analysis_section(ext)
+    try:
+        report["analysis"] = _analysis_section(ext)
+        return ext if chart_radius is None else build_rack_system(ext, chart_radius)
+    except OverflowError as exc:
+        report["error"] = {"type": "OverflowError",
+                           "message": f"an exact value lies outside float range ({exc})"}
+        return None
+
+
+def cmd_analyze(args) -> int:
+    report = {"command": "analyze"}
+    alg = _load_algebra(args, report)
+    if alg is None or _extension(alg, report) is None:
+        _emit(report, args)
+        return 2
     report["verdict"] = "pass"
     _emit(report, args)
     return 0
@@ -271,8 +289,9 @@ def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
 
 
 def _rack_system(alg, args, report) -> LocalRackSystem | None:
-    """The report's one extension and rack system, with the analysis and
-    config sections filled in; None (and report['error']) on a bad config."""
+    """The report's rack system, with the sections of ``_extension`` and
+    the config section filled in; None (and report['error']) on a bad
+    config or an exact value outside float range."""
     checks = [
         (0 < args.chart_radius <= MAX_CHART_RADIUS,
          f"--chart-radius must lie in (0, {MAX_CHART_RADIUS:g}]; got {args.chart_radius}"),
@@ -291,12 +310,10 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
     if message is not None:
         report["error"] = {"type": "ConfigError", "message": message}
         return None
-    ext = canonical_extension(alg)
-    report["algebra"] = _algebra_section(alg)
-    report["exact_checks"] = _exact_checks_section(alg, ext.center_basis)
-    report["analysis"] = _analysis_section(ext)
-    report["config"] = _config_section(args)
-    return build_rack_system(ext, chart_radius=args.chart_radius)
+    sys_ = _extension(alg, report, args.chart_radius)
+    if sys_ is not None:
+        report["config"] = _config_section(args)
+    return sys_
 
 
 def _run_suites(sys_: LocalRackSystem, args, report, extras=None, notes=()) -> int:

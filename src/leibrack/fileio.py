@@ -9,11 +9,16 @@
       ]
     }
 
-Indices are 0-based; omitted pairs mean a zero bracket; coefficients are
-integers or "p/q" strings (never floats, so exact input stays exact).
+Indices are 0-based; omitted pairs mean a zero bracket.  A coefficient is
+a JSON integer or an ASCII string of the form ``-?digits`` or
+``-?digits/digits``, as ``algebra_to_dict`` writes them; anything else (a
+float or a boolean, a string with an exponent, a decimal point, a sign
+``+``, whitespace or a non-ASCII digit) is a ParseError, so exact input
+stays exact and every coefficient is held to the integer digit limit
+below.
 ``dim``, ``left`` and ``right`` must be JSON integers: a float, a string or
 ``true``/``false`` is a ParseError, never truncated or coerced, and so is a
-boolean coefficient or a ``value`` key other than decimal digits.  ``dim``
+``value`` key other than decimal digits.  ``dim``
 may be at most ``MAX_DIM``, checked before any bracket is read.
 A file that is not UTF-8, nests too deeply for the JSON reader or holds a
 number past Python's integer digit limit is a ParseError too.  Nothing is
@@ -28,6 +33,7 @@ are byte-stable.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +43,10 @@ from .algebra import LeibnizAlgebra
 MAX_DIM = 32
 """Largest accepted ``dim``: ``validate_leibniz`` walks all dim^3 basis
 triples, and the float suites grow steeply with the dimension."""
+
+
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+"""The coefficient strings accepted (with ``fullmatch``)."""
 
 
 class ParseError(ValueError):
@@ -111,12 +121,13 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
             if k in ks:
                 raise ParseError(f"brackets[{pos}]: index {k} given twice")
             ks.add(k)
-            if isinstance(coeff, (float, bool)):
+            if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF.fullmatch(coeff)):
                 raise ParseError(f"brackets[{pos}]: {coeff!r} not accepted, "
                                  "use integer or 'p/q' strings")
             try:
                 terms.append((i, j, k, Fraction(coeff)))
-            except (ValueError, TypeError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError):
+                # a zero denominator, or digits past Python's integer digit limit
                 raise ParseError(f"brackets[{pos}]: bad coefficient {coeff!r}") from None
     # a ValidationError from the Leibniz check propagates unchanged
     return LeibnizAlgebra.from_terms(dim, terms, basis_names=basis)

@@ -129,13 +129,12 @@ class LocalGroupChart:
         return eye
 
     def combo(self, basis: np.ndarray, xi) -> np.ndarray:
-        """sum_p xi_p basis[p] for a basis stack (d, k, k), summed in basis
-        order; coordinates of shape (..., d) give a stack of matrices."""
+        """sum_p xi_p basis[p] for a basis stack (d, r, c), as one matrix
+        product; coordinates of shape (..., d) give a stack of matrices,
+        and coordinates of another length are a ValueError."""
+        d, r, c = basis.shape
         xi = np.asarray(xi, dtype=float)
-        acc = np.zeros(xi.shape[:-1] + basis.shape[1:])
-        for p, b in zip(range(xi.shape[-1]), basis, strict=True):
-            acc = acc + xi[..., p, None, None] * b
-        return acc
+        return (xi @ basis.reshape(d, r * c)).reshape(xi.shape[:-1] + (r, c))
 
     def ad_of(self, xi) -> np.ndarray:
         return self.combo(self.ad_basis, xi)
@@ -233,14 +232,16 @@ class LocalRackSystem:
 
     @cached_property
     def lie_omega(self) -> np.ndarray:
-        """The extension's omega as a (d, d, m) array, checked once to be an
-        anti-symmetric Lie cocycle (NotLieCocycleError otherwise)."""
+        """The extension's omega as the stack (d, m, d) of the m x d matrices
+        omega(e_p, -), so ``chart.combo(lie_omega, a)`` is omega(a, -);
+        checked once to be an anti-symmetric Lie cocycle
+        (NotLieCocycleError otherwise)."""
         cocycle, anti = lie_cocycle_defect(self.ext, self.ext.omega)
         if anti != 0:
             raise NotLieCocycleError("omega is not anti-symmetric")
         if cocycle != 0:
             raise NotLieCocycleError("omega fails the Lie cocycle identity")
-        return self.ext.omega.to_numpy()
+        return np.ascontiguousarray(self.ext.omega.to_numpy().transpose(0, 2, 1))
 
 
 def build_rack_system(ext: CentralExtensionData,
@@ -650,8 +651,7 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     g and h may be stacks of pairs.  All nodes s of all pairs go through
     the kernels as one stack (..., nodes, n, n), whose slices equal the
     per-node values bit for bit; a node that fails the log chart fails its
-    pair.  Only Omega, one einsum per node, runs outside the kernels; the
-    weighted sum over the nodes is ``integrate_01``."""
+    pair.  The weighted sum over the nodes is ``integrate_01``."""
     chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega
@@ -679,9 +679,7 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                              eta_h[..., None, :, None])[..., 0]
     x = np.zeros(shape + (q, m + d, m + d))
     x[..., :m, :m] = -rho_a
-    # one einsum per node: a stacked einsum can sum in another order
-    x[..., :m, m:] = np.reshape([np.einsum("p,pqk->kq", a_s, omega_np)
-                                 for a_s in a.reshape(-1, d)], shape + (q, m, d))
+    x[..., :m, m:] = chart.combo(omega_np, a)
     x[..., m:, m:] = -ad_a
     inner = phi1_float(x, np.concatenate([np.zeros(shape + (q, m)), aprime], axis=-1),
                        x_index)[..., :m]

@@ -9,6 +9,9 @@ differences take their four probes one after another, as ``delta2`` and
 map the names of the production suites and extras to these loops, so a
 report can be built from them.
 
+``combo_per_basis`` and ``omega_per_node`` form a linear combination of
+a generator family term by term, as the chart and iota2 once did.
+
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
 over every entry, row reduction of dense rows, the flag nilpotency index
@@ -350,6 +353,27 @@ def abelian_extras_one_by_one(sys_, args):
 EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
                      "heisenberg": (heisenberg_extras_one_by_one, ()),
                      "abelian3": (abelian_extras_one_by_one, ())}
+
+
+# -- linear combinations of a generator family, term by term ----------------
+
+def combo_per_basis(basis, xi):
+    """sum_p xi_p basis[p], one basis matrix at a time in basis order, as
+    ``LocalGroupChart.combo`` summed before it became one matrix product."""
+    xi = np.asarray(xi, dtype=float)
+    acc = np.zeros(xi.shape[:-1] + basis.shape[1:])
+    for p, b in zip(range(xi.shape[-1]), basis, strict=True):
+        acc = acc + xi[..., p, None, None] * b
+    return acc
+
+
+def omega_per_node(omega, a):
+    """omega(a, -) as m x d matrices from omega's (d, d, m) array, one
+    einsum per coordinate vector of the stack a (..., d), as iota2 once
+    formed it at each quadrature node."""
+    d, m = omega.shape[1:]
+    return np.reshape([np.einsum("p,pqk->kq", a_s, omega) for a_s in a.reshape(-1, d)],
+                      a.shape[:-1] + (m, d))
 
 
 # -- the dense exact layer ---------------------------------------------------

@@ -94,10 +94,16 @@ def test_parse_errors(doc):
     {"dim": 2, "brackets": [{"left": False, "right": 0, "value": {"1": "1"}}]},
     {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": True}}]},
     {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {" 1": "1"}}]},
+    *({"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": c}}]}
+      for c in ("1e5000", "1e2", "1.5", " 1", "1\n", "+1", "1_0", "\u0661")),
 ], ids=["dim_str", "dim_float", "dim_bool", "dim_over_cap", "left_float", "right_str",
-        "left_bool", "coeff_bool", "index_padded"])
+        "left_bool", "coeff_bool", "index_padded", "coeff_exponent_past_digit_limit",
+        "coeff_exponent", "coeff_decimal", "coeff_space", "coeff_newline", "coeff_plus",
+        "coeff_underscore", "coeff_non_ascii_digit"])
 def test_strict_parsing_exits_2(capsys, tmp_path, doc):
-    # no truncation or coercion: each of these used to be read as a valid file
+    # no truncation or coercion: each of these used to be read as a valid
+    # file, and a coefficient with an exponent past the digit limit died in
+    # algebra_to_dict with a traceback
     p = tmp_path / "strict.leib"
     p.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "verify", str(p), "--json")
@@ -115,13 +121,15 @@ def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     b'{"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1", "01": "2"}}]}',
     b'{"dim": 2, "basis": ["a", "a"]}',
     b'{"dim": 3, "dim": 2}',
+    b'{"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1e10000000"}}]}',
 ], ids=["int_over_digit_limit", "deep_nesting", "not_utf8", "duplicate_value_key",
         "duplicate_bracket_pair", "duplicate_value_index", "duplicate_basis_name",
-        "duplicate_dim_key"])
+        "duplicate_dim_key", "huge_exponent"])
 def test_hostile_raw_files_exit_2(capsys, tmp_path, raw):
     # the first three used to escape the parser as a traceback (exit 1); the
     # duplicates were merged silently (exit 0): the last key kept or the
-    # entries summed
+    # entries summed; the huge exponent took seconds to parse and then died
+    # with a traceback
     p = tmp_path / "hostile.leib"
     p.write_bytes(raw)
     code, out = run_cli(capsys, "verify", str(p), "--json")
@@ -410,6 +418,64 @@ def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
         code, _ = run_cli(capsys, "example", name, "--samples", "10", "--json")
         assert code == 0
     assert calls == {"ext": 2, "sys": 2}
+
+
+def test_one_leibniz_walk_per_report(capsys, monkeypatch, tmp_path):
+    """The parse (or the built-in's constructor) checks the Leibniz
+    identity and records it on the algebra, so canonical_extension does
+    not walk the triples again."""
+    from leibrack import algebra
+    path = tmp_path / "dim5.leib"
+    write_algebra_file(dim5(), path)
+    walks = []
+    walk = algebra.validate_leibniz
+    monkeypatch.setattr(algebra, "validate_leibniz", lambda alg: walks.append(alg) or walk(alg))
+    for argv in (["verify", str(path)], ["analyze", str(path)],
+                 ["integrate", str(path), "--samples", "10"],
+                 *(["example", name, "--samples", "10"]
+                   for name in ("dim5", "heisenberg", "abelian3"))):
+        walks.clear()
+        code, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert len(walks) == 1, argv
+
+
+def test_a_failed_leibniz_check_is_not_recorded():
+    bad = LeibnizAlgebra.from_brackets(2, {(0, 0): {1: 1}, (1, 0): {0: 1}}, check=False)
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            bad.leibniz_ok
+
+
+# dim 3, [e1,e1] = 10^-200 e3 and [e2,e1] = 10^200 e3: valid, but the left
+# center is spanned by (-10^400, 1, 0)
+_TINY_AND_HUGE = {"dim": 3, "brackets": [
+    {"left": 0, "right": 0, "value": {"2": "1/1" + "0" * 200}},
+    {"left": 1, "right": 0, "value": {"2": "1" + "0" * 200}}]}
+# [e1,e1] = 10^400 e2: omega(e1, e1) is 10^400
+_HUGE_OMEGA = {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": 10 ** 400}}]}
+# [e1,e2] = 10^400 e2 = -[e2,e1]: no float in analyze, but the realized g0 overflows
+_HUGE_G0 = {"dim": 2, "brackets": [{"left": 0, "right": 1, "value": {"1": str(10 ** 400)}},
+                                   {"left": 1, "right": 0, "value": {"1": str(-10 ** 400)}}]}
+
+
+@pytest.mark.parametrize("doc,commands", [
+    (_TINY_AND_HUGE, ("analyze", "integrate")),
+    (_HUGE_OMEGA, ("analyze", "integrate")),
+    (_HUGE_G0, ("integrate",)),
+], ids=["tiny_and_huge", "huge_omega", "huge_g0"])
+def test_exact_values_outside_float_range_exit_2(capsys, tmp_path, doc, commands):
+    # each used to die with an OverflowError traceback (exit 1)
+    path = tmp_path / "huge.leib"
+    path.write_text(json.dumps(doc))
+    code, _ = run_cli(capsys, "verify", str(path), "--json")
+    assert code == 0
+    for command in commands:
+        code, out = run_cli(capsys, command, str(path), "--json")
+        assert code == 2, command
+        error = json.loads(out)["error"]
+        assert error["type"] == "OverflowError"
+        assert "outside float range" in error["message"]
 
 
 def test_reports_with_an_extension_take_its_left_center(capsys, monkeypatch):

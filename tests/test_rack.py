@@ -69,7 +69,14 @@ from leibrack.suites import (
     sample_rack_element,
     tangent_suite,
 )
-from oracles import EXTRAS_ONE_BY_ONE, ONE_BY_ONE, cochain_from_dense, sampled
+from oracles import (
+    EXTRAS_ONE_BY_ONE,
+    ONE_BY_ONE,
+    cochain_from_dense,
+    combo_per_basis,
+    omega_per_node,
+    sampled,
+)
 
 
 # -- chart operations --------------------------------------------------------
@@ -126,6 +133,46 @@ def test_coordinates_of_the_wrong_length_are_rejected(dim5_sys):
     for xi in ([0.1], [0.1, 0.0, 0.3]):
         with pytest.raises(ValueError):
             group_from_coords(dim5_sys.chart, xi)
+
+
+def _within_ulps(got, want, abs_terms, ulps=4):
+    """got and want agree to ulps units of the sum of the absolute terms,
+    which bounds what summing them in another order can change."""
+    assert got.shape == want.shape
+    return bool((np.abs(got - want) <= ulps * np.finfo(float).eps * abs_terms).all())
+
+
+_COMBO_ALGEBRAS = [dim5(), filiform5(), free_nilpotent5(), abelian3(), *random_corpus(3)]
+_COMBO_IDS = ["dim5", "filiform5", "free_nilpotent5", "abelian3",
+              *(f"random{i}" for i in range(3))]
+
+
+@pytest.mark.parametrize("alg", _COMBO_ALGEBRAS, ids=_COMBO_IDS)
+def test_combo_matches_the_per_basis_loop(alg):
+    # one matrix product, which BLAS may sum in another order than the loop
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    chart = sys_.chart
+    rng = np.random.default_rng(31)
+    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis, sys_.hom_module.generators):
+        for shape in ((), (7,), (3, 4)):
+            xi = rng.uniform(-1.0, 1.0, shape + (chart.g0_dim,))
+            got = chart.combo(basis, xi)
+            assert got.shape == shape + basis.shape[1:]
+            assert _within_ulps(got, combo_per_basis(basis, xi),
+                                combo_per_basis(np.abs(basis), np.abs(xi)))
+
+
+@pytest.mark.parametrize("alg", _COMBO_ALGEBRAS, ids=_COMBO_IDS)
+def test_combo_rejects_coordinates_of_the_wrong_length(alg):
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    chart = sys_.chart
+    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis, sys_.hom_module.generators):
+        for shape in ((), (3, 4)):
+            with pytest.raises(ValueError):
+                chart.combo(basis, np.ones(shape + (chart.g0_dim + 1,)))
+            if chart.g0_dim:
+                with pytest.raises(ValueError):
+                    chart.combo(basis, np.ones(shape + (chart.g0_dim - 1,)))
 
 
 def test_chart_radius_must_be_positive_and_finite(dim5_ext, dim5_sys):
@@ -668,7 +715,7 @@ def _iota2_inner_by_quadrature(sys_, omega_np, g, h, outer, inner):
         def integrand(t):
             w_t = t * integrate_01(inner, [scipy.linalg.expm(-u * t * ad_a)
                                            for u in inner.nodes]) @ aprime
-            return scipy.linalg.expm(t * rho_a) @ np.einsum("p,q,pqk->k", a_s, w_t, omega_np)
+            return scipy.linalg.expm(t * rho_a) @ np.einsum("p,q,pkq->k", a_s, w_t, omega_np)
         total = total + ws * integrate_01(inner, [integrand(t) for t in inner.nodes])
     return total
 
@@ -701,6 +748,28 @@ def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
         assert np.abs(closed - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("alg,omega", [(heisenberg(), None), (filiform5(), None),
+                                       (free_nilpotent5(), None), (_oscillator(), None),
+                                       (_aff1_with_weights(), _AFF1_OMEGA)],
+                         ids=["heisenberg", "filiform5", "free_nilpotent5", "oscillator",
+                              "aff1_explicit_omega"])
+def test_iota2_omega_matches_the_per_node_einsum(alg, omega):
+    # iota2 forms Omega = omega(a, -) at all its nodes as chart.combo of the
+    # stack lie_omega; the oracle reads omega's own (d, d, m) array
+    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    if omega is not None:
+        sys_ = replace(sys_, ext=replace(sys_.ext, omega=omega))
+    dense_omega = sys_.ext.omega.to_numpy()
+    assert np.abs(dense_omega).max() > 0
+    rng = np.random.default_rng(23)
+    for shape in ((), (8,), (2, 8)):
+        a = rng.uniform(-1.0, 1.0, shape + (sys_.g0_dim,))
+        got = sys_.chart.combo(sys_.lie_omega, a)
+        assert got.shape == shape + (sys_.center_dim, sys_.g0_dim)
+        assert _within_ulps(got, omega_per_node(dense_omega, a),
+                            omega_per_node(np.abs(dense_omega), np.abs(a)))
+
+
 def _iota2_per_node(sys_, g, h, cfg):
     """Oracle for iota2's stacked evaluation: the outer rule's nodes one at
     a time through the 2-D kernels, as iota2 once ran them (chart gates
@@ -717,7 +786,7 @@ def _iota2_per_node(sys_, g, h, cfg):
         a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
         ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
         aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
-        x = np.block([[-rho_a, np.einsum("p,pqk->kq", a_s, omega_np)],
+        x = np.block([[-rho_a, np.einsum("p,pkq->kq", a_s, omega_np)],
                       [np.zeros((d, m)), -ad_a]])
         inner = phi1_float(x, np.concatenate([np.zeros(m), aprime]), x_index)[:m]
         total = total + ws * (exp_float(rho_a, chart.rho_index) @ inner)
