@@ -17,15 +17,13 @@ from .cohomology import (
     Cochain,
     RackCochainFn,
     RackModuleStructure,
-    check_module_axioms,
     hom_representation,
     leibniz_differential,
     rack_differential_eval,
     rack_differential_general,
     tau,
-    tau_inverse,
 )
-from .corpus import abelian3, builtin, dim5, heisenberg, random_corpus, random_leibniz
+from .corpus import abelian3, builtin, dim5, heisenberg, random_leibniz
 from .fileio import ParseError, algebra_from_dict, algebra_to_dict, parse_algebra_file, write_algebra_file
 from .linalg import (
     Matrix,
@@ -49,7 +47,6 @@ from .rack import (
     conjugate,
     default_config,
     delta2,
-    ghost_identity_defect,
     i1,
     i2,
     i2_quadrature,

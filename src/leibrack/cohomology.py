@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import Representation, is_lie
-from .linalg import Matrix, Vec, as_vec, matvec, nan_max, sup_norm, zero_vec
+from .linalg import Matrix, Vec, as_vec, matvec, zero_vec
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -220,15 +220,6 @@ def tau(w: Cochain) -> Cochain:
         (idx[:-1], k * dd + idx[-1], a) for idx, k, a in w._terms()))
 
 
-def tau_inverse(w: Cochain) -> Cochain:
-    """Exact inverse of tau."""
-    dd = w.domain_dim
-    if w.coeff_dim % dd != 0:
-        raise ValueError("coefficient space is not Hom(g, a)")
-    return Cochain.from_terms(w.degree + 1, dd, w.coeff_dim // dd, (
-        (idx + (h % dd,), h // dd, a) for idx, h, a in w._terms()))
-
-
 def hom_representation(rep: Representation) -> Representation:
     """Symmetric representation on Hom(g, a) from a Lie representation on a:
     (x.alpha)(y) = x.(alpha(y)) - alpha([x, y]).
@@ -278,8 +269,8 @@ class RackModuleStructure:
     @staticmethod
     def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
         """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y).  No
-        production path builds one: the suites check i2 in the
-        anti-symmetric module.  It is kept as the module in which i1 is a
+        production path builds one: ``cocycle_suite`` checks i2 in the
+        anti-symmetric module, expanded over the rack operations.  It is kept as the module in which i1 is a
         rack 1-cocycle, and the one on which the two sign conventions of the
         psi term differ, so it is what the tests pinning
         ``rack_differential_eval`` against ``rack_differential_general``
@@ -293,7 +284,8 @@ class RackModuleStructure:
 
     @staticmethod
     def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi = 0."""
+        """phi_{x,y} = action(x), psi = 0: the module in which i2 is a
+        rack 2-cocycle."""
         def phi(x, y, v):
             return matvec(action(x), v)
 
@@ -359,53 +351,3 @@ def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
     integration needs and, psi being zero there, the arity-2 anti-symmetric
     expansion unchanged."""
     return _rack_differential(mod, f, tuple(args), conj, -1)
-
-
-def rack_diff1_expansion(mod, f, g, h, conj):
-    """Hard-coded arity-1 normative expansion (verification suite)."""
-    return mod.phi(g, h, f(h)) - f(conj(g, h)) + mod.psi(g, h, f(g))
-
-
-def rack_diff2_expansion(mod, f, g, h, k, conj):
-    """Hard-coded arity-2 normative expansion (verification suite)."""
-    gh, gk, hk = conj(g, h), conj(g, k), conj(h, k)
-    return (mod.phi(g, hk, f(h, k)) - f(gh, gk)
-            - mod.phi(gh, gk, f(g, k)) + f(g, hk)
-            - mod.psi(gh, gk, f(g, h)))
-
-
-# ---------------------------------------------------------------------------
-# module axiom checking
-# ---------------------------------------------------------------------------
-
-def check_module_axioms(mod: RackModuleStructure, conj: ConjFn, samples) -> dict:
-    """Per-axiom max defect of (M0)-(M4) over sampled group-element triples;
-    passes iff every defect <= 1e-10.  A NaN defect stays NaN and fails."""
-    tol = 1e-10
-    m = mod.carrier_dim
-    basis = [np.eye(m)[:, b] for b in range(m)]
-    defects = {name: 0.0 for name in ("M0", "M1", "M2", "M3", "M4")}
-
-    def upd(name, arr):
-        defects[name] = nan_max(defects[name], sup_norm(np.asarray(arr)))
-
-    for (x, y, z) in samples:
-        identity = np.eye(x.shape[-1])
-        yz, xy, xz = conj(y, z), conj(x, y), conj(x, z)
-        phimat = np.column_stack([mod.phi(x, y, v) for v in basis]) if m else np.zeros((0, 0))
-        if m:
-            if abs(np.linalg.det(phimat)) < 1e-12:
-                upd("M0", np.inf)
-            else:
-                upd("M0", phimat @ np.linalg.inv(phimat) - np.eye(m))
-        for v in basis:
-            upd("M1", mod.phi(x, yz, mod.phi(y, z, v)) - mod.phi(xy, xz, mod.phi(x, z, v)))
-            upd("M2", mod.phi(x, yz, mod.psi(y, z, v)) - mod.psi(xy, xz, mod.phi(x, y, v)))
-            upd("M3", mod.psi(x, yz, v) - mod.phi(xy, xz, mod.psi(x, z, v))
-                - mod.psi(xy, xz, mod.psi(x, y, v)))
-            upd("M4", mod.phi(identity, y, v) - v)
-            upd("M4", mod.psi(x, identity, v))
-
-    defects["passes"] = all(defects[k] <= tol for k in ("M0", "M1", "M2", "M3", "M4"))
-    defects["tolerance"] = tol
-    return defects

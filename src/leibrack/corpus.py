@@ -204,8 +204,3 @@ def random_leibniz(seed: int) -> LeibnizAlgebra:
             continue
         return alg
     raise RuntimeError(f"no algebra found for seed {seed}")
-
-
-def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
-    """Deterministic list of distinct random algebras."""
-    return [random_leibniz(seed * 1000 + i) for i in range(count)]

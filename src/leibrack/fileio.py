@@ -25,7 +25,8 @@ number past Python's integer digit limit is a ParseError too.  Nothing is
 merged silently: a key repeated in any JSON object (which ``json.loads``
 would read as its last value), a second entry for the same (left, right)
 pair, an index given twice in one ``value`` (as "1" and "01") and a
-repeated basis name are ParseErrors.
+repeated basis name are ParseErrors.  A message that repeats a value from
+the file shows at most its first 40 characters and its length.
 Serialization is canonical (sorted, minimal) so parse/serialize round-trips
 are byte-stable.
 """
@@ -53,6 +54,13 @@ class ParseError(ValueError):
     """Malformed algebra file."""
 
 
+def _shown(value, limit: int = 40) -> str:
+    """repr(value) for an error message, cut to its first limit characters
+    and its length when longer, so a hostile value does not fill it."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _is_int(value) -> bool:
     """A JSON integer: int but not bool (bool is a subclass of int)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -64,7 +72,7 @@ def _unique_keys(pairs: list) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ParseError(f"duplicate key {key!r}")
+            raise ParseError(f"duplicate key {_shown(key)}")
         doc[key] = value
     return doc
 
@@ -80,11 +88,11 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
         raise ParseError("top level must be an object")
     dim = doc.get("dim")
     if not _is_int(dim):
-        raise ParseError(f"'dim' must be a JSON integer; got {dim!r}")
+        raise ParseError(f"'dim' must be a JSON integer; got {_shown(dim)}")
     if dim < 1:
         raise ParseError("'dim' must be a positive integer")
     if dim > MAX_DIM:
-        raise ParseError(f"'dim' is {dim}; at most MAX_DIM = {MAX_DIM} is accepted")
+        raise ParseError(f"'dim' is {_shown(dim)}; at most MAX_DIM = {MAX_DIM} is accepted")
     basis = doc.get("basis")
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim or \
@@ -112,23 +120,27 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
             raise ParseError(f"brackets[{pos}]: 'value' must map indices to coefficients")
         ks = set()
         for key, coeff in value.items():
-            # int() alone would also read " 2" and "1_1"
+            # int() alone would also read " 2" and "1_1", and raises past
+            # Python's integer digit limit
             if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise ParseError(f"brackets[{pos}]: bad index {key!r}")
-            k = int(key)
+                raise ParseError(f"brackets[{pos}]: bad index {_shown(key)}")
+            try:
+                k = int(key)
+            except ValueError:
+                raise ParseError(f"brackets[{pos}]: bad index {_shown(key)}") from None
             if not 0 <= k < dim:
-                raise ParseError(f"brackets[{pos}]: index {k} out of range")
+                raise ParseError(f"brackets[{pos}]: index {_shown(k)} out of range")
             if k in ks:
                 raise ParseError(f"brackets[{pos}]: index {k} given twice")
             ks.add(k)
             if not (_is_int(coeff) or isinstance(coeff, str) and _COEFF.fullmatch(coeff)):
-                raise ParseError(f"brackets[{pos}]: {coeff!r} not accepted, "
+                raise ParseError(f"brackets[{pos}]: {_shown(coeff)} not accepted, "
                                  "use integer or 'p/q' strings")
             try:
                 terms.append((i, j, k, Fraction(coeff)))
             except (ValueError, ZeroDivisionError):
                 # a zero denominator, or digits past Python's integer digit limit
-                raise ParseError(f"brackets[{pos}]: bad coefficient {coeff!r}") from None
+                raise ParseError(f"brackets[{pos}]: bad coefficient {_shown(coeff)}") from None
     # a ValidationError from the Leibniz check propagates unchanged
     return LeibnizAlgebra.from_terms(dim, terms, basis_names=basis)
 

@@ -83,11 +83,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c, v: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def zero_vec(n: int) -> Vec:
     return (_ZERO,) * n
 
@@ -322,10 +317,6 @@ def inverse_exact(a: Matrix) -> Matrix:
                               for row in red.nonzeros))
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 # ---------------------------------------------------------------------------
 # matrix exponential / logarithm
 # ---------------------------------------------------------------------------
@@ -406,18 +397,6 @@ def norm1_float(a: np.ndarray) -> float | np.ndarray:
     equal bit for bit to the norm of that slice alone (a column sum adds
     the rows in order either way)."""
     return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-
-
-def sup_norm(x: np.ndarray) -> float:
-    """max |x_i| (NaN if an entry is NaN); 0 for an empty array."""
-    return float(np.abs(x).max()) if x.size else 0.0
-
-
-def nan_max(*values: float) -> float:
-    """The largest value, NaN if any is NaN.  The builtin max keeps its
-    first argument when a later one is NaN, which would let a NaN defect
-    pass as the defect before it."""
-    return float(np.max(values))
 
 
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:

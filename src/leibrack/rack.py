@@ -534,17 +534,6 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     return LocalRackElement(gh, a)
 
 
-def ghost_identity_defect(sys: LocalRackSystem, g, h, k,
-                          ok: np.ndarray | None = None) -> np.ndarray:
-    """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
-    Note gh is the group product, not a conjugation."""
-    chart = sys.chart
-    gh = group_product(chart, g, h, ok)
-    hk = conjugate(chart, h, k, ok)
-    return (matvec(group_action(chart, g, ok), i2(sys, h, k, ok))
-            - i2(sys, gh, k, ok) + i2(sys, g, hk, ok))
-
-
 def _mixed_difference(chart: LocalGroupChart, cfg: IntegratorConfig,
                       probe: Callable[..., np.ndarray], ok: np.ndarray | None) -> np.ndarray:
     """Central second mixed finite difference of probe(s, t, mask) at

@@ -32,7 +32,13 @@ omega as the projections of the dense lifted brackets) and
 rows, and dense row tuples; ``cochain_dense`` and
 ``cochain_from_dense`` do the same between a ``Cochain``, which stores only
 its nonzero values, and its flat row-major values.
-``leibniz_differential_by_definition`` is dL gathered output by output."""
+``leibniz_differential_by_definition`` is dL gathered output by output.
+
+The first section holds the helpers that only the tests call, kept out of
+the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
+``vec_scale``, ``rank`` and ``tau_inverse``, ``random_corpus``, the
+one-element ``sample_rack_element``, the hard-coded rack-differential
+expansions, the ghost identity defect and the rack-module axiom check."""
 
 import itertools
 import sys
@@ -44,20 +50,20 @@ import numpy as np
 from leibrack import algebra, linalg
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
 from leibrack.cli import PHI_TYPO_NOTE
-from leibrack.cohomology import (
-    Cochain,
-    RackCochainFn,
-    RackModuleStructure,
-    rack_diff2_expansion,
+from leibrack.cohomology import Cochain, RackCochainFn, RackModuleStructure
+from leibrack.corpus import (
+    dim5_conjugation,
+    dim5_f,
+    dim5_i1_matrix,
+    heisenberg_iota2,
+    random_leibniz,
 )
-from leibrack.corpus import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
-from leibrack.linalg import OutOfChartError, gauss_legendre_01, nan_max, sup_norm
+from leibrack.linalg import OutOfChartError, gauss_legendre_01, matvec, rref
 from leibrack.rack import (
     LocalRackElement,
     augmented_action,
     conjugate,
     default_config,
-    ghost_identity_defect,
     group_action,
     group_from_coords,
     group_product,
@@ -70,7 +76,108 @@ from leibrack.rack import (
     log_coords,
     rack_product,
 )
-from leibrack.suites import PropertyResult, elem_distance, sample_group_element, sample_rack_element
+from leibrack.suites import PropertyResult, elem_distance, sample_group_element
+
+
+# -- helpers that only the tests call ----------------------------------------
+
+def sup_norm(x: np.ndarray) -> float:
+    """max |x_i| (NaN if an entry is NaN); 0 for an empty array."""
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
+def nan_max(*values: float) -> float:
+    """The largest value, NaN if any is NaN.  The builtin max keeps its
+    first argument when a later one is NaN, which would let a NaN defect
+    pass as the defect before it."""
+    return float(np.max(values))
+
+
+def vec_scale(c, v):
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def rank(m) -> int:
+    return len(rref(m)[1])
+
+
+def tau_inverse(w: Cochain) -> Cochain:
+    """Exact inverse of tau."""
+    dd = w.domain_dim
+    if w.coeff_dim % dd != 0:
+        raise ValueError("coefficient space is not Hom(g, a)")
+    return Cochain.from_terms(w.degree + 1, dd, w.coeff_dim // dd, (
+        (idx + (h % dd,), h // dd, a) for idx, h, a in w._terms()))
+
+
+def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
+    """Deterministic list of distinct random algebras."""
+    return [random_leibniz(seed * 1000 + i) for i in range(count)]
+
+
+def sample_rack_element(sys_, rng, max_norm: float) -> LocalRackElement:
+    """A group element as ``sample_group_element`` draws it, with center
+    coordinates in [-1/4, 1/4]."""
+    g = sample_group_element(sys_, rng, max_norm)
+    a = rng.uniform(-1.0, 1.0, size=sys_.center_dim) * 0.25
+    return LocalRackElement(g, a)
+
+
+def rack_diff1_expansion(mod, f, g, h, conj):
+    """Hard-coded arity-1 normative expansion."""
+    return mod.phi(g, h, f(h)) - f(conj(g, h)) + mod.psi(g, h, f(g))
+
+
+def rack_diff2_expansion(mod, f, g, h, k, conj):
+    """Hard-coded arity-2 normative expansion."""
+    gh, gk, hk = conj(g, h), conj(g, k), conj(h, k)
+    return (mod.phi(g, hk, f(h, k)) - f(gh, gk)
+            - mod.phi(gh, gk, f(g, k)) + f(g, hk)
+            - mod.psi(gh, gk, f(g, h)))
+
+
+def ghost_identity_defect(sys_, g, h, k, ok=None) -> np.ndarray:
+    """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
+    Note gh is the group product, not a conjugation."""
+    chart = sys_.chart
+    gh = group_product(chart, g, h, ok)
+    hk = conjugate(chart, h, k, ok)
+    return (matvec(group_action(chart, g, ok), i2(sys_, h, k, ok))
+            - i2(sys_, gh, k, ok) + i2(sys_, g, hk, ok))
+
+
+def check_module_axioms(mod: RackModuleStructure, conj, samples) -> dict:
+    """Per-axiom max defect of (M0)-(M4) over sampled group-element triples;
+    passes iff every defect <= 1e-10.  A NaN defect stays NaN and fails."""
+    tol = 1e-10
+    m = mod.carrier_dim
+    basis = [np.eye(m)[:, b] for b in range(m)]
+    defects = {name: 0.0 for name in ("M0", "M1", "M2", "M3", "M4")}
+
+    def upd(name, arr):
+        defects[name] = nan_max(defects[name], sup_norm(np.asarray(arr)))
+
+    for (x, y, z) in samples:
+        identity = np.eye(x.shape[-1])
+        yz, xy, xz = conj(y, z), conj(x, y), conj(x, z)
+        phimat = np.column_stack([mod.phi(x, y, v) for v in basis]) if m else np.zeros((0, 0))
+        if m:
+            if abs(np.linalg.det(phimat)) < 1e-12:
+                upd("M0", np.inf)
+            else:
+                upd("M0", phimat @ np.linalg.inv(phimat) - np.eye(m))
+        for v in basis:
+            upd("M1", mod.phi(x, yz, mod.phi(y, z, v)) - mod.phi(xy, xz, mod.phi(x, z, v)))
+            upd("M2", mod.phi(x, yz, mod.psi(y, z, v)) - mod.psi(xy, xz, mod.phi(x, y, v)))
+            upd("M3", mod.psi(x, yz, v) - mod.phi(xy, xz, mod.psi(x, z, v))
+                - mod.psi(xy, xz, mod.psi(x, y, v)))
+            upd("M4", mod.phi(identity, y, v) - v)
+            upd("M4", mod.psi(x, identity, v))
+
+    defects["passes"] = all(defects[k] <= tol for k in ("M0", "M1", "M2", "M3", "M4"))
+    defects["tolerance"] = tol
+    return defects
 
 
 def sampled(n: int, draw: Callable[[], tuple], check: Callable[..., Iterable[float]],
@@ -432,7 +539,7 @@ def leibniz_differential_by_definition(rep, w):
         beta = w.at()
 
         def d0(x):
-            return linalg.vec_scale(-1, rep.right[x].mat_vec(beta))
+            return vec_scale(-1, rep.right[x].mat_vec(beta))
         return Cochain.from_function(1, alg.dim, rep.carrier_dim, d0)
 
     def dw(*idx):

@@ -14,7 +14,6 @@ from leibrack.cohomology import (
     hom_representation,
     leibniz_differential,
     tau,
-    tau_inverse,
 )
 from leibrack.corpus import (
     abelian3,
@@ -23,7 +22,6 @@ from leibrack.corpus import (
     dim5_i1_matrix,
     heisenberg,
     heisenberg_iota2,
-    random_corpus,
 )
 from leibrack.linalg import Matrix, gauss_legendre_01
 from leibrack.rack import (
@@ -42,6 +40,7 @@ from leibrack.suites import (
     rack_axiom_suite,
     tangent_suite,
 )
+from oracles import random_corpus, tau_inverse
 
 CFG = default_config()
 

@@ -28,10 +28,10 @@ from leibrack.corpus import (
     filiform5,
     free_nilpotent5,
     heisenberg,
-    random_corpus,
     random_leibniz,
 )
-from leibrack.linalg import Matrix, rank
+from leibrack.linalg import Matrix
+from oracles import random_corpus, rank
 
 E = lambda n, i: tuple(Fraction(int(j == i)) for j in range(n))
 

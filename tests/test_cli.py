@@ -96,19 +96,29 @@ def test_parse_errors(doc):
     {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {" 1": "1"}}]},
     *({"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": c}}]}
       for c in ("1e5000", "1e2", "1.5", " 1", "1\n", "+1", "1_0", "\u0661")),
+    {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1" * 5000: "1"}}]},
+    {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "1" * 5000}}]},
+    {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "x" * 5000}}]},
+    {"dim": "x" * 5000},
+    {"dim": int("9" * 4300)},
 ], ids=["dim_str", "dim_float", "dim_bool", "dim_over_cap", "left_float", "right_str",
         "left_bool", "coeff_bool", "index_padded", "coeff_exponent_past_digit_limit",
         "coeff_exponent", "coeff_decimal", "coeff_space", "coeff_newline", "coeff_plus",
-        "coeff_underscore", "coeff_non_ascii_digit"])
+        "coeff_underscore", "coeff_non_ascii_digit", "index_past_digit_limit",
+        "coeff_past_digit_limit", "coeff_long_string", "dim_long_string", "dim_4300_digits"])
 def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     # no truncation or coercion: each of these used to be read as a valid
     # file, and a coefficient with an exponent past the digit limit died in
-    # algebra_to_dict with a traceback
+    # algebra_to_dict with a traceback.  An index past the digit limit
+    # escaped as a traceback too, and a long value was repeated in full in
+    # the message
     p = tmp_path / "strict.leib"
     p.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "verify", str(p), "--json")
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "ParseError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert len(error["message"]) <= 200, error["message"]
 
 
 @pytest.mark.parametrize("raw", [

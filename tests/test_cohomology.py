@@ -13,26 +13,28 @@ from leibrack.cohomology import (
     Cochain,
     RackCochainFn,
     RackModuleStructure,
-    check_module_axioms,
     hom_representation,
     leibniz_differential,
-    rack_diff1_expansion,
-    rack_diff2_expansion,
     rack_differential_eval,
     rack_differential_general,
     tau,
-    tau_inverse,
 )
 from leibrack.corpus import (
     dim5,
     filiform5,
     free_nilpotent5,
     heisenberg,
-    random_corpus,
     random_leibniz,
 )
 from leibrack.linalg import Matrix
 from leibrack.rack import conjugate, group_action, group_from_coords
+from oracles import (
+    check_module_axioms,
+    rack_diff1_expansion,
+    rack_diff2_expansion,
+    random_corpus,
+    tau_inverse,
+)
 
 
 def random_cochain(rng, degree, dd, cd):

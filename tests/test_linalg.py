@@ -27,12 +27,12 @@ from leibrack.linalg import (
     norm1_float,
     nullspace,
     phi1_float,
-    rank,
     rref,
     rref_nullspace,
 )
 from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
 from leibrack.suites import elem_distance
+from oracles import rank
 
 RHO_E1 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 

@@ -23,7 +23,6 @@ from leibrack.corpus import (
     free_nilpotent5,
     heisenberg,
     heisenberg_iota2,
-    random_corpus,
 )
 from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
@@ -43,7 +42,6 @@ from leibrack.rack import (
     conjugate,
     default_config,
     delta2,
-    ghost_identity_defect,
     group_action,
     group_from_coords,
     i1,
@@ -66,7 +64,6 @@ from leibrack.suites import (
     rack_axiom_suite,
     roundtrip_suite,
     sample_group_element,
-    sample_rack_element,
     tangent_suite,
 )
 from oracles import (
@@ -74,7 +71,10 @@ from oracles import (
     ONE_BY_ONE,
     cochain_from_dense,
     combo_per_basis,
+    ghost_identity_defect,
     omega_per_node,
+    random_corpus,
+    sample_rack_element,
     sampled,
 )
 

@@ -48,7 +48,6 @@ from leibrack.suites import (
     rack_axiom_suite,
     roundtrip_suite,
     sample_group_element,
-    sample_rack_element,
     stacked,
     tangent_suite,
 )
@@ -61,6 +60,7 @@ from oracles import (
     quadrature_stability_one_by_one,
     rack_axioms_one_by_one,
     roundtrip_one_by_one,
+    sample_rack_element,
     sampled,
     tangent_one_by_one,
 )
@@ -462,6 +462,51 @@ def test_the_basis_pair_suites_take_two_logs_for_all_pairs(name, monkeypatch):
     sys_ = _system(name, 0.5)
     for suite in (roundtrip_suite, tangent_suite):
         assert _kernel_calls(monkeypatch, lambda: suite(sys_, cfg))["log_float"] == 2
+
+
+# -- the cocycle and Lie rows evaluate each term once ---------------------------
+
+def _outermost_calls(monkeypatch, names, run):
+    """The calls of each rack operation in names that run() makes, except
+    those made from within one of them (the conjugation inside i2)."""
+    import leibrack.suites as suites
+    calls = dict.fromkeys(names, 0)
+    depth = []
+    with monkeypatch.context() as patch:
+        for name in names:
+            original = getattr(rack, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls[name] += not depth
+                depth.append(None)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth.pop()
+            for module in (rack, suites):
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, counted)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "abelian3"])
+def test_the_cocycle_suite_takes_six_i2_three_conjugations_and_two_actions(name, monkeypatch):
+    # d_R i2, the ghost identity and its shift share four of their i2 terms
+    sys_ = _system(name, 0.5)
+    calls = _outermost_calls(monkeypatch, ("i2", "conjugate", "group_action"),
+                             lambda: cocycle_suite(sys_, 10, 1))
+    assert calls == {"i2": 6, "conjugate": 3, "group_action": 2}
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
+def test_the_lie_suite_takes_seven_iota2(name, monkeypatch):
+    # row 3 reuses the iota2(u.g, v.g) of row 1's product u v
+    cfg = default_config()
+    sys_ = _system(name, 0.5)
+    calls = _outermost_calls(monkeypatch, ("iota2",),
+                             lambda: lie_specialization_suite(sys_, cfg, 10, 2))
+    assert calls == {"iota2": 7}
 
 
 # -- injectivity: a sorted window against all pairs --------------------------------
