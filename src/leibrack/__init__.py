@@ -49,7 +49,6 @@ from .rack import (
     delta2,
     i1,
     i2,
-    i2_quadrature,
     iota2,
     rack_product,
     tangent_bracket,

@@ -82,6 +82,11 @@ MAX_QUAD_ORDER = 64
 # peaks at about 130 MB RSS (2-core Xeon).
 MAX_SAMPLES = 10_000
 
+# The caps above, each sized alone, together allow stacks past memory.  Peak
+# RSS of `integrate` on filiform-n is about 40 MB plus 96 bytes per entry of
+# ``_largest_stack``: 786 MB at dim 16, --samples 2000, --quad-order 64.
+MAX_STACK = 2 ** 23
+
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
     "general-arity formula and the expansions the cocycle-integration "
@@ -288,10 +293,18 @@ def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
     }
 
 
+def _largest_stack(dim: int, samples: int, quad_order: int) -> int:
+    """Entries of the largest stack of dim x dim matrices in the suites: of
+    the rack axioms, iota2's nodes, the doubled quadrature or the tangents."""
+    return dim * dim * max(4 * samples, max(10, samples // 4) * quad_order,
+                           min(20, samples) * 2 * quad_order, 4 * dim * dim)
+
+
 def _rack_system(alg, args, report) -> LocalRackSystem | None:
     """The report's rack system, with the sections of ``_extension`` and
     the config section filled in; None (and report['error']) on a bad
     config or an exact value outside float range."""
+    stack = _largest_stack(alg.dim, args.samples, args.quad_order)
     checks = [
         (0 < args.chart_radius <= MAX_CHART_RADIUS,
          f"--chart-radius must lie in (0, {MAX_CHART_RADIUS:g}]; got {args.chart_radius}"),
@@ -304,6 +317,9 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
         (args.samples >= 1, f"--samples must be >= 1; got {args.samples}"),
         (args.samples <= MAX_SAMPLES,
          f"--samples must be <= {MAX_SAMPLES}; got {args.samples}"),
+        (stack <= MAX_STACK,
+         f"--samples {args.samples} and --quad-order {args.quad_order} at dim {alg.dim} "
+         f"make a stack of {stack} entries; at most MAX_STACK = {MAX_STACK} are accepted"),
         (args.seed >= 0, f"--seed must be >= 0; got {args.seed}"),
     ]
     message = next((msg for ok, msg in checks if not ok), None)

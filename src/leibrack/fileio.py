@@ -16,6 +16,8 @@ float or a boolean, a string with an exponent, a decimal point, a sign
 ``+``, whitespace or a non-ASCII digit) is a ParseError, so exact input
 stays exact and every coefficient is held to the integer digit limit
 below.
+Any key but ``dim``, ``basis`` and ``brackets`` at the top level, or
+``left``, ``right`` and ``value`` in an entry, is a ParseError.
 ``dim``, ``left`` and ``right`` must be JSON integers: a float, a string or
 ``true``/``false`` is a ParseError, never truncated or coerced, and so is a
 ``value`` key other than decimal digits.  ``dim``
@@ -54,6 +56,13 @@ class ParseError(ValueError):
     """Malformed algebra file."""
 
 
+def _known_keys(doc: dict, keys: tuple, where: str) -> None:
+    """A ParseError naming the first key of doc not in keys."""
+    extra = [key for key in doc if key not in keys]
+    if extra:
+        raise ParseError(f"{where}unknown key {_shown(extra[0])}; expected only {keys}")
+
+
 def _shown(value, limit: int = 40) -> str:
     """repr(value) for an error message, cut to its first limit characters
     and its length when longer, so a hostile value does not fill it."""
@@ -86,6 +95,7 @@ def algebra_to_dict(alg: LeibnizAlgebra) -> dict:
 def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
+    _known_keys(doc, ("dim", "basis", "brackets"), "")
     dim = doc.get("dim")
     if not _is_int(dim):
         raise ParseError(f"'dim' must be a JSON integer; got {_shown(dim)}")
@@ -108,6 +118,7 @@ def algebra_from_dict(doc: dict) -> LeibnizAlgebra:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"brackets[{pos}] must be an object")
+        _known_keys(entry, ("left", "right", "value"), f"brackets[{pos}]: ")
         i, j, value = entry.get("left"), entry.get("right"), entry.get("value")
         if not (_is_int(i) and _is_int(j)) or value is None:
             raise ParseError(f"brackets[{pos}] needs integer 'left'/'right' and a 'value'")

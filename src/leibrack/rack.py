@@ -13,12 +13,14 @@ The two path integrals:
 
 use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
-path differentiation.  Both integrands then have the form exp(sA) v, so
-each integral is phi1(A) v (``linalg.phi1_float``), in closed form:
-i1 = phi1(gen_xi) B xi and i2 = phi1(rho_eta) (H eta).  Gauss-Legendre
-quadrature of the same integrands (``i2_quadrature``) is kept as their
-independent cross-check, and the tests keep a finite-difference evaluator
-along an arbitrary path as an independent check of i1.
+path differentiation.  Both integrands then have the form exp(sA) v, and
+``_integral`` takes each: phi1(A) v (``linalg.phi1_float``) in closed
+form, i1 = phi1(gen_xi) B xi and i2 = phi1(rho_eta) (H eta), or
+Gauss-Legendre quadrature at a rule, their independent cross-check.  i2
+depends on g and h only through the log coordinates of g and g |> h
+(``conjugate_and_log``), from which ``i2_from_coords`` integrates.  The
+tests keep a finite-difference evaluator along an arbitrary path as an
+independent check of i1.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -43,21 +45,22 @@ The local rack product on G0 x a is then
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
 
 with neutral element (1, 0), and the projection to the first factor makes it
-a local augmented rack.  ``augmented_action`` conjugates g once and logs
-it once: g |> h goes on to i2's integrand, and the log coordinates of g
-give both its action and i1(tau omega)(g).
+a local augmented rack.  ``augmented_action`` conjugates and logs once
+(``conjugate_and_log``): g's log coordinates give both its action and
+i1(tau omega)(g), and those of g |> h go on to i2's integrand.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
-i2_quadrature, the augmented action, the finite differences, iota2 and the
-Lie group product and inverse each take one group element (n, n) or a
-stack of them (..., n, n), with a mask of the slices that succeeded; see
-the comment at the head of the chart operations.  The suites run every
-sample set as one stack.  One element is a stack with no leading axes
-and takes the same code, with no branch of its own, and the bases of a
-trivial g0 are (0, k, k) stacks.  A slice equals its one-element call bit
-for bit.  numpy's matmul calls BLAS or its own loop depending on the
-strides of its operands, and the two can round differently, so the
-stacked code keeps each slice's strides as the one-element code has them.
+the augmented action, the finite differences, iota2 and the Lie group
+product and inverse each take one group element (n, n) or a stack of them
+(..., n, n), with a mask of the slices that succeeded (see the comment at
+the head of the chart operations), and i2_from_coords their log
+coordinates (..., d).  The suites run every sample set as one stack.  One
+element is a stack with no leading axes and takes the same code, with no
+branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
+slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
+or its own loop depending on the strides of its operands, and the two can
+round differently, so the stacked code keeps each slice's strides as the
+one-element code has them.
 """
 
 from __future__ import annotations
@@ -405,51 +408,42 @@ def _vanishing(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=-1, initial=0.0) == 0
 
 
-def _i1_integrand(sys: LocalRackSystem, beta, xi: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gen, bx, vanish) with i1(beta)(g) = integral_0^1 exp(s gen) bx ds,
-    where xi are the log coordinates of g and vanish marks i1 = 0 (trivial
-    g0, or g the identity)."""
-    module = sys.hom_module
-    bmat = _beta_matrix(beta, module.dim, sys.g0_dim)
-    return sys.chart.combo(module.generators, xi), matvec(bmat, xi), _vanishing(xi)
-
-
-def _i2_integrand(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
-                  ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(rho_eta, v, vanish) with i2(omega)(g, h) = integral_0^1
-    exp(t rho_eta) v dt, where gh = g |> h, already conjugated,
-    eta = log(gh), v = i1(tau omega)(g) eta and vanish marks i2 = 0;
-    hom_i1() evaluates i1(tau omega) at g.  None when g0 is trivial, where
-    i2 vanishes."""
-    chart = sys.chart
-    m, d = sys.center_dim, sys.g0_dim
-    if d == 0:
-        return None
-    hom_value = hom_i1()
-    hom_value = hom_value.reshape(hom_value.shape[:-1] + (m, d))
-    eta = log_coords(chart, gh, ok)
-    v = matvec(hom_value, eta)
-    return chart.rho_of(eta), v, _vanishing(v)
-
-
-def _unless(vanish: np.ndarray, value: Callable[[], np.ndarray], shape: tuple) -> np.ndarray:
-    """value(), of the given shape, with zero where vanish marks it so.  If
-    every slice vanishes, one element included, a fresh zero array without
-    calling value(); otherwise the vanishing slices are zeroed in place.
-    value() keeps its strides, which decide whether numpy's matmul on it
-    calls BLAS, and so how it rounds, in a 2-D call and a stack alike."""
+def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | None,
+              rule: QuadratureRule | None) -> np.ndarray:
+    """integral_0^1 exp(s a) v ds: phi1(a) v if rule is None, else
+    Gauss-Legendre at rule.  Zero where vanish: a fresh zero array with no
+    kernel call if every slice vanishes, else zeroed in place, so that the
+    kernel's result keeps the strides that decide whether numpy's matmul
+    on it calls BLAS, and so how it rounds, in a 2-D call and a stack."""
     if vanish.all():
-        return np.zeros(shape)
-    out = value()
+        return np.zeros(v.shape)
+    if rule is None:
+        out = phi1_float(a, v, index)
+    else:
+        # every node's exp(s a) v in one stack (..., nodes, k)
+        nodes = np.array(rule.nodes)[:, None, None]
+        values = matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
+        out = integrate_01(rule, np.moveaxis(values, -2, 0))
     out[vanish] = 0.0
     return out
 
 
-def _i1(sys: LocalRackSystem, beta, xi: np.ndarray) -> np.ndarray:
-    """i1(beta)(g) from the log coordinates xi of g."""
-    gen, bx, vanish = _i1_integrand(sys, beta, xi)
-    return _unless(vanish, lambda: phi1_float(gen, bx, sys.hom_module.index), bx.shape)
+def _i1(sys: LocalRackSystem, bmat: np.ndarray, xi: np.ndarray,
+        rule: QuadratureRule | None = None) -> np.ndarray:
+    """i1(beta)(g) = integral_0^1 exp(s gen_xi) B xi ds from g's log
+    coordinates xi, with bmat = B beta's (m*d) x d matrix."""
+    module = sys.hom_module
+    return _integral(sys.chart.combo(module.generators, xi), matvec(bmat, xi),
+                     _vanishing(xi), module.index, rule)
+
+
+def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
+        rule: QuadratureRule | None = None) -> np.ndarray:
+    """i2(omega)(g, h) = integral_0^1 exp(t rho_eta) hom(eta) dt from
+    hom = i1(tau omega)(g) and the log coordinates eta of g |> h."""
+    chart = sys.chart
+    v = matvec(hom.reshape(hom.shape[:-1] + (sys.center_dim, sys.g0_dim)), eta)
+    return _integral(chart.rho_of(eta), v, _vanishing(v), chart.rho_index, rule)
 
 
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
@@ -457,7 +451,26 @@ def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) 
     module Hom(g0, a) (``sys.hom_module``), along the canonical path to g;
     vanishes at the identity.  beta is a degree-1 cochain or its
     (m*d) x d matrix, such as ``sys.tau_matrix``."""
-    return _i1(sys, beta, _gated_log(sys.chart, g, ok))
+    xi = _gated_log(sys.chart, g, ok)
+    return _i1(sys, _beta_matrix(beta, sys.hom_module.dim, sys.g0_dim), xi)
+
+
+def conjugate_and_log(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+                      ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(g |> h, xi, eta), with xi and eta the log coordinates of g and of
+    g |> h, all that i2(g, h) and g's action need.  The gates run in i2's
+    order: the conjugation, g's chart gate and log, the log of g |> h."""
+    gh = conjugate(chart, g, h, ok)
+    return gh, _gated_log(chart, g, ok), log_coords(chart, gh, ok)
+
+
+def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
+                   rule: QuadratureRule | None = None) -> np.ndarray:
+    """i2(omega)(g, h) from the log coordinates xi of g and eta of g |> h;
+    with a rule, both path integrals by quadrature, i2's cross-check, exact
+    up to rounding when rho is nilpotent and 2 * rule.order exceeds the
+    polynomial degree of the integrands."""
+    return _i2(sys, _i1(sys, sys.tau_matrix, xi, rule), eta, rule)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -466,47 +479,7 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
     gh = conjugate(sys.chart, g, h, ok)
-    return _i2_conjugated(sys, gh, lambda: i1(sys, sys.tau_matrix, g, ok), ok)
-
-
-def _i2_conjugated(sys: LocalRackSystem, gh: np.ndarray, hom_i1: Callable[[], np.ndarray],
-                   ok: np.ndarray | None) -> np.ndarray:
-    """i2(omega)(g, h) from gh = g |> h; hom_i1() gives i1(tau omega)(g)."""
-    data = _i2_integrand(sys, gh, hom_i1, ok)
-    if data is None:
-        return np.zeros(gh.shape[:-2] + (sys.center_dim,))
-    rho_eta, v, vanish = data
-    return _unless(vanish, lambda: phi1_float(rho_eta, v, sys.chart.rho_index), v.shape)
-
-
-def _quadrature(rule: QuadratureRule, a: np.ndarray, v: np.ndarray, vanish: np.ndarray,
-                index: int | None) -> np.ndarray:
-    """integral_0^1 exp(s a) v ds by Gauss-Legendre quadrature, zero where
-    vanish."""
-    def total():
-        # every node's exp(s a) v in one stack (..., nodes, k)
-        nodes = np.array(rule.nodes)[:, None, None]
-        values = matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
-        return integrate_01(rule, np.moveaxis(values, -2, 0))
-    return _unless(vanish, total, v.shape)
-
-
-def i2_quadrature(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, rule: QuadratureRule,
-                  ok: np.ndarray | None = None) -> np.ndarray:
-    """i2 with both path integrals, i1's and the outer one, taken by
-    Gauss-Legendre quadrature at rule instead of phi1: the independent
-    cross-check of i2.  Exact up to rounding when rho is nilpotent and
-    2 * rule.order exceeds the polynomial degree of the integrands."""
-    chart, hom = sys.chart, sys.hom_module
-    gh = conjugate(chart, g, h, ok)
-
-    def hom_i1():
-        xi = _gated_log(chart, g, ok)
-        return _quadrature(rule, *_i1_integrand(sys, sys.tau_matrix, xi), hom.index)
-    data = _i2_integrand(sys, gh, hom_i1, ok)
-    if data is None:
-        return np.zeros(gh.shape[:-2] + (sys.center_dim,))
-    return _quadrature(rule, *data, sys.chart.rho_index)
+    return _i2(sys, i1(sys, sys.tau_matrix, g, ok), log_coords(sys.chart, gh, ok))
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +499,8 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
     g is conjugated once and logged once; its log coordinates give both
     its action and i1(tau omega)(g)."""
-    chart = sys.chart
-    gh = conjugate(chart, g, v.g, ok)
-    xi = _gated_log(chart, g, ok)
-    a = matvec(_action(chart, xi), v.a) \
-        + _i2_conjugated(sys, gh, lambda: _i1(sys, sys.tau_matrix, xi), ok)
+    gh, xi, eta = conjugate_and_log(sys.chart, g, v.g, ok)
+    a = matvec(_action(sys.chart, xi), v.a) + i2_from_coords(sys, xi, eta)
     return LocalRackElement(gh, a)
 
 

@@ -20,7 +20,9 @@ A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in
 the later property's cumulative mask, never the reverse: the three rows of
 ``cocycle_suite`` share their conjugations, i2 values and actions, and row
-3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1.
+3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1 and,
+like ``quadrature_stability_suite``, takes i2 from one conjugation and its
+logs (``rack.conjugate_and_log``, ``rack.i2_from_coords``).
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from .rack import (
     group_action,
     group_from_coords,
     group_product,
+    conjugate_and_log,
     i2,
-    i2_quadrature,
+    i2_from_coords,
     iota2,
     lie_group_inverse,
     lie_group_product,
@@ -339,9 +342,8 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     assoc = elem_distance(product(uv, w, assoc_ok), product(u, product(v, w, assoc_ok), assoc_ok))
     uinv = lie_group_inverse(sys, u, cfg, conj_ok)
     conj = elem_distance(product(uv, uinv, conj_ok), rack_product(sys, u, v, conj_ok))
-    gh = conjugate(sys.chart, u.g, v.g, iota_ok)
-    lhs = i2(sys, u.g, v.g, iota_ok)
-    from_iota = lhs - (iota_uv - iota2(sys, gh, u.g, cfg, ok=iota_ok))
+    gh, xi, eta = conjugate_and_log(sys.chart, u.g, v.g, iota_ok)
+    from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota2(sys, gh, u.g, cfg, ok=iota_ok))
     return stacked(n, [(assoc, assoc_ok), (conj, conj_ok), (sup_rows(from_iota), iota_ok)],
                    [("lie_group_associativity", 1e-9),
                     ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
@@ -378,14 +380,15 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
 
 def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
                                n_pairs: int = 20, seed: int = 4) -> list[PropertyResult]:
-    """Doubling the order of i2's quadrature cross-check (``i2_quadrature``)
-    must not move it: the integrands are polynomial when rho is nilpotent.
-    All pairs at once."""
+    """Doubling the order of i2's quadrature cross-check (``i2_from_coords``
+    at a rule) must not move it: the integrands are polynomial when rho is
+    nilpotent.  All pairs at once, logged once for both orders."""
     rng = np.random.default_rng(seed)
     g, h = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, n_pairs, "gg")
     fine = gauss_legendre_01(2 * cfg.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
-    diff = i2_quadrature(sys, g, h, cfg.quad, ok) - i2_quadrature(sys, g, h, fine, ok)
+    _, xi, eta = conjugate_and_log(sys.chart, g, h, ok)
+    diff = i2_from_coords(sys, xi, eta, cfg.quad) - i2_from_coords(sys, xi, eta, fine)
     return stacked(n_pairs, [(sup_rows(diff), ok)],
                    [("quadrature_order_stability", 1e-12)])
 

@@ -36,7 +36,8 @@ its nonzero values, and its flat row-major values.
 
 The first section holds the helpers that only the tests call, kept out of
 the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
-``vec_scale``, ``rank`` and ``tau_inverse``, ``random_corpus``, the
+``vec_scale``, ``rank`` and ``tau_inverse``, ``random_corpus``,
+``i2_quadrature`` (i2 by quadrature at a rule, from g and h), the
 one-element ``sample_rack_element``, the hard-coded rack-differential
 expansions, the ghost identity defect and the rack-module axiom check."""
 
@@ -63,13 +64,14 @@ from leibrack.rack import (
     LocalRackElement,
     augmented_action,
     conjugate,
+    conjugate_and_log,
     default_config,
     group_action,
     group_from_coords,
     group_product,
     i1,
     i2,
-    i2_quadrature,
+    i2_from_coords,
     iota2,
     lie_group_inverse,
     lie_group_product,
@@ -114,6 +116,14 @@ def tau_inverse(w: Cochain) -> Cochain:
 def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
     """Deterministic list of distinct random algebras."""
     return [random_leibniz(seed * 1000 + i) for i in range(count)]
+
+
+def i2_quadrature(sys_, g, h, rule, ok=None) -> np.ndarray:
+    """i2 with both path integrals, i1's and the outer one, taken by
+    Gauss-Legendre quadrature at rule: the quadrature cross-check of i2 as
+    a function of group elements."""
+    _, xi, eta = conjugate_and_log(sys_.chart, g, h, ok)
+    return i2_from_coords(sys_, xi, eta, rule)
 
 
 def sample_rack_element(sys_, rng, max_norm: float) -> LocalRackElement:

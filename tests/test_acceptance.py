@@ -31,7 +31,6 @@ from leibrack.rack import (
     group_from_coords,
     i1,
     i2,
-    i2_quadrature,
     iota2,
 )
 from leibrack.suites import (
@@ -40,7 +39,7 @@ from leibrack.suites import (
     rack_axiom_suite,
     tangent_suite,
 )
-from oracles import random_corpus, tau_inverse
+from oracles import i2_quadrature, random_corpus, tau_inverse
 
 CFG = default_config()
 

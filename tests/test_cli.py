@@ -101,17 +101,22 @@ def test_parse_errors(doc):
     {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": "x" * 5000}}]},
     {"dim": "x" * 5000},
     {"dim": int("9" * 4300)},
+    {"dim": 3, "bracket": [{"left": 0, "right": 1, "value": {"2": "1"}}]},
+    {"dim": 3, "brackets": [{"left": 0, "right": 1, "value": {"2": "1"}, "valeu": {}}]},
+    {"dim": 2, "x" * 5000: 1},
 ], ids=["dim_str", "dim_float", "dim_bool", "dim_over_cap", "left_float", "right_str",
         "left_bool", "coeff_bool", "index_padded", "coeff_exponent_past_digit_limit",
         "coeff_exponent", "coeff_decimal", "coeff_space", "coeff_newline", "coeff_plus",
         "coeff_underscore", "coeff_non_ascii_digit", "index_past_digit_limit",
-        "coeff_past_digit_limit", "coeff_long_string", "dim_long_string", "dim_4300_digits"])
+        "coeff_past_digit_limit", "coeff_long_string", "dim_long_string", "dim_4300_digits",
+        "unknown_top_key", "unknown_entry_key", "unknown_long_key"])
 def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     # no truncation or coercion: each of these used to be read as a valid
     # file, and a coefficient with an exponent past the digit limit died in
     # algebra_to_dict with a traceback.  An index past the digit limit
-    # escaped as a traceback too, and a long value was repeated in full in
-    # the message
+    # escaped as a traceback too, a long value was repeated in full in the
+    # message, and an unknown key was ignored (a misspelled "brackets" read
+    # as an abelian algebra)
     p = tmp_path / "strict.leib"
     p.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "verify", str(p), "--json")
@@ -119,6 +124,16 @@ def test_strict_parsing_exits_2(capsys, tmp_path, doc):
     error = json.loads(out)["error"]
     assert error["type"] == "ParseError"
     assert len(error["message"]) <= 200, error["message"]
+
+
+def test_an_unknown_key_is_named(capsys, tmp_path):
+    for doc, where in (({"dim": 1, "bracket": []}, "'bracket'"),
+                       ({"dim": 1, "brackets": [{"left": 0, "right": 0, "value": {},
+                                                 "valeu": {}}]}, "brackets[0]: unknown key 'valeu'")):
+        p = tmp_path / "typo.leib"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "verify", str(p), "--json")
+        assert code == 2 and where in json.loads(out)["error"]["message"]
 
 
 @pytest.mark.parametrize("raw", [
@@ -363,6 +378,27 @@ def test_quad_order_above_the_bound_is_config_error(capsys):
         assert code == 2
         err = json.loads(out)["error"]
         assert err["type"] == "ConfigError" and flag in err["message"]
+
+
+def test_caps_taken_together_are_config_error_before_any_float_work(capsys, tmp_path,
+                                                                   monkeypatch):
+    # dim 16, --samples 10000 and --quad-order 64 each pass their own cap,
+    # but together ask iota2 for 2500 x 64 matrices of 16 x 16 at once
+    import leibrack.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("float work started")
+    monkeypatch.setattr(cli, "build_rack_system", refuse)
+    filiform16 = LeibnizAlgebra.from_brackets(16, {
+        **{(0, k): {k + 1: 1} for k in range(1, 15)},
+        **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
+    p = tmp_path / "filiform16.leib"
+    write_algebra_file(filiform16, p)
+    code, out = run_cli(capsys, "integrate", str(p), "--samples", str(MAX_SAMPLES),
+                        "--quad-order", str(MAX_QUAD_ORDER), "--json")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "MAX_STACK" in err["message"]
 
 
 _NON_UNIPOTENT = {

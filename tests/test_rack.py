@@ -46,7 +46,6 @@ from leibrack.rack import (
     group_from_coords,
     i1,
     i2,
-    i2_quadrature,
     in_chart,
     iota2,
     lie_cocycle_defect,
@@ -72,6 +71,7 @@ from oracles import (
     cochain_from_dense,
     combo_per_basis,
     ghost_identity_defect,
+    i2_quadrature,
     omega_per_node,
     random_corpus,
     sample_rack_element,

@@ -31,7 +31,6 @@ from leibrack.rack import (
     group_product,
     i1,
     i2,
-    i2_quadrature,
     iota2,
     lie_group_inverse,
     lie_group_product,
@@ -56,6 +55,7 @@ from oracles import (
     _injectivity,
     augmented_action_one_by_one,
     cocycle_one_by_one,
+    i2_quadrature,
     lie_specialization_one_by_one,
     quadrature_stability_one_by_one,
     rack_axioms_one_by_one,
@@ -501,12 +501,25 @@ def test_the_cocycle_suite_takes_six_i2_three_conjugations_and_two_actions(name,
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
 def test_the_lie_suite_takes_seven_iota2(name, monkeypatch):
-    # row 3 reuses the iota2(u.g, v.g) of row 1's product u v
+    # row 3 reuses the iota2(u.g, v.g) of row 1's product u v, and takes
+    # i2(u.g, v.g) from the one conjugation u.g |> v.g it also feeds to iota2
     cfg = default_config()
     sys_ = _system(name, 0.5)
-    calls = _outermost_calls(monkeypatch, ("iota2",),
+    calls = _outermost_calls(monkeypatch, ("iota2", "conjugate"),
                              lambda: lie_specialization_suite(sys_, cfg, 10, 2))
-    assert calls == {"iota2": 7}
+    assert calls == {"iota2": 7, "conjugate": 2}
+
+
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "filiform5"])
+def test_the_quadrature_suite_conjugates_and_logs_once_for_both_orders(name, monkeypatch):
+    # both quadrature orders integrate from one conjugation g |> h and the
+    # logs of g and g |> h
+    cfg = default_config()
+    sys_ = _system(name, 0.5)
+    assert sys_.g0_dim > 0
+    calls = _outermost_calls(monkeypatch, ("conjugate", "log_coords"),
+                             lambda: quadrature_stability_suite(sys_, cfg, 10, 4))
+    assert calls == {"conjugate": 1, "log_coords": 2}
 
 
 # -- injectivity: a sorted window against all pairs --------------------------------

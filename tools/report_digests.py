@@ -18,7 +18,10 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   free_nilpotent5 and two inputs of each ``rho_semisimple`` kind, at chart
   radius 0.5 and 4;
 * ``integrate`` at chart radius 8/12/16/24 on six of them, where part of
-  the cocycle or Lie rows leaves the chart and is skipped.
+  the cocycle or Lie rows leaves the chart and is skipped;
+* ``integrate`` at quadrature order 3 and 64 on heisenberg, rl5 and aff-0,
+  the ends of the accepted range of iota2's rule and the quadrature
+  cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ RANDOM_SEEDS = (1, 2, 5, 7, 23, 28, 38)
 RHO_KINDS = ("diagonal", "jordan", "rotation", "aff")
 WIDE_RADII = ("8", "12", "16", "24")
 WIDE_INPUTS = ("filiform5", "free_nilpotent5", "heisenberg", "rl5", "rl38", "aff-0")
+QUAD_ORDERS = ("3", "64")
+QUAD_INPUTS = ("heisenberg", "rl5", "aff-0")
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
          "from leibrack.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -59,6 +64,8 @@ def runs() -> list[tuple[str, list[str]]]:
                     for r in ("0.5", "4")]
     out += [(id_, ["integrate", "{file}", "--json", "--chart-radius", r])
             for id_ in WIDE_INPUTS for r in WIDE_RADII]
+    out += [(id_, ["integrate", "{file}", "--json", "--quad-order", q])
+            for id_ in QUAD_INPUTS for q in QUAD_ORDERS]
     return out
 
 
