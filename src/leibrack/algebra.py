@@ -29,7 +29,7 @@ g0 and omega, ``cohomology.leibniz_differential`` and
 ``cohomology.hom_representation`` read it, so their cost follows the
 nonzeros (2(n-2) for filiform-n), not n^3.  The dense tensor ``c`` is built
 only on request; nothing in the package asks.  The matrices they build are
-``Matrix`` values, stored as their sparse rows alone (see ``linalg``).
+``Matrix`` values, stored as their sparse rows alone (see ``exact``).
 
 The extension is stored as one change of basis, ``to_parent`` (columns: the
 lifts of g0, then the center) and its inverse, beside g0, rho and omega,
@@ -47,7 +47,7 @@ from functools import cached_property
 from itertools import chain, product
 from typing import Sequence
 
-from .linalg import (
+from .exact import (
     Matrix,
     Vec,
     as_vec,

@@ -16,6 +16,11 @@ extension outside float range), 3 chart coverage failure
 (more than half of the samples of some suite left the chart), 4 property
 failure.  ``--json`` prints the machine-readable report; runs are
 deterministic for a fixed file, flags and seed.
+
+This module is the exact half: parsing, ``verify``, ``analyze`` and, for
+``integrate`` and ``example``, the config caps and the extension.  Only
+those two commands import the float half (``rack_report``: numpy, the rack
+and the suites), after every cap has passed.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from functools import cache
 
 from .algebra import (
     CentralExtensionData,
@@ -35,36 +39,8 @@ from .algebra import (
     left_center,
     squares_ideal,
 )
-from .corpus import (
-    BUILTIN_NAMES,
-    builtin,
-    dim5_conjugation,
-    dim5_f,
-    dim5_i1_matrix,
-    heisenberg_iota2,
-)
+from .corpus import BUILTIN_NAMES, builtin
 from .fileio import ParseError, algebra_to_dict, parse_algebra_file
-from .linalg import OutOfChartError
-from .rack import (
-    LocalRackElement,
-    LocalRackSystem,
-    build_rack_system,
-    default_config,
-    group_from_coords,
-    i1,
-    i2,
-    iota2,
-    log_coords,
-    rack_product,
-)
-from .suites import (
-    PropertyResult,
-    draw_samples,
-    elem_distance,
-    full_suite,
-    stacked,
-    sup_rows,
-)
 
 # The suites draw group elements up to a quarter of --chart-radius from the
 # identity; far beyond the unit the float exp overflows and no identity can
@@ -84,22 +60,9 @@ MAX_SAMPLES = 10_000
 
 # The caps above, each sized alone, together allow stacks past memory.  Peak
 # RSS of `integrate` on filiform-n is about 40 MB plus 96 bytes per entry of
-# ``_largest_stack``: 786 MB at dim 16, --samples 2000, --quad-order 64.
+# the largest dim x dim stack: 786 MB at dim 16, --samples 2000, --quad-order
+# 64.  The Hom(g0, a) stacks of i1 are held to the same cap.
 MAX_STACK = 2 ** 23
-
-PSI_SIGN_NOTE = (
-    "rack differential: two sign conventions for the psi term circulate; the "
-    "general-arity formula and the expansions the cocycle-integration "
-    "identities require disagree at arity 1 over a symmetric module. The "
-    "expansions are normative here (rack_differential_eval); the other "
-    "convention stays available as rack_differential_general.")
-
-PHI_TYPO_NOTE = (
-    "dim5: the integrated center action is the exponential of a strictly "
-    "triangular matrix, hence unipotent (diagonal 1). A variant with 0 in "
-    "the bottom-right entry circulates but would drop the b5 term from the "
-    "conjugation; the faithful exponential is used here and the conjugation "
-    "closed-form check passes, so no residual mismatch needs attributing.")
 
 
 def _rational_vec(v):
@@ -160,16 +123,6 @@ def _analysis_section(ext) -> dict:
         "omega_cocycle_exact": True,
         "note": "omega depends on the chosen complement (echelon pivots of the "
                 "left-adjoint map); different splittings change it by a coboundary",
-    }
-
-
-def _config_section(args) -> dict:
-    return {
-        "quad_order": args.quad_order,
-        "chart_radius": args.chart_radius,
-        "fd_step": args.fd_step,
-        "samples": args.samples,
-        "seed": args.seed,
     }
 
 
@@ -236,24 +189,25 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _extension(alg: LeibnizAlgebra, report, chart_radius: float | None = None
-               ) -> CentralExtensionData | LocalRackSystem | None:
+def _overflow_error(exc: OverflowError) -> dict:
+    return {"type": "OverflowError",
+            "message": f"an exact value lies outside float range ({exc})"}
+
+
+def _extension(alg: LeibnizAlgebra, report) -> CentralExtensionData | None:
     """The report's one extension, with the algebra, exact-check and
-    analysis sections filled in, and the rack system built from it on a
-    chart of the given radius; returns the system, or the extension if no
-    radius is given.  This is where a report turns exact values into
-    floats: an exact value outside float range fills report['error'] and
-    returns None."""
+    analysis sections filled in.  The analysis section renders exact values
+    as floats too: an exact value outside float range fills
+    report['error'] and returns None."""
     ext = canonical_extension(alg)
     report["algebra"] = _algebra_section(alg)
     report["exact_checks"] = _exact_checks_section(alg, ext.center_basis)
     try:
         report["analysis"] = _analysis_section(ext)
-        return ext if chart_radius is None else build_rack_system(ext, chart_radius)
     except OverflowError as exc:
-        report["error"] = {"type": "OverflowError",
-                           "message": f"an exact value lies outside float range ({exc})"}
+        report["error"] = _overflow_error(exc)
         return None
+    return ext
 
 
 def cmd_analyze(args) -> int:
@@ -267,44 +221,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _i2_probe(sys_: LocalRackSystem, args) -> dict | None:
-    """i2(g, g) at g = exp(ad e_1), the unit step along the first
-    coordinate direction.  Unit-coordinate group elements usually leave the
-    configured chart, so this is evaluated on an explicitly widened chart.
-    The realized G0 is unipotent for every nilpotent action, but the float
-    log takes its finite series only when the float test finds g - I
-    exactly nilpotent; rounding can send g down the convergent series,
-    which is gated at ||g - I|| < 1, and then the probe is skipped
-    (random_leibniz(38) is such a case)."""
-    d = sys_.g0_dim
-    if d == 0:
-        return None
-    x = np.eye(d)[0]
-    try:
-        wide = sys_.with_chart_radius(max(args.chart_radius, 8.0))
-        g = group_from_coords(wide.chart, x)
-        value = i2(wide, g, g)
-    except OutOfChartError as exc:
-        return {"skipped": str(exc)}
-    return {
-        "coords": [list(map(float, x))] * 2,
-        "value": [float(c) for c in value],
-        "chart_radius_used": max(args.chart_radius, 8.0),
-    }
+def _stack_slices(dim: int, samples: int, quad_order: int) -> int:
+    """Matrices in the largest stack the suites build: of the rack axioms,
+    iota2's nodes, the doubled quadrature or the tangents."""
+    return max(4 * samples, max(10, samples // 4) * quad_order,
+               min(20, samples) * 2 * quad_order, 4 * dim * dim)
 
 
-def _largest_stack(dim: int, samples: int, quad_order: int) -> int:
-    """Entries of the largest stack of dim x dim matrices in the suites: of
-    the rack axioms, iota2's nodes, the doubled quadrature or the tangents."""
-    return dim * dim * max(4 * samples, max(10, samples // 4) * quad_order,
-                           min(20, samples) * 2 * quad_order, 4 * dim * dim)
+def _config_error(report, message: str) -> None:
+    report["error"] = {"type": "ConfigError", "message": message}
 
 
-def _rack_system(alg, args, report) -> LocalRackSystem | None:
-    """The report's rack system, with the sections of ``_extension`` and
-    the config section filled in; None (and report['error']) on a bad
-    config or an exact value outside float range."""
-    stack = _largest_stack(alg.dim, args.samples, args.quad_order)
+def _checked_extension(alg: LeibnizAlgebra, args, report) -> CentralExtensionData | None:
+    """The report's extension, as ``_extension`` gives it, once the float
+    knobs and the stacks they make at this algebra's size have passed their
+    caps; None (and report['error']) on a bad config or an exact value
+    outside float range.  All of it is exact: no float work starts before
+    every cap has passed."""
+    slices = _stack_slices(alg.dim, args.samples, args.quad_order)
+    stack = alg.dim ** 2 * slices
     checks = [
         (0 < args.chart_radius <= MAX_CHART_RADIUS,
          f"--chart-radius must lie in (0, {MAX_CHART_RADIUS:g}]; got {args.chart_radius}"),
@@ -324,119 +259,47 @@ def _rack_system(alg, args, report) -> LocalRackSystem | None:
     ]
     message = next((msg for ok, msg in checks if not ok), None)
     if message is not None:
-        report["error"] = {"type": "ConfigError", "message": message}
+        _config_error(report, message)
         return None
-    sys_ = _extension(alg, report, args.chart_radius)
-    if sys_ is not None:
-        report["config"] = _config_section(args)
-    return sys_
+    ext = _extension(alg, report)
+    if ext is None:
+        return None
+    # i1 works in Hom(g0, a), on matrices of side m d, and its closed form
+    # on the augmented matrices of side m d + 1, as many as the dim x dim
+    # stacks hold
+    d, m = ext.g0_dim, ext.center_dim
+    hom = (m * d + 1) ** 2 * slices
+    if hom > MAX_STACK:
+        _config_error(report, f"--samples {args.samples} and --quad-order {args.quad_order} "
+                      f"at g0 dim {d} and center dim {m} make a Hom(g0, a) stack of {hom} "
+                      f"entries; at most MAX_STACK = {MAX_STACK} are accepted")
+        return None
+    return ext
 
 
-def _run_suites(sys_: LocalRackSystem, args, report, extras=None, notes=()) -> int:
-    """Run the suites, plus an example's extra cross-checks, into report;
-    returns the exit code."""
-    cfg = default_config(args.quad_order, args.fd_step)
-    results = full_suite(sys_, cfg, n_samples=args.samples, seed=args.seed)
-    if extras is not None:
-        results += extras(sys_, args)
-    report["properties"] = [r.as_dict() for r in results]
-    probe = _i2_probe(sys_, args)
-    if probe is not None:
-        report["i2_probe"] = probe
-    report["notes"] = [PSI_SIGN_NOTE, *notes]
-    coverage_fail = any(r.skipped > max(1, r.samples) / 2 for r in results)
-    prop_fail = not all(r.passed for r in results)
-    if coverage_fail:
-        report["verdict"] = "chart_coverage_failure"
-        return 3
-    if prop_fail:
-        report["verdict"] = "property_failure"
-        return 4
-    report["verdict"] = "pass"
-    return 0
-
-
-def cmd_integrate(args, extras=None, notes=()) -> int:
+def cmd_integrate(args) -> int:
+    """integrate, and example on a built-in: the exact half here, then the
+    rack and the suites (``rack_report``), imported only now."""
     report = {"command": args.subcommand}
     alg = _load_algebra(args, report)
-    sys_ = None if alg is None else _rack_system(alg, args, report)
-    code = 2 if sys_ is None else _run_suites(sys_, args, report, extras, notes)
+    ext = None if alg is None else _checked_extension(alg, args, report)
+    if ext is None:
+        code = 2
+    else:
+        # a local name, never a module global: a binding cached here would
+        # keep whatever object the first call found
+        from .rack_report import run
+        code = run(ext, args, report)
     _emit(report, args)
     return code
 
 
 # ---------------------------------------------------------------------------
-# built-in examples with their closed-form cross-checks
-# ---------------------------------------------------------------------------
 
-# Each example draws its 20 samples first, in the RNG order of drawing one
-# sample after another, and then checks them as stacks (see suites).
-
-def _dim5_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
-    rng = np.random.default_rng(args.seed)
-    sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
-    chart = sys_.chart
-
-    def sample_coords():
-        while True:
-            a = rng.uniform(-0.25, 0.25, size=2)
-            if np.hypot(a[0], a[1]) <= 0.25:
-                return a
-
-    draws = [(sample_coords(), sample_coords(),
-              rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
-             for _ in range(20)]
-    a, b, ac, bc = (np.array(part) for part in zip(*draws))
-    g, h = group_from_coords(chart, a), group_from_coords(chart, b)
-    i1_ok, i2_ok, conj_ok = (np.ones(len(draws), dtype=bool) for _ in range(3))
-    got_i1 = i1(sys_, sys_.tau_matrix, g, i1_ok).reshape(len(draws), 3, 2)
-    got_i2 = i2(sys_, g, h, i2_ok)
-    got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc), conj_ok)
-    got_conj = np.concatenate([log_coords(chart, got.g, conj_ok), got.a], axis=1)
-    want_i1, want_i2, want_conj = (np.array(want) for want in zip(*(
-        (dim5_i1_matrix(*x), dim5_f(x, y),
-         dim5_conjugation(np.concatenate([x, xc]), np.concatenate([y, yc])))
-        for x, y, xc, yc in draws)))
-    return stacked(len(draws), [(sup_rows(got_i1 - want_i1), i1_ok),
-                                (sup_rows(got_i2 - want_i2), i2_ok),
-                                (sup_rows(got_conj - want_conj), conj_ok)],
-                   [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
-                    ("conjugation_closed_form", 1e-9)])
-
-
-def _heisenberg_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
-    rng = np.random.default_rng(args.seed)
-    cfg = default_config(args.quad_order, args.fd_step)
-    a, b = np.split(rng.uniform(-0.05, 0.05, size=(20, 4)), 2, axis=1)
-    ok = np.ones(20, dtype=bool)
-    got = iota2(sys_, group_from_coords(sys_.chart, a), group_from_coords(sys_.chart, b),
-                cfg, ok=ok)
-    want = np.array([heisenberg_iota2(x, y) for x, y in zip(a, b)])
-    return stacked(20, [(sup_rows(got - want), ok)], [("iota2_analytic_value", 1e-9)])
-
-
-def _abelian_extras(sys_: LocalRackSystem, args) -> list[PropertyResult]:
-    rng = np.random.default_rng(args.seed)
-    ug, ua, vg, va = draw_samples(sys_, rng, sys_.chart.chart_radius / 4, 20, "gaga")
-    v = LocalRackElement(vg, va)
-    ok = np.ones(20, dtype=bool)
-    got = rack_product(sys_, LocalRackElement(ug, ua), v, ok)
-    return stacked(20, [(elem_distance(got, v), ok)], [("trivial_rack_product", 1e-12)])
-
-
-EXAMPLE_EXTRAS = {"dim5": (_dim5_extras, (PHI_TYPO_NOTE,)),
-                  "heisenberg": (_heisenberg_extras, ()),
-                  "abelian3": (_abelian_extras, ())}
-
-
-def cmd_example(args) -> int:
-    """integrate on a built-in, with its closed-form cross-checks."""
-    return cmd_integrate(args, *EXAMPLE_EXTRAS[args.name])
-
-
-# ---------------------------------------------------------------------------
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: ``main`` parses
+    every call with it."""
     parser = argparse.ArgumentParser(
         prog="leibrack",
         description="Integrate a Leibniz algebra (structure-constant file) "
@@ -468,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "analyze": cmd_analyze,
-               "integrate": cmd_integrate, "example": cmd_example}[args.subcommand]
+               "integrate": cmd_integrate, "example": cmd_integrate}[args.subcommand]
     return handler(args)
 
 

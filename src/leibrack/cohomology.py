@@ -1,26 +1,17 @@
-"""Cochain complexes on both sides of the integration.
-
-Leibniz side (exact): multilinear cochains held as their nonzero values,
-the differential dL, and the degree-shift isomorphism tau that trades an
-anti-symmetric coefficient module for the symmetric module Hom(g, a)
-(currying the last slot), which only re-keys the values.  dL sends each
-nonzero value of the cochain to the outputs it reaches, through the
-nonzero actions and the algebra's nonzero table ``terms`` read by output
-slot, so it costs by nonzeros, not by the d^(n+1) output tuples;
+"""Leibniz cochains, exact: multilinear cochains held as their nonzero
+values, the differential dL, and the degree-shift isomorphism tau that
+trades an anti-symmetric coefficient module for the symmetric module
+Hom(g, a) (currying the last slot), which only re-keys the values.  dL
+sends each nonzero value of the cochain to the outputs it reaches, through
+the nonzero actions and the algebra's nonzero table ``terms`` read by
+output slot, so it costs by nonzeros, not by the d^(n+1) output tuples;
 ``Cochain.evaluate`` sums over the nonzero coordinates of its arguments
 and values only.  The Hom generators are built from the nonzeros of rho
 and of the table, as sparse ``Matrix`` values.
 
-Rack side (float): cochains are evaluator functions on tuples of group
-elements, differentiated by the rack differential d_R over a module
-structure (phi, psi).
-
-Sign convention for d_R: at arity 1 over a symmetric module, the general
-formula's psi term and the expansions the cocycle-integration identities
-require disagree by a global sign.  ``rack_differential_eval`` carries the
-sign those identities need (normative here); ``rack_differential_general``
-keeps the other convention visible rather than silently reconciling them.
-For anti-symmetric modules (psi = 0) the two coincide.
+No numpy here: ``Cochain.to_numpy`` imports it when called.  The float
+cochains of the rack side, evaluator functions on group elements and the
+rack differential, are in ``rack``.
 """
 
 from __future__ import annotations
@@ -28,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import Representation, is_lie
-from .linalg import Matrix, Vec, as_vec, matvec, zero_vec
+from .exact import Matrix, Vec, as_vec, zero_vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -124,6 +116,7 @@ class Cochain:
         return tuple(out)
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
         out = np.zeros((self.domain_dim,) * self.degree + (self.coeff_dim,))
         for idx, val in self.nonzeros.items():
             out[idx] = [float(a) for a in val]
@@ -244,110 +237,3 @@ def hom_representation(rep: Representation) -> Representation:
                     for k in range(m) for j, t in enumerate(alg.terms[p]) for jj, c in t)
         mats.append(Matrix.from_terms(m * d, m * d, chain(rho_terms, ad_terms)))
     return Representation.symmetric(alg, mats)
-
-
-# ---------------------------------------------------------------------------
-# rack modules and the rack differential
-# ---------------------------------------------------------------------------
-
-GroupElement = np.ndarray
-ConjFn = Callable[[GroupElement, GroupElement], GroupElement]
-
-
-@dataclass(frozen=True)
-class RackModuleStructure:
-    """An abelian-group coefficient module for rack cochains: two families
-    phi_{x,y}, psi_{x,y} of endomorphisms of the carrier, indexed by pairs
-    of group elements.  Those built by ``symmetric`` and ``anti_symmetric``
-    also take stacks: group elements (..., n, n) and carrier vectors
-    (..., m), mapped slice by slice."""
-
-    carrier_dim: int
-    phi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
-    psi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
-
-    @staticmethod
-    def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y).  No
-        production path builds one: ``cocycle_suite`` checks i2 in the
-        anti-symmetric module, expanded over the rack operations.  It is kept as the module in which i1 is a
-        rack 1-cocycle, and the one on which the two sign conventions of the
-        psi term differ, so it is what the tests pinning
-        ``rack_differential_eval`` against ``rack_differential_general``
-        run on."""
-        def phi(x, y, v):
-            return matvec(action(x), v)
-
-        def psi(x, y, v):
-            return v - matvec(action(conj(x, y)), v)
-        return RackModuleStructure(carrier_dim, phi, psi)
-
-    @staticmethod
-    def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi = 0: the module in which i2 is a
-        rack 2-cocycle."""
-        def phi(x, y, v):
-            return matvec(action(x), v)
-
-        def psi(x, y, v):
-            return np.zeros(np.shape(v))
-        return RackModuleStructure(carrier_dim, phi, psi)
-
-
-@dataclass(frozen=True)
-class RackCochainFn:
-    """An arity-n rack cochain: a total evaluator on n-tuples of group
-    elements, required to vanish whenever an argument is the identity."""
-
-    arity: int
-    evaluator: Callable[..., np.ndarray]
-
-    def __call__(self, *args):
-        return np.asarray(self.evaluator(*args), dtype=float)
-
-
-def _fold_conj(conj: ConjFn, elems, identity):
-    """x_1 |> (x_2 |> (... |> x_k)); empty chain is the identity."""
-    if not elems:
-        return identity
-    acc = elems[-1]
-    for x in reversed(elems[:-1]):
-        acc = conj(x, acc)
-    return acc
-
-
-def _rack_differential(mod, f, args, conj, psi_sign):
-    n = f.arity
-    if len(args) != n + 1:
-        raise ValueError(f"arity-{n} cochain needs {n + 1} arguments")
-    identity = np.eye(args[0].shape[-1])
-    total = np.zeros(mod.carrier_dim)
-    for i in range(1, n + 1):
-        sign = (-1) ** (i - 1)
-        hat = args[:i - 1] + args[i:]
-        sub1 = _fold_conj(conj, args[:i], identity)
-        sub2 = _fold_conj(conj, hat, identity)
-        t1 = mod.phi(sub1, sub2, f(*hat))
-        conjed = tuple(conj(args[i - 1], a) for a in args[i:])
-        t2 = f(*(args[:i - 1] + conjed))
-        total = total + sign * (t1 - t2)
-    sub1 = _fold_conj(conj, args[:n], identity)
-    sub2 = _fold_conj(conj, args[:n - 1] + args[n:], identity)
-    pv = mod.psi(sub1, sub2, f(*args[:n]))
-    return total + psi_sign * ((-1) ** n) * pv
-
-
-def rack_differential_general(mod: RackModuleStructure, f: RackCochainFn,
-                              args, conj: ConjFn) -> np.ndarray:
-    """The general-arity formula with the psi term signed (-1)^n."""
-    return _rack_differential(mod, f, tuple(args), conj, +1)
-
-
-def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
-                           args, conj: ConjFn) -> np.ndarray:
-    """Normative d_R: same as the general formula except the psi term
-    carries sign (-1)^(n+1), which reproduces the arity-1 symmetric
-    expansion g.f(h) - f(g|>h) - (g|>h).f(g) + f(g) that the cocycle
-    integration needs and, psi being zero there, the arity-2 anti-symmetric
-    expansion unchanged."""
-    return _rack_differential(mod, f, tuple(args), conj, -1)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .algebra import (
     LeibnizAlgebra,
     Representation,
@@ -23,7 +21,7 @@ from .algebra import (
     left_center,
 )
 from .cohomology import Cochain, leibniz_differential
-from .linalg import Matrix, nullspace, nilpotency_index
+from .exact import Matrix, nilpotency_index, nullspace
 
 BUILTIN_NAMES = ("dim5", "heisenberg", "abelian3")
 
@@ -86,52 +84,6 @@ def builtin(name: str) -> LeibnizAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# closed forms of the dim5 worked example (used by reports and tests)
-# ---------------------------------------------------------------------------
-
-def dim5_i1_matrix(a1: float, a2: float) -> np.ndarray:
-    """The 3x2 value of the first path integral at g0-coordinates (a1, a2)."""
-    col = np.array([a1, 0.5 * a1 * a1 + a2, a1 * a2 + a1 ** 3 / 6.0])
-    return np.stack([col, col], axis=1)
-
-
-def dim5_f(a, b) -> np.ndarray:
-    """Closed form of the integrated rack 2-cocycle f(a, b)."""
-    a1, a2 = float(a[0]), float(a[1])
-    b1, b2 = float(b[0]), float(b[1])
-    s = b1 + b2
-    return np.array([
-        a1 * s,
-        (0.5 * b1 * a1 + a2 + 0.5 * a1 * a1) * s,
-        (a1 * a2 + a1 ** 3 / 6.0 + 0.25 * b1 * a1 * a1 + 0.5 * b2 * a1
-         + 0.5 * b1 * a2 + b1 * b1 * a1 / 6.0) * s,
-    ])
-
-
-def dim5_conjugation(a, b) -> np.ndarray:
-    """The full 5-dimensional conjugation (a1..a5) |> (b1..b5).  The group
-    action on the center is exp of the strictly triangular rho, which is
-    unipotent: the diagonal is 1, so b5 survives into the last coordinate
-    (a variant with 0 in that entry would lose it)."""
-    a = [float(c) for c in a]
-    b = [float(c) for c in b]
-    f1, f2, f3 = dim5_f(a[:2], b[:2])
-    return np.array([
-        b[0],
-        b[1],
-        b[2] + f1,
-        a[0] * b[2] + b[3] + f2,
-        (a[1] + 0.5 * a[0] * a[0]) * b[2] + a[0] * b[3] + b[4] + f3,
-    ])
-
-
-def heisenberg_iota2(g, h) -> np.ndarray:
-    """Analytic value of the group 2-cocycle for the Heisenberg area form:
-    half the area spanned by the log coordinates."""
-    return np.array([0.5 * (float(g[0]) * float(h[1]) - float(g[1]) * float(h[0]))])
-
-
-# ---------------------------------------------------------------------------
 # random corpus
 # ---------------------------------------------------------------------------
 
@@ -183,7 +135,9 @@ def random_leibniz(seed: int) -> LeibnizAlgebra:
     """Seeded random valid Leibniz algebra of dimension <= MAX_DIM, built as
     an abelian extension and filtered so the recomputed canonical extension
     is non-abelian with nilpotent rho.  g0 is abelian and the rho commute,
-    so (LLM) holds; ``canonical_extension`` checks the assembled algebra."""
+    so (LLM) holds; ``canonical_extension`` checks the assembled algebra.
+    The draws are numpy's, imported only here."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     for _ in range(MAX_ATTEMPTS):
         d = int(rng.integers(1, 4))

@@ -61,6 +61,11 @@ slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
 or its own loop depending on the strides of its operands, and the two can
 round differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
+
+The last section holds the rack cochains: evaluator functions on group
+elements, the module structures (phi, psi) they take values in, and the
+rack differential d_R, against which the tests check that i1 and i2 are
+rack cocycles.
 """
 
 from __future__ import annotations
@@ -658,3 +663,121 @@ def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
                       cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
     ginv = _chart_gate(sys.chart, group_inverse(u.g, ok=ok), "group inverse", ok)
     return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok))
+
+
+# ---------------------------------------------------------------------------
+# rack cochains and the rack differential
+# ---------------------------------------------------------------------------
+#
+# Rack cochains are evaluator functions on tuples of group elements,
+# differentiated by the rack differential d_R over a module structure
+# (phi, psi).  Sign convention for d_R: at arity 1 over a symmetric module,
+# the general formula's psi term and the expansions the cocycle-integration
+# identities require disagree by a global sign.  ``rack_differential_eval``
+# carries the sign those identities need (normative here);
+# ``rack_differential_general`` keeps the other convention visible rather
+# than silently reconciling them.  For anti-symmetric modules (psi = 0) the
+# two coincide.
+
+GroupElement = np.ndarray
+ConjFn = Callable[[GroupElement, GroupElement], GroupElement]
+
+
+@dataclass(frozen=True)
+class RackModuleStructure:
+    """An abelian-group coefficient module for rack cochains: two families
+    phi_{x,y}, psi_{x,y} of endomorphisms of the carrier, indexed by pairs
+    of group elements.  Those built by ``symmetric`` and ``anti_symmetric``
+    also take stacks: group elements (..., n, n) and carrier vectors
+    (..., m), mapped slice by slice."""
+
+    carrier_dim: int
+    phi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
+    psi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
+
+    @staticmethod
+    def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
+        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y).  No
+        production path builds one: ``cocycle_suite`` checks i2 in the
+        anti-symmetric module, expanded over the rack operations.  It is
+        kept as the module in which i1 is a rack 1-cocycle, and the one on
+        which the two sign conventions of the psi term differ, so it is
+        what the tests pinning
+        ``rack_differential_eval`` against ``rack_differential_general``
+        run on."""
+        def phi(x, y, v):
+            return matvec(action(x), v)
+
+        def psi(x, y, v):
+            return v - matvec(action(conj(x, y)), v)
+        return RackModuleStructure(carrier_dim, phi, psi)
+
+    @staticmethod
+    def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
+        """phi_{x,y} = action(x), psi = 0: the module in which i2 is a
+        rack 2-cocycle."""
+        def phi(x, y, v):
+            return matvec(action(x), v)
+
+        def psi(x, y, v):
+            return np.zeros(np.shape(v))
+        return RackModuleStructure(carrier_dim, phi, psi)
+
+
+@dataclass(frozen=True)
+class RackCochainFn:
+    """An arity-n rack cochain: a total evaluator on n-tuples of group
+    elements, required to vanish whenever an argument is the identity."""
+
+    arity: int
+    evaluator: Callable[..., np.ndarray]
+
+    def __call__(self, *args):
+        return np.asarray(self.evaluator(*args), dtype=float)
+
+
+def _fold_conj(conj: ConjFn, elems, identity):
+    """x_1 |> (x_2 |> (... |> x_k)); empty chain is the identity."""
+    if not elems:
+        return identity
+    acc = elems[-1]
+    for x in reversed(elems[:-1]):
+        acc = conj(x, acc)
+    return acc
+
+
+def _rack_differential(mod, f, args, conj, psi_sign):
+    n = f.arity
+    if len(args) != n + 1:
+        raise ValueError(f"arity-{n} cochain needs {n + 1} arguments")
+    identity = np.eye(args[0].shape[-1])
+    total = np.zeros(mod.carrier_dim)
+    for i in range(1, n + 1):
+        sign = (-1) ** (i - 1)
+        hat = args[:i - 1] + args[i:]
+        sub1 = _fold_conj(conj, args[:i], identity)
+        sub2 = _fold_conj(conj, hat, identity)
+        t1 = mod.phi(sub1, sub2, f(*hat))
+        conjed = tuple(conj(args[i - 1], a) for a in args[i:])
+        t2 = f(*(args[:i - 1] + conjed))
+        total = total + sign * (t1 - t2)
+    sub1 = _fold_conj(conj, args[:n], identity)
+    sub2 = _fold_conj(conj, args[:n - 1] + args[n:], identity)
+    pv = mod.psi(sub1, sub2, f(*args[:n]))
+    return total + psi_sign * ((-1) ** n) * pv
+
+
+def rack_differential_general(mod: RackModuleStructure, f: RackCochainFn,
+                              args, conj: ConjFn) -> np.ndarray:
+    """The general-arity formula with the psi term signed (-1)^n."""
+    return _rack_differential(mod, f, tuple(args), conj, +1)
+
+
+def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
+                           args, conj: ConjFn) -> np.ndarray:
+    """Normative d_R: same as the general formula except the psi term
+    carries sign (-1)^(n+1), which reproduces the arity-1 symmetric
+    expansion g.f(h) - f(g|>h) - (g|>h).f(g) + f(g) that the cocycle
+    integration needs and, psi being zero there, the arity-2 anti-symmetric
+    expansion unchanged."""
+    return _rack_differential(mod, f, tuple(args), conj, -1)

@@ -11,6 +11,8 @@ report can be built from them.
 
 ``combo_per_basis`` and ``omega_per_node`` form a linear combination of
 a generator family term by term, as the chart and iota2 once did.
+``log_float_probe_all`` is the float log as it was before its nilpotency
+probe was narrowed to the slices the norm gate can fail.
 
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
@@ -50,18 +52,13 @@ import numpy as np
 
 from leibrack import algebra, linalg
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
-from leibrack.cli import PHI_TYPO_NOTE
-from leibrack.cohomology import Cochain, RackCochainFn, RackModuleStructure
-from leibrack.corpus import (
-    dim5_conjugation,
-    dim5_f,
-    dim5_i1_matrix,
-    heisenberg_iota2,
-    random_leibniz,
-)
+from leibrack.cohomology import Cochain
+from leibrack.corpus import random_leibniz
 from leibrack.linalg import OutOfChartError, gauss_legendre_01, matvec, rref
 from leibrack.rack import (
     LocalRackElement,
+    RackCochainFn,
+    RackModuleStructure,
     augmented_action,
     conjugate,
     conjugate_and_log,
@@ -77,6 +74,13 @@ from leibrack.rack import (
     lie_group_product,
     log_coords,
     rack_product,
+)
+from leibrack.rack_report import (
+    PHI_TYPO_NOTE,
+    dim5_conjugation,
+    dim5_f,
+    dim5_i1_matrix,
+    heisenberg_iota2,
 )
 from leibrack.suites import PropertyResult, elem_distance, sample_group_element
 
@@ -466,7 +470,7 @@ def abelian_extras_one_by_one(sys_, args):
                    check, [("trivial_rack_product", 1e-12)])
 
 
-# name -> (extras, notes), as in cli.EXAMPLE_EXTRAS
+# name -> (extras, notes), as in rack_report.EXAMPLE_EXTRAS
 EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
                      "heisenberg": (heisenberg_extras_one_by_one, ()),
                      "abelian3": (abelian_extras_one_by_one, ())}
@@ -491,6 +495,44 @@ def omega_per_node(omega, a):
     d, m = omega.shape[1:]
     return np.reshape([np.einsum("p,pqk->kq", a_s, omega) for a_s in a.reshape(-1, d)],
                       a.shape[:-1] + (m, d))
+
+
+# -- the float log, probing every slice ---------------------------------------
+
+def log_float_probe_all(g, ok=None):
+    """``linalg.log_float`` as it was before it probed only the slices with
+    ||g - I|| >= 1: the float nilpotency probe runs on the whole stack, up
+    to dim - 1 stacked products, and the norm is taken only if some slice
+    is not nilpotent."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError("square matrix required")
+    shape, dim = g.shape, g.shape[-1]
+    n = (g - np.eye(dim)).reshape(-1, dim, dim)
+    if not n.size:
+        return n.reshape(shape)
+    p = n
+    for _ in range(dim - 1):
+        if not np.count_nonzero(p):
+            break
+        p = p @ n
+    gated = np.zeros(len(n), dtype=bool)
+    if np.count_nonzero(p):
+        norm = linalg.norm1_float(n)
+        gated = p.any(axis=(1, 2)) & (norm >= 1)
+        if np.count_nonzero(gated):
+            n = np.where(gated[:, None, None], 0.0, n)
+    ell, stuck = linalg._log_series_float(n)
+    if stuck or np.count_nonzero(gated):
+        bad = gated.copy()
+        bad[stuck] = True
+        if ok is None:
+            first = int(bad.argmax())
+            raise OutOfChartError(
+                f"||m - I|| = {norm[first]:.6g} >= 1: outside the log chart" if gated[first]
+                else "matrix log series did not converge")
+        np.logical_and(ok, ~bad.reshape(shape[:-2]), out=ok)
+    return ell.reshape(shape)
 
 
 # -- the dense exact layer ---------------------------------------------------

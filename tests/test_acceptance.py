@@ -15,14 +15,7 @@ from leibrack.cohomology import (
     leibniz_differential,
     tau,
 )
-from leibrack.corpus import (
-    abelian3,
-    dim5,
-    dim5_f,
-    dim5_i1_matrix,
-    heisenberg,
-    heisenberg_iota2,
-)
+from leibrack.corpus import abelian3, dim5, heisenberg
 from leibrack.linalg import Matrix, gauss_legendre_01
 from leibrack.rack import (
     build_rack_system,
@@ -33,6 +26,7 @@ from leibrack.rack import (
     i2,
     iota2,
 )
+from leibrack.rack_report import dim5_f, dim5_i1_matrix, heisenberg_iota2
 from leibrack.suites import (
     cocycle_suite,
     lie_specialization_suite,

@@ -384,11 +384,11 @@ def test_caps_taken_together_are_config_error_before_any_float_work(capsys, tmp_
                                                                    monkeypatch):
     # dim 16, --samples 10000 and --quad-order 64 each pass their own cap,
     # but together ask iota2 for 2500 x 64 matrices of 16 x 16 at once
-    import leibrack.cli as cli
+    import leibrack.rack as rack
 
     def refuse(*args):
         raise AssertionError("float work started")
-    monkeypatch.setattr(cli, "build_rack_system", refuse)
+    monkeypatch.setattr(rack, "build_rack_system", refuse)
     filiform16 = LeibnizAlgebra.from_brackets(16, {
         **{(0, k): {k + 1: 1} for k in range(1, 15)},
         **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
@@ -399,6 +399,41 @@ def test_caps_taken_together_are_config_error_before_any_float_work(capsys, tmp_
     assert code == 2
     err = json.loads(out)["error"]
     assert err["type"] == "ConfigError" and "MAX_STACK" in err["message"]
+
+
+def test_hom_stacks_past_the_cap_are_config_error_before_any_float_work(capsys, tmp_path,
+                                                                       monkeypatch):
+    # dim 32 with [x_i, x_i] = z_i for i < 16: g0 and the left center are
+    # 16-dimensional, so i1 works on Hom(g0, a) matrices of side 256, far
+    # past what the dim x dim check sees, even at --samples 10
+    import leibrack.rack as rack
+
+    def refuse(*args):
+        raise AssertionError("float work started")
+    monkeypatch.setattr(rack, "build_rack_system", refuse)
+    p = tmp_path / "hom32.leib"
+    write_algebra_file(LeibnizAlgebra.from_brackets(
+        32, {(i, i): {16 + i: 1} for i in range(16)}), p)
+    code, out = run_cli(capsys, "integrate", str(p), "--samples", "10", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["analysis"]["g0_dim"] == 16 and doc["exact_checks"]["center_dim"] == 16
+    err = doc["error"]
+    assert err["type"] == "ConfigError"
+    assert "Hom(g0, a)" in err["message"] and "MAX_STACK" in err["message"]
+    # filiform-16, whose left center is one-dimensional, passes the Hom
+    # check and goes on to the float work
+    filiform = LeibnizAlgebra.from_brackets(16, {
+        **{(0, k): {k + 1: 1} for k in range(1, 15)},
+        **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
+    write_algebra_file(filiform, p)
+    with pytest.raises(AssertionError, match="float work started"):
+        main(["integrate", str(p), "--samples", "10"])
+
+
+def test_the_parser_is_built_once_per_process():
+    from leibrack.cli import build_parser
+    assert build_parser() is build_parser()
 
 
 _NON_UNIPOTENT = {
@@ -451,6 +486,7 @@ def test_analysis_reports_float_renderings(capsys):
 
 def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
     import leibrack.cli as cli
+    import leibrack.rack as rack
     calls = {"ext": 0, "sys": 0}
 
     def counted(key, fn):
@@ -459,7 +495,7 @@ def test_one_extension_and_one_rack_system_per_report(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(cli, "canonical_extension", counted("ext", cli.canonical_extension))
-    monkeypatch.setattr(cli, "build_rack_system", counted("sys", cli.build_rack_system))
+    monkeypatch.setattr(rack, "build_rack_system", counted("sys", rack.build_rack_system))
     for name in ("dim5", "heisenberg"):
         code, _ = run_cli(capsys, "example", name, "--samples", "10", "--json")
         assert code == 0

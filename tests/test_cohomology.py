@@ -9,16 +9,7 @@ import pytest
 
 import oracles
 from leibrack.algebra import LeibnizAlgebra, Representation, canonical_extension
-from leibrack.cohomology import (
-    Cochain,
-    RackCochainFn,
-    RackModuleStructure,
-    hom_representation,
-    leibniz_differential,
-    rack_differential_eval,
-    rack_differential_general,
-    tau,
-)
+from leibrack.cohomology import Cochain, hom_representation, leibniz_differential, tau
 from leibrack.corpus import (
     dim5,
     filiform5,
@@ -27,7 +18,15 @@ from leibrack.corpus import (
     random_leibniz,
 )
 from leibrack.linalg import Matrix
-from leibrack.rack import conjugate, group_action, group_from_coords
+from leibrack.rack import (
+    RackCochainFn,
+    RackModuleStructure,
+    conjugate,
+    group_action,
+    group_from_coords,
+    rack_differential_eval,
+    rack_differential_general,
+)
 from oracles import (
     check_module_axioms,
     rack_diff1_expansion,

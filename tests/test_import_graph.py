@@ -1,5 +1,14 @@
-"""The package never imports scipy: every report, on nilpotent input and
-on input whose exp and phi1 take the Pade kernel, runs without it."""
+"""The package's import graph, pinned in fresh isolated interpreters.
+
+The package never imports scipy: every report, on nilpotent input and on
+input whose exp and phi1 take the Pade kernel, runs without it.  The exact
+path never imports numpy or the float modules: ``import leibrack``,
+parsing, the built-ins, the extension, ``verify`` and ``analyze``, and an
+``integrate`` that a cap refuses.  Every name the package exported before
+its float half became lazy still resolves, to its defining module's
+object, and so does every binding the benchmark's tracer
+(``perfbench/tracer.py``, read, not changed) wraps; a first report under
+that tracer leaves no wrapper behind in the lazily imported float half."""
 
 import json
 import subprocess
@@ -10,7 +19,29 @@ from pathlib import Path
 from leibrack.algebra import LeibnizAlgebra
 from leibrack.fileio import write_algebra_file
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+FLOAT_MODULES = ("leibrack.linalg", "leibrack.rack", "leibrack.suites", "leibrack.rack_report")
+
+# the names ``leibrack/__init__.py`` exported when it imported them all
+# eagerly, by the module that defines each now
+EXPORTS = {
+    "algebra": ("CentralExtensionData", "LeibnizAlgebra", "Representation",
+                "ValidationError", "bracket", "canonical_extension", "is_lie",
+                "left_center", "leibniz_defect", "squares_ideal"),
+    "cohomology": ("Cochain", "hom_representation", "leibniz_differential", "tau"),
+    "corpus": ("abelian3", "builtin", "dim5", "heisenberg", "random_leibniz"),
+    "exact": ("Matrix", "OutOfChartError", "Rational", "matrix_exp", "matrix_log",
+              "nullspace"),
+    "fileio": ("ParseError", "algebra_from_dict", "algebra_to_dict", "parse_algebra_file",
+               "write_algebra_file"),
+    "linalg": ("QuadratureRule", "gauss_legendre_01", "integrate_01"),
+    "rack": ("IntegratorConfig", "LocalGroupChart", "LocalRackElement", "LocalRackSystem",
+             "NotLieCocycleError", "RackCochainFn", "RackModuleStructure", "augmented_action",
+             "build_rack_system", "conjugate", "default_config", "delta2", "i1", "i2", "iota2",
+             "rack_differential_eval", "rack_differential_general", "rack_product",
+             "tangent_bracket"),
+}
 
 PRELUDE = f"""
 import contextlib, io, json, sys
@@ -26,6 +57,11 @@ def run(*argv):
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+def float_modules():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("numpy.") or m in {FLOAT_MODULES!r})
 """
 
 
@@ -68,3 +104,98 @@ code = run("integrate", {str(path)!r}, "--samples", "10")
 print(json.dumps({{"code": code, "scipy": scipy_modules()}}))
 """)
     assert got == {"code": 0, "scipy": []}
+
+
+def test_the_exact_path_never_imports_numpy(tmp_path):
+    # a 16-dimensional left center under a 16-dimensional g0: its Hom(g0, a)
+    # stacks are past MAX_STACK at any flags, which the exact extension tells
+    hom32 = LeibnizAlgebra.from_brackets(32, {(i, i): {16 + i: 1} for i in range(16)})
+    path = tmp_path / "hom32.leib"
+    write_algebra_file(hom32, path)
+    got = run_isolated(f"""
+from pathlib import Path
+from leibrack.corpus import BUILTIN_NAMES
+loaded = {{"import": float_modules()}}
+files = sorted((Path(leibrack.__file__).parent / "data").glob("*.leib"))
+algs = [leibrack.parse_algebra_file(f) for f in files]
+algs += [leibrack.builtin(name) for name in BUILTIN_NAMES]
+loaded["parse"] = float_modules()
+exts = [leibrack.canonical_extension(alg) for alg in algs]
+loaded["extension"] = float_modules()
+codes = {{f"{{cmd}} {{f.stem}}": run(cmd, str(f), "--json")
+          for f in files for cmd in ("verify", "analyze")}}
+codes["integrate hom32"] = run("integrate", {str(path)!r}, "--samples", "10", "--json")
+loaded["reports"] = float_modules()
+codes["integrate dim5"] = run("integrate", str(files[1]), "--samples", "10")
+codes["example heisenberg"] = run("example", "heisenberg", "--samples", "10")
+loaded["integrate"] = float_modules()
+print(json.dumps({{"files": [f.stem for f in files], "codes": codes, "loaded": loaded}}))
+""")
+    assert got["files"] == ["abelian3", "dim5", "heisenberg"]
+    assert got["codes"] == {**{f"{cmd} {f}": 0 for f in got["files"]
+                               for cmd in ("verify", "analyze")},
+                            "integrate hom32": 2, "integrate dim5": 0, "example heisenberg": 0}
+    floats = got["loaded"].pop("integrate")
+    assert got["loaded"] == {"import": [], "parse": [], "extension": [], "reports": []}
+    assert "numpy" in floats and set(FLOAT_MODULES) <= set(floats)
+
+
+def test_every_old_export_resolves_to_its_defining_modules_object():
+    got = run_isolated(f"""
+import importlib
+exports = {EXPORTS!r}
+wrong = [f"{{module}}.{{name}}" for module, names in exports.items() for name in names
+         if getattr(leibrack, name) is not getattr(
+             importlib.import_module(f"leibrack.{{module}}"), name)]
+defined_elsewhere = [
+    name for module, names in exports.items() for name in names
+    if name != "Rational"
+    and getattr(getattr(leibrack, name), "__module__", None) != f"leibrack.{{module}}"]
+# the float names resolve on each lookup, never from the package's own dict
+cached = [name for module in ("linalg", "rack") for name in exports[module]
+          if name in vars(leibrack)]
+missing = [n for names in exports.values() for n in names if n not in dir(leibrack)]
+print(json.dumps({{"wrong": wrong, "elsewhere": defined_elsewhere, "cached": cached,
+                  "missing": missing}}))
+""")
+    assert got == {"wrong": [], "elsewhere": [], "cached": [], "missing": []}
+
+
+def test_every_binding_the_tracer_wraps_resolves():
+    got = run_isolated(f"""
+import importlib
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from tracer import SPAN_TARGETS
+targets = [*SPAN_TARGETS, ("leibrack.linalg", "nilpotency_index"),
+           ("leibrack.suites", "sample_group_element"), ("leibrack.cohomology", "Cochain")]
+unresolved = [f"{{m}}.{{a}}" for m, a in targets
+              if not callable(getattr(importlib.import_module(m), a, None))]
+if not callable(getattr(importlib.import_module("leibrack.cohomology").Cochain, "evaluate", None)):
+    unresolved.append("leibrack.cohomology.Cochain.evaluate")
+exact, linalg = (importlib.import_module(f"leibrack.{{m}}") for m in ("exact", "linalg"))
+split = [a for m, a in targets if m == "leibrack.linalg" and hasattr(exact, a)
+         and getattr(exact, a) is not getattr(linalg, a)]
+print(json.dumps({{"targets": len(targets), "unresolved": unresolved, "split": split}}))
+""")
+    assert got["targets"] > 20
+    assert got["unresolved"] == [] and got["split"] == []
+
+
+def test_a_first_report_under_the_tracer_leaves_no_wrapper_in_the_float_half():
+    # cli imports rack_report on the first integrate or example, which can
+    # fall inside a traced pass; rack_report binds no rack or suites
+    # function, so no tracer wrapper outlives the pass there
+    got = run_isolated(f"""
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+try:
+    code = run("example", "heisenberg", "--samples", "10")
+finally:
+    tracer.uninstall()
+import leibrack.rack_report as rack_report
+left = sorted(k for k, v in vars(rack_report).items() if hasattr(v, "__wrapped__"))
+print(json.dumps({{"code": code, "left": left}}))
+""")
+    assert got == {"code": 0, "left": []}

@@ -32,7 +32,7 @@ from leibrack.linalg import (
 )
 from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
 from leibrack.suites import elem_distance
-from oracles import rank
+from oracles import log_float_probe_all, rank
 
 RHO_E1 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
@@ -515,6 +515,41 @@ def test_log_float_mask_clears_exactly_the_slices_that_raise():
     ok = np.ones((2, len(stack)), dtype=bool)
     log_float(stack, ok)
     assert (ok == [True, False, True, False, True, True]).all()
+
+
+def _outcome(log, stack, masked):
+    """(value bytes, mask) of log on stack, or the error's type and message."""
+    ok = np.ones(stack.shape[:-2], dtype=bool) if masked else None
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = log(stack, ok)
+    except OutOfChartError as exc:
+        return type(exc), str(exc)
+    return value.tobytes(), None if ok is None else ok.tolist()
+
+
+def test_log_float_probing_only_wide_slices_equals_probing_all():
+    """The float nilpotency probe runs only on the slices with
+    ||g - I|| >= 1, the only ones its verdict can gate: values, masks and
+    errors equal those of the probe over the whole stack bit for bit."""
+    unipotent, near, nearer, identity = _log_slices()
+    wide_nilpotent = np.eye(3) + np.diag([40.0, -25.0], -1)  # finite series at norm 40
+    wide_gated, edge = np.diag([2.5, 1.0, 1.0]), np.diag([2.0, 1.0, 1.0])  # edge: norm 1
+    slow = np.eye(3) * 1.999  # narrow, but the series does not converge
+    nan, inf = np.eye(3), np.eye(3)
+    nan[1, 0], inf[2, 1] = np.nan, np.inf
+    slices = [unipotent, near, nearer, identity, wide_nilpotent, wide_gated, edge, slow,
+              nan, inf]
+    rng = np.random.default_rng(34)
+    stacks = [np.array([s]) for s in slices] + [s for s in slices]
+    stacks += [np.array(slices)[rng.permutation(len(slices))] for _ in range(6)]
+    stacks += [np.array([unipotent, near, wide_nilpotent, nearer]),  # no slice gated
+               np.array([near, nearer, identity]),  # no slice wide
+               np.array([wide_nilpotent, wide_gated, inf]).reshape(3, 1, 3, 3)]
+    for stack in stacks:
+        for masked in (False, True):
+            assert (_outcome(log_float, stack, masked)
+                    == _outcome(log_float_probe_all, stack, masked))
 
 
 def _binades(rng, shape):

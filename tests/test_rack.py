@@ -16,13 +16,9 @@ from leibrack.cohomology import Cochain
 from leibrack.corpus import (
     abelian3,
     dim5,
-    dim5_conjugation,
-    dim5_f,
-    dim5_i1_matrix,
     filiform5,
     free_nilpotent5,
     heisenberg,
-    heisenberg_iota2,
 )
 from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
@@ -55,6 +51,7 @@ from leibrack.rack import (
     rack_product,
     tangent_bracket,
 )
+from leibrack.rack_report import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
 from leibrack.suites import (
     augmented_action_suite,
     cocycle_suite,
@@ -1086,7 +1083,7 @@ def _cli_json(argv, capsys):
 def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path, capsys,
                                                                 monkeypatch):
     # every suite and extra replaced by its one-sample-at-a-time loop
-    import leibrack.cli as cli
+    import leibrack.rack_report as rack_report
     import leibrack.suites as suites
     if which == "example_dim5":
         argv = ["example", "dim5", "--json", "--samples", "40", "--seed", "3"]
@@ -1099,7 +1096,7 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
     for name, oracle in ONE_BY_ONE.items():
         monkeypatch.setattr(suites, name, oracle)
     for name, extras in EXTRAS_ONE_BY_ONE.items():
-        monkeypatch.setitem(cli.EXAMPLE_EXTRAS, name, extras)
+        monkeypatch.setitem(rack_report.EXAMPLE_EXTRAS, name, extras)
     assert stacked == _cli_json(argv, capsys)
     if which != "example_dim5":
         report = json.loads(stacked[1])

@@ -16,7 +16,7 @@ import scipy.linalg
 
 import leibrack.rack as rack
 from leibrack.algebra import LeibnizAlgebra, canonical_extension, is_lie
-from leibrack.cli import EXAMPLE_EXTRAS
+from leibrack.rack_report import EXAMPLE_EXTRAS
 from leibrack.corpus import abelian3, dim5, filiform5, free_nilpotent5, heisenberg, random_leibniz
 from leibrack.linalg import OutOfChartError, norm1_float
 from leibrack.rack import (

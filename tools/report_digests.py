@@ -6,7 +6,8 @@ report byte-identical.
 runs the CLI of CHECKOUT (default: the checkout holding this script) on
 each run of the corpus below, one fresh interpreter per run, and prints one
 line per run: the SHA-256 over its exit code and its full ``--json``
-stdout, with the temporary input directory masked, then the run.  The last
+stdout, with the temporary input directory and CHECKOUT's data directory
+masked, then the run.  The last
 line is the SHA-256 over all the lines before it.  Run it on two checkouts
 and diff the outputs.
 
@@ -21,7 +22,10 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   the cocycle or Lie rows leaves the chart and is skipped;
 * ``integrate`` at quadrature order 3 and 64 on heisenberg, rl5 and aff-0,
   the ends of the accepted range of iota2's rule and the quadrature
-  cross-check.
+  cross-check;
+* ``verify`` and ``analyze`` on the package's data files
+  ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
+  above and on the benchmark's filiform-6/8/10/12 (sign variant 0).
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ WIDE_RADII = ("8", "12", "16", "24")
 WIDE_INPUTS = ("filiform5", "free_nilpotent5", "heisenberg", "rl5", "rl38", "aff-0")
 QUAD_ORDERS = ("3", "64")
 QUAD_INPUTS = ("heisenberg", "rl5", "aff-0")
+FILIFORM_DIMS = (6, 8, 10, 12)
+DATA_FILES = ("abelian3", "dim5", "heisenberg")
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
          "from leibrack.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -56,7 +62,8 @@ def inputs() -> dict[str, dict]:
 
 
 def runs() -> list[tuple[str, list[str]]]:
-    """(input id or "", argv) of every run, "{file}" standing for the input."""
+    """(input id or "", argv) of every run, "{file}" standing for the input
+    and "{data}/" for the package's data directory."""
     out = [("", ["example", name, "--json"]) for name in ("dim5", "heisenberg", "abelian3")]
     for id_ in inputs():
         if id_ != "heisenberg":  # ``example heisenberg`` covers it at the small radii
@@ -66,6 +73,9 @@ def runs() -> list[tuple[str, list[str]]]:
             for id_ in WIDE_INPUTS for r in WIDE_RADII]
     out += [(id_, ["integrate", "{file}", "--json", "--quad-order", q])
             for id_ in QUAD_INPUTS for q in QUAD_ORDERS]
+    exact = [("", f"{{data}}/{name}.leib") for name in DATA_FILES]
+    exact += [(id_, "{file}") for id_ in [*inputs(), *(f"filiform{n}" for n in FILIFORM_DIMS)]]
+    out += [(id_, [cmd, file, "--json"]) for id_, file in exact for cmd in ("verify", "analyze")]
     return out
 
 
@@ -80,16 +90,24 @@ def main(argv=None) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        entries = [{"id": id_, "input": desc} for id_, desc in inputs().items()]
+        descs = inputs()
+        descs.update({f"filiform{n}": {"kind": "filiform", "n": n,
+                                       "signs": bench_inputs.filiform_signs(n, 0)}
+                      for n in FILIFORM_DIMS})
+        entries = [{"id": id_, "input": desc} for id_, desc in descs.items()]
         paths = bench_inputs.materialize(entries, tmp)
+        data = str(checkout / "src" / "leibrack" / "data")
+
+        def masked(text):
+            return text.replace(tmp, "<tmp>").replace(data, "<data>")
         for id_, args in runs():
-            args = [paths[id_] if a == "{file}" else a for a in args]
+            args = [paths[id_] if a == "{file}" else a.replace("{data}", data) for a in args]
             # -B: leave the checkout's bytecode cache as it is
             done = subprocess.run([sys.executable, "-I", "-B", "-c", RUNNER, src, *args],
                                   capture_output=True, text=True, env=env, timeout=600)
-            body = f"exit {done.returncode}\n{done.stdout.replace(tmp, '<tmp>')}"
+            body = f"exit {done.returncode}\n{masked(done.stdout)}"
             digest = hashlib.sha256(body.encode()).hexdigest()
-            lines.append(f"{digest}  {' '.join(a.replace(tmp, '<tmp>') for a in args)}")
+            lines.append(f"{digest}  {' '.join(masked(a) for a in args)}")
             print(lines[-1], flush=True)
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(f"{total}  total")
