@@ -59,9 +59,10 @@ MAX_QUAD_ORDER = 64
 MAX_SAMPLES = 10_000
 
 # The caps above, each sized alone, together allow stacks past memory.  Peak
-# RSS of `integrate` on filiform-n is about 40 MB plus 96 bytes per entry of
-# the largest dim x dim stack: 786 MB at dim 16, --samples 2000, --quad-order
-# 64.  The Hom(g0, a) stacks of i1 are held to the same cap.
+# RSS of `integrate` on filiform-n is about 40 MB plus 80-100 bytes per entry
+# of the largest dim x dim stack: 692 MB at dim 16, --samples 515 (the
+# largest accepted), --quad-order 64.  The Hom(g0, a) stacks of i1 are held
+# to the same cap.
 MAX_STACK = 2 ** 23
 
 
@@ -222,9 +223,11 @@ def cmd_analyze(args) -> int:
 
 
 def _stack_slices(dim: int, samples: int, quad_order: int) -> int:
-    """Matrices in the largest stack the suites build: of the rack axioms,
-    iota2's nodes, the doubled quadrature or the tangents."""
-    return max(4 * samples, max(10, samples // 4) * quad_order,
+    """Matrices in the largest stack the suites build: u acting on four
+    elements in the rack axioms, the six i2 pairs of the cocycle suite,
+    the nodes of the Lie suite's four iota2 pairs, the doubled quadrature
+    or the tangents."""
+    return max(4 * samples, 6 * max(10, samples // 2), 4 * max(10, samples // 4) * quad_order,
                min(20, samples) * 2 * quad_order, 4 * dim * dim)
 
 

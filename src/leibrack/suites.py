@@ -16,6 +16,19 @@ rule with cumulative masks: property k counts the samples where the
 operations of properties 1..k all succeeded.  The results equal those of
 the one-sample-at-a-time loops bit for bit.
 
+A suite makes one call per dependency level, not one per term: the
+operations of one level that do not depend on each other run as one call
+on a (k, n) stack (``_stack``), and each of the k parts narrows its own
+row of the call's (k, n) mask, which goes to the properties the part
+serves.  Each part is a C-contiguous copy, so its slices equal its own
+call's bit for bit.  ``cocycle_suite`` takes one conjugation of three
+pairs, one group product of two, one i2 of six and one action of two;
+``rack_axiom_suite`` three rack products, the first of three pairs and
+the second of four; ``augmented_action_suite`` two actions, of three
+and two; ``lie_specialization_suite`` two iota2, of four pairs and then
+three.  The round trips pair the basis as a column (k, 1) against a row
+(1, k), so each probe is exponentiated once.
+
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in
 the later property's cumulative mask, never the reverse: the three rows of
@@ -44,12 +57,12 @@ from .rack import (
     delta2,
     group_action,
     group_from_coords,
+    group_inverse,
     group_product,
     conjugate_and_log,
     i2,
     i2_from_coords,
     iota2,
-    lie_group_inverse,
     lie_group_product,
     rack_product,
     tangent_bracket,
@@ -111,17 +124,20 @@ def _neutral(sys: LocalRackSystem) -> LocalRackElement:
     return LocalRackElement(one.g[None], one.a[None])
 
 
-def _side_by_side(*elems: LocalRackElement) -> LocalRackElement:
-    """Stack elements of N slices each (or of one, which broadcasts) into
-    an (N, k) stack element whose column j is elems[j]."""
-    n = max(len(x.g) for x in elems)
-    return LocalRackElement(
-        *(np.stack([np.broadcast_to(y, (n,) + y.shape[1:]) for y in ys], axis=1)
-          for ys in ([x.g for x in elems], [x.a for x in elems])))
+def _stack(*parts):
+    """Parts of N slices each (or of one, which broadcasts), group elements
+    or rack elements, as one (k, N) stack whose part j is parts[j].  Each
+    part is copied C-contiguous, so its slices have the strides of its own
+    call's (see ``rack``)."""
+    if isinstance(parts[0], LocalRackElement):
+        return LocalRackElement(_stack(*(x.g for x in parts)), _stack(*(x.a for x in parts)))
+    n = max(len(x) for x in parts)
+    return np.stack([np.broadcast_to(x, (n,) + x.shape[1:]) for x in parts])
 
 
-def _column(x: LocalRackElement, j: int) -> LocalRackElement:
-    return LocalRackElement(x.g[:, j], x.a[:, j])
+def _parts(x: LocalRackElement) -> list[LocalRackElement]:
+    """The parts of a (k, N) stack element, as ``_stack`` stacks them."""
+    return [LocalRackElement(g, a) for g, a in zip(x.g, x.a)]
 
 
 def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement
@@ -225,26 +241,29 @@ def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
     g, a = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, 3 * n, "ga")
     u, v, w = (LocalRackElement(g[k::3], a[k::3]) for k in range(3))
     neutral = _neutral(sys)
+    ins = LocalRackElement(g[1:n + 1], a[1:n + 1])  # the injectivity row's inputs
 
-    # u acts on v |> w, v, w and the neutral element as one (n, 4) stack,
-    # so that u's own log, action and i1 are taken once per sample
-    vw, vw_ok = _rack_products(sys, v, w)
-    by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[:, None], u.a[:, None]),
-                                   _side_by_side(vw, v, w, neutral))
-    lhs, uv, uw, u_one = (_column(by_u, j) for j in range(4))
+    # v |> w, 1 |> v and g_0 |> ins as one (3, n) stack; then u acts on
+    # v |> w, v, w and the neutral element as one (4, n) stack, so that u's
+    # own log, action and i1 are taken once per sample
+    first, first_ok = _rack_products(sys, _stack(v, neutral, LocalRackElement(g[:1], a[:1])),
+                                     _stack(w, v, ins))
+    vw, one_v, outs = _parts(first)
+    by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[None], u.a[None]),
+                                   _stack(vw, v, w, neutral))
+    lhs, uv, uw, u_one = _parts(by_u)
     rhs, rhs_ok = _rack_products(sys, uv, uw)
-    one_v, one_v_ok = _rack_products(sys, neutral, v)
     results = stacked(n, [(elem_distance(lhs, rhs),
-                           vw_ok & by_u_ok[:, :3].all(axis=1) & rhs_ok)],
+                           first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok)],
                       [("self_distributivity", 1e-9)])
     results += stacked(n, [(np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
-                            by_u_ok[:, 3] & one_v_ok)],
+                            by_u_ok[3] & first_ok[1])],
                        [("pointedness", 1e-12)])
 
-    # left translation by a fixed u separates separated inputs; like every
-    # other row, samples counts attempts and skipped the ones out of chart
-    ins = LocalRackElement(g[1:n + 1], a[1:n + 1])
-    outs, ok = _rack_products(sys, LocalRackElement(g[:1], a[:1]), ins)
+    # left translation by the fixed g_0 separates separated inputs; like
+    # every other row, samples counts attempts and skipped the ones out of
+    # chart
+    ok = first_ok[2]
     kept = [LocalRackElement(x.g[ok], x.a[ok]) for x in (ins, outs)]
     results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(*kept),
                                   1e-9, n, n - int(np.count_nonzero(ok))))
@@ -259,52 +278,49 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
 
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
-    them, over all triples at once.  The three share their terms: each
-    conjugation, i2 value and action is taken once.  A triple that leaves
-    the chart anywhere is one skip for all three."""
+    them, over all triples at once.  The three share their terms: the
+    three conjugations, the two group products, the six i2 values and the
+    two actions are each one call on a stack.  A triple that leaves the
+    chart anywhere is one skip for all three."""
     rng = np.random.default_rng(seed)
     chart = sys.chart
     g, h, k = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
-    ok = np.ones(n_triples, dtype=bool)
-
-    def f(x, y):
-        return i2(sys, x, y, ok)
-
-    def act(x, v):
-        return matvec(group_action(chart, x, ok), v)
-
-    gh, gk, hk = (conjugate(chart, x, y, ok) for x, y in ((g, h), (g, k), (h, k)))
-    g_f_hk, f_gh_gk, gh_f_gk, f_g_hk = act(g, f(h, k)), f(gh, gk), act(gh, f(g, k)), f(g, hk)
+    # one mask for every call, each narrowing its leading rows: a triple
+    # that fails any of them is one skip
+    mask = np.ones((6, n_triples), dtype=bool)
+    gh, gk, hk = conjugate(chart, _stack(g, g, h), _stack(h, k, k), mask[:3])
+    g_h, gh_g = group_product(chart, _stack(g, gh), _stack(h, g), mask[:2])
+    f_h_k, f_gh_gk, f_g_k, f_g_hk, f_gh_k, f_ghg_k = i2(
+        sys, _stack(h, gh, g, g, g_h, gh_g), _stack(k, gk, k, hk, k, k), mask)
+    act_g, act_gh = group_action(chart, _stack(g, gh), mask[:2])
+    g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
     dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
-    ghost = g_f_hk - f(group_product(chart, g, h, ok), k) + f_g_hk
-    ghost_shift = gh_f_gk - f(group_product(chart, gh, g, ok), k) + f_gh_gk
+    ghost = g_f_hk - f_gh_k + f_g_hk
+    ghost_shift = gh_f_gk - f_ghg_k + f_gh_gk
+    ok = mask.all(axis=0)
     return stacked(n_triples, [(sup_rows(dr), ok), (sup_rows(ghost), ok),
                                (sup_rows(dr - (ghost - ghost_shift)), ok)],
                    [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
                     ("ghost_induces_cocycle", 2e-9)])
 
 
-def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (rows[i], rows[j]) as two stacks, i-major."""
-    k = len(rows)
-    return np.repeat(rows, k, axis=0), np.tile(rows, (k, 1))
-
-
 def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
     """delta2 of the integrated cocycle recovers omega on all basis pairs,
-    all pairs at once."""
+    all pairs at once: the basis as a column (d, 1) against a row (1, d),
+    so that each probe is exponentiated once."""
     d, m = sys.g0_dim, sys.center_dim
     omega_np = sys.ext.omega.to_numpy()
-    ok = np.ones(d * d, dtype=bool)
-    got = delta2(sys, partial(i2, sys), *_pairs(np.eye(d)), cfg, ok)
-    return stacked(d * d, [(sup_rows(got - omega_np.reshape(d * d, m)), ok)],
+    basis = np.eye(d)
+    ok = np.ones((d, d), dtype=bool)
+    got = delta2(sys, partial(i2, sys), basis[:, None], basis[None], cfg, ok)
+    return stacked(d * d, [(sup_rows((got - omega_np).reshape(d * d, m)), ok.ravel())],
                    [("delta2_left_inverse", 1e-5)])
 
 
 def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
     basis pairs, through the splitting g = g0 (+) center; all pairs at
-    once."""
+    once, as in ``roundtrip_suite``."""
     ext = sys.ext
     n = ext.parent.dim
     basis = [ext.parent.basis_vector(i) for i in range(n)]
@@ -314,9 +330,11 @@ def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyR
         return np.array([float(c) for c in (*x, *a)])
 
     want = np.array([split_coords(bracket(ext.parent, ei, ej)) for ei in basis for ej in basis])
-    ok = np.ones(n * n, dtype=bool)
-    got = tangent_bracket(sys, *_pairs(np.array([split_coords(e) for e in basis])), cfg, ok)
-    return stacked(n * n, [(sup_rows(got - want), ok)], [("tangent_bracket_roundtrip", 1e-4)])
+    coords = np.array([split_coords(e) for e in basis])
+    ok = np.ones((n, n), dtype=bool)
+    got = tangent_bracket(sys, coords[:, None], coords[None], cfg, ok)
+    return stacked(n * n, [(sup_rows(got.reshape(n * n, n) - want), ok.ravel())],
+                   [("tangent_bracket_roundtrip", 1e-4)])
 
 
 def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
@@ -327,23 +345,35 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     if not is_lie(sys.ext.parent):
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
+    chart = sys.chart
     n = n_samples
-    ug, ua, vg, va, wg, wa = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n, "gagaga")
+    ug, ua, vg, va, wg, wa = draw_samples(sys, rng, chart.chart_radius / 8.0, n, "gagaga")
     u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
-    assoc_ok, conj_ok, iota_ok = (np.ones(n, dtype=bool) for _ in range(3))
+    conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    gh, xi, eta = conjugate_and_log(chart, u.g, v.g, iota_ok)
+    # u^-1 as lie_group_inverse forms it; iota2 and the products below apply
+    # its chart gate
+    uinv_g = group_inverse(u.g, ok=conj_ok)
 
-    def product(x, y, ok):
-        return lie_group_product(sys, x, y, cfg, ok)
-
-    # the product u v as lie_group_product forms it, keeping its iota2 for row 3
-    uv_g = group_product(sys.chart, u.g, v.g, assoc_ok)
-    iota_uv = iota2(sys, u.g, v.g, cfg, assoc_ok)
+    # iota2 and the group product of (u, v), (v, w), (u, u^-1) and
+    # (u |> v, u) as one (4, n) stack, for rows 1, 1, 2 and 3
+    first = np.ones((4, n), dtype=bool)
+    x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
+    uv_g, vw_g, _, _ = group_product(chart, x, y, first)
+    iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
     uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
-    assoc = elem_distance(product(uv, w, assoc_ok), product(u, product(v, w, assoc_ok), assoc_ok))
-    uinv = lie_group_inverse(sys, u, cfg, conj_ok)
-    conj = elem_distance(product(uv, uinv, conj_ok), rack_product(sys, u, v, conj_ok))
-    gh, xi, eta = conjugate_and_log(sys.chart, u.g, v.g, iota_ok)
-    from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota2(sys, gh, u.g, cfg, ok=iota_ok))
+    vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
+    uinv = LocalRackElement(uinv_g, -u.a - iota_inv)
+    # the products (uv) w, u (vw) and (uv) u^-1 as one (3, n) stack
+    second = np.ones((3, n), dtype=bool)
+    uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
+                                                   _stack(w, vw, uinv), cfg, second))
+    assoc = elem_distance(uv_w, u_vw)
+    conj = elem_distance(uv_uinv, rack_product(sys, u, v, conj_ok))
+    from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota_gh)
+    assoc_ok = first[:2].all(axis=0) & second[:2].all(axis=0)
+    conj_ok &= first[2] & second[2]
+    iota_ok &= first[3]
     return stacked(n, [(assoc, assoc_ok), (conj, conj_ok), (sup_rows(from_iota), iota_ok)],
                    [("lie_group_associativity", 1e-9),
                     ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
@@ -364,16 +394,17 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
         ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.g.shape[:-2]), dtype=bool)
         return augmented_action(sys, x, y, ok), ok
 
-    unit, unit_ok = act(neutral.g, w)
-    # g acts on the neutral element and on h.w as one (n, 2) stack
-    hw, hw_ok = act(h, w)
-    by_g, by_g_ok = act(g[:, None], _side_by_side(neutral, hw))
-    fixed, lhs = _column(by_g, 0), _column(by_g, 1)
     gh_ok = np.ones(n, dtype=bool)
-    rhs, rhs_ok = act(group_product(sys.chart, g, h, gh_ok), w)
-    return stacked(n, [(elem_distance(unit, w), unit_ok),
-                       (elem_distance(fixed, neutral), by_g_ok[:, 0]),
-                       (elem_distance(lhs, rhs), hw_ok & by_g_ok[:, 1] & gh_ok & rhs_ok)],
+    gh = group_product(sys.chart, g, h, gh_ok)
+    # 1, h and gh act on w as one (3, n) stack, then g on the neutral
+    # element and on h.w as one (2, n) stack
+    on_w, on_w_ok = act(_stack(neutral.g, h, gh), w)
+    unit, hw, rhs = _parts(on_w)
+    by_g, by_g_ok = act(g[None], _stack(neutral, hw))
+    fixed, lhs = _parts(by_g)
+    return stacked(n, [(elem_distance(unit, w), on_w_ok[0]),
+                       (elem_distance(fixed, neutral), by_g_ok[0]),
+                       (elem_distance(lhs, rhs), on_w_ok[1] & by_g_ok[1] & gh_ok & on_w_ok[2])],
                    [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
                     ("action_compatibility", 1e-9)])
 

@@ -413,19 +413,21 @@ def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
 
 # -- kernel calls do not grow with the sample count ---------------------------
 
-def _kernel_calls(monkeypatch, suite):
-    """The calls of each float kernel that suite() makes outside its draws
-    (the draws' halving rounds depend on the draws, not on their number)."""
+def _kernel_slices(monkeypatch, suite, draws=False):
+    """The slice count of each call of each float kernel that suite()
+    makes, outside its draws unless draws (the draws' halving rounds
+    depend on the draws, not on their number)."""
     import leibrack.suites as suites
-    calls = {"log_float": 0, "exp_float": 0, "phi1_float": 0}
+    calls = {"log_float": [], "exp_float": [], "phi1_float": []}
     drawing = []
     with monkeypatch.context() as patch:
         for name in calls:
             original = getattr(rack, name)
 
-            def counted(*args, name=name, original=original):
-                calls[name] += not drawing
-                return original(*args)
+            def counted(a, *args, name=name, original=original):
+                if draws or not drawing:
+                    calls[name].append(int(np.prod(a.shape[:-2])))
+                return original(a, *args)
             patch.setattr(rack, name, counted)
 
         def uncounted(*args, draw=suites.draw_samples):
@@ -437,6 +439,11 @@ def _kernel_calls(monkeypatch, suite):
         patch.setattr(suites, "draw_samples", uncounted)
         suite()
     return calls
+
+
+def _kernel_calls(monkeypatch, suite):
+    """The calls of each float kernel that suite() makes outside its draws."""
+    return {name: len(sizes) for name, sizes in _kernel_slices(monkeypatch, suite).items()}
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "aff", "heisenberg"])
@@ -455,29 +462,64 @@ def test_stacked_suites_make_as_many_kernel_calls_at_10_and_40_samples(name, mon
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "filiform5"])
-def test_the_basis_pair_suites_take_two_logs_for_all_pairs(name, monkeypatch):
+def test_the_basis_pair_suites_take_two_logs_and_exponentiate_each_probe_once(name, monkeypatch):
     # every basis pair and every step of the mixed difference in one stack:
-    # log g and log(g |> h) once each
+    # log g and log(g |> h) once each; the k basis rows meet as a column
+    # and a row, so exp takes the 4k probes exp(+-h e_p), not all 4k^2 pairs
     cfg = default_config()
     sys_ = _system(name, 0.5)
-    for suite in (roundtrip_suite, tangent_suite):
-        assert _kernel_calls(monkeypatch, lambda: suite(sys_, cfg))["log_float"] == 2
+    for suite, k in ((roundtrip_suite, sys_.g0_dim), (tangent_suite, sys_.ext.parent.dim)):
+        sizes = _kernel_slices(monkeypatch, lambda: suite(sys_, cfg))
+        assert len(sizes["log_float"]) == 2
+        assert max(sizes["exp_float"]) == 4 * k
 
 
-# -- the cocycle and Lie rows evaluate each term once ---------------------------
+@pytest.mark.parametrize("name,samples,quad_order", [
+    ("heisenberg", 1, 3), ("heisenberg", 40, 8), ("heisenberg", 200, 3),
+    ("filiform5", 12, 5), ("dim5", 30, 4), ("diagonal", 7, 16)])
+def test_no_kernel_receives_more_slices_than_the_cli_caps(name, samples, quad_order,
+                                                          monkeypatch):
+    # the cli's cap on --samples and --quad-order bounds the largest stack
+    # a kernel receives in any suite of the full report, draws included
+    import leibrack.suites as suites
+    from leibrack.cli import _stack_slices
+    cfg = default_config(quad_order)
+    sys_ = _system(name, 0.5)
+    largest = {}
+    with monkeypatch.context() as patch:
+        for suite_name in ("rack_axiom_suite", "cocycle_suite", "augmented_action_suite",
+                           "roundtrip_suite", "tangent_suite",
+                           "quadrature_stability_suite", "lie_specialization_suite"):
+            def recorded(*args, suite=getattr(suites, suite_name), suite_name=suite_name):
+                results = []
+                sizes = _kernel_slices(monkeypatch, lambda: results.append(suite(*args)),
+                                       draws=True)
+                largest[suite_name] = max(max(s, default=0) for s in sizes.values())
+                return results[0]
+            patch.setattr(suites, suite_name, recorded)
+        suites.full_suite(sys_, cfg, samples, 0)
+    assert len(largest) == 6 + is_lie(sys_.ext.parent)
+    cap = _stack_slices(sys_.ext.parent.dim, samples, quad_order)
+    assert max(largest.values()) <= cap, (largest, cap)
+
+
+# -- each suite makes one call per dependency level -----------------------------
 
 def _outermost_calls(monkeypatch, names, run):
-    """The calls of each rack operation in names that run() makes, except
-    those made from within one of them (the conjugation inside i2)."""
+    """The mask shape of each call of each rack operation in names that
+    run() makes, except those made from within one of them (the
+    conjugation inside i2)."""
     import leibrack.suites as suites
-    calls = dict.fromkeys(names, 0)
+    calls = {name: [] for name in names}
     depth = []
     with monkeypatch.context() as patch:
         for name in names:
             original = getattr(rack, name)
 
             def counted(*args, name=name, original=original, **kwargs):
-                calls[name] += not depth
+                if not depth:
+                    calls[name].append(next(x.shape for x in (*args, *kwargs.values())
+                                            if isinstance(x, np.ndarray) and x.dtype == bool))
                 depth.append(None)
                 try:
                     return original(*args, **kwargs)
@@ -491,23 +533,38 @@ def _outermost_calls(monkeypatch, names, run):
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "abelian3"])
-def test_the_cocycle_suite_takes_six_i2_three_conjugations_and_two_actions(name, monkeypatch):
-    # d_R i2, the ghost identity and its shift share four of their i2 terms
+def test_the_rack_axiom_and_action_suites_take_one_call_per_level(name, monkeypatch):
+    # v |> w, 1 |> v and the injectivity row, then u acting on four
+    # elements, then uv |> uw; g h, then three actions on w, then g's two
     sys_ = _system(name, 0.5)
-    calls = _outermost_calls(monkeypatch, ("i2", "conjugate", "group_action"),
-                             lambda: cocycle_suite(sys_, 10, 1))
-    assert calls == {"i2": 6, "conjugate": 3, "group_action": 2}
+    calls = _outermost_calls(monkeypatch, ("rack_product",),
+                             lambda: rack_axiom_suite(sys_, 10, 0))
+    assert calls == {"rack_product": [(3, 10), (4, 10), (10,)]}
+    calls = _outermost_calls(monkeypatch, ("augmented_action",),
+                             lambda: augmented_action_suite(sys_, 10, 3))
+    assert calls == {"augmented_action": [(3, 10), (2, 10)]}
+
+
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "abelian3"])
+def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
+    # d_R i2, the ghost identity and its shift share their terms: three
+    # conjugations, two group products, six i2 values and two actions
+    sys_ = _system(name, 0.5)
+    names = ("conjugate", "group_product", "i2", "group_action")
+    calls = _outermost_calls(monkeypatch, names, lambda: cocycle_suite(sys_, 10, 1))
+    assert calls == dict(zip(names, ([(3, 10)], [(2, 10)], [(6, 10)], [(2, 10)])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
-def test_the_lie_suite_takes_seven_iota2(name, monkeypatch):
+def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
     # row 3 reuses the iota2(u.g, v.g) of row 1's product u v, and takes
-    # i2(u.g, v.g) from the one conjugation u.g |> v.g it also feeds to iota2
+    # i2(u.g, v.g) from the one conjugation u.g |> v.g it also feeds to
+    # iota2; the four pairs of the first level, then the three products
     cfg = default_config()
     sys_ = _system(name, 0.5)
     calls = _outermost_calls(monkeypatch, ("iota2", "conjugate"),
                              lambda: lie_specialization_suite(sys_, cfg, 10, 2))
-    assert calls == {"iota2": 7, "conjugate": 2}
+    assert calls == {"iota2": [(4, 10), (3, 10)], "conjugate": [(10,), (10,)]}
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "filiform5"])
@@ -519,7 +576,7 @@ def test_the_quadrature_suite_conjugates_and_logs_once_for_both_orders(name, mon
     assert sys_.g0_dim > 0
     calls = _outermost_calls(monkeypatch, ("conjugate", "log_coords"),
                              lambda: quadrature_stability_suite(sys_, cfg, 10, 4))
-    assert calls == {"conjugate": 1, "log_coords": 2}
+    assert calls == {"conjugate": [(10,)], "log_coords": [(10,), (10,)]}
 
 
 # -- injectivity: a sorted window against all pairs --------------------------------
