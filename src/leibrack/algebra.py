@@ -265,10 +265,12 @@ class Representation:
     flavor 'symmetric' forces right = -left, 'anti_symmetric' forces
     right = 0.  A plain record: construction checks the shapes only.  The
     module axiom (LLM) is not checked here; every module the package builds
-    (rho on the left center, the symmetric rho module, Hom(g0, Z_L)) gets
-    it from the parent's Leibniz identity, which ``canonical_extension``
-    checks.  With right = -left, (LML) is -(LLM) and (MLL) is (LLM); with
-    right = 0, both read 0 = 0.
+    (rho on the left center, the symmetric rho module, and
+    ``cohomology.hom_representation``'s Hom(g0, Z_L), which the float layer
+    does not use: i1 acts on it through rho and ad0) gets it from the
+    parent's Leibniz identity, which ``canonical_extension`` checks.  With
+    right = -left, (LML) is -(LLM) and (MLL) is (LLM); with right = 0, both
+    read 0 = 0.
     """
 
     algebra: LeibnizAlgebra

@@ -61,8 +61,9 @@ MAX_SAMPLES = 10_000
 # The caps above, each sized alone, together allow stacks past memory.  Peak
 # RSS of `integrate` on filiform-n is about 40 MB plus 80-100 bytes per entry
 # of the largest dim x dim stack: 692 MB at dim 16, --samples 515 (the
-# largest accepted), --quad-order 64.  The Hom(g0, a) stacks of i1 are held
-# to the same cap.
+# largest accepted for Lie input), --quad-order 64.  No kernel is passed a
+# matrix wider than dim (i1 and iota2's inner integral run on blocks of
+# side center dim + g0 dim = dim), so this cap bounds every stack.
 MAX_STACK = 2 ** 23
 
 
@@ -222,12 +223,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _stack_slices(dim: int, samples: int, quad_order: int) -> int:
+def _stack_slices(dim: int, samples: int, quad_order: int, lie: bool) -> int:
     """Matrices in the largest stack the suites build: u acting on four
     elements in the rack axioms, the six i2 pairs of the cocycle suite,
-    the nodes of the Lie suite's four iota2 pairs, the doubled quadrature
-    or the tangents."""
-    return max(4 * samples, 6 * max(10, samples // 2), 4 * max(10, samples // 4) * quad_order,
+    the nodes of the Lie suite's four iota2 pairs (Lie input only, the one
+    input that suite runs on), the doubled quadrature or the tangents."""
+    return max(4 * samples, 6 * max(10, samples // 2),
+               4 * max(10, samples // 4) * quad_order if lie else 0,
                min(20, samples) * 2 * quad_order, 4 * dim * dim)
 
 
@@ -241,8 +243,7 @@ def _checked_extension(alg: LeibnizAlgebra, args, report) -> CentralExtensionDat
     caps; None (and report['error']) on a bad config or an exact value
     outside float range.  All of it is exact: no float work starts before
     every cap has passed."""
-    slices = _stack_slices(alg.dim, args.samples, args.quad_order)
-    stack = alg.dim ** 2 * slices
+    stack = alg.dim ** 2 * _stack_slices(alg.dim, args.samples, args.quad_order, is_lie(alg))
     checks = [
         (0 < args.chart_radius <= MAX_CHART_RADIUS,
          f"--chart-radius must lie in (0, {MAX_CHART_RADIUS:g}]; got {args.chart_radius}"),
@@ -264,20 +265,7 @@ def _checked_extension(alg: LeibnizAlgebra, args, report) -> CentralExtensionDat
     if message is not None:
         _config_error(report, message)
         return None
-    ext = _extension(alg, report)
-    if ext is None:
-        return None
-    # i1 works in Hom(g0, a), on matrices of side m d, and its closed form
-    # on the augmented matrices of side m d + 1, as many as the dim x dim
-    # stacks hold
-    d, m = ext.g0_dim, ext.center_dim
-    hom = (m * d + 1) ** 2 * slices
-    if hom > MAX_STACK:
-        _config_error(report, f"--samples {args.samples} and --quad-order {args.quad_order} "
-                      f"at g0 dim {d} and center dim {m} make a Hom(g0, a) stack of {hom} "
-                      f"entries; at most MAX_STACK = {MAX_STACK} are accepted")
-        return None
-    return ext
+    return _extension(alg, report)
 
 
 def cmd_integrate(args) -> int:

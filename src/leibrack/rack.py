@@ -13,14 +13,17 @@ The two path integrals:
 
 use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
-path differentiation.  Both integrands then have the form exp(sA) v, and
-``_integral`` takes each: phi1(A) v (``linalg.phi1_float``) in closed
-form, i1 = phi1(gen_xi) B xi and i2 = phi1(rho_eta) (H eta), or
-Gauss-Legendre quadrature at a rule, their independent cross-check.  i2
-depends on g and h only through the log coordinates of g and g |> h
-(``conjugate_and_log``), from which ``i2_from_coords`` integrates.  The
-tests keep a finite-difference evaluator along an arbitrary path as an
-independent check of i1.
+path differentiation.  G0 acts on Hom(g0, a), where beta takes values, by
+alpha -> phi_g o alpha o Ad_g^-1, so with xi the log coordinates of g and
+M = B xi as an m x d matrix, i1 = int_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds,
+and i2 = int_0^1 exp(t rho_eta) (H eta) dt with H = i1(tau omega)(g).
+``_integral`` takes each, in closed form by ``linalg.phi1_float`` (i1 with
+the right factor ad0_xi, on m x m and d x d matrices, never on Hom(g0, a)
+itself), or by Gauss-Legendre quadrature at a rule, their independent
+cross-check.  i2 depends on g and h only through the log coordinates of g
+and g |> h (``conjugate_and_log``), from which ``i2_from_coords``
+integrates.  The tests keep a finite-difference evaluator along an
+arbitrary path as an independent check of i1.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -28,16 +31,16 @@ closed form too, so the configured Gauss-Legendre rule (IntegratorConfig.quad)
 drives only iota2's outer integral and the quadrature cross-check.
 
 Exact decisions are made once per system, never inside a float call.
-When it is built: the joint nilpotency index of the ad, rho and
-Hom(g0, a) generator families (the float exp and phi1 of any element of a
-nilpotent family are finite series; other families go to the Pade kernel
+When it is built: the joint nilpotency indices of the ad, rho and ad0
+families (the float exp and phi1 of any element of a nilpotent family are
+finite series; other families go to the Pade kernel
 ``linalg._expm_pade``).  On the first iota2 call
 (``LocalRackSystem.lie_omega``): the Lie-cocycle check of the extension's
 omega, which is ``leibniz_differential`` over rho taken as a symmetric
 module (on alternating cochains, the Leibniz differential with symmetric
 coefficients is the Chevalley-Eilenberg one).
 
-The chart, module and system dataclasses hold arrays, which have no
+The chart and system dataclasses hold arrays, which have no
 single-valued ==, so they compare and hash by identity (``eq=False``).
 
 The local rack product on G0 x a is then
@@ -78,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import CentralExtensionData, Representation, ad_matrix
-from .cohomology import Cochain, hom_representation, leibniz_differential, tau
+from .cohomology import Cochain, leibniz_differential, tau
 from .linalg import (
     OutOfChartError,
     QuadratureRule,
@@ -107,9 +110,9 @@ class LocalGroupChart:
     realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
     g0 on itself; each is a (g0_dim, k, k) stack, (0, k, k) for trivial g0.
     Group elements are n x n arrays with ||g - I|| < radius, where
-    0 < radius < inf.  ad_index and rho_index are the exact joint nilpotency
-    indices of the ad and rho families (None if not nilpotent); they select
-    exp's series."""
+    0 < radius < inf.  ad_index, rho_index and ad0_index are the exact
+    joint nilpotency indices of the ad, rho and ad0 families (None if not
+    nilpotent), derived from the extension; they select exp's series."""
 
     dim: int
     g0_dim: int
@@ -121,6 +124,7 @@ class LocalGroupChart:
     coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
     ad_index: int | None
     rho_index: int | None
+    ad0_index: int | None
 
     def __post_init__(self):
         if not 0 < self.chart_radius < np.inf:
@@ -162,11 +166,11 @@ def _basis_stack(mats, k: int) -> np.ndarray:
 def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -> LocalGroupChart:
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
     ad_basis = _basis_stack(ext.g0_matrices, n)
-    ad0_basis = _basis_stack([ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)], d)
+    ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
     pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
-    return LocalGroupChart(n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m), ad0_basis,
-                           pinv, joint_nilpotency_index(ext.g0_matrices),
-                           joint_nilpotency_index(ext.rho))
+    return LocalGroupChart(n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m),
+                           _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
+                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0))
 
 
 @dataclass(frozen=True)
@@ -199,27 +203,13 @@ class LocalRackElement:
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetricModule:
-    """A symmetric coefficient module presented infinitesimally: one carrier
-    action matrix per g0 basis element, as a stack (g0_dim, dim, dim); the
-    group acts through exp.  index is the generators' exact joint
-    nilpotency index; None (not nilpotent, or not known for a module built
-    by hand) sends exp to the Pade kernel."""
-
-    dim: int
-    generators: np.ndarray
-    index: int | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class LocalRackSystem:
     """Everything the integration of one algebra needs: the exact extension
-    data, the float chart, the Hom(g0, a) module, and tau^2(omega) as a
-    (center_dim * g0_dim) x g0_dim matrix."""
+    data, the float chart, and tau^2(omega) as a (center_dim * g0_dim) x
+    g0_dim matrix."""
 
     ext: CentralExtensionData
     chart: LocalGroupChart
-    hom_module: SymmetricModule
     tau_matrix: np.ndarray
 
     @property
@@ -254,12 +244,9 @@ class LocalRackSystem:
 
 def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
-    chart = chart_from_extension(ext, chart_radius)
     d, m = ext.g0_dim, ext.center_dim
-    hom_left = hom_representation(ext.rep).left if d else ()
-    hom_mod = SymmetricModule(m * d, _basis_stack(hom_left, m * d),
-                              joint_nilpotency_index(hom_left))
-    return LocalRackSystem(ext, chart, hom_mod, _beta_matrix(tau(ext.omega), m * d, d))
+    return LocalRackSystem(ext, chart_from_extension(ext, chart_radius),
+                           _beta_matrix(tau(ext.omega), m * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -414,32 +401,44 @@ def _vanishing(x: np.ndarray) -> np.ndarray:
 
 
 def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | None,
-              rule: QuadratureRule | None) -> np.ndarray:
-    """integral_0^1 exp(s a) v ds: phi1(a) v if rule is None, else
-    Gauss-Legendre at rule.  Zero where vanish: a fresh zero array with no
-    kernel call if every slice vanishes, else zeroed in place, so that the
-    kernel's result keeps the strides that decide whether numpy's matmul
-    on it calls BLAS, and so how it rounds, in a 2-D call and a stack."""
+              rule: QuadratureRule | None, b: np.ndarray | None = None,
+              b_index: int | None = None) -> np.ndarray:
+    """integral_0^1 exp(s a) v ds, or, given a right factor b and a block v,
+    integral_0^1 exp(s a) v exp(-s b) ds: by ``phi1_float`` if rule is None,
+    else Gauss-Legendre at rule.  index and b_index are the nilpotency
+    indices of a's and b's families.  Zero where vanish: a fresh zero array
+    with no kernel call if every slice vanishes, else zeroed in place, so
+    that the kernel's result keeps the strides that decide whether numpy's
+    matmul on it calls BLAS, and so how it rounds, in a 2-D call and a
+    stack."""
     if vanish.all():
         return np.zeros(v.shape)
     if rule is None:
-        out = phi1_float(a, v, index)
+        out = phi1_float(a, v, index, b, b_index)
     else:
-        # every node's exp(s a) v in one stack (..., nodes, k)
+        # every node's integrand in one stack (..., nodes, k) or (..., nodes, k, l)
         nodes = np.array(rule.nodes)[:, None, None]
-        values = matvec(exp_float(nodes * a[..., None, :, :], index), v[..., None, :])
-        out = integrate_01(rule, np.moveaxis(values, -2, 0))
+        left = exp_float(nodes * a[..., None, :, :], index)
+        if b is None:
+            values = np.moveaxis(matvec(left, v[..., None, :]), -2, 0)
+        else:
+            right = exp_float(-nodes * b[..., None, :, :], b_index)
+            values = np.moveaxis(left @ v[..., None, :, :] @ right, -3, 0)
+        out = integrate_01(rule, values)
     out[vanish] = 0.0
     return out
 
 
 def _i1(sys: LocalRackSystem, bmat: np.ndarray, xi: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
-    """i1(beta)(g) = integral_0^1 exp(s gen_xi) B xi ds from g's log
-    coordinates xi, with bmat = B beta's (m*d) x d matrix."""
-    module = sys.hom_module
-    return _integral(sys.chart.combo(module.generators, xi), matvec(bmat, xi),
-                     _vanishing(xi), module.index, rule)
+    """i1(beta)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds from
+    g's log coordinates xi, with M = B xi as an m x d matrix and bmat = B
+    beta's (m*d) x d matrix; flattened to (..., m*d), row by row."""
+    chart = sys.chart
+    v = matvec(bmat, xi)
+    out = _integral(chart.rho_of(xi), v.reshape(v.shape[:-1] + (sys.center_dim, sys.g0_dim)),
+                    _vanishing(xi), chart.rho_index, rule, chart.ad0_of(xi), chart.ad0_index)
+    return out.reshape(v.shape)
 
 
 def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
@@ -453,11 +452,11 @@ def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
 
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
-    module Hom(g0, a) (``sys.hom_module``), along the canonical path to g;
-    vanishes at the identity.  beta is a degree-1 cochain or its
-    (m*d) x d matrix, such as ``sys.tau_matrix``."""
+    module Hom(g0, a) (flattened row by row, as ``cohomology.tau`` does),
+    along the canonical path to g; vanishes at the identity.  beta is a
+    degree-1 cochain or its (m*d) x d matrix, such as ``sys.tau_matrix``."""
     xi = _gated_log(sys.chart, g, ok)
-    return _i1(sys, _beta_matrix(beta, sys.hom_module.dim, sys.g0_dim), xi)
+    return _i1(sys, _beta_matrix(beta, sys.center_dim * sys.g0_dim, sys.g0_dim), xi)
 
 
 def conjugate_and_log(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,

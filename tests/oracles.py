@@ -13,6 +13,9 @@ report can be built from them.
 a generator family term by term, as the chart and iota2 once did.
 ``log_float_probe_all`` is the float log as it was before its nilpotency
 probe was narrowed to the slices the norm gate can fail.
+``i1_in_hom_module`` evaluates i1 as it was before it ran on m x d blocks:
+phi1 of the (m*d)-sided Hom(g0, a) generators at their exact joint
+nilpotency index.
 
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
@@ -52,9 +55,16 @@ import numpy as np
 
 from leibrack import algebra, linalg
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
-from leibrack.cohomology import Cochain
+from leibrack.cohomology import Cochain, hom_representation
 from leibrack.corpus import random_leibniz
-from leibrack.linalg import OutOfChartError, gauss_legendre_01, matvec, rref
+from leibrack.linalg import (
+    OutOfChartError,
+    gauss_legendre_01,
+    joint_nilpotency_index,
+    matvec,
+    phi1_float,
+    rref,
+)
 from leibrack.rack import (
     LocalRackElement,
     RackCochainFn,
@@ -495,6 +505,29 @@ def omega_per_node(omega, a):
     d, m = omega.shape[1:]
     return np.reshape([np.einsum("p,pqk->kq", a_s, omega) for a_s in a.reshape(-1, d)],
                       a.shape[:-1] + (m, d))
+
+
+# -- i1 in the Hom(g0, a) module ---------------------------------------------
+
+def i1_in_hom_module(sys_, bmat, xi):
+    """i1(beta) = int_0^1 exp(s gen_xi) B xi ds at log coordinates xi
+    (..., d), with gen_xi the combination of the left actions of
+    ``hom_representation(ext.rep)`` at xi, at their exact joint nilpotency
+    index, and bmat beta's (m*d) x d matrix: phi1 on (m*d)-sided matrices,
+    zero where xi is."""
+    ext = sys_.ext
+    d, m = ext.g0_dim, ext.center_dim
+    left = hom_representation(ext.rep).left if d else ()
+    gens = np.array([mat.to_numpy() for mat in left]).reshape(d, m * d, m * d)
+    index = joint_nilpotency_index(left)
+    xi = np.asarray(xi, dtype=float)
+    v = matvec(bmat, xi)
+    vanish = np.abs(xi).max(axis=-1, initial=0.0) == 0
+    if vanish.all():
+        return np.zeros(v.shape)
+    out = phi1_float(sys_.chart.combo(gens, xi), v, index)
+    out[vanish] = 0.0
+    return out
 
 
 # -- the float log, probing every slice ---------------------------------------

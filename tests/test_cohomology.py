@@ -331,10 +331,13 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys):
         conj = lambda x, y: conjugate(chart, x, y)
 
         def hom_action(g):
-            gen = chart.combo(sys_.hom_module.generators, log_coords(chart, g))
-            return scipy.linalg.expm(gen)
+            # alpha -> exp(rho_xi) alpha exp(-ad0_xi) on Hom(g0, a), flattened
+            # row by row: the Kronecker product of the two factors
+            xi = log_coords(chart, g)
+            return np.kron(scipy.linalg.expm(chart.rho_of(xi)),
+                           scipy.linalg.expm(-chart.ad0_of(xi)).T)
 
-        mod = RackModuleStructure.symmetric(sys_.hom_module.dim, hom_action, conj)
+        mod = RackModuleStructure.symmetric(sys_.center_dim * sys_.g0_dim, hom_action, conj)
         f = RackCochainFn(1, lambda g: i1(sys_, sys_.tau_matrix, g))
         for _ in range(6):
             g = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))

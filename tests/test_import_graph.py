@@ -107,11 +107,13 @@ print(json.dumps({{"code": code, "scipy": scipy_modules()}}))
 
 
 def test_the_exact_path_never_imports_numpy(tmp_path):
-    # a 16-dimensional left center under a 16-dimensional g0: its Hom(g0, a)
-    # stacks are past MAX_STACK at any flags, which the exact extension tells
-    hom32 = LeibnizAlgebra.from_brackets(32, {(i, i): {16 + i: 1} for i in range(16)})
-    path = tmp_path / "hom32.leib"
-    write_algebra_file(hom32, path)
+    # filiform-16 at the largest --samples and --quad-order: its iota2
+    # stacks are past MAX_STACK, which the exact checks tell
+    filiform16 = LeibnizAlgebra.from_brackets(16, {
+        **{(0, k): {k + 1: 1} for k in range(1, 15)},
+        **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
+    path = tmp_path / "filiform16.leib"
+    write_algebra_file(filiform16, path)
     got = run_isolated(f"""
 from pathlib import Path
 from leibrack.corpus import BUILTIN_NAMES
@@ -124,7 +126,8 @@ exts = [leibrack.canonical_extension(alg) for alg in algs]
 loaded["extension"] = float_modules()
 codes = {{f"{{cmd}} {{f.stem}}": run(cmd, str(f), "--json")
           for f in files for cmd in ("verify", "analyze")}}
-codes["integrate hom32"] = run("integrate", {str(path)!r}, "--samples", "10", "--json")
+codes["integrate filiform16"] = run("integrate", {str(path)!r}, "--samples", "10000",
+                                   "--quad-order", "64", "--json")
 loaded["reports"] = float_modules()
 codes["integrate dim5"] = run("integrate", str(files[1]), "--samples", "10")
 codes["example heisenberg"] = run("example", "heisenberg", "--samples", "10")
@@ -134,7 +137,7 @@ print(json.dumps({{"files": [f.stem for f in files], "codes": codes, "loaded": l
     assert got["files"] == ["abelian3", "dim5", "heisenberg"]
     assert got["codes"] == {**{f"{cmd} {f}": 0 for f in got["files"]
                                for cmd in ("verify", "analyze")},
-                            "integrate hom32": 2, "integrate dim5": 0, "example heisenberg": 0}
+                            "integrate filiform16": 2, "integrate dim5": 0, "example heisenberg": 0}
     floats = got["loaded"].pop("integrate")
     assert got["loaded"] == {"import": [], "parse": [], "extension": [], "reports": []}
     assert "numpy" in floats and set(FLOAT_MODULES) <= set(floats)

@@ -2,8 +2,10 @@
 Lie specialization."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from leibrack.corpus import (
     filiform5,
     free_nilpotent5,
     heisenberg,
+    random_leibniz,
 )
 from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
@@ -33,6 +36,7 @@ from leibrack.rack import (
     IntegratorConfig,
     LocalRackElement,
     NotLieCocycleError,
+    _i1,
     augmented_action,
     build_rack_system,
     conjugate,
@@ -68,12 +72,16 @@ from oracles import (
     cochain_from_dense,
     combo_per_basis,
     ghost_identity_defect,
+    i1_in_hom_module,
     i2_quadrature,
     omega_per_node,
     random_corpus,
     sample_rack_element,
     sampled,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
 
 
 # -- chart operations --------------------------------------------------------
@@ -150,7 +158,7 @@ def test_combo_matches_the_per_basis_loop(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     chart = sys_.chart
     rng = np.random.default_rng(31)
-    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis, sys_.hom_module.generators):
+    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis):
         for shape in ((), (7,), (3, 4)):
             xi = rng.uniform(-1.0, 1.0, shape + (chart.g0_dim,))
             got = chart.combo(basis, xi)
@@ -163,7 +171,7 @@ def test_combo_matches_the_per_basis_loop(alg):
 def test_combo_rejects_coordinates_of_the_wrong_length(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     chart = sys_.chart
-    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis, sys_.hom_module.generators):
+    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis):
         for shape in ((), (3, 4)):
             with pytest.raises(ValueError):
                 chart.combo(basis, np.ones(shape + (chart.g0_dim + 1,)))
@@ -216,20 +224,31 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
         assert np.abs(got.reshape(3, 2) - dim5_i1_matrix(*a)).max() < 1e-10
 
 
+def _hom_action(chart, xi, alpha):
+    """g acting on alpha in Hom(g0, a), flattened row by row: the m x d
+    matrix exp(rho_xi) alpha exp(-ad0_xi), from g's log coordinates xi."""
+    alpha = np.reshape(alpha, (chart.center_dim, chart.g0_dim))
+    act = exp_float(chart.rho_of(xi), chart.rho_index) @ alpha \
+        @ exp_float(-chart.ad0_of(xi), chart.ad0_index)
+    return act.reshape(-1)
+
+
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
-    # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module
+    # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module, where g
+    # acts by alpha -> exp(rho_xi) alpha exp(-ad0_xi)
     from leibrack.cohomology import hom_representation, leibniz_differential
     rng = np.random.default_rng(2)
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
     beta = leibniz_differential(homrep, cochain_from_dense(0, 2, 6, b))
+    chart = dim5_sys.chart
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
-        g = group_from_coords(dim5_sys.chart, xi)
+        g = group_from_coords(chart, xi)
         got = i1(dim5_sys, beta, g)
-        gen = dim5_sys.chart.combo(dim5_sys.hom_module.generators, xi)
-        want = scipy.linalg.expm(gen) @ np.array(b, float) - np.array(b, float)
-        assert np.abs(got - want).max() < 1e-10
+        bmat = np.array(b, float).reshape(3, 2)
+        want = scipy.linalg.expm(chart.rho_of(xi)) @ bmat @ scipy.linalg.expm(-chart.ad0_of(xi))
+        assert np.abs(got - (want - bmat).reshape(-1)).max() < 1e-10
 
 
 def _i1_general_path(sys_, g, cfg, eps=1e-6):
@@ -237,7 +256,7 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
     Hom-valued tau(omega) integrated along s -> exp(s log g), with the path
     differentiated by central differences instead of the constant
     left-logarithmic derivative that i1 relies on."""
-    chart, mod = sys_.chart, sys_.hom_module
+    chart = sys_.chart
     ell = chart.ad_of(log_coords(chart, g))
 
     def path(s):
@@ -247,8 +266,7 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
         p = path(s)
         dp = (path(s + eps) - path(s - eps)) / (2 * eps)
         v = chart.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
-        gen = chart.combo(mod.generators, log_coords(chart, p))
-        return exp_float(gen, mod.index) @ (sys_.tau_matrix @ v)
+        return _hom_action(chart, log_coords(chart, p), sys_.tau_matrix @ v)
     return integrate_01(cfg.quad, [integrand(s) for s in cfg.quad.nodes])
 
 
@@ -271,6 +289,26 @@ def test_i1_general_path_nonabelian(cfg):
         g = group_from_coords(sys_.chart, a)
         fast = i1(sys_, sys_.tau_matrix, g)
         assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
+
+
+_I1_ORACLE_INPUTS = {
+    "dim5": dim5(), "filiform5": filiform5(), "free_nilpotent5": free_nilpotent5(),
+    **{f"rl{seed}": random_leibniz(seed) for seed in (1, 2, 5, 7, 23, 28, 38)},
+    **{f"{kind}-{seed}": inputs.rho_semisimple(kind, seed)
+       for kind in inputs.RHO_KINDS for seed in (0, 1, 2)}}
+
+
+@pytest.mark.parametrize("name", list(_I1_ORACLE_INPUTS))
+def test_i1_on_blocks_matches_the_hom_module_oracle(name):
+    # i1 on m x d blocks against phi1 of the (m*d)-sided Hom(g0, a)
+    # generators, at the exact index of each family or by Pade
+    sys_ = build_rack_system(canonical_extension(_I1_ORACLE_INPUTS[name]), 0.5)
+    xi = np.random.default_rng(41).uniform(-0.5, 0.5, (50, sys_.g0_dim))
+    want = i1_in_hom_module(sys_, sys_.tau_matrix, xi)
+    got = _i1(sys_, sys_.tau_matrix, xi)
+    assert got.shape == want.shape and np.abs(want).max() > 0.1
+    bound = 1e-15 * (1.0 + np.abs(want).max(axis=-1))
+    assert (np.abs(got - want).max(axis=-1) <= bound).all()
 
 
 # -- i2 ----------------------------------------------------------------------
@@ -675,7 +713,7 @@ def _aff1_with_weights():
                          ids=["diagonal_rho", "aff1"])
 def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    assert sys_.chart.rho_index is None and sys_.hom_module.index is None
+    assert sys_.chart.rho_index is None  # i1 and i2 take the Pade kernel
     rng = np.random.default_rng(16)
     rule16 = gauss_legendre_01(16)
     for _ in range(10):
@@ -888,7 +926,7 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
     chart = sys_.chart
     rng = np.random.default_rng(21)
     families = [(chart.ad_basis, chart.ad_index), (chart.rho_basis, chart.rho_index),
-                (sys_.hom_module.generators, sys_.hom_module.index)]
+                (chart.ad0_basis, chart.ad0_index)]
     for basis, index in families:
         assert index is not None
         for _ in range(10):
@@ -897,6 +935,13 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
             # phi1's finite series equals its augmented-expm branch
             v = rng.uniform(-1.0, 1.0, size=x.shape[0])
             assert np.abs(phi1_float(x, v, index) - phi1_float(x, v)).max() <= 1e-14
+    # and so does the two-sided series of i1, on m x d blocks
+    for _ in range(10):
+        xi = rng.uniform(-1.0, 1.0, size=chart.g0_dim)
+        rho, ad0 = chart.rho_of(xi), chart.ad0_of(xi)
+        block = rng.uniform(-1.0, 1.0, size=(chart.center_dim, chart.g0_dim))
+        series = phi1_float(rho, block, chart.rho_index, ad0, chart.ad0_index)
+        assert np.abs(series - phi1_float(rho, block, None, ad0, None)).max() <= 1e-14
 
 
 def test_rho_semisimple_takes_the_pade_path(monkeypatch):
@@ -918,11 +963,11 @@ def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
     assert not calls
 
 
-def test_chart_module_and_system_compare_and_hash_by_identity(dim5_ext):
+def test_chart_and_system_compare_and_hash_by_identity(dim5_ext):
     # two systems built from one extension hold equal arrays, yet are two
     # objects: == and hash neither raise nor look inside the arrays
     one, other = build_rack_system(dim5_ext), build_rack_system(dim5_ext)
-    for a, b in ((one, other), (one.chart, other.chart), (one.hom_module, other.hom_module)):
+    for a, b in ((one, other), (one.chart, other.chart)):
         assert a == a and a != b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
@@ -1014,8 +1059,9 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys):
     wide = dim5_sys.with_chart_radius(8.0)
     assert wide.chart.chart_radius == 8.0 and dim5_sys.chart.chart_radius == 0.5
     assert wide.ext is dim5_sys.ext and wide.tau_matrix is dim5_sys.tau_matrix
-    assert wide.hom_module is dim5_sys.hom_module
-    assert wide.chart.ad_index == dim5_sys.chart.ad_index
+    assert wide.chart.ad0_basis is dim5_sys.chart.ad0_basis
+    assert (wide.chart.ad_index, wide.chart.rho_index, wide.chart.ad0_index) == \
+        (dim5_sys.chart.ad_index, dim5_sys.chart.rho_index, dim5_sys.chart.ad0_index)
     with pytest.raises(ValueError):
         dim5_sys.with_chart_radius(0.0)
 

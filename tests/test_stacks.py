@@ -413,10 +413,11 @@ def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
 
 # -- kernel calls do not grow with the sample count ---------------------------
 
-def _kernel_slices(monkeypatch, suite, draws=False):
+def _kernel_slices(monkeypatch, suite, draws=False, widths=None):
     """The slice count of each call of each float kernel that suite()
     makes, outside its draws unless draws (the draws' halving rounds
-    depend on the draws, not on their number)."""
+    depend on the draws, not on their number); the side of each call's
+    matrices goes to the list widths, if given."""
     import leibrack.suites as suites
     calls = {"log_float": [], "exp_float": [], "phi1_float": []}
     drawing = []
@@ -427,6 +428,8 @@ def _kernel_slices(monkeypatch, suite, draws=False):
             def counted(a, *args, name=name, original=original):
                 if draws or not drawing:
                     calls[name].append(int(np.prod(a.shape[:-2])))
+                    if widths is not None:
+                        widths.append(a.shape[-1])
                 return original(a, *args)
             patch.setattr(rack, name, counted)
 
@@ -480,12 +483,14 @@ def test_the_basis_pair_suites_take_two_logs_and_exponentiate_each_probe_once(na
 def test_no_kernel_receives_more_slices_than_the_cli_caps(name, samples, quad_order,
                                                           monkeypatch):
     # the cli's cap on --samples and --quad-order bounds the largest stack
-    # a kernel receives in any suite of the full report, draws included
+    # a kernel receives in any suite of the full report, draws included,
+    # and no kernel receives a matrix wider than dim, so the dim x dim cap
+    # bounds every stack
     import leibrack.suites as suites
     from leibrack.cli import _stack_slices
     cfg = default_config(quad_order)
     sys_ = _system(name, 0.5)
-    largest = {}
+    largest, widths = {}, []
     with monkeypatch.context() as patch:
         for suite_name in ("rack_axiom_suite", "cocycle_suite", "augmented_action_suite",
                            "roundtrip_suite", "tangent_suite",
@@ -493,14 +498,16 @@ def test_no_kernel_receives_more_slices_than_the_cli_caps(name, samples, quad_or
             def recorded(*args, suite=getattr(suites, suite_name), suite_name=suite_name):
                 results = []
                 sizes = _kernel_slices(monkeypatch, lambda: results.append(suite(*args)),
-                                       draws=True)
+                                       draws=True, widths=widths)
                 largest[suite_name] = max(max(s, default=0) for s in sizes.values())
                 return results[0]
             patch.setattr(suites, suite_name, recorded)
         suites.full_suite(sys_, cfg, samples, 0)
-    assert len(largest) == 6 + is_lie(sys_.ext.parent)
-    cap = _stack_slices(sys_.ext.parent.dim, samples, quad_order)
+    dim, lie = sys_.ext.parent.dim, is_lie(sys_.ext.parent)
+    assert len(largest) == 6 + lie
+    cap = _stack_slices(dim, samples, quad_order, lie)
     assert max(largest.values()) <= cap, (largest, cap)
+    assert widths and max(widths) <= dim
 
 
 # -- each suite makes one call per dependency level -----------------------------

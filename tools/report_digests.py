@@ -7,9 +7,13 @@ runs the CLI of CHECKOUT (default: the checkout holding this script) on
 each run of the corpus below, one fresh interpreter per run, and prints one
 line per run: the SHA-256 over its exit code and its full ``--json``
 stdout, with the temporary input directory and CHECKOUT's data directory
-masked, then the run.  The last
-line is the SHA-256 over all the lines before it.  Run it on two checkouts
-and diff the outputs.
+masked; the SHA-256 over its exit code and its report with the floats set
+aside as the benchmark's gate does (``normalize`` of CHECKOUT's
+``perfbench/gate.py``); then the run.  The last line is the SHA-256 over
+all the lines before it.  Run it on two checkouts and diff the outputs: a
+change that moves only rounding changes first digests alone, and leaves
+every exit code, verdict, count and exact field, and so every second
+digest, as it was.
 
 The inputs are built by CHECKOUT's ``perfbench/inputs.py`` (read, not
 changed) and written as ``.leib`` files by its ``write_algebra_file``:
@@ -31,6 +35,7 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -85,6 +90,7 @@ def main(argv=None) -> int:
     src = str(checkout / "src")
     sys.path[:0] = [src, str(checkout / "perfbench")]
     import inputs as bench_inputs
+    from gate import normalize
 
     # one BLAS thread, as the benchmark pins it
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -107,7 +113,12 @@ def main(argv=None) -> int:
                                   capture_output=True, text=True, env=env, timeout=600)
             body = f"exit {done.returncode}\n{masked(done.stdout)}"
             digest = hashlib.sha256(body.encode()).hexdigest()
-            lines.append(f"{digest}  {' '.join(masked(a) for a in args)}")
+            try:
+                exact = json.dumps(normalize(json.loads(masked(done.stdout))), sort_keys=True)
+            except json.JSONDecodeError:  # no report: the stdout as it is
+                exact = masked(done.stdout)
+            exact_digest = hashlib.sha256(f"exit {done.returncode}\n{exact}".encode()).hexdigest()
+            lines.append(f"{digest}  {exact_digest}  {' '.join(masked(a) for a in args)}")
             print(lines[-1], flush=True)
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print(f"{total}  total")
