@@ -201,7 +201,7 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
 # tau: curry the last slot into the coefficients
 # ---------------------------------------------------------------------------
 # Hom(g, a) is flattened with index (k, j) -> k * dim(g) + j, i.e. an element
-# is an (a x g)-matrix read row-major.
+# is an (a x g)-matrix read row-major.  Only the exact layer flattens; floats keep m x d blocks.
 
 def tau(w: Cochain) -> Cochain:
     """Degree n cochain valued in a -> degree n-1 valued in Hom(g, a):

@@ -15,8 +15,10 @@ use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
 path differentiation.  G0 acts on Hom(g0, a), where beta takes values, by
 alpha -> phi_g o alpha o Ad_g^-1, so with xi the log coordinates of g and
-M = B xi as an m x d matrix, i1 = int_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds,
-and i2 = int_0^1 exp(t rho_eta) (H eta) dt with H = i1(tau omega)(g).
+M = beta(xi), i1 = int_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds, and
+i2 = int_0^1 exp(t rho_eta) (H eta) dt with H = i1(tau omega)(g).  Hom(g0, a)
+values are m x d blocks here, and beta the stack (d, m, d) of the blocks
+beta(e_p): ``LocalRackSystem.omega`` for tau omega, which iota2 reads too.
 ``_integral`` takes each, in closed form by ``linalg.phi1_float`` (i1 with
 the right factor ad0_xi, on m x m and d x d matrices, never on Hom(g0, a)
 itself), or by Gauss-Legendre quadrature at a rule, their independent
@@ -34,8 +36,8 @@ Exact decisions are made once per system, never inside a float call.
 When it is built: the joint nilpotency indices of the ad, rho and ad0
 families (the float exp and phi1 of any element of a nilpotent family are
 finite series; other families go to the Pade kernel
-``linalg._expm_pade``).  On the first iota2 call
-(``LocalRackSystem.lie_omega``): the Lie-cocycle check of the extension's
+``linalg._expm_pade``).  On first use: omega's float stack, and for iota2
+(``LocalRackSystem.lie_omega``) the Lie-cocycle check of the extension's
 omega, which is ``leibniz_differential`` over rho taken as a symmetric
 module (on alternating cochains, the Leibniz differential with symmetric
 coefficients is the Chevalley-Eilenberg one).
@@ -81,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import CentralExtensionData, Representation, ad_matrix
-from .cohomology import Cochain, leibniz_differential, tau
+from .cohomology import Cochain, leibniz_differential
 from .linalg import (
     OutOfChartError,
     QuadratureRule,
@@ -205,12 +207,10 @@ class LocalRackElement:
 @dataclass(frozen=True, eq=False)
 class LocalRackSystem:
     """Everything the integration of one algebra needs: the exact extension
-    data, the float chart, and tau^2(omega) as a (center_dim * g0_dim) x
-    g0_dim matrix."""
+    data and the float chart, from which the rest is derived on first use."""
 
     ext: CentralExtensionData
     chart: LocalGroupChart
-    tau_matrix: np.ndarray
 
     @property
     def g0_dim(self) -> int:
@@ -224,29 +224,31 @@ class LocalRackSystem:
         return LocalRackElement(self.chart.identity(), np.zeros(self.center_dim))
 
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
-        """The same system on a chart of another radius, without redoing
-        any exact work."""
-        return replace(self, chart=replace(self.chart, chart_radius=chart_radius))
+        """The same system on a chart of another radius; no exact work or conversion reruns."""
+        wide = replace(self, chart=replace(self.chart, chart_radius=chart_radius))
+        vars(wide).update((k, v) for k, v in vars(self).items() if k in ("omega", "lie_omega"))
+        return wide
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """omega as the C-contiguous stack (d, m, d) of the blocks omega(e_p, -)
+        = tau omega(e_p); ``transpose(0, 2, 1)`` gives the values omega(e_p, e_q)."""
+        return np.ascontiguousarray(self.ext.omega.to_numpy().transpose(0, 2, 1))
 
     @cached_property
     def lie_omega(self) -> np.ndarray:
-        """The extension's omega as the stack (d, m, d) of the m x d matrices
-        omega(e_p, -), so ``chart.combo(lie_omega, a)`` is omega(a, -);
-        checked once to be an anti-symmetric Lie cocycle
-        (NotLieCocycleError otherwise)."""
+        """``omega``, checked once to be an anti-symmetric Lie cocycle (NotLieCocycleError)."""
         cocycle, anti = lie_cocycle_defect(self.ext, self.ext.omega)
         if anti != 0:
             raise NotLieCocycleError("omega is not anti-symmetric")
         if cocycle != 0:
             raise NotLieCocycleError("omega fails the Lie cocycle identity")
-        return np.ascontiguousarray(self.ext.omega.to_numpy().transpose(0, 2, 1))
+        return self.omega
 
 
 def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
-    d, m = ext.g0_dim, ext.center_dim
-    return LocalRackSystem(ext, chart_from_extension(ext, chart_radius),
-                           _beta_matrix(tau(ext.omega), m * d, d))
+    return LocalRackSystem(ext, chart_from_extension(ext, chart_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +383,16 @@ def group_product(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
 # the path integrals
 # ---------------------------------------------------------------------------
 
-def _beta_matrix(beta, q: int, d: int) -> np.ndarray:
-    """beta as a q x d float matrix whose column p is beta(e_p)."""
+def _beta_stack(beta, m: int, d: int) -> np.ndarray:
+    """beta, a Hom-valued degree-1 cochain or blocks, as a float stack (d, m, d)."""
     if isinstance(beta, Cochain):
-        if beta.degree != 1 or beta.domain_dim != d or beta.coeff_dim != q:
+        if beta.degree != 1 or beta.domain_dim != d or beta.coeff_dim != m * d:
             raise ValueError("beta must be a degree-1 cochain on g0 valued in the module")
-        # a C-ordered copy: products with a transposed view can round differently
-        return np.ascontiguousarray(beta.to_numpy().T)
+        # Hom(g0, a) is flattened row by row (``cohomology.tau``)
+        return beta.to_numpy().reshape(d, m, d)
     b = np.asarray(beta, dtype=float)
-    if b.shape != (q, d):
-        raise ValueError(f"beta matrix must be {q} x {d}")
+    if b.shape != (d, m, d):
+        raise ValueError(f"beta stack must be {d} x {m} x {d}")
     return b
 
 
@@ -429,34 +431,31 @@ def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | Non
     return out
 
 
-def _i1(sys: LocalRackSystem, bmat: np.ndarray, xi: np.ndarray,
+def _i1(sys: LocalRackSystem, beta: np.ndarray, xi: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
-    """i1(beta)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds from
-    g's log coordinates xi, with M = B xi as an m x d matrix and bmat = B
-    beta's (m*d) x d matrix; flattened to (..., m*d), row by row."""
+    """i1(beta)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds, M = beta(xi),
+    as blocks (..., m, d) from g's log coordinates xi (..., d)."""
     chart = sys.chart
-    v = matvec(bmat, xi)
-    out = _integral(chart.rho_of(xi), v.reshape(v.shape[:-1] + (sys.center_dim, sys.g0_dim)),
-                    _vanishing(xi), chart.rho_index, rule, chart.ad0_of(xi), chart.ad0_index)
-    return out.reshape(v.shape)
+    return _integral(chart.rho_of(xi), chart.combo(beta, xi), _vanishing(xi), chart.rho_index,
+                     rule, chart.ad0_of(xi), chart.ad0_index)
 
 
 def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
-    """i2(omega)(g, h) = integral_0^1 exp(t rho_eta) hom(eta) dt from
-    hom = i1(tau omega)(g) and the log coordinates eta of g |> h."""
+    """i2(omega)(g, h) = integral_0^1 exp(t rho_eta) hom(eta) dt from the
+    blocks hom = i1(tau omega)(g) and the log coordinates eta of g |> h."""
     chart = sys.chart
-    v = matvec(hom.reshape(hom.shape[:-1] + (sys.center_dim, sys.g0_dim)), eta)
+    v = matvec(hom, eta)
     return _integral(chart.rho_of(eta), v, _vanishing(v), chart.rho_index, rule)
 
 
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
-    module Hom(g0, a) (flattened row by row, as ``cohomology.tau`` does),
-    along the canonical path to g; vanishes at the identity.  beta is a
-    degree-1 cochain or its (m*d) x d matrix, such as ``sys.tau_matrix``."""
+    module Hom(g0, a), along the canonical path to g, as m x d blocks
+    (..., m, d); vanishes at the identity.  beta is a degree-1 cochain or
+    its stack (d, m, d) of blocks, such as ``sys.omega`` for tau omega."""
     xi = _gated_log(sys.chart, g, ok)
-    return _i1(sys, _beta_matrix(beta, sys.center_dim * sys.g0_dim, sys.g0_dim), xi)
+    return _i1(sys, _beta_stack(beta, sys.center_dim, sys.g0_dim), xi)
 
 
 def conjugate_and_log(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
@@ -474,7 +473,7 @@ def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
     with a rule, both path integrals by quadrature, i2's cross-check, exact
     up to rounding when rho is nilpotent and 2 * rule.order exceeds the
     polynomial degree of the integrands."""
-    return _i2(sys, _i1(sys, sys.tau_matrix, xi, rule), eta, rule)
+    return _i2(sys, _i1(sys, sys.omega, xi, rule), eta, rule)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -483,7 +482,7 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
     gh = conjugate(sys.chart, g, h, ok)
-    return _i2(sys, i1(sys, sys.tau_matrix, g, ok), log_coords(sys.chart, gh, ok))
+    return _i2(sys, i1(sys, sys.omega, g, ok), log_coords(sys.chart, gh, ok))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
     a, b, ac, bc = (np.array(part) for part in zip(*draws))
     g, h = rack.group_from_coords(chart, a), rack.group_from_coords(chart, b)
     i1_ok, i2_ok, conj_ok = (np.ones(len(draws), dtype=bool) for _ in range(3))
-    got_i1 = rack.i1(sys_, sys_.tau_matrix, g, i1_ok).reshape(len(draws), 3, 2)
+    got_i1 = rack.i1(sys_, sys_.omega, g, i1_ok)
     got_i2 = rack.i2(sys_, g, h, i2_ok)
     got = rack.rack_product(sys_, rack.LocalRackElement(g, ac), rack.LocalRackElement(h, bc),
                             conj_ok)

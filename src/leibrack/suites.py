@@ -309,7 +309,7 @@ def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[Propert
     all pairs at once: the basis as a column (d, 1) against a row (1, d),
     so that each probe is exponentiated once."""
     d, m = sys.g0_dim, sys.center_dim
-    omega_np = sys.ext.omega.to_numpy()
+    omega_np = sys.omega.transpose(0, 2, 1)
     basis = np.eye(d)
     ok = np.ones((d, d), dtype=bool)
     got = delta2(sys, partial(i2, sys), basis[:, None], basis[None], cfg, ok)

@@ -1,8 +1,15 @@
-import pytest
+import os
 
-from leibrack.algebra import canonical_extension
-from leibrack.corpus import abelian3, dim5, heisenberg
-from leibrack.rack import build_rack_system, default_config
+# one BLAS thread, as the benchmark and tools/report_digests.py pin it, so
+# that the tests' wall time does not depend on other load on the machine;
+# set before anything imports numpy, which reads these once
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import pytest  # noqa: E402
+
+from leibrack.algebra import canonical_extension  # noqa: E402
+from leibrack.corpus import abelian3, dim5, heisenberg  # noqa: E402
+from leibrack.rack import build_rack_system, default_config  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -443,7 +443,7 @@ def dim5_extras_one_by_one(sys_, args):
 
     def check(a, b, ac, bc):
         g, h = group_from_coords(chart, a), group_from_coords(chart, b)
-        got_i1 = i1(sys_, sys_.tau_matrix, g).reshape(3, 2)
+        got_i1 = i1(sys_, sys_.omega, g)
         yield sup_norm(got_i1 - dim5_i1_matrix(*a))
         yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
         got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))

@@ -14,7 +14,7 @@ import scipy.linalg
 import leibrack.linalg as linalg
 from leibrack.algebra import LeibnizAlgebra, canonical_extension
 from leibrack.cli import main
-from leibrack.cohomology import Cochain
+from leibrack.cohomology import Cochain, tau
 from leibrack.corpus import (
     abelian3,
     dim5,
@@ -59,6 +59,8 @@ from leibrack.rack_report import dim5_conjugation, dim5_f, dim5_i1_matrix, heise
 from leibrack.suites import (
     augmented_action_suite,
     cocycle_suite,
+    draw_samples,
+    full_suite,
     lie_specialization_suite,
     quadrature_stability_suite,
     rack_axiom_suite,
@@ -211,7 +213,7 @@ def test_singular_conjugator_is_out_of_chart():
 # -- i1 ----------------------------------------------------------------------
 
 def test_i1_vanishes_at_identity(dim5_sys):
-    got = i1(dim5_sys, dim5_sys.tau_matrix, dim5_sys.chart.identity())
+    got = i1(dim5_sys, dim5_sys.omega, dim5_sys.chart.identity())
     assert np.abs(got).max() == 0.0
 
 
@@ -220,17 +222,15 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        got = i1(dim5_sys, dim5_sys.tau_matrix, g)
-        assert np.abs(got.reshape(3, 2) - dim5_i1_matrix(*a)).max() < 1e-10
+        got = i1(dim5_sys, dim5_sys.omega, g)
+        assert np.abs(got - dim5_i1_matrix(*a)).max() < 1e-10
 
 
 def _hom_action(chart, xi, alpha):
-    """g acting on alpha in Hom(g0, a), flattened row by row: the m x d
-    matrix exp(rho_xi) alpha exp(-ad0_xi), from g's log coordinates xi."""
-    alpha = np.reshape(alpha, (chart.center_dim, chart.g0_dim))
-    act = exp_float(chart.rho_of(xi), chart.rho_index) @ alpha \
+    """g acting on the m x d block alpha in Hom(g0, a): exp(rho_xi) alpha
+    exp(-ad0_xi), from g's log coordinates xi."""
+    return exp_float(chart.rho_of(xi), chart.rho_index) @ alpha \
         @ exp_float(-chart.ad0_of(xi), chart.ad0_index)
-    return act.reshape(-1)
 
 
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
@@ -248,7 +248,7 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
         got = i1(dim5_sys, beta, g)
         bmat = np.array(b, float).reshape(3, 2)
         want = scipy.linalg.expm(chart.rho_of(xi)) @ bmat @ scipy.linalg.expm(-chart.ad0_of(xi))
-        assert np.abs(got - (want - bmat).reshape(-1)).max() < 1e-10
+        assert np.abs(got - (want - bmat)).max() < 1e-10
 
 
 def _i1_general_path(sys_, g, cfg, eps=1e-6):
@@ -266,7 +266,7 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
         p = path(s)
         dp = (path(s + eps) - path(s - eps)) / (2 * eps)
         v = chart.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
-        return _hom_action(chart, log_coords(chart, p), sys_.tau_matrix @ v)
+        return _hom_action(chart, log_coords(chart, p), sys_.chart.combo(sys_.omega, v))
     return integrate_01(cfg.quad, [integrand(s) for s in cfg.quad.nodes])
 
 
@@ -275,7 +275,7 @@ def test_i1_general_path_cross_check(dim5_sys, cfg):
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys.chart, a)
-        fast = i1(dim5_sys, dim5_sys.tau_matrix, g)
+        fast = i1(dim5_sys, dim5_sys.omega, g)
         assert np.abs(fast - _i1_general_path(dim5_sys, g, cfg)).max() < 1e-7
 
 
@@ -287,7 +287,7 @@ def test_i1_general_path_nonabelian(cfg):
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
         g = group_from_coords(sys_.chart, a)
-        fast = i1(sys_, sys_.tau_matrix, g)
+        fast = i1(sys_, sys_.omega, g)
         assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
 
 
@@ -304,11 +304,12 @@ def test_i1_on_blocks_matches_the_hom_module_oracle(name):
     # generators, at the exact index of each family or by Pade
     sys_ = build_rack_system(canonical_extension(_I1_ORACLE_INPUTS[name]), 0.5)
     xi = np.random.default_rng(41).uniform(-0.5, 0.5, (50, sys_.g0_dim))
-    want = i1_in_hom_module(sys_, sys_.tau_matrix, xi)
-    got = _i1(sys_, sys_.tau_matrix, xi)
+    m, d = sys_.center_dim, sys_.g0_dim
+    want = i1_in_hom_module(sys_, tau(sys_.ext.omega).to_numpy().T, xi).reshape(50, m, d)
+    got = _i1(sys_, sys_.omega, xi)
     assert got.shape == want.shape and np.abs(want).max() > 0.1
-    bound = 1e-15 * (1.0 + np.abs(want).max(axis=-1))
-    assert (np.abs(got - want).max(axis=-1) <= bound).all()
+    bound = 1e-15 * (1.0 + np.abs(want).max(axis=(-2, -1)))
+    assert (np.abs(got - want).max(axis=(-2, -1)) <= bound).all()
 
 
 # -- i2 ----------------------------------------------------------------------
@@ -895,7 +896,7 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
                         lambda rule, values: calls.append(rule) or integrate_01(rule, values))
     g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
     h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
-    i1(dim5_sys, dim5_sys.tau_matrix, g)
+    i1(dim5_sys, dim5_sys.omega, g)
     i2(dim5_sys, g, h)
     assert not calls
     i2_quadrature(dim5_sys, g, h, cfg.quad)
@@ -1055,10 +1056,55 @@ def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
         assert len(calls) == 2 + k
 
 
-def test_with_chart_radius_copies_without_exact_work(dim5_sys):
+_OMEGA_INPUTS = {"dim5": dim5, "heisenberg": heisenberg}
+
+
+@pytest.mark.parametrize("name", list(_OMEGA_INPUTS))
+def test_a_system_on_another_omega_integrates_that_omega(name, cfg):
+    # the README's recipe, dataclasses.replace on an extension with 2 omega:
+    # i1 and i2 integrate the new omega, as iota2 does, so i2 doubles
+    # exactly (scaling by 2 is exact in floats) and the Lie rows still pass
+    sys_ = build_rack_system(canonical_extension(_OMEGA_INPUTS[name]()))
+    doubled = replace(sys_, ext=replace(sys_.ext, omega=sys_.ext.omega.scale(2)))
+    g, h = draw_samples(sys_, np.random.default_rng(43), 0.1, 30, "gg")
+    ok, ok2 = np.ones(30, dtype=bool), np.ones(30, dtype=bool)
+    want = 2 * i2(sys_, g, h, ok)
+    assert ok.all() and np.abs(want).max() > 0
+    assert i2(doubled, g, h, ok2).tobytes() == want.tobytes() and ok2.all()
+    if name == "heisenberg":
+        results = lie_specialization_suite(doubled, cfg, n_samples=20, seed=0)
+        assert all(r.passed for r in results), [(r.name, r.max_defect) for r in results]
+
+
+@pytest.mark.parametrize("name", list(_OMEGA_INPUTS))
+def test_omega_is_converted_to_floats_once_per_system(name, cfg, monkeypatch):
+    calls = []
+    to_numpy = Cochain.to_numpy
+    monkeypatch.setattr(Cochain, "to_numpy", lambda self: calls.append(self) or to_numpy(self))
+    full_suite(build_rack_system(canonical_extension(_OMEGA_INPUTS[name]())), cfg,
+               n_samples=20, seed=0)
+    assert len(calls) == 1
+
+
+def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeypatch):
+    import leibrack.rack as rack
+    fresh = build_rack_system(dim5_sys.ext, 0.5)
+    heis = build_rack_system(heis_ext, 0.5)
+    omega, heis_omega = dim5_sys.omega, heis.lie_omega
+
+    def exact_work(*args):
+        raise AssertionError("exact work in with_chart_radius")
+    for name in ("chart_from_extension", "joint_nilpotency_index", "lie_cocycle_defect"):
+        monkeypatch.setattr(rack, name, exact_work)
+    monkeypatch.setattr(Cochain, "to_numpy", exact_work)
     wide = dim5_sys.with_chart_radius(8.0)
     assert wide.chart.chart_radius == 8.0 and dim5_sys.chart.chart_radius == 0.5
-    assert wide.ext is dim5_sys.ext and wide.tau_matrix is dim5_sys.tau_matrix
+    assert wide.ext is dim5_sys.ext and wide.omega is omega
+    assert heis.with_chart_radius(8.0).lie_omega is heis_omega
+    # a system whose omega was not converted yet leaves the conversion to the copy
+    assert "omega" not in vars(fresh.with_chart_radius(8.0))
+    monkeypatch.undo()
+    assert (fresh.with_chart_radius(8.0).omega == omega).all()
     assert wide.chart.ad0_basis is dim5_sys.chart.ad0_basis
     assert (wide.chart.ad_index, wide.chart.rho_index, wide.chart.ad0_index) == \
         (dim5_sys.chart.ad_index, dim5_sys.chart.rho_index, dim5_sys.chart.ad0_index)

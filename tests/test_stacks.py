@@ -270,7 +270,7 @@ def _operations(sys_, cfg):
         "conjugate": lambda g, h, b, ok=None: conjugate(chart, g, h, ok),
         "group_product": lambda g, h, b, ok=None: group_product(chart, g, h, ok),
         "group_action": lambda g, h, b, ok=None: group_action(chart, g, ok),
-        "i1": lambda g, h, b, ok=None: i1(sys_, sys_.tau_matrix, g, ok),
+        "i1": lambda g, h, b, ok=None: i1(sys_, sys_.omega, g, ok),
         "i2": lambda g, h, b, ok=None: i2(sys_, g, h, ok),
         "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, cfg.quad, ok),
         "augmented_action": lambda g, h, b, ok=None: augmented_action(
