@@ -2,7 +2,8 @@
 augmented Lie racks, and verify every identity along the way.
 
 The exact layer (``exact``, ``algebra``, ``cohomology``, ``fileio``,
-``corpus``) imports no numpy, and importing the package loads only it.
+``corpus``) imports neither numpy nor ``dataclasses``, and importing the
+package loads only it.
 The float names (the rack, its cochains and the quadrature) resolve on
 first use through the module ``__getattr__``, which imports their module
 and is not cached here: each lookup reads the defining module's current

@@ -41,7 +41,6 @@ cochain or action is evaluated on a dense vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -74,17 +73,19 @@ class ValidationError(ValueError):
         self.defect = defect
 
 
-@dataclass(frozen=True)
 class LeibnizAlgebra:
     """[e_i, e_j] = sum_k c_ij^k e_k, stored only as ``terms``: terms[i][j] lists
-    the (k, c_ij^k) with c_ij^k != 0 in increasing k; ``c`` builds the dense tensor."""
+    the (k, c_ij^k) with c_ij^k != 0 in increasing k; ``c`` builds the dense tensor.
+    Immutable by convention, like ``Matrix``; equal tables compare equal."""
 
-    dim: int
-    basis_names: tuple[str, ...]
-    terms: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    # __dict__ holds what ``leibniz_ok`` records
+    __slots__ = ("dim", "basis_names", "terms", "__dict__")
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, basis_names: tuple[str, ...],
+                 terms: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]):
+        self.dim = n = dim
+        self.basis_names = basis_names
+        self.terms = terms
         if len(self.basis_names) != n:
             raise ValueError("need one name per basis element")
         if len(self.terms) != n or any(len(row) != n for row in self.terms):
@@ -95,6 +96,15 @@ class LeibnizAlgebra:
                 if [k for k, _ in t] != sorted({k for k, a in t if a and 0 <= k < n}):
                     raise ValueError(f"terms[{i}][{j}] is not a list of nonzero (k, c) "
                                      f"with k increasing in [0, {n})")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LeibnizAlgebra):
+            return NotImplemented
+        return (self.dim, self.basis_names, self.terms) == \
+            (other.dim, other.basis_names, other.terms)
+
+    def __hash__(self):
+        return hash((self.dim, self.basis_names, self.terms))
 
     @cached_property
     def leibniz_ok(self) -> bool:
@@ -257,7 +267,6 @@ def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
 # representations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Representation:
     """A Leibniz module: two actions [x, m]_L and [m, x]_R on a carrier,
     one exact matrix per algebra basis element each.
@@ -270,14 +279,18 @@ class Representation:
     does not use: i1 acts on it through rho and ad0) gets it from the
     parent's Leibniz identity, which ``canonical_extension`` checks.  With
     right = -left, (LML) is -(LLM) and (MLL) is (LLM); with right = 0, both
-    read 0 = 0.
+    read 0 = 0.  Immutable by convention; two compare by identity.
     """
 
-    algebra: LeibnizAlgebra
-    carrier_dim: int
-    left: tuple[Matrix, ...]
-    right: tuple[Matrix, ...]
-    flavor: str
+    __slots__ = ("algebra", "carrier_dim", "left", "right", "flavor")
+
+    def __init__(self, algebra: LeibnizAlgebra, carrier_dim: int, left: tuple[Matrix, ...],
+                 right: tuple[Matrix, ...], flavor: str):
+        self.algebra = algebra
+        self.carrier_dim = carrier_dim
+        self.left = left
+        self.right = right
+        self.flavor = flavor
 
     @staticmethod
     def symmetric(alg, left, carrier_dim=None) -> "Representation":
@@ -314,7 +327,6 @@ class Representation:
 # canonical abelian extension by the left center
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CentralExtensionData:
     """The decomposition g = g0 (+)_omega Z_L(g), stored as one exact change
     of basis and the data (g0, rho, omega), each once.
@@ -330,15 +342,23 @@ class CentralExtensionData:
       assemble_extension(g0, rho, omega) onto the parent.
     * g0_matrices realize g0 faithfully inside End(g); that realization is
       what the integration layer exponentiates.
+
+    Immutable by convention; two compare by identity.
     """
 
-    parent: LeibnizAlgebra
-    complement_pivots: tuple[int, ...]
-    rep: Representation
-    omega: "Cochain"
-    g0_matrices: tuple[Matrix, ...]
-    to_parent: Matrix    # (g0, center) coords -> g coords (n x n)
-    from_parent: Matrix  # g coords -> (g0, center) coords (n x n)
+    __slots__ = ("parent", "complement_pivots", "rep", "omega", "g0_matrices",
+                 "to_parent", "from_parent")
+
+    def __init__(self, parent: LeibnizAlgebra, complement_pivots: tuple[int, ...],
+                 rep: Representation, omega: "Cochain", g0_matrices: tuple[Matrix, ...],
+                 to_parent: Matrix, from_parent: Matrix):
+        self.parent = parent
+        self.complement_pivots = complement_pivots
+        self.rep = rep
+        self.omega = omega
+        self.g0_matrices = g0_matrices
+        self.to_parent = to_parent      # (g0, center) coords -> g coords (n x n)
+        self.from_parent = from_parent  # g coords -> (g0, center) coords (n x n)
 
     @property
     def g0(self) -> LeibnizAlgebra:

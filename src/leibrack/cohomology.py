@@ -16,7 +16,6 @@ rack differential, are in ``rack``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -30,7 +29,6 @@ if TYPE_CHECKING:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
 class Cochain:
     """Multilinear map g^(x n) -> coefficients, held as its nonzero values.
 
@@ -38,14 +36,17 @@ class Cochain:
     nonzero to that value, an exact coefficient vector with at least one
     nonzero entry; every other tuple has the zero value.  That is the one
     stored form, so equal cochains compare equal.  ``from_terms`` sums
-    terms into it and ``from_function`` takes dense input."""
+    terms into it and ``from_function`` takes dense input.  Immutable by
+    convention, like ``Matrix``."""
 
-    degree: int
-    domain_dim: int
-    coeff_dim: int
-    nonzeros: dict[tuple[int, ...], Vec]
+    __slots__ = ("degree", "domain_dim", "coeff_dim", "nonzeros")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, domain_dim: int, coeff_dim: int,
+                 nonzeros: dict[tuple[int, ...], Vec]):
+        self.degree = degree
+        self.domain_dim = domain_dim
+        self.coeff_dim = coeff_dim
+        self.nonzeros = nonzeros
         for idx, val in self.nonzeros.items():
             if len(idx) != self.degree or not all(0 <= i < self.domain_dim for i in idx):
                 raise ValueError(f"{idx} is not a degree-{self.degree} index "
@@ -53,6 +54,12 @@ class Cochain:
             if len(val) != self.coeff_dim or not any(val):
                 raise ValueError(f"value at {idx} is not a nonzero vector "
                                  f"of length {self.coeff_dim}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return (self.degree, self.domain_dim, self.coeff_dim, self.nonzeros) == \
+            (other.degree, other.domain_dim, other.coeff_dim, other.nonzeros)
 
     def __hash__(self):
         return hash((self.degree, self.domain_dim, self.coeff_dim,

@@ -1,7 +1,6 @@
 """Structure constants, identities, center, squares ideal, and the
 canonical extension data, all exact."""
 
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +21,7 @@ from leibrack.algebra import (
     squares_ideal,
     validate_leibniz,
 )
+from leibrack.cohomology import Cochain
 from leibrack.corpus import (
     abelian3,
     dim5,
@@ -115,6 +115,25 @@ def test_from_terms_sums_repeated_terms_and_drops_zero_sums():
 def test_the_table_is_checked_on_construction(terms):
     with pytest.raises(ValueError):
         LeibnizAlgebra(2, ("e1", "e2"), terms)
+
+
+_ONE_ZERO = (Matrix.zeros(1, 1),)
+_EMPTY_TABLE = (((), ()), ((), ()))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LeibnizAlgebra(2, ("e1",), _EMPTY_TABLE), "one name per basis element"),
+    (lambda: Representation._build(heisenberg(), _ONE_ZERO, _ONE_ZERO, "symmetric"),
+     "one action matrix per basis element"),
+    (lambda: Cochain(2, 2, 1, {(0,): (Fraction(1),)}), "not a degree-2 index"),
+    (lambda: Cochain(2, 2, 1, {(0, 2): (Fraction(1),)}), "not a degree-2 index"),
+    (lambda: Cochain(2, 2, 1, {(0, 1): (Fraction(0),)}), "not a nonzero vector"),
+    (lambda: Cochain(2, 2, 1, {(0, 1): (Fraction(1), Fraction(1))}), "not a nonzero vector"),
+], ids=["algebra_names", "representation_actions", "cochain_degree", "cochain_range",
+        "cochain_zero_value", "cochain_value_length"])
+def test_the_exact_records_check_their_fields_on_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def filiform(n):
@@ -300,8 +319,8 @@ def test_extension_fields_keep_their_shapes_when_g0_or_the_center_is_zero(alg, d
     n = alg.dim
     assert (ext.g0_dim, ext.center_dim) == (d, m)
     shape = lambda mat: (mat.rows, mat.cols)
-    assert [f.name for f in fields(ext)] == ["parent", "complement_pivots", "rep", "omega",
-                                             "g0_matrices", "to_parent", "from_parent"]
+    assert type(ext).__slots__ == ("parent", "complement_pivots", "rep", "omega",
+                                   "g0_matrices", "to_parent", "from_parent")
     assert shape(ext.to_parent) == shape(ext.from_parent) == (n, n)
     assert ext.to_parent @ ext.from_parent == Matrix.identity(n)
     assert [shape(r) for r in ext.rho] == [(m, m)] * d

@@ -2,13 +2,15 @@
 
 The package never imports scipy: every report, on nilpotent input and on
 input whose exp and phi1 take the Pade kernel, runs without it.  The exact
-path never imports numpy or the float modules: ``import leibrack``,
-parsing, the built-ins, the extension, ``verify`` and ``analyze``, and an
-``integrate`` that a cap refuses.  Every name the package exported before
-its float half became lazy still resolves, to its defining module's
-object, and so does every binding the benchmark's tracer
-(``perfbench/tracer.py``, read, not changed) wraps; a first report under
-that tracer leaves no wrapper behind in the lazily imported float half."""
+path never imports numpy, the float modules, or the stdlib's
+``dataclasses`` and the ``inspect`` it imports (the exact records are
+plain classes): ``import leibrack``, parsing, the built-ins, the
+extension, ``verify`` and ``analyze``, and an ``integrate`` that a cap
+refuses.  Every name the package exported before its float half became
+lazy still resolves, to its defining module's object, and so does every
+binding the benchmark's tracer (``perfbench/tracer.py``, read, not
+changed) wraps; a first report under that tracer leaves no wrapper behind
+in the lazily imported float half."""
 
 import json
 import subprocess
@@ -22,6 +24,8 @@ from leibrack.fileio import write_algebra_file
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 FLOAT_MODULES = ("leibrack.linalg", "leibrack.rack", "leibrack.suites", "leibrack.rack_report")
+# stdlib modules that only the float half loads: its records are dataclasses
+FLOAT_STDLIB = ("dataclasses", "inspect")
 
 # the names ``leibrack/__init__.py`` exported when it imported them all
 # eagerly, by the module that defines each now
@@ -60,8 +64,8 @@ def scipy_modules():
 
 
 def float_modules():
-    return sorted(m for m in sys.modules
-                  if m == "numpy" or m.startswith("numpy.") or m in {FLOAT_MODULES!r})
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")
+                  or m in {FLOAT_MODULES + FLOAT_STDLIB!r})
 """
 
 
@@ -140,7 +144,7 @@ print(json.dumps({{"files": [f.stem for f in files], "codes": codes, "loaded": l
                             "integrate filiform16": 2, "integrate dim5": 0, "example heisenberg": 0}
     floats = got["loaded"].pop("integrate")
     assert got["loaded"] == {"import": [], "parse": [], "extension": [], "reports": []}
-    assert "numpy" in floats and set(FLOAT_MODULES) <= set(floats)
+    assert "numpy" in floats and set(FLOAT_MODULES + FLOAT_STDLIB) <= set(floats)
 
 
 def test_every_old_export_resolves_to_its_defining_modules_object():
