@@ -268,59 +268,50 @@ def squares_ideal(alg: LeibnizAlgebra) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 class Representation:
-    """A Leibniz module: two actions [x, m]_L and [m, x]_R on a carrier,
-    one exact matrix per algebra basis element each.
+    """A Leibniz module: the left action [x, m]_L on a carrier, one exact
+    matrix per algebra basis element, and the flavor that fixes the right
+    action [m, x]_R: -[x, m]_L for 'symmetric', 0 for 'anti_symmetric'.
+    No right action is stored, so none can contradict the flavor.
 
-    flavor 'symmetric' forces right = -left, 'anti_symmetric' forces
-    right = 0.  A plain record: construction checks the shapes only.  The
-    module axiom (LLM) is not checked here; every module the package builds
-    (rho on the left center, the symmetric rho module, and
-    ``cohomology.hom_representation``'s Hom(g0, Z_L), which the float layer
-    does not use: i1 acts on it through rho and ad0) gets it from the
+    A plain record: construction checks one action per basis element and
+    the flavor.  The module axiom (LLM) is not checked here; every module
+    the package builds (rho on the left center, the symmetric rho module,
+    and ``cohomology.hom_representation``'s Hom(g0, Z_L), which the float
+    layer does not use: i1 acts on it through rho and ad0) gets it from the
     parent's Leibniz identity, which ``canonical_extension`` checks.  With
     right = -left, (LML) is -(LLM) and (MLL) is (LLM); with right = 0, both
-    read 0 = 0.  Immutable by convention; two compare by identity.
+    read 0 = 0.  ``carrier_dim`` None reads the carrier off the first
+    action.  Immutable by convention; two compare by identity.
     """
 
-    __slots__ = ("algebra", "carrier_dim", "left", "right", "flavor")
+    __slots__ = ("algebra", "carrier_dim", "left", "flavor")
 
-    def __init__(self, algebra: LeibnizAlgebra, carrier_dim: int, left: tuple[Matrix, ...],
-                 right: tuple[Matrix, ...], flavor: str):
+    def __init__(self, algebra: LeibnizAlgebra, carrier_dim: int | None,
+                 left: Sequence[Matrix], flavor: str):
+        left = tuple(left)
+        if len(left) != algebra.dim:
+            raise ValueError("need one action matrix per basis element")
+        if flavor not in ("symmetric", "anti_symmetric"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        if carrier_dim is None:
+            carrier_dim = left[0].rows if left else 0
         self.algebra = algebra
         self.carrier_dim = carrier_dim
         self.left = left
-        self.right = right
         self.flavor = flavor
 
     @staticmethod
     def symmetric(alg, left, carrier_dim=None) -> "Representation":
-        left = tuple(left)
-        return Representation._build(alg, left, tuple(-m for m in left),
-                                     "symmetric", carrier_dim)
+        return Representation(alg, carrier_dim, left, "symmetric")
 
     @staticmethod
     def anti_symmetric(alg, left, carrier_dim=None) -> "Representation":
-        left = tuple(left)
-        m = Representation._carrier(left, carrier_dim)
-        zeros = tuple(Matrix.zeros(m, m) for _ in left)
-        return Representation._build(alg, left, zeros, "anti_symmetric", m)
+        return Representation(alg, carrier_dim, left, "anti_symmetric")
 
     @staticmethod
     def trivial(alg, carrier_dim) -> "Representation":
-        z = tuple(Matrix.zeros(carrier_dim, carrier_dim) for _ in range(alg.dim))
-        return Representation._build(alg, z, z, "symmetric", carrier_dim)
-
-    @staticmethod
-    def _carrier(left, carrier_dim):
-        if carrier_dim is not None:
-            return carrier_dim
-        return left[0].rows if left else 0
-
-    @staticmethod
-    def _build(alg, left, right, flavor, carrier_dim=None) -> "Representation":
-        if len(left) != alg.dim or len(right) != alg.dim:
-            raise ValueError("need one action matrix per basis element")
-        return Representation(alg, Representation._carrier(left, carrier_dim), left, right, flavor)
+        z = Matrix.zeros(carrier_dim, carrier_dim)
+        return Representation(alg, carrier_dim, (z,) * alg.dim, "symmetric")
 
 
 # ---------------------------------------------------------------------------

@@ -168,17 +168,20 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
 
     Each nonzero value of w is sent to the outputs it reaches: through the
     nonzero left actions at every insert position i < n, through the
-    nonzero right actions appended last, and, for each slot s holding p and
-    each nonzero c = [e_a, e_b]_p of the table, to the output with b at
-    slot s and a inserted at a position i <= s.  The work costs by the
-    nonzeros of w, of the actions and of the table.
+    nonzero right actions appended last (those the flavor fixes: -left on
+    a symmetric module, none on an anti-symmetric one), and, for each slot
+    s holding p and each nonzero c = [e_a, e_b]_p of the table, to the
+    output with b at slot s and a inserted at a position i <= s.  The work
+    costs by the nonzeros of w, of the actions and of the table.
     """
     alg = rep.algebra
     if w.domain_dim != alg.dim or w.coeff_dim != rep.carrier_dim:
         raise ValueError("cochain does not match the representation")
     n = w.degree
     left = [(a, m) for a, m in enumerate(rep.left) if not m.is_zero()]
-    right = [(a, m) for a, m in enumerate(rep.right) if not m.is_zero()]
+    # [m, e_a]_R is -[e_a, m]_L on a symmetric module, whose sign the
+    # right term's (-1)^n absorbs, and 0 on an anti-symmetric one
+    right = left if rep.flavor == "symmetric" else ()
     # into[p]: the (a, b, c) with c = [e_a, e_b]_p != 0
     into = [[] for _ in range(alg.dim)]
     for a, row in enumerate(alg.terms):
@@ -193,7 +196,7 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
             for i in range(n):
                 yield idx[:i] + (a,) + idx[i:], (-1) ** i, v
         for a, m in right:
-            yield idx + (a,), (-1) ** (n + 1), m.mat_vec(val)
+            yield idx + (a,), (-1) ** n, m.mat_vec(val)
         for s, p in enumerate(idx):
             for a, b, c in into[p]:
                 for i in range(s + 1):

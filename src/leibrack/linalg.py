@@ -4,11 +4,13 @@ on plain ``numpy`` arrays.
 
 The exact scalar world (``Matrix``, Fraction vectors, ``rref``, the
 nilpotency indices, the finite exp and log series) lives in ``exact``,
-which imports no numpy; this module re-exports its names, so that
-``linalg.rref`` and ``exact.rref`` are one object.  The crossings from
-exact to float, ``Matrix.to_numpy`` and ``Cochain.to_numpy``, are made on
-this side only (by ``rack`` and ``suites``): each imports numpy when
-called.
+which imports no numpy, and each of its names is imported from there.
+This module takes four of them: ``OutOfChartError``, which ``log_float``
+raises, and ``rref``, ``matrix_log`` and ``nilpotency_index``, which the
+benchmark's tracer (``perfbench/tracer.py``) binds under this module's
+name.  The crossings from exact to float, ``Matrix.to_numpy`` and
+``Cochain.to_numpy``, are made on this side only (by ``rack``): each
+imports numpy when called.
 
 The kernels are ``exp_float``, ``phi1_float`` (the integral
 int_0^1 exp(s a) v ds, or int_0^1 exp(s a) v exp(-s b) ds given a right
@@ -38,23 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (  # noqa: F401  (re-exported: one object under both names)
-    Matrix,
-    OutOfChartError,
-    Rational,
-    Vec,
-    as_vec,
-    inverse_exact,
-    joint_nilpotency_index,
-    matrix_exp,
-    matrix_log,
-    nilpotency_index,
-    nullspace,
-    rref,
-    rref_nullspace,
-    vec_sub,
-    zero_vec,
-)
+from .exact import OutOfChartError
+# the benchmark's tracer binds these three under ``leibrack.linalg``
+from .exact import matrix_log, nilpotency_index, rref  # noqa: F401
 
 
 def norm1_float(a: np.ndarray) -> float | np.ndarray:

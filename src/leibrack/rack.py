@@ -84,13 +84,12 @@ import numpy as np
 
 from .algebra import CentralExtensionData, Representation, ad_matrix
 from .cohomology import Cochain, leibniz_differential
+from .exact import OutOfChartError, joint_nilpotency_index
 from .linalg import (
-    OutOfChartError,
     QuadratureRule,
     exp_float,
     gauss_legendre_01,
     integrate_01,
-    joint_nilpotency_index,
     log_float,
     matvec,
     norm1_float,

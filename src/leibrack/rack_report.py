@@ -23,6 +23,10 @@ from .algebra import CentralExtensionData
 from .cli import _overflow_error
 from .exact import OutOfChartError
 
+# the least chart radius of the i2 probe and the dim5 extras, whose
+# unit-scale group elements leave the default chart
+WIDE_CHART_RADIUS = 8.0
+
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
     "general-arity formula and the expansions the cocycle-integration "
@@ -94,8 +98,9 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     if d == 0:
         return None
     x = np.eye(d)[0]
+    radius = max(args.chart_radius, WIDE_CHART_RADIUS)
     try:
-        wide = sys_.with_chart_radius(max(args.chart_radius, 8.0))
+        wide = sys_.with_chart_radius(radius)
         g = rack.group_from_coords(wide.chart, x)
         value = rack.i2(wide, g, g)
     except OutOfChartError as exc:
@@ -103,7 +108,7 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     return {
         "coords": [list(map(float, x))] * 2,
         "value": [float(c) for c in value],
-        "chart_radius_used": max(args.chart_radius, 8.0),
+        "chart_radius_used": radius,
     }
 
 
@@ -162,7 +167,7 @@ def heisenberg_iota2(g, h) -> np.ndarray:
 
 def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
+    sys_ = sys_.with_chart_radius(max(args.chart_radius, WIDE_CHART_RADIUS))
     chart = sys_.chart
 
     def sample_coords():

@@ -29,9 +29,12 @@ and two; ``lie_specialization_suite`` two iota2, of four pairs and then
 three.  The round trips pair the basis as a column (k, 1) against a row
 (1, k), so each probe is exponentiated once.
 
-A value is computed once per suite.  A later property may reuse a value
-that an earlier one computed, since the gates it passed are already in
-the later property's cumulative mask, never the reverse: the three rows of
+A value is computed once per suite, except in ``cocycle_suite``: its i2
+takes group elements, so it conjugates h |> k and g |> k again, which the
+suite's conjugation already formed, and logs g in two slices; its
+``group_action`` logs g and g |> h again.  A later property may reuse a
+value that an earlier one computed, since the gates it passed are already
+in the later property's cumulative mask, never the reverse: the three rows of
 ``cocycle_suite`` share their conjugations, i2 values and actions, and row
 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1 and,
 like ``quadrature_stability_suite``, takes i2 from one conjugation and its

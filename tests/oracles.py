@@ -37,7 +37,8 @@ omega as the projections of the dense lifted brackets) and
 rows, and dense row tuples; ``cochain_dense`` and
 ``cochain_from_dense`` do the same between a ``Cochain``, which stores only
 its nonzero values, and its flat row-major values.
-``leibniz_differential_by_definition`` is dL gathered output by output.
+``leibniz_differential_by_definition`` is dL gathered output by output,
+with the right action that the module's flavor fixes (``right_action``).
 
 The first section holds the helpers that only the tests call, kept out of
 the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
@@ -53,18 +54,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from leibrack import algebra, linalg
+from leibrack import algebra, exact, linalg
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
 from leibrack.cohomology import Cochain, hom_representation
 from leibrack.corpus import random_leibniz
-from leibrack.linalg import (
-    OutOfChartError,
-    gauss_legendre_01,
-    joint_nilpotency_index,
-    matvec,
-    phi1_float,
-    rref,
-)
+from leibrack.exact import Matrix, OutOfChartError, as_vec, joint_nilpotency_index, rref, zero_vec
+from leibrack.linalg import gauss_legendre_01, matvec, phi1_float
 from leibrack.rack import (
     LocalRackElement,
     RackCochainFn,
@@ -580,8 +575,8 @@ def dense(m):
 
 def from_dense(rows, cols, data):
     """The rows x cols matrix with the dense row tuples data."""
-    return linalg.Matrix.from_terms(rows, cols, ((r, j, a) for r, row in enumerate(data)
-                                                 for j, a in enumerate(row)))
+    return Matrix.from_terms(rows, cols, ((r, j, a) for r, row in enumerate(data)
+                                          for j, a in enumerate(row)))
 
 
 def cochain_dense(w):
@@ -609,12 +604,21 @@ def _axpy(out: list, s, term) -> None:
             out[k] += s * t
 
 
+def right_action(rep, a):
+    """[-, e_a]_R as the module's flavor defines it: -[e_a, -]_L on a
+    symmetric module, 0 on an anti-symmetric one."""
+    if rep.flavor == "symmetric":
+        return -rep.left[a]
+    return Matrix.zeros(rep.carrier_dim, rep.carrier_dim)
+
+
 def leibniz_differential_by_definition(rep, w):
     """dL read off its defining formula one output at a time: each of the
     d^(n+1) index tuples gathers the module terms and the bracket terms
     from the values of w, the gather form that the scatter in
-    ``cohomology.leibniz_differential`` replaced.  Degree 0 is the
-    convention dL beta(x) = -[beta, x]_R."""
+    ``cohomology.leibniz_differential`` replaced, with the right action
+    read off the flavor by ``right_action``.  Degree 0 is the convention
+    dL beta(x) = -[beta, x]_R."""
     alg = rep.algebra
     if w.domain_dim != alg.dim or w.coeff_dim != rep.carrier_dim:
         raise ValueError("cochain does not match the representation")
@@ -624,16 +628,16 @@ def leibniz_differential_by_definition(rep, w):
         beta = w.at()
 
         def d0(x):
-            return vec_scale(-1, rep.right[x].mat_vec(beta))
+            return vec_scale(-1, right_action(rep, x).mat_vec(beta))
         return Cochain.from_function(1, alg.dim, rep.carrier_dim, d0)
 
     def dw(*idx):
-        out = list(linalg.zero_vec(rep.carrier_dim))
+        out = list(zero_vec(rep.carrier_dim))
         # sum_{i<n} (-1)^i [x_i, w(..hat i..)]_L
         for i in range(n):
             _axpy(out, (-1) ** i, rep.left[idx[i]].mat_vec(w.at(*(idx[:i] + idx[i + 1:]))))
         # (-1)^(n-1) [w(x_0..x_{n-1}), x_n]_R
-        _axpy(out, (-1) ** (n - 1), rep.right[idx[n]].mat_vec(w.at(*idx[:n])))
+        _axpy(out, (-1) ** (n - 1), right_action(rep, idx[n]).mat_vec(w.at(*idx[:n])))
         # sum_{i<j} (-1)^(i+1) w(.., hat i, .., [x_i, x_j] at slot j, ..)
         for i in range(n + 1):
             rest = idx[:i] + idx[i + 1:]
@@ -656,7 +660,7 @@ def dense_matmul(a, b):
 
 
 def dense_mat_vec(m, v):
-    v = linalg.as_vec(v)
+    v = as_vec(v)
     if len(v) != m.cols:
         raise ValueError("dimension mismatch")
     return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in dense(m))
@@ -670,11 +674,11 @@ def left_of(rep, x):
     """The action matrix of [x, -]_L, sum_i x_i left[i] summed over the
     nonzero x_i and the nonzero entries, x a vector of the algebra's
     dimension."""
-    x = linalg.as_vec(x)
+    x = as_vec(x)
     if len(x) != rep.algebra.dim:
         raise ValueError("vector length must equal the algebra dimension")
     k = rep.carrier_dim
-    return linalg.Matrix.from_terms(k, k, (
+    return Matrix.from_terms(k, k, (
         (r, j, xi * a) for i, xi in enumerate(x) if xi
         for r, row in enumerate(rep.left[i].nonzeros) for j, a in row))
 
@@ -695,7 +699,7 @@ def module_axiom_failure(rep):
 
 def dense_left_of(rep, x):
     """sum_i x_i left[i], entry by entry."""
-    x = linalg.as_vec(x)
+    x = as_vec(x)
     k = rep.carrier_dim
     left = [dense(m) for m in rep.left]
     return from_dense(k, k, tuple(
@@ -706,7 +710,7 @@ def dense_left_of(rep, x):
 def dense_ad_matrix(alg, x):
     """ad_x, column j the bracket [x, e_j]."""
     cols = [bracket(alg, x, alg.basis_vector(j)) for j in range(alg.dim)]
-    return linalg.Matrix.from_cols(alg.dim, cols)
+    return Matrix.from_cols(alg.dim, cols)
 
 
 def dense_rref(m):
@@ -739,10 +743,10 @@ def flag_nilpotency_index(mats):
     if not mats:
         return 1
     n = mats[0].rows
-    basis = dense(linalg.Matrix.identity(n))
+    basis = dense(Matrix.identity(n))
     k = 1
     while True:
-        red, pivots = dense_rref(linalg.Matrix.from_rows(
+        red, pivots = dense_rref(Matrix.from_rows(
             [dense_mat_vec(m, v) for m in mats for v in basis]))
         if not pivots:
             return k
@@ -753,7 +757,7 @@ def flag_nilpotency_index(mats):
 
 
 def _rank(rows):
-    return len(dense_rref(linalg.Matrix.from_rows(rows))[1])
+    return len(dense_rref(Matrix.from_rows(rows))[1])
 
 
 def span_contains(basis_rows, v):
@@ -794,7 +798,7 @@ def squares_ideal_two_rank(alg):
         frontier = new_frontier
     if not gens:
         return []
-    red, pivots = dense_rref(linalg.Matrix.from_rows(gens))
+    red, pivots = dense_rref(Matrix.from_rows(gens))
     return list(dense(red)[:len(pivots)])
 
 
@@ -809,7 +813,7 @@ def hom_generators_kron(rep):
     """The Hom(g, a) generators rho_p (x) I - I (x) ad_p^T, entry by entry."""
     alg = rep.algebra
     m, d = rep.carrier_dim, alg.dim
-    eye_d, eye_m = linalg.Matrix.identity(d), linalg.Matrix.identity(m)
+    eye_d, eye_m = Matrix.identity(d), Matrix.identity(m)
     mats = []
     for p in range(d):
         # ad_p^T: row j is the column [e_p, e_j] of ad_p
@@ -825,7 +829,7 @@ def _projections(ext):
     """The rows of from_parent as the projections onto g0 (d x n) and onto
     the center (m x n)."""
     n, d, rows = ext.parent.dim, ext.g0_dim, ext.from_parent.nonzeros
-    return linalg.Matrix(d, n, rows[:d]), linalg.Matrix(n - d, n, rows[d:])
+    return Matrix(d, n, rows[:d]), Matrix(n - d, n, rows[d:])
 
 
 def validate_extension_pairwise(ext):
@@ -899,11 +903,11 @@ def assemble_extension_dense(g0, rho, omega):
 # (owner, attribute, dense replacement): patched in, canonical_extension
 # runs on the dense oracles above
 DENSE_EXACT_LAYER = (
-    (linalg.Matrix, "__matmul__", dense_matmul),
-    (linalg.Matrix, "mat_vec", dense_mat_vec),
-    (linalg.Matrix, "is_zero", dense_is_zero),
+    (exact.Matrix, "__matmul__", dense_matmul),
+    (exact.Matrix, "mat_vec", dense_mat_vec),
+    (exact.Matrix, "is_zero", dense_is_zero),
     (sys.modules[__name__], "left_of", dense_left_of),
-    (linalg, "rref", dense_rref),
+    (exact, "rref", dense_rref),
     (algebra, "rref", dense_rref),
     (algebra, "ad_matrix", dense_ad_matrix),
     (algebra, "_validate_extension", validate_extension_pairwise),

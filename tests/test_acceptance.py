@@ -16,7 +16,8 @@ from leibrack.cohomology import (
     tau,
 )
 from leibrack.corpus import abelian3, dim5, heisenberg
-from leibrack.linalg import Matrix, gauss_legendre_01
+from leibrack.exact import Matrix
+from leibrack.linalg import gauss_legendre_01
 from leibrack.rack import (
     build_rack_system,
     default_config,

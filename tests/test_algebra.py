@@ -21,7 +21,7 @@ from leibrack.algebra import (
     squares_ideal,
     validate_leibniz,
 )
-from leibrack.cohomology import Cochain
+from leibrack.cohomology import Cochain, leibniz_differential
 from leibrack.corpus import (
     abelian3,
     dim5,
@@ -30,7 +30,7 @@ from leibrack.corpus import (
     heisenberg,
     random_leibniz,
 )
-from leibrack.linalg import Matrix
+from leibrack.exact import Matrix
 from oracles import random_corpus, rank
 
 E = lambda n, i: tuple(Fraction(int(j == i)) for j in range(n))
@@ -123,14 +123,15 @@ _EMPTY_TABLE = (((), ()), ((), ()))
 
 @pytest.mark.parametrize("build, message", [
     (lambda: LeibnizAlgebra(2, ("e1",), _EMPTY_TABLE), "one name per basis element"),
-    (lambda: Representation._build(heisenberg(), _ONE_ZERO, _ONE_ZERO, "symmetric"),
+    (lambda: Representation(heisenberg(), 1, _ONE_ZERO, "symmetric"),
      "one action matrix per basis element"),
+    (lambda: Representation(heisenberg(), 1, _ONE_ZERO * 3, "left"), "unknown flavor"),
     (lambda: Cochain(2, 2, 1, {(0,): (Fraction(1),)}), "not a degree-2 index"),
     (lambda: Cochain(2, 2, 1, {(0, 2): (Fraction(1),)}), "not a degree-2 index"),
     (lambda: Cochain(2, 2, 1, {(0, 1): (Fraction(0),)}), "not a nonzero vector"),
     (lambda: Cochain(2, 2, 1, {(0, 1): (Fraction(1), Fraction(1))}), "not a nonzero vector"),
-], ids=["algebra_names", "representation_actions", "cochain_degree", "cochain_range",
-        "cochain_zero_value", "cochain_value_length"])
+], ids=["algebra_names", "representation_actions", "representation_flavor", "cochain_degree",
+        "cochain_range", "cochain_zero_value", "cochain_value_length"])
 def test_the_exact_records_check_their_fields_on_construction(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -426,11 +427,26 @@ def test_left_of_rejects_a_vector_of_another_length():
             oracles.left_of(rep, x)
 
 
-def test_symmetric_flavor_forces_right_action():
+def test_a_representation_stores_no_right_action():
+    assert Representation.__slots__ == ("algebra", "carrier_dim", "left", "flavor")
+
+
+@pytest.mark.parametrize("make, sign", [
+    (lambda g0, rho: Representation.symmetric(g0, rho, carrier_dim=3), 1),
+    (lambda g0, rho: Representation.anti_symmetric(g0, rho, carrier_dim=3), 0),
+    (lambda g0, rho: Representation.trivial(g0, 3), 0),
+], ids=["symmetric", "anti_symmetric", "trivial"])
+def test_symmetric_flavor_forces_right_action(make, sign):
+    """dL beta(x) = -[beta, x]_R reads the right action the flavor fixes:
+    [x, beta]_L on a symmetric module, 0 on an anti-symmetric one and on the
+    trivial module."""
     ext = canonical_extension(dim5())
-    rep = Representation.symmetric(ext.g0, ext.rho, carrier_dim=3)
-    for left, right in zip(rep.left, rep.right):
-        assert (left + right).is_zero()
+    rep = make(ext.g0, ext.rho)
+    d = ext.g0.dim
+    for k in range(3):
+        got = leibniz_differential(rep, Cochain.from_function(0, d, 3, lambda: E(3, k)))
+        for x in range(d):
+            assert got.at(x) == tuple(sign * c for c in ext.rho[x].mat_vec(E(3, k)))
 
 
 def test_random_corpus_is_valid_and_nontrivial():

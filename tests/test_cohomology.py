@@ -17,7 +17,7 @@ from leibrack.corpus import (
     heisenberg,
     random_leibniz,
 )
-from leibrack.linalg import Matrix
+from leibrack.exact import Matrix
 from leibrack.rack import (
     RackCochainFn,
     RackModuleStructure,

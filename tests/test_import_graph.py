@@ -10,14 +10,19 @@ refuses.  Every name the package exported before its float half became
 lazy still resolves, to its defining module's object, and so does every
 binding the benchmark's tracer (``perfbench/tracer.py``, read, not
 changed) wraps; a first report under that tracer leaves no wrapper behind
-in the lazily imported float half."""
+in the lazily imported float half.  Each name ``exact`` defines is imported
+from ``exact``: no module takes one through ``linalg``, which holds only
+the four that it raises or that the tracer binds under its name."""
 
+import ast
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import leibrack.exact as exact
+import leibrack.linalg as linalg
 from leibrack.algebra import LeibnizAlgebra
 from leibrack.fileio import write_algebra_file
 
@@ -206,3 +211,55 @@ left = sorted(k for k, v in vars(rack_report).items() if hasattr(v, "__wrapped__
 print(json.dumps({{"code": code, "left": left}}))
 """)
     assert got == {"code": 0, "left": []}
+
+
+# the names ``exact`` defines that ``linalg`` holds: the error its
+# ``log_float`` raises, and the three the tracer binds under ``linalg``
+LINALG_EXACT_NAMES = {"OutOfChartError", "matrix_log", "nilpotency_index", "rref"}
+
+
+def _defined_names(path: Path) -> set[str]:
+    """The names a module defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _names_taken_through_linalg(path: Path, names: set[str]) -> list[str]:
+    """The names among ``names`` that the module at path imports from
+    ``leibrack.linalg`` or reads as an attribute of that module."""
+    tree = ast.parse(path.read_text())
+    aliases, found = set(), []  # the local names bound to the linalg module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # relative imports occur inside the package alone
+            module = node.module if node.level == 0 else "leibrack" + (
+                f".{node.module}" if node.module else "")
+            if module == "leibrack.linalg":
+                found += [a.name for a in node.names if a.name in names]
+            elif module == "leibrack":
+                aliases.update(a.asname or a.name for a in node.names if a.name == "linalg")
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "leibrack.linalg")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names \
+                and ast.unparse(node.value) in aliases:
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_every_exact_name_is_imported_from_exact():
+    names = _defined_names(Path(exact.__file__))
+    modules = sorted(p for d in ("src", "tests", "tools") for p in (ROOT / d).rglob("*.py"))
+    through_linalg = {str(p.relative_to(ROOT)): found for p in modules
+                      if (found := _names_taken_through_linalg(p, names))}
+    assert len(modules) > 20 and {"Matrix", "rref", "OutOfChartError"} <= names
+    assert through_linalg == {}
+    held = {n for n in names if getattr(linalg, n, None) is getattr(exact, n)}
+    assert held == LINALG_EXACT_NAMES

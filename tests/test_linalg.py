@@ -10,25 +10,27 @@ import scipy.linalg
 
 from leibrack.algebra import canonical_extension, left_adjoint_map
 from leibrack.corpus import dim5, filiform5
-from leibrack.linalg import (
+from leibrack.exact import (
     Matrix,
     OutOfChartError,
+    inverse_exact,
+    joint_nilpotency_index,
+    matrix_exp,
+    matrix_log,
+    nilpotency_index,
+    nullspace,
+    rref,
+    rref_nullspace,
+)
+from leibrack.linalg import (
     _expm_pade,
     exp_float,
     gauss_legendre_01,
     integrate_01,
-    inverse_exact,
-    joint_nilpotency_index,
     log_float,
-    matrix_exp,
-    matrix_log,
     matvec,
-    nilpotency_index,
     norm1_float,
-    nullspace,
     phi1_float,
-    rref,
-    rref_nullspace,
 )
 from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
 from leibrack.suites import elem_distance

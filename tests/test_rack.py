@@ -23,9 +23,9 @@ from leibrack.corpus import (
     heisenberg,
     random_leibniz,
 )
+from leibrack.exact import OutOfChartError
 from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
-    OutOfChartError,
     exp_float,
     gauss_legendre_01,
     integrate_01,

@@ -35,7 +35,7 @@ from leibrack.algebra import (
 from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
 from leibrack.corpus import abelian3, dim5, free_nilpotent5, heisenberg, random_leibniz
 from leibrack.fileio import parse_algebra_file, write_algebra_file
-from leibrack.linalg import Matrix, inverse_exact, joint_nilpotency_index, rref
+from leibrack.exact import Matrix, inverse_exact, joint_nilpotency_index, rref
 from leibrack.rack import build_rack_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -223,7 +223,7 @@ def test_left_of_matches_the_dense_oracle():
     for alg in (dim5(), heisenberg(), abelian3()):
         for k in (0, 1, 3):
             left = tuple(rand_sparse(rng, k, k) for _ in range(alg.dim))
-            rep = Representation(alg, k, left, left, "symmetric")  # unchecked: any family
+            rep = Representation(alg, k, left, "symmetric")  # (LLM) unchecked: any family
             for _ in range(5):
                 x = [Fraction(int(rng.integers(-2, 3)), 3) if rng.random() < 0.5 else 0
                      for _ in range(alg.dim)]

@@ -18,7 +18,8 @@ import leibrack.rack as rack
 from leibrack.algebra import LeibnizAlgebra, canonical_extension, is_lie
 from leibrack.rack_report import EXAMPLE_EXTRAS
 from leibrack.corpus import abelian3, dim5, filiform5, free_nilpotent5, heisenberg, random_leibniz
-from leibrack.linalg import OutOfChartError, norm1_float
+from leibrack.exact import OutOfChartError
+from leibrack.linalg import norm1_float
 from leibrack.rack import (
     LocalRackElement,
     augmented_action,
