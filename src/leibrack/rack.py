@@ -58,8 +58,8 @@ Every operation here is evaluated one way.  The chart operations, i1, i2,
 the augmented action, the finite differences, iota2 and the Lie group
 product and inverse each take one group element (n, n) or a stack of them
 (..., n, n), with a mask of the slices that succeeded (see the comment at
-the head of the chart operations), and i2_from_coords their log
-coordinates (..., d).  The suites run every sample set as one stack.  One
+the head of the chart operations), and i2_from_coords and
+action_from_coords their log coordinates (..., d).  The suites run every sample set as one stack.  One
 element is a stack with no leading axes and takes the same code, with no
 branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
 slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
@@ -325,13 +325,10 @@ def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
 
 def group_action(chart: LocalGroupChart, g: np.ndarray,
                  ok: np.ndarray | None = None) -> np.ndarray:
-    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center."""
-    return _action(chart, log_coords(chart, g, ok))
-
-
-def _action(chart: LocalGroupChart, xi: np.ndarray) -> np.ndarray:
-    """phi_g from the log coordinates xi of g."""
-    return exp_float(chart.rho_of(xi), chart.rho_index)
+    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center.
+    The package takes phi_g from log coordinates it already has
+    (``action_from_coords``); this group-element form serves the tests."""
+    return action_from_coords(chart, log_coords(chart, g, ok))
 
 
 def _gated_log(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
@@ -475,12 +472,18 @@ def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
     return _i2(sys, _i1(sys, sys.omega, xi, rule), eta, rule)
 
 
+def action_from_coords(chart: LocalGroupChart, xi: np.ndarray) -> np.ndarray:
+    """phi_g = exp(rho_xi) from the log coordinates xi of g."""
+    return exp_float(chart.rho_of(xi), chart.rho_index)
+
+
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
        ok: np.ndarray | None = None) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
     gh = conjugate(sys.chart, g, h, ok)
+    # i1 by name, not i2_from_coords: perfbench/tracer.py counts rack.i1 here
     return _i2(sys, i1(sys, sys.omega, g, ok), log_coords(sys.chart, gh, ok))
 
 
@@ -502,7 +505,7 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     g is conjugated once and logged once; its log coordinates give both
     its action and i1(tau omega)(g)."""
     gh, xi, eta = conjugate_and_log(sys.chart, g, v.g, ok)
-    a = matvec(_action(sys.chart, xi), v.a) + i2_from_coords(sys, xi, eta)
+    a = matvec(action_from_coords(sys.chart, xi), v.a) + i2_from_coords(sys, xi, eta)
     return LocalRackElement(gh, a)
 
 

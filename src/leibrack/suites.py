@@ -22,23 +22,26 @@ on a (k, n) stack (``_stack``), and each of the k parts narrows its own
 row of the call's (k, n) mask, which goes to the properties the part
 serves.  Each part is a C-contiguous copy, so its slices equal its own
 call's bit for bit.  ``cocycle_suite`` takes one conjugation of three
-pairs, one group product of two, one i2 of six and one action of two;
-``rack_axiom_suite`` three rack products, the first of three pairs and
-the second of four; ``augmented_action_suite`` two actions, of three
-and two; ``lie_specialization_suite`` two iota2, of four pairs and then
-three.  The round trips pair the basis as a column (k, 1) against a row
+pairs, one group product of two, one log of five elements, one
+conjugation of four pairs, one log of six, and from the log coordinates
+one i2 of six pairs and one action of two; ``rack_axiom_suite`` three
+rack products, the first of three pairs and the second of four;
+``augmented_action_suite`` two actions, of three and two;
+``lie_specialization_suite`` two iota2, of four pairs and then three.  The round trips pair the basis as a column (k, 1) against a row
 (1, k), so each probe is exponentiated once.
 
-A value is computed once per suite, except in ``cocycle_suite``: its i2
-takes group elements, so it conjugates h |> k and g |> k again, which the
-suite's conjugation already formed, and logs g in two slices; its
-``group_action`` logs g and g |> h again.  A later property may reuse a
-value that an earlier one computed, since the gates it passed are already
-in the later property's cumulative mask, never the reverse: the three rows of
-``cocycle_suite`` share their conjugations, i2 values and actions, and row
-3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1 and,
-like ``quadrature_stability_suite``, takes i2 from one conjugation and its
-logs (``rack.conjugate_and_log``, ``rack.i2_from_coords``).
+A value is computed once per suite.  A later property may reuse a value
+that an earlier one computed, since the gates it passed are already in the
+later property's cumulative mask, never the reverse: the three rows of
+``cocycle_suite`` share their conjugations, logs, i2 values and actions,
+and row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of
+row 1.  Where a suite needs i2 or an action, it takes them from the log
+coordinates it already has (``rack.i2_from_coords``,
+``rack.action_from_coords``) rather than conjugating and logging their
+group elements again: ``cocycle_suite`` logs the elements its
+conjugations and products formed, and ``lie_specialization_suite`` and
+``quadrature_stability_suite`` take i2 from one conjugation and its logs
+(``rack.conjugate_and_log``).
 """
 
 from __future__ import annotations
@@ -55,18 +58,19 @@ from .rack import (
     IntegratorConfig,
     LocalRackElement,
     LocalRackSystem,
+    action_from_coords,
     augmented_action,
     conjugate,
+    conjugate_and_log,
     delta2,
-    group_action,
     group_from_coords,
     group_inverse,
     group_product,
-    conjugate_and_log,
     i2,
     i2_from_coords,
     iota2,
     lie_group_product,
+    log_coords,
     rack_product,
     tangent_bracket,
 )
@@ -281,10 +285,12 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
 
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
-    them, over all triples at once.  The three share their terms: the
-    three conjugations, the two group products, the six i2 values and the
-    two actions are each one call on a stack.  A triple that leaves the
-    chart anywhere is one skip for all three."""
+    them, over all triples at once.  The three share their terms, each
+    computed once from log coordinates: the seven conjugations in two
+    calls, the two group products in one, the logs of the eleven elements
+    they and the triple give in two, then the six i2 values and the two
+    actions in one call each.  A triple that leaves the chart anywhere is
+    one skip for all three."""
     rng = np.random.default_rng(seed)
     chart = sys.chart
     g, h, k = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
@@ -293,9 +299,14 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     mask = np.ones((6, n_triples), dtype=bool)
     gh, gk, hk = conjugate(chart, _stack(g, g, h), _stack(h, k, k), mask[:3])
     g_h, gh_g = group_product(chart, _stack(g, gh), _stack(h, g), mask[:2])
-    f_h_k, f_gh_gk, f_g_k, f_g_hk, f_gh_k, f_ghg_k = i2(
-        sys, _stack(h, gh, g, g, g_h, gh_g), _stack(k, gk, k, hk, k, k), mask)
-    act_g, act_gh = group_action(chart, _stack(g, gh), mask[:2])
+    xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(chart, _stack(g, h, gh, gk, hk), mask[:5])
+    # the four conjugations that i2 still needs: (g|>h) |> (g|>k),
+    # g |> (h|>k), gh |> k and ((g|>h) g) |> k
+    conj = conjugate(chart, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
+    xi_g_h, xi_gh_g, *eta = log_coords(chart, _stack(g_h, gh_g, *conj), mask)
+    f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_coords(
+        sys, _stack(xi_h, xi_g, xi_gh, xi_g, xi_g_h, xi_gh_g), _stack(xi_hk, xi_gk, *eta))
+    act_g, act_gh = action_from_coords(chart, _stack(xi_g, xi_gh))
     g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
     dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
     ghost = g_f_hk - f_gh_k + f_g_hk

@@ -555,12 +555,35 @@ def test_the_rack_axiom_and_action_suites_take_one_call_per_level(name, monkeypa
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "abelian3"])
 def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
-    # d_R i2, the ghost identity and its shift share their terms: three
-    # conjugations, two group products, six i2 values and two actions
+    # d_R i2, the ghost identity and its shift share their terms, each taken
+    # once: the three conjugations of the triple, two group products, the
+    # logs of g, h and the three conjugations, four more conjugations, the
+    # logs of the products and those four, then six i2 values and two
+    # actions from log coordinates, which take no mask
+    import leibrack.suites as suites
     sys_ = _system(name, 0.5)
-    names = ("conjugate", "group_product", "i2", "group_action")
-    calls = _outermost_calls(monkeypatch, names, lambda: cocycle_suite(sys_, 10, 1))
-    assert calls == dict(zip(names, ([(3, 10)], [(2, 10)], [(6, 10)], [(2, 10)])))
+    from_coords = {"i2_from_coords": [], "action_from_coords": []}
+    with monkeypatch.context() as patch:
+        for op, shapes in from_coords.items():
+            def recorded(*args, original=getattr(suites, op), shapes=shapes):
+                shapes.append(args[1].shape[:-1])
+                return original(*args)
+            patch.setattr(suites, op, recorded)
+        names = ("conjugate", "group_product", "log_coords", "i2", "group_action")
+        calls = _outermost_calls(monkeypatch, names, lambda: cocycle_suite(sys_, 10, 1))
+    assert calls == dict(zip(names, ([(3, 10), (4, 10)], [(2, 10)], [(5, 10), (6, 10)],
+                                     [], [])))
+    assert from_coords == {"i2_from_coords": [(6, 10)], "action_from_coords": [(2, 10)]}
+
+
+def test_the_dim5_extras_conjugate_once(monkeypatch):
+    # i1 logs g; i2 and the rack product share one conjugation g |> h and
+    # the logs of g and g |> h
+    sys_ = _system("dim5", 0.5)
+    args = Namespace(seed=3, chart_radius=0.5, quad_order=8, fd_step=1e-3)
+    names = ("conjugate", "log_coords", "i1", "i2", "rack_product")
+    calls = _outermost_calls(monkeypatch, names, lambda: EXAMPLE_EXTRAS["dim5"][0](sys_, args))
+    assert calls == dict(zip(names, ([(20,)], [(20,), (20,)], [(20,)], [], [])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
