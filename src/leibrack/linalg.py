@@ -37,6 +37,7 @@ the slices stacked with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -105,11 +106,23 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
     is halved s times to within it and its degree-13 approximant squared
     s times.  Each degree is one stacked evaluation, and each squaring
     one product of the slices that still need it.  A slice with a
-    non-finite entry gives NaN."""
+    non-finite entry gives NaN.  The scaling runs only on a stack that
+    holds such a slice or one past theta_13: otherwise s = 0 for every
+    slice, and halving 0 times is the identity, so each degree is
+    evaluated on its slices as they are."""
     shape, n = a.shape, a.shape[-1]
     a = np.ascontiguousarray(a, dtype=float).reshape(-1, n, n)  # every slice laid out alike
     norm = norm1_float(a)
-    degree = np.searchsorted(_PADE_THETA, norm)  # into _PADE_COEFFS; 5: past theta_13
+    degree = np.searchsorted(_PADE_THETA, norm)  # into _PADE_COEFFS; 5: past theta_13 or NaN
+    degrees = sorted(set(degree.tolist()))
+    if 5 not in degrees:
+        if len(degrees) == 1:
+            return _pade(a, _PADE_COEFFS[degrees[0]]).reshape(shape)
+        out = np.empty_like(a)
+        for d in degrees:
+            rows = np.flatnonzero(degree == d)
+            out[rows] = _pade(a[rows], _PADE_COEFFS[d])
+        return out.reshape(shape)
     degree[~np.isfinite(norm)] = -1  # not evaluated: stays NaN
     big = degree == 5
     squarings = np.zeros(len(a), dtype=int)
@@ -292,7 +305,10 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
 
 
+@cache
 def gauss_legendre_01(order: int) -> QuadratureRule:
+    """The rule of the given order, built once per order: a rule is an
+    immutable record, so every caller may share it."""
     x, w = np.polynomial.legendre.leggauss(order)
     return QuadratureRule(order, tuple((x + 1.0) / 2.0), tuple(w / 2.0))
 

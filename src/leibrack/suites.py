@@ -14,7 +14,9 @@ of a round trip), calls each rack operation once on the stack with a mask
 of the slices that succeeded (see ``rack``), and ``stacked`` applies the
 rule with cumulative masks: property k counts the samples where the
 operations of properties 1..k all succeeded.  The results equal those of
-the one-sample-at-a-time loops bit for bit.
+the one-sample-at-a-time loops bit for bit.  A draw exponentiates all its
+group parts as one stack, and the rows that do not fit the ball yet are
+halved in rounds, one stacked exp call per round (``_group_elements``).
 
 A suite makes one call per dependency level, not one per term: the
 operations of one level that do not depend on each other run as one call
@@ -52,7 +54,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import bracket, is_lie
+from .algebra import CentralExtensionData, is_lie
+from .exact import Matrix
 from .linalg import gauss_legendre_01, matvec, norm1_float
 from .rack import (
     IntegratorConfig,
@@ -156,17 +159,29 @@ def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElemen
 
 def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np.ndarray:
     """exp(ad xi) for each row of coordinates xi (N, d), each row halved as
-    ``sample_group_element`` halves its draw."""
+    ``sample_group_element`` halves its draw, each halving x * 0.5 of the
+    one before.  A round exponentiates the next halvings of all rows that
+    do not fit yet as one stack: N // rows-left of them (at least one), so
+    no call takes more than N rows.  Each row takes the first that fits."""
     chart = sys.chart
+    eye = chart.identity()
     # a wide draw can overflow exp; it then fails the norm test and is
     # halved, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
         g = group_from_coords(chart, xi)
-        far = ~(norm1_float(g - chart.identity()) < max_norm)
-        while far.any():
-            xi = np.where(far[:, None], xi * 0.5, xi)
-            g[far] = group_from_coords(chart, xi[far])
-            far[far] = ~(norm1_float(g[far] - chart.identity()) < max_norm)
+        left = np.flatnonzero(~(norm1_float(g - eye) < max_norm))
+        x = xi[left]
+        while len(left):
+            halvings = []
+            for _ in range(max(1, len(xi) // len(left))):
+                x = x * 0.5
+                halvings.append(x)
+            tried = group_from_coords(chart, np.concatenate(halvings))
+            tried = tried.reshape((len(halvings), len(left)) + tried.shape[1:])
+            fits = norm1_float(tried - eye) < max_norm  # (levels, rows left)
+            done = fits.any(axis=0)
+            g[left[done]] = tried[fits.argmax(axis=0)[done], np.flatnonzero(done)]
+            left, x = left[~done], x[~done]
     return g
 
 
@@ -175,19 +190,17 @@ def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int,
     """n samples, each made of the parts named in order: "g" a group
     element as ``sample_group_element`` draws it, "a" the center
     coordinates of a rack element, in [-1/4, 1/4], drawn after its group
-    element.  All coordinates are drawn first, in the order
-    of drawing the samples one after another, then each part is made as one
-    stack of n elements or n coordinate vectors; halving draws nothing."""
+    element.  All coordinates are drawn first, in the order of drawing the
+    samples one after another; then the "g" parts are exponentiated as one
+    ``_group_elements`` stack, and each part is a stack of n elements or n
+    coordinate vectors.  Halving draws nothing."""
     d, m = sys.g0_dim, sys.center_dim
     widths = [d if part == "g" else m for part in parts]
-    coords = rng.uniform(-1.0, 1.0, size=(n, sum(widths)))
-    stacks, start = [], 0
-    for part, width in zip(parts, widths):
-        block = coords[:, start:start + width]
-        start += width
-        stacks.append(_group_elements(sys, block * max_norm, max_norm) if part == "g"
-                      else block * 0.25)
-    return stacks
+    blocks = np.split(rng.uniform(-1.0, 1.0, size=(n, sum(widths))), np.cumsum(widths)[:-1],
+                      axis=1)
+    xi = [block * max_norm for part, block in zip(parts, blocks) if part == "g"]
+    groups = iter(np.split(_group_elements(sys, np.concatenate(xi), max_norm), len(xi)))
+    return [next(groups) if part == "g" else block * 0.25 for part, block in zip(parts, blocks)]
 
 
 def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarray:
@@ -331,23 +344,26 @@ def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[Propert
                    [("delta2_left_inverse", 1e-5)])
 
 
+def bracket_coords(ext: CentralExtensionData) -> np.ndarray:
+    """The (g0, center) coordinates of [e_i, e_j] in row i*n + j, for the
+    parent's basis e: from_parent @ B, where column i*n + j of the exact
+    n x n^2 matrix B holds the structure constants c_ij^k."""
+    n = ext.parent.dim
+    b = Matrix.from_terms(n, n * n, ((k, i * n + j, c) for i, row in enumerate(ext.parent.terms)
+                                     for j, terms in enumerate(row) for k, c in terms))
+    return (ext.from_parent @ b).to_numpy().T
+
+
 def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
     basis pairs, through the splitting g = g0 (+) center; all pairs at
     once, as in ``roundtrip_suite``."""
     ext = sys.ext
     n = ext.parent.dim
-    basis = [ext.parent.basis_vector(i) for i in range(n)]
-
-    def split_coords(v):
-        x, a = ext.split(v)
-        return np.array([float(c) for c in (*x, *a)])
-
-    want = np.array([split_coords(bracket(ext.parent, ei, ej)) for ei in basis for ej in basis])
-    coords = np.array([split_coords(e) for e in basis])
+    coords = ext.from_parent.to_numpy().T  # row i: the coordinates of e_i
     ok = np.ones((n, n), dtype=bool)
     got = tangent_bracket(sys, coords[:, None], coords[None], cfg, ok)
-    return stacked(n * n, [(sup_rows(got.reshape(n * n, n) - want), ok.ravel())],
+    return stacked(n * n, [(sup_rows(got.reshape(n * n, n) - bracket_coords(ext)), ok.ravel())],
                    [("tangent_bracket_roundtrip", 1e-4)])
 
 

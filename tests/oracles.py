@@ -5,7 +5,9 @@ Each suite and ``example`` extra as it ran before its samples became
 stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
 2-D rack operation and one ``sampled`` step at a time.  The finite
 differences take their four probes one after another, as ``delta2`` and
-``tangent_bracket`` once did.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
+``tangent_bracket`` once did, and ``bracket_coords_by_brackets`` forms the
+tangent suite's expected values with one ``bracket`` and one ``split`` per
+basis pair.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
 map the names of the production suites and extras to these loops, so a
 report can be built from them.
 
@@ -353,6 +355,15 @@ def roundtrip_one_by_one(sys_, cfg):
 
     return sampled(d * d, iter(itertools.product(range(d), repeat=2)).__next__, check,
                    [("delta2_left_inverse", 1e-5)])
+
+
+def bracket_coords_by_brackets(ext) -> np.ndarray:
+    """The (g0, center) coordinates of [e_i, e_j] in row i*n + j, from one
+    ``bracket`` and one ``split`` per pair, as ``tangent_suite`` formed
+    them before it took them as one sparse product."""
+    basis = [ext.parent.basis_vector(i) for i in range(ext.parent.dim)]
+    return np.array([[float(c) for c in itertools.chain(*ext.split(bracket(ext.parent, ei, ej)))]
+                     for ei in basis for ej in basis])
 
 
 def tangent_one_by_one(sys_, cfg):

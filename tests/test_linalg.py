@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from leibrack import linalg
 from leibrack.algebra import canonical_extension, left_adjoint_map
 from leibrack.corpus import dim5, filiform5
 from leibrack.exact import (
@@ -32,7 +33,7 @@ from leibrack.linalg import (
     norm1_float,
     phi1_float,
 )
-from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
+from leibrack.rack import LocalRackElement, build_rack_system, default_config, group_from_coords
 from leibrack.suites import elem_distance
 from oracles import log_float_probe_all, rank
 
@@ -299,6 +300,47 @@ def test_expm_pade_mixed_stack_equals_each_slice():
     assert np.array_equal(got[k], np.eye(4))
     assert np.isnan(got[k + 1:k + 3]).all()
     assert np.isfinite(np.delete(got, [k + 1, k + 2], axis=0)).all()
+
+
+def _slices_of_each_degree(n=4, seed=44):
+    """Two random n x n slices below each theta_m, m = 3, 5, 7, 9, 13, the
+    second just under it."""
+    rng = np.random.default_rng(seed)
+    general = rng.standard_normal((2 * len(linalg._PADE_THETA), n, n))
+    norms = np.repeat(linalg._PADE_THETA, 2) * np.tile([0.6, 0.999], len(linalg._PADE_THETA))
+    return general * (norms / norm1_float(general))[:, None, None]
+
+
+def test_expm_pade_stacks_with_and_without_scaling_equal_each_slice():
+    # slices of every degree alone take no scaling; beside a slice past
+    # theta_13, a NaN or an inf slice, the same slices go through the
+    # scaling path; each stack equals its one-slice calls bit for bit
+    degrees = _slices_of_each_degree()
+    big = degrees[-1] * (4 * linalg._PADE_THETA[-1] / norm1_float(degrees[-1]))
+    nan, inf = np.eye(4), np.eye(4)
+    nan[0, 3], inf[2, 1] = np.nan, np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], [big], [nan], [inf], [big, nan, inf]):
+            stack = np.concatenate([degrees[::-1], extra, degrees]) if extra else degrees
+            _same_slices(_expm_pade(stack), [_expm_pade(a) for a in stack])
+
+
+def test_expm_pade_evaluates_each_degree_once(monkeypatch):
+    # a stack of one degree is one Pade evaluation and nothing else; a
+    # stack of five degrees is five
+    calls = []
+    pade = linalg._pade
+    monkeypatch.setattr(linalg, "_pade", lambda a, b: calls.append((len(a), len(b))) or pade(a, b))
+    degrees = _slices_of_each_degree()
+    for d in range(len(linalg._PADE_THETA)):
+        calls.clear()
+        one = degrees[2 * d:2 * d + 2]
+        assert _expm_pade(one).tobytes() == pade(one, linalg._PADE_COEFFS[d]).tobytes()
+        assert calls == [(2, len(linalg._PADE_COEFFS[d]))]
+    calls.clear()
+    _expm_pade(degrees)
+    assert calls == [(2, len(b)) for b in linalg._PADE_COEFFS]
 
 
 def test_phi1_float_without_index_matches_quadrature_of_the_kernel():
@@ -638,6 +680,12 @@ def test_norm1_float_stack_equals_each_slice(name):
 def _nodes(rule):
     """The rule's nodes as one-entry node values (order, 1)."""
     return np.array(rule.nodes)[:, None]
+
+
+def test_a_rule_is_built_once_per_order():
+    assert gauss_legendre_01(8) is gauss_legendre_01(8)
+    assert default_config(8).quad is gauss_legendre_01(8)
+    assert gauss_legendre_01(16) is not gauss_legendre_01(8)
 
 
 def test_rule_weights_and_nodes():

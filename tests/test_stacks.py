@@ -40,6 +40,7 @@ from leibrack.rack import (
 )
 from leibrack.suites import (
     augmented_action_suite,
+    bracket_coords,
     cocycle_suite,
     draw_samples,
     lie_specialization_suite,
@@ -55,11 +56,13 @@ from oracles import (
     EXTRAS_ONE_BY_ONE,
     _injectivity,
     augmented_action_one_by_one,
+    bracket_coords_by_brackets,
     cocycle_one_by_one,
     i2_quadrature,
     lie_specialization_one_by_one,
     quadrature_stability_one_by_one,
     rack_axioms_one_by_one,
+    random_corpus,
     roundtrip_one_by_one,
     sample_rack_element,
     sampled,
@@ -125,6 +128,28 @@ def test_stacked_suites_equal_the_one_by_one_loops(name, radius):
         assert skipping
         if name == "oscillator":
             assert "i2_from_iota2" in skipping
+
+
+@pytest.mark.parametrize("name", ["dim5", "heisenberg", "abelian3", "filiform5",
+                                  "free_nilpotent5", "oscillator", *inputs.RHO_KINDS])
+def test_bracket_coords_equal_the_bracket_loop(name):
+    # the tangent suite's expected values, one sparse product against one
+    # bracket and one split per basis pair
+    for seed in range(2):
+        if name in inputs.RHO_KINDS:
+            alg = inputs.rho_semisimple(name, seed)
+        elif seed:
+            continue
+        else:
+            alg = _system(name, 0.5).ext.parent
+        ext = canonical_extension(alg)
+        assert bracket_coords(ext).tobytes() == bracket_coords_by_brackets(ext).tobytes()
+
+
+def test_bracket_coords_of_the_corpus_equal_the_bracket_loop():
+    for alg in random_corpus(12, seed=3) + [random_leibniz(k) for k in (1, 2, 23, 35, 38)]:
+        ext = canonical_extension(alg)
+        assert bracket_coords(ext).tobytes() == bracket_coords_by_brackets(ext).tobytes()
 
 
 @pytest.mark.parametrize("name,radius", [("dim5", 0.5), ("heisenberg", 0.5),
@@ -207,6 +232,73 @@ def test_wide_draws_overflow_without_a_warning_and_draw_the_same():
         warnings.simplefilter("ignore")
         want = draws()
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _halvings(sys_, max_norm, n):
+    """How many times ``sample_group_element`` halves each of the 3n group
+    draws of ``draw_samples(sys_, default_rng(5), max_norm, n, "ggg")``."""
+    d = sys_.g0_dim
+    raw = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3 * n, d)) * max_norm
+    counts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in raw:
+            count = 0
+            while not norm1_float(group_from_coords(sys_.chart, x) - sys_.chart.identity()
+                                  ) < max_norm:
+                x, count = x * 0.5, count + 1
+            counts.append(count)
+    return np.array(counts)
+
+
+# aff and diagonal rows need 0 to 3 halvings at max_norm 2; at chart radius
+# 1e300 every dim5 row overflows exp and needs hundreds
+HALVING_DRAWS = [("aff", 1000.0, 2.0, 30), ("diagonal", 8.0, 2.0, 30),
+                 ("dim5", 1e300, 2.5e299, 4)]
+
+
+@pytest.mark.parametrize("name,radius,max_norm,n", HALVING_DRAWS)
+def test_draws_that_need_many_halvings_equal_the_draws_one_by_one(name, radius, max_norm, n):
+    sys_ = _system(name, radius)
+    counts = _halvings(sys_, max_norm, n)
+    if name == "dim5":
+        assert min(counts) >= 3
+    else:
+        assert {0, 1, 2} <= set(counts.tolist()) and max(counts) >= 3
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = draw_samples(sys_, rng, max_norm, n, "ggg")
+        want = [sample_group_element(sys_, ref, max_norm) for _ in range(3 * n)]
+    assert [x.shape for x in got] == [(n, sys_.chart.dim, sys_.chart.dim)] * 3
+    assert [g.tobytes() for part in got for g in part] == \
+        [want[3 * k + j].tobytes() for j in range(3) for k in range(n)]
+    assert rng.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("name,radius,max_norm,n", HALVING_DRAWS)
+def test_a_draw_takes_one_exp_call_per_halving_round(name, radius, max_norm, n, monkeypatch):
+    # every "g" part in one stack; each round takes the next
+    # max(1, rows // rows left) halvings of the rows left, so no call has
+    # more rows than the draw
+    import leibrack.suites as suites
+    sys_ = _system(name, radius)
+    counts = _halvings(sys_, max_norm, n)
+    rows, done, want = 3 * n, 0, [3 * n]
+    while (counts > done).any():
+        left = int(np.count_nonzero(counts > done))
+        levels = max(1, rows // left)
+        want.append(levels * left)
+        done += levels
+    sizes = []
+    with monkeypatch.context() as patch:
+        original = suites.group_from_coords
+        patch.setattr(suites, "group_from_coords",
+                      lambda chart, xi: sizes.append(len(xi)) or original(chart, xi))
+        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "gga")
+        assert max(sizes) == 2 * n  # the "a" part is not exponentiated
+        sizes.clear()
+        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "ggg")
+    assert sizes == want and max(sizes) == rows
 
 
 # -- masks -----------------------------------------------------------------------
