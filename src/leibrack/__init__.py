@@ -27,7 +27,13 @@ from .algebra import (
 from .cohomology import Cochain, hom_representation, leibniz_differential, tau
 from .corpus import abelian3, builtin, dim5, heisenberg, random_leibniz
 from .exact import Matrix, OutOfChartError, Rational, matrix_exp, matrix_log, nullspace
-from .fileio import ParseError, algebra_from_dict, algebra_to_dict, parse_algebra_file, write_algebra_file
+from .fileio import (
+    ParseError,
+    algebra_from_dict,
+    algebra_to_dict,
+    parse_algebra_file,
+    write_algebra_file,
+)
 
 # float name -> its defining module
 _FLOAT_NAMES = {

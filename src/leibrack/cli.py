@@ -52,19 +52,12 @@ MAX_CHART_RADIUS = 1e3
 # error rather than a huge allocation.
 MAX_QUAD_ORDER = 64
 
-# The suites hold all samples at once; the injectivity check sorts them by
-# one coordinate and compares each only with those in a narrow window after
-# it.  At this bound a fresh `example dim5` process takes about 1.3 s and
-# peaks at about 130 MB RSS (2-core Xeon).
+# A report's time grows with the samples, so they are capped.  Its memory
+# grows far less: the sampled suites run in chunks of bounded stacks
+# (suites.CHUNK_ENTRIES), and only the injectivity check holds the input
+# and output of every sample.  At this bound a fresh `example dim5` process
+# takes about 1.2 s and peaks at about 115 MB RSS (2-core Xeon).
 MAX_SAMPLES = 10_000
-
-# The caps above, each sized alone, together allow stacks past memory.  Peak
-# RSS of `integrate` on filiform-n is about 40 MB plus 80-100 bytes per entry
-# of the largest dim x dim stack: 692 MB at dim 16, --samples 515 (the
-# largest accepted for Lie input), --quad-order 64.  No kernel is passed a
-# matrix wider than dim (i1 and iota2's inner integral run on blocks of
-# side center dim + g0 dim = dim), so this cap bounds every stack.
-MAX_STACK = 2 ** 23
 
 
 def _rational_vec(v):
@@ -223,27 +216,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _stack_slices(dim: int, samples: int, quad_order: int, lie: bool) -> int:
-    """Matrices in the largest stack the suites build: u acting on four
-    elements in the rack axioms, the six i2 pairs of the cocycle suite,
-    the nodes of the Lie suite's four iota2 pairs (Lie input only, the one
-    input that suite runs on), the doubled quadrature or the tangents."""
-    return max(4 * samples, 6 * max(10, samples // 2),
-               4 * max(10, samples // 4) * quad_order if lie else 0,
-               min(20, samples) * 2 * quad_order, 4 * dim * dim)
-
-
 def _config_error(report, message: str) -> None:
     report["error"] = {"type": "ConfigError", "message": message}
 
 
 def _checked_extension(alg: LeibnizAlgebra, args, report) -> CentralExtensionData | None:
     """The report's extension, as ``_extension`` gives it, once the float
-    knobs and the stacks they make at this algebra's size have passed their
-    caps; None (and report['error']) on a bad config or an exact value
-    outside float range.  All of it is exact: no float work starts before
-    every cap has passed."""
-    stack = alg.dim ** 2 * _stack_slices(alg.dim, args.samples, args.quad_order, is_lie(alg))
+    knobs have passed their caps; None (and report['error']) on a bad
+    config or an exact value outside float range.  All of it is exact: no
+    float work starts before every cap has passed."""
     checks = [
         (0 < args.chart_radius <= MAX_CHART_RADIUS,
          f"--chart-radius must lie in (0, {MAX_CHART_RADIUS:g}]; got {args.chart_radius}"),
@@ -256,9 +237,6 @@ def _checked_extension(alg: LeibnizAlgebra, args, report) -> CentralExtensionDat
         (args.samples >= 1, f"--samples must be >= 1; got {args.samples}"),
         (args.samples <= MAX_SAMPLES,
          f"--samples must be <= {MAX_SAMPLES}; got {args.samples}"),
-        (stack <= MAX_STACK,
-         f"--samples {args.samples} and --quad-order {args.quad_order} at dim {alg.dim} "
-         f"make a stack of {stack} entries; at most MAX_STACK = {MAX_STACK} are accepted"),
         (args.seed >= 0, f"--seed must be >= 0; got {args.seed}"),
     ]
     message = next((msg for ok, msg in checks if not ok), None)

@@ -59,12 +59,13 @@ the augmented action, the finite differences, iota2 and the Lie group
 product and inverse each take one group element (n, n) or a stack of them
 (..., n, n), with a mask of the slices that succeeded (see the comment at
 the head of the chart operations), and i2_from_coords and
-action_from_coords their log coordinates (..., d).  The suites run every sample set as one stack.  One
-element is a stack with no leading axes and takes the same code, with no
-branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
-slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
-or its own loop depending on the strides of its operands, and the two can
-round differently, so the stacked code keeps each slice's strides as the
+action_from_coords their log coordinates (..., d).  The suites run their
+sample sets as stacks, in chunks of a bounded size.  One element is a
+stack with no leading axes and takes the same code, with no branch of its
+own, and the bases of a trivial g0 are (0, k, k) stacks.  A slice equals
+its one-element call bit for bit.  numpy's matmul calls BLAS or its own
+loop depending on the strides of its operands, and the two can round
+differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
 
 The last section holds the rack cochains: evaluator functions on group

@@ -215,7 +215,7 @@ def _heisenberg_extras(sys_: rack.LocalRackSystem, args) -> list[suites.Property
 
 def _abelian_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    ug, ua, vg, va = suites.draw_samples(sys_, rng, sys_.chart.chart_radius / 4, 20, "gaga")
+    ug, ua, vg, va = suites.draw_samples(sys_, rng, sys_.chart.chart_radius / 4, 20, "gaga")()
     v = rack.LocalRackElement(vg, va)
     ok = np.ones(20, dtype=bool)
     got = rack.rack_product(sys_, rack.LocalRackElement(ug, ua), v, ok)

@@ -7,16 +7,21 @@ counted as skips, never crashes, and defects are accumulated NaN-first, so
 a NaN or infinite defect reaches the report and fails its property.
 
 The rule is that of a loop over the samples: a skip ends the sample, and
-the defects it already yielded still count.  Every suite runs all its
-samples at once: it draws the whole sample set as stacks (``draw_samples``,
-in the RNG order of drawing one sample after another, or the basis pairs
-of a round trip), calls each rack operation once on the stack with a mask
-of the slices that succeeded (see ``rack``), and ``stacked`` applies the
-rule with cumulative masks: property k counts the samples where the
-operations of properties 1..k all succeeded.  The results equal those of
-the one-sample-at-a-time loops bit for bit.  A draw exponentiates all its
-group parts as one stack, and the rows that do not fit the ball yet are
-halved in rounds, one stacked exp call per round (``_group_elements``).
+the defects it already yielded still count.  Every suite runs its samples
+as stacks: it draws the whole sample set's coordinates first
+(``draw_samples``, in the RNG order of drawing one sample after another,
+or the basis pairs of a round trip), calls each rack operation once on a
+stack with a mask of the slices that succeeded (see ``rack``), and
+``stacked`` applies the rule with cumulative masks: property k counts the
+samples where the operations of properties 1..k all succeeded.  The
+results equal those of the one-sample-at-a-time loops bit for bit.  A draw
+exponentiates the group parts of the rows it is asked for as one stack,
+and the rows that do not fit the ball yet are halved in rounds, one
+stacked exp call per round (``_group_elements``).
+
+The four suites whose stacks grow with the sample count run them in
+chunks (``_chunked``, ``CHUNK_ENTRIES``).  A slice equals its one-element
+call, so the chunks change no value, mask or skip.
 
 A suite makes one call per dependency level, not one per term: the
 operations of one level that do not depend on each other run as one call
@@ -29,8 +34,9 @@ conjugation of four pairs, one log of six, and from the log coordinates
 one i2 of six pairs and one action of two; ``rack_axiom_suite`` three
 rack products, the first of three pairs and the second of four;
 ``augmented_action_suite`` two actions, of three and two;
-``lie_specialization_suite`` two iota2, of four pairs and then three.  The round trips pair the basis as a column (k, 1) against a row
-(1, k), so each probe is exponentiated once.
+``lie_specialization_suite`` two iota2, of four pairs and then three.  The
+round trips pair the basis as a column (k, 1) against a row (1, k), so
+each probe is exponentiated once.
 
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in the
@@ -77,6 +83,14 @@ from .rack import (
     rack_product,
     tangent_bracket,
 )
+
+# The four sampled suites run on chunks of their samples whose widest stack
+# holds at most this many entries (8 MiB of float64), and at least one
+# sample.  The other three suites stay one stack, as their stacks do not
+# grow with the sample count: the round trips' 4 dim^2 probes are bounded
+# by fileio.MAX_DIM, and the quadrature suite's 20 pairs of 2 quad-order
+# nodes by cli.MAX_QUAD_ORDER.
+CHUNK_ENTRIES = 2 ** 20
 
 
 @dataclass
@@ -150,6 +164,19 @@ def _parts(x: LocalRackElement) -> list[LocalRackElement]:
     return [LocalRackElement(g, a) for g, a in zip(x.g, x.a)]
 
 
+def _chunked(sys: LocalRackSystem, n: int, width: int, run) -> list[np.ndarray]:
+    """run(lo, hi) on consecutive slices lo:hi of n samples, each of as many
+    samples as keep width dim x dim matrices a sample within CHUNK_ENTRIES
+    entries, and at least one; the arrays run returns, one row per sample
+    of its slice (or per kept sample), concatenated in order.  A single
+    slice's arrays are returned as run gives them."""
+    step = max(1, CHUNK_ENTRIES // (width * sys.chart.dim ** 2))
+    if step >= n:
+        return run(0, n)
+    chunks = [run(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return [np.concatenate(rows) for rows in zip(*chunks)]
+
+
 def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement
                    ) -> tuple[LocalRackElement, np.ndarray]:
     """u |> v on stack elements whose shapes broadcast, and its mask."""
@@ -185,22 +212,27 @@ def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np
     return g
 
 
-def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int,
-                 parts: str) -> list[np.ndarray]:
+def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int, parts: str):
     """n samples, each made of the parts named in order: "g" a group
     element as ``sample_group_element`` draws it, "a" the center
     coordinates of a rack element, in [-1/4, 1/4], drawn after its group
-    element.  All coordinates are drawn first, in the order of drawing the
-    samples one after another; then the "g" parts are exponentiated as one
-    ``_group_elements`` stack, and each part is a stack of n elements or n
-    coordinate vectors.  Halving draws nothing."""
+    element.  All coordinates are drawn now, in the order of drawing the
+    samples one after another; the result is take(rows), which gives each
+    part at rows (a slice or index array, default all) as a stack of
+    elements or coordinate vectors, the "g" parts of those rows
+    exponentiated as one ``_group_elements`` stack.  Halving draws
+    nothing."""
     d, m = sys.g0_dim, sys.center_dim
     widths = [d if part == "g" else m for part in parts]
     blocks = np.split(rng.uniform(-1.0, 1.0, size=(n, sum(widths))), np.cumsum(widths)[:-1],
                       axis=1)
-    xi = [block * max_norm for part, block in zip(parts, blocks) if part == "g"]
-    groups = iter(np.split(_group_elements(sys, np.concatenate(xi), max_norm), len(xi)))
-    return [next(groups) if part == "g" else block * 0.25 for part, block in zip(parts, blocks)]
+    coords = [block * (max_norm if part == "g" else 0.25) for part, block in zip(parts, blocks)]
+
+    def take(rows=slice(None)):
+        xi = [x[rows] for part, x in zip(parts, coords) if part == "g"]
+        groups = iter(np.split(_group_elements(sys, np.concatenate(xi), max_norm), len(xi)))
+        return [next(groups) if part == "g" else x[rows] for part, x in zip(parts, coords)]
+    return take
 
 
 def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarray:
@@ -255,38 +287,48 @@ def _injectivity_defect(ins: LocalRackElement, outs: LocalRackElement) -> float:
 def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
                      seed: int = 0) -> list[PropertyResult]:
     """Self-distributivity, pointedness and injectivity-on-samples for the
-    product (g,a) |> (h,b), over all samples at once."""
+    product (g,a) |> (h,b), over the samples in chunks."""
     rng = np.random.default_rng(seed)
     n = n_samples
-    g, a = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, 3 * n, "ga")
-    u, v, w = (LocalRackElement(g[k::3], a[k::3]) for k in range(3))
+    take = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, 3 * n, "ga")
     neutral = _neutral(sys)
-    ins = LocalRackElement(g[1:n + 1], a[1:n + 1])  # the injectivity row's inputs
 
-    # v |> w, 1 |> v and g_0 |> ins as one (3, n) stack; then u acts on
-    # v |> w, v, w and the neutral element as one (4, n) stack, so that u's
-    # own log, action and i1 are taken once per sample
-    first, first_ok = _rack_products(sys, _stack(v, neutral, LocalRackElement(g[:1], a[:1])),
-                                     _stack(w, v, ins))
-    vw, one_v, outs = _parts(first)
-    by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[None], u.a[None]),
-                                   _stack(vw, v, w, neutral))
-    lhs, uv, uw, u_one = _parts(by_u)
-    rhs, rhs_ok = _rack_products(sys, uv, uw)
-    results = stacked(n, [(elem_distance(lhs, rhs),
-                           first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok)],
-                      [("self_distributivity", 1e-9)])
-    results += stacked(n, [(np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
-                            by_u_ok[3] & first_ok[1])],
-                       [("pointedness", 1e-12)])
+    def run(lo, hi):
+        # sample i is u, v, w = draws 3i, 3i + 1, 3i + 2, and its injectivity
+        # input is draw i + 1 under the fixed g_0 = draw 0.  The chunk
+        # exponentiates draw 0, the inputs below its own draws, then its
+        # own draws, so its inputs lo + 1..hi are rows 1..m in order
+        m = hi - lo
+        g, a = take(np.r_[0:min(lo, 1), lo + 1:min(hi + 1, 3 * lo), 3 * lo:3 * hi])
+        u, v, w = (LocalRackElement(g[k - 3 * m::3], a[k - 3 * m::3]) for k in range(3))
+        ins = LocalRackElement(g[1:m + 1], a[1:m + 1])
 
+        # v |> w, 1 |> v and g_0 |> ins as one (3, m) stack; then u acts on
+        # v |> w, v, w and the neutral element as one (4, m) stack, so that
+        # u's own log, action and i1 are taken once per sample; the draw
+        # takes at most 4m + 1 rows, so the widest stack is 5 a sample
+        first, first_ok = _rack_products(sys, _stack(v, neutral, LocalRackElement(g[:1], a[:1])),
+                                         _stack(w, v, ins))
+        vw, one_v, outs = _parts(first)
+        by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[None], u.a[None]),
+                                       _stack(vw, v, w, neutral))
+        lhs, uv, uw, u_one = _parts(by_u)
+        rhs, rhs_ok = _rack_products(sys, uv, uw)
+        ok = first_ok[2]  # the injectivity row keeps the samples in chart
+        return (elem_distance(lhs, rhs), first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok,
+                np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
+                by_u_ok[3] & first_ok[1], ok, ins.g[ok], ins.a[ok], outs.g[ok], outs.a[ok])
+
+    sd, sd_ok, pointed, pointed_ok, ok, ins_g, ins_a, outs_g, outs_a = _chunked(sys, n, 5, run)
+    results = stacked(n, [(sd, sd_ok)], [("self_distributivity", 1e-9)])
+    results += stacked(n, [(pointed, pointed_ok)], [("pointedness", 1e-12)])
     # left translation by the fixed g_0 separates separated inputs; like
     # every other row, samples counts attempts and skipped the ones out of
     # chart
-    ok = first_ok[2]
-    kept = [LocalRackElement(x.g[ok], x.a[ok]) for x in (ins, outs)]
-    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(*kept),
-                                  1e-9, n, n - int(np.count_nonzero(ok))))
+    results.append(PropertyResult(
+        "injectivity_on_samples",
+        _injectivity_defect(LocalRackElement(ins_g, ins_a), LocalRackElement(outs_g, outs_a)),
+        1e-9, n, n - int(np.count_nonzero(ok))))
     return results
 
 
@@ -298,7 +340,7 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
 
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
-    them, over all triples at once.  The three share their terms, each
+    them, over the triples in chunks.  The three share their terms, each
     computed once from log coordinates: the seven conjugations in two
     calls, the two group products in one, the logs of the eleven elements
     they and the triple give in two, then the six i2 values and the two
@@ -306,27 +348,33 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     one skip for all three."""
     rng = np.random.default_rng(seed)
     chart = sys.chart
-    g, h, k = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
-    # one mask for every call, each narrowing its leading rows: a triple
-    # that fails any of them is one skip
-    mask = np.ones((6, n_triples), dtype=bool)
-    gh, gk, hk = conjugate(chart, _stack(g, g, h), _stack(h, k, k), mask[:3])
-    g_h, gh_g = group_product(chart, _stack(g, gh), _stack(h, g), mask[:2])
-    xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(chart, _stack(g, h, gh, gk, hk), mask[:5])
-    # the four conjugations that i2 still needs: (g|>h) |> (g|>k),
-    # g |> (h|>k), gh |> k and ((g|>h) g) |> k
-    conj = conjugate(chart, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
-    xi_g_h, xi_gh_g, *eta = log_coords(chart, _stack(g_h, gh_g, *conj), mask)
-    f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_coords(
-        sys, _stack(xi_h, xi_g, xi_gh, xi_g, xi_g_h, xi_gh_g), _stack(xi_hk, xi_gk, *eta))
-    act_g, act_gh = action_from_coords(chart, _stack(xi_g, xi_gh))
-    g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
-    dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
-    ghost = g_f_hk - f_gh_k + f_g_hk
-    ghost_shift = gh_f_gk - f_ghg_k + f_gh_gk
-    ok = mask.all(axis=0)
-    return stacked(n_triples, [(sup_rows(dr), ok), (sup_rows(ghost), ok),
-                               (sup_rows(dr - (ghost - ghost_shift)), ok)],
+    take = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
+
+    def run(lo, hi):
+        g, h, k = take(slice(lo, hi))
+        # one mask for every call, each narrowing its leading rows: a triple
+        # that fails any of them is one skip.  The widest stacks, the log of
+        # six elements and i2 of six pairs, are 6 a sample
+        mask = np.ones((6, hi - lo), dtype=bool)
+        gh, gk, hk = conjugate(chart, _stack(g, g, h), _stack(h, k, k), mask[:3])
+        g_h, gh_g = group_product(chart, _stack(g, gh), _stack(h, g), mask[:2])
+        xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(chart, _stack(g, h, gh, gk, hk), mask[:5])
+        # the four conjugations that i2 still needs: (g|>h) |> (g|>k),
+        # g |> (h|>k), gh |> k and ((g|>h) g) |> k
+        conj = conjugate(chart, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
+        xi_g_h, xi_gh_g, *eta = log_coords(chart, _stack(g_h, gh_g, *conj), mask)
+        f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_coords(
+            sys, _stack(xi_h, xi_g, xi_gh, xi_g, xi_g_h, xi_gh_g), _stack(xi_hk, xi_gk, *eta))
+        act_g, act_gh = action_from_coords(chart, _stack(xi_g, xi_gh))
+        g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
+        dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
+        ghost = g_f_hk - f_gh_k + f_g_hk
+        ghost_shift = gh_f_gk - f_ghg_k + f_gh_gk
+        return (sup_rows(dr), sup_rows(ghost), sup_rows(dr - (ghost - ghost_shift)),
+                mask.all(axis=0))
+
+    dr, ghost, induced, ok = _chunked(sys, n_triples, 6, run)
+    return stacked(n_triples, [(dr, ok), (ghost, ok), (induced, ok)],
                    [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
                     ("ghost_induces_cocycle", 2e-9)])
 
@@ -371,40 +419,47 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
                              n_samples: int = 50, seed: int = 2) -> list[PropertyResult]:
     """For Lie input: the group product (g,a)(h,b) = (gh, a+b+iota2(g,h)) is
     associative, its conjugation equals the rack product, and
-    i2(g,h) = iota2(g,h) - iota2(g|>h, g); over all samples at once."""
+    i2(g,h) = iota2(g,h) - iota2(g|>h, g); over the samples in chunks."""
     if not is_lie(sys.ext.parent):
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
     chart = sys.chart
-    n = n_samples
-    ug, ua, vg, va, wg, wa = draw_samples(sys, rng, chart.chart_radius / 8.0, n, "gagaga")
-    u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
-    conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-    gh, xi, eta = conjugate_and_log(chart, u.g, v.g, iota_ok)
-    # u^-1 as lie_group_inverse forms it; iota2 and the products below apply
-    # its chart gate
-    uinv_g = group_inverse(u.g, ok=conj_ok)
+    take = draw_samples(sys, rng, chart.chart_radius / 8.0, n_samples, "gagaga")
 
-    # iota2 and the group product of (u, v), (v, w), (u, u^-1) and
-    # (u |> v, u) as one (4, n) stack, for rows 1, 1, 2 and 3
-    first = np.ones((4, n), dtype=bool)
-    x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
-    uv_g, vw_g, _, _ = group_product(chart, x, y, first)
-    iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
-    uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
-    vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
-    uinv = LocalRackElement(uinv_g, -u.a - iota_inv)
-    # the products (uv) w, u (vw) and (uv) u^-1 as one (3, n) stack
-    second = np.ones((3, n), dtype=bool)
-    uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
-                                                   _stack(w, vw, uinv), cfg, second))
-    assoc = elem_distance(uv_w, u_vw)
-    conj = elem_distance(uv_uinv, rack_product(sys, u, v, conj_ok))
-    from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota_gh)
-    assoc_ok = first[:2].all(axis=0) & second[:2].all(axis=0)
-    conj_ok &= first[2] & second[2]
-    iota_ok &= first[3]
-    return stacked(n, [(assoc, assoc_ok), (conj, conj_ok), (sup_rows(from_iota), iota_ok)],
+    def run(lo, hi):
+        ug, ua, vg, va, wg, wa = take(slice(lo, hi))
+        n = hi - lo
+        u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
+        conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        gh, xi, eta = conjugate_and_log(chart, u.g, v.g, iota_ok)
+        # u^-1 as lie_group_inverse forms it; iota2 and the products below
+        # apply its chart gate
+        uinv_g = group_inverse(u.g, ok=conj_ok)
+
+        # iota2 and the group product of (u, v), (v, w), (u, u^-1) and
+        # (u |> v, u) as one (4, n) stack, for rows 1, 1, 2 and 3; iota2's
+        # nodes make the widest stack, 4 quad-order a sample
+        first = np.ones((4, n), dtype=bool)
+        x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
+        uv_g, vw_g, _, _ = group_product(chart, x, y, first)
+        iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
+        uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
+        vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
+        uinv = LocalRackElement(uinv_g, -u.a - iota_inv)
+        # the products (uv) w, u (vw) and (uv) u^-1 as one (3, n) stack
+        second = np.ones((3, n), dtype=bool)
+        uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
+                                                       _stack(w, vw, uinv), cfg, second))
+        conj = elem_distance(uv_uinv, rack_product(sys, u, v, conj_ok))
+        from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota_gh)
+        conj_ok &= first[2] & second[2]
+        iota_ok &= first[3]
+        return (elem_distance(uv_w, u_vw), first[:2].all(axis=0) & second[:2].all(axis=0),
+                conj, conj_ok, sup_rows(from_iota), iota_ok)
+
+    assoc, assoc_ok, conj, conj_ok, iota, iota_ok = _chunked(
+        sys, n_samples, 4 * cfg.quad.order, run)
+    return stacked(n_samples, [(assoc, assoc_ok), (conj, conj_ok), (iota, iota_ok)],
                    [("lie_group_associativity", 1e-9),
                     ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
 
@@ -413,28 +468,31 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
                            seed: int = 3) -> list[PropertyResult]:
     """The G0-action axioms of the augmented structure: unit action, fixed
     point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w), over
-    all samples at once."""
+    the samples in chunks."""
     rng = np.random.default_rng(seed)
-    n = n_samples
-    g, h, wg, wa = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n, "ggga")
-    w = LocalRackElement(wg, wa)
+    take = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n_samples, "ggga")
     neutral = _neutral(sys)
 
     def act(x, y):
         ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.g.shape[:-2]), dtype=bool)
         return augmented_action(sys, x, y, ok), ok
 
-    gh_ok = np.ones(n, dtype=bool)
-    gh = group_product(sys.chart, g, h, gh_ok)
-    # 1, h and gh act on w as one (3, n) stack, then g on the neutral
-    # element and on h.w as one (2, n) stack
-    on_w, on_w_ok = act(_stack(neutral.g, h, gh), w)
-    unit, hw, rhs = _parts(on_w)
-    by_g, by_g_ok = act(g[None], _stack(neutral, hw))
-    fixed, lhs = _parts(by_g)
-    return stacked(n, [(elem_distance(unit, w), on_w_ok[0]),
-                       (elem_distance(fixed, neutral), by_g_ok[0]),
-                       (elem_distance(lhs, rhs), on_w_ok[1] & by_g_ok[1] & gh_ok & on_w_ok[2])],
+    def run(lo, hi):
+        g, h, wg, wa = take(slice(lo, hi))
+        w = LocalRackElement(wg, wa)
+        gh_ok = np.ones(hi - lo, dtype=bool)
+        gh = group_product(sys.chart, g, h, gh_ok)
+        # 1, h and gh act on w as one (3, m) stack, the widest, 3 a sample;
+        # then g on the neutral element and on h.w as one (2, m) stack
+        on_w, on_w_ok = act(_stack(neutral.g, h, gh), w)
+        unit, hw, rhs = _parts(on_w)
+        by_g, by_g_ok = act(g[None], _stack(neutral, hw))
+        fixed, lhs = _parts(by_g)
+        return (elem_distance(unit, w), on_w_ok[0], elem_distance(fixed, neutral), by_g_ok[0],
+                elem_distance(lhs, rhs), on_w_ok[1] & by_g_ok[1] & gh_ok & on_w_ok[2])
+
+    unit, unit_ok, fixed, fixed_ok, compat, compat_ok = _chunked(sys, n_samples, 3, run)
+    return stacked(n_samples, [(unit, unit_ok), (fixed, fixed_ok), (compat, compat_ok)],
                    [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
                     ("action_compatibility", 1e-9)])
 
@@ -445,7 +503,7 @@ def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     at a rule) must not move it: the integrands are polynomial when rho is
     nilpotent.  All pairs at once, logged once for both orders."""
     rng = np.random.default_rng(seed)
-    g, h = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, n_pairs, "gg")
+    g, h = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, n_pairs, "gg")()
     fine = gauss_legendre_01(2 * cfg.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
     _, xi, eta = conjugate_and_log(sys.chart, g, h, ok)

@@ -380,27 +380,6 @@ def test_quad_order_above_the_bound_is_config_error(capsys):
         assert err["type"] == "ConfigError" and flag in err["message"]
 
 
-def test_caps_taken_together_are_config_error_before_any_float_work(capsys, tmp_path,
-                                                                   monkeypatch):
-    # dim 16, --samples 10000 and --quad-order 64 each pass their own cap,
-    # but together ask iota2 for 2500 x 64 matrices of 16 x 16 at once
-    import leibrack.rack as rack
-
-    def refuse(*args):
-        raise AssertionError("float work started")
-    monkeypatch.setattr(rack, "build_rack_system", refuse)
-    filiform16 = LeibnizAlgebra.from_brackets(16, {
-        **{(0, k): {k + 1: 1} for k in range(1, 15)},
-        **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
-    p = tmp_path / "filiform16.leib"
-    write_algebra_file(filiform16, p)
-    code, out = run_cli(capsys, "integrate", str(p), "--samples", str(MAX_SAMPLES),
-                        "--quad-order", str(MAX_QUAD_ORDER), "--json")
-    assert code == 2
-    err = json.loads(out)["error"]
-    assert err["type"] == "ConfigError" and "MAX_STACK" in err["message"]
-
-
 def test_a_dim32_algebra_with_a_16_dimensional_center_integrates(capsys, tmp_path):
     # dim 32 with [x_i, x_i] = z_i for i < 16: g0 and the left center are
     # 16-dimensional, and i1 runs on blocks of side 16 + 16 = dim, so the
@@ -412,31 +391,6 @@ def test_a_dim32_algebra_with_a_16_dimensional_center_integrates(capsys, tmp_pat
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "pass"
     assert doc["analysis"]["g0_dim"] == 16 and doc["exact_checks"]["center_dim"] == 16
-
-
-def test_only_lie_input_is_charged_the_lie_suites_stack(capsys, tmp_path, monkeypatch):
-    # at dim 16 and --quad-order 64 the Lie suite's iota2 nodes cap Lie
-    # input at --samples 515; a non-Lie input, which never runs that suite,
-    # is capped by the rack axioms' 4 * samples slices at 8192
-    import leibrack.rack as rack
-
-    def refuse(*args):
-        raise AssertionError("float work started")
-    monkeypatch.setattr(rack, "build_rack_system", refuse)
-    non_lie = LeibnizAlgebra.from_brackets(16, {(i, i): {8 + i: 1} for i in range(8)})
-    filiform16 = LeibnizAlgebra.from_brackets(16, {
-        **{(0, k): {k + 1: 1} for k in range(1, 15)},
-        **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
-    for alg, largest in ((non_lie, 8192), (filiform16, 515)):
-        p = tmp_path / "alg16.leib"
-        write_algebra_file(alg, p)
-        with pytest.raises(AssertionError, match="float work started"):
-            main(["integrate", str(p), "--samples", str(largest), "--quad-order", "64"])
-        code, out = run_cli(capsys, "integrate", str(p), "--samples", str(largest + 1),
-                            "--quad-order", "64", "--json")
-        assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "ConfigError" and "MAX_STACK" in err["message"]
 
 
 def test_the_parser_is_built_once_per_process():

@@ -116,8 +116,7 @@ print(json.dumps({{"code": code, "scipy": scipy_modules()}}))
 
 
 def test_the_exact_path_never_imports_numpy(tmp_path):
-    # filiform-16 at the largest --samples and --quad-order: its iota2
-    # stacks are past MAX_STACK, which the exact checks tell
+    # filiform-16 one sample past MAX_SAMPLES, which the exact checks tell
     filiform16 = LeibnizAlgebra.from_brackets(16, {
         **{(0, k): {k + 1: 1} for k in range(1, 15)},
         **{(k, 0): {k + 1: -1} for k in range(1, 15)}})
@@ -135,7 +134,7 @@ exts = [leibrack.canonical_extension(alg) for alg in algs]
 loaded["extension"] = float_modules()
 codes = {{f"{{cmd}} {{f.stem}}": run(cmd, str(f), "--json")
           for f in files for cmd in ("verify", "analyze")}}
-codes["integrate filiform16"] = run("integrate", {str(path)!r}, "--samples", "10000",
+codes["integrate filiform16"] = run("integrate", {str(path)!r}, "--samples", "10001",
                                    "--quad-order", "64", "--json")
 loaded["reports"] = float_modules()
 codes["integrate dim5"] = run("integrate", str(files[1]), "--samples", "10")

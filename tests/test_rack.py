@@ -1075,7 +1075,7 @@ def test_a_system_on_another_omega_integrates_that_omega(name, cfg):
     # exactly (scaling by 2 is exact in floats) and the Lie rows still pass
     sys_ = build_rack_system(canonical_extension(_OMEGA_INPUTS[name]()))
     doubled = _on_omega(sys_, sys_.ext.omega.scale(2))
-    g, h = draw_samples(sys_, np.random.default_rng(43), 0.1, 30, "gg")
+    g, h = draw_samples(sys_, np.random.default_rng(43), 0.1, 30, "gg")()
     ok, ok2 = np.ones(30, dtype=bool), np.ones(30, dtype=bool)
     want = 2 * i2(sys_, g, h, ok)
     assert ok.all() and np.abs(want).max() > 0

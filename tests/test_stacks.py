@@ -7,7 +7,7 @@ import struct
 import sys
 import warnings
 from argparse import Namespace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -107,27 +107,71 @@ WIDE = [("dim5", 8.0), ("diagonal", 8.0), ("aff", 1000.0), ("oscillator", 8.0)]
 
 # -- the stacked suites equal the one-by-one loops -----------------------------
 
-@pytest.mark.parametrize("name,radius", [(name, 0.5) for name in NARROW] + WIDE,
-                         ids=[f"{name}-r{radius:g}" for name, radius in
-                              [(name, 0.5) for name in NARROW] + WIDE])
-def test_stacked_suites_equal_the_one_by_one_loops(name, radius):
+@cache
+def _one_by_one(name, radius):
+    """The bits of the one-by-one loops of every suite, as
+    ``test_stacked_suites_equal_the_one_by_one_loops`` runs them."""
     cfg = default_config()
     sys_ = _system(name, radius)
-    got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
-           + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, cfg)
-           + tangent_suite(sys_, cfg) + quadrature_stability_suite(sys_, cfg, 10, 7))
     want = (rack_axioms_one_by_one(sys_, 20, 5) + cocycle_one_by_one(sys_, 20, 8)
             + augmented_action_one_by_one(sys_, 20, 6) + roundtrip_one_by_one(sys_, cfg)
             + tangent_one_by_one(sys_, cfg) + quadrature_stability_one_by_one(sys_, cfg, 10, 7))
     if is_lie(sys_.ext.parent):
-        got += lie_specialization_suite(sys_, cfg, 20, 9)
         want += lie_specialization_one_by_one(sys_, cfg, 20, 9)
-    assert _bits(got) == _bits(want)
+    return _bits(want)
+
+
+# CHUNK_ENTRIES in dim x dim matrices: None keeps the bound, at which every
+# suite here is one chunk; 0 makes it 1 entry, so every chunk is one sample;
+# 45 and 100 make uneven chunks of a few samples, of 9, 7 and 15 samples in
+# the rack axiom, cocycle and action suites at 45, and of 3 in the Lie
+# suite at 100
+CASES = [(name, radius, chunk) for name, radius in [(name, 0.5) for name in NARROW] + WIDE
+         for chunk in (None, 0, 45, 100)]
+
+
+@pytest.mark.parametrize("name,radius,chunk", CASES,
+                         ids=[f"{name}-r{radius:g}" + ("" if chunk is None else f"-chunk{chunk}")
+                              for name, radius, chunk in CASES])
+def test_stacked_suites_equal_the_one_by_one_loops(name, radius, chunk, monkeypatch):
+    import leibrack.suites as suites
+    cfg = default_config()
+    sys_ = _system(name, radius)
+    if chunk is not None:
+        monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, chunk * sys_.chart.dim ** 2))
+    got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
+           + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, cfg)
+           + tangent_suite(sys_, cfg) + quadrature_stability_suite(sys_, cfg, 10, 7))
+    if is_lie(sys_.ext.parent):
+        got += lie_specialization_suite(sys_, cfg, 20, 9)
+    assert _bits(got) == _one_by_one(name, radius)
     if radius > 0.5:  # the wide charts are where samples are skipped
         skipping = {r.name for r in got if r.skipped}
         assert skipping
         if name == "oscillator":
             assert "i2_from_iota2" in skipping
+
+
+@pytest.mark.parametrize("name,radius", [("dim5", 0.5), ("dim5", 8.0), ("diagonal", 0.5),
+                                         ("heisenberg", 0.5)])
+def test_chunks_hand_the_injectivity_check_the_rows_of_one_stack(name, radius, monkeypatch):
+    # the injectivity row's inputs and outputs in chunks, of one sample and
+    # of 9, are those of one stack bit for bit, in the same order; its
+    # verdict alone would not show an input taken from the wrong draw
+    import leibrack.suites as suites
+    sys_ = _system(name, radius)
+    check, seen = suites._injectivity_defect, []
+
+    def recorded(ins, outs):
+        seen.append([x.tobytes() for x in (ins.g, ins.a, outs.g, outs.a)])
+        return check(ins, outs)
+    monkeypatch.setattr(suites, "_injectivity_defect", recorded)
+    for chunk in (None, 1, 45 * sys_.chart.dim ** 2):
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(suites, "CHUNK_ENTRIES", chunk)
+            rack_axiom_suite(sys_, 20, 5)
+    assert seen[0] == seen[1] == seen[2]
 
 
 @pytest.mark.parametrize("name", ["dim5", "heisenberg", "abelian3", "filiform5",
@@ -192,7 +236,7 @@ def test_drawn_stacks_equal_the_draws_one_by_one(name, radius):
     sys_ = _system(name, radius)
     max_norm = radius / 4.0
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    g, h, a = draw_samples(sys_, rng, max_norm, 30, "gga")
+    g, h, a = draw_samples(sys_, rng, max_norm, 30, "gga")()
     for k in range(30):
         want_g = sample_group_element(sys_, ref, max_norm)
         want = sample_rack_element(sys_, ref, max_norm)
@@ -221,7 +265,7 @@ def test_wide_draws_overflow_without_a_warning_and_draw_the_same():
 
     def draws():
         rng = np.random.default_rng(11)
-        return (draw_samples(sys_, rng, 250.0, 30, "gga")
+        return (draw_samples(sys_, rng, 250.0, 30, "gga")()
                 + [sample_group_element(sys_, rng, 250.0) for _ in range(30)]
                 + [np.array([r.max_defect for r in rack_axiom_suite(sys_, 20, 5)])])
 
@@ -236,7 +280,7 @@ def test_wide_draws_overflow_without_a_warning_and_draw_the_same():
 
 def _halvings(sys_, max_norm, n):
     """How many times ``sample_group_element`` halves each of the 3n group
-    draws of ``draw_samples(sys_, default_rng(5), max_norm, n, "ggg")``."""
+    draws of ``draw_samples(sys_, default_rng(5), max_norm, n, "ggg")()``."""
     d = sys_.g0_dim
     raw = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3 * n, d)) * max_norm
     counts = []
@@ -267,7 +311,7 @@ def test_draws_that_need_many_halvings_equal_the_draws_one_by_one(name, radius, 
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = draw_samples(sys_, rng, max_norm, n, "ggg")
+        got = draw_samples(sys_, rng, max_norm, n, "ggg")()
         want = [sample_group_element(sys_, ref, max_norm) for _ in range(3 * n)]
     assert [x.shape for x in got] == [(n, sys_.chart.dim, sys_.chart.dim)] * 3
     assert [g.tobytes() for part in got for g in part] == \
@@ -294,10 +338,10 @@ def test_a_draw_takes_one_exp_call_per_halving_round(name, radius, max_norm, n, 
         original = suites.group_from_coords
         patch.setattr(suites, "group_from_coords",
                       lambda chart, xi: sizes.append(len(xi)) or original(chart, xi))
-        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "gga")
+        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "gga")()
         assert max(sizes) == 2 * n  # the "a" part is not exponentiated
         sizes.clear()
-        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "ggg")
+        draw_samples(sys_, np.random.default_rng(5), max_norm, n, "ggg")()
     assert sizes == want and max(sizes) == rows
 
 
@@ -451,7 +495,7 @@ def test_a_failing_probe_fails_its_direction_in_the_finite_differences(monkeypat
 def test_a_broadcast_element_acts_on_a_stack_as_on_each_slice():
     sys_ = _system("aff", 8.0)
     rng = np.random.default_rng(21)
-    g, h, a = draw_samples(sys_, rng, 2.0, 12, "gga")
+    g, h, a = draw_samples(sys_, rng, 2.0, 12, "gga")()
     ok = np.ones((12, 2), dtype=bool)
     u = LocalRackElement(g[:, None], a[:, None])
     targets = LocalRackElement(np.stack([h, g[::-1]], axis=1), np.stack([a, a[::-1]], axis=1))
@@ -526,13 +570,13 @@ def _kernel_slices(monkeypatch, suite, draws=False, widths=None):
                 return original(a, *args)
             patch.setattr(rack, name, counted)
 
-        def uncounted(*args, draw=suites.draw_samples):
+        def uncounted(*args, draw=suites._group_elements):
             drawing.append(None)
             try:
                 return draw(*args)
             finally:
                 drawing.pop()
-        patch.setattr(suites, "draw_samples", uncounted)
+        patch.setattr(suites, "_group_elements", uncounted)
         suite()
     return calls
 
@@ -570,36 +614,32 @@ def test_the_basis_pair_suites_take_two_logs_and_exponentiate_each_probe_once(na
         assert max(sizes["exp_float"]) == 4 * k
 
 
-@pytest.mark.parametrize("name,samples,quad_order", [
-    ("heisenberg", 1, 3), ("heisenberg", 40, 8), ("heisenberg", 200, 3),
-    ("filiform5", 12, 5), ("dim5", 30, 4), ("diagonal", 7, 16)])
-def test_no_kernel_receives_more_slices_than_the_cli_caps(name, samples, quad_order,
-                                                          monkeypatch):
-    # the cli's cap on --samples and --quad-order bounds the largest stack
-    # a kernel receives in any suite of the full report, draws included,
-    # and no kernel receives a matrix wider than dim, so the dim x dim cap
-    # bounds every stack
+@pytest.mark.parametrize("bound", [0, 20])
+@pytest.mark.parametrize("name,quad_order", [("dim5", 4), ("diagonal", 16), ("heisenberg", 3),
+                                             ("heisenberg", 8), ("filiform5", 5)])
+def test_no_kernel_in_a_chunked_suite_receives_more_than_a_chunk(name, quad_order, bound,
+                                                                 monkeypatch):
+    # at CHUNK_ENTRIES = bound dim x dim matrices (1 entry at 0), no kernel
+    # call of a sampled suite, draws included, receives more than
+    # max(CHUNK_ENTRIES, one sample's widest stack) entries, though one
+    # stack of 40 samples would hold 120 to 1280 matrices; the widest stacks
+    # are 5 matrices a sample in the rack axioms, 6 in the cocycle suite, 3
+    # in the action suite and 4 quad-order in the Lie suite, and no kernel
+    # receives a matrix wider than dim
     import leibrack.suites as suites
-    from leibrack.cli import _stack_slices
     cfg = default_config(quad_order)
     sys_ = _system(name, 0.5)
-    largest, widths = {}, []
-    with monkeypatch.context() as patch:
-        for suite_name in ("rack_axiom_suite", "cocycle_suite", "augmented_action_suite",
-                           "roundtrip_suite", "tangent_suite",
-                           "quadrature_stability_suite", "lie_specialization_suite"):
-            def recorded(*args, suite=getattr(suites, suite_name), suite_name=suite_name):
-                results = []
-                sizes = _kernel_slices(monkeypatch, lambda: results.append(suite(*args)),
-                                       draws=True, widths=widths)
-                largest[suite_name] = max(max(s, default=0) for s in sizes.values())
-                return results[0]
-            patch.setattr(suites, suite_name, recorded)
-        suites.full_suite(sys_, cfg, samples, 0)
-    dim, lie = sys_.ext.parent.dim, is_lie(sys_.ext.parent)
-    assert len(largest) == 6 + lie
-    cap = _stack_slices(dim, samples, quad_order, lie)
-    assert max(largest.values()) <= cap, (largest, cap)
+    dim = sys_.chart.dim
+    monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, bound * dim * dim))
+    runs = [(5, lambda: rack_axiom_suite(sys_, 40, 0)), (6, lambda: cocycle_suite(sys_, 40, 1)),
+            (3, lambda: augmented_action_suite(sys_, 40, 3))]
+    if is_lie(sys_.ext.parent):
+        runs.append((4 * quad_order, lambda: lie_specialization_suite(sys_, cfg, 40, 2)))
+    widths = []
+    for widest, run in runs:
+        sizes = _kernel_slices(monkeypatch, run, draws=True, widths=widths)
+        largest = max(max(s, default=0) for s in sizes.values())
+        assert largest <= max(bound, widest), (run, largest)
     assert widths and max(widths) <= dim
 
 
