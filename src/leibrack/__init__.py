@@ -39,11 +39,10 @@ from .fileio import (
 _FLOAT_NAMES = {
     **dict.fromkeys(("QuadratureRule", "gauss_legendre_01", "integrate_01"), "linalg"),
     **dict.fromkeys((
-        "IntegratorConfig", "LocalGroupChart", "LocalRackElement", "LocalRackSystem",
-        "NotLieCocycleError", "RackCochainFn", "RackModuleStructure", "augmented_action",
-        "build_rack_system", "conjugate", "default_config", "delta2", "i1", "i2", "iota2",
-        "rack_differential_eval", "rack_differential_general", "rack_product",
-        "tangent_bracket"), "rack"),
+        "IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
+        "RackCochainFn", "RackModuleStructure", "augmented_action", "build_rack_system",
+        "conjugate", "default_config", "delta2", "i1", "i2", "iota2", "rack_differential_eval",
+        "rack_differential_general", "rack_product", "tangent_bracket"), "rack"),
 }
 
 

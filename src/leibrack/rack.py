@@ -42,8 +42,9 @@ omega, which is ``leibniz_differential`` over rho taken as a symmetric
 module (on alternating cochains, the Leibniz differential with symmetric
 coefficients is the Chevalley-Eilenberg one).
 
-The chart and system dataclasses hold arrays, which have no
-single-valued ==, so they compare and hash by identity (``eq=False``).
+One record, ``LocalRackSystem``, holds the extension, G0's chart and
+omega, and every operation takes it.  It holds arrays, which have no
+single-valued ==, so it compares and hashes by identity (``eq=False``).
 
 The local rack product on G0 x a is then
 
@@ -103,19 +104,51 @@ class NotLieCocycleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# chart and configuration
+# configuration and the system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LocalGroupChart:
-    """Matrix chart for G0 inside Aut(g): the span of ad_basis is the
-    realized g0, rho_basis acts on the center, ad0_basis is the adjoint of
-    g0 on itself; each is a (g0_dim, k, k) stack, (0, k, k) for trivial g0.
-    Group elements are n x n arrays with ||g - I|| < radius, where
-    0 < radius < inf.  ad_index, rho_index and ad0_index are the exact
-    joint nilpotency indices of the ad, rho and ad0 families (None if not
-    nilpotent), derived from the extension; they select exp's series."""
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """quad is the Gauss-Legendre rule of iota2's outer integral and of the
+    quadrature cross-check (i1, i2 and iota2's inner integral are closed
+    forms); fd_step is the step of the finite differences at the unit."""
 
+    quad: QuadratureRule
+    fd_step: float = 1e-3
+
+    def __post_init__(self):
+        if self.quad.order < 3:
+            raise ValueError("quadrature order must be >= 3")
+        if not 0 < self.fd_step:
+            raise ValueError("fd_step must be positive")
+
+
+def default_config(quad_order: int = 8, fd_step: float = 1e-3) -> IntegratorConfig:
+    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step)
+
+
+@dataclass(frozen=True, eq=False)
+class LocalRackElement:
+    """A pair (group element of G0, coefficient vector in the center), or
+    a stack of pairs: g of shape (..., n, n) and a of shape (..., m)."""
+
+    g: np.ndarray
+    a: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LocalRackSystem:
+    """The local augmented Lie rack of one algebra on G0 x a: the exact
+    extension data and G0's matrix chart inside Aut(g), from which omega
+    is derived on first use.  The span of ad_basis is the realized g0,
+    rho_basis acts on the center, ad0_basis is the adjoint of g0 on
+    itself; each is a (g0_dim, k, k) stack, (0, k, k) for trivial g0.
+    Group elements are n x n arrays with ||g - I|| < chart_radius, where
+    0 < chart_radius < inf.  ad_index, rho_index and ad0_index are the
+    exact joint nilpotency indices of the ad, rho and ad0 families (None
+    if not nilpotent); they select exp's series."""
+
+    ext: CentralExtensionData
     dim: int
     g0_dim: int
     center_dim: int
@@ -159,73 +192,12 @@ class LocalGroupChart:
     def ad0_of(self, xi) -> np.ndarray:
         return self.combo(self.ad0_basis, xi)
 
-
-def _basis_stack(mats, k: int) -> np.ndarray:
-    """The exact k x k matrices mats as one float stack (len(mats), k, k)."""
-    return np.array([mat.to_numpy() for mat in mats]).reshape(len(mats), k, k)
-
-
-def chart_from_extension(ext: CentralExtensionData, chart_radius: float = 0.5) -> LocalGroupChart:
-    n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
-    ad_basis = _basis_stack(ext.g0_matrices, n)
-    ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
-    pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
-    return LocalGroupChart(n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m),
-                           _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
-                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0))
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """quad is the Gauss-Legendre rule of iota2's outer integral and of the
-    quadrature cross-check (i1, i2 and iota2's inner integral are closed
-    forms); fd_step is the step of the finite differences at the unit."""
-
-    quad: QuadratureRule
-    fd_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.quad.order < 3:
-            raise ValueError("quadrature order must be >= 3")
-        if not 0 < self.fd_step:
-            raise ValueError("fd_step must be positive")
-
-
-def default_config(quad_order: int = 8, fd_step: float = 1e-3) -> IntegratorConfig:
-    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step)
-
-
-@dataclass(frozen=True, eq=False)
-class LocalRackElement:
-    """A pair (group element of G0, coefficient vector in the center), or
-    a stack of pairs: g of shape (..., n, n) and a of shape (..., m)."""
-
-    g: np.ndarray
-    a: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class LocalRackSystem:
-    """Everything the integration of one algebra needs: the exact extension
-    data and the float chart, from which the rest is derived on first use."""
-
-    ext: CentralExtensionData
-    chart: LocalGroupChart
-
-    @property
-    def g0_dim(self) -> int:
-        return self.chart.g0_dim
-
-    @property
-    def center_dim(self) -> int:
-        return self.chart.center_dim
-
     def neutral(self) -> LocalRackElement:
-        return LocalRackElement(self.chart.identity(), np.zeros(self.center_dim))
+        return LocalRackElement(self.identity(), np.zeros(self.center_dim))
 
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
         """The same system on a chart of another radius; no exact work or conversion reruns."""
-        wide = replace(self, chart=replace(self.chart, chart_radius=chart_radius))
+        wide = replace(self, chart_radius=chart_radius)
         vars(wide).update((k, v) for k, v in vars(self).items() if k in ("omega", "lie_omega"))
         return wide
 
@@ -246,9 +218,22 @@ class LocalRackSystem:
         return self.omega
 
 
+def _basis_stack(mats, k: int) -> np.ndarray:
+    """The exact k x k matrices mats as one float stack (len(mats), k, k)."""
+    return np.array([mat.to_numpy() for mat in mats]).reshape(len(mats), k, k)
+
+
 def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
-    return LocalRackSystem(ext, chart_from_extension(ext, chart_radius))
+    """ext's system on a chart of chart_radius: every exact-to-float
+    conversion and the nilpotency indices are taken now."""
+    n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
+    ad_basis = _basis_stack(ext.g0_matrices, n)
+    ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
+    pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
+    return LocalRackSystem(ext, n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m),
+                           _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
+                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0))
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +270,34 @@ def _slices(g: np.ndarray) -> np.ndarray:
     return g.reshape((-1,) + g.shape[-2:])
 
 
-def in_chart(chart: LocalGroupChart, g: np.ndarray):
+def in_chart(sys: LocalRackSystem, g: np.ndarray):
     """||g - I|| < radius for g, or as a bool array for each slice of a
     stack: the one chart gate."""
-    return norm1_float(g - chart._gate_identity) < chart.chart_radius
+    return norm1_float(g - sys._gate_identity) < sys.chart_radius
 
 
-def _chart_gate(chart: LocalGroupChart, g: np.ndarray, what: str,
+def _chart_gate(sys: LocalRackSystem, g: np.ndarray, what: str,
                 ok: np.ndarray | None) -> np.ndarray:
     """g, with the slices outside the chart failed (see ``_fail``) and
     replaced by the identity."""
-    bad = np.logical_not(in_chart(chart, g))
+    bad = np.logical_not(in_chart(sys, g))
     if _fail(ok, bad, lambda i: f"{what}: ||g - I|| = "
-             f"{norm1_float(_slices(g)[i] - chart._gate_identity):.4g} "
-             f">= chart radius {chart.chart_radius}"):
-        return np.where(bad[..., None, None], chart._gate_identity, g)
+             f"{norm1_float(_slices(g)[i] - sys._gate_identity):.4g} "
+             f">= chart radius {sys.chart_radius}"):
+        return np.where(bad[..., None, None], sys._gate_identity, g)
     return g
 
 
-def log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
+def log_coords(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """g0 coordinates of log(g); fails (OutOfChartError) if log(g) does not
     lie in the realized subalgebra (cannot happen for chart-gated input).
     Without a mask, the error raised for a stack is that of the first
     failing slice, a failing log before any residual; with one, failing
     slices have zero coordinates."""
     ell = log_float(g, ok)
-    n = chart.dim
-    xi = (chart.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
-    resid = np.abs(chart.ad_of(xi) - ell).max(axis=(-2, -1), initial=0.0)
+    n = sys.dim
+    xi = (sys.coord_pinv @ ell.reshape(ell.shape[:-2] + (n * n, 1)))[..., 0]
+    resid = np.abs(sys.ad_of(xi) - ell).max(axis=(-2, -1), initial=0.0)
     bad = resid > 1e-7 * (1.0 + np.abs(ell).max(axis=(-2, -1), initial=0.0))
     if _fail(ok, bad, lambda i: f"log(g) leaves the realized g0 "
              f"(residual {np.ravel(resid)[i]:.3g})"):
@@ -320,22 +305,22 @@ def log_coords(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None = No
     return xi
 
 
-def group_from_coords(chart: LocalGroupChart, xi) -> np.ndarray:
-    return exp_float(chart.ad_of(xi), chart.ad_index)
+def group_from_coords(sys: LocalRackSystem, xi) -> np.ndarray:
+    return exp_float(sys.ad_of(xi), sys.ad_index)
 
 
-def group_action(chart: LocalGroupChart, g: np.ndarray,
+def group_action(sys: LocalRackSystem, g: np.ndarray,
                  ok: np.ndarray | None = None) -> np.ndarray:
     """phi_g = exp(rho_{log g}), the integrated action of G0 on the center.
     The package takes phi_g from log coordinates it already has
     (``action_from_coords``); this group-element form serves the tests."""
-    return action_from_coords(chart, log_coords(chart, g, ok))
+    return action_from_coords(sys, log_coords(sys, g, ok))
 
 
-def _gated_log(chart: LocalGroupChart, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
+def _gated_log(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
     """log_coords of g behind the chart gate, so a stack's slices outside
     the chart are logged as the identity."""
-    return log_coords(chart, _chart_gate(chart, g, "group element", ok), ok)
+    return log_coords(sys, _chart_gate(sys, g, "group element", ok), ok)
 
 
 def group_inverse(g: np.ndarray, what: str = "group element",
@@ -359,21 +344,21 @@ def group_inverse(g: np.ndarray, what: str = "group element",
     return inv.reshape(g.shape)
 
 
-def conjugate(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
               ok: np.ndarray | None = None) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
-    g = _chart_gate(chart, g, "conjugator", ok)
-    h = _chart_gate(chart, h, "conjugated element", ok)
+    g = _chart_gate(sys, g, "conjugator", ok)
+    h = _chart_gate(sys, h, "conjugated element", ok)
     r = g @ h @ group_inverse(g, "conjugator", ok)
-    return _chart_gate(chart, r, "conjugation result", ok)
+    return _chart_gate(sys, r, "conjugation result", ok)
 
 
-def group_product(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+def group_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                   ok: np.ndarray | None = None) -> np.ndarray:
-    g = _chart_gate(chart, g, "group element", ok)
-    h = _chart_gate(chart, h, "group element", ok)
-    return _chart_gate(chart, g @ h, "group product", ok)
+    g = _chart_gate(sys, g, "group element", ok)
+    h = _chart_gate(sys, h, "group element", ok)
+    return _chart_gate(sys, g @ h, "group product", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +417,16 @@ def _i1(sys: LocalRackSystem, beta: np.ndarray, xi: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
     """i1(beta)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds, M = beta(xi),
     as blocks (..., m, d) from g's log coordinates xi (..., d)."""
-    chart = sys.chart
-    return _integral(chart.rho_of(xi), chart.combo(beta, xi), _vanishing(xi), chart.rho_index,
-                     rule, chart.ad0_of(xi), chart.ad0_index)
+    return _integral(sys.rho_of(xi), sys.combo(beta, xi), _vanishing(xi), sys.rho_index,
+                     rule, sys.ad0_of(xi), sys.ad0_index)
 
 
 def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
     """i2(omega)(g, h) = integral_0^1 exp(t rho_eta) hom(eta) dt from the
     blocks hom = i1(tau omega)(g) and the log coordinates eta of g |> h."""
-    chart = sys.chart
     v = matvec(hom, eta)
-    return _integral(chart.rho_of(eta), v, _vanishing(v), chart.rho_index, rule)
+    return _integral(sys.rho_of(eta), v, _vanishing(v), sys.rho_index, rule)
 
 
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
@@ -451,17 +434,17 @@ def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) 
     module Hom(g0, a), along the canonical path to g, as m x d blocks
     (..., m, d); vanishes at the identity.  beta is a degree-1 cochain or
     its stack (d, m, d) of blocks, such as ``sys.omega`` for tau omega."""
-    xi = _gated_log(sys.chart, g, ok)
+    xi = _gated_log(sys, g, ok)
     return _i1(sys, _beta_stack(beta, sys.center_dim, sys.g0_dim), xi)
 
 
-def conjugate_and_log(chart: LocalGroupChart, g: np.ndarray, h: np.ndarray,
+def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                       ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """(g |> h, xi, eta), with xi and eta the log coordinates of g and of
     g |> h, all that i2(g, h) and g's action need.  The gates run in i2's
     order: the conjugation, g's chart gate and log, the log of g |> h."""
-    gh = conjugate(chart, g, h, ok)
-    return gh, _gated_log(chart, g, ok), log_coords(chart, gh, ok)
+    gh = conjugate(sys, g, h, ok)
+    return gh, _gated_log(sys, g, ok), log_coords(sys, gh, ok)
 
 
 def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
@@ -473,9 +456,9 @@ def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
     return _i2(sys, _i1(sys, sys.omega, xi, rule), eta, rule)
 
 
-def action_from_coords(chart: LocalGroupChart, xi: np.ndarray) -> np.ndarray:
+def action_from_coords(sys: LocalRackSystem, xi: np.ndarray) -> np.ndarray:
     """phi_g = exp(rho_xi) from the log coordinates xi of g."""
-    return exp_float(chart.rho_of(xi), chart.rho_index)
+    return exp_float(sys.rho_of(xi), sys.rho_index)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -483,9 +466,9 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h."""
-    gh = conjugate(sys.chart, g, h, ok)
+    gh = conjugate(sys, g, h, ok)
     # i1 by name, not i2_from_coords: perfbench/tracer.py counts rack.i1 here
-    return _i2(sys, i1(sys, sys.omega, g, ok), log_coords(sys.chart, gh, ok))
+    return _i2(sys, i1(sys, sys.omega, g, ok), log_coords(sys, gh, ok))
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +488,12 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
     g is conjugated once and logged once; its log coordinates give both
     its action and i1(tau omega)(g)."""
-    gh, xi, eta = conjugate_and_log(sys.chart, g, v.g, ok)
-    a = matvec(action_from_coords(sys.chart, xi), v.a) + i2_from_coords(sys, xi, eta)
+    gh, xi, eta = conjugate_and_log(sys, g, v.g, ok)
+    a = matvec(action_from_coords(sys, xi), v.a) + i2_from_coords(sys, xi, eta)
     return LocalRackElement(gh, a)
 
 
-def _mixed_difference(chart: LocalGroupChart, cfg: IntegratorConfig,
+def _mixed_difference(sys: LocalRackSystem, cfg: IntegratorConfig,
                       probe: Callable[..., np.ndarray], ok: np.ndarray | None) -> np.ndarray:
     """Central second mixed finite difference of probe(s, t, mask) at
     (0, 0), with step cfg.fd_step; O(fd_step^2).  probe takes its four
@@ -520,7 +503,7 @@ def _mixed_difference(chart: LocalGroupChart, cfg: IntegratorConfig,
     and ok loses the directions one of whose probes failed; without, mask
     is None."""
     hstep = cfg.fd_step
-    if not 0 < hstep < chart.chart_radius / 4:
+    if not 0 < hstep < sys.chart_radius / 4:
         raise ValueError("fd_step must lie in (0, chart_radius/4)")
     mask = None if ok is None else np.broadcast_to(ok, (4,) + ok.shape).copy()
     s, t = hstep * np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
@@ -539,15 +522,14 @@ def delta2(sys: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: Integr
     mask ok of the directions' stack shape, f is called as f(g, h, mask)
     with a mask of the probes' stack shape, and ok loses the directions one
     of whose probes failed."""
-    chart = sys.chart
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
     def probe(s, t, mask):
-        g = group_from_coords(chart, np.multiply.outer(s, x))
-        h = group_from_coords(chart, np.multiply.outer(t, y))
+        g = group_from_coords(sys, np.multiply.outer(s, x))
+        h = group_from_coords(sys, np.multiply.outer(t, y))
         return f(g, h) if mask is None else f(g, h, mask)
-    return _mixed_difference(chart, cfg, probe, ok)
+    return _mixed_difference(sys, cfg, probe, ok)
 
 
 def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
@@ -556,26 +538,25 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
     second mixed finite difference at (1,0); coordinates are (g0, center).
     u and v are vectors or stacks of them (..., d + m); a mask ok of their
     stack shape loses the pairs one of whose probes left the chart."""
-    chart = sys.chart
     d, m = sys.g0_dim, sys.center_dim
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (d + m,) or v.shape[-1:] != (d + m,):
         raise ValueError("tangent vectors live in g0 (+) a")
-    n2 = chart.dim * chart.dim
+    n2 = sys.dim * sys.dim
 
     def elem(w, s):
-        return LocalRackElement(group_from_coords(chart, np.multiply.outer(s, w[..., :d])),
+        return LocalRackElement(group_from_coords(sys, np.multiply.outer(s, w[..., :d])),
                                 np.multiply.outer(s, w[..., d:]))
 
     def probe(s, t, mask):
         r = rack_product(sys, elem(u, s), elem(v, t), mask)
         return np.concatenate([r.g.reshape(r.g.shape[:-2] + (n2,)), r.a], axis=-1)
 
-    mix = _mixed_difference(chart, cfg, probe, ok)
+    mix = _mixed_difference(sys, cfg, probe, ok)
     # the group-part difference quotient lies in the realized g0 only up to
     # O(h^2), so project without the strict residual gate
-    return np.concatenate([matvec(chart.coord_pinv, mix[..., :n2]), mix[..., n2:]], axis=-1)
+    return np.concatenate([matvec(sys.coord_pinv, mix[..., :n2]), mix[..., n2:]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,38 +598,37 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     the kernels as one stack (..., nodes, n, n), whose slices equal the
     per-node values bit for bit; a node that fails the log chart fails its
     pair.  The weighted sum over the nodes is ``integrate_01``."""
-    chart = sys.chart
     m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega
-    g = _chart_gate(chart, g, "group element", ok)
-    h = _chart_gate(chart, h, "group element", ok)
-    _chart_gate(chart, g @ h, "group product", ok)
+    g = _chart_gate(sys, g, "group element", ok)
+    h = _chart_gate(sys, h, "group element", ok)
+    _chart_gate(sys, g @ h, "group product", ok)
     shape = np.broadcast_shapes(g.shape[:-2], h.shape[:-2])
     if d == 0:
         return np.zeros(shape + (m,))
-    eta_h = log_coords(chart, h, ok)
-    big_h = chart.ad_of(eta_h)
-    x_index = None if chart.ad_index is None or chart.rho_index is None \
-        else chart.ad_index + chart.rho_index
+    eta_h = log_coords(sys, h, ok)
+    big_h = sys.ad_of(eta_h)
+    x_index = None if sys.ad_index is None or sys.rho_index is None \
+        else sys.ad_index + sys.rho_index
 
     nodes = np.array(cfg.quad.nodes)
     q = len(nodes)
     node_ok = None if ok is None else np.broadcast_to(ok[..., None], shape + (q,)).copy()
-    a = log_coords(chart, g[..., None, :, :] @ exp_float(
-        nodes[:, None, None] * big_h[..., None, :, :], chart.ad_index), node_ok)
+    a = log_coords(sys, g[..., None, :, :] @ exp_float(
+        nodes[:, None, None] * big_h[..., None, :, :], sys.ad_index), node_ok)
     if ok is not None:
         ok &= node_ok.all(axis=-1)
-    ad_a, rho_a = chart.ad0_of(a), chart.rho_of(a)
+    ad_a, rho_a = sys.ad0_of(a), sys.rho_of(a)
     eye = np.broadcast_to(np.eye(d), ad_a.shape)
-    aprime = np.linalg.solve(phi1_float(-ad_a, eye, chart.ad_index),
+    aprime = np.linalg.solve(phi1_float(-ad_a, eye, sys.ad_index),
                              eta_h[..., None, :, None])[..., 0]
     x = np.zeros(shape + (q, m + d, m + d))
     x[..., :m, :m] = -rho_a
-    x[..., :m, m:] = chart.combo(omega_np, a)
+    x[..., :m, m:] = sys.combo(omega_np, a)
     x[..., m:, m:] = -ad_a
     inner = phi1_float(x, np.concatenate([np.zeros(shape + (q, m)), aprime], axis=-1),
                        x_index)[..., :m]
-    values = matvec(exp_float(rho_a, chart.rho_index), inner)
+    values = matvec(exp_float(rho_a, sys.rho_index), inner)
     return integrate_01(cfg.quad, np.moveaxis(values, -2, 0))
 
 
@@ -656,13 +636,13 @@ def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackEle
                       cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a)(h,b) = (gh, a + b + iota2(g,h)), the local Lie group structure
     carried by G0 x a when the input algebra is Lie."""
-    gh = group_product(sys.chart, u.g, v.g, ok)
+    gh = group_product(sys, u.g, v.g, ok)
     return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok))
 
 
 def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
                       cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
-    ginv = _chart_gate(sys.chart, group_inverse(u.g, ok=ok), "group inverse", ok)
+    ginv = _chart_gate(sys, group_inverse(u.g, ok=ok), "group inverse", ok)
     return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok))
 
 

@@ -102,7 +102,7 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     radius = max(args.chart_radius, WIDE_CHART_RADIUS)
     try:
         wide = sys_.with_chart_radius(radius)
-        g = rack.group_from_coords(wide.chart, x)
+        g = rack.group_from_coords(wide, x)
         value = rack.i2(wide, g, g)
     except OutOfChartError as exc:
         return {"skipped": str(exc)}
@@ -169,7 +169,6 @@ def heisenberg_iota2(g, h) -> np.ndarray:
 def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
     sys_ = sys_.with_chart_radius(max(args.chart_radius, WIDE_CHART_RADIUS))
-    chart = sys_.chart
 
     def sample_coords():
         while True:
@@ -181,14 +180,14 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
               rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
              for _ in range(20)]
     a, b, ac, bc = (np.array(part) for part in zip(*draws))
-    g, h = rack.group_from_coords(chart, a), rack.group_from_coords(chart, b)
+    g, h = rack.group_from_coords(sys_, a), rack.group_from_coords(sys_, b)
     i1_ok, ok = np.ones(len(draws), dtype=bool), np.ones(len(draws), dtype=bool)
     got_i1 = rack.i1(sys_, sys_.omega, g, i1_ok)
     # i2 and the rack product (g, ac) |> (h, bc) from one conjugation g |> h
     # and the logs of g and g |> h
-    _, xi, eta = rack.conjugate_and_log(chart, g, h, ok)
+    _, xi, eta = rack.conjugate_and_log(sys_, g, h, ok)
     got_i2 = rack.i2_from_coords(sys_, xi, eta)
-    got_conj = np.concatenate([eta, matvec(rack.action_from_coords(chart, xi), bc) + got_i2],
+    got_conj = np.concatenate([eta, matvec(rack.action_from_coords(sys_, xi), bc) + got_i2],
                               axis=1)
     want_i1, want_i2, want_conj = (np.array(want) for want in zip(*(
         (dim5_i1_matrix(*x), dim5_f(x, y),
@@ -206,8 +205,8 @@ def _heisenberg_extras(sys_: rack.LocalRackSystem, args) -> list[suites.Property
     cfg = rack.default_config(args.quad_order, args.fd_step)
     a, b = np.split(rng.uniform(-0.05, 0.05, size=(20, 4)), 2, axis=1)
     ok = np.ones(20, dtype=bool)
-    got = rack.iota2(sys_, rack.group_from_coords(sys_.chart, a),
-                     rack.group_from_coords(sys_.chart, b), cfg, ok=ok)
+    got = rack.iota2(sys_, rack.group_from_coords(sys_, a),
+                     rack.group_from_coords(sys_, b), cfg, ok=ok)
     want = np.array([heisenberg_iota2(x, y) for x, y in zip(a, b)])
     return suites.stacked(20, [(suites.sup_rows(got - want), ok)],
                           [("iota2_analytic_value", 1e-9)])
@@ -215,7 +214,7 @@ def _heisenberg_extras(sys_: rack.LocalRackSystem, args) -> list[suites.Property
 
 def _abelian_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    ug, ua, vg, va = suites.draw_samples(sys_, rng, sys_.chart.chart_radius / 4, 20, "gaga")()
+    ug, ua, vg, va = suites.draw_samples(sys_, rng, sys_.chart_radius / 4, 20, "gaga")()
     v = rack.LocalRackElement(vg, va)
     ok = np.ones(20, dtype=bool)
     got = rack.rack_product(sys_, rack.LocalRackElement(ug, ua), v, ok)

@@ -168,9 +168,9 @@ def _chunked(sys: LocalRackSystem, n: int, width: int, run) -> list[np.ndarray]:
     """run(lo, hi) on consecutive slices lo:hi of n samples, each of as many
     samples as keep width dim x dim matrices a sample within CHUNK_ENTRIES
     entries, and at least one; the arrays run returns, one row per sample
-    of its slice (or per kept sample), concatenated in order.  A single
-    slice's arrays are returned as run gives them."""
-    step = max(1, CHUNK_ENTRIES // (width * sys.chart.dim ** 2))
+    of its slice, concatenated in order.  A single slice's arrays are
+    returned as run gives them."""
+    step = max(1, CHUNK_ENTRIES // (width * sys.dim ** 2))
     if step >= n:
         return run(0, n)
     chunks = [run(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -190,12 +190,11 @@ def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np
     one before.  A round exponentiates the next halvings of all rows that
     do not fit yet as one stack: N // rows-left of them (at least one), so
     no call takes more than N rows.  Each row takes the first that fits."""
-    chart = sys.chart
-    eye = chart.identity()
+    eye = sys.identity()
     # a wide draw can overflow exp; it then fails the norm test and is
     # halved, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
-        g = group_from_coords(chart, xi)
+        g = group_from_coords(sys, xi)
         left = np.flatnonzero(~(norm1_float(g - eye) < max_norm))
         x = xi[left]
         while len(left):
@@ -203,7 +202,7 @@ def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np
             for _ in range(max(1, len(xi) // len(left))):
                 x = x * 0.5
                 halvings.append(x)
-            tried = group_from_coords(chart, np.concatenate(halvings))
+            tried = group_from_coords(sys, np.concatenate(halvings))
             tried = tried.reshape((len(halvings), len(left)) + tried.shape[1:])
             fits = norm1_float(tried - eye) < max_norm  # (levels, rows left)
             done = fits.any(axis=0)
@@ -239,42 +238,43 @@ def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarr
     """Group element with ||g - I|| < max_norm, by halving a random
     coordinate draw until it fits.  The loop ends: a draw that reaches zero
     gives g = I."""
-    chart = sys.chart
-    if chart.g0_dim == 0:
-        return chart.identity()
-    xi = rng.uniform(-1.0, 1.0, size=chart.g0_dim) * max_norm
+    if sys.g0_dim == 0:
+        return sys.identity()
+    xi = rng.uniform(-1.0, 1.0, size=sys.g0_dim) * max_norm
     with np.errstate(over="ignore", invalid="ignore"):  # as in _group_elements
         while True:
-            g = group_from_coords(chart, xi)
-            if norm1_float(g - chart.identity()) < max_norm:
+            g = group_from_coords(sys, xi)
+            if norm1_float(g - sys.identity()) < max_norm:
                 return g
             xi = xi * 0.5
 
 
-def _injectivity_defect(ins: LocalRackElement, outs: LocalRackElement) -> float:
+def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> float:
     """1.0 if two inputs more than 1e-6 apart have outputs within 1e-12 of
-    each other, else 0.0, for stack elements.  Elements are compared as
-    rows (g flattened, a), so the sup norm of a row difference is
-    elem_distance, and a NaN distance never trips it.
+    each other, else 0.0, over the rows i where ok[i].  Inputs and outputs
+    are rows (N, k) of rack elements (g flattened, a), so the sup norm of a
+    row difference is elem_distance, and a NaN distance never trips it.
 
     Outputs within 1e-12 are within 1e-12 in every coordinate, so only
     pairs close in one coordinate, the one that varies most, are compared:
     the rows are sorted by it and each is compared with the rows after it
     up to 2e-12 further on (a margin over the rounding of that bound).
-    A row with a non-finite output is never within 1e-12 of another."""
-    ins, outs = (np.concatenate([u.g.reshape(len(u.g), u.g.shape[-2] * u.g.shape[-1]), u.a],
-                                axis=1) for u in (ins, outs))
-    finite = np.isfinite(outs).all(axis=1)
-    ins, outs = ins[finite], outs[finite]
-    key = outs[:, np.ptp(outs, axis=0).argmax()] if outs.size else np.zeros(len(outs))
+    A row with a non-finite output is never within 1e-12 of another.  The
+    rows are filtered and sorted through an index, never copied."""
+    keep = ok & np.isfinite(outs).all(axis=1)
+    rows = np.flatnonzero(keep)
+    spread = np.max(outs, axis=0, where=keep[:, None], initial=-np.inf) \
+        - np.min(outs, axis=0, where=keep[:, None], initial=np.inf)
+    key = outs[rows, spread.argmax()]
     order = np.argsort(key, kind="stable")
-    ins, outs, key = ins[order], outs[order], key[order]
+    rows, key = rows[order], key[order]
     # rows i + 1 .. i + width[i] lie within the window of row i
     width = np.searchsorted(key, key + 2e-12, side="right") - np.arange(len(key)) - 1
     for lag in range(1, int(width.max(initial=0)) + 1):
         i = np.flatnonzero(width >= lag)
-        d_in = np.abs(ins[i + lag] - ins[i]).max(axis=1, initial=0.0)
-        d_out = np.abs(outs[i + lag] - outs[i]).max(axis=1, initial=0.0)
+        a, b = rows[i + lag], rows[i]
+        d_in = np.abs(ins[a] - ins[b]).max(axis=1, initial=0.0)
+        d_out = np.abs(outs[a] - outs[b]).max(axis=1, initial=0.0)
         if ((d_in > 1e-6) & (d_out <= 1e-12)).any():
             return 1.0
     return 0.0
@@ -289,46 +289,53 @@ def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
     """Self-distributivity, pointedness and injectivity-on-samples for the
     product (g,a) |> (h,b), over the samples in chunks."""
     rng = np.random.default_rng(seed)
-    n = n_samples
-    take = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, 3 * n, "ga")
+    n, k = n_samples, sys.dim ** 2
+    take = draw_samples(sys, rng, sys.chart_radius / 4.0, 3 * n, "ga")
     neutral = _neutral(sys)
+    # the injectivity row's rack elements as rows (g flattened, a): g_0 and
+    # the inputs, draws 0..n, each kept by the chunk that exponentiates it,
+    # and each sample's output
+    ins, outs = np.empty((n + 1, k + sys.center_dim)), np.empty((n, k + sys.center_dim))
+
+    def elements(rows):
+        return LocalRackElement(rows[:, :k].reshape(len(rows), sys.dim, sys.dim), rows[:, k:])
 
     def run(lo, hi):
         # sample i is u, v, w = draws 3i, 3i + 1, 3i + 2, and its injectivity
         # input is draw i + 1 under the fixed g_0 = draw 0.  The chunk
-        # exponentiates draw 0, the inputs below its own draws, then its
-        # own draws, so its inputs lo + 1..hi are rows 1..m in order
+        # exponentiates its own draws alone: its inputs lo + 1..hi lie at or
+        # below its last draw 3 hi - 1, so this chunk or an earlier one kept
+        # them
         m = hi - lo
-        g, a = take(np.r_[0:min(lo, 1), lo + 1:min(hi + 1, 3 * lo), 3 * lo:3 * hi])
-        u, v, w = (LocalRackElement(g[k - 3 * m::3], a[k - 3 * m::3]) for k in range(3))
-        ins = LocalRackElement(g[1:m + 1], a[1:m + 1])
+        g, a = take(slice(3 * lo, 3 * hi))
+        kept = ins[3 * lo:3 * hi]  # its draws among 0..n
+        kept[:, :k], kept[:, k:] = g[:len(kept)].reshape(len(kept), k), a[:len(kept)]
+        u, v, w = (LocalRackElement(g[j::3], a[j::3]) for j in range(3))
 
-        # v |> w, 1 |> v and g_0 |> ins as one (3, m) stack; then u acts on
-        # v |> w, v, w and the neutral element as one (4, m) stack, so that
-        # u's own log, action and i1 are taken once per sample; the draw
-        # takes at most 4m + 1 rows, so the widest stack is 5 a sample
-        first, first_ok = _rack_products(sys, _stack(v, neutral, LocalRackElement(g[:1], a[:1])),
-                                         _stack(w, v, ins))
-        vw, one_v, outs = _parts(first)
+        # v |> w, 1 |> v and g_0 |> inputs as one (3, m) stack; then u acts
+        # on v |> w, v, w and the neutral element as one (4, m) stack, the
+        # widest, 4 a sample, so that u's own log, action and i1 are taken
+        # once per sample
+        first, first_ok = _rack_products(sys, _stack(v, neutral, elements(ins[:1])),
+                                         _stack(w, v, elements(ins[lo + 1:hi + 1])))
+        vw, one_v, out = _parts(first)
+        outs[lo:hi, :k], outs[lo:hi, k:] = out.g.reshape(m, k), out.a
         by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[None], u.a[None]),
                                        _stack(vw, v, w, neutral))
         lhs, uv, uw, u_one = _parts(by_u)
         rhs, rhs_ok = _rack_products(sys, uv, uw)
-        ok = first_ok[2]  # the injectivity row keeps the samples in chart
         return (elem_distance(lhs, rhs), first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok,
                 np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
-                by_u_ok[3] & first_ok[1], ok, ins.g[ok], ins.a[ok], outs.g[ok], outs.a[ok])
+                by_u_ok[3] & first_ok[1], first_ok[2])
 
-    sd, sd_ok, pointed, pointed_ok, ok, ins_g, ins_a, outs_g, outs_a = _chunked(sys, n, 5, run)
+    sd, sd_ok, pointed, pointed_ok, ok = _chunked(sys, n, 4, run)
     results = stacked(n, [(sd, sd_ok)], [("self_distributivity", 1e-9)])
     results += stacked(n, [(pointed, pointed_ok)], [("pointedness", 1e-12)])
-    # left translation by the fixed g_0 separates separated inputs; like
-    # every other row, samples counts attempts and skipped the ones out of
-    # chart
-    results.append(PropertyResult(
-        "injectivity_on_samples",
-        _injectivity_defect(LocalRackElement(ins_g, ins_a), LocalRackElement(outs_g, outs_a)),
-        1e-9, n, n - int(np.count_nonzero(ok))))
+    # left translation by the fixed g_0 separates separated inputs; the row
+    # keeps the samples in chart, and like every other row, samples counts
+    # attempts and skipped the ones out of chart
+    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(ins[1:], outs, ok),
+                                  1e-9, n, n - int(np.count_nonzero(ok))))
     return results
 
 
@@ -347,8 +354,7 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     actions in one call each.  A triple that leaves the chart anywhere is
     one skip for all three."""
     rng = np.random.default_rng(seed)
-    chart = sys.chart
-    take = draw_samples(sys, rng, chart.chart_radius / 8.0, n_triples, "ggg")
+    take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_triples, "ggg")
 
     def run(lo, hi):
         g, h, k = take(slice(lo, hi))
@@ -356,16 +362,16 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
         # that fails any of them is one skip.  The widest stacks, the log of
         # six elements and i2 of six pairs, are 6 a sample
         mask = np.ones((6, hi - lo), dtype=bool)
-        gh, gk, hk = conjugate(chart, _stack(g, g, h), _stack(h, k, k), mask[:3])
-        g_h, gh_g = group_product(chart, _stack(g, gh), _stack(h, g), mask[:2])
-        xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(chart, _stack(g, h, gh, gk, hk), mask[:5])
+        gh, gk, hk = conjugate(sys, _stack(g, g, h), _stack(h, k, k), mask[:3])
+        g_h, gh_g = group_product(sys, _stack(g, gh), _stack(h, g), mask[:2])
+        xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(sys, _stack(g, h, gh, gk, hk), mask[:5])
         # the four conjugations that i2 still needs: (g|>h) |> (g|>k),
         # g |> (h|>k), gh |> k and ((g|>h) g) |> k
-        conj = conjugate(chart, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
-        xi_g_h, xi_gh_g, *eta = log_coords(chart, _stack(g_h, gh_g, *conj), mask)
+        conj = conjugate(sys, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
+        xi_g_h, xi_gh_g, *eta = log_coords(sys, _stack(g_h, gh_g, *conj), mask)
         f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_coords(
             sys, _stack(xi_h, xi_g, xi_gh, xi_g, xi_g_h, xi_gh_g), _stack(xi_hk, xi_gk, *eta))
-        act_g, act_gh = action_from_coords(chart, _stack(xi_g, xi_gh))
+        act_g, act_gh = action_from_coords(sys, _stack(xi_g, xi_gh))
         g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
         dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
         ghost = g_f_hk - f_gh_k + f_g_hk
@@ -423,15 +429,14 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     if not is_lie(sys.ext.parent):
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
-    chart = sys.chart
-    take = draw_samples(sys, rng, chart.chart_radius / 8.0, n_samples, "gagaga")
+    take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "gagaga")
 
     def run(lo, hi):
         ug, ua, vg, va, wg, wa = take(slice(lo, hi))
         n = hi - lo
         u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
         conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-        gh, xi, eta = conjugate_and_log(chart, u.g, v.g, iota_ok)
+        gh, xi, eta = conjugate_and_log(sys, u.g, v.g, iota_ok)
         # u^-1 as lie_group_inverse forms it; iota2 and the products below
         # apply its chart gate
         uinv_g = group_inverse(u.g, ok=conj_ok)
@@ -441,7 +446,7 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         # nodes make the widest stack, 4 quad-order a sample
         first = np.ones((4, n), dtype=bool)
         x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
-        uv_g, vw_g, _, _ = group_product(chart, x, y, first)
+        uv_g, vw_g, _, _ = group_product(sys, x, y, first)
         iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
         uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
         vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
@@ -470,7 +475,7 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
     point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w), over
     the samples in chunks."""
     rng = np.random.default_rng(seed)
-    take = draw_samples(sys, rng, sys.chart.chart_radius / 8.0, n_samples, "ggga")
+    take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "ggga")
     neutral = _neutral(sys)
 
     def act(x, y):
@@ -481,7 +486,7 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
         g, h, wg, wa = take(slice(lo, hi))
         w = LocalRackElement(wg, wa)
         gh_ok = np.ones(hi - lo, dtype=bool)
-        gh = group_product(sys.chart, g, h, gh_ok)
+        gh = group_product(sys, g, h, gh_ok)
         # 1, h and gh act on w as one (3, m) stack, the widest, 3 a sample;
         # then g on the neutral element and on h.w as one (2, m) stack
         on_w, on_w_ok = act(_stack(neutral.g, h, gh), w)
@@ -503,10 +508,10 @@ def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
     at a rule) must not move it: the integrands are polynomial when rho is
     nilpotent.  All pairs at once, logged once for both orders."""
     rng = np.random.default_rng(seed)
-    g, h = draw_samples(sys, rng, sys.chart.chart_radius / 4.0, n_pairs, "gg")()
+    g, h = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
     fine = gauss_legendre_01(2 * cfg.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
-    _, xi, eta = conjugate_and_log(sys.chart, g, h, ok)
+    _, xi, eta = conjugate_and_log(sys, g, h, ok)
     diff = i2_from_coords(sys, xi, eta, cfg.quad) - i2_from_coords(sys, xi, eta, fine)
     return stacked(n_pairs, [(sup_rows(diff), ok)],
                    [("quadrature_order_stability", 1e-12)])

@@ -133,7 +133,7 @@ def i2_quadrature(sys_, g, h, rule, ok=None) -> np.ndarray:
     """i2 with both path integrals, i1's and the outer one, taken by
     Gauss-Legendre quadrature at rule: the quadrature cross-check of i2 as
     a function of group elements."""
-    _, xi, eta = conjugate_and_log(sys_.chart, g, h, ok)
+    _, xi, eta = conjugate_and_log(sys_, g, h, ok)
     return i2_from_coords(sys_, xi, eta, rule)
 
 
@@ -161,10 +161,9 @@ def rack_diff2_expansion(mod, f, g, h, k, conj):
 def ghost_identity_defect(sys_, g, h, k, ok=None) -> np.ndarray:
     """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
     Note gh is the group product, not a conjugation."""
-    chart = sys_.chart
-    gh = group_product(chart, g, h, ok)
-    hk = conjugate(chart, h, k, ok)
-    return (matvec(group_action(chart, g, ok), i2(sys_, h, k, ok))
+    gh = group_product(sys_, g, h, ok)
+    hk = conjugate(sys_, h, k, ok)
+    return (matvec(group_action(sys_, g, ok), i2(sys_, h, k, ok))
             - i2(sys_, gh, k, ok) + i2(sys_, g, hk, ok))
 
 
@@ -245,34 +244,32 @@ def _mixed_difference(cfg, probe):
 
 
 def delta2_one_by_one(sys_, f, x, y, cfg):
-    chart = sys_.chart
     x = np.asarray([float(c) for c in x])
     y = np.asarray([float(c) for c in y])
-    return _mixed_difference(cfg, lambda s, t: f(group_from_coords(chart, s * x),
-                                                 group_from_coords(chart, t * y)))
+    return _mixed_difference(cfg, lambda s, t: f(group_from_coords(sys_, s * x),
+                                                 group_from_coords(sys_, t * y)))
 
 
 def tangent_bracket_one_by_one(sys_, u, v, cfg):
-    chart = sys_.chart
     d = sys_.g0_dim
 
     def elem(w, s):
-        return LocalRackElement(group_from_coords(chart, s * w[:d]), s * w[d:])
+        return LocalRackElement(group_from_coords(sys_, s * w[:d]), s * w[d:])
 
     def probe(s, t):
         r = rack_product(sys_, elem(u, s), elem(v, t))
         return np.concatenate([r.g.ravel(), r.a])
 
     mix = _mixed_difference(cfg, probe)
-    n2 = chart.dim * chart.dim
-    return np.concatenate([chart.coord_pinv @ mix[:n2], mix[n2:]])
+    n2 = sys_.dim * sys_.dim
+    return np.concatenate([sys_.coord_pinv @ mix[:n2], mix[n2:]])
 
 
 # -- the suites ----------------------------------------------------------------
 
 def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
     rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 4.0
+    max_norm = sys_.chart_radius / 4.0
     neutral = sys_.neutral()
     elems = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
     triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
@@ -305,11 +302,10 @@ def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
 
 def cocycle_one_by_one(sys_, n_triples=100, seed=1):
     rng = np.random.default_rng(seed)
-    chart = sys_.chart
-    max_norm = chart.chart_radius / 8.0
+    max_norm = sys_.chart_radius / 8.0
     f = RackCochainFn(2, lambda g, h: i2(sys_, g, h))
-    mod = RackModuleStructure.anti_symmetric(sys_.center_dim, lambda g: group_action(chart, g))
-    conj = lambda x, y: conjugate(chart, x, y)
+    mod = RackModuleStructure.anti_symmetric(sys_.center_dim, lambda g: group_action(sys_, g))
+    conj = lambda x, y: conjugate(sys_, x, y)
 
     def check(g, h, k):
         dr = rack_diff2_expansion(mod, f, g, h, k, conj)
@@ -325,15 +321,15 @@ def cocycle_one_by_one(sys_, n_triples=100, seed=1):
 
 def augmented_action_one_by_one(sys_, n_samples=50, seed=3):
     rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 8.0
+    max_norm = sys_.chart_radius / 8.0
     neutral = sys_.neutral()
-    ident = sys_.chart.identity()
+    ident = sys_.identity()
 
     def check(g, h, w):
         yield distance(augmented_action(sys_, ident, w), w)
         yield distance(augmented_action(sys_, g, neutral), neutral)
         lhs = augmented_action(sys_, g, augmented_action(sys_, h, w))
-        rhs = augmented_action(sys_, group_product(sys_.chart, g, h), w)
+        rhs = augmented_action(sys_, group_product(sys_, g, h), w)
         yield distance(lhs, rhs)
 
     return sampled(n_samples,
@@ -385,7 +381,7 @@ def tangent_one_by_one(sys_, cfg):
 
 def quadrature_stability_one_by_one(sys_, cfg, n_pairs=20, seed=4):
     rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 4.0
+    max_norm = sys_.chart_radius / 4.0
     fine = gauss_legendre_01(2 * cfg.quad.order)
 
     def check(g, h):
@@ -400,7 +396,7 @@ def quadrature_stability_one_by_one(sys_, cfg, n_pairs=20, seed=4):
 def lie_specialization_one_by_one(sys_, cfg, n_samples=50, seed=2):
     assert is_lie(sys_.ext.parent)
     rng = np.random.default_rng(seed)
-    max_norm = sys_.chart.chart_radius / 8.0
+    max_norm = sys_.chart_radius / 8.0
 
     def product(u, v):
         return lie_group_product(sys_, u, v, cfg)
@@ -409,7 +405,7 @@ def lie_specialization_one_by_one(sys_, cfg, n_samples=50, seed=2):
         yield distance(product(product(u, v), w), product(u, product(v, w)))
         uinv = lie_group_inverse(sys_, u, cfg)
         yield distance(product(product(u, v), uinv), rack_product(sys_, u, v))
-        gh = conjugate(sys_.chart, u.g, v.g)
+        gh = conjugate(sys_, u.g, v.g)
         lhs = i2(sys_, u.g, v.g)
         yield sup_norm(lhs - (iota2(sys_, u.g, v.g, cfg) - iota2(sys_, gh, u.g, cfg)))
 
@@ -435,7 +431,6 @@ ONE_BY_ONE = {
 def dim5_extras_one_by_one(sys_, args):
     rng = np.random.default_rng(args.seed)
     sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
-    chart = sys_.chart
 
     def sample_coords():
         while True:
@@ -448,13 +443,13 @@ def dim5_extras_one_by_one(sys_, args):
                 rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
 
     def check(a, b, ac, bc):
-        g, h = group_from_coords(chart, a), group_from_coords(chart, b)
+        g, h = group_from_coords(sys_, a), group_from_coords(sys_, b)
         got_i1 = i1(sys_, sys_.omega, g)
         yield sup_norm(got_i1 - dim5_i1_matrix(*a))
         yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
         got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        yield sup_norm(np.concatenate([log_coords(chart, got.g), got.a]) - want)
+        yield sup_norm(np.concatenate([log_coords(sys_, got.g), got.a]) - want)
 
     return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
                                      ("conjugation_closed_form", 1e-9)])
@@ -465,8 +460,8 @@ def heisenberg_extras_one_by_one(sys_, args):
     cfg = default_config(args.quad_order, args.fd_step)
 
     def check(a, b):
-        g = group_from_coords(sys_.chart, a)
-        h = group_from_coords(sys_.chart, b)
+        g = group_from_coords(sys_, a)
+        h = group_from_coords(sys_, b)
         yield sup_norm(iota2(sys_, g, h, cfg) - heisenberg_iota2(a, b))
 
     return sampled(20, lambda: (rng.uniform(-0.05, 0.05, size=2),
@@ -476,7 +471,7 @@ def heisenberg_extras_one_by_one(sys_, args):
 
 def abelian_extras_one_by_one(sys_, args):
     rng = np.random.default_rng(args.seed)
-    max_norm = sys_.chart.chart_radius / 4
+    max_norm = sys_.chart_radius / 4
 
     def check(u, v):
         yield elem_distance(rack_product(sys_, u, v), v)
@@ -496,7 +491,7 @@ EXTRAS_ONE_BY_ONE = {"dim5": (dim5_extras_one_by_one, (PHI_TYPO_NOTE,)),
 
 def combo_per_basis(basis, xi):
     """sum_p xi_p basis[p], one basis matrix at a time in basis order, as
-    ``LocalGroupChart.combo`` summed before it became one matrix product."""
+    ``LocalRackSystem.combo`` summed before it became one matrix product."""
     xi = np.asarray(xi, dtype=float)
     acc = np.zeros(xi.shape[:-1] + basis.shape[1:])
     for p, b in zip(range(xi.shape[-1]), basis, strict=True):
@@ -531,7 +526,7 @@ def i1_in_hom_module(sys_, bmat, xi):
     vanish = np.abs(xi).max(axis=-1, initial=0.0) == 0
     if vanish.all():
         return np.zeros(v.shape)
-    out = phi1_float(sys_.chart.combo(gens, xi), v, index)
+    out = phi1_float(sys_.combo(gens, xi), v, index)
     out[vanish] = 0.0
     return out
 

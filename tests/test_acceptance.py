@@ -100,7 +100,7 @@ def test_criterion_2_i1_closed_form():
     worst = 0.0
     for _ in range(20):
         a = disk_point(rng)
-        g = group_from_coords(sys_.chart, a)
+        g = group_from_coords(sys_, a)
         got = i1(sys_, sys_.omega, g)
         worst = max(worst, float(np.abs(got - dim5_i1_matrix(*a)).max()))
     dt = time.perf_counter() - t0
@@ -143,8 +143,8 @@ def test_criterion_3_i2_closed_form_with_symbolic_oracle():
     worst = 0.0
     for _ in range(20):
         a, b = disk_point(rng), disk_point(rng)
-        g = group_from_coords(sys_.chart, a)
-        h = group_from_coords(sys_.chart, b)
+        g = group_from_coords(sys_, a)
+        h = group_from_coords(sys_, b)
         got = i2(sys_, g, h)
         worst = max(worst, float(np.abs(got - dim5_f(a, b)).max()))
     dt = time.perf_counter() - t0
@@ -255,8 +255,8 @@ def test_criterion_8_lie_specialization():
     worst = 0.0
     for _ in range(20):
         a, b = rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.05, 0.05, 2)
-        g = group_from_coords(sys_.chart, a)
-        h = group_from_coords(sys_.chart, b)
+        g = group_from_coords(sys_, a)
+        h = group_from_coords(sys_, b)
         worst = max(worst, float(np.abs(iota2(sys_, g, h, CFG)
                                         - heisenberg_iota2(a, b)).max()))
     dt = time.perf_counter() - t0
@@ -291,8 +291,8 @@ def test_criterion_10_quadrature_exactness():
     rng = np.random.default_rng(6)
     worst = agree = 0.0
     for _ in range(20):
-        g = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, 2))
-        h = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, 2))
+        g = group_from_coords(sys_, rng.uniform(-0.1, 0.1, 2))
+        h = group_from_coords(sys_, rng.uniform(-0.1, 0.1, 2))
         q8 = i2_quadrature(sys_, g, h, rule8)
         q16 = i2_quadrature(sys_, g, h, rule16)
         closed = i2(sys_, g, h)

@@ -253,23 +253,22 @@ def test_trivial_rep_on_abelian_gives_trivial_hom_action():
 # -- rack differential -------------------------------------------------------
 
 def _dim5_setup(dim5_sys):
-    chart = dim5_sys.chart
-    conj = lambda x, y: conjugate(chart, x, y)
-    action = lambda g: group_action(chart, g)
-    return chart, conj, action
+    conj = lambda x, y: conjugate(dim5_sys, x, y)
+    action = lambda g: group_action(dim5_sys, g)
+    return conj, action
 
 
 def test_rack_differential_of_zero(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     mod = RackModuleStructure.symmetric(3, action, conj)
     f = RackCochainFn(1, lambda g: np.zeros(3))
-    g = group_from_coords(chart, [0.05, 0.1])
-    h = group_from_coords(chart, [-0.07, 0.02])
+    g = group_from_coords(dim5_sys, [0.05, 0.1])
+    h = group_from_coords(dim5_sys, [-0.07, 0.02])
     assert np.abs(rack_differential_eval(mod, f, (g, h), conj)).max() == 0.0
 
 
 def test_normative_equals_hardcoded_expansions(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(2)
     mod1 = RackModuleStructure.symmetric(3, action, conj)
     mod2 = RackModuleStructure.anti_symmetric(3, action)
@@ -281,9 +280,9 @@ def test_normative_equals_hardcoded_expansions(dim5_sys):
     f1 = RackCochainFn(1, f1_eval)
     f2 = RackCochainFn(2, lambda g, h: f1_eval(g) * float((h - np.eye(5)).sum()))
     for _ in range(5):
-        g = group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
-        h = group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
-        k = group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
+        g = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
+        h = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
+        k = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
         got = rack_differential_eval(mod1, f1, (g, h), conj)
         want = rack_diff1_expansion(mod1, f1, g, h, conj)
         assert np.abs(got - want).max() < 1e-14
@@ -293,12 +292,12 @@ def test_normative_equals_hardcoded_expansions(dim5_sys):
 
 
 def test_general_and_normative_differ_by_psi_sign(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(4)
     mod = RackModuleStructure.symmetric(3, action, conj)
     f = RackCochainFn(1, lambda g: np.array([g[2, 0], g[3, 0], g[4, 0]]))
-    g = group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
-    h = group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
+    g = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
+    h = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
     normative = rack_differential_eval(mod, f, (g, h), conj)
     general = rack_differential_general(mod, f, (g, h), conj)
     psi_term = mod.psi(g, h, f(g))
@@ -307,12 +306,12 @@ def test_general_and_normative_differ_by_psi_sign(dim5_sys):
 
 
 def test_general_equals_normative_for_anti_symmetric(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(6)
     mod = RackModuleStructure.anti_symmetric(3, action)
     f = RackCochainFn(2, lambda g, h: np.array([g[2, 0] * h[2, 1], 0.0, g[4, 0]]))
     for _ in range(5):
-        args = tuple(group_from_coords(chart, rng.uniform(-0.1, 0.1, 2))
+        args = tuple(group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
                      for _ in range(3))
         a = rack_differential_eval(mod, f, args, conj)
         b = rack_differential_general(mod, f, args, conj)
@@ -327,35 +326,34 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys):
     import scipy.linalg
     rng = np.random.default_rng(7)
     for sys_ in (dim5_sys, build_rack_system(canonical_extension(free_nilpotent5()), 0.5)):
-        chart = sys_.chart
-        conj = lambda x, y: conjugate(chart, x, y)
+        conj = lambda x, y: conjugate(sys_, x, y)
 
         def hom_action(g):
             # alpha -> exp(rho_xi) alpha exp(-ad0_xi) on Hom(g0, a), flattened
             # row by row: the Kronecker product of the two factors
-            xi = log_coords(chart, g)
-            return np.kron(scipy.linalg.expm(chart.rho_of(xi)),
-                           scipy.linalg.expm(-chart.ad0_of(xi)).T)
+            xi = log_coords(sys_, g)
+            return np.kron(scipy.linalg.expm(sys_.rho_of(xi)),
+                           scipy.linalg.expm(-sys_.ad0_of(xi)).T)
 
         mod = RackModuleStructure.symmetric(sys_.center_dim * sys_.g0_dim, hom_action, conj)
         # the module's carrier is Hom(g0, a) flattened row by row
         f = RackCochainFn(1, lambda g: i1(sys_, sys_.omega, g).reshape(-1))
         for _ in range(6):
-            g = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
-            h = group_from_coords(chart, rng.uniform(-0.05, 0.05, chart.g0_dim))
+            g = group_from_coords(sys_, rng.uniform(-0.05, 0.05, sys_.g0_dim))
+            h = group_from_coords(sys_, rng.uniform(-0.05, 0.05, sys_.g0_dim))
             val = rack_differential_eval(mod, f, (g, h), conj)
             assert np.abs(val).max() <= 1e-9
 
 
 def test_identity_slot_vanishing(dim5_sys):
     from leibrack.rack import i2
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     mod = RackModuleStructure.anti_symmetric(3, action)
     f = RackCochainFn(2, lambda g, h: i2(dim5_sys, g, h))
     rng = np.random.default_rng(8)
-    g = group_from_coords(chart, rng.uniform(-0.08, 0.08, 2))
-    k = group_from_coords(chart, rng.uniform(-0.08, 0.08, 2))
-    one = chart.identity()
+    g = group_from_coords(dim5_sys, rng.uniform(-0.08, 0.08, 2))
+    k = group_from_coords(dim5_sys, rng.uniform(-0.08, 0.08, 2))
+    one = dim5_sys.identity()
     for args in [(one, g, k), (g, one, k), (g, k, one)]:
         val = rack_differential_eval(mod, f, args, conj)
         assert np.abs(val).max() <= 1e-12
@@ -363,30 +361,30 @@ def test_identity_slot_vanishing(dim5_sys):
 
 # -- module axioms -----------------------------------------------------------
 
-def _sample_triples(chart, rng, count):
-    return [tuple(group_from_coords(chart, rng.uniform(-0.1, 0.1, chart.g0_dim))
+def _sample_triples(sys_, rng, count):
+    return [tuple(group_from_coords(sys_, rng.uniform(-0.1, 0.1, sys_.g0_dim))
                   for _ in range(3)) for _ in range(count)]
 
 
 def test_module_axioms_symmetric_structure(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(12)
     mod = RackModuleStructure.symmetric(3, action, conj)
-    report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 10))
+    report = check_module_axioms(mod, conj, _sample_triples(dim5_sys, rng, 10))
     assert report["passes"]
 
 
 def test_module_axioms_anti_symmetric_structure(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(13)
     mod = RackModuleStructure.anti_symmetric(3, action)
-    report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 10))
+    report = check_module_axioms(mod, conj, _sample_triples(dim5_sys, rng, 10))
     assert report["passes"]
     assert report["M2"] == 0.0 and report["M3"] == 0.0  # psi = 0 collapses them
 
 
 def test_module_axioms_flag_corruption(dim5_sys):
-    chart, conj, action = _dim5_setup(dim5_sys)
+    conj, action = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(14)
     # the corner entry is central in this nilpotent matrix algebra and
     # would not disturb (M1); perturb a non-central one
@@ -394,10 +392,10 @@ def test_module_axioms_flag_corruption(dim5_sys):
     noise[1, 0] = 0.1
 
     def bad_action(g):
-        return group_action(chart, g) + noise
+        return group_action(dim5_sys, g) + noise
 
     mod = RackModuleStructure.symmetric(3, bad_action, conj)
-    report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 10))
+    report = check_module_axioms(mod, conj, _sample_triples(dim5_sys, rng, 10))
     assert not report["passes"]
     assert report["M1"] > 1e-3
 
@@ -405,9 +403,9 @@ def test_module_axioms_flag_corruption(dim5_sys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_module_axioms_nan_action_fails(dim5_sys):
     # a NaN defect must reach the report and fail, not read as 0
-    chart, conj, _ = _dim5_setup(dim5_sys)
+    conj, _ = _dim5_setup(dim5_sys)
     rng = np.random.default_rng(15)
     mod = RackModuleStructure.anti_symmetric(3, lambda g: np.full((3, 3), np.nan))
-    report = check_module_axioms(mod, conj, _sample_triples(chart, rng, 3))
+    report = check_module_axioms(mod, conj, _sample_triples(dim5_sys, rng, 3))
     assert not report["passes"]
     assert np.isnan(report["M1"]) and np.isnan(report["M4"])

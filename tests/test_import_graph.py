@@ -12,7 +12,9 @@ binding the benchmark's tracer (``perfbench/tracer.py``, read, not
 changed) wraps; a first report under that tracer leaves no wrapper behind
 in the lazily imported float half.  Each name ``exact`` defines is imported
 from ``exact``: no module takes one through ``linalg``, which holds only
-the four that it raises or that the tracer binds under its name."""
+the four that it raises or that the tracer binds under its name.  The
+float layer has one record: no function of the package takes a ``chart``
+and nothing reads ``.chart``."""
 
 import ast
 import json
@@ -45,9 +47,9 @@ EXPORTS = {
     "fileio": ("ParseError", "algebra_from_dict", "algebra_to_dict", "parse_algebra_file",
                "write_algebra_file"),
     "linalg": ("QuadratureRule", "gauss_legendre_01", "integrate_01"),
-    "rack": ("IntegratorConfig", "LocalGroupChart", "LocalRackElement", "LocalRackSystem",
-             "NotLieCocycleError", "RackCochainFn", "RackModuleStructure", "augmented_action",
-             "build_rack_system", "conjugate", "default_config", "delta2", "i1", "i2", "iota2",
+    "rack": ("IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
+             "RackCochainFn", "RackModuleStructure", "augmented_action", "build_rack_system",
+             "conjugate", "default_config", "delta2", "i1", "i2", "iota2",
              "rack_differential_eval", "rack_differential_general", "rack_product",
              "tangent_bracket"),
 }
@@ -262,3 +264,18 @@ def test_every_exact_name_is_imported_from_exact():
     assert through_linalg == {}
     held = {n for n in names if getattr(linalg, n, None) is getattr(exact, n)}
     assert held == LINALG_EXACT_NAMES
+
+
+def test_no_function_takes_a_chart_beside_the_system():
+    found = []
+    paths = sorted((SRC / "leibrack").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                found += [f"{path.name}:{node.lineno} takes chart"
+                          for p in params if p is not None and p.arg == "chart"]
+            elif isinstance(node, ast.Attribute) and node.attr == "chart":
+                found.append(f"{path.name}:{node.lineno} reads .chart")
+    assert SRC / "leibrack" / "rack.py" in paths and found == []

@@ -626,8 +626,8 @@ def _binades(rng, shape):
 
 
 @functools.cache
-def _filiform5_chart():
-    return build_rack_system(canonical_extension(filiform5())).chart
+def _filiform5_sys():
+    return build_rack_system(canonical_extension(filiform5()))
 
 
 def _filiform5_coords(rng, n):
@@ -647,7 +647,7 @@ def _elements(rng, n):
 STACK_CASES = {
     "norm1_float": (norm1_float, lambda rng, n: [_binades(rng, (6, n, n))]),
     "matvec": (matvec, lambda rng, n: [_binades(rng, (6, n, n)), _binades(rng, (6, n))]),
-    "group_from_coords": (lambda xi: group_from_coords(_filiform5_chart(), xi), _filiform5_coords),
+    "group_from_coords": (lambda xi: group_from_coords(_filiform5_sys(), xi), _filiform5_coords),
     "elem_distance": (_elem_distance, _elements),
 }
 

@@ -97,50 +97,46 @@ def _on_omega(sys_, omega):
 
 # -- chart operations --------------------------------------------------------
 
-def canonical_path(chart, g, s):
+def canonical_path(sys_, g, s):
     """gamma_g(s) = exp(s log g); s=0 is the identity, s=1 is g."""
-    assert in_chart(chart, g)
+    assert in_chart(sys_, g)
     return exp_float(s * log_float(g))
 
 
 def test_canonical_path_endpoints(dim5_sys):
-    chart = dim5_sys.chart
-    g = group_from_coords(chart, [0.1, -0.05])
-    assert np.abs(canonical_path(chart, g, 0.0) - np.eye(5)).max() == 0.0
-    assert np.abs(canonical_path(chart, g, 1.0) - g).max() < 1e-10
-    one = chart.identity()
+    g = group_from_coords(dim5_sys, [0.1, -0.05])
+    assert np.abs(canonical_path(dim5_sys, g, 0.0) - np.eye(5)).max() == 0.0
+    assert np.abs(canonical_path(dim5_sys, g, 1.0) - g).max() < 1e-10
+    one = dim5_sys.identity()
     for s in (0.0, 0.3, 1.0):
-        assert np.abs(canonical_path(chart, one, s) - one).max() == 0.0
+        assert np.abs(canonical_path(dim5_sys, one, s) - one).max() == 0.0
 
 
 def test_canonical_path_is_linear_in_coords_for_abelian(dim5_sys):
-    chart = dim5_sys.chart
     a = np.array([0.08, -0.03])
-    g = group_from_coords(chart, a)
+    g = group_from_coords(dim5_sys, a)
     for s in (0.25, 0.6):
-        assert np.abs(log_coords(chart, canonical_path(chart, g, s)) - s * a).max() < 1e-12
+        assert np.abs(log_coords(dim5_sys, canonical_path(dim5_sys, g, s)) - s * a).max() < 1e-12
 
 
 def test_conjugation_pointedness(dim5_sys):
-    chart = dim5_sys.chart
-    g = group_from_coords(chart, [0.1, 0.02])
-    one = chart.identity()
-    assert np.abs(conjugate(chart, g, one) - one).max() == 0.0
-    assert np.abs(conjugate(chart, one, g) - g).max() == 0.0
+    g = group_from_coords(dim5_sys, [0.1, 0.02])
+    one = dim5_sys.identity()
+    assert np.abs(conjugate(dim5_sys, g, one) - one).max() == 0.0
+    assert np.abs(conjugate(dim5_sys, one, g) - g).max() == 0.0
 
 
 def test_conjugation_trivial_for_abelian_quotient(dim5_sys):
-    chart = dim5_sys.chart
-    g = group_from_coords(chart, [0.1, 0.02])
-    h = group_from_coords(chart, [-0.04, 0.07])
-    assert np.abs(conjugate(chart, g, h) - h).max() < 1e-14
+    g = group_from_coords(dim5_sys, [0.1, 0.02])
+    h = group_from_coords(dim5_sys, [-0.04, 0.07])
+    assert np.abs(conjugate(dim5_sys, g, h) - h).max() < 1e-14
 
 
 def test_chart_gate_raises():
     sys_ = build_rack_system(canonical_extension(dim5()), chart_radius=0.05)
-    big = group_from_coords(sys_.chart, [1.0, 0.0])
+    big = group_from_coords(sys_, [1.0, 0.0])
     with pytest.raises(OutOfChartError):
-        conjugate(sys_.chart, big, big)
+        conjugate(sys_, big, big)
 
 
 def test_coordinates_of_the_wrong_length_are_rejected(dim5_sys):
@@ -148,7 +144,7 @@ def test_coordinates_of_the_wrong_length_are_rejected(dim5_sys):
     # be truncated to exp(0.1 ad_1) without a word
     for xi in ([0.1], [0.1, 0.0, 0.3]):
         with pytest.raises(ValueError):
-            group_from_coords(dim5_sys.chart, xi)
+            group_from_coords(dim5_sys, xi)
 
 
 def _within_ulps(got, want, abs_terms, ulps=4):
@@ -167,12 +163,11 @@ _COMBO_IDS = ["dim5", "filiform5", "free_nilpotent5", "abelian3",
 def test_combo_matches_the_per_basis_loop(alg):
     # one matrix product, which BLAS may sum in another order than the loop
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    chart = sys_.chart
     rng = np.random.default_rng(31)
-    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis):
+    for basis in (sys_.ad_basis, sys_.rho_basis, sys_.ad0_basis):
         for shape in ((), (7,), (3, 4)):
-            xi = rng.uniform(-1.0, 1.0, shape + (chart.g0_dim,))
-            got = chart.combo(basis, xi)
+            xi = rng.uniform(-1.0, 1.0, shape + (sys_.g0_dim,))
+            got = sys_.combo(basis, xi)
             assert got.shape == shape + basis.shape[1:]
             assert _within_ulps(got, combo_per_basis(basis, xi),
                                 combo_per_basis(np.abs(basis), np.abs(xi)))
@@ -181,14 +176,13 @@ def test_combo_matches_the_per_basis_loop(alg):
 @pytest.mark.parametrize("alg", _COMBO_ALGEBRAS, ids=_COMBO_IDS)
 def test_combo_rejects_coordinates_of_the_wrong_length(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    chart = sys_.chart
-    for basis in (chart.ad_basis, chart.rho_basis, chart.ad0_basis):
+    for basis in (sys_.ad_basis, sys_.rho_basis, sys_.ad0_basis):
         for shape in ((), (3, 4)):
             with pytest.raises(ValueError):
-                chart.combo(basis, np.ones(shape + (chart.g0_dim + 1,)))
-            if chart.g0_dim:
+                sys_.combo(basis, np.ones(shape + (sys_.g0_dim + 1,)))
+            if sys_.g0_dim:
                 with pytest.raises(ValueError):
-                    chart.combo(basis, np.ones(shape + (chart.g0_dim - 1,)))
+                    sys_.combo(basis, np.ones(shape + (sys_.g0_dim - 1,)))
 
 
 def test_chart_radius_must_be_positive_and_finite(dim5_ext, dim5_sys):
@@ -214,15 +208,15 @@ def test_singular_conjugator_is_out_of_chart():
     # singular matrix; conjugating by it leaves the chart instead of crashing
     aff = LeibnizAlgebra.from_brackets(2, {(0, 1): {1: 1}, (1, 0): {1: -1}})
     sys_ = build_rack_system(canonical_extension(aff), 8.0)
-    g = group_from_coords(sys_.chart, [-800.0, 0.0])
+    g = group_from_coords(sys_, [-800.0, 0.0])
     with pytest.raises(OutOfChartError, match="singular"):
-        conjugate(sys_.chart, g, sys_.chart.identity())
+        conjugate(sys_, g, sys_.identity())
 
 
 # -- i1 ----------------------------------------------------------------------
 
 def test_i1_vanishes_at_identity(dim5_sys):
-    got = i1(dim5_sys, dim5_sys.omega, dim5_sys.chart.identity())
+    got = i1(dim5_sys, dim5_sys.omega, dim5_sys.identity())
     assert np.abs(got).max() == 0.0
 
 
@@ -230,16 +224,16 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
     rng = np.random.default_rng(1)
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
-        g = group_from_coords(dim5_sys.chart, a)
+        g = group_from_coords(dim5_sys, a)
         got = i1(dim5_sys, dim5_sys.omega, g)
         assert np.abs(got - dim5_i1_matrix(*a)).max() < 1e-10
 
 
-def _hom_action(chart, xi, alpha):
+def _hom_action(sys_, xi, alpha):
     """g acting on the m x d block alpha in Hom(g0, a): exp(rho_xi) alpha
     exp(-ad0_xi), from g's log coordinates xi."""
-    return exp_float(chart.rho_of(xi), chart.rho_index) @ alpha \
-        @ exp_float(-chart.ad0_of(xi), chart.ad0_index)
+    return exp_float(sys_.rho_of(xi), sys_.rho_index) @ alpha \
+        @ exp_float(-sys_.ad0_of(xi), sys_.ad0_index)
 
 
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
@@ -250,13 +244,13 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
     beta = leibniz_differential(homrep, cochain_from_dense(0, 2, 6, b))
-    chart = dim5_sys.chart
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
-        g = group_from_coords(chart, xi)
+        g = group_from_coords(dim5_sys, xi)
         got = i1(dim5_sys, beta, g)
         bmat = np.array(b, float).reshape(3, 2)
-        want = scipy.linalg.expm(chart.rho_of(xi)) @ bmat @ scipy.linalg.expm(-chart.ad0_of(xi))
+        want = scipy.linalg.expm(dim5_sys.rho_of(xi)) @ bmat \
+            @ scipy.linalg.expm(-dim5_sys.ad0_of(xi))
         assert np.abs(got - (want - bmat)).max() < 1e-10
 
 
@@ -265,17 +259,16 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
     Hom-valued tau(omega) integrated along s -> exp(s log g), with the path
     differentiated by central differences instead of the constant
     left-logarithmic derivative that i1 relies on."""
-    chart = sys_.chart
-    ell = chart.ad_of(log_coords(chart, g))
+    ell = sys_.ad_of(log_coords(sys_, g))
 
     def path(s):
-        return exp_float(s * ell, chart.ad_index)
+        return exp_float(s * ell, sys_.ad_index)
 
     def integrand(s):
         p = path(s)
         dp = (path(s + eps) - path(s - eps)) / (2 * eps)
-        v = chart.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
-        return _hom_action(chart, log_coords(chart, p), sys_.chart.combo(sys_.omega, v))
+        v = sys_.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
+        return _hom_action(sys_, log_coords(sys_, p), sys_.combo(sys_.omega, v))
     return integrate_01(cfg.quad, [integrand(s) for s in cfg.quad.nodes])
 
 
@@ -283,7 +276,7 @@ def test_i1_general_path_cross_check(dim5_sys, cfg):
     rng = np.random.default_rng(3)
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
-        g = group_from_coords(dim5_sys.chart, a)
+        g = group_from_coords(dim5_sys, a)
         fast = i1(dim5_sys, dim5_sys.omega, g)
         assert np.abs(fast - _i1_general_path(dim5_sys, g, cfg)).max() < 1e-7
 
@@ -295,7 +288,7 @@ def test_i1_general_path_nonabelian(cfg):
     rng = np.random.default_rng(4)
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
-        g = group_from_coords(sys_.chart, a)
+        g = group_from_coords(sys_, a)
         fast = i1(sys_, sys_.omega, g)
         assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
 
@@ -324,15 +317,14 @@ def test_i1_on_blocks_matches_the_hom_module_oracle(name):
 # -- i2 ----------------------------------------------------------------------
 
 def test_i2_vanishes_with_identity_argument(dim5_sys):
-    chart = dim5_sys.chart
-    g = group_from_coords(chart, [0.1, -0.06])
-    one = chart.identity()
+    g = group_from_coords(dim5_sys, [0.1, -0.06])
+    one = dim5_sys.identity()
     assert np.abs(i2(dim5_sys, g, one)).max() <= 1e-12
     assert np.abs(i2(dim5_sys, one, g)).max() <= 1e-12
 
 
 def test_i2_unit_coordinate_value(dim5_sys_wide):
-    g = group_from_coords(dim5_sys_wide.chart, [1.0, 0.0])
+    g = group_from_coords(dim5_sys_wide, [1.0, 0.0])
     got = i2(dim5_sys_wide, g, g)
     assert np.abs(got - np.array([1.0, 1.0, 7.0 / 12.0])).max() < 1e-10
 
@@ -342,8 +334,8 @@ def test_i2_matches_closed_form(dim5_sys):
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         b = rng.uniform(-0.17, 0.17, size=2)
-        g = group_from_coords(dim5_sys.chart, a)
-        h = group_from_coords(dim5_sys.chart, b)
+        g = group_from_coords(dim5_sys, a)
+        h = group_from_coords(dim5_sys, b)
         assert np.abs(i2(dim5_sys, g, h) - dim5_f(a, b)).max() < 1e-9
 
 
@@ -359,12 +351,11 @@ def test_delta2_of_zero(dim5_sys, cfg):
 
 
 def test_delta2_recovers_synthetic_bilinear_form(dim5_sys, cfg):
-    chart = dim5_sys.chart
     rng = np.random.default_rng(6)
     B = rng.uniform(-1, 1, size=(3, 2, 2))
 
     def f(g, h):  # on stacks of group elements
-        return np.einsum("kpq,...p,...q->...k", B, log_coords(chart, g), log_coords(chart, h))
+        return np.einsum("kpq,...p,...q->...k", B, log_coords(dim5_sys, g), log_coords(dim5_sys, h))
 
     for x, y in [([1, 0], [0, 1]), ([0.5, 0.25], [-0.3, 1.0])]:
         got = delta2(dim5_sys, f, x, y, cfg)
@@ -388,7 +379,7 @@ def test_rack_product_neutral_laws(dim5_sys):
 
 
 def test_rack_product_unit_coordinate_value(dim5_sys_wide):
-    g = group_from_coords(dim5_sys_wide.chart, [1.0, 0.0])
+    g = group_from_coords(dim5_sys_wide, [1.0, 0.0])
     u = LocalRackElement(g, np.zeros(3))
     got = rack_product(dim5_sys_wide, u, u)
     assert np.abs(got.g - g).max() < 1e-12  # abelian quotient
@@ -397,14 +388,13 @@ def test_rack_product_unit_coordinate_value(dim5_sys_wide):
 
 def test_rack_product_matches_full_conjugation_formula(dim5_sys):
     rng = np.random.default_rng(8)
-    chart = dim5_sys.chart
     for _ in range(10):
         a = np.concatenate([rng.uniform(-0.15, 0.15, 2), rng.uniform(-0.5, 0.5, 3)])
         b = np.concatenate([rng.uniform(-0.15, 0.15, 2), rng.uniform(-0.5, 0.5, 3)])
-        u = LocalRackElement(group_from_coords(chart, a[:2]), a[2:])
-        v = LocalRackElement(group_from_coords(chart, b[:2]), b[2:])
+        u = LocalRackElement(group_from_coords(dim5_sys, a[:2]), a[2:])
+        v = LocalRackElement(group_from_coords(dim5_sys, b[:2]), b[2:])
         got = rack_product(dim5_sys, u, v)
-        got_vec = np.concatenate([log_coords(chart, got.g), got.a])
+        got_vec = np.concatenate([log_coords(dim5_sys, got.g), got.a])
         assert np.abs(got_vec - dim5_conjugation(a, b)).max() < 1e-9
 
 
@@ -414,7 +404,7 @@ def test_augmented_action_axioms(dim5_sys):
 
 
 def test_augmented_action_fixed_point(dim5_sys):
-    g = group_from_coords(dim5_sys.chart, [0.09, -0.04])
+    g = group_from_coords(dim5_sys, [0.09, -0.04])
     ne = dim5_sys.neutral()
     out = augmented_action(dim5_sys, g, ne)
     assert np.abs(out.g - ne.g).max() <= 1e-12 and np.abs(out.a).max() <= 1e-12
@@ -423,10 +413,9 @@ def test_augmented_action_fixed_point(dim5_sys):
 # -- cocycle identities ------------------------------------------------------
 
 def test_ghost_identity_trivial_when_middle_is_identity(dim5_sys):
-    chart = dim5_sys.chart
-    g = group_from_coords(chart, [0.08, 0.03])
-    k = group_from_coords(chart, [0.02, -0.06])
-    got = ghost_identity_defect(dim5_sys, g, chart.identity(), k)
+    g = group_from_coords(dim5_sys, [0.08, 0.03])
+    k = group_from_coords(dim5_sys, [0.02, -0.06])
+    got = ghost_identity_defect(dim5_sys, g, dim5_sys.identity(), k)
     assert np.abs(got).max() <= 1e-12
 
 
@@ -545,8 +534,8 @@ def test_roundtrip_suite_on_corpus(cfg):
 # -- iota2 and the Lie specialization ----------------------------------------
 
 def test_iota2_degenerate_chain(heis_sys, cfg):
-    g = group_from_coords(heis_sys.chart, [0.1, -0.04])
-    got = iota2(heis_sys, g, heis_sys.chart.identity(), cfg)
+    g = group_from_coords(heis_sys, [0.1, -0.04])
+    got = iota2(heis_sys, g, heis_sys.identity(), cfg)
     assert np.abs(got).max() <= 1e-13
 
 
@@ -555,17 +544,17 @@ def test_iota2_heisenberg_analytic(heis_sys, cfg):
     for _ in range(10):
         a = rng.uniform(-0.06, 0.06, size=2)
         b = rng.uniform(-0.06, 0.06, size=2)
-        g = group_from_coords(heis_sys.chart, a)
-        h = group_from_coords(heis_sys.chart, b)
+        g = group_from_coords(heis_sys, a)
+        h = group_from_coords(heis_sys, b)
         assert np.abs(iota2(heis_sys, g, h, cfg) - heisenberg_iota2(a, b)).max() < 1e-12
 
 
 def test_iota2_relation_to_i2(heis_sys, cfg):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        g = group_from_coords(heis_sys.chart, rng.uniform(-0.05, 0.05, 2))
-        h = group_from_coords(heis_sys.chart, rng.uniform(-0.05, 0.05, 2))
-        gh = conjugate(heis_sys.chart, g, h)
+        g = group_from_coords(heis_sys, rng.uniform(-0.05, 0.05, 2))
+        h = group_from_coords(heis_sys, rng.uniform(-0.05, 0.05, 2))
+        gh = conjugate(heis_sys, g, h)
         lhs = i2(heis_sys, g, h)
         rhs = iota2(heis_sys, g, h, cfg) - iota2(heis_sys, gh, g, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
@@ -575,16 +564,16 @@ def test_iota2_relation_nonabelian(cfg):
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
     rng = np.random.default_rng(12)
     for _ in range(8):
-        g = group_from_coords(sys_.chart, rng.uniform(-0.04, 0.04, 3))
-        h = group_from_coords(sys_.chart, rng.uniform(-0.04, 0.04, 3))
-        gh = conjugate(sys_.chart, g, h)
+        g = group_from_coords(sys_, rng.uniform(-0.04, 0.04, 3))
+        h = group_from_coords(sys_, rng.uniform(-0.04, 0.04, 3))
+        gh = conjugate(sys_, g, h)
         lhs = i2(sys_, g, h)
         rhs = iota2(sys_, g, h, cfg) - iota2(sys_, gh, g, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_iota2_rejects_non_antisymmetric(dim5_sys, cfg):
-    g = group_from_coords(dim5_sys.chart, [0.05, 0.0])
+    g = group_from_coords(dim5_sys, [0.05, 0.0])
     with pytest.raises(NotLieCocycleError, match="anti-symmetric"):
         iota2(dim5_sys, g, g, cfg)  # the dim5 omega is not anti-symmetric
 
@@ -594,7 +583,7 @@ def test_iota2_rejects_non_cocycle(cfg):
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
     vals = {(1, 3): 1, (3, 1): -1}
     fake = Cochain.from_function(2, 4, 1, lambda p, q: (vals.get((p, q), 0),))
-    g = group_from_coords(sys_.chart, [0.05, 0, 0, 0])
+    g = group_from_coords(sys_, [0.05, 0, 0, 0])
     sys_ = _on_omega(sys_, fake)
     with pytest.raises(NotLieCocycleError, match="cocycle"):
         iota2(sys_, g, g, cfg)
@@ -605,27 +594,26 @@ def test_iota2_chain_derivative_series_vs_finite_differences():
     # is t phi1(-tA) phi1(-A)^-1 eta_h with A = ad0(a_s), the form iota2's
     # closed inner integral rests on; it must match brute-force differences
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
-    chart = sys_.chart
     d = sys_.g0_dim
     rng = np.random.default_rng(14)
-    g = group_from_coords(chart, rng.uniform(-0.05, 0.05, 3))
-    h = group_from_coords(chart, rng.uniform(-0.05, 0.05, 3))
+    g = group_from_coords(sys_, rng.uniform(-0.05, 0.05, 3))
+    h = group_from_coords(sys_, rng.uniform(-0.05, 0.05, 3))
     big_h = log_float(h)
-    eta_h = log_coords(chart, h)
+    eta_h = log_coords(sys_, h)
     eps = 1e-5
     for s in (0.2, 0.7):
         for t in (0.3, 0.9):
-            a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
-            ad_a = chart.ad0_of(a_s)
-            aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
-            w_series = t * phi1_float(-t * ad_a, aprime, chart.ad_index)
+            a_s = log_coords(sys_, g @ scipy.linalg.expm(s * big_h))
+            ad_a = sys_.ad0_of(a_s)
+            aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), sys_.ad_index), eta_h)
+            w_series = t * phi1_float(-t * ad_a, aprime, sys_.ad_index)
 
             def sigma(tt, ss):
                 return scipy.linalg.expm(
-                    tt * chart.ad_of(log_coords(chart, g @ scipy.linalg.expm(ss * big_h))))
+                    tt * sys_.ad_of(log_coords(sys_, g @ scipy.linalg.expm(ss * big_h))))
 
             dsigma = (sigma(t, s + eps) - sigma(t, s - eps)) / (2 * eps)
-            w_fd = chart.coord_pinv @ (np.linalg.inv(sigma(t, s)) @ dsigma).flatten()
+            w_fd = sys_.coord_pinv @ (np.linalg.inv(sigma(t, s)) @ dsigma).flatten()
             assert np.abs(w_series - w_fd).max() < 1e-8
 
 
@@ -640,8 +628,8 @@ def _pade_calls(monkeypatch):
 def test_iota2_on_filiform5_makes_no_scipy_call(cfg, monkeypatch):
     # nor any call of the Pade kernel: every exp and phi1 is a finite series
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
-    g = group_from_coords(sys_.chart, [0.05, 0.01, -0.02, 0.03])
-    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, -0.04])
+    g = group_from_coords(sys_, [0.05, 0.01, -0.02, 0.03])
+    h = group_from_coords(sys_, [-0.02, 0.03, 0.01, -0.04])
     calls = _pade_calls(monkeypatch)
     assert np.abs(iota2(sys_, g, h, cfg)).max() > 0
     assert not calls
@@ -693,8 +681,8 @@ def test_quadrature_stability(dim5_sys, cfg):
     rng = np.random.default_rng(15)
     rule8, rule16 = gauss_legendre_01(8), gauss_legendre_01(16)
     for _ in range(10):
-        g = group_from_coords(dim5_sys.chart, rng.uniform(-0.1, 0.1, 2))
-        h = group_from_coords(dim5_sys.chart, rng.uniform(-0.1, 0.1, 2))
+        g = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
+        h = group_from_coords(dim5_sys, rng.uniform(-0.1, 0.1, 2))
         q8 = i2_quadrature(dim5_sys, g, h, rule8)
         q16 = i2_quadrature(dim5_sys, g, h, rule16)
         closed = i2(dim5_sys, g, h)
@@ -723,12 +711,12 @@ def _aff1_with_weights():
                          ids=["diagonal_rho", "aff1"])
 def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    assert sys_.chart.rho_index is None  # i1 and i2 take the Pade kernel
+    assert sys_.rho_index is None  # i1 and i2 take the Pade kernel
     rng = np.random.default_rng(16)
     rule16 = gauss_legendre_01(16)
     for _ in range(10):
-        g = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
-        h = group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, sys_.g0_dim))
+        g = group_from_coords(sys_, rng.uniform(-0.1, 0.1, sys_.g0_dim))
+        h = group_from_coords(sys_, rng.uniform(-0.1, 0.1, sys_.g0_dim))
         closed = i2(sys_, g, h)
         assert np.abs(closed).max() > 1e-4  # both integrals really run
         assert np.abs(i2_quadrature(sys_, g, h, rule16) - closed).max() <= 1e-12
@@ -747,13 +735,12 @@ def _iota2_inner_by_quadrature(sys_, omega_np, g, h, outer, inner):
     exp(tR) omega(a_s, w_t) taken by Gauss-Legendre at rule inner, where
     w_t = int_0^t exp(-uA) a' du and phi1(-A) (which gives a') are also
     quadratures of scipy exps at that rule."""
-    chart = sys_.chart
-    eta_h = log_coords(chart, h)
-    big_h = chart.ad_of(eta_h)
+    eta_h = log_coords(sys_, h)
+    big_h = sys_.ad_of(eta_h)
     total = np.zeros(sys_.center_dim)
     for s, ws in zip(outer.nodes, outer.weights):
-        a_s = log_coords(chart, g @ scipy.linalg.expm(s * big_h))
-        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
+        a_s = log_coords(sys_, g @ scipy.linalg.expm(s * big_h))
+        ad_a, rho_a = sys_.ad0_of(a_s), sys_.rho_of(a_s)
         phi = integrate_01(inner, [scipy.linalg.expm(-u * ad_a) for u in inner.nodes])
         aprime = np.linalg.solve(phi, eta_h)
 
@@ -785,8 +772,8 @@ def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
     rng = np.random.default_rng(17)
     rule16 = gauss_legendre_01(16)
     for _ in range(3):
-        g = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
-        h = group_from_coords(sys_.chart, rng.uniform(-0.08, 0.08, sys_.g0_dim))
+        g = group_from_coords(sys_, rng.uniform(-0.08, 0.08, sys_.g0_dim))
+        h = group_from_coords(sys_, rng.uniform(-0.08, 0.08, sys_.g0_dim))
         closed = iota2(sys_, g, h, cfg)
         assert np.abs(closed).max() > 1e-6
         want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, cfg.quad, rule16)
@@ -809,7 +796,7 @@ def test_iota2_omega_matches_the_per_node_einsum(alg, omega):
     rng = np.random.default_rng(23)
     for shape in ((), (8,), (2, 8)):
         a = rng.uniform(-1.0, 1.0, shape + (sys_.g0_dim,))
-        got = sys_.chart.combo(sys_.lie_omega, a)
+        got = sys_.combo(sys_.lie_omega, a)
         assert got.shape == shape + (sys_.center_dim, sys_.g0_dim)
         assert _within_ulps(got, omega_per_node(dense_omega, a),
                             omega_per_node(np.abs(dense_omega), np.abs(a)))
@@ -819,22 +806,21 @@ def _iota2_per_node(sys_, g, h, cfg):
     """Oracle for iota2's stacked evaluation: the outer rule's nodes one at
     a time through the 2-D kernels, as iota2 once ran them (chart gates
     left out: the draws compared pass them)."""
-    chart = sys_.chart
     m, d = sys_.center_dim, sys_.g0_dim
     omega_np = sys_.lie_omega
-    eta_h = log_coords(chart, h)
-    big_h = chart.ad_of(eta_h)
-    x_index = None if chart.ad_index is None or chart.rho_index is None \
-        else chart.ad_index + chart.rho_index
+    eta_h = log_coords(sys_, h)
+    big_h = sys_.ad_of(eta_h)
+    x_index = None if sys_.ad_index is None or sys_.rho_index is None \
+        else sys_.ad_index + sys_.rho_index
     total = np.zeros(m)
     for s, ws in zip(cfg.quad.nodes, cfg.quad.weights):
-        a_s = log_coords(chart, g @ exp_float(s * big_h, chart.ad_index))
-        ad_a, rho_a = chart.ad0_of(a_s), chart.rho_of(a_s)
-        aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), chart.ad_index), eta_h)
+        a_s = log_coords(sys_, g @ exp_float(s * big_h, sys_.ad_index))
+        ad_a, rho_a = sys_.ad0_of(a_s), sys_.rho_of(a_s)
+        aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), sys_.ad_index), eta_h)
         x = np.block([[-rho_a, np.einsum("p,pkq->kq", a_s, omega_np)],
                       [np.zeros((d, m)), -ad_a]])
         inner = phi1_float(x, np.concatenate([np.zeros(m), aprime]), x_index)[:m]
-        total = total + ws * (exp_float(rho_a, chart.rho_index) @ inner)
+        total = total + ws * (exp_float(rho_a, sys_.rho_index) @ inner)
     return total
 
 
@@ -858,15 +844,14 @@ def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius, cfg):
     failures = 0
     for _ in range(40):
         scale = rng.choice([0.05, 0.4, 1.5])
-        g, h = (group_from_coords(stacked.chart, rng.uniform(-scale, scale, stacked.g0_dim))
+        g, h = (group_from_coords(stacked, rng.uniform(-scale, scale, stacked.g0_dim))
                 for _ in range(2))
-        if not (in_chart(stacked.chart, g) and in_chart(stacked.chart, h)
-                and in_chart(stacked.chart, g @ h)):
+        if not (in_chart(stacked, g) and in_chart(stacked, h) and in_chart(stacked, g @ h)):
             continue
         want = _outcome(lambda: _iota2_per_node(per_node, g, h, cfg))
         assert _outcome(lambda: iota2(stacked, g, h, cfg)) == want
         failures += isinstance(want, tuple)
-    if radius == 8.0 and stacked.chart.ad_index is None:
+    if radius == 8.0 and stacked.ad_index is None:
         assert failures  # the log chart's errors are compared too
 
 
@@ -874,8 +859,8 @@ def _calls_in_one_iota2(monkeypatch, alg, owner, name, order):
     """How often one iota2 on a fresh system of alg, at the given
     quadrature order, calls owner.name; and the system."""
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    g = group_from_coords(sys_.chart, [0.05, 0.01, -0.02, 0.03][:sys_.g0_dim])
-    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, -0.04][:sys_.g0_dim])
+    g = group_from_coords(sys_, [0.05, 0.01, -0.02, 0.03][:sys_.g0_dim])
+    h = group_from_coords(sys_, [-0.02, 0.03, 0.01, -0.04][:sys_.g0_dim])
     calls = []
     original = getattr(owner, name)
     with monkeypatch.context() as patch:
@@ -903,8 +888,8 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
     calls = []
     monkeypatch.setattr(rack, "integrate_01",
                         lambda rule, values: calls.append(rule) or integrate_01(rule, values))
-    g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
-    h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
+    g = group_from_coords(dim5_sys, [0.1, -0.05])
+    h = group_from_coords(dim5_sys, [-0.02, 0.07])
     i1(dim5_sys, dim5_sys.omega, g)
     i2(dim5_sys, g, h)
     assert not calls
@@ -914,8 +899,8 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
 
 def test_i2_on_diagonal_rho_makes_at_most_two_expm_calls(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
-    g = group_from_coords(sys_.chart, [0.1])
-    h = group_from_coords(sys_.chart, [-0.07])
+    g = group_from_coords(sys_, [0.1])
+    h = group_from_coords(sys_, [-0.07])
     calls = _pade_calls(monkeypatch)
     assert np.abs(i2(sys_, g, h)).max() > 0
     assert 0 < len(calls) <= 2
@@ -933,33 +918,32 @@ def test_low_order_quadrature_config_rejected():
                               *(f"random{i}" for i in range(4))])
 def test_series_exp_matches_scipy_on_generator_families(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    chart = sys_.chart
     rng = np.random.default_rng(21)
-    families = [(chart.ad_basis, chart.ad_index), (chart.rho_basis, chart.rho_index),
-                (chart.ad0_basis, chart.ad0_index)]
+    families = [(sys_.ad_basis, sys_.ad_index), (sys_.rho_basis, sys_.rho_index),
+                (sys_.ad0_basis, sys_.ad0_index)]
     for basis, index in families:
         assert index is not None
         for _ in range(10):
-            x = chart.combo(basis, rng.uniform(-1.0, 1.0, size=chart.g0_dim))
+            x = sys_.combo(basis, rng.uniform(-1.0, 1.0, size=sys_.g0_dim))
             assert np.abs(exp_float(x, index) - scipy.linalg.expm(x)).max() <= 1e-14
             # phi1's finite series equals its augmented-expm branch
             v = rng.uniform(-1.0, 1.0, size=x.shape[0])
             assert np.abs(phi1_float(x, v, index) - phi1_float(x, v)).max() <= 1e-14
     # and so does the two-sided series of i1, on m x d blocks
     for _ in range(10):
-        xi = rng.uniform(-1.0, 1.0, size=chart.g0_dim)
-        rho, ad0 = chart.rho_of(xi), chart.ad0_of(xi)
-        block = rng.uniform(-1.0, 1.0, size=(chart.center_dim, chart.g0_dim))
-        series = phi1_float(rho, block, chart.rho_index, ad0, chart.ad0_index)
+        xi = rng.uniform(-1.0, 1.0, size=sys_.g0_dim)
+        rho, ad0 = sys_.rho_of(xi), sys_.ad0_of(xi)
+        block = rng.uniform(-1.0, 1.0, size=(sys_.center_dim, sys_.g0_dim))
+        series = phi1_float(rho, block, sys_.rho_index, ad0, sys_.ad0_index)
         assert np.abs(series - phi1_float(rho, block, None, ad0, None)).max() <= 1e-14
 
 
 def test_rho_semisimple_takes_the_pade_path(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
-    assert sys_.chart.rho_index is None
-    g = group_from_coords(sys_.chart, [0.1])
+    assert sys_.rho_index is None
+    g = group_from_coords(sys_, [0.1])
     calls = _pade_calls(monkeypatch)
-    phi = group_action(sys_.chart, g)
+    phi = group_action(sys_, g)
     assert calls
     assert np.abs(phi - np.diag([np.exp(0.1), np.exp(-0.05), np.exp(0.2)])).max() < 1e-12
 
@@ -967,19 +951,18 @@ def test_rho_semisimple_takes_the_pade_path(monkeypatch):
 def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
     # nor any call of the Pade kernel
     calls = _pade_calls(monkeypatch)
-    g = group_from_coords(dim5_sys.chart, [0.1, -0.05])
-    h = group_from_coords(dim5_sys.chart, [-0.02, 0.07])
+    g = group_from_coords(dim5_sys, [0.1, -0.05])
+    h = group_from_coords(dim5_sys, [-0.02, 0.07])
     rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
     assert not calls
 
 
-def test_chart_and_system_compare_and_hash_by_identity(dim5_ext):
+def test_system_compares_and_hashes_by_identity(dim5_ext):
     # two systems built from one extension hold equal arrays, yet are two
     # objects: == and hash neither raise nor look inside the arrays
     one, other = build_rack_system(dim5_ext), build_rack_system(dim5_ext)
-    for a, b in ((one, other), (one.chart, other.chart)):
-        assert a == a and a != b
-        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    assert one == one and one != other
+    assert len({one, other, one}) == 2 and hash(one) == hash(one)
 
 
 def _aff1_plus_line():
@@ -1051,8 +1034,8 @@ def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
     monkeypatch.setattr(rack, "lie_cocycle_defect",
                         lambda ext, omega: calls.append(omega) or check(ext, omega))
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
-    g = group_from_coords(sys_.chart, [0.05, 0.01, 0, 0])
-    h = group_from_coords(sys_.chart, [-0.02, 0.03, 0.01, 0])
+    g = group_from_coords(sys_, [0.05, 0.01, 0, 0])
+    h = group_from_coords(sys_, [-0.02, 0.03, 0.01, 0])
     for _ in range(20):
         iota2(sys_, g, h, cfg)
     assert len(calls) == 1
@@ -1103,20 +1086,21 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeyp
 
     def exact_work(*args):
         raise AssertionError("exact work in with_chart_radius")
-    for name in ("chart_from_extension", "joint_nilpotency_index", "lie_cocycle_defect"):
+    for name in ("build_rack_system", "joint_nilpotency_index", "lie_cocycle_defect"):
         monkeypatch.setattr(rack, name, exact_work)
     monkeypatch.setattr(Cochain, "to_numpy", exact_work)
     wide = dim5_sys.with_chart_radius(8.0)
-    assert wide.chart.chart_radius == 8.0 and dim5_sys.chart.chart_radius == 0.5
+    assert wide.chart_radius == 8.0 and dim5_sys.chart_radius == 0.5
     assert wide.ext is dim5_sys.ext and wide.omega is omega
     assert heis.with_chart_radius(8.0).lie_omega is heis_omega
     # a system whose omega was not converted yet leaves the conversion to the copy
     assert "omega" not in vars(fresh.with_chart_radius(8.0))
     monkeypatch.undo()
     assert (fresh.with_chart_radius(8.0).omega == omega).all()
-    assert wide.chart.ad0_basis is dim5_sys.chart.ad0_basis
-    assert (wide.chart.ad_index, wide.chart.rho_index, wide.chart.ad0_index) == \
-        (dim5_sys.chart.ad_index, dim5_sys.chart.rho_index, dim5_sys.chart.ad0_index)
+    for name in ("ad_basis", "rho_basis", "ad0_basis", "coord_pinv"):
+        assert getattr(wide, name) is getattr(dim5_sys, name)
+    assert (wide.ad_index, wide.rho_index, wide.ad0_index) == \
+        (dim5_sys.ad_index, dim5_sys.rho_index, dim5_sys.ad0_index)
     with pytest.raises(ValueError):
         dim5_sys.with_chart_radius(0.0)
 
@@ -1124,19 +1108,19 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeyp
 # -- the rack product's work, and reports against the one-sample oracles --------
 
 def test_chart_gates_keep_one_identity_and_identity_stays_fresh():
-    chart = build_rack_system(canonical_extension(dim5()), 0.5).chart
-    eye = chart.identity()
-    assert eye is not chart.identity() and eye.flags.writeable
+    sys_ = build_rack_system(canonical_extension(dim5()), 0.5)
+    eye = sys_.identity()
+    assert eye is not sys_.identity() and eye.flags.writeable
     eye[0, 0] = 5.0  # a caller's copy never reaches the gates
-    assert in_chart(chart, chart.identity())
-    assert not in_chart(chart, eye)
+    assert in_chart(sys_, sys_.identity())
+    assert not in_chart(sys_, eye)
 
 
 def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
     import leibrack.rack as rack
     sys_ = build_rack_system(canonical_extension(dim5()), 0.5)
-    g = group_from_coords(sys_.chart, [0.1, -0.05])
-    h = group_from_coords(sys_.chart, [-0.02, 0.07])
+    g = group_from_coords(sys_, [0.1, -0.05])
+    h = group_from_coords(sys_, [-0.02, 0.07])
     counts = {"conjugate": 0, "log_float": 0}
     for name in counts:
         original = getattr(rack, name)
@@ -1157,7 +1141,7 @@ def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, 
     import leibrack.rack as rack
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     rng = np.random.default_rng(23)
-    g, h = (group_from_coords(sys_.chart, rng.uniform(-0.1, 0.1, (12, sys_.g0_dim)))
+    g, h = (group_from_coords(sys_, rng.uniform(-0.1, 0.1, (12, sys_.g0_dim)))
             for _ in range(2))
     a = rng.uniform(-0.25, 0.25, (12, sys_.center_dim))
     counts = {"conjugate": 0, "log_float": 0}

@@ -123,8 +123,8 @@ def _one_by_one(name, radius):
 
 # CHUNK_ENTRIES in dim x dim matrices: None keeps the bound, at which every
 # suite here is one chunk; 0 makes it 1 entry, so every chunk is one sample;
-# 45 and 100 make uneven chunks of a few samples, of 9, 7 and 15 samples in
-# the rack axiom, cocycle and action suites at 45, and of 3 in the Lie
+# 45 and 100 make uneven chunks of a few samples, of 11, 7 and 15 samples
+# in the rack axiom, cocycle and action suites at 45, and of 3 in the Lie
 # suite at 100
 CASES = [(name, radius, chunk) for name, radius in [(name, 0.5) for name in NARROW] + WIDE
          for chunk in (None, 0, 45, 100)]
@@ -138,7 +138,7 @@ def test_stacked_suites_equal_the_one_by_one_loops(name, radius, chunk, monkeypa
     cfg = default_config()
     sys_ = _system(name, radius)
     if chunk is not None:
-        monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, chunk * sys_.chart.dim ** 2))
+        monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, chunk * sys_.dim ** 2))
     got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
            + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, cfg)
            + tangent_suite(sys_, cfg) + quadrature_stability_suite(sys_, cfg, 10, 7))
@@ -156,22 +156,46 @@ def test_stacked_suites_equal_the_one_by_one_loops(name, radius, chunk, monkeypa
                                          ("heisenberg", 0.5)])
 def test_chunks_hand_the_injectivity_check_the_rows_of_one_stack(name, radius, monkeypatch):
     # the injectivity row's inputs and outputs in chunks, of one sample and
-    # of 9, are those of one stack bit for bit, in the same order; its
+    # of 11, are those of one stack bit for bit, in the same order; its
     # verdict alone would not show an input taken from the wrong draw
     import leibrack.suites as suites
     sys_ = _system(name, radius)
     check, seen = suites._injectivity_defect, []
 
-    def recorded(ins, outs):
-        seen.append([x.tobytes() for x in (ins.g, ins.a, outs.g, outs.a)])
-        return check(ins, outs)
+    def recorded(ins, outs, ok):
+        seen.append([x.tobytes() for x in (ins[ok], outs[ok], ok)])
+        return check(ins, outs, ok)
     monkeypatch.setattr(suites, "_injectivity_defect", recorded)
-    for chunk in (None, 1, 45 * sys_.chart.dim ** 2):
+    for chunk in (None, 1, 45 * sys_.dim ** 2):
         with monkeypatch.context() as patch:
             if chunk is not None:
                 patch.setattr(suites, "CHUNK_ENTRIES", chunk)
             rack_axiom_suite(sys_, 20, 5)
     assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("name", ["dim5", "heisenberg", "abelian3", "diagonal", "filiform5"])
+def test_a_chunked_rack_axiom_suite_exponentiates_each_draw_once(name, monkeypatch):
+    # in chunks of one sample and of 5 (a bound of 20 matrices), as in one
+    # stack, the 3n draws go to the draw calls once each, each in the chunk
+    # that owns it; on heisenberg and abelian3 no draw is halved, so the
+    # exp calls too take 3n rows in all
+    import leibrack.suites as suites
+    sys_ = _system(name, 0.5)
+    draw, exp = suites._group_elements, suites.group_from_coords
+    for chunk in (None, 1, 20 * sys_.dim ** 2):
+        draws, exps = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_group_elements",
+                          lambda s, xi, r: draws.append(len(xi)) or draw(s, xi, r))
+            patch.setattr(suites, "group_from_coords",
+                          lambda s, xi: exps.append(len(xi)) or exp(s, xi))
+            if chunk is not None:
+                patch.setattr(suites, "CHUNK_ENTRIES", chunk)
+            rack_axiom_suite(sys_, 20, 5)
+        assert sum(draws) == 60, (chunk, draws)
+        if name in ("heisenberg", "abelian3"):
+            assert exps == draws
 
 
 @pytest.mark.parametrize("name", ["dim5", "heisenberg", "abelian3", "filiform5",
@@ -247,7 +271,7 @@ def test_drawn_stacks_equal_the_draws_one_by_one(name, radius):
         raw = np.random.default_rng(11).uniform(
             -1.0, 1.0, size=(30, 2 * sys_.g0_dim + sys_.center_dim))[:, :sys_.g0_dim]
         with np.errstate(over="ignore", invalid="ignore"):
-            far = norm1_float(group_from_coords(sys_.chart, raw * max_norm) - np.eye(4))
+            far = norm1_float(group_from_coords(sys_, raw * max_norm) - np.eye(4))
         assert (far >= max_norm).any()
     if name == "abelian3":
         assert sys_.g0_dim == 0 and (g == np.eye(3)).all()
@@ -260,7 +284,7 @@ def test_wide_draws_overflow_without_a_warning_and_draw_the_same():
     raw = np.random.default_rng(11).uniform(-1.0, 1.0, size=(30, sys_.g0_dim)) * 250.0
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        group_from_coords(sys_.chart, raw)
+        group_from_coords(sys_, raw)
     assert any("overflow" in str(w.message) for w in seen)
 
     def draws():
@@ -287,7 +311,7 @@ def _halvings(sys_, max_norm, n):
     with np.errstate(over="ignore", invalid="ignore"):
         for x in raw:
             count = 0
-            while not norm1_float(group_from_coords(sys_.chart, x) - sys_.chart.identity()
+            while not norm1_float(group_from_coords(sys_, x) - sys_.identity()
                                   ) < max_norm:
                 x, count = x * 0.5, count + 1
             counts.append(count)
@@ -313,7 +337,7 @@ def test_draws_that_need_many_halvings_equal_the_draws_one_by_one(name, radius, 
         warnings.simplefilter("error")
         got = draw_samples(sys_, rng, max_norm, n, "ggg")()
         want = [sample_group_element(sys_, ref, max_norm) for _ in range(3 * n)]
-    assert [x.shape for x in got] == [(n, sys_.chart.dim, sys_.chart.dim)] * 3
+    assert [x.shape for x in got] == [(n, sys_.dim, sys_.dim)] * 3
     assert [g.tobytes() for part in got for g in part] == \
         [want[3 * k + j].tobytes() for j in range(3) for k in range(n)]
     assert rng.uniform() == ref.uniform()
@@ -337,7 +361,7 @@ def test_a_draw_takes_one_exp_call_per_halving_round(name, radius, max_norm, n, 
     with monkeypatch.context() as patch:
         original = suites.group_from_coords
         patch.setattr(suites, "group_from_coords",
-                      lambda chart, xi: sizes.append(len(xi)) or original(chart, xi))
+                      lambda s, xi: sizes.append(len(xi)) or original(s, xi))
         draw_samples(sys_, np.random.default_rng(5), max_norm, n, "gga")()
         assert max(sizes) == 2 * n  # the "a" part is not exponentiated
         sizes.clear()
@@ -356,12 +380,12 @@ def _mixed_slices(sys_):
     each with the error the 2-D rack product raises on it: the conjugator's
     chart gate, a singular conjugator, the log chart, a log series that
     does not converge and the log residual."""
-    n = sys_.chart.dim
+    n = sys_.dim
     eye = np.eye(n)
     unit = np.zeros((n, n))
     unit[0, 0] = 1.0
     return [
-        (group_from_coords(sys_.chart, [0.3, -0.2]), None),
+        (group_from_coords(sys_, [0.3, -0.2]), None),
         (10.0 * eye, "conjugator: ||g - I|| = 9 >= chart radius 8.0"),
         (eye - unit, "conjugator: singular in floating point"),
         (2.5 * eye, "||m - I|| = 1.5 >= 1: outside the log chart"),
@@ -402,11 +426,10 @@ OPERATIONS = ("conjugate", "group_product", "group_action", "i1", "i2", "i2_quad
 def _operations(sys_, cfg):
     """name -> the operation on (g, h, b), for one element or stacks, with
     an optional mask."""
-    chart = sys_.chart
     return {
-        "conjugate": lambda g, h, b, ok=None: conjugate(chart, g, h, ok),
-        "group_product": lambda g, h, b, ok=None: group_product(chart, g, h, ok),
-        "group_action": lambda g, h, b, ok=None: group_action(chart, g, ok),
+        "conjugate": lambda g, h, b, ok=None: conjugate(sys_, g, h, ok),
+        "group_product": lambda g, h, b, ok=None: group_product(sys_, g, h, ok),
+        "group_action": lambda g, h, b, ok=None: group_action(sys_, g, ok),
         "i1": lambda g, h, b, ok=None: i1(sys_, sys_.omega, g, ok),
         "i2": lambda g, h, b, ok=None: i2(sys_, g, h, ok),
         "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, cfg.quad, ok),
@@ -429,7 +452,7 @@ def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
     sys_ = _mixed_system()
     slices = _mixed_slices(sys_)
     g = np.array([s for s, _ in slices])
-    h = np.array([group_from_coords(sys_.chart, [-0.1, 0.25])] * len(g))
+    h = np.array([group_from_coords(sys_, [-0.1, 0.25])] * len(g))
     b = np.linspace(-0.2, 0.2, 3 * len(g)).reshape(len(g), 3)
     stacks, one = _operations(sys_, cfg)[op], _operations(_mixed_system(), cfg)[op]
     ok = np.ones(len(g), dtype=bool)
@@ -447,10 +470,9 @@ def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
 
 def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too():
     sys_ = _mixed_system()
-    chart = sys_.chart
-    n = chart.dim
+    n = sys_.dim
     eye = np.eye(n)
-    inside = group_from_coords(chart, [0.3, -0.2])
+    inside = group_from_coords(sys_, [0.3, -0.2])
     shear, lift = eye.copy(), eye.copy()
     shear[0, 1], lift[1, 0] = 7.0, 7.0  # in the chart, but not their products
     g = np.array([inside, inside, shear, shear])
@@ -458,8 +480,8 @@ def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too()
     for op, texts in ((conjugate, ["conjugated element", "conjugation result"]),
                       (group_product, ["group element", "group product"])):
         ok = np.ones(len(g), dtype=bool)
-        values = op(chart, g, h, ok)
-        want = [_outcome(lambda k=k: op(chart, g[k], h[k])) for k in range(len(g))]
+        values = op(sys_, g, h, ok)
+        want = [_outcome(lambda k=k: op(sys_, g[k], h[k])) for k in range(len(g))]
         _same_or_raised(values, ok, want)
         messages = [w for w in want if isinstance(w, str)]
         assert all(any(t in m for m in messages) for t in texts), messages
@@ -530,7 +552,7 @@ def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
     sys_ = _system("oscillator", 8.0)
     rng = np.random.default_rng(18)
     scales = rng.choice([0.05, 0.4, 1.5, 3.0], size=(40, 1))
-    g, h = (group_from_coords(sys_.chart, rng.uniform(-1.0, 1.0, (40, sys_.g0_dim)) * scales)
+    g, h = (group_from_coords(sys_, rng.uniform(-1.0, 1.0, (40, sys_.g0_dim)) * scales)
             for _ in range(2))
     a, b = (rng.uniform(-0.25, 0.25, (40, sys_.center_dim)) for _ in range(2))
     u, v = LocalRackElement(g, a), LocalRackElement(h, b)
@@ -623,15 +645,15 @@ def test_no_kernel_in_a_chunked_suite_receives_more_than_a_chunk(name, quad_orde
     # call of a sampled suite, draws included, receives more than
     # max(CHUNK_ENTRIES, one sample's widest stack) entries, though one
     # stack of 40 samples would hold 120 to 1280 matrices; the widest stacks
-    # are 5 matrices a sample in the rack axioms, 6 in the cocycle suite, 3
+    # are 4 matrices a sample in the rack axioms, 6 in the cocycle suite, 3
     # in the action suite and 4 quad-order in the Lie suite, and no kernel
     # receives a matrix wider than dim
     import leibrack.suites as suites
     cfg = default_config(quad_order)
     sys_ = _system(name, 0.5)
-    dim = sys_.chart.dim
+    dim = sys_.dim
     monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, bound * dim * dim))
-    runs = [(5, lambda: rack_axiom_suite(sys_, 40, 0)), (6, lambda: cocycle_suite(sys_, 40, 1)),
+    runs = [(4, lambda: rack_axiom_suite(sys_, 40, 0)), (6, lambda: cocycle_suite(sys_, 40, 1)),
             (3, lambda: augmented_action_suite(sys_, 40, 3))]
     if is_lie(sys_.ext.parent):
         runs.append((4 * quad_order, lambda: lie_specialization_suite(sys_, cfg, 40, 2)))
@@ -794,17 +816,26 @@ def _injectivity_cases():
 INJECTIVITY_CASES = _injectivity_cases()
 
 
+def _all(x):
+    return np.ones(len(x), dtype=bool)
+
+
 @pytest.mark.parametrize("name", list(INJECTIVITY_CASES))
 def test_injectivity_window_finds_what_all_pairs_find(name):
-    ins, outs = (_rows(x) for x in INJECTIVITY_CASES[name])
+    ins, outs = INJECTIVITY_CASES[name]
     want = _injectivity(*([LocalRackElement(u.g[i], u.a[i]) for i in range(len(u.g))]
-                          for u in (ins, outs))) if len(ins.g) else 0.0
-    assert _injectivity_defect(ins, outs) == want
+                          for u in (_rows(ins), _rows(outs)))) if len(ins) else 0.0
+    assert _injectivity_defect(ins, outs, _all(ins)) == want
+    # the rows outside the mask are not compared: with every other row
+    # masked, the check sees what it sees on the other rows alone
+    ok = np.arange(len(ins)) % 2 == 0
+    assert _injectivity_defect(ins, outs, ok) == \
+        _injectivity_defect(ins[ok], outs[ok], _all(ins[ok]))
 
 
 def test_injectivity_cases_cover_both_verdicts():
-    verdicts = {name: _injectivity_defect(*(_rows(x) for x in INJECTIVITY_CASES[name]))
-                for name in INJECTIVITY_CASES}
+    verdicts = {name: _injectivity_defect(ins, outs, _all(ins))
+                for name, (ins, outs) in INJECTIVITY_CASES.items()}
     assert verdicts["random"] == verdicts["duplicate_inputs_and_outputs"] == 0.0
     assert verdicts["nan_rows"] == verdicts["ties_at_1e-12_and_1e-6"] == 0.0
     assert verdicts["duplicate_outputs"] == verdicts["ties_at_1e-12_inputs_apart"] == 1.0

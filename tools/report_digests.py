@@ -29,7 +29,8 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   cross-check;
 * ``integrate`` on the benchmark's filiform-16 (sign variant 0) at
   ``--samples 515 --quad-order 64``, whose Lie suite runs in 8 chunks of
-  ``suites.CHUNK_ENTRIES``;
+  ``suites.CHUNK_ENTRIES``, and on its filiform-32 at ``--samples 515``,
+  whose rack axiom suite runs in 3;
 * ``verify`` and ``analyze`` on the package's data files
   ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
   above and on the benchmark's filiform-6/8/10/12 (sign variant 0).
@@ -52,7 +53,8 @@ WIDE_INPUTS = ("filiform5", "free_nilpotent5", "heisenberg", "rl5", "rl38", "aff
 QUAD_ORDERS = ("3", "64")
 QUAD_INPUTS = ("heisenberg", "rl5", "aff-0")
 FILIFORM_DIMS = (6, 8, 10, 12)
-CHUNKED = ("filiform16", ["--samples", "515", "--quad-order", "64"])
+CHUNKED = (("filiform16", ["--samples", "515", "--quad-order", "64"]),
+           ("filiform32", ["--samples", "515"]))
 DATA_FILES = ("abelian3", "dim5", "heisenberg")
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
@@ -82,7 +84,7 @@ def runs() -> list[tuple[str, list[str]]]:
             for id_ in WIDE_INPUTS for r in WIDE_RADII]
     out += [(id_, ["integrate", "{file}", "--json", "--quad-order", q])
             for id_ in QUAD_INPUTS for q in QUAD_ORDERS]
-    out.append((CHUNKED[0], ["integrate", "{file}", "--json", *CHUNKED[1]]))
+    out += [(id_, ["integrate", "{file}", "--json", *args]) for id_, args in CHUNKED]
     exact = [("", f"{{data}}/{name}.leib") for name in DATA_FILES]
     exact += [(id_, "{file}") for id_ in [*inputs(), *(f"filiform{n}" for n in FILIFORM_DIMS)]]
     out += [(id_, [cmd, file, "--json"]) for id_, file in exact for cmd in ("verify", "analyze")]
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
         descs = inputs()
         descs.update({f"filiform{n}": {"kind": "filiform", "n": n,
                                        "signs": bench_inputs.filiform_signs(n, 0)}
-                      for n in (*FILIFORM_DIMS, 16)})
+                      for n in (*FILIFORM_DIMS, 16, 32)})
         entries = [{"id": id_, "input": desc} for id_, desc in descs.items()]
         paths = bench_inputs.materialize(entries, tmp)
         data = str(checkout / "src" / "leibrack" / "data")
