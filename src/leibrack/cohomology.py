@@ -7,7 +7,8 @@ the nonzero actions and the algebra's nonzero table ``terms`` read by
 output slot, so it costs by nonzeros, not by the d^(n+1) output tuples;
 ``Cochain.evaluate`` sums over the nonzero coordinates of its arguments
 and values only.  The Hom generators are built from the nonzeros of rho
-and of the table, as sparse ``Matrix`` values.
+and of the table, as sparse ``Matrix`` values.  ``lie_cocycle_defect``
+checks the extension's omega as a Lie cocycle, for iota2.
 
 No numpy here: ``Cochain.to_numpy`` imports it when called.  The float
 cochains of the rack side, evaluator functions on group elements and the
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .algebra import Representation, is_lie
+from .algebra import CentralExtensionData, Representation, is_lie
 from .exact import Matrix, Vec, as_vec, zero_vec
 
 if TYPE_CHECKING:
@@ -205,6 +206,20 @@ def leibniz_differential(rep: Representation, w: Cochain) -> Cochain:
     return Cochain.from_terms(n + 1, alg.dim, rep.carrier_dim, (
         (out, k, sign * t) for idx, val in w.nonzeros.items()
         for out, sign, v in images(idx, val) for k, t in enumerate(v) if t))
+
+
+def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
+    """Exact Chevalley-Eilenberg check of omega with the rho action: the max
+    absolute entry of d omega as a Fraction, plus the antisymmetry defect.
+    With symmetric coefficients the alternating Leibniz cochains form the
+    CE complex (Loday-Pirashvili 1993), so d omega is dL omega over rho
+    taken as a symmetric module."""
+    anti = max((abs(a + b) for p, q in omega.nonzeros
+                for a, b in zip(omega.at(p, q), omega.at(q, p))), default=_ZERO)
+    rep = Representation.symmetric(ext.g0, ext.rho, ext.center_dim)
+    worst = max((abs(a) for val in leibniz_differential(rep, omega).nonzeros.values()
+                 for a in val), default=_ZERO)
+    return worst, anti
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,8 @@ When it is built: the joint nilpotency indices of the ad, rho and ad0
 families (the float exp and phi1 of any element of a nilpotent family are
 finite series; other families go to the Pade kernel
 ``linalg._expm_pade``).  On first use: omega's float stack, and for iota2
-(``LocalRackSystem.lie_omega``) the Lie-cocycle check of the extension's
-omega, which is ``leibniz_differential`` over rho taken as a symmetric
-module (on alternating cochains, the Leibniz differential with symmetric
-coefficients is the Chevalley-Eilenberg one).
+(``LocalRackSystem.lie_omega``) the exact Lie-cocycle check of the
+extension's omega, ``cohomology.lie_cocycle_defect``.
 
 One record, ``LocalRackSystem``, holds the extension, G0's chart and
 omega, and every operation takes it.  It holds arrays, which have no
@@ -78,14 +76,13 @@ rack cocycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .algebra import CentralExtensionData, Representation, ad_matrix
-from .cohomology import Cochain, leibniz_differential
+from .algebra import CentralExtensionData, ad_matrix
+from .cohomology import Cochain, lie_cocycle_defect
 from .exact import OutOfChartError, joint_nilpotency_index
 from .linalg import (
     QuadratureRule,
@@ -562,20 +559,6 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 # the Lie specialization: iota^2 and the local group product
 # ---------------------------------------------------------------------------
-
-def lie_cocycle_defect(ext: CentralExtensionData, omega: Cochain):
-    """Exact Chevalley-Eilenberg check of omega with the rho action: the max
-    absolute entry of d omega as a Fraction, plus the antisymmetry defect.
-    With symmetric coefficients the alternating Leibniz cochains form the
-    CE complex (Loday-Pirashvili 1993), so d omega is dL omega over rho
-    taken as a symmetric module."""
-    anti = max((abs(a + b) for p, q in omega.nonzeros
-                for a, b in zip(omega.at(p, q), omega.at(q, p))), default=Fraction(0))
-    rep = Representation.symmetric(ext.g0, ext.rho, ext.center_dim)
-    worst = max((abs(a) for val in leibniz_differential(rep, omega).nonzeros.values()
-                 for a in val), default=Fraction(0))
-    return worst, anti
-
 
 def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
           cfg: IntegratorConfig, ok: np.ndarray | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ The rule is that of a loop over the samples: a skip ends the sample, and
 the defects it already yielded still count.  Every suite runs its samples
 as stacks: it draws the whole sample set's coordinates first
 (``draw_samples``, in the RNG order of drawing one sample after another,
-or the basis pairs of a round trip), calls each rack operation once on a
+or the basis pairs of the round trips), calls each rack operation once on a
 stack with a mask of the slices that succeeded (see ``rack``), and
 ``stacked`` applies the rule with cumulative masks: property k counts the
 samples where the operations of properties 1..k all succeeded.  The
@@ -19,9 +19,10 @@ exponentiates the group parts of the rows it is asked for as one stack,
 and the rows that do not fit the ball yet are halved in rounds, one
 stacked exp call per round (``_group_elements``).
 
-The four suites whose stacks grow with the sample count run them in
-chunks (``_chunked``, ``CHUNK_ENTRIES``).  A slice equals its one-element
-call, so the chunks change no value, mask or skip.
+The four suites whose stacks grow with the sample count, and the basis
+pairs of the round trips, run in chunks (``_chunked``, ``CHUNK_ENTRIES``).
+A slice equals its one-element call, so the chunks change no value, mask
+or skip.
 
 A suite makes one call per dependency level, not one per term: the
 operations of one level that do not depend on each other run as one call
@@ -34,9 +35,17 @@ conjugation of four pairs, one log of six, and from the log coordinates
 one i2 of six pairs and one action of two; ``rack_axiom_suite`` three
 rack products, the first of three pairs and the second of four;
 ``augmented_action_suite`` two actions, of three and two;
-``lie_specialization_suite`` two iota2, of four pairs and then three.  The
-round trips pair the basis as a column (k, 1) against a row (1, k), so
-each probe is exponentiated once.
+``lie_specialization_suite`` two iota2, of four pairs and then three.
+
+The two round trips read one mixed difference, ``basis_pair_difference``,
+the tangent bracket of every pair of the parent's basis, which pairs a
+chunk of the basis as a column against the whole basis as a row, so each
+probe of a chunk is exponentiated once.  ``tangent_suite`` compares it
+with the parent bracket.  ``roundtrip_suite`` reads delta2(i2) off it: at
+the lifts e_p of g0, whose center coordinates are 0, the rack product of
+(exp(s ad e_p), 0) and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), so
+the center part of the difference at (e_p, e_q) is the mixed difference
+of i2 that delta2 takes, bit for bit.
 
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in the
@@ -55,7 +64,6 @@ conjugations and products formed, and ``lie_specialization_suite`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -71,11 +79,9 @@ from .rack import (
     augmented_action,
     conjugate,
     conjugate_and_log,
-    delta2,
     group_from_coords,
     group_inverse,
     group_product,
-    i2,
     i2_from_coords,
     iota2,
     lie_group_product,
@@ -84,12 +90,12 @@ from .rack import (
     tangent_bracket,
 )
 
-# The four sampled suites run on chunks of their samples whose widest stack
-# holds at most this many entries (8 MiB of float64), and at least one
-# sample.  The other three suites stay one stack, as their stacks do not
-# grow with the sample count: the round trips' 4 dim^2 probes are bounded
-# by fileio.MAX_DIM, and the quadrature suite's 20 pairs of 2 quad-order
-# nodes by cli.MAX_QUAD_ORDER.
+# The four sampled suites and the basis-pair difference run on chunks of
+# their samples (rows of basis pairs) whose widest stack holds at most this
+# many entries (8 MiB of float64), and at least one sample.  The quadrature
+# suite alone stays one stack, as its stack does not grow with the sample
+# count: its 20 pairs of 2 quad-order nodes are bounded by
+# cli.MAX_QUAD_ORDER.
 CHUNK_ENTRIES = 2 ** 20
 
 
@@ -385,16 +391,39 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
                     ("ghost_induces_cocycle", 2e-9)])
 
 
-def roundtrip_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
-    """delta2 of the integrated cocycle recovers omega on all basis pairs,
-    all pairs at once: the basis as a column (d, 1) against a row (1, d),
-    so that each probe is exponentiated once."""
+def basis_pair_difference(sys: LocalRackSystem, cfg: IntegratorConfig
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent bracket of every pair (e_i, e_j) of the parent's basis,
+    in (g0, center) coordinates, as an (n, n, n) array, and its (n, n) mask
+    of the pairs whose probes stayed in the chart: the one mixed difference
+    that both round trips read.  The rows i of the grid run in chunks, a
+    chunk's rows as a column against the whole basis as a row, so a chunk
+    exponentiates its own probes once and the 4n probes of the row again."""
+    n = sys.ext.parent.dim
+    coords = sys.ext.from_parent.to_numpy().T  # row i: the coordinates of e_i
+
+    def run(lo, hi):
+        ok = np.ones((hi - lo, n), dtype=bool)
+        return tangent_bracket(sys, coords[lo:hi, None], coords[None], cfg, ok), ok
+
+    # a grid row's widest stack, the conjugations, is 4 steps x n pairs
+    diff, ok = _chunked(sys, n, 4 * n, run)
+    return diff, ok
+
+
+def roundtrip_suite(sys: LocalRackSystem,
+                    pairs: tuple[np.ndarray, np.ndarray]) -> list[PropertyResult]:
+    """delta2 of the integrated cocycle recovers omega on all pairs of g0's
+    basis, read off ``basis_pair_difference`` (pairs): the lifts e_p of g0
+    have center coordinates 0, so the rack product of (exp(s ad e_p), 0)
+    and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), and the center part
+    of the difference at (e_p, e_q) is delta2(i2)(e_p, e_q)."""
+    diff, ok = pairs
     d, m = sys.g0_dim, sys.center_dim
+    lifts = np.ix_(sys.ext.complement_pivots, sys.ext.complement_pivots)
+    got = diff[lifts][..., d:]
     omega_np = sys.omega.transpose(0, 2, 1)
-    basis = np.eye(d)
-    ok = np.ones((d, d), dtype=bool)
-    got = delta2(sys, partial(i2, sys), basis[:, None], basis[None], cfg, ok)
-    return stacked(d * d, [(sup_rows((got - omega_np).reshape(d * d, m)), ok.ravel())],
+    return stacked(d * d, [(sup_rows((got - omega_np).reshape(d * d, m)), ok[lifts].ravel())],
                    [("delta2_left_inverse", 1e-5)])
 
 
@@ -408,16 +437,16 @@ def bracket_coords(ext: CentralExtensionData) -> np.ndarray:
     return (ext.from_parent @ b).to_numpy().T
 
 
-def tangent_suite(sys: LocalRackSystem, cfg: IntegratorConfig) -> list[PropertyResult]:
+def tangent_suite(sys: LocalRackSystem,
+                  pairs: tuple[np.ndarray, np.ndarray]) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
-    basis pairs, through the splitting g = g0 (+) center; all pairs at
-    once, as in ``roundtrip_suite``."""
-    ext = sys.ext
-    n = ext.parent.dim
-    coords = ext.from_parent.to_numpy().T  # row i: the coordinates of e_i
-    ok = np.ones((n, n), dtype=bool)
-    got = tangent_bracket(sys, coords[:, None], coords[None], cfg, ok)
-    return stacked(n * n, [(sup_rows(got.reshape(n * n, n) - bracket_coords(ext)), ok.ravel())],
+    basis pairs, through the splitting g = g0 (+) center: the whole of
+    ``basis_pair_difference`` (pairs), of which ``roundtrip_suite`` reads
+    the center part at the lifts of g0, where it is delta2(i2)."""
+    diff, ok = pairs
+    n = sys.ext.parent.dim
+    return stacked(n * n, [(sup_rows(diff.reshape(n * n, n) - bracket_coords(sys.ext)),
+                            ok.ravel())],
                    [("tangent_bracket_roundtrip", 1e-4)])
 
 
@@ -524,8 +553,9 @@ def full_suite(sys: LocalRackSystem, cfg: IntegratorConfig, n_samples: int = 200
     results += rack_axiom_suite(sys, n_samples, seed)
     results += cocycle_suite(sys, max(10, n_samples // 2), seed + 1)
     results += augmented_action_suite(sys, max(10, n_samples // 4), seed + 2)
-    results += roundtrip_suite(sys, cfg)
-    results += tangent_suite(sys, cfg)
+    pairs = basis_pair_difference(sys, cfg)
+    results += roundtrip_suite(sys, pairs)
+    results += tangent_suite(sys, pairs)
     results += quadrature_stability_suite(sys, cfg, min(20, n_samples), seed + 3)
     if is_lie(sys.ext.parent):
         results += lie_specialization_suite(sys, cfg, max(10, n_samples // 4), seed + 4)

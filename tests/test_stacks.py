@@ -40,6 +40,7 @@ from leibrack.rack import (
 )
 from leibrack.suites import (
     augmented_action_suite,
+    basis_pair_difference,
     bracket_coords,
     cocycle_suite,
     draw_samples,
@@ -139,9 +140,10 @@ def test_stacked_suites_equal_the_one_by_one_loops(name, radius, chunk, monkeypa
     sys_ = _system(name, radius)
     if chunk is not None:
         monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, chunk * sys_.dim ** 2))
+    pairs = basis_pair_difference(sys_, cfg)
     got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
-           + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, cfg)
-           + tangent_suite(sys_, cfg) + quadrature_stability_suite(sys_, cfg, 10, 7))
+           + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, pairs)
+           + tangent_suite(sys_, pairs) + quadrature_stability_suite(sys_, cfg, 10, 7))
     if is_lie(sys_.ext.parent):
         got += lie_specialization_suite(sys_, cfg, 20, 9)
     assert _bits(got) == _one_by_one(name, radius)
@@ -623,17 +625,62 @@ def test_stacked_suites_make_as_many_kernel_calls_at_10_and_40_samples(name, mon
         assert counts[0] == counts[1] and counts[0]["log_float"] > 0
 
 
-@pytest.mark.parametrize("name", ["dim5", "diagonal", "filiform5"])
-def test_the_basis_pair_suites_take_two_logs_and_exponentiate_each_probe_once(name, monkeypatch):
-    # every basis pair and every step of the mixed difference in one stack:
-    # log g and log(g |> h) once each; the k basis rows meet as a column
-    # and a row, so exp takes the 4k probes exp(+-h e_p), not all 4k^2 pairs
+@pytest.mark.parametrize("name", ["dim5", "diagonal", "filiform5", "abelian3"])
+def test_one_basis_pair_difference_serves_both_round_trips(name, monkeypatch):
+    # a report differentiates every basis pair once, in one tangent_bracket
+    # call, and differentiates no cochain: the round trip reads its row off
+    # the same difference.  The difference logs g and g |> h once each, and
+    # the n basis rows meet as a column and a row, so exp takes the 4n
+    # probes exp(+-h e_i), not all 4n^2 pairs
+    import leibrack.suites as suites
     cfg = default_config()
     sys_ = _system(name, 0.5)
-    for suite, k in ((roundtrip_suite, sys_.g0_dim), (tangent_suite, sys_.ext.parent.dim)):
-        sizes = _kernel_slices(monkeypatch, lambda: suite(sys_, cfg))
-        assert len(sizes["log_float"]) == 2
-        assert max(sizes["exp_float"]) == 4 * k
+    n = sys_.ext.parent.dim
+    calls = _outermost_calls(monkeypatch, ("tangent_bracket", "delta2"),
+                             lambda: suites.full_suite(sys_, cfg, 10, 0))
+    assert calls == {"tangent_bracket": [(n, n)], "delta2": []}
+    sizes = _kernel_slices(monkeypatch, lambda: basis_pair_difference(sys_, cfg))
+    assert len(sizes["log_float"]) == 2
+    assert max(sizes["exp_float"]) == 4 * n
+
+
+# the round trip's inputs: the corpus, seeds 0-3 of each rho_semisimple
+# kind, two benchmark filiform algebras, and abelian3, whose g0 is empty
+ROUNDTRIP_INPUTS = (["dim5", "heisenberg", "filiform5", "free_nilpotent5", "abelian3"]
+                    + [f"rl{k}" for k in (1, 2, 3, 5, 7, 23, 28, 35, 38)]
+                    + [f"{kind}-{seed}" for kind in inputs.RHO_KINDS for seed in range(4)]
+                    + ["filiform-8", "filiform-16"])
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_INPUTS)
+def test_the_round_trip_row_equals_delta2_of_i2(name):
+    # the center part of the basis-pair difference at the lifts of g0 is
+    # delta2 of the group-element i2 at g0's basis pairs, values and masks
+    # bit for bit, and so is the row read off it
+    cfg = default_config()
+    if name.startswith("filiform-"):
+        k = int(name.split("-")[1])
+        ext = canonical_extension(inputs.filiform(k, inputs.filiform_signs(k, 0)))
+    elif "-" in name:
+        kind, seed = name.split("-")
+        ext = canonical_extension(inputs.rho_semisimple(kind, int(seed)))
+    else:
+        ext = _system(name, 0.5).ext
+    d, m = ext.g0_dim, ext.center_dim
+    basis = np.eye(d)
+    lifts = np.ix_(ext.complement_pivots, ext.complement_pivots)
+    for radius in (0.5, 4.0, 16.0):
+        sys_ = build_rack_system(ext, radius)
+        pairs = basis_pair_difference(sys_, cfg)
+        got, got_ok = pairs[0][lifts][..., d:], pairs[1][lifts]
+        ok = np.ones((d, d), dtype=bool)
+        want = delta2(sys_, partial(i2, sys_), basis[:, None], basis[None], cfg, ok)
+        assert got_ok.tobytes() == ok.tobytes(), radius
+        assert got[ok].tobytes() == want[ok].tobytes(), radius
+        row = stacked(d * d, [(np.abs(want - sys_.omega.transpose(0, 2, 1))
+                               .reshape(d * d, m).max(axis=1, initial=0.0), ok.ravel())],
+                      [("delta2_left_inverse", 1e-5)])
+        assert _bits(roundtrip_suite(sys_, pairs)) == _bits(row), radius
 
 
 @pytest.mark.parametrize("bound", [0, 20])
@@ -646,15 +693,17 @@ def test_no_kernel_in_a_chunked_suite_receives_more_than_a_chunk(name, quad_orde
     # max(CHUNK_ENTRIES, one sample's widest stack) entries, though one
     # stack of 40 samples would hold 120 to 1280 matrices; the widest stacks
     # are 4 matrices a sample in the rack axioms, 6 in the cocycle suite, 3
-    # in the action suite and 4 quad-order in the Lie suite, and no kernel
-    # receives a matrix wider than dim
+    # in the action suite, 4 quad-order in the Lie suite and 4 dim a row of
+    # basis pairs in the difference, and no kernel receives a matrix wider
+    # than dim
     import leibrack.suites as suites
     cfg = default_config(quad_order)
     sys_ = _system(name, 0.5)
     dim = sys_.dim
     monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, bound * dim * dim))
     runs = [(4, lambda: rack_axiom_suite(sys_, 40, 0)), (6, lambda: cocycle_suite(sys_, 40, 1)),
-            (3, lambda: augmented_action_suite(sys_, 40, 3))]
+            (3, lambda: augmented_action_suite(sys_, 40, 3)),
+            (4 * dim, lambda: basis_pair_difference(sys_, cfg))]
     if is_lie(sys_.ext.parent):
         runs.append((4 * quad_order, lambda: lie_specialization_suite(sys_, cfg, 40, 2)))
     widths = []

@@ -30,7 +30,8 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
 * ``integrate`` on the benchmark's filiform-16 (sign variant 0) at
   ``--samples 515 --quad-order 64``, whose Lie suite runs in 8 chunks of
   ``suites.CHUNK_ENTRIES``, and on its filiform-32 at ``--samples 515``,
-  whose rack axiom suite runs in 3;
+  whose rack axiom suite runs in 3 and whose basis-pair difference runs
+  in 4 chunks of 8 rows;
 * ``verify`` and ``analyze`` on the package's data files
   ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
   above and on the benchmark's filiform-6/8/10/12 (sign variant 0).
