@@ -4,10 +4,9 @@ augmented Lie racks, and verify every identity along the way.
 The exact layer (``exact``, ``algebra``, ``cohomology``, ``fileio``,
 ``corpus``) imports neither numpy nor ``dataclasses``, and importing the
 package loads only it.
-The float names (the rack, its cochains and the quadrature) resolve on
-first use through the module ``__getattr__``, which imports their module
-and is not cached here: each lookup reads the defining module's current
-binding.
+The float names (the rack and the quadrature) resolve on first use
+through the module ``__getattr__``, which imports their module and is not
+cached here: each lookup reads the defining module's current binding.
 """
 
 from importlib import import_module
@@ -40,9 +39,8 @@ _FLOAT_NAMES = {
     **dict.fromkeys(("QuadratureRule", "gauss_legendre_01", "integrate_01"), "linalg"),
     **dict.fromkeys((
         "IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
-        "RackCochainFn", "RackModuleStructure", "augmented_action", "build_rack_system",
-        "conjugate", "default_config", "delta2", "i1", "i2", "iota2", "rack_differential_eval",
-        "rack_differential_general", "rack_product", "tangent_bracket"), "rack"),
+        "augmented_action", "build_rack_system", "conjugate", "default_config", "i1", "i2",
+        "iota2", "rack_product", "tangent_bracket"), "rack"),
 }
 
 

@@ -11,8 +11,10 @@ and of the table, as sparse ``Matrix`` values.  ``lie_cocycle_defect``
 checks the extension's omega as a Lie cocycle, for iota2.
 
 No numpy here: ``Cochain.to_numpy`` imports it when called.  The float
-cochains of the rack side, evaluator functions on group elements and the
-rack differential, are in ``rack``.
+cochains of the rack side, evaluator functions on group elements, and the
+rack differential are test oracles (``tests/oracles.py``); the package
+checks that i2 is a rack cocycle through ``suites.cocycle_suite``, which
+expands d_R(i2) over the rack operations.
 """
 
 from __future__ import annotations

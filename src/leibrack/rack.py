@@ -54,8 +54,8 @@ a local augmented rack.  ``augmented_action`` conjugates and logs once
 i1(tau omega)(g), and those of g |> h go on to i2's integrand.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
-the augmented action, the finite differences, iota2 and the Lie group
-product and inverse each take one group element (n, n) or a stack of them
+the augmented action, the tangent bracket's finite difference, iota2 and
+the Lie group product each take one group element (n, n) or a stack of them
 (..., n, n), with a mask of the slices that succeeded (see the comment at
 the head of the chart operations), and i2_from_coords and
 action_from_coords their log coordinates (..., d).  The suites run their
@@ -67,10 +67,12 @@ loop depending on the strides of its operands, and the two can round
 differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
 
-The last section holds the rack cochains: evaluator functions on group
-elements, the module structures (phi, psi) they take values in, and the
-rack differential d_R, against which the tests check that i1 and i2 are
-rack cocycles.
+This module holds only what the package runs.  The tests' oracles
+(``tests/oracles.py``) keep the other forms: the group-element action
+``group_action``, the finite difference ``delta2`` of a rack 2-cochain,
+``lie_group_inverse``, and the rack cochains with the rack differential
+d_R in both sign conventions of its psi term, against which the tests
+check that i1 and i2 are rack cocycles.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import CentralExtensionData, ad_matrix
-from .cohomology import Cochain, lie_cocycle_defect
+from .cohomology import lie_cocycle_defect
 from .exact import OutOfChartError, joint_nilpotency_index
 from .linalg import (
     QuadratureRule,
@@ -137,18 +139,18 @@ class LocalRackElement:
 class LocalRackSystem:
     """The local augmented Lie rack of one algebra on G0 x a: the exact
     extension data and G0's matrix chart inside Aut(g), from which omega
-    is derived on first use.  The span of ad_basis is the realized g0,
-    rho_basis acts on the center, ad0_basis is the adjoint of g0 on
-    itself; each is a (g0_dim, k, k) stack, (0, k, k) for trivial g0.
+    is derived on first use.  The sizes dim (n), g0_dim (d) and
+    center_dim (m) are read off ext, so a system on another extension
+    (``replace(sys, ext=...)``) has that extension's sizes.  The span of
+    ad_basis is the realized g0, rho_basis acts on the center, ad0_basis
+    is the adjoint of g0 on itself; each is a (g0_dim, k, k) stack,
+    (0, k, k) for trivial g0.
     Group elements are n x n arrays with ||g - I|| < chart_radius, where
     0 < chart_radius < inf.  ad_index, rho_index and ad0_index are the
     exact joint nilpotency indices of the ad, rho and ad0 families (None
     if not nilpotent); they select exp's series."""
 
     ext: CentralExtensionData
-    dim: int
-    g0_dim: int
-    center_dim: int
     chart_radius: float
     ad_basis: np.ndarray
     rho_basis: np.ndarray
@@ -161,6 +163,18 @@ class LocalRackSystem:
     def __post_init__(self):
         if not 0 < self.chart_radius < np.inf:
             raise ValueError("chart radius must be positive and finite")
+
+    @property
+    def dim(self) -> int:
+        return self.ext.parent.dim
+
+    @property
+    def g0_dim(self) -> int:
+        return self.ext.g0_dim
+
+    @property
+    def center_dim(self) -> int:
+        return self.ext.center_dim
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim)
@@ -228,7 +242,7 @@ def build_rack_system(ext: CentralExtensionData,
     ad_basis = _basis_stack(ext.g0_matrices, n)
     ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
     pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
-    return LocalRackSystem(ext, n, d, m, chart_radius, ad_basis, _basis_stack(ext.rho, m),
+    return LocalRackSystem(ext, chart_radius, ad_basis, _basis_stack(ext.rho, m),
                            _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
                            joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0))
 
@@ -306,14 +320,6 @@ def group_from_coords(sys: LocalRackSystem, xi) -> np.ndarray:
     return exp_float(sys.ad_of(xi), sys.ad_index)
 
 
-def group_action(sys: LocalRackSystem, g: np.ndarray,
-                 ok: np.ndarray | None = None) -> np.ndarray:
-    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center.
-    The package takes phi_g from log coordinates it already has
-    (``action_from_coords``); this group-element form serves the tests."""
-    return action_from_coords(sys, log_coords(sys, g, ok))
-
-
 def _gated_log(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
     """log_coords of g behind the chart gate, so a stack's slices outside
     the chart are logged as the identity."""
@@ -361,19 +367,6 @@ def group_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 # ---------------------------------------------------------------------------
 # the path integrals
 # ---------------------------------------------------------------------------
-
-def _beta_stack(beta, m: int, d: int) -> np.ndarray:
-    """beta, a Hom-valued degree-1 cochain or blocks, as a float stack (d, m, d)."""
-    if isinstance(beta, Cochain):
-        if beta.degree != 1 or beta.domain_dim != d or beta.coeff_dim != m * d:
-            raise ValueError("beta must be a degree-1 cochain on g0 valued in the module")
-        # Hom(g0, a) is flattened row by row (``cohomology.tau``)
-        return beta.to_numpy().reshape(d, m, d)
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (d, m, d):
-        raise ValueError(f"beta stack must be {d} x {m} x {d}")
-    return b
-
 
 def _vanishing(x: np.ndarray) -> np.ndarray:
     """Where the vector x (..., k) is exactly zero, as when k = 0; a NaN
@@ -429,10 +422,14 @@ def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
 def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
     module Hom(g0, a), along the canonical path to g, as m x d blocks
-    (..., m, d); vanishes at the identity.  beta is a degree-1 cochain or
-    its stack (d, m, d) of blocks, such as ``sys.omega`` for tau omega."""
-    xi = _gated_log(sys, g, ok)
-    return _i1(sys, _beta_stack(beta, sys.center_dim, sys.g0_dim), xi)
+    (..., m, d); vanishes at the identity.  beta is the stack (d, m, d) of
+    its blocks beta(e_p), such as ``sys.omega`` for tau omega; a stack of
+    another shape is a ValueError."""
+    d, m = sys.g0_dim, sys.center_dim
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (d, m, d):
+        raise ValueError(f"beta stack must be {d} x {m} x {d}")
+    return _i1(sys, beta, _gated_log(sys, g, ok))
 
 
 def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -508,25 +505,6 @@ def _mixed_difference(sys: LocalRackSystem, cfg: IntegratorConfig,
     if ok is not None:
         ok &= mask.all(axis=0)
     return (pp - pm - mp + mm) / (4.0 * hstep * hstep)
-
-
-def delta2(sys: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: IntegratorConfig,
-           ok: np.ndarray | None = None) -> np.ndarray:
-    """Differentiate a rack 2-cochain at the unit: central second mixed
-    finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
-    x and y are g0 vectors or stacks of them (..., d); f takes stacks of
-    group elements, all four steps as one stack (4, ..., n, n).  With a
-    mask ok of the directions' stack shape, f is called as f(g, h, mask)
-    with a mask of the probes' stack shape, and ok loses the directions one
-    of whose probes failed."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def probe(s, t, mask):
-        g = group_from_coords(sys, np.multiply.outer(s, x))
-        h = group_from_coords(sys, np.multiply.outer(t, y))
-        return f(g, h) if mask is None else f(g, h, mask)
-    return _mixed_difference(sys, cfg, probe, ok)
 
 
 def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
@@ -622,126 +600,3 @@ def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackEle
     gh = group_product(sys, u.g, v.g, ok)
     return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok))
 
-
-def lie_group_inverse(sys: LocalRackSystem, u: LocalRackElement,
-                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
-    ginv = _chart_gate(sys, group_inverse(u.g, ok=ok), "group inverse", ok)
-    return LocalRackElement(ginv, -u.a - iota2(sys, u.g, ginv, cfg, ok))
-
-
-# ---------------------------------------------------------------------------
-# rack cochains and the rack differential
-# ---------------------------------------------------------------------------
-#
-# Rack cochains are evaluator functions on tuples of group elements,
-# differentiated by the rack differential d_R over a module structure
-# (phi, psi).  Sign convention for d_R: at arity 1 over a symmetric module,
-# the general formula's psi term and the expansions the cocycle-integration
-# identities require disagree by a global sign.  ``rack_differential_eval``
-# carries the sign those identities need (normative here);
-# ``rack_differential_general`` keeps the other convention visible rather
-# than silently reconciling them.  For anti-symmetric modules (psi = 0) the
-# two coincide.
-
-GroupElement = np.ndarray
-ConjFn = Callable[[GroupElement, GroupElement], GroupElement]
-
-
-@dataclass(frozen=True)
-class RackModuleStructure:
-    """An abelian-group coefficient module for rack cochains: two families
-    phi_{x,y}, psi_{x,y} of endomorphisms of the carrier, indexed by pairs
-    of group elements.  Those built by ``symmetric`` and ``anti_symmetric``
-    also take stacks: group elements (..., n, n) and carrier vectors
-    (..., m), mapped slice by slice."""
-
-    carrier_dim: int
-    phi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
-    psi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
-
-    @staticmethod
-    def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y).  No
-        production path builds one: ``cocycle_suite`` checks i2 in the
-        anti-symmetric module, expanded over the rack operations.  It is
-        kept as the module in which i1 is a rack 1-cocycle, and the one on
-        which the two sign conventions of the psi term differ, so it is
-        what the tests pinning
-        ``rack_differential_eval`` against ``rack_differential_general``
-        run on."""
-        def phi(x, y, v):
-            return matvec(action(x), v)
-
-        def psi(x, y, v):
-            return v - matvec(action(conj(x, y)), v)
-        return RackModuleStructure(carrier_dim, phi, psi)
-
-    @staticmethod
-    def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
-        """phi_{x,y} = action(x), psi = 0: the module in which i2 is a
-        rack 2-cocycle."""
-        def phi(x, y, v):
-            return matvec(action(x), v)
-
-        def psi(x, y, v):
-            return np.zeros(np.shape(v))
-        return RackModuleStructure(carrier_dim, phi, psi)
-
-
-@dataclass(frozen=True)
-class RackCochainFn:
-    """An arity-n rack cochain: a total evaluator on n-tuples of group
-    elements, required to vanish whenever an argument is the identity."""
-
-    arity: int
-    evaluator: Callable[..., np.ndarray]
-
-    def __call__(self, *args):
-        return np.asarray(self.evaluator(*args), dtype=float)
-
-
-def _fold_conj(conj: ConjFn, elems, identity):
-    """x_1 |> (x_2 |> (... |> x_k)); empty chain is the identity."""
-    if not elems:
-        return identity
-    acc = elems[-1]
-    for x in reversed(elems[:-1]):
-        acc = conj(x, acc)
-    return acc
-
-
-def _rack_differential(mod, f, args, conj, psi_sign):
-    n = f.arity
-    if len(args) != n + 1:
-        raise ValueError(f"arity-{n} cochain needs {n + 1} arguments")
-    identity = np.eye(args[0].shape[-1])
-    total = np.zeros(mod.carrier_dim)
-    for i in range(1, n + 1):
-        sign = (-1) ** (i - 1)
-        hat = args[:i - 1] + args[i:]
-        sub1 = _fold_conj(conj, args[:i], identity)
-        sub2 = _fold_conj(conj, hat, identity)
-        t1 = mod.phi(sub1, sub2, f(*hat))
-        conjed = tuple(conj(args[i - 1], a) for a in args[i:])
-        t2 = f(*(args[:i - 1] + conjed))
-        total = total + sign * (t1 - t2)
-    sub1 = _fold_conj(conj, args[:n], identity)
-    sub2 = _fold_conj(conj, args[:n - 1] + args[n:], identity)
-    pv = mod.psi(sub1, sub2, f(*args[:n]))
-    return total + psi_sign * ((-1) ** n) * pv
-
-
-def rack_differential_general(mod: RackModuleStructure, f: RackCochainFn,
-                              args, conj: ConjFn) -> np.ndarray:
-    """The general-arity formula with the psi term signed (-1)^n."""
-    return _rack_differential(mod, f, tuple(args), conj, +1)
-
-
-def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
-                           args, conj: ConjFn) -> np.ndarray:
-    """Normative d_R: same as the general formula except the psi term
-    carries sign (-1)^(n+1), which reproduces the arity-1 symmetric
-    expansion g.f(h) - f(g|>h) - (g|>h).f(g) + f(g) that the cocycle
-    integration needs and, psi being zero there, the arity-2 anti-symmetric
-    expansion unchanged."""
-    return _rack_differential(mod, f, tuple(args), conj, -1)

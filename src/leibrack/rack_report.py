@@ -28,6 +28,9 @@ from .linalg import matvec
 # unit-scale group elements leave the default chart
 WIDE_CHART_RADIUS = 8.0
 
+# Every reference report pins this wording.  It names the two sign
+# conventions by the functions that hold them, the tests' oracles in
+# ``tests/oracles.py``; a restated note waits for the reports' re-capture.
 PSI_SIGN_NOTE = (
     "rack differential: two sign conventions for the psi term circulate; the "
     "general-arity formula and the expansions the cocycle-integration "

@@ -45,7 +45,7 @@ with the parent bracket.  ``roundtrip_suite`` reads delta2(i2) off it: at
 the lifts e_p of g0, whose center coordinates are 0, the rack product of
 (exp(s ad e_p), 0) and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), so
 the center part of the difference at (e_p, e_q) is the mixed difference
-of i2 that delta2 takes, bit for bit.
+of i2 that the tests' delta2 (``tests/oracles.py``) takes, bit for bit.
 
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in the
@@ -466,8 +466,8 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
         conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         gh, xi, eta = conjugate_and_log(sys, u.g, v.g, iota_ok)
-        # u^-1 as lie_group_inverse forms it; iota2 and the products below
-        # apply its chart gate
+        # u^-1 = (g^-1, -a - iota2(g, g^-1)), the local Lie group's
+        # inverse; iota2 and the products below apply g^-1's chart gate
         uinv_g = group_inverse(u.g, ok=conj_ok)
 
         # iota2 and the group product of (u, v), (v, w), (u, u^-1) and

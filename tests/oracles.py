@@ -42,7 +42,17 @@ its nonzero values, and its flat row-major values.
 ``leibniz_differential_by_definition`` is dL gathered output by output,
 with the right action that the module's flavor fixes (``right_action``).
 
-The first section holds the helpers that only the tests call, kept out of
+The first section holds the forms of rack operations that the package
+does not run, kept out of ``rack``: the group-element action
+``group_action``, the stacked finite difference ``delta2`` of a rack
+2-cochain (on the package's own ``rack._mixed_difference``, so that the
+round trip's row compares with it bit for bit), the Lie group inverse
+``lie_group_inverse``, and the rack cochains ``RackCochainFn`` with their
+module structures ``RackModuleStructure`` and the rack differential d_R in
+both sign conventions of its psi term, ``rack_differential_eval``
+(normative) and ``rack_differential_general``.
+
+The second section holds the helpers that only the tests call, kept out of
 the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
 ``vec_scale``, ``rank`` and ``tau_inverse``, ``random_corpus``,
 ``i2_quadrature`` (i2 by quadrature at a rule, from g and h), the
@@ -51,33 +61,34 @@ expansions, the ghost identity defect and the rack-module axiom check."""
 
 import itertools
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from leibrack import algebra, exact, linalg
+from leibrack import algebra, exact, linalg, rack
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
 from leibrack.cohomology import Cochain, hom_representation
 from leibrack.corpus import random_leibniz
 from leibrack.exact import Matrix, OutOfChartError, as_vec, joint_nilpotency_index, rref, zero_vec
 from leibrack.linalg import gauss_legendre_01, matvec, phi1_float
 from leibrack.rack import (
+    IntegratorConfig,
     LocalRackElement,
-    RackCochainFn,
-    RackModuleStructure,
+    LocalRackSystem,
+    action_from_coords,
     augmented_action,
     conjugate,
     conjugate_and_log,
     default_config,
-    group_action,
     group_from_coords,
+    group_inverse,
     group_product,
     i1,
     i2,
     i2_from_coords,
     iota2,
-    lie_group_inverse,
     lie_group_product,
     log_coords,
     rack_product,
@@ -90,6 +101,154 @@ from leibrack.rack_report import (
     heisenberg_iota2,
 )
 from leibrack.suites import PropertyResult, elem_distance, sample_group_element
+
+
+# -- the rack's group-element forms and its cochains -------------------------
+
+def group_action(sys_: LocalRackSystem, g: np.ndarray,
+                 ok: np.ndarray | None = None) -> np.ndarray:
+    """phi_g = exp(rho_{log g}), the integrated action of G0 on the center,
+    from the group element g; the package takes phi_g from log coordinates
+    it already has (``rack.action_from_coords``)."""
+    return action_from_coords(sys_, log_coords(sys_, g, ok))
+
+
+def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: IntegratorConfig,
+           ok: np.ndarray | None = None) -> np.ndarray:
+    """Differentiate a rack 2-cochain at the unit: central second mixed
+    finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
+    x and y are g0 vectors or stacks of them (..., d); f takes stacks of
+    group elements, all four steps as one stack (4, ..., n, n).  With a
+    mask ok of the directions' stack shape, f is called as f(g, h, mask)
+    with a mask of the probes' stack shape, and ok loses the directions one
+    of whose probes failed.  The difference is the package's own,
+    ``rack._mixed_difference``, which the round trip reads off the tangent
+    suite's basis-pair difference."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def probe(s, t, mask):
+        g = group_from_coords(sys_, np.multiply.outer(s, x))
+        h = group_from_coords(sys_, np.multiply.outer(t, y))
+        return f(g, h) if mask is None else f(g, h, mask)
+    return rack._mixed_difference(sys_, cfg, probe, ok)
+
+
+def lie_group_inverse(sys_: LocalRackSystem, u: LocalRackElement,
+                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
+    """(g,a)^-1 = (g^-1, -a - iota2(g, g^-1)) in the local Lie group G0 x a
+    of Lie input, g^-1 behind the chart gate."""
+    ginv = rack._chart_gate(sys_, group_inverse(u.g, ok=ok), "group inverse", ok)
+    return LocalRackElement(ginv, -u.a - iota2(sys_, u.g, ginv, cfg, ok))
+
+
+# Rack cochains are evaluator functions on tuples of group elements,
+# differentiated by the rack differential d_R over a module structure
+# (phi, psi).  Sign convention for d_R: at arity 1 over a symmetric module,
+# the general formula's psi term and the expansions the cocycle-integration
+# identities require disagree by a global sign.  ``rack_differential_eval``
+# carries the sign those identities need (normative here);
+# ``rack_differential_general`` keeps the other convention visible rather
+# than silently reconciling them.  For anti-symmetric modules (psi = 0) the
+# two coincide.
+
+GroupElement = np.ndarray
+ConjFn = Callable[[GroupElement, GroupElement], GroupElement]
+
+
+@dataclass(frozen=True)
+class RackModuleStructure:
+    """An abelian-group coefficient module for rack cochains: two families
+    phi_{x,y}, psi_{x,y} of endomorphisms of the carrier, indexed by pairs
+    of group elements.  Those built by ``symmetric`` and ``anti_symmetric``
+    also take stacks: group elements (..., n, n) and carrier vectors
+    (..., m), mapped slice by slice."""
+
+    carrier_dim: int
+    phi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
+    psi: Callable[[GroupElement, GroupElement, np.ndarray], np.ndarray]
+
+    @staticmethod
+    def symmetric(carrier_dim, action, conj: ConjFn) -> "RackModuleStructure":
+        """phi_{x,y} = action(x), psi_{x,y} = id - action(x |> y): the
+        module in which i1 is a rack 1-cocycle, and the one on which the
+        two sign conventions of the psi term differ."""
+        def phi(x, y, v):
+            return matvec(action(x), v)
+
+        def psi(x, y, v):
+            return v - matvec(action(conj(x, y)), v)
+        return RackModuleStructure(carrier_dim, phi, psi)
+
+    @staticmethod
+    def anti_symmetric(carrier_dim, action) -> "RackModuleStructure":
+        """phi_{x,y} = action(x), psi = 0: the module in which i2 is a
+        rack 2-cocycle."""
+        def phi(x, y, v):
+            return matvec(action(x), v)
+
+        def psi(x, y, v):
+            return np.zeros(np.shape(v))
+        return RackModuleStructure(carrier_dim, phi, psi)
+
+
+@dataclass(frozen=True)
+class RackCochainFn:
+    """An arity-n rack cochain: a total evaluator on n-tuples of group
+    elements, required to vanish whenever an argument is the identity."""
+
+    arity: int
+    evaluator: Callable[..., np.ndarray]
+
+    def __call__(self, *args):
+        return np.asarray(self.evaluator(*args), dtype=float)
+
+
+def _fold_conj(conj: ConjFn, elems, identity):
+    """x_1 |> (x_2 |> (... |> x_k)); empty chain is the identity."""
+    if not elems:
+        return identity
+    acc = elems[-1]
+    for x in reversed(elems[:-1]):
+        acc = conj(x, acc)
+    return acc
+
+
+def _rack_differential(mod, f, args, conj, psi_sign):
+    n = f.arity
+    if len(args) != n + 1:
+        raise ValueError(f"arity-{n} cochain needs {n + 1} arguments")
+    identity = np.eye(args[0].shape[-1])
+    total = np.zeros(mod.carrier_dim)
+    for i in range(1, n + 1):
+        sign = (-1) ** (i - 1)
+        hat = args[:i - 1] + args[i:]
+        sub1 = _fold_conj(conj, args[:i], identity)
+        sub2 = _fold_conj(conj, hat, identity)
+        t1 = mod.phi(sub1, sub2, f(*hat))
+        conjed = tuple(conj(args[i - 1], a) for a in args[i:])
+        t2 = f(*(args[:i - 1] + conjed))
+        total = total + sign * (t1 - t2)
+    sub1 = _fold_conj(conj, args[:n], identity)
+    sub2 = _fold_conj(conj, args[:n - 1] + args[n:], identity)
+    pv = mod.psi(sub1, sub2, f(*args[:n]))
+    return total + psi_sign * ((-1) ** n) * pv
+
+
+def rack_differential_general(mod: RackModuleStructure, f: RackCochainFn,
+                              args, conj: ConjFn) -> np.ndarray:
+    """The general-arity formula with the psi term signed (-1)^n."""
+    return _rack_differential(mod, f, tuple(args), conj, +1)
+
+
+def rack_differential_eval(mod: RackModuleStructure, f: RackCochainFn,
+                           args, conj: ConjFn) -> np.ndarray:
+    """Normative d_R: same as the general formula except the psi term
+    carries sign (-1)^(n+1), which reproduces the arity-1 symmetric
+    expansion g.f(h) - f(g|>h) - (g|>h).f(g) + f(g) that the cocycle
+    integration needs and, psi being zero there, the arity-2 anti-symmetric
+    expansion unchanged."""
+    return _rack_differential(mod, f, tuple(args), conj, -1)
 
 
 # -- helpers that only the tests call ----------------------------------------

@@ -21,7 +21,6 @@ from leibrack.linalg import gauss_legendre_01
 from leibrack.rack import (
     build_rack_system,
     default_config,
-    delta2,
     group_from_coords,
     i1,
     i2,
@@ -35,7 +34,7 @@ from leibrack.suites import (
     rack_axiom_suite,
     tangent_suite,
 )
-from oracles import i2_quadrature, random_corpus, tau_inverse
+from oracles import delta2, i2_quadrature, random_corpus, tau_inverse
 
 CFG = default_config()
 

@@ -18,19 +18,16 @@ from leibrack.corpus import (
     random_leibniz,
 )
 from leibrack.exact import Matrix
-from leibrack.rack import (
+from leibrack.rack import conjugate, group_from_coords
+from oracles import (
     RackCochainFn,
     RackModuleStructure,
-    conjugate,
-    group_action,
-    group_from_coords,
-    rack_differential_eval,
-    rack_differential_general,
-)
-from oracles import (
     check_module_axioms,
+    group_action,
     rack_diff1_expansion,
     rack_diff2_expansion,
+    rack_differential_eval,
+    rack_differential_general,
     random_corpus,
     tau_inverse,
 )

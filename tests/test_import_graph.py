@@ -14,9 +14,13 @@ in the lazily imported float half.  Each name ``exact`` defines is imported
 from ``exact``: no module takes one through ``linalg``, which holds only
 the four that it raises or that the tracer binds under its name.  The
 float layer has one record: no function of the package takes a ``chart``
-and nothing reads ``.chart``."""
+and nothing reads ``.chart``.  Test-only code stays in the tests: every
+top-level function and class of the float layer has a reader in the
+package outside its own definition, or is one the tracer binds, and the
+oracles moved out of ``rack`` no longer resolve on the package."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -48,11 +52,14 @@ EXPORTS = {
                "write_algebra_file"),
     "linalg": ("QuadratureRule", "gauss_legendre_01", "integrate_01"),
     "rack": ("IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
-             "RackCochainFn", "RackModuleStructure", "augmented_action", "build_rack_system",
-             "conjugate", "default_config", "delta2", "i1", "i2", "iota2",
-             "rack_differential_eval", "rack_differential_general", "rack_product",
-             "tangent_bracket"),
+             "augmented_action", "build_rack_system", "conjugate", "default_config", "i1",
+             "i2", "iota2", "rack_product", "tangent_bracket"),
 }
+# the test oracles (``tests/oracles.py``) that ``rack`` held and exported,
+# and those it held without an export
+DROPPED_EXPORTS = ("RackCochainFn", "RackModuleStructure", "delta2", "rack_differential_eval",
+                   "rack_differential_general")
+MOVED_FROM_RACK = DROPPED_EXPORTS + ("group_action", "lie_group_inverse")
 
 PRELUDE = f"""
 import contextlib, io, json, sys
@@ -279,3 +286,56 @@ def test_no_function_takes_a_chart_beside_the_system():
             elif isinstance(node, ast.Attribute) and node.attr == "chart":
                 found.append(f"{path.name}:{node.lineno} reads .chart")
     assert SRC / "leibrack" / "rack.py" in paths and found == []
+
+
+def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():
+    import leibrack
+    import leibrack.rack as rack
+    assert [n for n in DROPPED_EXPORTS if n in dir(leibrack)] == []
+    for name in DROPPED_EXPORTS:
+        try:
+            getattr(leibrack, name)
+        except AttributeError:
+            continue
+        raise AssertionError(f"leibrack.{name} still resolves")
+    assert [n for n in MOVED_FROM_RACK if hasattr(rack, n)] == []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Every name node reads: a Name, an Attribute's attr, an import alias."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_float_layer_definition_has_a_caller_in_the_package():
+    # test-only code lives in tests/oracles.py: each top-level function and
+    # class of the float layer is referenced by package code outside its
+    # own definition, or bound by the benchmark's tracer
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {*tracer.SPAN_TARGETS, ("leibrack.suites", "sample_group_element")}
+    # (module, definition or None) -> the names read there
+    reads = {}
+    for path in sorted((SRC / "leibrack").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            reads.setdefault((path.stem, own), set()).update(_referenced_names(node))
+    uncalled = []
+    for module in FLOAT_MODULES:
+        stem = module.split(".")[1]
+        for node in ast.parse((SRC / "leibrack" / f"{stem}.py").read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or (module, node.name) in traced:
+                continue
+            if not any(node.name in names for (m, own), names in reads.items()
+                       if (m, own) != (stem, node.name)):
+                uncalled.append(f"{stem}.{node.name}")
+    assert len(reads) > 100 and uncalled == []

@@ -41,15 +41,12 @@ from leibrack.rack import (
     build_rack_system,
     conjugate,
     default_config,
-    delta2,
-    group_action,
     group_from_coords,
     i1,
     i2,
     in_chart,
     iota2,
     lie_cocycle_defect,
-    lie_group_inverse,
     lie_group_product,
     log_coords,
     rack_product,
@@ -74,9 +71,12 @@ from oracles import (
     ONE_BY_ONE,
     cochain_from_dense,
     combo_per_basis,
+    delta2,
     ghost_identity_defect,
+    group_action,
     i1_in_hom_module,
     i2_quadrature,
+    lie_group_inverse,
     omega_per_node,
     random_corpus,
     sample_rack_element,
@@ -245,14 +245,36 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
     beta = leibniz_differential(homrep, cochain_from_dense(0, 2, 6, b))
+    # i1 takes beta's blocks (d, m, d); Hom(g0, a) is flattened row by row
+    blocks = beta.to_numpy().reshape(2, 3, 2)
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys, xi)
-        got = i1(dim5_sys, beta, g)
+        got = i1(dim5_sys, blocks, g)
         bmat = np.array(b, float).reshape(3, 2)
         want = scipy.linalg.expm(dim5_sys.rho_of(xi)) @ bmat \
             @ scipy.linalg.expm(-dim5_sys.ad0_of(xi))
         assert np.abs(got - (want - bmat)).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 4, 2), (3, 3, 2), (3, 2), (2, 6)])
+def test_i1_refuses_a_beta_stack_of_the_wrong_shape(dim5_sys, shape):
+    # dim5 has d = 2 and m = 3, so beta's blocks are a (2, 3, 2) stack
+    g = group_from_coords(dim5_sys, [0.05, -0.02])
+    with pytest.raises(ValueError, match="beta stack must be 2 x 3 x 2"):
+        i1(dim5_sys, np.zeros(shape), g)
+
+
+def test_i1_takes_blocks_not_a_cochain(dim5_sys):
+    # tau omega as a cochain is refused; its values as blocks, Hom(g0, a)
+    # flattened row by row, are sys.omega and give i1 bit for bit
+    g = group_from_coords(dim5_sys, [0.05, -0.02])
+    beta = tau(dim5_sys.ext.omega)
+    with pytest.raises(TypeError):
+        i1(dim5_sys, beta, g)
+    blocks = beta.to_numpy().reshape(2, 3, 2)
+    assert blocks.tobytes() == dim5_sys.omega.tobytes()
+    assert i1(dim5_sys, blocks, g).tobytes() == i1(dim5_sys, dim5_sys.omega, g).tobytes()
 
 
 def _i1_general_path(sys_, g, cfg, eps=1e-6):

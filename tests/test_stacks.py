@@ -26,14 +26,11 @@ from leibrack.rack import (
     build_rack_system,
     conjugate,
     default_config,
-    delta2,
-    group_action,
     group_from_coords,
     group_product,
     i1,
     i2,
     iota2,
-    lie_group_inverse,
     lie_group_product,
     rack_product,
     tangent_bracket,
@@ -59,7 +56,10 @@ from oracles import (
     augmented_action_one_by_one,
     bracket_coords_by_brackets,
     cocycle_one_by_one,
+    delta2,
+    group_action,
     i2_quadrature,
+    lie_group_inverse,
     lie_specialization_one_by_one,
     quadrature_stability_one_by_one,
     rack_axioms_one_by_one,
@@ -628,17 +628,18 @@ def test_stacked_suites_make_as_many_kernel_calls_at_10_and_40_samples(name, mon
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "filiform5", "abelian3"])
 def test_one_basis_pair_difference_serves_both_round_trips(name, monkeypatch):
     # a report differentiates every basis pair once, in one tangent_bracket
-    # call, and differentiates no cochain: the round trip reads its row off
-    # the same difference.  The difference logs g and g |> h once each, and
+    # call, and differentiates no cochain (``rack`` has no delta2, which
+    # test_import_graph pins): the round trip reads its row off the same
+    # difference.  The difference logs g and g |> h once each, and
     # the n basis rows meet as a column and a row, so exp takes the 4n
     # probes exp(+-h e_i), not all 4n^2 pairs
     import leibrack.suites as suites
     cfg = default_config()
     sys_ = _system(name, 0.5)
     n = sys_.ext.parent.dim
-    calls = _outermost_calls(monkeypatch, ("tangent_bracket", "delta2"),
+    calls = _outermost_calls(monkeypatch, ("tangent_bracket",),
                              lambda: suites.full_suite(sys_, cfg, 10, 0))
-    assert calls == {"tangent_bracket": [(n, n)], "delta2": []}
+    assert calls == {"tangent_bracket": [(n, n)]}
     sizes = _kernel_slices(monkeypatch, lambda: basis_pair_difference(sys_, cfg))
     assert len(sizes["log_float"]) == 2
     assert max(sizes["exp_float"]) == 4 * n
@@ -772,10 +773,9 @@ def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
                 shapes.append(args[1].shape[:-1])
                 return original(*args)
             patch.setattr(suites, op, recorded)
-        names = ("conjugate", "group_product", "log_coords", "i2", "group_action")
+        names = ("conjugate", "group_product", "log_coords", "i2")
         calls = _outermost_calls(monkeypatch, names, lambda: cocycle_suite(sys_, 10, 1))
-    assert calls == dict(zip(names, ([(3, 10), (4, 10)], [(2, 10)], [(5, 10), (6, 10)],
-                                     [], [])))
+    assert calls == dict(zip(names, ([(3, 10), (4, 10)], [(2, 10)], [(5, 10), (6, 10)], [])))
     assert from_coords == {"i2_from_coords": [(6, 10)], "action_from_coords": [(2, 10)]}
 
 
