@@ -178,9 +178,10 @@ def leibniz_defect(alg: LeibnizAlgebra, x, y, z) -> Vec:
     return vec_sub(vec_sub(t1, t2), t3)
 
 
-def _triple_fails(t, i: int, j: int, k: int) -> bool:
-    """Whether [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] != 0,
-    summed over the nonzero table t = alg.terms alone."""
+def _triple_defect(t, i: int, j: int, k: int) -> dict[int, Fraction]:
+    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] as coordinate ->
+    value, summed over the nonzero table t = alg.terms alone (a coordinate
+    may hold 0)."""
     acc: dict[int, Fraction] = {}
     for m, a in t[j][k]:
         for p, b in t[i][m]:
@@ -191,20 +192,19 @@ def _triple_fails(t, i: int, j: int, k: int) -> bool:
     for m, a in t[i][k]:
         for p, b in t[j][m]:
             acc[p] = acc.get(p, 0) - a * b
-    return any(acc.values())
+    return acc
 
 
 def validate_leibniz(alg: LeibnizAlgebra) -> None:
     """Exact check of the Leibniz identity on all n^3 basis triples, in
-    lexicographic order.  Each triple is summed from the nonzero table; the
-    dense ``leibniz_defect`` runs only on the first failing triple, to give
-    the error its defect vector.  Every call walks the triples; the package
-    reads ``LeibnizAlgebra.leibniz_ok``, which walks them once per algebra."""
+    lexicographic order.  Each triple is summed from the nonzero table, and
+    the first failing one gives the error its defect vector from the same
+    sum.  Every call walks the triples; the package reads
+    ``LeibnizAlgebra.leibniz_ok``, which walks them once per algebra."""
     t = alg.terms
     for i, j, k in product(range(alg.dim), repeat=3):
-        if (t[j][k] or t[i][j] or t[i][k]) and _triple_fails(t, i, j, k):
-            d = leibniz_defect(alg, alg.basis_vector(i),
-                               alg.basis_vector(j), alg.basis_vector(k))
+        if (t[j][k] or t[i][j] or t[i][k]) and any((acc := _triple_defect(t, i, j, k)).values()):
+            d = tuple(acc.get(p, _ZERO) for p in range(alg.dim))
             names = alg.basis_names
             raise ValidationError(
                 f"Leibniz identity fails on ({names[i]},{names[j]},{names[k]}): "

@@ -97,13 +97,9 @@ def _exact_checks_section(alg: LeibnizAlgebra, center) -> dict:
 
 def _analysis_section(ext) -> dict:
     d = ext.g0_dim
-    omega_entries = []
-    for p in range(d):
-        for q in range(d):
-            val = ext.omega.at(p, q)
-            if any(c != 0 for c in val):
-                omega_entries.append({"args": [p, q], "value": _rational_vec(val),
-                                      "value_float": _float_vec(val)})
+    omega_entries = [{"args": list(idx), "value": _rational_vec(val),
+                      "value_float": _float_vec(val)}
+                     for idx, val in sorted(ext.omega.nonzeros.items())]
     # exact strings are authoritative; the float renderings are for reading
     return {
         "g0_dim": d,

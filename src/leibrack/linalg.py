@@ -9,8 +9,8 @@ This module takes four of them: ``OutOfChartError``, which ``log_float``
 raises, and ``rref``, ``matrix_log`` and ``nilpotency_index``, which the
 benchmark's tracer (``perfbench/tracer.py``) binds under this module's
 name.  The crossings from exact to float, ``Matrix.to_numpy`` and
-``Cochain.to_numpy``, are made on this side only (by ``rack``): each
-imports numpy when called.
+``Cochain.to_numpy``, are made on this side only (by ``rack`` and
+``suites``): each imports numpy when called.
 
 The kernels are ``exp_float``, ``phi1_float`` (the integral
 int_0^1 exp(s a) v ds, or int_0^1 exp(s a) v exp(-s b) ds given a right
@@ -23,11 +23,15 @@ take a stack of square arrays, shape (..., n, n), and give each slice bit
 for bit what the call on that slice alone gives.  Each has one code path:
 one element is a stack with no leading axes.  ``log_float`` takes an
 optional mask of the slices that succeeded, which it narrows where a slice
-leaves the log chart instead of raising.  They use only operations that are
-exact slice by slice with numpy's OpenBLAS build: stacked ``@``
-(matrix-matrix, and matrix-vector written as (..., n, 1)), elementwise
-arithmetic, reductions within a slice, ``np.linalg.solve``, and gathers
-and scatters of whole slices by index.  ``np.einsum`` over a stack is not
+leaves the log chart instead of raising, by ``_fail``, the one mask rule
+that every gate of ``rack`` applies too.  It sums its series in one pass:
+the slices still running are an index array into the stack, and the
+slices that finish at a term are written out with one scatter and leave
+it.  The kernels use only operations that are exact slice by slice with
+numpy's OpenBLAS build: stacked ``@`` (matrix-matrix, and matrix-vector
+written as (..., n, 1)), elementwise arithmetic, reductions within a
+slice, ``np.linalg.solve``, and gathers and scatters of whole slices by
+index.  ``np.einsum`` over a stack is not
 among them: it can sum in another order.  Without a nilpotency index,
 ``exp_float`` and ``phi1_float`` go to one Pade kernel, ``_expm_pade``,
 built from these operations alone: a slice's result does not depend on
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -197,36 +202,20 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None,
     return acc.reshape(v.shape)
 
 
+def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
+    """Apply a gate that the slices marked in bad fail: without a mask the
+    first of them raises OutOfChartError(message(i)); with one they leave
+    ok.  True if any slice failed.  The one mask rule of the float layer:
+    ``log_float`` and every gate of ``rack`` apply theirs through it."""
+    if not bad.any():
+        return False
+    if ok is None:
+        raise OutOfChartError(message(int(np.argmax(bad))))
+    ok &= ~bad
+    return True
+
+
 LOG_SERIES_TERMS = 800  # terms of the float log series before it counts as not converging
-
-
-def _log_series_float(n: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    # log(I+N) = sum (-1)^(k+1) N^k / k over a stack (N, n, n); terminates
-    # exactly on nilpotent N, converges for ||N|| < 1 otherwise.  A slice
-    # stops before its first zero term, or after its first term with
-    # max|term| / k < 1e-18; its sum is then written out and it leaves the
-    # stack the series runs on.  Returns the sums and the slices still
-    # running after LOG_SERIES_TERMS (did not converge; their sum is zero).
-    out = np.empty_like(n)
-    rows = list(range(len(n)))
-    acc = term = n
-    for k in range(2, LOG_SERIES_TERMS + 1):
-        term = term @ n
-        sizes = np.abs(term).max(axis=(1, 2)).tolist()
-        nxt = acc + ((-1) ** (k + 1) / k) * term
-        done = [size / k < 1e-18 for size in sizes]
-        if any(done):
-            for i, (row, size) in enumerate(zip(rows, sizes)):
-                if done[i]:
-                    out[row] = acc[i] if size == 0 else nxt[i]
-            keep = [i for i, stop in enumerate(done) if not stop]
-            if not keep:
-                return out, []
-            rows = [rows[i] for i in keep]
-            n, term, nxt = n[keep], term[keep], nxt[keep]
-        acc = nxt
-    out[rows] = 0.0
-    return out, rows
 
 
 def log_float(g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
@@ -243,8 +232,8 @@ def log_float(g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     Without ``ok``, a failing slice raises OutOfChartError, that of the
     first failing slice of a stack.  With ``ok``, a writable bool array
     that g.shape[:-2] broadcasts to, failing slices clear their entries
-    instead and their log is zero; the other slices are the same either
-    way."""
+    instead (``_fail``) and their log is zero; the other slices are the
+    same either way."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("square matrix required")
@@ -265,18 +254,31 @@ def log_float(g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
         p = p @ nw
     gated = np.zeros(len(n), dtype=bool)
     gated[wide] = p.any(axis=(1, 2))  # not nilpotent in float and wide: gated
-    if np.count_nonzero(gated):
-        n = np.where(gated[:, None, None], 0.0, n)  # their series ends at once
-    ell, stuck = _log_series_float(n)
-    if stuck or np.count_nonzero(gated):
-        bad = gated.copy()
-        bad[stuck] = True
-        if ok is None:
-            first = int(bad.argmax())
-            raise OutOfChartError(
-                f"||m - I|| = {norm[first]:.6g} >= 1: outside the log chart" if gated[first]
-                else "matrix log series did not converge")
-        np.logical_and(ok, ~bad.reshape(shape[:-2]), out=ok)
+    # the series sum (-1)^(k+1) x^k / k of the other slices, in one pass over
+    # the stack of those still running (rows): it ends exactly on a
+    # nilpotent slice and converges on one with ||x|| < 1.  A slice stops
+    # before its first zero term, or after its first term with
+    # max|term| / k < 1e-18, and leaves the stack with its sum written out
+    ell = np.zeros_like(n)
+    rows = np.flatnonzero(~gated)
+    acc = term = x = n[rows]
+    for k in range(2, LOG_SERIES_TERMS + 1):
+        if not rows.size:
+            break
+        term = term @ x
+        size = np.abs(term).max(axis=(1, 2))
+        nxt = acc + ((-1) ** (k + 1) / k) * term
+        done = size / k < 1e-18
+        if done.any():
+            ell[rows[done]] = np.where((size == 0)[:, None, None], acc, nxt)[done]
+            keep = ~done
+            rows, x, term, nxt = rows[keep], x[keep], term[keep], nxt[keep]
+        acc = nxt
+    bad = gated.copy()
+    bad[rows] = True  # still running after LOG_SERIES_TERMS: did not converge
+    _fail(ok, bad.reshape(shape[:-2]),
+          lambda i: f"||m - I|| = {norm[i]:.6g} >= 1: outside the log chart" if gated[i]
+          else "matrix log series did not converge")
     return ell.reshape(shape)
 
 

@@ -85,9 +85,10 @@ import numpy as np
 
 from .algebra import CentralExtensionData, ad_matrix
 from .cohomology import lie_cocycle_defect
-from .exact import OutOfChartError, joint_nilpotency_index
+from .exact import joint_nilpotency_index
 from .linalg import (
     QuadratureRule,
+    _fail,
     exp_float,
     gauss_legendre_01,
     integrate_01,
@@ -236,8 +237,12 @@ def _basis_stack(mats, k: int) -> np.ndarray:
 
 def build_rack_system(ext: CentralExtensionData,
                       chart_radius: float = 0.5) -> LocalRackSystem:
-    """ext's system on a chart of chart_radius: every exact-to-float
-    conversion and the nilpotency indices are taken now."""
+    """ext's system on a chart of chart_radius.  Taken now: the float
+    stacks of the ad, rho and ad0 families, the pseudo-inverse that reads
+    log coordinates, and the joint nilpotency indices.  Taken on first use:
+    omega's float stack (``omega``) and its Lie-cocycle check
+    (``lie_omega``).  The suites convert ``from_parent`` and
+    ``bracket_coords`` themselves, once per report."""
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
     ad_basis = _basis_stack(ext.g0_matrices, n)
     ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
@@ -258,23 +263,12 @@ def build_rack_system(ext: CentralExtensionData,
 # None) the first gate that fails raises its OutOfChartError, for a stack
 # that of its first failing slice.  With a mask, a writable bool array ok
 # of the call's broadcast stack shape, the slices that fail a gate are
-# cleared in ok instead (``_fail``) and the chart gates stand in the
-# identity for them, so what follows runs on every slice without raising.
+# cleared in ok instead (``linalg._fail``, whose rule ``log_float``
+# applies too) and the chart gates stand in the identity for them, so what
+# follows runs on every slice without raising.
 # ok[i] then ends false exactly where the call on slice i alone raises,
 # and the ok slices equal those calls bit for bit.  A mask is only ever
 # narrowed, so operations can share one.
-
-def _fail(ok: np.ndarray | None, bad, message: Callable[[int], str]) -> bool:
-    """Apply a gate that the slices marked in bad fail: without a mask the
-    first of them raises OutOfChartError(message(i)); with one they leave
-    ok.  True if any slice failed."""
-    if not bad.any():
-        return False
-    if ok is None:
-        raise OutOfChartError(message(int(np.argmax(bad))))
-    ok &= ~bad
-    return True
-
 
 def _slices(g: np.ndarray) -> np.ndarray:
     """g as a stack (N, n, n); one element is the stack of one."""

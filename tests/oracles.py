@@ -14,7 +14,8 @@ report can be built from them.
 ``combo_per_basis`` and ``omega_per_node`` form a linear combination of
 a generator family term by term, as the chart and iota2 once did.
 ``log_float_probe_all`` is the float log as it was before its nilpotency
-probe was narrowed to the slices the norm gate can fail.
+probe was narrowed to the slices the norm gate can fail, on its own copy
+of the list-based series, ``log_series_float``.
 ``i1_in_hom_module`` evaluates i1 as it was before it ran on m x d blocks:
 phi1 of the (m*d)-sided Hom(g0, a) generators at their exact joint
 nilpotency index.
@@ -692,11 +693,43 @@ def i1_in_hom_module(sys_, bmat, xi):
 
 # -- the float log, probing every slice ---------------------------------------
 
+def log_series_float(n):
+    # log(I+N) = sum (-1)^(k+1) N^k / k over a stack (N, n, n); terminates
+    # exactly on nilpotent N, converges for ||N|| < 1 otherwise.  A slice
+    # stops before its first zero term, or after its first term with
+    # max|term| / k < 1e-18; its sum is then written out and it leaves the
+    # stack the series runs on.  Returns the sums and the slices still
+    # running after LOG_SERIES_TERMS (did not converge; their sum is zero).
+    out = np.empty_like(n)
+    rows = list(range(len(n)))
+    acc = term = n
+    for k in range(2, linalg.LOG_SERIES_TERMS + 1):
+        term = term @ n
+        sizes = np.abs(term).max(axis=(1, 2)).tolist()
+        nxt = acc + ((-1) ** (k + 1) / k) * term
+        done = [size / k < 1e-18 for size in sizes]
+        if any(done):
+            for i, (row, size) in enumerate(zip(rows, sizes)):
+                if done[i]:
+                    out[row] = acc[i] if size == 0 else nxt[i]
+            keep = [i for i, stop in enumerate(done) if not stop]
+            if not keep:
+                return out, []
+            rows = [rows[i] for i in keep]
+            n, term, nxt = n[keep], term[keep], nxt[keep]
+        acc = nxt
+    out[rows] = 0.0
+    return out, rows
+
+
 def log_float_probe_all(g, ok=None):
     """``linalg.log_float`` as it was before it probed only the slices with
-    ||g - I|| >= 1: the float nilpotency probe runs on the whole stack, up
-    to dim - 1 stacked products, and the norm is taken only if some slice
-    is not nilpotent."""
+    ||g - I|| >= 1 and summed its series in one pass over index arrays:
+    the float nilpotency probe runs on the whole stack, up to dim - 1
+    stacked products, the norm is taken only if some slice is not
+    nilpotent, and the series, ``log_series_float``, runs on every slice
+    (the gated ones zeroed, so theirs ends at once) and tracks the slices
+    still running in Python lists."""
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("square matrix required")
@@ -715,7 +748,7 @@ def log_float_probe_all(g, ok=None):
         gated = p.any(axis=(1, 2)) & (norm >= 1)
         if np.count_nonzero(gated):
             n = np.where(gated[:, None, None], 0.0, n)
-    ell, stuck = linalg._log_series_float(n)
+    ell, stuck = log_series_float(n)
     if stuck or np.count_nonzero(gated):
         bad = gated.copy()
         bad[stuck] = True

@@ -215,9 +215,14 @@ def test_validate_leibniz_makes_no_dense_call_on_valid_input(monkeypatch):
         raise AssertionError("dense leibniz_defect called")
 
     monkeypatch.setattr(algebra, "leibniz_defect", dense)
+    monkeypatch.setattr(algebra, "bracket", dense)
     validate_leibniz(filiform(12))
-    with pytest.raises(AssertionError):
-        validate_leibniz(perturbed(filiform(12), 0, 1, 3, 1))
+    # the failing triple's defect comes from the same sparse sum too
+    bad = perturbed(filiform(12), 0, 1, 3, 1)
+    with pytest.raises(ValidationError) as err:
+        validate_leibniz(bad)
+    monkeypatch.undo()
+    assert (err.value.triple, err.value.defect, str(err.value)) == dense_verdict(bad)
 
 
 def test_is_lie():

@@ -597,22 +597,35 @@ def _outcome(log, stack, masked):
 
 def test_log_float_probing_only_wide_slices_equals_probing_all():
     """The float nilpotency probe runs only on the slices with
-    ||g - I|| >= 1, the only ones its verdict can gate: values, masks and
-    errors equal those of the probe over the whole stack bit for bit."""
+    ||g - I|| >= 1, the only ones its verdict can gate, and the series runs
+    in one pass over index arrays: values, masks and errors equal those of
+    the probe over the whole stack and the list-based series bit for bit."""
     unipotent, near, nearer, identity = _log_slices()
     wide_nilpotent = np.eye(3) + np.diag([40.0, -25.0], -1)  # finite series at norm 40
     wide_gated, edge = np.diag([2.5, 1.0, 1.0]), np.diag([2.0, 1.0, 1.0])  # edge: norm 1
     slow = np.eye(3) * 1.999  # narrow, but the series does not converge
     nan, inf = np.eye(3), np.eye(3)
     nan[1, 0], inf[2, 1] = np.nan, np.inf
+    # max|term| / k is exactly 1e-18 at k = 2, so the slice takes term 3,
+    # the first to reach the diagonal
+    threshold = np.eye(3) + np.array([[0.0, 4e-18, 0.0], [0.0, 0.0, 0.5], [1e-30, 0.0, 0.0]])
     slices = [unipotent, near, nearer, identity, wide_nilpotent, wide_gated, edge, slow,
-              nan, inf]
+              nan, inf, threshold]
     rng = np.random.default_rng(34)
     stacks = [np.array([s]) for s in slices] + [s for s in slices]
     stacks += [np.array(slices)[rng.permutation(len(slices))] for _ in range(6)]
     stacks += [np.array([unipotent, near, wide_nilpotent, nearer]),  # no slice gated
                np.array([near, nearer, identity]),  # no slice wide
                np.array([wide_nilpotent, wide_gated, inf]).reshape(3, 1, 3, 3)]
+    # ~200 slices near I with ||g - I|| spread over [1e-6, 0.95], so that
+    # their series finish over many different terms, mixed with the slices
+    # above: the one-pass series against the oracle's own list-based copy
+    a = rng.standard_normal((200, 3, 3))
+    a *= (np.exp(rng.uniform(np.log(1e-6), np.log(0.95), 200)) / norm1_float(a))[:, None, None]
+    mixed = np.concatenate([np.eye(3) + a, np.array(slices)])
+    for _ in range(3):
+        stacks += [mixed[rng.permutation(len(mixed))]]
+    stacks += [mixed[-210:].reshape(15, 14, 3, 3)]
     for stack in stacks:
         for masked in (False, True):
             assert (_outcome(log_float, stack, masked)

@@ -95,6 +95,9 @@ def runs() -> list[tuple[str, list[str]]]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    # the imports below read CHECKOUT's modules: leave its bytecode cache as
+    # it is, as the runs' -B does
+    sys.dont_write_bytecode = True
     src = str(checkout / "src")
     sys.path[:0] = [src, str(checkout / "perfbench")]
     import inputs as bench_inputs
