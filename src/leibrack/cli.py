@@ -56,7 +56,7 @@ MAX_QUAD_ORDER = 64
 # grows far less: the sampled suites run in chunks of bounded stacks
 # (suites.CHUNK_ENTRIES), and only the injectivity check holds the input
 # and output of every sample.  At this bound a fresh `example dim5` process
-# takes about 1.2 s and peaks at about 115 MB RSS (2-core Xeon).
+# takes about 0.8 s and peaks at about 132 MB RSS (2-core Xeon).
 MAX_SAMPLES = 10_000
 
 

@@ -314,12 +314,6 @@ def group_from_coords(sys: LocalRackSystem, xi) -> np.ndarray:
     return exp_float(sys.ad_of(xi), sys.ad_index)
 
 
-def _gated_log(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None) -> np.ndarray:
-    """log_coords of g behind the chart gate, so a stack's slices outside
-    the chart are logged as the identity."""
-    return log_coords(sys, _chart_gate(sys, g, "group element", ok), ok)
-
-
 def group_inverse(g: np.ndarray, what: str = "group element",
                   ok: np.ndarray | None = None) -> np.ndarray:
     """g^-1; fails (OutOfChartError) where g is singular in floating point,
@@ -341,14 +335,21 @@ def group_inverse(g: np.ndarray, what: str = "group element",
     return inv.reshape(g.shape)
 
 
+def _conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+               ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(g behind its chart gate, g |> h), for ``conjugate`` and
+    ``conjugate_and_log``."""
+    g = _chart_gate(sys, g, "conjugator", ok)
+    h = _chart_gate(sys, h, "conjugated element", ok)
+    r = g @ h @ group_inverse(g, "conjugator", ok)
+    return g, _chart_gate(sys, r, "conjugation result", ok)
+
+
 def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
               ok: np.ndarray | None = None) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
-    g = _chart_gate(sys, g, "conjugator", ok)
-    h = _chart_gate(sys, h, "conjugated element", ok)
-    r = g @ h @ group_inverse(g, "conjugator", ok)
-    return _chart_gate(sys, r, "conjugation result", ok)
+    return _conjugate(sys, g, h, ok)[1]
 
 
 def group_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -423,16 +424,17 @@ def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) 
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (d, m, d):
         raise ValueError(f"beta stack must be {d} x {m} x {d}")
-    return _i1(sys, beta, _gated_log(sys, g, ok))
+    return _i1(sys, beta, log_coords(sys, _chart_gate(sys, g, "group element", ok), ok))
 
 
 def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                       ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """(g |> h, xi, eta), with xi and eta the log coordinates of g and of
     g |> h, all that i2(g, h) and g's action need.  The gates run in i2's
-    order: the conjugation, g's chart gate and log, the log of g |> h."""
-    gh = conjugate(sys, g, h, ok)
-    return gh, _gated_log(sys, g, ok), log_coords(sys, gh, ok)
+    order: the conjugation, which gates g once, g's log, the log of g |> h.
+    g's slices outside the chart are logged as the identity."""
+    g, gh = _conjugate(sys, g, h, ok)
+    return gh, log_coords(sys, g, ok), log_coords(sys, gh, ok)
 
 
 def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,

@@ -15,9 +15,9 @@ stack with a mask of the slices that succeeded (see ``rack``), and
 ``stacked`` applies the rule with cumulative masks: property k counts the
 samples where the operations of properties 1..k all succeeded.  The
 results equal those of the one-sample-at-a-time loops bit for bit.  A draw
-exponentiates the group parts of the rows it is asked for as one stack,
-and the rows that do not fit the ball yet are halved in rounds, one
-stacked exp call per round (``_group_elements``).
+exponentiates the group parts of the rows it is asked for as one stack;
+each round then halves the rows that do not fit the ball yet once and
+exponentiates exactly those as one stack (``_group_elements``).
 
 The four suites whose stacks grow with the sample count, and the basis
 pairs of the round trips, run in chunks (``_chunked``, ``CHUNK_ENTRIES``).
@@ -35,7 +35,7 @@ conjugation of four pairs, one log of six, and from the log coordinates
 one i2 of six pairs and one action of two; ``rack_axiom_suite`` three
 rack products, the first of three pairs and the second of four;
 ``augmented_action_suite`` two actions, of three and two;
-``lie_specialization_suite`` two iota2, of four pairs and then three.
+``lie_specialization_suite`` one conjugation and two iota2, of 4 and 3 pairs.
 
 The two round trips read one mixed difference, ``basis_pair_difference``,
 the tangent bracket of every pair of the parent's basis, which pairs a
@@ -52,13 +52,14 @@ that an earlier one computed, since the gates it passed are already in the
 later property's cumulative mask, never the reverse: the three rows of
 ``cocycle_suite`` share their conjugations, logs, i2 values and actions,
 and row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of
-row 1.  Where a suite needs i2 or an action, it takes them from the log
-coordinates it already has (``rack.i2_from_coords``,
-``rack.action_from_coords``) rather than conjugating and logging their
-group elements again: ``cocycle_suite`` logs the elements its
-conjugations and products formed, and ``lie_specialization_suite`` and
-``quadrature_stability_suite`` take i2 from one conjugation and its logs
-(``rack.conjugate_and_log``).
+row 1 and the i2(u.g, v.g) of row 2.  Where a suite needs i2 or an
+action, it takes them from the log coordinates it already has
+(``rack.i2_from_coords``, ``rack.action_from_coords``) rather than
+conjugating and logging their group elements again: ``cocycle_suite``
+logs the elements its conjugations and products formed, and
+``lie_specialization_suite`` and ``quadrature_stability_suite`` take i2
+from one conjugation and its logs (``rack.conjugate_and_log``), from
+which the Lie suite also forms the rack product u |> v.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElemen
 def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np.ndarray:
     """exp(ad xi) for each row of coordinates xi (N, d), each row halved as
     ``sample_group_element`` halves its draw, each halving x * 0.5 of the
-    one before.  A round exponentiates the next halvings of all rows that
-    do not fit yet as one stack: N // rows-left of them (at least one), so
-    no call takes more than N rows.  Each row takes the first that fits."""
+    one before.  A round halves the rows that do not fit yet once and
+    exponentiates them as one stack; each row takes its first halving that
+    fits, so no exponentiated row is discarded."""
     eye = sys.identity()
     # a wide draw can overflow exp; it then fails the norm test and is
     # halved, so the overflow is no error
@@ -204,16 +205,11 @@ def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np
         left = np.flatnonzero(~(norm1_float(g - eye) < max_norm))
         x = xi[left]
         while len(left):
-            halvings = []
-            for _ in range(max(1, len(xi) // len(left))):
-                x = x * 0.5
-                halvings.append(x)
-            tried = group_from_coords(sys, np.concatenate(halvings))
-            tried = tried.reshape((len(halvings), len(left)) + tried.shape[1:])
-            fits = norm1_float(tried - eye) < max_norm  # (levels, rows left)
-            done = fits.any(axis=0)
-            g[left[done]] = tried[fits.argmax(axis=0)[done], np.flatnonzero(done)]
-            left, x = left[~done], x[~done]
+            x = x * 0.5
+            tried = group_from_coords(sys, x)
+            fits = norm1_float(tried - eye) < max_norm
+            g[left[fits]] = tried[fits]
+            left, x = left[~fits], x[~fits]
     return g
 
 
@@ -464,18 +460,21 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         ug, ua, vg, va, wg, wa = take(slice(lo, hi))
         n = hi - lo
         u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
-        conj_ok, iota_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-        gh, xi, eta = conjugate_and_log(sys, u.g, v.g, iota_ok)
+        inv_ok, cl_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        # u.g |> v.g and its logs give row 2's u |> v and i2 for rows 2, 3
+        gh, xi, eta = conjugate_and_log(sys, u.g, v.g, cl_ok)
+        i2_uv = i2_from_coords(sys, xi, eta)
         # u^-1 = (g^-1, -a - iota2(g, g^-1)), the local Lie group's
         # inverse; iota2 and the products below apply g^-1's chart gate
-        uinv_g = group_inverse(u.g, ok=conj_ok)
+        uinv_g = group_inverse(u.g, ok=inv_ok)
 
-        # iota2 and the group product of (u, v), (v, w), (u, u^-1) and
-        # (u |> v, u) as one (4, n) stack, for rows 1, 1, 2 and 3; iota2's
-        # nodes make the widest stack, 4 quad-order a sample
+        # iota2 of (u, v), (v, w), (u, u^-1) and (u |> v, u) as one (4, n)
+        # stack, for rows 1, 1, 2 and 3, and the group products of the first
+        # two; iota2 applies the products' gates to all four, and its nodes
+        # make the widest stack, 4 quad-order a sample
         first = np.ones((4, n), dtype=bool)
         x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
-        uv_g, vw_g, _, _ = group_product(sys, x, y, first)
+        uv_g, vw_g = group_product(sys, x[:2], y[:2], first[:2])
         iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
         uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
         vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
@@ -484,12 +483,10 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         second = np.ones((3, n), dtype=bool)
         uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
                                                        _stack(w, vw, uinv), cfg, second))
-        conj = elem_distance(uv_uinv, rack_product(sys, u, v, conj_ok))
-        from_iota = i2_from_coords(sys, xi, eta) - (iota_uv - iota_gh)
-        conj_ok &= first[2] & second[2]
-        iota_ok &= first[3]
+        u_v = LocalRackElement(gh, matvec(action_from_coords(sys, xi), v.a) + i2_uv)
         return (elem_distance(uv_w, u_vw), first[:2].all(axis=0) & second[:2].all(axis=0),
-                conj, conj_ok, sup_rows(from_iota), iota_ok)
+                elem_distance(uv_uinv, u_v), inv_ok & cl_ok & first[2] & second[2],
+                sup_rows(i2_uv - (iota_uv - iota_gh)), cl_ok & first[3])
 
     assoc, assoc_ok, conj, conj_ok, iota, iota_ok = _chunked(
         sys, n_samples, 4 * cfg.quad.order, run)

@@ -14,7 +14,7 @@ import scipy.linalg
 import leibrack.linalg as linalg
 from leibrack.algebra import CentralExtensionData, LeibnizAlgebra, canonical_extension
 from leibrack.cli import main
-from leibrack.cohomology import Cochain, tau
+from leibrack.cohomology import Cochain, leibniz_differential, tau
 from leibrack.corpus import (
     abelian3,
     dim5,
@@ -30,6 +30,7 @@ from leibrack.linalg import (
     gauss_legendre_01,
     integrate_01,
     log_float,
+    matvec,
     phi1_float,
 )
 from leibrack.rack import (
@@ -37,6 +38,8 @@ from leibrack.rack import (
     LocalRackElement,
     NotLieCocycleError,
     _i1,
+    _i2,
+    action_from_coords,
     augmented_action,
     build_rack_system,
     conjugate,
@@ -240,7 +243,7 @@ def _hom_action(sys_, xi, alpha):
 def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     # beta = dL^0 b has i1(beta)(g) = g.b - b in the Hom module, where g
     # acts by alpha -> exp(rho_xi) alpha exp(-ad0_xi)
-    from leibrack.cohomology import hom_representation, leibniz_differential
+    from leibrack.cohomology import hom_representation
     rng = np.random.default_rng(2)
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
@@ -360,6 +363,43 @@ def test_i2_matches_closed_form(dim5_sys):
         g = group_from_coords(dim5_sys, a)
         h = group_from_coords(dim5_sys, b)
         assert np.abs(i2(dim5_sys, g, h) - dim5_f(a, b)).max() < 1e-9
+
+
+_COBOUNDARY_INPUTS = {
+    "dim5": dim5(), "heisenberg": heisenberg(), "filiform5": filiform5(),
+    "free_nilpotent5": free_nilpotent5(),
+    **{f"rl{seed}": random_leibniz(seed) for seed in (1, 2, 23, 35, 38)},
+    **{f"{kind}-{seed}": inputs.rho_semisimple(kind, seed)
+       for kind in inputs.RHO_KINDS for seed in range(8)}}
+
+
+@pytest.mark.parametrize("name", list(_COBOUNDARY_INPUTS))
+def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
+    # i2 is linear in omega and the integration is a chain map, so for a
+    # 1-cochain beta: i2_{d beta}(g, h) = phi_g F(h) - F(g |> h), with
+    # F(g) = phi1(rho_X) beta X at X = log g.  The axioms do not pin i2;
+    # this does, on every input, the Pade path of a non-unipotent G0 too.
+    # The wide chart only widens the conjugation's gate: every point lies
+    # well inside the log chart
+    ext = canonical_extension(_COBOUNDARY_INPUTS[name])
+    sys_ = build_rack_system(ext, 8.0)
+    d, m = sys_.g0_dim, sys_.center_dim
+    rng = np.random.default_rng(17)
+    beta = rng.integers(-3, 4, size=(m, d))  # beta(e_p) is column p
+    dbeta = leibniz_differential(ext.rep, cochain_from_dense(1, d, m, beta.T.ravel().tolist()))
+    xi, zeta = rng.uniform(-0.15, 0.15, size=(2, 20, d))
+    g = group_from_coords(sys_, xi)
+    eta = log_coords(sys_, conjugate(sys_, g, group_from_coords(sys_, zeta)))
+    got = _i2(sys_, _i1(sys_, dbeta.to_numpy().transpose(0, 2, 1), xi), eta)
+
+    def primitive(x):
+        return phi1_float(sys_.rho_of(x), matvec(beta.astype(float), x), sys_.rho_index)
+
+    want = matvec(action_from_coords(sys_, xi), primitive(zeta)) - primitive(eta)
+    assert np.abs(got - want).max() <= 1e-12
+    # the opposite sign fails wherever d beta does not vanish
+    if not dbeta.is_zero():
+        assert np.abs(got + want).max() > 1e-6
 
 
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys, cfg):
@@ -1144,7 +1184,7 @@ def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
     sys_ = build_rack_system(canonical_extension(dim5()), 0.5)
     g = group_from_coords(sys_, [0.1, -0.05])
     h = group_from_coords(sys_, [-0.02, 0.07])
-    counts = {"conjugate": 0, "log_float": 0}
+    counts = {"_conjugate": 0, "_chart_gate": 0, "log_float": 0}
     for name in counts:
         original = getattr(rack, name)
 
@@ -1153,8 +1193,8 @@ def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
             return original(*args)
         monkeypatch.setattr(rack, name, counted)
     rack_product(sys_, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
-    assert counts["conjugate"] == 1
-    assert counts["log_float"] <= 2  # log g, log(g |> h)
+    # the conjugation gates g, h and g |> h, and g is logged behind its gate
+    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 2}
 
 
 @pytest.mark.parametrize("alg", [dim5(), _diagonal_rho()], ids=["dim5", "diagonal_rho"])
@@ -1167,7 +1207,7 @@ def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, 
     g, h = (group_from_coords(sys_, rng.uniform(-0.1, 0.1, (12, sys_.g0_dim)))
             for _ in range(2))
     a = rng.uniform(-0.25, 0.25, (12, sys_.center_dim))
-    counts = {"conjugate": 0, "log_float": 0}
+    counts = {"_conjugate": 0, "_chart_gate": 0, "log_float": 0}
     for name in counts:
         original = getattr(rack, name)
 
@@ -1178,8 +1218,8 @@ def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, 
     ok = np.ones(12, dtype=bool)
     got = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, a), ok)
     assert ok.all() and np.abs(got.a).max() > 0
-    assert counts["conjugate"] == 1
-    assert counts["log_float"] <= 2  # log g, log(g |> h)
+    # one gate each for g, h and g |> h; log g, log(g |> h)
+    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 2}
 
 
 def _cli_json(argv, capsys):

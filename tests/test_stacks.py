@@ -347,18 +347,14 @@ def test_draws_that_need_many_halvings_equal_the_draws_one_by_one(name, radius, 
 
 @pytest.mark.parametrize("name,radius,max_norm,n", HALVING_DRAWS)
 def test_a_draw_takes_one_exp_call_per_halving_round(name, radius, max_norm, n, monkeypatch):
-    # every "g" part in one stack; each round takes the next
-    # max(1, rows // rows left) halvings of the rows left, so no call has
-    # more rows than the draw
+    # every "g" part in one stack; round k exponentiates the k-th halving
+    # of exactly the rows that the k - 1 before did not fit, so no
+    # exponentiated row is discarded
     import leibrack.suites as suites
     sys_ = _system(name, radius)
     counts = _halvings(sys_, max_norm, n)
-    rows, done, want = 3 * n, 0, [3 * n]
-    while (counts > done).any():
-        left = int(np.count_nonzero(counts > done))
-        levels = max(1, rows // left)
-        want.append(levels * left)
-        done += levels
+    rows = 3 * n
+    want = [rows] + [int(np.count_nonzero(counts > k)) for k in range(max(counts))]
     sizes = []
     with monkeypatch.context() as patch:
         original = suites.group_from_coords
@@ -369,6 +365,7 @@ def test_a_draw_takes_one_exp_call_per_halving_round(name, radius, max_norm, n, 
         sizes.clear()
         draw_samples(sys_, np.random.default_rng(5), max_norm, n, "ggg")()
     assert sizes == want and max(sizes) == rows
+    assert sum(sizes) == rows + int(counts.sum())
 
 
 # -- masks -----------------------------------------------------------------------
@@ -784,21 +781,25 @@ def test_the_dim5_extras_conjugate_once(monkeypatch):
     # the logs of g and g |> h
     sys_ = _system("dim5", 0.5)
     args = Namespace(seed=3, chart_radius=0.5, quad_order=8, fd_step=1e-3)
-    names = ("conjugate", "log_coords", "i1", "i2", "rack_product")
+    names = ("_conjugate", "conjugate", "log_coords", "i1", "i2", "rack_product")
     calls = _outermost_calls(monkeypatch, names, lambda: EXAMPLE_EXTRAS["dim5"][0](sys_, args))
-    assert calls == dict(zip(names, ([(20,)], [(20,), (20,)], [(20,)], [], [])))
+    assert calls == dict(zip(names, ([(20,)], [], [(20,), (20,)], [(20,)], [], [])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
 def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
-    # row 3 reuses the iota2(u.g, v.g) of row 1's product u v, and takes
-    # i2(u.g, v.g) from the one conjugation u.g |> v.g it also feeds to
-    # iota2; the four pairs of the first level, then the three products
+    # row 3 reuses the iota2(u.g, v.g) of row 1's product u v; rows 2 and 3
+    # take i2(u.g, v.g), and row 2 the rack product u |> v, from the one
+    # conjugation u.g |> v.g that also feeds iota2; the four pairs of the
+    # first level, of which only the first two form their group products,
+    # then the three products
     cfg = default_config()
     sys_ = _system(name, 0.5)
-    calls = _outermost_calls(monkeypatch, ("iota2", "conjugate"),
+    names = ("iota2", "_conjugate", "group_product", "rack_product")
+    calls = _outermost_calls(monkeypatch, names,
                              lambda: lie_specialization_suite(sys_, cfg, 10, 2))
-    assert calls == {"iota2": [(4, 10), (3, 10)], "conjugate": [(10,), (10,)]}
+    assert calls == {"iota2": [(4, 10), (3, 10)], "_conjugate": [(10,)],
+                     "group_product": [(2, 10), (3, 10)], "rack_product": []}
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "filiform5"])
@@ -808,9 +809,9 @@ def test_the_quadrature_suite_conjugates_and_logs_once_for_both_orders(name, mon
     cfg = default_config()
     sys_ = _system(name, 0.5)
     assert sys_.g0_dim > 0
-    calls = _outermost_calls(monkeypatch, ("conjugate", "log_coords"),
+    calls = _outermost_calls(monkeypatch, ("_conjugate", "log_coords"),
                              lambda: quadrature_stability_suite(sys_, cfg, 10, 4))
-    assert calls == {"conjugate": [(10,)], "log_coords": [(10,), (10,)]}
+    assert calls == {"_conjugate": [(10,)], "log_coords": [(10,), (10,)]}
 
 
 # -- injectivity: a sorted window against all pairs --------------------------------
