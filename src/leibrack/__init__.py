@@ -38,9 +38,9 @@ from .fileio import (
 _FLOAT_NAMES = {
     **dict.fromkeys(("QuadratureRule", "gauss_legendre_01", "integrate_01"), "linalg"),
     **dict.fromkeys((
-        "IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
-        "augmented_action", "build_rack_system", "conjugate", "default_config", "i1", "i2",
-        "iota2", "rack_product", "tangent_bracket"), "rack"),
+        "LocalRackElement", "LocalRackSystem", "NotLieCocycleError", "augmented_action",
+        "build_rack_system", "conjugate", "i1", "i2", "iota2", "rack_product",
+        "tangent_bracket"), "rack"),
 }
 
 

@@ -56,7 +56,8 @@ MAX_QUAD_ORDER = 64
 # grows far less: the sampled suites run in chunks of bounded stacks
 # (suites.CHUNK_ENTRIES), and only the injectivity check holds the input
 # and output of every sample.  At this bound a fresh `example dim5` process
-# takes about 0.8 s and peaks at about 132 MB RSS (2-core Xeon).
+# takes about 0.8 s with one BLAS thread (1.0 s with numpy's default) and
+# peaks at 132-138 MB RSS (2-core Xeon).
 MAX_SAMPLES = 10_000
 
 

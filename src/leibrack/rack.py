@@ -29,7 +29,7 @@ arbitrary path as an independent check of i1.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
-closed form too, so the configured Gauss-Legendre rule (IntegratorConfig.quad)
+closed form too, so the system's Gauss-Legendre rule (``LocalRackSystem.quad``)
 drives only iota2's outer integral and the quadrature cross-check.
 
 Exact decisions are made once per system, never inside a float call.
@@ -40,9 +40,10 @@ finite series; other families go to the Pade kernel
 (``LocalRackSystem.lie_omega``) the exact Lie-cocycle check of the
 extension's omega, ``cohomology.lie_cocycle_defect``.
 
-One record, ``LocalRackSystem``, holds the extension, G0's chart and
-omega, and every operation takes it.  It holds arrays, which have no
-single-valued ==, so it compares and hashes by identity (``eq=False``).
+One record, ``LocalRackSystem``, holds the extension, G0's chart, omega,
+iota2's quadrature rule and the finite-difference step, and every
+operation takes it.  It holds arrays, which have no single-valued ==, so
+it compares and hashes by identity (``eq=False``).
 
 The local rack product on G0 x a is then
 
@@ -104,28 +105,8 @@ class NotLieCocycleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# configuration and the system
+# the system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """quad is the Gauss-Legendre rule of iota2's outer integral and of the
-    quadrature cross-check (i1, i2 and iota2's inner integral are closed
-    forms); fd_step is the step of the finite differences at the unit."""
-
-    quad: QuadratureRule
-    fd_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.quad.order < 3:
-            raise ValueError("quadrature order must be >= 3")
-        if not 0 < self.fd_step:
-            raise ValueError("fd_step must be positive")
-
-
-def default_config(quad_order: int = 8, fd_step: float = 1e-3) -> IntegratorConfig:
-    return IntegratorConfig(gauss_legendre_01(quad_order), fd_step)
-
 
 @dataclass(frozen=True, eq=False)
 class LocalRackElement:
@@ -139,9 +120,12 @@ class LocalRackElement:
 @dataclass(frozen=True, eq=False)
 class LocalRackSystem:
     """The local augmented Lie rack of one algebra on G0 x a: the exact
-    extension data and G0's matrix chart inside Aut(g), from which omega
-    is derived on first use.  The sizes dim (n), g0_dim (d) and
-    center_dim (m) are read off ext, so a system on another extension
+    extension data, G0's matrix chart inside Aut(g), from which omega is
+    derived on first use, and two float knobs: quad, the Gauss-Legendre
+    rule of iota2's outer integral and of the quadrature cross-check (i1,
+    i2 and iota2's inner integral are closed forms), and fd_step, the
+    step of the finite differences at the unit.  The sizes dim (n),
+    g0_dim (d) and center_dim (m) are read off ext, so a system on another extension
     (``replace(sys, ext=...)``) has that extension's sizes.  The span of
     ad_basis is the realized g0, rho_basis acts on the center, ad0_basis
     is the adjoint of g0 on itself; each is a (g0_dim, k, k) stack,
@@ -160,10 +144,16 @@ class LocalRackSystem:
     ad_index: int | None
     rho_index: int | None
     ad0_index: int | None
+    quad: QuadratureRule
+    fd_step: float
 
     def __post_init__(self):
         if not 0 < self.chart_radius < np.inf:
             raise ValueError("chart radius must be positive and finite")
+        if self.quad.order < 3:
+            raise ValueError("quadrature order must be >= 3")
+        if not 0 < self.fd_step:
+            raise ValueError("fd_step must be positive")
 
     @property
     def dim(self) -> int:
@@ -208,7 +198,8 @@ class LocalRackSystem:
         return LocalRackElement(self.identity(), np.zeros(self.center_dim))
 
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
-        """The same system on a chart of another radius; no exact work or conversion reruns."""
+        """The same system, rule and step on a chart of another radius; no
+        exact work or conversion reruns."""
         wide = replace(self, chart_radius=chart_radius)
         vars(wide).update((k, v) for k, v in vars(self).items() if k in ("omega", "lie_omega"))
         return wide
@@ -235,11 +226,13 @@ def _basis_stack(mats, k: int) -> np.ndarray:
     return np.array([mat.to_numpy() for mat in mats]).reshape(len(mats), k, k)
 
 
-def build_rack_system(ext: CentralExtensionData,
-                      chart_radius: float = 0.5) -> LocalRackSystem:
-    """ext's system on a chart of chart_radius.  Taken now: the float
-    stacks of the ad, rho and ad0 families, the pseudo-inverse that reads
-    log coordinates, and the joint nilpotency indices.  Taken on first use:
+def build_rack_system(ext: CentralExtensionData, chart_radius: float = 0.5,
+                      quad_order: int = 8, fd_step: float = 1e-3) -> LocalRackSystem:
+    """ext's system on a chart of chart_radius, with the Gauss-Legendre rule
+    of quad_order nodes and the finite-difference step fd_step.  Taken
+    now: the float stacks of the ad, rho and ad0 families, the
+    pseudo-inverse that reads log coordinates, and the joint nilpotency
+    indices.  Taken on first use:
     omega's float stack (``omega``) and its Lie-cocycle check
     (``lie_omega``).  The suites convert ``from_parent`` and
     ``bracket_coords`` themselves, once per report."""
@@ -249,7 +242,8 @@ def build_rack_system(ext: CentralExtensionData,
     pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
     return LocalRackSystem(ext, chart_radius, ad_basis, _basis_stack(ext.rho, m),
                            _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
-                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0))
+                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0),
+                           gauss_legendre_01(quad_order), fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +477,17 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     return LocalRackElement(gh, a)
 
 
-def _mixed_difference(sys: LocalRackSystem, cfg: IntegratorConfig,
-                      probe: Callable[..., np.ndarray], ok: np.ndarray | None) -> np.ndarray:
+def _mixed_difference(sys: LocalRackSystem, probe: Callable[..., np.ndarray],
+                      ok: np.ndarray | None) -> np.ndarray:
     """Central second mixed finite difference of probe(s, t, mask) at
-    (0, 0), with step cfg.fd_step; O(fd_step^2).  probe takes its four
-    steps at once, as arrays s and t of shape (4,), and returns their
-    values as a stack (4, ...).  With a mask ok of the stack shape of the
-    directions, mask is one of the probes' stack shape (4,) + ok.shape,
-    and ok loses the directions one of whose probes failed; without, mask
-    is None."""
-    hstep = cfg.fd_step
+    (0, 0), with step sys.fd_step; O(fd_step^2).  The step is checked
+    against the chart radius at each call, as ``with_chart_radius`` can
+    narrow the chart.  probe takes its four steps at once, as arrays s and
+    t of shape (4,), and returns their values as a stack (4, ...).  With a
+    mask ok of the stack shape of the directions, mask is one of the
+    probes' stack shape (4,) + ok.shape, and ok loses the directions one of
+    whose probes failed; without, mask is None."""
+    hstep = sys.fd_step
     if not 0 < hstep < sys.chart_radius / 4:
         raise ValueError("fd_step must lie in (0, chart_radius/4)")
     mask = None if ok is None else np.broadcast_to(ok, (4,) + ok.shape).copy()
@@ -503,8 +498,7 @@ def _mixed_difference(sys: LocalRackSystem, cfg: IntegratorConfig,
     return (pp - pm - mp + mm) / (4.0 * hstep * hstep)
 
 
-def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
-                    ok: np.ndarray | None = None) -> np.ndarray:
+def tangent_bracket(sys: LocalRackSystem, u, v, ok: np.ndarray | None = None) -> np.ndarray:
     """Recover the Leibniz bracket of g0 (+) a from the rack product by a
     second mixed finite difference at (1,0); coordinates are (g0, center).
     u and v are vectors or stacks of them (..., d + m); a mask ok of their
@@ -524,7 +518,7 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
         r = rack_product(sys, elem(u, s), elem(v, t), mask)
         return np.concatenate([r.g.reshape(r.g.shape[:-2] + (n2,)), r.a], axis=-1)
 
-    mix = _mixed_difference(sys, cfg, probe, ok)
+    mix = _mixed_difference(sys, probe, ok)
     # the group-part difference quotient lies in the realized g0 only up to
     # O(h^2), so project without the strict residual gate
     return np.concatenate([matvec(sys.coord_pinv, mix[..., :n2]), mix[..., n2:]], axis=-1)
@@ -535,13 +529,13 @@ def tangent_bracket(sys: LocalRackSystem, u, v, cfg: IntegratorConfig,
 # ---------------------------------------------------------------------------
 
 def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-          cfg: IntegratorConfig, ok: np.ndarray | None = None) -> np.ndarray:
+          ok: np.ndarray | None = None) -> np.ndarray:
     """Group-cocycle integral of an anti-symmetric Lie cocycle over the
     2-chain gamma_{g,h}(t,s) = exp(t log(g exp(s log h))), whose boundary is
     gamma_g - gamma_{gh} + g gamma_h.  The omega integrated is the
     extension's own, checked once per system (``LocalRackSystem.lie_omega``).
 
-    The s-integral takes cfg.quad's rule and the t-integral is closed.  At
+    The s-integral takes the system's rule sys.quad; the t-integral is closed.  At
     a = log(g exp(s log h)), with A = ad0(a), R = rho(a) and
     Omega = omega(a, -), the chain's left-logarithmic s-derivative is
     w_t = int_0^t exp(-uA) a' du, where phi1(-A) a' = log h, and
@@ -568,7 +562,7 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     x_index = None if sys.ad_index is None or sys.rho_index is None \
         else sys.ad_index + sys.rho_index
 
-    nodes = np.array(cfg.quad.nodes)
+    nodes = np.array(sys.quad.nodes)
     q = len(nodes)
     node_ok = None if ok is None else np.broadcast_to(ok[..., None], shape + (q,)).copy()
     a = log_coords(sys, g[..., None, :, :] @ exp_float(
@@ -586,13 +580,13 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     inner = phi1_float(x, np.concatenate([np.zeros(shape + (q, m)), aprime], axis=-1),
                        x_index)[..., :m]
     values = matvec(exp_float(rho_a, sys.rho_index), inner)
-    return integrate_01(cfg.quad, np.moveaxis(values, -2, 0))
+    return integrate_01(sys.quad, np.moveaxis(values, -2, 0))
 
 
 def lie_group_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
-                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
+                      ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a)(h,b) = (gh, a + b + iota2(g,h)), the local Lie group structure
     carried by G0 x a when the input algebra is Lie."""
     gh = group_product(sys, u.g, v.g, ok)
-    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, cfg, ok))
+    return LocalRackElement(gh, u.a + v.a + iota2(sys, u.g, v.g, ok))
 

@@ -57,19 +57,19 @@ def _config_section(args) -> dict:
 
 
 def run(ext: CentralExtensionData, args, report) -> int:
-    """Build the rack system on a chart of ``--chart-radius`` and run the
+    """Build the rack system on a chart of ``--chart-radius``, with the
+    ``--quad-order`` rule and the ``--fd-step`` step, and run the
     suites, plus an example's extra cross-checks, into report; returns the
     exit code.  An exact value outside float range fills report['error']
     and gives 2."""
     try:
-        sys_ = rack.build_rack_system(ext, args.chart_radius)
+        sys_ = rack.build_rack_system(ext, args.chart_radius, args.quad_order, args.fd_step)
     except OverflowError as exc:
         report["error"] = _overflow_error(exc)
         return 2
     report["config"] = _config_section(args)
     extras, notes = EXAMPLE_EXTRAS[args.name] if args.subcommand == "example" else (None, ())
-    cfg = rack.default_config(args.quad_order, args.fd_step)
-    results = suites.full_suite(sys_, cfg, n_samples=args.samples, seed=args.seed)
+    results = suites.full_suite(sys_, n_samples=args.samples, seed=args.seed)
     if extras is not None:
         results += extras(sys_, args)
     report["properties"] = [r.as_dict() for r in results]
@@ -205,11 +205,10 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
 
 def _heisenberg_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    cfg = rack.default_config(args.quad_order, args.fd_step)
     a, b = np.split(rng.uniform(-0.05, 0.05, size=(20, 4)), 2, axis=1)
     ok = np.ones(20, dtype=bool)
     got = rack.iota2(sys_, rack.group_from_coords(sys_, a),
-                     rack.group_from_coords(sys_, b), cfg, ok=ok)
+                     rack.group_from_coords(sys_, b), ok=ok)
     want = np.array([heisenberg_iota2(x, y) for x, y in zip(a, b)])
     return suites.stacked(20, [(suites.sup_rows(got - want), ok)],
                           [("iota2_analytic_value", 1e-9)])

@@ -1,10 +1,12 @@
 """Seeded sampling harnesses for the local rack invariants.
 
-Each suite returns ``PropertyResult`` records (max defect, tolerance,
-sample/skip counts).  Sampling is deterministic in the seed.  Points that
-leave the local domain fail the chart gates inside the operations and are
-counted as skips, never crashes, and defects are accumulated NaN-first, so
-a NaN or infinite defect reaches the report and fails its property.
+Each suite takes the system, which carries iota2's quadrature rule and
+the finite-difference step, and its sample count and seed, and returns
+``PropertyResult`` records (max defect, tolerance, sample/skip counts).
+Sampling is deterministic in the seed.  Points that leave the local domain
+fail the chart gates inside the operations and are counted as skips, never
+crashes, and defects are accumulated NaN-first, so a NaN or infinite
+defect reaches the report and fails its property.
 
 The rule is that of a loop over the samples: a skip ends the sample, and
 the defects it already yielded still count.  Every suite runs its samples
@@ -73,7 +75,6 @@ from .algebra import CentralExtensionData, is_lie
 from .exact import Matrix
 from .linalg import gauss_legendre_01, matvec, norm1_float
 from .rack import (
-    IntegratorConfig,
     LocalRackElement,
     LocalRackSystem,
     action_from_coords,
@@ -387,8 +388,7 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
                     ("ghost_induces_cocycle", 2e-9)])
 
 
-def basis_pair_difference(sys: LocalRackSystem, cfg: IntegratorConfig
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def basis_pair_difference(sys: LocalRackSystem) -> tuple[np.ndarray, np.ndarray]:
     """The tangent bracket of every pair (e_i, e_j) of the parent's basis,
     in (g0, center) coordinates, as an (n, n, n) array, and its (n, n) mask
     of the pairs whose probes stayed in the chart: the one mixed difference
@@ -400,7 +400,7 @@ def basis_pair_difference(sys: LocalRackSystem, cfg: IntegratorConfig
 
     def run(lo, hi):
         ok = np.ones((hi - lo, n), dtype=bool)
-        return tangent_bracket(sys, coords[lo:hi, None], coords[None], cfg, ok), ok
+        return tangent_bracket(sys, coords[lo:hi, None], coords[None], ok), ok
 
     # a grid row's widest stack, the conjugations, is 4 steps x n pairs
     diff, ok = _chunked(sys, n, 4 * n, run)
@@ -446,8 +446,8 @@ def tangent_suite(sys: LocalRackSystem,
                    [("tangent_bracket_roundtrip", 1e-4)])
 
 
-def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
-                             n_samples: int = 50, seed: int = 2) -> list[PropertyResult]:
+def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
+                             seed: int = 2) -> list[PropertyResult]:
     """For Lie input: the group product (g,a)(h,b) = (gh, a+b+iota2(g,h)) is
     associative, its conjugation equals the rack product, and
     i2(g,h) = iota2(g,h) - iota2(g|>h, g); over the samples in chunks."""
@@ -475,21 +475,21 @@ def lie_specialization_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
         first = np.ones((4, n), dtype=bool)
         x, y = _stack(u.g, v.g, u.g, gh), _stack(v.g, w.g, uinv_g, u.g)
         uv_g, vw_g = group_product(sys, x[:2], y[:2], first[:2])
-        iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, cfg, first)
+        iota_uv, iota_vw, iota_inv, iota_gh = iota2(sys, x, y, first)
         uv = LocalRackElement(uv_g, u.a + v.a + iota_uv)
         vw = LocalRackElement(vw_g, v.a + w.a + iota_vw)
         uinv = LocalRackElement(uinv_g, -u.a - iota_inv)
         # the products (uv) w, u (vw) and (uv) u^-1 as one (3, n) stack
         second = np.ones((3, n), dtype=bool)
         uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
-                                                       _stack(w, vw, uinv), cfg, second))
+                                                       _stack(w, vw, uinv), second))
         u_v = LocalRackElement(gh, matvec(action_from_coords(sys, xi), v.a) + i2_uv)
         return (elem_distance(uv_w, u_vw), first[:2].all(axis=0) & second[:2].all(axis=0),
                 elem_distance(uv_uinv, u_v), inv_ok & cl_ok & first[2] & second[2],
                 sup_rows(i2_uv - (iota_uv - iota_gh)), cl_ok & first[3])
 
     assoc, assoc_ok, conj, conj_ok, iota, iota_ok = _chunked(
-        sys, n_samples, 4 * cfg.quad.order, run)
+        sys, n_samples, 4 * sys.quad.order, run)
     return stacked(n_samples, [(assoc, assoc_ok), (conj, conj_ok), (iota, iota_ok)],
                    [("lie_group_associativity", 1e-9),
                     ("lie_conjugation_equals_rack", 1e-9), ("i2_from_iota2", 1e-9)])
@@ -528,32 +528,32 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
                     ("action_compatibility", 1e-9)])
 
 
-def quadrature_stability_suite(sys: LocalRackSystem, cfg: IntegratorConfig,
-                               n_pairs: int = 20, seed: int = 4) -> list[PropertyResult]:
+def quadrature_stability_suite(sys: LocalRackSystem, n_pairs: int = 20,
+                               seed: int = 4) -> list[PropertyResult]:
     """Doubling the order of i2's quadrature cross-check (``i2_from_coords``
     at a rule) must not move it: the integrands are polynomial when rho is
     nilpotent.  All pairs at once, logged once for both orders."""
     rng = np.random.default_rng(seed)
     g, h = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
-    fine = gauss_legendre_01(2 * cfg.quad.order)
+    fine = gauss_legendre_01(2 * sys.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
     _, xi, eta = conjugate_and_log(sys, g, h, ok)
-    diff = i2_from_coords(sys, xi, eta, cfg.quad) - i2_from_coords(sys, xi, eta, fine)
+    diff = i2_from_coords(sys, xi, eta, sys.quad) - i2_from_coords(sys, xi, eta, fine)
     return stacked(n_pairs, [(sup_rows(diff), ok)],
                    [("quadrature_order_stability", 1e-12)])
 
 
-def full_suite(sys: LocalRackSystem, cfg: IntegratorConfig, n_samples: int = 200,
-               seed: int = 0) -> list[PropertyResult]:
+def full_suite(sys: LocalRackSystem, n_samples: int = 200, seed: int = 0
+               ) -> list[PropertyResult]:
     """Everything the integrate command reports."""
     results = []
     results += rack_axiom_suite(sys, n_samples, seed)
     results += cocycle_suite(sys, max(10, n_samples // 2), seed + 1)
     results += augmented_action_suite(sys, max(10, n_samples // 4), seed + 2)
-    pairs = basis_pair_difference(sys, cfg)
+    pairs = basis_pair_difference(sys)
     results += roundtrip_suite(sys, pairs)
     results += tangent_suite(sys, pairs)
-    results += quadrature_stability_suite(sys, cfg, min(20, n_samples), seed + 3)
+    results += quadrature_stability_suite(sys, min(20, n_samples), seed + 3)
     if is_lie(sys.ext.parent):
-        results += lie_specialization_suite(sys, cfg, max(10, n_samples // 4), seed + 4)
+        results += lie_specialization_suite(sys, max(10, n_samples // 4), seed + 4)
     return results

@@ -9,7 +9,7 @@ import pytest  # noqa: E402
 
 from leibrack.algebra import canonical_extension  # noqa: E402
 from leibrack.corpus import abelian3, dim5, heisenberg  # noqa: E402
-from leibrack.rack import build_rack_system, default_config  # noqa: E402
+from leibrack.rack import build_rack_system  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +43,3 @@ def dim5_sys_wide(dim5_ext):
 @pytest.fixture(scope="session")
 def heis_sys(heis_ext):
     return build_rack_system(heis_ext, chart_radius=0.5)
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return default_config()

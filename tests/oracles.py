@@ -75,14 +75,12 @@ from leibrack.corpus import random_leibniz
 from leibrack.exact import Matrix, OutOfChartError, as_vec, joint_nilpotency_index, rref, zero_vec
 from leibrack.linalg import gauss_legendre_01, matvec, phi1_float
 from leibrack.rack import (
-    IntegratorConfig,
     LocalRackElement,
     LocalRackSystem,
     action_from_coords,
     augmented_action,
     conjugate,
     conjugate_and_log,
-    default_config,
     group_from_coords,
     group_inverse,
     group_product,
@@ -114,7 +112,7 @@ def group_action(sys_: LocalRackSystem, g: np.ndarray,
     return action_from_coords(sys_, log_coords(sys_, g, ok))
 
 
-def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: IntegratorConfig,
+def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y,
            ok: np.ndarray | None = None) -> np.ndarray:
     """Differentiate a rack 2-cochain at the unit: central second mixed
     finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
@@ -132,15 +130,15 @@ def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y, cfg: Integ
         g = group_from_coords(sys_, np.multiply.outer(s, x))
         h = group_from_coords(sys_, np.multiply.outer(t, y))
         return f(g, h) if mask is None else f(g, h, mask)
-    return rack._mixed_difference(sys_, cfg, probe, ok)
+    return rack._mixed_difference(sys_, probe, ok)
 
 
 def lie_group_inverse(sys_: LocalRackSystem, u: LocalRackElement,
-                      cfg: IntegratorConfig, ok: np.ndarray | None = None) -> LocalRackElement:
+                      ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a)^-1 = (g^-1, -a - iota2(g, g^-1)) in the local Lie group G0 x a
     of Lie input, g^-1 behind the chart gate."""
     ginv = rack._chart_gate(sys_, group_inverse(u.g, ok=ok), "group inverse", ok)
-    return LocalRackElement(ginv, -u.a - iota2(sys_, u.g, ginv, cfg, ok))
+    return LocalRackElement(ginv, -u.a - iota2(sys_, u.g, ginv, ok))
 
 
 # Rack cochains are evaluator functions on tuples of group elements,
@@ -397,20 +395,20 @@ def _injectivity(ins, outs):
 
 # -- the finite differences, one probe at a time ----------------------------
 
-def _mixed_difference(cfg, probe):
-    hstep = cfg.fd_step
+def _mixed_difference(sys_, probe):
+    hstep = sys_.fd_step
     return (probe(hstep, hstep) - probe(hstep, -hstep)
             - probe(-hstep, hstep) + probe(-hstep, -hstep)) / (4.0 * hstep * hstep)
 
 
-def delta2_one_by_one(sys_, f, x, y, cfg):
+def delta2_one_by_one(sys_, f, x, y):
     x = np.asarray([float(c) for c in x])
     y = np.asarray([float(c) for c in y])
-    return _mixed_difference(cfg, lambda s, t: f(group_from_coords(sys_, s * x),
-                                                 group_from_coords(sys_, t * y)))
+    return _mixed_difference(sys_, lambda s, t: f(group_from_coords(sys_, s * x),
+                                                  group_from_coords(sys_, t * y)))
 
 
-def tangent_bracket_one_by_one(sys_, u, v, cfg):
+def tangent_bracket_one_by_one(sys_, u, v):
     d = sys_.g0_dim
 
     def elem(w, s):
@@ -420,7 +418,7 @@ def tangent_bracket_one_by_one(sys_, u, v, cfg):
         r = rack_product(sys_, elem(u, s), elem(v, t))
         return np.concatenate([r.g.ravel(), r.a])
 
-    mix = _mixed_difference(cfg, probe)
+    mix = _mixed_difference(sys_, probe)
     n2 = sys_.dim * sys_.dim
     return np.concatenate([sys_.coord_pinv @ mix[:n2], mix[n2:]])
 
@@ -500,13 +498,15 @@ def augmented_action_one_by_one(sys_, n_samples=50, seed=3):
                            ("action_compatibility", 1e-9)])
 
 
-def roundtrip_one_by_one(sys_, cfg):
+def roundtrip_one_by_one(sys_, pairs=None):
+    """pairs, the stacked suite's basis-pair difference, is not read:
+    this loop differentiates each pair itself."""
     d = sys_.g0_dim
     omega_np = sys_.ext.omega.to_numpy() if d else np.zeros((0, 0, sys_.center_dim))
     basis = np.eye(d)
 
     def check(p, q):
-        got = delta2_one_by_one(sys_, lambda g, h: i2(sys_, g, h), basis[p], basis[q], cfg)
+        got = delta2_one_by_one(sys_, lambda g, h: i2(sys_, g, h), basis[p], basis[q])
         yield sup_norm(got - omega_np[p, q])
 
     return sampled(d * d, iter(itertools.product(range(d), repeat=2)).__next__, check,
@@ -522,7 +522,8 @@ def bracket_coords_by_brackets(ext) -> np.ndarray:
                      for ei in basis for ej in basis])
 
 
-def tangent_one_by_one(sys_, cfg):
+def tangent_one_by_one(sys_, pairs=None):
+    """pairs is not read, as in ``roundtrip_one_by_one``."""
     ext = sys_.ext
     n = ext.parent.dim
 
@@ -532,20 +533,20 @@ def tangent_one_by_one(sys_, cfg):
 
     def check(i, j):
         ei, ej = ext.parent.basis_vector(i), ext.parent.basis_vector(j)
-        got = tangent_bracket_one_by_one(sys_, split_coords(ei), split_coords(ej), cfg)
+        got = tangent_bracket_one_by_one(sys_, split_coords(ei), split_coords(ej))
         yield sup_norm(got - split_coords(bracket(ext.parent, ei, ej)))
 
     return sampled(n * n, iter(itertools.product(range(n), repeat=2)).__next__, check,
                    [("tangent_bracket_roundtrip", 1e-4)])
 
 
-def quadrature_stability_one_by_one(sys_, cfg, n_pairs=20, seed=4):
+def quadrature_stability_one_by_one(sys_, n_pairs=20, seed=4):
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 4.0
-    fine = gauss_legendre_01(2 * cfg.quad.order)
+    fine = gauss_legendre_01(2 * sys_.quad.order)
 
     def check(g, h):
-        yield sup_norm(i2_quadrature(sys_, g, h, cfg.quad) - i2_quadrature(sys_, g, h, fine))
+        yield sup_norm(i2_quadrature(sys_, g, h, sys_.quad) - i2_quadrature(sys_, g, h, fine))
 
     return sampled(n_pairs,
                    lambda: (sample_group_element(sys_, rng, max_norm),
@@ -553,21 +554,21 @@ def quadrature_stability_one_by_one(sys_, cfg, n_pairs=20, seed=4):
                    check, [("quadrature_order_stability", 1e-12)])
 
 
-def lie_specialization_one_by_one(sys_, cfg, n_samples=50, seed=2):
+def lie_specialization_one_by_one(sys_, n_samples=50, seed=2):
     assert is_lie(sys_.ext.parent)
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
 
     def product(u, v):
-        return lie_group_product(sys_, u, v, cfg)
+        return lie_group_product(sys_, u, v)
 
     def check(u, v, w):
         yield distance(product(product(u, v), w), product(u, product(v, w)))
-        uinv = lie_group_inverse(sys_, u, cfg)
+        uinv = lie_group_inverse(sys_, u)
         yield distance(product(product(u, v), uinv), rack_product(sys_, u, v))
         gh = conjugate(sys_, u.g, v.g)
         lhs = i2(sys_, u.g, v.g)
-        yield sup_norm(lhs - (iota2(sys_, u.g, v.g, cfg) - iota2(sys_, gh, u.g, cfg)))
+        yield sup_norm(lhs - (iota2(sys_, u.g, v.g) - iota2(sys_, gh, u.g)))
 
     return sampled(n_samples,
                    lambda: tuple(sample_rack_element(sys_, rng, max_norm) for _ in range(3)),
@@ -617,12 +618,11 @@ def dim5_extras_one_by_one(sys_, args):
 
 def heisenberg_extras_one_by_one(sys_, args):
     rng = np.random.default_rng(args.seed)
-    cfg = default_config(args.quad_order, args.fd_step)
 
     def check(a, b):
         g = group_from_coords(sys_, a)
         h = group_from_coords(sys_, b)
-        yield sup_norm(iota2(sys_, g, h, cfg) - heisenberg_iota2(a, b))
+        yield sup_norm(iota2(sys_, g, h) - heisenberg_iota2(a, b))
 
     return sampled(20, lambda: (rng.uniform(-0.05, 0.05, size=2),
                                 rng.uniform(-0.05, 0.05, size=2)),

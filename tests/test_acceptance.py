@@ -20,7 +20,6 @@ from leibrack.exact import Matrix
 from leibrack.linalg import gauss_legendre_01
 from leibrack.rack import (
     build_rack_system,
-    default_config,
     group_from_coords,
     i1,
     i2,
@@ -35,8 +34,6 @@ from leibrack.suites import (
     tangent_suite,
 )
 from oracles import delta2, i2_quadrature, random_corpus, tau_inverse
-
-CFG = default_config()
 
 _CAPTURE = None
 
@@ -167,7 +164,7 @@ def test_criterion_4_left_inverse_property():
         f = lambda g, h: i2(sys_, g, h)
         for p in range(d):
             for q in range(d):
-                got = delta2(sys_, f, np.eye(d)[p], np.eye(d)[q], CFG)
+                got = delta2(sys_, f, np.eye(d)[p], np.eye(d)[q])
                 worst = max(worst, float(np.abs(got - omega_np[p, q]).max()))
     dt = time.perf_counter() - t0
     announce(4, worst <= 1e-5 and dt < 30.0,
@@ -247,7 +244,7 @@ def test_criterion_8_lie_specialization():
     t0 = time.perf_counter()
     sys_ = build_rack_system(canonical_extension(heisenberg()), 0.5)
     results = {r.name: r for r in
-               lie_specialization_suite(sys_, CFG, n_samples=50, seed=4)}
+               lie_specialization_suite(sys_, n_samples=50, seed=4)}
     ok = all(results[k].max_defect <= 1e-9 for k in
              ("lie_group_associativity", "lie_conjugation_equals_rack",
               "i2_from_iota2"))
@@ -257,7 +254,7 @@ def test_criterion_8_lie_specialization():
         a, b = rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.05, 0.05, 2)
         g = group_from_coords(sys_, a)
         h = group_from_coords(sys_, b)
-        worst = max(worst, float(np.abs(iota2(sys_, g, h, CFG)
+        worst = max(worst, float(np.abs(iota2(sys_, g, h)
                                         - heisenberg_iota2(a, b)).max()))
     dt = time.perf_counter() - t0
     announce(8, ok and worst <= 1e-9,
@@ -273,7 +270,7 @@ def test_criterion_9_tangent_round_trip():
                 free_nilpotent5()] + random_corpus(3, seed=7)
     for alg in algebras:
         sys_ = build_rack_system(canonical_extension(alg), 0.5)
-        res = tangent_suite(sys_, basis_pair_difference(sys_, CFG))[0]
+        res = tangent_suite(sys_, basis_pair_difference(sys_))[0]
         worst = max(worst, res.max_defect)
     dt = time.perf_counter() - t0
     announce(9, worst <= 1e-4,

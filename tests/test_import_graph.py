@@ -51,14 +51,16 @@ EXPORTS = {
     "fileio": ("ParseError", "algebra_from_dict", "algebra_to_dict", "parse_algebra_file",
                "write_algebra_file"),
     "linalg": ("QuadratureRule", "gauss_legendre_01", "integrate_01"),
-    "rack": ("IntegratorConfig", "LocalRackElement", "LocalRackSystem", "NotLieCocycleError",
-             "augmented_action", "build_rack_system", "conjugate", "default_config", "i1",
-             "i2", "iota2", "rack_product", "tangent_bracket"),
+    "rack": ("LocalRackElement", "LocalRackSystem", "NotLieCocycleError", "augmented_action",
+             "build_rack_system", "conjugate", "i1", "i2", "iota2", "rack_product",
+             "tangent_bracket"),
 }
-# the test oracles (``tests/oracles.py``) that ``rack`` held and exported,
-# and those it held without an export
+# the names ``rack`` exported and holds no more: the test oracles, now in
+# ``tests/oracles.py``, and the float config, now fields of
+# ``LocalRackSystem``; MOVED_FROM_RACK adds the oracles it held without an
+# export
 DROPPED_EXPORTS = ("RackCochainFn", "RackModuleStructure", "delta2", "rack_differential_eval",
-                   "rack_differential_general")
+                   "rack_differential_general", "IntegratorConfig", "default_config")
 MOVED_FROM_RACK = DROPPED_EXPORTS + ("group_action", "lie_group_inverse")
 
 PRELUDE = f"""
@@ -273,19 +275,39 @@ def test_every_exact_name_is_imported_from_exact():
     assert held == LINALG_EXACT_NAMES
 
 
+def _parameters(tree: ast.AST):
+    """(line, name) of each parameter of each function and lambda in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if p is not None:
+                    yield node.lineno, p.arg
+
+
 def test_no_function_takes_a_chart_beside_the_system():
     found = []
     paths = sorted((SRC / "leibrack").glob("*.py"))
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                a = node.args
-                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
-                found += [f"{path.name}:{node.lineno} takes chart"
-                          for p in params if p is not None and p.arg == "chart"]
-            elif isinstance(node, ast.Attribute) and node.attr == "chart":
-                found.append(f"{path.name}:{node.lineno} reads .chart")
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line} takes chart" for line, arg in _parameters(tree)
+                  if arg == "chart"]
+        found += [f"{path.name}:{node.lineno} reads .chart" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "chart"]
     assert SRC / "leibrack" / "rack.py" in paths and found == []
+
+
+def test_no_function_takes_a_config_beside_the_system():
+    # the quadrature rule and the finite-difference step live on the system
+    found = []
+    paths = sorted((SRC / "leibrack").glob("*.py"))
+    for path in paths:
+        text = path.read_text()
+        found += [f"{path.name} names {name}" for name in ("IntegratorConfig", "default_config")
+                  if name in text]
+        found += [f"{path.name}:{line} takes cfg" for line, arg in _parameters(ast.parse(text))
+                  if arg == "cfg"]
+    assert SRC / "leibrack" / "suites.py" in paths and found == []
 
 
 def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():

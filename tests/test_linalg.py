@@ -33,7 +33,7 @@ from leibrack.linalg import (
     norm1_float,
     phi1_float,
 )
-from leibrack.rack import LocalRackElement, build_rack_system, default_config, group_from_coords
+from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
 from leibrack.suites import elem_distance
 from oracles import log_float_probe_all, rank
 
@@ -697,7 +697,7 @@ def _nodes(rule):
 
 def test_a_rule_is_built_once_per_order():
     assert gauss_legendre_01(8) is gauss_legendre_01(8)
-    assert default_config(8).quad is gauss_legendre_01(8)
+    assert _filiform5_sys().quad is gauss_legendre_01(8)
     assert gauss_legendre_01(16) is not gauss_legendre_01(8)
 
 

@@ -5,6 +5,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import leibrack.linalg as linalg
-from leibrack.algebra import CentralExtensionData, LeibnizAlgebra, canonical_extension
+from leibrack.algebra import CentralExtensionData, LeibnizAlgebra, bracket, canonical_extension
 from leibrack.cli import main
 from leibrack.cohomology import Cochain, leibniz_differential, tau
 from leibrack.corpus import (
@@ -23,7 +24,7 @@ from leibrack.corpus import (
     heisenberg,
     random_leibniz,
 )
-from leibrack.exact import OutOfChartError
+from leibrack.exact import Matrix, OutOfChartError, inverse_exact
 from leibrack.fileio import write_algebra_file
 from leibrack.linalg import (
     exp_float,
@@ -34,7 +35,6 @@ from leibrack.linalg import (
     phi1_float,
 )
 from leibrack.rack import (
-    IntegratorConfig,
     LocalRackElement,
     NotLieCocycleError,
     _i1,
@@ -43,7 +43,6 @@ from leibrack.rack import (
     augmented_action,
     build_rack_system,
     conjugate,
-    default_config,
     group_from_coords,
     i1,
     i2,
@@ -61,6 +60,7 @@ from leibrack.suites import (
     basis_pair_difference,
     cocycle_suite,
     draw_samples,
+    elem_distance,
     full_suite,
     lie_specialization_suite,
     quadrature_stability_suite,
@@ -280,7 +280,7 @@ def test_i1_takes_blocks_not_a_cochain(dim5_sys):
     assert i1(dim5_sys, blocks, g).tobytes() == i1(dim5_sys, dim5_sys.omega, g).tobytes()
 
 
-def _i1_general_path(sys_, g, cfg, eps=1e-6):
+def _i1_general_path(sys_, g, eps=1e-6):
     """Oracle for i1(tau omega)(g): the equivariant 1-form of the constant
     Hom-valued tau(omega) integrated along s -> exp(s log g), with the path
     differentiated by central differences instead of the constant
@@ -295,19 +295,19 @@ def _i1_general_path(sys_, g, cfg, eps=1e-6):
         dp = (path(s + eps) - path(s - eps)) / (2 * eps)
         v = sys_.coord_pinv @ (np.linalg.inv(p) @ dp).flatten()
         return _hom_action(sys_, log_coords(sys_, p), sys_.combo(sys_.omega, v))
-    return integrate_01(cfg.quad, [integrand(s) for s in cfg.quad.nodes])
+    return integrate_01(sys_.quad, [integrand(s) for s in sys_.quad.nodes])
 
 
-def test_i1_general_path_cross_check(dim5_sys, cfg):
+def test_i1_general_path_cross_check(dim5_sys):
     rng = np.random.default_rng(3)
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys, a)
         fast = i1(dim5_sys, dim5_sys.omega, g)
-        assert np.abs(fast - _i1_general_path(dim5_sys, g, cfg)).max() < 1e-7
+        assert np.abs(fast - _i1_general_path(dim5_sys, g)).max() < 1e-7
 
 
-def test_i1_general_path_nonabelian(cfg):
+def test_i1_general_path_nonabelian():
     # the reduction must agree with the finite-difference path evaluator
     # when Ad is nontrivial
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
@@ -316,7 +316,7 @@ def test_i1_general_path_nonabelian(cfg):
         a = rng.uniform(-0.08, 0.08, size=4)
         g = group_from_coords(sys_, a)
         fast = i1(sys_, sys_.omega, g)
-        assert np.abs(fast - _i1_general_path(sys_, g, cfg)).max() < 1e-7
+        assert np.abs(fast - _i1_general_path(sys_, g)).max() < 1e-7
 
 
 _I1_ORACLE_INPUTS = {
@@ -402,18 +402,18 @@ def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
         assert np.abs(got + want).max() > 1e-6
 
 
-def test_delta2_recovers_omega_at_basis_pair(dim5_sys, cfg):
+def test_delta2_recovers_omega_at_basis_pair(dim5_sys):
     f = lambda g, h: i2(dim5_sys, g, h)
-    got = delta2(dim5_sys, f, [1, 0], [0, 1], cfg)
+    got = delta2(dim5_sys, f, [1, 0], [0, 1])
     assert np.abs(got - np.array([1.0, 0.0, 0.0])).max() < 1e-5
 
 
-def test_delta2_of_zero(dim5_sys, cfg):
-    got = delta2(dim5_sys, lambda g, h: np.zeros(g.shape[:-2] + (3,)), [1, 0], [0, 1], cfg)
+def test_delta2_of_zero(dim5_sys):
+    got = delta2(dim5_sys, lambda g, h: np.zeros(g.shape[:-2] + (3,)), [1, 0], [0, 1])
     assert np.abs(got).max() == 0.0
 
 
-def test_delta2_recovers_synthetic_bilinear_form(dim5_sys, cfg):
+def test_delta2_recovers_synthetic_bilinear_form(dim5_sys):
     rng = np.random.default_rng(6)
     B = rng.uniform(-1, 1, size=(3, 2, 2))
 
@@ -421,7 +421,7 @@ def test_delta2_recovers_synthetic_bilinear_form(dim5_sys, cfg):
         return np.einsum("kpq,...p,...q->...k", B, log_coords(dim5_sys, g), log_coords(dim5_sys, h))
 
     for x, y in [([1, 0], [0, 1]), ([0.5, 0.25], [-0.3, 1.0])]:
-        got = delta2(dim5_sys, f, x, y, cfg)
+        got = delta2(dim5_sys, f, x, y)
         want = np.einsum("kpq,p,q->k", B, np.asarray(x, float), np.asarray(y, float))
         assert np.abs(got - want).max() < 1e-9
 
@@ -471,6 +471,87 @@ def test_augmented_action_fixed_point(dim5_sys):
     ne = dim5_sys.neutral()
     out = augmented_action(dim5_sys, g, ne)
     assert np.abs(out.g - ne.g).max() <= 1e-12 and np.abs(out.a).max() <= 1e-12
+
+
+# -- a change of basis ---------------------------------------------------------
+#
+# The rack is the algebra's, not its basis's.  In the basis
+# f_j = sum_i P_ij e_i the bracket is P^-1 [P x, P y], G0 is conjugated by
+# P, and the (g0, center) coordinates change by
+# T = ext'.from_parent P^-1 ext.to_parent = [[A, 0], [B, C]], as the left
+# center does not depend on the basis.  The two splittings differ by
+# B A^-1 : g0' -> a, and
+#
+#     Phi(g, a) = (P^-1 g P, C a + phi1(rho'_xi') B A^-1 xi'),  xi' = log' P^-1 g P,
+#
+# is a rack isomorphism.  Its second term with the opposite sign breaks
+# it wherever B moves i2; on heisenberg it does not, as g0 is abelian and
+# rho = 0 there, so the term cancels from both sides.
+
+def _in_basis(alg, p):
+    """alg in the basis f_j = sum_i p_ij e_i, for an invertible exact p."""
+    n, p_inv = alg.dim, inverse_exact(p)
+    return LeibnizAlgebra.from_terms(n, (
+        (i, j, k, c) for i in range(n) for j in range(n)
+        for k, c in enumerate(p_inv.mat_vec(bracket(alg, p.col(i), p.col(j)))) if c))
+
+
+def _phi1_by_expm(x, v):
+    """phi1(x) v, the top-right column of scipy's expm of [[x, v], [0, 0]]."""
+    k = len(v)
+    big = np.zeros((k + 1, k + 1))
+    big[:k, :k], big[:k, k] = x, v
+    return scipy.linalg.expm(big)[:k, k]
+
+
+# input -> (its constructor, the half-width of the coordinate box); the
+# random inputs' group elements leave the chart of 0.5 at 0.08
+BASIS_CASES = {"dim5": (dim5, 0.08), "heisenberg": (heisenberg, 0.08),
+               "filiform5": (filiform5, 0.08),
+               **{f"rl{seed}": (partial(random_leibniz, seed), 0.03) for seed in (35, 38)},
+               **{f"{kind}-{seed}": (partial(inputs.rho_semisimple, kind, seed), 0.08)
+                  for kind, seed in (("diagonal", 0), ("aff", 0), ("rotation", 1))}}
+
+
+@pytest.mark.parametrize("name", list(BASIS_CASES))
+def test_the_rack_of_another_basis_is_isomorphic(name):
+    make, box = BASIS_CASES[name]
+    alg = make()
+    n = alg.dim
+    rng = np.random.default_rng(0)
+    # lower unitriangular, so the lifts of g0 gain center parts and B != 0
+    p = Matrix.from_rows((np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int))
+                         .tolist())
+    ext, ext2 = canonical_extension(alg), canonical_extension(_in_basis(alg, p))
+    d, m = ext.g0_dim, ext.center_dim
+    t = (ext2.from_parent @ inverse_exact(p) @ ext.to_parent).to_numpy()
+    assert (ext2.g0_dim, ext2.center_dim) == (d, m)
+    assert not t[:d, d:].any() and t[d:, :d].any()
+    a_block, b_block, c_block = t[:d, :d], t[d:, :d], t[d:, d:]
+    sys_, sys2 = build_rack_system(ext, 0.5), build_rack_system(ext2, 0.5)
+    p_np, p_inv_np = p.to_numpy(), inverse_exact(p).to_numpy()
+
+    def phi(u, ok, sign):
+        g = p_inv_np @ u.g @ p_np
+        xi = log_coords(sys2, g, ok)
+        shift = np.linalg.solve(a_block, xi.T).T @ b_block.T
+        f = np.array([_phi1_by_expm(sys2.rho_of(x), y) for x, y in zip(xi, shift)])
+        return LocalRackElement(g, u.a @ c_block.T + sign * f)
+
+    xi, a = rng.uniform(-box, box, (2, 20, d)), rng.uniform(-1.0, 1.0, (2, 20, m))
+    u, v = (LocalRackElement(group_from_coords(sys_, x), c) for x, c in zip(xi, a))
+    ok = np.ones(20, dtype=bool)
+    uv = rack_product(sys_, u, v, ok)
+    defects = {}
+    for sign in (1, -1):
+        rhs = rack_product(sys2, phi(u, ok, sign), phi(v, ok, sign), ok)
+        defects[sign] = elem_distance(phi(uv, ok, sign), rhs)
+    assert np.count_nonzero(ok) >= 10
+    assert defects[1][ok].max() <= 1e-12
+    if name == "heisenberg":
+        assert defects[-1][ok].max() <= 1e-12
+    else:
+        assert defects[-1][ok].max() > 1e-6
 
 
 # -- cocycle identities ------------------------------------------------------
@@ -564,66 +645,66 @@ def test_abelian_rack_is_trivial():
 
 # -- tangent bracket ---------------------------------------------------------
 
-def test_tangent_bracket_central_pair_is_zero(dim5_sys, cfg):
+def test_tangent_bracket_central_pair_is_zero(dim5_sys):
     u = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # purely central directions
     v = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    got = tangent_bracket(dim5_sys, u, v, cfg)
+    got = tangent_bracket(dim5_sys, u, v)
     assert np.abs(got).max() < 1e-12
 
 
-def test_tangent_bracket_dim5_e1_e2(dim5_sys, cfg):
+def test_tangent_bracket_dim5_e1_e2(dim5_sys):
     # split coordinates coincide with the parent ones for this algebra
     u = np.array([1.0, 0, 0, 0, 0])
     v = np.array([0.0, 1, 0, 0, 0])
-    got = tangent_bracket(dim5_sys, u, v, cfg)
+    got = tangent_bracket(dim5_sys, u, v)
     want = np.array([0, 0, 1.0, 0, 0])  # [e1,e2] = e3
     assert np.abs(got - want).max() < 1e-4
 
 
-def test_tangent_suite_on_corpus(cfg):
+def test_tangent_suite_on_corpus():
     for alg in (dim5(), heisenberg(), abelian3(), free_nilpotent5()):
         sys_ = build_rack_system(canonical_extension(alg), 0.5)
-        res = tangent_suite(sys_, basis_pair_difference(sys_, cfg))[0]
+        res = tangent_suite(sys_, basis_pair_difference(sys_))[0]
         assert res.passed, (alg.basis_names, res.max_defect)
 
 
-def test_roundtrip_suite_on_corpus(cfg):
+def test_roundtrip_suite_on_corpus():
     for alg in (dim5(), heisenberg(), filiform5()):
         sys_ = build_rack_system(canonical_extension(alg), 0.5)
-        res = roundtrip_suite(sys_, basis_pair_difference(sys_, cfg))[0]
+        res = roundtrip_suite(sys_, basis_pair_difference(sys_))[0]
         assert res.passed
 
 
 # -- iota2 and the Lie specialization ----------------------------------------
 
-def test_iota2_degenerate_chain(heis_sys, cfg):
+def test_iota2_degenerate_chain(heis_sys):
     g = group_from_coords(heis_sys, [0.1, -0.04])
-    got = iota2(heis_sys, g, heis_sys.identity(), cfg)
+    got = iota2(heis_sys, g, heis_sys.identity())
     assert np.abs(got).max() <= 1e-13
 
 
-def test_iota2_heisenberg_analytic(heis_sys, cfg):
+def test_iota2_heisenberg_analytic(heis_sys):
     rng = np.random.default_rng(10)
     for _ in range(10):
         a = rng.uniform(-0.06, 0.06, size=2)
         b = rng.uniform(-0.06, 0.06, size=2)
         g = group_from_coords(heis_sys, a)
         h = group_from_coords(heis_sys, b)
-        assert np.abs(iota2(heis_sys, g, h, cfg) - heisenberg_iota2(a, b)).max() < 1e-12
+        assert np.abs(iota2(heis_sys, g, h) - heisenberg_iota2(a, b)).max() < 1e-12
 
 
-def test_iota2_relation_to_i2(heis_sys, cfg):
+def test_iota2_relation_to_i2(heis_sys):
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = group_from_coords(heis_sys, rng.uniform(-0.05, 0.05, 2))
         h = group_from_coords(heis_sys, rng.uniform(-0.05, 0.05, 2))
         gh = conjugate(heis_sys, g, h)
         lhs = i2(heis_sys, g, h)
-        rhs = iota2(heis_sys, g, h, cfg) - iota2(heis_sys, gh, g, cfg)
+        rhs = iota2(heis_sys, g, h) - iota2(heis_sys, gh, g)
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
-def test_iota2_relation_nonabelian(cfg):
+def test_iota2_relation_nonabelian():
     sys_ = build_rack_system(canonical_extension(free_nilpotent5()), 0.5)
     rng = np.random.default_rng(12)
     for _ in range(8):
@@ -631,17 +712,17 @@ def test_iota2_relation_nonabelian(cfg):
         h = group_from_coords(sys_, rng.uniform(-0.04, 0.04, 3))
         gh = conjugate(sys_, g, h)
         lhs = i2(sys_, g, h)
-        rhs = iota2(sys_, g, h, cfg) - iota2(sys_, gh, g, cfg)
+        rhs = iota2(sys_, g, h) - iota2(sys_, gh, g)
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
-def test_iota2_rejects_non_antisymmetric(dim5_sys, cfg):
+def test_iota2_rejects_non_antisymmetric(dim5_sys):
     g = group_from_coords(dim5_sys, [0.05, 0.0])
     with pytest.raises(NotLieCocycleError, match="anti-symmetric"):
-        iota2(dim5_sys, g, g, cfg)  # the dim5 omega is not anti-symmetric
+        iota2(dim5_sys, g, g)  # the dim5 omega is not anti-symmetric
 
 
-def test_iota2_rejects_non_cocycle(cfg):
+def test_iota2_rejects_non_cocycle():
     # on the filiform quotient, e2* ^ e4* is anti-symmetric but not closed
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
     vals = {(1, 3): 1, (3, 1): -1}
@@ -649,7 +730,7 @@ def test_iota2_rejects_non_cocycle(cfg):
     g = group_from_coords(sys_, [0.05, 0, 0, 0])
     sys_ = _on_omega(sys_, fake)
     with pytest.raises(NotLieCocycleError, match="cocycle"):
-        iota2(sys_, g, g, cfg)
+        iota2(sys_, g, g)
 
 
 def test_iota2_chain_derivative_series_vs_finite_differences():
@@ -688,35 +769,35 @@ def _pade_calls(monkeypatch):
     return calls
 
 
-def test_iota2_on_filiform5_makes_no_scipy_call(cfg, monkeypatch):
+def test_iota2_on_filiform5_makes_no_scipy_call(monkeypatch):
     # nor any call of the Pade kernel: every exp and phi1 is a finite series
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
     g = group_from_coords(sys_, [0.05, 0.01, -0.02, 0.03])
     h = group_from_coords(sys_, [-0.02, 0.03, 0.01, -0.04])
     calls = _pade_calls(monkeypatch)
-    assert np.abs(iota2(sys_, g, h, cfg)).max() > 0
+    assert np.abs(iota2(sys_, g, h)).max() > 0
     assert not calls
 
 
-def test_lie_specialization_suites(cfg):
+def test_lie_specialization_suites():
     for alg in (heisenberg(), filiform5(), free_nilpotent5()):
         sys_ = build_rack_system(canonical_extension(alg), 0.5)
-        results = lie_specialization_suite(sys_, cfg, n_samples=15, seed=0)
+        results = lie_specialization_suite(sys_, n_samples=15, seed=0)
         assert all(r.passed for r in results), [(r.name, r.max_defect) for r in results]
 
 
-def test_lie_group_inverse(heis_sys, cfg):
+def test_lie_group_inverse(heis_sys):
     rng = np.random.default_rng(13)
     u = sample_rack_element(heis_sys, rng, 0.06)
-    uinv = lie_group_inverse(heis_sys, u, cfg)
-    prod = lie_group_product(heis_sys, u, uinv, cfg)
+    uinv = lie_group_inverse(heis_sys, u)
+    prod = lie_group_product(heis_sys, u, uinv)
     assert np.abs(prod.g - np.eye(3)).max() < 1e-12
     assert np.abs(prod.a).max() < 1e-12
 
 
 # -- degenerate coefficient space ---------------------------------------------
 
-def test_zero_center_input_runs_end_to_end(cfg):
+def test_zero_center_input_runs_end_to_end():
     # aff(1): [e1,e2] = e2; trivial left center, so the rack is bare group
     # conjugation with an empty coefficient vector
     from leibrack.algebra import LeibnizAlgebra
@@ -730,14 +811,14 @@ def test_zero_center_input_runs_end_to_end(cfg):
     out = rack_product(sys_, u, v)
     assert out.a.shape == (0,)
     assert np.abs(out.g - u.g @ v.g @ np.linalg.inv(u.g)).max() < 1e-14
-    res = tangent_suite(sys_, basis_pair_difference(sys_, cfg))[0]
+    res = tangent_suite(sys_, basis_pair_difference(sys_))[0]
     assert res.passed
 
 
 # -- quadrature stability ----------------------------------------------------
 
-def test_quadrature_stability(dim5_sys, cfg):
-    res = quadrature_stability_suite(dim5_sys, cfg, n_pairs=10, seed=0)[0]
+def test_quadrature_stability(dim5_sys):
+    res = quadrature_stability_suite(dim5_sys, n_pairs=10, seed=0)[0]
     assert res.passed
     # the suite compares real quadrature at two orders, and each order
     # agrees with the phi1 closed form that i2 returns
@@ -827,7 +908,7 @@ _AFF1_OMEGA = Cochain.from_function(
                                        (_aff1_with_weights(), _AFF1_OMEGA)],
                          ids=["heisenberg", "filiform5", "free_nilpotent5", "oscillator",
                               "aff1_explicit_omega"])
-def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
+def test_iota2_inner_integral_matches_quadrature(alg, omega):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     if omega is not None:
         sys_ = _on_omega(sys_, omega)
@@ -837,9 +918,9 @@ def test_iota2_inner_integral_matches_quadrature(alg, omega, cfg):
     for _ in range(3):
         g = group_from_coords(sys_, rng.uniform(-0.08, 0.08, sys_.g0_dim))
         h = group_from_coords(sys_, rng.uniform(-0.08, 0.08, sys_.g0_dim))
-        closed = iota2(sys_, g, h, cfg)
+        closed = iota2(sys_, g, h)
         assert np.abs(closed).max() > 1e-6
-        want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, cfg.quad, rule16)
+        want = _iota2_inner_by_quadrature(sys_, omega_np, g, h, sys_.quad, rule16)
         assert np.abs(closed - want).max() <= 1e-12
 
 
@@ -865,7 +946,7 @@ def test_iota2_omega_matches_the_per_node_einsum(alg, omega):
                             omega_per_node(np.abs(dense_omega), np.abs(a)))
 
 
-def _iota2_per_node(sys_, g, h, cfg):
+def _iota2_per_node(sys_, g, h):
     """Oracle for iota2's stacked evaluation: the outer rule's nodes one at
     a time through the 2-D kernels, as iota2 once ran them (chart gates
     left out: the draws compared pass them)."""
@@ -876,7 +957,7 @@ def _iota2_per_node(sys_, g, h, cfg):
     x_index = None if sys_.ad_index is None or sys_.rho_index is None \
         else sys_.ad_index + sys_.rho_index
     total = np.zeros(m)
-    for s, ws in zip(cfg.quad.nodes, cfg.quad.weights):
+    for s, ws in zip(sys_.quad.nodes, sys_.quad.weights):
         a_s = log_coords(sys_, g @ exp_float(s * big_h, sys_.ad_index))
         ad_a, rho_a = sys_.ad0_of(a_s), sys_.rho_of(a_s)
         aprime = np.linalg.solve(phi1_float(-ad_a, np.eye(d), sys_.ad_index), eta_h)
@@ -898,7 +979,7 @@ def _outcome(f):
 @pytest.mark.parametrize("radius", [0.5, 8.0])
 @pytest.mark.parametrize("alg", [heisenberg(), filiform5(), free_nilpotent5(), _oscillator()],
                          ids=["heisenberg", "filiform5", "free_nilpotent5", "oscillator"])
-def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius, cfg):
+def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius):
     # the nilpotent inputs have unipotent G0, whose logs never fail; on the
     # oscillator at radius 8 node elements leave the log chart
     ext = canonical_extension(alg)
@@ -911,8 +992,8 @@ def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius, cfg):
                 for _ in range(2))
         if not (in_chart(stacked, g) and in_chart(stacked, h) and in_chart(stacked, g @ h)):
             continue
-        want = _outcome(lambda: _iota2_per_node(per_node, g, h, cfg))
-        assert _outcome(lambda: iota2(stacked, g, h, cfg)) == want
+        want = _outcome(lambda: _iota2_per_node(per_node, g, h))
+        assert _outcome(lambda: iota2(stacked, g, h)) == want
         failures += isinstance(want, tuple)
     if radius == 8.0 and stacked.ad_index is None:
         assert failures  # the log chart's errors are compared too
@@ -921,14 +1002,14 @@ def test_iota2_equals_the_per_node_loop_bit_for_bit(alg, radius, cfg):
 def _calls_in_one_iota2(monkeypatch, alg, owner, name, order):
     """How often one iota2 on a fresh system of alg, at the given
     quadrature order, calls owner.name; and the system."""
-    sys_ = build_rack_system(canonical_extension(alg), 0.5)
+    sys_ = build_rack_system(canonical_extension(alg), 0.5, quad_order=order)
     g = group_from_coords(sys_, [0.05, 0.01, -0.02, 0.03][:sys_.g0_dim])
     h = group_from_coords(sys_, [-0.02, 0.03, 0.01, -0.04][:sys_.g0_dim])
     calls = []
     original = getattr(owner, name)
     with monkeypatch.context() as patch:
         patch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
-        assert np.abs(iota2(sys_, g, h, default_config(order))).max() > 0
+        assert np.abs(iota2(sys_, g, h)).max() > 0
     return len(calls), sys_
 
 
@@ -946,7 +1027,7 @@ def test_iota2_expm_calls_do_not_grow_with_the_order(monkeypatch):
     assert 0 < counts[0] == counts[1] == counts[2]
 
 
-def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
+def test_i1_and_i2_make_no_quadrature_call(dim5_sys, monkeypatch):
     import leibrack.rack as rack
     calls = []
     monkeypatch.setattr(rack, "integrate_01",
@@ -956,7 +1037,7 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, cfg, monkeypatch):
     i1(dim5_sys, dim5_sys.omega, g)
     i2(dim5_sys, g, h)
     assert not calls
-    i2_quadrature(dim5_sys, g, h, cfg.quad)
+    i2_quadrature(dim5_sys, g, h, dim5_sys.quad)
     assert len(calls) == 2  # the cross-check does call it, once per integral
 
 
@@ -969,9 +1050,26 @@ def test_i2_on_diagonal_rho_makes_at_most_two_expm_calls(monkeypatch):
     assert 0 < len(calls) <= 2
 
 
-def test_low_order_quadrature_config_rejected():
-    with pytest.raises(ValueError):
-        IntegratorConfig(gauss_legendre_01(2))
+def test_low_order_quadrature_config_rejected(dim5_sys):
+    with pytest.raises(ValueError, match="quadrature order must be >= 3"):
+        replace(dim5_sys, quad=gauss_legendre_01(2))
+
+
+def test_the_system_checks_its_rule_and_step_and_a_new_radius_keeps_them(dim5_sys):
+    for knobs, message in (({"quad_order": 2}, "quadrature order must be >= 3"),
+                           ({"fd_step": 0.0}, "fd_step must be positive"),
+                           ({"fd_step": -1e-3}, "fd_step must be positive")):
+        with pytest.raises(ValueError, match=message):
+            build_rack_system(dim5_sys.ext, 0.5, **knobs)
+    sys_ = build_rack_system(dim5_sys.ext, 0.5, quad_order=5, fd_step=2e-3)
+    assert sys_.quad is gauss_legendre_01(5)
+    omega = sys_.omega
+    wide = sys_.with_chart_radius(8.0)
+    assert (wide.quad, wide.fd_step) == (sys_.quad, 2e-3) and wide.omega is omega
+    # the step is checked against the radius at each difference, as a new
+    # radius can narrow the chart below four steps
+    with pytest.raises(ValueError, match="fd_step must lie in"):
+        tangent_bracket(sys_.with_chart_radius(4e-3), np.eye(5)[0], np.eye(5)[1])
 
 
 # -- exact decisions made once per system ------------------------------------
@@ -1090,7 +1188,7 @@ def test_lie_cocycle_defect_measures_antisymmetry():
     assert anti == 6  # omega(e2, e2) + omega(e2, e2) = (6, -2)
 
 
-def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
+def test_iota2_checks_the_system_omega_once(monkeypatch):
     import leibrack.rack as rack
     calls = []
     check = rack.lie_cocycle_defect
@@ -1100,14 +1198,14 @@ def test_iota2_checks_the_system_omega_once(cfg, monkeypatch):
     g = group_from_coords(sys_, [0.05, 0.01, 0, 0])
     h = group_from_coords(sys_, [-0.02, 0.03, 0.01, 0])
     for _ in range(20):
-        iota2(sys_, g, h, cfg)
+        iota2(sys_, g, h)
     assert len(calls) == 1
     vals = {(1, 3): 1, (3, 1): -1}
     fake = Cochain.from_function(2, 4, 1, lambda p, q: (vals.get((p, q), 0),))
     fake_sys = _on_omega(sys_, fake)
     for k in range(3):
         with pytest.raises(NotLieCocycleError, match="cocycle"):
-            iota2(fake_sys, g, g, cfg)
+            iota2(fake_sys, g, g)
         assert len(calls) == 2 + k
 
 
@@ -1115,7 +1213,7 @@ _OMEGA_INPUTS = {"dim5": dim5, "heisenberg": heisenberg}
 
 
 @pytest.mark.parametrize("name", list(_OMEGA_INPUTS))
-def test_a_system_on_another_omega_integrates_that_omega(name, cfg):
+def test_a_system_on_another_omega_integrates_that_omega(name):
     # the README's recipe, on an extension with 2 omega:
     # i1 and i2 integrate the new omega, as iota2 does, so i2 doubles
     # exactly (scaling by 2 is exact in floats) and the Lie rows still pass
@@ -1127,16 +1225,16 @@ def test_a_system_on_another_omega_integrates_that_omega(name, cfg):
     assert ok.all() and np.abs(want).max() > 0
     assert i2(doubled, g, h, ok2).tobytes() == want.tobytes() and ok2.all()
     if name == "heisenberg":
-        results = lie_specialization_suite(doubled, cfg, n_samples=20, seed=0)
+        results = lie_specialization_suite(doubled, n_samples=20, seed=0)
         assert all(r.passed for r in results), [(r.name, r.max_defect) for r in results]
 
 
 @pytest.mark.parametrize("name", list(_OMEGA_INPUTS))
-def test_omega_is_converted_to_floats_once_per_system(name, cfg, monkeypatch):
+def test_omega_is_converted_to_floats_once_per_system(name, monkeypatch):
     calls = []
     to_numpy = Cochain.to_numpy
     monkeypatch.setattr(Cochain, "to_numpy", lambda self: calls.append(self) or to_numpy(self))
-    full_suite(build_rack_system(canonical_extension(_OMEGA_INPUTS[name]())), cfg,
+    full_suite(build_rack_system(canonical_extension(_OMEGA_INPUTS[name]())),
                n_samples=20, seed=0)
     assert len(calls) == 1
 
@@ -1232,7 +1330,7 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
                                                                 monkeypatch):
     # every suite and extra replaced by its one-sample-at-a-time loop; the
     # round trips' loops differentiate each pair themselves, so the one
-    # difference they share hands them the config
+    # difference they share is not taken
     import leibrack.rack_report as rack_report
     import leibrack.suites as suites
     if which == "example_dim5":
@@ -1245,7 +1343,7 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
     stacked = _cli_json(argv, capsys)
     for name, oracle in ONE_BY_ONE.items():
         monkeypatch.setattr(suites, name, oracle)
-    monkeypatch.setattr(suites, "basis_pair_difference", lambda sys_, cfg: cfg)
+    monkeypatch.setattr(suites, "basis_pair_difference", lambda sys_: None)
     for name, extras in EXTRAS_ONE_BY_ONE.items():
         monkeypatch.setitem(rack_report.EXAMPLE_EXTRAS, name, extras)
     assert stacked == _cli_json(argv, capsys)

@@ -25,7 +25,6 @@ from leibrack.rack import (
     augmented_action,
     build_rack_system,
     conjugate,
-    default_config,
     group_from_coords,
     group_product,
     i1,
@@ -89,7 +88,7 @@ def _oscillator():
                                             (0, 2): {1: -1}, (2, 0): {1: 1}})
 
 
-def _system(name, radius):
+def _system(name, radius, quad_order=8):
     if name.startswith("rl"):
         alg = random_leibniz(int(name[2:]))
     elif name in inputs.RHO_KINDS:
@@ -98,7 +97,7 @@ def _system(name, radius):
         alg = {"dim5": dim5, "heisenberg": heisenberg, "filiform5": filiform5,
                "free_nilpotent5": free_nilpotent5, "abelian3": abelian3,
                "oscillator": _oscillator}[name]()
-    return build_rack_system(canonical_extension(alg), radius)
+    return build_rack_system(canonical_extension(alg), radius, quad_order)
 
 
 NARROW = ["dim5", "heisenberg", "filiform5", "rl1", "rl2", "rl23", *inputs.RHO_KINDS,
@@ -112,13 +111,12 @@ WIDE = [("dim5", 8.0), ("diagonal", 8.0), ("aff", 1000.0), ("oscillator", 8.0)]
 def _one_by_one(name, radius):
     """The bits of the one-by-one loops of every suite, as
     ``test_stacked_suites_equal_the_one_by_one_loops`` runs them."""
-    cfg = default_config()
     sys_ = _system(name, radius)
     want = (rack_axioms_one_by_one(sys_, 20, 5) + cocycle_one_by_one(sys_, 20, 8)
-            + augmented_action_one_by_one(sys_, 20, 6) + roundtrip_one_by_one(sys_, cfg)
-            + tangent_one_by_one(sys_, cfg) + quadrature_stability_one_by_one(sys_, cfg, 10, 7))
+            + augmented_action_one_by_one(sys_, 20, 6) + roundtrip_one_by_one(sys_)
+            + tangent_one_by_one(sys_) + quadrature_stability_one_by_one(sys_, 10, 7))
     if is_lie(sys_.ext.parent):
-        want += lie_specialization_one_by_one(sys_, cfg, 20, 9)
+        want += lie_specialization_one_by_one(sys_, 20, 9)
     return _bits(want)
 
 
@@ -136,16 +134,15 @@ CASES = [(name, radius, chunk) for name, radius in [(name, 0.5) for name in NARR
                               for name, radius, chunk in CASES])
 def test_stacked_suites_equal_the_one_by_one_loops(name, radius, chunk, monkeypatch):
     import leibrack.suites as suites
-    cfg = default_config()
     sys_ = _system(name, radius)
     if chunk is not None:
         monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, chunk * sys_.dim ** 2))
-    pairs = basis_pair_difference(sys_, cfg)
+    pairs = basis_pair_difference(sys_)
     got = (rack_axiom_suite(sys_, 20, 5) + cocycle_suite(sys_, 20, 8)
            + augmented_action_suite(sys_, 20, 6) + roundtrip_suite(sys_, pairs)
-           + tangent_suite(sys_, pairs) + quadrature_stability_suite(sys_, cfg, 10, 7))
+           + tangent_suite(sys_, pairs) + quadrature_stability_suite(sys_, 10, 7))
     if is_lie(sys_.ext.parent):
-        got += lie_specialization_suite(sys_, cfg, 20, 9)
+        got += lie_specialization_suite(sys_, 20, 9)
     assert _bits(got) == _one_by_one(name, radius)
     if radius > 0.5:  # the wide charts are where samples are skipped
         skipping = {r.name for r in got if r.skipped}
@@ -422,7 +419,7 @@ OPERATIONS = ("conjugate", "group_product", "group_action", "i1", "i2", "i2_quad
               "augmented_action", "rack_product")
 
 
-def _operations(sys_, cfg):
+def _operations(sys_):
     """name -> the operation on (g, h, b), for one element or stacks, with
     an optional mask."""
     return {
@@ -431,7 +428,7 @@ def _operations(sys_, cfg):
         "group_action": lambda g, h, b, ok=None: group_action(sys_, g, ok),
         "i1": lambda g, h, b, ok=None: i1(sys_, sys_.omega, g, ok),
         "i2": lambda g, h, b, ok=None: i2(sys_, g, h, ok),
-        "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, cfg.quad, ok),
+        "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, sys_.quad, ok),
         "augmented_action": lambda g, h, b, ok=None: augmented_action(
             sys_, g, LocalRackElement(h, b), ok),
         "rack_product": lambda g, h, b, ok=None: rack_product(
@@ -447,13 +444,12 @@ FAILING = {"conjugate": [1, 2], "group_product": [1]}
 
 @pytest.mark.parametrize("op", OPERATIONS)
 def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
-    cfg = default_config()
     sys_ = _mixed_system()
     slices = _mixed_slices(sys_)
     g = np.array([s for s, _ in slices])
     h = np.array([group_from_coords(sys_, [-0.1, 0.25])] * len(g))
     b = np.linspace(-0.2, 0.2, 3 * len(g)).reshape(len(g), 3)
-    stacks, one = _operations(sys_, cfg)[op], _operations(_mixed_system(), cfg)[op]
+    stacks, one = _operations(sys_)[op], _operations(_mixed_system())[op]
     ok = np.ones(len(g), dtype=bool)
     values = stacks(g, h, b, ok)
     want = [_outcome(lambda k=k: one(g[k], h[k], b[k])) for k in range(len(g))]
@@ -489,7 +485,6 @@ def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too()
 def test_a_failing_probe_fails_its_direction_in_the_finite_differences(monkeypatch):
     # the four probes of each direction run as one stack (4, N); a probe
     # that fails clears its direction, whichever of the four steps it is
-    cfg = default_config()
     sys_ = _system("dim5", 0.5)
     x = np.eye(2)[[0, 0, 1]]
 
@@ -497,9 +492,9 @@ def test_a_failing_probe_fails_its_direction_in_the_finite_differences(monkeypat
         mask[[1, 3], [1, 2]] = False
         return i2(sys_, g, h, mask)
     ok = np.ones(3, dtype=bool)
-    got = delta2(sys_, failing, x, x[::-1], cfg, ok)
+    got = delta2(sys_, failing, x, x[::-1], ok)
     assert list(ok) == [True, False, False]
-    assert got[0].tobytes() == delta2(sys_, partial(i2, sys_), x[0], x[2], cfg).tobytes()
+    assert got[0].tobytes() == delta2(sys_, partial(i2, sys_), x[0], x[2]).tobytes()
 
     product = rack.rack_product
 
@@ -509,7 +504,7 @@ def test_a_failing_probe_fails_its_direction_in_the_finite_differences(monkeypat
     monkeypatch.setattr(rack, "rack_product", failing_product)
     u = np.eye(5)[[0, 1]]
     ok = np.ones(2, dtype=bool)
-    tangent_bracket(sys_, u, u[::-1], cfg, ok)
+    tangent_bracket(sys_, u, u[::-1], ok)
     assert list(ok) == [False, True]
 
 
@@ -537,9 +532,9 @@ def test_a_broadcast_element_acts_on_a_stack_as_on_each_slice():
 
 
 LIE_OPERATIONS = {
-    "iota2": lambda sys_, cfg, u, v, ok=None: iota2(sys_, u.g, v.g, cfg, ok=ok),
-    "lie_group_product": lambda sys_, cfg, u, v, ok=None: lie_group_product(sys_, u, v, cfg, ok),
-    "lie_group_inverse": lambda sys_, cfg, u, v, ok=None: lie_group_inverse(sys_, u, cfg, ok),
+    "iota2": lambda sys_, u, v, ok=None: iota2(sys_, u.g, v.g, ok=ok),
+    "lie_group_product": lambda sys_, u, v, ok=None: lie_group_product(sys_, u, v, ok),
+    "lie_group_inverse": lambda sys_, u, v, ok=None: lie_group_inverse(sys_, u, ok),
 }
 
 
@@ -547,7 +542,6 @@ LIE_OPERATIONS = {
 def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
     # on the oscillator at radius 8, pairs fail the chart gates, the group
     # product gate, the log of h and the logs of iota2's node elements
-    cfg = default_config()
     sys_ = _system("oscillator", 8.0)
     rng = np.random.default_rng(18)
     scales = rng.choice([0.05, 0.4, 1.5, 3.0], size=(40, 1))
@@ -557,15 +551,15 @@ def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
     u, v = LocalRackElement(g, a), LocalRackElement(h, b)
     call = LIE_OPERATIONS[op]
     ok = np.ones(40, dtype=bool)
-    values = call(sys_, cfg, u, v, ok)
-    want = [_outcome(lambda k=k: call(sys_, cfg, LocalRackElement(g[k], a[k]),
+    values = call(sys_, u, v, ok)
+    want = [_outcome(lambda k=k: call(sys_, LocalRackElement(g[k], a[k]),
                                       LocalRackElement(h[k], b[k])))
             for k in range(40)]
     _same_or_raised(values, ok, want)
     messages = {text.split(":")[0] for text in want if isinstance(text, str)}
     assert ok.any() and len(messages) >= 2, messages
     with pytest.raises(OutOfChartError) as err:
-        call(sys_, cfg, u, v)
+        call(sys_, u, v)
     assert str(err.value) in want
 
 
@@ -609,13 +603,12 @@ def _kernel_calls(monkeypatch, suite):
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "aff", "heisenberg"])
 def test_stacked_suites_make_as_many_kernel_calls_at_10_and_40_samples(name, monkeypatch):
-    cfg = default_config()
     suites = [lambda s, n: rack_axiom_suite(s, n, 0),
               lambda s, n: cocycle_suite(s, n, 1),
               lambda s, n: augmented_action_suite(s, n, 3),
-              lambda s, n: quadrature_stability_suite(s, cfg, n, 4)]
+              lambda s, n: quadrature_stability_suite(s, n, 4)]
     if name == "heisenberg":
-        suites.append(lambda s, n: lie_specialization_suite(s, cfg, n, 2))
+        suites.append(lambda s, n: lie_specialization_suite(s, n, 2))
     for suite in suites:
         counts = [_kernel_calls(monkeypatch, lambda: suite(_system(name, 0.5), n))
                   for n in (10, 40)]
@@ -631,13 +624,12 @@ def test_one_basis_pair_difference_serves_both_round_trips(name, monkeypatch):
     # the n basis rows meet as a column and a row, so exp takes the 4n
     # probes exp(+-h e_i), not all 4n^2 pairs
     import leibrack.suites as suites
-    cfg = default_config()
     sys_ = _system(name, 0.5)
     n = sys_.ext.parent.dim
     calls = _outermost_calls(monkeypatch, ("tangent_bracket",),
-                             lambda: suites.full_suite(sys_, cfg, 10, 0))
+                             lambda: suites.full_suite(sys_, 10, 0))
     assert calls == {"tangent_bracket": [(n, n)]}
-    sizes = _kernel_slices(monkeypatch, lambda: basis_pair_difference(sys_, cfg))
+    sizes = _kernel_slices(monkeypatch, lambda: basis_pair_difference(sys_))
     assert len(sizes["log_float"]) == 2
     assert max(sizes["exp_float"]) == 4 * n
 
@@ -655,7 +647,6 @@ def test_the_round_trip_row_equals_delta2_of_i2(name):
     # the center part of the basis-pair difference at the lifts of g0 is
     # delta2 of the group-element i2 at g0's basis pairs, values and masks
     # bit for bit, and so is the row read off it
-    cfg = default_config()
     if name.startswith("filiform-"):
         k = int(name.split("-")[1])
         ext = canonical_extension(inputs.filiform(k, inputs.filiform_signs(k, 0)))
@@ -669,10 +660,10 @@ def test_the_round_trip_row_equals_delta2_of_i2(name):
     lifts = np.ix_(ext.complement_pivots, ext.complement_pivots)
     for radius in (0.5, 4.0, 16.0):
         sys_ = build_rack_system(ext, radius)
-        pairs = basis_pair_difference(sys_, cfg)
+        pairs = basis_pair_difference(sys_)
         got, got_ok = pairs[0][lifts][..., d:], pairs[1][lifts]
         ok = np.ones((d, d), dtype=bool)
-        want = delta2(sys_, partial(i2, sys_), basis[:, None], basis[None], cfg, ok)
+        want = delta2(sys_, partial(i2, sys_), basis[:, None], basis[None], ok)
         assert got_ok.tobytes() == ok.tobytes(), radius
         assert got[ok].tobytes() == want[ok].tobytes(), radius
         row = stacked(d * d, [(np.abs(want - sys_.omega.transpose(0, 2, 1))
@@ -695,15 +686,14 @@ def test_no_kernel_in_a_chunked_suite_receives_more_than_a_chunk(name, quad_orde
     # basis pairs in the difference, and no kernel receives a matrix wider
     # than dim
     import leibrack.suites as suites
-    cfg = default_config(quad_order)
-    sys_ = _system(name, 0.5)
+    sys_ = _system(name, 0.5, quad_order)
     dim = sys_.dim
     monkeypatch.setattr(suites, "CHUNK_ENTRIES", max(1, bound * dim * dim))
     runs = [(4, lambda: rack_axiom_suite(sys_, 40, 0)), (6, lambda: cocycle_suite(sys_, 40, 1)),
             (3, lambda: augmented_action_suite(sys_, 40, 3)),
-            (4 * dim, lambda: basis_pair_difference(sys_, cfg))]
+            (4 * dim, lambda: basis_pair_difference(sys_))]
     if is_lie(sys_.ext.parent):
-        runs.append((4 * quad_order, lambda: lie_specialization_suite(sys_, cfg, 40, 2)))
+        runs.append((4 * quad_order, lambda: lie_specialization_suite(sys_, 40, 2)))
     widths = []
     for widest, run in runs:
         sizes = _kernel_slices(monkeypatch, run, draws=True, widths=widths)
@@ -793,11 +783,10 @@ def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
     # conjugation u.g |> v.g that also feeds iota2; the four pairs of the
     # first level, of which only the first two form their group products,
     # then the three products
-    cfg = default_config()
     sys_ = _system(name, 0.5)
     names = ("iota2", "_conjugate", "group_product", "rack_product")
     calls = _outermost_calls(monkeypatch, names,
-                             lambda: lie_specialization_suite(sys_, cfg, 10, 2))
+                             lambda: lie_specialization_suite(sys_, 10, 2))
     assert calls == {"iota2": [(4, 10), (3, 10)], "_conjugate": [(10,)],
                      "group_product": [(2, 10), (3, 10)], "rack_product": []}
 
@@ -806,11 +795,10 @@ def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
 def test_the_quadrature_suite_conjugates_and_logs_once_for_both_orders(name, monkeypatch):
     # both quadrature orders integrate from one conjugation g |> h and the
     # logs of g and g |> h
-    cfg = default_config()
     sys_ = _system(name, 0.5)
     assert sys_.g0_dim > 0
     calls = _outermost_calls(monkeypatch, ("_conjugate", "log_coords"),
-                             lambda: quadrature_stability_suite(sys_, cfg, 10, 4))
+                             lambda: quadrature_stability_suite(sys_, 10, 4))
     assert calls == {"_conjugate": [(10,)], "log_coords": [(10,), (10,)]}
 
 

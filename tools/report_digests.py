@@ -32,6 +32,9 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   ``suites.CHUNK_ENTRIES``, and on its filiform-32 at ``--samples 515``,
   whose rack axiom suite runs in 3 and whose basis-pair difference runs
   in 4 chunks of 8 rows;
+* ``example dim5|heisenberg`` and ``integrate`` on ``random_leibniz`` 35
+  and aff-0 at finite-difference step 5e-4, which moves the round trips'
+  defects, and ``integrate`` on filiform5 with all three float knobs set;
 * ``verify`` and ``analyze`` on the package's data files
   ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
   above and on the benchmark's filiform-6/8/10/12 (sign variant 0).
@@ -56,6 +59,10 @@ QUAD_INPUTS = ("heisenberg", "rl5", "aff-0")
 FILIFORM_DIMS = (6, 8, 10, 12)
 CHUNKED = (("filiform16", ["--samples", "515", "--quad-order", "64"]),
            ("filiform32", ["--samples", "515"]))
+FD_STEP = ("--fd-step", "5e-4")
+FD_EXAMPLES = ("dim5", "heisenberg")
+FD_INPUTS = ("rl35", "aff-0")
+ALL_KNOBS = ("filiform5", ["--quad-order", "5", "--chart-radius", "4", "--fd-step", "2e-3"])
 DATA_FILES = ("abelian3", "dim5", "heisenberg")
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
@@ -86,6 +93,9 @@ def runs() -> list[tuple[str, list[str]]]:
     out += [(id_, ["integrate", "{file}", "--json", "--quad-order", q])
             for id_ in QUAD_INPUTS for q in QUAD_ORDERS]
     out += [(id_, ["integrate", "{file}", "--json", *args]) for id_, args in CHUNKED]
+    out += [("", ["example", name, "--json", *FD_STEP]) for name in FD_EXAMPLES]
+    out += [(id_, ["integrate", "{file}", "--json", *FD_STEP]) for id_ in FD_INPUTS]
+    out.append((ALL_KNOBS[0], ["integrate", "{file}", "--json", *ALL_KNOBS[1]]))
     exact = [("", f"{{data}}/{name}.leib") for name in DATA_FILES]
     exact += [(id_, "{file}") for id_ in [*inputs(), *(f"filiform{n}" for n in FILIFORM_DIMS)]]
     out += [(id_, [cmd, file, "--json"]) for id_, file in exact for cmd in ("verify", "analyze")]
@@ -111,6 +121,7 @@ def main(argv=None) -> int:
         descs.update({f"filiform{n}": {"kind": "filiform", "n": n,
                                        "signs": bench_inputs.filiform_signs(n, 0)}
                       for n in (*FILIFORM_DIMS, 16, 32)})
+        descs["rl35"] = {"kind": "random_leibniz", "seed": 35}
         entries = [{"id": id_, "input": desc} for id_, desc in descs.items()]
         paths = bench_inputs.materialize(entries, tmp)
         data = str(checkout / "src" / "leibrack" / "data")
