@@ -9,8 +9,8 @@ This module takes four of them: ``OutOfChartError``, which ``log_float``
 raises, and ``rref``, ``matrix_log`` and ``nilpotency_index``, which the
 benchmark's tracer (``perfbench/tracer.py``) binds under this module's
 name.  The crossings from exact to float, ``Matrix.to_numpy`` and
-``Cochain.to_numpy``, are made on this side only (by ``rack`` and
-``suites``): each imports numpy when called.
+``Cochain.to_numpy``, are made on this side only, by the rack system
+once per system (``rack.LocalRackSystem``): each imports numpy when called.
 
 The kernels are ``exp_float``, ``phi1_float`` (the integral
 int_0^1 exp(s a) v ds, or int_0^1 exp(s a) v exp(-s b) ds given a right

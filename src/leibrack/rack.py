@@ -32,18 +32,18 @@ For Lie input, the group 2-cocycle iota2 is a double integral over a
 closed form too, so the system's Gauss-Legendre rule (``LocalRackSystem.quad``)
 drives only iota2's outer integral and the quadrature cross-check.
 
-Exact decisions are made once per system, never inside a float call.
-When it is built: the joint nilpotency indices of the ad, rho and ad0
-families (the float exp and phi1 of any element of a nilpotent family are
-finite series; other families go to the Pade kernel
-``linalg._expm_pade``).  On first use: omega's float stack, and for iota2
-(``LocalRackSystem.lie_omega``) the exact Lie-cocycle check of the
-extension's omega, ``cohomology.lie_cocycle_defect``.
-
-One record, ``LocalRackSystem``, holds the extension, G0's chart, omega,
+One record, ``LocalRackSystem``, holds the extension, G0's chart,
 iota2's quadrature rule and the finite-difference step, and every
-operation takes it.  It holds arrays, which have no single-valued ==, so
-it compares and hashes by identity (``eq=False``).
+operation takes it.  It makes every crossing from the exact extension to
+floats, once per system and never inside a float call; the suites convert
+nothing.  When it is built: the float bases and the joint nilpotency
+indices of the ad, rho and ad0 families (the float exp and phi1 of a
+nilpotent family are finite series; others go to the Pade kernel
+``linalg._expm_pade``).  On first use: omega's float stack and its exact
+Lie-cocycle check for iota2 (``lie_omega``), and the suites' parent basis
+and brackets in (g0, center) coordinates and Lie flag.  It holds arrays,
+which have no single-valued ==, so it compares and hashes by identity
+(``eq=False``).
 
 The local rack product on G0 x a is then
 
@@ -84,9 +84,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import CentralExtensionData, ad_matrix
+from .algebra import CentralExtensionData, ad_matrix, is_lie
 from .cohomology import lie_cocycle_defect
-from .exact import joint_nilpotency_index
+from .exact import Matrix, joint_nilpotency_index
 from .linalg import (
     QuadratureRule,
     _fail,
@@ -120,13 +120,13 @@ class LocalRackElement:
 @dataclass(frozen=True, eq=False)
 class LocalRackSystem:
     """The local augmented Lie rack of one algebra on G0 x a: the exact
-    extension data, G0's matrix chart inside Aut(g), from which omega is
-    derived on first use, and two float knobs: quad, the Gauss-Legendre
-    rule of iota2's outer integral and of the quadrature cross-check (i1,
-    i2 and iota2's inner integral are closed forms), and fd_step, the
-    step of the finite differences at the unit.  The sizes dim (n),
-    g0_dim (d) and center_dim (m) are read off ext, so a system on another extension
-    (``replace(sys, ext=...)``) has that extension's sizes.  The span of
+    extension data, G0's matrix chart inside Aut(g), from which omega and
+    the suites' values are derived on first use, and two float knobs:
+    quad, the Gauss-Legendre rule of iota2's outer integral and of the
+    quadrature cross-check (i1, i2 and iota2's inner integral are closed
+    forms), and fd_step, the step of the finite differences at the unit.
+    The sizes dim (n), g0_dim (d) and center_dim (m) are read off ext, so a
+    system on another extension (``replace(sys, ext=...)``) has its sizes.  The span of
     ad_basis is the realized g0, rho_basis acts on the center, ad0_basis
     is the adjoint of g0 on itself; each is a (g0_dim, k, k) stack,
     (0, k, k) for trivial g0.
@@ -198,10 +198,10 @@ class LocalRackSystem:
         return LocalRackElement(self.identity(), np.zeros(self.center_dim))
 
     def with_chart_radius(self, chart_radius: float) -> "LocalRackSystem":
-        """The same system, rule and step on a chart of another radius; no
-        exact work or conversion reruns."""
+        """The same system, rule and step on a chart of another radius, with
+        every value it already derived from ext: no exact work reruns."""
         wide = replace(self, chart_radius=chart_radius)
-        vars(wide).update((k, v) for k, v in vars(self).items() if k in ("omega", "lie_omega"))
+        vars(wide).update((k, v) for k, v in vars(self).items() if k not in vars(wide))
         return wide
 
     @cached_property
@@ -220,6 +220,24 @@ class LocalRackSystem:
             raise NotLieCocycleError("omega fails the Lie cocycle identity")
         return self.omega
 
+    @cached_property
+    def basis_coords(self) -> np.ndarray:
+        """The parent's basis in (g0, center) coordinates, row i that of e_i."""
+        return self.ext.from_parent.to_numpy().T
+
+    @cached_property
+    def bracket_coords(self) -> np.ndarray:
+        """The (g0, center) coordinates of [e_i, e_j] in row i*n + j: from_parent @ B,
+        where column i*n + j of the exact n x n^2 matrix B holds the c_ij^k."""
+        n = self.dim
+        b = Matrix.from_terms(n, n * n, ((k, i * n + j, c) for i, row in enumerate(
+            self.ext.parent.terms) for j, terms in enumerate(row) for k, c in terms))
+        return (self.ext.from_parent @ b).to_numpy().T
+
+    @cached_property
+    def parent_is_lie(self) -> bool:
+        return is_lie(self.ext.parent)
+
 
 def _basis_stack(mats, k: int) -> np.ndarray:
     """The exact k x k matrices mats as one float stack (len(mats), k, k)."""
@@ -232,10 +250,9 @@ def build_rack_system(ext: CentralExtensionData, chart_radius: float = 0.5,
     of quad_order nodes and the finite-difference step fd_step.  Taken
     now: the float stacks of the ad, rho and ad0 families, the
     pseudo-inverse that reads log coordinates, and the joint nilpotency
-    indices.  Taken on first use:
-    omega's float stack (``omega``) and its Lie-cocycle check
-    (``lie_omega``).  The suites convert ``from_parent`` and
-    ``bracket_coords`` themselves, once per report."""
+    indices; every other value derived from ext is taken on first use,
+    once per system (see ``LocalRackSystem``), and a system on another
+    extension (``replace(sys, ext=...)``) derives it afresh."""
     n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
     ad_basis = _basis_stack(ext.g0_matrices, n)
     ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
@@ -346,11 +363,15 @@ def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     return _conjugate(sys, g, h, ok)[1]
 
 
+def _gated_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, ok: np.ndarray | None):
+    """(g, h, gh), g and h behind their chart gates and gh behind the product's."""
+    g, h = (_chart_gate(sys, x, "group element", ok) for x in (g, h))
+    return g, h, _chart_gate(sys, g @ h, "group product", ok)
+
+
 def group_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                   ok: np.ndarray | None = None) -> np.ndarray:
-    g = _chart_gate(sys, g, "group element", ok)
-    h = _chart_gate(sys, h, "group element", ok)
-    return _chart_gate(sys, g @ h, "group product", ok)
+    return _gated_product(sys, g, h, ok)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +572,7 @@ def iota2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     pair.  The weighted sum over the nodes is ``integrate_01``."""
     m, d = sys.center_dim, sys.g0_dim
     omega_np = sys.lie_omega
-    g = _chart_gate(sys, g, "group element", ok)
-    h = _chart_gate(sys, h, "group element", ok)
-    _chart_gate(sys, g @ h, "group product", ok)
+    g, h, _ = _gated_product(sys, g, h, ok)
     shape = np.broadcast_shapes(g.shape[:-2], h.shape[:-2])
     if d == 0:
         return np.zeros(shape + (m,))

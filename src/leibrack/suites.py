@@ -3,6 +3,8 @@
 Each suite takes the system, which carries iota2's quadrature rule and
 the finite-difference step, and its sample count and seed, and returns
 ``PropertyResult`` records (max defect, tolerance, sample/skip counts).
+The suites do no exact arithmetic: what they need of the extension, the
+system derives once (see ``rack``).
 Sampling is deterministic in the seed.  Points that leave the local domain
 fail the chart gates inside the operations and are counted as skips, never
 crashes, and defects are accumulated NaN-first, so a NaN or infinite
@@ -71,8 +73,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import CentralExtensionData, is_lie
-from .exact import Matrix
 from .linalg import gauss_legendre_01, matvec, norm1_float
 from .rack import (
     LocalRackElement,
@@ -395,8 +395,7 @@ def basis_pair_difference(sys: LocalRackSystem) -> tuple[np.ndarray, np.ndarray]
     that both round trips read.  The rows i of the grid run in chunks, a
     chunk's rows as a column against the whole basis as a row, so a chunk
     exponentiates its own probes once and the 4n probes of the row again."""
-    n = sys.ext.parent.dim
-    coords = sys.ext.from_parent.to_numpy().T  # row i: the coordinates of e_i
+    n, coords = sys.dim, sys.basis_coords
 
     def run(lo, hi):
         ok = np.ones((hi - lo, n), dtype=bool)
@@ -423,16 +422,6 @@ def roundtrip_suite(sys: LocalRackSystem,
                    [("delta2_left_inverse", 1e-5)])
 
 
-def bracket_coords(ext: CentralExtensionData) -> np.ndarray:
-    """The (g0, center) coordinates of [e_i, e_j] in row i*n + j, for the
-    parent's basis e: from_parent @ B, where column i*n + j of the exact
-    n x n^2 matrix B holds the structure constants c_ij^k."""
-    n = ext.parent.dim
-    b = Matrix.from_terms(n, n * n, ((k, i * n + j, c) for i, row in enumerate(ext.parent.terms)
-                                     for j, terms in enumerate(row) for k, c in terms))
-    return (ext.from_parent @ b).to_numpy().T
-
-
 def tangent_suite(sys: LocalRackSystem,
                   pairs: tuple[np.ndarray, np.ndarray]) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
@@ -440,9 +429,8 @@ def tangent_suite(sys: LocalRackSystem,
     ``basis_pair_difference`` (pairs), of which ``roundtrip_suite`` reads
     the center part at the lifts of g0, where it is delta2(i2)."""
     diff, ok = pairs
-    n = sys.ext.parent.dim
-    return stacked(n * n, [(sup_rows(diff.reshape(n * n, n) - bracket_coords(sys.ext)),
-                            ok.ravel())],
+    n = sys.dim
+    return stacked(n * n, [(sup_rows(diff.reshape(n * n, n) - sys.bracket_coords), ok.ravel())],
                    [("tangent_bracket_roundtrip", 1e-4)])
 
 
@@ -451,7 +439,7 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
     """For Lie input: the group product (g,a)(h,b) = (gh, a+b+iota2(g,h)) is
     associative, its conjugation equals the rack product, and
     i2(g,h) = iota2(g,h) - iota2(g|>h, g); over the samples in chunks."""
-    if not is_lie(sys.ext.parent):
+    if not sys.parent_is_lie:
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "gagaga")
@@ -554,6 +542,6 @@ def full_suite(sys: LocalRackSystem, n_samples: int = 200, seed: int = 0
     results += roundtrip_suite(sys, pairs)
     results += tangent_suite(sys, pairs)
     results += quadrature_stability_suite(sys, min(20, n_samples), seed + 3)
-    if is_lie(sys.ext.parent):
+    if sys.parent_is_lie:
         results += lie_specialization_suite(sys, max(10, n_samples // 4), seed + 4)
     return results

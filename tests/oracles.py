@@ -55,7 +55,8 @@ both sign conventions of its psi term, ``rack_differential_eval``
 
 The second section holds the helpers that only the tests call, kept out of
 the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
-``vec_scale``, ``rank`` and ``tau_inverse``, ``random_corpus``,
+``vec_scale``, ``rank`` and ``tau_inverse``, ``coboundary_witness``
+(which decides whether omega is a coboundary), ``random_corpus``,
 ``i2_quadrature`` (i2 by quadrature at a rule, from g and h), the
 one-element ``sample_rack_element``, the hard-coded rack-differential
 expansions, the ghost identity defect and the rack-module axiom check."""
@@ -70,7 +71,7 @@ import numpy as np
 
 from leibrack import algebra, exact, linalg, rack
 from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
-from leibrack.cohomology import Cochain, hom_representation
+from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
 from leibrack.corpus import random_leibniz
 from leibrack.exact import Matrix, OutOfChartError, as_vec, joint_nilpotency_index, rref, zero_vec
 from leibrack.linalg import gauss_legendre_01, matvec, phi1_float
@@ -280,6 +281,24 @@ def tau_inverse(w: Cochain) -> Cochain:
         raise ValueError("coefficient space is not Hom(g, a)")
     return Cochain.from_terms(w.degree + 1, dd, w.coeff_dim // dd, (
         (idx + (h % dd,), h // dd, a) for idx, h, a in w._terms()))
+
+
+def coboundary_witness(ext) -> Cochain | None:
+    """A 1-cochain beta of C^1(g0, Z_L) with dL beta = omega, or None when
+    omega is not a coboundary (the input is not split), from one exact
+    ``rref`` of [d^1 | omega]: column p*m + k is dL of the basis cochain
+    e_p -> e_k, column d*m is omega, and row (x*d + y)*m + k holds entry k
+    at (e_x, e_y).  omega is a coboundary iff its column is not a pivot;
+    beta then takes that column's entries at the pivots and 0 elsewhere."""
+    d, m = ext.g0_dim, ext.center_dim
+    cols = [leibniz_differential(ext.rep, Cochain.from_terms(1, d, m, [((p,), k, Fraction(1))]))
+            for p in range(d) for k in range(m)] + [ext.omega]
+    red, pivots = rref(Matrix.from_terms(d * d * m, d * m + 1, (
+        ((x * d + y) * m + k, j, a) for j, w in enumerate(cols) for (x, y), k, a in w._terms())))
+    if d * m in pivots:
+        return None
+    return Cochain.from_terms(1, d, m, (((c // m,), c % m, a) for r, c in enumerate(pivots)
+                                        for j, a in red.nonzeros[r] if j == d * m))
 
 
 def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:

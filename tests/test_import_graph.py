@@ -241,6 +241,14 @@ def _defined_names(path: Path) -> set[str]:
     return names
 
 
+def _from_module(node: ast.ImportFrom) -> str:
+    """The absolute name of the module a from-import reads; relative
+    imports occur inside the package alone."""
+    if node.level == 0:
+        return node.module
+    return "leibrack" + (f".{node.module}" if node.module else "")
+
+
 def _names_taken_through_linalg(path: Path, names: set[str]) -> list[str]:
     """The names among ``names`` that the module at path imports from
     ``leibrack.linalg`` or reads as an attribute of that module."""
@@ -248,9 +256,7 @@ def _names_taken_through_linalg(path: Path, names: set[str]) -> list[str]:
     aliases, found = set(), []  # the local names bound to the linalg module
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            # relative imports occur inside the package alone
-            module = node.module if node.level == 0 else "leibrack" + (
-                f".{node.module}" if node.module else "")
+            module = _from_module(node)
             if module == "leibrack.linalg":
                 found += [a.name for a in node.names if a.name in names]
             elif module == "leibrack":
@@ -308,6 +314,22 @@ def test_no_function_takes_a_config_beside_the_system():
         found += [f"{path.name}:{line} takes cfg" for line, arg in _parameters(ast.parse(text))
                   if arg == "cfg"]
     assert SRC / "leibrack" / "suites.py" in paths and found == []
+
+
+def test_the_suites_do_no_exact_arithmetic():
+    # the system makes every crossing from the exact extension to floats
+    exact_half = ("algebra", "exact", "cohomology")
+    found = []
+    for node in ast.walk(ast.parse((SRC / "leibrack" / "suites.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = _from_module(node)
+            names = [f"{module}.{a.name}" for a in node.names]
+            found += [n for n in (module, *names) if n.removeprefix("leibrack.") in exact_half]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.removeprefix("leibrack.") in exact_half]
+        elif isinstance(node, ast.Attribute) and node.attr == "to_numpy":
+            found.append(f"line {node.lineno} calls to_numpy")
+    assert found == []
 
 
 def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():

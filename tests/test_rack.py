@@ -46,6 +46,7 @@ from leibrack.rack import (
     group_from_coords,
     i1,
     i2,
+    i2_from_coords,
     in_chart,
     iota2,
     lie_cocycle_defect,
@@ -72,6 +73,8 @@ from leibrack.suites import (
 from oracles import (
     EXTRAS_ONE_BY_ONE,
     ONE_BY_ONE,
+    bracket_coords_by_brackets,
+    coboundary_witness,
     cochain_from_dense,
     combo_per_basis,
     delta2,
@@ -400,6 +403,45 @@ def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
     # the opposite sign fails wherever d beta does not vanish
     if not dbeta.is_zero():
         assert np.abs(got + want).max() > 1e-6
+
+
+# The paper's closing example, dim5, is "a non split Leibniz algebra in
+# dimension 5": omega is not a coboundary.  Where omega = dL beta, the input
+# is split, and Phi(g, a) = (g, a + F(g)) with F(g) = phi1(rho_X) beta X
+# carries the rack onto Kinyon's (g, a) |> (h, b) = (g h g^-1, g.b), since
+# then i2(g, h) = phi_g F(h) - F(g |> h).
+NON_SPLIT = {"dim5", "heisenberg", "filiform5", "free_nilpotent5", "oscillator",
+             "rl1", "rl2", "rl23", "rl35", "rl38", "aff-2", "aff-5", "aff-6"}
+SPLIT = [name for name in _COBOUNDARY_INPUTS if name not in NON_SPLIT]
+
+
+@pytest.mark.parametrize("name", [*_COBOUNDARY_INPUTS, "oscillator"])
+def test_omega_is_a_coboundary_exactly_on_the_split_inputs(name):
+    ext = canonical_extension(_oscillator() if name == "oscillator" else _COBOUNDARY_INPUTS[name])
+    beta = coboundary_witness(ext)
+    assert (beta is None) == (name in NON_SPLIT)
+    if beta is not None:
+        assert leibniz_differential(ext.rep, beta) == ext.omega
+
+
+@pytest.mark.parametrize("name", SPLIT)
+def test_a_split_input_gives_kinyons_rack(name):
+    ext = canonical_extension(_COBOUNDARY_INPUTS[name])
+    sys_ = build_rack_system(ext, 8.0)
+    beta = coboundary_witness(ext).to_numpy().T  # m x d: beta(e_p) is column p
+    rng = np.random.default_rng(23)
+    xi, zeta = rng.uniform(-0.15, 0.15, size=(2, 20, sys_.g0_dim))
+    g = group_from_coords(sys_, xi)
+    eta = log_coords(sys_, conjugate(sys_, g, group_from_coords(sys_, zeta)))
+
+    def f(x):
+        return phi1_float(sys_.rho_of(x), matvec(beta, x), sys_.rho_index)
+
+    got = i2_from_coords(sys_, xi, eta)
+    want = matvec(action_from_coords(sys_, xi), f(zeta)) - f(eta)
+    assert np.abs(got - want).max() <= 1e-12
+    # F with the opposite sign is not a rack isomorphism
+    assert np.abs(got + want).max() > 1e-6
 
 
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys):
@@ -1239,23 +1281,30 @@ def test_omega_is_converted_to_floats_once_per_system(name, monkeypatch):
     assert len(calls) == 1
 
 
+# the values a system derives from its extension on first use
+DERIVED = ("omega", "lie_omega", "basis_coords", "bracket_coords", "parent_is_lie")
+
+
 def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeypatch):
     import leibrack.rack as rack
     fresh = build_rack_system(dim5_sys.ext, 0.5)
     heis = build_rack_system(heis_ext, 0.5)
     omega, heis_omega = dim5_sys.omega, heis.lie_omega
+    derived = {name: getattr(dim5_sys, name) for name in DERIVED[2:]}
 
     def exact_work(*args):
         raise AssertionError("exact work in with_chart_radius")
-    for name in ("build_rack_system", "joint_nilpotency_index", "lie_cocycle_defect"):
+    for name in ("build_rack_system", "joint_nilpotency_index", "lie_cocycle_defect", "is_lie"):
         monkeypatch.setattr(rack, name, exact_work)
     monkeypatch.setattr(Cochain, "to_numpy", exact_work)
+    monkeypatch.setattr(Matrix, "to_numpy", exact_work)
     wide = dim5_sys.with_chart_radius(8.0)
     assert wide.chart_radius == 8.0 and dim5_sys.chart_radius == 0.5
     assert wide.ext is dim5_sys.ext and wide.omega is omega
+    assert all(getattr(wide, name) is value for name, value in derived.items())
     assert heis.with_chart_radius(8.0).lie_omega is heis_omega
-    # a system whose omega was not converted yet leaves the conversion to the copy
-    assert "omega" not in vars(fresh.with_chart_radius(8.0))
+    # a system that derived nothing yet leaves the derivations to the copy
+    assert not set(DERIVED) & set(vars(fresh.with_chart_radius(8.0)))
     monkeypatch.undo()
     assert (fresh.with_chart_radius(8.0).omega == omega).all()
     for name in ("ad_basis", "rho_basis", "ad0_basis", "coord_pinv"):
@@ -1264,6 +1313,30 @@ def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeyp
         (dim5_sys.ad_index, dim5_sys.rho_index, dim5_sys.ad0_index)
     with pytest.raises(ValueError):
         dim5_sys.with_chart_radius(0.0)
+
+
+def test_a_system_on_another_extension_derives_its_values_afresh(heis_ext, dim5_ext):
+    sys_ = build_rack_system(heis_ext, 0.5)
+    assert sys_.parent_is_lie and sys_.lie_omega.shape == (2, 1, 2)
+    assert sys_.basis_coords.shape == (3, 3) and sys_.bracket_coords.shape == (9, 3)
+    other = replace(sys_, ext=dim5_ext)
+    assert not set(DERIVED) & set(vars(other))
+    assert not other.parent_is_lie and other.omega.shape == (2, 3, 2)
+    assert (other.basis_coords == dim5_ext.from_parent.to_numpy().T).all()
+    assert other.bracket_coords.tobytes() == bracket_coords_by_brackets(dim5_ext).tobytes()
+
+
+def test_a_report_asks_whether_the_parent_is_lie_once(heis_ext, monkeypatch):
+    import leibrack.rack as rack
+    import leibrack.suites as suites
+    calls = []
+    for module in (rack, suites):
+        if hasattr(module, "is_lie"):
+            monkeypatch.setattr(module, "is_lie",
+                                lambda alg, lie=module.is_lie: calls.append(alg) or lie(alg))
+    results = full_suite(build_rack_system(heis_ext, 0.5), n_samples=20, seed=0)
+    assert calls == [heis_ext.parent]
+    assert "lie_group_associativity" in {r.name for r in results}
 
 
 # -- the rack product's work, and reports against the one-sample oracles --------

@@ -37,7 +37,6 @@ from leibrack.rack import (
 from leibrack.suites import (
     augmented_action_suite,
     basis_pair_difference,
-    bracket_coords,
     cocycle_suite,
     draw_samples,
     lie_specialization_suite,
@@ -200,8 +199,8 @@ def test_a_chunked_rack_axiom_suite_exponentiates_each_draw_once(name, monkeypat
 @pytest.mark.parametrize("name", ["dim5", "heisenberg", "abelian3", "filiform5",
                                   "free_nilpotent5", "oscillator", *inputs.RHO_KINDS])
 def test_bracket_coords_equal_the_bracket_loop(name):
-    # the tangent suite's expected values, one sparse product against one
-    # bracket and one split per basis pair
+    # the tangent suite's expected values, the system's one sparse product,
+    # against one bracket and one split per basis pair
     for seed in range(2):
         if name in inputs.RHO_KINDS:
             alg = inputs.rho_semisimple(name, seed)
@@ -210,13 +209,15 @@ def test_bracket_coords_equal_the_bracket_loop(name):
         else:
             alg = _system(name, 0.5).ext.parent
         ext = canonical_extension(alg)
-        assert bracket_coords(ext).tobytes() == bracket_coords_by_brackets(ext).tobytes()
+        assert build_rack_system(ext).bracket_coords.tobytes() == \
+            bracket_coords_by_brackets(ext).tobytes()
 
 
 def test_bracket_coords_of_the_corpus_equal_the_bracket_loop():
     for alg in random_corpus(12, seed=3) + [random_leibniz(k) for k in (1, 2, 23, 35, 38)]:
         ext = canonical_extension(alg)
-        assert bracket_coords(ext).tobytes() == bracket_coords_by_brackets(ext).tobytes()
+        assert build_rack_system(ext).bracket_coords.tobytes() == \
+            bracket_coords_by_brackets(ext).tobytes()
 
 
 @pytest.mark.parametrize("name,radius", [("dim5", 0.5), ("heisenberg", 0.5),

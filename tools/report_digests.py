@@ -37,7 +37,13 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   defects, and ``integrate`` on filiform5 with all three float knobs set;
 * ``verify`` and ``analyze`` on the package's data files
   ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
-  above and on the benchmark's filiform-6/8/10/12 (sign variant 0).
+  above and on the benchmark's filiform-6/8/10/12 (sign variant 0);
+* ``integrate`` at chart radius 0.5 and 4, ``verify`` and ``analyze`` on
+  two Lie inputs that ``perfbench/inputs.py`` does not describe, written
+  through CHECKOUT's ``LeibnizAlgebra.from_brackets``: the oscillator,
+  whose ad family is not nilpotent, so iota2 runs on a G0 that is not
+  unipotent, and sl2, whose left center is zero, so every center stack is
+  empty.
 """
 
 from __future__ import annotations
@@ -64,6 +70,15 @@ FD_EXAMPLES = ("dim5", "heisenberg")
 FD_INPUTS = ("rl35", "aff-0")
 ALL_KNOBS = ("filiform5", ["--quad-order", "5", "--chart-radius", "4", "--fd-step", "2e-3"])
 DATA_FILES = ("abelian3", "dim5", "heisenberg")
+# Lie inputs the tool writes itself: (dimension, brackets) for from_brackets
+LIE_INPUTS = {
+    # [t,x] = y, [t,y] = -x, [x,y] = z
+    "oscillator": (4, {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 2): {1: -1}, (2, 0): {1: 1},
+                       (1, 2): {3: 1}, (2, 1): {3: -1}}),
+    # [h,e] = 2e, [h,f] = -2f, [e,f] = h
+    "sl2": (3, {(0, 1): {1: 2}, (1, 0): {1: -2}, (0, 2): {2: -2}, (2, 0): {2: 2},
+                (1, 2): {0: 1}, (2, 1): {0: -1}}),
+}
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
          "from leibrack.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -99,6 +114,10 @@ def runs() -> list[tuple[str, list[str]]]:
     exact = [("", f"{{data}}/{name}.leib") for name in DATA_FILES]
     exact += [(id_, "{file}") for id_ in [*inputs(), *(f"filiform{n}" for n in FILIFORM_DIMS)]]
     out += [(id_, [cmd, file, "--json"]) for id_, file in exact for cmd in ("verify", "analyze")]
+    out += [(id_, ["integrate", "{file}", "--json", "--chart-radius", r])
+            for id_ in LIE_INPUTS for r in ("0.5", "4")]
+    out += [(id_, [cmd, "{file}", "--json"])
+            for id_ in LIE_INPUTS for cmd in ("verify", "analyze")]
     return out
 
 
@@ -112,6 +131,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [src, str(checkout / "perfbench")]
     import inputs as bench_inputs
     from gate import normalize
+    from leibrack.algebra import LeibnizAlgebra
+    from leibrack.fileio import write_algebra_file
 
     # one BLAS thread, as the benchmark pins it
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -124,6 +145,9 @@ def main(argv=None) -> int:
         descs["rl35"] = {"kind": "random_leibniz", "seed": 35}
         entries = [{"id": id_, "input": desc} for id_, desc in descs.items()]
         paths = bench_inputs.materialize(entries, tmp)
+        for id_, (n, brackets) in LIE_INPUTS.items():
+            paths[id_] = f"{tmp}/{id_}.leib"
+            write_algebra_file(LeibnizAlgebra.from_brackets(n, brackets), paths[id_])
         data = str(checkout / "src" / "leibrack" / "data")
 
         def masked(text):
