@@ -19,7 +19,8 @@ Loday-Pirashvili, Math. Ann. 296, 1993): Z_L(g) is an ideal, g0 is a Lie
 algebra, rho satisfies the module axiom (LLM) and omega is a 2-cocycle.
 None of these is checked again, and the squares ideal is the span of the
 squares, with no saturation (see ``squares_ideal``).  The tests keep each
-implied fact as an oracle.
+implied fact as an oracle.  The Lie test is made once per algebra too:
+``LeibnizAlgebra.is_lie`` records ``is_lie``, and the package reads it there.
 
 An algebra stores only the table ``terms`` of its nonzero structure
 constants: ``terms[i][j]`` lists the (k, c_ij^k) with c_ij^k != 0.  Every
@@ -78,7 +79,7 @@ class LeibnizAlgebra:
     the (k, c_ij^k) with c_ij^k != 0 in increasing k; ``c`` builds the dense tensor.
     Immutable by convention, like ``Matrix``; equal tables compare equal."""
 
-    # __dict__ holds what ``leibniz_ok`` records
+    # __dict__ holds what ``leibniz_ok`` and ``is_lie`` record
     __slots__ = ("dim", "basis_names", "terms", "__dict__")
 
     def __init__(self, dim: int, basis_names: tuple[str, ...],
@@ -114,6 +115,12 @@ class LeibnizAlgebra:
         records a returned value and never a raised error."""
         validate_leibniz(self)
         return True
+
+    @cached_property
+    def is_lie(self) -> bool:
+        """True iff the bracket is anti-symmetric: ``is_lie``, decided on the
+        first read only."""
+        return is_lie(self)
 
     @property
     def c(self) -> tuple[tuple[Vec, ...], ...]:

@@ -35,7 +35,6 @@ from .algebra import (
     LeibnizAlgebra,
     ValidationError,
     canonical_extension,
-    is_lie,
     left_center,
     squares_ideal,
 )
@@ -80,7 +79,7 @@ def _algebra_section(alg: LeibnizAlgebra) -> dict:
         "basis": list(alg.basis_names),
         "brackets": doc["brackets"],
         "leibniz_ok": alg.leibniz_ok,
-        "is_lie": is_lie(alg),
+        "is_lie": alg.is_lie,
     }
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .algebra import CentralExtensionData, Representation, is_lie
+from .algebra import CentralExtensionData, Representation
 from .exact import Matrix, Vec, as_vec, zero_vec
 
 if TYPE_CHECKING:
@@ -252,7 +252,7 @@ def hom_representation(rep: Representation) -> Representation:
     the Jacobi identity, which the extension's g0 and rho inherit from the
     parent's Leibniz identity (checked by ``canonical_extension``)."""
     alg = rep.algebra
-    if not is_lie(alg):
+    if not alg.is_lie:
         raise ValueError("hom_representation requires a Lie algebra")
     m, d = rep.carrier_dim, alg.dim
     mats = []

@@ -32,18 +32,19 @@ For Lie input, the group 2-cocycle iota2 is a double integral over a
 closed form too, so the system's Gauss-Legendre rule (``LocalRackSystem.quad``)
 drives only iota2's outer integral and the quadrature cross-check.
 
-One record, ``LocalRackSystem``, holds the extension, G0's chart,
-iota2's quadrature rule and the finite-difference step, and every
-operation takes it.  It makes every crossing from the exact extension to
-floats, once per system and never inside a float call; the suites convert
-nothing.  When it is built: the float bases and the joint nilpotency
-indices of the ad, rho and ad0 families (the float exp and phi1 of a
-nilpotent family are finite series; others go to the Pade kernel
-``linalg._expm_pade``).  On first use: omega's float stack and its exact
-Lie-cocycle check for iota2 (``lie_omega``), and the suites' parent basis
-and brackets in (g0, center) coordinates and Lie flag.  It holds arrays,
-which have no single-valued ==, so it compares and hashes by identity
-(``eq=False``).
+One record, ``LocalRackSystem``, holds the four choices that make a
+system: the extension, G0's chart radius, iota2's quadrature rule and the
+finite-difference step, and every operation takes it.  Every other value
+is derived from the extension one way: on first use, once per system.
+Those are the float bases and the joint nilpotency indices of the ad, rho
+and ad0 families (the float exp and phi1 of a nilpotent family are finite
+series; others go to the Pade kernel ``linalg._expm_pade``), the
+pseudo-inverse that reads log coordinates, omega's float stack and its
+exact Lie-cocycle check for iota2 (``lie_omega``), and the suites' parent
+basis and brackets in (g0, center) coordinates.  So the system makes every
+crossing from the exact extension to floats, never inside a float call,
+and the suites convert nothing.  It holds arrays, which have no
+single-valued ==, so it compares and hashes by identity (``eq=False``).
 
 The local rack product on G0 x a is then
 
@@ -84,7 +85,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import CentralExtensionData, ad_matrix, is_lie
+from .algebra import CentralExtensionData, ad_matrix
 from .cohomology import lie_cocycle_defect
 from .exact import Matrix, joint_nilpotency_index
 from .linalg import (
@@ -119,31 +120,27 @@ class LocalRackElement:
 
 @dataclass(frozen=True, eq=False)
 class LocalRackSystem:
-    """The local augmented Lie rack of one algebra on G0 x a: the exact
-    extension data, G0's matrix chart inside Aut(g), from which omega and
-    the suites' values are derived on first use, and two float knobs:
-    quad, the Gauss-Legendre rule of iota2's outer integral and of the
-    quadrature cross-check (i1, i2 and iota2's inner integral are closed
-    forms), and fd_step, the step of the finite differences at the unit.
-    The sizes dim (n), g0_dim (d) and center_dim (m) are read off ext, so a
-    system on another extension (``replace(sys, ext=...)``) has its sizes.  The span of
-    ad_basis is the realized g0, rho_basis acts on the center, ad0_basis
-    is the adjoint of g0 on itself; each is a (g0_dim, k, k) stack,
-    (0, k, k) for trivial g0.
-    Group elements are n x n arrays with ||g - I|| < chart_radius, where
-    0 < chart_radius < inf.  ad_index, rho_index and ad0_index are the
-    exact joint nilpotency indices of the ad, rho and ad0 families (None
-    if not nilpotent); they select exp's series."""
+    """The local augmented Lie rack of one algebra on G0 x a.  Its fields
+    are the four choices that make it: ext, the exact extension data;
+    chart_radius, the radius of G0's chart inside Aut(g), whose group
+    elements are n x n arrays with ||g - I|| < chart_radius, where
+    0 < chart_radius < inf; quad, the Gauss-Legendre rule of iota2's outer
+    integral and of the quadrature cross-check (i1, i2 and iota2's inner
+    integral are closed forms); and fd_step, the step of the finite
+    differences at the unit.
+
+    Every other value is derived from ext on first use and kept, one
+    ``cached_property`` each, so a system on another extension
+    (``replace(sys, ext=...)``) derives each afresh.  The sizes dim (n),
+    g0_dim (d) and center_dim (m) are read off ext.  The span of ad_basis
+    is the realized g0, rho_basis acts on the center, ad0_basis is the
+    adjoint of g0 on itself; each is a (g0_dim, k, k) stack, (0, k, k) for
+    trivial g0.  ad_index, rho_index and ad0_index are the exact joint
+    nilpotency indices of the ad, rho and ad0 families (None if not
+    nilpotent); they select exp's series."""
 
     ext: CentralExtensionData
     chart_radius: float
-    ad_basis: np.ndarray
-    rho_basis: np.ndarray
-    ad0_basis: np.ndarray
-    coord_pinv: np.ndarray  # least-squares inverse of the flattened ad basis
-    ad_index: int | None
-    rho_index: int | None
-    ad0_index: int | None
     quad: QuadratureRule
     fd_step: float
 
@@ -205,6 +202,43 @@ class LocalRackSystem:
         return wide
 
     @cached_property
+    def ad_basis(self) -> np.ndarray:
+        return _basis_stack(self.ext.g0_matrices, self.dim)
+
+    @cached_property
+    def rho_basis(self) -> np.ndarray:
+        return _basis_stack(self.ext.rho, self.center_dim)
+
+    @cached_property
+    def _ad0(self) -> list[Matrix]:
+        """The exact adjoint matrices of g0's basis, for ad0_basis and ad0_index."""
+        g0 = self.ext.g0
+        return [ad_matrix(g0, g0.basis_vector(p)) for p in range(self.g0_dim)]
+
+    @cached_property
+    def ad0_basis(self) -> np.ndarray:
+        return _basis_stack(self._ad0, self.g0_dim)
+
+    @cached_property
+    def coord_pinv(self) -> np.ndarray:
+        """The least-squares inverse of the flattened ad basis, which reads
+        log coordinates."""
+        d, n = self.g0_dim, self.dim
+        return np.linalg.pinv(np.ascontiguousarray(self.ad_basis.reshape(d, n * n).T))
+
+    @cached_property
+    def ad_index(self) -> int | None:
+        return joint_nilpotency_index(self.ext.g0_matrices)
+
+    @cached_property
+    def rho_index(self) -> int | None:
+        return joint_nilpotency_index(self.ext.rho)
+
+    @cached_property
+    def ad0_index(self) -> int | None:
+        return joint_nilpotency_index(self._ad0)
+
+    @cached_property
     def omega(self) -> np.ndarray:
         """omega as the C-contiguous stack (d, m, d) of the blocks omega(e_p, -)
         = tau omega(e_p); ``transpose(0, 2, 1)`` gives the values omega(e_p, e_q)."""
@@ -234,10 +268,6 @@ class LocalRackSystem:
             self.ext.parent.terms) for j, terms in enumerate(row) for k, c in terms))
         return (self.ext.from_parent @ b).to_numpy().T
 
-    @cached_property
-    def parent_is_lie(self) -> bool:
-        return is_lie(self.ext.parent)
-
 
 def _basis_stack(mats, k: int) -> np.ndarray:
     """The exact k x k matrices mats as one float stack (len(mats), k, k)."""
@@ -247,20 +277,9 @@ def _basis_stack(mats, k: int) -> np.ndarray:
 def build_rack_system(ext: CentralExtensionData, chart_radius: float = 0.5,
                       quad_order: int = 8, fd_step: float = 1e-3) -> LocalRackSystem:
     """ext's system on a chart of chart_radius, with the Gauss-Legendre rule
-    of quad_order nodes and the finite-difference step fd_step.  Taken
-    now: the float stacks of the ad, rho and ad0 families, the
-    pseudo-inverse that reads log coordinates, and the joint nilpotency
-    indices; every other value derived from ext is taken on first use,
-    once per system (see ``LocalRackSystem``), and a system on another
-    extension (``replace(sys, ext=...)``) derives it afresh."""
-    n, d, m = ext.parent.dim, ext.g0_dim, ext.center_dim
-    ad_basis = _basis_stack(ext.g0_matrices, n)
-    ad0 = [ad_matrix(ext.g0, ext.g0.basis_vector(p)) for p in range(d)]
-    pinv = np.linalg.pinv(np.ascontiguousarray(ad_basis.reshape(d, n * n).T))
-    return LocalRackSystem(ext, chart_radius, ad_basis, _basis_stack(ext.rho, m),
-                           _basis_stack(ad0, d), pinv, joint_nilpotency_index(ext.g0_matrices),
-                           joint_nilpotency_index(ext.rho), joint_nilpotency_index(ad0),
-                           gauss_legendre_01(quad_order), fd_step)
+    of quad_order nodes and the finite-difference step fd_step.  It does
+    no exact work: the system derives each value from ext on first use."""
+    return LocalRackSystem(ext, chart_radius, gauss_legendre_01(quad_order), fd_step)
 
 
 # ---------------------------------------------------------------------------

@@ -60,20 +60,22 @@ def run(ext: CentralExtensionData, args, report) -> int:
     """Build the rack system on a chart of ``--chart-radius``, with the
     ``--quad-order`` rule and the ``--fd-step`` step, and run the
     suites, plus an example's extra cross-checks, into report; returns the
-    exit code.  An exact value outside float range fills report['error']
+    exit code.  The system converts the exact extension to floats as the
+    suites first read each value, so an exact value outside float range
+    can surface anywhere in the float half: it fills report['error'] alone
     and gives 2."""
+    extras, notes = EXAMPLE_EXTRAS[args.name] if args.subcommand == "example" else (None, ())
     try:
         sys_ = rack.build_rack_system(ext, args.chart_radius, args.quad_order, args.fd_step)
+        results = suites.full_suite(sys_, n_samples=args.samples, seed=args.seed)
+        if extras is not None:
+            results += extras(sys_, args)
+        probe = _i2_probe(sys_, args)
     except OverflowError as exc:
         report["error"] = _overflow_error(exc)
         return 2
     report["config"] = _config_section(args)
-    extras, notes = EXAMPLE_EXTRAS[args.name] if args.subcommand == "example" else (None, ())
-    results = suites.full_suite(sys_, n_samples=args.samples, seed=args.seed)
-    if extras is not None:
-        results += extras(sys_, args)
     report["properties"] = [r.as_dict() for r in results]
-    probe = _i2_probe(sys_, args)
     if probe is not None:
         report["i2_probe"] = probe
     report["notes"] = [PSI_SIGN_NOTE, *notes]

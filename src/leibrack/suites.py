@@ -439,7 +439,7 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
     """For Lie input: the group product (g,a)(h,b) = (gh, a+b+iota2(g,h)) is
     associative, its conjugation equals the rack product, and
     i2(g,h) = iota2(g,h) - iota2(g|>h, g); over the samples in chunks."""
-    if not sys.parent_is_lie:
+    if not sys.ext.parent.is_lie:
         raise ValueError("the Lie specialization needs a Lie algebra input")
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "gagaga")
@@ -542,6 +542,6 @@ def full_suite(sys: LocalRackSystem, n_samples: int = 200, seed: int = 0
     results += roundtrip_suite(sys, pairs)
     results += tangent_suite(sys, pairs)
     results += quadrature_stability_suite(sys, min(20, n_samples), seed + 3)
-    if sys.parent_is_lie:
+    if sys.ext.parent.is_lie:
         results += lie_specialization_suite(sys, max(10, n_samples // 4), seed + 4)
     return results

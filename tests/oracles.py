@@ -57,8 +57,9 @@ The second section holds the helpers that only the tests call, kept out of
 the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
 ``vec_scale``, ``rank`` and ``tau_inverse``, ``coboundary_witness``
 (which decides whether omega is a coboundary), ``random_corpus``,
-``i2_quadrature`` (i2 by quadrature at a rule, from g and h), the
-one-element ``sample_rack_element``, the hard-coded rack-differential
+``i2_quadrature`` (i2 by quadrature at a rule, from g and h),
+``linear_rack`` (eta', i1, i2 and the action read off the linear rack of
+the parent, twisted by phi1), the one-element ``sample_rack_element``, the hard-coded rack-differential
 expansions, the ghost identity defect and the rack-module axiom check."""
 
 import itertools
@@ -312,6 +313,35 @@ def i2_quadrature(sys_, g, h, rule, ok=None) -> np.ndarray:
     a function of group elements."""
     _, xi, eta = conjugate_and_log(sys_, g, h, ok)
     return i2_from_coords(sys_, xi, eta, rule)
+
+
+def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+                twisted: bool = True) -> tuple[np.ndarray, ...]:
+    """(eta', i1, i2, action) of the pairs (g, h), read off the linear rack
+    x |> y = exp(ad x) y of the parent g with no path integral.  In (g0,
+    center) coordinates g is G = F g T = [[A, 0], [C, D]], F and T the float
+    ``from_parent`` and ``to_parent``; with eta the log coordinates of h:
+
+    * eta' = A eta, the log coordinates of g |> h;
+    * i1(tau omega)(g) = C A^-1, as m x d blocks;
+    * i2(g, h) = phi1(rho_eta') C eta, the linear rack's center part twisted
+      by phi1, or C eta untwisted (twisted False);
+    * phi_g = D.
+
+    phi1(X) v is the top-right column of scipy's expm of [[X, v], [0, 0]],
+    so no value comes from ``rack._integral``."""
+    import scipy.linalg
+
+    d, m = sys_.g0_dim, sys_.center_dim
+    big = sys_.ext.from_parent.to_numpy() @ g @ sys_.ext.to_parent.to_numpy()
+    a, c = big[..., :d, :d], big[..., d:, :d]
+    eta = log_coords(sys_, h)
+    eta2, v = matvec(a, eta), matvec(c, eta)
+    if twisted:
+        aug = np.zeros(v.shape[:-1] + (m + 1, m + 1))
+        aug[..., :m, :m], aug[..., :m, m] = sys_.rho_of(eta2), v
+        v = scipy.linalg.expm(aug)[..., :m, m]
+    return eta2, c @ np.linalg.inv(a), v, big[..., d:, d:]
 
 
 def sample_rack_element(sys_, rng, max_norm: float) -> LocalRackElement:

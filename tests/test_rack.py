@@ -3,7 +3,7 @@ Lie specialization."""
 
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -13,7 +13,13 @@ import pytest
 import scipy.linalg
 
 import leibrack.linalg as linalg
-from leibrack.algebra import CentralExtensionData, LeibnizAlgebra, bracket, canonical_extension
+from leibrack.algebra import (
+    CentralExtensionData,
+    LeibnizAlgebra,
+    bracket,
+    canonical_extension,
+    is_lie,
+)
 from leibrack.cli import main
 from leibrack.cohomology import Cochain, leibniz_differential, tau
 from leibrack.corpus import (
@@ -43,6 +49,7 @@ from leibrack.rack import (
     augmented_action,
     build_rack_system,
     conjugate,
+    conjugate_and_log,
     group_from_coords,
     i1,
     i2,
@@ -83,6 +90,7 @@ from oracles import (
     i1_in_hom_module,
     i2_quadrature,
     lie_group_inverse,
+    linear_rack,
     omega_per_node,
     random_corpus,
     sample_rack_element,
@@ -442,6 +450,55 @@ def test_a_split_input_gives_kinyons_rack(name):
     assert np.abs(got - want).max() <= 1e-12
     # F with the opposite sign is not a rack isomorphism
     assert np.abs(got + want).max() > 1e-6
+
+
+# The paper's rack is the linear rack x |> y = exp(ad x) y of g, twisted by
+# phi1.  In (g0, center) coordinates the left multiplication by the lift of
+# xi is [[ad0 xi, 0], [omega(xi, -), rho_xi]], and the bottom-left block of
+# its exp is int_0^1 exp((1-s) rho_xi) omega(xi, exp(s ad0 xi) -) ds: i1's
+# integrand composed with A = exp(ad0 xi).  As rho is a representation,
+# phi1(rho_{A eta}) exp(rho_xi) = exp(rho_xi) phi1(rho_eta), so
+# Psi(xi, a) = (xi, phi1(rho_xi) a) carries the linear rack onto the
+# paper's wherever phi1(rho_xi) is invertible (``oracles.linear_rack``).
+def _oscillator():
+    # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
+    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through the Pade kernel
+    return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
+                                            (0, 1): {2: 1}, (1, 0): {2: -1},
+                                            (0, 2): {1: -1}, (2, 0): {1: 1}})
+
+
+def _sl2():
+    # [h,e] = 2e, [h,f] = -2f, [e,f] = h: no left center, so m = 0
+    return LeibnizAlgebra.from_brackets(3, {(0, 1): {1: 2}, (1, 0): {1: -2}, (0, 2): {2: -2},
+                                            (2, 0): {2: 2}, (1, 2): {0: 1}, (2, 1): {0: -1}})
+
+
+LINEAR_RACK_INPUTS = {
+    "dim5": dim5, "heisenberg": heisenberg, "filiform5": filiform5,
+    "free_nilpotent5": free_nilpotent5,
+    **{f"rl{seed}": partial(random_leibniz, seed) for seed in (1, 35, 38)},
+    "oscillator": _oscillator, "sl2": _sl2,
+    **{f"{kind}-{seed}": partial(inputs.rho_semisimple, kind, seed)
+       for kind in inputs.RHO_KINDS for seed in (0, 1)}}
+
+
+@pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
+def test_the_rack_is_the_linear_rack_twisted_by_phi1(name):
+    sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), 8.0)
+    rng = np.random.default_rng(31)
+    xi, zeta = rng.uniform(-0.15, 0.15, (2, 40, sys_.g0_dim))
+    g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
+    ok = np.ones(40, dtype=bool)
+    _, xi_got, eta = conjugate_and_log(sys_, g, h, ok)
+    assert ok.all()
+    got = (eta, i1(sys_, sys_.omega, g), i2_from_coords(sys_, xi_got, eta),
+           action_from_coords(sys_, xi_got))
+    for what, x, y in zip(("eta'", "i1", "i2", "action"), got, linear_rack(sys_, g, h)):
+        assert x.shape == y.shape and np.abs(x - y).max(initial=0.0) <= 1e-12, what
+    # the negative control: the linear rack's center part without phi1
+    if name == "dim5":
+        assert np.abs(got[2] - linear_rack(sys_, g, h, twisted=False)[2]).max() > 1e-6
 
 
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys):
@@ -908,14 +965,6 @@ def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
         assert np.abs(i2_quadrature(sys_, g, h, rule16) - closed).max() <= 1e-12
 
 
-def _oscillator():
-    # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
-    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through the Pade kernel
-    return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
-                                            (0, 1): {2: 1}, (1, 0): {2: -1},
-                                            (0, 2): {1: -1}, (2, 0): {1: 1}})
-
-
 def _iota2_inner_by_quadrature(sys_, omega_np, g, h, outer, inner):
     """Oracle for iota2: the same outer rule, with the inner t-integral of
     exp(tR) omega(a_s, w_t) taken by Gauss-Legendre at rule inner, where
@@ -1281,62 +1330,112 @@ def test_omega_is_converted_to_floats_once_per_system(name, monkeypatch):
     assert len(calls) == 1
 
 
-# the values a system derives from its extension on first use
-DERIVED = ("omega", "lie_omega", "basis_coords", "bracket_coords", "parent_is_lie")
+# every value a system derives from its extension, each on first use
+DERIVED = ("ad_basis", "rho_basis", "ad0_basis", "coord_pinv", "ad_index", "rho_index",
+           "ad0_index", "omega", "lie_omega", "basis_coords", "bracket_coords")
 
 
-def test_with_chart_radius_copies_without_exact_work(dim5_sys, heis_ext, monkeypatch):
+def test_a_system_is_built_without_exact_work(dim5_ext, monkeypatch):
+    # its fields are the four choices; everything else waits for first use
     import leibrack.rack as rack
-    fresh = build_rack_system(dim5_sys.ext, 0.5)
-    heis = build_rack_system(heis_ext, 0.5)
-    omega, heis_omega = dim5_sys.omega, heis.lie_omega
-    derived = {name: getattr(dim5_sys, name) for name in DERIVED[2:]}
+    monkeypatch.setattr(Matrix, "to_numpy", lambda self: pytest.fail("to_numpy at build"))
+    monkeypatch.setattr(rack, "joint_nilpotency_index",
+                        lambda mats: pytest.fail("a nilpotency index at build"))
+    sys_ = build_rack_system(dim5_ext, 0.5, quad_order=5, fd_step=2e-3)
+    assert [f.name for f in fields(sys_)] == ["ext", "chart_radius", "quad", "fd_step"]
+    assert not set(DERIVED) & set(vars(sys_))
+
+
+def test_with_chart_radius_copies_without_exact_work(heis_ext, monkeypatch):
+    import leibrack.rack as rack
+    sys_, fresh = build_rack_system(heis_ext, 0.5), build_rack_system(heis_ext, 0.5)
+    derived = {name: getattr(sys_, name) for name in DERIVED}
 
     def exact_work(*args):
         raise AssertionError("exact work in with_chart_radius")
-    for name in ("build_rack_system", "joint_nilpotency_index", "lie_cocycle_defect", "is_lie"):
+    for name in ("build_rack_system", "joint_nilpotency_index", "lie_cocycle_defect",
+                 "ad_matrix"):
         monkeypatch.setattr(rack, name, exact_work)
     monkeypatch.setattr(Cochain, "to_numpy", exact_work)
     monkeypatch.setattr(Matrix, "to_numpy", exact_work)
-    wide = dim5_sys.with_chart_radius(8.0)
-    assert wide.chart_radius == 8.0 and dim5_sys.chart_radius == 0.5
-    assert wide.ext is dim5_sys.ext and wide.omega is omega
-    assert all(getattr(wide, name) is value for name, value in derived.items())
-    assert heis.with_chart_radius(8.0).lie_omega is heis_omega
+    wide = sys_.with_chart_radius(8.0)
+    assert wide.chart_radius == 8.0 and sys_.chart_radius == 0.5 and wide.ext is sys_.ext
+    for name, value in derived.items():
+        assert getattr(wide, name) is value, name
     # a system that derived nothing yet leaves the derivations to the copy
     assert not set(DERIVED) & set(vars(fresh.with_chart_radius(8.0)))
     monkeypatch.undo()
-    assert (fresh.with_chart_radius(8.0).omega == omega).all()
-    for name in ("ad_basis", "rho_basis", "ad0_basis", "coord_pinv"):
-        assert getattr(wide, name) is getattr(dim5_sys, name)
-    assert (wide.ad_index, wide.rho_index, wide.ad0_index) == \
-        (dim5_sys.ad_index, dim5_sys.rho_index, dim5_sys.ad0_index)
+    assert (fresh.with_chart_radius(8.0).omega == derived["omega"]).all()
     with pytest.raises(ValueError):
-        dim5_sys.with_chart_radius(0.0)
+        sys_.with_chart_radius(0.0)
 
 
 def test_a_system_on_another_extension_derives_its_values_afresh(heis_ext, dim5_ext):
     sys_ = build_rack_system(heis_ext, 0.5)
-    assert sys_.parent_is_lie and sys_.lie_omega.shape == (2, 1, 2)
+    for name in DERIVED:
+        getattr(sys_, name)
+    assert sys_.lie_omega.shape == (2, 1, 2) and sys_.ad_basis.shape == (2, 3, 3)
     assert sys_.basis_coords.shape == (3, 3) and sys_.bracket_coords.shape == (9, 3)
     other = replace(sys_, ext=dim5_ext)
     assert not set(DERIVED) & set(vars(other))
-    assert not other.parent_is_lie and other.omega.shape == (2, 3, 2)
+    assert other.omega.shape == (2, 3, 2) and other.ad_basis.shape == (2, 5, 5)
     assert (other.basis_coords == dim5_ext.from_parent.to_numpy().T).all()
     assert other.bracket_coords.tobytes() == bracket_coords_by_brackets(dim5_ext).tobytes()
 
 
-def test_a_report_asks_whether_the_parent_is_lie_once(heis_ext, monkeypatch):
+# (source, target): sizes that differ, the same sizes (5, 2, 3) with
+# another G0, and a Lie target, where iota2 runs
+REPLACED = {"heisenberg->dim5": (heisenberg, dim5),
+            "dim5->rl9": (dim5, partial(random_leibniz, 9)),
+            "dim5->heisenberg": (dim5, heisenberg)}
+
+
+@pytest.mark.parametrize("pair", list(REPLACED))
+def test_a_replaced_extension_gives_the_system_built_on_it(pair):
+    source, target = (canonical_extension(make()) for make in REPLACED[pair])
+    old = build_rack_system(source, 0.5)
+    for name in DERIVED[:7]:
+        getattr(old, name)
+    got, want = replace(old, ext=target), build_rack_system(target, 0.5)
+    rng = np.random.default_rng(29)
+    xi, zeta = rng.uniform(-0.05, 0.05, (2, 20, want.g0_dim))
+    a, b = rng.uniform(-1.0, 1.0, (2, 20, want.center_dim))
+    g, h = group_from_coords(want, xi), group_from_coords(want, zeta)
+    assert group_from_coords(got, xi).tobytes() == g.tobytes()
+
+    def values(sys_):
+        ok = np.ones(20, dtype=bool)
+        r = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b), ok)
+        out = [ok, r.g, r.a, i2(sys_, g, h, ok)]
+        if is_lie(sys_.ext.parent):
+            out.append(iota2(sys_, g, h, ok))
+        else:
+            with pytest.raises(NotLieCocycleError, match="anti-symmetric|cocycle") as err:
+                iota2(sys_, g, h)
+            out.append(str(err.value))
+        return out
+
+    got_values, want_values = values(got), values(want)
+    assert want_values[0].sum() >= 10
+    for x, y in zip(got_values, want_values):
+        assert (x == y if isinstance(x, str) else x.tobytes() == y.tobytes())
+
+
+def test_a_report_asks_whether_the_parent_is_lie_once(capsys, monkeypatch):
+    import leibrack.algebra as algebra
+    import leibrack.cli as cli
     import leibrack.rack as rack
     import leibrack.suites as suites
     calls = []
-    for module in (rack, suites):
+    for module in (cli, rack, suites, algebra):
         if hasattr(module, "is_lie"):
             monkeypatch.setattr(module, "is_lie",
                                 lambda alg, lie=module.is_lie: calls.append(alg) or lie(alg))
-    results = full_suite(build_rack_system(heis_ext, 0.5), n_samples=20, seed=0)
-    assert calls == [heis_ext.parent]
-    assert "lie_group_associativity" in {r.name for r in results}
+    assert main(["example", "heisenberg", "--samples", "20", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["algebra"]["is_lie"] is True
+    assert "lie_group_associativity" in {r["name"] for r in doc["properties"]}
+    assert calls == [heisenberg()]
 
 
 # -- the rack product's work, and reports against the one-sample oracles --------

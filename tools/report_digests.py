@@ -43,7 +43,12 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   through CHECKOUT's ``LeibnizAlgebra.from_brackets``: the oscillator,
   whose ad family is not nilpotent, so iota2 runs on a G0 that is not
   unipotent, and sl2, whose left center is zero, so every center stack is
-  empty.
+  empty;
+* ``integrate`` and ``analyze`` on three inputs with an exact value outside
+  float range, written as JSON: a left center spanned by (-10^400, 1, 0),
+  an omega of 10^400, and a realized g0 of 10^400, which only the rack
+  system converts.  Each ``integrate`` report exits 2 with an
+  ``OverflowError``, as ``analyze`` does on the first two.
 """
 
 from __future__ import annotations
@@ -78,6 +83,19 @@ LIE_INPUTS = {
     # [h,e] = 2e, [h,f] = -2f, [e,f] = h
     "sl2": (3, {(0, 1): {1: 2}, (1, 0): {1: -2}, (0, 2): {2: -2}, (2, 0): {2: 2},
                 (1, 2): {0: 1}, (2, 1): {0: -1}}),
+}
+# inputs with an exact value outside float range: the file's JSON document
+OVERFLOW_INPUTS = {
+    # center is spanned by (-10^400, 1, 0)
+    "tiny_and_huge": {"dim": 3, "brackets": [
+        {"left": 0, "right": 0, "value": {"2": "1/1" + "0" * 200}},
+        {"left": 1, "right": 0, "value": {"2": "1" + "0" * 200}}]},
+    # [e1,e1] = 10^400 e2: omega(e1, e1) is 10^400
+    "huge_omega": {"dim": 2, "brackets": [{"left": 0, "right": 0, "value": {"1": 10 ** 400}}]},
+    # [e1,e2] = 10^400 e2 = -[e2,e1]: the realized g0 overflows
+    "huge_g0": {"dim": 2, "brackets": [
+        {"left": 0, "right": 1, "value": {"1": str(10 ** 400)}},
+        {"left": 1, "right": 0, "value": {"1": str(-10 ** 400)}}]},
 }
 
 RUNNER = "import sys; sys.path.insert(0, sys.argv.pop(1)); " \
@@ -118,6 +136,8 @@ def runs() -> list[tuple[str, list[str]]]:
             for id_ in LIE_INPUTS for r in ("0.5", "4")]
     out += [(id_, [cmd, "{file}", "--json"])
             for id_ in LIE_INPUTS for cmd in ("verify", "analyze")]
+    out += [(id_, [cmd, "{file}", "--json"])
+            for id_ in OVERFLOW_INPUTS for cmd in ("integrate", "analyze")]
     return out
 
 
@@ -148,6 +168,9 @@ def main(argv=None) -> int:
         for id_, (n, brackets) in LIE_INPUTS.items():
             paths[id_] = f"{tmp}/{id_}.leib"
             write_algebra_file(LeibnizAlgebra.from_brackets(n, brackets), paths[id_])
+        for id_, doc in OVERFLOW_INPUTS.items():
+            paths[id_] = f"{tmp}/{id_}.leib"
+            Path(paths[id_]).write_text(json.dumps(doc))
         data = str(checkout / "src" / "leibrack" / "data")
 
         def masked(text):
