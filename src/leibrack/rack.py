@@ -22,10 +22,26 @@ beta(e_p): ``LocalRackSystem.omega`` for tau omega, which iota2 reads too.
 ``_integral`` takes each, in closed form by ``linalg.phi1_float`` (i1 with
 the right factor ad0_xi, on m x m and d x d matrices, never on Hom(g0, a)
 itself), or by Gauss-Legendre quadrature at a rule, their independent
-cross-check.  i2 depends on g and h only through the log coordinates of g
-and g |> h (``conjugate_and_log``), from which ``i2_from_coords``
-integrates.  The tests keep a finite-difference evaluator along an
+cross-check.  The tests keep a finite-difference evaluator along an
 arbitrary path as an independent check of i1.
+
+The package takes i2 from g's matrix instead.  In (g0, center)
+coordinates g is G = F g T = [[A, 0], [C, D]] (``split``), F and T the
+float ``from_parent`` and ``to_parent``: G is exp of the left
+multiplication by the lift of xi, whose bottom-left block is omega(xi, -),
+so A = exp(ad0 xi), D = exp(rho_xi) = phi_g and C = i1(tau omega)(g) A.
+With eta the log coordinates of h, those of g |> h are A eta, so
+
+    i2(omega)(g, h) = phi1(rho_{A eta}) C eta,
+
+one phi1 on m x m matrices and no log of g or of g |> h: the linear rack
+x |> y = exp(ad x) y of the parent, twisted by phi1 (Kinyon, J. Lie Theory
+17, 2007; Bordemann and Wagemann, J. Lie Theory 27, 2017).
+``conjugate_and_split`` gives g |> h, G and eta, and ``i2_from_split``
+integrates.  The paper's form from the log coordinates of g and g |> h
+(``conjugate_and_log``, ``i2_from_coords``) stays for the quadrature
+cross-check, which so no longer runs through the production i2's split,
+and for ``i1``, which takes any beta.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -36,9 +52,10 @@ One record, ``LocalRackSystem``, holds the four choices that make a
 system: the extension, G0's chart radius, iota2's quadrature rule and the
 finite-difference step, and every operation takes it.  Every other value
 is derived from the extension one way: on first use, once per system.
-Those are the float bases and the joint nilpotency indices of the ad, rho
-and ad0 families (the float exp and phi1 of a nilpotent family are finite
-series; others go to the Pade kernel ``linalg._expm_pade``), the
+Those are the float change of basis (F, T), the float bases and the joint
+nilpotency indices of the ad, rho and ad0 families (the float exp and
+phi1 of a nilpotent family are finite series; others go to the Pade
+kernel ``linalg._expm_pade``), the
 pseudo-inverse that reads log coordinates, omega's float stack and its
 exact Lie-cocycle check for iota2 (``lie_omega``), and the suites' parent
 basis and brackets in (g0, center) coordinates.  So the system makes every
@@ -51,16 +68,17 @@ The local rack product on G0 x a is then
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
 
 with neutral element (1, 0), and the projection to the first factor makes it
-a local augmented rack.  ``augmented_action`` conjugates and logs once
-(``conjugate_and_log``): g's log coordinates give both its action and
-i1(tau omega)(g), and those of g |> h go on to i2's integrand.
+a local augmented rack.  ``augmented_action`` conjugates once, splits g
+and logs h (``conjugate_and_split``): g's split gives both its action D
+and i2.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
 the augmented action, the tangent bracket's finite difference, iota2 and
 the Lie group product each take one group element (n, n) or a stack of them
 (..., n, n), with a mask of the slices that succeeded (see the comment at
-the head of the chart operations), and i2_from_coords and
-action_from_coords their log coordinates (..., d).  The suites run their
+the head of the chart operations); i2_from_coords takes their log
+coordinates (..., d), and i2_from_split, conjugate_coords and
+action_from_split their splits (..., n, n).  The suites run their
 sample sets as stacks, in chunks of a bounded size.  One element is a
 stack with no leading axes and takes the same code, with no branch of its
 own, and the bases of a trivial g0 are (0, k, k) stacks.  A slice equals
@@ -137,7 +155,8 @@ class LocalRackSystem:
     adjoint of g0 on itself; each is a (g0_dim, k, k) stack, (0, k, k) for
     trivial g0.  ad_index, rho_index and ad0_index are the exact joint
     nilpotency indices of the ad, rho and ad0 families (None if not
-    nilpotent); they select exp's series."""
+    nilpotent); they select exp's series.  change_of_basis is the float
+    pair (from_parent, to_parent) that ``split`` reads."""
 
     ext: CentralExtensionData
     chart_radius: float
@@ -255,9 +274,15 @@ class LocalRackSystem:
         return self.omega
 
     @cached_property
+    def change_of_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, T), the float ``from_parent`` and ``to_parent``: F maps g
+        coordinates to (g0, center) coordinates, T back."""
+        return self.ext.from_parent.to_numpy(), self.ext.to_parent.to_numpy()
+
+    @cached_property
     def basis_coords(self) -> np.ndarray:
         """The parent's basis in (g0, center) coordinates, row i that of e_i."""
-        return self.ext.from_parent.to_numpy().T
+        return self.change_of_basis[0].T
 
     @cached_property
     def bracket_coords(self) -> np.ndarray:
@@ -366,20 +391,20 @@ def group_inverse(g: np.ndarray, what: str = "group element",
 
 
 def _conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-               ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(g behind its chart gate, g |> h), for ``conjugate`` and
-    ``conjugate_and_log``."""
+               ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g and h behind their chart gates, g |> h), for ``conjugate``,
+    ``conjugate_and_split`` and ``conjugate_and_log``."""
     g = _chart_gate(sys, g, "conjugator", ok)
     h = _chart_gate(sys, h, "conjugated element", ok)
     r = g @ h @ group_inverse(g, "conjugator", ok)
-    return g, _chart_gate(sys, r, "conjugation result", ok)
+    return g, h, _chart_gate(sys, r, "conjugation result", ok)
 
 
 def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
               ok: np.ndarray | None = None) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
-    return _conjugate(sys, g, h, ok)[1]
+    return _conjugate(sys, g, h, ok)[2]
 
 
 def _gated_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, ok: np.ndarray | None):
@@ -440,11 +465,10 @@ def _i1(sys: LocalRackSystem, beta: np.ndarray, xi: np.ndarray,
                      rule, sys.ad0_of(xi), sys.ad0_index)
 
 
-def _i2(sys: LocalRackSystem, hom: np.ndarray, eta: np.ndarray,
+def _i2(sys: LocalRackSystem, eta: np.ndarray, v: np.ndarray,
         rule: QuadratureRule | None = None) -> np.ndarray:
-    """i2(omega)(g, h) = integral_0^1 exp(t rho_eta) hom(eta) dt from the
-    blocks hom = i1(tau omega)(g) and the log coordinates eta of g |> h."""
-    v = matvec(hom, eta)
+    """integral_0^1 exp(t rho_eta) v dt, i2's outer integral, from the log
+    coordinates eta of g |> h and the value v of its integrand at t = 0."""
     return _integral(sys.rho_of(eta), v, _vanishing(v), sys.rho_index, rule)
 
 
@@ -461,38 +485,74 @@ def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) 
     return _i1(sys, beta, log_coords(sys, _chart_gate(sys, g, "group element", ok), ok))
 
 
+def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
+    """G = F g T, g in (g0, center) coordinates, F and T the float
+    ``from_parent`` and ``to_parent``: the block-triangular [[A, 0], [C, D]]
+    with A = exp(ad0 xi), C = i1(tau omega)(g) A and D = phi_g, xi the log
+    coordinates of g."""
+    f, t = sys.change_of_basis
+    return f @ g @ t
+
+
+def conjugate_and_split(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+                        ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(g |> h, G, eta), with G g's ``split`` and eta the log coordinates of
+    h, all that i2(g, h) and g's action need.  The gates run in that order:
+    the conjugation, which gates g and h once, then h's log."""
+    g, h, gh = _conjugate(sys, g, h, ok)
+    return gh, split(sys, g), log_coords(sys, h, ok)
+
+
+def conjugate_coords(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """A eta, the log coordinates of g |> h, from g's split G (see ``split``)
+    and the log coordinates eta of h: no log is taken."""
+    d = sys.g0_dim
+    return matvec(big[..., :d, :d], eta)
+
+
+def i2_from_split(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """i2(omega)(g, h) = phi1(rho_{A eta}) C eta from g's split G and the
+    log coordinates eta of h: A eta are those of g |> h
+    (``conjugate_coords``), and C eta = i1(tau omega)(g)(A eta) is i2's
+    integrand at t = 0."""
+    d = sys.g0_dim
+    return _i2(sys, conjugate_coords(sys, big, eta), matvec(big[..., d:, :d], eta))
+
+
+def action_from_split(sys: LocalRackSystem, big: np.ndarray) -> np.ndarray:
+    """phi_g = exp(rho_xi), the block D of g's split G."""
+    d = sys.g0_dim
+    return big[..., d:, d:]
+
+
 def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                       ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """(g |> h, xi, eta), with xi and eta the log coordinates of g and of
-    g |> h, all that i2(g, h) and g's action need.  The gates run in i2's
-    order: the conjugation, which gates g once, g's log, the log of g |> h.
-    g's slices outside the chart are logged as the identity."""
-    g, gh = _conjugate(sys, g, h, ok)
+    g |> h, from which ``i2_from_coords`` integrates.  The gates run in
+    this order: the conjugation, which gates g once, g's log, the log of
+    g |> h.  g's slices outside the chart are logged as the identity."""
+    g, _, gh = _conjugate(sys, g, h, ok)
     return gh, log_coords(sys, g, ok), log_coords(sys, gh, ok)
 
 
 def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
                    rule: QuadratureRule | None = None) -> np.ndarray:
-    """i2(omega)(g, h) from the log coordinates xi of g and eta of g |> h;
-    with a rule, both path integrals by quadrature, i2's cross-check, exact
-    up to rounding when rho is nilpotent and 2 * rule.order exceeds the
-    polynomial degree of the integrands."""
-    return _i2(sys, _i1(sys, sys.omega, xi, rule), eta, rule)
-
-
-def action_from_coords(sys: LocalRackSystem, xi: np.ndarray) -> np.ndarray:
-    """phi_g = exp(rho_xi) from the log coordinates xi of g."""
-    return exp_float(sys.rho_of(xi), sys.rho_index)
+    """i2(omega)(g, h) as the paper's two path integrals, from the log
+    coordinates xi of g and eta of g |> h: i1(tau omega)(g) along log g,
+    then i2's along log(g |> h).  With a rule, both by quadrature: i2's
+    cross-check, exact up to rounding when rho is nilpotent and
+    2 * rule.order exceeds the polynomial degree of the integrands.  It
+    shares only the outer integral's evaluator with ``i2_from_split``."""
+    return _i2(sys, eta, matvec(_i1(sys, sys.omega, xi, rule), eta), rule)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
        ok: np.ndarray | None = None) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
-    path to g |> h."""
-    gh = conjugate(sys, g, h, ok)
-    # i1 by name, not i2_from_coords: perfbench/tracer.py counts rack.i1 here
-    return _i2(sys, i1(sys, sys.omega, g, ok), log_coords(sys, gh, ok))
+    path to g |> h, read off g's split (``i2_from_split``)."""
+    _, big, eta = conjugate_and_split(sys, g, h, ok)
+    return i2_from_split(sys, big, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +570,10 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
                      ok: np.ndarray | None = None) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
-    g is conjugated once and logged once; its log coordinates give both
-    its action and i1(tau omega)(g)."""
-    gh, xi, eta = conjugate_and_log(sys, g, v.g, ok)
-    a = matvec(action_from_coords(sys, xi), v.a) + i2_from_coords(sys, xi, eta)
+    g is conjugated and split once, and h logged once; g's split gives
+    both its action and i2."""
+    gh, big, eta = conjugate_and_split(sys, g, v.g, ok)
+    a = matvec(action_from_split(sys, big), v.a) + i2_from_split(sys, big, eta)
     return LocalRackElement(gh, a)
 
 

@@ -95,10 +95,12 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     """i2(g, g) at g = exp(ad e_1), the unit step along the first
     coordinate direction.  Unit-coordinate group elements usually leave the
     configured chart, so this is evaluated on an explicitly widened chart.
-    The realized G0 is unipotent for every nilpotent action, but the float
-    log takes its finite series only when the float test finds g - I
-    exactly nilpotent; rounding can send g down the convergent series,
-    which is gated at ||g - I|| < 1, and then the probe is skipped
+    ``rack.i2`` logs only g here, so the probe then takes the paper's logs
+    of g and g |> g for their gates, as the captured reports record them;
+    the first gate that fails is the one the paper's form meets first.  The realized G0 is unipotent for every nilpotent action, but the
+    float log takes its finite series only when the float test finds
+    m - I exactly nilpotent; rounding can send g |> g down the convergent
+    series, which is gated at ||m - I|| < 1, and then the probe is skipped
     (random_leibniz(38) is such a case)."""
     d = sys_.g0_dim
     if d == 0:
@@ -109,6 +111,7 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
         wide = sys_.with_chart_radius(radius)
         g = rack.group_from_coords(wide, x)
         value = rack.i2(wide, g, g)
+        rack.conjugate_and_log(wide, g, g)  # the paper's gates alone
     except OutOfChartError as exc:
         return {"skipped": str(exc)}
     return {
@@ -188,12 +191,12 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
     g, h = rack.group_from_coords(sys_, a), rack.group_from_coords(sys_, b)
     i1_ok, ok = np.ones(len(draws), dtype=bool), np.ones(len(draws), dtype=bool)
     got_i1 = rack.i1(sys_, sys_.omega, g, i1_ok)
-    # i2 and the rack product (g, ac) |> (h, bc) from one conjugation g |> h
-    # and the logs of g and g |> h
-    _, xi, eta = rack.conjugate_and_log(sys_, g, h, ok)
-    got_i2 = rack.i2_from_coords(sys_, xi, eta)
-    got_conj = np.concatenate([eta, matvec(rack.action_from_coords(sys_, xi), bc) + got_i2],
-                              axis=1)
+    # i2 and the rack product (g, ac) |> (h, bc) in (g0, center)
+    # coordinates from one conjugation g |> h, g's split and h's log
+    _, big, eta = rack.conjugate_and_split(sys_, g, h, ok)
+    got_i2 = rack.i2_from_split(sys_, big, eta)
+    got_conj = np.concatenate([rack.conjugate_coords(sys_, big, eta),
+                               matvec(rack.action_from_split(sys_, big), bc) + got_i2], axis=1)
     want_i1, want_i2, want_conj = (np.array(want) for want in zip(*(
         (dim5_i1_matrix(*x), dim5_f(x, y),
          dim5_conjugation(np.concatenate([x, xc]), np.concatenate([y, yc])))

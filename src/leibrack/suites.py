@@ -34,10 +34,10 @@ on a (k, n) stack (``_stack``), and each of the k parts narrows its own
 row of the call's (k, n) mask, which goes to the properties the part
 serves.  Each part is a C-contiguous copy, so its slices equal its own
 call's bit for bit.  ``cocycle_suite`` takes one conjugation of three
-pairs, one group product of two, one log of five elements, one
-conjugation of four pairs, one log of six, and from the log coordinates
-one i2 of six pairs and one action of two; ``rack_axiom_suite`` three
-rack products, the first of three pairs and the second of four;
+pairs, one group product of two, the log of k alone, one conjugation of
+four pairs, one split of five elements, and from the splits one i2 of six
+pairs and one action of two; ``rack_axiom_suite`` three rack products,
+the first of three pairs and the second of four;
 ``augmented_action_suite`` two actions, of three and two;
 ``lie_specialization_suite`` one conjugation and two iota2, of 4 and 3 pairs.
 
@@ -57,13 +57,16 @@ later property's cumulative mask, never the reverse: the three rows of
 ``cocycle_suite`` share their conjugations, logs, i2 values and actions,
 and row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of
 row 1 and the i2(u.g, v.g) of row 2.  Where a suite needs i2 or an
-action, it takes them from the log coordinates it already has
-(``rack.i2_from_coords``, ``rack.action_from_coords``) rather than
-conjugating and logging their group elements again: ``cocycle_suite``
-logs the elements its conjugations and products formed, and
-``lie_specialization_suite`` and ``quadrature_stability_suite`` take i2
-from one conjugation and its logs (``rack.conjugate_and_log``), from
-which the Lie suite also forms the rack product u |> v.
+action, it reads them off the split of the group element that acts
+(``rack.split``, ``rack.i2_from_split``, ``rack.action_from_split``)
+rather than conjugating its pairs again.  ``cocycle_suite`` splits the
+elements its draws, conjugations and products formed and logs only k:
+the log coordinates of g |> k and h |> k are those of k under the splits
+of g and h (``rack.conjugate_coords``).  ``lie_specialization_suite``
+takes i2 and the rack product u |> v from one conjugation, u.g's split
+and v.g's log (``rack.conjugate_and_split``).  ``quadrature_stability_suite``
+alone takes the paper's form, i2 from the log coordinates of g and g |> h
+(``rack.conjugate_and_log``, ``rack.i2_from_coords``) at two rules.
 """
 
 from __future__ import annotations
@@ -77,18 +80,22 @@ from .linalg import gauss_legendre_01, matvec, norm1_float
 from .rack import (
     LocalRackElement,
     LocalRackSystem,
-    action_from_coords,
+    action_from_split,
     augmented_action,
     conjugate,
     conjugate_and_log,
+    conjugate_and_split,
+    conjugate_coords,
     group_from_coords,
     group_inverse,
     group_product,
     i2_from_coords,
+    i2_from_split,
     iota2,
     lie_group_product,
     log_coords,
     rack_product,
+    split,
     tangent_bracket,
 )
 
@@ -351,30 +358,34 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
     them, over the triples in chunks.  The three share their terms, each
-    computed once from log coordinates: the seven conjugations in two
-    calls, the two group products in one, the logs of the eleven elements
-    they and the triple give in two, then the six i2 values and the two
-    actions in one call each.  A triple that leaves the chart anywhere is
-    one skip for all three."""
+    computed once: the seven conjugations in two calls, the two group
+    products in one, and the log of k alone.  The six i2 values and the
+    two actions are read off the splits of h, g, g|>h, gh and (g|>h) g in
+    one call each (see ``rack.split``), and the log coordinates of g|>k and
+    h|>k are those of k under g's and h's split.  So the four conjugations
+    of the second round give only their chart gates.  A triple that leaves
+    the chart anywhere is one skip for all three."""
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_triples, "ggg")
 
     def run(lo, hi):
         g, h, k = take(slice(lo, hi))
         # one mask for every call, each narrowing its leading rows: a triple
-        # that fails any of them is one skip.  The widest stacks, the log of
-        # six elements and i2 of six pairs, are 6 a sample
-        mask = np.ones((6, hi - lo), dtype=bool)
+        # that fails any of them is one skip.  The widest stacks, the splits
+        # of i2's six pairs, are 6 a sample
+        mask = np.ones((4, hi - lo), dtype=bool)
         gh, gk, hk = conjugate(sys, _stack(g, g, h), _stack(h, k, k), mask[:3])
         g_h, gh_g = group_product(sys, _stack(g, gh), _stack(h, g), mask[:2])
-        xi_g, xi_h, xi_gh, xi_gk, xi_hk = log_coords(sys, _stack(g, h, gh, gk, hk), mask[:5])
-        # the four conjugations that i2 still needs: (g|>h) |> (g|>k),
-        # g |> (h|>k), gh |> k and ((g|>h) g) |> k
-        conj = conjugate(sys, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask[:4])
-        xi_g_h, xi_gh_g, *eta = log_coords(sys, _stack(g_h, gh_g, *conj), mask)
-        f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_coords(
-            sys, _stack(xi_h, xi_g, xi_gh, xi_g, xi_g_h, xi_gh_g), _stack(xi_hk, xi_gk, *eta))
-        act_g, act_gh = action_from_coords(sys, _stack(xi_g, xi_gh))
+        eta_k = log_coords(sys, k, mask[0])
+        # the four conjugations of i2's pairs, for their chart gates alone:
+        # (g|>h) |> (g|>k), g |> (h|>k), gh |> k and ((g|>h) g) |> k
+        conjugate(sys, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask)
+        # the splits of i2's six acting elements: h, g, g|>h, g, gh, (g|>h) g
+        big = split(sys, _stack(h, g, gh, g_h, gh_g))[[0, 1, 2, 1, 3, 4]]
+        eta_gk, eta_hk = conjugate_coords(sys, big[[1, 0]], eta_k)
+        f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_split(
+            sys, big, _stack(eta_k, eta_k, eta_gk, eta_hk, eta_k, eta_k))
+        act_g, act_gh = action_from_split(sys, big[1:3])
         g_f_hk, gh_f_gk = matvec(act_g, f_h_k), matvec(act_gh, f_g_k)
         dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
         ghost = g_f_hk - f_gh_k + f_g_hk
@@ -449,9 +460,9 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
         n = hi - lo
         u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
         inv_ok, cl_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-        # u.g |> v.g and its logs give row 2's u |> v and i2 for rows 2, 3
-        gh, xi, eta = conjugate_and_log(sys, u.g, v.g, cl_ok)
-        i2_uv = i2_from_coords(sys, xi, eta)
+        # u.g |> v.g and u.g's split give row 2's u |> v and i2 for rows 2, 3
+        gh, big, eta = conjugate_and_split(sys, u.g, v.g, cl_ok)
+        i2_uv = i2_from_split(sys, big, eta)
         # u^-1 = (g^-1, -a - iota2(g, g^-1)), the local Lie group's
         # inverse; iota2 and the products below apply g^-1's chart gate
         uinv_g = group_inverse(u.g, ok=inv_ok)
@@ -471,7 +482,7 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
         second = np.ones((3, n), dtype=bool)
         uv_w, u_vw, uv_uinv = _parts(lie_group_product(sys, _stack(uv, u, uv),
                                                        _stack(w, vw, uinv), second))
-        u_v = LocalRackElement(gh, matvec(action_from_coords(sys, xi), v.a) + i2_uv)
+        u_v = LocalRackElement(gh, matvec(action_from_split(sys, big), v.a) + i2_uv)
         return (elem_distance(uv_w, u_vw), first[:2].all(axis=0) & second[:2].all(axis=0),
                 elem_distance(uv_uinv, u_v), inv_ok & cl_ok & first[2] & second[2],
                 sup_rows(i2_uv - (iota_uv - iota_gh)), cl_ok & first[3])

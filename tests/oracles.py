@@ -44,10 +44,11 @@ its nonzero values, and its flat row-major values.
 with the right action that the module's flavor fixes (``right_action``).
 
 The first section holds the forms of rack operations that the package
-does not run, kept out of ``rack``: the group-element action
-``group_action``, the stacked finite difference ``delta2`` of a rack
-2-cochain (on the package's own ``rack._mixed_difference``, so that the
-round trip's row compares with it bit for bit), the Lie group inverse
+does not run, kept out of ``rack``: the action ``action_from_coords``
+from log coordinates and the group-element action ``group_action``, the
+stacked finite difference ``delta2`` of a rack 2-cochain (on the
+package's own ``rack._mixed_difference``, so that the round trip's row
+compares with it bit for bit), the Lie group inverse
 ``lie_group_inverse``, and the rack cochains ``RackCochainFn`` with their
 module structures ``RackModuleStructure`` and the rack differential d_R in
 both sign conventions of its psi term, ``rack_differential_eval``
@@ -75,24 +76,27 @@ from leibrack.algebra import LeibnizAlgebra, bracket, is_lie
 from leibrack.cohomology import Cochain, hom_representation, leibniz_differential
 from leibrack.corpus import random_leibniz
 from leibrack.exact import Matrix, OutOfChartError, as_vec, joint_nilpotency_index, rref, zero_vec
-from leibrack.linalg import gauss_legendre_01, matvec, phi1_float
+from leibrack.linalg import exp_float, gauss_legendre_01, matvec, phi1_float
 from leibrack.rack import (
     LocalRackElement,
     LocalRackSystem,
-    action_from_coords,
+    action_from_split,
     augmented_action,
     conjugate,
     conjugate_and_log,
+    conjugate_coords,
     group_from_coords,
     group_inverse,
     group_product,
     i1,
     i2,
     i2_from_coords,
+    i2_from_split,
     iota2,
     lie_group_product,
     log_coords,
     rack_product,
+    split,
 )
 from leibrack.rack_report import (
     PHI_TYPO_NOTE,
@@ -106,11 +110,16 @@ from leibrack.suites import PropertyResult, elem_distance, sample_group_element
 
 # -- the rack's group-element forms and its cochains -------------------------
 
+def action_from_coords(sys_: LocalRackSystem, xi: np.ndarray) -> np.ndarray:
+    """phi_g = exp(rho_xi) from the log coordinates xi of g; the package
+    reads phi_g off g's split instead (``rack.action_from_split``)."""
+    return exp_float(sys_.rho_of(xi), sys_.rho_index)
+
+
 def group_action(sys_: LocalRackSystem, g: np.ndarray,
                  ok: np.ndarray | None = None) -> np.ndarray:
     """phi_g = exp(rho_{log g}), the integrated action of G0 on the center,
-    from the group element g; the package takes phi_g from log coordinates
-    it already has (``rack.action_from_coords``)."""
+    from the group element g."""
     return action_from_coords(sys_, log_coords(sys_, g, ok))
 
 
@@ -508,16 +517,32 @@ def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
 
 
 def cocycle_one_by_one(sys_, n_triples=100, seed=1):
+    """The cocycle suite's three rows, one triple at a time, with the
+    suite's arithmetic: every conjugation and product that the identities
+    name, for its chart gates, and each i2(x, y) and action of x read off
+    x's split, with the log coordinates of k, g |> k and h |> k taken as
+    eta_k, A_g eta_k and A_h eta_k, as the suite takes them.  The
+    identities' normative forms, on group elements, stay in
+    ``rack_diff2_expansion`` and ``ghost_identity_defect``."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
-    f = RackCochainFn(2, lambda g, h: i2(sys_, g, h))
-    mod = RackModuleStructure.anti_symmetric(sys_.center_dim, lambda g: group_action(sys_, g))
-    conj = lambda x, y: conjugate(sys_, x, y)
 
     def check(g, h, k):
-        dr = rack_diff2_expansion(mod, f, g, h, k, conj)
-        ghost = ghost_identity_defect(sys_, g, h, k)
-        ghost_shift = ghost_identity_defect(sys_, conj(g, h), g, k)
+        gh, gk, hk = conjugate(sys_, g, h), conjugate(sys_, g, k), conjugate(sys_, h, k)
+        g_h, gh_g = group_product(sys_, g, h), group_product(sys_, gh, g)
+        eta_k = log_coords(sys_, k)
+        for x, y in ((gh, gk), (g, hk), (g_h, k), (gh_g, k)):
+            conjugate(sys_, x, y)
+        big_h, big_g, big_gh, big_g_h, big_gh_g = (split(sys_, x) for x in (h, g, gh, g_h, gh_g))
+        eta_gk, eta_hk = conjugate_coords(sys_, big_g, eta_k), conjugate_coords(sys_, big_h, eta_k)
+        f_h_k, f_g_k = i2_from_split(sys_, big_h, eta_k), i2_from_split(sys_, big_g, eta_k)
+        f_gh_gk, f_g_hk = i2_from_split(sys_, big_gh, eta_gk), i2_from_split(sys_, big_g, eta_hk)
+        f_gh_k, f_ghg_k = i2_from_split(sys_, big_g_h, eta_k), i2_from_split(sys_, big_gh_g, eta_k)
+        g_f_hk = matvec(action_from_split(sys_, big_g), f_h_k)
+        gh_f_gk = matvec(action_from_split(sys_, big_gh), f_g_k)
+        dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
+        ghost = g_f_hk - f_gh_k + f_g_hk
+        ghost_shift = gh_f_gk - f_ghg_k + f_gh_gk
         return sup_norm(dr), sup_norm(ghost), sup_norm(dr - (ghost - ghost_shift))
 
     return sampled(n_triples,
@@ -659,7 +684,9 @@ def dim5_extras_one_by_one(sys_, args):
         yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
         got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        yield sup_norm(np.concatenate([log_coords(sys_, got.g), got.a]) - want)
+        # g |> h in coordinates as the extra reads them, A eta with no log
+        eta = conjugate_coords(sys_, split(sys_, g), log_coords(sys_, h))
+        yield sup_norm(np.concatenate([eta, got.a]) - want)
 
     return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
                                      ("conjugation_closed_form", 1e-9)])

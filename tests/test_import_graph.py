@@ -61,7 +61,7 @@ EXPORTS = {
 # export
 DROPPED_EXPORTS = ("RackCochainFn", "RackModuleStructure", "delta2", "rack_differential_eval",
                    "rack_differential_general", "IntegratorConfig", "default_config")
-MOVED_FROM_RACK = DROPPED_EXPORTS + ("group_action", "lie_group_inverse")
+MOVED_FROM_RACK = DROPPED_EXPORTS + ("group_action", "lie_group_inverse", "action_from_coords")
 
 PRELUDE = f"""
 import contextlib, io, json, sys

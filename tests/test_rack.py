@@ -16,6 +16,7 @@ import leibrack.linalg as linalg
 from leibrack.algebra import (
     CentralExtensionData,
     LeibnizAlgebra,
+    assemble_extension,
     bracket,
     canonical_extension,
     is_lie,
@@ -45,7 +46,6 @@ from leibrack.rack import (
     NotLieCocycleError,
     _i1,
     _i2,
-    action_from_coords,
     augmented_action,
     build_rack_system,
     conjugate,
@@ -67,7 +67,6 @@ from leibrack.suites import (
     augmented_action_suite,
     basis_pair_difference,
     cocycle_suite,
-    draw_samples,
     elem_distance,
     full_suite,
     lie_specialization_suite,
@@ -80,6 +79,7 @@ from leibrack.suites import (
 from oracles import (
     EXTRAS_ONE_BY_ONE,
     ONE_BY_ONE,
+    action_from_coords,
     bracket_coords_by_brackets,
     coboundary_witness,
     cochain_from_dense,
@@ -102,8 +102,11 @@ import inputs  # noqa: E402
 
 
 def _on_omega(sys_, omega):
-    """The README's recipe for a system on another omega: the extension is
-    rebuilt through its constructor, and the float system is replaced."""
+    """sys_ on an extension rebuilt through its constructor with another
+    omega, for iota2's own checks of omega alone (``lie_omega``): the
+    split of a group element still carries the parent's omega, so i2 on
+    this system does not integrate the new one.  The README's recipe for a
+    system on another omega is ``_on_assembled_omega``."""
     ext = sys_.ext
     return replace(sys_, ext=CentralExtensionData(
         ext.parent, ext.complement_pivots, ext.rep, omega, ext.g0_matrices,
@@ -401,7 +404,7 @@ def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
     xi, zeta = rng.uniform(-0.15, 0.15, size=(2, 20, d))
     g = group_from_coords(sys_, xi)
     eta = log_coords(sys_, conjugate(sys_, g, group_from_coords(sys_, zeta)))
-    got = _i2(sys_, _i1(sys_, dbeta.to_numpy().transpose(0, 2, 1), xi), eta)
+    got = _i2(sys_, eta, matvec(_i1(sys_, dbeta.to_numpy().transpose(0, 2, 1), xi), eta))
 
     def primitive(x):
         return phi1_float(sys_.rho_of(x), matvec(beta.astype(float), x), sys_.rho_index)
@@ -480,25 +483,50 @@ LINEAR_RACK_INPUTS = {
     **{f"rl{seed}": partial(random_leibniz, seed) for seed in (1, 35, 38)},
     "oscillator": _oscillator, "sl2": _sl2,
     **{f"{kind}-{seed}": partial(inputs.rho_semisimple, kind, seed)
-       for kind in inputs.RHO_KINDS for seed in (0, 1)}}
+       for kind in inputs.RHO_KINDS for seed in range(8)}}
 
 
 @pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
 def test_the_rack_is_the_linear_rack_twisted_by_phi1(name):
+    # the paper's path integrals (log g, log(g |> h), i1, i2 and the action
+    # from log coordinates) and the whole rack product against the linear
+    # rack, whose phi1 is scipy's expm
     sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), 8.0)
     rng = np.random.default_rng(31)
     xi, zeta = rng.uniform(-0.15, 0.15, (2, 40, sys_.g0_dim))
+    a, b = rng.uniform(-0.25, 0.25, (2, 40, sys_.center_dim))
     g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
     ok = np.ones(40, dtype=bool)
     _, xi_got, eta = conjugate_and_log(sys_, g, h, ok)
+    product = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b), ok)
     assert ok.all()
     got = (eta, i1(sys_, sys_.omega, g), i2_from_coords(sys_, xi_got, eta),
            action_from_coords(sys_, xi_got))
-    for what, x, y in zip(("eta'", "i1", "i2", "action"), got, linear_rack(sys_, g, h)):
+    want = linear_rack(sys_, g, h)
+    for what, x, y in zip(("eta'", "i1", "i2", "action"), got, want):
         assert x.shape == y.shape and np.abs(x - y).max(initial=0.0) <= 1e-12, what
+    eta2, _, i2_want, action = want
+    assert np.abs(log_coords(sys_, product.g) - eta2).max(initial=0.0) <= 1e-12
+    assert np.abs(product.a - (matvec(action, b) + i2_want)).max(initial=0.0) <= 1e-12
     # the negative control: the linear rack's center part without phi1
     if name == "dim5":
-        assert np.abs(got[2] - linear_rack(sys_, g, h, twisted=False)[2]).max() > 1e-6
+        untwisted = linear_rack(sys_, g, h, twisted=False)[2]
+        assert np.abs(got[2] - untwisted).max() > 1e-6
+        assert np.abs(product.a - (matvec(action, b) + untwisted)).max() > 1e-6
+
+
+@pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
+def test_production_i2_equals_the_paper_integrals_by_quadrature(name):
+    # rack.i2 reads g's split; the paper's two path integrals by a 16-node
+    # Gauss-Legendre rule (``i2_quadrature``) take neither the split nor phi1
+    sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), 8.0)
+    xi, zeta = np.random.default_rng(37).uniform(-0.15, 0.15, (2, 40, sys_.g0_dim))
+    g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
+    ok = np.ones(40, dtype=bool)
+    got = i2(sys_, g, h, ok)
+    want = i2_quadrature(sys_, g, h, gauss_legendre_01(16), ok)
+    assert ok.all() and got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys):
@@ -1303,18 +1331,29 @@ def test_iota2_checks_the_system_omega_once(monkeypatch):
 _OMEGA_INPUTS = {"dim5": dim5, "heisenberg": heisenberg}
 
 
+def _on_assembled_omega(sys_, omega):
+    """The README's recipe for a system on another omega: the canonical
+    extension of the algebra that g0, rho and omega assemble, whose parent
+    carries omega, and the float system replaced."""
+    ext = sys_.ext
+    return replace(sys_, ext=canonical_extension(assemble_extension(ext.g0, ext.rho, omega)))
+
+
 @pytest.mark.parametrize("name", list(_OMEGA_INPUTS))
 def test_a_system_on_another_omega_integrates_that_omega(name):
-    # the README's recipe, on an extension with 2 omega:
-    # i1 and i2 integrate the new omega, as iota2 does, so i2 doubles
-    # exactly (scaling by 2 is exact in floats) and the Lie rows still pass
+    # the README's recipe, on the algebra assembled with 2 omega: it keeps
+    # g0 and rho, so g0 coordinates mean the same group element on both,
+    # and i1, i2 and iota2 integrate the new omega.  i2 doubles up to the
+    # rounding of the other parent basis, and the Lie rows still pass
     sys_ = build_rack_system(canonical_extension(_OMEGA_INPUTS[name]()))
-    doubled = _on_omega(sys_, sys_.ext.omega.scale(2))
-    g, h = draw_samples(sys_, np.random.default_rng(43), 0.1, 30, "gg")()
+    doubled = _on_assembled_omega(sys_, sys_.ext.omega.scale(2))
+    assert doubled.ext.omega == sys_.ext.omega.scale(2)
+    xi, zeta = np.random.default_rng(43).uniform(-0.05, 0.05, (2, 30, sys_.g0_dim))
     ok, ok2 = np.ones(30, dtype=bool), np.ones(30, dtype=bool)
-    want = 2 * i2(sys_, g, h, ok)
-    assert ok.all() and np.abs(want).max() > 0
-    assert i2(doubled, g, h, ok2).tobytes() == want.tobytes() and ok2.all()
+    want = 2 * i2(sys_, group_from_coords(sys_, xi), group_from_coords(sys_, zeta), ok)
+    got = i2(doubled, group_from_coords(doubled, xi), group_from_coords(doubled, zeta), ok2)
+    assert ok.all() and ok2.all() and np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-15
     if name == "heisenberg":
         results = lie_specialization_suite(doubled, n_samples=20, seed=0)
         assert all(r.passed for r in results), [(r.name, r.max_defect) for r in results]
@@ -1332,7 +1371,8 @@ def test_omega_is_converted_to_floats_once_per_system(name, monkeypatch):
 
 # every value a system derives from its extension, each on first use
 DERIVED = ("ad_basis", "rho_basis", "ad0_basis", "coord_pinv", "ad_index", "rho_index",
-           "ad0_index", "omega", "lie_omega", "basis_coords", "bracket_coords")
+           "ad0_index", "omega", "lie_omega", "change_of_basis", "basis_coords",
+           "bracket_coords")
 
 
 def test_a_system_is_built_without_exact_work(dim5_ext, monkeypatch):
@@ -1380,6 +1420,9 @@ def test_a_system_on_another_extension_derives_its_values_afresh(heis_ext, dim5_
     assert not set(DERIVED) & set(vars(other))
     assert other.omega.shape == (2, 3, 2) and other.ad_basis.shape == (2, 5, 5)
     assert (other.basis_coords == dim5_ext.from_parent.to_numpy().T).all()
+    # the suites' basis rows are the split's F, one float conversion
+    assert other.basis_coords.base is other.change_of_basis[0]
+    assert (other.change_of_basis[1] == dim5_ext.to_parent.to_numpy()).all()
     assert other.bracket_coords.tobytes() == bracket_coords_by_brackets(dim5_ext).tobytes()
 
 
@@ -1449,7 +1492,7 @@ def test_chart_gates_keep_one_identity_and_identity_stays_fresh():
     assert not in_chart(sys_, eye)
 
 
-def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
+def test_rack_product_conjugates_once_and_takes_one_log(monkeypatch):
     import leibrack.rack as rack
     sys_ = build_rack_system(canonical_extension(dim5()), 0.5)
     g = group_from_coords(sys_, [0.1, -0.05])
@@ -1463,14 +1506,14 @@ def test_rack_product_conjugates_once_and_takes_at_most_two_logs(monkeypatch):
             return original(*args)
         monkeypatch.setattr(rack, name, counted)
     rack_product(sys_, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
-    # the conjugation gates g, h and g |> h, and g is logged behind its gate
-    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 2}
+    # the conjugation gates g, h and g |> h, and h alone is logged, behind its gate
+    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 1}
 
 
 @pytest.mark.parametrize("alg", [dim5(), _diagonal_rho()], ids=["dim5", "diagonal_rho"])
-def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, monkeypatch):
-    # g's log coordinates give both its action and i1, for a stack as for
-    # one element
+def test_a_stacked_rack_product_conjugates_once_and_takes_one_log(alg, monkeypatch):
+    # g's split gives both its action and i2, and h's log coordinates are
+    # the only ones taken, for a stack as for one element
     import leibrack.rack as rack
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
     rng = np.random.default_rng(23)
@@ -1488,8 +1531,8 @@ def test_a_stacked_rack_product_conjugates_once_and_takes_at_most_two_logs(alg, 
     ok = np.ones(12, dtype=bool)
     got = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, a), ok)
     assert ok.all() and np.abs(got.a).max() > 0
-    # one gate each for g, h and g |> h; log g, log(g |> h)
-    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 2}
+    # one gate each for g, h and g |> h; log h
+    assert counts == {"_conjugate": 1, "_chart_gate": 3, "log_float": 1}
 
 
 def _cli_json(argv, capsys):

@@ -373,10 +373,12 @@ def _mixed_system():
 
 
 def _mixed_slices(sys_):
-    """An in-chart element, then one element per gate of a rack product,
-    each with the error the 2-D rack product raises on it: the conjugator's
-    chart gate, a singular conjugator, the log chart, a log series that
-    does not converge and the log residual."""
+    """An in-chart element, then one element per gate of the paper's i2
+    (``i2_quadrature``), each with the error its 2-D call raises on it as
+    g: the conjugator's chart gate and a singular conjugator, the two that
+    the rack product meets too, then the gates of g's log, which the rack
+    product does not take: the log chart, a log series that does not
+    converge and the log residual."""
     n = sys_.dim
     eye = np.eye(n)
     unit = np.zeros((n, n))
@@ -438,9 +440,11 @@ def _operations(sys_):
 
 
 # the slices of _mixed_slices each operation fails: conjugate meets only the
-# conjugator's gates, and a product of two elements in the chart is only
+# conjugator's gates, and so do i2 and the actions, which read g off its
+# split and log only h; a product of two elements in the chart is only
 # gated by the chart; every other operation takes log g
-FAILING = {"conjugate": [1, 2], "group_product": [1]}
+FAILING = {"conjugate": [1, 2], "group_product": [1], "i2": [1, 2],
+           "augmented_action": [1, 2], "rack_product": [1, 2]}
 
 
 @pytest.mark.parametrize("op", OPERATIONS)
@@ -456,8 +460,10 @@ def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
     want = [_outcome(lambda k=k: one(g[k], h[k], b[k])) for k in range(len(g))]
     _same_or_raised(values, ok, want)
     assert list(np.flatnonzero(~ok)) == FAILING.get(op, [1, 2, 3, 4, 5])
-    if op in ("augmented_action", "rack_product", "i2", "i2_quadrature"):
+    if op == "i2_quadrature":
         assert want[1:] == [text for _, text in slices[1:]]
+    if op in ("augmented_action", "rack_product", "i2"):
+        assert want[1:3] == [text for _, text in slices[1:3]]
     # without a mask, a stack raises the error of its first failing slice
     with pytest.raises(OutOfChartError) as err:
         stacks(g, h, b)
@@ -621,9 +627,9 @@ def test_one_basis_pair_difference_serves_both_round_trips(name, monkeypatch):
     # a report differentiates every basis pair once, in one tangent_bracket
     # call, and differentiates no cochain (``rack`` has no delta2, which
     # test_import_graph pins): the round trip reads its row off the same
-    # difference.  The difference logs g and g |> h once each, and
-    # the n basis rows meet as a column and a row, so exp takes the 4n
-    # probes exp(+-h e_i), not all 4n^2 pairs
+    # difference.  The difference logs h once, and the n basis rows
+    # meet as a column and a row, so exp takes the 4n probes exp(+-h e_i),
+    # not all 4n^2 pairs
     import leibrack.suites as suites
     sys_ = _system(name, 0.5)
     n = sys_.ext.parent.dim
@@ -631,7 +637,7 @@ def test_one_basis_pair_difference_serves_both_round_trips(name, monkeypatch):
                              lambda: suites.full_suite(sys_, 10, 0))
     assert calls == {"tangent_bracket": [(n, n)]}
     sizes = _kernel_slices(monkeypatch, lambda: basis_pair_difference(sys_))
-    assert len(sizes["log_float"]) == 2
+    assert len(sizes["log_float"]) == 1
     assert max(sizes["exp_float"]) == 4 * n
 
 
@@ -749,47 +755,54 @@ def test_the_rack_axiom_and_action_suites_take_one_call_per_level(name, monkeypa
 def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
     # d_R i2, the ghost identity and its shift share their terms, each taken
     # once: the three conjugations of the triple, two group products, the
-    # logs of g, h and the three conjugations, four more conjugations, the
-    # logs of the products and those four, then six i2 values and two
-    # actions from log coordinates, which take no mask
+    # log of k, four more conjugations for their gates, then the splits of
+    # h, g, g |> h and the two products, the log coordinates of g |> k and
+    # h |> k, six i2 values and two actions from the splits, which take no
+    # mask.  One log a triple
     import leibrack.suites as suites
     sys_ = _system(name, 0.5)
-    from_coords = {"i2_from_coords": [], "action_from_coords": []}
+    from_split = {"split": [], "conjugate_coords": [], "i2_from_split": [],
+                  "action_from_split": []}
     with monkeypatch.context() as patch:
-        for op, shapes in from_coords.items():
+        for op, shapes in from_split.items():
             def recorded(*args, original=getattr(suites, op), shapes=shapes):
-                shapes.append(args[1].shape[:-1])
+                shapes.append(args[1].shape[:-2])
                 return original(*args)
             patch.setattr(suites, op, recorded)
         names = ("conjugate", "group_product", "log_coords", "i2")
         calls = _outermost_calls(monkeypatch, names, lambda: cocycle_suite(sys_, 10, 1))
-    assert calls == dict(zip(names, ([(3, 10), (4, 10)], [(2, 10)], [(5, 10), (6, 10)], [])))
-    assert from_coords == {"i2_from_coords": [(6, 10)], "action_from_coords": [(2, 10)]}
+    assert calls == dict(zip(names, ([(3, 10), (4, 10)], [(2, 10)], [(10,)], [])))
+    assert from_split == {"split": [(5, 10)], "conjugate_coords": [(2, 10)],
+                          "i2_from_split": [(6, 10)], "action_from_split": [(2, 10)]}
+    sizes = _kernel_slices(monkeypatch, lambda: cocycle_suite(sys_, 10, 1))
+    assert sizes["log_float"] == [10]
 
 
 def test_the_dim5_extras_conjugate_once(monkeypatch):
-    # i1 logs g; i2 and the rack product share one conjugation g |> h and
-    # the logs of g and g |> h
+    # i1 logs g; i2 and the rack product share one conjugation g |> h,
+    # g's split and the log of h
     sys_ = _system("dim5", 0.5)
     args = Namespace(seed=3, chart_radius=0.5, quad_order=8, fd_step=1e-3)
     names = ("_conjugate", "conjugate", "log_coords", "i1", "i2", "rack_product")
     calls = _outermost_calls(monkeypatch, names, lambda: EXAMPLE_EXTRAS["dim5"][0](sys_, args))
-    assert calls == dict(zip(names, ([(20,)], [], [(20,), (20,)], [(20,)], [], [])))
+    assert calls == dict(zip(names, ([(20,)], [], [(20,)], [(20,)], [], [])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
 def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
     # row 3 reuses the iota2(u.g, v.g) of row 1's product u v; rows 2 and 3
     # take i2(u.g, v.g), and row 2 the rack product u |> v, from the one
-    # conjugation u.g |> v.g that also feeds iota2; the four pairs of the
+    # conjugation u.g |> v.g that also feeds iota2, u.g's split and the log
+    # of v.g, the suite's one log outside iota2; the four pairs of the
     # first level, of which only the first two form their group products,
     # then the three products
     sys_ = _system(name, 0.5)
-    names = ("iota2", "_conjugate", "group_product", "rack_product")
+    names = ("iota2", "_conjugate", "log_coords", "group_product", "rack_product", "i2")
     calls = _outermost_calls(monkeypatch, names,
                              lambda: lie_specialization_suite(sys_, 10, 2))
     assert calls == {"iota2": [(4, 10), (3, 10)], "_conjugate": [(10,)],
-                     "group_product": [(2, 10), (3, 10)], "rack_product": []}
+                     "log_coords": [(10,)], "group_product": [(2, 10), (3, 10)],
+                     "rack_product": [], "i2": []}
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "filiform5"])

@@ -12,20 +12,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import SUITES, Tracer  # noqa: E402
 
 
-def test_the_tracer_wraps_every_binding_and_sees_every_suite(capsys):
+def _traced(argv, capsys):
+    """(exit code, unwrapped bindings, summary) of one report under a fresh tracer."""
     tracer = Tracer()
     tracer.install()
     try:
-        code = main(["example", "heisenberg", "--samples", "10", "--json"])
+        code = main(argv)
         unwrapped = tracer.unwrapped_bindings()
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    summary = tracer.summary()
+    return code, unwrapped, tracer.summary()
+
+
+def test_the_tracer_wraps_every_binding_and_sees_every_suite(capsys):
+    code, unwrapped, summary = _traced(["example", "heisenberg", "--samples", "10", "--json"],
+                                       capsys)
     assert code == 0
     assert unwrapped == []
-    # i1 runs only inside i2 here: the tracer must still see it
-    for name in [f"suites.{suite}.calls" for suite in SUITES] + ["rack.i1.calls",
-                                                                "rack.i2.calls",
+    # the i2 probe calls rack.i2 by name
+    for name in [f"suites.{suite}.calls" for suite in SUITES] + ["rack.i2.calls",
                                                                 "rack.iota2.calls"]:
         assert summary.get(name, 0) > 0, name
+    # i2 reads g's split and no longer runs i1; the dim5 extra still calls it
+    code, unwrapped, summary = _traced(["example", "dim5", "--samples", "10", "--json"], capsys)
+    assert code == 0
+    assert unwrapped == []
+    assert summary.get("rack.i1.calls", 0) > 0

@@ -23,7 +23,8 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   free_nilpotent5 and two inputs of each ``rho_semisimple`` kind, at chart
   radius 0.5 and 4;
 * ``integrate`` at chart radius 8/12/16/24 on six of them, where part of
-  the cocycle or Lie rows leaves the chart and is skipped;
+  the self-distributivity, quadrature, action or Lie rows leaves the chart
+  and is skipped, and on aff-0 part of the cocycle rows too;
 * ``integrate`` at quadrature order 3 and 64 on heisenberg, rl5 and aff-0,
   the ends of the accepted range of iota2's rule and the quadrature
   cross-check;
