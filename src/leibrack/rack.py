@@ -37,11 +37,16 @@ With eta the log coordinates of h, those of g |> h are A eta, so
 one phi1 on m x m matrices and no log of g or of g |> h: the linear rack
 x |> y = exp(ad x) y of the parent, twisted by phi1 (Kinyon, J. Lie Theory
 17, 2007; Bordemann and Wagemann, J. Lie Theory 27, 2017).
-``conjugate_and_split`` gives g |> h, G and eta, and ``i2_from_split``
-integrates.  The paper's form from the log coordinates of g and g |> h
-(``conjugate_and_log``, ``i2_from_coords``) stays for the quadrature
-cross-check, which so no longer runs through the production i2's split,
-and for ``i1``, which takes any beta.
+``conjugate_and_split`` gives g |> h and G, and one tail,
+``augmented_from_split``, maps (G, eta, b) to (A eta, D b + i2), with
+``i2_from_split`` its i2.  The operations on group elements (``i2``,
+``augmented_action``, ``rack_product``) log h for eta behind the
+conjugation's gates.  A caller that drew h as exp(ad eta), or formed it as
+a conjugation, carries eta and takes no log: the suites and the tangent
+bracket's probes.  The paper's form from the log coordinates of g and
+g |> h (``conjugate_and_log``, ``i2_from_coords``) stays for the
+quadrature cross-check, which so no longer runs through the production
+i2's split, and for ``i1``, which takes any beta.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -69,22 +74,21 @@ The local rack product on G0 x a is then
 
 with neutral element (1, 0), and the projection to the first factor makes it
 a local augmented rack.  ``augmented_action`` conjugates once, splits g
-and logs h (``conjugate_and_split``): g's split gives both its action D
-and i2.
+and logs h: g's split gives both its action D and i2.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
 the augmented action, the tangent bracket's finite difference, iota2 and
 the Lie group product each take one group element (n, n) or a stack of them
 (..., n, n), with a mask of the slices that succeeded (see the comment at
 the head of the chart operations); i2_from_coords takes their log
-coordinates (..., d), and i2_from_split, conjugate_coords and
-action_from_split their splits (..., n, n).  The suites run their
-sample sets as stacks, in chunks of a bounded size.  One element is a
-stack with no leading axes and takes the same code, with no branch of its
-own, and the bases of a trivial g0 are (0, k, k) stacks.  A slice equals
-its one-element call bit for bit.  numpy's matmul calls BLAS or its own
-loop depending on the strides of its operands, and the two can round
-differently, so the stacked code keeps each slice's strides as the
+coordinates (..., d), and i2_from_split, conjugate_coords,
+action_from_split and augmented_from_split their splits (..., n, n).  The
+suites run their sample sets as stacks, in chunks of a bounded size.  One
+element is a stack with no leading axes and takes the same code, with no
+branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
+slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
+or its own loop depending on the strides of its operands, and the two can
+round differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
 
 This module holds only what the package runs.  The tests' oracles
@@ -392,8 +396,8 @@ def group_inverse(g: np.ndarray, what: str = "group element",
 
 def _conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
                ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g and h behind their chart gates, g |> h), for ``conjugate``,
-    ``conjugate_and_split`` and ``conjugate_and_log``."""
+    """(g and h behind their chart gates, g |> h), for ``conjugate`` and
+    the operations that also split or log."""
     g = _chart_gate(sys, g, "conjugator", ok)
     h = _chart_gate(sys, h, "conjugated element", ok)
     r = g @ h @ group_inverse(g, "conjugator", ok)
@@ -495,10 +499,19 @@ def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
 
 
 def conjugate_and_split(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                        ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(g |> h, G, eta), with G g's ``split`` and eta the log coordinates of
-    h, all that i2(g, h) and g's action need.  The gates run in that order:
-    the conjugation, which gates g and h once, then h's log."""
+                        ok: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(g |> h, G), with G g's ``split``: what g's action on (h, b) needs
+    besides the log coordinates eta of h, which a caller that drew or
+    conjugated h carries (see ``augmented_from_split``).  The conjugation
+    gates g, h and g |> h; no log is taken."""
+    g, _, gh = _conjugate(sys, g, h, ok)
+    return gh, split(sys, g)
+
+
+def _conjugate_split_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
+                             ok: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """(g |> h, G, eta) with eta the log coordinates of h, for the
+    operations on group elements: the conjugation's gates, then h's log."""
     g, h, gh = _conjugate(sys, g, h, ok)
     return gh, split(sys, g), log_coords(sys, h, ok)
 
@@ -523,6 +536,17 @@ def action_from_split(sys: LocalRackSystem, big: np.ndarray) -> np.ndarray:
     """phi_g = exp(rho_xi), the block D of g's split G."""
     d = sys.g0_dim
     return big[..., d:, d:]
+
+
+def augmented_from_split(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray,
+                         b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A eta, D b + i2(omega)(g, h)): the log coordinates of g |> h and the
+    center part of g's action on (h, b), from g's split G and the log
+    coordinates eta of h.  The one tail of every augmented action, whether
+    eta is h's log (``augmented_action``) or coordinates its caller carries
+    (the suites)."""
+    return conjugate_coords(sys, big, eta), \
+        matvec(action_from_split(sys, big), b) + i2_from_split(sys, big, eta)
 
 
 def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -550,8 +574,10 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
        ok: np.ndarray | None = None) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
-    path to g |> h, read off g's split (``i2_from_split``)."""
-    _, big, eta = conjugate_and_split(sys, g, h, ok)
+    path to g |> h, read off g's split (``i2_from_split``), the i2 term
+    of ``augmented_from_split``.  The gates run in this order: the
+    conjugation, which gates g and h once, then h's log."""
+    _, big, eta = _conjugate_split_and_log(sys, g, h, ok)
     return i2_from_split(sys, big, eta)
 
 
@@ -570,11 +596,11 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
                      ok: np.ndarray | None = None) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
-    g is conjugated and split once, and h logged once; g's split gives
-    both its action and i2."""
-    gh, big, eta = conjugate_and_split(sys, g, v.g, ok)
-    a = matvec(action_from_split(sys, big), v.a) + i2_from_split(sys, big, eta)
-    return LocalRackElement(gh, a)
+    g is conjugated and split once, and h logged once, behind the
+    conjugation's gates; g's split gives both its action and i2
+    (``augmented_from_split``)."""
+    gh, big, eta = _conjugate_split_and_log(sys, g, v.g, ok)
+    return LocalRackElement(gh, augmented_from_split(sys, big, eta, v.a)[1])
 
 
 def _mixed_difference(sys: LocalRackSystem, probe: Callable[..., np.ndarray],
@@ -610,13 +636,13 @@ def tangent_bracket(sys: LocalRackSystem, u, v, ok: np.ndarray | None = None) ->
         raise ValueError("tangent vectors live in g0 (+) a")
     n2 = sys.dim * sys.dim
 
-    def elem(w, s):
-        return LocalRackElement(group_from_coords(sys, np.multiply.outer(s, w[..., :d])),
-                                np.multiply.outer(s, w[..., d:]))
-
     def probe(s, t, mask):
-        r = rack_product(sys, elem(u, s), elem(v, t), mask)
-        return np.concatenate([r.g.reshape(r.g.shape[:-2] + (n2,)), r.a], axis=-1)
+        # the probe (exp(ad t v0), t va) carries its log coordinates t v0
+        eta = np.multiply.outer(t, v[..., :d])
+        gh, big = conjugate_and_split(sys, group_from_coords(sys, np.multiply.outer(s, u[..., :d])),
+                                      group_from_coords(sys, eta), mask)
+        _, a = augmented_from_split(sys, big, eta, np.multiply.outer(t, v[..., d:]))
+        return np.concatenate([gh.reshape(gh.shape[:-2] + (n2,)), a], axis=-1)
 
     mix = _mixed_difference(sys, probe, ok)
     # the group-part difference quotient lies in the realized g0 only up to

@@ -192,8 +192,10 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
     i1_ok, ok = np.ones(len(draws), dtype=bool), np.ones(len(draws), dtype=bool)
     got_i1 = rack.i1(sys_, sys_.omega, g, i1_ok)
     # i2 and the rack product (g, ac) |> (h, bc) in (g0, center)
-    # coordinates from one conjugation g |> h, g's split and h's log
-    _, big, eta = rack.conjugate_and_split(sys_, g, h, ok)
+    # coordinates from one conjugation g |> h, g's split and h's log, the
+    # gates of the operations on group elements
+    _, big = rack.conjugate_and_split(sys_, g, h, ok)
+    eta = rack.log_coords(sys_, h, ok)
     got_i2 = rack.i2_from_split(sys_, big, eta)
     got_conj = np.concatenate([rack.conjugate_coords(sys_, big, eta),
                                matvec(rack.action_from_split(sys_, big), bc) + got_i2], axis=1)
@@ -221,7 +223,7 @@ def _heisenberg_extras(sys_: rack.LocalRackSystem, args) -> list[suites.Property
 
 def _abelian_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult]:
     rng = np.random.default_rng(args.seed)
-    ug, ua, vg, va = suites.draw_samples(sys_, rng, sys_.chart_radius / 4, 20, "gaga")()
+    (ug, _), ua, (vg, _), va = suites.draw_samples(sys_, rng, sys_.chart_radius / 4, 20, "gaga")()
     v = rack.LocalRackElement(vg, va)
     ok = np.ones(20, dtype=bool)
     got = rack.rack_product(sys_, rack.LocalRackElement(ug, ua), v, ok)

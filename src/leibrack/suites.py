@@ -21,7 +21,10 @@ samples where the operations of properties 1..k all succeeded.  The
 results equal those of the one-sample-at-a-time loops bit for bit.  A draw
 exponentiates the group parts of the rows it is asked for as one stack;
 each round then halves the rows that do not fit the ball yet once and
-exponentiates exactly those as one stack (``_group_elements``).
+exponentiates exactly those as one stack (``_group_elements``).  Each
+group part comes with the coordinates it exponentiated, x * 0.5^k of the
+raw draw, which halving keeps exact: its log coordinates, with no log
+taken.
 
 The four suites whose stacks grow with the sample count, and the basis
 pairs of the round trips, run in chunks (``_chunked``, ``CHUNK_ENTRIES``).
@@ -34,12 +37,12 @@ on a (k, n) stack (``_stack``), and each of the k parts narrows its own
 row of the call's (k, n) mask, which goes to the properties the part
 serves.  Each part is a C-contiguous copy, so its slices equal its own
 call's bit for bit.  ``cocycle_suite`` takes one conjugation of three
-pairs, one group product of two, the log of k alone, one conjugation of
-four pairs, one split of five elements, and from the splits one i2 of six
-pairs and one action of two; ``rack_axiom_suite`` three rack products,
-the first of three pairs and the second of four;
-``augmented_action_suite`` two actions, of three and two;
-``lie_specialization_suite`` one conjugation and two iota2, of 4 and 3 pairs.
+pairs, one group product of two, one conjugation of four pairs, one split
+of five elements, and from the splits one i2 of six pairs and one action
+of two; ``rack_axiom_suite`` three actions, the first of three pairs and
+the second of four; ``augmented_action_suite`` two actions, of three and
+two; ``lie_specialization_suite`` one conjugation and two iota2, of 4 and
+3 pairs.
 
 The two round trips read one mixed difference, ``basis_pair_difference``,
 the tangent bracket of every pair of the parent's basis, which pairs a
@@ -50,23 +53,33 @@ the lifts e_p of g0, whose center coordinates are 0, the rack product of
 (exp(s ad e_p), 0) and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), so
 the center part of the difference at (e_p, e_q) is the mixed difference
 of i2 that the tests' delta2 (``tests/oracles.py``) takes, bit for bit.
+Each probe carries its coordinates t e_q, so the difference takes no log
+(``rack.tangent_bracket``).
 
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in the
 later property's cumulative mask, never the reverse: the three rows of
-``cocycle_suite`` share their conjugations, logs, i2 values and actions,
-and row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of
-row 1 and the i2(u.g, v.g) of row 2.  Where a suite needs i2 or an
-action, it reads them off the split of the group element that acts
-(``rack.split``, ``rack.i2_from_split``, ``rack.action_from_split``)
-rather than conjugating its pairs again.  ``cocycle_suite`` splits the
-elements its draws, conjugations and products formed and logs only k:
-the log coordinates of g |> k and h |> k are those of k under the splits
-of g and h (``rack.conjugate_coords``).  ``lie_specialization_suite``
-takes i2 and the rack product u |> v from one conjugation, u.g's split
-and v.g's log (``rack.conjugate_and_split``).  ``quadrature_stability_suite``
-alone takes the paper's form, i2 from the log coordinates of g and g |> h
-(``rack.conjugate_and_log``, ``rack.i2_from_coords``) at two rules.
+``cocycle_suite`` share their conjugations, i2 values and actions, and
+row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1
+and the i2(u.g, v.g) of row 2.
+
+No sampled suite but the quadrature cross-check logs an element it drew
+or conjugated; the Lie suite's only logs are iota2's.  Where a suite
+needs an action or i2, it conjugates and splits the element that acts
+(``rack.conjugate_and_split``) and reads both off its split with the log
+coordinates that the element acted on carries
+(``rack.augmented_from_split``, ``rack.i2_from_split``): a draw carries
+those it exponentiated, and g |> h carries A eta, those of h under g's
+split (``rack.conjugate_coords``).  So ``rack_axiom_suite`` and
+``augmented_action_suite`` act through ``_act``, ``cocycle_suite`` reads
+its six i2 values and two actions off the splits of the elements its
+draws, conjugations and products formed, and
+``lie_specialization_suite`` takes i2 and the rack product u |> v from
+one conjugation and u.g's split.  ``quadrature_stability_suite`` alone
+takes the paper's form, i2 from the log coordinates of g and g |> h
+(``rack.conjugate_and_log``, ``rack.i2_from_coords``) at two rules, with
+their log gates.  ``rack.log_coords`` of a draw equals the coordinates
+it carries to rounding, which the tests check.
 """
 
 from __future__ import annotations
@@ -81,7 +94,7 @@ from .rack import (
     LocalRackElement,
     LocalRackSystem,
     action_from_split,
-    augmented_action,
+    augmented_from_split,
     conjugate,
     conjugate_and_log,
     conjugate_and_split,
@@ -93,8 +106,6 @@ from .rack import (
     i2_from_split,
     iota2,
     lie_group_product,
-    log_coords,
-    rack_product,
     split,
     tangent_bracket,
 )
@@ -192,33 +203,43 @@ def _chunked(sys: LocalRackSystem, n: int, width: int, run) -> list[np.ndarray]:
     return [np.concatenate(rows) for rows in zip(*chunks)]
 
 
-def _rack_products(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement
-                   ) -> tuple[LocalRackElement, np.ndarray]:
-    """u |> v on stack elements whose shapes broadcast, and its mask."""
-    ok = np.ones(np.broadcast_shapes(u.g.shape[:-2], v.g.shape[:-2]), dtype=bool)
-    return rack_product(sys, u, v, ok), ok
+def _act(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement, eta: np.ndarray
+         ) -> tuple[LocalRackElement, np.ndarray, np.ndarray]:
+    """g's augmented action on v, stacks whose shapes broadcast, with eta
+    the log coordinates that v's group part carries: (g |> v.g, D v.a +
+    i2(g, v.g)), the coordinates A eta of g |> v.g, and the mask.  It takes
+    no log (``rack.augmented_from_split``); the rack product u |> v is
+    g = u.g acting on v."""
+    ok = np.ones(np.broadcast_shapes(g.shape[:-2], v.g.shape[:-2]), dtype=bool)
+    gh, big = conjugate_and_split(sys, g, v.g, ok)
+    eta_gh, a = augmented_from_split(sys, big, eta, v.a)
+    return LocalRackElement(gh, a), eta_gh, ok
 
 
-def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float) -> np.ndarray:
-    """exp(ad xi) for each row of coordinates xi (N, d), each row halved as
-    ``sample_group_element`` halves its draw, each halving x * 0.5 of the
-    one before.  A round halves the rows that do not fit yet once and
-    exponentiates them as one stack; each row takes its first halving that
-    fits, so no exponentiated row is discarded."""
+def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(ad x), x) for each row of coordinates xi (N, d), with x the row
+    halved as ``sample_group_element`` halves its draw, each halving
+    x * 0.5 of the one before: x is exactly what was exponentiated, so it
+    is the element's log coordinates with no log taken.  A round halves the
+    rows that do not fit yet once and exponentiates them as one stack; each
+    row takes its first halving that fits, so no exponentiated row is
+    discarded."""
     eye = sys.identity()
+    kept = np.array(xi, dtype=float)
     # a wide draw can overflow exp; it then fails the norm test and is
     # halved, so the overflow is no error
     with np.errstate(over="ignore", invalid="ignore"):
-        g = group_from_coords(sys, xi)
+        g = group_from_coords(sys, kept)
         left = np.flatnonzero(~(norm1_float(g - eye) < max_norm))
-        x = xi[left]
+        x = kept[left]
         while len(left):
             x = x * 0.5
             tried = group_from_coords(sys, x)
             fits = norm1_float(tried - eye) < max_norm
-            g[left[fits]] = tried[fits]
+            g[left[fits]], kept[left[fits]] = tried[fits], x[fits]
             left, x = left[~fits], x[~fits]
-    return g
+    return g, kept
 
 
 def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int, parts: str):
@@ -227,10 +248,10 @@ def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int, parts: str)
     coordinates of a rack element, in [-1/4, 1/4], drawn after its group
     element.  All coordinates are drawn now, in the order of drawing the
     samples one after another; the result is take(rows), which gives each
-    part at rows (a slice or index array, default all) as a stack of
-    elements or coordinate vectors, the "g" parts of those rows
-    exponentiated as one ``_group_elements`` stack.  Halving draws
-    nothing."""
+    part at rows (a slice or index array, default all): an "a" part as a
+    stack of coordinate vectors, a "g" part as the pair (elements, their
+    log coordinates) of stacks, the "g" parts of those rows exponentiated
+    as one ``_group_elements`` stack.  Halving draws nothing."""
     d, m = sys.g0_dim, sys.center_dim
     widths = [d if part == "g" else m for part in parts]
     blocks = np.split(rng.uniform(-1.0, 1.0, size=(n, sum(widths))), np.cumsum(widths)[:-1],
@@ -239,23 +260,25 @@ def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int, parts: str)
 
     def take(rows=slice(None)):
         xi = [x[rows] for part, x in zip(parts, coords) if part == "g"]
-        groups = iter(np.split(_group_elements(sys, np.concatenate(xi), max_norm), len(xi)))
+        g, kept = _group_elements(sys, np.concatenate(xi), max_norm)
+        groups = zip(np.split(g, len(xi)), np.split(kept, len(xi)))
         return [next(groups) if part == "g" else x[rows] for part, x in zip(parts, coords)]
     return take
 
 
-def sample_group_element(sys: LocalRackSystem, rng, max_norm: float) -> np.ndarray:
-    """Group element with ||g - I|| < max_norm, by halving a random
-    coordinate draw until it fits.  The loop ends: a draw that reaches zero
-    gives g = I."""
+def sample_group_element(sys: LocalRackSystem, rng, max_norm: float
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(g, xi): a group element with ||g - I|| < max_norm, by halving a
+    random coordinate draw until it fits, and the coordinates xi it
+    exponentiated.  The loop ends: a draw that reaches zero gives g = I."""
     if sys.g0_dim == 0:
-        return sys.identity()
+        return sys.identity(), np.zeros(0)
     xi = rng.uniform(-1.0, 1.0, size=sys.g0_dim) * max_norm
     with np.errstate(over="ignore", invalid="ignore"):  # as in _group_elements
         while True:
             g = group_from_coords(sys, xi)
             if norm1_float(g - sys.identity()) < max_norm:
-                return g
+                return g, xi
             xi = xi * 0.5
 
 
@@ -297,15 +320,19 @@ def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> fl
 def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
                      seed: int = 0) -> list[PropertyResult]:
     """Self-distributivity, pointedness and injectivity-on-samples for the
-    product (g,a) |> (h,b), over the samples in chunks."""
+    product (g,a) |> (h,b), over the samples in chunks.  Every element that
+    is acted on carries its log coordinates: a draw those it exponentiated,
+    a product x |> y the coordinates A eta of its group part, so no log is
+    taken."""
     rng = np.random.default_rng(seed)
     n, k = n_samples, sys.dim ** 2
     take = draw_samples(sys, rng, sys.chart_radius / 4.0, 3 * n, "ga")
-    neutral = _neutral(sys)
-    # the injectivity row's rack elements as rows (g flattened, a): g_0 and
-    # the inputs, draws 0..n, each kept by the chunk that exponentiates it,
-    # and each sample's output
+    neutral, zero = _neutral(sys), np.zeros((1, sys.g0_dim))
+    # the injectivity row's rack elements as rows (g flattened, a), and
+    # their log coordinates: g_0 and the inputs, draws 0..n, each kept by
+    # the chunk that exponentiates it, and each sample's output
     ins, outs = np.empty((n + 1, k + sys.center_dim)), np.empty((n, k + sys.center_dim))
+    ins_eta = np.empty((n + 1, sys.g0_dim))
 
     def elements(rows):
         return LocalRackElement(rows[:, :k].reshape(len(rows), sys.dim, sys.dim), rows[:, k:])
@@ -317,23 +344,25 @@ def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
         # below its last draw 3 hi - 1, so this chunk or an earlier one kept
         # them
         m = hi - lo
-        g, a = take(slice(3 * lo, 3 * hi))
+        (g, eta), a = take(slice(3 * lo, 3 * hi))
         kept = ins[3 * lo:3 * hi]  # its draws among 0..n
         kept[:, :k], kept[:, k:] = g[:len(kept)].reshape(len(kept), k), a[:len(kept)]
+        ins_eta[3 * lo:3 * hi] = eta[:len(kept)]
         u, v, w = (LocalRackElement(g[j::3], a[j::3]) for j in range(3))
+        eta_v, eta_w = eta[1::3], eta[2::3]
 
         # v |> w, 1 |> v and g_0 |> inputs as one (3, m) stack; then u acts
         # on v |> w, v, w and the neutral element as one (4, m) stack, the
-        # widest, 4 a sample, so that u's own log, action and i1 are taken
-        # once per sample
-        first, first_ok = _rack_products(sys, _stack(v, neutral, elements(ins[:1])),
-                                         _stack(w, v, elements(ins[lo + 1:hi + 1])))
+        # widest, 4 a sample, so that u's own split is taken once per sample
+        first, eta_first, first_ok = _act(sys, _stack(v.g, neutral.g, elements(ins[:1]).g),
+                                          _stack(w, v, elements(ins[lo + 1:hi + 1])),
+                                          _stack(eta_w, eta_v, ins_eta[lo + 1:hi + 1]))
         vw, one_v, out = _parts(first)
         outs[lo:hi, :k], outs[lo:hi, k:] = out.g.reshape(m, k), out.a
-        by_u, by_u_ok = _rack_products(sys, LocalRackElement(u.g[None], u.a[None]),
-                                       _stack(vw, v, w, neutral))
+        by_u, eta_by_u, by_u_ok = _act(sys, u.g[None], _stack(vw, v, w, neutral),
+                                       _stack(eta_first[0], eta_v, eta_w, zero))
         lhs, uv, uw, u_one = _parts(by_u)
-        rhs, rhs_ok = _rack_products(sys, uv, uw)
+        rhs, _, rhs_ok = _act(sys, uv.g, uw, eta_by_u[2])
         return (elem_distance(lhs, rhs), first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok,
                 np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
                 by_u_ok[3] & first_ok[1], first_ok[2])
@@ -358,25 +387,25 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
     them, over the triples in chunks.  The three share their terms, each
-    computed once: the seven conjugations in two calls, the two group
-    products in one, and the log of k alone.  The six i2 values and the
-    two actions are read off the splits of h, g, g|>h, gh and (g|>h) g in
-    one call each (see ``rack.split``), and the log coordinates of g|>k and
-    h|>k are those of k under g's and h's split.  So the four conjugations
-    of the second round give only their chart gates.  A triple that leaves
-    the chart anywhere is one skip for all three."""
+    computed once: the seven conjugations in two calls and the two group
+    products in one.  The six i2 values and the two actions are read off
+    the splits of h, g, g|>h, gh and (g|>h) g in one call each (see
+    ``rack.split``), with the log coordinates that k's draw carries, and
+    those of g|>k and h|>k are those of k under g's and h's split: no log
+    is taken.  So the four conjugations of the second round give only their
+    chart gates.  A triple that leaves the chart anywhere is one skip for
+    all three."""
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_triples, "ggg")
 
     def run(lo, hi):
-        g, h, k = take(slice(lo, hi))
+        (g, _), (h, _), (k, eta_k) = take(slice(lo, hi))
         # one mask for every call, each narrowing its leading rows: a triple
         # that fails any of them is one skip.  The widest stacks, the splits
         # of i2's six pairs, are 6 a sample
         mask = np.ones((4, hi - lo), dtype=bool)
         gh, gk, hk = conjugate(sys, _stack(g, g, h), _stack(h, k, k), mask[:3])
         g_h, gh_g = group_product(sys, _stack(g, gh), _stack(h, g), mask[:2])
-        eta_k = log_coords(sys, k, mask[0])
         # the four conjugations of i2's pairs, for their chart gates alone:
         # (g|>h) |> (g|>k), g |> (h|>k), gh |> k and ((g|>h) g) |> k
         conjugate(sys, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask)
@@ -456,13 +485,15 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "gagaga")
 
     def run(lo, hi):
-        ug, ua, vg, va, wg, wa = take(slice(lo, hi))
+        (ug, _), ua, (vg, eta_v), va, (wg, _), wa = take(slice(lo, hi))
         n = hi - lo
         u, v, w = LocalRackElement(ug, ua), LocalRackElement(vg, va), LocalRackElement(wg, wa)
         inv_ok, cl_ok = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
-        # u.g |> v.g and u.g's split give row 2's u |> v and i2 for rows 2, 3
-        gh, big, eta = conjugate_and_split(sys, u.g, v.g, cl_ok)
-        i2_uv = i2_from_split(sys, big, eta)
+        # u.g |> v.g, u.g's split and the coordinates v.g carries give i2
+        # for rows 2 and 3, and row 2's u |> v, whose center part D v.a + i2
+        # is ``rack.augmented_from_split``'s with that i2 reused
+        gh, big = conjugate_and_split(sys, u.g, v.g, cl_ok)
+        i2_uv = i2_from_split(sys, big, eta_v)
         # u^-1 = (g^-1, -a - iota2(g, g^-1)), the local Lie group's
         # inverse; iota2 and the products below apply g^-1's chart gate
         uinv_g = group_inverse(u.g, ok=inv_ok)
@@ -498,25 +529,22 @@ def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
                            seed: int = 3) -> list[PropertyResult]:
     """The G0-action axioms of the augmented structure: unit action, fixed
     point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w), over
-    the samples in chunks."""
+    the samples in chunks.  w carries the log coordinates of its draw, and
+    h.w those of h |> w.g, A_h eta_w, so no log is taken."""
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "ggga")
-    neutral = _neutral(sys)
-
-    def act(x, y):
-        ok = np.ones(np.broadcast_shapes(x.shape[:-2], y.g.shape[:-2]), dtype=bool)
-        return augmented_action(sys, x, y, ok), ok
+    neutral, zero = _neutral(sys), np.zeros((1, sys.g0_dim))
 
     def run(lo, hi):
-        g, h, wg, wa = take(slice(lo, hi))
+        (g, _), (h, _), (wg, eta_w), wa = take(slice(lo, hi))
         w = LocalRackElement(wg, wa)
         gh_ok = np.ones(hi - lo, dtype=bool)
         gh = group_product(sys, g, h, gh_ok)
         # 1, h and gh act on w as one (3, m) stack, the widest, 3 a sample;
         # then g on the neutral element and on h.w as one (2, m) stack
-        on_w, on_w_ok = act(_stack(neutral.g, h, gh), w)
+        on_w, eta_on_w, on_w_ok = _act(sys, _stack(neutral.g, h, gh), w, eta_w)
         unit, hw, rhs = _parts(on_w)
-        by_g, by_g_ok = act(g[None], _stack(neutral, hw))
+        by_g, _, by_g_ok = _act(sys, g[None], _stack(neutral, hw), _stack(zero, eta_on_w[1]))
         fixed, lhs = _parts(by_g)
         return (elem_distance(unit, w), on_w_ok[0], elem_distance(fixed, neutral), by_g_ok[0],
                 elem_distance(lhs, rhs), on_w_ok[1] & by_g_ok[1] & gh_ok & on_w_ok[2])
@@ -533,7 +561,7 @@ def quadrature_stability_suite(sys: LocalRackSystem, n_pairs: int = 20,
     at a rule) must not move it: the integrands are polynomial when rho is
     nilpotent.  All pairs at once, logged once for both orders."""
     rng = np.random.default_rng(seed)
-    g, h = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
+    (g, _), (h, _) = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
     fine = gauss_legendre_01(2 * sys.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
     _, xi, eta = conjugate_and_log(sys, g, h, ok)

@@ -3,9 +3,13 @@ oracles of the sparse exact layer.
 
 Each suite and ``example`` extra as it ran before its samples became
 stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
-2-D rack operation and one ``sampled`` step at a time.  The finite
-differences take their four probes one after another, as ``delta2`` and
-``tangent_bracket`` once did, and ``bracket_coords_by_brackets`` forms the
+2-D rack operation and one ``sampled`` step at a time.  Each draw comes
+with the coordinates it exponentiated, and an action on a drawn or
+conjugated element reads it off the acting element's split with the
+coordinates that element carries (``carried_action``, ``carried_i2``), as
+the suites do.  The finite differences take their four probes one after
+another, as ``delta2`` and ``tangent_bracket`` once did, each probe
+carrying its coordinates, and ``bracket_coords_by_brackets`` forms the
 tangent suite's expected values with one ``bracket`` and one ``split`` per
 basis pair.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
 map the names of the production suites and extras to these loops, so a
@@ -66,6 +70,7 @@ expansions, the ghost identity defect and the rack-module axiom check."""
 import itertools
 import sys
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -81,9 +86,10 @@ from leibrack.rack import (
     LocalRackElement,
     LocalRackSystem,
     action_from_split,
-    augmented_action,
+    augmented_from_split,
     conjugate,
     conjugate_and_log,
+    conjugate_and_split,
     conjugate_coords,
     group_from_coords,
     group_inverse,
@@ -128,10 +134,12 @@ def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y,
     """Differentiate a rack 2-cochain at the unit: central second mixed
     finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
     x and y are g0 vectors or stacks of them (..., d); f takes stacks of
-    group elements, all four steps as one stack (4, ..., n, n).  With a
-    mask ok of the directions' stack shape, f is called as f(g, h, mask)
-    with a mask of the probes' stack shape, and ok loses the directions one
-    of whose probes failed.  The difference is the package's own,
+    group elements g and h, all four steps as one stack (4, ..., n, n),
+    and the log coordinates t y that h carries, as f(g, h, eta); a cochain
+    of group elements alone ignores eta.  With a mask ok of the
+    directions' stack shape, f is called as f(g, h, eta, mask) with a mask
+    of the probes' stack shape, and ok loses the directions one of whose
+    probes failed.  The difference is the package's own,
     ``rack._mixed_difference``, which the round trip reads off the tangent
     suite's basis-pair difference."""
     x = np.asarray(x, dtype=float)
@@ -139,8 +147,9 @@ def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y,
 
     def probe(s, t, mask):
         g = group_from_coords(sys_, np.multiply.outer(s, x))
-        h = group_from_coords(sys_, np.multiply.outer(t, y))
-        return f(g, h) if mask is None else f(g, h, mask)
+        eta = np.multiply.outer(t, y)
+        h = group_from_coords(sys_, eta)
+        return f(g, h, eta) if mask is None else f(g, h, eta, mask)
     return rack._mixed_difference(sys_, probe, ok)
 
 
@@ -353,12 +362,29 @@ def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     return eta2, c @ np.linalg.inv(a), v, big[..., d:, d:]
 
 
-def sample_rack_element(sys_, rng, max_norm: float) -> LocalRackElement:
-    """A group element as ``sample_group_element`` draws it, with center
-    coordinates in [-1/4, 1/4]."""
-    g = sample_group_element(sys_, rng, max_norm)
+def sample_rack_element(sys_, rng, max_norm: float) -> tuple[LocalRackElement, np.ndarray]:
+    """(u, xi): a group element as ``sample_group_element`` draws it, with
+    center coordinates in [-1/4, 1/4], and the coordinates xi its group
+    element exponentiated."""
+    g, xi = sample_group_element(sys_, rng, max_norm)
     a = rng.uniform(-1.0, 1.0, size=sys_.center_dim) * 0.25
-    return LocalRackElement(g, a)
+    return LocalRackElement(g, a), xi
+
+
+def carried_action(sys_, g, v: LocalRackElement, eta,
+                   ok=None) -> tuple[LocalRackElement, np.ndarray]:
+    """(g |> v, A eta): g's augmented action on v, whose group part carries
+    its log coordinates eta, as the suites take it: read off g's split
+    with no log, and the coordinates that g |> v.g carries."""
+    gh, big = conjugate_and_split(sys_, g, v.g, ok)
+    eta_gh, a = augmented_from_split(sys_, big, eta, v.a)
+    return LocalRackElement(gh, a), eta_gh
+
+
+def carried_i2(sys_, g, h, eta, ok=None) -> np.ndarray:
+    """i2(g, h) as the suites take it, h carrying its log coordinates eta:
+    the conjugation's gates, then g's split, with no log."""
+    return i2_from_split(sys_, conjugate_and_split(sys_, g, h, ok)[1], eta)
 
 
 def rack_diff1_expansion(mod, f, g, h, conj):
@@ -460,10 +486,11 @@ def _mixed_difference(sys_, probe):
 
 
 def delta2_one_by_one(sys_, f, x, y):
+    """delta2 of f(g, h, eta), eta the coordinates t y that h carries."""
     x = np.asarray([float(c) for c in x])
     y = np.asarray([float(c) for c in y])
     return _mixed_difference(sys_, lambda s, t: f(group_from_coords(sys_, s * x),
-                                                  group_from_coords(sys_, t * y)))
+                                                  group_from_coords(sys_, t * y), t * y))
 
 
 def tangent_bracket_one_by_one(sys_, u, v):
@@ -473,7 +500,7 @@ def tangent_bracket_one_by_one(sys_, u, v):
         return LocalRackElement(group_from_coords(sys_, s * w[:d]), s * w[d:])
 
     def probe(s, t):
-        r = rack_product(sys_, elem(u, s), elem(v, t))
+        r, _ = carried_action(sys_, elem(u, s).g, elem(v, t), t * v[:d])
         return np.concatenate([r.g.ravel(), r.a])
 
     mix = _mixed_difference(sys_, probe)
@@ -484,30 +511,38 @@ def tangent_bracket_one_by_one(sys_, u, v):
 # -- the suites ----------------------------------------------------------------
 
 def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
+    """Each product x |> y with y's carried coordinates: a draw's, or A eta
+    for a product (``carried_action``)."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 4.0
-    neutral = sys_.neutral()
-    elems = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
-    triples = [elems[3 * i:3 * i + 3] for i in range(n_samples)]
+    neutral, zero = sys_.neutral(), np.zeros(sys_.g0_dim)
+    draws = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
+    triples = [draws[3 * i:3 * i + 3] for i in range(n_samples)]
 
-    def self_distributivity(u, v, w):
-        lhs = rack_product(sys_, u, rack_product(sys_, v, w))
-        rhs = rack_product(sys_, rack_product(sys_, u, v), rack_product(sys_, u, w))
+    def product(u, v, eta):
+        return carried_action(sys_, u.g, v, eta)
+
+    def self_distributivity(*triple):
+        (u, _), (v, eta_v), (w, eta_w) = triple
+        lhs, _ = product(u, *product(v, w, eta_w))
+        uw, eta_uw = product(u, w, eta_w)
+        rhs, _ = product(product(u, v, eta_v)[0], uw, eta_uw)
         yield distance(lhs, rhs)
 
-    def pointedness(u, v, _w):
-        yield nan_max(distance(rack_product(sys_, u, neutral), neutral),
-                      distance(rack_product(sys_, neutral, v), v))
+    def pointedness(*triple):
+        (u, _), (v, eta_v), _ = triple
+        yield nan_max(distance(product(u, neutral, zero)[0], neutral),
+                      distance(product(neutral, v, eta_v)[0], v))
 
     results = sampled(n_samples, iter(triples).__next__, self_distributivity,
                       [("self_distributivity", 1e-9)])
     results += sampled(n_samples, iter(triples).__next__, pointedness,
                        [("pointedness", 1e-12)])
-    u = elems[0]
+    u = draws[0][0]
     ins, outs, skips = [], [], 0
-    for v in elems[1:n_samples + 1]:
+    for v, eta_v in draws[1:n_samples + 1]:
         try:
-            outs.append(rack_product(sys_, u, v))
+            outs.append(product(u, v, eta_v)[0])
             ins.append(v)
         except OutOfChartError:
             skips += 1
@@ -521,16 +556,17 @@ def cocycle_one_by_one(sys_, n_triples=100, seed=1):
     suite's arithmetic: every conjugation and product that the identities
     name, for its chart gates, and each i2(x, y) and action of x read off
     x's split, with the log coordinates of k, g |> k and h |> k taken as
-    eta_k, A_g eta_k and A_h eta_k, as the suite takes them.  The
+    the coordinates eta_k that k's draw carries, A_g eta_k and A_h eta_k,
+    as the suite takes them: no log.  The
     identities' normative forms, on group elements, stay in
     ``rack_diff2_expansion`` and ``ghost_identity_defect``."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
 
-    def check(g, h, k):
+    def check(*draws):
+        (g, _), (h, _), (k, eta_k) = draws
         gh, gk, hk = conjugate(sys_, g, h), conjugate(sys_, g, k), conjugate(sys_, h, k)
         g_h, gh_g = group_product(sys_, g, h), group_product(sys_, gh, g)
-        eta_k = log_coords(sys_, k)
         for x, y in ((gh, gk), (g, hk), (g_h, k), (gh_g, k)):
             conjugate(sys_, x, y)
         big_h, big_g, big_gh, big_g_h, big_gh_g = (split(sys_, x) for x in (h, g, gh, g_h, gh_g))
@@ -552,16 +588,19 @@ def cocycle_one_by_one(sys_, n_triples=100, seed=1):
 
 
 def augmented_action_one_by_one(sys_, n_samples=50, seed=3):
+    """Each action with the coordinates its target carries: w's draw's,
+    A_h eta_w for h.w (``carried_action``)."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
-    neutral = sys_.neutral()
+    neutral, zero = sys_.neutral(), np.zeros(sys_.g0_dim)
     ident = sys_.identity()
 
-    def check(g, h, w):
-        yield distance(augmented_action(sys_, ident, w), w)
-        yield distance(augmented_action(sys_, g, neutral), neutral)
-        lhs = augmented_action(sys_, g, augmented_action(sys_, h, w))
-        rhs = augmented_action(sys_, group_product(sys_, g, h), w)
+    def check(*draws):
+        (g, _), (h, _), (w, eta_w) = draws
+        yield distance(carried_action(sys_, ident, w, eta_w)[0], w)
+        yield distance(carried_action(sys_, g, neutral, zero)[0], neutral)
+        lhs, _ = carried_action(sys_, g, *carried_action(sys_, h, w, eta_w))
+        rhs, _ = carried_action(sys_, group_product(sys_, g, h), w, eta_w)
         yield distance(lhs, rhs)
 
     return sampled(n_samples,
@@ -580,7 +619,7 @@ def roundtrip_one_by_one(sys_, pairs=None):
     basis = np.eye(d)
 
     def check(p, q):
-        got = delta2_one_by_one(sys_, lambda g, h: i2(sys_, g, h), basis[p], basis[q])
+        got = delta2_one_by_one(sys_, partial(carried_i2, sys_), basis[p], basis[q])
         yield sup_norm(got - omega_np[p, q])
 
     return sampled(d * d, iter(itertools.product(range(d), repeat=2)).__next__, check,
@@ -619,7 +658,8 @@ def quadrature_stability_one_by_one(sys_, n_pairs=20, seed=4):
     max_norm = sys_.chart_radius / 4.0
     fine = gauss_legendre_01(2 * sys_.quad.order)
 
-    def check(g, h):
+    def check(*draws):
+        (g, _), (h, _) = draws
         yield sup_norm(i2_quadrature(sys_, g, h, sys_.quad) - i2_quadrature(sys_, g, h, fine))
 
     return sampled(n_pairs,
@@ -636,12 +676,13 @@ def lie_specialization_one_by_one(sys_, n_samples=50, seed=2):
     def product(u, v):
         return lie_group_product(sys_, u, v)
 
-    def check(u, v, w):
+    def check(*draws):
+        (u, _), (v, eta_v), (w, _) = draws
         yield distance(product(product(u, v), w), product(u, product(v, w)))
         uinv = lie_group_inverse(sys_, u)
-        yield distance(product(product(u, v), uinv), rack_product(sys_, u, v))
+        yield distance(product(product(u, v), uinv), carried_action(sys_, u.g, v, eta_v)[0])
         gh = conjugate(sys_, u.g, v.g)
-        lhs = i2(sys_, u.g, v.g)
+        lhs = carried_i2(sys_, u.g, v.g, eta_v)
         yield sup_norm(lhs - (iota2(sys_, u.g, v.g) - iota2(sys_, gh, u.g)))
 
     return sampled(n_samples,
@@ -709,7 +750,8 @@ def abelian_extras_one_by_one(sys_, args):
     rng = np.random.default_rng(args.seed)
     max_norm = sys_.chart_radius / 4
 
-    def check(u, v):
+    def check(*draws):
+        (u, _), (v, _) = draws
         yield elem_distance(rack_product(sys_, u, v), v)
 
     return sampled(20, lambda: (sample_rack_element(sys_, rng, max_norm),

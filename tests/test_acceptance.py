@@ -161,7 +161,7 @@ def test_criterion_4_left_inverse_property():
         if d == 0:
             continue
         omega_np = ext.omega.to_numpy()
-        f = lambda g, h: i2(sys_, g, h)
+        f = lambda g, h, _eta: i2(sys_, g, h)
         for p in range(d):
             for q in range(d):
                 got = delta2(sys_, f, np.eye(d)[p], np.eye(d)[q])

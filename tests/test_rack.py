@@ -50,6 +50,8 @@ from leibrack.rack import (
     build_rack_system,
     conjugate,
     conjugate_and_log,
+    conjugate_and_split,
+    conjugate_coords,
     group_from_coords,
     i1,
     i2,
@@ -67,6 +69,7 @@ from leibrack.suites import (
     augmented_action_suite,
     basis_pair_difference,
     cocycle_suite,
+    draw_samples,
     elem_distance,
     full_suite,
     lie_specialization_suite,
@@ -216,9 +219,11 @@ def test_sample_group_element_halves_until_the_draw_fits(dim5_ext):
     # until it fits, never replaced by the identity
     sys_ = build_rack_system(dim5_ext, chart_radius=1e300)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = sample_group_element(sys_, np.random.default_rng(0), 2.5e299)
+        g, xi = sample_group_element(sys_, np.random.default_rng(0), 2.5e299)
     assert np.isfinite(g).all() and (g != np.eye(5)).any()
     assert np.abs(g - np.eye(5)).sum(axis=0).max() < 2.5e299
+    # the draw comes with the coordinates it exponentiated
+    assert g.tobytes() == group_from_coords(sys_, xi).tobytes()
 
 
 def test_singular_conjugator_is_out_of_chart():
@@ -529,14 +534,48 @@ def test_production_i2_equals_the_paper_integrals_by_quadrature(name):
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
+# the inputs of the linear rack but sl2, whose g0 has no center to act
+# on, with two entries of each rho_semisimple kind
+CARRIED_INPUTS = [name for name in LINEAR_RACK_INPUTS
+                  if name != "sl2" and not name.endswith(tuple(f"-{k}" for k in range(2, 8)))]
+
+
+@pytest.mark.parametrize("name,radius", [(name, 0.5) for name in CARRIED_INPUTS]
+                         + [("diagonal-0", 8.0)])
+def test_carried_coordinates_equal_the_logs_of_the_draws_and_conjugations(name, radius):
+    # the suites log no element they drew or conjugated: a draw carries the
+    # coordinates it exponentiated and g |> h carries A_g eta_h, read off
+    # g's split.  rack.log_coords, which the operations on group elements
+    # take, finds both within 1e-13 (1 + |xi|).  At radius 8 the draws of
+    # diagonal are halved, and the rows whose log leaves its chart are not
+    # compared
+    sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), radius)
+    max_norm = radius / 4.0
+    (g, xi), (h, eta) = draw_samples(sys_, np.random.default_rng(41), max_norm, 40, "gg")()
+    ok = np.ones(40, dtype=bool)
+    gh, big = conjugate_and_split(sys_, g, h, ok)
+    carried = np.stack([xi, eta, conjugate_coords(sys_, big, eta)])
+    logged_ok = np.stack([np.ones(40, dtype=bool), np.ones(40, dtype=bool), ok])
+    logged = log_coords(sys_, np.stack([g, h, gh]), logged_ok)
+    bound = 1e-13 * (1.0 + np.abs(carried).max(axis=-1, initial=0.0))
+    assert (np.abs(logged - carried).max(axis=-1, initial=0.0)[logged_ok]
+            <= bound[logged_ok]).all()
+    raw = np.random.default_rng(41).uniform(-1.0, 1.0, (40, 2 * sys_.g0_dim)) * max_norm
+    halved = np.stack([xi != raw[:, :sys_.g0_dim], eta != raw[:, sys_.g0_dim:]]).any(axis=-1)
+    if radius == 0.5:
+        assert logged_ok.all()
+    else:
+        assert (halved & logged_ok[:2]).any() and logged_ok[2].any()
+
+
 def test_delta2_recovers_omega_at_basis_pair(dim5_sys):
-    f = lambda g, h: i2(dim5_sys, g, h)
+    f = lambda g, h, _eta: i2(dim5_sys, g, h)
     got = delta2(dim5_sys, f, [1, 0], [0, 1])
     assert np.abs(got - np.array([1.0, 0.0, 0.0])).max() < 1e-5
 
 
 def test_delta2_of_zero(dim5_sys):
-    got = delta2(dim5_sys, lambda g, h: np.zeros(g.shape[:-2] + (3,)), [1, 0], [0, 1])
+    got = delta2(dim5_sys, lambda g, h, _eta: np.zeros(g.shape[:-2] + (3,)), [1, 0], [0, 1])
     assert np.abs(got).max() == 0.0
 
 
@@ -544,7 +583,7 @@ def test_delta2_recovers_synthetic_bilinear_form(dim5_sys):
     rng = np.random.default_rng(6)
     B = rng.uniform(-1, 1, size=(3, 2, 2))
 
-    def f(g, h):  # on stacks of group elements
+    def f(g, h, _eta):  # on stacks of group elements
         return np.einsum("kpq,...p,...q->...k", B, log_coords(dim5_sys, g), log_coords(dim5_sys, h))
 
     for x, y in [([1, 0], [0, 1]), ([0.5, 0.25], [-0.3, 1.0])]:
@@ -557,8 +596,8 @@ def test_delta2_recovers_synthetic_bilinear_form(dim5_sys):
 
 def test_rack_product_neutral_laws(dim5_sys):
     rng = np.random.default_rng(7)
-    u = sample_rack_element(dim5_sys, rng, 0.12)
-    v = sample_rack_element(dim5_sys, rng, 0.12)
+    u, _ = sample_rack_element(dim5_sys, rng, 0.12)
+    v, _ = sample_rack_element(dim5_sys, rng, 0.12)
     ne = dim5_sys.neutral()
     left = rack_product(dim5_sys, ne, v)
     right = rack_product(dim5_sys, u, ne)
@@ -718,9 +757,13 @@ def test_self_distributivity_nonabelian():
 def test_injectivity_detects_a_collapsing_product(dim5_sys, monkeypatch):
     # a left translation that sends every input to one element is caught
     import leibrack.suites as suites
-    one = dim5_sys.neutral()
-    monkeypatch.setattr(suites, "rack_product", lambda sys_, u, v, ok: LocalRackElement(
-        np.broadcast_to(one.g, v.g.shape), np.broadcast_to(one.a, v.a.shape)))
+    one, act = dim5_sys.neutral(), suites._act
+
+    def collapsing(sys_, g, v, eta):
+        _, eta_gh, ok = act(sys_, g, v, eta)
+        return LocalRackElement(np.broadcast_to(one.g, ok.shape + one.g.shape),
+                                np.broadcast_to(one.a, ok.shape + one.a.shape)), eta_gh, ok
+    monkeypatch.setattr(suites, "_act", collapsing)
     results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=10, seed=0)}
     inj = results["injectivity_on_samples"]
     assert inj.max_defect == 1.0 and not inj.passed
@@ -731,13 +774,14 @@ def test_injectivity_counts_attempts_like_every_row(dim5_sys, monkeypatch):
     # samples counts attempted products: every other one out of chart is 20
     # skips in 40 samples, within the half that the coverage check allows
     import leibrack.suites as suites
-    product = suites.rack_product
+    act = suites._act
 
-    def every_other(sys_, u, v, ok):
+    def every_other(sys_, g, v, eta):
+        r, eta_gh, ok = act(sys_, g, v, eta)
         ok[..., ::2] = False  # every other sample's product leaves the chart
-        return product(sys_, u, v, ok)
+        return r, eta_gh, ok
 
-    monkeypatch.setattr(suites, "rack_product", every_other)
+    monkeypatch.setattr(suites, "_act", every_other)
     results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=40, seed=0)}
     inj = results["injectivity_on_samples"]
     assert (inj.samples, inj.skipped) == (40, 20)
@@ -763,8 +807,8 @@ def test_abelian_rack_is_trivial():
     sys_ = build_rack_system(canonical_extension(abelian3()), 0.5)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        u = sample_rack_element(sys_, rng, 0.12)
-        v = sample_rack_element(sys_, rng, 0.12)
+        u, _ = sample_rack_element(sys_, rng, 0.12)
+        v, _ = sample_rack_element(sys_, rng, 0.12)
         got = rack_product(sys_, u, v)
         assert np.abs(got.g - v.g).max() == 0.0
         assert np.abs(got.a - v.a).max() == 0.0
@@ -915,7 +959,7 @@ def test_lie_specialization_suites():
 
 def test_lie_group_inverse(heis_sys):
     rng = np.random.default_rng(13)
-    u = sample_rack_element(heis_sys, rng, 0.06)
+    u, _ = sample_rack_element(heis_sys, rng, 0.06)
     uinv = lie_group_inverse(heis_sys, u)
     prod = lie_group_product(heis_sys, u, uinv)
     assert np.abs(prod.g - np.eye(3)).max() < 1e-12
@@ -933,8 +977,8 @@ def test_zero_center_input_runs_end_to_end():
     assert ext.center_dim == 0 and ext.g0_dim == 2
     sys_ = build_rack_system(ext, 0.5)
     rng = np.random.default_rng(20)
-    u = sample_rack_element(sys_, rng, 0.1)
-    v = sample_rack_element(sys_, rng, 0.1)
+    u, _ = sample_rack_element(sys_, rng, 0.1)
+    v, _ = sample_rack_element(sys_, rng, 0.1)
     out = rack_product(sys_, u, v)
     assert out.a.shape == (0,)
     assert np.abs(out.g - u.g @ v.g @ np.linalg.inv(u.g)).max() < 1e-14
