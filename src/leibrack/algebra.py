@@ -284,7 +284,7 @@ class Representation:
     the flavor.  The module axiom (LLM) is not checked here; every module
     the package builds (rho on the left center, the symmetric rho module,
     and ``cohomology.hom_representation``'s Hom(g0, Z_L), which the float
-    layer does not use: i1 acts on it through rho and ad0) gets it from the
+    layer does not use: G0 acts on it through rho and ad0) gets it from the
     parent's Leibniz identity, which ``canonical_extension`` checks.  With
     right = -left, (LML) is -(LLM) and (MLL) is (LLM); with right = 0, both
     read 0 = 0.  ``carrier_dim`` None reads the carrier off the first

@@ -14,10 +14,11 @@ name.  The crossings from exact to float, ``Matrix.to_numpy`` and
 and once per system: each imports numpy when called.
 
 The kernels are ``exp_float``, ``phi1_float`` (the integral
-int_0^1 exp(s a) v ds, or int_0^1 exp(s a) v exp(-s b) ds given a right
-factor b, in closed form), ``log_float`` and ``integrate_01``
-(quadrature of values at the nodes: iota2's outer integral and phi1's
-cross-check).
+int_0^1 exp(s a) v ds in closed form: i2's outer integral and iota2's
+inner one), ``log_float`` and ``integrate_01`` (quadrature of values at
+the nodes: iota2's outer integral and the quadrature cross-check of
+i2).  i1 needs no kernel: it is read off the group element's matrix
+(``rack.i1``).
 
 ``exp_float``, ``phi1_float``, ``log_float``, ``norm1_float`` and ``matvec``
 take a stack of square arrays, shape (..., n, n), and give each slice bit
@@ -165,40 +166,30 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     return acc
 
 
-def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None,
-               b: np.ndarray | None = None, b_index: int | None = None) -> np.ndarray:
+def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.ndarray:
     """phi1(a) v = int_0^1 exp(s a) v ds = sum_j a^j v / (j+1)! for a float
     square array a of shape (..., n, n) and, for each of its slices, a
-    vector v of shape (..., n) or a block of columns of shape (..., n, k);
-    given a right factor b (..., k, k), int_0^1 exp(s a) v exp(-s b) ds,
-    which is phi1 of L(x) = a x - x b applied to v.
+    vector v of shape (..., n) or a block of columns of shape (..., n, k).
 
-    ``index`` and ``b_index`` are as for ``exp_float``, of a and of b.  With
-    them the finite series sum_(j < i) L^j v / (j+1)! is exact, where
-    i = index, or index + b_index - 1 with b, and is summed by products;
-    without them, one ``_expm_pade`` of the augmented matrices
-    [[a, v], [0, b]] (b = 0 if absent), whose top-right block is phi1(a) v,
-    or with b the integral times exp(b) (Van Loan, IEEE TAC 1978)."""
+    ``index`` is as for ``exp_float``.  With it the finite series
+    sum_(j < index) a^j v / (j+1)! is exact and is summed by products;
+    without it, one ``_expm_pade`` of the augmented matrices [[a, v], [0, 0]],
+    whose top-right block is phi1(a) v (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
     n = a.shape[-1]
     if not n:
         return np.zeros(v.shape)
     # a vector is taken as one column, so every product is (..., n, 1)
     cols = v[..., None] if v.ndim < a.ndim else v
-    if b is not None:
-        index = None if index is None or b_index is None else index + b_index - 1
     if index is None:
         k = cols.shape[-1]
         aug = np.zeros(a.shape[:-2] + (n + k, n + k))
         aug[..., :n, :n] = a
         aug[..., :n, n:] = cols
-        if b is None:
-            return _expm_pade(aug)[..., :n, n:].reshape(v.shape)
-        aug[..., n:, n:] = b
-        return _expm_pade(aug)[..., :n, n:] @ exp_float(-b, b_index)
+        return _expm_pade(aug)[..., :n, n:].reshape(v.shape)
     acc = term = cols
     for j in range(1, index):
-        term = (a @ term) / (j + 1) if b is None else (a @ term - term @ b) / (j + 1)
+        term = (a @ term) / (j + 1)
         acc = acc + term
     return acc.reshape(v.shape)
 

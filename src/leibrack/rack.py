@@ -13,24 +13,20 @@ The two path integrals:
 
 use the reduction that along the canonical path exp(sX) the left-logarithmic
 derivative is constantly X, so the pulled-back equivariant form needs no
-path differentiation.  G0 acts on Hom(g0, a), where beta takes values, by
-alpha -> phi_g o alpha o Ad_g^-1, so with xi the log coordinates of g and
-M = beta(xi), i1 = int_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds, and
-i2 = int_0^1 exp(t rho_eta) (H eta) dt with H = i1(tau omega)(g).  Hom(g0, a)
-values are m x d blocks here, and beta the stack (d, m, d) of the blocks
-beta(e_p): ``LocalRackSystem.omega`` for tau omega, which iota2 reads too.
-``_integral`` takes each, in closed form by ``linalg.phi1_float`` (i1 with
-the right factor ad0_xi, on m x m and d x d matrices, never on Hom(g0, a)
-itself), or by Gauss-Legendre quadrature at a rule, their independent
-cross-check.  The tests keep a finite-difference evaluator along an
-arbitrary path as an independent check of i1.
+path differentiation.  G0 acts on Hom(g0, a) by alpha -> phi_g o alpha o
+Ad_g^-1, so with xi the log coordinates of g and M = omega(xi, -), an
+m x d block (``LocalRackSystem.omega``, which iota2 reads too, is the
+stack (d, m, d) of the omega(e_p, -)), i1(tau omega)(g) =
+int_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds and i2 = int_0^1 exp(t rho_eta)
+(H eta) dt with H = i1(tau omega)(g).
 
-The package takes i2 from g's matrix instead.  In (g0, center)
-coordinates g is G = F g T = [[A, 0], [C, D]] (``split``), F and T the
-float ``from_parent`` and ``to_parent``: G is exp of the left
-multiplication by the lift of xi, whose bottom-left block is omega(xi, -),
-so A = exp(ad0 xi), D = exp(rho_xi) = phi_g and C = i1(tau omega)(g) A.
-With eta the log coordinates of h, those of g |> h are A eta, so
+The package reads both off g's matrix.  In (g0, center) coordinates g is
+G = F g T = [[A, 0], [C, D]] (``split``), F and T the float
+``from_parent`` and ``to_parent``: G is exp of the left multiplication by
+the lift of xi, whose bottom-left block is omega(xi, -), so A = exp(ad0
+xi), D = exp(rho_xi) = phi_g and C = i1(tau omega)(g) A.  So ``i1`` is
+C A^-1, with no log, and with eta the log coordinates of h, those of
+g |> h are A eta, so
 
     i2(omega)(g, h) = phi1(rho_{A eta}) C eta,
 
@@ -42,11 +38,15 @@ x |> y = exp(ad x) y of the parent, twisted by phi1 (Kinyon, J. Lie Theory
 ``i2_from_split`` its i2.  The operations on group elements (``i2``,
 ``augmented_action``, ``rack_product``) log h for eta behind the
 conjugation's gates.  A caller that drew h as exp(ad eta), or formed it as
-a conjugation, carries eta and takes no log: the suites and the tangent
-bracket's probes.  The paper's form from the log coordinates of g and
-g |> h (``conjugate_and_log``, ``i2_from_coords``) stays for the
-quadrature cross-check, which so no longer runs through the production
-i2's split, and for ``i1``, which takes any beta.
+a conjugation, carries eta and takes no log: the suites, the dim5 extra
+and the tangent bracket's probes.
+
+The paper's form from the log coordinates of g and g |> h
+(``conjugate_and_log``, ``i2_from_coords``) is i2's quadrature
+cross-check: ``_integral`` takes both of its integrands at every node of
+a Gauss-Legendre rule, so it shares no closed form with the production
+i2.  The tests keep i1 of any beta in closed form and a finite-difference
+evaluator along an arbitrary path.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -92,7 +92,8 @@ round differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
 
 This module holds only what the package runs.  The tests' oracles
-(``tests/oracles.py``) keep the other forms: the group-element action
+(``tests/oracles.py``) keep the other forms: the closed form of i1 for
+any beta, ``i1_closed_form``, the group-element action
 ``group_action``, the finite difference ``delta2`` of a rack 2-cochain,
 ``lie_group_inverse``, and the rack cochains with the rack differential
 d_R in both sign conventions of its psi term, against which the tests
@@ -435,18 +436,18 @@ def _vanishing(x: np.ndarray) -> np.ndarray:
 def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | None,
               rule: QuadratureRule | None, b: np.ndarray | None = None,
               b_index: int | None = None) -> np.ndarray:
-    """integral_0^1 exp(s a) v ds, or, given a right factor b and a block v,
-    integral_0^1 exp(s a) v exp(-s b) ds: by ``phi1_float`` if rule is None,
-    else Gauss-Legendre at rule.  index and b_index are the nilpotency
-    indices of a's and b's families.  Zero where vanish: a fresh zero array
-    with no kernel call if every slice vanishes, else zeroed in place, so
-    that the kernel's result keeps the strides that decide whether numpy's
-    matmul on it calls BLAS, and so how it rounds, in a 2-D call and a
-    stack."""
+    """integral_0^1 exp(s a) v ds by ``phi1_float`` if rule is None, else by
+    Gauss-Legendre at rule, which also takes a right factor b and a block
+    v: integral_0^1 exp(s a) v exp(-s b) ds.  index and b_index are the
+    nilpotency indices of a's and b's families.  Zero where vanish: a fresh
+    zero array with no kernel call if every slice vanishes, else zeroed in
+    place, so that the kernel's result keeps the strides that decide whether
+    numpy's matmul on it calls BLAS, and so how it rounds, in a 2-D call
+    and a stack."""
     if vanish.all():
         return np.zeros(v.shape)
     if rule is None:
-        out = phi1_float(a, v, index, b, b_index)
+        out = phi1_float(a, v, index)
     else:
         # every node's integrand in one stack (..., nodes, k) or (..., nodes, k, l)
         nodes = np.array(rule.nodes)[:, None, None]
@@ -461,11 +462,11 @@ def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | Non
     return out
 
 
-def _i1(sys: LocalRackSystem, beta: np.ndarray, xi: np.ndarray,
-        rule: QuadratureRule | None = None) -> np.ndarray:
-    """i1(beta)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds, M = beta(xi),
-    as blocks (..., m, d) from g's log coordinates xi (..., d)."""
-    return _integral(sys.rho_of(xi), sys.combo(beta, xi), _vanishing(xi), sys.rho_index,
+def _i1(sys: LocalRackSystem, xi: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """i1(tau omega)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds,
+    M = omega(xi, -), by quadrature at rule, as blocks (..., m, d) from g's
+    log coordinates xi (..., d): the first integral of i2's cross-check."""
+    return _integral(sys.rho_of(xi), sys.combo(sys.omega, xi), _vanishing(xi), sys.rho_index,
                      rule, sys.ad0_of(xi), sys.ad0_index)
 
 
@@ -476,19 +477,6 @@ def _i2(sys: LocalRackSystem, eta: np.ndarray, v: np.ndarray,
     return _integral(sys.rho_of(eta), v, _vanishing(v), sys.rho_index, rule)
 
 
-def i1(sys: LocalRackSystem, beta, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
-    """Path integral of a Leibniz 1-cocycle beta, valued in the symmetric
-    module Hom(g0, a), along the canonical path to g, as m x d blocks
-    (..., m, d); vanishes at the identity.  beta is the stack (d, m, d) of
-    its blocks beta(e_p), such as ``sys.omega`` for tau omega; a stack of
-    another shape is a ValueError."""
-    d, m = sys.g0_dim, sys.center_dim
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (d, m, d):
-        raise ValueError(f"beta stack must be {d} x {m} x {d}")
-    return _i1(sys, beta, log_coords(sys, _chart_gate(sys, g, "group element", ok), ok))
-
-
 def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
     """G = F g T, g in (g0, center) coordinates, F and T the float
     ``from_parent`` and ``to_parent``: the block-triangular [[A, 0], [C, D]]
@@ -496,6 +484,17 @@ def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
     coordinates of g."""
     f, t = sys.change_of_basis
     return f @ g @ t
+
+
+def i1(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
+    """i1(tau omega)(g), the path integral of tau omega, valued in the
+    symmetric module Hom(g0, a), along the canonical path to g, as m x d
+    blocks (..., m, d): C A^-1, read off g's ``split``.  g is gated by the
+    chart and by A's inverse, which fails where A is singular in floating
+    point (``group_inverse``); no log is taken."""
+    d = sys.g0_dim
+    big = split(sys, _chart_gate(sys, g, "group element", ok))
+    return big[..., d:, :d] @ group_inverse(big[..., :d, :d], "group element", ok)
 
 
 def conjugate_and_split(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -560,14 +559,14 @@ def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 
 
 def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
-                   rule: QuadratureRule | None = None) -> np.ndarray:
-    """i2(omega)(g, h) as the paper's two path integrals, from the log
-    coordinates xi of g and eta of g |> h: i1(tau omega)(g) along log g,
-    then i2's along log(g |> h).  With a rule, both by quadrature: i2's
+                   rule: QuadratureRule) -> np.ndarray:
+    """i2(omega)(g, h) as the paper's two path integrals, both by quadrature
+    at rule, from the log coordinates xi of g and eta of g |> h:
+    i1(tau omega)(g) along log g, then i2's along log(g |> h).  i2's
     cross-check, exact up to rounding when rho is nilpotent and
     2 * rule.order exceeds the polynomial degree of the integrands.  It
     shares only the outer integral's evaluator with ``i2_from_split``."""
-    return _i2(sys, eta, matvec(_i1(sys, sys.omega, xi, rule), eta), rule)
+    return _i2(sys, eta, matvec(_i1(sys, xi, rule), eta), rule)
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,

@@ -97,7 +97,9 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     configured chart, so this is evaluated on an explicitly widened chart.
     ``rack.i2`` logs only g here, so the probe then takes the paper's logs
     of g and g |> g for their gates, as the captured reports record them;
-    the first gate that fails is the one the paper's form meets first.  The realized G0 is unipotent for every nilpotent action, but the
+    the first gate that fails is the one the paper's form meets first.
+
+    The realized G0 is unipotent for every nilpotent action, but the
     float log takes its finite series only when the float test finds
     m - I exactly nilpotent; rounding can send g |> g down the convergent
     series, which is gated at ||m - I|| < 1, and then the probe is skipped
@@ -190,14 +192,13 @@ def _dim5_extras(sys_: rack.LocalRackSystem, args) -> list[suites.PropertyResult
     a, b, ac, bc = (np.array(part) for part in zip(*draws))
     g, h = rack.group_from_coords(sys_, a), rack.group_from_coords(sys_, b)
     i1_ok, ok = np.ones(len(draws), dtype=bool), np.ones(len(draws), dtype=bool)
-    got_i1 = rack.i1(sys_, sys_.omega, g, i1_ok)
+    got_i1 = rack.i1(sys_, g, i1_ok)
     # i2 and the rack product (g, ac) |> (h, bc) in (g0, center)
-    # coordinates from one conjugation g |> h, g's split and h's log, the
-    # gates of the operations on group elements
+    # coordinates from one conjugation g |> h and g's split, with the
+    # coordinates b that h was drawn at: no log is taken
     _, big = rack.conjugate_and_split(sys_, g, h, ok)
-    eta = rack.log_coords(sys_, h, ok)
-    got_i2 = rack.i2_from_split(sys_, big, eta)
-    got_conj = np.concatenate([rack.conjugate_coords(sys_, big, eta),
+    got_i2 = rack.i2_from_split(sys_, big, b)
+    got_conj = np.concatenate([rack.conjugate_coords(sys_, big, b),
                                matvec(rack.action_from_split(sys_, big), bc) + got_i2], axis=1)
     want_i1, want_i2, want_conj = (np.array(want) for want in zip(*(
         (dim5_i1_matrix(*x), dim5_f(x, y),

@@ -22,7 +22,12 @@ probe was narrowed to the slices the norm gate can fail, on its own copy
 of the list-based series, ``log_series_float``.
 ``i1_in_hom_module`` evaluates i1 as it was before it ran on m x d blocks:
 phi1 of the (m*d)-sided Hom(g0, a) generators at their exact joint
-nilpotency index.
+nilpotency index.  ``i1_closed_form`` is i1 of any beta as the package
+took it before it read i1(tau omega) off the group element's split: the
+two-sided integral int_0^1 exp(s rho_xi) beta(xi) exp(-s ad0_xi) ds in
+closed form (``phi1_two_sided``, the finite series or the Pade kernel of
+[[rho_xi, beta(xi)], [0, ad0_xi]]), and ``i2_closed_form`` the paper's i2
+through it.
 
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
@@ -64,8 +69,10 @@ the package: the NaN-propagating ``nan_max`` and ``sup_norm``, exact
 (which decides whether omega is a coboundary), ``random_corpus``,
 ``i2_quadrature`` (i2 by quadrature at a rule, from g and h),
 ``linear_rack`` (eta', i1, i2 and the action read off the linear rack of
-the parent, twisted by phi1), the one-element ``sample_rack_element``, the hard-coded rack-differential
-expansions, the ghost identity defect and the rack-module axiom check."""
+the parent, twisted by phi1), its 40-digit twin ``LinearRackMp`` in
+mpmath, the one-element ``sample_rack_element``, the hard-coded
+rack-differential expansions, the ghost identity defect and the
+rack-module axiom check."""
 
 import itertools
 import sys
@@ -360,6 +367,72 @@ def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
         aug[..., :m, :m], aug[..., :m, m] = sys_.rho_of(eta2), v
         v = scipy.linalg.expm(aug)[..., :m, m]
     return eta2, c @ np.linalg.inv(a), v, big[..., d:, d:]
+
+
+def _mp_array(mat: Matrix) -> np.ndarray:
+    """The exact matrix mat as an object array of mpmath numbers, each
+    entry rounded once to the working precision."""
+    import mpmath
+
+    return np.array([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                     for row in dense(mat)], dtype=object).reshape(mat.rows, mat.cols)
+
+
+def _mp_expm(x: np.ndarray) -> np.ndarray:
+    """mpmath's expm of the square object array x, as an object array."""
+    import mpmath
+
+    return np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=object)
+
+
+class LinearRackMp:
+    """``linear_rack`` at mpmath's working precision, in (g0, center)
+    coordinates, with no float step: every exact value of ext is rounded
+    once to the working precision, and exp and phi1 are mpmath's expm.
+    Build it and call it inside one ``mpmath.workdps``.  Coordinates are
+    object arrays of mpmath numbers.
+
+    * ``group(xi)`` is g = exp(ad s(xi)), in the parent's basis;
+    * ``split(xi)`` is G = F g T = [[A, 0], [C, D]], once per xi;
+    * ``i1(xi)`` is i1(tau omega)(g) = C A^-1, as an m x d block;
+    * ``product((xi, a), (eta, b))`` is (A eta, D b + phi1(rho_{A eta}) C eta),
+      the rack product in coordinates, with phi1(X) v the top-right column
+      of expm of [[X, v], [0, 0]]."""
+
+    def __init__(self, ext: algebra.CentralExtensionData):
+        self.d, self.m = ext.g0_dim, ext.center_dim
+        self.ad = [_mp_array(mat) for mat in ext.g0_matrices]
+        self.rho = [_mp_array(mat) for mat in ext.rho]
+        self.f, self.t = _mp_array(ext.from_parent), _mp_array(ext.to_parent)
+        self._splits = {}
+
+    def group(self, xi) -> np.ndarray:
+        return _mp_expm(sum(x * ad for x, ad in zip(xi, self.ad)))
+
+    def split(self, xi) -> np.ndarray:
+        key = tuple(xi)
+        if key not in self._splits:
+            self._splits[key] = self.f @ self.group(xi) @ self.t
+        return self._splits[key]
+
+    def i1(self, xi) -> np.ndarray:
+        import mpmath
+
+        d, big = self.d, self.split(xi)
+        inverse = np.array(mpmath.inverse(mpmath.matrix(big[:d, :d].tolist())).tolist(),
+                           dtype=object)
+        return big[d:, :d] @ inverse
+
+    def product(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        import mpmath
+
+        (xi, a), (eta, b) = u, v
+        d, m, big = self.d, self.m, self.split(xi)
+        eta2 = big[:d, :d] @ eta
+        aug = np.full((m + 1, m + 1), mpmath.mpf(0), dtype=object)
+        aug[:m, :m] = sum(x * rho for x, rho in zip(eta2, self.rho))
+        aug[:m, m] = big[d:, :d] @ eta
+        return eta2, big[d:, d:] @ b + _mp_expm(aug)[:m, m]
 
 
 def sample_rack_element(sys_, rng, max_norm: float) -> tuple[LocalRackElement, np.ndarray]:
@@ -720,13 +793,11 @@ def dim5_extras_one_by_one(sys_, args):
 
     def check(a, b, ac, bc):
         g, h = group_from_coords(sys_, a), group_from_coords(sys_, b)
-        got_i1 = i1(sys_, sys_.omega, g)
-        yield sup_norm(got_i1 - dim5_i1_matrix(*a))
-        yield sup_norm(i2(sys_, g, h) - dim5_f(a, b))
-        got = rack_product(sys_, LocalRackElement(g, ac), LocalRackElement(h, bc))
+        yield sup_norm(i1(sys_, g) - dim5_i1_matrix(*a))
+        # h carries the coordinates b it was drawn at, so nothing is logged
+        yield sup_norm(carried_i2(sys_, g, h, b) - dim5_f(a, b))
+        got, eta = carried_action(sys_, g, LocalRackElement(h, bc), b)
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        # g |> h in coordinates as the extra reads them, A eta with no log
-        eta = conjugate_coords(sys_, split(sys_, g), log_coords(sys_, h))
         yield sup_norm(np.concatenate([eta, got.a]) - want)
 
     return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
@@ -807,6 +878,53 @@ def i1_in_hom_module(sys_, bmat, xi):
     out = phi1_float(sys_.combo(gens, xi), v, index)
     out[vanish] = 0.0
     return out
+
+
+# -- i1 of any beta by the paper's closed form -------------------------------
+
+def phi1_two_sided(a, v, index=None, b=None, b_index=None):
+    """int_0^1 exp(s a) v exp(-s b) ds for stacks a (..., n, n), b (..., k, k)
+    and blocks v (..., n, k): phi1 of L(x) = a x - x b applied to v, as
+    ``linalg.phi1_float`` took it given a right factor.  With both exact
+    nilpotency indices the finite series sum_(j < index + b_index - 1)
+    L^j v / (j+1)!, summed by products; otherwise ``linalg._expm_pade`` of
+    [[a, v], [0, b]], whose top-right block is the integral times exp(b)
+    (Van Loan, IEEE TAC 1978)."""
+    v = np.asarray(v, dtype=float)
+    n = a.shape[-1]
+    if not n:
+        return np.zeros(v.shape)
+    if index is None or b_index is None:
+        k = v.shape[-1]
+        aug = np.zeros(a.shape[:-2] + (n + k, n + k))
+        aug[..., :n, :n], aug[..., :n, n:], aug[..., n:, n:] = a, v, b
+        return linalg._expm_pade(aug)[..., :n, n:] @ exp_float(-b, b_index)
+    acc = term = v
+    for j in range(1, index + b_index - 1):
+        term = (a @ term - term @ b) / (j + 1)
+        acc = acc + term
+    return acc
+
+
+def i1_closed_form(sys_, beta, xi):
+    """i1(beta)(g) = int_0^1 exp(s rho_xi) beta(xi) exp(-s ad0_xi) ds as
+    blocks (..., m, d) from g's log coordinates xi (..., d), for any
+    Hom(g0, a)-valued 1-cochain beta given as its stack (d, m, d) of blocks
+    beta(e_p): the two-sided closed form that ``rack.i1`` took before it
+    read i1(tau omega) off g's split, zero where xi is."""
+    xi = np.asarray(xi, dtype=float)
+    out = phi1_two_sided(sys_.rho_of(xi), sys_.combo(beta, xi), sys_.rho_index,
+                         sys_.ad0_of(xi), sys_.ad0_index)
+    out[np.abs(xi).max(axis=-1, initial=0.0) == 0] = 0.0
+    return out
+
+
+def i2_closed_form(sys_, beta, xi, eta):
+    """The paper's i2 of a 2-cochain whose tau is beta, as two closed-form
+    path integrals: ``i1_closed_form`` along log g, at g's log coordinates
+    xi, then phi1(rho_eta) along log(g |> h), at its coordinates eta."""
+    return phi1_float(sys_.rho_of(eta), matvec(i1_closed_form(sys_, beta, xi), eta),
+                      sys_.rho_index)
 
 
 # -- the float log, probing every slice ---------------------------------------

@@ -98,7 +98,7 @@ def test_criterion_2_i1_closed_form():
     for _ in range(20):
         a = disk_point(rng)
         g = group_from_coords(sys_, a)
-        got = i1(sys_, sys_.omega, g)
+        got = i1(sys_, g)
         worst = max(worst, float(np.abs(got - dim5_i1_matrix(*a)).max()))
     dt = time.perf_counter() - t0
     announce(2, worst <= 1e-10 and dt < 1.0,

@@ -382,8 +382,8 @@ def test_quad_order_above_the_bound_is_config_error(capsys):
 
 def test_a_dim32_algebra_with_a_16_dimensional_center_integrates(capsys, tmp_path):
     # dim 32 with [x_i, x_i] = z_i for i < 16: g0 and the left center are
-    # 16-dimensional, and i1 runs on blocks of side 16 + 16 = dim, so the
-    # dim x dim check bounds its stacks too
+    # 16-dimensional, and no kernel takes a matrix wider than the group
+    # elements' dim x dim, so the dim x dim check bounds every stack
     p = tmp_path / "hom32.leib"
     write_algebra_file(LeibnizAlgebra.from_brackets(
         32, {(i, i): {16 + i: 1} for i in range(16)}), p)

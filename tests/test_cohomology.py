@@ -334,7 +334,7 @@ def test_i1_is_a_rack_cocycle_in_the_symmetric_module(dim5_sys):
 
         mod = RackModuleStructure.symmetric(sys_.center_dim * sys_.g0_dim, hom_action, conj)
         # the module's carrier is Hom(g0, a) flattened row by row
-        f = RackCochainFn(1, lambda g: i1(sys_, sys_.omega, g).reshape(-1))
+        f = RackCochainFn(1, lambda g: i1(sys_, g).reshape(-1))
         for _ in range(6):
             g = group_from_coords(sys_, rng.uniform(-0.05, 0.05, sys_.g0_dim))
             h = group_from_coords(sys_, rng.uniform(-0.05, 0.05, sys_.g0_dim))

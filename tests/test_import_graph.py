@@ -21,6 +21,7 @@ oracles moved out of ``rack`` no longer resolve on the package."""
 
 import ast
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -343,6 +344,12 @@ def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():
             continue
         raise AssertionError(f"leibrack.{name} still resolves")
     assert [n for n in MOVED_FROM_RACK if hasattr(rack, n)] == []
+    # the two-sided closed form of i1 is the tests' oracle: phi1_float takes
+    # no right factor, i1 no beta, and the paper's i2 only a quadrature rule
+    assert list(inspect.signature(linalg.phi1_float).parameters) == ["a", "v", "index"]
+    assert list(inspect.signature(rack.i1).parameters) == ["sys", "g", "ok"]
+    rule = inspect.signature(rack.i2_from_coords).parameters["rule"]
+    assert rule.default is inspect.Parameter.empty
 
 
 def _referenced_names(node: ast.AST) -> set[str]:

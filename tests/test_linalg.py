@@ -35,7 +35,7 @@ from leibrack.linalg import (
 )
 from leibrack.rack import LocalRackElement, build_rack_system, group_from_coords
 from leibrack.suites import elem_distance
-from oracles import log_float_probe_all, rank
+from oracles import log_float_probe_all, phi1_two_sided, rank
 
 RHO_E1 = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
@@ -397,7 +397,8 @@ def test_phi1_float_block_rhs_matches_columns():
     assert np.abs(phi1_float(general, np.eye(4)) - quad).max() <= 1e-13
 
 
-def test_phi1_float_with_a_right_factor_is_the_two_sided_integral():
+def test_the_two_sided_phi1_oracle_is_the_two_sided_integral():
+    # the kernel of the tests' closed form of i1 for any beta,
     # int_0^1 exp(s a) v exp(-s b) ds on (n, k) blocks: the finite series to
     # index + b_index - 1, the Pade kernel of [[a, v], [0, b]] times exp(-b)
     # and quadrature of the integrand agree, and each slice of a stack is
@@ -409,15 +410,15 @@ def test_phi1_float_with_a_right_factor_is_the_two_sided_integral():
     a_gen, b_gen = rng.uniform(-1, 1, (6, n, n)), rng.uniform(-1, 1, (6, k, k))
     v = rng.uniform(-1, 1, (6, n, k))
     rule = gauss_legendre_01(16)
-    series = phi1_float(a_nil, v, n, b_nil, k)
-    assert np.abs(series - phi1_float(a_nil, v, None, b_nil, None)).max() <= 1e-14
+    series = phi1_two_sided(a_nil, v, n, b_nil, k)
+    assert np.abs(series - phi1_two_sided(a_nil, v, None, b_nil, None)).max() <= 1e-14
     for a, index, b, b_index in ((a_nil, n, b_nil, k), (a_gen, None, b_nil, k),
                                  (a_nil, n, b_gen, None), (a_gen, None, b_gen, None)):
-        got = phi1_float(a, v, index, b, b_index)
+        got = phi1_two_sided(a, v, index, b, b_index)
         quad = integrate_01(rule, [scipy.linalg.expm(s * a) @ v @ scipy.linalg.expm(-s * b)
                                    for s in rule.nodes])
         assert got.shape == v.shape and np.abs(got - quad).max() <= 1e-13
-        _same_slices(got, [phi1_float(s, w, index, r, b_index) for s, w, r in zip(a, v, b)])
+        _same_slices(got, [phi1_two_sided(s, w, index, r, b_index) for s, w, r in zip(a, v, b)])
 
 
 # -- matrix logarithm --------------------------------------------------------

@@ -44,8 +44,6 @@ from leibrack.linalg import (
 from leibrack.rack import (
     LocalRackElement,
     NotLieCocycleError,
-    _i1,
-    _i2,
     augmented_action,
     build_rack_system,
     conjugate,
@@ -55,7 +53,6 @@ from leibrack.rack import (
     group_from_coords,
     i1,
     i2,
-    i2_from_coords,
     in_chart,
     iota2,
     lie_cocycle_defect,
@@ -81,6 +78,7 @@ from leibrack.suites import (
 )
 from oracles import (
     EXTRAS_ONE_BY_ONE,
+    LinearRackMp,
     ONE_BY_ONE,
     action_from_coords,
     bracket_coords_by_brackets,
@@ -90,11 +88,14 @@ from oracles import (
     delta2,
     ghost_identity_defect,
     group_action,
+    i1_closed_form,
     i1_in_hom_module,
+    i2_closed_form,
     i2_quadrature,
     lie_group_inverse,
     linear_rack,
     omega_per_node,
+    phi1_two_sided,
     random_corpus,
     sample_rack_element,
     sampled,
@@ -239,7 +240,7 @@ def test_singular_conjugator_is_out_of_chart():
 # -- i1 ----------------------------------------------------------------------
 
 def test_i1_vanishes_at_identity(dim5_sys):
-    got = i1(dim5_sys, dim5_sys.omega, dim5_sys.identity())
+    got = i1(dim5_sys, dim5_sys.identity())
     assert np.abs(got).max() == 0.0
 
 
@@ -248,7 +249,7 @@ def test_i1_matches_dim5_closed_form(dim5_sys):
     for _ in range(10):
         a = rng.uniform(-0.17, 0.17, size=2)
         g = group_from_coords(dim5_sys, a)
-        got = i1(dim5_sys, dim5_sys.omega, g)
+        got = i1(dim5_sys, g)
         assert np.abs(got - dim5_i1_matrix(*a)).max() < 1e-10
 
 
@@ -267,36 +268,16 @@ def test_i1_of_coboundary_is_rack_coboundary(dim5_sys):
     homrep = hom_representation(dim5_sys.ext.rep)
     b = [int(c) for c in rng.integers(-3, 4, size=6)]
     beta = leibniz_differential(homrep, cochain_from_dense(0, 2, 6, b))
-    # i1 takes beta's blocks (d, m, d); Hom(g0, a) is flattened row by row
+    # the closed form takes beta's blocks (d, m, d); Hom(g0, a) is
+    # flattened row by row
     blocks = beta.to_numpy().reshape(2, 3, 2)
     for _ in range(5):
         xi = rng.uniform(-0.15, 0.15, size=2)
-        g = group_from_coords(dim5_sys, xi)
-        got = i1(dim5_sys, blocks, g)
+        got = i1_closed_form(dim5_sys, blocks, xi)
         bmat = np.array(b, float).reshape(3, 2)
         want = scipy.linalg.expm(dim5_sys.rho_of(xi)) @ bmat \
             @ scipy.linalg.expm(-dim5_sys.ad0_of(xi))
         assert np.abs(got - (want - bmat)).max() < 1e-10
-
-
-@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 4, 2), (3, 3, 2), (3, 2), (2, 6)])
-def test_i1_refuses_a_beta_stack_of_the_wrong_shape(dim5_sys, shape):
-    # dim5 has d = 2 and m = 3, so beta's blocks are a (2, 3, 2) stack
-    g = group_from_coords(dim5_sys, [0.05, -0.02])
-    with pytest.raises(ValueError, match="beta stack must be 2 x 3 x 2"):
-        i1(dim5_sys, np.zeros(shape), g)
-
-
-def test_i1_takes_blocks_not_a_cochain(dim5_sys):
-    # tau omega as a cochain is refused; its values as blocks, Hom(g0, a)
-    # flattened row by row, are sys.omega and give i1 bit for bit
-    g = group_from_coords(dim5_sys, [0.05, -0.02])
-    beta = tau(dim5_sys.ext.omega)
-    with pytest.raises(TypeError):
-        i1(dim5_sys, beta, g)
-    blocks = beta.to_numpy().reshape(2, 3, 2)
-    assert blocks.tobytes() == dim5_sys.omega.tobytes()
-    assert i1(dim5_sys, blocks, g).tobytes() == i1(dim5_sys, dim5_sys.omega, g).tobytes()
 
 
 def _i1_general_path(sys_, g, eps=1e-6):
@@ -322,7 +303,7 @@ def test_i1_general_path_cross_check(dim5_sys):
     for _ in range(5):
         a = rng.uniform(-0.15, 0.15, size=2)
         g = group_from_coords(dim5_sys, a)
-        fast = i1(dim5_sys, dim5_sys.omega, g)
+        fast = i1(dim5_sys, g)
         assert np.abs(fast - _i1_general_path(dim5_sys, g)).max() < 1e-7
 
 
@@ -334,7 +315,7 @@ def test_i1_general_path_nonabelian():
     for _ in range(5):
         a = rng.uniform(-0.08, 0.08, size=4)
         g = group_from_coords(sys_, a)
-        fast = i1(sys_, sys_.omega, g)
+        fast = i1(sys_, g)
         assert np.abs(fast - _i1_general_path(sys_, g)).max() < 1e-7
 
 
@@ -347,13 +328,14 @@ _I1_ORACLE_INPUTS = {
 
 @pytest.mark.parametrize("name", list(_I1_ORACLE_INPUTS))
 def test_i1_on_blocks_matches_the_hom_module_oracle(name):
-    # i1 on m x d blocks against phi1 of the (m*d)-sided Hom(g0, a)
-    # generators, at the exact index of each family or by Pade
+    # the two-sided closed form on m x d blocks against phi1 of the
+    # (m*d)-sided Hom(g0, a) generators, at the exact index of each family
+    # or by Pade
     sys_ = build_rack_system(canonical_extension(_I1_ORACLE_INPUTS[name]), 0.5)
     xi = np.random.default_rng(41).uniform(-0.5, 0.5, (50, sys_.g0_dim))
     m, d = sys_.center_dim, sys_.g0_dim
     want = i1_in_hom_module(sys_, tau(sys_.ext.omega).to_numpy().T, xi).reshape(50, m, d)
-    got = _i1(sys_, sys_.omega, xi)
+    got = i1_closed_form(sys_, sys_.omega, xi)
     assert got.shape == want.shape and np.abs(want).max() > 0.1
     bound = 1e-15 * (1.0 + np.abs(want).max(axis=(-2, -1)))
     assert (np.abs(got - want).max(axis=(-2, -1)) <= bound).all()
@@ -409,7 +391,7 @@ def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
     xi, zeta = rng.uniform(-0.15, 0.15, size=(2, 20, d))
     g = group_from_coords(sys_, xi)
     eta = log_coords(sys_, conjugate(sys_, g, group_from_coords(sys_, zeta)))
-    got = _i2(sys_, eta, matvec(_i1(sys_, dbeta.to_numpy().transpose(0, 2, 1), xi), eta))
+    got = i2_closed_form(sys_, dbeta.to_numpy().transpose(0, 2, 1), xi, eta)
 
     def primitive(x):
         return phi1_float(sys_.rho_of(x), matvec(beta.astype(float), x), sys_.rho_index)
@@ -453,7 +435,7 @@ def test_a_split_input_gives_kinyons_rack(name):
     def f(x):
         return phi1_float(sys_.rho_of(x), matvec(beta, x), sys_.rho_index)
 
-    got = i2_from_coords(sys_, xi, eta)
+    got = i2_closed_form(sys_, sys_.omega, xi, eta)
     want = matvec(action_from_coords(sys_, xi), f(zeta)) - f(eta)
     assert np.abs(got - want).max() <= 1e-12
     # F with the opposite sign is not a rack isomorphism
@@ -505,7 +487,7 @@ def test_the_rack_is_the_linear_rack_twisted_by_phi1(name):
     _, xi_got, eta = conjugate_and_log(sys_, g, h, ok)
     product = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b), ok)
     assert ok.all()
-    got = (eta, i1(sys_, sys_.omega, g), i2_from_coords(sys_, xi_got, eta),
+    got = (eta, i1(sys_, g), i2_closed_form(sys_, sys_.omega, xi_got, eta),
            action_from_coords(sys_, xi_got))
     want = linear_rack(sys_, g, h)
     for what, x, y in zip(("eta'", "i1", "i2", "action"), got, want):
@@ -532,6 +514,65 @@ def test_production_i2_equals_the_paper_integrals_by_quadrature(name):
     want = i2_quadrature(sys_, g, h, gauss_legendre_01(16), ok)
     assert ok.all() and got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*LINEAR_RACK_INPUTS, "abelian3"])
+def test_i1_off_the_split_equals_the_paper_closed_form(name):
+    # rack.i1 = C A^-1 against the paper's two-sided closed form at g's
+    # coordinates and against phi1 on the (m*d)-sided Hom(g0, a), for a
+    # stack and for each element alone: on sl2 m = 0, on abelian3 d = 0
+    alg = abelian3() if name == "abelian3" else LINEAR_RACK_INPUTS[name]()
+    sys_ = build_rack_system(canonical_extension(alg), 8.0)
+    m, d = sys_.center_dim, sys_.g0_dim
+    xi = np.random.default_rng(43).uniform(-0.15, 0.15, (40, d))
+    g = group_from_coords(sys_, xi)
+    ok = np.ones(40, dtype=bool)
+    got = i1(sys_, g, ok)
+    assert ok.all() and got.shape == (40, m, d)
+    for want in (i1_closed_form(sys_, sys_.omega, xi),
+                 i1_in_hom_module(sys_, tau(sys_.ext.omega).to_numpy().T, xi).reshape(40, m, d)):
+        bound = 1e-13 * (1.0 + np.abs(want).max(axis=(-2, -1), initial=0.0))
+        assert (np.abs(got - want).max(axis=(-2, -1), initial=0.0) <= bound).all()
+    for k in range(40):
+        assert i1(sys_, g[k]).tobytes() == got[k].tobytes()
+
+
+# the non-nilpotent inputs of the linear rack: two entries of each
+# rho_semisimple kind, and the oscillator, whose ad family is not nilpotent
+MP_INPUTS = ["oscillator", *(f"{kind}-{seed}" for kind in inputs.RHO_KINDS for seed in (0, 1))]
+
+
+@pytest.mark.parametrize("name", MP_INPUTS)
+def test_the_float_rack_matches_the_linear_rack_at_40_digits(name):
+    # exp of a rational matrix that is not nilpotent is transcendental, so
+    # no exact oracle reaches these inputs: the rack product, i1 and
+    # self-distributivity against mpmath at 40 digits, at coordinates
+    # k/64 with |k| <= 10, which floats hold exactly
+    import mpmath
+    ext = canonical_extension(LINEAR_RACK_INPUTS[name]())
+    sys_ = build_rack_system(ext, 8.0)
+    d = sys_.g0_dim
+    rng = np.random.default_rng(47)
+    with mpmath.workdps(40):
+        rack_mp = LinearRackMp(ext)
+        for _ in range(3):
+            ks = rng.integers(-10, 11, size=(3, d + sys_.center_dim))
+            x, y, z = ((np.array([mpmath.mpf(int(k)) / 64 for k in row[:d]], dtype=object),
+                        np.array([mpmath.mpf(int(k)) / 64 for k in row[d:]], dtype=object))
+                       for row in ks)
+            (xi, a), (eta, b) = (np.split(row / 64.0, [d]) for row in ks[:2])
+            g = group_from_coords(sys_, xi)
+            got = rack_product(sys_, LocalRackElement(g, a),
+                               LocalRackElement(group_from_coords(sys_, eta), b))
+            eta2, c = rack_mp.product(x, y)
+            assert np.abs(got.g - rack_mp.group(eta2).astype(float)).max() <= 1e-15
+            assert np.abs(got.a - c.astype(float)).max() <= 1e-15
+            assert np.abs(i1(sys_, g) - rack_mp.i1(x[0]).astype(float)).max() <= 1e-15
+            # x |> (y |> z) = (x |> y) |> (x |> z), in mpmath alone
+            left = rack_mp.product(x, rack_mp.product(y, z))
+            right = rack_mp.product(rack_mp.product(x, y), rack_mp.product(x, z))
+            assert max(abs(p - q) for p, q in zip(np.concatenate(left),
+                                                  np.concatenate(right))) <= 1e-35
 
 
 # the inputs of the linear rack but sl2, whose g0 has no center to act
@@ -1197,7 +1238,17 @@ def test_i1_and_i2_make_no_quadrature_call(dim5_sys, monkeypatch):
                         lambda rule, values: calls.append(rule) or integrate_01(rule, values))
     g = group_from_coords(dim5_sys, [0.1, -0.05])
     h = group_from_coords(dim5_sys, [-0.02, 0.07])
-    i1(dim5_sys, dim5_sys.omega, g)
+    # i1 is read off g's split: no log and no phi1 either
+    kernels = {"log_float": 0, "phi1_float": 0}
+    with monkeypatch.context() as patch:
+        for name in kernels:
+            def counted(*args, name=name, original=getattr(rack, name)):
+                kernels[name] += 1
+                return original(*args)
+            patch.setattr(rack, name, counted)
+        i1(dim5_sys, g)
+        i1(dim5_sys, np.array([g, h]), np.ones(2, dtype=bool))
+    assert kernels == {"log_float": 0, "phi1_float": 0}
     i2(dim5_sys, g, h)
     assert not calls
     i2_quadrature(dim5_sys, g, h, dim5_sys.quad)
@@ -1253,13 +1304,13 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
             # phi1's finite series equals its augmented-expm branch
             v = rng.uniform(-1.0, 1.0, size=x.shape[0])
             assert np.abs(phi1_float(x, v, index) - phi1_float(x, v)).max() <= 1e-14
-    # and so does the two-sided series of i1, on m x d blocks
+    # and so does the two-sided series of the tests' i1 oracle, on m x d blocks
     for _ in range(10):
         xi = rng.uniform(-1.0, 1.0, size=sys_.g0_dim)
         rho, ad0 = sys_.rho_of(xi), sys_.ad0_of(xi)
         block = rng.uniform(-1.0, 1.0, size=(sys_.center_dim, sys_.g0_dim))
-        series = phi1_float(rho, block, sys_.rho_index, ad0, sys_.ad0_index)
-        assert np.abs(series - phi1_float(rho, block, None, ad0, None)).max() <= 1e-14
+        series = phi1_two_sided(rho, block, sys_.rho_index, ad0, sys_.ad0_index)
+        assert np.abs(series - phi1_two_sided(rho, block, None, ad0, None)).max() <= 1e-14
 
 
 def test_rho_semisimple_takes_the_pade_path(monkeypatch):

@@ -437,7 +437,7 @@ def _operations(sys_):
         "conjugate": lambda g, h, b, ok=None: conjugate(sys_, g, h, ok),
         "group_product": lambda g, h, b, ok=None: group_product(sys_, g, h, ok),
         "group_action": lambda g, h, b, ok=None: group_action(sys_, g, ok),
-        "i1": lambda g, h, b, ok=None: i1(sys_, sys_.omega, g, ok),
+        "i1": lambda g, h, b, ok=None: i1(sys_, g, ok),
         "i2": lambda g, h, b, ok=None: i2(sys_, g, h, ok),
         "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, sys_.quad, ok),
         "augmented_action": lambda g, h, b, ok=None: augmented_action(
@@ -449,9 +449,10 @@ def _operations(sys_):
 
 # the slices of _mixed_slices each operation fails: conjugate meets only the
 # conjugator's gates, and so do i2 and the actions, which read g off its
-# split and log only h; a product of two elements in the chart is only
-# gated by the chart; every other operation takes log g
-FAILING = {"conjugate": [1, 2], "group_product": [1], "i2": [1, 2],
+# split and log only h, and i1, which reads C A^-1 off g's split, where the
+# inverse of A fails as the conjugator's does; a product of two elements in
+# the chart is only gated by the chart; every other operation takes log g
+FAILING = {"conjugate": [1, 2], "group_product": [1], "i1": [1, 2], "i2": [1, 2],
            "augmented_action": [1, 2], "rack_product": [1, 2]}
 
 
@@ -472,6 +473,9 @@ def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
         assert want[1:] == [text for _, text in slices[1:]]
     if op in ("augmented_action", "rack_product", "i2"):
         assert want[1:3] == [text for _, text in slices[1:3]]
+    if op == "i1":
+        assert want[1:3] == [text.replace("conjugator", "group element")
+                             for _, text in slices[1:3]]
     # without a mask, a stack raises the error of its first failing slice
     with pytest.raises(OutOfChartError) as err:
         stacks(g, h, b)
@@ -793,13 +797,13 @@ def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
 
 
 def test_the_dim5_extras_conjugate_once(monkeypatch):
-    # i1 logs g; i2 and the rack product share one conjugation g |> h,
-    # g's split and the log of h
+    # i1 reads g's split; i2 and the rack product share one conjugation
+    # g |> h and g's split, with the coordinates h was drawn at: no log
     sys_ = _system("dim5", 0.5)
     args = Namespace(seed=3, chart_radius=0.5, quad_order=8, fd_step=1e-3)
     names = ("_conjugate", "conjugate", "log_coords", "i1", "i2", "rack_product")
     calls = _outermost_calls(monkeypatch, names, lambda: EXAMPLE_EXTRAS["dim5"][0](sys_, args))
-    assert calls == dict(zip(names, ([(20,)], [], [(20,)], [(20,)], [], [])))
+    assert calls == dict(zip(names, ([(20,)], [], [], [(20,)], [], [])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
