@@ -41,12 +41,13 @@ conjugation's gates.  A caller that drew h as exp(ad eta), or formed it as
 a conjugation, carries eta and takes no log: the suites, the dim5 extra
 and the tangent bracket's probes.
 
-The paper's form from the log coordinates of g and g |> h
-(``conjugate_and_log``, ``i2_from_coords``) is i2's quadrature
-cross-check: ``_integral`` takes both of its integrands at every node of
-a Gauss-Legendre rule, so it shares no closed form with the production
-i2.  The tests keep i1 of any beta in closed form and a finite-difference
-evaluator along an arbitrary path.
+The paper's form from the log coordinates xi of g and A eta of g |> h
+(``i2_from_coords``) is i2's quadrature cross-check: it takes both
+integrands, i1's with its right factor exp(-s ad0_xi), at every node of a
+Gauss-Legendre rule, so it shares no evaluator with the production i2.
+Its caller carries both coordinates (a draw's, and A eta under g's split),
+so it takes no log.  The tests keep the logged form, i1 of any beta in
+closed form and a finite-difference evaluator along an arbitrary path.
 
 For Lie input, the group 2-cocycle iota2 is a double integral over a
 2-chain.  Its inner integral is phi1 of a block-triangular matrix, in
@@ -427,56 +428,6 @@ def group_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 # the path integrals
 # ---------------------------------------------------------------------------
 
-def _vanishing(x: np.ndarray) -> np.ndarray:
-    """Where the vector x (..., k) is exactly zero, as when k = 0; a NaN
-    entry is not zero."""
-    return np.abs(x).max(axis=-1, initial=0.0) == 0
-
-
-def _integral(a: np.ndarray, v: np.ndarray, vanish: np.ndarray, index: int | None,
-              rule: QuadratureRule | None, b: np.ndarray | None = None,
-              b_index: int | None = None) -> np.ndarray:
-    """integral_0^1 exp(s a) v ds by ``phi1_float`` if rule is None, else by
-    Gauss-Legendre at rule, which also takes a right factor b and a block
-    v: integral_0^1 exp(s a) v exp(-s b) ds.  index and b_index are the
-    nilpotency indices of a's and b's families.  Zero where vanish: a fresh
-    zero array with no kernel call if every slice vanishes, else zeroed in
-    place, so that the kernel's result keeps the strides that decide whether
-    numpy's matmul on it calls BLAS, and so how it rounds, in a 2-D call
-    and a stack."""
-    if vanish.all():
-        return np.zeros(v.shape)
-    if rule is None:
-        out = phi1_float(a, v, index)
-    else:
-        # every node's integrand in one stack (..., nodes, k) or (..., nodes, k, l)
-        nodes = np.array(rule.nodes)[:, None, None]
-        left = exp_float(nodes * a[..., None, :, :], index)
-        if b is None:
-            values = np.moveaxis(matvec(left, v[..., None, :]), -2, 0)
-        else:
-            right = exp_float(-nodes * b[..., None, :, :], b_index)
-            values = np.moveaxis(left @ v[..., None, :, :] @ right, -3, 0)
-        out = integrate_01(rule, values)
-    out[vanish] = 0.0
-    return out
-
-
-def _i1(sys: LocalRackSystem, xi: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """i1(tau omega)(g) = integral_0^1 exp(s rho_xi) M exp(-s ad0_xi) ds,
-    M = omega(xi, -), by quadrature at rule, as blocks (..., m, d) from g's
-    log coordinates xi (..., d): the first integral of i2's cross-check."""
-    return _integral(sys.rho_of(xi), sys.combo(sys.omega, xi), _vanishing(xi), sys.rho_index,
-                     rule, sys.ad0_of(xi), sys.ad0_index)
-
-
-def _i2(sys: LocalRackSystem, eta: np.ndarray, v: np.ndarray,
-        rule: QuadratureRule | None = None) -> np.ndarray:
-    """integral_0^1 exp(t rho_eta) v dt, i2's outer integral, from the log
-    coordinates eta of g |> h and the value v of its integrand at t = 0."""
-    return _integral(sys.rho_of(eta), v, _vanishing(v), sys.rho_index, rule)
-
-
 def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
     """G = F g T, g in (g0, center) coordinates, F and T the float
     ``from_parent`` and ``to_parent``: the block-triangular [[A, 0], [C, D]]
@@ -528,7 +479,17 @@ def i2_from_split(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray) -> np.
     (``conjugate_coords``), and C eta = i1(tau omega)(g)(A eta) is i2's
     integrand at t = 0."""
     d = sys.g0_dim
-    return _i2(sys, conjugate_coords(sys, big, eta), matvec(big[..., d:, :d], eta))
+    v = matvec(big[..., d:, :d], eta)
+    # zero where C eta is exactly zero (a NaN is not): a fresh zero array with
+    # no kernel call if every slice is, else zeroed in place, so that the
+    # kernel's result keeps the strides that decide whether numpy's matmul
+    # on it calls BLAS, and so how it rounds, in a 2-D call and a stack
+    vanish = np.abs(v).max(axis=-1, initial=0.0) == 0
+    if vanish.all():
+        return np.zeros(v.shape)
+    out = phi1_float(sys.rho_of(conjugate_coords(sys, big, eta)), v, sys.rho_index)
+    out[vanish] = 0.0
+    return out
 
 
 def action_from_split(sys: LocalRackSystem, big: np.ndarray) -> np.ndarray:
@@ -548,25 +509,24 @@ def augmented_from_split(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray,
         matvec(action_from_split(sys, big), b) + i2_from_split(sys, big, eta)
 
 
-def conjugate_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                      ok: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(g |> h, xi, eta), with xi and eta the log coordinates of g and of
-    g |> h, from which ``i2_from_coords`` integrates.  The gates run in
-    this order: the conjugation, which gates g once, g's log, the log of
-    g |> h.  g's slices outside the chart are logged as the identity."""
-    g, _, gh = _conjugate(sys, g, h, ok)
-    return gh, log_coords(sys, g, ok), log_coords(sys, gh, ok)
-
-
 def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
                    rule: QuadratureRule) -> np.ndarray:
-    """i2(omega)(g, h) as the paper's two path integrals, both by quadrature
-    at rule, from the log coordinates xi of g and eta of g |> h:
-    i1(tau omega)(g) along log g, then i2's along log(g |> h).  i2's
-    cross-check, exact up to rounding when rho is nilpotent and
-    2 * rule.order exceeds the polynomial degree of the integrands.  It
-    shares only the outer integral's evaluator with ``i2_from_split``."""
-    return _i2(sys, eta, matvec(_i1(sys, xi, rule), eta), rule)
+    """i2(omega)(g, h) as the paper's two path integrals, both by
+    Gauss-Legendre quadrature at rule, from the log coordinates xi of g and
+    eta of g |> h: H = i1(tau omega)(g) = integral_0^1 exp(s rho_xi) M
+    exp(-s ad0_xi) ds along log g, M = omega(xi, -), then integral_0^1
+    exp(t rho_eta) H eta dt along log(g |> h).  i2's cross-check, exact up
+    to rounding when rho is nilpotent and 2 * rule.order exceeds the
+    polynomial degree of the integrands.  It shares no evaluator with
+    ``i2_from_split``: no split and no phi1."""
+    # every node's integrand in one stack (..., nodes, m, d) or (..., nodes, m)
+    nodes = np.array(rule.nodes)[:, None, None]
+    left = exp_float(nodes * sys.rho_of(xi)[..., None, :, :], sys.rho_index)
+    right = exp_float(-nodes * sys.ad0_of(xi)[..., None, :, :], sys.ad0_index)
+    block = sys.combo(sys.omega, xi)[..., None, :, :]
+    i1_xi = integrate_01(rule, np.moveaxis(left @ block @ right, -3, 0))
+    outer = exp_float(nodes * sys.rho_of(eta)[..., None, :, :], sys.rho_index)
+    return integrate_01(rule, np.moveaxis(matvec(outer, matvec(i1_xi, eta)[..., None, :]), -2, 0))
 
 
 def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,

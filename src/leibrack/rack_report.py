@@ -95,9 +95,11 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
     """i2(g, g) at g = exp(ad e_1), the unit step along the first
     coordinate direction.  Unit-coordinate group elements usually leave the
     configured chart, so this is evaluated on an explicitly widened chart.
-    ``rack.i2`` logs only g here, so the probe then takes the paper's logs
-    of g and g |> g for their gates, as the captured reports record them;
-    the first gate that fails is the one the paper's form meets first.
+    ``rack.i2`` gates the conjugation and logs g, the element acted on;
+    the probe then logs g |> g for its gate alone.  The captured reports
+    record the gates of the paper's form, which logs g and g |> g after
+    the conjugation, so the first gate that fails is the one that form
+    meets first.
 
     The realized G0 is unipotent for every nilpotent action, but the
     float log takes its finite series only when the float test finds
@@ -113,7 +115,7 @@ def _i2_probe(sys_: rack.LocalRackSystem, args) -> dict | None:
         wide = sys_.with_chart_radius(radius)
         g = rack.group_from_coords(wide, x)
         value = rack.i2(wide, g, g)
-        rack.conjugate_and_log(wide, g, g)  # the paper's gates alone
+        rack.log_coords(wide, rack.conjugate(wide, g, g))  # the paper's last gate
     except OutOfChartError as exc:
         return {"skipped": str(exc)}
     return {

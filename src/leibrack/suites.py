@@ -63,9 +63,9 @@ later property's cumulative mask, never the reverse: the three rows of
 row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1
 and the i2(u.g, v.g) of row 2.
 
-No sampled suite but the quadrature cross-check logs an element it drew
-or conjugated; the Lie suite's only logs are iota2's.  Where a suite
-needs an action or i2, it conjugates and splits the element that acts
+No sampled suite logs an element it drew or conjugated; the Lie suite's
+only logs are iota2's.  Where a suite needs an action or i2, it
+conjugates and splits the element that acts
 (``rack.conjugate_and_split``) and reads both off its split with the log
 coordinates that the element acted on carries
 (``rack.augmented_from_split``, ``rack.i2_from_split``): a draw carries
@@ -75,11 +75,12 @@ split (``rack.conjugate_coords``).  So ``rack_axiom_suite`` and
 its six i2 values and two actions off the splits of the elements its
 draws, conjugations and products formed, and
 ``lie_specialization_suite`` takes i2 and the rack product u |> v from
-one conjugation and u.g's split.  ``quadrature_stability_suite`` alone
-takes the paper's form, i2 from the log coordinates of g and g |> h
-(``rack.conjugate_and_log``, ``rack.i2_from_coords``) at two rules, with
-their log gates.  ``rack.log_coords`` of a draw equals the coordinates
-it carries to rounding, which the tests check.
+one conjugation and u.g's split.  ``quadrature_stability_suite`` takes
+the paper's form, i2 by quadrature from the coordinates of g and g |> h
+(``rack.i2_from_coords``) at two rules, from one conjugation and g's
+split: g carries its draw's, g |> h carries A eta.  ``rack.log_coords``
+of a draw equals the coordinates it carries to rounding, which the tests
+check.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ from .rack import (
     action_from_split,
     augmented_from_split,
     conjugate,
-    conjugate_and_log,
     conjugate_and_split,
     conjugate_coords,
     group_from_coords,
@@ -219,12 +219,12 @@ def _act(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement, eta: np.ndarr
 def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """(exp(ad x), x) for each row of coordinates xi (N, d), with x the row
-    halved as ``sample_group_element`` halves its draw, each halving
-    x * 0.5 of the one before: x is exactly what was exponentiated, so it
-    is the element's log coordinates with no log taken.  A round halves the
-    rows that do not fit yet once and exponentiates them as one stack; each
-    row takes its first halving that fits, so no exponentiated row is
-    discarded."""
+    halved until ||exp(ad x) - I|| < max_norm, each halving x * 0.5 of the
+    one before: x is exactly what was exponentiated, so it is the element's
+    log coordinates with no log taken.  A round halves the rows that do not
+    fit yet once and exponentiates them as one stack; each row takes its
+    first halving that fits, so no exponentiated row is discarded.  The
+    loop ends: a row that reaches zero gives I."""
     eye = sys.identity()
     kept = np.array(xi, dtype=float)
     # a wide draw can overflow exp; it then fails the norm test and is
@@ -268,18 +268,14 @@ def draw_samples(sys: LocalRackSystem, rng, max_norm: float, n: int, parts: str)
 
 def sample_group_element(sys: LocalRackSystem, rng, max_norm: float
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(g, xi): a group element with ||g - I|| < max_norm, by halving a
-    random coordinate draw until it fits, and the coordinates xi it
-    exponentiated.  The loop ends: a draw that reaches zero gives g = I."""
+    """(g, xi): a group element with ||g - I|| < max_norm and the
+    coordinates xi it exponentiated, one random coordinate draw halved
+    until it fits, as one row of ``_group_elements``."""
     if sys.g0_dim == 0:
         return sys.identity(), np.zeros(0)
     xi = rng.uniform(-1.0, 1.0, size=sys.g0_dim) * max_norm
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _group_elements
-        while True:
-            g = group_from_coords(sys, xi)
-            if norm1_float(g - sys.identity()) < max_norm:
-                return g, xi
-            xi = xi * 0.5
+    g, kept = _group_elements(sys, xi[None], max_norm)
+    return g[0], kept[0]
 
 
 def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> float:
@@ -559,13 +555,16 @@ def quadrature_stability_suite(sys: LocalRackSystem, n_pairs: int = 20,
                                seed: int = 4) -> list[PropertyResult]:
     """Doubling the order of i2's quadrature cross-check (``i2_from_coords``
     at a rule) must not move it: the integrands are polynomial when rho is
-    nilpotent.  All pairs at once, logged once for both orders."""
+    nilpotent.  All pairs at once, conjugated and split once for both
+    orders: g carries the coordinates xi of its draw and g |> h those of h
+    under g's split, A eta, so no log is taken."""
     rng = np.random.default_rng(seed)
-    (g, _), (h, _) = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
+    (g, xi), (h, eta) = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
     fine = gauss_legendre_01(2 * sys.quad.order)
     ok = np.ones(n_pairs, dtype=bool)
-    _, xi, eta = conjugate_and_log(sys, g, h, ok)
-    diff = i2_from_coords(sys, xi, eta, sys.quad) - i2_from_coords(sys, xi, eta, fine)
+    _, big = conjugate_and_split(sys, g, h, ok)
+    eta_gh = conjugate_coords(sys, big, eta)
+    diff = i2_from_coords(sys, xi, eta_gh, sys.quad) - i2_from_coords(sys, xi, eta_gh, fine)
     return stacked(n_pairs, [(sup_rows(diff), ok)],
                    [("quadrature_order_stability", 1e-12)])
 

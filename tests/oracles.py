@@ -7,9 +7,10 @@ stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
 with the coordinates it exponentiated, and an action on a drawn or
 conjugated element reads it off the acting element's split with the
 coordinates that element carries (``carried_action``, ``carried_i2``), as
-the suites do.  The finite differences take their four probes one after
-another, as ``delta2`` and ``tangent_bracket`` once did, each probe
-carrying its coordinates, and ``bracket_coords_by_brackets`` forms the
+the suites do, and the quadrature loop integrates from those coordinates.
+The finite differences take their four probes one after another, as
+``delta2`` and ``tangent_bracket`` once did, each probe carrying its
+coordinates, and ``bracket_coords_by_brackets`` forms the
 tangent suite's expected values with one ``bracket`` and one ``split`` per
 basis pair.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
 map the names of the production suites and extras to these loops, so a
@@ -95,7 +96,6 @@ from leibrack.rack import (
     action_from_split,
     augmented_from_split,
     conjugate,
-    conjugate_and_log,
     conjugate_and_split,
     conjugate_coords,
     group_from_coords,
@@ -334,10 +334,14 @@ def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
 
 def i2_quadrature(sys_, g, h, rule, ok=None) -> np.ndarray:
     """i2 with both path integrals, i1's and the outer one, taken by
-    Gauss-Legendre quadrature at rule: the quadrature cross-check of i2 as
-    a function of group elements."""
-    _, xi, eta = conjugate_and_log(sys_, g, h, ok)
-    return i2_from_coords(sys_, xi, eta, rule)
+    Gauss-Legendre quadrature at rule from the logs of g and g |> h: the
+    quadrature cross-check of i2 as a function of group elements.  The
+    gates run in this order: the conjugation, which gates g once, g's log,
+    the log of g |> h; g's slices outside the chart are logged as the
+    identity.  The suite integrates from the coordinates its draws carry
+    instead, with no log."""
+    g, _, gh = rack._conjugate(sys_, g, h, ok)
+    return i2_from_coords(sys_, log_coords(sys_, g, ok), log_coords(sys_, gh, ok), rule)
 
 
 def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -354,7 +358,7 @@ def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
     * phi_g = D.
 
     phi1(X) v is the top-right column of scipy's expm of [[X, v], [0, 0]],
-    so no value comes from ``rack._integral``."""
+    so no value comes from ``linalg.phi1_float``."""
     import scipy.linalg
 
     d, m = sys_.g0_dim, sys_.center_dim
@@ -732,8 +736,10 @@ def quadrature_stability_one_by_one(sys_, n_pairs=20, seed=4):
     fine = gauss_legendre_01(2 * sys_.quad.order)
 
     def check(*draws):
-        (g, _), (h, _) = draws
-        yield sup_norm(i2_quadrature(sys_, g, h, sys_.quad) - i2_quadrature(sys_, g, h, fine))
+        (g, xi), (h, eta) = draws
+        eta_gh = conjugate_coords(sys_, conjugate_and_split(sys_, g, h)[1], eta)
+        yield sup_norm(i2_from_coords(sys_, xi, eta_gh, sys_.quad)
+                       - i2_from_coords(sys_, xi, eta_gh, fine))
 
     return sampled(n_pairs,
                    lambda: (sample_group_element(sys_, rng, max_norm),

@@ -408,23 +408,32 @@ _NON_UNIPOTENT = {
 }
 
 
-@pytest.mark.parametrize("kind,radius", [("diagonal", "8"), ("aff", "1000")])
-def test_out_of_chart_samples_count_as_skips(capsys, tmp_path, kind, radius):
-    # on a wide chart the samples of a non-unipotent G0 leave the log chart
-    # of the quadrature cross-check, which logs g and g |> h: a skip and
-    # exit 3, not a traceback.  The rack products carry their coordinates
-    # and meet no log gate, so on diagonal pointedness skips nothing
+def _integrate_non_unipotent(capsys, tmp_path, kind, radius):
     p = tmp_path / f"{kind}.leib"
     write_algebra_file(LeibnizAlgebra.from_brackets(4, _NON_UNIPOTENT[kind]), p)
     code, out = run_cli(capsys, "integrate", str(p), "--samples", "20",
                         "--chart-radius", radius, "--json")
-    assert code == 3
     doc = json.loads(out)
+    return code, doc, {q["name"]: q for q in doc["properties"]}
+
+
+def test_out_of_chart_samples_count_as_skips(capsys, tmp_path):
+    # on a chart of radius 1000 the samples of aff(1) leave the conjugation's
+    # chart and inverse gates, in the quadrature cross-check too: a skip and
+    # exit 3, not a traceback
+    code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "aff", "1000")
+    assert code == 3
     assert doc["verdict"] == "chart_coverage_failure"
-    props = {q["name"]: q for q in doc["properties"]}
     assert props["quadrature_order_stability"]["skipped"] > 10
-    if kind == "diagonal":
-        assert props["pointedness"]["skipped"] == 0
+
+
+def test_the_quadrature_cross_check_meets_no_log_gate(capsys, tmp_path):
+    # the samples of the diagonal G0 at radius 8 lie outside the float log's
+    # chart, but every suite, the quadrature cross-check included,
+    # integrates from the coordinates its draws carry: no sample is skipped
+    code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "diagonal", "8")
+    assert code == 0 and doc["verdict"] == "pass"
+    assert not any(q["skipped"] for q in props.values())
 
 
 def test_integrate_oscillator_algebra_passes(capsys, tmp_path):

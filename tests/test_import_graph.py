@@ -350,6 +350,9 @@ def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():
     assert list(inspect.signature(rack.i1).parameters) == ["sys", "g", "ok"]
     rule = inspect.signature(rack.i2_from_coords).parameters["rule"]
     assert rule.default is inspect.Parameter.empty
+    # the quadrature cross-check takes no log and shares no evaluator with
+    # the production i2: neither has a mode switch
+    assert [n for n in ("conjugate_and_log", "_integral", "_i1", "_i2") if hasattr(rack, n)] == []
 
 
 def _referenced_names(node: ast.AST) -> set[str]:

@@ -47,12 +47,12 @@ from leibrack.rack import (
     augmented_action,
     build_rack_system,
     conjugate,
-    conjugate_and_log,
     conjugate_and_split,
     conjugate_coords,
     group_from_coords,
     i1,
     i2,
+    i2_from_coords,
     in_chart,
     iota2,
     lie_cocycle_defect,
@@ -484,7 +484,8 @@ def test_the_rack_is_the_linear_rack_twisted_by_phi1(name):
     a, b = rng.uniform(-0.25, 0.25, (2, 40, sys_.center_dim))
     g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
     ok = np.ones(40, dtype=bool)
-    _, xi_got, eta = conjugate_and_log(sys_, g, h, ok)
+    gh = conjugate(sys_, g, h, ok)
+    xi_got, eta = log_coords(sys_, g, ok), log_coords(sys_, gh, ok)
     product = rack_product(sys_, LocalRackElement(g, a), LocalRackElement(h, b), ok)
     assert ok.all()
     got = (eta, i1(sys_, g), i2_closed_form(sys_, sys_.omega, xi_got, eta),
@@ -514,6 +515,22 @@ def test_production_i2_equals_the_paper_integrals_by_quadrature(name):
     want = i2_quadrature(sys_, g, h, gauss_legendre_01(16), ok)
     assert ok.all() and got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
+def test_the_carried_cross_check_equals_the_logged_one(name):
+    # the quadrature suite integrates from the coordinates xi of g's draw
+    # and A eta of g |> h under g's split; the paper's form logs g and
+    # g |> h (``i2_quadrature``).  Both at the system's rule
+    sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), 8.0)
+    xi, zeta = np.random.default_rng(41).uniform(-0.15, 0.15, (2, 40, sys_.g0_dim))
+    g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
+    ok = np.ones(40, dtype=bool)
+    _, big = conjugate_and_split(sys_, g, h, ok)
+    got = i2_from_coords(sys_, xi, conjugate_coords(sys_, big, zeta), sys_.quad)
+    want = i2_quadrature(sys_, g, h, sys_.quad, ok)
+    assert ok.all() and got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))).all()
 
 
 @pytest.mark.parametrize("name", [*LINEAR_RACK_INPUTS, "abelian3"])
@@ -1635,7 +1652,8 @@ def _cli_json(argv, capsys):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("which", ["example_dim5", "integrate_aff1_radius8"])
+@pytest.mark.parametrize("which", ["example_dim5", "integrate_aff1_radius8",
+                                   "integrate_aff1_radius1000"])
 def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path, capsys,
                                                                 monkeypatch):
     # every suite and extra replaced by its one-sample-at-a-time loop; the
@@ -1649,7 +1667,7 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
         path = tmp_path / "aff1.leib"
         write_algebra_file(_aff1_with_weights(), path)
         argv = ["integrate", str(path), "--json", "--samples", "20", "--seed", "1",
-                "--chart-radius", "8"]
+                "--chart-radius", which.rsplit("radius", 1)[1]]
     stacked = _cli_json(argv, capsys)
     for name, oracle in ONE_BY_ONE.items():
         monkeypatch.setattr(suites, name, oracle)
@@ -1657,6 +1675,8 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
     for name, extras in EXTRAS_ONE_BY_ONE.items():
         monkeypatch.setitem(rack_report.EXAMPLE_EXTRAS, name, extras)
     assert stacked == _cli_json(argv, capsys)
+    # at radius 8 no sample leaves a gate; at 1000 the chart and inverse
+    # gates skip samples in every suite
     if which != "example_dim5":
-        report = json.loads(stacked[1])
-        assert stacked[0] == 3 and any(p["skipped"] for p in report["properties"])
+        skipped = any(p["skipped"] for p in json.loads(stacked[1])["properties"])
+        assert (stacked[0], skipped) == ((3, True) if which.endswith("1000") else (0, False))

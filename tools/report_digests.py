@@ -23,8 +23,13 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   free_nilpotent5 and two inputs of each ``rho_semisimple`` kind, at chart
   radius 0.5 and 4;
 * ``integrate`` at chart radius 8/12/16/24 on six of them, where part of
-  the self-distributivity, quadrature, action or Lie rows leaves the chart
-  and is skipped, and on aff-0 part of the cocycle rows too;
+  the self-distributivity, action or Lie rows leaves the chart and is
+  skipped, and on aff-0 part of the cocycle rows too.  The quadrature row
+  integrates from the coordinates its draws carry, so no log gate skips
+  it;
+* ``integrate`` at chart radius 8 and 24 on diagonal-0 and rotation-0,
+  wide runs of a G0 that is not unipotent besides aff-0, where most
+  samples lie outside the float log's chart;
 * ``integrate`` at quadrature order 3 and 64 on heisenberg, rl5 and aff-0,
   the ends of the accepted range of iota2's rule and the quadrature
   cross-check;
@@ -66,6 +71,8 @@ RANDOM_SEEDS = (1, 2, 5, 7, 23, 28, 38)
 RHO_KINDS = ("diagonal", "jordan", "rotation", "aff")
 WIDE_RADII = ("8", "12", "16", "24")
 WIDE_INPUTS = ("filiform5", "free_nilpotent5", "heisenberg", "rl5", "rl38", "aff-0")
+WIDE_SEMISIMPLE = ("diagonal-0", "rotation-0")
+WIDE_SEMISIMPLE_RADII = ("8", "24")
 QUAD_ORDERS = ("3", "64")
 QUAD_INPUTS = ("heisenberg", "rl5", "aff-0")
 FILIFORM_DIMS = (6, 8, 10, 12)
@@ -124,6 +131,8 @@ def runs() -> list[tuple[str, list[str]]]:
                     for r in ("0.5", "4")]
     out += [(id_, ["integrate", "{file}", "--json", "--chart-radius", r])
             for id_ in WIDE_INPUTS for r in WIDE_RADII]
+    out += [(id_, ["integrate", "{file}", "--json", "--chart-radius", r])
+            for id_ in WIDE_SEMISIMPLE for r in WIDE_SEMISIMPLE_RADII]
     out += [(id_, ["integrate", "{file}", "--json", "--quad-order", q])
             for id_ in QUAD_INPUTS for q in QUAD_ORDERS]
     out += [(id_, ["integrate", "{file}", "--json", *args]) for id_, args in CHUNKED]
