@@ -33,13 +33,22 @@ g |> h are A eta, so
 one phi1 on m x m matrices and no log of g or of g |> h: the linear rack
 x |> y = exp(ad x) y of the parent, twisted by phi1 (Kinyon, J. Lie Theory
 17, 2007; Bordemann and Wagemann, J. Lie Theory 27, 2017).
-``conjugate_and_split`` gives g |> h and G, and one tail,
-``augmented_from_split``, maps (G, eta, b) to (A eta, D b + i2), with
-``i2_from_split`` its i2.  The operations on group elements (``i2``,
-``augmented_action``, ``rack_product``) log h for eta behind the
-conjugation's gates.  A caller that drew h as exp(ad eta), or formed it as
-a conjugation, carries eta and takes no log: the suites, the dim5 extra
-and the tangent bracket's probes.
+One tail, ``augmented_from_split``, maps (G, eta, b) to
+(A eta, D b + i2), with ``i2_from_split`` its i2.
+
+That tail is an action of G0 on all of X = g0 x a, not only on the
+chart: g.(eta, b) = (A eta, D b + phi1(rho_{A eta}) C eta) is compatible
+with products because ``split`` is multiplicative and rho a
+representation (phi1(rho_{A zeta}) D = D phi1(rho_zeta)), and
+p(eta, b) = exp(ad eta) is equivariant, p(g.x) = g p(x) g^-1, since
+A = Ad_g on g0.  So x |> y = p(x).y is a rack on all of X, an augmented
+rack over the whole group G0, and exp x id carries it onto the paper's
+rack on the chart.  The sampled suites and the tangent bracket compute on
+X: an element acts by its split, that of exp(ad A eta) for a product
+x |> y, with no conjugation, float inverse or chart gate.  The operations
+on group elements (``i2``, ``augmented_action``, ``rack_product``) are the
+paper's local form: they conjugate behind the chart's gates and log h for
+eta.
 
 The paper's form from the log coordinates xi of g and A eta of g |> h
 (``i2_from_coords``) is i2's quadrature cross-check: it takes both
@@ -74,16 +83,17 @@ The local rack product on G0 x a is then
     (g, a) |> (h, b) = (g h g^-1, g.b + i2(omega)(g, h)),
 
 with neutral element (1, 0), and the projection to the first factor makes it
-a local augmented rack.  ``augmented_action`` conjugates once, splits g
-and logs h: g's split gives both its action D and i2.
+a local augmented rack, the restriction of the rack on X above.
+``augmented_action`` conjugates once, splits g and logs h: g's split gives
+both its action D and i2.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
-the augmented action, the tangent bracket's finite difference, iota2 and
-the Lie group product each take one group element (n, n) or a stack of them
-(..., n, n), with a mask of the slices that succeeded (see the comment at
-the head of the chart operations); i2_from_coords takes their log
-coordinates (..., d), and i2_from_split, conjugate_coords,
-action_from_split and augmented_from_split their splits (..., n, n).  The
+the augmented action, iota2 and the Lie group product each take one group
+element (n, n) or a stack of them (..., n, n), with a mask of the slices
+that succeeded (see the comment at the head of the chart operations);
+i2_from_coords takes their log coordinates (..., d), i2_from_split,
+conjugate_coords, action_from_split and augmented_from_split their splits
+(..., n, n), and the tangent bracket tangent vectors (..., d + m).  The
 suites run their sample sets as stacks, in chunks of a bounded size.  One
 element is a stack with no leading axes and takes the same code, with no
 branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
@@ -562,51 +572,40 @@ def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
     return LocalRackElement(gh, augmented_from_split(sys, big, eta, v.a)[1])
 
 
-def _mixed_difference(sys: LocalRackSystem, probe: Callable[..., np.ndarray],
-                      ok: np.ndarray | None) -> np.ndarray:
-    """Central second mixed finite difference of probe(s, t, mask) at
-    (0, 0), with step sys.fd_step; O(fd_step^2).  The step is checked
-    against the chart radius at each call, as ``with_chart_radius`` can
-    narrow the chart.  probe takes its four steps at once, as arrays s and
-    t of shape (4,), and returns their values as a stack (4, ...).  With a
-    mask ok of the stack shape of the directions, mask is one of the
-    probes' stack shape (4,) + ok.shape, and ok loses the directions one of
-    whose probes failed; without, mask is None."""
+def _mixed_difference(sys: LocalRackSystem, probe: Callable[..., np.ndarray]) -> np.ndarray:
+    """Central second mixed finite difference of probe(s, t) at (0, 0),
+    with step sys.fd_step; O(fd_step^2).  The step is checked against the
+    chart radius at each call, as ``with_chart_radius`` can narrow the
+    chart.  probe takes its four steps at once, as arrays s and t of shape
+    (4,), and returns their values as a stack (4, ...)."""
     hstep = sys.fd_step
     if not 0 < hstep < sys.chart_radius / 4:
         raise ValueError("fd_step must lie in (0, chart_radius/4)")
-    mask = None if ok is None else np.broadcast_to(ok, (4,) + ok.shape).copy()
     s, t = hstep * np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
-    pp, pm, mp, mm = probe(s, t, mask)
-    if ok is not None:
-        ok &= mask.all(axis=0)
+    pp, pm, mp, mm = probe(s, t)
     return (pp - pm - mp + mm) / (4.0 * hstep * hstep)
 
 
-def tangent_bracket(sys: LocalRackSystem, u, v, ok: np.ndarray | None = None) -> np.ndarray:
-    """Recover the Leibniz bracket of g0 (+) a from the rack product by a
-    second mixed finite difference at (1,0); coordinates are (g0, center).
-    u and v are vectors or stacks of them (..., d + m); a mask ok of their
-    stack shape loses the pairs one of whose probes left the chart."""
+def tangent_bracket(sys: LocalRackSystem, u, v) -> np.ndarray:
+    """Recover the Leibniz bracket of g0 (+) a from the rack product on
+    X = g0 x a by a second mixed finite difference at 0: of
+    p(s u) . (t v) = (A(s) t v0, D(s) t va + i2), with G(s) = [[A(s), 0],
+    [C(s), D(s)]] the split of exp(ad s u0) (``augmented_from_split``).
+    Coordinates are (g0, center); u and v are vectors or stacks of them
+    (..., d + m).  Only s u0 is exponentiated: no log, inverse or chart
+    gate is taken."""
     d, m = sys.g0_dim, sys.center_dim
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (d + m,) or v.shape[-1:] != (d + m,):
         raise ValueError("tangent vectors live in g0 (+) a")
-    n2 = sys.dim * sys.dim
 
-    def probe(s, t, mask):
-        # the probe (exp(ad t v0), t va) carries its log coordinates t v0
-        eta = np.multiply.outer(t, v[..., :d])
-        gh, big = conjugate_and_split(sys, group_from_coords(sys, np.multiply.outer(s, u[..., :d])),
-                                      group_from_coords(sys, eta), mask)
-        _, a = augmented_from_split(sys, big, eta, np.multiply.outer(t, v[..., d:]))
-        return np.concatenate([gh.reshape(gh.shape[:-2] + (n2,)), a], axis=-1)
+    def probe(s, t):
+        big = split(sys, group_from_coords(sys, np.multiply.outer(s, u[..., :d])))
+        return np.concatenate(augmented_from_split(sys, big, np.multiply.outer(t, v[..., :d]),
+                                                   np.multiply.outer(t, v[..., d:])), axis=-1)
 
-    mix = _mixed_difference(sys, probe, ok)
-    # the group-part difference quotient lies in the realized g0 only up to
-    # O(h^2), so project without the strict residual gate
-    return np.concatenate([matvec(sys.coord_pinv, mix[..., :n2]), mix[..., n2:]], axis=-1)
+    return _mixed_difference(sys, probe)
 
 
 # ---------------------------------------------------------------------------

@@ -4,27 +4,42 @@ Each suite takes the system, which carries iota2's quadrature rule and
 the finite-difference step, and its sample count and seed, and returns
 ``PropertyResult`` records (max defect, tolerance, sample/skip counts).
 The suites do no exact arithmetic: what they need of the extension, the
-system derives once (see ``rack``).
-Sampling is deterministic in the seed.  Points that leave the local domain
-fail the chart gates inside the operations and are counted as skips, never
-crashes, and defects are accumulated NaN-first, so a NaN or infinite
-defect reaches the report and fails its property.
+system derives once (see ``rack``).  Sampling is deterministic in the
+seed, and defects are accumulated NaN-first, so a NaN or infinite defect
+reaches the report and fails its property.
 
-The rule is that of a loop over the samples: a skip ends the sample, and
-the defects it already yielded still count.  Every suite runs its samples
-as stacks: it draws the whole sample set's coordinates first
-(``draw_samples``, in the RNG order of drawing one sample after another,
-or the basis pairs of the round trips), calls each rack operation once on a
-stack with a mask of the slices that succeeded (see ``rack``), and
+The rack axiom, cocycle, action and quadrature suites and the round trips
+compute on points of X = g0 x a, stored as rows (eta, b) of shape
+(N, d + m), where G0 acts everywhere (see ``rack``): g, with split
+G = [[A, 0], [C, D]], maps (eta, b) to (A eta, D b + phi1(rho_{A eta})
+C eta) (``_act``, ``rack.augmented_from_split``), and x |> y = p(x).y,
+p(eta, b) = exp(ad eta), is a rack on all of X.  The element that acts
+is split once: a draw's group element, exp(ad A eta) for a product
+x |> y (one exp and no inverse), or g h for a group product.
+Results are compared as rows of X (``sup_rows``), so pointedness and the
+fixed point are exact zeros (A 0 = 0).  These suites take no conjugation
+g h g^-1, no float inverse and no chart gate, and skip no sample
+(``unmasked``).
+
+The Lie suite alone acts on group elements: iota2 and the local Lie group
+product live on the chart.  Its samples that leave it fail the chart
+gates inside the operations and are counted as skips, never crashes, by
+the rule of a loop over the samples: a skip ends the sample, and the
+defects it already yielded still count.  It calls each operation once on
+a stack with a mask of the slices that succeeded (see ``rack``), and
 ``stacked`` applies the rule with cumulative masks: property k counts the
-samples where the operations of properties 1..k all succeeded.  The
-results equal those of the one-sample-at-a-time loops bit for bit.  A draw
+samples where the operations of properties 1..k all succeeded.
+
+Every suite runs its samples as stacks, and the results equal those of the
+one-sample-at-a-time loops bit for bit.  It draws the whole sample set's
+coordinates first (``draw_samples``, in the RNG order of drawing one sample
+after another, or the basis pairs of the round trips).  A draw
 exponentiates the group parts of the rows it is asked for as one stack;
 each round then halves the rows that do not fit the ball yet once and
 exponentiates exactly those as one stack (``_group_elements``).  Each
 group part comes with the coordinates it exponentiated, x * 0.5^k of the
 raw draw, which halving keeps exact: its log coordinates, with no log
-taken.
+taken, and with its center part a point of X.
 
 The four suites whose stacks grow with the sample count, and the basis
 pairs of the round trips, run in chunks (``_chunked``, ``CHUNK_ENTRIES``).
@@ -33,54 +48,45 @@ or skip.
 
 A suite makes one call per dependency level, not one per term: the
 operations of one level that do not depend on each other run as one call
-on a (k, n) stack (``_stack``), and each of the k parts narrows its own
-row of the call's (k, n) mask, which goes to the properties the part
-serves.  Each part is a C-contiguous copy, so its slices equal its own
-call's bit for bit.  ``cocycle_suite`` takes one conjugation of three
-pairs, one group product of two, one conjugation of four pairs, one split
-of five elements, and from the splits one i2 of six pairs and one action
-of two; ``rack_axiom_suite`` three actions, the first of three pairs and
-the second of four; ``augmented_action_suite`` two actions, of three and
-two; ``lie_specialization_suite`` one conjugation and two iota2, of 4 and
-3 pairs.
+on a (k, n) stack (``_stack``).  Each part is a C-contiguous copy, so its
+slices equal its own call's bit for bit.  ``rack_axiom_suite`` takes
+three actions, of three, four and one points a sample, from three splits;
+``cocycle_suite`` splits two elements, then three, and reads one i2 of six
+pairs and one action of two off the splits; ``augmented_action_suite``
+takes two actions, of three and two; ``lie_specialization_suite`` one
+conjugation and two iota2, of 4 and 3 pairs, each of whose k parts narrows
+its own row of the call's (k, n) mask.
 
 The two round trips read one mixed difference, ``basis_pair_difference``,
 the tangent bracket of every pair of the parent's basis, which pairs a
 chunk of the basis as a column against the whole basis as a row, so each
 probe of a chunk is exponentiated once.  ``tangent_suite`` compares it
 with the parent bracket.  ``roundtrip_suite`` reads delta2(i2) off it: at
-the lifts e_p of g0, whose center coordinates are 0, the rack product of
-(exp(s ad e_p), 0) and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), so
-the center part of the difference at (e_p, e_q) is the mixed difference
-of i2 that the tests' delta2 (``tests/oracles.py``) takes, bit for bit.
-Each probe carries its coordinates t e_q, so the difference takes no log
+the lifts e_p of g0, whose center coordinates are 0, p(s e_p) acting on
+(t e_q, 0) gives (A t e_q, i2(exp(s ad e_p), exp(t ad e_q))), so the
+center part of the difference at (e_p, e_q) is the mixed difference of i2
+that the tests' delta2 (``tests/oracles.py``) takes, bit for bit.  The
+probes act on X, so the difference takes no log, inverse or gate
 (``rack.tangent_bracket``).
 
 A value is computed once per suite.  A later property may reuse a value
 that an earlier one computed, since the gates it passed are already in the
 later property's cumulative mask, never the reverse: the three rows of
-``cocycle_suite`` share their conjugations, i2 values and actions, and
-row 3 of ``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1
-and the i2(u.g, v.g) of row 2.
+``cocycle_suite`` share their splits, i2 values and actions, and row 3 of
+``lie_specialization_suite`` reuses the iota2(u.g, v.g) of row 1 and the
+i2(u.g, v.g) of row 2.
 
-No sampled suite logs an element it drew or conjugated; the Lie suite's
-only logs are iota2's.  Where a suite needs an action or i2, it
-conjugates and splits the element that acts
-(``rack.conjugate_and_split``) and reads both off its split with the log
-coordinates that the element acted on carries
-(``rack.augmented_from_split``, ``rack.i2_from_split``): a draw carries
-those it exponentiated, and g |> h carries A eta, those of h under g's
-split (``rack.conjugate_coords``).  So ``rack_axiom_suite`` and
-``augmented_action_suite`` act through ``_act``, ``cocycle_suite`` reads
-its six i2 values and two actions off the splits of the elements its
-draws, conjugations and products formed, and
-``lie_specialization_suite`` takes i2 and the rack product u |> v from
-one conjugation and u.g's split.  ``quadrature_stability_suite`` takes
-the paper's form, i2 by quadrature from the coordinates of g and g |> h
-(``rack.i2_from_coords``) at two rules, from one conjugation and g's
-split: g carries its draw's, g |> h carries A eta.  ``rack.log_coords``
-of a draw equals the coordinates it carries to rounding, which the tests
-check.
+No suite logs an element it drew, and the Lie suite's only logs are
+iota2's.  ``cocycle_suite`` reads its six i2 values and two actions off
+the splits of h, g, g |> h, gh and (g |> h) g, with the coordinates that
+k's draw carries and those of g |> k and h |> k, A eta_k under g's and
+h's split (``rack.conjugate_coords``).  ``quadrature_stability_suite``
+takes the paper's form, i2 by quadrature from the coordinates of g and
+g |> h (``rack.i2_from_coords``) at two rules: g carries its draw's,
+g |> h carries A eta under g's split.  ``lie_specialization_suite`` takes
+i2 and the rack product u |> v from one conjugation and u.g's split
+(``rack.conjugate_and_split``).  ``rack.log_coords`` of a draw equals the
+coordinates it carries to rounding, which the tests check.
 """
 
 from __future__ import annotations
@@ -96,7 +102,6 @@ from .rack import (
     LocalRackSystem,
     action_from_split,
     augmented_from_split,
-    conjugate,
     conjugate_and_split,
     conjugate_coords,
     group_from_coords,
@@ -161,6 +166,14 @@ def sup_rows(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
 
 
+def unmasked(n: int, defects: Iterable[np.ndarray],
+             props: list[tuple[str, float]]) -> list[PropertyResult]:
+    """``stacked`` for suites that skip no sample: one PropertyResult per
+    (name, tolerance) in props, each the worst of its defects (n,)."""
+    ok = np.ones(n, dtype=bool)
+    return stacked(n, [(x, ok) for x in defects], props)
+
+
 def elem_distance(u: LocalRackElement, v: LocalRackElement):
     """max(sup |u.g - v.g|, sup |u.a - v.a|), NaN if either is; for stack
     elements, an array of the distances of their slices."""
@@ -168,17 +181,11 @@ def elem_distance(u: LocalRackElement, v: LocalRackElement):
                       np.abs(u.a - v.a).max(axis=-1, initial=0.0))
 
 
-def _neutral(sys: LocalRackSystem) -> LocalRackElement:
-    """The neutral element (1, 0) as a stack of one, which broadcasts."""
-    one = sys.neutral()
-    return LocalRackElement(one.g[None], one.a[None])
-
-
 def _stack(*parts):
-    """Parts of N slices each (or of one, which broadcasts), group elements
-    or rack elements, as one (k, N) stack whose part j is parts[j].  Each
-    part is copied C-contiguous, so its slices have the strides of its own
-    call's (see ``rack``)."""
+    """Parts of N slices each (or of one, which broadcasts), arrays or rack
+    elements, as one (k, N) stack whose part j is parts[j].  Each part is
+    copied C-contiguous, so its slices have the strides of its own call's
+    (see ``rack``)."""
     if isinstance(parts[0], LocalRackElement):
         return LocalRackElement(_stack(*(x.g for x in parts)), _stack(*(x.a for x in parts)))
     n = max(len(x) for x in parts)
@@ -203,17 +210,13 @@ def _chunked(sys: LocalRackSystem, n: int, width: int, run) -> list[np.ndarray]:
     return [np.concatenate(rows) for rows in zip(*chunks)]
 
 
-def _act(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement, eta: np.ndarray
-         ) -> tuple[LocalRackElement, np.ndarray, np.ndarray]:
-    """g's augmented action on v, stacks whose shapes broadcast, with eta
-    the log coordinates that v's group part carries: (g |> v.g, D v.a +
-    i2(g, v.g)), the coordinates A eta of g |> v.g, and the mask.  It takes
-    no log (``rack.augmented_from_split``); the rack product u |> v is
-    g = u.g acting on v."""
-    ok = np.ones(np.broadcast_shapes(g.shape[:-2], v.g.shape[:-2]), dtype=bool)
-    gh, big = conjugate_and_split(sys, g, v.g, ok)
-    eta_gh, a = augmented_from_split(sys, big, eta, v.a)
-    return LocalRackElement(gh, a), eta_gh, ok
+def _act(sys: LocalRackSystem, big: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g.x = (A eta, D b + i2(g, h)) on points x = (eta, b) of X, rows
+    (..., d + m), with G = big the split of the acting element g: the
+    action of G0 on all of X (``rack.augmented_from_split``), with no log,
+    inverse or gate.  Stacks broadcast."""
+    d = sys.g0_dim
+    return np.concatenate(augmented_from_split(sys, big, x[..., :d], x[..., d:]), axis=-1)
 
 
 def _group_elements(sys: LocalRackSystem, xi: np.ndarray, max_norm: float
@@ -278,11 +281,11 @@ def sample_group_element(sys: LocalRackSystem, rng, max_norm: float
     return g[0], kept[0]
 
 
-def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> float:
+def _injectivity_defect(ins: np.ndarray, outs: np.ndarray) -> float:
     """1.0 if two inputs more than 1e-6 apart have outputs within 1e-12 of
-    each other, else 0.0, over the rows i where ok[i].  Inputs and outputs
-    are rows (N, k) of rack elements (g flattened, a), so the sup norm of a
-    row difference is elem_distance, and a NaN distance never trips it.
+    each other, else 0.0.  Inputs and outputs
+    are rows (N, k), points (eta, b) of X, compared in the sup norm of a
+    row difference, and a NaN distance never trips it.
 
     Outputs within 1e-12 are within 1e-12 in every coordinate, so only
     pairs close in one coordinate, the one that varies most, are compared:
@@ -290,7 +293,7 @@ def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> fl
     up to 2e-12 further on (a margin over the rounding of that bound).
     A row with a non-finite output is never within 1e-12 of another.  The
     rows are filtered and sorted through an index, never copied."""
-    keep = ok & np.isfinite(outs).all(axis=1)
+    keep = np.isfinite(outs).all(axis=1)
     rows = np.flatnonzero(keep)
     spread = np.max(outs, axis=0, where=keep[:, None], initial=-np.inf) \
         - np.min(outs, axis=0, where=keep[:, None], initial=np.inf)
@@ -316,22 +319,17 @@ def _injectivity_defect(ins: np.ndarray, outs: np.ndarray, ok: np.ndarray) -> fl
 def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
                      seed: int = 0) -> list[PropertyResult]:
     """Self-distributivity, pointedness and injectivity-on-samples for the
-    product (g,a) |> (h,b), over the samples in chunks.  Every element that
-    is acted on carries its log coordinates: a draw those it exponentiated,
-    a product x |> y the coordinates A eta of its group part, so no log is
-    taken."""
+    rack product x |> y = p(x).y on X, over the samples in chunks.  A draw
+    acts by its group element's split, a product x |> y = (A eta, ...) by
+    that of p(x |> y) = exp(ad A eta)."""
     rng = np.random.default_rng(seed)
-    n, k = n_samples, sys.dim ** 2
+    n, width = n_samples, sys.g0_dim + sys.center_dim
     take = draw_samples(sys, rng, sys.chart_radius / 4.0, 3 * n, "ga")
-    neutral, zero = _neutral(sys), np.zeros((1, sys.g0_dim))
-    # the injectivity row's rack elements as rows (g flattened, a), and
-    # their log coordinates: g_0 and the inputs, draws 0..n, each kept by
-    # the chunk that exponentiates it, and each sample's output
-    ins, outs = np.empty((n + 1, k + sys.center_dim)), np.empty((n, k + sys.center_dim))
-    ins_eta = np.empty((n + 1, sys.g0_dim))
-
-    def elements(rows):
-        return LocalRackElement(rows[:, :k].reshape(len(rows), sys.dim, sys.dim), rows[:, k:])
+    zero, eye = np.zeros((1, width)), sys.identity()[None]
+    # the injectivity row's points: g_0 and the inputs, draws 0..n, each
+    # kept by the chunk that exponentiates it, with g_0's group element,
+    # and each sample's output
+    ins, outs, g_0 = np.empty((n + 1, width)), np.empty((n, width)), np.empty_like(eye)
 
     def run(lo, hi):
         # sample i is u, v, w = draws 3i, 3i + 1, 3i + 2, and its injectivity
@@ -339,39 +337,26 @@ def rack_axiom_suite(sys: LocalRackSystem, n_samples: int = 200,
         # exponentiates its own draws alone: its inputs lo + 1..hi lie at or
         # below its last draw 3 hi - 1, so this chunk or an earlier one kept
         # them
-        m = hi - lo
-        (g, eta), a = take(slice(3 * lo, 3 * hi))
+        (g, xi), a = take(slice(3 * lo, 3 * hi))
+        x = np.concatenate([xi, a], axis=1)
         kept = ins[3 * lo:3 * hi]  # its draws among 0..n
-        kept[:, :k], kept[:, k:] = g[:len(kept)].reshape(len(kept), k), a[:len(kept)]
-        ins_eta[3 * lo:3 * hi] = eta[:len(kept)]
-        u, v, w = (LocalRackElement(g[j::3], a[j::3]) for j in range(3))
-        eta_v, eta_w = eta[1::3], eta[2::3]
+        kept[:] = x[:len(kept)]
+        if lo == 0:
+            g_0[:] = g[:1]
+        u, v, w = x[0::3], x[1::3], x[2::3]
 
         # v |> w, 1 |> v and g_0 |> inputs as one (3, m) stack; then u acts
-        # on v |> w, v, w and the neutral element as one (4, m) stack, the
-        # widest, 4 a sample, so that u's own split is taken once per sample
-        first, eta_first, first_ok = _act(sys, _stack(v.g, neutral.g, elements(ins[:1]).g),
-                                          _stack(w, v, elements(ins[lo + 1:hi + 1])),
-                                          _stack(eta_w, eta_v, ins_eta[lo + 1:hi + 1]))
-        vw, one_v, out = _parts(first)
-        outs[lo:hi, :k], outs[lo:hi, k:] = out.g.reshape(m, k), out.a
-        by_u, eta_by_u, by_u_ok = _act(sys, u.g[None], _stack(vw, v, w, neutral),
-                                       _stack(eta_first[0], eta_v, eta_w, zero))
-        lhs, uv, uw, u_one = _parts(by_u)
-        rhs, _, rhs_ok = _act(sys, uv.g, uw, eta_by_u[2])
-        return (elem_distance(lhs, rhs), first_ok[0] & by_u_ok[:3].all(axis=0) & rhs_ok,
-                np.maximum(elem_distance(u_one, neutral), elem_distance(one_v, v)),
-                by_u_ok[3] & first_ok[1], first_ok[2])
+        # on v |> w, v, w and 0 as one (4, m) stack, the widest, 4 a sample
+        vw, one_v, outs[lo:hi] = _act(sys, split(sys, _stack(g[1::3], eye, g_0)),
+                                      _stack(w, v, ins[lo + 1:hi + 1]))
+        lhs, uv, uw, u_zero = _act(sys, split(sys, g[0::3])[None], _stack(vw, v, w, zero))
+        rhs = _act(sys, split(sys, group_from_coords(sys, uv[:, :sys.g0_dim])), uw)
+        return sup_rows(lhs - rhs), np.maximum(sup_rows(u_zero), sup_rows(one_v - v))
 
-    sd, sd_ok, pointed, pointed_ok, ok = _chunked(sys, n, 4, run)
-    results = stacked(n, [(sd, sd_ok)], [("self_distributivity", 1e-9)])
-    results += stacked(n, [(pointed, pointed_ok)], [("pointedness", 1e-12)])
-    # left translation by the fixed g_0 separates separated inputs; the row
-    # keeps the samples in chart, and like every other row, samples counts
-    # attempts and skipped the ones out of chart
-    results.append(PropertyResult("injectivity_on_samples", _injectivity_defect(ins[1:], outs, ok),
-                                  1e-9, n, n - int(np.count_nonzero(ok))))
-    return results
+    sd, pointed = _chunked(sys, n, 4, run)
+    return unmasked(n, [sd, pointed], [("self_distributivity", 1e-9), ("pointedness", 1e-12)]) + [
+        PropertyResult("injectivity_on_samples",
+                       _injectivity_defect(ins[1:], outs), 1e-9, n, 0)]
 
 
 def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
@@ -383,31 +368,22 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
     the stronger identity b(f)(g,h,k) = g.f(h,k) - f(gh,k) + f(g,h|>k) = 0,
     and the relation d_R f(g,h,k) = b(f)(g,h,k) - b(f)(g|>h,g,k) between
     them, over the triples in chunks.  The three share their terms, each
-    computed once: the seven conjugations in two calls and the two group
-    products in one.  The six i2 values and the two actions are read off
-    the splits of h, g, g|>h, gh and (g|>h) g in one call each (see
-    ``rack.split``), with the log coordinates that k's draw carries, and
-    those of g|>k and h|>k are those of k under g's and h's split: no log
-    is taken.  So the four conjugations of the second round give only their
-    chart gates.  A triple that leaves the chart anywhere is one skip for
-    all three."""
+    computed once.  The six i2 values and the two actions are read off the
+    splits of h, g, g|>h = exp(ad A_g eta_h), gh and (g|>h) g, in two calls
+    (see ``rack.split``), with the coordinates that k's draw carries and
+    those of g|>k and h|>k, A eta_k under g's and h's split."""
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_triples, "ggg")
 
     def run(lo, hi):
-        (g, _), (h, _), (k, eta_k) = take(slice(lo, hi))
-        # one mask for every call, each narrowing its leading rows: a triple
-        # that fails any of them is one skip.  The widest stacks, the splits
-        # of i2's six pairs, are 6 a sample
-        mask = np.ones((4, hi - lo), dtype=bool)
-        gh, gk, hk = conjugate(sys, _stack(g, g, h), _stack(h, k, k), mask[:3])
-        g_h, gh_g = group_product(sys, _stack(g, gh), _stack(h, g), mask[:2])
-        # the four conjugations of i2's pairs, for their chart gates alone:
-        # (g|>h) |> (g|>k), g |> (h|>k), gh |> k and ((g|>h) g) |> k
-        conjugate(sys, _stack(gh, g, g_h, gh_g), _stack(gk, hk, k, k), mask)
-        # the splits of i2's six acting elements: h, g, g|>h, g, gh, (g|>h) g
-        big = split(sys, _stack(h, g, gh, g_h, gh_g))[[0, 1, 2, 1, 3, 4]]
-        eta_gk, eta_hk = conjugate_coords(sys, big[[1, 0]], eta_k)
+        (g, _), (h, eta_h), (k, eta_k) = take(slice(lo, hi))
+        big_h, big_g = split(sys, _stack(h, g))
+        gh = group_from_coords(sys, conjugate_coords(sys, big_g, eta_h))
+        big_gh, big_g_h, big_gh_g = split(sys, _stack(gh, g @ h, gh @ g))
+        # the splits of i2's six acting elements, the widest stack, 6 a
+        # sample: h, g, g|>h, g, gh, (g|>h) g
+        big = _stack(big_h, big_g, big_gh, big_g, big_g_h, big_gh_g)
+        eta_gk, eta_hk = conjugate_coords(sys, _stack(big_g, big_h), eta_k)
         f_h_k, f_g_k, f_gh_gk, f_g_hk, f_gh_k, f_ghg_k = i2_from_split(
             sys, big, _stack(eta_k, eta_k, eta_gk, eta_hk, eta_k, eta_k))
         act_g, act_gh = action_from_split(sys, big[1:3])
@@ -415,59 +391,48 @@ def cocycle_suite(sys: LocalRackSystem, n_triples: int = 100,
         dr = g_f_hk - f_gh_gk - gh_f_gk + f_g_hk
         ghost = g_f_hk - f_gh_k + f_g_hk
         ghost_shift = gh_f_gk - f_ghg_k + f_gh_gk
-        return (sup_rows(dr), sup_rows(ghost), sup_rows(dr - (ghost - ghost_shift)),
-                mask.all(axis=0))
+        return sup_rows(dr), sup_rows(ghost), sup_rows(dr - (ghost - ghost_shift))
 
-    dr, ghost, induced, ok = _chunked(sys, n_triples, 6, run)
-    return stacked(n_triples, [(dr, ok), (ghost, ok), (induced, ok)],
-                   [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
-                    ("ghost_induces_cocycle", 2e-9)])
+    return unmasked(n_triples, _chunked(sys, n_triples, 6, run),
+                    [("rack_cocycle_identity", 1e-9), ("ghost_identity", 1e-9),
+                     ("ghost_induces_cocycle", 2e-9)])
 
 
-def basis_pair_difference(sys: LocalRackSystem) -> tuple[np.ndarray, np.ndarray]:
+def basis_pair_difference(sys: LocalRackSystem) -> np.ndarray:
     """The tangent bracket of every pair (e_i, e_j) of the parent's basis,
-    in (g0, center) coordinates, as an (n, n, n) array, and its (n, n) mask
-    of the pairs whose probes stayed in the chart: the one mixed difference
-    that both round trips read.  The rows i of the grid run in chunks, a
-    chunk's rows as a column against the whole basis as a row, so a chunk
-    exponentiates its own probes once and the 4n probes of the row again."""
+    in (g0, center) coordinates, as an (n, n, n) array: the one mixed
+    difference that both round trips read.  The rows i of the grid run in
+    chunks, a chunk's rows as a column against the whole basis as a row,
+    so a chunk exponentiates its own probes once and the row's probes act
+    on X with no exp."""
     n, coords = sys.dim, sys.basis_coords
-
-    def run(lo, hi):
-        ok = np.ones((hi - lo, n), dtype=bool)
-        return tangent_bracket(sys, coords[lo:hi, None], coords[None], ok), ok
-
-    # a grid row's widest stack, the conjugations, is 4 steps x n pairs
-    diff, ok = _chunked(sys, n, 4 * n, run)
-    return diff, ok
+    # a grid row's widest stack, the probes' actions, is 4 steps x n pairs
+    return _chunked(sys, n, 4 * n,
+                    lambda lo, hi: [tangent_bracket(sys, coords[lo:hi, None], coords[None])])[0]
 
 
-def roundtrip_suite(sys: LocalRackSystem,
-                    pairs: tuple[np.ndarray, np.ndarray]) -> list[PropertyResult]:
+def roundtrip_suite(sys: LocalRackSystem, diff: np.ndarray) -> list[PropertyResult]:
     """delta2 of the integrated cocycle recovers omega on all pairs of g0's
-    basis, read off ``basis_pair_difference`` (pairs): the lifts e_p of g0
-    have center coordinates 0, so the rack product of (exp(s ad e_p), 0)
-    and (exp(t ad e_q), 0) is (g |> h, g.0 + i2(g, h)), and the center part
-    of the difference at (e_p, e_q) is delta2(i2)(e_p, e_q)."""
-    diff, ok = pairs
+    basis, read off ``basis_pair_difference`` (diff): the lifts e_p of g0
+    have center coordinates 0, so p(s e_p) acting on (t e_q, 0) is
+    (A t e_q, i2(exp(s ad e_p), exp(t ad e_q))), and the center part of the
+    difference at (e_p, e_q) is delta2(i2)(e_p, e_q)."""
     d, m = sys.g0_dim, sys.center_dim
     lifts = np.ix_(sys.ext.complement_pivots, sys.ext.complement_pivots)
     got = diff[lifts][..., d:]
     omega_np = sys.omega.transpose(0, 2, 1)
-    return stacked(d * d, [(sup_rows((got - omega_np).reshape(d * d, m)), ok[lifts].ravel())],
-                   [("delta2_left_inverse", 1e-5)])
+    return unmasked(d * d, [sup_rows((got - omega_np).reshape(d * d, m))],
+                    [("delta2_left_inverse", 1e-5)])
 
 
-def tangent_suite(sys: LocalRackSystem,
-                  pairs: tuple[np.ndarray, np.ndarray]) -> list[PropertyResult]:
+def tangent_suite(sys: LocalRackSystem, diff: np.ndarray) -> list[PropertyResult]:
     """The rack product differentiates back to the parent bracket on all
     basis pairs, through the splitting g = g0 (+) center: the whole of
-    ``basis_pair_difference`` (pairs), of which ``roundtrip_suite`` reads
+    ``basis_pair_difference`` (diff), of which ``roundtrip_suite`` reads
     the center part at the lifts of g0, where it is delta2(i2)."""
-    diff, ok = pairs
     n = sys.dim
-    return stacked(n * n, [(sup_rows(diff.reshape(n * n, n) - sys.bracket_coords), ok.ravel())],
-                   [("tangent_bracket_roundtrip", 1e-4)])
+    return unmasked(n * n, [sup_rows(diff.reshape(n * n, n) - sys.bracket_coords)],
+                    [("tangent_bracket_roundtrip", 1e-4)])
 
 
 def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
@@ -523,50 +488,40 @@ def lie_specialization_suite(sys: LocalRackSystem, n_samples: int = 50,
 
 def augmented_action_suite(sys: LocalRackSystem, n_samples: int = 50,
                            seed: int = 3) -> list[PropertyResult]:
-    """The G0-action axioms of the augmented structure: unit action, fixed
-    point (1,0), and compatibility rho(g, rho(h, w)) = rho(gh, w), over
-    the samples in chunks.  w carries the log coordinates of its draw, and
-    h.w those of h |> w.g, A_h eta_w, so no log is taken."""
+    """The G0-action axioms on X: unit action, fixed point 0, and
+    compatibility g.(h.w) = (gh).w, over the samples in chunks.  w is the
+    point of its draw; g, h and gh act by their splits."""
     rng = np.random.default_rng(seed)
     take = draw_samples(sys, rng, sys.chart_radius / 8.0, n_samples, "ggga")
-    neutral, zero = _neutral(sys), np.zeros((1, sys.g0_dim))
+    zero, eye = np.zeros((1, sys.g0_dim + sys.center_dim)), sys.identity()[None]
 
     def run(lo, hi):
-        (g, _), (h, _), (wg, eta_w), wa = take(slice(lo, hi))
-        w = LocalRackElement(wg, wa)
-        gh_ok = np.ones(hi - lo, dtype=bool)
-        gh = group_product(sys, g, h, gh_ok)
+        (g, _), (h, _), (_, eta_w), b_w = take(slice(lo, hi))
+        w = np.concatenate([eta_w, b_w], axis=1)
         # 1, h and gh act on w as one (3, m) stack, the widest, 3 a sample;
-        # then g on the neutral element and on h.w as one (2, m) stack
-        on_w, eta_on_w, on_w_ok = _act(sys, _stack(neutral.g, h, gh), w, eta_w)
-        unit, hw, rhs = _parts(on_w)
-        by_g, _, by_g_ok = _act(sys, g[None], _stack(neutral, hw), _stack(zero, eta_on_w[1]))
-        fixed, lhs = _parts(by_g)
-        return (elem_distance(unit, w), on_w_ok[0], elem_distance(fixed, neutral), by_g_ok[0],
-                elem_distance(lhs, rhs), on_w_ok[1] & by_g_ok[1] & gh_ok & on_w_ok[2])
+        # then g on 0 and on h.w as one (2, m) stack
+        unit, hw, rhs = _act(sys, split(sys, _stack(eye, h, g @ h)), w)
+        fixed, lhs = _act(sys, split(sys, g)[None], _stack(zero, hw))
+        return sup_rows(unit - w), sup_rows(fixed), sup_rows(lhs - rhs)
 
-    unit, unit_ok, fixed, fixed_ok, compat, compat_ok = _chunked(sys, n_samples, 3, run)
-    return stacked(n_samples, [(unit, unit_ok), (fixed, fixed_ok), (compat, compat_ok)],
-                   [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
-                    ("action_compatibility", 1e-9)])
+    return unmasked(n_samples, _chunked(sys, n_samples, 3, run),
+                    [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
+                     ("action_compatibility", 1e-9)])
 
 
 def quadrature_stability_suite(sys: LocalRackSystem, n_pairs: int = 20,
                                seed: int = 4) -> list[PropertyResult]:
     """Doubling the order of i2's quadrature cross-check (``i2_from_coords``
     at a rule) must not move it: the integrands are polynomial when rho is
-    nilpotent.  All pairs at once, conjugated and split once for both
-    orders: g carries the coordinates xi of its draw and g |> h those of h
-    under g's split, A eta, so no log is taken."""
+    nilpotent.  All pairs at once, from g's split for both orders: g
+    carries the coordinates xi of its draw and g |> h those of h under g's
+    split, A eta."""
     rng = np.random.default_rng(seed)
-    (g, xi), (h, eta) = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
+    (g, xi), (_, eta) = draw_samples(sys, rng, sys.chart_radius / 4.0, n_pairs, "gg")()
     fine = gauss_legendre_01(2 * sys.quad.order)
-    ok = np.ones(n_pairs, dtype=bool)
-    _, big = conjugate_and_split(sys, g, h, ok)
-    eta_gh = conjugate_coords(sys, big, eta)
+    eta_gh = conjugate_coords(sys, split(sys, g), eta)
     diff = i2_from_coords(sys, xi, eta_gh, sys.quad) - i2_from_coords(sys, xi, eta_gh, fine)
-    return stacked(n_pairs, [(sup_rows(diff), ok)],
-                   [("quadrature_order_stability", 1e-12)])
+    return unmasked(n_pairs, [sup_rows(diff)], [("quadrature_order_stability", 1e-12)])
 
 
 def full_suite(sys: LocalRackSystem, n_samples: int = 200, seed: int = 0
@@ -576,9 +531,9 @@ def full_suite(sys: LocalRackSystem, n_samples: int = 200, seed: int = 0
     results += rack_axiom_suite(sys, n_samples, seed)
     results += cocycle_suite(sys, max(10, n_samples // 2), seed + 1)
     results += augmented_action_suite(sys, max(10, n_samples // 4), seed + 2)
-    pairs = basis_pair_difference(sys)
-    results += roundtrip_suite(sys, pairs)
-    results += tangent_suite(sys, pairs)
+    diff = basis_pair_difference(sys)
+    results += roundtrip_suite(sys, diff)
+    results += tangent_suite(sys, diff)
     results += quadrature_stability_suite(sys, min(20, n_samples), seed + 3)
     if sys.ext.parent.is_lie:
         results += lie_specialization_suite(sys, max(10, n_samples // 4), seed + 4)

@@ -2,15 +2,18 @@
 oracles of the sparse exact layer.
 
 Each suite and ``example`` extra as it ran before its samples became
-stacks: one draw (``sample_group_element``, ``sample_rack_element``), one
-2-D rack operation and one ``sampled`` step at a time.  Each draw comes
-with the coordinates it exponentiated, and an action on a drawn or
-conjugated element reads it off the acting element's split with the
-coordinates that element carries (``carried_action``, ``carried_i2``), as
-the suites do, and the quadrature loop integrates from those coordinates.
-The finite differences take their four probes one after another, as
-``delta2`` and ``tangent_bracket`` once did, each probe carrying its
-coordinates, and ``bracket_coords_by_brackets`` forms the
+stacks: one draw (``sample_group_element``, ``sample_rack_element``,
+``sample_point``), one 2-D rack operation and one ``sampled`` step at a
+time.  Each draw comes with the coordinates it exponentiated, a point of
+X = g0 x a with its center part.  The loops of the sampled suites act on
+one point of X at a time by the acting element's split (``x_action``,
+``carried_i2``), as the suites do: a draw's group element, exp(ad A eta)
+for a product x |> y, or g h, with no conjugation, inverse or gate; the
+Lie loop alone conjugates (``carried_action``), and the quadrature loop
+integrates from the carried coordinates.  The finite differences take
+their four probes one after another, as ``delta2`` and
+``tangent_bracket`` once did, each probe acting on X, and
+``bracket_coords_by_brackets`` forms the
 tangent suite's expected values with one ``bracket`` and one ``split`` per
 basis pair.  ``ONE_BY_ONE`` and ``EXTRAS_ONE_BY_ONE``
 map the names of the production suites and extras to these loops, so a
@@ -136,28 +139,23 @@ def group_action(sys_: LocalRackSystem, g: np.ndarray,
     return action_from_coords(sys_, log_coords(sys_, g, ok))
 
 
-def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y,
-           ok: np.ndarray | None = None) -> np.ndarray:
+def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y) -> np.ndarray:
     """Differentiate a rack 2-cochain at the unit: central second mixed
     finite difference of (s,t) -> f(exp(s x), exp(t y)); O(fd_step^2).
     x and y are g0 vectors or stacks of them (..., d); f takes stacks of
     group elements g and h, all four steps as one stack (4, ..., n, n),
     and the log coordinates t y that h carries, as f(g, h, eta); a cochain
-    of group elements alone ignores eta.  With a mask ok of the
-    directions' stack shape, f is called as f(g, h, eta, mask) with a mask
-    of the probes' stack shape, and ok loses the directions one of whose
-    probes failed.  The difference is the package's own,
-    ``rack._mixed_difference``, which the round trip reads off the tangent
-    suite's basis-pair difference."""
+    of group elements alone ignores eta.  The difference is the package's
+    own, ``rack._mixed_difference``, which the round trip reads off the
+    tangent suite's basis-pair difference."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def probe(s, t, mask):
-        g = group_from_coords(sys_, np.multiply.outer(s, x))
+    def probe(s, t):
         eta = np.multiply.outer(t, y)
-        h = group_from_coords(sys_, eta)
-        return f(g, h, eta) if mask is None else f(g, h, eta, mask)
-    return rack._mixed_difference(sys_, probe, ok)
+        return f(group_from_coords(sys_, np.multiply.outer(s, x)), group_from_coords(sys_, eta),
+                 eta)
+    return rack._mixed_difference(sys_, probe)
 
 
 def lie_group_inverse(sys_: LocalRackSystem, u: LocalRackElement,
@@ -448,20 +446,36 @@ def sample_rack_element(sys_, rng, max_norm: float) -> tuple[LocalRackElement, n
     return LocalRackElement(g, a), xi
 
 
+def sample_point(sys_, rng, max_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, x): ``sample_rack_element``'s draw as a point x = (xi, a) of
+    X = g0 x a, with the group element g = exp(ad xi) by which it acts."""
+    u, xi = sample_rack_element(sys_, rng, max_norm)
+    return u.g, np.concatenate([xi, u.a])
+
+
+def x_action(sys_, big, x) -> np.ndarray:
+    """g.x = (A eta, D b + i2(g, h)) on one point x = (eta, b) of X, with
+    big the split of g, as the suites act: no log, inverse or gate."""
+    d = sys_.g0_dim
+    return np.concatenate(augmented_from_split(sys_, big, x[:d], x[d:]))
+
+
 def carried_action(sys_, g, v: LocalRackElement, eta,
                    ok=None) -> tuple[LocalRackElement, np.ndarray]:
     """(g |> v, A eta): g's augmented action on v, whose group part carries
-    its log coordinates eta, as the suites take it: read off g's split
-    with no log, and the coordinates that g |> v.g carries."""
+    its log coordinates eta, as the Lie suite takes it: the conjugation's
+    gates, then g's split, with no log, and the coordinates that g |> v.g
+    carries."""
     gh, big = conjugate_and_split(sys_, g, v.g, ok)
     eta_gh, a = augmented_from_split(sys_, big, eta, v.a)
     return LocalRackElement(gh, a), eta_gh
 
 
-def carried_i2(sys_, g, h, eta, ok=None) -> np.ndarray:
+def carried_i2(sys_, g, h, eta) -> np.ndarray:
     """i2(g, h) as the suites take it, h carrying its log coordinates eta:
-    the conjugation's gates, then g's split, with no log."""
-    return i2_from_split(sys_, conjugate_and_split(sys_, g, h, ok)[1], eta)
+    read off g's split, with no log, gate or conjugation; h itself is not
+    read."""
+    return i2_from_split(sys_, split(sys_, g), eta)
 
 
 def rack_diff1_expansion(mod, f, g, h, conj):
@@ -544,8 +558,7 @@ def distance(u, v):
 
 
 def _injectivity(ins, outs):
-    ins, outs = (np.array([np.concatenate([u.g.ravel(), u.a]) for u in us])
-                 for us in (ins, outs))
+    """The injectivity check over all pairs of rows (N, k)."""
     for i in range(len(ins) - 1):
         d_in = np.abs(ins[i + 1:] - ins[i]).max(axis=1, initial=0.0)
         d_out = np.abs(outs[i + 1:] - outs[i]).max(axis=1, initial=0.0)
@@ -572,81 +585,63 @@ def delta2_one_by_one(sys_, f, x, y):
 
 def tangent_bracket_one_by_one(sys_, u, v):
     d = sys_.g0_dim
-
-    def elem(w, s):
-        return LocalRackElement(group_from_coords(sys_, s * w[:d]), s * w[d:])
-
-    def probe(s, t):
-        r, _ = carried_action(sys_, elem(u, s).g, elem(v, t), t * v[:d])
-        return np.concatenate([r.g.ravel(), r.a])
-
-    mix = _mixed_difference(sys_, probe)
-    n2 = sys_.dim * sys_.dim
-    return np.concatenate([sys_.coord_pinv @ mix[:n2], mix[n2:]])
+    return _mixed_difference(sys_, lambda s, t: x_action(
+        sys_, split(sys_, group_from_coords(sys_, s * u[:d])), t * v))
 
 
 # -- the suites ----------------------------------------------------------------
 
 def rack_axioms_one_by_one(sys_, n_samples=200, seed=0):
-    """Each product x |> y with y's carried coordinates: a draw's, or A eta
-    for a product (``carried_action``)."""
+    """Each product x |> y = p(x).y on X: a draw acts by its group
+    element's split, a product x |> y by that of exp(ad A eta)."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 4.0
-    neutral, zero = sys_.neutral(), np.zeros(sys_.g0_dim)
-    draws = [sample_rack_element(sys_, rng, max_norm) for _ in range(3 * n_samples)]
+    d = sys_.g0_dim
+    zero = np.zeros(d + sys_.center_dim)
+    draws = [sample_point(sys_, rng, max_norm) for _ in range(3 * n_samples)]
     triples = [draws[3 * i:3 * i + 3] for i in range(n_samples)]
 
-    def product(u, v, eta):
-        return carried_action(sys_, u.g, v, eta)
-
     def self_distributivity(*triple):
-        (u, _), (v, eta_v), (w, eta_w) = triple
-        lhs, _ = product(u, *product(v, w, eta_w))
-        uw, eta_uw = product(u, w, eta_w)
-        rhs, _ = product(product(u, v, eta_v)[0], uw, eta_uw)
-        yield distance(lhs, rhs)
+        (g_u, u), (g_v, v), (_, w) = triple
+        big_u = split(sys_, g_u)
+        lhs = x_action(sys_, big_u, x_action(sys_, split(sys_, g_v), w))
+        uv, uw = x_action(sys_, big_u, v), x_action(sys_, big_u, w)
+        rhs = x_action(sys_, split(sys_, group_from_coords(sys_, uv[:d])), uw)
+        yield sup_norm(lhs - rhs)
 
     def pointedness(*triple):
-        (u, _), (v, eta_v), _ = triple
-        yield nan_max(distance(product(u, neutral, zero)[0], neutral),
-                      distance(product(neutral, v, eta_v)[0], v))
+        (g_u, _), (_, v), _ = triple
+        yield nan_max(sup_norm(x_action(sys_, split(sys_, g_u), zero)),
+                      sup_norm(x_action(sys_, split(sys_, sys_.identity()), v) - v))
 
     results = sampled(n_samples, iter(triples).__next__, self_distributivity,
                       [("self_distributivity", 1e-9)])
     results += sampled(n_samples, iter(triples).__next__, pointedness,
                        [("pointedness", 1e-12)])
-    u = draws[0][0]
-    ins, outs, skips = [], [], 0
-    for v, eta_v in draws[1:n_samples + 1]:
-        try:
-            outs.append(product(u, v, eta_v)[0])
-            ins.append(v)
-        except OutOfChartError:
-            skips += 1
+    big_0 = split(sys_, draws[0][0])
+    ins = np.array([x for _, x in draws[1:n_samples + 1]])
+    outs = np.array([x_action(sys_, big_0, x) for x in ins])
     results.append(PropertyResult("injectivity_on_samples", _injectivity(ins, outs),
-                                  1e-9, n_samples, skips))
+                                  1e-9, n_samples, 0))
     return results
 
 
 def cocycle_one_by_one(sys_, n_triples=100, seed=1):
     """The cocycle suite's three rows, one triple at a time, with the
-    suite's arithmetic: every conjugation and product that the identities
-    name, for its chart gates, and each i2(x, y) and action of x read off
-    x's split, with the log coordinates of k, g |> k and h |> k taken as
-    the coordinates eta_k that k's draw carries, A_g eta_k and A_h eta_k,
-    as the suite takes them: no log.  The
+    suite's arithmetic: each i2(x, y) and action of x read off x's split,
+    g |> h acting as exp(ad A_g eta_h), and the log coordinates of k,
+    g |> k and h |> k taken as the coordinates eta_k that k's draw
+    carries, A_g eta_k and A_h eta_k: no log, inverse or gate.  The
     identities' normative forms, on group elements, stay in
     ``rack_diff2_expansion`` and ``ghost_identity_defect``."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
 
     def check(*draws):
-        (g, _), (h, _), (k, eta_k) = draws
-        gh, gk, hk = conjugate(sys_, g, h), conjugate(sys_, g, k), conjugate(sys_, h, k)
-        g_h, gh_g = group_product(sys_, g, h), group_product(sys_, gh, g)
-        for x, y in ((gh, gk), (g, hk), (g_h, k), (gh_g, k)):
-            conjugate(sys_, x, y)
-        big_h, big_g, big_gh, big_g_h, big_gh_g = (split(sys_, x) for x in (h, g, gh, g_h, gh_g))
+        (g, _), (h, eta_h), (k, eta_k) = draws
+        big_h, big_g = split(sys_, h), split(sys_, g)
+        gh = group_from_coords(sys_, conjugate_coords(sys_, big_g, eta_h))
+        big_gh, big_g_h, big_gh_g = (split(sys_, x) for x in (gh, g @ h, gh @ g))
         eta_gk, eta_hk = conjugate_coords(sys_, big_g, eta_k), conjugate_coords(sys_, big_h, eta_k)
         f_h_k, f_g_k = i2_from_split(sys_, big_h, eta_k), i2_from_split(sys_, big_g, eta_k)
         f_gh_gk, f_g_hk = i2_from_split(sys_, big_gh, eta_gk), i2_from_split(sys_, big_g, eta_hk)
@@ -665,31 +660,30 @@ def cocycle_one_by_one(sys_, n_triples=100, seed=1):
 
 
 def augmented_action_one_by_one(sys_, n_samples=50, seed=3):
-    """Each action with the coordinates its target carries: w's draw's,
-    A_h eta_w for h.w (``carried_action``)."""
+    """The action axioms on X, each element acting by its split: the
+    identity's, g's, h's and that of the product g h."""
     rng = np.random.default_rng(seed)
     max_norm = sys_.chart_radius / 8.0
-    neutral, zero = sys_.neutral(), np.zeros(sys_.g0_dim)
-    ident = sys_.identity()
+    zero = np.zeros(sys_.g0_dim + sys_.center_dim)
 
     def check(*draws):
-        (g, _), (h, _), (w, eta_w) = draws
-        yield distance(carried_action(sys_, ident, w, eta_w)[0], w)
-        yield distance(carried_action(sys_, g, neutral, zero)[0], neutral)
-        lhs, _ = carried_action(sys_, g, *carried_action(sys_, h, w, eta_w))
-        rhs, _ = carried_action(sys_, group_product(sys_, g, h), w, eta_w)
-        yield distance(lhs, rhs)
+        (g, _), (h, _), (_, w) = draws
+        big_g = split(sys_, g)
+        yield sup_norm(x_action(sys_, split(sys_, sys_.identity()), w) - w)
+        yield sup_norm(x_action(sys_, big_g, zero))
+        lhs = x_action(sys_, big_g, x_action(sys_, split(sys_, h), w))
+        yield sup_norm(lhs - x_action(sys_, split(sys_, g @ h), w))
 
     return sampled(n_samples,
                    lambda: (sample_group_element(sys_, rng, max_norm),
                             sample_group_element(sys_, rng, max_norm),
-                            sample_rack_element(sys_, rng, max_norm)),
+                            sample_point(sys_, rng, max_norm)),
                    check, [("action_unit", 1e-12), ("action_fixed_point", 1e-12),
                            ("action_compatibility", 1e-9)])
 
 
-def roundtrip_one_by_one(sys_, pairs=None):
-    """pairs, the stacked suite's basis-pair difference, is not read:
+def roundtrip_one_by_one(sys_, diff=None):
+    """diff, the stacked suite's basis-pair difference, is not read:
     this loop differentiates each pair itself."""
     d = sys_.g0_dim
     omega_np = sys_.ext.omega.to_numpy() if d else np.zeros((0, 0, sys_.center_dim))
@@ -712,8 +706,8 @@ def bracket_coords_by_brackets(ext) -> np.ndarray:
                      for ei in basis for ej in basis])
 
 
-def tangent_one_by_one(sys_, pairs=None):
-    """pairs is not read, as in ``roundtrip_one_by_one``."""
+def tangent_one_by_one(sys_, diff=None):
+    """diff is not read, as in ``roundtrip_one_by_one``."""
     ext = sys_.ext
     n = ext.parent.dim
 
@@ -736,8 +730,8 @@ def quadrature_stability_one_by_one(sys_, n_pairs=20, seed=4):
     fine = gauss_legendre_01(2 * sys_.quad.order)
 
     def check(*draws):
-        (g, xi), (h, eta) = draws
-        eta_gh = conjugate_coords(sys_, conjugate_and_split(sys_, g, h)[1], eta)
+        (g, xi), (_, eta) = draws
+        eta_gh = conjugate_coords(sys_, split(sys_, g), eta)
         yield sup_norm(i2_from_coords(sys_, xi, eta_gh, sys_.quad)
                        - i2_from_coords(sys_, xi, eta_gh, fine))
 
@@ -798,13 +792,12 @@ def dim5_extras_one_by_one(sys_, args):
                 rng.uniform(-0.5, 0.5, size=3), rng.uniform(-0.5, 0.5, size=3))
 
     def check(a, b, ac, bc):
-        g, h = group_from_coords(sys_, a), group_from_coords(sys_, b)
+        g = group_from_coords(sys_, a)
         yield sup_norm(i1(sys_, g) - dim5_i1_matrix(*a))
-        # h carries the coordinates b it was drawn at, so nothing is logged
-        yield sup_norm(carried_i2(sys_, g, h, b) - dim5_f(a, b))
-        got, eta = carried_action(sys_, g, LocalRackElement(h, bc), b)
+        # g acts on the point (b, bc) by its split: nothing is logged
+        yield sup_norm(i2_from_split(sys_, split(sys_, g), b) - dim5_f(a, b))
         want = dim5_conjugation(np.concatenate([a, ac]), np.concatenate([b, bc]))
-        yield sup_norm(np.concatenate([eta, got.a]) - want)
+        yield sup_norm(x_action(sys_, split(sys_, g), np.concatenate([b, bc])) - want)
 
     return sampled(20, draw, check, [("i1_closed_form", 1e-10), ("i2_closed_form", 1e-9),
                                      ("conjugation_closed_form", 1e-9)])

@@ -405,6 +405,9 @@ _NON_UNIPOTENT = {
     # g0 = aff(1) acting on the left center with weights (2, 1)
     "aff": {(0, 0): {2: 1}, (0, 1): {1: 1}, (1, 0): {1: -1, 3: 1}, (0, 2): {2: 2},
             (0, 3): {3: 1}, (1, 3): {2: 1}},
+    # [t,x] = y, [t,y] = -x, [x,y] = z: a Lie algebra whose ad0 is a rotation
+    "oscillator": {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 2): {1: -1}, (2, 0): {1: 1},
+                   (1, 2): {3: 1}, (2, 1): {3: -1}},
 }
 
 
@@ -418,13 +421,30 @@ def _integrate_non_unipotent(capsys, tmp_path, kind, radius):
 
 
 def test_out_of_chart_samples_count_as_skips(capsys, tmp_path):
-    # on a chart of radius 1000 the samples of aff(1) leave the conjugation's
-    # chart and inverse gates, in the quadrature cross-check too: a skip and
-    # exit 3, not a traceback
-    code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "aff", "1000")
+    # only the Lie suite acts on group elements of the chart: at radius 8
+    # the oscillator's iota2 node elements leave the log's chart, a skip and
+    # exit 3, not a traceback.  Every other row acts on X = g0 x a and
+    # skips nothing
+    code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "oscillator", "8")
     assert code == 3
     assert doc["verdict"] == "chart_coverage_failure"
-    assert props["quadrature_order_stability"]["skipped"] > 10
+    assert {name for name, q in props.items() if q["skipped"]} == \
+        {"lie_group_associativity", "lie_conjugation_equals_rack", "i2_from_iota2"}
+
+
+def test_a_wide_aff_chart_skips_nothing_and_fails_by_rounding(capsys, tmp_path):
+    # at radius 1000 the samples of aff(1) reach entries near 250.  No row
+    # skips, and pointedness and the fixed point are exact zeros (A 0 = 0);
+    # self-distributivity and action compatibility fail their absolute
+    # tolerances by rounding, and the cross-check's 8 nodes do not resolve
+    # its integrands
+    code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "aff", "1000")
+    assert code == 4
+    assert doc["verdict"] == "property_failure"
+    assert not any(q["skipped"] for q in props.values())
+    assert props["pointedness"]["max_defect"] == props["action_fixed_point"]["max_defect"] == 0.0
+    assert {name for name, q in props.items() if not q["pass"]} == \
+        {"self_distributivity", "action_compatibility", "quadrature_order_stability"}
 
 
 def test_the_quadrature_cross_check_meets_no_log_gate(capsys, tmp_path):

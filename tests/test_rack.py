@@ -5,7 +5,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from leibrack.rack import (
     LocalRackElement,
     NotLieCocycleError,
     augmented_action,
+    augmented_from_split,
     build_rack_system,
     conjugate,
     conjugate_and_split,
@@ -59,6 +60,7 @@ from leibrack.rack import (
     lie_group_product,
     log_coords,
     rack_product,
+    split,
     tangent_bracket,
 )
 from leibrack.rack_report import dim5_conjugation, dim5_f, dim5_i1_matrix, heisenberg_iota2
@@ -503,6 +505,59 @@ def test_the_rack_is_the_linear_rack_twisted_by_phi1(name):
         assert np.abs(product.a - (matvec(action, b) + untwisted)).max() > 1e-6
 
 
+def _x_action(sys_, big, x, twisted=True):
+    """g.(eta, b) = (A eta, D b + phi1(rho_{A eta}) C eta) on points of
+    X = g0 x a, rows (..., d + m), with G = big = [[A, 0], [C, D]] the
+    split of g; untwisted, D b is replaced by b."""
+    d = sys_.g0_dim
+    eta, b = augmented_from_split(sys_, big, x[..., :d], x[..., d:])
+    if not twisted:
+        b = b - matvec(big[..., d:, d:], x[..., d:]) + x[..., d:]
+    return np.concatenate([eta, b], axis=-1)
+
+
+def _relative(x, y):
+    """sup |x - y| relative to the largest entry of x and y, and to 1."""
+    return np.abs(x - y).max(initial=0.0) / max(1.0, np.abs(x).max(initial=0.0),
+                                                np.abs(y).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
+def test_g0_acts_on_all_of_x_and_gives_a_global_rack(name):
+    # no chart: g and h are products of three exponentials exp(ad xi) with
+    # xi in [-c, c]^d, and points of X lie in the same box.  g.x is an
+    # action, p(eta, b) = exp(ad eta) is equivariant, p(g.x) g = g p(x),
+    # and so x |> y = p(x).y is self-distributive on all of X.  c is 3 on a
+    # unipotent G0, where the entries of g reach about 3e3, and 0.75
+    # otherwise, where exp would otherwise grow past 1e3 and rounding
+    # decide.  The control: with D b replaced by b, the action is not one
+    sys_ = build_rack_system(canonical_extension(LINEAR_RACK_INPUTS[name]()), 8.0)
+    d, m = sys_.g0_dim, sys_.center_dim
+    c = 3.0 if sys_.ad_index is not None else 0.75
+    rng = np.random.default_rng(53)
+    g, h = (reduce(np.matmul, [group_from_coords(sys_, rng.uniform(-c, c, (40, d)))
+                               for _ in range(3)]) for _ in range(2))
+    x, y, z = rng.uniform(-c, c, (3, 40, d + m))
+    big_g, big_h, big_gh = split(sys_, g), split(sys_, h), split(sys_, g @ h)
+    # most g lie outside the reports' default chart, ||g - I|| < 0.5
+    assert (np.abs(g - np.eye(sys_.dim)).sum(axis=-2).max(axis=-1) >= 0.5).mean() > 0.5
+
+    def acting(w):
+        return split(sys_, group_from_coords(sys_, w[..., :d]))
+
+    assert _relative(_x_action(sys_, big_g, _x_action(sys_, big_h, x)),
+                     _x_action(sys_, big_gh, x)) <= 1e-12
+    assert _relative(group_from_coords(sys_, _x_action(sys_, big_g, x)[..., :d]) @ g,
+                     g @ group_from_coords(sys_, x[..., :d])) <= 1e-12
+    assert _relative(_x_action(sys_, acting(x), _x_action(sys_, acting(y), z)),
+                     _x_action(sys_, acting(_x_action(sys_, acting(x), y)),
+                               _x_action(sys_, acting(x), z))) <= 1e-12
+    if np.abs(sys_.rho_basis).max(initial=0.0) > 0:
+        untwisted = _relative(_x_action(sys_, big_g, _x_action(sys_, big_h, x, False), False),
+                              _x_action(sys_, big_gh, x, False))
+        assert untwisted > 1e-6
+
+
 @pytest.mark.parametrize("name", list(LINEAR_RACK_INPUTS))
 def test_production_i2_equals_the_paper_integrals_by_quadrature(name):
     # rack.i2 reads g's split; the paper's two path integrals by a 16-node
@@ -813,37 +868,14 @@ def test_self_distributivity_nonabelian():
 
 
 def test_injectivity_detects_a_collapsing_product(dim5_sys, monkeypatch):
-    # a left translation that sends every input to one element is caught
+    # a left translation that sends every input to one point is caught
     import leibrack.suites as suites
-    one, act = dim5_sys.neutral(), suites._act
-
-    def collapsing(sys_, g, v, eta):
-        _, eta_gh, ok = act(sys_, g, v, eta)
-        return LocalRackElement(np.broadcast_to(one.g, ok.shape + one.g.shape),
-                                np.broadcast_to(one.a, ok.shape + one.a.shape)), eta_gh, ok
-    monkeypatch.setattr(suites, "_act", collapsing)
+    act = suites._act
+    monkeypatch.setattr(suites, "_act", lambda *args: np.zeros_like(act(*args)))
     results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=10, seed=0)}
     inj = results["injectivity_on_samples"]
     assert inj.max_defect == 1.0 and not inj.passed
     assert (inj.samples, inj.skipped) == (10, 0)
-
-
-def test_injectivity_counts_attempts_like_every_row(dim5_sys, monkeypatch):
-    # samples counts attempted products: every other one out of chart is 20
-    # skips in 40 samples, within the half that the coverage check allows
-    import leibrack.suites as suites
-    act = suites._act
-
-    def every_other(sys_, g, v, eta):
-        r, eta_gh, ok = act(sys_, g, v, eta)
-        ok[..., ::2] = False  # every other sample's product leaves the chart
-        return r, eta_gh, ok
-
-    monkeypatch.setattr(suites, "_act", every_other)
-    results = {r.name: r for r in rack_axiom_suite(dim5_sys, n_samples=40, seed=0)}
-    inj = results["injectivity_on_samples"]
-    assert (inj.samples, inj.skipped) == (40, 20)
-    assert inj.passed
 
 
 def test_sampled_keeps_defects_yielded_before_a_skip():
@@ -1675,8 +1707,8 @@ def test_reports_are_byte_identical_with_the_one_sample_oracles(which, tmp_path,
     for name, extras in EXTRAS_ONE_BY_ONE.items():
         monkeypatch.setitem(rack_report.EXAMPLE_EXTRAS, name, extras)
     assert stacked == _cli_json(argv, capsys)
-    # at radius 8 no sample leaves a gate; at 1000 the chart and inverse
-    # gates skip samples in every suite
+    # aff(1) is not Lie, so no suite skips, not even at radius 1000, where
+    # rounding fails rows on entries near 250
     if which != "example_dim5":
         skipped = any(p["skipped"] for p in json.loads(stacked[1])["properties"])
-        assert (stacked[0], skipped) == ((3, True) if which.endswith("1000") else (0, False))
+        assert (stacked[0], skipped) == ((4, False) if which.endswith("1000") else (0, False))

@@ -23,10 +23,9 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
   free_nilpotent5 and two inputs of each ``rho_semisimple`` kind, at chart
   radius 0.5 and 4;
 * ``integrate`` at chart radius 8/12/16/24 on six of them, where part of
-  the self-distributivity, action or Lie rows leaves the chart and is
-  skipped, and on aff-0 part of the cocycle rows too.  The quadrature row
-  integrates from the coordinates its draws carry, so no log gate skips
-  it;
+  the Lie rows leaves the chart and is skipped.  Every other row acts on
+  X = g0 x a, with no conjugation, inverse or chart gate, so it skips
+  nothing and meets the wide chart's rounding instead;
 * ``integrate`` at chart radius 8 and 24 on diagonal-0 and rotation-0,
   wide runs of a G0 that is not unipotent besides aff-0, where most
   samples lie outside the float log's chart;
