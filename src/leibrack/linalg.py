@@ -30,18 +30,22 @@ that every gate of ``rack`` applies too.  It sums its series in one pass:
 the slices still running are an index array into the stack, and the
 slices that finish at a term are written out with one scatter and leave
 it.  The kernels use only operations that are exact slice by slice with
-numpy's OpenBLAS build: stacked ``@`` (matrix-matrix, and matrix-vector
-written as (..., n, 1)), elementwise arithmetic, reductions within a
-slice, ``np.linalg.solve``, and gathers and scatters of whole slices by
-index.  ``np.einsum`` over a stack is not
-among them: it can sum in another order.  Without a nilpotency index,
-``exp_float`` and ``phi1_float`` go to one Pade kernel, ``_expm_pade``,
-built from these operations alone: a slice's result does not depend on
-the slices stacked with it.
+numpy's OpenBLAS build: stacked ``@`` (matrix-matrix, a stack times one
+constant matrix, and matrix-vector written as (..., n, 1)), elementwise
+arithmetic, reductions and concatenations within a slice,
+``np.linalg.solve``, and gathers and scatters of whole slices by index.
+``np.einsum`` over a stack is not among them: it can sum in another
+order.  Without a nilpotency index, ``exp_float`` and ``phi1_float`` go
+to one kernel, ``_expm``, built from these operations alone, so a
+slice's result does not depend on the slices stacked with it: a slice of
+1-norm at most theta_18 takes the degree-18 Taylor polynomial, evaluated
+by products alone, and any other finite slice Pade 13 scaling and
+squaring, the one ``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -67,80 +71,95 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm at which
-# the degree-m Pade approximant of exp keeps the backward error below the
-# unit roundoff, and the coefficients b_0..b_m of its numerator
-_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-               2.097847961257068, 5.371920351148152)
-_PADE_COEFFS = (
-    (120., 60., 12., 1.),
-    (30240., 15120., 3360., 420., 30., 1.),
-    (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
-    (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160., 110880.,
-     3960., 90., 1.),
-    (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
-     129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
-     40840800., 960960., 16380., 182., 1.),
-)
+# Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011): the largest 1-norm at
+# which the degree-18 Taylor polynomial of exp keeps the backward error
+# below the unit roundoff 2^-53
+_TAYLOR_THETA = 1.090863719290036
+# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the same bound for the
+# degree-13 Pade approximant, and the coefficients b_0..b_13 of its numerator
+_PADE_THETA = 5.371920351148152
+_PADE_COEFFS = (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+                129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
+                40840800., 960960., 16380., 182., 1.)
 
 
-def _pade(a: np.ndarray, b: tuple[float, ...]) -> np.ndarray:
-    """The Pade approximant of exp with numerator coefficients b on a stack
-    (k, n, n): (V - U)^-1 (V + U), with U the odd and V the even part of
-    the numerator polynomial."""
+@cache
+def _taylor_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, E), shapes (3n, 5n) and (n, 5n), with [x, x^2, x^3] C + E the
+    five n x n blocks B_j = sum_(i < 4) x^i / (4j + i)! (B_4 stops at x^2)
+    of the degree-18 Taylor polynomial
+    T_18(x) = B_0 + x^4 (B_1 + x^4 (B_2 + x^4 (B_3 + x^4 B_4))).  Built once
+    per n and shared, so read-only."""
+    coeffs = np.zeros((4, 5))
+    for k in range(19):
+        coeffs[k % 4, k // 4] = 1.0 / math.factorial(k)
+    blocks = np.kron(coeffs[1:], np.eye(n)), np.kron(coeffs[:1], np.eye(n))
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks
+
+
+def _taylor(a: np.ndarray) -> np.ndarray:
+    """T_18 on a stack (k, n, n) by Paterson-Stockmeyer (SIAM J. Comput. 2,
+    1973): x^2, x^3 and x^4, the five blocks as one product with a
+    constant matrix, then four Horner steps in x^4.  Products only, no
+    solve."""
+    n = a.shape[-1]
+    c, e = _taylor_blocks(n)
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    blocks = np.concatenate([a, a2, a3], axis=-1) @ c + e
+    t = blocks[..., 4 * n:]
+    for j in (3, 2, 1, 0):
+        t = blocks[..., j * n:(j + 1) * n] + a4 @ t
+    return t
+
+
+def _pade(a: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant of exp on a stack (k, n, n), in
+    Higham's grouping through a^6: (V - U)^-1 (V + U), with U the odd and V
+    the even part of the numerator polynomial."""
+    b = _PADE_COEFFS
     eye = np.eye(a.shape[-1])
     a2 = a @ a
-    if len(b) == 14:  # degree 13, in Higham's grouping through a^6
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
-    else:
-        odd, v, power = b[1] * eye + b[3] * a2, b[2] * a2, a2
-        for j in range(4, len(b), 2):
-            power = power @ a2
-            odd, v = odd + b[j + 1] * power, v + b[j] * power
-        u = a @ odd
-    v = v + b[0] * eye
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     return np.linalg.solve(v - u, v + u)
 
 
-def _expm_pade(a: np.ndarray) -> np.ndarray:
-    """exp of each slice of a stack (..., n, n), n >= 1, by scaling and
-    squaring (Higham 2005).  A slice's 1-norm picks the least Pade degree
-    m in (3, 5, 7, 9, 13) whose theta_m bounds it; past theta_13 the slice
-    is halved s times to within it and its degree-13 approximant squared
-    s times.  Each degree is one stacked evaluation, and each squaring
-    one product of the slices that still need it.  A slice with a
-    non-finite entry gives NaN.  The scaling runs only on a stack that
-    holds such a slice or one past theta_13: otherwise s = 0 for every
-    slice, and halving 0 times is the identity, so each degree is
-    evaluated on its slices as they are."""
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each slice of a stack (..., n, n), n >= 1.  A slice with
+    1-norm at most theta_18 is its degree-18 Taylor polynomial
+    (Al-Mohy and Higham 2011); any other finite slice goes to scaling and
+    squaring with the degree-13 Pade approximant (Higham 2005): past
+    theta_13 it is halved s times to within it and its approximant squared
+    s times.  A stack wholly within theta_18 is one Taylor evaluation and
+    nothing else; otherwise the Taylor slices, the Pade slices and each
+    squaring are one stacked evaluation each.  A slice with a non-finite
+    entry gives NaN."""
     shape, n = a.shape, a.shape[-1]
     a = np.ascontiguousarray(a, dtype=float).reshape(-1, n, n)  # every slice laid out alike
     norm = norm1_float(a)
-    degree = np.searchsorted(_PADE_THETA, norm)  # into _PADE_COEFFS; 5: past theta_13 or NaN
-    degrees = sorted(set(degree.tolist()))
-    if 5 not in degrees:
-        if len(degrees) == 1:
-            return _pade(a, _PADE_COEFFS[degrees[0]]).reshape(shape)
-        out = np.empty_like(a)
-        for d in degrees:
-            rows = np.flatnonzero(degree == d)
-            out[rows] = _pade(a[rows], _PADE_COEFFS[d])
+    taylor = norm <= _TAYLOR_THETA
+    if taylor.all():
+        return _taylor(a).reshape(shape)
+    out = np.full(a.shape, np.nan)  # a non-finite slice is not evaluated: stays NaN
+    rows = np.flatnonzero(taylor)
+    if rows.size:
+        out[rows] = _taylor(a[rows])
+    rows = np.flatnonzero(~taylor & np.isfinite(norm))
+    if not rows.size:
         return out.reshape(shape)
-    degree[~np.isfinite(norm)] = -1  # not evaluated: stays NaN
-    big = degree == 5
-    squarings = np.zeros(len(a), dtype=int)
-    squarings[big] = np.ceil(np.log2(norm[big] / _PADE_THETA[-1]))
-    degree[big] = 4
-    out = np.full(a.shape, np.nan)
-    for d in sorted(set(degree.tolist()) - {-1}):
-        rows = np.flatnonzero(degree == d)
-        out[rows] = _pade(np.ldexp(a[rows], -squarings[rows, None, None]), _PADE_COEFFS[d])
-    for step in range(int(squarings.max(initial=0))):
-        rows = np.flatnonzero(squarings > step)
+    squarings = np.maximum(np.ceil(np.log2(norm[rows] / _PADE_THETA)), 0).astype(int)
+    out[rows] = _pade(np.ldexp(a[rows], -squarings[:, None, None]))
+    for step in range(int(squarings.max())):
+        rows = rows[squarings > step]
+        squarings = squarings[squarings > step]
         out[rows] = out[rows] @ out[rows]
     return out.reshape(shape)
 
@@ -152,12 +171,12 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     ``index`` is the exact joint nilpotency index of a family whose span
     contains ``a`` (see ``joint_nilpotency_index``).  With it a^index = 0,
     so the finite series sum_(j < index) a^j / j! is exact and is used;
-    without it, Pade scaling and squaring (``_expm_pade``, one call on the
-    whole stack)."""
+    without it, ``_expm``, one call on the whole stack: Taylor within
+    theta_18, Pade 13 scaling and squaring past it."""
     if not a.size:
         return np.zeros_like(a)
     if index is None:
-        return _expm_pade(a)
+        return _expm(a)
     term = np.eye(a.shape[-1])
     acc = term + np.zeros(a.shape)  # the identity, a fresh array of a's shape
     for j in range(1, index):
@@ -173,7 +192,7 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
 
     ``index`` is as for ``exp_float``.  With it the finite series
     sum_(j < index) a^j v / (j+1)! is exact and is summed by products;
-    without it, one ``_expm_pade`` of the augmented matrices [[a, v], [0, 0]],
+    without it, one ``_expm`` of the augmented matrices [[a, v], [0, 0]],
     whose top-right block is phi1(a) v (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
     n = a.shape[-1]
@@ -186,7 +205,7 @@ def phi1_float(a: np.ndarray, v: np.ndarray, index: int | None = None) -> np.nda
         aug = np.zeros(a.shape[:-2] + (n + k, n + k))
         aug[..., :n, :n] = a
         aug[..., :n, n:] = cols
-        return _expm_pade(aug)[..., :n, n:].reshape(v.shape)
+        return _expm(aug)[..., :n, n:].reshape(v.shape)
     acc = term = cols
     for j in range(1, index):
         term = (a @ term) / (j + 1)
@@ -236,9 +255,10 @@ def log_float(g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
     # only a slice with ||n|| >= 1 can fail the gate, so only those are
     # probed: a zero float power of finite entries stays zero, so n^dim is
     # zero iff some power up to the dimension is, and a slice with an
-    # infinite entry has no zero power
+    # infinite or a NaN entry (whose norm is NaN, so taken as wide) has no
+    # zero power
     norm = norm1_float(n)
-    wide = np.flatnonzero(norm >= 1)
+    wide = np.flatnonzero(~(norm < 1))
     p = nw = n[wide]
     for _ in range(dim - 1):
         if not np.count_nonzero(p):

@@ -29,9 +29,11 @@ phi1 of the (m*d)-sided Hom(g0, a) generators at their exact joint
 nilpotency index.  ``i1_closed_form`` is i1 of any beta as the package
 took it before it read i1(tau omega) off the group element's split: the
 two-sided integral int_0^1 exp(s rho_xi) beta(xi) exp(-s ad0_xi) ds in
-closed form (``phi1_two_sided``, the finite series or the Pade kernel of
-[[rho_xi, beta(xi)], [0, ad0_xi]]), and ``i2_closed_form`` the paper's i2
-through it.
+closed form (``phi1_two_sided``, the finite series or the exp kernel
+``linalg._expm`` of [[rho_xi, beta(xi)], [0, ad0_xi]]), and
+``i2_closed_form`` the paper's i2 through it.  ``bch_center`` is the
+center part of the parent's own BCH product by RK4 on scipy's expm, an
+evaluator of iota2 on Lie input that shares no code with its 2-chain.
 
 The last section holds the dense exact layer that the sparse row form
 replaced: ``Matrix`` products, ``mat_vec``, ``left_of`` and the zero test
@@ -435,6 +437,51 @@ class LinearRackMp:
         aug[:m, :m] = sum(x * rho for x, rho in zip(eta2, self.rho))
         aug[:m, m] = big[d:, :d] @ eta
         return eta2, big[d:, d:] @ b + _mp_expm(aug)[:m, m]
+
+
+def bch_center(sys_: LocalRackSystem, xi, eta, steps: int = 64, psi: bool = True) -> np.ndarray:
+    """The center part, in (g0, center) coordinates, of
+    BCH(X, Y) = log(exp X exp Y) computed in the parent itself, for X and
+    Y the lifts (xi, 0) and (eta, 0) of log coordinates xi, eta (..., d) of
+    G0.  On Lie input it is iota2 of the group elements of xi and eta.
+
+    It integrates dZ/dt = psi(ad Z) Y from Z(0) = X to t = 1 by RK4 in
+    ``steps`` steps, psi(z) = z / (1 - exp(-z)).  ad is the parent's n x n
+    adjoint in (g0, center) coordinates, F ad(T z) T, read off the exact
+    brackets (``bracket_coords``), so [Z, Y] keeps its center part.
+    psi(ad Z) Y solves phi1(-ad Z) w = Y, with phi1(-ad Z) the top-right
+    block of scipy's expm of [[-ad Z, I], [0, 0]] (Van Loan, IEEE TAC
+    1978).  So no value comes from ``linalg`` or from iota2's 2-chain.
+    With psi False, psi is 1 and Z(1) = X + Y, whose center part is 0: a
+    negative control."""
+    import scipy.linalg
+
+    n, d = sys_.dim, sys_.g0_dim
+    brackets = sys_.bracket_coords.reshape(n, n, n)  # [i, j]: F [e_i, e_j]
+    t_np = sys_.change_of_basis[1]
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+    lift = np.zeros(xi.shape[:-1] + (n,))
+    lift[..., :d] = eta
+    y = lift.copy()
+    lift[..., :d] = xi
+    z = lift
+
+    def velocity(z):
+        if not psi:
+            return y
+        ad = np.einsum("...i,ijk->...kj", z @ t_np.T, brackets) @ t_np
+        aug = np.zeros(z.shape[:-1] + (2 * n, 2 * n))
+        aug[..., :n, :n], aug[..., :n, n:] = -ad, np.eye(n)
+        return np.linalg.solve(scipy.linalg.expm(aug)[..., :n, n:], y[..., None])[..., 0]
+
+    h = 1.0 / steps
+    for _ in range(steps):
+        k1 = velocity(z)
+        k2 = velocity(z + h / 2 * k1)
+        k3 = velocity(z + h / 2 * k2)
+        k4 = velocity(z + h * k3)
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return z[..., d:]
 
 
 def sample_rack_element(sys_, rng, max_norm: float) -> tuple[LocalRackElement, np.ndarray]:
@@ -886,7 +933,7 @@ def phi1_two_sided(a, v, index=None, b=None, b_index=None):
     and blocks v (..., n, k): phi1 of L(x) = a x - x b applied to v, as
     ``linalg.phi1_float`` took it given a right factor.  With both exact
     nilpotency indices the finite series sum_(j < index + b_index - 1)
-    L^j v / (j+1)!, summed by products; otherwise ``linalg._expm_pade`` of
+    L^j v / (j+1)!, summed by products; otherwise ``linalg._expm`` of
     [[a, v], [0, b]], whose top-right block is the integral times exp(b)
     (Van Loan, IEEE TAC 1978)."""
     v = np.asarray(v, dtype=float)
@@ -897,7 +944,7 @@ def phi1_two_sided(a, v, index=None, b=None, b_index=None):
         k = v.shape[-1]
         aug = np.zeros(a.shape[:-2] + (n + k, n + k))
         aug[..., :n, :n], aug[..., :n, n:], aug[..., n:, n:] = a, v, b
-        return linalg._expm_pade(aug)[..., :n, n:] @ exp_float(-b, b_index)
+        return linalg._expm(aug)[..., :n, n:] @ exp_float(-b, b_index)
     acc = term = v
     for j in range(1, index + b_index - 1):
         term = (a @ term - term @ b) / (j + 1)
@@ -980,7 +1027,7 @@ def log_float_probe_all(g, ok=None):
     gated = np.zeros(len(n), dtype=bool)
     if np.count_nonzero(p):
         norm = linalg.norm1_float(n)
-        gated = p.any(axis=(1, 2)) & (norm >= 1)
+        gated = p.any(axis=(1, 2)) & ~(norm < 1)
         if np.count_nonzero(gated):
             n = np.where(gated[:, None, None], 0.0, n)
     ell, stuck = log_series_float(n)

@@ -458,7 +458,8 @@ def test_the_quadrature_cross_check_meets_no_log_gate(capsys, tmp_path):
 
 def test_integrate_oscillator_algebra_passes(capsys, tmp_path):
     # a Lie algebra whose ad0 is a rotation, not nilpotent: iota2 and its
-    # inner phi1 go through the Pade kernel
+    # inner phi1 go through the kernel without an index (Taylor within
+    # theta_18, Pade 13 past it)
     osc = LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
                                            (0, 1): {2: 1}, (1, 0): {2: -1},
                                            (0, 2): {1: -1}, (2, 0): {1: 1}})

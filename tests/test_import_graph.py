@@ -1,10 +1,10 @@
 """The package's import graph, pinned in fresh isolated interpreters.
 
 The package never imports scipy: every report, on nilpotent input and on
-input whose exp and phi1 take the Pade kernel, runs without it.  The exact
-path never imports numpy, the float modules, or the stdlib's
-``dataclasses`` and the ``inspect`` it imports (the exact records are
-plain classes): ``import leibrack``, parsing, the built-ins, the
+input whose exp and phi1 take the Taylor or Pade kernel, runs without
+it.  The exact path never imports numpy, the float modules, or the
+stdlib's ``dataclasses`` and the ``inspect`` it imports (the exact
+records are plain classes): ``import leibrack``, parsing, the built-ins, the
 extension, ``verify`` and ``analyze``, and an ``integrate`` that a cap
 refuses.  Every name the package exported before its float half became
 lazy still resolves, to its defining module's object, and so does every

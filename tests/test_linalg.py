@@ -24,7 +24,7 @@ from leibrack.exact import (
     rref_nullspace,
 )
 from leibrack.linalg import (
-    _expm_pade,
+    _expm,
     exp_float,
     gauss_legendre_01,
     integrate_01,
@@ -235,7 +235,7 @@ def _normwise_error(got, want):
     return norm1_float(got - want) / norm1_float(want)
 
 
-def test_exp_float_series_at_index_and_pade_without():
+def test_exp_float_series_at_index_and_kernel_without():
     rng = np.random.default_rng(9)
     a = np.tril(rng.uniform(-1, 1, size=(4, 4)), -1)
     assert np.abs(exp_float(a, 4) - scipy.linalg.expm(a)).max() <= 1e-14
@@ -245,11 +245,14 @@ def test_exp_float_series_at_index_and_pade_without():
     assert exp_float(np.zeros((0, 0)), 1).shape == (0, 0)
 
 
-# -- the Pade kernel of exp and phi1 without a nilpotency index --------------
+# -- the kernel of exp and phi1 without a nilpotency index -------------------
 
-# one 1-norm inside each Pade degree's band (theta_3 .. theta_13), then
-# norms that take 1, 3 and 5 squarings
+# 1-norms within theta_18 (Taylor), between theta_18 and theta_13 (Pade 13),
+# then norms that take 1, 3 and 5 squarings
 PADE_NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 150.0)
+# each side of either bound: Taylor against Pade, Pade against one squaring
+BOUND_NORMS = (linalg._TAYLOR_THETA * (1 - 1e-6), linalg._TAYLOR_THETA * (1 + 1e-6),
+               linalg._PADE_THETA * 0.999, linalg._PADE_THETA * 1.5)
 
 
 def _mp_expm(a):
@@ -261,10 +264,10 @@ def _mp_expm(a):
 
 def _pade_slices():
     """Random, upper triangular, diagonal, Jordan-block and rotation slices
-    at every norm of PADE_NORMS, of sizes 2 to 5."""
+    at every norm of PADE_NORMS and BOUND_NORMS, of sizes 2 to 5."""
     rng = np.random.default_rng(41)
     out = []
-    for k, target in enumerate(PADE_NORMS):
+    for k, target in enumerate(PADE_NORMS + BOUND_NORMS):
         n = 2 + k % 4
         general = rng.standard_normal((n, n))
         shapes = (general, np.triu(general), np.diag(rng.standard_normal(n)),
@@ -274,13 +277,38 @@ def _pade_slices():
     return out
 
 
-def test_expm_pade_matches_50_digit_mpmath():
+def test_expm_matches_50_digit_mpmath():
     for a in _pade_slices():
-        assert _normwise_error(_expm_pade(a), _mp_expm(a)) <= 1e-13, a
+        assert _normwise_error(_expm(a), _mp_expm(a)) <= 1e-13, a
 
 
-def test_expm_pade_mixed_stack_equals_each_slice():
-    # every degree and squaring count in one stack, beside a zero slice,
+def test_taylor_theta_is_the_backward_error_bound_at_unit_roundoff():
+    # theta_18 is the root of sum_(k >= 19) |c_k| theta^(k-1) = 2^-53, where
+    # log(exp(-x) T_18(x)) = sum_k c_k x^k (Al-Mohy and Higham 2011): the
+    # relative backward error of T_18 at 1-norm theta.  Derived here at 50
+    # digits from 120 terms of the series; the kernel's constant lies on
+    # the safe side of the root and within 1e-9 of it
+    import mpmath
+    terms = 120
+    with mpmath.workdps(50):
+        # exp(-x) T_18(x) as a power series f, then log f by k L_k =
+        # k f_k - sum_(0 < j < k) j L_j f_(k-j), as f_0 = 1
+        taylor = [1 / mpmath.factorial(k) for k in range(19)]
+        f = [mpmath.fsum((-1) ** (k - j) / mpmath.factorial(k - j) * taylor[j]
+                         for j in range(min(k, 18) + 1)) for k in range(terms)]
+        logs = [mpmath.mpf(0)] * terms
+        for k in range(1, terms):
+            logs[k] = f[k] - mpmath.fsum(j * logs[j] * f[k - j] for j in range(1, k)) / k
+        assert max(abs(c) for c in logs[1:19]) < mpmath.mpf(10) ** -45  # T_18 matches exp
+        bound = [abs(c) for c in logs[19:]]
+        root = mpmath.findroot(lambda t: mpmath.fsum(c * t ** (k + 18) for k, c in enumerate(bound))
+                               - mpmath.mpf(2) ** -53, 1)
+        theta = mpmath.mpf(linalg._TAYLOR_THETA)
+        assert theta <= root and (root - theta) / root <= 1e-9
+
+
+def test_expm_mixed_stack_equals_each_slice():
+    # every branch and squaring count in one stack, beside a zero slice,
     # the identity and two non-finite slices, which give NaN without a
     # warning
     rng = np.random.default_rng(42)
@@ -291,11 +319,11 @@ def test_expm_pade_mixed_stack_equals_each_slice():
     stack = np.concatenate([scaled, [np.zeros((4, 4)), nan, inf, np.eye(4)], scaled[::-1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _expm_pade(stack)
-        one_by_one = [_expm_pade(a) for a in stack]
+        got = _expm(stack)
+        one_by_one = [_expm(a) for a in stack]
     _same_slices(got, one_by_one)
     # leading axes of any shape
-    assert _expm_pade(stack.reshape(4, 5, 4, 4)).tobytes() == got.tobytes()
+    assert _expm(stack.reshape(4, 5, 4, 4)).tobytes() == got.tobytes()
     k = len(PADE_NORMS)
     assert np.array_equal(got[k], np.eye(4))
     assert np.isnan(got[k + 1:k + 3]).all()
@@ -303,44 +331,50 @@ def test_expm_pade_mixed_stack_equals_each_slice():
 
 
 def _slices_of_each_degree(n=4, seed=44):
-    """Two random n x n slices below each theta_m, m = 3, 5, 7, 9, 13, the
-    second just under it."""
+    """Random n x n slices of each branch of the kernel, at 1-norms across
+    both bounds: 0.6 theta_18 and theta_18 (1 - 1e-6) (Taylor),
+    theta_18 (1 + 1e-6), 0.6 theta_13 and 0.999 theta_13 (Pade 13) and
+    1.5 theta_13 (Pade 13 and one squaring)."""
     rng = np.random.default_rng(seed)
-    general = rng.standard_normal((2 * len(linalg._PADE_THETA), n, n))
-    norms = np.repeat(linalg._PADE_THETA, 2) * np.tile([0.6, 0.999], len(linalg._PADE_THETA))
+    norms = np.array([0.6 * linalg._TAYLOR_THETA, *BOUND_NORMS[:2], 0.6 * linalg._PADE_THETA,
+                      *BOUND_NORMS[2:]])
+    general = rng.standard_normal((len(norms), n, n))
     return general * (norms / norm1_float(general))[:, None, None]
 
 
-def test_expm_pade_stacks_with_and_without_scaling_equal_each_slice():
-    # slices of every degree alone take no scaling; beside a slice past
-    # theta_13, a NaN or an inf slice, the same slices go through the
-    # scaling path; each stack equals its one-slice calls bit for bit
+def test_expm_stacks_with_and_without_scaling_equal_each_slice():
+    # slices of every branch, alone and beside a slice past theta_13 by
+    # two squarings, a NaN or an inf slice; each stack equals its one-slice
+    # calls bit for bit
     degrees = _slices_of_each_degree()
-    big = degrees[-1] * (4 * linalg._PADE_THETA[-1] / norm1_float(degrees[-1]))
+    big = degrees[-1] * (4 * linalg._PADE_THETA / norm1_float(degrees[-1]))
     nan, inf = np.eye(4), np.eye(4)
     nan[0, 3], inf[2, 1] = np.nan, np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for extra in ([], [big], [nan], [inf], [big, nan, inf]):
             stack = np.concatenate([degrees[::-1], extra, degrees]) if extra else degrees
-            _same_slices(_expm_pade(stack), [_expm_pade(a) for a in stack])
+            _same_slices(_expm(stack), [_expm(a) for a in stack])
 
 
-def test_expm_pade_evaluates_each_degree_once(monkeypatch):
-    # a stack of one degree is one Pade evaluation and nothing else; a
-    # stack of five degrees is five
+def test_expm_within_theta18_is_one_taylor_evaluation_and_no_solve(monkeypatch):
+    # a stack within theta_18 is one Taylor evaluation and nothing else, so
+    # no solve; one slice past theta_18 beside it adds exactly one
+    # degree-13 Pade evaluation, of that slice alone, and its one solve
     calls = []
-    pade = linalg._pade
-    monkeypatch.setattr(linalg, "_pade", lambda a, b: calls.append((len(a), len(b))) or pade(a, b))
+    taylor, pade, solve = linalg._taylor, linalg._pade, np.linalg.solve
+    monkeypatch.setattr(linalg, "_taylor", lambda a: calls.append(("taylor", len(a))) or taylor(a))
+    monkeypatch.setattr(linalg, "_pade", lambda a: calls.append(("pade", len(a))) or pade(a))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(("solve", len(a))) or solve(a, b))
     degrees = _slices_of_each_degree()
-    for d in range(len(linalg._PADE_THETA)):
+    within = degrees[:2]
+    assert _expm(within).tobytes() == taylor(within).tobytes()
+    assert calls == [("taylor", 2)]
+    for past in degrees[2:]:
         calls.clear()
-        one = degrees[2 * d:2 * d + 2]
-        assert _expm_pade(one).tobytes() == pade(one, linalg._PADE_COEFFS[d]).tobytes()
-        assert calls == [(2, len(linalg._PADE_COEFFS[d]))]
-    calls.clear()
-    _expm_pade(degrees)
-    assert calls == [(2, len(b)) for b in linalg._PADE_COEFFS]
+        _expm(np.concatenate([within, [past]]))
+        assert calls == [("taylor", 2), ("pade", 1), ("solve", 1)]
 
 
 def test_phi1_float_without_index_matches_quadrature_of_the_kernel():
@@ -381,7 +415,7 @@ def test_phi1_float_empty():
 
 def test_phi1_float_block_rhs_matches_columns():
     # an (n, k) right-hand side is k vectors at once, on both branches:
-    # a nilpotent a with its index, and a general a through the Pade kernel
+    # a nilpotent a with its index, and a general a through the kernel
     rng = np.random.default_rng(11)
     nilpotent = np.triu(rng.uniform(-1, 1, size=(4, 4)), 1)
     general = rng.uniform(-1, 1, size=(4, 4))
@@ -400,7 +434,7 @@ def test_phi1_float_block_rhs_matches_columns():
 def test_the_two_sided_phi1_oracle_is_the_two_sided_integral():
     # the kernel of the tests' closed form of i1 for any beta,
     # int_0^1 exp(s a) v exp(-s b) ds on (n, k) blocks: the finite series to
-    # index + b_index - 1, the Pade kernel of [[a, v], [0, b]] times exp(-b)
+    # index + b_index - 1, the kernel of [[a, v], [0, b]] times exp(-b)
     # and quadrature of the integrand agree, and each slice of a stack is
     # what the call on that slice alone gives
     rng = np.random.default_rng(12)
@@ -583,6 +617,28 @@ def test_log_float_mask_clears_exactly_the_slices_that_raise():
     ok = np.ones((2, len(stack)), dtype=bool)
     log_float(stack, ok)
     assert (ok == [True, False, True, False, True, True]).all()
+
+
+def test_log_float_fails_a_nan_slice_at_the_chart_gate_alone():
+    # a NaN slice has a NaN norm, which the gate takes as wide: its probe
+    # finds no zero power and it fails at once with the chart message,
+    # instead of after every series term; the other slices are what they
+    # are alone
+    ok_slices = _log_slices()
+    nan = np.eye(3)
+    nan[1, 0] = np.nan
+    stack = np.array([ok_slices[0], nan, *ok_slices[1:]])
+    ok = np.ones(len(stack), dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfChartError, match="= nan >= 1: outside the log chart"):
+            log_float(nan)
+        with pytest.raises(OutOfChartError, match="= nan >= 1: outside the log chart"):
+            log_float(stack)
+        got = log_float(stack, ok)
+    assert list(ok) == [True, False, True, True, True]
+    assert not got[1].any()
+    _same_slices(np.delete(got, 1, axis=0), [log_float(g) for g in ok_slices])
 
 
 def _outcome(log, stack, masked):

@@ -5,7 +5,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,7 @@ from oracles import (
     LinearRackMp,
     ONE_BY_ONE,
     action_from_coords,
+    bch_center,
     bracket_coords_by_brackets,
     coboundary_witness,
     cochain_from_dense,
@@ -332,7 +333,7 @@ _I1_ORACLE_INPUTS = {
 def test_i1_on_blocks_matches_the_hom_module_oracle(name):
     # the two-sided closed form on m x d blocks against phi1 of the
     # (m*d)-sided Hom(g0, a) generators, at the exact index of each family
-    # or by Pade
+    # or by the kernel without an index
     sys_ = build_rack_system(canonical_extension(_I1_ORACLE_INPUTS[name]), 0.5)
     xi = np.random.default_rng(41).uniform(-0.5, 0.5, (50, sys_.g0_dim))
     m, d = sys_.center_dim, sys_.g0_dim
@@ -381,7 +382,7 @@ def test_i2_of_a_coboundary_is_the_rack_coboundary_of_its_primitive(name):
     # i2 is linear in omega and the integration is a chain map, so for a
     # 1-cochain beta: i2_{d beta}(g, h) = phi_g F(h) - F(g |> h), with
     # F(g) = phi1(rho_X) beta X at X = log g.  The axioms do not pin i2;
-    # this does, on every input, the Pade path of a non-unipotent G0 too.
+    # this does, on every input, the kernel path of a non-unipotent G0 too.
     # The wide chart only widens the conjugation's gate: every point lies
     # well inside the log chart
     ext = canonical_extension(_COBOUNDARY_INPUTS[name])
@@ -454,7 +455,8 @@ def test_a_split_input_gives_kinyons_rack(name):
 # paper's wherever phi1(rho_xi) is invertible (``oracles.linear_rack``).
 def _oscillator():
     # [e1, e2] = e3 central, [e0, e1] = e2, [e0, e2] = -e1: a Lie algebra
-    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through the Pade kernel
+    # whose ad0 (a rotation) is not nilpotent, so iota2 goes through the kernel
+    # without an index (``linalg._expm``)
     return LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
                                             (0, 1): {2: 1}, (1, 0): {2: -1},
                                             (0, 2): {1: -1}, (2, 0): {1: 1}})
@@ -954,6 +956,53 @@ def test_iota2_heisenberg_analytic(heis_sys):
         assert np.abs(iota2(heis_sys, g, h) - heisenberg_iota2(a, b)).max() < 1e-12
 
 
+# For Lie input, iota2(g, h) is the center part of BCH(X, Y) computed in the
+# parent itself, X and Y the lifts of the log coordinates of g and h: two
+# group cocycles that integrate omega and vanish on one-parameter
+# subgroups differ by a linear coboundary, which vanishes on [g0, g0].
+# Each input with the coordinate scale that keeps every node of iota2's
+# chain in the float log's chart, on a system of chart radius 4, which the
+# products g h of these draws stay within; the oscillator's and sl2's ad
+# families are not nilpotent, so their exp and phi1 take the kernel
+# without an index
+BCH_INPUTS = {"heisenberg": (heisenberg, 0.3), "filiform5": (filiform5, 0.3),
+              "free_nilpotent5": (free_nilpotent5, 0.3), "oscillator": (_oscillator, 0.12),
+              "filiform-16": (partial(inputs.filiform, 16, inputs.filiform_signs(16, 0)), 0.12),
+              "sl2": (_sl2, 0.12)}
+
+
+@cache
+def _bch_system(name):
+    return build_rack_system(canonical_extension(BCH_INPUTS[name][0]()), 4.0)
+
+
+@pytest.mark.parametrize("name", list(BCH_INPUTS))
+def test_iota2_vanishes_on_one_parameter_subgroups(name):
+    # iota2(exp sX, exp tX) = 0: t -> (exp tX, t a) is a one-parameter subgroup
+    sys_, scale = _bch_system(name), BCH_INPUTS[name][1]
+    rng = np.random.default_rng(47)
+    x = rng.uniform(-scale, scale, size=(20, sys_.g0_dim))
+    s, t = rng.uniform(-1.0, 1.0, size=(2, 20, 1))
+    got = iota2(sys_, group_from_coords(sys_, s * x), group_from_coords(sys_, t * x))
+    assert got.shape == (20, sys_.center_dim)
+    assert np.abs(got).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("name", list(BCH_INPUTS))
+def test_iota2_is_the_center_part_of_bch(name):
+    sys_, scale = _bch_system(name), BCH_INPUTS[name][1]
+    rng = np.random.default_rng(48)
+    xi, eta = rng.uniform(-scale, scale, size=(2, 20, sys_.g0_dim))
+    got = iota2(sys_, group_from_coords(sys_, xi), group_from_coords(sys_, eta))
+    assert np.abs(got - bch_center(sys_, xi, eta)).max(initial=0.0) <= 1e-14
+    # negative control: with psi = 1 the oracle returns X + Y, whose center
+    # part is 0, and misses iota2 wherever it is not zero
+    control = bch_center(sys_, xi, eta, psi=False)
+    assert control.shape == got.shape and not control.any()
+    if sys_.center_dim:
+        assert np.abs(got - control).max() > 1e-14
+
+
 def test_iota2_relation_to_i2(heis_sys):
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -1022,20 +1071,22 @@ def test_iota2_chain_derivative_series_vs_finite_differences():
             assert np.abs(w_series - w_fd).max() < 1e-8
 
 
-def _pade_calls(monkeypatch):
-    """The stacks the Pade kernel is called on from now to the test's end."""
+def _kernel_calls(monkeypatch):
+    """The stacks the exp kernel without a nilpotency index (Taylor or
+    Pade) is called on from now to the test's end."""
     calls = []
-    expm = linalg._expm_pade
-    monkeypatch.setattr(linalg, "_expm_pade", lambda a: calls.append(a) or expm(a))
+    expm = linalg._expm
+    monkeypatch.setattr(linalg, "_expm", lambda a: calls.append(a) or expm(a))
     return calls
 
 
 def test_iota2_on_filiform5_makes_no_scipy_call(monkeypatch):
-    # nor any call of the Pade kernel: every exp and phi1 is a finite series
+    # nor any call of the kernel without an index: every exp and phi1 is a
+    # finite series
     sys_ = build_rack_system(canonical_extension(filiform5()), 0.5)
     g = group_from_coords(sys_, [0.05, 0.01, -0.02, 0.03])
     h = group_from_coords(sys_, [-0.02, 0.03, 0.01, -0.04])
-    calls = _pade_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
     assert np.abs(iota2(sys_, g, h)).max() > 0
     assert not calls
 
@@ -1116,7 +1167,7 @@ def _aff1_with_weights():
                          ids=["diagonal_rho", "aff1"])
 def test_quadrature_matches_phi1_on_non_nilpotent_rho(alg):
     sys_ = build_rack_system(canonical_extension(alg), 0.5)
-    assert sys_.rho_index is None  # i1 and i2 take the Pade kernel
+    assert sys_.rho_index is None  # i1 and i2 take the kernel without an index
     rng = np.random.default_rng(16)
     rule16 = gauss_legendre_01(16)
     for _ in range(10):
@@ -1275,7 +1326,7 @@ def test_iota2_takes_at_most_two_logs(order, monkeypatch):
 
 
 def test_iota2_expm_calls_do_not_grow_with_the_order(monkeypatch):
-    counts = [_calls_in_one_iota2(monkeypatch, _oscillator(), linalg, "_expm_pade", order)[0]
+    counts = [_calls_in_one_iota2(monkeypatch, _oscillator(), linalg, "_expm", order)[0]
               for order in (8, 16, 32)]
     assert 0 < counts[0] == counts[1] == counts[2]
 
@@ -1308,7 +1359,7 @@ def test_i2_on_diagonal_rho_makes_at_most_two_expm_calls(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     g = group_from_coords(sys_, [0.1])
     h = group_from_coords(sys_, [-0.07])
-    calls = _pade_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
     assert np.abs(i2(sys_, g, h)).max() > 0
     assert 0 < len(calls) <= 2
 
@@ -1366,15 +1417,15 @@ def test_rho_semisimple_takes_the_pade_path(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     assert sys_.rho_index is None
     g = group_from_coords(sys_, [0.1])
-    calls = _pade_calls(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
     phi = group_action(sys_, g)
     assert calls
     assert np.abs(phi - np.diag([np.exp(0.1), np.exp(-0.05), np.exp(0.2)])).max() < 1e-12
 
 
 def test_nilpotent_families_make_no_scipy_calls(dim5_sys, monkeypatch):
-    # nor any call of the Pade kernel
-    calls = _pade_calls(monkeypatch)
+    # nor any call of the kernel without an index
+    calls = _kernel_calls(monkeypatch)
     g = group_from_coords(dim5_sys, [0.1, -0.05])
     h = group_from_coords(dim5_sys, [-0.02, 0.07])
     rack_product(dim5_sys, LocalRackElement(g, np.ones(3)), LocalRackElement(h, np.ones(3)))
