@@ -32,15 +32,14 @@ slices that finish at a term are written out with one scatter and leave
 it.  The kernels use only operations that are exact slice by slice with
 numpy's OpenBLAS build: stacked ``@`` (matrix-matrix, a stack times one
 constant matrix, and matrix-vector written as (..., n, 1)), elementwise
-arithmetic, reductions and concatenations within a slice,
-``np.linalg.solve``, and gathers and scatters of whole slices by index.
-``np.einsum`` over a stack is not among them: it can sum in another
-order.  Without a nilpotency index, ``exp_float`` and ``phi1_float`` go
-to one kernel, ``_expm``, built from these operations alone, so a
-slice's result does not depend on the slices stacked with it: a slice of
-1-norm at most theta_18 takes the degree-18 Taylor polynomial, evaluated
-by products alone, and any other finite slice Pade 13 scaling and
-squaring, the one ``np.linalg.solve``.
+arithmetic, reductions and concatenations within a slice, ``np.ldexp``,
+and gathers and scatters of whole slices by index.  ``np.einsum`` over a
+stack is not among them: it can sum in another order.  Without a
+nilpotency index, ``exp_float`` and ``phi1_float`` go to one kernel,
+``_expm``, built from these operations alone, so a slice's result does
+not depend on the slices stacked with it: scaling and squaring on the
+degree-18 Taylor polynomial, evaluated by products alone, with no
+squaring for a slice of 1-norm at most theta_18.
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 # which the degree-18 Taylor polynomial of exp keeps the backward error
 # below the unit roundoff 2^-53
 _TAYLOR_THETA = 1.090863719290036
-# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the same bound for the
-# degree-13 Pade approximant, and the coefficients b_0..b_13 of its numerator
-_PADE_THETA = 5.371920351148152
-_PADE_COEFFS = (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
-                129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
-                40840800., 960960., 16380., 182., 1.)
 
 
 @cache
@@ -102,8 +95,7 @@ def _taylor_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _taylor(a: np.ndarray) -> np.ndarray:
     """T_18 on a stack (k, n, n) by Paterson-Stockmeyer (SIAM J. Comput. 2,
     1973): x^2, x^3 and x^4, the five blocks as one product with a
-    constant matrix, then four Horner steps in x^4.  Products only, no
-    solve."""
+    constant matrix, then four Horner steps in x^4: products only."""
     n = a.shape[-1]
     c, e = _taylor_blocks(n)
     a2 = a @ a
@@ -116,48 +108,27 @@ def _taylor(a: np.ndarray) -> np.ndarray:
     return t
 
 
-def _pade(a: np.ndarray) -> np.ndarray:
-    """The degree-13 Pade approximant of exp on a stack (k, n, n), in
-    Higham's grouping through a^6: (V - U)^-1 (V + U), with U the odd and V
-    the even part of the numerator polynomial."""
-    b = _PADE_COEFFS
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    return np.linalg.solve(v - u, v + u)
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each slice of a stack (..., n, n), n >= 1.  A slice with
-    1-norm at most theta_18 is its degree-18 Taylor polynomial
-    (Al-Mohy and Higham 2011); any other finite slice goes to scaling and
-    squaring with the degree-13 Pade approximant (Higham 2005): past
-    theta_13 it is halved s times to within it and its approximant squared
-    s times.  A stack wholly within theta_18 is one Taylor evaluation and
-    nothing else; otherwise the Taylor slices, the Pade slices and each
-    squaring are one stacked evaluation each.  A slice with a non-finite
-    entry gives NaN."""
+    """exp of each slice of a stack (..., n, n), n >= 1, by scaling and
+    squaring on the degree-18 Taylor polynomial (Al-Mohy and Higham 2011):
+    a finite slice of 1-norm r is halved s = ceil(log2(r / theta_18))
+    times (none within theta_18) and its polynomial squared s times.  A
+    stack wholly within theta_18 is one Taylor evaluation and nothing else;
+    otherwise the finite slices are one stacked Taylor evaluation and each
+    squaring one stacked product.  A slice with a non-finite entry gives
+    NaN."""
     shape, n = a.shape, a.shape[-1]
     a = np.ascontiguousarray(a, dtype=float).reshape(-1, n, n)  # every slice laid out alike
     norm = norm1_float(a)
-    taylor = norm <= _TAYLOR_THETA
-    if taylor.all():
+    if (norm <= _TAYLOR_THETA).all():
         return _taylor(a).reshape(shape)
     out = np.full(a.shape, np.nan)  # a non-finite slice is not evaluated: stays NaN
-    rows = np.flatnonzero(taylor)
-    if rows.size:
-        out[rows] = _taylor(a[rows])
-    rows = np.flatnonzero(~taylor & np.isfinite(norm))
-    if not rows.size:
-        return out.reshape(shape)
-    squarings = np.maximum(np.ceil(np.log2(norm[rows] / _PADE_THETA)), 0).astype(int)
-    out[rows] = _pade(np.ldexp(a[rows], -squarings[:, None, None]))
-    for step in range(int(squarings.max())):
+    rows = np.flatnonzero(np.isfinite(norm))
+    # clamped to theta_18 first, so a slice within it (a zero one too) takes
+    # log2(1) = 0 squarings
+    squarings = np.ceil(np.log2(np.maximum(norm[rows], _TAYLOR_THETA) / _TAYLOR_THETA)).astype(int)
+    out[rows] = _taylor(np.ldexp(a[rows], -squarings[:, None, None]))
+    for step in range(int(squarings.max(initial=0))):
         rows = rows[squarings > step]
         squarings = squarings[squarings > step]
         out[rows] = out[rows] @ out[rows]
@@ -171,8 +142,8 @@ def exp_float(a: np.ndarray, index: int | None = None) -> np.ndarray:
     ``index`` is the exact joint nilpotency index of a family whose span
     contains ``a`` (see ``joint_nilpotency_index``).  With it a^index = 0,
     so the finite series sum_(j < index) a^j / j! is exact and is used;
-    without it, ``_expm``, one call on the whole stack: Taylor within
-    theta_18, Pade 13 scaling and squaring past it."""
+    without it, ``_expm``, one call on the whole stack: degree-18 Taylor
+    scaling and squaring, with no squaring within theta_18."""
     if not a.size:
         return np.zeros_like(a)
     if index is None:

@@ -70,7 +70,7 @@ is derived from the extension one way: on first use, once per system.
 Those are the float change of basis (F, T), the float bases and the joint
 nilpotency indices of the ad, rho and ad0 families (the float exp and
 phi1 of a nilpotent family are finite series; others go to the kernel
-``linalg._expm``: Taylor within theta_18, Pade 13 past it), the
+``linalg._expm``: degree-18 Taylor scaling and squaring), the
 pseudo-inverse that reads log coordinates, omega's float stack and its
 exact Lie-cocycle check for iota2 (``lie_omega``), and the suites' parent
 basis and brackets in (g0, center) coordinates.  So the system makes every

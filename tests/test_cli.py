@@ -435,16 +435,17 @@ def test_out_of_chart_samples_count_as_skips(capsys, tmp_path):
 def test_a_wide_aff_chart_skips_nothing_and_fails_by_rounding(capsys, tmp_path):
     # at radius 1000 the samples of aff(1) reach entries near 250.  No row
     # skips, and pointedness and the fixed point are exact zeros (A 0 = 0);
-    # self-distributivity and action compatibility fail their absolute
-    # tolerances by rounding, and the cross-check's 8 nodes do not resolve
-    # its integrands
+    # self-distributivity, the rack cocycle identity and the ghost identity
+    # fail their absolute tolerances by rounding, and the cross-check's 8
+    # nodes do not resolve its integrands
     code, doc, props = _integrate_non_unipotent(capsys, tmp_path, "aff", "1000")
     assert code == 4
     assert doc["verdict"] == "property_failure"
     assert not any(q["skipped"] for q in props.values())
     assert props["pointedness"]["max_defect"] == props["action_fixed_point"]["max_defect"] == 0.0
     assert {name for name, q in props.items() if not q["pass"]} == \
-        {"self_distributivity", "action_compatibility", "quadrature_order_stability"}
+        {"self_distributivity", "rack_cocycle_identity", "ghost_identity",
+         "quadrature_order_stability"}
 
 
 def test_the_quadrature_cross_check_meets_no_log_gate(capsys, tmp_path):
@@ -458,8 +459,8 @@ def test_the_quadrature_cross_check_meets_no_log_gate(capsys, tmp_path):
 
 def test_integrate_oscillator_algebra_passes(capsys, tmp_path):
     # a Lie algebra whose ad0 is a rotation, not nilpotent: iota2 and its
-    # inner phi1 go through the kernel without an index (Taylor within
-    # theta_18, Pade 13 past it)
+    # inner phi1 go through the kernel without an index (degree-18 Taylor
+    # scaling and squaring)
     osc = LeibnizAlgebra.from_brackets(4, {(1, 2): {3: 1}, (2, 1): {3: -1},
                                            (0, 1): {2: 1}, (1, 0): {2: -1},
                                            (0, 2): {1: -1}, (2, 0): {1: 1}})

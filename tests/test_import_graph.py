@@ -1,8 +1,8 @@
 """The package's import graph, pinned in fresh isolated interpreters.
 
 The package never imports scipy: every report, on nilpotent input and on
-input whose exp and phi1 take the Taylor or Pade kernel, runs without
-it.  The exact path never imports numpy, the float modules, or the
+input whose exp and phi1 take the exp kernel without a nilpotency index,
+runs without it.  The exact path never imports numpy, the float modules, or the
 stdlib's ``dataclasses`` and the ``inspect`` it imports (the exact
 records are plain classes): ``import leibrack``, parsing, the built-ins, the
 extension, ``verify`` and ``analyze``, and an ``integrate`` that a cap

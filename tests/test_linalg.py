@@ -1,6 +1,7 @@
 """Exact linear algebra, the two numerical kernels, and the quadrature rule."""
 
 import functools
+import math
 import warnings
 from fractions import Fraction
 
@@ -247,12 +248,13 @@ def test_exp_float_series_at_index_and_kernel_without():
 
 # -- the kernel of exp and phi1 without a nilpotency index -------------------
 
-# 1-norms within theta_18 (Taylor), between theta_18 and theta_13 (Pade 13),
-# then norms that take 1, 3 and 5 squarings
-PADE_NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 150.0)
-# each side of either bound: Taylor against Pade, Pade against one squaring
+# 1-norms within theta_18 (no squaring), then norms that take 1, 3, 4, 6
+# and 8 squarings
+EXPM_NORMS = (1e-3, 0.2, 0.9, 2.0, 5.0, 10.0, 40.0, 150.0)
+# each side of theta_18, where the first squaring starts, and of
+# 2 theta_18, where the second does
 BOUND_NORMS = (linalg._TAYLOR_THETA * (1 - 1e-6), linalg._TAYLOR_THETA * (1 + 1e-6),
-               linalg._PADE_THETA * 0.999, linalg._PADE_THETA * 1.5)
+               2 * linalg._TAYLOR_THETA * (1 - 1e-6), 2 * linalg._TAYLOR_THETA * (1 + 1e-6))
 
 
 def _mp_expm(a):
@@ -262,12 +264,12 @@ def _mp_expm(a):
         return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
 
 
-def _pade_slices():
+def _expm_slices():
     """Random, upper triangular, diagonal, Jordan-block and rotation slices
-    at every norm of PADE_NORMS and BOUND_NORMS, of sizes 2 to 5."""
+    at every norm of EXPM_NORMS and BOUND_NORMS, of sizes 2 to 5."""
     rng = np.random.default_rng(41)
     out = []
-    for k, target in enumerate(PADE_NORMS + BOUND_NORMS):
+    for k, target in enumerate(EXPM_NORMS + BOUND_NORMS):
         n = 2 + k % 4
         general = rng.standard_normal((n, n))
         shapes = (general, np.triu(general), np.diag(rng.standard_normal(n)),
@@ -278,7 +280,7 @@ def _pade_slices():
 
 
 def test_expm_matches_50_digit_mpmath():
-    for a in _pade_slices():
+    for a in _expm_slices():
         assert _normwise_error(_expm(a), _mp_expm(a)) <= 1e-13, a
 
 
@@ -308,12 +310,11 @@ def test_taylor_theta_is_the_backward_error_bound_at_unit_roundoff():
 
 
 def test_expm_mixed_stack_equals_each_slice():
-    # every branch and squaring count in one stack, beside a zero slice,
-    # the identity and two non-finite slices, which give NaN without a
-    # warning
+    # slices of 0 to 8 squarings in one stack, beside a zero slice, the
+    # identity and two non-finite slices, which give NaN without a warning
     rng = np.random.default_rng(42)
-    general = rng.standard_normal((len(PADE_NORMS), 4, 4))
-    scaled = general * (np.array(PADE_NORMS) / norm1_float(general))[:, None, None]
+    general = rng.standard_normal((len(EXPM_NORMS), 4, 4))
+    scaled = general * (np.array(EXPM_NORMS) / norm1_float(general))[:, None, None]
     nan, inf = np.eye(4), np.eye(4)
     nan[1, 2], inf[3, 0] = np.nan, -np.inf
     stack = np.concatenate([scaled, [np.zeros((4, 4)), nan, inf, np.eye(4)], scaled[::-1]])
@@ -324,57 +325,69 @@ def test_expm_mixed_stack_equals_each_slice():
     _same_slices(got, one_by_one)
     # leading axes of any shape
     assert _expm(stack.reshape(4, 5, 4, 4)).tobytes() == got.tobytes()
-    k = len(PADE_NORMS)
+    k = len(EXPM_NORMS)
     assert np.array_equal(got[k], np.eye(4))
     assert np.isnan(got[k + 1:k + 3]).all()
     assert np.isfinite(np.delete(got, [k + 1, k + 2], axis=0)).all()
 
 
-def _slices_of_each_degree(n=4, seed=44):
-    """Random n x n slices of each branch of the kernel, at 1-norms across
-    both bounds: 0.6 theta_18 and theta_18 (1 - 1e-6) (Taylor),
-    theta_18 (1 + 1e-6), 0.6 theta_13 and 0.999 theta_13 (Pade 13) and
-    1.5 theta_13 (Pade 13 and one squaring)."""
+def _slices_across_bounds(n=4, seed=44):
+    """Random n x n slices of the kernel's first squaring counts, at
+    1-norms across both bounds: 0.6 theta_18 and theta_18 (1 - 1e-6) (no
+    squaring), theta_18 (1 + 1e-6), 1.5 theta_18 and 2 theta_18 (1 - 1e-6)
+    (one) and 2 theta_18 (1 + 1e-6) (two)."""
     rng = np.random.default_rng(seed)
-    norms = np.array([0.6 * linalg._TAYLOR_THETA, *BOUND_NORMS[:2], 0.6 * linalg._PADE_THETA,
+    norms = np.array([0.6 * linalg._TAYLOR_THETA, *BOUND_NORMS[:2], 1.5 * linalg._TAYLOR_THETA,
                       *BOUND_NORMS[2:]])
     general = rng.standard_normal((len(norms), n, n))
     return general * (norms / norm1_float(general))[:, None, None]
 
 
 def test_expm_stacks_with_and_without_scaling_equal_each_slice():
-    # slices of every branch, alone and beside a slice past theta_13 by
-    # two squarings, a NaN or an inf slice; each stack equals its one-slice
+    # slices of each squaring count, alone and beside a slice of three
+    # squarings, a NaN or an inf slice; each stack equals its one-slice
     # calls bit for bit
-    degrees = _slices_of_each_degree()
-    big = degrees[-1] * (4 * linalg._PADE_THETA / norm1_float(degrees[-1]))
+    bounds = _slices_across_bounds()
+    big = bounds[-1] * (6 * linalg._TAYLOR_THETA / norm1_float(bounds[-1]))
     nan, inf = np.eye(4), np.eye(4)
     nan[0, 3], inf[2, 1] = np.nan, np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for extra in ([], [big], [nan], [inf], [big, nan, inf]):
-            stack = np.concatenate([degrees[::-1], extra, degrees]) if extra else degrees
+            stack = np.concatenate([bounds[::-1], extra, bounds]) if extra else bounds
             _same_slices(_expm(stack), [_expm(a) for a in stack])
 
 
-def test_expm_within_theta18_is_one_taylor_evaluation_and_no_solve(monkeypatch):
-    # a stack within theta_18 is one Taylor evaluation and nothing else, so
-    # no solve; one slice past theta_18 beside it adds exactly one
-    # degree-13 Pade evaluation, of that slice alone, and its one solve
+def test_expm_is_one_taylor_evaluation_and_ceil_log2_squarings(monkeypatch):
+    # at every norm, a stack is one Taylor evaluation of its slices halved
+    # s = ceil(log2(||a||_1 / theta_18)) times (none within theta_18), and
+    # no solve; each slice is then that polynomial squared s times, and a
+    # stack within theta_18 is its Taylor polynomial itself
+    taylor = linalg._taylor
     calls = []
-    taylor, pade, solve = linalg._taylor, linalg._pade, np.linalg.solve
-    monkeypatch.setattr(linalg, "_taylor", lambda a: calls.append(("taylor", len(a))) or taylor(a))
-    monkeypatch.setattr(linalg, "_pade", lambda a: calls.append(("pade", len(a))) or pade(a))
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: calls.append(("solve", len(a))) or solve(a, b))
-    degrees = _slices_of_each_degree()
-    within = degrees[:2]
-    assert _expm(within).tobytes() == taylor(within).tobytes()
-    assert calls == [("taylor", 2)]
-    for past in degrees[2:]:
+    monkeypatch.setattr(linalg, "_taylor", lambda a: calls.append(a.copy()) or taylor(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: pytest.fail("np.linalg.solve called"))
+    slices = _expm_slices() + list(_slices_across_bounds())
+    counts = set()
+    for n in sorted({a.shape[-1] for a in slices}):
+        stack = np.array([a for a in slices if a.shape[-1] == n])
+        squarings = [max(0, math.ceil(math.log2(float(norm1_float(a)) / linalg._TAYLOR_THETA)))
+                     for a in stack]
+        counts.update(squarings)
         calls.clear()
-        _expm(np.concatenate([within, [past]]))
-        assert calls == [("taylor", 2), ("pade", 1), ("solve", 1)]
+        got = _expm(stack)
+        assert len(calls) == 1
+        for a, s, halved, g in zip(stack, squarings, calls[0], got, strict=True):
+            assert halved.tobytes() == np.ldexp(a, -s).tobytes()
+            t = taylor(halved[None])[0]
+            for _ in range(s):
+                t = t @ t
+            assert g.tobytes() == t.tobytes()
+        within = stack[np.array(squarings) == 0]
+        calls.clear()
+        assert _expm(within).tobytes() == taylor(within).tobytes()
+        assert len(calls) == 1
+    assert counts == {0, 1, 2, 3, 4, 6, 8}
 
 
 def test_phi1_float_without_index_matches_quadrature_of_the_kernel():

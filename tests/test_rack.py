@@ -1072,8 +1072,8 @@ def test_iota2_chain_derivative_series_vs_finite_differences():
 
 
 def _kernel_calls(monkeypatch):
-    """The stacks the exp kernel without a nilpotency index (Taylor or
-    Pade) is called on from now to the test's end."""
+    """The stacks the exp kernel without a nilpotency index (Taylor
+    scaling and squaring) is called on from now to the test's end."""
     calls = []
     expm = linalg._expm
     monkeypatch.setattr(linalg, "_expm", lambda a: calls.append(a) or expm(a))
@@ -1413,7 +1413,7 @@ def test_series_exp_matches_scipy_on_generator_families(alg):
         assert np.abs(series - phi1_two_sided(rho, block, None, ad0, None)).max() <= 1e-14
 
 
-def test_rho_semisimple_takes_the_pade_path(monkeypatch):
+def test_rho_semisimple_takes_the_exp_kernel(monkeypatch):
     sys_ = build_rack_system(canonical_extension(_diagonal_rho()), 0.5)
     assert sys_.rho_index is None
     g = group_from_coords(sys_, [0.1])
