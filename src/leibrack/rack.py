@@ -45,8 +45,10 @@ A = Ad_g on g0.  So x |> y = p(x).y is a rack on all of X, an augmented
 rack over the whole group G0, and exp x id carries it onto the paper's
 rack on the chart.  The sampled suites and the tangent bracket compute on
 X: an element acts by its split, that of exp(ad A eta) for a product
-x |> y, with no conjugation, float inverse or chart gate.  The operations
-on group elements (``i2``, ``augmented_action``, ``rack_product``) are the
+x |> y, with no conjugation, float inverse or chart gate; the Lie suite
+forms g |> h = exp(ad A eta) and g^-1 = exp(-ad xi) the same way, and
+only its iota2 and group products meet a gate.  The operations on group
+elements (``i2``, ``augmented_action``, ``rack_product``) are the
 paper's local form: they conjugate behind the chart's gates and log h for
 eta.
 
@@ -89,17 +91,18 @@ both its action D and i2.
 
 Every operation here is evaluated one way.  The chart operations, i1, i2,
 the augmented action, iota2 and the Lie group product each take one group
-element (n, n) or a stack of them (..., n, n), with a mask of the slices
-that succeeded (see the comment at the head of the chart operations);
-i2_from_coords takes their log coordinates (..., d), i2_from_split,
-conjugate_coords, action_from_split and augmented_from_split their splits
-(..., n, n), and the tangent bracket tangent vectors (..., d + m).  The
-suites run their sample sets as stacks, in chunks of a bounded size.  One
-element is a stack with no leading axes and takes the same code, with no
-branch of its own, and the bases of a trivial g0 are (0, k, k) stacks.  A
-slice equals its one-element call bit for bit.  numpy's matmul calls BLAS
-or its own loop depending on the strides of its operands, and the two can
-round differently, so the stacked code keeps each slice's strides as the
+element (n, n) or a stack of them (..., n, n), and those the Lie suite
+skips through also a mask of the slices that succeeded (see the comment
+at the head of the chart operations); i2_from_coords takes their log
+coordinates (..., d), i2_from_split, conjugate_coords, action_from_split
+and augmented_from_split their splits (..., n, n), and the tangent
+bracket tangent vectors (..., d + m).  The suites run their sample sets
+as stacks, in chunks of a bounded size.  One element is a stack with no
+leading axes and takes the same code, with no branch of its own, and the
+bases of a trivial g0 are (0, k, k) stacks.  A slice equals its
+one-element call bit for bit.  numpy's matmul calls BLAS or its own loop
+depending on the strides of its operands, and the two can round
+differently, so the stacked code keeps each slice's strides as the
 one-element code has them.
 
 This module holds only what the package runs.  The tests' oracles
@@ -121,7 +124,7 @@ import numpy as np
 
 from .algebra import CentralExtensionData, ad_matrix
 from .cohomology import lie_cocycle_defect
-from .exact import Matrix, joint_nilpotency_index
+from .exact import Matrix, OutOfChartError, joint_nilpotency_index
 from .linalg import (
     QuadratureRule,
     _fail,
@@ -330,16 +333,17 @@ def build_rack_system(ext: CentralExtensionData, chart_radius: float = 0.5,
 # Every rack operation below is written once for one group element g, an
 # (n, n) array, and for stacks of them, (..., n, n); the stacks of one call
 # broadcast against each other like numpy arrays, so one element (a stack
-# of one, say) acting on a stack is computed once.  Without a mask (ok
-# None) the first gate that fails raises its OutOfChartError, for a stack
-# that of its first failing slice.  With a mask, a writable bool array ok
-# of the call's broadcast stack shape, the slices that fail a gate are
-# cleared in ok instead (``linalg._fail``, whose rule ``log_float``
-# applies too) and the chart gates stand in the identity for them, so what
-# follows runs on every slice without raising.
-# ok[i] then ends false exactly where the call on slice i alone raises,
-# and the ok slices equal those calls bit for bit.  A mask is only ever
-# narrowed, so operations can share one.
+# of one, say) acting on a stack is computed once.  The first gate that
+# fails raises its OutOfChartError, for a stack that of its first failing
+# slice.  The operations that a report can skip through, the Lie suite's
+# ``iota2`` and group products with ``log_coords`` and ``_chart_gate``
+# under them, also take a mask, a writable bool array ok of the call's
+# broadcast stack shape: the slices that fail a gate are cleared in ok
+# instead (``linalg._fail``, whose rule ``log_float`` applies too) and
+# the chart gates stand in the identity for them, so what follows runs on
+# every slice without raising.  ok[i] then ends false exactly where the
+# call on slice i alone raises, and the ok slices equal those calls bit
+# for bit.  A mask is only ever narrowed, so operations can share one.
 
 def _slices(g: np.ndarray) -> np.ndarray:
     """g as a stack (N, n, n); one element is the stack of one."""
@@ -353,7 +357,7 @@ def in_chart(sys: LocalRackSystem, g: np.ndarray):
 
 
 def _chart_gate(sys: LocalRackSystem, g: np.ndarray, what: str,
-                ok: np.ndarray | None) -> np.ndarray:
+                ok: np.ndarray | None = None) -> np.ndarray:
     """g, with the slices outside the chart failed (see ``_fail``) and
     replaced by the identity."""
     bad = np.logical_not(in_chart(sys, g))
@@ -385,42 +389,21 @@ def group_from_coords(sys: LocalRackSystem, xi) -> np.ndarray:
     return exp_float(sys.ad_of(xi), sys.ad_index)
 
 
-def group_inverse(g: np.ndarray, what: str = "group element",
-                  ok: np.ndarray | None = None) -> np.ndarray:
+def group_inverse(g: np.ndarray, what: str = "group element") -> np.ndarray:
     """g^-1; fails (OutOfChartError) where g is singular in floating point,
-    which an element of a non-unipotent G0 far from the identity can be;
-    with a mask such a slice gets the identity.  np.linalg.inv raises if
-    any slice of a stack is singular, so then each is inverted alone."""
+    which an element of a non-unipotent G0 far from the identity can be."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError:
-        pass
-    inv = np.empty_like(_slices(g))
-    singular = np.zeros(len(inv), dtype=bool)
-    for k, gk in enumerate(_slices(g)):
-        try:
-            inv[k] = np.linalg.inv(gk)
-        except np.linalg.LinAlgError:
-            inv[k], singular[k] = np.eye(len(gk)), True
-    _fail(ok, singular.reshape(g.shape[:-2]), lambda i: f"{what}: singular in floating point")
-    return inv.reshape(g.shape)
+        raise OutOfChartError(f"{what}: singular in floating point") from None
 
 
-def _conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-               ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g and h behind their chart gates, g |> h), for ``conjugate`` and
-    the operations that also split or log."""
-    g = _chart_gate(sys, g, "conjugator", ok)
-    h = _chart_gate(sys, h, "conjugated element", ok)
-    r = g @ h @ group_inverse(g, "conjugator", ok)
-    return g, h, _chart_gate(sys, r, "conjugation result", ok)
-
-
-def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-              ok: np.ndarray | None = None) -> np.ndarray:
+def conjugate(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g |> h = g h g^-1, gated so the result stays in the chart (the
     dynamic U_loc gate: every conjugation must land in the neighborhood)."""
-    return _conjugate(sys, g, h, ok)[2]
+    g = _chart_gate(sys, g, "conjugator")
+    h = _chart_gate(sys, h, "conjugated element")
+    return _chart_gate(sys, g @ h @ group_inverse(g, "conjugator"), "conjugation result")
 
 
 def _gated_product(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray, ok: np.ndarray | None):
@@ -447,33 +430,23 @@ def split(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
     return f @ g @ t
 
 
-def i1(sys: LocalRackSystem, g: np.ndarray, ok: np.ndarray | None = None) -> np.ndarray:
+def i1(sys: LocalRackSystem, g: np.ndarray) -> np.ndarray:
     """i1(tau omega)(g), the path integral of tau omega, valued in the
     symmetric module Hom(g0, a), along the canonical path to g, as m x d
-    blocks (..., m, d): C A^-1, read off g's ``split``.  g is gated by the
-    chart and by A's inverse, which fails where A is singular in floating
-    point (``group_inverse``); no log is taken."""
+    blocks (..., m, d): C A^-1, read off g's ``split``.  It takes no log
+    and no chart gate, as G0 acts on all of X; it fails only where A is
+    singular in floating point (``group_inverse``)."""
     d = sys.g0_dim
-    big = split(sys, _chart_gate(sys, g, "group element", ok))
-    return big[..., d:, :d] @ group_inverse(big[..., :d, :d], "group element", ok)
+    big = split(sys, g)
+    return big[..., d:, :d] @ group_inverse(big[..., :d, :d])
 
 
-def conjugate_and_split(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                        ok: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(g |> h, G), with G g's ``split``: what g's action on (h, b) needs
-    besides the log coordinates eta of h, which a caller that drew or
-    conjugated h carries (see ``augmented_from_split``).  The conjugation
-    gates g, h and g |> h; no log is taken."""
-    g, _, gh = _conjugate(sys, g, h, ok)
-    return gh, split(sys, g)
-
-
-def _conjugate_split_and_log(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-                             ok: np.ndarray | None) -> tuple[np.ndarray, ...]:
+def _conjugate_split_and_log(sys: LocalRackSystem, g: np.ndarray,
+                             h: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g |> h, G, eta) with eta the log coordinates of h, for the
     operations on group elements: the conjugation's gates, then h's log."""
-    g, h, gh = _conjugate(sys, g, h, ok)
-    return gh, split(sys, g), log_coords(sys, h, ok)
+    gh = conjugate(sys, g, h)
+    return gh, split(sys, g), log_coords(sys, h)
 
 
 def conjugate_coords(sys: LocalRackSystem, big: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -539,14 +512,13 @@ def i2_from_coords(sys: LocalRackSystem, xi: np.ndarray, eta: np.ndarray,
     return integrate_01(rule, np.moveaxis(matvec(outer, matvec(i1_xi, eta)[..., None, :]), -2, 0))
 
 
-def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
-       ok: np.ndarray | None = None) -> np.ndarray:
+def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The rack 2-cocycle integrating the extension's omega: the
     equivariant form of i1(tau omega)(g) integrated along the canonical
     path to g |> h, read off g's split (``i2_from_split``), the i2 term
     of ``augmented_from_split``.  The gates run in this order: the
     conjugation, which gates g and h once, then h's log."""
-    _, big, eta = _conjugate_split_and_log(sys, g, h, ok)
+    _, big, eta = _conjugate_split_and_log(sys, g, h)
     return i2_from_split(sys, big, eta)
 
 
@@ -554,21 +526,21 @@ def i2(sys: LocalRackSystem, g: np.ndarray, h: np.ndarray,
 # the local augmented Lie rack on G0 x a
 # ---------------------------------------------------------------------------
 
-def rack_product(sys: LocalRackSystem, u: LocalRackElement, v: LocalRackElement,
-                 ok: np.ndarray | None = None) -> LocalRackElement:
+def rack_product(sys: LocalRackSystem, u: LocalRackElement,
+                 v: LocalRackElement) -> LocalRackElement:
     """(g,a) |> (h,b) = (g |> h, g.b + i2(omega)(g,h)): the augmented
     action of g on (h,b)."""
-    return augmented_action(sys, u.g, v, ok)
+    return augmented_action(sys, u.g, v)
 
 
-def augmented_action(sys: LocalRackSystem, g: np.ndarray, v: LocalRackElement,
-                     ok: np.ndarray | None = None) -> LocalRackElement:
+def augmented_action(sys: LocalRackSystem, g: np.ndarray,
+                     v: LocalRackElement) -> LocalRackElement:
     """The local G0-action rho(g, (h,b)) = (g |> h, g.b + i2(omega)(g,h));
     (1,0) is a fixed point and rho(g, rho(h, w)) = rho(gh, w) in-chart.
     g is conjugated and split once, and h logged once, behind the
     conjugation's gates; g's split gives both its action and i2
     (``augmented_from_split``)."""
-    gh, big, eta = _conjugate_split_and_log(sys, g, v.g, ok)
+    gh, big, eta = _conjugate_split_and_log(sys, g, v.g)
     return LocalRackElement(gh, augmented_from_split(sys, big, eta, v.a)[1])
 
 

@@ -9,9 +9,10 @@ X = g0 x a with its center part.  The loops of the sampled suites act on
 one point of X at a time by the acting element's split (``x_action``,
 ``carried_i2``), as the suites do: a draw's group element, exp(ad A eta)
 for a product x |> y, or g h, with no conjugation, inverse or gate; the
-Lie loop alone conjugates (``carried_action``), and the quadrature loop
-integrates from the carried coordinates.  The finite differences take
-their four probes one after another, as ``delta2`` and
+Lie loop forms u |> v (``carried_action``) and u^-1
+(``lie_group_inverse``) by exp from carried coordinates too, and the
+quadrature loop integrates from the carried coordinates.  The finite
+differences take their four probes one after another, as ``delta2`` and
 ``tangent_bracket`` once did, each probe acting on X, and
 ``bracket_coords_by_brackets`` forms the
 tangent suite's expected values with one ``bracket`` and one ``split`` per
@@ -101,10 +102,8 @@ from leibrack.rack import (
     action_from_split,
     augmented_from_split,
     conjugate,
-    conjugate_and_split,
     conjugate_coords,
     group_from_coords,
-    group_inverse,
     group_product,
     i1,
     i2,
@@ -160,11 +159,12 @@ def delta2(sys_: LocalRackSystem, f: Callable[..., np.ndarray], x, y) -> np.ndar
     return rack._mixed_difference(sys_, probe)
 
 
-def lie_group_inverse(sys_: LocalRackSystem, u: LocalRackElement,
+def lie_group_inverse(sys_: LocalRackSystem, u: LocalRackElement, xi: np.ndarray,
                       ok: np.ndarray | None = None) -> LocalRackElement:
     """(g,a)^-1 = (g^-1, -a - iota2(g, g^-1)) in the local Lie group G0 x a
-    of Lie input, g^-1 behind the chart gate."""
-    ginv = rack._chart_gate(sys_, group_inverse(u.g, ok=ok), "group inverse", ok)
+    of Lie input, with g^-1 = exp(-ad xi) from the log coordinates xi that
+    g carries: no float inverse; iota2 gates g and g^-1."""
+    ginv = group_from_coords(sys_, -xi)
     return LocalRackElement(ginv, -u.a - iota2(sys_, u.g, ginv, ok))
 
 
@@ -332,16 +332,15 @@ def random_corpus(count: int, seed: int = 0) -> list[LeibnizAlgebra]:
     return [random_leibniz(seed * 1000 + i) for i in range(count)]
 
 
-def i2_quadrature(sys_, g, h, rule, ok=None) -> np.ndarray:
+def i2_quadrature(sys_, g, h, rule) -> np.ndarray:
     """i2 with both path integrals, i1's and the outer one, taken by
     Gauss-Legendre quadrature at rule from the logs of g and g |> h: the
     quadrature cross-check of i2 as a function of group elements.  The
     gates run in this order: the conjugation, which gates g once, g's log,
-    the log of g |> h; g's slices outside the chart are logged as the
-    identity.  The suite integrates from the coordinates its draws carry
-    instead, with no log."""
-    g, _, gh = rack._conjugate(sys_, g, h, ok)
-    return i2_from_coords(sys_, log_coords(sys_, g, ok), log_coords(sys_, gh, ok), rule)
+    the log of g |> h.  The suite integrates from the coordinates its draws
+    carry instead, with no log."""
+    gh = conjugate(sys_, g, h)
+    return i2_from_coords(sys_, log_coords(sys_, g), log_coords(sys_, gh), rule)
 
 
 def linear_rack(sys_: LocalRackSystem, g: np.ndarray, h: np.ndarray,
@@ -507,15 +506,13 @@ def x_action(sys_, big, x) -> np.ndarray:
     return np.concatenate(augmented_from_split(sys_, big, x[:d], x[d:]))
 
 
-def carried_action(sys_, g, v: LocalRackElement, eta,
-                   ok=None) -> tuple[LocalRackElement, np.ndarray]:
+def carried_action(sys_, g, v: LocalRackElement, eta) -> tuple[LocalRackElement, np.ndarray]:
     """(g |> v, A eta): g's augmented action on v, whose group part carries
-    its log coordinates eta, as the Lie suite takes it: the conjugation's
-    gates, then g's split, with no log, and the coordinates that g |> v.g
-    carries."""
-    gh, big = conjugate_and_split(sys_, g, v.g, ok)
-    eta_gh, a = augmented_from_split(sys_, big, eta, v.a)
-    return LocalRackElement(gh, a), eta_gh
+    its log coordinates eta, as the Lie suite takes it: from g's split,
+    with g |> v.g = exp(ad A eta) exponentiated from the coordinates it
+    carries, and no conjugation, inverse, log or gate."""
+    eta_gh, a = augmented_from_split(sys_, split(sys_, g), eta, v.a)
+    return LocalRackElement(group_from_coords(sys_, eta_gh), a), eta_gh
 
 
 def carried_i2(sys_, g, h, eta) -> np.ndarray:
@@ -538,13 +535,13 @@ def rack_diff2_expansion(mod, f, g, h, k, conj):
             - mod.psi(gh, gk, f(g, h)))
 
 
-def ghost_identity_defect(sys_, g, h, k, ok=None) -> np.ndarray:
+def ghost_identity_defect(sys_, g, h, k) -> np.ndarray:
     """g.f(h,k) - f(gh,k) + f(g,h|>k) for f = i2; zero for cocycles.
     Note gh is the group product, not a conjugation."""
-    gh = group_product(sys_, g, h, ok)
-    hk = conjugate(sys_, h, k, ok)
-    return (matvec(group_action(sys_, g, ok), i2(sys_, h, k, ok))
-            - i2(sys_, gh, k, ok) + i2(sys_, g, hk, ok))
+    gh = group_product(sys_, g, h)
+    hk = conjugate(sys_, h, k)
+    return (matvec(group_action(sys_, g), i2(sys_, h, k))
+            - i2(sys_, gh, k) + i2(sys_, g, hk))
 
 
 def check_module_axioms(mod: RackModuleStructure, conj, samples) -> dict:
@@ -797,13 +794,12 @@ def lie_specialization_one_by_one(sys_, n_samples=50, seed=2):
         return lie_group_product(sys_, u, v)
 
     def check(*draws):
-        (u, _), (v, eta_v), (w, _) = draws
+        (u, xi_u), (v, eta_v), (w, _) = draws
         yield distance(product(product(u, v), w), product(u, product(v, w)))
-        uinv = lie_group_inverse(sys_, u)
-        yield distance(product(product(u, v), uinv), carried_action(sys_, u.g, v, eta_v)[0])
-        gh = conjugate(sys_, u.g, v.g)
+        u_v, _ = carried_action(sys_, u.g, v, eta_v)
+        yield distance(product(product(u, v), lie_group_inverse(sys_, u, xi_u)), u_v)
         lhs = carried_i2(sys_, u.g, v.g, eta_v)
-        yield sup_norm(lhs - (iota2(sys_, u.g, v.g) - iota2(sys_, gh, u.g)))
+        yield sup_norm(lhs - (iota2(sys_, u.g, v.g) - iota2(sys_, u_v.g, u.g)))
 
     return sampled(n_samples,
                    lambda: tuple(sample_rack_element(sys_, rng, max_norm) for _ in range(3)),
@@ -826,7 +822,6 @@ ONE_BY_ONE = {
 
 def dim5_extras_one_by_one(sys_, args):
     rng = np.random.default_rng(args.seed)
-    sys_ = sys_.with_chart_radius(max(args.chart_radius, 8.0))
 
     def sample_coords():
         while True:

@@ -347,12 +347,21 @@ def test_the_oracles_moved_out_of_rack_are_gone_from_the_package():
     # the two-sided closed form of i1 is the tests' oracle: phi1_float takes
     # no right factor, i1 no beta, and the paper's i2 only a quadrature rule
     assert list(inspect.signature(linalg.phi1_float).parameters) == ["a", "v", "index"]
-    assert list(inspect.signature(rack.i1).parameters) == ["sys", "g", "ok"]
+    assert list(inspect.signature(rack.i1).parameters) == ["sys", "g"]
     rule = inspect.signature(rack.i2_from_coords).parameters["rule"]
     assert rule.default is inspect.Parameter.empty
     # the quadrature cross-check takes no log and shares no evaluator with
     # the production i2: neither has a mode switch
     assert [n for n in ("conjugate_and_log", "_integral", "_i1", "_i2") if hasattr(rack, n)] == []
+    # no caller masks the operations that cannot skip a sample: they take no
+    # mask and raise; the Lie suite forms u |> v and u^-1 by exp, so the
+    # conjugation that split its conjugator is gone
+    assert {name: list(inspect.signature(getattr(rack, name)).parameters) for name in (
+        "i2", "conjugate", "augmented_action", "rack_product", "group_inverse")} == {
+        "i2": ["sys", "g", "h"], "conjugate": ["sys", "g", "h"],
+        "augmented_action": ["sys", "g", "v"], "rack_product": ["sys", "u", "v"],
+        "group_inverse": ["g", "what"]}
+    assert [n for n in ("conjugate_and_split", "_conjugate") if hasattr(rack, n)] == []
 
 
 def _referenced_names(node: ast.AST) -> set[str]:

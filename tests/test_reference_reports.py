@@ -1,7 +1,8 @@
-"""The benchmark's reference reports as a tier-1 check: the seed-0 selection
-of the three float workloads and of all four strata of the exact workload,
-each report run in-process and compared with its captured fingerprint by
-the benchmark's own gate (``perfbench/gate.py``).  Only reads
+"""The benchmark's reference reports as a tier-1 check: every entry of the
+four workloads, the three float workloads and every stratum of the exact
+one, each report run in-process and compared with its captured fingerprint
+by the benchmark's own gate (``perfbench/gate.py``), so the benchmark's
+correctness gate holds for every seed's selection.  Only reads
 ``perfbench/``."""
 
 import json
@@ -17,20 +18,15 @@ import gate  # noqa: E402
 import inputs  # noqa: E402
 import workloads  # noqa: E402
 
-FLOAT_WORKLOADS = ("leibniz_nilpotent", "lie_iota2", "rho_semisimple")
-EXACT_STRATA = ("n6", "n8", "n10", "n12")
+WORKLOADS = ("leibniz_nilpotent", "lie_iota2", "rho_semisimple", "exact_filiform")
 
 
-def _selected():
-    chosen = [(name, entry) for name in FLOAT_WORKLOADS
-              for entry in workloads.select(workloads.load_reference(name), 0)]
-    chosen += [("exact_filiform", entry)
-               for entry in workloads.select(workloads.load_reference("exact_filiform"), 0)
-               if entry["stratum"] in EXACT_STRATA]
-    return [pytest.param(entry, id=f"{name}/{entry['id']}") for name, entry in chosen]
+def _entries():
+    return [pytest.param(entry, id=f"{name}/{entry['id']}") for name in WORKLOADS
+            for entry in workloads.load_reference(name)["entries"]]
 
 
-@pytest.mark.parametrize("entry", _selected())
+@pytest.mark.parametrize("entry", _entries())
 def test_reference_report_matches(entry, tmp_path, capsys):
     paths = inputs.materialize([entry], str(tmp_path))
     for argv, reference in zip(inputs.argvs(entry, paths), entry["reports"], strict=True):
@@ -38,3 +34,4 @@ def test_reference_report_matches(entry, tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert code == 0, report.get("verdict")
         assert gate.mismatch(reference, report) is None, gate.mismatch(reference, report)
+

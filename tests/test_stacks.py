@@ -1,7 +1,9 @@
 """The rack operations on stacks of group elements, and the suites that run
 their whole sample set as stacks, each against its one-element
-counterpart: bit for bit where the element stays in the chart, and a
-cleared mask entry exactly where the one-element call raises."""
+counterpart: bit for bit where the element stays in the chart; where it
+does not, a cleared mask entry exactly where the one-element call raises
+for the operations that take a mask, and the error of the first failing
+slice for the others."""
 
 import struct
 import sys
@@ -428,63 +430,74 @@ def _same_or_raised(stacked_values, ok, one_by_one):
                 assert got.tobytes() == want.tobytes()
 
 
-OPERATIONS = ("conjugate", "group_product", "group_action", "i1", "i2", "i2_quadrature",
-              "augmented_action", "rack_product")
+# the operations that take a mask, as the Lie suite's skips need, and those
+# that raise on the first failing slice
+MASKED = ("group_product", "group_action")
+UNMASKED = ("conjugate", "i1", "i2", "i2_quadrature", "augmented_action", "rack_product")
 
 
 def _operations(sys_):
-    """name -> the operation on (g, h, b), for one element or stacks, with
-    an optional mask."""
+    """name -> the operation on (g, h, b), for one element or stacks; those
+    of MASKED with an optional mask."""
     return {
-        "conjugate": lambda g, h, b, ok=None: conjugate(sys_, g, h, ok),
+        "conjugate": lambda g, h, b: conjugate(sys_, g, h),
         "group_product": lambda g, h, b, ok=None: group_product(sys_, g, h, ok),
         "group_action": lambda g, h, b, ok=None: group_action(sys_, g, ok),
-        "i1": lambda g, h, b, ok=None: i1(sys_, g, ok),
-        "i2": lambda g, h, b, ok=None: i2(sys_, g, h, ok),
-        "i2_quadrature": lambda g, h, b, ok=None: i2_quadrature(sys_, g, h, sys_.quad, ok),
-        "augmented_action": lambda g, h, b, ok=None: augmented_action(
-            sys_, g, LocalRackElement(h, b), ok),
-        "rack_product": lambda g, h, b, ok=None: rack_product(
-            sys_, LocalRackElement(g, b), LocalRackElement(h, b), ok),
+        "i1": lambda g, h, b: i1(sys_, g),
+        "i2": lambda g, h, b: i2(sys_, g, h),
+        "i2_quadrature": lambda g, h, b: i2_quadrature(sys_, g, h, sys_.quad),
+        "augmented_action": lambda g, h, b: augmented_action(sys_, g, LocalRackElement(h, b)),
+        "rack_product": lambda g, h, b: rack_product(
+            sys_, LocalRackElement(g, b), LocalRackElement(h, b)),
     }
 
 
 # the slices of _mixed_slices each operation fails: conjugate meets only the
 # conjugator's gates, and so do i2 and the actions, which read g off its
-# split and log only h, and i1, which reads C A^-1 off g's split, where the
-# inverse of A fails as the conjugator's does; a product of two elements in
-# the chart is only gated by the chart; every other operation takes log g
-FAILING = {"conjugate": [1, 2], "group_product": [1], "i1": [1, 2], "i2": [1, 2],
+# split and log only h; i1 reads C A^-1 off g's split with no gate, so only
+# the inverse of A fails, on the singular slice; a product of two elements
+# in the chart is only gated by the chart; every other operation takes log g
+FAILING = {"conjugate": [1, 2], "group_product": [1], "i1": [2], "i2": [1, 2],
            "augmented_action": [1, 2], "rack_product": [1, 2]}
 
 
-@pytest.mark.parametrize("op", OPERATIONS)
-def test_mixed_stack_mask_is_false_exactly_where_the_2d_call_raises(op):
+@pytest.mark.parametrize("op", MASKED + UNMASKED)
+def test_each_slice_of_a_mixed_stack_fails_as_its_2d_call(op):
+    # a masked operation clears the mask exactly where the 2-D call raises;
+    # an unmasked one gives the 2-D values on the slices that stay in the
+    # chart.  Without a mask, a stack raises the error of its first failing
+    # slice
     sys_ = _mixed_system()
     slices = _mixed_slices(sys_)
     g = np.array([s for s, _ in slices])
     h = np.array([group_from_coords(sys_, [-0.1, 0.25])] * len(g))
     b = np.linspace(-0.2, 0.2, 3 * len(g)).reshape(len(g), 3)
     stacks, one = _operations(sys_)[op], _operations(_mixed_system())[op]
-    ok = np.ones(len(g), dtype=bool)
-    values = stacks(g, h, b, ok)
     want = [_outcome(lambda k=k: one(g[k], h[k], b[k])) for k in range(len(g))]
-    _same_or_raised(values, ok, want)
-    assert list(np.flatnonzero(~ok)) == FAILING.get(op, [1, 2, 3, 4, 5])
+    failing = FAILING.get(op, [1, 2, 3, 4, 5])
+    assert [k for k, w in enumerate(want) if isinstance(w, str)] == failing
+    if op in MASKED:
+        ok = np.ones(len(g), dtype=bool)
+        _same_or_raised(stacks(g, h, b, ok), ok, want)
+    else:
+        inside = [k for k in range(len(g)) if k not in failing]
+        _same_or_raised(stacks(g[inside], h[inside], b[inside]), np.ones(len(inside), dtype=bool),
+                        [want[k] for k in inside])
     if op == "i2_quadrature":
         assert want[1:] == [text for _, text in slices[1:]]
-    if op in ("augmented_action", "rack_product", "i2"):
+    if op in ("conjugate", "augmented_action", "rack_product", "i2"):
         assert want[1:3] == [text for _, text in slices[1:3]]
     if op == "i1":
-        assert want[1:3] == [text.replace("conjugator", "group element")
-                             for _, text in slices[1:3]]
-    # without a mask, a stack raises the error of its first failing slice
-    with pytest.raises(OutOfChartError) as err:
-        stacks(g, h, b)
-    assert str(err.value) == want[1]
+        assert want[2] == "group element: singular in floating point"
+    for k in failing:  # the in-chart slice, then slices k, k + 1, ...
+        with pytest.raises(OutOfChartError) as err:
+            stacks(*(np.concatenate([x[:1], x[k:]]) for x in (g, h, b)))
+        assert str(err.value) == want[k]
 
 
-def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too():
+def test_the_chart_gates_of_the_conjugated_element_result_and_product():
+    # each slice fails as its 2-D call: the conjugation, which raises on the
+    # first, and the group product, whose mask is cleared where it raises
     sys_ = _mixed_system()
     n = sys_.dim
     eye = np.eye(n)
@@ -495,41 +508,58 @@ def test_the_chart_gates_of_the_conjugated_element_result_and_product_mask_too()
     h = np.array([inside, 9.0 * eye, lift, inside])
     for op, texts in ((conjugate, ["conjugated element", "conjugation result"]),
                       (group_product, ["group element", "group product"])):
-        ok = np.ones(len(g), dtype=bool)
-        values = op(sys_, g, h, ok)
         want = [_outcome(lambda k=k: op(sys_, g[k], h[k])) for k in range(len(g))]
-        _same_or_raised(values, ok, want)
         messages = [w for w in want if isinstance(w, str)]
         assert all(any(t in m for m in messages) for t in texts), messages
+        if op is group_product:
+            ok = np.ones(len(g), dtype=bool)
+            _same_or_raised(op(sys_, g, h, ok), ok, want)
+            continue
+        assert [isinstance(w, str) for w in want] == [False, True, True, False]
+        for k in (0, 3):
+            assert op(sys_, g[k:k + 1], h[k:k + 1])[0].tobytes() == want[k].tobytes()
+        for k in (1, 2):
+            with pytest.raises(OutOfChartError) as err:
+                op(sys_, *(np.concatenate([x[:1], x[k:]]) for x in (g, h)))
+            assert str(err.value) == want[k]
 
 
 def test_a_broadcast_element_acts_on_a_stack_as_on_each_slice():
-    sys_ = _system("aff", 8.0)
-    rng = np.random.default_rng(21)
-    (g, _), (h, _), a = draw_samples(sys_, rng, 2.0, 12, "gga")()
-    ok = np.ones((12, 2), dtype=bool)
-    u = LocalRackElement(g[:, None], a[:, None])
-    targets = LocalRackElement(np.stack([h, g[::-1]], axis=1), np.stack([a, a[::-1]], axis=1))
-    got = rack_product(sys_, u, targets, ok)
+    # draws of norm 0.5 stay in the chart, and the broadcast call equals
+    # each slice's bit for bit; of norm 2, most slices fail the log of h,
+    # and the call raises the error of its first failing slice
     one = _system("aff", 8.0)
-    for k in range(12):
-        for j in range(2):
-            want = _outcome(lambda: rack_product(one, LocalRackElement(g[k], a[k]),
-                                                 LocalRackElement(targets.g[k, j],
-                                                                  targets.a[k, j])))
-            if isinstance(want, str):
-                assert not ok[k, j]
-            else:
-                assert ok[k, j]
-                assert got.g[k, j].tobytes() == want.g.tobytes()
-                assert got.a[k, j].tobytes() == want.a.tobytes()
-    assert not ok.all() and ok.any()
+    for max_norm in (0.5, 2.0):
+        sys_ = _system("aff", 8.0)
+        rng = np.random.default_rng(21)
+        (g, _), (h, _), a = draw_samples(sys_, rng, max_norm, 12, "gga")()
+        u = LocalRackElement(g[:, None], a[:, None])
+        targets = LocalRackElement(np.stack([h, g[::-1]], axis=1),
+                                   np.stack([a, a[::-1]], axis=1))
+        want = [[_outcome(lambda: rack_product(one, LocalRackElement(g[k], a[k]),
+                                               LocalRackElement(targets.g[k, j],
+                                                                targets.a[k, j])))
+                 for j in range(2)] for k in range(12)]
+        failed = np.array([[isinstance(w, str) for w in row] for row in want])
+        if max_norm == 0.5:
+            assert not failed.any()
+            got = rack_product(sys_, u, targets)
+            for k in range(12):
+                for j in range(2):
+                    assert got.g[k, j].tobytes() == want[k][j].g.tobytes()
+                    assert got.a[k, j].tobytes() == want[k][j].a.tobytes()
+            continue
+        assert failed.any() and not failed.all()
+        with pytest.raises(OutOfChartError) as err:
+            rack_product(sys_, u, targets)
+        k, j = np.argwhere(failed)[0]
+        assert str(err.value) == want[k][j]
 
 
 LIE_OPERATIONS = {
-    "iota2": lambda sys_, u, v, ok=None: iota2(sys_, u.g, v.g, ok=ok),
-    "lie_group_product": lambda sys_, u, v, ok=None: lie_group_product(sys_, u, v, ok),
-    "lie_group_inverse": lambda sys_, u, v, ok=None: lie_group_inverse(sys_, u, ok),
+    "iota2": lambda sys_, u, v, xi, ok=None: iota2(sys_, u.g, v.g, ok=ok),
+    "lie_group_product": lambda sys_, u, v, xi, ok=None: lie_group_product(sys_, u, v, ok),
+    "lie_group_inverse": lambda sys_, u, v, xi, ok=None: lie_group_inverse(sys_, u, xi, ok),
 }
 
 
@@ -540,21 +570,21 @@ def test_lie_operations_mask_a_stack_exactly_where_the_2d_call_raises(op):
     sys_ = _system("oscillator", 8.0)
     rng = np.random.default_rng(18)
     scales = rng.choice([0.05, 0.4, 1.5, 3.0], size=(40, 1))
-    g, h = (group_from_coords(sys_, rng.uniform(-1.0, 1.0, (40, sys_.g0_dim)) * scales)
-            for _ in range(2))
+    xi, zeta = (rng.uniform(-1.0, 1.0, (40, sys_.g0_dim)) * scales for _ in range(2))
+    g, h = group_from_coords(sys_, xi), group_from_coords(sys_, zeta)
     a, b = (rng.uniform(-0.25, 0.25, (40, sys_.center_dim)) for _ in range(2))
     u, v = LocalRackElement(g, a), LocalRackElement(h, b)
     call = LIE_OPERATIONS[op]
     ok = np.ones(40, dtype=bool)
-    values = call(sys_, u, v, ok)
+    values = call(sys_, u, v, xi, ok)
     want = [_outcome(lambda k=k: call(sys_, LocalRackElement(g[k], a[k]),
-                                      LocalRackElement(h[k], b[k])))
+                                      LocalRackElement(h[k], b[k]), xi[k]))
             for k in range(40)]
     _same_or_raised(values, ok, want)
     messages = {text.split(":")[0] for text in want if isinstance(text, str)}
     assert ok.any() and len(messages) >= 2, messages
     with pytest.raises(OutOfChartError) as err:
-        call(sys_, u, v)
+        call(sys_, u, v, xi)
     assert str(err.value) in want
 
 
@@ -703,7 +733,8 @@ def test_no_kernel_in_a_chunked_suite_receives_more_than_a_chunk(name, quad_orde
 
 def _outermost_calls(monkeypatch, names, run):
     """The mask shape of each call of each rack operation in names that
-    run() makes, except those made from within one of them (the
+    run() makes, or for a call with no mask the stack shape of its first
+    group element, except those made from within one of them (the
     conjugation inside i2)."""
     import leibrack.suites as suites
     calls = {name: [] for name in names}
@@ -714,8 +745,9 @@ def _outermost_calls(monkeypatch, names, run):
 
             def counted(*args, name=name, original=original, **kwargs):
                 if not depth:
-                    calls[name].append(next(x.shape for x in (*args, *kwargs.values())
-                                            if isinstance(x, np.ndarray) and x.dtype == bool))
+                    arrays = [x for x in (*args, *kwargs.values()) if isinstance(x, np.ndarray)]
+                    calls[name].append(next((x.shape for x in arrays if x.dtype == bool),
+                                            arrays[0].shape[:-2]))
                 depth.append(None)
                 try:
                     return original(*args, **kwargs)
@@ -754,14 +786,15 @@ ON_X = {"split": 2, "augmented_from_split": 2}
 # what the sampled suites and the basis-pair difference do not call: the
 # conjugation g h g^-1, the float inverse, the group product behind its
 # gate, and the chart gate
-GATED = ("conjugate", "conjugate_and_split", "group_inverse", "group_product", "_chart_gate")
+GATED = ("conjugate", "group_inverse", "group_product", "_chart_gate")
 
 
 @pytest.mark.parametrize("name", ["dim5", "aff", "heisenberg", "abelian3"])
 def test_the_sampled_suites_conjugate_invert_and_gate_nothing(name, monkeypatch):
     # they act on X = g0 x a, at any radius: no g h g^-1, no float
-    # inverse and no chart gate.  The Lie suite, which acts on group
-    # elements of the chart, shows that the counters count
+    # inverse and no chart gate.  The Lie suite forms u |> v and u^-1 by
+    # exp, so it conjugates and inverts nothing either; its group products
+    # and their chart gates show that the counters count
     import leibrack.suites as suites
     counts = dict.fromkeys(GATED, 0)
     for op in GATED:
@@ -782,7 +815,7 @@ def test_the_sampled_suites_conjugate_invert_and_gate_nothing(name, monkeypatch)
         basis_pair_difference(sys_)
     assert counts == dict.fromkeys(GATED, 0)
     lie_specialization_suite(_system("heisenberg", 0.5), 10, 2)
-    assert all(counts[op] for op in GATED if op != "conjugate"), counts
+    assert [op for op in GATED if counts[op]] == ["group_product", "_chart_gate"], counts
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "abelian3"])
@@ -823,29 +856,33 @@ def test_the_cocycle_suite_takes_one_call_per_level(name, monkeypatch):
 
 def test_the_dim5_extras_split_without_conjugating(monkeypatch):
     # i1 reads g's split; i2 and the rack product read it too, with the
-    # coordinates h was drawn at: no conjugation and no log
+    # coordinates h was drawn at: no conjugation, log or gate, on the
+    # report's own chart
     sys_ = _system("dim5", 0.5)
     args = Namespace(seed=3, chart_radius=0.5, quad_order=8, fd_step=1e-3)
-    names = ("_conjugate", "conjugate", "log_coords", "i1", "i2", "rack_product")
+    names = ("conjugate", "log_coords", "i1", "i2", "rack_product", "_chart_gate")
+    monkeypatch.setattr(rack.LocalRackSystem, "with_chart_radius", None)
     calls = _outermost_calls(monkeypatch, names, lambda: EXAMPLE_EXTRAS["dim5"][0](sys_, args))
-    assert calls == dict(zip(names, ([], [], [], [(20,)], [], [])))
+    assert calls == dict(zip(names, ([], [], [(20,)], [], [], [])))
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform5"])
 def test_the_lie_suite_takes_two_iota2_for_seven_pairs(name, monkeypatch):
     # row 3 reuses the iota2(u.g, v.g) of row 1's product u v; rows 2 and 3
-    # take i2(u.g, v.g), and row 2 the rack product u |> v, from the one
-    # conjugation u.g |> v.g that also feeds iota2, u.g's split and the
-    # coordinates v.g's draw carries, so no log is taken outside iota2; the
-    # four pairs of the first level, of which only the first two form their
-    # group products, then the three products
+    # take i2(u.g, v.g), and row 2 the rack product u |> v, from u.g's
+    # split and the coordinates v.g's draw carries, and u.g |> v.g =
+    # exp(ad A eta_v) feeds iota2: no conjugation, inverse or log outside
+    # iota2; the four pairs of the first level, of which only the first two
+    # form their group products, then the three products
     sys_ = _system(name, 0.5)
-    names = ("iota2", "_conjugate", "log_coords", "group_product", "rack_product", "i2")
-    calls = _outermost_calls(monkeypatch, names,
-                             lambda: lie_specialization_suite(sys_, 10, 2))
-    assert calls == {"iota2": [(4, 10), (3, 10)], "_conjugate": [(10,)],
-                     "log_coords": [], "group_product": [(2, 10), (3, 10)],
-                     "rack_product": [], "i2": []}
+    run = lambda: lie_specialization_suite(sys_, 10, 2)  # noqa: E731
+    names = ("iota2", "conjugate", "group_inverse", "log_coords", "group_product",
+             "rack_product", "i2")
+    assert _outermost_calls(monkeypatch, names, run) == {
+        "iota2": [(4, 10), (3, 10)], "conjugate": [], "group_inverse": [], "log_coords": [],
+        "group_product": [(2, 10), (3, 10)], "rack_product": [], "i2": []}
+    assert _suite_calls(monkeypatch, {"split": 2, "i2_from_split": 2}, run) == \
+        {"split": [(10,)], "i2_from_split": [(10,)]}
 
 
 @pytest.mark.parametrize("name", ["dim5", "diagonal", "heisenberg", "filiform5"])
@@ -856,7 +893,7 @@ def test_the_quadrature_suite_splits_once_for_both_orders(name, monkeypatch):
     assert sys_.g0_dim > 0
     run = lambda: quadrature_stability_suite(sys_, 10, 4)  # noqa: E731
     assert _suite_calls(monkeypatch, {"split": 2}, run) == {"split": [(10,)]}
-    names = ("_conjugate", "log_coords")
+    names = ("conjugate", "log_coords")
     assert _outermost_calls(monkeypatch, names, run) == dict.fromkeys(names, [])
 
 

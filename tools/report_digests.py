@@ -22,10 +22,11 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
 * ``integrate`` on ``random_leibniz`` 1/2/5/7/23/28/38, filiform5,
   free_nilpotent5 and two inputs of each ``rho_semisimple`` kind, at chart
   radius 0.5 and 4;
-* ``integrate`` at chart radius 8/12/16/24 on six of them, where part of
-  the Lie rows leaves the chart and is skipped.  Every other row acts on
-  X = g0 x a, with no conjugation, inverse or chart gate, so it skips
-  nothing and meets the wide chart's rounding instead;
+* ``integrate`` at chart radius 8/12/16/24 on six of them.  Every row
+  but the Lie suite's acts on X = g0 x a, with no conjugation, inverse or
+  chart gate, and the Lie suite forms its elements by exp from carried
+  coordinates, so on these inputs, whose G0 is unipotent or not Lie, no
+  row skips: each meets the wide chart's rounding instead;
 * ``integrate`` at chart radius 8 and 24 on diagonal-0 and rotation-0,
   wide runs of a G0 that is not unipotent besides aff-0, where most
   samples lie outside the float log's chart;
@@ -43,12 +44,13 @@ changed) and written as ``.leib`` files by its ``write_algebra_file``:
 * ``verify`` and ``analyze`` on the package's data files
   ``abelian3|dim5|heisenberg.leib`` (read from CHECKOUT), on every input
   above and on the benchmark's filiform-6/8/10/12 (sign variant 0);
-* ``integrate`` at chart radius 0.5 and 4, ``verify`` and ``analyze`` on
-  two Lie inputs that ``perfbench/inputs.py`` does not describe, written
-  through CHECKOUT's ``LeibnizAlgebra.from_brackets``: the oscillator,
-  whose ad family is not nilpotent, so iota2 runs on a G0 that is not
-  unipotent, and sl2, whose left center is zero, so every center stack is
-  empty;
+* ``integrate`` at chart radius 0.5, 4, 8 and 24, ``verify`` and
+  ``analyze`` on two Lie inputs that ``perfbench/inputs.py`` does not
+  describe, written through CHECKOUT's ``LeibnizAlgebra.from_brackets``:
+  the oscillator, whose ad family is not nilpotent, so iota2 runs on a G0
+  that is not unipotent, and sl2, whose left center is zero, so every
+  center stack is empty.  At radius 8 and 24 both leave iota2's log chart:
+  most of their Lie rows are skipped, and the reports exit 3;
 * ``integrate`` and ``analyze`` on three inputs with an exact value outside
   float range, written as JSON: a left center spanned by (-10^400, 1, 0),
   an omega of 10^400, and a realized g0 of 10^400, which only the rack
@@ -142,7 +144,7 @@ def runs() -> list[tuple[str, list[str]]]:
     exact += [(id_, "{file}") for id_ in [*inputs(), *(f"filiform{n}" for n in FILIFORM_DIMS)]]
     out += [(id_, [cmd, file, "--json"]) for id_, file in exact for cmd in ("verify", "analyze")]
     out += [(id_, ["integrate", "{file}", "--json", "--chart-radius", r])
-            for id_ in LIE_INPUTS for r in ("0.5", "4")]
+            for id_ in LIE_INPUTS for r in ("0.5", "4", "8", "24")]
     out += [(id_, [cmd, "{file}", "--json"])
             for id_ in LIE_INPUTS for cmd in ("verify", "analyze")]
     out += [(id_, [cmd, "{file}", "--json"])
